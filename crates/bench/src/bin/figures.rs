@@ -19,11 +19,11 @@
 //! `bench-sjf` drains the identical seeded short/long mix under each
 //! queue policy and fails unless shortest-job-first strictly beats FIFO
 //! on short-query waits with bit-identical answers and no starved long
-//! scan. `bench-scan` sweeps the packed-domain selection paths over
-//! width × selectivity (scalar vs per-word SWAR vs lane batches, index
-//! vs bitmap), writes the `BENCH_scan.json` baseline and fails on any
-//! bit-identity violation or a lane-speedup collapse against the
-//! committed baseline at the same scale.
+//! scan. `bench-scan` sweeps the selection kernel over width ×
+//! selectivity (index and bitmap output vs a naive `get()` oracle),
+//! writes the `BENCH_scan.json` baseline and fails on any bit-identity
+//! violation or a collapse of the production-over-oracle ratio against
+//! the committed baseline at the same scale.
 //! `trace` runs a seeded scheduler batch with query-lifecycle tracing
 //! on, validates every trace, writes the Chrome `trace_event` export to
 //! `TRACE_workload.json` and prints one query's EXPLAIN ANALYZE tree.
@@ -215,7 +215,7 @@ fn main() -> ExitCode {
                 Err(e) => Err(e.to_string()),
             },
             "bench-scan" => {
-                // Packed-domain selection sweep: defaults to the 4M-row
+                // Selection-kernel sweep: defaults to the 4M-row
                 // workload the committed BENCH_scan.json records.
                 let n = if args.micro_explicit {
                     args.micro_n
@@ -368,13 +368,14 @@ fn check_arexec_baseline(
     Ok(())
 }
 
-/// Mirror of [`check_arexec_baseline`] for the packed-scan sweep: when
-/// the committed `BENCH_scan.json` records the same workload size,
-/// fail if the fresh lane-over-SWAR headline (`best_lane_speedup_w16`)
-/// has collapsed beyond the noise factor against the committed one.
-/// The ratio of two wall-clock paths on the *same* run is far steadier
-/// than raw seconds, but a shared machine still jitters — only a > 2x
-/// collapse fails; the delta is always printed.
+/// Mirror of [`check_arexec_baseline`] for the selection-kernel sweep:
+/// when the committed `BENCH_scan.json` records the same workload size,
+/// fail if the fresh production-over-oracle headline
+/// (`best_speedup_over_oracle_w16`) has collapsed beyond the noise factor
+/// against the committed one. The ratio of two wall-clock paths on the
+/// *same* run is far steadier than raw seconds, but a shared machine
+/// still jitters — only a > 2x collapse fails; the delta is always
+/// printed.
 fn check_scan_baseline(
     path: &std::path::Path,
     report: &bwd_bench::scan::ScanReport,
@@ -393,15 +394,20 @@ fn check_scan_baseline(
     if doc.get("rows").and_then(|v| v.as_num()) != Some(report.rows as f64) {
         return Ok(());
     }
-    let Some(base) = doc.get("best_lane_speedup_w16").and_then(|v| v.as_num()) else {
+    let Some(base) = doc
+        .get("best_speedup_over_oracle_w16")
+        .and_then(|v| v.as_num())
+    else {
         return Ok(());
     };
-    let fresh = report.best_lane_speedup_at_most(16);
-    eprintln!("bench-scan: best lane speedup (w<=16) {fresh:.2}x vs committed baseline {base:.2}x");
+    let fresh = report.best_speedup_at_most(16);
+    eprintln!(
+        "bench-scan: best speedup over the oracle (w<=16) {fresh:.2}x vs committed baseline {base:.2}x"
+    );
     if fresh < base / NOISE_FACTOR {
         return Err(format!(
-            "lane-over-SWAR speedup collapsed beyond {NOISE_FACTOR}x against the committed baseline \
-             ({fresh:.2}x vs {base:.2}x)"
+            "production-over-oracle speedup collapsed beyond {NOISE_FACTOR}x against the committed \
+             baseline ({fresh:.2}x vs {base:.2}x)"
         ));
     }
     Ok(())

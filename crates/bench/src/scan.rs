@@ -1,47 +1,41 @@
-//! Wall-clock benchmark of the packed-domain selection paths.
+//! Wall-clock benchmark of the selection kernel.
 //!
 //! Sweeps element width × selectivity over one full-relation approximate
-//! selection and measures five real implementations of the same kernel
-//! (identical simulated costs by construction):
+//! selection and measures the two production outputs of the one kernel
+//! ([`bwd_kernels::ScanSpec`]; identical simulated costs by construction)
+//! against a naive oracle defined here:
 //!
-//! * **scalar/index** — the pre-SWAR reference: bulk-decode every element
-//!   into a scratch block, compare one value at a time, push (oid,
+//! * **oracle** — one `get()` and one compare per row, pushing (oid,
 //!   approximation) pairs;
-//! * **swar/index** — the PR 5 word-parallel path: banked compare in the
-//!   packed domain one backing word at a time, decode only for 64-blocks
-//!   that contain survivors, same output pairs;
-//! * **swar/bitmap** — the PR 5 mask path: the per-word SWAR compare
-//!   writes one match bit per row and nothing else;
-//! * **lane/index** — the PR 7 production path: the same SWAR compare
-//!   restructured over fixed-lane batches (8 backing words per
-//!   iteration, log-doubling lift/compact, hoisted bound constants);
-//! * **lane/bitmap** — the lane batch kernels filling the mask directly
-//!   (the representation the A&R executor keeps until the gather
+//! * **index** — [`bwd_kernels::ScanSpec::emit`]: packed-domain lane
+//!   compare with decode only for 64-blocks that hold survivors at
+//!   widths ≤ 21, decode-and-compare above;
+//! * **bitmap** — [`bwd_kernels::ScanSpec::fill_mask`]: the match mask
+//!   alone (the representation the A&R executor keeps until the gather
 //!   boundary).
 //!
-//! Every cell is checked **bit-identical** across all five paths — the
-//! X4 lane flavor against X8, and the bitmap converted back to the index
-//! list through the scan's block-emission order — before its timing is
-//! reported. `BENCH_scan.json` (written by `figures -- bench-scan`) is
-//! the committed baseline; the CI smoke runs a reduced sweep and fails
-//! on any identity violation or on a lane-speedup regression against
-//! the committed baseline at the same scale.
+//! Every cell is checked **bit-identical** — index pairs against the
+//! oracle's, and the bitmap converted back to the index list through the
+//! scan's block-emission order against `select_range` — before its
+//! timing is reported. `BENCH_scan.json` (written by `figures --
+//! bench-scan`) is the committed baseline; the CI smoke runs a reduced
+//! sweep and fails on any identity violation or on a collapse of the
+//! production-over-oracle ratio against the committed baseline at the
+//! same scale.
 
 use crate::report::Figure;
 use bwd_device::{CostLedger, Env};
-use bwd_kernels::scan::{
-    select_range_partition, select_range_partition_per_word, select_range_partition_scalar,
-};
-use bwd_kernels::{DeviceArray, ScanOptions, SelMask};
+use bwd_kernels::scan::select_range;
+use bwd_kernels::{DeviceArray, ScanOptions, ScanRows, ScanSpec, SelMask};
 use bwd_obs::Clock;
-use bwd_storage::{mask_count, BitPackedVec, LaneCount, RangeMatcher};
-use bwd_types::{Result, SplitMix64};
+use bwd_storage::{mask_count, BitPackedVec};
+use bwd_types::{Oid, Result, SplitMix64};
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// Element widths swept: the narrow TPC-H range where SWAR lanes are
-/// deep (4–16), the last SWAR width (21) and one scalar-fallback width
-/// (24, expected ratio ≈ 1).
+/// deep (4–16), the last SWAR width (21) and one decode-and-compare
+/// width (24).
 pub const WIDTHS: [u32; 6] = [4, 8, 12, 16, 21, 24];
 
 /// Selectivity points swept (fraction of rows the relaxed bounds keep).
@@ -56,25 +50,16 @@ pub struct ScanSample {
     pub selectivity: f64,
     /// Matches the bounds actually kept (narrow widths quantize).
     pub matches: usize,
-    /// Best wall seconds: scalar decode-and-compare index path.
-    pub scalar_index_s: f64,
-    /// Best wall seconds: per-word SWAR index path (PR 5 baseline).
-    pub swar_index_s: f64,
-    /// Best wall seconds: per-word SWAR mask-only path (PR 5 baseline).
-    pub swar_bitmap_s: f64,
-    /// Best wall seconds: lane-batch index path (PR 7).
-    pub lane_index_s: f64,
-    /// Best wall seconds: lane-batch mask-only path (PR 7).
-    pub lane_bitmap_s: f64,
-    /// `scalar_index_s / swar_index_s`.
-    pub speedup_index: f64,
-    /// `scalar_index_s / swar_bitmap_s`.
-    pub speedup_bitmap: f64,
-    /// `swar_index_s / lane_index_s` — what the lane batches buy over
-    /// the per-word SWAR loop on the index path.
-    pub lane_vs_swar_index: f64,
-    /// `swar_bitmap_s / lane_bitmap_s` — same, on the mask fill.
-    pub lane_vs_swar_bitmap: f64,
+    /// Best wall seconds: the naive `get()` oracle.
+    pub oracle_s: f64,
+    /// Best wall seconds: the kernel's index output.
+    pub index_s: f64,
+    /// Best wall seconds: the kernel's bitmap output.
+    pub bitmap_s: f64,
+    /// `oracle_s / index_s`.
+    pub index_vs_oracle: f64,
+    /// `oracle_s / bitmap_s`.
+    pub bitmap_vs_oracle: f64,
 }
 
 /// The full sweep plus the identity verdict.
@@ -84,32 +69,26 @@ pub struct ScanReport {
     pub rows: usize,
     /// Timed repetitions per cell (best-of is reported).
     pub reps: usize,
-    /// Whether every cell's three paths produced identical candidates
-    /// (oids, order, approximations).
+    /// Hardware threads of the measuring host (the sweep itself is
+    /// single-threaded; recorded so baselines from different hosts are
+    /// not compared blindly).
+    pub host_parallelism: usize,
+    /// Whether every cell's outputs produced identical candidates (oids,
+    /// order, approximations).
     pub bit_identical: bool,
     /// One sample per (width, selectivity) cell.
     pub samples: Vec<ScanSample>,
 }
 
 impl ScanReport {
-    /// Best index-path speedup over the scalar baseline among cells with
-    /// `width <= max_width` (the acceptance gate looks at widths ≤ 16).
+    /// Best production-over-oracle ratio (either output) among cells with
+    /// `width <= max_width` — a same-host ratio, which is what the
+    /// baseline guard compares.
     pub fn best_speedup_at_most(&self, max_width: u32) -> f64 {
         self.samples
             .iter()
             .filter(|s| s.width <= max_width)
-            .map(|s| s.speedup_index.max(s.speedup_bitmap))
-            .fold(0.0, f64::max)
-    }
-
-    /// Best lane-batch speedup over the per-word SWAR baseline among
-    /// cells with `width <= max_width` (PR 7's acceptance gate: ≥ 2× at
-    /// widths ≤ 16).
-    pub fn best_lane_speedup_at_most(&self, max_width: u32) -> f64 {
-        self.samples
-            .iter()
-            .filter(|s| s.width <= max_width)
-            .map(|s| s.lane_vs_swar_index.max(s.lane_vs_swar_bitmap))
+            .map(|s| s.index_vs_oracle.max(s.bitmap_vs_oracle))
             .fold(0.0, f64::max)
     }
 }
@@ -148,6 +127,17 @@ fn best_of<F: FnMut() -> usize>(reps: usize, mut f: F) -> (f64, usize) {
     (best, out)
 }
 
+/// The oracle arm: every row through `get()`, one compare each.
+fn oracle_scan(arr: &DeviceArray, lo: u64, hi: u64, oids: &mut Vec<Oid>, vals: &mut Vec<u64>) {
+    for row in 0..arr.len() {
+        let v = arr.get(row);
+        if v >= lo && v <= hi {
+            oids.push(row as Oid);
+            vals.push(v);
+        }
+    }
+}
+
 /// Run the sweep: `n` rows per column, `reps` timed repetitions per
 /// cell after one warm-up, identity checked on every cell.
 pub fn measure(n: usize, reps: usize) -> Result<ScanReport> {
@@ -159,87 +149,61 @@ pub fn measure(n: usize, reps: usize) -> Result<ScanReport> {
         let arr = build_column(&env, width, n);
         for &sel in &SELECTIVITIES {
             let (lo, hi) = bounds_for(width, sel);
+            let spec = ScanSpec::new(&arr, None, lo, hi, None);
             let mut oids = Vec::new();
             let mut vals = Vec::new();
             // Warm-up + reference output.
-            select_range_partition_scalar(&arr, 0, n, lo, hi, &mut oids, &mut vals);
+            oracle_scan(&arr, lo, hi, &mut oids, &mut vals);
             let matches = oids.len();
 
-            let (scalar_s, _) = best_of(reps, || {
+            let (oracle_s, _) = best_of(reps, || {
                 let mut o = Vec::with_capacity(matches);
                 let mut v = Vec::with_capacity(matches);
-                select_range_partition_scalar(&arr, 0, n, lo, hi, &mut o, &mut v);
+                oracle_scan(&arr, lo, hi, &mut o, &mut v);
                 o.len()
             });
-            let mut swar_oids = Vec::new();
-            let mut swar_vals = Vec::new();
-            let (swar_s, _) = best_of(reps, || {
-                swar_oids.clear();
-                swar_vals.clear();
-                swar_oids.reserve(matches);
-                swar_vals.reserve(matches);
-                select_range_partition_per_word(&arr, 0, n, lo, hi, &mut swar_oids, &mut swar_vals);
-                swar_oids.len()
-            });
-            let mut lane_oids = Vec::new();
-            let mut lane_vals = Vec::new();
-            let (lane_s, _) = best_of(reps, || {
-                lane_oids.clear();
-                lane_vals.clear();
-                lane_oids.reserve(matches);
-                lane_vals.reserve(matches);
-                select_range_partition(&arr, 0, n, lo, hi, &mut lane_oids, &mut lane_vals);
-                lane_oids.len()
-            });
-            let m = RangeMatcher::new(arr.data(), lo, hi);
-            let mut pw_words = vec![0u64; n.div_ceil(64)];
-            let (pw_mask_s, pw_mask_matches) = best_of(reps, || {
-                m.fill_per_word(0, n, &mut pw_words);
-                mask_count(&pw_words)
+            let mut idx_oids = Vec::new();
+            let mut idx_vals = Vec::new();
+            let (index_s, _) = best_of(reps, || {
+                idx_oids.clear();
+                idx_vals.clear();
+                idx_oids.reserve(matches);
+                idx_vals.reserve(matches);
+                spec.emit(ScanRows::Span(0..n), &mut idx_oids, &mut idx_vals);
+                idx_oids.len()
             });
             let mut words = vec![0u64; n.div_ceil(64)];
-            let (mask_s, mask_matches) = best_of(reps, || {
-                m.fill(0, n, &mut words);
+            let (bitmap_s, mask_matches) = best_of(reps, || {
+                spec.fill_mask(None, 0, &mut words);
                 mask_count(&words)
             });
-            // The X4 lane flavor once (identity only; X8 is the timed
-            // default).
-            let mut x4_words = vec![0u64; n.div_ceil(64)];
-            m.fill_lanes(0, n, &mut x4_words, LaneCount::X4);
 
-            // Identity: per-word SWAR and lane pairs == scalar pairs,
-            // every mask flavor identical, and the bitmap converted
-            // through the block-emission order == the full kernel's
-            // candidate list.
-            bit_identical &= swar_oids == oids && swar_vals == vals;
-            bit_identical &= lane_oids == oids && lane_vals == vals;
-            bit_identical &= pw_mask_matches == matches && mask_matches == matches;
-            bit_identical &= pw_words == words && x4_words == words;
-            let mask = SelMask::from_words(words.clone(), n, &opts);
-            let converted = mask.to_candidates(&arr);
+            // Identity: index pairs == oracle pairs, and the bitmap
+            // converted through the block-emission order == the full
+            // kernel's candidate list.
+            bit_identical &= idx_oids == oids && idx_vals == vals;
+            bit_identical &= mask_matches == matches;
+            let mask = SelMask::from_words(words, n, &opts);
             let mut l = CostLedger::new();
-            let full = bwd_kernels::scan::select_range(&env, &arr, lo, hi, &opts, &mut l);
-            bit_identical &= converted == full;
+            bit_identical &=
+                mask.to_candidates(&arr) == select_range(&env, &arr, lo, hi, &opts, &mut l);
 
             samples.push(ScanSample {
                 width,
                 selectivity: sel,
                 matches,
-                scalar_index_s: scalar_s,
-                swar_index_s: swar_s,
-                swar_bitmap_s: pw_mask_s,
-                lane_index_s: lane_s,
-                lane_bitmap_s: mask_s,
-                speedup_index: scalar_s / swar_s,
-                speedup_bitmap: scalar_s / pw_mask_s,
-                lane_vs_swar_index: swar_s / lane_s,
-                lane_vs_swar_bitmap: pw_mask_s / mask_s,
+                oracle_s,
+                index_s,
+                bitmap_s,
+                index_vs_oracle: oracle_s / index_s,
+                bitmap_vs_oracle: oracle_s / bitmap_s,
             });
         }
     }
     Ok(ScanReport {
         rows: n,
         reps: reps.max(1),
+        host_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
         bit_identical,
         samples,
     })
@@ -250,17 +214,16 @@ pub fn figure(report: &ScanReport) -> Figure {
     let mut fig = Figure::new(
         "bench-scan",
         format!(
-            "Packed-domain selection wall clock ({} rows, best of {})",
-            report.rows, report.reps
+            "Selection kernel wall clock ({} rows, best of {}, host parallelism {})",
+            report.rows, report.reps, report.host_parallelism
         ),
         "width x selectivity",
         vec![
-            "scalar Melem/s",
-            "swar Melem/s",
-            "lane Melem/s",
-            "lane-bmp Melem/s",
-            "lane/swar idx",
-            "lane/swar bmp",
+            "oracle Melem/s",
+            "index Melem/s",
+            "bitmap Melem/s",
+            "index/oracle",
+            "bitmap/oracle",
         ],
     );
     // Throughputs and ratios, not seconds.
@@ -271,26 +234,21 @@ pub fn figure(report: &ScanReport) -> Figure {
         fig.push(
             format!("w{:02} {:>5.1}%", s.width, s.selectivity * 100.0),
             vec![
-                melems(s.scalar_index_s),
-                melems(s.swar_index_s),
-                melems(s.lane_index_s),
-                melems(s.lane_bitmap_s),
-                round2(s.lane_vs_swar_index),
-                round2(s.lane_vs_swar_bitmap),
+                melems(s.oracle_s),
+                melems(s.index_s),
+                melems(s.bitmap_s),
+                round2(s.index_vs_oracle),
+                round2(s.bitmap_vs_oracle),
             ],
         );
     }
     fig.note(format!(
-        "bit-identical across scalar/SWAR/lane (X4+X8) paths: {}",
+        "bit-identical across oracle/index/bitmap: {}",
         report.bit_identical
     ));
     fig.note(format!(
-        "best SWAR speedup over scalar at widths <= 16: {:.2}x",
+        "best production speedup over the get() oracle at widths <= 16: {:.2}x",
         report.best_speedup_at_most(16)
-    ));
-    fig.note(format!(
-        "best lane speedup over per-word SWAR at widths <= 16: {:.2}x (acceptance: >= 2x on at least one point)",
-        report.best_lane_speedup_at_most(16)
     ));
     fig
 }
@@ -299,7 +257,7 @@ pub fn figure(report: &ScanReport) -> Figure {
 pub fn check(report: &ScanReport) -> Result<()> {
     if !report.bit_identical {
         return Err(bwd_types::BwdError::Exec(
-            "bench-scan: SWAR/lane/bitmap paths were NOT bit-identical to the scalar path".into(),
+            "bench-scan: index/bitmap outputs were NOT bit-identical to the get() oracle".into(),
         ));
     }
     Ok(())
@@ -313,34 +271,26 @@ pub fn to_json(report: &ScanReport) -> String {
     let _ = writeln!(s, "  \"bench\": \"packed_domain_scan\",");
     let _ = writeln!(s, "  \"rows\": {},", report.rows);
     let _ = writeln!(s, "  \"reps\": {},", report.reps);
+    let _ = writeln!(s, "  \"host_parallelism\": {},", report.host_parallelism);
     let _ = writeln!(s, "  \"bit_identical\": {},", report.bit_identical);
     let _ = writeln!(
         s,
-        "  \"best_speedup_w16\": {:.4},",
+        "  \"best_speedup_over_oracle_w16\": {:.4},",
         report.best_speedup_at_most(16)
-    );
-    let _ = writeln!(
-        s,
-        "  \"best_lane_speedup_w16\": {:.4},",
-        report.best_lane_speedup_at_most(16)
     );
     let _ = writeln!(s, "  \"samples\": [");
     for (i, m) in report.samples.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"width\": {}, \"selectivity\": {}, \"matches\": {}, \"scalar_index_s\": {:.9}, \"swar_index_s\": {:.9}, \"swar_bitmap_s\": {:.9}, \"lane_index_s\": {:.9}, \"lane_bitmap_s\": {:.9}, \"speedup_index\": {:.4}, \"speedup_bitmap\": {:.4}, \"lane_vs_swar_index\": {:.4}, \"lane_vs_swar_bitmap\": {:.4}}}{}",
+            "    {{\"width\": {}, \"selectivity\": {}, \"matches\": {}, \"oracle_s\": {:.9}, \"index_s\": {:.9}, \"bitmap_s\": {:.9}, \"index_vs_oracle\": {:.4}, \"bitmap_vs_oracle\": {:.4}}}{}",
             m.width,
             m.selectivity,
             m.matches,
-            m.scalar_index_s,
-            m.swar_index_s,
-            m.swar_bitmap_s,
-            m.lane_index_s,
-            m.lane_bitmap_s,
-            m.speedup_index,
-            m.speedup_bitmap,
-            m.lane_vs_swar_index,
-            m.lane_vs_swar_bitmap,
+            m.oracle_s,
+            m.index_s,
+            m.bitmap_s,
+            m.index_vs_oracle,
+            m.bitmap_vs_oracle,
             if i + 1 < report.samples.len() { "," } else { "" }
         );
     }
@@ -367,14 +317,15 @@ mod tests {
         let json = to_json(&report);
         assert!(json.contains("\"bench\": \"packed_domain_scan\""));
         assert!(json.contains("\"bit_identical\": true"));
-        assert!(json.contains("\"best_lane_speedup_w16\""));
-        assert!(json.contains("\"lane_index_s\""));
+        assert!(json.contains("\"host_parallelism\""));
+        assert!(json.contains("\"best_speedup_over_oracle_w16\""));
+        assert!(bwd_obs::json::parse(&json).is_ok());
         let fig = figure(&report);
         assert_eq!(fig.rows.len(), report.samples.len());
-        // Lane ratios exist for every cell and are finite.
+        // Ratios exist for every cell and are finite.
         for s in &report.samples {
-            assert!(s.lane_vs_swar_index.is_finite() && s.lane_vs_swar_index > 0.0);
-            assert!(s.lane_vs_swar_bitmap.is_finite() && s.lane_vs_swar_bitmap > 0.0);
+            assert!(s.index_vs_oracle.is_finite() && s.index_vs_oracle > 0.0);
+            assert!(s.bitmap_vs_oracle.is_finite() && s.bitmap_vs_oracle > 0.0);
         }
     }
 

@@ -111,20 +111,6 @@ pub struct CpuSpec {
     pub per_tuple_cost: f64,
     /// Effective bandwidth de-rating for scattered access.
     pub random_access_efficiency: f64,
-    /// CPU packages (NUMA nodes) the cores spread over (2 on the paper's
-    /// machine). Placement-only today: socket-affine morsel plans keep a
-    /// partition's scan words, residual reads and scratch on one modeled
-    /// socket, but the aggregate bandwidth model — and therefore every
-    /// simulated cost — is unchanged by this field.
-    pub sockets: u32,
-    /// Achievable local memory bandwidth of one socket's controllers,
-    /// bytes/second (half the box ceiling on a symmetric two-socket
-    /// machine).
-    pub socket_bandwidth: f64,
-    /// Fraction of local bandwidth a thread keeps when its data lives on
-    /// the *other* socket (QPI hop + remote controller) — what
-    /// socket-affine placement avoids paying.
-    pub cross_socket_efficiency: f64,
 }
 
 impl Default for CpuSpec {
@@ -144,16 +130,7 @@ impl CpuSpec {
             mem_bandwidth_max: 28.0e9,
             per_tuple_cost: 2.0e-9,
             random_access_efficiency: 0.35,
-            sockets: 2,
-            socket_bandwidth: 14.0e9,
-            cross_socket_efficiency: 0.6,
         }
-    }
-
-    /// Cores per socket (the paper's box: 8).
-    #[inline]
-    pub fn cores_per_socket(&self) -> u32 {
-        self.cores / self.sockets.max(1)
     }
 
     /// Aggregate sequential bandwidth available to `threads` threads
@@ -162,22 +139,6 @@ impl CpuSpec {
     #[inline]
     pub fn bandwidth_at(&self, threads: u32) -> f64 {
         (threads as f64 * self.per_thread_bandwidth).min(self.mem_bandwidth_max)
-    }
-
-    /// Aggregate sequential bandwidth of `threads` threads whose data and
-    /// scratch are confined to `sockets_used` sockets — the socket-local
-    /// roofline the morsel placement policy reasons with. Using every
-    /// socket recovers [`CpuSpec::bandwidth_at`] exactly (a symmetric
-    /// box's socket ceilings sum to the machine ceiling), which is why
-    /// socket-affine placement changes no simulated cost total: the
-    /// engine always spreads partitions across all modeled sockets and
-    /// only pins *which* socket serves each partition.
-    #[inline]
-    pub fn bandwidth_on(&self, threads: u32, sockets_used: u32) -> f64 {
-        let s = sockets_used.clamp(1, self.sockets.max(1));
-        (threads as f64 * self.per_thread_bandwidth)
-            .min(s as f64 * self.socket_bandwidth)
-            .min(self.mem_bandwidth_max)
     }
 
     /// Seconds for a sequential scan of `bytes` doing `tuples` cheap
@@ -272,34 +233,6 @@ mod tests {
         // Memory wall: going 16 -> 32 threads gains almost nothing.
         assert!(thirty_two <= sixteen * 1.1);
         assert_eq!(c.bandwidth_at(64), c.bandwidth_at(32), "clamped at ceiling");
-    }
-
-    #[test]
-    fn socket_model_is_additive_and_cost_neutral() {
-        let c = CpuSpec::default();
-        assert_eq!(c.sockets, 2);
-        assert_eq!(c.cores_per_socket(), 8);
-        // The socket ceilings sum to the machine ceiling, so full-width
-        // placement reproduces bandwidth_at exactly at every thread
-        // count — the invariant that keeps simulated costs identical
-        // under socket-affine placement.
-        for t in 1..=64 {
-            assert_eq!(
-                c.bandwidth_on(t, c.sockets),
-                c.bandwidth_at(t),
-                "threads={t}"
-            );
-        }
-        // One socket caps at its local controllers.
-        assert_eq!(c.bandwidth_on(16, 1), c.socket_bandwidth);
-        assert!(c.bandwidth_on(16, 1) < c.bandwidth_at(16));
-        // Below the local wall, confinement costs nothing.
-        assert_eq!(c.bandwidth_on(2, 1), c.bandwidth_at(2));
-        // Degenerate socket counts clamp instead of dividing by zero.
-        assert_eq!(c.bandwidth_on(8, 0), c.bandwidth_on(8, 1));
-        assert_eq!(c.bandwidth_on(64, 99), c.bandwidth_at(64));
-        // The remote-access de-rating is a real penalty in (0, 1).
-        assert!(c.cross_socket_efficiency > 0.0 && c.cross_socket_efficiency < 1.0);
     }
 
     #[test]

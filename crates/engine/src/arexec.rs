@@ -25,7 +25,7 @@ use crate::eval::{payload_to_value, ColumnSlot, RowBlock};
 use crate::morsel::{
     gather_stored, group_rows, partition_mask_ranges, partition_ranges, partition_ranges_min,
     refine_filter, refine_filter_mask, refine_payloads, run_parts, run_parts_mut,
-    translucent_starts, ApproxSrc, ResidualSrc, ScratchPool, SocketPlan,
+    translucent_starts, ApproxSrc, ResidualSrc, ScratchPool,
 };
 use crate::result::{ApproxAnswer, QueryResult};
 use bwd_core::ops::join::{charge_fk_project_refine, FkIndex};
@@ -36,14 +36,8 @@ use bwd_core::{BoundColumn, RangePred};
 use bwd_device::{Component, CostLedger, Env};
 use bwd_kernels::gather::{charge_gather, charge_gather_indirect};
 use bwd_kernels::group::hash_group_multi;
-use bwd_kernels::scan::{
-    cache_worthwhile, charge_select_indirect, charge_select_on, charge_select_on_indirect,
-    charge_select_scan, scan_block_ranges, select_range_indirect_mask_partition,
-    select_range_indirect_partition, select_range_mask_partition,
-    select_range_on_indirect_mask_partition, select_range_on_indirect_partition,
-    select_range_on_mask_partition, select_range_on_partition, select_range_partition,
-};
-use bwd_kernels::{Candidates, ScanOptions, SelMask, SelVec};
+use bwd_kernels::scan::scan_block_ranges;
+use bwd_kernels::{Candidates, ScanOptions, ScanRows, ScanSpec, SelMask, SelVec};
 use bwd_obs::{EventKind, SpanId, WorkerHandle, NO_SPAN};
 use bwd_types::{BwdError, FaultSite, Oid, Result, Value};
 
@@ -227,10 +221,7 @@ pub fn run_ar_in(
     let n = fact.len();
     let morsels = opts.morsels.max(1);
     let mut transient = TransientBudget::new(opts.device_budget);
-    // One scratch bank per modeled host socket: morsel workers recycle
-    // buffers within their own socket's bank only (placement-only; see
-    // `morsel::SocketPlan`).
-    let pool = ScratchPool::with_sockets(env.cpu.sockets as usize);
+    let pool = ScratchPool::default();
     let fk: Option<&FkIndex> = match &plan.fk_join {
         Some(j) => Some(db.fk_index(&plan.table, &j.fact_key)?),
         None => None,
@@ -316,14 +307,7 @@ pub fn run_ar_in(
                     env.pcie.transfer_seconds(oids.len() as u64 * 4),
                     oids.len() as u64 * 4,
                 );
-                let mut cand = Candidates {
-                    approx: Vec::new(),
-                    oids,
-                    sorted: false,
-                    dense: false,
-                };
-                cand.refresh_flags();
-                SelVec::Indices(cand)
+                SelVec::Indices(Candidates::from_pairs(oids, Vec::new()))
             });
             let input_len = input.as_ref().map_or(n, SelVec::len) as u64;
             let probe = Probe::begin(
@@ -679,18 +663,20 @@ pub fn run_ar_in(
 
 /// One approximate selection step (full scan / chained, direct / through
 /// the FK link), fanned out over `morsels` real threads, producing the
-/// representation the policy picks.
+/// representation the policy picks. The step is one [`ScanSpec`]: its
+/// partitions run on the workers, and the cost is charged once from the
+/// merged total by the same spec — identically in both representations.
 ///
+/// Bitmap-producing steps distribute word-aligned mask ranges — every
+/// partition boundary is a mask-word boundary, so workers fill disjoint
+/// words of one shared buffer and the parallel path needs no
+/// synchronization at all. The mask is positional over *fact* rows for
+/// fact-side and dimension-side predicates alike, so chained predicates
+/// AND masks with no representation round-trip at the dim boundary.
 /// Index-producing steps distribute contiguous chunks of the simulated
 /// thread-block sequence (in its bit-reversed emission order) or
 /// contiguous candidate partitions; concatenating worker outputs in
 /// chunk order reproduces the serial kernel's permutation byte for byte.
-/// Bitmap-producing steps distribute word-aligned mask ranges — every
-/// partition boundary is a mask-word boundary, so workers fill disjoint
-/// words of one shared buffer and the parallel path needs no
-/// synchronization at all. The cost is charged once from the merged
-/// totals via the kernels' own charge functions, identically in both
-/// representations.
 #[allow(clippy::too_many_arguments)]
 fn approx_select_step(
     env: &Env,
@@ -732,161 +718,61 @@ fn approx_select_step(
     } else {
         None
     };
+    let rows = link.unwrap_or(arr).len();
+    let spec = ScanSpec::new(arr, link, lo, hi, input.map(SelVec::len));
 
-    // Bitmap-producing paths. The mask is positional over *fact* rows in
-    // both flavors: a direct predicate tests `arr[row]`, a dimension-side
-    // one tests `arr[link[row]]` — so chained predicates AND masks with
-    // no representation round-trip at the dim boundary.
-    match input {
-        None if bitmap_worthwhile(rep, lo, hi, arr.width()) => {
-            let n = link.unwrap_or(arr).len();
-            let mut words = vec![0u64; n.div_ceil(64)];
-            let ranges = partition_mask_ranges(words.len(), morsels);
-            run_parts_mut(&mut words, &ranges, |p, r, chunk| {
-                let (t, span) = morsel_begin(p, r.len());
-                match link {
-                    None => select_range_mask_partition(arr, r.start, lo, hi, chunk),
-                    Some(l) => {
-                        select_range_indirect_mask_partition(arr, l, r.start, lo, hi, chunk);
-                    }
-                }
-                let out = if morsel_enabled {
-                    chunk.iter().map(|w| u64::from(w.count_ones())).sum()
-                } else {
-                    0
-                };
-                t.end(EventKind::Morsel, span, 0, 0, out, 0);
-            });
-            let mask = SelMask::from_words(words, n, scan);
-            match link {
-                None => charge_select_scan(env, arr, mask.count(), scan, ledger),
-                Some(l) => charge_select_indirect(env, arr, l, ledger),
-            }
-            return Ok(SelVec::Bitmap(mask));
-        }
-        Some(SelVec::Bitmap(m)) => {
-            // AND-refinement: only mask words that still hold
-            // candidates touch this column's bits.
-            let mut words = vec![0u64; m.words().len()];
-            let ranges = partition_mask_ranges(words.len(), morsels);
-            let in_words = m.words();
-            let cached = link.is_some_and(|l| cache_worthwhile(m.count(), l.len()));
-            run_parts_mut(&mut words, &ranges, |p, r, chunk| {
-                let (t, span) = morsel_begin(p, r.len());
-                match link {
-                    None => select_range_on_mask_partition(
-                        arr,
-                        &in_words[r.clone()],
-                        r.start,
-                        lo,
-                        hi,
-                        chunk,
-                    ),
-                    Some(l) => select_range_on_indirect_mask_partition(
-                        arr,
-                        l,
-                        &in_words[r.clone()],
-                        r.start,
-                        lo,
-                        hi,
-                        cached,
-                        chunk,
-                    ),
-                }
-                let out = if morsel_enabled {
-                    chunk.iter().map(|w| u64::from(w.count_ones())).sum()
-                } else {
-                    0
-                };
-                t.end(EventKind::Morsel, span, 0, 0, out, 0);
-            });
-            let out = m.like(words);
-            match link {
-                None => charge_select_on(env, arr, m.count(), out.count(), ledger),
-                Some(l) => charge_select_on_indirect(env, arr, l, m.count(), ledger),
-            }
-            return Ok(SelVec::Bitmap(out));
-        }
-        _ => {}
+    // A bitmap input is AND-refined into a bitmap; a full scan produces
+    // one when the policy says so.
+    let mask_in = match input {
+        Some(SelVec::Bitmap(m)) => Some(m),
+        _ => None,
+    };
+    if mask_in.is_some() || (input.is_none() && bitmap_worthwhile(rep, lo, hi, arr.width())) {
+        let mut words = vec![0u64; rows.div_ceil(64)];
+        let ranges = partition_mask_ranges(words.len(), morsels);
+        run_parts_mut(&mut words, &ranges, |p, r, chunk| {
+            let (t, span) = morsel_begin(p, r.len());
+            spec.fill_mask(mask_in.map(|m| &m.words()[r.clone()]), r.start, chunk);
+            let out = if morsel_enabled {
+                chunk.iter().map(|w| u64::from(w.count_ones())).sum()
+            } else {
+                0
+            };
+            t.end(EventKind::Morsel, span, 0, 0, out, 0);
+        });
+        let mask = match mask_in {
+            Some(m) => m.like(words),
+            None => SelMask::from_words(words, rows, scan),
+        };
+        spec.charge(env, mask.count(), scan, ledger);
+        return Ok(SelVec::Bitmap(mask));
     }
-    let input = match input {
-        None => None,
-        Some(SelVec::Indices(c)) => Some(c),
-        Some(SelVec::Bitmap(_)) => {
-            // Bitmap inputs are fully handled by the AND-refinement arm
-            // above (direct and indirect alike); reaching here would
-            // mean the chain invariant broke.
-            return Err(BwdError::Exec(
-                "bitmap candidates reached an index-producing selection step".into(),
-            ));
-        }
-    };
-    let (oids, approx) = match input {
+
+    let cands_in = input.and_then(SelVec::as_indices);
+    let (blocks, parts) = match cands_in {
         None => {
-            let blocks = scan_block_ranges(link.unwrap_or(arr).len(), scan);
-            let chunks = partition_ranges_min(blocks.len(), morsels, 1);
-            let plan = SocketPlan::new(chunks.len(), pool.sockets());
-            let outs = run_parts(&chunks, |p, chunk| {
-                let (t, span) = morsel_begin(p, chunk.len());
-                let sock = plan.socket_of(p);
-                let mut oids = pool.take_u32(sock);
-                let mut vals = pool.take_u64(sock);
-                for b in &blocks[chunk] {
-                    match link {
-                        None => select_range_partition(
-                            arr, b.start, b.end, lo, hi, &mut oids, &mut vals,
-                        ),
-                        Some(l) => select_range_indirect_partition(
-                            arr, l, b.start, b.end, lo, hi, &mut oids, &mut vals,
-                        ),
-                    }
-                }
-                t.end(EventKind::Morsel, span, 0, 0, oids.len() as u64, 0);
-                (oids, vals)
-            });
-            let merged = merge_candidate_parts(outs, pool, &plan);
-            match link {
-                None => charge_select_scan(env, arr, merged.0.len(), scan, ledger),
-                Some(l) => charge_select_indirect(env, arr, l, ledger),
-            }
-            merged
+            let blocks = scan_block_ranges(rows, scan);
+            let parts = partition_ranges_min(blocks.len(), morsels, 1);
+            (blocks, parts)
         }
-        Some(c) => {
-            let ranges = partition_ranges(c.oids.len(), morsels);
-            let plan = SocketPlan::new(ranges.len(), pool.sockets());
-            let cached = cache_worthwhile(c.len(), link.unwrap_or(arr).len());
-            let outs = run_parts(&ranges, |p, r| {
-                let (t, span) = morsel_begin(p, r.len());
-                let sock = plan.socket_of(p);
-                let mut oids = pool.take_u32(sock);
-                let mut vals = pool.take_u64(sock);
-                match link {
-                    None => select_range_on_partition(
-                        arr, &c.oids[r], lo, hi, cached, &mut oids, &mut vals,
-                    ),
-                    Some(l) => select_range_on_indirect_partition(
-                        arr, l, &c.oids[r], lo, hi, cached, &mut oids, &mut vals,
-                    ),
-                }
-                t.end(EventKind::Morsel, span, 0, 0, oids.len() as u64, 0);
-                (oids, vals)
-            });
-            let merged = merge_candidate_parts(outs, pool, &plan);
-            match link {
-                None => charge_select_on(env, arr, c.len(), merged.0.len(), ledger),
-                Some(l) => charge_select_on_indirect(env, arr, l, c.len(), ledger),
-            }
-            merged
+        Some(c) => (Vec::new(), partition_ranges(c.len(), morsels)),
+    };
+    let outs = run_parts(&parts, |p, r| {
+        let (t, span) = morsel_begin(p, r.len());
+        let mut oids = pool.take_u32();
+        let mut vals = pool.take_u64();
+        match cands_in {
+            None => blocks[r]
+                .iter()
+                .for_each(|b| spec.emit(ScanRows::Span(b.clone()), &mut oids, &mut vals)),
+            Some(c) => spec.emit(ScanRows::Oids(&c.oids[r]), &mut oids, &mut vals),
         }
-    };
-    let mut c = Candidates {
-        oids,
-        approx,
-        sorted: false,
-        dense: false,
-    };
-    c.refresh_flags();
-    Ok(SelVec::Indices(c))
+        t.end(EventKind::Morsel, span, 0, 0, oids.len() as u64, 0);
+        (oids, vals)
+    });
+    let (oids, approx) = merge_candidate_parts(outs, pool);
+    spec.charge(env, oids.len(), scan, ledger);
+    Ok(SelVec::Indices(Candidates::from_pairs(oids, approx)))
 }
 
 /// Whether a full-scan selection step should produce the bitmap
@@ -908,11 +794,10 @@ fn bitmap_worthwhile(rep: CandidateRep, lo: u64, hi: u64, width: u32) -> bool {
 }
 
 /// Concatenate per-worker candidate buffers in partition order, recycling
-/// each buffer into the socket bank it was taken from.
+/// each buffer into the pool.
 fn merge_candidate_parts(
     mut outs: Vec<(Vec<Oid>, Vec<u64>)>,
     pool: &ScratchPool,
-    plan: &SocketPlan,
 ) -> (Vec<Oid>, Vec<u64>) {
     if outs.len() == 1 {
         // Single partition: hand the (pool-born) buffers to the caller
@@ -922,11 +807,11 @@ fn merge_candidate_parts(
     let total: usize = outs.iter().map(|(o, _)| o.len()).sum();
     let mut oids = Vec::with_capacity(total);
     let mut vals = Vec::with_capacity(total);
-    for (p, (o, v)) in outs.into_iter().enumerate() {
+    for (o, v) in outs {
         oids.extend_from_slice(&o);
         vals.extend_from_slice(&v);
-        pool.put_u32(plan.socket_of(p), o);
-        pool.put_u64(plan.socket_of(p), v);
+        pool.put_u32(o);
+        pool.put_u64(v);
     }
     (oids, vals)
 }

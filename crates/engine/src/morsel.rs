@@ -12,26 +12,12 @@
 //!
 //! * [`partition_ranges`] / [`run_parts`] / [`run_parts_mut`] — contiguous
 //!   range splitting and scoped-thread fan-out;
-//! * [`SocketPlan`] / [`ScratchPool`] — socket-affine partition
-//!   assignment and per-socket recycled buffers, so a morsel's scratch
-//!   allocations never cross the modeled socket seam and the parallel
-//!   path allocates zero intermediate vectors per morsel in steady state;
+//! * [`ScratchPool`] — recycled per-query buffers, so the parallel path
+//!   allocates zero intermediate vectors per morsel in steady state;
 //! * the drivers ([`refine_filter`], [`refine_filter_mask`],
 //!   [`refine_payloads`], [`gather_stored`], [`group_rows`]) — one per
 //!   parallelized refinement stage, each built on the translucent-join
 //!   partitioning below.
-//!
-//! # Socket-affine placement
-//!
-//! [`bwd_device::CpuSpec`] models a multi-socket host whose aggregate
-//! bandwidth is the sum of per-socket memory controllers. Partitions are
-//! contiguous, so assigning partition `p` of `n` to socket `p·S/n`
-//! ([`SocketPlan`]) gives every socket one contiguous span of the input —
-//! the NUMA-friendly layout where a worker streams rows its own
-//! controller serves. The assignment is placement only: partition
-//! boundaries, worker outputs and merge order are unchanged, so results
-//! stay bit-identical at every socket count, and the simulated costs
-//! (charged once from merged totals) never see the plan at all.
 //!
 //! # Partitioning a translucent join
 //!
@@ -207,102 +193,33 @@ where
     })
 }
 
-/// Socket-affine assignment of `n` contiguous partitions to `S` modeled
-/// sockets: partition `p` lands on socket `p·S/n`, so every socket owns
-/// one contiguous, balanced (sizes differ by ≤ 1 partition) span of the
-/// input. Placement only — never consulted by result merging or cost
-/// charging.
-pub(crate) struct SocketPlan {
-    assign: Vec<u32>,
-}
-
-impl SocketPlan {
-    pub(crate) fn new(nparts: usize, sockets: usize) -> SocketPlan {
-        let s = sockets.clamp(1, nparts.max(1));
-        SocketPlan {
-            assign: (0..nparts)
-                .map(|p| (p * s / nparts.max(1)) as u32)
-                .collect(),
-        }
-    }
-
-    /// The socket partition `part` is placed on (0 for out-of-range
-    /// indices, which only a single-partition fallback produces).
-    #[inline]
-    pub(crate) fn socket_of(&self, part: usize) -> usize {
-        self.assign.get(part).map_or(0, |&s| s as usize)
-    }
-}
-
-/// Recycled per-query scratch buffers, one bank per modeled socket.
-/// Workers `take` a buffer from *their* socket's bank, fill it, and the
-/// merger `put`s it back cleared (capacity kept) into the same bank — so
-/// after the first stage warms the pool the parallel path allocates no
-/// intermediate vectors per morsel, and a buffer recycles only within the
-/// socket whose controller first touched its pages (no cross-seam
-/// scratch). `Default` models a single socket.
-pub(crate) struct ScratchPool {
-    banks: Vec<ScratchBank>,
-}
-
+/// Recycled per-query scratch buffers. Workers `take` a buffer, fill it,
+/// and the merger `put`s it back cleared (capacity kept) — so after the
+/// first stage warms the pool the parallel path allocates no intermediate
+/// vectors per morsel.
 #[derive(Default)]
-struct ScratchBank {
+pub(crate) struct ScratchPool {
     u32s: Mutex<Vec<Vec<u32>>>,
     u64s: Mutex<Vec<Vec<u64>>>,
 }
 
-impl Default for ScratchPool {
-    fn default() -> Self {
-        ScratchPool::with_sockets(1)
-    }
-}
-
 impl ScratchPool {
-    pub(crate) fn with_sockets(sockets: usize) -> ScratchPool {
-        ScratchPool {
-            banks: (0..sockets.max(1))
-                .map(|_| ScratchBank::default())
-                .collect(),
-        }
+    pub(crate) fn take_u32(&self) -> Vec<u32> {
+        self.u32s.lock().unwrap().pop().unwrap_or_default()
     }
 
-    /// Number of modeled sockets (= banks); drivers build their
-    /// [`SocketPlan`]s from this.
-    pub(crate) fn sockets(&self) -> usize {
-        self.banks.len()
-    }
-
-    #[inline]
-    fn bank(&self, socket: usize) -> &ScratchBank {
-        &self.banks[socket % self.banks.len()]
-    }
-
-    pub(crate) fn take_u32(&self, socket: usize) -> Vec<u32> {
-        self.bank(socket)
-            .u32s
-            .lock()
-            .unwrap()
-            .pop()
-            .unwrap_or_default()
-    }
-
-    pub(crate) fn put_u32(&self, socket: usize, mut v: Vec<u32>) {
+    pub(crate) fn put_u32(&self, mut v: Vec<u32>) {
         v.clear();
-        self.bank(socket).u32s.lock().unwrap().push(v);
+        self.u32s.lock().unwrap().push(v);
     }
 
-    pub(crate) fn take_u64(&self, socket: usize) -> Vec<u64> {
-        self.bank(socket)
-            .u64s
-            .lock()
-            .unwrap()
-            .pop()
-            .unwrap_or_default()
+    pub(crate) fn take_u64(&self) -> Vec<u64> {
+        self.u64s.lock().unwrap().pop().unwrap_or_default()
     }
 
-    pub(crate) fn put_u64(&self, socket: usize, mut v: Vec<u64>) {
+    pub(crate) fn put_u64(&self, mut v: Vec<u64>) {
         v.clear();
-        self.bank(socket).u64s.lock().unwrap().push(v);
+        self.u64s.lock().unwrap().push(v);
     }
 }
 
@@ -436,9 +353,8 @@ pub(crate) fn refine_filter(
             // zip truncation to the shorter side.
             let n = cands.oids.len().min(cands.approx.len());
             let ranges = partition_ranges(n, morsels);
-            let plan = SocketPlan::new(ranges.len(), pool.sockets());
-            let outs = run_parts(&ranges, |p, r| {
-                let mut out = pool.take_u32(plan.socket_of(p));
+            let outs = run_parts(&ranges, |_, r| {
+                let mut out = pool.take_u32();
                 let mut res = residual.reader();
                 for (&oid, &stored) in cands.oids[r.clone()].iter().zip(&cands.approx[r]) {
                     if range.test(meta.payload_from_parts(stored, res.get(oid))) {
@@ -448,22 +364,21 @@ pub(crate) fn refine_filter(
                 out
             });
             let mut merged = Vec::with_capacity(outs.iter().map(Vec::len).sum());
-            for (p, out) in outs.into_iter().enumerate() {
+            for out in outs {
                 merged.extend_from_slice(&out);
-                pool.put_u32(plan.socket_of(p), out);
+                pool.put_u32(out);
             }
             Ok(merged)
         }
         Some(subset) => {
             let ranges = partition_ranges(subset.len(), morsels);
-            let plan = SocketPlan::new(ranges.len(), pool.sockets());
             let starts = if cands.dense {
                 None
             } else {
                 Some(translucent_starts(&cands.oids, subset, &ranges)?)
             };
             let outs = run_parts(&ranges, |p, r| -> Result<Vec<Oid>> {
-                let mut out = pool.take_u32(plan.socket_of(p));
+                let mut out = pool.take_u32();
                 let mut res = residual.reader();
                 let sub = &subset[r];
                 let (a_ids, a_vals, base) = match &starts {
@@ -479,10 +394,10 @@ pub(crate) fn refine_filter(
                 Ok(out)
             });
             let mut merged = Vec::new();
-            for (p, out) in outs.into_iter().enumerate() {
+            for out in outs {
                 let out = out?;
                 merged.extend_from_slice(&out);
-                pool.put_u32(plan.socket_of(p), out);
+                pool.put_u32(out);
             }
             Ok(merged)
         }
@@ -516,8 +431,7 @@ impl ApproxSrc<'_> {
 /// [`refine_filter`] consuming the *bitmap* representation directly — no
 /// index-list materialization round-trip. With no survivor subset the
 /// mask's blocks are walked in the scan's emission order (each worker
-/// decodes its chunk of blocks into per-socket scratch 64 rows at a
-/// time); with a subset, membership is positional so the translucent join
+/// decodes its chunk of blocks into pooled scratch 64 rows at a time); with a subset, membership is positional so the translucent join
 /// disappears entirely: each survivor's approximation is re-decoded from
 /// `approx` and re-tested. Output order equals what [`refine_filter`]
 /// produces over the materialized list, bit for bit.
@@ -536,12 +450,10 @@ pub(crate) fn refine_filter_mask(
         None => {
             let blocks = scan_block_ranges(mask.rows(), &mask.scan_options());
             let chunks = partition_ranges_min(blocks.len(), morsels, 1);
-            let plan = SocketPlan::new(chunks.len(), pool.sockets());
-            let outs = run_parts(&chunks, |p, chunk| {
-                let sock = plan.socket_of(p);
-                let mut out = pool.take_u32(sock);
-                let mut oids = pool.take_u32(sock);
-                let mut vals = pool.take_u64(sock);
+            let outs = run_parts(&chunks, |_, chunk| {
+                let mut out = pool.take_u32();
+                let mut oids = pool.take_u32();
+                let mut vals = pool.take_u64();
                 let mut res = residual.reader();
                 for b in &blocks[chunk] {
                     oids.clear();
@@ -563,21 +475,19 @@ pub(crate) fn refine_filter_mask(
                 (out, oids, vals)
             });
             let mut merged = Vec::with_capacity(outs.iter().map(|(o, _, _)| o.len()).sum());
-            for (p, (out, oids, vals)) in outs.into_iter().enumerate() {
-                let sock = plan.socket_of(p);
+            for (out, oids, vals) in outs {
                 merged.extend_from_slice(&out);
-                pool.put_u32(sock, out);
-                pool.put_u32(sock, oids);
-                pool.put_u64(sock, vals);
+                pool.put_u32(out);
+                pool.put_u32(oids);
+                pool.put_u64(vals);
             }
             Ok(merged)
         }
         Some(subset) => {
             let ranges = partition_ranges(subset.len(), morsels);
-            let plan = SocketPlan::new(ranges.len(), pool.sockets());
             let words = mask.words();
-            let outs = run_parts(&ranges, |p, r| {
-                let mut out = pool.take_u32(plan.socket_of(p));
+            let outs = run_parts(&ranges, |_, r| {
+                let mut out = pool.take_u32();
                 let mut res = residual.reader();
                 for &oid in &subset[r] {
                     // Survivors shrink monotonically down the chain, so
@@ -595,9 +505,9 @@ pub(crate) fn refine_filter_mask(
                 out
             });
             let mut merged = Vec::new();
-            for (p, out) in outs.into_iter().enumerate() {
+            for out in outs {
                 merged.extend_from_slice(&out);
-                pool.put_u32(plan.socket_of(p), out);
+                pool.put_u32(out);
             }
             Ok(merged)
         }
@@ -679,10 +589,9 @@ pub(crate) struct GroupedRows {
 pub(crate) fn group_rows(key_cols: &[&[i64]], morsels: usize, pool: &ScratchPool) -> GroupedRows {
     let n = key_cols.first().map_or(0, |c| c.len());
     let ranges = partition_ranges(n, morsels);
-    let plan = SocketPlan::new(ranges.len(), pool.sockets());
-    let locals = run_parts(&ranges, |p, r| {
+    let locals = run_parts(&ranges, |_, r| {
         let mut table: bwd_types::FxHashMap<Vec<i64>, u32> = bwd_types::FxHashMap::default();
-        let mut ids = pool.take_u32(plan.socket_of(p));
+        let mut ids = pool.take_u32();
         let mut keys: Vec<Vec<i64>> = Vec::new();
         for row in r {
             let key: Vec<i64> = key_cols.iter().map(|c| c[row]).collect();
@@ -704,7 +613,7 @@ pub(crate) fn group_rows(key_cols: &[&[i64]], morsels: usize, pool: &ScratchPool
     let mut table: bwd_types::FxHashMap<Vec<i64>, u32> = bwd_types::FxHashMap::default();
     let mut keys: Vec<Vec<i64>> = Vec::new();
     let mut ids: Vec<u32> = Vec::with_capacity(n);
-    for (p, (local_ids, local_keys)) in locals.into_iter().enumerate() {
+    for (local_ids, local_keys) in locals {
         let remap: Vec<u32> = local_keys
             .into_iter()
             .map(|key| {
@@ -716,7 +625,7 @@ pub(crate) fn group_rows(key_cols: &[&[i64]], morsels: usize, pool: &ScratchPool
             })
             .collect();
         ids.extend(local_ids.iter().map(|&l| remap[l as usize]));
-        pool.put_u32(plan.socket_of(p), local_ids);
+        pool.put_u32(local_ids);
     }
     GroupedRows { ids, keys }
 }
@@ -843,50 +752,19 @@ mod tests {
     }
 
     #[test]
-    fn socket_plan_spans_are_contiguous_and_balanced() {
-        for (nparts, sockets) in [(1usize, 2usize), (7, 2), (8, 4), (16, 3), (5, 8), (64, 2)] {
-            let plan = SocketPlan::new(nparts, sockets);
-            let used = sockets.min(nparts);
-            let assigns: Vec<usize> = (0..nparts).map(|p| plan.socket_of(p)).collect();
-            // Non-decreasing assignment = every socket owns one
-            // contiguous span of partitions.
-            assert!(
-                assigns.windows(2).all(|w| w[0] <= w[1]),
-                "contiguous spans: {assigns:?}"
-            );
-            assert_eq!(assigns[0], 0);
-            assert_eq!(*assigns.last().unwrap(), used - 1, "all sockets used");
-            // Balanced: span sizes differ by at most one partition.
-            let mut counts = vec![0usize; used];
-            for &s in &assigns {
-                counts[s] += 1;
-            }
-            let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-            assert!(max - min <= 1, "balanced: {counts:?}");
-        }
-        // Degenerate shapes fall back to socket 0.
-        assert_eq!(SocketPlan::new(0, 4).socket_of(0), 0);
-        assert_eq!(SocketPlan::new(3, 0).socket_of(2), 0);
-    }
-
-    #[test]
-    fn scratch_pool_recycles_within_its_socket_bank() {
-        let pool = ScratchPool::with_sockets(2);
-        assert_eq!(pool.sockets(), 2);
-        let mut v = pool.take_u32(1);
-        v.reserve(4096);
+    fn scratch_pool_recycles_buffers() {
+        let pool = ScratchPool::default();
+        let mut v = pool.take_u32();
+        v.extend(0..4096);
         let cap = v.capacity();
-        pool.put_u32(1, v);
-        // The warmed buffer comes back on its own socket only.
-        assert_eq!(pool.take_u32(0).capacity(), 0, "bank 0 stays cold");
-        assert!(pool.take_u32(1).capacity() >= cap, "bank 1 recycles");
-        // Default pool is a single bank; any socket index maps into it.
-        let d = ScratchPool::default();
-        assert_eq!(d.sockets(), 1);
-        let mut v = d.take_u64(0);
+        pool.put_u32(v);
+        let back = pool.take_u32();
+        assert!(back.is_empty() && back.capacity() >= cap, "cleared, warm");
+        assert_eq!(pool.take_u32().capacity(), 0, "pool drained");
+        let mut v = pool.take_u64();
         v.reserve(128);
-        d.put_u64(0, v);
-        assert!(d.take_u64(5).capacity() >= 128, "indices wrap to the bank");
+        pool.put_u64(v);
+        assert!(pool.take_u64().capacity() >= 128);
     }
 
     #[test]

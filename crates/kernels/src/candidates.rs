@@ -51,6 +51,19 @@ impl Candidates {
         }
     }
 
+    /// Wrap a kernel's aligned output vectors, deriving the `sorted` and
+    /// `dense` flags from the oids.
+    pub fn from_pairs(oids: Vec<Oid>, approx: Vec<u64>) -> Self {
+        let mut c = Candidates {
+            oids,
+            approx,
+            sorted: false,
+            dense: false,
+        };
+        c.refresh_flags();
+        c
+    }
+
     /// Number of candidates.
     #[inline]
     pub fn len(&self) -> usize {

@@ -37,5 +37,5 @@ pub use candidates::Candidates;
 pub use gather::{gather_partition, gather_partition_into};
 pub use group::{GroupResult, MultiGroupResult};
 pub use join::Theta;
-pub use scan::{scan_block_ranges, select_range_partition, ScanOptions};
+pub use scan::{scan_block_ranges, ScanOptions, ScanRows, ScanSpec};
 pub use selvec::{SelMask, SelVec};

@@ -1,23 +1,39 @@
-//! Selection (scan) kernels.
+//! The selection (scan) kernel.
 //!
 //! The approximate selection is the paper's flagship device operation:
 //! selections are input-bandwidth hungry and output little, which fits a
 //! platform with abundant internal bandwidth and a scarce output bus
-//! (§IV-B). The kernel scans the bit-packed approximation with *relaxed*
-//! inclusive bounds in the stored domain and emits candidate (oid,
-//! approximation) pairs.
+//! (§IV-B). The kernel tests the bit-packed approximation against
+//! *relaxed* inclusive bounds in the stored domain.
 //!
-//! # Packed-domain evaluation
+//! # One kernel, one spec
 //!
-//! For SWAR-applicable widths the predicate itself runs on the packed
-//! words ([`bwd_storage::swar`]): a word-parallel banked compare yields a
-//! per-64-rows match mask without decoding, and decode happens only for
-//! blocks that contain survivors. The mask-producing twins
-//! ([`select_range_mask`], [`select_range_on_mask`]) keep that bitmap as
-//! the candidate representation ([`SelMask`]) — one bit per row instead
-//! of 12 bytes per survivor — and convert to the classic candidate list
-//! lazily, bit-identically, at the boundary where downstream operators
-//! need positions and values.
+//! Every selection step is one [`ScanSpec`]: the column, an optional FK
+//! link (`arr[link[row]]` — a dimension-side predicate), the bounds and
+//! the input cardinality (all rows, or the survivors of an earlier step).
+//! The spec offers exactly three operations:
+//!
+//! * [`ScanSpec::fill_mask`] — pure, word-aligned partition → positional
+//!   match bitmap ([`crate::SelMask`] words), optionally AND-refining an input
+//!   bitmap;
+//! * [`ScanSpec::emit`] — pure partition → (oid, approximation) pairs, over
+//!   a row span or an input oid list;
+//! * [`ScanSpec::charge`] — the simulated cost, the only place the four
+//!   cost formulas (source × input) live. The bill is derived from the
+//!   same value that produced the rows, so the two cannot disagree, and
+//!   it is the same whichever output representation was produced: the
+//!   simulated device always prices the paper's candidate-pair model.
+//!
+//! # Width dispatch
+//!
+//! A full direct scan evaluates the predicate **in the packed domain**
+//! for SWAR-applicable widths ([`bwd_storage::swar_applicable`]): a
+//! lane-batched banked compare yields one match word per 64 rows without
+//! decoding, and decode happens only for 64-blocks that contain
+//! survivors. Wider elements take the decode-and-compare loop, where only
+//! two lanes would fit a word and the lift costs as much as the compares.
+//! The choice is a function of the column's width alone; both arms emit
+//! identical rows.
 //!
 //! # Output order
 //!
@@ -25,28 +41,27 @@
 //! whose outputs complete in arbitrary order; preserving input order would
 //! cost an extra pass the paper explicitly avoids (§IV-A item 3). The
 //! simulation reproduces this with a deterministic bit-reversed block
-//! permutation: candidates come out block-scrambled (order is *stable
-//! across runs*, but not ascending), while order *within* a block is
-//! preserved. Downstream operators that gather positionally from these
-//! candidates inherit the same permutation — precisely the precondition
-//! set the translucent join needs.
+//! permutation ([`scan_block_ranges`]): candidates come out
+//! block-scrambled (order is *stable across runs*, but not ascending),
+//! while order *within* a block is preserved. Downstream operators that
+//! gather positionally from these candidates inherit the same permutation
+//! — precisely the precondition set the translucent join needs.
 
 use crate::array::DeviceArray;
 use crate::candidates::Candidates;
-use crate::selvec::SelMask;
 use bwd_device::units::{candidate_stream_bytes, element_access_bytes};
 use bwd_device::{CostLedger, Env};
 use bwd_obs::metrics::{Counter, Registry};
-use bwd_storage::BitPackedVec;
-use bwd_storage::{swar_applicable, BlockDecoder, LaneCount, RangeMatcher, DECODE_BLOCK};
+use bwd_storage::{swar_applicable, BitPackedVec, BlockDecoder, RangeMatcher, DECODE_BLOCK};
 use bwd_types::{bits::low_mask, Oid};
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Process-wide scan counters (see `bwd_obs::metrics::Registry::global`):
-/// how many 64-element blocks went through the packed-domain SWAR path,
-/// how many of those were skipped whole because no element matched, and
-/// how many blocks fell back to the scalar decode-and-compare path.
+/// Process-wide scan counters (see `bwd_obs::metrics::Registry::global`),
+/// bumped once per partition of a full direct scan whichever output it
+/// produces: how many 64-element blocks went through the packed-domain
+/// SWAR arm, how many of those held no match, and how many blocks took
+/// the decode-and-compare arm.
 struct ScanMetrics {
     swar_blocks: Counter,
     swar_zero_blocks: Counter,
@@ -65,7 +80,22 @@ fn scan_metrics() -> &'static ScanMetrics {
     })
 }
 
-/// Tuning knobs for the selection kernels.
+/// Record one full-direct-scan partition of `blocks` 64-element blocks
+/// (`zero_blocks` of them without a match) on the arm `width` selects.
+fn count_blocks(width: u32, blocks: u64, zero_blocks: u64) {
+    if blocks == 0 {
+        return;
+    }
+    let metrics = scan_metrics();
+    if swar_applicable(width) {
+        metrics.swar_blocks.add(blocks);
+        metrics.swar_zero_blocks.add(zero_blocks);
+    } else {
+        metrics.scalar_blocks.add(blocks);
+    }
+}
+
+/// Tuning knobs for the selection kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanOptions {
     /// Tuples per simulated thread block.
@@ -122,161 +152,283 @@ pub fn scan_block_ranges(n: usize, opts: &ScanOptions) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// The simulated cost of a full [`select_range`] scan that matched
-/// `n_matches` of the array's rows. Split out so a morsel-parallel caller
-/// that ran the block partitions itself charges exactly what the serial
-/// kernel would.
-pub fn charge_select_scan(
-    env: &Env,
-    arr: &DeviceArray,
-    n_matches: usize,
-    opts: &ScanOptions,
-    ledger: &mut CostLedger,
-) {
-    let n = arr.len();
-    let nblocks = n.div_ceil(opts.block_size.max(1));
-    let out_bytes = candidate_stream_bytes(arr.width(), n_matches as u64);
-    env.charge_kernel(
-        "select.approx.scan",
-        arr.packed_bytes() + out_bytes,
-        n as u64,
-        ledger,
-    );
-    if opts.preserve_order && nblocks > 1 {
-        // The ordering pass: a second sweep over the compacted output.
-        env.charge_kernel(
-            "select.approx.order",
-            2 * out_bytes,
-            n_matches as u64,
-            ledger,
-        );
-    }
+/// Whether `accesses` random reads into an `len`-element packed array are
+/// dense enough for the block-cached decoder to win (a cache miss decodes a
+/// whole [`DECODE_BLOCK`]; below ~1/8 density the per-element path is
+/// cheaper).
+pub fn cache_worthwhile(accesses: usize, len: usize) -> bool {
+    accesses.saturating_mul(8) >= len
 }
 
-/// Scan the whole array for stored values in `[lo, hi]` (inclusive).
-///
-/// Charges: one kernel launch, a sequential stream of the packed input,
-/// one compare per tuple, plus the sequential write of the compacted
-/// output. The candidate list stays device-resident; the caller meters the
-/// download when refinement needs it on the host.
-pub fn select_range(
-    env: &Env,
-    arr: &DeviceArray,
-    lo: u64,
-    hi: u64,
-    opts: &ScanOptions,
-    ledger: &mut CostLedger,
-) -> Candidates {
-    let mut oids: Vec<Oid> = Vec::new();
-    let mut approx: Vec<u64> = Vec::new();
-    for r in scan_block_ranges(arr.len(), opts) {
-        select_range_partition(arr, r.start, r.end, lo, hi, &mut oids, &mut approx);
-    }
-    charge_select_scan(env, arr, oids.len(), opts, ledger);
-    let mut c = Candidates {
-        oids,
-        approx,
-        sorted: false,
-        dense: false,
-    };
-    c.refresh_flags();
-    c
+/// The rows one [`ScanSpec::emit`] call tests.
+#[derive(Debug, Clone)]
+pub enum ScanRows<'a> {
+    /// A contiguous row span — one simulated thread block of a full scan.
+    Span(Range<usize>),
+    /// A slice of an earlier step's candidate oids (order is preserved, so
+    /// chained selections keep the shared permutation).
+    Oids(&'a [Oid]),
 }
 
-/// Scan rows `[start, end)` of the array for stored values in `[lo, hi]`,
-/// appending matches to `oids`/`approx` — the partition-aware entry point.
-///
-/// This is the morsel a concurrent scheduler hands to one worker thread:
-/// it does the pure computation only (no cost charge, no allocation), so
-/// callers can fan partitions out across real threads and charge the
-/// merged totals once. [`select_range`] itself is built from these
-/// partitions (one per simulated thread block).
-///
-/// For SWAR-applicable widths ([`bwd_storage::swar_applicable`]) the
-/// predicate is evaluated **in the packed domain**, batched: the
-/// partition is aligned to a 64-element boundary, the bulk runs through
-/// the fixed-lane batch kernels ([`bwd_storage::lanes`]) a chunk of mask
-/// words at a time, and decode only happens for 64-blocks that contain
-/// at least one survivor (a selective scan skips most of the relation's
-/// decode work entirely). Survivors are emitted via `trailing_zeros` —
-/// bit-identical to [`select_range_partition_per_word`] (the PR 5
-/// one-word-at-a-time SWAR loop) and to
-/// [`select_range_partition_scalar`], the decode-and-compare reference
-/// path used for wide elements.
-pub fn select_range_partition(
-    arr: &DeviceArray,
-    start: usize,
-    end: usize,
+/// One relaxed range selection `lo <= source[row] <= hi` (stored domain,
+/// inclusive), where `source[row]` is `arr[row]` or — through an FK link —
+/// `arr[link[row]]`, over all rows or over the `n_in` survivors of an
+/// earlier step. See the module docs.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanSpec<'a> {
+    arr: &'a DeviceArray,
+    link: Option<&'a DeviceArray>,
     lo: u64,
     hi: u64,
-    oids: &mut Vec<Oid>,
-    approx: &mut Vec<u64>,
-) {
-    let data = arr.data();
-    if !swar_applicable(data.width()) {
-        return select_range_partition_scalar(arr, start, end, lo, hi, oids, approx);
-    }
-    let m = RangeMatcher::new(data, lo, hi);
-    if m.is_empty_range() {
-        return;
-    }
-    /// Mask words lane-filled per chunk: big enough to amortize the
-    /// dispatch, small enough to live on the stack and stay cache-hot
-    /// against the emission pass that follows.
-    const FILL_CHUNK: usize = 32;
-    let mut buf = [0u64; DECODE_BLOCK];
-    let mut mask_buf = [0u64; FILL_CHUNK];
-    let (mut blocks, mut zero_blocks) = (0u64, 0u64);
-    let mut i = start;
-    // Head: reach a 64-element boundary so the bulk is lane-aligned.
-    if !i.is_multiple_of(64) && i < end {
-        let n = (64 - i % 64).min(end - i);
-        blocks += 1;
-        let bits = m.match_word(i, n);
-        if bits == 0 {
-            zero_blocks += 1;
-        } else {
-            emit_matches(data, i, n, bits, &mut buf, oids, approx);
+    n_in: Option<usize>,
+    /// Whether row lookups go through the block-cached bulk decoder:
+    /// candidate rows ascend within scan blocks, so a dense input revisits
+    /// the same 64-element decode block.
+    cached: bool,
+}
+
+/// Random access to a spec's source value: the row-indexed array (the
+/// link when there is one) optionally behind a block cache, then the hop
+/// into the dimension. Dimension reads stay per-element — link values
+/// land anywhere, a block cache would thrash.
+struct RowReader<'a> {
+    rows: &'a BitPackedVec,
+    cache: Option<BlockDecoder<'a>>,
+    dim: Option<&'a BitPackedVec>,
+}
+
+impl RowReader<'_> {
+    #[inline]
+    fn get(&mut self, row: usize) -> u64 {
+        let x = match &mut self.cache {
+            Some(dec) => dec.get(row),
+            None => self.rows.get(row),
+        };
+        match self.dim {
+            Some(dim) => dim.get(x as usize),
+            None => x,
         }
-        i += n;
     }
-    // Bulk: batch-fill whole mask words, then emit per 64-block.
-    while i + 64 <= end {
-        let nwords = ((end - i) / 64).min(FILL_CHUNK);
-        m.fill(i, nwords * 64, &mut mask_buf[..nwords]);
-        blocks += nwords as u64;
-        for (w, &bits) in mask_buf[..nwords].iter().enumerate() {
-            if bits == 0 {
-                zero_blocks += 1;
-            } else {
-                emit_matches(data, i + w * 64, 64, bits, &mut buf, oids, approx);
+}
+
+impl<'a> ScanSpec<'a> {
+    /// Describe a selection over `arr` (through `link` when given).
+    /// `n_in` is the input cardinality of a chained step (the survivors
+    /// of the previous one, in either representation); `None` scans every
+    /// row.
+    pub fn new(
+        arr: &'a DeviceArray,
+        link: Option<&'a DeviceArray>,
+        lo: u64,
+        hi: u64,
+        n_in: Option<usize>,
+    ) -> Self {
+        let rows = link.unwrap_or(arr).len();
+        ScanSpec {
+            arr,
+            link,
+            lo,
+            hi,
+            n_in,
+            cached: cache_worthwhile(n_in.unwrap_or(rows), rows),
+        }
+    }
+
+    /// The array a row number indexes: the link when there is one.
+    fn row_array(&self) -> &'a DeviceArray {
+        self.link.unwrap_or(self.arr)
+    }
+
+    fn reader(&self) -> RowReader<'a> {
+        let rows = self.row_array().data();
+        RowReader {
+            rows,
+            cache: self.cached.then(|| BlockDecoder::new(rows)),
+            dim: self.link.map(|_| self.arr.data()),
+        }
+    }
+
+    #[inline]
+    fn matches(&self, v: u64) -> bool {
+        v >= self.lo && v <= self.hi
+    }
+
+    /// Fill the match-mask words starting at word index `word_start` (row
+    /// `word_start * 64`) for as many rows as `out` covers; words past the
+    /// last row are zeroed. With `input_words` (the same word range of an
+    /// earlier step's mask, `input_words.len() == out.len()`) the result
+    /// is `input AND match`, evaluated only for words that still hold
+    /// candidates. Because every partition boundary is a mask-word
+    /// boundary, morsel workers write disjoint chunks of one shared
+    /// buffer with no synchronization.
+    pub fn fill_mask(&self, input_words: Option<&[u64]>, word_start: usize, out: &mut [u64]) {
+        debug_assert!(input_words.is_none_or(|w| w.len() == out.len()));
+        let base = word_start * 64;
+        let n = (self.row_array().len().saturating_sub(base)).min(out.len() * 64);
+        let (out, past_end) = out.split_at_mut(n.div_ceil(64));
+        past_end.fill(0);
+        if out.is_empty() {
+            return;
+        }
+        if self.link.is_some() {
+            let mut src = self.reader();
+            for (i, slot) in out.iter_mut().enumerate() {
+                let live = low_mask((n - i * 64).min(64) as u32);
+                let mut bits = input_words.map_or(live, |w| w[i] & live);
+                let mut keep = 0u64;
+                while bits != 0 {
+                    let k = bits.trailing_zeros() as usize;
+                    keep |= u64::from(self.matches(src.get(base + i * 64 + k))) << k;
+                    bits &= bits - 1;
+                }
+                *slot = keep;
+            }
+            return;
+        }
+        let m = RangeMatcher::new(self.arr.data(), self.lo, self.hi);
+        match input_words {
+            Some(w) => m.fill_and(word_start, n, &w[..out.len()], out),
+            None if m.is_empty_range() => out.fill(0),
+            None => {
+                m.fill(base, n, out);
+                let zero = out.iter().filter(|&&w| w == 0).count();
+                count_blocks(self.arr.width(), out.len() as u64, zero as u64);
             }
         }
-        i += nwords * 64;
     }
-    // Tail: a final partial word.
-    if i < end {
-        let n = end - i;
-        blocks += 1;
-        let bits = m.match_word(i, n);
-        if bits == 0 {
-            zero_blocks += 1;
-        } else {
-            emit_matches(data, i, n, bits, &mut buf, oids, approx);
+
+    /// Append the matching (oid, approximation) pairs of `rows` to
+    /// `oids`/`approx`, in row order — the pure partition form (no cost
+    /// charge, no allocation beyond the output), so callers fan partitions
+    /// out across real threads and charge the merged totals once.
+    pub fn emit(&self, rows: ScanRows<'_>, oids: &mut Vec<Oid>, approx: &mut Vec<u64>) {
+        if let (ScanRows::Span(r), None) = (&rows, self.link) {
+            return self.emit_span(r.clone(), oids, approx);
+        }
+        let mut src = self.reader();
+        let mut keep = |row: usize| {
+            let v = src.get(row);
+            if self.matches(v) {
+                oids.push(row as Oid);
+                approx.push(v);
+            }
+        };
+        match rows {
+            ScanRows::Span(r) => r.for_each(keep),
+            ScanRows::Oids(input) => input.iter().for_each(|&oid| keep(oid as usize)),
         }
     }
-    if blocks > 0 {
-        let metrics = scan_metrics();
-        metrics.swar_blocks.add(blocks);
-        metrics.swar_zero_blocks.add(zero_blocks);
+
+    /// The full direct scan of rows `r`, on the arm the width selects.
+    fn emit_span(&self, r: Range<usize>, oids: &mut Vec<Oid>, approx: &mut Vec<u64>) {
+        /// Mask words lane-filled per chunk: big enough to amortize the
+        /// dispatch, small enough to live on the stack and stay cache-hot
+        /// against the emission pass that follows.
+        const FILL_CHUNK: usize = 32;
+        let data = self.arr.data();
+        let m = RangeMatcher::new(data, self.lo, self.hi);
+        if m.is_empty_range() {
+            return;
+        }
+        let mut buf = [0u64; DECODE_BLOCK];
+        let mut mask_buf = [0u64; FILL_CHUNK];
+        let (mut blocks, mut zero_blocks) = (0u64, 0u64);
+        let mut i = r.start;
+        if swar_applicable(data.width()) {
+            // Packed domain: a lone partial word first when the span
+            // starts off a 64-row boundary, so every later fill is
+            // lane-aligned; then batch-fill whole chunks of mask words and
+            // decode only the 64-blocks that hold survivors.
+            while i < r.end {
+                let n = match i % 64 {
+                    0 => (r.end - i).min(FILL_CHUNK * 64),
+                    off => (r.end - i).min(64 - off),
+                };
+                let words = &mut mask_buf[..n.div_ceil(64)];
+                m.fill(i, n, words);
+                blocks += words.len() as u64;
+                for (w, &bits) in words.iter().enumerate() {
+                    if bits == 0 {
+                        zero_blocks += 1;
+                    } else {
+                        let at = i + w * 64;
+                        let len = (i + n - at).min(64);
+                        emit_matches(data, at, len, bits, &mut buf, oids, approx);
+                    }
+                }
+                i += n;
+            }
+        } else {
+            // Wide elements: decode word-at-a-time into a stack scratch
+            // block (the bulk decoder loads each packed word once) and
+            // compare one value at a time.
+            while i < r.end {
+                blocks += 1;
+                let n = (r.end - i).min(DECODE_BLOCK);
+                data.unpack_range(i, &mut buf[..n]);
+                for (k, &v) in buf[..n].iter().enumerate() {
+                    if self.matches(v) {
+                        oids.push((i + k) as Oid);
+                        approx.push(v);
+                    }
+                }
+                i += n;
+            }
+        }
+        count_blocks(data.width(), blocks, zero_blocks);
+    }
+
+    /// Charge the simulated cost of this selection having produced `n_out`
+    /// candidates (`opts` is the full scan's block geometry; chained steps
+    /// ignore it). Morsel-parallel callers run the partitions themselves
+    /// and charge the merged total here once — exactly what the serial
+    /// kernel charges, identically for bitmap and index output.
+    ///
+    /// * full scan: one launch, the sequential stream of the packed input,
+    ///   one compare per tuple, the sequential write of the compacted
+    ///   output — plus a second sweep over that output when order is
+    ///   preserved across several blocks;
+    /// * full scan through a link: the link stream plus one scattered
+    ///   dimension element per row;
+    /// * chained: one scattered element per input candidate plus the
+    ///   compacted output write;
+    /// * chained through a link: a scattered link element and a scattered
+    ///   dimension element per input candidate.
+    pub fn charge(&self, env: &Env, n_out: usize, opts: &ScanOptions, ledger: &mut CostLedger) {
+        let arr = self.arr;
+        let out_bytes = candidate_stream_bytes(arr.width(), n_out as u64);
+        match (self.link, self.n_in.map(|n| n as u64)) {
+            (None, None) => {
+                let n = arr.len();
+                let bytes = arr.packed_bytes() + out_bytes;
+                env.charge_kernel("select.approx.scan", bytes, n as u64, ledger);
+                if opts.preserve_order && n.div_ceil(opts.block_size.max(1)) > 1 {
+                    env.charge_kernel("select.approx.order", 2 * out_bytes, n_out as u64, ledger);
+                }
+            }
+            (Some(link), None) => {
+                let n = link.len() as u64;
+                let touched = link.packed_bytes() + n * element_access_bytes(arr.width());
+                env.charge_kernel_scattered("select.approx.scan-indirect", touched, n, ledger);
+            }
+            (None, Some(n_in)) => {
+                let touched = n_in * element_access_bytes(arr.width());
+                let bytes = touched + out_bytes;
+                env.charge_kernel_scattered("select.approx.gather-filter", bytes, n_in, ledger);
+            }
+            (Some(link), Some(n_in)) => {
+                let touched =
+                    n_in * (element_access_bytes(link.width()) + element_access_bytes(arr.width()));
+                let label = "select.approx.gather-filter-indirect";
+                env.charge_kernel_scattered(label, touched, 2 * n_in, ledger);
+            }
+        }
     }
 }
 
 /// Emit the survivors of one matched 64-element group (`n` elements at
 /// row `i`, match bits `bits != 0`): bulk-decode when every element or a
-/// dense subset matches, per-element decode when sparse. Shared by the
-/// lane-batched and per-word partition kernels so the emission policy
-/// cannot drift between them.
+/// dense subset matches, per-element decode when sparse.
 #[inline]
 fn emit_matches(
     data: &BitPackedVec,
@@ -314,176 +466,30 @@ fn emit_matches(
     }
 }
 
-/// The PR 5 SWAR partition kernel, pinned to one
-/// [`RangeMatcher::match_word`] call per 64-element group — the baseline
-/// the scan benchmark measures the lane-batched
-/// [`select_range_partition`] against. Bit-identical output.
-pub fn select_range_partition_per_word(
-    arr: &DeviceArray,
-    start: usize,
-    end: usize,
-    lo: u64,
-    hi: u64,
-    oids: &mut Vec<Oid>,
-    approx: &mut Vec<u64>,
-) {
-    let data = arr.data();
-    if !swar_applicable(data.width()) {
-        return select_range_partition_scalar(arr, start, end, lo, hi, oids, approx);
-    }
-    let m = RangeMatcher::new(data, lo, hi);
-    if m.is_empty_range() {
-        return;
-    }
-    let mut buf = [0u64; DECODE_BLOCK];
-    let mut i = start;
-    while i < end {
-        let n = (end - i).min(DECODE_BLOCK);
-        let bits = m.match_word(i, n);
-        if bits != 0 {
-            emit_matches(data, i, n, bits, &mut buf, oids, approx);
-        }
-        i += n;
-    }
-}
-
-/// The pre-SWAR reference implementation of [`select_range_partition`]:
-/// bulk-decode every element into a stack scratch block and compare one
-/// value at a time. Still the dispatched path for widths where SWAR
-/// lanes don't pay, and the baseline the scan benchmark measures the
-/// packed-domain path against.
-pub fn select_range_partition_scalar(
-    arr: &DeviceArray,
-    start: usize,
-    end: usize,
-    lo: u64,
-    hi: u64,
-    oids: &mut Vec<Oid>,
-    approx: &mut Vec<u64>,
-) {
-    // Decode word-at-a-time into a stack scratch block: the bulk decoder
-    // loads each packed word once, where a per-element `get` would redo
-    // offset arithmetic 100M times in the microbenchmarks.
-    let data = arr.data();
-    let mut buf = [0u64; DECODE_BLOCK];
-    let mut i = start;
-    let mut blocks = 0u64;
-    while i < end {
-        blocks += 1;
-        let n = (end - i).min(DECODE_BLOCK);
-        data.unpack_range(i, &mut buf[..n]);
-        for (k, &v) in buf[..n].iter().enumerate() {
-            if v >= lo && v <= hi {
-                oids.push((i + k) as Oid);
-                approx.push(v);
-            }
-        }
-        i += n;
-    }
-    if blocks > 0 {
-        scan_metrics().scalar_blocks.add(blocks);
-    }
-}
-
-/// Scan the whole array for stored values in `[lo, hi]`, producing the
-/// positional match **bitmap** instead of materialized candidate pairs —
-/// the mask-producing twin of [`select_range`]. The mask records the
-/// scan geometry, so [`SelMask::to_candidates`] later reproduces the
-/// index kernel's block-scrambled output bit for bit.
-///
-/// Charges exactly what [`select_range`] charges for the same match
-/// count: the representation is a host-simulation detail, the simulated
-/// device still prices the paper's candidate-pair output model.
-pub fn select_range_mask(
+/// Scan the whole array for stored values in `[lo, hi]` (inclusive),
+/// emitting candidates in the block-scrambled order of
+/// [`scan_block_ranges`]. The candidate list stays device-resident; the
+/// caller meters the download when refinement needs it on the host.
+pub fn select_range(
     env: &Env,
     arr: &DeviceArray,
     lo: u64,
     hi: u64,
     opts: &ScanOptions,
     ledger: &mut CostLedger,
-) -> SelMask {
-    let mut words = vec![0u64; arr.len().div_ceil(64)];
-    select_range_mask_partition(arr, 0, lo, hi, &mut words);
-    let mask = SelMask::from_words(words, arr.len(), opts);
-    charge_select_scan(env, arr, mask.count(), opts, ledger);
-    mask
-}
-
-/// Fill the mask words starting at word index `word_start` (row
-/// `word_start * 64`) for as many rows as `out` covers — the pure,
-/// word-aligned partition form of [`select_range_mask`]. Because every
-/// partition boundary is a mask-word boundary, morsel workers write
-/// disjoint chunks of one shared word buffer with no synchronization.
-pub fn select_range_mask_partition(
-    arr: &DeviceArray,
-    word_start: usize,
-    lo: u64,
-    hi: u64,
-    out: &mut [u64],
-) {
-    let base = word_start * 64;
-    let n = (arr.len() - base).min(out.len() * 64);
-    RangeMatcher::new(arr.data(), lo, hi).fill(base, n, &mut out[..n.div_ceil(64)]);
-}
-
-/// Filter an existing candidate *bitmap* by `[lo, hi]` bounds over
-/// another column — the mask-producing twin of [`select_range_on`]. The
-/// output mask is `input AND match(arr)`, evaluated only for mask words
-/// that still hold candidates (a selective first predicate makes later
-/// predicates skip most of the relation).
-///
-/// Charges exactly what [`select_range_on`] charges for the same input
-/// and survivor counts.
-pub fn select_range_on_mask(
-    env: &Env,
-    arr: &DeviceArray,
-    input: &SelMask,
-    lo: u64,
-    hi: u64,
-    ledger: &mut CostLedger,
-) -> SelMask {
-    let mut words = vec![0u64; input.words().len()];
-    select_range_on_mask_partition(arr, input.words(), 0, lo, hi, &mut words);
-    let out = input.like(words);
-    charge_select_on(env, arr, input.count(), out.count(), ledger);
-    out
-}
-
-/// The pure, word-aligned partition form of [`select_range_on_mask`]:
-/// AND-refine the input mask chunk starting at word index `word_start`
-/// into `out` (`in_words.len() == out.len()`). Zero input words are
-/// skipped without touching the column's bits; runs of live words go
-/// through the lane batch kernels ([`bwd_storage::RangeMatcher::fill_and`]).
-pub fn select_range_on_mask_partition(
-    arr: &DeviceArray,
-    in_words: &[u64],
-    word_start: usize,
-    lo: u64,
-    hi: u64,
-    out: &mut [u64],
-) {
-    debug_assert_eq!(in_words.len(), out.len());
-    let base = word_start * 64;
-    let n = (arr.len() - base).min(out.len() * 64);
-    let nw = n.div_ceil(64);
-    RangeMatcher::new(arr.data(), lo, hi).fill_and(
-        word_start,
-        n,
-        &in_words[..nw],
-        &mut out[..nw],
-        LaneCount::default(),
-    );
-    for slot in out[nw..].iter_mut() {
-        *slot = 0;
+) -> Candidates {
+    let spec = ScanSpec::new(arr, None, lo, hi, None);
+    let (mut oids, mut approx) = (Vec::new(), Vec::new());
+    for r in scan_block_ranges(arr.len(), opts) {
+        spec.emit(ScanRows::Span(r), &mut oids, &mut approx);
     }
+    spec.charge(env, oids.len(), opts, ledger);
+    Candidates::from_pairs(oids, approx)
 }
 
 /// Filter an existing candidate list by `[lo, hi]` bounds over *another*
 /// column's approximation (conjunctive predicates chain this way; the
 /// candidate order — and thus the shared permutation — is preserved).
-///
-/// Charges a scattered gather of one element per candidate plus the
-/// compacted output write.
 pub fn select_range_on(
     env: &Env,
     arr: &DeviceArray,
@@ -492,387 +498,20 @@ pub fn select_range_on(
     hi: u64,
     ledger: &mut CostLedger,
 ) -> Candidates {
-    let mut oids = Vec::new();
-    let mut approx = Vec::new();
-    select_range_on_partition(
-        arr,
-        &input.oids,
-        lo,
-        hi,
-        cache_worthwhile(input.len(), arr.len()),
-        &mut oids,
-        &mut approx,
-    );
-    charge_select_on(env, arr, input.len(), oids.len(), ledger);
-    let mut c = Candidates {
-        oids,
-        approx,
-        sorted: false,
-        dense: false,
-    };
-    c.refresh_flags();
-    c
-}
-
-/// Filter a slice of candidate oids by `[lo, hi]` bounds over `arr` —
-/// the pure partition form of [`select_range_on`] (no cost charge).
-///
-/// `cached` enables the block-cached bulk decoder: candidate oids are
-/// ascending within each scan block, so when the candidate set is dense
-/// relative to the array (see [`cache_worthwhile`]) consecutive accesses
-/// hit the same 64-element decode block.
-pub fn select_range_on_partition(
-    arr: &DeviceArray,
-    oids_in: &[Oid],
-    lo: u64,
-    hi: u64,
-    cached: bool,
-    oids: &mut Vec<Oid>,
-    approx: &mut Vec<u64>,
-) {
-    if cached {
-        let mut dec = BlockDecoder::new(arr.data());
-        for &oid in oids_in {
-            let v = dec.get(oid as usize);
-            if v >= lo && v <= hi {
-                oids.push(oid);
-                approx.push(v);
-            }
-        }
-    } else {
-        for &oid in oids_in {
-            let v = arr.get(oid as usize);
-            if v >= lo && v <= hi {
-                oids.push(oid);
-                approx.push(v);
-            }
-        }
-    }
-}
-
-/// The simulated cost of a [`select_range_on`] gather-filter over `n_in`
-/// candidates producing `n_out` survivors.
-pub fn charge_select_on(
-    env: &Env,
-    arr: &DeviceArray,
-    n_in: usize,
-    n_out: usize,
-    ledger: &mut CostLedger,
-) {
-    let touched = n_in as u64 * element_access_bytes(arr.width());
-    let out_bytes = candidate_stream_bytes(arr.width(), n_out as u64);
-    env.charge_kernel_scattered(
-        "select.approx.gather-filter",
-        touched + out_bytes,
-        n_in as u64,
-        ledger,
-    );
-}
-
-/// Whether `accesses` random reads into an `len`-element packed array are
-/// dense enough for the block-cached decoder to win (a cache miss decodes a
-/// whole [`DECODE_BLOCK`]; below ~1/8 density the per-element path is
-/// cheaper).
-pub fn cache_worthwhile(accesses: usize, len: usize) -> bool {
-    accesses.saturating_mul(8) >= len
-}
-
-/// Scan a column *through* a link array (`arr[link[i]]` for all rows i):
-/// the full-relation form of a selection on a foreign-key-joined dimension
-/// attribute. Output order is block-scrambled like [`select_range`].
-pub fn select_range_indirect(
-    env: &Env,
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    lo: u64,
-    hi: u64,
-    opts: &ScanOptions,
-    ledger: &mut CostLedger,
-) -> Candidates {
-    let mut oids: Vec<Oid> = Vec::new();
-    let mut approx: Vec<u64> = Vec::new();
-    for r in scan_block_ranges(link.len(), opts) {
-        select_range_indirect_partition(arr, link, r.start, r.end, lo, hi, &mut oids, &mut approx);
-    }
-    charge_select_indirect(env, arr, link, ledger);
-    let mut c = Candidates {
-        oids,
-        approx,
-        sorted: false,
-        dense: false,
-    };
-    c.refresh_flags();
-    c
-}
-
-/// Scan link rows `[start, end)` of an indirected selection
-/// (`arr[link[i]]`) — the pure partition form of [`select_range_indirect`].
-/// The link column is streamed through the bulk decoder; the dimension
-/// accesses stay per-element, since `link` values land anywhere in the
-/// dimension (a block cache would thrash).
-#[allow(clippy::too_many_arguments)]
-pub fn select_range_indirect_partition(
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    start: usize,
-    end: usize,
-    lo: u64,
-    hi: u64,
-    oids: &mut Vec<Oid>,
-    approx: &mut Vec<u64>,
-) {
-    let link_data = link.data();
-    let mut buf = [0u64; DECODE_BLOCK];
-    let mut i = start;
-    while i < end {
-        let n = (end - i).min(DECODE_BLOCK);
-        link_data.unpack_range(i, &mut buf[..n]);
-        for (k, &row) in buf[..n].iter().enumerate() {
-            let v = arr.get(row as usize);
-            if v >= lo && v <= hi {
-                oids.push((i + k) as Oid);
-                approx.push(v);
-            }
-        }
-        i += n;
-    }
-}
-
-/// The simulated cost of a full [`select_range_indirect`] scan.
-pub fn charge_select_indirect(
-    env: &Env,
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    ledger: &mut CostLedger,
-) {
-    let n = link.len();
-    let touched = link.packed_bytes() + n as u64 * element_access_bytes(arr.width());
-    env.charge_kernel_scattered("select.approx.scan-indirect", touched, n as u64, ledger);
-}
-
-/// Filter an existing candidate list by bounds on an indirected column
-/// (`arr[link[oid]]`), preserving candidate order.
-pub fn select_range_on_indirect(
-    env: &Env,
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    input: &Candidates,
-    lo: u64,
-    hi: u64,
-    ledger: &mut CostLedger,
-) -> Candidates {
-    let mut oids = Vec::new();
-    let mut approx = Vec::new();
-    select_range_on_indirect_partition(
-        arr,
-        link,
-        &input.oids,
-        lo,
-        hi,
-        cache_worthwhile(input.len(), link.len()),
-        &mut oids,
-        &mut approx,
-    );
-    charge_select_on_indirect(env, arr, link, input.len(), ledger);
-    let mut c = Candidates {
-        oids,
-        approx,
-        sorted: false,
-        dense: false,
-    };
-    c.refresh_flags();
-    c
-}
-
-/// Filter a slice of candidate oids on an indirected column
-/// (`arr[link[oid]]`) — the pure partition form of
-/// [`select_range_on_indirect`]. `cached` block-caches the *link* lookups
-/// (candidate oids are ascending within scan blocks); the dimension reads
-/// stay per-element.
-#[allow(clippy::too_many_arguments)]
-pub fn select_range_on_indirect_partition(
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    oids_in: &[Oid],
-    lo: u64,
-    hi: u64,
-    cached: bool,
-    oids: &mut Vec<Oid>,
-    approx: &mut Vec<u64>,
-) {
-    if cached {
-        let mut dec = BlockDecoder::new(link.data());
-        for &oid in oids_in {
-            let v = arr.get(dec.get(oid as usize) as usize);
-            if v >= lo && v <= hi {
-                oids.push(oid);
-                approx.push(v);
-            }
-        }
-    } else {
-        for &oid in oids_in {
-            let v = arr.get(link.get(oid as usize) as usize);
-            if v >= lo && v <= hi {
-                oids.push(oid);
-                approx.push(v);
-            }
-        }
-    }
-}
-
-/// The simulated cost of a [`select_range_on_indirect`] gather-filter over
-/// `n_in` candidates.
-pub fn charge_select_on_indirect(
-    env: &Env,
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    n_in: usize,
-    ledger: &mut CostLedger,
-) {
-    let touched =
-        n_in as u64 * (element_access_bytes(link.width()) + element_access_bytes(arr.width()));
-    env.charge_kernel_scattered(
-        "select.approx.gather-filter-indirect",
-        touched,
-        2 * n_in as u64,
-        ledger,
-    );
-}
-
-/// Scan a column through a link array producing the positional match
-/// **bitmap** over the *fact* rows — the mask-producing twin of
-/// [`select_range_indirect`]. Bit `i` is set iff `arr[link[i]]` is in
-/// `[lo, hi]`, so chained dimension predicates AND masks positionally
-/// just like fact-side predicates do, with no index-list round-trip.
-///
-/// Charges exactly what [`select_range_indirect`] charges.
-pub fn select_range_indirect_mask(
-    env: &Env,
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    lo: u64,
-    hi: u64,
-    opts: &ScanOptions,
-    ledger: &mut CostLedger,
-) -> SelMask {
-    let mut words = vec![0u64; link.len().div_ceil(64)];
-    select_range_indirect_mask_partition(arr, link, 0, lo, hi, &mut words);
-    let mask = SelMask::from_words(words, link.len(), opts);
-    charge_select_indirect(env, arr, link, ledger);
-    mask
-}
-
-/// Fill the indirected match-mask words starting at word index
-/// `word_start` for as many fact rows as `out` covers — the pure,
-/// word-aligned partition form of [`select_range_indirect_mask`]. The
-/// link column is streamed through the bulk decoder; the dimension reads
-/// stay per-element (link values land anywhere in the dimension).
-pub fn select_range_indirect_mask_partition(
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    word_start: usize,
-    lo: u64,
-    hi: u64,
-    out: &mut [u64],
-) {
-    let base = word_start * 64;
-    let n = (link.len() - base).min(out.len() * 64);
-    let link_data = link.data();
-    let mut buf = [0u64; DECODE_BLOCK];
-    let mut i = 0usize;
-    for slot in out[..n.div_ceil(64)].iter_mut() {
-        let c = (n - i).min(64);
-        link_data.unpack_range(base + i, &mut buf[..c]);
-        let mut bits = 0u64;
-        for (k, &row) in buf[..c].iter().enumerate() {
-            let v = arr.get(row as usize);
-            bits |= u64::from(v >= lo && v <= hi) << k;
-        }
-        *slot = bits;
-        i += c;
-    }
-    for slot in out[n.div_ceil(64)..].iter_mut() {
-        *slot = 0;
-    }
-}
-
-/// Filter an existing candidate *bitmap* by bounds on an indirected
-/// column (`arr[link[row]]`) — the mask-producing twin of
-/// [`select_range_on_indirect`]. Mask words with no surviving candidates
-/// are skipped without touching either column.
-///
-/// Charges exactly what [`select_range_on_indirect`] charges for the
-/// same input count.
-pub fn select_range_on_indirect_mask(
-    env: &Env,
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    input: &SelMask,
-    lo: u64,
-    hi: u64,
-    ledger: &mut CostLedger,
-) -> SelMask {
-    let mut words = vec![0u64; input.words().len()];
-    select_range_on_indirect_mask_partition(
-        arr,
-        link,
-        input.words(),
-        0,
-        lo,
-        hi,
-        cache_worthwhile(input.count(), link.len()),
-        &mut words,
-    );
-    let out = input.like(words);
-    charge_select_on_indirect(env, arr, link, input.count(), ledger);
-    out
-}
-
-/// The pure, word-aligned partition form of [`select_range_on_indirect_mask`]:
-/// AND-refine the input mask chunk starting at word index `word_start`
-/// into `out` (`in_words.len() == out.len()`). `cached` block-caches the
-/// *link* lookups exactly like [`select_range_on_indirect_partition`]
-/// (surviving rows are ascending, so dense masks hit the same decode
-/// block); the dimension reads stay per-element.
-#[allow(clippy::too_many_arguments)]
-pub fn select_range_on_indirect_mask_partition(
-    arr: &DeviceArray,
-    link: &DeviceArray,
-    in_words: &[u64],
-    word_start: usize,
-    lo: u64,
-    hi: u64,
-    cached: bool,
-    out: &mut [u64],
-) {
-    debug_assert_eq!(in_words.len(), out.len());
-    let mut dec = cached.then(|| BlockDecoder::new(link.data()));
-    for (i, (&inw, slot)) in in_words.iter().zip(out.iter_mut()).enumerate() {
-        if inw == 0 {
-            *slot = 0;
-            continue;
-        }
-        let s = (word_start + i) * 64;
-        let mut bits = inw;
-        let mut keep = 0u64;
-        while bits != 0 {
-            let k = bits.trailing_zeros() as usize;
-            let row = match &mut dec {
-                Some(d) => d.get(s + k) as usize,
-                None => link.get(s + k) as usize,
-            };
-            let v = arr.get(row);
-            keep |= u64::from(v >= lo && v <= hi) << k;
-            bits &= bits - 1;
-        }
-        *slot = keep;
-    }
+    let spec = ScanSpec::new(arr, None, lo, hi, Some(input.len()));
+    let (mut oids, mut approx) = (Vec::new(), Vec::new());
+    spec.emit(ScanRows::Oids(&input.oids), &mut oids, &mut approx);
+    spec.charge(env, oids.len(), &ScanOptions::default(), ledger);
+    Candidates::from_pairs(oids, approx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selvec::SelMask;
     use bwd_storage::BitPackedVec;
+    use bwd_types::SplitMix64;
+    use proptest::prelude::*;
 
     fn device_array(env: &Env, width: u32, vals: &[u64]) -> DeviceArray {
         let mut ledger = CostLedger::new();
@@ -883,6 +522,147 @@ mod tests {
             &mut ledger,
         )
         .unwrap()
+    }
+
+    /// The naive reference: test `source[row]` through `get()` for every
+    /// row of `rows`, in that order.
+    fn oracle(
+        arr: &DeviceArray,
+        link: Option<&DeviceArray>,
+        (lo, hi): (u64, u64),
+        rows: impl Iterator<Item = usize>,
+    ) -> (Vec<Oid>, Vec<u64>) {
+        let (mut oids, mut approx) = (Vec::new(), Vec::new());
+        for row in rows {
+            let v = match link {
+                Some(l) => arr.get(l.get(row) as usize),
+                None => arr.get(row),
+            };
+            if v >= lo && v <= hi {
+                oids.push(row as Oid);
+                approx.push(v);
+            }
+        }
+        (oids, approx)
+    }
+
+    /// One selection step through both outputs of the same spec: the
+    /// index output (`emit` per thread-block span, or over the input's
+    /// oids) and the bitmap output (`fill_mask` in two partitions cut at
+    /// word `cut`, refining the input's mask when chained), each billed
+    /// onto its own tracing ledger.
+    fn both_outputs(
+        env: &Env,
+        spec: &ScanSpec<'_>,
+        input: Option<(&Candidates, &SelMask)>,
+        rows: usize,
+        opts: &ScanOptions,
+        cut: usize,
+    ) -> ((Candidates, CostLedger), (SelMask, CostLedger)) {
+        let (mut oids, mut approx) = (Vec::new(), Vec::new());
+        match input {
+            None => scan_block_ranges(rows, opts)
+                .into_iter()
+                .for_each(|r| spec.emit(ScanRows::Span(r), &mut oids, &mut approx)),
+            Some((c, _)) => spec.emit(ScanRows::Oids(&c.oids), &mut oids, &mut approx),
+        }
+        let mut l_idx = CostLedger::with_trace();
+        spec.charge(env, oids.len(), opts, &mut l_idx);
+
+        let mut words = vec![u64::MAX; rows.div_ceil(64)];
+        let cut = cut.min(words.len());
+        let in_words = input.map(|(_, m)| m.words());
+        let (head, tail) = words.split_at_mut(cut);
+        spec.fill_mask(in_words.map(|w| &w[..cut]), 0, head);
+        spec.fill_mask(in_words.map(|w| &w[cut..]), cut, tail);
+        let mask = match input {
+            Some((_, m)) => m.like(words),
+            None => SelMask::from_words(words, rows, opts),
+        };
+        let mut l_mask = CostLedger::with_trace();
+        spec.charge(env, mask.count(), opts, &mut l_mask);
+        (
+            (Candidates::from_pairs(oids, approx), l_idx),
+            (mask, l_mask),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Every axis of the kernel against the `get()` oracle: width
+        /// 1..=32 (both dispatch arms), unaligned lengths and thread-block
+        /// spans, source direct or through a link, input all rows or an
+        /// earlier step's survivors (as oids and as a mask), output
+        /// indices or bitmap. For each step: rows equal the oracle's, the
+        /// bitmap converted through the block-emission order equals the
+        /// index output bit for bit, and both outputs are billed the same
+        /// events. Then the selection laws: σ_p∘σ_q = σ_q∘σ_p (as sets)
+        /// = σ_{p∧q}.
+        #[test]
+        fn prop_scan_spec_matches_oracle_and_selection_laws(
+            width in 1u32..=32,
+            rows in 0usize..700,
+            linked in any::<bool>(),
+            seed in any::<u64>(),
+            block_size in 1usize..300,
+            preserve_order in any::<bool>(),
+            cut in 0usize..12,
+            bounds in proptest::collection::vec(0u64..=1100, 4..5),
+        ) {
+            let env = Env::paper_default();
+            let mut rng = SplitMix64::new(seed);
+            let opts = ScanOptions { block_size, preserve_order };
+            // p tests column `a` (through a 0..dim_rows link when linked),
+            // q tests the direct 9-bit fact column `b`.
+            let dim_rows = if linked { 1 + (rng.next_u64() % 90) as usize } else { rows };
+            let a_vals: Vec<u64> = (0..dim_rows).map(|_| rng.next_u64() & low_mask(width)).collect();
+            let a = device_array(&env, width, &a_vals);
+            let link_vals: Vec<u64> = (0..rows).map(|_| rng.next_u64() % dim_rows as u64).collect();
+            let link_arr = device_array(&env, 10, &link_vals);
+            let link = linked.then_some(&link_arr);
+            let b_vals: Vec<u64> = (0..rows).map(|_| rng.next_u64() & 511).collect();
+            let b = device_array(&env, 9, &b_vals);
+            // Bounds as per-mille of the domain; > 1000 runs past its edge.
+            let bound = |frac: u64, w: u32| ((low_mask(w) as u128 + 1) * frac as u128 / 1000) as u64;
+            let p = (bound(bounds[0], width), bound(bounds[0], width).saturating_add(bound(bounds[1], width)));
+            let q = (bound(bounds[2], 9), bound(bounds[2], 9).saturating_add(bound(bounds[3], 9)));
+            let emission = || scan_block_ranges(rows, &opts).into_iter().flatten();
+
+            let check = |spec: &ScanSpec<'_>, arr: &DeviceArray, via: Option<&DeviceArray>,
+                         pred: (u64, u64), input: Option<(&Candidates, &SelMask)>| {
+                let ((cands, l_idx), (mask, l_mask)) =
+                    both_outputs(&env, spec, input, rows, &opts, cut);
+                let expect = match input {
+                    None => oracle(arr, via, pred, emission()),
+                    Some((c, _)) => oracle(arr, via, pred, c.oids.iter().map(|&o| o as usize)),
+                };
+                prop_assert_eq!((&cands.oids, &cands.approx), (&expect.0, &expect.1));
+                let converted = match via {
+                    Some(l) => mask.to_candidates_indirect(arr, l),
+                    None => mask.to_candidates(arr),
+                };
+                prop_assert_eq!(&converted, &cands);
+                prop_assert_eq!(l_idx.events(), l_mask.events());
+                (cands, mask)
+            };
+
+            let spec_p = ScanSpec::new(&a, link, p.0, p.1, None);
+            let spec_q = ScanSpec::new(&b, None, q.0, q.1, None);
+            let (cp, mp) = check(&spec_p, &a, link, p, None);
+            let (cq, mq) = check(&spec_q, &b, None, q, None);
+            let p_on_q = ScanSpec::new(&a, link, p.0, p.1, Some(cq.len()));
+            let q_on_p = ScanSpec::new(&b, None, q.0, q.1, Some(cp.len()));
+            let (cpq, mpq) = check(&p_on_q, &a, link, p, Some((&cq, &mq)));
+            let (cqp, mqp) = check(&q_on_p, &b, None, q, Some((&cp, &mp)));
+
+            let both: Vec<u64> = mp.words().iter().zip(mq.words()).map(|(x, y)| x & y).collect();
+            prop_assert_eq!(mpq.words(), &both[..]);
+            prop_assert_eq!(mqp.words(), &both[..]);
+            let sorted = |c: &Candidates| { let mut o = c.oids.clone(); o.sort_unstable(); o };
+            prop_assert_eq!(sorted(&cpq), sorted(&cqp));
+            prop_assert_eq!(sorted(&cpq), mpq.sorted_oids());
+        }
     }
 
     #[test]
@@ -991,38 +771,52 @@ mod tests {
         assert!(c.sorted && c.dense);
     }
 
-    /// The SWAR-routed partition kernel is bit-identical to the scalar
-    /// reference at every width class (SWAR widths, the 20/21/22 lane
-    /// boundary, wide fallback widths), for partitions that start and
-    /// end off 64-alignment.
+    /// The four cost formulas, pinned with hand-computed bytes (10-bit
+    /// column: 100 output pairs stream as ⌈100·42/8⌉ = 525 bytes, one
+    /// scattered element access touches 4).
     #[test]
-    fn swar_routed_partition_matches_scalar_reference() {
+    fn charge_bills_each_source_and_input_its_own_formula() {
         let env = Env::paper_default();
-        for width in [1u32, 4, 8, 12, 16, 20, 21, 22, 24, 32, 40] {
-            let mask = bwd_types::bits::low_mask(width);
-            let vals: Vec<u64> = (0..10_000u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
+        let fact = device_array(&env, 10, &vec![7; 1000]);
+        let dim = device_array(&env, 10, &[7; 50]);
+        let link = device_array(&env, 7, &vec![3; 1000]);
+        let ordered = ScanOptions {
+            block_size: 256,
+            preserve_order: true,
+        };
+        let billed = |spec: ScanSpec<'_>| {
+            let mut ledger = CostLedger::with_trace();
+            spec.charge(&env, 100, &ordered, &mut ledger);
+            let events: Vec<(String, u64)> = ledger
+                .events()
+                .iter()
+                .map(|e| (e.label.clone(), e.bytes))
                 .collect();
-            let arr = device_array(&env, width, &vals);
-            let lo = mask / 4;
-            let hi = mask / 2;
-            for (start, end) in [(0usize, 10_000usize), (3, 9_999), (65, 127), (500, 500)] {
-                let (mut o1, mut a1) = (Vec::new(), Vec::new());
-                let (mut o2, mut a2) = (Vec::new(), Vec::new());
-                select_range_partition(&arr, start, end, lo, hi, &mut o1, &mut a1);
-                select_range_partition_scalar(&arr, start, end, lo, hi, &mut o2, &mut a2);
-                assert_eq!(o1, o2, "width={width} start={start} end={end}");
-                assert_eq!(a1, a2, "width={width} start={start} end={end}");
-            }
-            // Empty and all-match bounds too.
-            for (lo, hi) in [(1u64, 0u64), (0, mask), (mask, mask)] {
-                let (mut o1, mut a1) = (Vec::new(), Vec::new());
-                let (mut o2, mut a2) = (Vec::new(), Vec::new());
-                select_range_partition(&arr, 0, vals.len(), lo, hi, &mut o1, &mut a1);
-                select_range_partition_scalar(&arr, 0, vals.len(), lo, hi, &mut o2, &mut a2);
-                assert_eq!((o1, a1), (o2, a2), "width={width} lo={lo} hi={hi}");
-            }
-        }
+            events
+        };
+        let label = |l: &str, bytes: u64| (l.to_string(), bytes);
+        assert_eq!(
+            billed(ScanSpec::new(&fact, None, 0, 9, None)),
+            [
+                label("select.approx.scan", fact.packed_bytes() + 525),
+                label("select.approx.order", 1050),
+            ]
+        );
+        assert_eq!(
+            billed(ScanSpec::new(&dim, Some(&link), 0, 9, None)),
+            [label(
+                "select.approx.scan-indirect",
+                link.packed_bytes() + 1000 * 4
+            )]
+        );
+        assert_eq!(
+            billed(ScanSpec::new(&fact, None, 0, 9, Some(300))),
+            [label("select.approx.gather-filter", 300 * 4 + 525)]
+        );
+        assert_eq!(
+            billed(ScanSpec::new(&dim, Some(&link), 0, 9, Some(300))),
+            [label("select.approx.gather-filter-indirect", 300 * (4 + 4))]
+        );
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! refinements AND masks positionally, which preserves exactly the
 //! subsequence the chained index filter would keep.
 //!
-//! All of this is representation only: the simulated `charge_*` costs are
-//! those of the paper's candidate-pair model in both representations
+//! All of this is representation only: [`crate::scan::ScanSpec::charge`]
+//! bills the paper's candidate-pair model in both representations
 //! (wall-clock is what the bitmap improves), so costs and results are
 //! bit-identical whichever representation the executor picks.
 
@@ -45,9 +45,9 @@ use std::ops::Range;
 /// Set bits in a 64-block below which survivor emission reads elements
 /// one by one instead of bulk-decoding the whole block (mirrors the
 /// 1-in-8 density heuristic of [`crate::scan::cache_worthwhile`]).
-/// Shared by mask→index conversion here and the SWAR-routed
-/// [`crate::scan::select_range_partition`], so the cutoff cannot drift
-/// between the two emission paths.
+/// Shared by mask→index conversion here and the packed-domain arm of
+/// [`crate::scan::ScanSpec::emit`], so the cutoff cannot drift between
+/// the two emission paths.
 pub(crate) const DENSE_BLOCK_MIN: u32 = 8;
 
 /// A positional match bitmap over a scan's input rows, plus the scan
@@ -101,7 +101,8 @@ impl SelMask {
     }
 
     /// Matching rows (the candidate count — what admission accounting
-    /// and `charge_*` bill, exactly as if the pairs were materialized).
+    /// and the scan charge bill, exactly as if the pairs were
+    /// materialized).
     #[inline]
     pub fn count(&self) -> usize {
         self.count
@@ -134,14 +135,7 @@ impl SelMask {
         for r in scan_block_ranges(self.rows, &self.scan_options()) {
             self.append_block(arr, r, &mut oids, &mut approx);
         }
-        let mut c = Candidates {
-            oids,
-            approx,
-            sorted: false,
-            dense: false,
-        };
-        c.refresh_flags();
-        c
+        Candidates::from_pairs(oids, approx)
     }
 
     /// Emit the candidates of row range `r` (one simulated thread block,
@@ -192,9 +186,8 @@ impl SelMask {
 
     /// Materialize the candidate list of an *indirected* (dimension-side)
     /// mask: bit `i` covers fact row `i`, and the approximation decoded
-    /// for it is `arr[link[i]]` — bit-identical to what
-    /// [`crate::scan::select_range_indirect`] (or the chained indirect
-    /// filters) would have produced directly.
+    /// for it is `arr[link[i]]` — bit-identical to what a linked
+    /// [`crate::scan::ScanSpec`] emits directly.
     pub fn to_candidates_indirect(&self, arr: &DeviceArray, link: &DeviceArray) -> Candidates {
         assert_eq!(link.len(), self.rows, "mask/link length mismatch");
         let mut oids: Vec<Oid> = Vec::with_capacity(self.count);
@@ -202,14 +195,7 @@ impl SelMask {
         for r in scan_block_ranges(self.rows, &self.scan_options()) {
             self.append_block_indirect(arr, link, r, &mut oids, &mut approx);
         }
-        let mut c = Candidates {
-            oids,
-            approx,
-            sorted: false,
-            dense: false,
-        };
-        c.refresh_flags();
-        c
+        Candidates::from_pairs(oids, approx)
     }
 
     /// [`SelMask::append_block`] through a link array: emit the
@@ -355,9 +341,30 @@ impl SelVec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::{select_range, select_range_mask, select_range_on, select_range_on_mask};
+    use crate::scan::{select_range, select_range_on, ScanSpec};
     use bwd_device::{CostLedger, Env};
     use bwd_storage::BitPackedVec;
+
+    /// The whole-relation bitmap of a direct selection (AND-refining
+    /// `input` when given), billed through the spec like the index path.
+    fn mask_scan(
+        env: &Env,
+        arr: &DeviceArray,
+        input: Option<&SelMask>,
+        (lo, hi): (u64, u64),
+        opts: &ScanOptions,
+        ledger: &mut CostLedger,
+    ) -> SelMask {
+        let spec = ScanSpec::new(arr, None, lo, hi, input.map(SelMask::count));
+        let mut words = vec![0u64; arr.len().div_ceil(64)];
+        spec.fill_mask(input.map(SelMask::words), 0, &mut words);
+        let mask = match input {
+            Some(m) => m.like(words),
+            None => SelMask::from_words(words, arr.len(), opts),
+        };
+        spec.charge(env, mask.count(), opts, ledger);
+        mask
+    }
 
     fn device_array(env: &Env, width: u32, vals: &[u64]) -> DeviceArray {
         let mut ledger = CostLedger::new();
@@ -386,7 +393,7 @@ mod tests {
             let mut l_idx = CostLedger::new();
             let mut l_mask = CostLedger::new();
             let c_idx = select_range(&env, &arr, 100, 499, &opts, &mut l_idx);
-            let mask = select_range_mask(&env, &arr, 100, 499, &opts, &mut l_mask);
+            let mask = mask_scan(&env, &arr, None, (100, 499), &opts, &mut l_mask);
             assert_eq!(mask.count(), c_idx.len());
             let c_mask = mask.to_candidates(&arr);
             assert_eq!(c_mask, c_idx, "block_size={block_size}");
@@ -415,8 +422,8 @@ mod tests {
         let c1 = select_range(&env, &a, 40, 400, &opts, &mut l_idx);
         let c2 = select_range_on(&env, &b, &c1, 10, 99, &mut l_idx);
         let mut l_mask = CostLedger::new();
-        let m1 = select_range_mask(&env, &a, 40, 400, &opts, &mut l_mask);
-        let m2 = select_range_on_mask(&env, &b, &m1, 10, 99, &mut l_mask);
+        let m1 = mask_scan(&env, &a, None, (40, 400), &opts, &mut l_mask);
+        let m2 = mask_scan(&env, &b, Some(&m1), (10, 99), &opts, &mut l_mask);
         assert_eq!(m1.count(), c1.len());
         assert_eq!(m2.count(), c2.len());
         assert_eq!(m2.to_candidates(&b), c2);
@@ -435,7 +442,7 @@ mod tests {
             preserve_order: false,
         };
         let mut ledger = CostLedger::new();
-        let mask = select_range_mask(&env, &arr, 1000, 2999, &opts, &mut ledger);
+        let mask = mask_scan(&env, &arr, None, (1000, 2999), &opts, &mut ledger);
         let cands = mask.to_candidates(&arr);
         let back = SelMask::from_candidates(&cands, arr.len(), &opts);
         assert_eq!(back, mask, "mask -> indices -> mask roundtrip");
@@ -458,11 +465,11 @@ mod tests {
         let arr = device_array(&env, 6, &vals);
         let opts = ScanOptions::default();
         let mut ledger = CostLedger::new();
-        let none = select_range_mask(&env, &arr, 100, 200, &opts, &mut ledger);
+        let none = mask_scan(&env, &arr, None, (100, 200), &opts, &mut ledger);
         assert_eq!(none.count(), 0);
         let c = none.to_candidates(&arr);
         assert!(c.is_empty() && c.sorted && c.dense);
-        let all = select_range_mask(&env, &arr, 0, 63, &opts, &mut ledger);
+        let all = mask_scan(&env, &arr, None, (0, 63), &opts, &mut ledger);
         assert_eq!(all.count(), 5000);
         let c = all.to_candidates(&arr);
         assert_eq!(c.len(), 5000);

@@ -16,7 +16,8 @@
 //!    turns all of that bookkeeping into compile-time constants and fully
 //!    unrolls the lift/compact loops.
 //! 2. **Blocks are independent**, so the kernel evaluates a fixed-size
-//!    *batch* of them per iteration — [`U64x4`] / [`U64x8`], plain
+//!    *batch* of them per iteration — [`U64x8`], draining remainders
+//!    through [`U64x4`] and single blocks — plain
 //!    `#[repr(C, align(64))]` wrappers over `[u64; N]` whose per-lane
 //!    operations are written as trivially vectorizable element-wise loops
 //!    (the layout `xiangxiecrypto/pico`-style bitwise value columns use).
@@ -27,10 +28,6 @@
 //! The bound-classification constants ([`LaneParams`]) are computed once
 //! per predicate by [`crate::RangeMatcher`] and threaded in by value;
 //! nothing in the per-batch loop depends on runtime classification.
-//!
-//! With the (off-by-default) `portable-simd` cargo feature the batch ops
-//! are expressed through `core::simd` instead of autovectorized loops —
-//! same semantics, nightly-only toolchains.
 
 /// The per-predicate SWAR constants, hoisted out of every loop: the
 /// element mask, the spare-bit mask `H`, and the replicated bound
@@ -47,19 +44,6 @@ pub struct LaneParams {
     pub hi1_rep: u64,
 }
 
-/// How many 64-element blocks one batch iteration evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneCount {
-    /// Four blocks per iteration ([`U64x4`]) — two SSE2 registers per
-    /// batch op.
-    X4,
-    /// Eight blocks per iteration ([`U64x8`]) — the default; the wider
-    /// straight-line body wins on every width ≤ 16 even on SSE2 (better
-    /// load/ALU overlap), and AVX-class targets map it directly.
-    #[default]
-    X8,
-}
-
 /// A fixed batch of `N` lanes of `u64`, cache-line aligned. One lane
 /// holds one 64-element block's state; batch operations are element-wise
 /// and uniform, which is exactly the shape the autovectorizer turns into
@@ -68,9 +52,11 @@ pub enum LaneCount {
 #[repr(C, align(64))]
 pub struct U64xN<const N: usize>(pub [u64; N]);
 
-/// Four-lane batch (the default production batch width).
+/// Four-lane batch (the drain width).
 pub type U64x4 = U64xN<4>;
-/// Eight-lane batch.
+/// Eight-lane batch (the production batch width: the wider straight-line
+/// body wins on every width ≤ 16 even on SSE2 — better load/ALU overlap —
+/// and AVX-class targets map it directly).
 pub type U64x8 = U64xN<8>;
 
 impl<const N: usize> U64xN<N> {
@@ -120,7 +106,6 @@ impl<const N: usize> U64xN<N> {
     }
 }
 
-#[cfg(not(feature = "portable-simd"))]
 impl<const N: usize> U64xN<N> {
     /// Lane-wise OR.
     #[inline(always)]
@@ -192,65 +177,6 @@ impl<const N: usize> U64xN<N> {
             *slot >>= k;
         }
         U64xN(r)
-    }
-}
-
-/// The same batch ops through `core::simd` (nightly-only; enable with
-/// `--features portable-simd`). Semantics are identical to the
-/// autovectorized loops — the swar tests and the scan benchmark's
-/// identity checks hold under either build.
-#[cfg(feature = "portable-simd")]
-impl<const N: usize> U64xN<N>
-where
-    core::simd::LaneCount<N>: core::simd::SupportedLaneCount,
-{
-    #[inline(always)]
-    fn simd(self) -> core::simd::Simd<u64, N> {
-        core::simd::Simd::from_array(self.0)
-    }
-
-    /// Lane-wise OR.
-    #[inline(always)]
-    pub fn or(self, o: Self) -> Self {
-        U64xN((self.simd() | o.simd()).to_array())
-    }
-
-    /// Lane-wise `self & !o`.
-    #[inline(always)]
-    pub fn andnot(self, o: Self) -> Self {
-        U64xN((self.simd() & !o.simd()).to_array())
-    }
-
-    /// Every lane ANDed with the scalar `m`.
-    #[inline(always)]
-    pub fn and1(self, m: u64) -> Self {
-        U64xN((self.simd() & core::simd::Simd::splat(m)).to_array())
-    }
-
-    /// Every lane ORed with the scalar `m`.
-    #[inline(always)]
-    pub fn or1(self, m: u64) -> Self {
-        U64xN((self.simd() | core::simd::Simd::splat(m)).to_array())
-    }
-
-    /// Every lane wrapping-subtracting the scalar `m`.
-    #[inline(always)]
-    pub fn sub1(self, m: u64) -> Self {
-        U64xN((self.simd() - core::simd::Simd::splat(m)).to_array())
-    }
-
-    /// Every lane shifted left by `k` (`k < 64`).
-    #[inline(always)]
-    #[allow(clippy::should_implement_trait)]
-    pub fn shl(self, k: u32) -> Self {
-        U64xN((self.simd() << core::simd::Simd::splat(k as u64)).to_array())
-    }
-
-    /// Every lane shifted right by `k` (`k < 64`).
-    #[inline(always)]
-    #[allow(clippy::should_implement_trait)]
-    pub fn shr(self, k: u32) -> Self {
-        U64xN((self.simd() >> core::simd::Simd::splat(k as u64)).to_array())
     }
 }
 
@@ -379,15 +305,12 @@ fn fill_blocks_w<const W: usize>(
     words: &[u64],
     first_block: usize,
     out: &mut [u64],
-    lc: LaneCount,
 ) {
     let n = out.len();
     let mut b = 0usize;
-    if matches!(lc, LaneCount::X8) {
-        while b + 8 <= n {
-            match_blocks::<W, 8>(p, words, (first_block + b) * W).store(&mut out[b..b + 8]);
-            b += 8;
-        }
+    while b + 8 <= n {
+        match_blocks::<W, 8>(p, words, (first_block + b) * W).store(&mut out[b..b + 8]);
+        b += 8;
     }
     while b + 4 <= n {
         match_blocks::<W, 4>(p, words, (first_block + b) * W).store(&mut out[b..b + 4]);
@@ -399,58 +322,33 @@ fn fill_blocks_w<const W: usize>(
     }
 }
 
-/// One monomorphized kernel instance per SWAR width; `width` indexes at
-/// `width - 1`. A table keeps the per-fill dispatch to one predictable
-/// indirect call while every inner loop stays width-specialized.
-macro_rules! width_table {
-    ($f:ident as $ty:ty) => {
-        [
-            $f::<1>, $f::<2>, $f::<3>, $f::<4>, $f::<5>, $f::<6>, $f::<7>, $f::<8>, $f::<9>,
-            $f::<10>, $f::<11>, $f::<12>, $f::<13>, $f::<14>, $f::<15>, $f::<16>, $f::<17>,
-            $f::<18>, $f::<19>, $f::<20>, $f::<21>,
-        ] as [$ty; 21]
-    };
-}
-
 /// Fill `out` with one match mask per 64-element block: `out[b]` covers
 /// elements `(first_block + b) * 64 ..` of the packed stream `words`.
 /// Every covered block must be *full* (the caller handles a partial tail
 /// block) and `width` must be SWAR-applicable.
 ///
-/// Dispatches to the width-monomorphized batch kernel; `lc` picks the
-/// batch width (remainders drain through narrower batches, so any `out`
-/// length is fine and the result is independent of `lc`).
-pub fn fill_blocks(
-    width: u32,
-    p: LaneParams,
-    words: &[u64],
-    first_block: usize,
-    out: &mut [u64],
-    lc: LaneCount,
-) {
-    type FillFn = fn(LaneParams, &[u64], usize, &mut [u64], LaneCount);
-    const FILLS: [FillFn; 21] = width_table!(fill_blocks_w as FillFn);
+/// Dispatches to the width-monomorphized batch kernel — one instance per
+/// SWAR width, indexed at `width - 1`, so the per-fill dispatch is one
+/// predictable indirect call while every inner loop stays
+/// width-specialized. Blocks run eight per iteration; remainders drain
+/// through a four-block batch and single blocks, so any `out` length is
+/// fine.
+pub fn fill_blocks(width: u32, p: LaneParams, words: &[u64], first_block: usize, out: &mut [u64]) {
+    type FillFn = fn(LaneParams, &[u64], usize, &mut [u64]);
+    #[rustfmt::skip]
+    const FILLS: [FillFn; 21] = [
+        fill_blocks_w::<1>, fill_blocks_w::<2>, fill_blocks_w::<3>, fill_blocks_w::<4>,
+        fill_blocks_w::<5>, fill_blocks_w::<6>, fill_blocks_w::<7>, fill_blocks_w::<8>,
+        fill_blocks_w::<9>, fill_blocks_w::<10>, fill_blocks_w::<11>, fill_blocks_w::<12>,
+        fill_blocks_w::<13>, fill_blocks_w::<14>, fill_blocks_w::<15>, fill_blocks_w::<16>,
+        fill_blocks_w::<17>, fill_blocks_w::<18>, fill_blocks_w::<19>, fill_blocks_w::<20>,
+        fill_blocks_w::<21>,
+    ];
     assert!(
         (1..=21).contains(&width),
         "lane kernel width {width} outside 1..=21"
     );
-    FILLS[width as usize - 1](p, words, first_block, out, lc)
-}
-
-fn match_block_w<const W: usize>(p: LaneParams, words: &[u64], block: usize) -> u64 {
-    match_blocks::<W, 1>(p, words, block * W).0[0]
-}
-
-/// The match mask of one full 64-element block (`block * 64 ..`), through
-/// the same monomorphized kernel as [`fill_blocks`].
-pub fn match_block(width: u32, p: LaneParams, words: &[u64], block: usize) -> u64 {
-    type MatchFn = fn(LaneParams, &[u64], usize) -> u64;
-    const MATCHES: [MatchFn; 21] = width_table!(match_block_w as MatchFn);
-    assert!(
-        (1..=21).contains(&width),
-        "lane kernel width {width} outside 1..=21"
-    );
-    MATCHES[width as usize - 1](p, words, block)
+    FILLS[width as usize - 1](p, words, first_block, out)
 }
 
 #[cfg(test)]
@@ -493,13 +391,13 @@ mod tests {
             .collect()
     }
 
-    /// Batch kernels equal the `get()`-based reference for every SWAR
-    /// width, both batch widths, and any block count (so every drain
-    /// combination of X8/X4/X1 inner kernels runs).
+    /// The batch kernel equals the `get()`-based reference for every SWAR
+    /// width at a block count where every drain stage runs (13 = one
+    /// eight-block batch + one four-block batch + one single block).
     #[test]
     fn fill_blocks_matches_reference_all_widths() {
         for width in 1u32..=21 {
-            let nblocks = 13; // 8 + 4 + 1: all three batch kernels fire
+            let nblocks = 13;
             let vals = pseudo_vals(width, nblocks * 64, u64::from(width) * 77);
             let v = BitPackedVec::from_slice(width, &vals);
             let max = low_mask(width);
@@ -509,18 +407,9 @@ mod tests {
                 let expect: Vec<u64> = (0..nblocks)
                     .map(|b| reference_block(&v, b, lo, hi))
                     .collect();
-                for lc in [LaneCount::X4, LaneCount::X8] {
-                    let mut got = vec![0u64; nblocks];
-                    fill_blocks(width, p, v.words(), 0, &mut got, lc);
-                    assert_eq!(got, expect, "width={width} lo={lo} hi={hi} {lc:?}");
-                }
-                for (b, &e) in expect.iter().enumerate() {
-                    assert_eq!(
-                        match_block(width, p, v.words(), b),
-                        e,
-                        "match_block width={width} b={b}"
-                    );
-                }
+                let mut got = vec![0u64; nblocks];
+                fill_blocks(width, p, v.words(), 0, &mut got);
+                assert_eq!(got, expect, "width={width} lo={lo} hi={hi}");
             }
         }
     }
@@ -535,20 +424,20 @@ mod tests {
             let max = low_mask(width);
             let p = params(width, max / 8, max / 2);
             let mut whole = vec![0u64; 20];
-            fill_blocks(width, p, v.words(), 0, &mut whole, LaneCount::X4);
+            fill_blocks(width, p, v.words(), 0, &mut whole);
             for first in [1usize, 5, 13, 19] {
                 let mut part = vec![0u64; 20 - first];
-                fill_blocks(width, p, v.words(), first, &mut part, LaneCount::X8);
+                fill_blocks(width, p, v.words(), first, &mut part);
                 assert_eq!(part, whole[first..], "width={width} first={first}");
             }
         }
     }
 
     proptest! {
-        /// X4 and X8 agree with each other and the reference for
-        /// arbitrary widths, bounds and block counts.
+        /// Arbitrary widths, bounds and block counts (so every mix of
+        /// eight-, four- and one-block batches) agree with the reference.
         #[test]
-        fn prop_batch_widths_agree(
+        fn prop_fill_blocks_matches_reference(
             width in 1u32..=21,
             nblocks in 1usize..24,
             seed in any::<u64>(),
@@ -560,16 +449,12 @@ mod tests {
             let hi = (lo.saturating_add(span_raw & max)).min(max);
             let vals = pseudo_vals(width, nblocks * 64, seed);
             let v = BitPackedVec::from_slice(width, &vals);
-            let p = params(width, lo, hi);
             let expect: Vec<u64> = (0..nblocks)
                 .map(|b| reference_block(&v, b, lo, hi))
                 .collect();
-            let mut x4 = vec![0u64; nblocks];
-            let mut x8 = vec![0u64; nblocks];
-            fill_blocks(width, p, v.words(), 0, &mut x4, LaneCount::X4);
-            fill_blocks(width, p, v.words(), 0, &mut x8, LaneCount::X8);
-            prop_assert_eq!(&x4, &expect);
-            prop_assert_eq!(&x8, &expect);
+            let mut got = vec![0u64; nblocks];
+            fill_blocks(width, params(width, lo, hi), v.words(), 0, &mut got);
+            prop_assert_eq!(&got, &expect);
         }
     }
 }

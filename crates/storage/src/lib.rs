@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! Bitwise-distributed columnar storage (the BWD model of Pirk et al.).
 //!
 //! This crate is the storage substrate of the `waste-not` engine:
@@ -8,8 +7,8 @@
 //! * [`encoding`] — order-preserving payload↔unsigned encodings;
 //! * [`swar`] — word-parallel range/point predicates evaluated directly
 //!   on the packed words (no decode in the selection hot loop);
-//! * [`lanes`] — fixed-lane batch kernels (`u64x4`/`u64x8`) the SWAR
-//!   matcher dispatches to for 64-aligned full blocks;
+//! * [`lanes`] — fixed-lane batch kernels (`u64x8`, draining through
+//!   `u64x4`) the SWAR matcher dispatches to for 64-aligned full blocks;
 //! * [`prefix`] — shared-leading-bit compression with a factored base;
 //! * [`decompose`] — the bitwise split of a column into a device-destined
 //!   approximation and a host-resident residual;
@@ -30,9 +29,6 @@ pub use bat::{Bat, Head};
 pub use bitpack::{BitPackedVec, BlockDecoder, DECODE_BLOCK};
 pub use column::{Column, ColumnData, Dictionary};
 pub use decompose::{DecomposedColumn, DecompositionMeta, DecompositionSpec};
-pub use lanes::{LaneCount, LaneParams, U64x4, U64x8, U64xN};
+pub use lanes::{LaneParams, U64x4, U64x8, U64xN};
 pub use prefix::{OutOfRange, PrefixBase, PrefixGranularity};
-pub use swar::{
-    mask_count, point_match_mask, range_match_mask, range_match_mask_scalar, swar_applicable,
-    RangeMatcher, SWAR_MAX_WIDTH,
-};
+pub use swar::{mask_count, swar_applicable, RangeMatcher, SWAR_MAX_WIDTH};

@@ -31,14 +31,13 @@
 //!
 //! Lanes stop paying once they get too wide: past
 //! [`SWAR_MAX_WIDTH`] bits only two lanes fit a word and the lift/compact
-//! bookkeeping costs as much as two scalar compares, so
-//! [`range_match_mask`] falls back to a decode-and-compare loop there
-//! (and for `width == 0`, where no bits exist to compare). Every path is
-//! exhaustively checked equivalent to [`BitPackedVec::get`]-based
-//! evaluation.
+//! bookkeeping costs as much as two scalar compares, so [`RangeMatcher`]
+//! falls back to a decode-and-compare loop there (and for `width == 0`,
+//! where no bits exist to compare). Every path is exhaustively checked
+//! equivalent to [`BitPackedVec::get`]-based evaluation.
 
 use crate::bitpack::{BitPackedVec, DECODE_BLOCK};
-use crate::lanes::{self, LaneCount, LaneParams};
+use crate::lanes::{self, LaneParams};
 use bwd_types::bits::low_mask;
 
 /// Widest element (bits) the SWAR lanes still pay for. At `w = 21` the
@@ -47,7 +46,7 @@ use bwd_types::bits::low_mask;
 /// used.
 pub const SWAR_MAX_WIDTH: u32 = 21;
 
-/// Whether [`range_match_mask`] takes the word-parallel path for
+/// Whether [`RangeMatcher`] takes the word-parallel path for
 /// `width`-bit elements (widths outside `1..=`[`SWAR_MAX_WIDTH`] use the
 /// scalar fallback — with identical results either way).
 #[inline]
@@ -208,44 +207,33 @@ impl<'a> RangeMatcher<'a> {
     /// Fill a whole mask slice: bit `k % 64` of `mask[k / 64]` set iff
     /// element `start + k` matches, for `k` in `0..n`.
     ///
-    /// When `start` is 64-aligned (every mask-producing scan kernel's
+    /// When `start` is 64-aligned (every mask-producing scan partition's
     /// case — partitions are word-aligned) the full blocks run through
-    /// the monomorphized batch kernels in [`crate::lanes`] at the default
-    /// [`LaneCount`]; only a partial tail word (and any unaligned call)
-    /// uses the per-word [`RangeMatcher::match_word`] loop.
+    /// the monomorphized batch kernels in [`crate::lanes`]; only a
+    /// partial tail word (and any unaligned call) uses the per-word
+    /// [`RangeMatcher::match_word`] loop.
+    ///
+    /// # Panics
+    /// Panics if `start + n > v.len()` or `mask.len() != n.div_ceil(64)`.
     pub fn fill(&self, start: usize, n: usize, mask: &mut [u64]) {
-        self.fill_lanes(start, n, mask, LaneCount::default());
-    }
-
-    /// [`RangeMatcher::fill`] with an explicit batch width (the scan
-    /// benchmark sweeps this; results are identical for every `lc`).
-    pub fn fill_lanes(&self, start: usize, n: usize, mask: &mut [u64], lc: LaneCount) {
         self.check_fill(start, n, mask.len());
         if let MatchKind::Swar { width, p, .. } = self.kind {
             if start.is_multiple_of(64) {
                 let full = n / 64;
-                lanes::fill_blocks(
-                    width as u32,
-                    p,
-                    self.v.words(),
-                    start / 64,
-                    &mut mask[..full],
-                    lc,
-                );
+                let words = self.v.words();
+                lanes::fill_blocks(width as u32, p, words, start / 64, &mut mask[..full]);
                 if !n.is_multiple_of(64) {
                     mask[full] = self.match_word(start + full * 64, n % 64);
                 }
                 return;
             }
         }
-        self.fill_words(start, n, mask);
-    }
-
-    /// [`RangeMatcher::fill`] pinned to the per-word PR 5 loop — the
-    /// baseline the scan benchmark measures the lane kernels against.
-    pub fn fill_per_word(&self, start: usize, n: usize, mask: &mut [u64]) {
-        self.check_fill(start, n, mask.len());
-        self.fill_words(start, n, mask);
+        let mut idx = 0usize;
+        for m in mask.iter_mut() {
+            let c = (n - idx).min(64);
+            *m = self.match_word(start + idx, c);
+            idx += c;
+        }
     }
 
     /// Match-and-refine: `out[i] = match_word(..) & input[i]`, with
@@ -257,14 +245,7 @@ impl<'a> RangeMatcher<'a> {
     ///
     /// This is the AND-refinement step of a chained mask selection: the
     /// candidate mask never round-trips through an index list.
-    pub fn fill_and(
-        &self,
-        first_word: usize,
-        n: usize,
-        input: &[u64],
-        out: &mut [u64],
-        lc: LaneCount,
-    ) {
+    pub fn fill_and(&self, first_word: usize, n: usize, input: &[u64], out: &mut [u64]) {
         let start = first_word * 64;
         self.check_fill(start, n, out.len());
         assert_eq!(input.len(), out.len(), "input/output word counts differ");
@@ -290,7 +271,7 @@ impl<'a> RangeMatcher<'a> {
                     while j < full && input[j] != 0 {
                         j += 1;
                     }
-                    lanes::fill_blocks(width as u32, p, words, first_word + i, &mut out[i..j], lc);
+                    lanes::fill_blocks(width as u32, p, words, first_word + i, &mut out[i..j]);
                     for w in i..j {
                         out[w] &= input[w];
                     }
@@ -325,83 +306,12 @@ impl<'a> RangeMatcher<'a> {
         );
         assert_eq!(mask_words, n.div_ceil(64), "mask word count");
     }
-
-    fn fill_words(&self, start: usize, n: usize, mask: &mut [u64]) {
-        let mut idx = 0usize;
-        for m in mask.iter_mut() {
-            let c = (n - idx).min(64);
-            *m = self.match_word(start + idx, c);
-            idx += c;
-        }
-    }
-}
-
-/// Evaluate `lo <= v[start + k] <= hi` for `k` in `0..n`, writing one
-/// match bit per element into `mask` (bit `k % 64` of `mask[k / 64]`;
-/// bits at `n` and beyond are zero).
-///
-/// Dispatches to the word-parallel SWAR compare when
-/// [`swar_applicable`]`(v.width())`, and to a bulk-decode scalar loop
-/// otherwise; both produce identical masks. `lo > hi` (an empty range)
-/// matches nothing; `hi` past the width's maximum value is clamped.
-///
-/// # Panics
-/// Panics if `start + n > v.len()` or `mask.len() != n.div_ceil(64)`.
-pub fn range_match_mask(
-    v: &BitPackedVec,
-    start: usize,
-    n: usize,
-    lo: u64,
-    hi: u64,
-    mask: &mut [u64],
-) {
-    RangeMatcher::new(v, lo, hi).fill(start, n, mask);
-}
-
-/// [`range_match_mask`] for a point predicate (`v[i] == x`).
-#[inline]
-pub fn point_match_mask(v: &BitPackedVec, start: usize, n: usize, x: u64, mask: &mut [u64]) {
-    range_match_mask(v, start, n, x, x, mask);
 }
 
 /// Matches in a mask (the candidate count of a mask-producing selection).
 #[inline]
 pub fn mask_count(mask: &[u64]) -> usize {
     mask.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// The scalar fallback: bulk-decode 64 elements at a time and compare.
-/// Public under a spelled-out name so the scan benchmark can pit the two
-/// paths against each other at any width.
-pub fn range_match_mask_scalar(
-    v: &BitPackedVec,
-    start: usize,
-    n: usize,
-    lo: u64,
-    hi: u64,
-    mask: &mut [u64],
-) {
-    assert!(
-        start.checked_add(n).is_some_and(|end| end <= v.len()),
-        "range {start}.. +{n} out of bounds (len {})",
-        v.len()
-    );
-    assert_eq!(mask.len(), n.div_ceil(64), "mask word count");
-    fill_scalar(v, start, n, lo, hi, mask);
-}
-
-fn fill_scalar(v: &BitPackedVec, start: usize, n: usize, lo: u64, hi: u64, mask: &mut [u64]) {
-    let mut buf = [0u64; DECODE_BLOCK];
-    for (mw, m) in mask.iter_mut().enumerate() {
-        let base = mw * 64;
-        let c = (n - base).min(64);
-        v.unpack_range(start + base, &mut buf[..c]);
-        let mut bits = 0u64;
-        for (k, &x) in buf[..c].iter().enumerate() {
-            bits |= u64::from(x >= lo && x <= hi) << k;
-        }
-        *m = bits;
-    }
 }
 
 #[cfg(test)]
@@ -418,6 +328,22 @@ mod tests {
             }
         }
         mask
+    }
+
+    /// [`RangeMatcher::fill`] into a fresh mask.
+    fn filled(v: &BitPackedVec, start: usize, n: usize, lo: u64, hi: u64) -> Vec<u64> {
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        RangeMatcher::new(v, lo, hi).fill(start, n, &mut mask);
+        mask
+    }
+
+    /// The same mask from one [`RangeMatcher::match_word`] call per word —
+    /// the loop the lane kernels must agree with.
+    fn per_word(v: &BitPackedVec, start: usize, n: usize, lo: u64, hi: u64) -> Vec<u64> {
+        let m = RangeMatcher::new(v, lo, hi);
+        (0..n.div_ceil(64))
+            .map(|w| m.match_word(start + w * 64, (n - w * 64).min(64)))
+            .collect()
     }
 
     fn pseudo_vals(width: u32, n: usize, seed: u64) -> Vec<u64> {
@@ -461,22 +387,10 @@ mod tests {
                     (330, 1),
                     (7, 0),
                 ] {
-                    let mut mask = vec![0u64; n.div_ceil(64)];
-                    range_match_mask(&v, start, n, lo, hi, &mut mask);
-                    assert_eq!(
-                        mask,
-                        reference_mask(&v, start, n, lo, hi),
-                        "width={width} lo={lo} hi={hi} start={start} n={n}"
-                    );
-                    // The scalar path agrees at every width too (it *is*
-                    // the dispatcher's choice outside 1..=21, but must
-                    // also agree where SWAR is chosen).
-                    let mut scalar = vec![0u64; n.div_ceil(64)];
-                    range_match_mask_scalar(&v, start, n, lo, hi, &mut scalar);
-                    assert_eq!(
-                        mask, scalar,
-                        "scalar disagrees: width={width} lo={lo} hi={hi}"
-                    );
+                    let expect = reference_mask(&v, start, n, lo, hi);
+                    let what = format!("width={width} lo={lo} hi={hi} start={start} n={n}");
+                    assert_eq!(filled(&v, start, n, lo, hi), expect, "fill: {what}");
+                    assert_eq!(per_word(&v, start, n, lo, hi), expect, "per word: {what}");
                 }
             }
         }
@@ -485,75 +399,54 @@ mod tests {
     #[test]
     fn width_zero_matches_iff_range_contains_zero() {
         let v = BitPackedVec::from_slice(0, &vec![0u64; 100]);
-        let mut mask = vec![0u64; 2];
-        range_match_mask(&v, 0, 100, 0, 0, &mut mask);
+        let mask = filled(&v, 0, 100, 0, 0);
         assert_eq!(mask_count(&mask), 100);
         assert_eq!(mask[1], low_mask(36)); // tail bits clear
-        range_match_mask(&v, 0, 100, 1, 5, &mut mask);
-        assert_eq!(mask_count(&mask), 0);
+        assert_eq!(mask_count(&filled(&v, 0, 100, 1, 5)), 0);
     }
 
     #[test]
     fn all_and_none_match_fast_paths() {
         let vals = pseudo_vals(12, 1000, 7);
         let v = BitPackedVec::from_slice(12, &vals);
-        let mut mask = vec![0u64; 1000usize.div_ceil(64)];
-        range_match_mask(&v, 0, 1000, 0, low_mask(12), &mut mask);
-        assert_eq!(mask_count(&mask), 1000);
-        range_match_mask(&v, 0, 1000, 5, 4, &mut mask);
-        assert_eq!(mask_count(&mask), 0);
+        assert_eq!(mask_count(&filled(&v, 0, 1000, 0, low_mask(12))), 1000);
+        assert_eq!(mask_count(&filled(&v, 0, 1000, 5, 4)), 0);
     }
 
-    #[test]
-    fn point_mask_is_range_of_one() {
-        let vals: Vec<u64> = (0..500).map(|i| i % 17).collect();
-        let v = BitPackedVec::from_slice(5, &vals);
-        let mut point = vec![0u64; 500usize.div_ceil(64)];
-        let mut range = point.clone();
-        point_match_mask(&v, 0, 500, 9, &mut point);
-        range_match_mask(&v, 0, 500, 9, 9, &mut range);
-        assert_eq!(point, range);
-        assert_eq!(mask_count(&point), vals.iter().filter(|&&x| x == 9).count());
-    }
-
-    /// The lane-batched fill, the per-word fill, and `fill_and` against
-    /// an all-ones input agree at every width class and batch width.
+    /// The lane-batched fill agrees with the per-word `match_word` loop
+    /// and the `get()` oracle at every SWAR width (plus two fallback
+    /// widths), over aligned and unaligned spans. Full-block counts cover
+    /// every drain of the batch kernel: 15 = 8 + 4 + 3×1, 10 = 8 + 2×1,
+    /// 5 = 4 + 1, 1. `fill_and` against an all-ones input is the same
+    /// mask.
     #[test]
     fn lane_fill_agrees_with_per_word_fill() {
-        for width in [1u32, 3, 7, 12, 16, 20, 21, 22, 32] {
+        for width in (1u32..=21).chain([22, 32]) {
             let vals = pseudo_vals(width, 1000, u64::from(width));
             let v = BitPackedVec::from_slice(width, &vals);
             let max = low_mask(width);
-            let m = RangeMatcher::new(&v, max / 8, max / 2);
+            let (lo, hi) = (max / 8, max / 2);
             for &(start, n) in &[
                 (0usize, 1000usize),
                 (0, 993),
                 (64, 640),
                 (128, 65),
+                (320, 323),
                 (3, 900),
             ] {
-                let words = n.div_ceil(64);
-                let mut per_word = vec![0u64; words];
-                m.fill_per_word(start, n, &mut per_word);
-                for lc in [LaneCount::X4, LaneCount::X8] {
-                    let mut lane = vec![0u64; words];
-                    m.fill_lanes(start, n, &mut lane, lc);
-                    assert_eq!(lane, per_word, "width={width} start={start} n={n} {lc:?}");
-                }
+                let what = format!("width={width} start={start} n={n}");
+                let lane = filled(&v, start, n, lo, hi);
+                assert_eq!(lane, per_word(&v, start, n, lo, hi), "{what}");
+                assert_eq!(lane, reference_mask(&v, start, n, lo, hi), "{what}");
                 if start.is_multiple_of(64) {
-                    let mut anded = vec![0u64; words];
-                    m.fill_and(
+                    let mut anded = vec![0u64; lane.len()];
+                    RangeMatcher::new(&v, lo, hi).fill_and(
                         start / 64,
                         n,
-                        &vec![u64::MAX; words],
+                        &vec![u64::MAX; lane.len()],
                         &mut anded,
-                        LaneCount::X4,
                     );
-                    let mut expect = per_word.clone();
-                    if !n.is_multiple_of(64) {
-                        *expect.last_mut().unwrap() &= low_mask((n % 64) as u32);
-                    }
-                    assert_eq!(anded, expect, "fill_and width={width} n={n}");
+                    assert_eq!(anded, lane, "fill_and {what}");
                 }
             }
         }
@@ -569,7 +462,6 @@ mod tests {
             let v = BitPackedVec::from_slice(width, &vals);
             let max = low_mask(width);
             for (lo, hi) in [(max / 8, max / 2), (0, max), (3, 1), (0, 0)] {
-                let m = RangeMatcher::new(&v, lo, hi);
                 let n = 777usize;
                 let words = n.div_ceil(64);
                 // A patchy input: zero words, dense words, sparse words.
@@ -580,25 +472,22 @@ mod tests {
                         _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                     })
                     .collect();
-                let mut plain = vec![0u64; words];
-                m.fill(0, n, &mut plain);
+                let plain = filled(&v, 0, n, lo, hi);
                 let expect: Vec<u64> = plain.iter().zip(&input).map(|(a, b)| a & b).collect();
-                for lc in [LaneCount::X4, LaneCount::X8] {
-                    let mut got = vec![0u64; words];
-                    m.fill_and(0, n, &input, &mut got, lc);
-                    assert_eq!(got, expect, "width={width} lo={lo} hi={hi} {lc:?}");
-                }
+                let mut got = vec![0u64; words];
+                RangeMatcher::new(&v, lo, hi).fill_and(0, n, &input, &mut got);
+                assert_eq!(got, expect, "width={width} lo={lo} hi={hi}");
             }
         }
     }
 
     proptest! {
-        /// SWAR == scalar == `get` for arbitrary widths (0..=64, so both
+        /// fill == per-word == `get` for arbitrary widths (0..=64, so both
         /// dispatcher arms and the 20/21/22 lane boundary are hit),
         /// arbitrary sub-ranges (word straddles included) and arbitrary
         /// bounds, including empty and clamped ranges.
         #[test]
-        fn prop_swar_equals_scalar_and_get(
+        fn prop_fill_equals_per_word_and_get(
             width in 0u32..=64,
             raw in proptest::collection::vec(any::<u64>(), 0..400),
             start_frac in 0u32..1000,
@@ -616,13 +505,10 @@ mod tests {
             let domain = mask_w as u128 + 1;
             let lo = ((domain * lo_frac as u128) / 1000).min(u64::MAX as u128) as u64;
             let hi = lo.saturating_add(((domain * span_frac as u128) / 1000) as u64);
-            let mut got = vec![0u64; n.div_ceil(64)];
-            range_match_mask(&v, start, n, lo, hi, &mut got);
+            let got = filled(&v, start, n, lo, hi);
             prop_assert_eq!(&got, &reference_mask(&v, start, n, lo, hi),
                 "width={} start={} n={} lo={} hi={}", width, start, n, lo, hi);
-            let mut scalar = vec![0u64; n.div_ceil(64)];
-            range_match_mask_scalar(&v, start, n, lo, hi, &mut scalar);
-            prop_assert_eq!(&got, &scalar);
+            prop_assert_eq!(&got, &per_word(&v, start, n, lo, hi));
         }
 
         /// Lane-boundary widths get a dedicated dense sweep: 20 (2 spare
@@ -639,9 +525,7 @@ mod tests {
             let v = BitPackedVec::from_slice(width, &vals);
             let lo = lo & low_mask(width + 1);
             let hi = hi & low_mask(width + 1);
-            let mut got = vec![0u64; 200usize.div_ceil(64)];
-            range_match_mask(&v, 0, 200, lo, hi, &mut got);
-            prop_assert_eq!(got, reference_mask(&v, 0, 200, lo, hi));
+            prop_assert_eq!(filled(&v, 0, 200, lo, hi), reference_mask(&v, 0, 200, lo, hi));
         }
     }
 }

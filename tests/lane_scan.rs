@@ -1,23 +1,20 @@
-//! PR 7 lane-scan invariants: the fixed-lane batch kernels and the
-//! socket-aware morsel placement are **representation and placement
-//! only**. For every socket count in {1, 2, 4}, every candidate
-//! representation (Indices / Bitmap / Auto), and every morsel count in
+//! Lane-scan invariants: the fixed-lane batch kernels and the candidate
+//! representation are **representation only**. For every candidate
+//! representation (Indices / Bitmap / Auto) and every morsel count in
 //! {1, 2, 8}, the same plans produce the same rows, survivor counts,
-//! PCI-E traffic and simulated component costs as the serial
-//! single-socket index run — including chains where a dimension-side
-//! predicate AND-refines the running bitmap through the FK link. A
-//! storage-level sweep additionally pins both lane counts (X4 / X8) to
-//! the per-word SWAR baseline at every packed width and at straddling,
-//! unaligned spans.
+//! PCI-E traffic and simulated component costs as the serial index run —
+//! including chains where a dimension-side predicate AND-refines the
+//! running bitmap through the FK link. A storage-level sweep additionally
+//! pins the lane-batched fill to the per-word SWAR loop and a `get()`
+//! oracle at every packed width and at straddling, unaligned spans.
 
 use waste_not::core::plan::ScalarExpr as E;
 use waste_not::core::plan::{AggExpr, AggFunc, ArPlan, BinOp, LogicalPlan, Predicate};
 use waste_not::data::{gen_lineitem, gen_part, micro, TpchConfig};
 use waste_not::engine::{run_ar_in, ArExecOptions, CandidateRep, Database};
-use waste_not::storage::{BitPackedVec, Column, LaneCount, RangeMatcher};
+use waste_not::storage::{BitPackedVec, Column, RangeMatcher};
 use waste_not::Value;
 
-const SOCKETS: [u32; 3] = [1, 2, 4];
 const MORSELS: [usize; 3] = [1, 2, 8];
 const REPS: [CandidateRep; 3] = [
     CandidateRep::Indices,
@@ -25,30 +22,26 @@ const REPS: [CandidateRep; 3] = [
     CandidateRep::Auto,
 ];
 
-/// Every (sockets, representation, morsels) cell against the serial
-/// single-socket index run: rows, survivors, simulated costs and traffic
-/// must all be bit-identical.
-fn assert_socket_sweep_bit_identical(db: &Database, plan: &ArPlan, what: &str) {
-    let base_env = db.env().clone();
+/// Every (representation, morsels) cell against the serial index run:
+/// rows, survivors, simulated costs and traffic must all be
+/// bit-identical.
+fn assert_sweep_bit_identical(db: &Database, plan: &ArPlan, what: &str) {
+    let env = db.env().clone();
     let opts = |rep, morsels| ArExecOptions {
         candidates: rep,
         morsels,
         ..Default::default()
     };
-    let baseline = run_ar_in(db, plan, &opts(CandidateRep::Indices, 1), &base_env).unwrap();
+    let baseline = run_ar_in(db, plan, &opts(CandidateRep::Indices, 1), &env).unwrap();
     assert!(!baseline.rows.is_empty(), "{what}: degenerate plan");
-    for sockets in SOCKETS {
-        let mut env = base_env.clone();
-        env.cpu.sockets = sockets;
-        for rep in REPS {
-            for m in MORSELS {
-                let r = run_ar_in(db, plan, &opts(rep, m), &env).unwrap();
-                let cell = format!("{what} @ sockets={sockets} {rep:?} morsels={m}");
-                assert_eq!(baseline.rows, r.rows, "{cell}: rows");
-                assert_eq!(baseline.survivors, r.survivors, "{cell}: survivors");
-                assert_eq!(baseline.breakdown, r.breakdown, "{cell}: simulated costs");
-                assert_eq!(baseline.traffic, r.traffic, "{cell}: traffic");
-            }
+    for rep in REPS {
+        for m in MORSELS {
+            let r = run_ar_in(db, plan, &opts(rep, m), &env).unwrap();
+            let cell = format!("{what} @ {rep:?} morsels={m}");
+            assert_eq!(baseline.rows, r.rows, "{cell}: rows");
+            assert_eq!(baseline.survivors, r.survivors, "{cell}: survivors");
+            assert_eq!(baseline.breakdown, r.breakdown, "{cell}: simulated costs");
+            assert_eq!(baseline.traffic, r.traffic, "{cell}: traffic");
         }
     }
 }
@@ -76,9 +69,9 @@ fn micro_db(n: usize) -> Database {
 /// Chained fact-side predicates with grouped aggregation: the dense
 /// first predicate rides the lane-batch mask kernel, the second
 /// AND-refines it, refinement consumes the mask positionally — identical
-/// across the whole socket × representation × morsel grid.
+/// across the whole representation × morsel grid.
 #[test]
-fn chained_fact_selections_identical_across_sockets() {
+fn chained_fact_selections_identical_across_the_grid() {
     let n = 60_000;
     let db = micro_db(n);
     let logical = LogicalPlan::scan("t")
@@ -108,15 +101,15 @@ fn chained_fact_selections_identical_across_sockets() {
             ],
         );
     let plan = db.bind(&logical, &Default::default()).unwrap();
-    assert_socket_sweep_bit_identical(&db, &plan, "chained fact selections");
+    assert_sweep_bit_identical(&db, &plan, "chained fact selections");
 }
 
 /// A Q14-shaped fact + dimension chain: the dim predicate AND-refines
 /// the running bitmap *through the FK link* (no index round-trip), and
 /// the mask-consuming refinement reconstructs dim-side payloads via the
-/// host FK index — across the whole socket grid.
+/// host FK index — across the whole grid.
 #[test]
-fn dim_chain_identical_across_sockets() {
+fn dim_chain_identical_across_the_grid() {
     let cfg = TpchConfig::scale(0.02);
     let mut db = Database::new();
     db.create_table("lineitem", gen_lineitem(&cfg).into_columns())
@@ -144,20 +137,22 @@ fn dim_chain_identical_across_sockets() {
     plan.selections
         .sort_by_key(|s| usize::from(s.column.contains('.')));
     db.auto_bind(&plan).unwrap();
-    assert_socket_sweep_bit_identical(&db, &plan, "Q14-shaped all-resident");
+    assert_sweep_bit_identical(&db, &plan, "Q14-shaped all-resident");
     // Space-constrained: residuals exist, so the refinement pipeline
-    // (mask-consuming, socket-banked scratch) actually runs.
+    // (mask-consuming, pooled scratch) actually runs.
     db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
     db.bwdecompose("part", "p_type", 4).unwrap();
-    assert_socket_sweep_bit_identical(&db, &plan, "Q14-shaped space-constrained");
+    assert_sweep_bit_identical(&db, &plan, "Q14-shaped space-constrained");
 }
 
-/// Storage-level pin: both lane counts agree with the per-word SWAR
-/// baseline at every packable width (1..=21, the 20/21 group boundaries
-/// included), over unaligned spans whose first and last words are
-/// partially covered.
+/// Storage-level pin: the lane-batched `fill` agrees with the per-word
+/// SWAR loop (`match_word`) and a `get()` oracle at every packable width
+/// (1..=21, the 20/21 group boundaries included), over unaligned spans
+/// whose first and last words are partially covered. The spans' full
+/// block counts (200, 199, 13, 8) leave remainders of 7 and 5 after the
+/// eight-block batches, so the four-block and single-block drains run.
 #[test]
-fn lane_counts_match_per_word_swar_at_every_width() {
+fn lane_fill_matches_per_word_swar_at_every_width() {
     let n = 64 * 200 + 17;
     for width in 1..=21u32 {
         let max = (1u64 << width) - 1;
@@ -168,15 +163,20 @@ fn lane_counts_match_per_word_swar_at_every_width() {
         let (lo, hi) = (max / 5, max - max / 3);
         let m = RangeMatcher::new(&packed, lo, hi);
         let spans: [(usize, usize); 4] =
-            [(0, n), (64, n - 64), (0, 64 * 9 + 3), (64 * 3, 64 * 8 + 1)];
+            [(0, n), (64, n - 64), (0, 64 * 13 + 3), (64 * 3, 64 * 8 + 1)];
         for (start, len) in spans {
-            let mut base = vec![0u64; len.div_ceil(64)];
-            m.fill_per_word(start, len, &mut base);
-            for lc in [LaneCount::X4, LaneCount::X8] {
-                let mut got = vec![0u64; len.div_ceil(64)];
-                m.fill_lanes(start, len, &mut got, lc);
-                assert_eq!(got, base, "width={width} start={start} len={len} {lc:?}");
+            let words = len.div_ceil(64);
+            let base: Vec<u64> = (0..words)
+                .map(|w| m.match_word(start + w * 64, (len - w * 64).min(64)))
+                .collect();
+            let mut oracle = vec![0u64; words];
+            for (k, &v) in vals[start..start + len].iter().enumerate() {
+                oracle[k / 64] |= u64::from(v >= lo && v <= hi) << (k % 64);
             }
+            let mut got = vec![0u64; words];
+            m.fill(start, len, &mut got);
+            assert_eq!(got, base, "width={width} start={start} len={len}");
+            assert_eq!(got, oracle, "width={width} start={start} len={len}");
         }
     }
 }
