@@ -78,6 +78,22 @@ impl ArPlan {
                 out.push(j.fact_key.clone());
             }
         }
+        for c in self.gathered_columns() {
+            if !out.contains(&c) {
+                out.push(c);
+            }
+        }
+        out
+    }
+
+    /// The columns the query tail materializes per surviving tuple — group
+    /// keys, aggregate arguments, projections — in first-reference order,
+    /// each exactly once. Both executors gather (and bill) this list and
+    /// the scheduler's estimators count it, so a column referenced twice
+    /// (`group by a, b, a`) can never be fetched or charged twice in one
+    /// place and once in another.
+    pub fn gathered_columns(&self) -> Vec<String> {
+        let mut out = Vec::new();
         for g in &self.group_by {
             if !out.contains(g) {
                 out.push(g.clone());
@@ -174,5 +190,9 @@ mod tests {
             alias: "s".into(),
         });
         assert_eq!(p.referenced_columns(), vec!["a", "b"]);
+        // A repeated group key is gathered once, in first-reference order.
+        p.group_by = vec!["c".into(), "b".into(), "c".into()];
+        assert_eq!(p.gathered_columns(), vec!["c", "b"]);
+        assert_eq!(p.referenced_columns(), vec!["a", "c", "b"]);
     }
 }

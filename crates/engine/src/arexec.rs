@@ -19,27 +19,30 @@
 //! The `pushdown: false` ablation interleaves refinement with the
 //! selection chain, paying a PCI-E round trip per predicate (§III-A).
 
-use crate::aggregate::{compute_aggregates_morsel, compute_projection_morsel, Grouping};
 use crate::database::Database;
-use crate::eval::{payload_to_value, ColumnSlot, RowBlock};
+use crate::eval::{ColumnSlot, RowBlock};
 use crate::morsel::{
-    gather_stored, group_rows, partition_mask_ranges, partition_ranges, partition_ranges_min,
-    refine_filter, refine_filter_mask, refine_payloads, run_parts, run_parts_mut,
-    translucent_starts, ApproxSrc, ResidualSrc, ScratchPool,
+    partition_mask_ranges, partition_ranges, partition_ranges_min, refine_filter,
+    refine_filter_mask, run_parts, run_parts_mut, ResidualReader, ResidualSrc, ScratchPool,
 };
 use crate::result::{ApproxAnswer, QueryResult};
+use crate::tail::{GroupTable, SliceSource, Tail, SLICE_ROWS};
 use bwd_core::ops::join::{charge_fk_project_refine, FkIndex};
 use bwd_core::ops::project::charge_project_refine;
 use bwd_core::plan::ArPlan;
 use bwd_core::relax::relax_to_stored;
 use bwd_core::{BoundColumn, RangePred};
+use bwd_device::units::candidate_stream_bytes;
 use bwd_device::{Component, CostLedger, Env};
-use bwd_kernels::gather::{charge_gather, charge_gather_indirect};
+use bwd_kernels::gather::{
+    charge_gather, charge_gather_indirect, gather_indirect_partition_into, gather_partition_into,
+};
 use bwd_kernels::group::hash_group_multi;
 use bwd_kernels::scan::scan_block_ranges;
-use bwd_kernels::{Candidates, ScanOptions, ScanRows, ScanSpec, SelMask, SelVec};
+use bwd_kernels::{Candidates, DeviceArray, ScanOptions, ScanRows, ScanSpec, SelMask, SelVec};
 use bwd_obs::{EventKind, SpanId, WorkerHandle, NO_SPAN};
-use bwd_types::{BwdError, FaultSite, Oid, Result, Value};
+use bwd_types::{BwdError, FaultSite, Oid, Result};
+use std::ops::Range;
 
 /// How the approximate-selection chain materializes its candidates.
 ///
@@ -119,10 +122,6 @@ struct TransientBudget {
 }
 
 impl TransientBudget {
-    fn new(budget: Option<u64>) -> Self {
-        TransientBudget { used: 0, budget }
-    }
-
     /// Record `bytes` of transient device data; fails when a budget is
     /// set and the running total exceeds it.
     fn charge(&mut self, bytes: u64) -> Result<()> {
@@ -174,11 +173,7 @@ impl Probe {
         }
     }
 
-    fn end(self, obs: &WorkerHandle, ledger: &CostLedger, out: u64) {
-        self.end_with(obs, ledger, out, 0);
-    }
-
-    fn end_with(self, obs: &WorkerHandle, ledger: &CostLedger, out: u64, d: u64) {
+    fn end(self, obs: &WorkerHandle, ledger: &CostLedger, out: u64, d: u64) {
         if self.span == NO_SPAN {
             return;
         }
@@ -191,10 +186,23 @@ impl Probe {
 /// A resolved column reference.
 struct ColRef<'a> {
     bound: &'a BoundColumn,
-    /// Whether this is a dimension column reached through the FK index.
-    is_dim: bool,
+    /// For a dimension column: the FK index it is reached through.
+    fk: Option<&'a FkIndex>,
     dtype: bwd_types::DataType,
     dict: Option<std::sync::Arc<bwd_storage::Dictionary>>,
+}
+
+impl<'a> ColRef<'a> {
+    /// The device-resident FK link of a dimension column.
+    fn link(&self) -> Option<&'a DeviceArray> {
+        self.fk.map(FkIndex::device)
+    }
+
+    /// Where a refinement touching `accesses` tuples reads the residuals.
+    fn residual(&self, accesses: usize) -> ResidualSrc<'a> {
+        let host_fk = self.fk.map(FkIndex::host_slice);
+        ResidualSrc::for_column(self.bound, self.fk.is_some(), host_fk, accesses)
+    }
 }
 
 /// Execute the plan with Approximate & Refine processing.
@@ -214,13 +222,30 @@ pub fn run_ar_in(
     opts: &ArExecOptions,
     env: &Env,
 ) -> Result<QueryResult> {
+    run_ar_sliced(db, plan, opts, env, SLICE_ROWS)
+}
+
+/// [`run_ar_in`] with an explicit tail slice size (tests sweep it;
+/// results and charges are independent of it).
+pub(crate) fn run_ar_sliced(
+    db: &Database,
+    plan: &ArPlan,
+    opts: &ArExecOptions,
+    env: &Env,
+    slice_rows: usize,
+) -> Result<QueryResult> {
     let mut ledger = CostLedger::new();
     let obs = env.trace.recorder.worker(&env.trace.lane);
-    let phase_parent = env.trace.parent;
+    let begin = |kind, ledger: &CostLedger, a: u64, b: u64| {
+        Probe::begin(&obs, kind, env.trace.parent, ledger, a, b)
+    };
     let fact = db.catalog().table(&plan.table)?;
     let n = fact.len();
     let morsels = opts.morsels.max(1);
-    let mut transient = TransientBudget::new(opts.device_budget);
+    let mut transient = TransientBudget {
+        used: 0,
+        budget: opts.device_budget,
+    };
     let pool = ScratchPool::default();
     let fk: Option<&FkIndex> = match &plan.fk_join {
         Some(j) => Some(db.fk_index(&plan.table, &j.fact_key)?),
@@ -228,22 +253,16 @@ pub fn run_ar_in(
     };
 
     let resolve = |name: &str| -> Result<ColRef<'_>> {
-        let (table, col, is_dim) = match name.split_once('.') {
-            Some((t, c)) => {
-                let j = plan
-                    .fk_join
-                    .as_ref()
-                    .filter(|j| j.dim_table == t)
-                    .ok_or_else(|| BwdError::Bind(format!("table {t} not joined")))?;
-                let _ = j;
-                (t, c, true)
-            }
-            None => (plan.table.as_str(), name, false),
+        let (table, col, fk) = match name.split_once('.') {
+            // A joined dimension table implies `fk` (looked up above).
+            Some((t, c)) if plan.fk_join.as_ref().is_some_and(|j| j.dim_table == t) => (t, c, fk),
+            Some((t, _)) => return Err(BwdError::Bind(format!("table {t} not joined"))),
+            None => (plan.table.as_str(), name, None),
         };
         let catalog_col = db.catalog().table(table)?.column(col)?;
         Ok(ColRef {
             bound: db.bound_column(table, col)?,
-            is_dim,
+            fk,
             dtype: catalog_col.dtype(),
             dict: catalog_col.dictionary().cloned(),
         })
@@ -251,7 +270,8 @@ pub fn run_ar_in(
 
     // ======================= Approximation subplan =======================
     let mut sel_outputs: Vec<SelVec> = Vec::with_capacity(plan.selections.len());
-    let mut interleaved_survivors: Option<Vec<Oid>> = None;
+    // Exact survivors, once a refinement ran (`None`: the candidates).
+    let mut survivors: Option<Vec<Oid>> = None;
 
     if plan.pushdown {
         for (i, sel) in plan.selections.iter().enumerate() {
@@ -262,18 +282,10 @@ pub fn run_ar_in(
             // each still-live bit), so no representation round-trip
             // happens mid-chain.
             let input_len = sel_outputs.last().map_or(n, SelVec::len) as u64;
-            let probe = Probe::begin(
-                &obs,
-                EventKind::ApproxSelect,
-                phase_parent,
-                &ledger,
-                input_len,
-                i as u64,
-            );
+            let probe = begin(EventKind::ApproxSelect, &ledger, input_len, i as u64);
             let cands = approx_select_step(
                 env,
                 &c,
-                fk,
                 &sel.range,
                 sel_outputs.last(),
                 &opts.scan,
@@ -284,7 +296,7 @@ pub fn run_ar_in(
                 &mut ledger,
             )?;
             let rep_bit = u64::from(matches!(cands, SelVec::Bitmap(_)));
-            probe.end_with(&obs, &ledger, cands.len() as u64, rep_bit);
+            probe.end(&obs, &ledger, cands.len() as u64, rep_bit);
             transient.charge(cands.len() as u64 * CANDIDATE_PAIR_BYTES)?;
             sel_outputs.push(cands);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
@@ -296,10 +308,9 @@ pub fn run_ar_in(
         // candidates are materialized for the immediate refinement
         // anyway, so the chain runs on indices regardless of the
         // representation policy.
-        let mut surv: Option<Vec<Oid>> = None;
         for (i, sel) in plan.selections.iter().enumerate() {
             let c = resolve(&sel.column)?;
-            let input = surv.map(|oids| {
+            let input = survivors.take().map(|oids| {
                 // Upload the refined oid list back to the device.
                 ledger.charge(
                     Component::Pcie,
@@ -310,18 +321,10 @@ pub fn run_ar_in(
                 SelVec::Indices(Candidates::from_pairs(oids, Vec::new()))
             });
             let input_len = input.as_ref().map_or(n, SelVec::len) as u64;
-            let probe = Probe::begin(
-                &obs,
-                EventKind::ApproxSelect,
-                phase_parent,
-                &ledger,
-                input_len,
-                i as u64,
-            );
+            let probe = begin(EventKind::ApproxSelect, &ledger, input_len, i as u64);
             let cands = approx_select_step(
                 env,
                 &c,
-                fk,
                 &sel.range,
                 input.as_ref(),
                 &opts.scan,
@@ -331,49 +334,49 @@ pub fn run_ar_in(
                 &pool,
                 &mut ledger,
             )?;
-            probe.end(&obs, &ledger, cands.len() as u64);
+            probe.end(&obs, &ledger, cands.len() as u64, 0);
             transient.charge(cands.len() as u64 * CANDIDATE_PAIR_BYTES)?;
-            let probe = Probe::begin(
-                &obs,
-                EventKind::Refine,
-                phase_parent,
-                &ledger,
-                cands.len() as u64,
-                i as u64,
-            );
+            let probe = begin(EventKind::Refine, &ledger, cands.len() as u64, i as u64);
             let refined = refine_selection(
                 env,
                 &c,
-                fk,
-                cands.as_indices().expect("ablation chain runs on indices"),
+                &cands,
                 None,
                 &sel.range,
                 morsels,
                 &pool,
                 &mut ledger,
             )?;
-            probe.end(&obs, &ledger, refined.len() as u64);
-            surv = Some(refined);
+            probe.end(&obs, &ledger, refined.len() as u64, 0);
+            survivors = Some(refined);
             sel_outputs.push(cands);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
             env.preempt.check()?; // between approx+refine pairs (ablation)
         }
-        interleaved_survivors = Some(surv.unwrap_or_else(|| (0..n as Oid).collect()));
     }
 
     env.fault.check(FaultSite::Exec)?;
     env.preempt.check()?; // the gather boundary
 
     // The gather boundary: downstream operators (device pre-grouping,
-    // projection gathers, refinement downloads) need positions and
-    // values, so a bitmap materializes here — lazily, and bit-identically
-    // to what the index path would have carried all along (through the
-    // FK link when the last selection was dimension-side).
-    let final_cands: Candidates = if plan.selections.is_empty() {
-        Candidates::dense_all(n)
-    } else {
-        let last = resolve(&plan.selections.last().unwrap().column)?;
-        materialize_sel(sel_outputs.last().unwrap(), &last, fk)?
+    // projection gathers, the tail's translucent alignment) need
+    // positions, so a bitmap expands here into the oid list the index
+    // path would have carried all along — same oids, same block-scrambled
+    // order. Its approximations are *not* materialized (8 B per
+    // candidate): the one consumer, this selection's own refinement,
+    // re-decodes them block-wise through the mask like every other
+    // bitmap step.
+    let expanded;
+    let final_cands: &Candidates = match sel_outputs.last() {
+        Some(SelVec::Indices(c)) => c,
+        Some(SelVec::Bitmap(m)) => {
+            expanded = Candidates::from_pairs(m.oids(), Vec::new());
+            &expanded
+        }
+        None => {
+            expanded = Candidates::dense_all(n);
+            &expanded
+        }
     };
 
     // Approximate pre-grouping (device) where the keys allow it.
@@ -385,11 +388,10 @@ pub fn run_ar_in(
     let device_group = if !plan.group_by.is_empty()
         && group_cols
             .iter()
-            .all(|c| !c.is_dim && c.bound.meta().fully_device_resident())
+            .all(|c| c.fk.is_none() && c.bound.meta().fully_device_resident())
     {
-        let arrays: Vec<&bwd_kernels::DeviceArray> =
-            group_cols.iter().map(|c| c.bound.approx()).collect();
-        Some(hash_group_multi(env, &arrays, &final_cands, &mut ledger))
+        let arrays: Vec<&DeviceArray> = group_cols.iter().map(|c| c.bound.approx()).collect();
+        Some(hash_group_multi(env, &arrays, final_cands, &mut ledger))
     } else {
         None
     };
@@ -400,19 +402,10 @@ pub fn run_ar_in(
     });
 
     // Columns the aggregation/projection needs.
-    let mut needed: Vec<String> = plan.group_by.clone();
-    for a in &plan.aggs {
-        if let Some(arg) = &a.arg {
-            arg.collect_columns(&mut needed);
-        }
-    }
-    for (e, _) in &plan.project {
-        e.collect_columns(&mut needed);
-    }
-    needed.dedup();
-    let needed_cols: Vec<(String, ColRef<'_>)> = needed
-        .iter()
-        .map(|nm| resolve(nm).map(|c| (nm.clone(), c)))
+    let needed_cols: Vec<(String, ColRef<'_>)> = plan
+        .gathered_columns()
+        .into_iter()
+        .map(|nm| resolve(&nm).map(|c| (nm, c)))
         .collect::<Result<_>>()?;
 
     // Device fast path (the all-GPU configurations): every referenced
@@ -431,159 +424,151 @@ pub fn run_ar_in(
         && needed_cols
             .iter()
             .all(|(_, c)| c.bound.meta().fully_device_resident())
-        && plan.pushdown
-        && interleaved_survivors.is_none();
+        && plan.pushdown;
 
     // ============================ Refinement ============================
     // Selections refine last-to-first: the matching approximation output
     // is consumed through a translucent join, survivors shrink monotonically.
-    let survivors: Option<Vec<Oid>> = if all_resident {
-        None // exact by construction; the device path consumes candidates
-    } else if let Some(s) = interleaved_survivors {
-        Some(s)
-    } else if plan.selections.is_empty() {
-        None // every tuple survives; avoid materializing 0..n twice
-    } else {
-        let mut surv: Option<Vec<Oid>> = None;
+    // The device fast path is exact by construction and consumes the
+    // candidates; the ablation refined every step already.
+    if !all_resident && plan.pushdown {
         for (i, sel) in plan.selections.iter().enumerate().rev() {
             let c = resolve(&sel.column)?;
-            // The last selection's output was already materialized as
-            // `final_cands`, so reuse it instead of converting twice;
-            // earlier bitmap outputs are consumed *as masks* — the
-            // refinement tests survivors positionally, with no
-            // index-list round-trip at this boundary.
-            let masked: Option<&SelMask> = if i + 1 == sel_outputs.len() {
-                None
-            } else {
-                match &sel_outputs[i] {
-                    SelVec::Indices(_) => None,
-                    SelVec::Bitmap(m) => Some(m),
-                }
-            };
-            let input_len = surv.as_ref().map_or(sel_outputs[i].len(), Vec::len) as u64;
-            let probe = Probe::begin(
-                &obs,
-                EventKind::Refine,
-                phase_parent,
-                &ledger,
-                input_len,
-                i as u64,
-            );
-            let refined = match masked {
-                Some(m) => refine_selection_mask(
-                    env,
-                    &c,
-                    fk,
-                    m,
-                    surv.as_deref(),
-                    &sel.range,
-                    morsels,
-                    &pool,
-                    &mut ledger,
-                )?,
-                None => {
-                    let approx_out: &Candidates = if i + 1 == sel_outputs.len() {
-                        &final_cands
-                    } else {
-                        sel_outputs[i]
-                            .as_indices()
-                            .expect("non-last, non-bitmap output is indices")
-                    };
-                    refine_selection(
-                        env,
-                        &c,
-                        fk,
-                        approx_out,
-                        surv.as_deref(),
-                        &sel.range,
-                        morsels,
-                        &pool,
-                        &mut ledger,
-                    )?
-                }
-            };
-            probe.end(&obs, &ledger, refined.len() as u64);
-            surv = Some(refined);
+            // Bitmap outputs are consumed *as masks* — the refinement
+            // tests survivors positionally, with no index-list
+            // round-trip; index outputs carry their approximations.
+            let input_len = survivors.as_ref().map_or(sel_outputs[i].len(), Vec::len) as u64;
+            let probe = begin(EventKind::Refine, &ledger, input_len, i as u64);
+            let refined = refine_selection(
+                env,
+                &c,
+                &sel_outputs[i],
+                survivors.as_deref(),
+                &sel.range,
+                morsels,
+                &pool,
+                &mut ledger,
+            )?;
+            probe.end(&obs, &ledger, refined.len() as u64, 0);
+            survivors = Some(refined);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
             env.preempt.check()?; // between refinement steps
         }
-        surv
-    };
-    let survivor_count = survivors.as_ref().map_or_else(
-        || if all_resident { final_cands.len() } else { n },
-        Vec::len,
-    );
+    }
+    // Without a refinement the survivors *are* the final candidates.
+    let survivor_count = survivors.as_ref().map_or(final_cands.len(), Vec::len);
 
     env.fault.check(FaultSite::Exec)?;
-    env.preempt.check()?; // before the block build + grouping stage
-    let (block, grouping, groupagg_probe) = if all_resident {
+    env.preempt.check()?; // before the tail
+
+    // ============================== The tail ==============================
+    // Gather → refine → group → evaluate → aggregate, one slice of
+    // survivors at a time (`crate::tail`). Every charge below is issued
+    // once, in program order, from the totals — the simulated platform
+    // still runs the bulk operators — so the ledger cannot depend on how
+    // the host slices or parallelizes the real work.
+    if all_resident {
         // The device fast path gathers every needed column over the
-        // candidates into device scratch before aggregating. Bill the
-        // *distinct* columns (`needed` is only consecutively deduped) so
-        // the charge never exceeds the admission estimate's worst case,
-        // which counts sorted-unique columns.
-        let distinct_gathered = {
-            let mut names: Vec<&String> = needed.iter().collect();
-            names.sort_unstable();
-            names.dedup();
-            names.len() as u64
-        };
-        transient.charge(final_cands.len() as u64 * distinct_gathered * GATHER_VALUE_BYTES)?;
-        let probe = Probe::begin(
-            &obs,
-            EventKind::Gather,
-            phase_parent,
-            &ledger,
-            final_cands.len() as u64,
-            0,
-        );
-        let dblock = build_device_block(env, &needed_cols, fk, &final_cands, morsels, &mut ledger)?;
-        probe.end(&obs, &ledger, final_cands.len() as u64);
-        let groupagg = Probe::begin(
-            &obs,
-            EventKind::GroupAgg,
-            phase_parent,
-            &ledger,
-            final_cands.len() as u64,
-            1,
-        );
-        let (block, grouping) =
-            dblock.with_grouping(env, plan, &group_cols, device_group.as_ref(), &final_cands)?;
-        (block, grouping, groupagg)
-    } else {
-        let surv_slice: Vec<Oid> = match &survivors {
-            Some(s) => s.clone(),
-            None => (0..n as Oid).collect(),
-        };
-        let probe = Probe::begin(
-            &obs,
-            EventKind::Gather,
-            phase_parent,
-            &ledger,
-            surv_slice.len() as u64,
-            0,
-        );
-        let block = build_host_block(
-            env,
-            &needed_cols,
-            fk,
-            &final_cands,
-            &surv_slice,
-            morsels,
+        // candidates into device scratch before aggregating.
+        transient
+            .charge(final_cands.len() as u64 * needed_cols.len() as u64 * GATHER_VALUE_BYTES)?;
+        if !plan.group_by.is_empty() && device_group.is_none() {
+            return Err(BwdError::Exec(
+                "device aggregation requires a device grouping".into(),
+            ));
+        }
+    }
+    let gather_probe = begin(EventKind::Gather, &ledger, survivor_count as u64, 0);
+    let mut schema = RowBlock::new(0);
+    let mut cols = Vec::with_capacity(needed_cols.len());
+    for (name, c) in &needed_cols {
+        let (arr, link) = (c.bound.approx(), c.link());
+        let n_cands = final_cands.len();
+        match (all_resident, link) {
+            // Device path: gathers stay on the device, payloads decode
+            // exactly (no residual exists), nothing crosses the bus.
+            (true, None) => charge_gather(
+                env,
+                arr,
+                final_cands.dense,
+                n_cands,
+                "aggregate.gather",
+                &mut ledger,
+            ),
+            (true, Some(l)) => {
+                charge_gather_indirect(env, arr, l, n_cands, "aggregate.gather", &mut ledger)
+            }
+            // Host path: approximate projection on the device, download,
+            // translucent refinement with residuals.
+            (false, None) => {
+                let dense = final_cands.dense;
+                charge_gather(
+                    env,
+                    arr,
+                    dense,
+                    n_cands,
+                    "project.approx.gather",
+                    &mut ledger,
+                );
+                charge_project_refine(env, c.bound, n_cands, survivor_count, true, &mut ledger);
+            }
+            (false, Some(l)) => {
+                charge_gather_indirect(env, arr, l, n_cands, "join.fk.approx", &mut ledger);
+                charge_fk_project_refine(env, c.bound, n_cands, survivor_count, true, &mut ledger);
+            }
+        }
+        schema.push_slot(ColumnSlot {
+            name: name.clone(),
+            payloads: Vec::new(),
+            dtype: c.dtype,
+            dict: c.dict.clone(),
+        });
+        // Cached-vs-scattered residual reads are decided per query, from
+        // the total the refinement will touch — not per slice.
+        cols.push((c.bound, link, c.residual(survivor_count)));
+    }
+    // Group keys that are fully device-resident were pre-grouped exactly
+    // (their approximation *is* the value): carry those ids through the
+    // slices' translucent alignment instead of re-hashing refined keys.
+    let carried = device_group.as_ref().map(|g| {
+        let keys = g.group_keys.iter().flat_map(|key| {
+            (key.iter().zip(&group_cols))
+                .map(|(&stored, c)| c.bound.meta().payload_from_parts(stored, 0))
+        });
+        GroupTable::from_keys(group_cols.len(), keys.collect())
+    });
+    let tail = Tail::new(plan, schema, carried)?;
+    let sources = partition_ranges(survivor_count, morsels)
+        .into_iter()
+        .map(|rows| ArSource {
+            cands: final_cands,
+            survivors: survivors.as_deref().unwrap_or(&final_cands.oids),
+            cursor: rows.start,
+            rows,
+            cols: cols.iter().map(|&(b, l, r)| (b, l, r.reader())).collect(),
+            group_ids: device_group.as_ref().map(|g| g.group_ids.as_slice()),
+            pos: Vec::new(),
+            approx: Vec::new(),
+        })
+        .collect();
+    let partials = tail.run(env, sources, slice_rows)?;
+    gather_probe.end(&obs, &ledger, survivor_count as u64, 0);
+
+    let groupagg_probe = begin(
+        EventKind::GroupAgg,
+        &ledger,
+        survivor_count as u64,
+        u64::from(all_resident),
+    );
+    if !all_resident && !plan.group_by.is_empty() {
+        // Exact host grouping over the refined key slots.
+        env.charge_host_scan(
+            "group.refine.host",
+            survivor_count as u64 * 8,
+            2 * survivor_count as u64,
             &mut ledger,
-        )?;
-        probe.end(&obs, &ledger, block.len() as u64);
-        let groupagg = Probe::begin(
-            &obs,
-            EventKind::GroupAgg,
-            phase_parent,
-            &ledger,
-            block.len() as u64,
-            0,
         );
-        let grouping = host_grouping(env, plan, &block, morsels, &pool, &mut ledger)?;
-        (block, grouping, groupagg)
-    };
+    }
 
     // Aggregation / projection arithmetic.
     let agg_component = if all_resident {
@@ -597,12 +582,12 @@ pub fn run_ar_in(
         .map(|a| a.arg.as_ref().map_or(0, |e| e.op_count()) + 1)
         .chain(plan.project.iter().map(|(e, _)| e.op_count() + 1))
         .sum();
-    let agg_tuples = block.len() as u64 * expr_ops.max(1);
+    let agg_tuples = survivor_count as u64 * expr_ops.max(1);
     let t_agg = match agg_component {
         Component::Device => {
             let spec = env.device.spec();
             let mut t = spec.compute_seconds(3 * agg_tuples);
-            if let Some(g) = grouping.as_ref() {
+            if let Some(g) = device_group.as_ref() {
                 // Grouped device aggregation scatters atomic updates into
                 // per-group accumulators: the same write-conflict
                 // contention as the grouping kernel, once per aggregate
@@ -610,7 +595,7 @@ pub fn run_ar_in(
                 // speedup). Expression arithmetic itself runs in registers
                 // and does not contend.
                 let conflicts = 1.0 + 31.0 / g.group_keys.len().max(1) as f64;
-                let updates = block.len() as f64 * plan.aggs.len() as f64;
+                let updates = survivor_count as f64 * plan.aggs.len() as f64;
                 t += updates * conflicts * spec.atomic_conflict_cost;
             }
             t
@@ -621,14 +606,14 @@ pub fn run_ar_in(
             // values — per-primitive materialization plus one accumulation
             // pass per aggregate, same pricing as the classic pipe.
             let expr = env.cpu.scan_seconds(
-                block.len() as u64 * expr_ops * 8,
+                survivor_count as u64 * expr_ops * 8,
                 agg_tuples,
                 env.host_threads,
             );
             let accum = plan.aggs.len().max(1) as f64
                 * env.cpu.scan_seconds(
-                    block.len() as u64 * 8,
-                    block.len() as u64,
+                    survivor_count as u64 * 8,
+                    survivor_count as u64,
                     env.host_threads,
                 );
             expr + accum
@@ -636,27 +621,19 @@ pub fn run_ar_in(
     };
     ledger.charge(agg_component, "aggregate.eval", t_agg, 0);
 
-    let (columns, rows) = if !plan.aggs.is_empty() {
-        compute_aggregates_morsel(&block, grouping.as_ref(), &plan.aggs, morsels)?
-    } else {
-        compute_projection_morsel(&block, &plan.project, morsels)?
-    };
+    let (columns, rows) = tail.finish(partials);
     if all_resident {
         // Per-group results cross the bus (tiny).
         env.charge_download("aggregate.download", rows.len() as u64 * 16, &mut ledger);
     }
-    groupagg_probe.end(&obs, &ledger, rows.len() as u64);
+    groupagg_probe.end(&obs, &ledger, rows.len() as u64, 0);
 
     Ok(QueryResult {
         columns,
         rows,
         breakdown: ledger.breakdown(),
         traffic: ledger.traffic(),
-        survivors: if all_resident {
-            final_cands.len()
-        } else {
-            survivor_count
-        },
+        survivors: survivor_count,
         approx: approx_answer,
     })
 }
@@ -681,7 +658,6 @@ pub fn run_ar_in(
 fn approx_select_step(
     env: &Env,
     col: &ColRef<'_>,
-    fk: Option<&FkIndex>,
     range: &RangePred,
     input: Option<&SelVec>,
     scan: &ScanOptions,
@@ -710,14 +686,7 @@ fn approx_select_step(
         return Ok(SelVec::Indices(Candidates::empty()));
     };
     let arr = col.bound.approx();
-    let link = if col.is_dim {
-        Some(
-            fk.ok_or_else(|| BwdError::Exec("dim predicate without FK".into()))?
-                .device(),
-        )
-    } else {
-        None
-    };
+    let link = col.link();
     let rows = link.unwrap_or(arr).len();
     let spec = ScanSpec::new(arr, link, lo, hi, input.map(SelVec::len));
 
@@ -817,157 +786,48 @@ fn merge_candidate_parts(
 }
 
 /// Refine one selection: download its approximation output, align the
-/// survivor subset (translucent join), reconstruct exact payloads via the
-/// residual (at the fact position, or the dimension position through the
-/// host FK index) and re-test the precise range — fanned out over
-/// `morsels` contiguous candidate partitions, with residual reads routed
-/// through the block-cached bulk decoder when the refined set is dense.
+/// survivor subset, reconstruct exact payloads via the residual (at the
+/// fact position, or the dimension position through the host FK index)
+/// and re-test the precise range — fanned out over `morsels` contiguous
+/// partitions, with residual reads routed through the block-cached bulk
+/// decoder when the refined set is dense. An index output aligns through
+/// the translucent join; a *bitmap* output is consumed directly — the
+/// join degenerates to O(1) positional membership and each survivor's
+/// approximation is re-decoded from the host replica of the device
+/// array, with no index-list round-trip. Charges are keyed on the
+/// candidate count, identical in both representations.
 #[allow(clippy::too_many_arguments)]
 fn refine_selection(
     env: &Env,
     col: &ColRef<'_>,
-    fk: Option<&FkIndex>,
-    approx_out: &Candidates,
+    approx_out: &SelVec,
     survivors: Option<&[Oid]>,
     range: &RangePred,
     morsels: usize,
     pool: &ScratchPool,
     ledger: &mut CostLedger,
 ) -> Result<Vec<Oid>> {
-    if col.bound.meta().fully_device_resident() {
-        env.charge_download(
-            "select.refine.download",
-            approx_out.len() as u64 * 4,
-            ledger,
-        );
-    } else {
-        approx_out.download(
-            env,
-            col.bound.meta().stored_width(),
-            "select.refine.download",
-            ledger,
-        );
-    }
-    let refined_n = survivors.map_or(approx_out.len(), <[Oid]>::len);
-    let residual = ResidualSrc::for_column(
-        col.bound,
-        col.is_dim,
-        fk.map(FkIndex::host_slice),
-        refined_n,
-    );
-    let out = refine_filter(
-        col.bound.meta(),
-        residual,
-        approx_out,
-        survivors,
-        range,
-        morsels,
-        pool,
-    )?;
-    let merge_bytes = if survivors.is_some() {
-        approx_out.len() as u64 * 4
-    } else {
-        0
-    };
-    if col.bound.meta().fully_device_resident() {
-        env.charge_host_scan(
-            "select.refine.materialize",
-            refined_n as u64 * 4 + merge_bytes,
-            refined_n as u64,
-            ledger,
-        );
-    } else {
-        env.charge_host_scattered(
-            "select.refine",
-            col.bound.residual_access_bytes(refined_n) + merge_bytes,
-            refined_n as u64 * bwd_core::ops::REFINE_OPS_PER_TUPLE,
-            ledger,
-        );
-    }
-    Ok(out)
-}
-
-/// Materialize a selection output at the gather boundary: indices clone
-/// through; bitmaps decode into the bit-identical block-scrambled
-/// candidate list — through the FK link (`arr[link[row]]`) when the
-/// selection was dimension-side.
-fn materialize_sel(sv: &SelVec, col: &ColRef<'_>, fk: Option<&FkIndex>) -> Result<Candidates> {
-    if col.is_dim {
-        let fkx = fk.ok_or_else(|| BwdError::Exec("dim selection without FK".into()))?;
-        Ok(sv.to_candidates_indirect(col.bound.approx(), fkx.device()))
-    } else {
-        Ok(sv.to_candidates(col.bound.approx()))
-    }
-}
-
-/// [`refine_selection`] consuming a selection's *bitmap* output directly:
-/// the refinement tests survivors positionally against the mask (the
-/// translucent join degenerates to O(1) membership) and re-decodes each
-/// survivor's approximation from the host replica of the device array —
-/// no index-list materialization round-trip. Charges are keyed on the
-/// mask's candidate count, which equals the materialized list's length,
-/// so simulated costs are bit-identical to the index path.
-#[allow(clippy::too_many_arguments)]
-fn refine_selection_mask(
-    env: &Env,
-    col: &ColRef<'_>,
-    fk: Option<&FkIndex>,
-    mask: &SelMask,
-    survivors: Option<&[Oid]>,
-    range: &RangePred,
-    morsels: usize,
-    pool: &ScratchPool,
-    ledger: &mut CostLedger,
-) -> Result<Vec<Oid>> {
-    let cand_n = mask.count();
-    if col.bound.meta().fully_device_resident() {
+    let (meta, cand_n) = (col.bound.meta(), approx_out.len());
+    if meta.fully_device_resident() {
         env.charge_download("select.refine.download", cand_n as u64 * 4, ledger);
     } else {
-        // Same bytes `Candidates::download` bills for the equivalent
-        // materialized list.
-        let bytes = bwd_device::units::candidate_stream_bytes(
-            col.bound.meta().stored_width(),
-            cand_n as u64,
-        );
-        ledger.charge(
-            Component::Pcie,
-            "select.refine.download",
-            env.pcie.transfer_seconds(bytes),
-            bytes,
-        );
+        let bytes = candidate_stream_bytes(meta.stored_width(), cand_n as u64);
+        let seconds = env.pcie.transfer_seconds(bytes);
+        ledger.charge(Component::Pcie, "select.refine.download", seconds, bytes);
     }
     let refined_n = survivors.map_or(cand_n, <[Oid]>::len);
-    let residual = ResidualSrc::for_column(
-        col.bound,
-        col.is_dim,
-        fk.map(FkIndex::host_slice),
-        refined_n,
-    );
-    let approx = if col.is_dim {
-        ApproxSrc::Linked(
-            col.bound.approx(),
-            fk.ok_or_else(|| BwdError::Exec("dim refinement without FK".into()))?
-                .device(),
-        )
-    } else {
-        ApproxSrc::Direct(col.bound.approx())
+    let residual = col.residual(refined_n);
+    let out = match approx_out {
+        SelVec::Indices(c) => refine_filter(meta, residual, c, survivors, range, morsels, pool)?,
+        SelVec::Bitmap(mask) => {
+            let (arr, link) = (col.bound.approx(), col.link());
+            refine_filter_mask(
+                meta, residual, mask, arr, link, survivors, range, morsels, pool,
+            )?
+        }
     };
-    let out = refine_filter_mask(
-        col.bound.meta(),
-        residual,
-        mask,
-        approx,
-        survivors,
-        range,
-        morsels,
-        pool,
-    )?;
-    let merge_bytes = if survivors.is_some() {
-        cand_n as u64 * 4
-    } else {
-        0
-    };
-    if col.bound.meta().fully_device_resident() {
+    let merge_bytes = survivors.map_or(0, |_| cand_n as u64 * 4);
+    if meta.fully_device_resident() {
         env.charge_host_scan(
             "select.refine.materialize",
             refined_n as u64 * 4 + merge_bytes,
@@ -985,238 +845,130 @@ fn refine_selection_mask(
     Ok(out)
 }
 
-/// Intermediate for the device fast path.
-struct DeviceBlock {
-    block: RowBlock,
+/// The A&R slice source over one worker's contiguous survivor run.
+///
+/// Survivors are a subset of the final candidates under one shared
+/// permutation, so a *running* translucent cursor aligns them: each slice
+/// advances it over the candidate window holding the slice's survivors
+/// (at most `slice_rows` of either), recording every survivor's position
+/// in the window once for all columns. Per column the window's stored
+/// approximations are gathered (what the device's projection produced)
+/// and refined with residuals into the slice block; a carried device
+/// pre-grouping rides the same alignment like one more projected column.
+/// Without refinement (`survivors` = the candidates themselves — the
+/// device fast path, or a plan without selections) the alignment is the
+/// identity and the residuals are empty or read positionally.
+struct ArSource<'a> {
+    cands: &'a Candidates,
+    survivors: &'a [Oid],
+    /// This worker's remaining survivor rows.
+    rows: Range<usize>,
+    /// Candidate-side cursor: no remaining survivor sits before it. It
+    /// starts at the run's first row index — survivor `i` cannot precede
+    /// candidate `i` — and the merge advances it, so no pre-pass locates
+    /// partition boundaries.
+    cursor: usize,
+    cols: Vec<(&'a BoundColumn, Option<&'a DeviceArray>, ResidualReader<'a>)>,
+    /// Device pre-grouping ids, aligned with the candidates.
+    group_ids: Option<&'a [u32]>,
+    /// Window-relative candidate position per slice row (reused).
+    pos: Vec<u32>,
+    /// The current column's window approximations (reused).
+    approx: Vec<u64>,
 }
 
-impl DeviceBlock {
-    fn with_grouping(
-        self,
-        _env: &Env,
-        plan: &ArPlan,
-        group_cols: &[ColRef<'_>],
-        device_group: Option<&bwd_kernels::MultiGroupResult>,
-        _cands: &Candidates,
-    ) -> Result<(RowBlock, Option<Grouping>)> {
-        let grouping = match (plan.group_by.is_empty(), device_group) {
-            (true, _) => None,
-            (false, Some(g)) => {
-                let group_keys: Vec<Vec<Value>> = g
-                    .group_keys
-                    .iter()
-                    .map(|keys| {
-                        keys.iter()
-                            .zip(group_cols)
-                            .map(|(&stored, c)| {
-                                payload_to_value(
-                                    c.bound.meta().payload_from_parts(stored, 0),
-                                    c.dtype,
-                                    c.dict.as_deref(),
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect();
-                Some(Grouping {
-                    group_ids: g.group_ids.clone(),
-                    group_keys,
-                    key_names: plan.group_by.clone(),
-                })
-            }
-            (false, None) => {
-                return Err(BwdError::Exec(
-                    "device aggregation requires a device grouping".into(),
-                ))
-            }
-        };
-        Ok((self.block, grouping))
-    }
-}
-
-/// Materialize needed columns on the device path: gathers stay on the
-/// device (charged there), payloads are decoded exactly (no residuals
-/// exist), and nothing but final aggregates will cross the bus. Both the
-/// gather and the exact decode fan out over candidate partitions.
-fn build_device_block(
-    env: &Env,
-    needed: &[(String, ColRef<'_>)],
-    fk: Option<&FkIndex>,
-    cands: &Candidates,
-    morsels: usize,
-    ledger: &mut CostLedger,
-) -> Result<DeviceBlock> {
-    let mut block = RowBlock::new(cands.len());
-    let ranges = partition_ranges(cands.len(), morsels);
-    for (name, c) in needed {
-        let arr = c.bound.approx();
-        let stored = if c.is_dim {
-            let fk = fk.ok_or_else(|| BwdError::Exec("dim column without FK".into()))?;
-            let stored = gather_stored(arr, Some(fk.device()), cands, morsels);
-            charge_gather_indirect(
-                env,
-                arr,
-                fk.device(),
-                cands.len(),
-                "aggregate.gather",
-                ledger,
-            );
-            stored
-        } else {
-            let stored = gather_stored(arr, None, cands, morsels);
-            charge_gather(
-                env,
-                arr,
-                cands.dense,
-                cands.len(),
-                "aggregate.gather",
-                ledger,
-            );
-            stored
-        };
-        let meta = c.bound.meta();
-        let mut payloads = vec![0i64; stored.len()];
-        run_parts_mut(&mut payloads, &ranges, |_, r, chunk| {
-            for (slot, &s) in chunk.iter_mut().zip(&stored[r]) {
-                *slot = meta.payload_from_parts(s, 0);
-            }
-        });
-        block.push_slot(ColumnSlot {
-            name: name.clone(),
-            payloads,
-            dtype: c.dtype,
-            dict: c.dict.clone(),
-        });
-    }
-    Ok(DeviceBlock { block })
-}
-
-/// Materialize needed columns on the host path: approximate projections on
-/// the device, downloads, translucent refinement with residuals — every
-/// stage fanned out over contiguous candidate/survivor partitions. The
-/// translucent partition boundaries are located once and reused by every
-/// projected column (candidates and survivors are the same for all of
-/// them).
-fn build_host_block(
-    env: &Env,
-    needed: &[(String, ColRef<'_>)],
-    fk: Option<&FkIndex>,
-    cands: &Candidates,
-    survivors: &[Oid],
-    morsels: usize,
-    ledger: &mut CostLedger,
-) -> Result<RowBlock> {
-    let mut block = RowBlock::new(survivors.len());
-    if needed.is_empty() {
-        return Ok(block);
-    }
-    let ranges = partition_ranges(survivors.len(), morsels);
-    let starts = if cands.dense {
-        None
-    } else {
-        Some(translucent_starts(&cands.oids, survivors, &ranges)?)
-    };
-    for (name, c) in needed {
-        let arr = c.bound.approx();
-        let residual = ResidualSrc::for_column(
-            c.bound,
-            c.is_dim,
-            fk.map(FkIndex::host_slice),
-            survivors.len(),
+impl ArSource<'_> {
+    /// Advance over the next slice: returns its survivor rows and its
+    /// candidate window, leaving the alignment in `self.pos`.
+    fn align(&mut self, slice_rows: usize) -> Result<(Range<usize>, Range<usize>)> {
+        let (oids, surv) = (&self.cands.oids, self.survivors);
+        let (start, end) = (
+            self.rows.start,
+            self.rows.end.min(self.rows.start + slice_rows),
         );
-        let link = if c.is_dim {
-            Some(
-                fk.ok_or_else(|| BwdError::Exec("dim column without FK".into()))?
-                    .device(),
-            )
+        self.pos.clear();
+        if self.cols.is_empty() && self.group_ids.is_none() {
+            self.rows.start = end; // nothing consumes candidate positions
+            return Ok((start..end, 0..0));
+        }
+        let mut row = start;
+        let window = if self.cands.dense {
+            // Invisible join: a candidate's position is its oid.
+            let (base, mut top) = (surv[start] as usize, 0);
+            while row < end && (surv[row] as usize).wrapping_sub(base) < slice_rows {
+                self.pos.push((surv[row] as usize - base) as u32);
+                top = top.max(surv[row] as usize);
+                row += 1;
+            }
+            let window = base..top + 1;
+            if window.end > oids.len() {
+                return Err(BwdError::Exec(format!(
+                    "invisible join: oid {} outside dense range",
+                    window.end - 1
+                )));
+            }
+            window
         } else {
-            None
+            // Algorithm 1: advance the cursor until it matches the
+            // current survivor; both advance on a match.
+            let first = oids[self.cursor.min(oids.len())..]
+                .iter()
+                .position(|&o| o == surv[start])
+                .ok_or_else(|| {
+                    BwdError::Exec(format!(
+                        "translucent join: oid {} not found — permutation precondition violated",
+                        surv[start]
+                    ))
+                })?;
+            let base = self.cursor + first;
+            let mut at = base;
+            while row < end && at < oids.len().min(base + slice_rows) {
+                if oids[at] == surv[row] {
+                    self.pos.push((at - base) as u32);
+                    row += 1;
+                    self.cursor = at + 1;
+                }
+                at += 1;
+            }
+            base..self.cursor
         };
-        let approx = gather_stored(arr, link, cands, morsels);
-        match link {
-            None => charge_gather(
-                env,
-                arr,
-                cands.dense,
-                cands.len(),
-                "project.approx.gather",
-                ledger,
-            ),
-            Some(l) => charge_gather_indirect(env, arr, l, cands.len(), "join.fk.approx", ledger),
-        }
-        // The refinement consumes the approximate projection positionally
-        // aligned with the candidate list.
-        let payloads = refine_payloads(
-            c.bound.meta(),
-            residual,
-            &cands.oids,
-            &approx,
-            survivors,
-            &ranges,
-            starts.as_deref(),
-        )?;
-        if c.is_dim {
-            charge_fk_project_refine(env, c.bound, cands.len(), survivors.len(), true, ledger);
-        } else {
-            charge_project_refine(env, c.bound, cands.len(), survivors.len(), true, ledger);
-        }
-        block.push_slot(ColumnSlot {
-            name: name.clone(),
-            payloads,
-            dtype: c.dtype,
-            dict: c.dict.clone(),
-        });
+        self.rows.start = row;
+        Ok((start..row, window))
     }
-    Ok(block)
 }
 
-/// Exact host grouping over materialized key slots (used whenever the
-/// device pre-grouping is unavailable or unusable), morsel-parallel with
-/// thread-local tables merged in partition order.
-fn host_grouping(
-    env: &Env,
-    plan: &ArPlan,
-    block: &RowBlock,
-    morsels: usize,
-    pool: &ScratchPool,
-    ledger: &mut CostLedger,
-) -> Result<Option<Grouping>> {
-    if plan.group_by.is_empty() {
-        return Ok(None);
+impl SliceSource for ArSource<'_> {
+    fn fill(
+        &mut self,
+        slice_rows: usize,
+        block: &mut RowBlock,
+        ids: &mut Vec<u32>,
+    ) -> Result<bool> {
+        let (run, window) = self.align(slice_rows)?;
+        block.resize(run.len());
+        let (oids, pos) = (&self.survivors[run], &self.pos);
+        for (slot, (col, link, residual)) in self.cols.iter_mut().enumerate() {
+            let arr = col.approx();
+            self.approx.resize(window.len(), 0);
+            match link {
+                None if self.cands.dense => arr.data().unpack_range(window.start, &mut self.approx),
+                None => {
+                    gather_partition_into(arr, &self.cands.oids[window.clone()], &mut self.approx)
+                }
+                Some(l) => {
+                    let window = &self.cands.oids[window.clone()];
+                    gather_indirect_partition_into(arr, l, window, &mut self.approx)
+                }
+            }
+            let meta = col.meta();
+            for ((out, &p), &oid) in block.payloads_mut(slot).iter_mut().zip(pos).zip(oids) {
+                *out = meta.payload_from_parts(self.approx[p as usize], residual.get(oid));
+            }
+        }
+        if let Some(group_ids) = self.group_ids {
+            ids.clear();
+            ids.extend(pos.iter().map(|&p| group_ids[window.start + p as usize]));
+        }
+        Ok(!self.rows.is_empty())
     }
-    let slots: Vec<usize> = plan
-        .group_by
-        .iter()
-        .map(|g| block.slot_index(g))
-        .collect::<Result<_>>()?;
-    let key_cols: Vec<&[i64]> = slots
-        .iter()
-        .map(|&s| block.slot(s).payloads.as_slice())
-        .collect();
-    let grouped = group_rows(&key_cols, morsels, pool);
-    let group_keys: Vec<Vec<Value>> = grouped
-        .keys
-        .iter()
-        .map(|key| {
-            slots
-                .iter()
-                .zip(key)
-                .map(|(&s, &p)| {
-                    let slot = block.slot(s);
-                    payload_to_value(p, slot.dtype, slot.dict.as_deref())
-                })
-                .collect()
-        })
-        .collect();
-    env.charge_host_scan(
-        "group.refine.host",
-        block.len() as u64 * 8,
-        2 * block.len() as u64,
-        ledger,
-    );
-    Ok(Some(Grouping {
-        group_ids: grouped.ids,
-        group_keys,
-        key_names: plan.group_by.clone(),
-    }))
 }

@@ -1,21 +1,24 @@
 //! The classic (CPU-only) bulk executor — the "standard MonetDB" baseline
 //! of the evaluation (§VI-A).
 //!
-//! Operators are tight materializing loops over full-resolution columns:
-//! a selection scans payloads and materializes an oid list, subsequent
-//! operators fetch by oid (invisible joins), grouping hashes payloads,
-//! aggregation streams the materialized block. Every step charges the
-//! host cost model at the environment's thread allocation (Figure 11
-//! varies the threads).
+//! Operators are tight loops over full-resolution columns: a selection
+//! scans payloads and materializes an oid list; the tail then streams it
+//! slice-at-a-time through [`crate::tail`] — fetch by oid (invisible
+//! joins), hash the key payloads, evaluate, aggregate. Every step charges
+//! the host cost model — the *bulk* model, one full pass per primitive —
+//! once from the totals, at the environment's thread allocation
+//! (Figure 11 varies the threads).
 
-use crate::aggregate::{compute_aggregates, compute_projection, Grouping};
 use crate::catalog::Catalog;
-use crate::eval::{payload_to_value, ColumnSlot, RowBlock};
+use crate::eval::{ColumnSlot, RowBlock};
+use crate::morsel::{partition_ranges, run_parts_yielding};
 use crate::result::QueryResult;
+use crate::tail::{SliceSource, Tail, SLICE_ROWS};
 use bwd_core::plan::ArPlan;
 use bwd_device::{CostLedger, Env};
 use bwd_storage::Column;
-use bwd_types::{BwdError, FxHashMap, Oid, Result};
+use bwd_types::{BwdError, Oid, Result};
+use std::ops::Range;
 
 /// Execute an A&R-bound plan classically (host only, exact data).
 ///
@@ -30,13 +33,6 @@ pub fn run_classic(
 ) -> Result<QueryResult> {
     run_classic_morsel(catalog, plan, fk_host, env, 1)
 }
-
-use crate::morsel::{partition_ranges, run_parts_yielding};
-
-/// Target rows between yield-point checks when a preemption hook is
-/// installed: the classic scan re-partitions its selection chain so a
-/// paused short query waits about this much work, not a whole table scan.
-const YIELD_SLICE_ROWS: usize = 32 * 1024;
 
 /// [`run_classic`] with the selection chain executed morsel-parallel on
 /// `morsels` real OS threads over contiguous row partitions.
@@ -54,6 +50,19 @@ pub fn run_classic_morsel(
     fk_host: Option<&[u32]>,
     env: &Env,
     morsels: usize,
+) -> Result<QueryResult> {
+    run_classic_sliced(catalog, plan, fk_host, env, morsels, SLICE_ROWS)
+}
+
+/// [`run_classic_morsel`] with an explicit tail slice size (tests sweep
+/// it; results and charges are independent of it).
+pub(crate) fn run_classic_sliced(
+    catalog: &Catalog,
+    plan: &ArPlan,
+    fk_host: Option<&[u32]>,
+    env: &Env,
+    morsels: usize,
+    slice_rows: usize,
 ) -> Result<QueryResult> {
     let mut ledger = CostLedger::new();
     let fact = catalog.table(&plan.table)?;
@@ -123,13 +132,13 @@ pub fn run_classic_morsel(
         (None, Vec::new())
     } else {
         // With a preemption hook installed, cut the row space finer than
-        // the thread count so a yield point comes up every ~YIELD_SLICE_ROWS
+        // the thread count so a yield point comes up every ~SLICE_ROWS
         // rows instead of once per scan. Partition outputs concatenate in
         // partition order and costs are charged from merged totals, so the
         // result and every simulated charge are independent of the
         // partition count (pinned by `morsel_run_is_bit_identical_to_serial`).
         let parts = if env.preempt.is_enabled() {
-            morsels.max(n.div_ceil(YIELD_SLICE_ROWS))
+            morsels.max(n.div_ceil(SLICE_ROWS))
         } else {
             morsels
         };
@@ -171,38 +180,20 @@ pub fn run_classic_morsel(
         prev_count = out;
     }
 
-    let survivors: Vec<Oid> = survivors.unwrap_or_else(|| (0..n as Oid).collect());
-    let k = survivors.len();
+    // No selection: every tuple survives, and no oid list is materialized.
+    let k = survivors.as_ref().map_or(n, Vec::len);
 
-    // --- Materialize the block (projective fetches). ---
-    let mut needed: Vec<String> = plan.group_by.clone();
-    for a in &plan.aggs {
-        if let Some(arg) = &a.arg {
-            arg.collect_columns(&mut needed);
+    // --- Projective fetches: one slot per gathered column. ---
+    let needed = plan.gathered_columns();
+    let mut schema = RowBlock::new(0);
+    let mut cols: Vec<(&Column, bool)> = Vec::with_capacity(needed.len());
+    for name in needed {
+        let (col, is_dim) = resolve(&name)?;
+        if is_dim && fk_host.is_none() {
+            return Err(BwdError::Exec(format!(
+                "dimension column {name} without a foreign-key index"
+            )));
         }
-    }
-    for (e, _) in &plan.project {
-        e.collect_columns(&mut needed);
-    }
-    needed.dedup();
-
-    let mut block = RowBlock::new(k);
-    for name in &needed {
-        env.preempt.check()?; // between projective column fetches
-        if block.has_slot(name) {
-            continue;
-        }
-        let (col, is_dim) = resolve(name)?;
-        let payloads: Vec<i64> = survivors
-            .iter()
-            .map(|&oid| {
-                if is_dim {
-                    col.payload(dim_row(oid))
-                } else {
-                    col.payload(oid as usize)
-                }
-            })
-            .collect();
         let extra_hop = if is_dim { 4 } else { 0 };
         env.charge_host_scattered(
             "classic.project.fetch",
@@ -210,61 +201,27 @@ pub fn run_classic_morsel(
             k as u64,
             &mut ledger,
         );
-        block.push_slot(ColumnSlot {
-            name: name.clone(),
-            payloads,
+        schema.push_slot(ColumnSlot {
+            name,
+            payloads: Vec::new(),
             dtype: col.dtype(),
             dict: col.dictionary().cloned(),
         });
+        cols.push((col, is_dim));
     }
 
     // --- Grouping (hash over key payloads). ---
-    env.preempt.check()?;
-    let grouping = if plan.group_by.is_empty() {
-        None
-    } else {
-        let slots: Vec<usize> = plan
-            .group_by
-            .iter()
-            .map(|g| block.slot_index(g))
-            .collect::<Result<_>>()?;
-        let mut table: FxHashMap<Vec<i64>, u32> = FxHashMap::default();
-        let mut group_ids = Vec::with_capacity(k);
-        let mut group_keys: Vec<Vec<bwd_types::Value>> = Vec::new();
-        for row in 0..k {
-            let key: Vec<i64> = slots.iter().map(|&s| block.slot(s).payloads[row]).collect();
-            let next = group_keys.len() as u32;
-            let id = *table.entry(key.clone()).or_insert_with(|| {
-                group_keys.push(
-                    slots
-                        .iter()
-                        .zip(&key)
-                        .map(|(&s, &p)| {
-                            let slot = block.slot(s);
-                            payload_to_value(p, slot.dtype, slot.dict.as_deref())
-                        })
-                        .collect(),
-                );
-                next
-            });
-            group_ids.push(id);
-        }
+    if !plan.group_by.is_empty() {
         env.charge_host_scan(
             "classic.group.hash",
             k as u64 * 8,
             2 * k as u64,
             &mut ledger,
         );
-        Some(Grouping {
-            group_ids,
-            group_keys,
-            key_names: plan.group_by.clone(),
-        })
-    };
+    }
 
     // --- Aggregation / projection. ---
-    env.preempt.check()?;
-    let (columns, rows) = if !plan.aggs.is_empty() {
+    if !plan.aggs.is_empty() {
         // Bulk processing materializes every expression primitive as a
         // full intermediate column (read + write), then runs one grouped
         // accumulation pass per aggregate with scattered accumulator
@@ -292,7 +249,6 @@ pub fn run_classic_morsel(
                 &mut ledger,
             );
         }
-        compute_aggregates(&block, grouping.as_ref(), &plan.aggs)?
     } else {
         env.charge_host_scan(
             "classic.project.eval",
@@ -300,8 +256,21 @@ pub fn run_classic_morsel(
             k as u64 * plan.project.len() as u64,
             &mut ledger,
         );
-        compute_projection(&block, &plan.project)?
-    };
+    }
+
+    // The real work behind all of the above, one slice at a time.
+    env.preempt.check()?;
+    let sources = partition_ranges(k, morsels)
+        .into_iter()
+        .map(|rows| ClassicSource {
+            survivors: survivors.as_deref(),
+            rows,
+            cols: &cols,
+            fk_host,
+        })
+        .collect();
+    let tail = Tail::new(plan, schema, None)?;
+    let (columns, rows) = tail.finish(tail.run(env, sources, slice_rows)?);
 
     Ok(QueryResult {
         columns,
@@ -311,6 +280,39 @@ pub fn run_classic_morsel(
         survivors: k,
         approx: None,
     })
+}
+
+/// The classic slice source: projective fetches by oid (through the
+/// host FK index for dimension columns) over one worker's survivor run.
+struct ClassicSource<'a> {
+    /// `None`: no selection ran, row `i` is oid `i`.
+    survivors: Option<&'a [Oid]>,
+    rows: Range<usize>,
+    cols: &'a [(&'a Column, bool)],
+    fk_host: Option<&'a [u32]>,
+}
+
+impl SliceSource for ClassicSource<'_> {
+    fn fill(&mut self, slice_rows: usize, block: &mut RowBlock, _: &mut Vec<u32>) -> Result<bool> {
+        let run = self.rows.start..self.rows.end.min(self.rows.start + slice_rows);
+        self.rows.start = run.end;
+        block.resize(run.len());
+        for (slot, &(col, is_dim)) in self.cols.iter().enumerate() {
+            // `run_classic_sliced` rejects dimension columns without an index.
+            let fetch = |oid: usize| match self.fk_host {
+                Some(fk) if is_dim => col.payload(fk[oid] as usize),
+                _ => col.payload(oid),
+            };
+            let out = block.payloads_mut(slot).iter_mut();
+            match self.survivors {
+                Some(s) => out
+                    .zip(&s[run.clone()])
+                    .for_each(|(o, &oid)| *o = fetch(oid as usize)),
+                None => out.zip(run.clone()).for_each(|(o, oid)| *o = fetch(oid)),
+            }
+        }
+        Ok(!self.rows.is_empty())
+    }
 }
 
 #[cfg(test)]

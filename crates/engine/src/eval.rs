@@ -1,37 +1,33 @@
-//! Scalar expression evaluation over row blocks.
+//! Scalar expressions over slice-local row blocks.
 //!
-//! Both executors (classic and A&R) materialize the columns an aggregate
-//! needs as payload vectors aligned with the surviving rows — a
-//! [`RowBlock`] — and evaluate bound expressions per row with explicit
-//! decimal-scale tracking (`price * (1 - discount)` multiplies scale-2
-//! payloads into a scale-4 result, exactly like MonetDB's fixed-point
-//! arithmetic). Binding resolves column names, literal payloads and
-//! dictionary prefix ranges once; evaluation is then branch-light.
+//! Both executors (classic and A&R) materialize the columns the query
+//! tail needs as payload vectors aligned with one *slice* of surviving
+//! rows — a [`RowBlock`] of at most [`SLICE_ROWS`] rows, refilled in place
+//! slice after slice — and [`crate::tail`] evaluates bound expressions
+//! over it column-at-a-time with explicit decimal-scale tracking
+//! (`price * (1 - discount)` multiplies scale-2 payloads into a scale-4
+//! result, exactly like MonetDB's fixed-point arithmetic). Binding
+//! resolves column names, literal payloads and dictionary prefix ranges
+//! once per query.
 
+use crate::tail::SLICE_ROWS;
 use bwd_core::plan::{BinOp, Predicate, ScalarExpr};
 use bwd_core::RangePred;
 use bwd_storage::Dictionary;
 use bwd_types::{BwdError, DataType, Result, Value};
 use std::sync::Arc;
 
-/// One materialized column aligned with the surviving rows.
+/// One materialized column aligned with the slice's surviving rows.
 #[derive(Debug, Clone)]
 pub struct ColumnSlot {
     /// Qualified column name.
     pub name: String,
-    /// Payloads, one per surviving row.
+    /// Payloads, one per row of the current slice.
     pub payloads: Vec<i64>,
     /// Logical type (determines scale and value rendering).
     pub dtype: DataType,
     /// Dictionary for string columns.
     pub dict: Option<Arc<Dictionary>>,
-}
-
-impl ColumnSlot {
-    /// Render row `i` as a logical value.
-    pub fn value(&self, i: usize) -> Value {
-        payload_to_value(self.payloads[i], self.dtype, self.dict.as_deref())
-    }
 }
 
 /// Render a payload as a logical value.
@@ -84,8 +80,10 @@ pub fn value_to_payload(v: &Value, dtype: DataType, dict: Option<&Dictionary>) -
     }
 }
 
-/// A set of aligned column slots.
-#[derive(Debug, Default)]
+/// A set of aligned column slots over one slice of surviving rows. Each
+/// tail worker owns one and refills it per slice, so no query ever holds
+/// a survivors × columns materialization.
+#[derive(Debug, Clone, Default)]
 pub struct RowBlock {
     slots: Vec<ColumnSlot>,
     len: usize,
@@ -94,6 +92,7 @@ pub struct RowBlock {
 impl RowBlock {
     /// An empty block of `len` rows (slots added incrementally).
     pub fn new(len: usize) -> Self {
+        debug_assert!(len <= SLICE_ROWS, "row block of {len} rows exceeds a slice");
         RowBlock {
             slots: Vec::new(),
             len,
@@ -127,49 +126,36 @@ impl RowBlock {
             .ok_or_else(|| BwdError::NotFound(format!("column {name} not materialized")))
     }
 
-    /// Whether the block already holds a slot.
-    pub fn has_slot(&self, name: &str) -> bool {
-        self.slots.iter().any(|s| s.name == name)
-    }
-
     /// Slot accessor.
     pub fn slot(&self, idx: usize) -> &ColumnSlot {
         &self.slots[idx]
     }
+
+    /// Re-size every slot for the next slice of `len` rows; the slice
+    /// source then overwrites all of them through [`Self::payloads_mut`].
+    pub(crate) fn resize(&mut self, len: usize) {
+        debug_assert!(len <= SLICE_ROWS, "row block of {len} rows exceeds a slice");
+        self.len = len;
+        for s in &mut self.slots {
+            s.payloads.resize(len, 0);
+        }
+    }
+
+    /// The payloads of slot `idx`, for the slice source to fill.
+    pub(crate) fn payloads_mut(&mut self, idx: usize) -> &mut [i64] {
+        &mut self.slots[idx].payloads
+    }
 }
 
-/// A typed scale of a bound expression node.
-fn scale_of(dtype: DataType) -> u8 {
-    dtype.scale()
-}
-
-/// An expression bound against a row block: names resolved to slot
-/// indices, literals to payloads, predicates to payload ranges.
-#[derive(Debug, Clone)]
-pub enum BoundExpr {
+/// One distinct bound expression node; operands are ids of earlier nodes.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Node {
     /// Column slot reference.
-    Col {
-        /// Slot index.
-        slot: usize,
-        /// Decimal scale of the payloads.
-        scale: u8,
-    },
+    Col(usize),
     /// Constant payload.
-    Lit {
-        /// The payload.
-        payload: i64,
-        /// Its scale.
-        scale: u8,
-    },
-    /// Arithmetic node.
-    Bin {
-        /// The operator.
-        op: BinOp,
-        /// Left operand.
-        lhs: Box<BoundExpr>,
-        /// Right operand.
-        rhs: Box<BoundExpr>,
-    },
+    Lit(i64),
+    /// Arithmetic over two earlier nodes.
+    Bin(BinOp, usize, usize),
     /// `CASE WHEN slot IN range THEN a ELSE b END`.
     Case {
         /// Tested slot.
@@ -177,96 +163,145 @@ pub enum BoundExpr {
         /// Payload range of the WHEN condition.
         range: RangePred,
         /// Then branch.
-        then: Box<BoundExpr>,
+        then: usize,
         /// Else branch.
-        otherwise: Box<BoundExpr>,
+        otherwise: usize,
     },
 }
 
-impl BoundExpr {
-    /// The decimal scale of the expression's result.
-    pub fn scale(&self) -> u8 {
-        match self {
-            BoundExpr::Col { scale, .. } | BoundExpr::Lit { scale, .. } => *scale,
-            BoundExpr::Bin { op, lhs, rhs } => match op {
-                BinOp::Add | BinOp::Sub => lhs.scale().max(rhs.scale()),
-                BinOp::Mul => lhs.scale() + rhs.scale(),
-                BinOp::Div => lhs.scale(),
-            },
-            BoundExpr::Case { then, .. } => then.scale(),
-        }
-    }
+/// Expressions bound against a row block — names resolved to slot
+/// indices, literals to payloads, predicates to payload ranges — and
+/// flattened into a DAG of distinct `(node, decimal scale)` pairs in
+/// operand-before-user order, so a sub-expression shared by several
+/// outputs is bound, and later evaluated, once.
+#[derive(Debug, Default)]
+pub(crate) struct Exprs {
+    pub(crate) nodes: Vec<(Node, u8)>,
 }
 
-/// Bind a logical expression against a row block.
-pub fn bind_expr(expr: &ScalarExpr, block: &RowBlock) -> Result<BoundExpr> {
-    match expr {
-        ScalarExpr::Column(name) => {
-            let slot = block.slot_index(name)?;
-            Ok(BoundExpr::Col {
-                slot,
-                scale: scale_of(block.slot(slot).dtype),
+impl Exprs {
+    /// The id of `(node, scale)`, adding it unless it already exists.
+    fn intern(&mut self, node: Node, scale: u8) -> usize {
+        let key = (node, scale);
+        self.nodes
+            .iter()
+            .position(|n| *n == key)
+            .unwrap_or_else(|| {
+                self.nodes.push(key);
+                self.nodes.len() - 1
             })
-        }
-        ScalarExpr::Literal(v) => {
-            let (payload, scale) = match v {
-                Value::Int(x) => (*x, 0),
-                Value::Decimal { unscaled, scale } => (*unscaled, *scale),
-                Value::Date(d) => (d.days() as i64, 0),
-                Value::Bool(b) => (*b as i64, 0),
-                other => {
-                    return Err(BwdError::TypeMismatch(format!(
-                        "literal {other:?} not usable in arithmetic"
-                    )))
-                }
-            };
-            Ok(BoundExpr::Lit { payload, scale })
-        }
-        ScalarExpr::Binary { op, lhs, rhs } => Ok(BoundExpr::Bin {
-            op: *op,
-            lhs: Box::new(bind_expr(lhs, block)?),
-            rhs: Box::new(bind_expr(rhs, block)?),
-        }),
-        ScalarExpr::Case {
-            when,
-            then,
-            otherwise,
-        } => {
-            let (slot, range) = bind_case_predicate(when, block)?;
-            let mut then = Box::new(bind_expr(then, block)?);
-            let mut otherwise = Box::new(bind_expr(otherwise, block)?);
-            // Literal branches coerce to the other branch's scale
-            // (`... else 0` against a scale-4 THEN is ubiquitous in Q14).
-            let target = then.scale().max(otherwise.scale());
-            coerce_literal_scale(&mut then, target)?;
-            coerce_literal_scale(&mut otherwise, target)?;
-            if then.scale() != otherwise.scale() {
-                return Err(BwdError::TypeMismatch(
-                    "CASE branches must share one decimal scale".into(),
-                ));
+    }
+
+    /// Bind a logical expression against a row block; returns its node id.
+    pub(crate) fn bind(&mut self, expr: &ScalarExpr, block: &RowBlock) -> Result<usize> {
+        match expr {
+            ScalarExpr::Column(name) => {
+                let slot = block.slot_index(name)?;
+                Ok(self.intern(Node::Col(slot), block.slot(slot).dtype.scale()))
             }
-            Ok(BoundExpr::Case {
-                slot,
-                range,
+            ScalarExpr::Literal(v) => {
+                let (payload, scale) = match v {
+                    Value::Int(x) => (*x, 0),
+                    Value::Decimal { unscaled, scale } => (*unscaled, *scale),
+                    Value::Date(d) => (d.days() as i64, 0),
+                    Value::Bool(b) => (*b as i64, 0),
+                    other => {
+                        return Err(BwdError::TypeMismatch(format!(
+                            "literal {other:?} not usable in arithmetic"
+                        )))
+                    }
+                };
+                Ok(self.intern(Node::Lit(payload), scale))
+            }
+            ScalarExpr::Binary { op, lhs, rhs } => {
+                let (l, r) = (self.bind(lhs, block)?, self.bind(rhs, block)?);
+                let (sa, sb) = (self.nodes[l].1, self.nodes[r].1);
+                let scale = match op {
+                    BinOp::Add | BinOp::Sub => sa.max(sb),
+                    BinOp::Mul => sa + sb,
+                    BinOp::Div => sa,
+                };
+                Ok(self.intern(Node::Bin(*op, l, r), scale))
+            }
+            ScalarExpr::Case {
+                when,
                 then,
                 otherwise,
-            })
+            } => {
+                let (slot, range) = bind_case_predicate(when, block)?;
+                let (then, otherwise) = (self.bind(then, block)?, self.bind(otherwise, block)?);
+                // Literal branches coerce to the other branch's scale
+                // (`... else 0` against a scale-4 THEN is ubiquitous in Q14).
+                let scale = self.nodes[then].1.max(self.nodes[otherwise].1);
+                let then = self.coerce_literal_scale(then, scale)?;
+                let otherwise = self.coerce_literal_scale(otherwise, scale)?;
+                if self.nodes[then].1 != self.nodes[otherwise].1 {
+                    return Err(BwdError::TypeMismatch(
+                        "CASE branches must share one decimal scale".into(),
+                    ));
+                }
+                let node = Node::Case {
+                    slot,
+                    range,
+                    then,
+                    otherwise,
+                };
+                Ok(self.intern(node, scale))
+            }
         }
     }
-}
 
-/// Rescale a literal node up to `target` scale (no-op for non-literals or
-/// literals already at the target).
-fn coerce_literal_scale(e: &mut BoundExpr, target: u8) -> Result<()> {
-    if let BoundExpr::Lit { payload, scale } = e {
-        if *scale < target {
-            *payload = payload
-                .checked_mul(10i64.pow((target - *scale) as u32))
-                .ok_or_else(|| BwdError::InvalidArgument("literal rescale overflow".into()))?;
-            *scale = target;
+    /// The node `id` rescaled up to `target` when it is a literal below
+    /// it (other nodes, and literals already there, pass through).
+    fn coerce_literal_scale(&mut self, id: usize, target: u8) -> Result<usize> {
+        match self.nodes[id] {
+            (Node::Lit(payload), scale) if scale < target => {
+                let payload = payload
+                    .checked_mul(10i64.pow((target - scale) as u32))
+                    .ok_or_else(|| BwdError::InvalidArgument("literal rescale overflow".into()))?;
+                Ok(self.intern(Node::Lit(payload), target))
+            }
+            _ => Ok(id),
         }
     }
-    Ok(())
+
+    /// Evaluate node `id` for one row: `(unscaled payload, scale)` — the
+    /// row-at-a-time oracle the column-at-a-time evaluator in
+    /// [`crate::tail`] is tested against. Scales are re-derived on the
+    /// way, and only the taken `CASE` branch is evaluated.
+    #[cfg(test)]
+    pub(crate) fn eval_row(&self, id: usize, block: &RowBlock, row: usize) -> Result<(i128, u8)> {
+        let rescale = |v: i128, from: u8, to: u8| v * 10i128.pow((to - from) as u32);
+        match &self.nodes[id] {
+            (Node::Col(slot), scale) => Ok((block.slot(*slot).payloads[row] as i128, *scale)),
+            (Node::Lit(payload), scale) => Ok((*payload as i128, *scale)),
+            (Node::Bin(op, lhs, rhs), _) => {
+                let (a, sa) = self.eval_row(*lhs, block, row)?;
+                let (b, sb) = self.eval_row(*rhs, block, row)?;
+                let s = sa.max(sb);
+                match op {
+                    BinOp::Add => Ok((rescale(a, sa, s) + rescale(b, sb, s), s)),
+                    BinOp::Sub => Ok((rescale(a, sa, s) - rescale(b, sb, s), s)),
+                    BinOp::Mul => Ok((a * b, sa + sb)),
+                    BinOp::Div if b == 0 => Err(BwdError::Exec("division by zero".into())),
+                    // Keep the left scale: (a * 10^sb) / b.
+                    BinOp::Div => Ok((a * 10i128.pow(sb as u32) / b, sa)),
+                }
+            }
+            (
+                Node::Case {
+                    slot,
+                    range,
+                    then,
+                    otherwise,
+                },
+                _,
+            ) => match range.test(block.slot(*slot).payloads[row]) {
+                true => self.eval_row(*then, block, row),
+                false => self.eval_row(*otherwise, block, row),
+            },
+        }
+    }
 }
 
 fn bind_case_predicate(pred: &Predicate, block: &RowBlock) -> Result<(usize, RangePred)> {
@@ -303,54 +338,6 @@ fn bind_case_predicate(pred: &Predicate, block: &RowBlock) -> Result<(usize, Ran
     }
 }
 
-/// Evaluate a bound expression for one row: `(unscaled payload, scale)`.
-pub fn eval(expr: &BoundExpr, block: &RowBlock, row: usize) -> Result<(i128, u8)> {
-    match expr {
-        BoundExpr::Col { slot, scale } => Ok((block.slot(*slot).payloads[row] as i128, *scale)),
-        BoundExpr::Lit { payload, scale } => Ok((*payload as i128, *scale)),
-        BoundExpr::Bin { op, lhs, rhs } => {
-            let (a, sa) = eval(lhs, block, row)?;
-            let (b, sb) = eval(rhs, block, row)?;
-            match op {
-                BinOp::Add => {
-                    let s = sa.max(sb);
-                    Ok((rescale(a, sa, s) + rescale(b, sb, s), s))
-                }
-                BinOp::Sub => {
-                    let s = sa.max(sb);
-                    Ok((rescale(a, sa, s) - rescale(b, sb, s), s))
-                }
-                BinOp::Mul => Ok((a * b, sa + sb)),
-                BinOp::Div => {
-                    if b == 0 {
-                        return Err(BwdError::Exec("division by zero".into()));
-                    }
-                    // Keep the left scale: (a * 10^sb) / b.
-                    Ok((a * 10i128.pow(sb as u32) / b, sa))
-                }
-            }
-        }
-        BoundExpr::Case {
-            slot,
-            range,
-            then,
-            otherwise,
-        } => {
-            let v = block.slot(*slot).payloads[row];
-            if range.test(v) {
-                eval(then, block, row)
-            } else {
-                eval(otherwise, block, row)
-            }
-        }
-    }
-}
-
-fn rescale(v: i128, from: u8, to: u8) -> i128 {
-    debug_assert!(to >= from);
-    v * 10i128.pow((to - from) as u32)
-}
-
 /// An accumulated aggregate payload: exact unscaled integer plus scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggValue {
@@ -381,6 +368,13 @@ mod tests {
     use super::*;
     use bwd_core::plan::ScalarExpr as E;
 
+    /// Bind `e` and evaluate it for `row`.
+    fn eval(e: &ScalarExpr, b: &RowBlock, row: usize) -> Result<(i128, u8)> {
+        let mut exprs = Exprs::default();
+        let id = exprs.bind(e, b)?;
+        exprs.eval_row(id, b, row)
+    }
+
     fn block() -> RowBlock {
         let mut b = RowBlock::new(3);
         b.push_slot(ColumnSlot {
@@ -402,11 +396,9 @@ mod tests {
     fn q6_expression_price_times_discount() {
         let b = block();
         let e = E::col("price").binary(BinOp::Mul, E::col("discount"));
-        let be = bind_expr(&e, &b).unwrap();
-        assert_eq!(be.scale(), 4);
         // 100.00 * 0.05 = 5.0000 -> 50000 at scale 4.
-        assert_eq!(eval(&be, &b, 0).unwrap(), (50_000, 4));
-        assert_eq!(eval(&be, &b, 2).unwrap(), (0, 4));
+        assert_eq!(eval(&e, &b, 0).unwrap(), (50_000, 4));
+        assert_eq!(eval(&e, &b, 2).unwrap(), (0, 4));
     }
 
     #[test]
@@ -416,9 +408,8 @@ mod tests {
             BinOp::Mul,
             E::lit(1i64).binary(BinOp::Sub, E::col("discount")),
         );
-        let be = bind_expr(&e, &b).unwrap();
         // (1 - 0.05) = 0.95 at scale 2 -> 95; 100.00 * 0.95 = 9500.00 scale 4.
-        assert_eq!(eval(&be, &b, 0).unwrap(), (10_000 * 95, 4));
+        assert_eq!(eval(&e, &b, 0).unwrap(), (10_000 * 95, 4));
     }
 
     #[test]
@@ -446,8 +437,7 @@ mod tests {
             then: Box::new(E::col("v")),
             otherwise: Box::new(E::lit(0i64)),
         };
-        let be = bind_expr(&e, &b).unwrap();
-        let got: Vec<i128> = (0..4).map(|i| eval(&be, &b, i).unwrap().0).collect();
+        let got: Vec<i128> = (0..4).map(|i| eval(&e, &b, i).unwrap().0).collect();
         assert_eq!(got, vec![0, 200, 300, 0]);
     }
 
@@ -455,14 +445,12 @@ mod tests {
     fn division_and_errors() {
         let b = block();
         let e = E::col("price").binary(BinOp::Div, E::lit(Value::decimal(200, 2)));
-        let be = bind_expr(&e, &b).unwrap();
         // 100.00 / 2.00 = 50.00 at scale 2.
-        assert_eq!(eval(&be, &b, 0).unwrap(), (5_000, 2));
+        assert_eq!(eval(&e, &b, 0).unwrap(), (5_000, 2));
         let zero = E::col("price").binary(BinOp::Div, E::lit(0i64));
-        let be = bind_expr(&zero, &b).unwrap();
-        assert!(eval(&be, &b, 0).is_err());
+        assert!(eval(&zero, &b, 0).is_err());
         // Unknown column fails at bind time.
-        assert!(bind_expr(&E::col("nope"), &b).is_err());
+        assert!(Exprs::default().bind(&E::col("nope"), &b).is_err());
     }
 
     #[test]

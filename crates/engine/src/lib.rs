@@ -7,14 +7,14 @@
 //!   foreign-key indexes, plan binding, and execution through either the
 //!   **classic pipe** ([`classic`], CPU bulk processing — the baseline) or
 //!   the **bwd pipe** ([`arexec`], Approximate & Refine co-processing);
-//! * [`eval`] / [`aggregate`] — exact scaled-integer expression evaluation
-//!   shared by both pipes, guaranteeing bit-identical results.
+//! * [`eval`] / [`tail`] — the slice-at-a-time query tail (gather → group
+//!   → evaluate → aggregate) with exact scaled-integer expression
+//!   evaluation, shared by both pipes, guaranteeing bit-identical results.
 //!
 //! The Figure 11 multi-stream experiment used to be *modelled* here; it is
 //! now *measured* by `bwd_sched::run_throughput`, which executes both
 //! streams concurrently on the multi-session scheduler.
 
-pub mod aggregate;
 pub mod arexec;
 pub mod catalog;
 pub mod classic;
@@ -22,6 +22,7 @@ pub mod database;
 pub mod eval;
 pub(crate) mod morsel;
 pub mod result;
+pub mod tail;
 
 pub use arexec::{run_ar, run_ar_in, ArExecOptions, CandidateRep, BITMAP_MIN_SELECTIVITY};
 pub use catalog::{Catalog, FkDecl, Table};

@@ -14,28 +14,27 @@
 //!   range splitting and scoped-thread fan-out;
 //! * [`ScratchPool`] — recycled per-query buffers, so the parallel path
 //!   allocates zero intermediate vectors per morsel in steady state;
-//! * the drivers ([`refine_filter`], [`refine_filter_mask`],
-//!   [`refine_payloads`], [`gather_stored`], [`group_rows`]) — one per
-//!   parallelized refinement stage, each built on the translucent-join
-//!   partitioning below.
+//! * the drivers ([`refine_filter`], [`refine_filter_mask`]) — one per
+//!   parallelized selection-refinement stage, built on the translucent-join
+//!   partitioning below. (The query tail — projection refinement, grouping,
+//!   aggregation — streams slice-at-a-time through [`crate::tail`].)
 //!
 //! # Partitioning a translucent join
 //!
 //! The translucent join's cursor merge looks inherently serial: worker
 //! `p`'s start position on the candidate (superset) side depends on how
-//! far the previous partitions advanced. But positions are monotone under
-//! the shared permutation, so a single *comparison-only* pre-pass
-//! ([`translucent_starts`]) locates each partition's first survivor in the
-//! candidate list; every worker then merges its survivor slice against
-//! `cands[start..]` independently, doing all the expensive work (residual
-//! decode, reconstruction, predicate re-test) in parallel.
+//! far the previous partitions advanced. But the survivors are a subset of
+//! the candidates under one shared permutation, so survivor `i` can never
+//! sit *before* candidate position `i`: every worker starts its cursor at
+//! its partition's first survivor index — a lower bound — and the merge
+//! itself advances to the true position, comparison-only, in parallel.
 
 use bwd_core::translucent::translucent_join_with;
 use bwd_core::RangePred;
 use bwd_kernels::scan::{cache_worthwhile, scan_block_ranges};
 use bwd_kernels::{Candidates, DeviceArray, SelMask};
 use bwd_storage::{BitPackedVec, BlockDecoder, DecompositionMeta};
-use bwd_types::{BwdError, Oid, Result};
+use bwd_types::{Oid, Result};
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -268,7 +267,7 @@ impl<'a> ResidualSrc<'a> {
     }
 
     /// A per-worker reader (each worker owns its decode cache).
-    fn reader(&self) -> ResidualReader<'a> {
+    pub(crate) fn reader(&self) -> ResidualReader<'a> {
         match *self {
             ResidualSrc::None => ResidualReader::Zero,
             ResidualSrc::Fact {
@@ -284,7 +283,7 @@ impl<'a> ResidualSrc<'a> {
     }
 }
 
-enum ResidualReader<'a> {
+pub(crate) enum ResidualReader<'a> {
     Zero,
     Direct(&'a BitPackedVec),
     Cached(Box<BlockDecoder<'a>>),
@@ -293,7 +292,7 @@ enum ResidualReader<'a> {
 
 impl ResidualReader<'_> {
     #[inline]
-    fn get(&mut self, oid: Oid) -> u64 {
+    pub(crate) fn get(&mut self, oid: Oid) -> u64 {
         match self {
             ResidualReader::Zero => 0,
             ResidualReader::Direct(res) => res.get(oid as usize),
@@ -303,33 +302,27 @@ impl ResidualReader<'_> {
     }
 }
 
-/// For each survivor partition, the candidate-side cursor start: a
-/// comparison-only serial merge that only looks at partition boundary
-/// elements' positions. Partition 0 always starts at 0.
-pub(crate) fn translucent_starts(
-    a_ids: &[Oid],
-    subset: &[Oid],
-    ranges: &[Range<usize>],
-) -> Result<Vec<usize>> {
-    let mut starts = Vec::with_capacity(ranges.len());
-    if ranges.is_empty() {
-        return Ok(starts);
+/// Concatenate per-worker survivor lists in partition order, recycling
+/// the buffers; a single partition's list is handed over as is (no
+/// second full-length copy).
+fn merge_oid_parts(mut outs: Vec<Vec<Oid>>, pool: &ScratchPool) -> Vec<Oid> {
+    if outs.len() == 1 {
+        return outs.pop().expect("one partition");
     }
-    starts.push(0);
-    let mut ia = 0usize;
-    for r in &ranges[1..] {
-        let target = subset[r.start];
-        while ia < a_ids.len() && a_ids[ia] != target {
-            ia += 1;
-        }
-        if ia == a_ids.len() {
-            return Err(BwdError::Exec(format!(
-                "translucent join: oid {target} not found — permutation precondition violated"
-            )));
-        }
-        starts.push(ia);
+    let mut merged = Vec::with_capacity(outs.iter().map(Vec::len).sum());
+    for out in outs {
+        merged.extend_from_slice(&out);
+        pool.put_u32(out);
     }
-    Ok(starts)
+    merged
+}
+
+/// A pooled survivor buffer with room for `bound` oids up front, so
+/// filling it never re-allocates (untouched capacity costs no memory).
+fn take_oids(pool: &ScratchPool, bound: usize) -> Vec<Oid> {
+    let mut out = pool.take_u32();
+    out.reserve(bound);
+    out
 }
 
 /// Morsel-parallel selection refinement: reconstruct each refined tuple's
@@ -354,7 +347,7 @@ pub(crate) fn refine_filter(
             let n = cands.oids.len().min(cands.approx.len());
             let ranges = partition_ranges(n, morsels);
             let outs = run_parts(&ranges, |_, r| {
-                let mut out = pool.take_u32();
+                let mut out = take_oids(pool, r.len());
                 let mut res = residual.reader();
                 for (&oid, &stored) in cands.oids[r.clone()].iter().zip(&cands.approx[r]) {
                     if range.test(meta.payload_from_parts(stored, res.get(oid))) {
@@ -363,27 +356,20 @@ pub(crate) fn refine_filter(
                 }
                 out
             });
-            let mut merged = Vec::with_capacity(outs.iter().map(Vec::len).sum());
-            for out in outs {
-                merged.extend_from_slice(&out);
-                pool.put_u32(out);
-            }
-            Ok(merged)
+            Ok(merge_oid_parts(outs, pool))
         }
         Some(subset) => {
             let ranges = partition_ranges(subset.len(), morsels);
-            let starts = if cands.dense {
-                None
-            } else {
-                Some(translucent_starts(&cands.oids, subset, &ranges)?)
-            };
-            let outs = run_parts(&ranges, |p, r| -> Result<Vec<Oid>> {
-                let mut out = pool.take_u32();
+            let outs = run_parts(&ranges, |_, r| -> Result<Vec<Oid>> {
+                let mut out = take_oids(pool, r.len());
                 let mut res = residual.reader();
+                // Survivor `r.start` sits at candidate position `r.start`
+                // or later: start the cursor there and let the merge find it.
+                let lo = r.start.min(cands.len());
                 let sub = &subset[r];
-                let (a_ids, a_vals, base) = match &starts {
-                    None => (&cands.oids[..], &cands.approx[..], Some(0)),
-                    Some(s) => (&cands.oids[s[p]..], &cands.approx[s[p]..], None),
+                let (a_ids, a_vals, base) = match cands.dense {
+                    true => (&cands.oids[..], &cands.approx[..], Some(0)),
+                    false => (&cands.oids[lo..], &cands.approx[lo..], None),
                 };
                 translucent_join_with(a_ids, a_vals, base, sub, |bi, stored| {
                     let oid = sub[bi];
@@ -393,37 +379,8 @@ pub(crate) fn refine_filter(
                 })?;
                 Ok(out)
             });
-            let mut merged = Vec::new();
-            for out in outs {
-                let out = out?;
-                merged.extend_from_slice(&out);
-                pool.put_u32(out);
-            }
-            Ok(merged)
-        }
-    }
-}
-
-/// Where a mask-driven refinement reads a candidate's *stored
-/// approximation*: a positional bitmap carries no value column, so the
-/// refinement decodes each survivor's approximation straight from the
-/// (replicated-on-host) device array — `arr[oid]` for fact-side
-/// predicates, `arr[link[oid]]` through the FK link for dimension-side
-/// ones. Decoding reproduces exactly the values the materialized
-/// candidate list would have carried, so results stay bit-identical to
-/// [`refine_filter`] over [`SelMask::to_candidates`] output.
-#[derive(Clone, Copy)]
-pub(crate) enum ApproxSrc<'a> {
-    Direct(&'a DeviceArray),
-    Linked(&'a DeviceArray, &'a DeviceArray),
-}
-
-impl ApproxSrc<'_> {
-    #[inline]
-    fn get(&self, oid: Oid) -> u64 {
-        match *self {
-            ApproxSrc::Direct(arr) => arr.get(oid as usize),
-            ApproxSrc::Linked(arr, link) => arr.get(link.get(oid as usize) as usize),
+            let outs = outs.into_iter().collect::<Result<_>>()?;
+            Ok(merge_oid_parts(outs, pool))
         }
     }
 }
@@ -434,13 +391,18 @@ impl ApproxSrc<'_> {
 /// decodes its chunk of blocks into pooled scratch 64 rows at a time); with a subset, membership is positional so the translucent join
 /// disappears entirely: each survivor's approximation is re-decoded from
 /// `approx` and re-tested. Output order equals what [`refine_filter`]
-/// produces over the materialized list, bit for bit.
+/// produces over the materialized list, bit for bit. A positional bitmap
+/// carries no value column, so approximations decode straight from the
+/// (replicated-on-host) device array: `arr[oid]` for fact-side
+/// predicates, `arr[link[oid]]` through the FK link for dimension-side
+/// ones — exactly the values the materialized list would have carried.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_filter_mask(
     meta: &DecompositionMeta,
     residual: ResidualSrc<'_>,
     mask: &SelMask,
-    approx: ApproxSrc<'_>,
+    arr: &DeviceArray,
+    link: Option<&DeviceArray>,
     survivors: Option<&[Oid]>,
     range: &RangePred,
     morsels: usize,
@@ -451,19 +413,18 @@ pub(crate) fn refine_filter_mask(
             let blocks = scan_block_ranges(mask.rows(), &mask.scan_options());
             let chunks = partition_ranges_min(blocks.len(), morsels, 1);
             let outs = run_parts(&chunks, |_, chunk| {
-                let mut out = pool.take_u32();
+                let rows: usize = blocks[chunk.clone()].iter().map(Range::len).sum();
+                let mut out = take_oids(pool, rows.min(mask.count()));
                 let mut oids = pool.take_u32();
                 let mut vals = pool.take_u64();
                 let mut res = residual.reader();
                 for b in &blocks[chunk] {
                     oids.clear();
                     vals.clear();
-                    match approx {
-                        ApproxSrc::Direct(arr) => {
-                            mask.append_block(arr, b.clone(), &mut oids, &mut vals);
-                        }
-                        ApproxSrc::Linked(arr, link) => {
-                            mask.append_block_indirect(arr, link, b.clone(), &mut oids, &mut vals);
+                    match link {
+                        None => mask.append_block(arr, b.clone(), &mut oids, &mut vals),
+                        Some(l) => {
+                            mask.append_block_indirect(arr, l, b.clone(), &mut oids, &mut vals)
                         }
                     }
                     for (&oid, &stored) in oids.iter().zip(&vals) {
@@ -472,22 +433,17 @@ pub(crate) fn refine_filter_mask(
                         }
                     }
                 }
-                (out, oids, vals)
-            });
-            let mut merged = Vec::with_capacity(outs.iter().map(|(o, _, _)| o.len()).sum());
-            for (out, oids, vals) in outs {
-                merged.extend_from_slice(&out);
-                pool.put_u32(out);
                 pool.put_u32(oids);
                 pool.put_u64(vals);
-            }
-            Ok(merged)
+                out
+            });
+            Ok(merge_oid_parts(outs, pool))
         }
         Some(subset) => {
             let ranges = partition_ranges(subset.len(), morsels);
             let words = mask.words();
             let outs = run_parts(&ranges, |_, r| {
-                let mut out = pool.take_u32();
+                let mut out = take_oids(pool, r.len());
                 let mut res = residual.reader();
                 for &oid in &subset[r] {
                     // Survivors shrink monotonically down the chain, so
@@ -498,136 +454,16 @@ pub(crate) fn refine_filter_mask(
                         1,
                         "survivor oid {oid} not in refined selection's mask"
                     );
-                    if range.test(meta.payload_from_parts(approx.get(oid), res.get(oid))) {
+                    let stored = arr.get(link.map_or(oid, |l| l.get(oid as usize) as Oid) as usize);
+                    if range.test(meta.payload_from_parts(stored, res.get(oid))) {
                         out.push(oid);
                     }
                 }
                 out
             });
-            let mut merged = Vec::new();
-            for out in outs {
-                merged.extend_from_slice(&out);
-                pool.put_u32(out);
-            }
-            Ok(merged)
+            Ok(merge_oid_parts(outs, pool))
         }
     }
-}
-
-/// Morsel-parallel projection refinement: exact payloads for every
-/// survivor, positionally aligned with `survivors`, written straight into
-/// one shared output vector. `(a_ids, a_vals)` is the candidate list with
-/// this column's approximate projection (`a_vals` aligned with `a_ids`);
-/// `starts` must come from [`translucent_starts`] over the same
-/// `(a_ids, survivors, ranges)` triple (`None` when the candidates are
-/// dense). Pure computation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_payloads(
-    meta: &DecompositionMeta,
-    residual: ResidualSrc<'_>,
-    a_ids: &[Oid],
-    a_vals: &[u64],
-    survivors: &[Oid],
-    ranges: &[Range<usize>],
-    starts: Option<&[usize]>,
-) -> Result<Vec<i64>> {
-    let mut out = vec![0i64; survivors.len()];
-    let results = run_parts_mut(&mut out, ranges, |p, r, chunk| -> Result<()> {
-        let mut res = residual.reader();
-        let sub = &survivors[r];
-        let (ids, vals, base) = match starts {
-            None => (a_ids, a_vals, Some(0)),
-            Some(s) => (&a_ids[s[p]..], &a_vals[s[p]..], None),
-        };
-        translucent_join_with(ids, vals, base, sub, |bi, stored| {
-            chunk[bi] = meta.payload_from_parts(stored, res.get(sub[bi]));
-        })?;
-        Ok(())
-    });
-    for r in results {
-        r?;
-    }
-    Ok(out)
-}
-
-/// Morsel-parallel positional gather of stored approximations — direct
-/// (`arr[oid]`) or through a device-resident FK link
-/// (`arr[link[oid]]`). Dense candidates bulk-decode their range directly.
-/// Pure computation; output aligns with the candidate list.
-pub(crate) fn gather_stored(
-    arr: &DeviceArray,
-    link: Option<&DeviceArray>,
-    cands: &Candidates,
-    morsels: usize,
-) -> Vec<u64> {
-    let n = cands.len();
-    let mut out = vec![0u64; n];
-    let ranges = partition_ranges(n, morsels);
-    run_parts_mut(&mut out, &ranges, |_, r, chunk| match link {
-        None if cands.dense => arr.data().unpack_range(r.start, chunk),
-        None => bwd_kernels::gather::gather_partition_into(arr, &cands.oids[r], chunk),
-        Some(l) => {
-            bwd_kernels::gather::gather_indirect_partition_into(arr, l, &cands.oids[r], chunk)
-        }
-    });
-    out
-}
-
-/// The output of [`group_rows`]: group ids per row plus the distinct key
-/// payload tuples in first-appearance order.
-pub(crate) struct GroupedRows {
-    pub ids: Vec<u32>,
-    pub keys: Vec<Vec<i64>>,
-}
-
-/// Morsel-parallel hash grouping over aligned key columns. Each worker
-/// groups its contiguous row partition locally; local tables merge in
-/// partition order, which reproduces the serial first-appearance group-id
-/// assignment exactly (a key first seen in partition `p` globally first
-/// appears there, and local id order is first-appearance order within the
-/// partition).
-pub(crate) fn group_rows(key_cols: &[&[i64]], morsels: usize, pool: &ScratchPool) -> GroupedRows {
-    let n = key_cols.first().map_or(0, |c| c.len());
-    let ranges = partition_ranges(n, morsels);
-    let locals = run_parts(&ranges, |_, r| {
-        let mut table: bwd_types::FxHashMap<Vec<i64>, u32> = bwd_types::FxHashMap::default();
-        let mut ids = pool.take_u32();
-        let mut keys: Vec<Vec<i64>> = Vec::new();
-        for row in r {
-            let key: Vec<i64> = key_cols.iter().map(|c| c[row]).collect();
-            let next = keys.len() as u32;
-            let id = *table.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                next
-            });
-            ids.push(id);
-        }
-        (ids, keys)
-    });
-    if locals.len() == 1 {
-        let (ids, keys) = locals.into_iter().next().unwrap();
-        // The single-partition ids buffer becomes the output; it is not
-        // returned to the pool (the pool only recycles within a query).
-        return GroupedRows { ids, keys };
-    }
-    let mut table: bwd_types::FxHashMap<Vec<i64>, u32> = bwd_types::FxHashMap::default();
-    let mut keys: Vec<Vec<i64>> = Vec::new();
-    let mut ids: Vec<u32> = Vec::with_capacity(n);
-    for (local_ids, local_keys) in locals {
-        let remap: Vec<u32> = local_keys
-            .into_iter()
-            .map(|key| {
-                let next = keys.len() as u32;
-                *table.entry(key.clone()).or_insert_with(|| {
-                    keys.push(key);
-                    next
-                })
-            })
-            .collect();
-        ids.extend(local_ids.iter().map(|&l| remap[l as usize]));
-        pool.put_u32(local_ids);
-    }
-    GroupedRows { ids, keys }
 }
 
 #[cfg(test)]
@@ -765,36 +601,5 @@ mod tests {
         v.reserve(128);
         pool.put_u64(v);
         assert!(pool.take_u64().capacity() >= 128);
-    }
-
-    #[test]
-    fn translucent_starts_locates_partition_boundaries() {
-        // Shared-permutation superset/subset pair.
-        let a_ids: Vec<Oid> = vec![3, 9, 1, 5, 2, 7, 4, 8];
-        let subset: Vec<Oid> = vec![9, 5, 2, 8];
-        let ranges = vec![0..2, 2..4];
-        let starts = translucent_starts(&a_ids, &subset, &ranges).unwrap();
-        assert_eq!(starts, vec![0, 4]); // subset[2] == 2 sits at a_ids[4]
-                                        // A missing boundary oid is a permutation violation.
-        let bad = translucent_starts(&a_ids, &[9, 6], &[0..1, 1..2]);
-        assert!(bad.is_err());
-    }
-
-    #[test]
-    fn group_rows_merge_matches_serial_first_seen_order() {
-        let keys: Vec<i64> = (0..10_000).map(|i| (i * 7) % 13).collect();
-        let cols: Vec<&[i64]> = vec![&keys];
-        let pool = ScratchPool::default();
-        let serial = group_rows(&cols, 1, &pool);
-        for morsels in [2, 3, 8, 64] {
-            let par = {
-                // Force real partitions even at this size.
-                let ranges = partition_ranges_min(keys.len(), morsels, 1);
-                assert!(ranges.len() > 1);
-                group_rows(&cols, morsels, &pool)
-            };
-            assert_eq!(par.ids, serial.ids, "morsels={morsels}");
-            assert_eq!(par.keys, serial.keys);
-        }
     }
 }

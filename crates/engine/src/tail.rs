@@ -1,0 +1,768 @@
+//! The streaming query tail shared by both executors: slice-at-a-time
+//! gather → group → evaluate → aggregate.
+//!
+//! Both pipes end in the same place — a list of surviving tuples, the
+//! columns the output needs, an optional grouping and a list of
+//! aggregates or projections. Neither materializes survivors × columns:
+//! an executor-specific `SliceSource` fills a reused slice-local
+//! [`RowBlock`] with the next run of at most [`SLICE_ROWS`] survivors,
+//! and a `Sink` assigns group ids against a table that persists across
+//! slices (keys in one flat arena), evaluates every *distinct* expression
+//! node column-at-a-time into reused `i128` buffers (a sub-expression
+//! shared by several aggregates is computed once per slice) and folds the
+//! slice into per-group accumulators. The arithmetic is exact (i128 over
+//! scaled integers), so the classic and A&R paths produce *identical*
+//! rows — the equivalence the integration tests assert.
+//!
+//! `morsels` workers each own a sink over a contiguous run of survivors
+//! and advance one slice per round; partial sinks merge in partition
+//! order (aggregate over a union of partitions = merge of the partials),
+//! so rows are bit-identical at every worker count and slice size. The
+//! orchestrating thread polls the fault plan and the yield point between
+//! rounds, with every worker joined. Simulated costs are not this
+//! module's business: the executors charge them once from the totals.
+
+use crate::eval::{payload_to_value, AggValue, Exprs, Node, RowBlock};
+use crate::morsel::run_parts_mut;
+use bwd_core::plan::{AggFunc, ArPlan, BinOp};
+use bwd_device::Env;
+use bwd_types::{BwdError, FaultSite, FxHasher, Result, Value};
+use std::hash::Hasher;
+use std::ops::Range;
+
+/// Rows per slice of the query tail — the unit both executors gather,
+/// group and aggregate at a time, and the interval between yield, fault
+/// and cancel checks (a paused short query waits about this much work).
+pub const SLICE_ROWS: usize = 32 * 1024;
+
+/// The executor-specific half of the tail: where a slice's payloads come
+/// from (classic: fetch by oid; A&R: gather approximations over the
+/// slice's candidate window and refine them with residuals).
+pub(crate) trait SliceSource: Send {
+    /// Re-size `block` to the next run of at most `slice_rows` survivors
+    /// and fill every slot; a source that carries a pre-grouping also
+    /// replaces `ids` with the run's group ids. Returns whether survivors
+    /// remain after this slice.
+    fn fill(&mut self, slice_rows: usize, block: &mut RowBlock, ids: &mut Vec<u32>)
+        -> Result<bool>;
+}
+
+/// The query's bound output: the expression DAG plus what consumes its roots.
+#[derive(Debug, Default)]
+struct Program {
+    exprs: Exprs,
+    /// Block slots of the group keys (empty: global aggregate or projection).
+    key_slots: Vec<usize>,
+    /// Distinct accumulator inputs (`None` = `count(*)`): `sum(x)` and
+    /// `avg(x)` fold the same node once.
+    accs: Vec<Option<usize>>,
+    /// Per output aggregate: the function and its accumulator.
+    aggs: Vec<(AggFunc, usize)>,
+    /// Per projected expression: its root node (non-aggregate queries).
+    project: Vec<usize>,
+    columns: Vec<String>,
+}
+
+impl Program {
+    fn compile(plan: &ArPlan, schema: &RowBlock) -> Result<Program> {
+        let mut p = Program::default();
+        if plan.aggs.is_empty() {
+            for (e, alias) in &plan.project {
+                let root = p.exprs.bind(e, schema)?;
+                p.project.push(root);
+                p.columns.push(alias.clone());
+            }
+            return Ok(p);
+        }
+        for g in &plan.group_by {
+            p.key_slots.push(schema.slot_index(g)?);
+            p.columns.push(g.clone());
+        }
+        for a in &plan.aggs {
+            let root = match &a.arg {
+                Some(e) => Some(p.exprs.bind(e, schema)?),
+                None if a.func == AggFunc::Count => None,
+                None => {
+                    return Err(BwdError::Plan(format!(
+                        "{:?} requires an argument expression",
+                        a.func
+                    )))
+                }
+            };
+            let acc = p.accs.iter().position(|r| *r == root).unwrap_or_else(|| {
+                p.accs.push(root);
+                p.accs.len() - 1
+            });
+            p.aggs.push((a.func, acc));
+            p.columns.push(a.alias.clone());
+        }
+        Ok(p)
+    }
+}
+
+/// Where a node's values for the current slice live.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Col(&'a [i64]),
+    Lit(i128),
+    Buf(&'a [i128]),
+}
+
+impl Src<'_> {
+    #[inline(always)]
+    fn at(self, i: usize) -> i128 {
+        match self {
+            Src::Col(c) => c[i] as i128,
+            Src::Lit(v) => v,
+            Src::Buf(b) => b[i],
+        }
+    }
+}
+
+fn src<'a>(nodes: &[(Node, u8)], block: &'a RowBlock, bufs: &'a [Vec<i128>], id: usize) -> Src<'a> {
+    match nodes[id].0 {
+        Node::Col(slot) => Src::Col(&block.slot(slot).payloads),
+        Node::Lit(v) => Src::Lit(v as i128),
+        _ => Src::Buf(&bufs[id]),
+    }
+}
+
+/// Evaluate every node over the block, column-at-a-time. `bad[id]` lists
+/// the rows whose value is undefined because a division by zero feeds
+/// it; a `CASE` only inherits the rows of the branch it takes, so an
+/// untaken `x / 0` stays harmless exactly as in row-at-a-time evaluation.
+fn eval_nodes(
+    nodes: &[(Node, u8)],
+    block: &RowBlock,
+    bufs: &mut [Vec<i128>],
+    bad: &mut [Vec<u32>],
+) {
+    let len = block.len();
+    let pow10 = |d: u8| 10i128.pow(d as u32);
+    for id in 0..nodes.len() {
+        let (done, rest) = bufs.split_at_mut(id);
+        let (bad_done, bad_rest) = bad.split_at_mut(id);
+        let (out, bad) = (&mut rest[0], &mut bad_rest[0]);
+        out.clear();
+        bad.clear();
+        match &nodes[id].0 {
+            Node::Col(_) | Node::Lit(_) => {}
+            Node::Bin(op, l, r) => {
+                let (a, b) = (src(nodes, block, done, *l), src(nodes, block, done, *r));
+                let (sa, sb) = (nodes[*l].1, nodes[*r].1);
+                // Add/Sub meet at the wider scale; Div pre-scales `a` by 10^sb.
+                let (fa, fb) = match op {
+                    BinOp::Div => (pow10(sb), 1),
+                    _ => (pow10(sa.max(sb) - sa), pow10(sa.max(sb) - sb)),
+                };
+                bad.extend(bad_done[*l].iter().chain(&bad_done[*r]));
+                match op {
+                    BinOp::Add => out.extend((0..len).map(|i| a.at(i) * fa + b.at(i) * fb)),
+                    BinOp::Sub => out.extend((0..len).map(|i| a.at(i) * fa - b.at(i) * fb)),
+                    BinOp::Mul => out.extend((0..len).map(|i| a.at(i) * b.at(i))),
+                    // Keeps the left scale: (a * 10^sb) / b.
+                    BinOp::Div => out.extend((0..len).map(|i| match b.at(i) {
+                        0 => {
+                            bad.push(i as u32);
+                            0
+                        }
+                        d => a.at(i) * fa / d,
+                    })),
+                }
+            }
+            Node::Case {
+                slot,
+                range,
+                then,
+                otherwise,
+            } => {
+                let cond = &block.slot(*slot).payloads;
+                let (t, e) = (
+                    src(nodes, block, done, *then),
+                    src(nodes, block, done, *otherwise),
+                );
+                let taken = |&i: &&u32| range.test(cond[*i as usize]);
+                bad.extend(bad_done[*then].iter().filter(taken));
+                bad.extend(bad_done[*otherwise].iter().filter(|i| !taken(i)));
+                out.extend((0..len).map(|i| {
+                    if range.test(cond[i]) {
+                        t.at(i)
+                    } else {
+                        e.at(i)
+                    }
+                }));
+            }
+        }
+    }
+}
+
+/// Group keys in one flat arena (`width` payloads per group, in group-id
+/// order) behind an open-addressing index — no per-row or per-group
+/// allocation. Ids are assigned in first-appearance order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GroupTable {
+    width: usize,
+    keys: Vec<i64>,
+    /// Group id + 1 per bucket (0 = empty); the length is a power of two.
+    index: Vec<u32>,
+}
+
+impl GroupTable {
+    /// A table whose groups `0..keys.len() / width` are pre-assigned (a
+    /// pre-grouping carried in from the device); `keys` must be distinct.
+    pub(crate) fn from_keys(width: usize, keys: Vec<i64>) -> GroupTable {
+        let mut t = GroupTable {
+            width,
+            keys,
+            index: Vec::new(),
+        };
+        t.rebuild();
+        t
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len() / self.width.max(1)
+    }
+
+    fn key(&self, g: usize) -> &[i64] {
+        &self.keys[g * self.width..][..self.width]
+    }
+
+    fn bucket(&self, key: &[i64]) -> usize {
+        let mut h = FxHasher::default();
+        key.iter().for_each(|&k| h.write_u64(k as u64));
+        let h = h.finish();
+        // The multiplicative hash mixes upward; fold the high half down.
+        (h ^ (h >> 32)) as usize & (self.index.len() - 1)
+    }
+
+    fn rebuild(&mut self) {
+        let buckets = (4 * self.len()).next_power_of_two().max(16);
+        self.index = vec![0; buckets];
+        for g in 0..self.len() {
+            let mut b = self.bucket(self.key(g));
+            while self.index[b] != 0 {
+                b = (b + 1) & (buckets - 1);
+            }
+            self.index[b] = g as u32 + 1;
+        }
+    }
+
+    /// The id of `key`, assigning the next one on first appearance.
+    fn intern(&mut self, key: &[i64]) -> u32 {
+        if 2 * (self.len() + 1) > self.index.len() {
+            self.rebuild();
+        }
+        let mut b = self.bucket(key);
+        loop {
+            match self.index[b] {
+                0 => {
+                    self.keys.extend_from_slice(key);
+                    self.index[b] = self.len() as u32;
+                    return self.index[b] - 1;
+                }
+                g if self.key(g as usize - 1) == key => return g - 1,
+                _ => b = (b + 1) & (self.index.len() - 1),
+            }
+        }
+    }
+}
+
+/// One accumulator per (group, distinct aggregate input).
+#[derive(Clone, Copy)]
+struct Acc {
+    sum: i128,
+    count: u64,
+    min: i128,
+    max: i128,
+}
+
+const EMPTY_ACC: Acc = Acc {
+    sum: 0,
+    count: 0,
+    min: i128::MAX,
+    max: i128::MIN,
+};
+
+impl Acc {
+    /// The value of aggregate `func` over this accumulator, whose input
+    /// expression has decimal scale `scale` (an empty input renders 0).
+    fn render(self, func: AggFunc, scale: u8) -> Value {
+        let scale = if self.count == 0 { 0 } else { scale };
+        let exact = |unscaled: i128| AggValue { unscaled, scale };
+        match func {
+            AggFunc::Count => Value::Int(self.count as i64),
+            AggFunc::Sum => exact(self.sum).to_value(),
+            AggFunc::Avg if self.count == 0 => Value::Double(f64::NAN),
+            AggFunc::Avg => Value::Double(exact(self.sum).as_f64() / self.count as f64),
+            AggFunc::Min => exact(if self.count == 0 { 0 } else { self.min }).to_value(),
+            AggFunc::Max => exact(if self.count == 0 { 0 } else { self.max }).to_value(),
+        }
+    }
+}
+
+/// Fold one accumulator input over the slice; `at(row)` is the row's
+/// accumulator index.
+fn fold(accs: &mut [Acc], values: Option<Src<'_>>, len: usize, at: impl Fn(usize) -> usize) {
+    match values {
+        None => (0..len).for_each(|i| accs[at(i)].count += 1),
+        Some(values) => {
+            for i in 0..len {
+                let (v, a) = (values.at(i), &mut accs[at(i)]);
+                a.count += 1;
+                a.sum += v;
+                a.min = a.min.min(v);
+                a.max = a.max.max(v);
+            }
+        }
+    }
+}
+
+/// One worker's running partial result plus its reused slice buffers.
+pub(crate) struct Sink<'p> {
+    prog: &'p Program,
+    block: RowBlock,
+    ids: Vec<u32>,
+    /// Whether the source supplies `ids` (against the pre-filled `groups`).
+    carried: bool,
+    groups: GroupTable,
+    /// `groups.len() × prog.accs.len()` accumulators, group-major.
+    accs: Vec<Acc>,
+    /// Projected rows (non-aggregate queries).
+    rows: Vec<Vec<Value>>,
+    bufs: Vec<Vec<i128>>,
+    bad: Vec<Vec<u32>>,
+}
+
+impl<'p> Sink<'p> {
+    /// Group, evaluate and fold the slice currently in `self.block`.
+    fn consume(&mut self) -> Result<()> {
+        let (p, nodes) = (self.prog, &self.prog.exprs.nodes);
+        let (len, stride, grouped) = (self.block.len(), p.accs.len(), !p.key_slots.is_empty());
+        if grouped && !self.carried {
+            let key_col = |&s: &usize| self.block.slot(s).payloads.as_slice();
+            let cols: Vec<&[i64]> = p.key_slots.iter().map(key_col).collect();
+            let mut key = vec![0i64; cols.len()];
+            self.ids.clear();
+            for row in 0..len {
+                key.iter_mut().zip(&cols).for_each(|(k, c)| *k = c[row]);
+                self.ids.push(self.groups.intern(&key));
+            }
+        }
+        debug_assert!(!grouped || self.ids.len() == len, "group ids misaligned");
+        eval_nodes(nodes, &self.block, &mut self.bufs, &mut self.bad);
+        let mut roots = p.accs.iter().flatten().chain(&p.project);
+        if roots.any(|&r| !self.bad[r].is_empty()) {
+            return Err(BwdError::Exec("division by zero".into()));
+        }
+        let values = |r: usize| src(nodes, &self.block, &self.bufs, r);
+        let n_groups = if grouped { self.groups.len() } else { 1 };
+        self.accs.resize(n_groups * stride, EMPTY_ACC);
+        for (ai, root) in p.accs.iter().enumerate() {
+            let ids = &self.ids;
+            match grouped {
+                true => fold(&mut self.accs, root.map(values), len, |i| {
+                    ids[i] as usize * stride + ai
+                }),
+                false => fold(&mut self.accs, root.map(values), len, |_| ai),
+            }
+        }
+        let cols: Vec<(Src<'_>, u8)> =
+            (p.project.iter().map(|&r| (values(r), nodes[r].1))).collect();
+        let value = |i: usize, &(s, scale): &(Src<'_>, u8)| AggValue {
+            unscaled: s.at(i),
+            scale,
+        };
+        let project = |i| cols.iter().map(|c| value(i, c).to_value()).collect();
+        if !cols.is_empty() {
+            self.rows.extend((0..len).map(project));
+        }
+        Ok(())
+    }
+
+    /// Merge a later partition's partial result into this one.
+    fn absorb(&mut self, other: Sink<'p>) {
+        self.rows.extend(other.rows);
+        let stride = self.prog.accs.len();
+        if stride == 0 {
+            return;
+        }
+        for (g, part) in other.accs.chunks(stride).enumerate() {
+            let id = match self.prog.key_slots.is_empty() {
+                true => 0,
+                false => self.groups.intern(other.groups.key(g)) as usize,
+            };
+            if self.accs.len() < (id + 1) * stride {
+                self.accs.resize((id + 1) * stride, EMPTY_ACC);
+            }
+            for (dst, src) in self.accs[id * stride..].iter_mut().zip(part) {
+                dst.sum += src.sum;
+                dst.count += src.count;
+                dst.min = dst.min.min(src.min);
+                dst.max = dst.max.max(src.max);
+            }
+        }
+    }
+
+    /// Render the result: `(column names, rows)`, rows sorted by group key.
+    fn finish(mut self) -> (Vec<String>, Vec<Vec<Value>>) {
+        let p = self.prog;
+        if p.aggs.is_empty() {
+            return (p.columns.clone(), self.rows);
+        }
+        let (stride, grouped) = (p.accs.len(), !p.key_slots.is_empty());
+        if !grouped {
+            // Global aggregation over zero rows still yields one row.
+            self.accs.resize(stride, EMPTY_ACC);
+        }
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for (g, accs) in self.accs.chunks(stride).enumerate() {
+            // A carried pre-grouping numbers groups over the candidates;
+            // one that kept no survivor is not a group of the result.
+            if grouped && accs[0].count == 0 {
+                continue;
+            }
+            let key = if grouped { self.groups.key(g) } else { &[] };
+            let mut row: Vec<Value> = (p.key_slots.iter().zip(key))
+                .map(|(&s, &k)| {
+                    let slot = self.block.slot(s);
+                    payload_to_value(k, slot.dtype, slot.dict.as_deref())
+                })
+                .collect();
+            row.extend(p.aggs.iter().map(|&(func, ai)| {
+                accs[ai].render(func, p.accs[ai].map_or(0, |root| p.exprs.nodes[root].1))
+            }));
+            rows.push(row);
+        }
+        // Deterministic output: sort by the group key values.
+        let key_len = p.key_slots.len();
+        rows.sort_by(|a, b| {
+            (a[..key_len].iter().zip(&b[..key_len]))
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        (p.columns.clone(), rows)
+    }
+}
+
+/// A query's tail, bound once: the compiled output expressions, the
+/// slice-block schema and (optionally) a carried pre-grouping.
+pub(crate) struct Tail {
+    prog: Program,
+    schema: RowBlock,
+    carried: Option<GroupTable>,
+}
+
+struct Worker<'p, S> {
+    source: S,
+    sink: Sink<'p>,
+    more: bool,
+}
+
+impl Tail {
+    /// Bind `plan`'s aggregates/projections against `schema` — a
+    /// zero-row block holding one slot per gathered column. With
+    /// `carried`, sources supply group ids into that pre-filled table
+    /// and the sinks skip their own hashing.
+    pub(crate) fn new(
+        plan: &ArPlan,
+        schema: RowBlock,
+        carried: Option<GroupTable>,
+    ) -> Result<Tail> {
+        Ok(Tail {
+            prog: Program::compile(plan, &schema)?,
+            schema,
+            carried,
+        })
+    }
+
+    fn sink(&self) -> Sink<'_> {
+        Sink {
+            prog: &self.prog,
+            block: self.schema.clone(),
+            ids: Vec::new(),
+            carried: self.carried.is_some(),
+            groups: self.carried.clone().unwrap_or_else(|| GroupTable {
+                width: self.prog.key_slots.len(),
+                ..GroupTable::default()
+            }),
+            accs: Vec::new(),
+            rows: Vec::new(),
+            bufs: vec![Vec::new(); self.prog.exprs.nodes.len()],
+            bad: vec![Vec::new(); self.prog.exprs.nodes.len()],
+        }
+    }
+
+    /// The slice loop: every source (one per worker, over contiguous
+    /// survivor partitions in order) advances one slice per round into
+    /// its own sink; between rounds — every worker joined — the
+    /// orchestrating thread polls the fault plan and the yield point.
+    pub(crate) fn run<S: SliceSource>(
+        &self,
+        env: &Env,
+        sources: Vec<S>,
+        slice_rows: usize,
+    ) -> Result<Vec<Sink<'_>>> {
+        let mut workers: Vec<Worker<'_, S>> = (sources.into_iter())
+            .map(|source| Worker {
+                source,
+                sink: self.sink(),
+                more: true,
+            })
+            .collect();
+        let lanes: Vec<Range<usize>> = (0..workers.len()).map(|w| w..w + 1).collect();
+        while workers.iter().any(|w| w.more) {
+            let step = |_, _: Range<usize>, w: &mut [Worker<'_, S>]| -> Result<()> {
+                let w = &mut w[0];
+                if w.more {
+                    w.more = w
+                        .source
+                        .fill(slice_rows, &mut w.sink.block, &mut w.sink.ids)?;
+                    w.sink.consume()?;
+                }
+                Ok(())
+            };
+            run_parts_mut(&mut workers, &lanes, step)
+                .into_iter()
+                .collect::<Result<()>>()?;
+            env.fault.check(FaultSite::Exec)?;
+            env.preempt.check()?;
+        }
+        Ok(workers.into_iter().map(|w| w.sink).collect())
+    }
+
+    /// Merge the partial sinks of [`Tail::run`] in partition order and
+    /// render `(column names, rows)`, rows sorted by group key.
+    pub(crate) fn finish(&self, sinks: Vec<Sink<'_>>) -> (Vec<String>, Vec<Vec<Value>>) {
+        let mut sinks = sinks.into_iter();
+        let mut merged = sinks.next().unwrap_or_else(|| self.sink());
+        sinks.for_each(|s| merged.absorb(s));
+        merged.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::eval::ColumnSlot;
+    use crate::{arexec::run_ar_sliced, classic::run_classic_sliced, ArExecOptions, Database};
+    use bwd_core::plan::{AggExpr, LogicalPlan, Predicate, ScalarExpr as E};
+    use bwd_storage::{Column, DecompositionSpec};
+    use std::collections::BTreeMap;
+    use std::sync::OnceLock;
+
+    const S: usize = SLICE_ROWS;
+    const ROWS: usize = 3 * S + 1000;
+    const SURVIVORS: [usize; 6] = [0, 1, S - 1, S, S + 1, 3 * S + 7];
+    const GROUPS: [&str; 6] = ["", "g1", "g4", "g1000", "grow", "g4 g1000"];
+
+    /// `k` is a permutation of `0..ROWS` (`k < s` keeps exactly `s` rows);
+    /// `z` is zero exactly where `w >= 3`. With `resident`, every column
+    /// lives on the device (the fast path, pre-grouping carried); without,
+    /// `k`, `v` and `g1000` keep residuals on the host (refinement, and
+    /// host hashing wherever `g1000` is a key).
+    fn db(resident: bool) -> &'static Database {
+        static DBS: [OnceLock<Database>; 2] = [OnceLock::new(), OnceLock::new()];
+        DBS[resident as usize].get_or_init(|| {
+            let ints = |n: usize, f: &dyn Fn(i64) -> i64| {
+                Column::from_i32((0..n as i64).map(|i| f(i) as i32).collect())
+            };
+            let v = (0..ROWS as i64).map(|i| i * 13 % 9973 - 4000).collect();
+            let fact: Vec<(&str, Column)> = vec![
+                ("k", ints(ROWS, &|i| i * 7919 % ROWS as i64)),
+                ("g1", ints(ROWS, &|_| 5)),
+                ("g4", ints(ROWS, &|i| i * 31 % 4)),
+                ("g1000", ints(ROWS, &|i| i * 17 % 1000)),
+                ("grow", ints(ROWS, &|i| i)),
+                ("v", Column::from_decimals(v, 9, 2).unwrap()),
+                ("w", ints(ROWS, &|i| i % 10)),
+                ("nz", ints(ROWS, &|i| i % 5 - 7)),
+                ("z", ints(ROWS, &|i| if i % 10 < 3 { 1 + i % 4 } else { 0 })),
+                ("fk", ints(ROWS, &|i| i * 3 % 50)),
+            ];
+            let dim = vec![("id", ints(50, &|i| i)), ("c", ints(50, &|i| i % 6))];
+            let mut db = Database::new();
+            for (table, cols) in [("t", fact), ("d", dim)] {
+                let names: Vec<&str> = cols.iter().map(|c| c.0).collect();
+                let cols = cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect();
+                db.create_table(table, cols).unwrap();
+                for c in names {
+                    let split = !resident && ["k", "v", "g1000"].contains(&c);
+                    let bits = if split { 24 } else { 64 };
+                    let spec = DecompositionSpec::with_device_bits(bits);
+                    db.bwdecompose_spec(table, c, &spec).unwrap();
+                }
+            }
+            db.declare_fk("t", "fk", "d", "id").unwrap();
+            db
+        })
+    }
+
+    fn between(column: &str, lo: i64, hi: i64) -> Predicate {
+        let (column, lo, hi) = (column.into(), Value::Int(lo), Value::Int(hi));
+        Predicate::Between { column, lo, hi }
+    }
+
+    /// The aggregates bit `i` of `mask` selects; bit 0 divides by zero
+    /// wherever `w >= 3`, bit 1 only in a `CASE` branch it never takes.
+    fn aggs(mask: usize) -> Vec<AggExpr> {
+        use {AggFunc::*, BinOp::*};
+        let (v, w, one) = (|| E::col("v"), || E::col("w"), || E::lit(1i64));
+        let div = |by: &str| v().binary(Div, E::col(by));
+        let net = || v().binary(Mul, one().binary(Sub, w()));
+        let case = |column: &str, lo: i64, hi: i64, then: E, otherwise: E| {
+            let when = Box::new(between(column, lo, hi));
+            let (then, otherwise) = (Box::new(then), Box::new(otherwise));
+            E::Case {
+                when,
+                then,
+                otherwise,
+            }
+        };
+        let all = vec![
+            (Sum, Some(div("z"))),
+            (Sum, Some(case("w", 0, 2, div("z"), v()))),
+            (Count, None),
+            (Sum, Some(v())),
+            (Avg, Some(v())),
+            (Min, Some(w())),
+            (Max, Some(w().binary(Sub, div("nz")))),
+            (Sum, Some(net())),
+            (Sum, Some(net().binary(Mul, one().binary(Add, w())))),
+            (Sum, Some(div("nz"))),
+            (Sum, Some(case("w", 3, 5, v(), E::lit(0i64)))),
+            (Sum, Some(case("d.c", 2, 4, v(), E::lit(0i64)))),
+        ];
+        let picked = all
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| mask >> i & 1 == 1);
+        let agg = |(i, (func, arg))| AggExpr {
+            func,
+            arg,
+            alias: format!("a{i}"),
+        };
+        picked.map(agg).collect()
+    }
+
+    /// The row-at-a-time oracle: scan, filter, per-row `eval_row`, one map
+    /// entry per group — `(rows, survivors)`.
+    fn oracle(db: &Database, plan: &ArPlan) -> Result<(Vec<Vec<Value>>, usize)> {
+        let fk = db.fk_index("t", "fk")?.host_slice();
+        let column = |name: &str| {
+            let (t, c) = name.split_once('.').unwrap_or(("t", name));
+            (db.catalog().table(t).unwrap().column(c).unwrap(), t == "d")
+        };
+        let fetch = |name: &str, oid: usize| {
+            let (col, is_dim) = column(name);
+            col.payload(if is_dim { fk[oid] as usize } else { oid })
+        };
+        let names = plan.gathered_columns();
+        let mut block = RowBlock::new(1);
+        for name in names.iter().cloned() {
+            let (payloads, dtype, dict) = (vec![0], column(&name).0.dtype(), None);
+            block.push_slot(ColumnSlot {
+                name,
+                payloads,
+                dtype,
+                dict,
+            });
+        }
+        let mut exprs = Exprs::default();
+        let mut bind = |a: &AggExpr| a.arg.as_ref().map(|e| exprs.bind(e, &block)).transpose();
+        let roots: Vec<Option<usize>> = plan.aggs.iter().map(&mut bind).collect::<Result<_>>()?;
+        let empty = || vec![(EMPTY_ACC, 0u8); roots.len()];
+        let mut groups: BTreeMap<Vec<i64>, Vec<(Acc, u8)>> = BTreeMap::new();
+        if plan.group_by.is_empty() {
+            groups.insert(Vec::new(), empty());
+        }
+        let mut survivors = 0;
+        let selected = |oid| {
+            plan.selections
+                .iter()
+                .all(|s| s.range.test(fetch(&s.column, oid)))
+        };
+        for oid in (0..ROWS).filter(|&oid| selected(oid)) {
+            survivors += 1;
+            for (slot, name) in names.iter().enumerate() {
+                block.payloads_mut(slot)[0] = fetch(name, oid);
+            }
+            let key = plan.group_by.iter().map(|g| fetch(g, oid)).collect();
+            let accs = groups.entry(key).or_insert_with(empty);
+            for ((acc, scale), root) in accs.iter_mut().zip(&roots) {
+                let v = root.map(|r| exprs.eval_row(r, &block, 0)).transpose()?;
+                *scale = v.map_or(0, |v| v.1);
+                fold(
+                    std::slice::from_mut(acc),
+                    v.map(|v| Src::Lit(v.0)),
+                    1,
+                    |_| 0,
+                );
+            }
+        }
+        let rows = groups.into_iter().map(|(key, accs)| {
+            let aggs = accs.iter().zip(&plan.aggs);
+            let aggs = aggs.map(|(&(acc, scale), a)| acc.render(a.func, scale));
+            key.into_iter().map(Value::Int).chain(aggs).collect()
+        });
+        Ok((rows.collect(), survivors))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Rows and survivors equal the row-at-a-time oracle, and rows,
+        /// `breakdown`, `traffic`, `survivors` are bit-identical to the
+        /// same mode's serial full-slice run at every slice size and
+        /// worker count — in both pipes, on the A&R host path (hashed and
+        /// carried grouping), the device fast path and dense
+        /// selection-free plans, down to the typed division error.
+        #[test]
+        fn slices_and_workers_never_change_the_answer(
+            si in 0usize..7,
+            gi in 0usize..6,
+            mask in 2usize..(1 << 12),
+            zero in 0usize..4,
+            resident: bool,
+            mi in 0usize..4,
+            li in 0usize..4,
+        ) {
+            let (db, morsels) = (db(resident), [1, 2, 3, 8][mi]);
+            let survivors = SURVIVORS.get(si).copied(); // `None`: no selection, dense candidates
+            // Tiny slices stay below a few thousand rounds.
+            let slice_rows = [1, 7, 64, S][li].max(survivors.unwrap_or(ROWS) / 4000);
+            let scan = LogicalPlan::scan("t");
+            let scan = survivors.map_or(scan.clone(), |s| scan.filter(between("k", 0, s as i64 - 1)));
+            let group_by = GROUPS[gi].split_whitespace().map(String::from).collect();
+            let aggs = aggs(mask & !1 | usize::from(zero == 0));
+            let plan = scan.fk_join("fk", "d").aggregate(group_by, aggs);
+            let plan = db.bind(&plan, &Default::default()).unwrap();
+            let fk = db.fk_index("t", "fk").unwrap().host_slice();
+            let classic = |m, s| run_classic_sliced(db.catalog(), &plan, Some(fk), db.env(), m, s);
+            let opts = |morsels| ArExecOptions { morsels, ..Default::default() };
+            let ar = |m, s| run_ar_sliced(db, &plan, &opts(m), db.env(), s);
+            let want = oracle(db, &plan);
+            let tag = format!("{plan:?} on {resident}: morsels {morsels} slice {slice_rows}");
+            for (serial, sliced) in [
+                (classic(1, S), classic(morsels, slice_rows)),
+                (ar(1, S), ar(morsels, slice_rows)),
+            ] {
+                match &want {
+                    Ok((rows, survivors)) => {
+                        // Compared as text: `avg` over nothing is NaN.
+                        let (serial, sliced) = (serial.unwrap(), sliced.unwrap());
+                        assert_eq!(format!("{:?}", serial.rows), format!("{rows:?}"), "{tag}");
+                        assert_eq!(serial.survivors, *survivors, "{tag}");
+                        assert_eq!(format!("{sliced:?}"), format!("{serial:?}"), "{tag}");
+                    }
+                    Err(e) => {
+                        assert!(matches!(e, BwdError::Exec(m) if m == "division by zero"), "{tag}");
+                        let got = [serial, sliced].map(|r| r.unwrap_err().to_string());
+                        assert_eq!(got, [e.to_string(), e.to_string()], "{tag}");
+                    }
+                }
+            }
+        }
+    }
+}

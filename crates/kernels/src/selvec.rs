@@ -242,6 +242,28 @@ impl SelMask {
         }
     }
 
+    /// The candidate oids this mask represents, in the scan's emission
+    /// order — [`SelMask::to_candidates`] without decoding a single
+    /// approximation, for consumers that only need positions.
+    pub fn oids(&self) -> Vec<Oid> {
+        let mut out = Vec::with_capacity(self.count);
+        for r in scan_block_ranges(self.rows, &self.scan_options()) {
+            let mut s = r.start;
+            while s < r.end {
+                let seg_start = (s / 64) * 64;
+                let e = r.end.min(seg_start + 64);
+                let clip = clip_mask((s - seg_start) as u32, (e - seg_start) as u32);
+                let mut bits = self.words[s / 64] & clip;
+                while bits != 0 {
+                    out.push((seg_start + bits.trailing_zeros() as usize) as Oid);
+                    bits &= bits - 1;
+                }
+                s = e;
+            }
+        }
+        out
+    }
+
     /// The set rows in ascending order, without values (diagnostics and
     /// mask→index invariant tests).
     pub fn sorted_oids(&self) -> Vec<Oid> {
@@ -397,6 +419,7 @@ mod tests {
             assert_eq!(mask.count(), c_idx.len());
             let c_mask = mask.to_candidates(&arr);
             assert_eq!(c_mask, c_idx, "block_size={block_size}");
+            assert_eq!(mask.oids(), c_idx.oids, "oids-only expansion");
             assert_eq!(
                 l_idx.breakdown(),
                 l_mask.breakdown(),

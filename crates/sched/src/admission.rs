@@ -21,24 +21,6 @@ pub const KERNEL_SCRATCH_BYTES: u64 = 64 << 10;
 
 pub use bwd_core::plan::{CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
 
-/// Number of distinct columns the aggregation/projection stage gathers
-/// over the final candidates (grouping keys, aggregate arguments and
-/// projected expressions, deduplicated).
-pub(crate) fn gathered_columns(plan: &ArPlan) -> u64 {
-    let mut gathered: Vec<String> = plan.group_by.clone();
-    for a in &plan.aggs {
-        if let Some(arg) = &a.arg {
-            arg.collect_columns(&mut gathered);
-        }
-    }
-    for (e, _) in &plan.project {
-        e.collect_columns(&mut gathered);
-    }
-    gathered.sort_unstable();
-    gathered.dedup();
-    gathered.len() as u64
-}
-
 /// **Worst-case** device working set of one A&R query, in bytes.
 ///
 /// The approximation subplan materializes one candidate list per
@@ -66,7 +48,8 @@ pub fn working_set_estimate(db: &Database, plan: &ArPlan) -> u64 {
         .map(|t| t.len() as u64)
         .unwrap_or(0);
     let selections = plan.selections.len() as u64;
-    rows * (selections * CANDIDATE_PAIR_BYTES + gathered_columns(plan) * GATHER_VALUE_BYTES)
+    rows * (selections * CANDIDATE_PAIR_BYTES
+        + plan.gathered_columns().len() as u64 * GATHER_VALUE_BYTES)
         + KERNEL_SCRATCH_BYTES
 }
 

@@ -88,23 +88,6 @@ fn chain_selectivities(plan: &ArPlan, cfg: &EstimateConfig) -> Vec<f64> {
         .collect()
 }
 
-/// Number of distinct columns gathered for grouping/aggregation output —
-/// the same accounting as the admission estimator's gather term.
-fn gathered_columns(plan: &ArPlan) -> u64 {
-    let mut cols: Vec<String> = plan.group_by.clone();
-    for a in &plan.aggs {
-        if let Some(arg) = &a.arg {
-            arg.collect_columns(&mut cols);
-        }
-    }
-    for (e, _) in &plan.project {
-        e.collect_columns(&mut cols);
-    }
-    cols.sort_unstable();
-    cols.dedup();
-    cols.len() as u64
-}
-
 /// Predicted final survivor count of one job: the table's rows scaled by
 /// the selection chain's cumulative hinted selectivity — the same term
 /// both estimators price candidate lists with. The calibrator compares
@@ -157,7 +140,7 @@ pub fn estimate_latency(
     let survivors =
         |i: usize| -> u64 { (rows as f64 * sel.get(i).copied().unwrap_or(1.0)).ceil() as u64 };
     let final_rows = survivors(plan.selections.len().saturating_sub(1));
-    let gcols = gathered_columns(plan);
+    let gcols = plan.gathered_columns().len() as u64;
     let mut est = LatencyEstimate::default();
 
     match mode {

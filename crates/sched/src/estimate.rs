@@ -23,8 +23,7 @@
 //!   admission queue (see `crates/sched/src/scheduler.rs`).
 
 use crate::admission::{
-    gathered_columns, working_set_estimate, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES,
-    KERNEL_SCRATCH_BYTES,
+    working_set_estimate, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES, KERNEL_SCRATCH_BYTES,
 };
 use bwd_core::plan::ArPlan;
 use bwd_engine::Database;
@@ -141,7 +140,9 @@ pub fn estimate_working_set_scaled(
         bytes += (rows as f64 * frac).ceil() as u64 * CANDIDATE_PAIR_BYTES;
     }
     let frac = (cum * scale).clamp(0.0, 1.0);
-    bytes += (rows as f64 * frac).ceil() as u64 * gathered_columns(plan) * GATHER_VALUE_BYTES;
+    bytes += (rows as f64 * frac).ceil() as u64
+        * plan.gathered_columns().len() as u64
+        * GATHER_VALUE_BYTES;
     WorkingSetEstimate {
         estimated: bytes.min(worst_case),
         worst_case,

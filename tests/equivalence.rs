@@ -239,3 +239,57 @@ fn arithmetic_expressions_agree() {
     let expect: i64 = (1..=150).map(|a| a * (1 - a % 10)).sum();
     assert_eq!(ar.rows[0][0], Value::Int(expect));
 }
+
+/// A column referenced twice in the tail (`group by b, a, b`) is gathered,
+/// refined and billed exactly once in both pipes: the repeated key costs
+/// nothing over `group by b, a` and only repeats an output column. (The
+/// keys keep residuals, so the A&R host path refines and hashes them.)
+#[test]
+fn repeated_group_key_is_gathered_and_billed_once() {
+    let n = 20_000;
+    let mut db = db_with(
+        (0..n).map(|i| i * 7 % 5000).collect(),
+        (0..n).map(|i| i % 13 * 300).collect(),
+    );
+    db.bwdecompose("t", "a", 24).unwrap();
+    db.bwdecompose("t", "b", 24).unwrap();
+    let plan = |keys: &[&str]| {
+        LogicalPlan::scan("t")
+            .filter(Predicate::Between {
+                column: "a".into(),
+                lo: Value::Int(100),
+                hi: Value::Int(3_000),
+            })
+            .aggregate(
+                keys.iter().map(|k| k.to_string()).collect(),
+                vec![
+                    AggExpr {
+                        func: AggFunc::Count,
+                        arg: None,
+                        alias: "n".into(),
+                    },
+                    AggExpr {
+                        func: AggFunc::Sum,
+                        arg: Some(ScalarExpr::col("a")),
+                        alias: "s".into(),
+                    },
+                ],
+            )
+    };
+    let (once, twice) = (plan(&["b", "a"]), plan(&["b", "a", "b"]));
+    let mut rows = Vec::new();
+    for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
+        let r1 = db.run(&once, mode.clone()).unwrap();
+        let r2 = db.run(&twice, mode.clone()).unwrap();
+        assert!(r1.rows.len() > 1_000, "many groups: {}", r1.rows.len());
+        assert_eq!(r2.breakdown, r1.breakdown, "{mode:?}: simulated cost");
+        assert_eq!(r2.traffic, r1.traffic, "{mode:?}: traffic");
+        assert_eq!(r2.survivors, r1.survivors);
+        let repeated: Vec<Vec<Value>> = (r1.rows.iter())
+            .map(|r| [&r[..2], &r[..1], &r[2..]].concat())
+            .collect();
+        assert_eq!(r2.rows, repeated, "{mode:?}: rows");
+        rows.push(r2.rows);
+    }
+    assert_eq!(rows[0], rows[1], "classic vs A&R");
+}

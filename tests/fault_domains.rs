@@ -15,6 +15,9 @@
 //!   its [`Ticket`] stops at the next morsel-boundary yield point and
 //!   releases its device reservation; a zero-budget deadline resolves as
 //!   a typed error without ever executing.
+//!   Both are also observed *inside* the query tail, between two 32 k-row
+//!   slices of the group/aggregate stage, and so is an injected exec
+//!   fault.
 //! * **Panic isolation** — an injected executor panic becomes a per-query
 //!   error with balanced device accounting; the scheduler keeps serving.
 //! * **Net-level disconnect** — a peer whose transport dies mid-flight
@@ -300,6 +303,73 @@ fn cancel_stops_running_query_and_releases_reservation() {
     );
     let m = sched.metrics_snapshot();
     assert_eq!(metric(&m, "bwd_sched_cancelled_total"), 1);
+}
+
+/// The query tail polls cancellation and the fault plan between slices:
+/// a selection-free grouped aggregate — whose tail *is* the query — stops
+/// with the typed error right at the slice boundary where the cancel (or
+/// the injected card fault) lands, in both pipes, and a run the chaos
+/// leaves alone is bit-identical to a plain one.
+#[test]
+fn cancel_and_exec_fault_stop_a_query_between_tail_slices() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use waste_not::core::plan::ScalarExpr;
+
+    let rows = (5 * waste_not::engine::tail::SLICE_ROWS + 17) as i32; // six slices
+    let mut db = Database::new();
+    let g = Column::from_i32((0..rows).map(|i| i % 7).collect());
+    let v = Column::from_i32((0..rows).map(|i| i * 13 % 1000).collect());
+    db.create_table("t", vec![("g".into(), g), ("v".into(), v)])
+        .unwrap();
+    let sum = AggExpr {
+        func: AggFunc::Sum,
+        arg: Some(ScalarExpr::col("v")),
+        alias: "s".into(),
+    };
+    let plan = LogicalPlan::scan("t").aggregate(vec!["g".into()], vec![sum]);
+    let plan = db.bind(&plan, &Default::default()).unwrap();
+    db.auto_bind(&plan).unwrap();
+
+    // `polls` / `draws`: yield-point polls / exec fault draws before the
+    // first slice (A&R: the gather boundary, then entering the tail).
+    for (mode, polls, draws) in [(ExecMode::Classic, 1, 0), (ExecMode::ApproxRefine, 2, 2)] {
+        let plain = db.run_bound(&plan, mode.clone()).unwrap();
+
+        // Cancel lands while the third slice is in flight.
+        let seen = Arc::new(AtomicUsize::new(0));
+        let mut env = db.env().clone();
+        env.preempt = waste_not::device::YieldPoint::new(Arc::new({
+            let seen = Arc::clone(&seen);
+            move || match seen.fetch_add(1, Ordering::Relaxed) {
+                k if k == polls + 2 => Err(BwdError::Cancelled),
+                _ => Ok(()),
+            }
+        }));
+        let err = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap_err();
+        assert!(matches!(err, BwdError::Cancelled), "{mode:?}: got {err}");
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            polls + 3,
+            "{mode:?}: the cancel is seen after the third slice and nothing runs past it"
+        );
+
+        // The card dies at the same boundary.
+        let spec = FaultSpec {
+            ppm: 1_000_000,
+            skip: draws + 2,
+            max: 1,
+            panic: false,
+        };
+        let mut env = db.env().clone();
+        env.fault = FaultPlan::seeded(7).site(FaultSite::Exec, spec).build();
+        let err = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap_err();
+        assert!(matches!(err, BwdError::DeviceFault(_)), "{mode:?}: {err}");
+        assert_eq!(env.fault.draws(FaultSite::Exec), draws + 3, "{mode:?}");
+        assert_eq!(env.fault.injected(FaultSite::Exec), 1);
+        // Its one fault spent, the same plan lets the query through.
+        let after = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap();
+        assert_bit_identical(&after, &plain, &format!("{mode:?} after the fault"));
+    }
 }
 
 /// A zero-budget deadline resolves as the typed error straight out of

@@ -291,3 +291,75 @@ fn calibration_sharpens_estimates_over_a_session() {
         mean(&uncalibrated[90..])
     );
 }
+
+/// The query tail — gather, group, evaluate, aggregate — polls the yield
+/// point once per 32 k-row slice, so a short probe queued behind Q1-like
+/// work waits about one slice even during the group/aggregate stage. The
+/// long plan has no selection: its tail *is* the query. A hook standing
+/// in for the scheduler hosts a nested probe once two slices are folded —
+/// mid-aggregate — and neither execution can tell.
+#[test]
+fn tail_yields_between_slices_and_hosts_a_nested_probe_mid_aggregate() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, ScalarExpr};
+    use waste_not::engine::{tail::SLICE_ROWS, Database};
+    use waste_not::storage::Column;
+
+    let rows = (5 * SLICE_ROWS + 17) as i32; // six slices
+    let mut db = Database::new();
+    let g = Column::from_i32((0..rows).map(|i| i % 7).collect());
+    let v = Column::from_i32((0..rows).map(|i| i * 13 % 1000).collect());
+    db.create_table("t", vec![("g".into(), g), ("v".into(), v)])
+        .unwrap();
+    let agg = |func, arg: Option<&str>| AggExpr {
+        func,
+        arg: arg.map(ScalarExpr::col),
+        alias: format!("{func:?}"),
+    };
+    let aggs = vec![agg(AggFunc::Count, None), agg(AggFunc::Sum, Some("v"))];
+    let long = LogicalPlan::scan("t").aggregate(vec!["g".into()], aggs);
+    let probe = LogicalPlan::scan("t")
+        .filter(Predicate::Between {
+            column: "v".into(),
+            lo: waste_not::Value::Int(10),
+            hi: waste_not::Value::Int(19),
+        })
+        .aggregate(vec![], vec![agg(AggFunc::Count, None)]);
+    let long = db.bind(&long, &Default::default()).unwrap();
+    let probe = db.bind(&probe, &Default::default()).unwrap();
+    db.auto_bind(&long).unwrap();
+    let db = Arc::new(db);
+    let want_probe = db.run_bound(&probe, ExecMode::ApproxRefine).unwrap();
+
+    // `lead`: polls before the first slice (classic: entering the tail;
+    // A&R: the gather boundary, then entering the tail).
+    for (mode, lead) in [(ExecMode::Classic, 1), (ExecMode::ApproxRefine, 2)] {
+        let plain = db.run_bound(&long, mode.clone()).unwrap();
+        let polls = Arc::new(AtomicUsize::new(0));
+        let hosted = Arc::new(Mutex::new(Vec::new()));
+        let mut env = db.env().clone();
+        env.preempt = waste_not::device::YieldPoint::new(Arc::new({
+            let (db, probe) = (Arc::clone(&db), probe.clone());
+            let (polls, hosted) = (Arc::clone(&polls), Arc::clone(&hosted));
+            move || {
+                if polls.fetch_add(1, Ordering::Relaxed) == lead + 1 {
+                    let nested = db.run_bound(&probe, ExecMode::ApproxRefine)?;
+                    hosted.lock().unwrap().push(nested);
+                }
+                Ok(())
+            }
+        }));
+        let got = db.run_bound_in(&long, mode.clone(), &env, 1).unwrap();
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            lead + 6,
+            "{mode:?}: one poll per slice"
+        );
+        assert_eq!(*hosted.lock().unwrap(), vec![want_probe.clone()]);
+        assert_eq!(got.rows, plain.rows, "{mode:?}: rows");
+        assert_eq!(got.survivors, plain.survivors);
+        assert_eq!(got.breakdown, plain.breakdown, "{mode:?}: simulated cost");
+        assert_eq!(got.traffic, plain.traffic, "{mode:?}: traffic bytes");
+    }
+}
