@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks: wall-clock performance of the real
 //! implementations (the `figures` binary reports *simulated* platform
 //! time; these measure what the Rust code itself costs), plus the
-//! DESIGN.md ablations.
+//! ablations of ARCHITECTURE.md ("Decided and undecided candidates" keeps
+//! `core::ops::select`, the operator pair measured here, paper-exact).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -144,7 +144,8 @@ fn main() -> ExitCode {
                 .map_err(|e| e.to_string()),
             "fig10a" | "fig10b" | "fig10c" => {
                 if fig10_cache.is_none() {
-                    fig10_cache = Some(match evaluation::fig10(args.scale.tpch_sf) {
+                    let figs = evaluation::fig10(args.scale.tpch_sf).map_err(|e| e.to_string());
+                    fig10_cache = Some(match figs.and_then(check_fig10_shape) {
                         Ok(f) => f,
                         Err(e) => {
                             eprintln!("fig10: {e}");
@@ -308,6 +309,22 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// The shape Fig 10 reports and every executor change must keep: on each
+/// query, A&R beats the classic pipe even in the space-constrained
+/// (24/8 `l_shipdate`) configuration.
+fn check_fig10_shape(figs: Vec<Figure>) -> Result<Vec<Figure>, String> {
+    for f in &figs {
+        let (space, classic) = (f.rows[1].1[3], f.rows[2].1[3]);
+        if space >= classic {
+            return Err(format!(
+                "{}: space-constrained A&R {space} s does not beat classic {classic} s",
+                f.id
+            ));
+        }
+    }
+    Ok(figs)
 }
 
 /// Zero-overhead guard: compare the fresh sweep — which runs with the

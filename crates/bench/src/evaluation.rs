@@ -398,6 +398,18 @@ mod tests {
         assert!(q6.rows[0].1[3] * 3.0 < q6.rows[2].1[3]);
     }
 
+    /// The shape the executor must keep: A&R beats the classic pipe on
+    /// Q1, Q6 and Q14 even space-constrained. (Q14's month of `l_shipdate`
+    /// sits inside one 256-day granule — nothing is decided — so below
+    /// SF 0.05 its fixed launch and transfer latencies eat the margin.)
+    #[test]
+    fn fig10_space_constrained_beats_classic() {
+        for f in fig10(0.05).unwrap() {
+            let (space, classic) = (f.rows[1].1[3], f.rows[2].1[3]);
+            assert!(space < classic, "{}: {space} vs MonetDB {classic}", f.id);
+        }
+    }
+
     #[test]
     fn fig11_additive_throughput() {
         let f = fig11(0.005).unwrap();

@@ -181,7 +181,8 @@ fn pow_clamped(base: i64, exp: u32) -> i64 {
 /// reconstructed from `a_ap·b_ap` plus residual-only terms — the cross
 /// terms `a_ap·b_re` and `b_ap·a_re` need both parts on one device.
 /// Returns the unavoidable reconstruction error of the "approximations
-/// only" estimate, used by tests and the DESIGN.md discussion.
+/// only" estimate, used by tests and ARCHITECTURE.md ("Decided and undecided
+/// candidates": why aggregates need every gathered column resident).
 pub fn destructive_distributivity_gap(a_ap: i64, a_re: i64, b_ap: i64, b_re: i64) -> i64 {
     let exact = (a_ap + a_re) * (b_ap + b_re);
     let approx_only = a_ap * b_ap + a_re * b_re; // terms computable per-device

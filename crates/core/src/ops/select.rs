@@ -56,7 +56,7 @@ pub fn select_approx(
 ) -> Candidates {
     match relax_to_stored(col.meta(), range) {
         None => Candidates::empty(),
-        Some((lo, hi)) => select_range(env, col.approx(), lo, hi, opts, ledger),
+        Some(r) => select_range(env, col.approx(), r.outer.0, r.outer.1, opts, ledger),
     }
 }
 
@@ -72,7 +72,7 @@ pub fn select_approx_on(
 ) -> Candidates {
     match relax_to_stored(col.meta(), range) {
         None => Candidates::empty(),
-        Some((lo, hi)) => select_range_on(env, col.approx(), input, lo, hi, ledger),
+        Some(r) => select_range_on(env, col.approx(), input, r.outer.0, r.outer.1, ledger),
     }
 }
 

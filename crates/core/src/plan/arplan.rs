@@ -32,6 +32,12 @@ pub struct BoundSelection {
     pub selectivity_hint: Option<f64>,
 }
 
+/// `(table, column)` of a plan's column reference: dimension columns are
+/// qualified as `table.column`, fact columns are bare.
+pub fn split_column<'a>(column: &'a str, fact_table: &'a str) -> (&'a str, &'a str) {
+    column.split_once('.').unwrap_or((fact_table, column))
+}
+
 /// A pre-indexed foreign-key join step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FkJoinPlan {

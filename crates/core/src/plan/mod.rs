@@ -5,6 +5,8 @@ pub mod arplan;
 pub mod logical;
 pub mod rewrite;
 
-pub use arplan::{ArPlan, BoundSelection, FkJoinPlan, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
+pub use arplan::{
+    split_column, ArPlan, BoundSelection, FkJoinPlan, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES,
+};
 pub use logical::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr};
 pub use rewrite::{rewrite, PlanResolver, RewriteOptions};

@@ -7,7 +7,7 @@
 //! stays catalog-agnostic: the engine's catalog knows dictionary codes,
 //! decimal scales and date encodings.
 
-use crate::plan::arplan::{ArPlan, BoundSelection, FkJoinPlan};
+use crate::plan::arplan::{split_column, ArPlan, BoundSelection, FkJoinPlan};
 use crate::plan::logical::{LogicalPlan, Predicate};
 use crate::relax::RangePred;
 use bwd_types::{BwdError, Result, Value};
@@ -87,7 +87,8 @@ pub fn rewrite(
                     .as_deref()
                     .ok_or_else(|| BwdError::Plan("filter without a scanned table".into()))?;
                 for conj in predicate.conjuncts() {
-                    selections.push(bind_selection(conj, t, fk_join.as_ref(), resolver)?);
+                    let bound = bind_selection(conj, t, fk_join.as_ref(), resolver)?;
+                    merge_conjunct(selections, bound);
                 }
             }
             LogicalPlan::FkJoin {
@@ -145,6 +146,12 @@ pub fn rewrite(
 
     let table = table.ok_or_else(|| BwdError::Plan("plan has no table scan".into()))?;
 
+    // Hints are taken on the merged ranges: one per selection that runs.
+    for sel in &mut selections {
+        let (t, c) = split_column(&sel.column, &table);
+        sel.selectivity_hint = resolver.selectivity_hint(t, c, &sel.range);
+    }
+
     if opts.pushdown {
         // §III-A: approximate selections chain below everything; order the
         // chain most-selective-first where hints exist (stable otherwise).
@@ -168,60 +175,74 @@ pub fn rewrite(
     Ok(plan)
 }
 
+/// Fold `bound` into an earlier selection on the same column —
+/// σ_p∘σ_q = σ_{p∧q}: one scan, one candidate list and one refinement
+/// instead of two. A contradiction becomes the unsatisfiable marker; two
+/// distinct `<>` points fit no single [`RangePred`] and stay separate.
+fn merge_conjunct(selections: &mut Vec<BoundSelection>, bound: BoundSelection) {
+    let distinct_points = |a: &RangePred, b: &RangePred| matches!((a.exclude, b.exclude), (Some(x), Some(y)) if x != y);
+    match selections
+        .iter_mut()
+        .find(|s| s.column == bound.column && !distinct_points(&s.range, &bound.range))
+    {
+        Some(earlier) => {
+            earlier.range = earlier
+                .range
+                .intersect(&bound.range)
+                .unwrap_or(UNSATISFIABLE);
+        }
+        None => selections.push(bound),
+    }
+}
+
+/// The empty range a predicate no payload can satisfy binds to.
+const UNSATISFIABLE: RangePred = RangePred {
+    lo: Some(1),
+    hi: Some(0),
+    exclude: None,
+};
+
+/// Bind one conjunct to its payload range (the hint is taken later, on
+/// the merged range).
 fn bind_selection(
     pred: &Predicate,
     fact_table: &str,
     fk: Option<&FkJoinPlan>,
     resolver: &dyn PlanResolver,
 ) -> Result<BoundSelection> {
-    // Qualified dimension columns resolve against the dimension table.
-    let split = |column: &str| -> (String, String) {
-        if let Some((t, c)) = column.split_once('.') {
-            (t.to_string(), c.to_string())
-        } else {
-            (fact_table.to_string(), column.to_string())
-        }
-    };
-    let bound = match pred {
+    let (column, range) = match pred {
         Predicate::Cmp { column, op, value } => {
-            let (t, c) = split(column);
-            ensure_known_table(&t, fact_table, fk)?;
-            let payload = resolver.payload_of(&t, &c, value)?;
-            let range = RangePred::from_cmp(*op, payload).unwrap_or(RangePred::between(1, 0)); // unsatisfiable marker
-            BoundSelection {
-                column: column.clone(),
-                range,
-                selectivity_hint: resolver.selectivity_hint(&t, &c, &range),
-            }
+            let (t, c) = split_column(column, fact_table);
+            ensure_known_table(t, fact_table, fk)?;
+            let payload = resolver.payload_of(t, c, value)?;
+            (
+                column,
+                RangePred::from_cmp(*op, payload).unwrap_or(UNSATISFIABLE),
+            )
         }
         Predicate::Between { column, lo, hi } => {
-            let (t, c) = split(column);
-            ensure_known_table(&t, fact_table, fk)?;
-            let lo = resolver.payload_of(&t, &c, lo)?;
-            let hi = resolver.payload_of(&t, &c, hi)?;
-            let range = RangePred::between(lo, hi);
-            BoundSelection {
-                column: column.clone(),
-                range,
-                selectivity_hint: resolver.selectivity_hint(&t, &c, &range),
-            }
+            let (t, c) = split_column(column, fact_table);
+            ensure_known_table(t, fact_table, fk)?;
+            let lo = resolver.payload_of(t, c, lo)?;
+            let hi = resolver.payload_of(t, c, hi)?;
+            (column, RangePred::between(lo, hi))
         }
         Predicate::PrefixLike { column, prefix } => {
-            let (t, c) = split(column);
-            ensure_known_table(&t, fact_table, fk)?;
-            let range = match resolver.prefix_payload_range(&t, &c, prefix)? {
+            let (t, c) = split_column(column, fact_table);
+            ensure_known_table(t, fact_table, fk)?;
+            let range = match resolver.prefix_payload_range(t, c, prefix)? {
                 Some((lo, hi)) => RangePred::between(lo, hi),
-                None => RangePred::between(1, 0), // nothing matches
+                None => UNSATISFIABLE, // nothing matches
             };
-            BoundSelection {
-                column: column.clone(),
-                range,
-                selectivity_hint: resolver.selectivity_hint(&t, &c, &range),
-            }
+            (column, range)
         }
         Predicate::And(_) => unreachable!("conjuncts() flattens And"),
     };
-    Ok(bound)
+    Ok(BoundSelection {
+        column: column.clone(),
+        range,
+        selectivity_hint: None,
+    })
 }
 
 fn ensure_known_table(t: &str, fact: &str, fk: Option<&FkJoinPlan>) -> Result<()> {
@@ -325,6 +346,104 @@ mod tests {
         let ar = rewrite(&plan, &TestResolver, &RewriteOptions { pushdown: false }).unwrap();
         assert_eq!(ar.selections[0].column, "a");
         assert!(!ar.pushdown);
+    }
+
+    fn cmp(column: &str, op: CmpOp, v: i64) -> Predicate {
+        Predicate::Cmp {
+            column: column.into(),
+            op,
+            value: Value::Int(v),
+        }
+    }
+
+    fn selections_of(conjuncts: Vec<Predicate>) -> Vec<BoundSelection> {
+        let plan = LogicalPlan::scan("t")
+            .filter(Predicate::And(conjuncts))
+            .aggregate(vec![], count_agg());
+        let opts = RewriteOptions { pushdown: false };
+        rewrite(&plan, &TestResolver, &opts).unwrap().selections
+    }
+
+    #[test]
+    fn same_column_conjuncts_merge_into_one_selection() {
+        // Q6/Q14's shape: `c >= 10 and c < 20` around another column.
+        let sels = selections_of(vec![
+            cmp("c", CmpOp::Ge, 10),
+            cmp("a", CmpOp::Lt, 5),
+            cmp("c", CmpOp::Lt, 20),
+        ]);
+        assert_eq!(sels.len(), 2);
+        assert_eq!(sels[0].column, "c", "merged at the first conjunct's place");
+        assert_eq!(sels[0].range, RangePred::between(10, 19));
+        assert_eq!(sels[1].range, RangePred::at_most(4));
+        // `<>` folds into a range on the same column.
+        let sels = selections_of(vec![cmp("c", CmpOp::Ne, 12), cmp("c", CmpOp::Le, 20)]);
+        assert_eq!(sels.len(), 1);
+        let want = RangePred {
+            exclude: Some(12),
+            ..RangePred::at_most(20)
+        };
+        assert_eq!(sels[0].range, want);
+    }
+
+    #[test]
+    fn contradictory_conjuncts_bind_the_unsatisfiable_marker() {
+        let sels = selections_of(vec![
+            cmp("c", CmpOp::Lt, 10),
+            cmp("c", CmpOp::Gt, 10),
+            cmp("c", CmpOp::Eq, 3), // intersecting the marker keeps it
+        ]);
+        assert_eq!(sels.len(), 1);
+        assert_eq!(sels[0].range, RangePred::between(1, 0));
+    }
+
+    #[test]
+    fn two_distinct_exclusions_stay_two_selections() {
+        let sels = selections_of(vec![
+            cmp("c", CmpOp::Ne, 5),
+            cmp("c", CmpOp::Ne, 7),
+            cmp("c", CmpOp::Ne, 5),
+            cmp("c", CmpOp::Ge, 0),
+        ]);
+        assert_eq!(sels.len(), 2);
+        let want = RangePred {
+            exclude: Some(5),
+            ..RangePred::at_least(0)
+        };
+        assert_eq!(sels[0].range, want);
+        assert_eq!(sels[1].range, RangePred::from_cmp(CmpOp::Ne, 7).unwrap());
+    }
+
+    #[test]
+    fn hints_are_taken_once_on_the_merged_range() {
+        struct Counting(std::cell::RefCell<Vec<RangePred>>);
+        impl PlanResolver for Counting {
+            fn payload_of(&self, t: &str, c: &str, v: &Value) -> Result<i64> {
+                TestResolver.payload_of(t, c, v)
+            }
+            fn prefix_payload_range(
+                &self,
+                _: &str,
+                _: &str,
+                _: &str,
+            ) -> Result<Option<(i64, i64)>> {
+                Ok(None)
+            }
+            fn selectivity_hint(&self, _: &str, _: &str, r: &RangePred) -> Option<f64> {
+                self.0.borrow_mut().push(*r);
+                Some(0.25)
+            }
+        }
+        let plan = LogicalPlan::scan("t")
+            .filter(Predicate::And(vec![
+                cmp("c", CmpOp::Ge, 10),
+                cmp("c", CmpOp::Lt, 20),
+            ]))
+            .aggregate(vec![], count_agg());
+        let resolver = Counting(Default::default());
+        let ar = rewrite(&plan, &resolver, &RewriteOptions::default()).unwrap();
+        assert_eq!(*resolver.0.borrow(), vec![RangePred::between(10, 19)]);
+        assert_eq!(ar.selections[0].selectivity_hint, Some(0.25));
     }
 
     #[test]

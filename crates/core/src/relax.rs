@@ -6,7 +6,8 @@
 //! the range through `DecompositionMeta::stored_bounds`, which relaxes both
 //! endpoints to granule boundaries. This is equivalent to the paper's
 //! per-operator adaptation function `f` (proved in the tests below), with
-//! one deliberate deviation documented in DESIGN.md: for `< x` the paper's
+//! one deliberate deviation (ARCHITECTURE.md, "Decided and undecided
+//! candidates"): for `< x` the paper's
 //! formula `appr(x) + (1 << resbits) + 1` admits one granule more than
 //! needed; we use the tight bound, which still yields a provable superset.
 
@@ -142,13 +143,42 @@ impl RangePred {
     }
 }
 
-/// Relax a payload range into inclusive stored-approximation bounds for a
-/// decomposed column. `None` means the approximate selection is provably
-/// empty.
-pub fn relax_to_stored(meta: &DecompositionMeta, range: &RangePred) -> Option<(u64, u64)> {
+/// A payload range translated into the stored-approximation domain of one
+/// decomposed column: the relaxed interval the device scans by, and the
+/// part of it whose granules cannot hold a false positive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredRange {
+    /// Inclusive bounds admitting every stored value whose granule *may*
+    /// hold a matching payload — the relaxation `f(x)` of §IV-B.
+    pub outer: (u64, u64),
+    /// Inclusive bounds of the stored values whose whole granule lies
+    /// inside the exact range: a candidate in here is *decided* and needs
+    /// no refinement. Equal to `outer` when the column keeps no residual
+    /// (or the range ends on granule boundaries), one boundary granule
+    /// short of it per straddled end otherwise, and `None` (empty) when no
+    /// granule is wholly inside or the range excludes a point — `<>`
+    /// relaxes to the whole domain and only the exact re-test eliminates
+    /// the excluded value.
+    pub inner: Option<(u64, u64)>,
+}
+
+/// Relax a payload range into stored-approximation bounds for a decomposed
+/// column. `None` means the approximate selection is provably empty.
+pub fn relax_to_stored(meta: &DecompositionMeta, range: &RangePred) -> Option<StoredRange> {
     let lo = range.lo.unwrap_or(domain_min(meta));
     let hi = range.hi.unwrap_or(domain_max(meta));
-    meta.stored_bounds_payload(lo, hi)
+    let outer = meta.stored_bounds_payload(lo, hi)?;
+    // Only the two end granules can straddle the range; stored values are
+    // monotone in the payload, so everything between them is inside.
+    let inner_lo = outer.0 + u64::from(meta.granule_payload(outer.0).0 < lo);
+    let inner_hi = match meta.granule_payload(outer.1).1 <= hi {
+        true => Some(outer.1),
+        false => outer.1.checked_sub(1),
+    };
+    let inner = inner_hi
+        .filter(|&h| inner_lo <= h && range.exclude.is_none())
+        .map(|h| (inner_lo, h));
+    Some(StoredRange { outer, inner })
 }
 
 /// Classify how a candidate's granule relates to the precise range:
@@ -206,7 +236,8 @@ pub fn paper_f(op: CmpOp, appr_x: u64, resbits: u32) -> u64 {
         CmpOp::Eq => appr_x,
         CmpOp::Gt => appr_x.wrapping_sub(1),
         CmpOp::Ge => appr_x,
-        // Paper formula; one granule wider than necessary (see DESIGN.md).
+        // Paper formula; one granule wider than necessary (ARCHITECTURE.md,
+        // "Decided and undecided candidates").
         CmpOp::Lt => appr_x + granule + 1,
         CmpOp::Le => appr_x + granule,
         CmpOp::Ne => u64::MAX,
@@ -294,7 +325,7 @@ mod tests {
         let col = column(&vals, 28);
         assert_eq!(col.resbits(), 4);
         let range = RangePred::between(100, 200);
-        let (slo, shi) = relax_to_stored(col.meta(), &range).unwrap();
+        let (slo, shi) = relax_to_stored(col.meta(), &range).unwrap().outer;
         for (i, &v) in vals.iter().enumerate() {
             let s = col.stored_of_row(i);
             let in_relaxed = s >= slo && s <= shi;
@@ -382,7 +413,7 @@ mod tests {
                 .collect();
             let refined: Vec<usize> = match relax_to_stored(col.meta(), &range) {
                 None => vec![],
-                Some((slo, shi)) => (0..vals.len())
+                Some(StoredRange { outer: (slo, shi), .. }) => (0..vals.len())
                     .filter(|&i| {
                         let s = col.stored_of_row(i);
                         s >= slo && s <= shi && range.test(col.reconstruct_payload(i))
@@ -390,6 +421,56 @@ mod tests {
                     .collect(),
             };
             prop_assert_eq!(exact, refined);
+        }
+
+        /// For every type width × split × range shape: inner ⊆ outer,
+        /// every payload of an inner granule passes the exact test (a
+        /// decided candidate is never a false positive), and every
+        /// passing payload lies in an outer granule (none is missed).
+        #[test]
+        fn prop_inner_is_decided_and_outer_is_complete(
+            vals in proptest::collection::vec(-5_000i64..5_000, 1..200),
+            wide: bool,
+            resbits in 0u32..=12,
+            a in -6_000i64..6_000,
+            span in 0i64..4_000,
+            shape in 0usize..7,
+        ) {
+            let dtype = if wide { DataType::Int64 } else { DataType::Int32 };
+            let bits = if wide { 64 } else { 32 } - resbits;
+            let spec = DecompositionSpec::with_device_bits(bits);
+            let col = DecomposedColumn::decompose(&vals, dtype, &spec).unwrap();
+            let range = match shape {
+                0 => RangePred::between(a, a + span),
+                1 => RangePred::at_most(a),
+                2 => RangePred::at_least(a),
+                3 => RangePred::all(),
+                4 => RangePred::from_cmp(CmpOp::Ne, a).unwrap(),
+                5 => RangePred { exclude: Some(a + span / 2), ..RangePred::between(a, a + span) },
+                _ => RangePred::between(a, a - 1 - span), // empty
+            };
+            let relaxed = relax_to_stored(col.meta(), &range);
+            for (i, &v) in vals.iter().enumerate() {
+                let s = col.stored_of_row(i);
+                let within = |b: Option<(u64, u64)>| b.is_some_and(|(lo, hi)| lo <= s && s <= hi);
+                if range.test(v) {
+                    prop_assert!(within(relaxed.map(|r| r.outer)), "{v} passes {range:?}, missed");
+                }
+                let certain = classify_granule(col.meta(), s, &range) == GranuleMatch::Certain;
+                if within(relaxed.and_then(|r| r.inner)) {
+                    prop_assert!(within(relaxed.map(|r| r.outer)), "inner outside outer");
+                    prop_assert!(certain, "inner granule {s} not certain for {range:?}");
+                    let (glo, ghi) = col.meta().granule_payload(s);
+                    for p in [glo, glo + (ghi - glo) / 2, ghi, v] {
+                        prop_assert!(range.test(p), "{p} of inner granule {s} fails {range:?}");
+                    }
+                } else if range.exclude.is_none() {
+                    prop_assert!(!certain, "wholly inside granule {s} left undecided");
+                }
+            }
+            if col.resbits() == 0 && range.exclude.is_none() {
+                prop_assert_eq!(relaxed.and_then(|r| r.inner), relaxed.map(|r| r.outer));
+            }
         }
 
         /// Certain granules never contain non-matching payloads.

@@ -5,16 +5,21 @@
 //!
 //! 1. **Approximation subplan** (device): the relaxed selection chain runs
 //!    entirely on the co-processor — full scan first, candidate-list
-//!    filters after — followed by the approximate pre-grouping. No step
-//!    depends on any refinement, so the approximate answer (candidate
-//!    count) is available here.
-//! 2. **Refinement** (host): candidate lists cross PCI-E once; selections
-//!    are refined last-to-first (each refinement consumes the matching
-//!    approximation output through a translucent join), exact values are
-//!    reconstructed from residuals, and aggregates are computed — on the
-//!    device when *every* referenced column is fully device-resident (the
-//!    paper's all-GPU configurations), on the host otherwise (destructive
-//!    distributivity, §IV-G).
+//!    filters after — followed by the approximate pre-grouping. Every
+//!    selection kernel also tells the candidates it *decides* (whole
+//!    granule inside the exact predicate) from those it leaves
+//!    *undecided*. No step depends on any refinement, so the approximate
+//!    answer (candidate count) is available here.
+//! 2. **Refinement** (host) of what the approximation left undecided: the
+//!    undecided `(oid, approximation)` pairs cross PCI-E once, selections
+//!    re-test them last-to-first with residuals, and the tail follows the
+//!    split — when every gathered column is fully device-resident the
+//!    device aggregates the decided rows and ships per-group partials
+//!    while the host covers the undecided survivors; otherwise
+//!    (destructive distributivity, §IV-G) the host tail covers decided ∪
+//!    refined rows. The paper's all-GPU configurations are the case
+//!    *undecided = ∅*. See ARCHITECTURE.md, "Decided and undecided
+//!    candidates".
 //!
 //! The `pushdown: false` ablation interleaves refinement with the
 //! selection chain, paying a PCI-E round trip per predicate (§III-A).
@@ -22,15 +27,15 @@
 use crate::database::Database;
 use crate::eval::{ColumnSlot, RowBlock};
 use crate::morsel::{
-    partition_mask_ranges, partition_ranges, partition_ranges_min, refine_filter,
-    refine_filter_mask, run_parts, run_parts_mut, ResidualReader, ResidualSrc, ScratchPool,
+    partition_mask_ranges, partition_ranges, partition_ranges_min, refine_filter, run_parts,
+    run_parts_mut, ResidualReader, ResidualSrc, ScratchPool,
 };
 use crate::result::{ApproxAnswer, QueryResult};
 use crate::tail::{GroupTable, SliceSource, Tail, SLICE_ROWS};
 use bwd_core::ops::join::{charge_fk_project_refine, FkIndex};
 use bwd_core::ops::project::charge_project_refine;
 use bwd_core::plan::ArPlan;
-use bwd_core::relax::relax_to_stored;
+use bwd_core::relax::{relax_to_stored, StoredRange};
 use bwd_core::{BoundColumn, RangePred};
 use bwd_device::units::candidate_stream_bytes;
 use bwd_device::{Component, CostLedger, Env};
@@ -40,9 +45,11 @@ use bwd_kernels::gather::{
 use bwd_kernels::group::hash_group_multi;
 use bwd_kernels::scan::scan_block_ranges;
 use bwd_kernels::{Candidates, DeviceArray, ScanOptions, ScanRows, ScanSpec, SelMask, SelVec};
+use bwd_obs::metrics::{Counter, Registry};
 use bwd_obs::{EventKind, SpanId, WorkerHandle, NO_SPAN};
 use bwd_types::{BwdError, FaultSite, Oid, Result};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// How the approximate-selection chain materializes its candidates.
 ///
@@ -222,19 +229,20 @@ pub fn run_ar_in(
     opts: &ArExecOptions,
     env: &Env,
 ) -> Result<QueryResult> {
-    run_ar_sliced(db, plan, opts, env, SLICE_ROWS)
+    run_ar_sliced(db, plan, opts, env, SLICE_ROWS, &mut CostLedger::new())
 }
 
-/// [`run_ar_in`] with an explicit tail slice size (tests sweep it;
-/// results and charges are independent of it).
+/// [`run_ar_in`] with an explicit tail slice size and ledger (tests sweep
+/// the one and read the other's events; results and charges are
+/// independent of the slice size).
 pub(crate) fn run_ar_sliced(
     db: &Database,
     plan: &ArPlan,
     opts: &ArExecOptions,
     env: &Env,
     slice_rows: usize,
+    ledger: &mut CostLedger,
 ) -> Result<QueryResult> {
-    let mut ledger = CostLedger::new();
     let obs = env.trace.recorder.worker(&env.trace.lane);
     let begin = |kind, ledger: &CostLedger, a: u64, b: u64| {
         Probe::begin(&obs, kind, env.trace.parent, ledger, a, b)
@@ -267,92 +275,92 @@ pub(crate) fn run_ar_sliced(
             dict: catalog_col.dictionary().cloned(),
         })
     };
+    let sel_cols: Vec<ColRef<'_>> = (plan.selections.iter())
+        .map(|s| resolve(&s.column))
+        .collect::<Result<_>>()?;
+    // Per selection: the relaxed interval its kernel scans by and the
+    // inner one whose granules decide the exact predicate. Only a
+    // selection whose two intervals differ can leave a candidate
+    // undecided — a fully device-resident column never does.
+    let relaxed: Vec<Option<StoredRange>> = (sel_cols.iter().zip(&plan.selections))
+        .map(|(c, s)| relax_to_stored(c.bound.meta(), &s.range))
+        .collect();
+    let refinable = |i: usize| relaxed[i].is_some_and(|r| r.inner != Some(r.outer));
 
     // ======================= Approximation subplan =======================
     let mut sel_outputs: Vec<SelVec> = Vec::with_capacity(plan.selections.len());
-    // Exact survivors, once a refinement ran (`None`: the candidates).
+    // Positional bitmap over fact rows: the candidates some selection's
+    // approximation left undecided (sized by the first step that can).
+    let mut undecided_bits: Vec<u64> = Vec::new();
+    // The final candidates' undecided members, and those of them that
+    // passed every refinement so far (`None`: none ran yet).
+    let mut undecided: Vec<Oid> = Vec::new();
+    let mut refined: Option<Vec<Oid>> = None;
+    // Exact survivors in candidate order (`None`: every candidate).
     let mut survivors: Option<Vec<Oid>> = None;
 
-    if plan.pushdown {
-        for (i, sel) in plan.selections.iter().enumerate() {
-            let c = resolve(&sel.column)?;
-            // Bitmaps chain through *both* direct and dimension-side
-            // predicates: the AND refinement is positional over fact
-            // rows either way (a dim step tests `arr[link[row]]` for
-            // each still-live bit), so no representation round-trip
-            // happens mid-chain.
-            let input_len = sel_outputs.last().map_or(n, SelVec::len) as u64;
-            let probe = begin(EventKind::ApproxSelect, &ledger, input_len, i as u64);
-            let cands = approx_select_step(
-                env,
-                &c,
-                &sel.range,
-                sel_outputs.last(),
-                &opts.scan,
-                morsels,
-                opts.candidates,
-                probe.span,
-                &pool,
-                &mut ledger,
-            )?;
-            let rep_bit = u64::from(matches!(cands, SelVec::Bitmap(_)));
-            probe.end(&obs, &ledger, cands.len() as u64, rep_bit);
-            transient.charge(cands.len() as u64 * CANDIDATE_PAIR_BYTES)?;
-            sel_outputs.push(cands);
-            env.fault.check(FaultSite::Exec)?; // the card may die between steps
-            env.preempt.check()?; // between approximate-selection steps
+    for (i, (sel, c)) in plan.selections.iter().zip(&sel_cols).enumerate() {
+        // With pushdown the approximate selections chain on the device,
+        // in either representation (a dim step tests `arr[link[row]]` for
+        // each still-live bit, so no round-trip happens mid-chain). The
+        // ablation refined the previous step already and uploads its
+        // survivors; every step's candidates are materialized for the
+        // immediate refinement anyway, so it runs on indices.
+        let uploaded = survivors.take().map(|oids| {
+            ledger.charge(
+                Component::Pcie,
+                "select.approx.upload-survivors",
+                env.pcie.transfer_seconds(oids.len() as u64 * 4),
+                oids.len() as u64 * 4,
+            );
+            SelVec::Indices(Candidates::from_pairs(oids, Vec::new()))
+        });
+        let (input, rep) = match plan.pushdown {
+            true => (sel_outputs.last(), opts.candidates),
+            false => (uploaded.as_ref(), CandidateRep::Indices),
+        };
+        let input_len = input.map_or(n, SelVec::len) as u64;
+        let probe = begin(EventKind::ApproxSelect, ledger, input_len, i as u64);
+        let cands = approx_select_step(
+            env,
+            c,
+            relaxed[i],
+            input,
+            &opts.scan,
+            morsels,
+            rep,
+            probe.span,
+            &pool,
+            &mut undecided_bits,
+            ledger,
+        )?;
+        let rep_bit = u64::from(matches!(cands, SelVec::Bitmap(_)));
+        probe.end(&obs, ledger, cands.len() as u64, rep_bit);
+        transient.charge(cands.len() as u64 * CANDIDATE_PAIR_BYTES)?;
+        if let (false, SelVec::Indices(list)) = (plan.pushdown, &cands) {
+            // Ablation: refine before the next selection runs — survivors
+            // re-cross PCI-E per predicate (§III-A), so the host takes the
+            // decided oids along with the undecided pairs.
+            undecided = undecided_of(list, &undecided_bits);
+            undecided_bits.clear();
+            let probe = begin(EventKind::Refine, ledger, list.len() as u64, i as u64);
+            let pairs =
+                candidate_stream_bytes(c.bound.meta().stored_width(), undecided.len() as u64);
+            let decided = (list.len() - undecided.len()) as u64;
+            env.charge_download("select.refine.download", pairs + decided * 4, ledger);
+            let kept = match undecided.is_empty() {
+                true => Vec::new(),
+                false => {
+                    refine_selection(env, c, &sel.range, &undecided, 0, morsels, &pool, ledger)
+                }
+            };
+            let merged = merge_survivors(&list.oids, &undecided, &kept);
+            probe.end(&obs, ledger, merged.len() as u64, undecided.len() as u64);
+            (survivors, refined) = (Some(merged), Some(kept));
         }
-    } else {
-        // Ablation: approximate *and refine* each selection before the
-        // next — survivors re-cross PCI-E per predicate. Every step's
-        // candidates are materialized for the immediate refinement
-        // anyway, so the chain runs on indices regardless of the
-        // representation policy.
-        for (i, sel) in plan.selections.iter().enumerate() {
-            let c = resolve(&sel.column)?;
-            let input = survivors.take().map(|oids| {
-                // Upload the refined oid list back to the device.
-                ledger.charge(
-                    Component::Pcie,
-                    "select.approx.upload-survivors",
-                    env.pcie.transfer_seconds(oids.len() as u64 * 4),
-                    oids.len() as u64 * 4,
-                );
-                SelVec::Indices(Candidates::from_pairs(oids, Vec::new()))
-            });
-            let input_len = input.as_ref().map_or(n, SelVec::len) as u64;
-            let probe = begin(EventKind::ApproxSelect, &ledger, input_len, i as u64);
-            let cands = approx_select_step(
-                env,
-                &c,
-                &sel.range,
-                input.as_ref(),
-                &opts.scan,
-                morsels,
-                CandidateRep::Indices,
-                probe.span,
-                &pool,
-                &mut ledger,
-            )?;
-            probe.end(&obs, &ledger, cands.len() as u64, 0);
-            transient.charge(cands.len() as u64 * CANDIDATE_PAIR_BYTES)?;
-            let probe = begin(EventKind::Refine, &ledger, cands.len() as u64, i as u64);
-            let refined = refine_selection(
-                env,
-                &c,
-                &cands,
-                None,
-                &sel.range,
-                morsels,
-                &pool,
-                &mut ledger,
-            )?;
-            probe.end(&obs, &ledger, refined.len() as u64, 0);
-            survivors = Some(refined);
-            sel_outputs.push(cands);
-            env.fault.check(FaultSite::Exec)?; // the card may die between steps
-            env.preempt.check()?; // between approx+refine pairs (ablation)
-        }
+        sel_outputs.push(cands);
+        env.fault.check(FaultSite::Exec)?; // the card may die between steps
+        env.preempt.check()?; // between approximate-selection steps
     }
 
     env.fault.check(FaultSite::Exec)?;
@@ -362,10 +370,8 @@ pub(crate) fn run_ar_sliced(
     // projection gathers, the tail's translucent alignment) need
     // positions, so a bitmap expands here into the oid list the index
     // path would have carried all along — same oids, same block-scrambled
-    // order. Its approximations are *not* materialized (8 B per
-    // candidate): the one consumer, this selection's own refinement,
-    // re-decodes them block-wise through the mask like every other
-    // bitmap step.
+    // order. Approximations are *not* materialized (8 B per candidate):
+    // refinement re-decodes them for the undecided candidates only.
     let expanded;
     let final_cands: &Candidates = match sel_outputs.last() {
         Some(SelVec::Indices(c)) => c,
@@ -378,6 +384,13 @@ pub(crate) fn run_ar_sliced(
             &expanded
         }
     };
+    if plan.pushdown {
+        undecided = undecided_of(final_cands, &undecided_bits);
+    }
+    let decided = final_cands.len() - undecided.len();
+    let metrics = refine_metrics();
+    metrics.decided.add(decided as u64);
+    metrics.undecided.add(undecided.len() as u64);
 
     // Approximate pre-grouping (device) where the keys allow it.
     let group_cols: Vec<ColRef<'_>> = plan
@@ -391,7 +404,7 @@ pub(crate) fn run_ar_sliced(
             .all(|c| c.fk.is_none() && c.bound.meta().fully_device_resident())
     {
         let arrays: Vec<&DeviceArray> = group_cols.iter().map(|c| c.bound.approx()).collect();
-        Some(hash_group_multi(env, &arrays, final_cands, &mut ledger))
+        Some(hash_group_multi(env, &arrays, final_cands, ledger))
     } else {
         None
     };
@@ -408,113 +421,158 @@ pub(crate) fn run_ar_sliced(
         .map(|nm| resolve(&nm).map(|c| (nm, c)))
         .collect::<Result<_>>()?;
 
-    // Device fast path (the all-GPU configurations): every referenced
-    // column — selections included — is fully device-resident, so the
-    // relaxed bounds are exact (granule size 1), the candidate list holds
-    // no false positives, and no refinement is needed at all: the device
-    // computes exact aggregates and only final results cross the bus.
-    let selections_resident = plan
-        .selections
-        .iter()
-        .map(|s| resolve(&s.column))
-        .collect::<Result<Vec<_>>>()?
-        .iter()
-        .all(|c| c.bound.meta().fully_device_resident());
-    let all_resident = selections_resident
-        && needed_cols
-            .iter()
-            .all(|(_, c)| c.bound.meta().fully_device_resident())
-        && plan.pushdown;
+    // The one tail-placement rule: when every gathered column is fully
+    // device-resident (and a grouped plan has its device pre-grouping),
+    // the device reconstructs exact values itself, so it aggregates the
+    // decided rows and ships per-group partials; the host tail covers the
+    // undecided survivors only. Otherwise (destructive distributivity,
+    // §IV-G) the host tail covers decided ∪ refined rows. The paper's
+    // all-GPU configurations are the case *undecided = ∅*.
+    let device_tail = (needed_cols.iter()).all(|(_, c)| c.bound.meta().fully_device_resident())
+        && (plan.group_by.is_empty() || device_group.is_some());
+    // The device's accumulator table (16 B per entry, as results were
+    // always billed): one per pre-group, one for a global aggregate, one
+    // per decided row for a projection.
+    let partial_bytes = match (device_tail, &device_group) {
+        (false, _) => 0,
+        (true, Some(g)) => g.n_groups() as u64 * 16,
+        (true, None) if plan.aggs.is_empty() => decided as u64 * 16,
+        (true, None) => 16,
+    };
 
     // ============================ Refinement ============================
-    // Selections refine last-to-first: the matching approximation output
-    // is consumed through a translucent join, survivors shrink monotonically.
-    // The device fast path is exact by construction and consumes the
-    // candidates; the ablation refined every step already.
-    if !all_resident && plan.pushdown {
-        for (i, sel) in plan.selections.iter().enumerate().rev() {
-            let c = resolve(&sel.column)?;
-            // Bitmap outputs are consumed *as masks* — the refinement
-            // tests survivors positionally, with no index-list
-            // round-trip; index outputs carry their approximations.
-            let input_len = survivors.as_ref().map_or(sel_outputs[i].len(), Vec::len) as u64;
-            let probe = begin(EventKind::Refine, &ledger, input_len, i as u64);
-            let refined = refine_selection(
+    // One transfer carries everything the host needs: per undecided
+    // candidate its oid and each refinable selection's approximation, the
+    // decided oids when the host tail will gather for them (without a
+    // selection the candidates are every row: none needed), and the
+    // device's partials. The refinable
+    // selections then re-test last-to-first, the live set shrinking
+    // monotonically; a plan without undecided candidates has no
+    // refinement step at all. (The ablation refined per step.)
+    let mut partials_rode = false;
+    if plan.pushdown {
+        let steps: Vec<usize> = match undecided.is_empty() {
+            true => Vec::new(),
+            false => (0..plan.selections.len())
+                .rev()
+                .filter(|&i| refinable(i))
+                .collect(),
+        };
+        let widths: u32 = (steps.iter())
+            .map(|&i| sel_cols[i].bound.meta().stored_width())
+            .sum();
+        let mut list_bytes = candidate_stream_bytes(widths, undecided.len() as u64);
+        if !device_tail && !plan.selections.is_empty() {
+            list_bytes += decided as u64 * 4;
+        }
+        if list_bytes > 0 {
+            env.charge_download("select.refine.download", list_bytes + partial_bytes, ledger);
+            partials_rode = true;
+        }
+        for (k, &i) in steps.iter().enumerate() {
+            let (sel, c) = (&plan.selections[i], &sel_cols[i]);
+            let live = refined.as_deref().unwrap_or(&undecided);
+            let input_len = (decided + live.len()) as u64;
+            let probe = begin(EventKind::Refine, ledger, input_len, i as u64);
+            if i + 1 != plan.selections.len() {
+                // The last kernel's own output holds its pairs; an earlier
+                // selection's approximations are re-gathered for the
+                // undecided candidates.
+                let (arr, n_und) = (c.bound.approx(), undecided.len());
+                match c.link() {
+                    None => charge_gather(env, arr, false, n_und, "select.refine.gather", ledger),
+                    Some(l) => {
+                        charge_gather_indirect(env, arr, l, n_und, "select.refine.gather", ledger)
+                    }
+                }
+            }
+            // Every refinement after the first aligns the live set with
+            // the downloaded list through a translucent merge.
+            let merge_bytes = if k == 0 {
+                0
+            } else {
+                undecided.len() as u64 * 4
+            };
+            let kept = refine_selection(
                 env,
-                &c,
-                &sel_outputs[i],
-                survivors.as_deref(),
+                c,
                 &sel.range,
+                live,
+                merge_bytes,
                 morsels,
                 &pool,
-                &mut ledger,
-            )?;
-            probe.end(&obs, &ledger, refined.len() as u64, 0);
-            survivors = Some(refined);
+                ledger,
+            );
+            probe.end(
+                &obs,
+                ledger,
+                (decided + kept.len()) as u64,
+                live.len() as u64,
+            );
+            refined = Some(kept);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
             env.preempt.check()?; // between refinement steps
         }
+        if let Some(kept) = refined
+            .as_deref()
+            .filter(|kept| kept.len() < undecided.len())
+        {
+            survivors = Some(merge_survivors(&final_cands.oids, &undecided, kept));
+        }
     }
-    // Without a refinement the survivors *are* the final candidates.
-    let survivor_count = survivors.as_ref().map_or(final_cands.len(), Vec::len);
+    let refined_count = refined.as_ref().map_or(undecided.len(), Vec::len);
+    let survivor_count = decided + refined_count;
 
     env.fault.check(FaultSite::Exec)?;
     env.preempt.check()?; // before the tail
 
     // ============================== The tail ==============================
     // Gather → refine → group → evaluate → aggregate, one slice of
-    // survivors at a time (`crate::tail`). Every charge below is issued
-    // once, in program order, from the totals — the simulated platform
-    // still runs the bulk operators — so the ledger cannot depend on how
-    // the host slices or parallelizes the real work.
-    if all_resident {
-        // The device fast path gathers every needed column over the
-        // candidates into device scratch before aggregating.
-        transient
-            .charge(final_cands.len() as u64 * needed_cols.len() as u64 * GATHER_VALUE_BYTES)?;
-        if !plan.group_by.is_empty() && device_group.is_none() {
-            return Err(BwdError::Exec(
-                "device aggregation requires a device grouping".into(),
-            ));
-        }
+    // survivors at a time (`crate::tail`), in one run over decided ∪
+    // refined rows: where a row is *priced* — the device's gathers and
+    // atomics, or the host's download, decode and bulk operators — follows
+    // from the split alone. Every charge below is issued once, in program
+    // order, from the totals, so the ledger cannot depend on how the host
+    // slices or parallelizes the real work.
+    let (dev_rows, host_cands, host_rows) = match device_tail {
+        true => (decided, undecided.len(), refined_count),
+        false => (0, final_cands.len(), survivor_count),
+    };
+    let host_tail = !device_tail || host_cands > 0;
+    if device_tail {
+        // The device gathers every needed column over its rows into
+        // scratch before aggregating.
+        transient.charge(dev_rows as u64 * needed_cols.len() as u64 * GATHER_VALUE_BYTES)?;
     }
-    let gather_probe = begin(EventKind::Gather, &ledger, survivor_count as u64, 0);
+    let gather_probe = begin(EventKind::Gather, ledger, survivor_count as u64, 0);
     let mut schema = RowBlock::new(0);
     let mut cols = Vec::with_capacity(needed_cols.len());
     for (name, c) in &needed_cols {
         let (arr, link) = (c.bound.approx(), c.link());
-        let n_cands = final_cands.len();
-        match (all_resident, link) {
-            // Device path: gathers stay on the device, payloads decode
-            // exactly (no residual exists), nothing crosses the bus.
-            (true, None) => charge_gather(
-                env,
-                arr,
-                final_cands.dense,
-                n_cands,
-                "aggregate.gather",
-                &mut ledger,
-            ),
-            (true, Some(l)) => {
-                charge_gather_indirect(env, arr, l, n_cands, "aggregate.gather", &mut ledger)
+        if device_tail {
+            // Gathers stay on the device, payloads decode exactly (no
+            // residual exists), nothing crosses the bus.
+            let dense = final_cands.dense && undecided.is_empty();
+            match link {
+                None => charge_gather(env, arr, dense, dev_rows, "aggregate.gather", ledger),
+                Some(l) => {
+                    charge_gather_indirect(env, arr, l, dev_rows, "aggregate.gather", ledger)
+                }
             }
-            // Host path: approximate projection on the device, download,
+        }
+        if host_tail {
+            // Approximate projection on the device, download,
             // translucent refinement with residuals.
-            (false, None) => {
-                let dense = final_cands.dense;
-                charge_gather(
-                    env,
-                    arr,
-                    dense,
-                    n_cands,
-                    "project.approx.gather",
-                    &mut ledger,
-                );
-                charge_project_refine(env, c.bound, n_cands, survivor_count, true, &mut ledger);
-            }
-            (false, Some(l)) => {
-                charge_gather_indirect(env, arr, l, n_cands, "join.fk.approx", &mut ledger);
-                charge_fk_project_refine(env, c.bound, n_cands, survivor_count, true, &mut ledger);
+            let dense = final_cands.dense && !device_tail;
+            match link {
+                None => {
+                    charge_gather(env, arr, dense, host_cands, "project.approx.gather", ledger);
+                    charge_project_refine(env, c.bound, host_cands, host_rows, true, ledger);
+                }
+                Some(l) => {
+                    charge_gather_indirect(env, arr, l, host_cands, "join.fk.approx", ledger);
+                    charge_fk_project_refine(env, c.bound, host_cands, host_rows, true, ledger);
+                }
             }
         }
         schema.push_slot(ColumnSlot {
@@ -525,7 +583,7 @@ pub(crate) fn run_ar_sliced(
         });
         // Cached-vs-scattered residual reads are decided per query, from
         // the total the refinement will touch — not per slice.
-        cols.push((c.bound, link, c.residual(survivor_count)));
+        cols.push((c.bound, link, c.residual(host_rows)));
     }
     // Group keys that are fully device-resident were pre-grouped exactly
     // (their approximation *is* the value): carry those ids through the
@@ -552,81 +610,64 @@ pub(crate) fn run_ar_sliced(
         })
         .collect();
     let partials = tail.run(env, sources, slice_rows)?;
-    gather_probe.end(&obs, &ledger, survivor_count as u64, 0);
+    gather_probe.end(&obs, ledger, survivor_count as u64, 0);
 
     let groupagg_probe = begin(
         EventKind::GroupAgg,
-        &ledger,
+        ledger,
         survivor_count as u64,
-        u64::from(all_resident),
+        u64::from(device_tail),
     );
-    if !all_resident && !plan.group_by.is_empty() {
+    if host_tail && !plan.group_by.is_empty() {
         // Exact host grouping over the refined key slots.
         env.charge_host_scan(
             "group.refine.host",
-            survivor_count as u64 * 8,
-            2 * survivor_count as u64,
-            &mut ledger,
+            host_rows as u64 * 8,
+            2 * host_rows as u64,
+            ledger,
         );
     }
 
     // Aggregation / projection arithmetic.
-    let agg_component = if all_resident {
-        Component::Device
-    } else {
-        Component::Host
-    };
     let expr_ops: u64 = plan
         .aggs
         .iter()
         .map(|a| a.arg.as_ref().map_or(0, |e| e.op_count()) + 1)
         .chain(plan.project.iter().map(|(e, _)| e.op_count() + 1))
         .sum();
-    let agg_tuples = survivor_count as u64 * expr_ops.max(1);
-    let t_agg = match agg_component {
-        Component::Device => {
-            let spec = env.device.spec();
-            let mut t = spec.compute_seconds(3 * agg_tuples);
-            if let Some(g) = device_group.as_ref() {
-                // Grouped device aggregation scatters atomic updates into
-                // per-group accumulators: the same write-conflict
-                // contention as the grouping kernel, once per aggregate
-                // per tuple (this is what bounds the paper's Q1 to a ~3x
-                // speedup). Expression arithmetic itself runs in registers
-                // and does not contend.
-                let conflicts = 1.0 + 31.0 / g.group_keys.len().max(1) as f64;
-                let updates = survivor_count as f64 * plan.aggs.len() as f64;
-                t += updates * conflicts * spec.atomic_conflict_cost;
-            }
-            t
+    if device_tail {
+        let spec = env.device.spec();
+        let mut t = spec.compute_seconds(3 * dev_rows as u64 * expr_ops.max(1));
+        if let Some(g) = device_group.as_ref() {
+            // Grouped device aggregation scatters atomic updates into
+            // per-group accumulators: the same write-conflict contention
+            // as the grouping kernel, once per aggregate per tuple (this
+            // is what bounds the paper's Q1 to a ~3x speedup). Expression
+            // arithmetic itself runs in registers and does not contend.
+            let conflicts = 1.0 + 31.0 / g.n_groups().max(1) as f64;
+            let updates = dev_rows as f64 * plan.aggs.len() as f64;
+            t += updates * conflicts * spec.atomic_conflict_cost;
         }
-        _ => {
-            // Destructive distributivity (§IV-G): the sums are evaluated
-            // with the *classic* bulk operators over reconstructed exact
-            // values — per-primitive materialization plus one accumulation
-            // pass per aggregate, same pricing as the classic pipe.
-            let expr = env.cpu.scan_seconds(
-                survivor_count as u64 * expr_ops * 8,
-                agg_tuples,
-                env.host_threads,
-            );
-            let accum = plan.aggs.len().max(1) as f64
-                * env.cpu.scan_seconds(
-                    survivor_count as u64 * 8,
-                    survivor_count as u64,
-                    env.host_threads,
-                );
-            expr + accum
-        }
-    };
-    ledger.charge(agg_component, "aggregate.eval", t_agg, 0);
+        ledger.charge(Component::Device, "aggregate.eval", t, 0);
+    }
+    if host_tail {
+        // Destructive distributivity (§IV-G): the sums are evaluated with
+        // the *classic* bulk operators over reconstructed exact values —
+        // per-primitive materialization plus one accumulation pass per
+        // aggregate, same pricing as the classic pipe.
+        let rows = host_rows as u64;
+        let threads = env.host_threads;
+        let expr = (env.cpu).scan_seconds(rows * expr_ops * 8, rows * expr_ops.max(1), threads);
+        let accum = plan.aggs.len().max(1) as f64 * env.cpu.scan_seconds(rows * 8, rows, threads);
+        ledger.charge(Component::Host, "aggregate.eval", expr + accum, 0);
+    }
 
     let (columns, rows) = tail.finish(partials);
-    if all_resident {
+    if device_tail && !partials_rode {
         // Per-group results cross the bus (tiny).
-        env.charge_download("aggregate.download", rows.len() as u64 * 16, &mut ledger);
+        env.charge_download("aggregate.download", partial_bytes, ledger);
     }
-    groupagg_probe.end(&obs, &ledger, rows.len() as u64, 0);
+    groupagg_probe.end(&obs, ledger, rows.len() as u64, 0);
 
     Ok(QueryResult {
         columns,
@@ -638,11 +679,54 @@ pub(crate) fn run_ar_sliced(
     })
 }
 
+/// Process-wide refinement counters (see
+/// `bwd_obs::metrics::Registry::global`), bumped once per query at the
+/// gather boundary: how many final candidates the approximation decided,
+/// and how many it left for the host to re-test.
+struct RefineMetrics {
+    decided: Counter,
+    undecided: Counter,
+}
+
+fn refine_metrics() -> &'static RefineMetrics {
+    static METRICS: OnceLock<RefineMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| RefineMetrics {
+        decided: Registry::global().counter("bwd_refine_decided_total"),
+        undecided: Registry::global().counter("bwd_refine_undecided_total"),
+    })
+}
+
+/// The members of `cands` some selection marked in `undecided_bits`, in
+/// candidate order (an unsized bitmap: no step could leave any).
+fn undecided_of(cands: &Candidates, undecided_bits: &[u64]) -> Vec<Oid> {
+    let marked = |&oid: &Oid| undecided_bits[oid as usize / 64] >> (oid % 64) & 1 == 1;
+    match undecided_bits.is_empty() {
+        true => Vec::new(),
+        false => cands.oids.iter().copied().filter(marked).collect(),
+    }
+}
+
+/// The exact survivors in candidate order: every decided candidate, and
+/// of the `undecided` ones those still in `refined` (both subsequences of
+/// `cands` under its permutation).
+fn merge_survivors(cands: &[Oid], undecided: &[Oid], refined: &[Oid]) -> Vec<Oid> {
+    let (mut und, mut kept) = (undecided.iter().peekable(), refined.iter().peekable());
+    let mut out = Vec::with_capacity(cands.len() - undecided.len() + refined.len());
+    for oid in cands {
+        if und.next_if_eq(&oid).is_none() || kept.next_if_eq(&oid).is_some() {
+            out.push(*oid);
+        }
+    }
+    out
+}
+
 /// One approximate selection step (full scan / chained, direct / through
 /// the FK link), fanned out over `morsels` real threads, producing the
 /// representation the policy picks. The step is one [`ScanSpec`]: its
 /// partitions run on the workers, and the cost is charged once from the
 /// merged total by the same spec — identically in both representations.
+/// The same kernel ORs the matches outside the selection's inner interval
+/// into the chain's positional `undecided` bitmap.
 ///
 /// Bitmap-producing steps distribute word-aligned mask ranges — every
 /// partition boundary is a mask-word boundary, so workers fill disjoint
@@ -658,13 +742,14 @@ pub(crate) fn run_ar_sliced(
 fn approx_select_step(
     env: &Env,
     col: &ColRef<'_>,
-    range: &RangePred,
+    relaxed: Option<StoredRange>,
     input: Option<&SelVec>,
     scan: &ScanOptions,
     morsels: usize,
     rep: CandidateRep,
     stage: SpanId,
     pool: &ScratchPool,
+    undecided: &mut Vec<u64>,
     ledger: &mut CostLedger,
 ) -> Result<SelVec> {
     // One morsel span per fanned-out partition, recorded from the worker
@@ -682,13 +767,20 @@ fn approx_select_step(
         let span = t.begin(EventKind::Morsel, stage, input_len as u64, part as u64);
         (t, span)
     };
-    let Some((lo, hi)) = relax_to_stored(col.bound.meta(), range) else {
+    let Some(StoredRange {
+        outer: (lo, hi),
+        inner,
+    }) = relaxed
+    else {
         return Ok(SelVec::Indices(Candidates::empty()));
     };
     let arr = col.bound.approx();
     let link = col.link();
     let rows = link.unwrap_or(arr).len();
-    let spec = ScanSpec::new(arr, link, lo, hi, input.map(SelVec::len));
+    let spec = ScanSpec::new(arr, link, lo, hi, input.map(SelVec::len)).deciding(inner);
+    if !spec.decides_all() && undecided.is_empty() {
+        *undecided = vec![0; rows.div_ceil(64)]; // zeroed lazily by the allocator
+    }
 
     // A bitmap input is AND-refined into a bitmap; a full scan produces
     // one when the policy says so.
@@ -709,6 +801,11 @@ fn approx_select_step(
             };
             t.end(EventKind::Morsel, span, 0, 0, out, 0);
         });
+        if !spec.decides_all() {
+            run_parts_mut(undecided, &ranges, |_, r, chunk| {
+                spec.mark_undecided_mask(&words[r.clone()], r.start, chunk)
+            });
+        }
         let mask = match mask_in {
             Some(m) => m.like(words),
             None => SelMask::from_words(words, rows, scan),
@@ -740,6 +837,9 @@ fn approx_select_step(
         (oids, vals)
     });
     let (oids, approx) = merge_candidate_parts(outs, pool);
+    if !spec.decides_all() {
+        spec.mark_undecided(&oids, &approx, undecided);
+    }
     spec.charge(env, oids.len(), scan, ledger);
     Ok(SelVec::Indices(Candidates::from_pairs(oids, approx)))
 }
@@ -785,64 +885,33 @@ fn merge_candidate_parts(
     (oids, vals)
 }
 
-/// Refine one selection: download its approximation output, align the
-/// survivor subset, reconstruct exact payloads via the residual (at the
-/// fact position, or the dimension position through the host FK index)
-/// and re-test the precise range — fanned out over `morsels` contiguous
-/// partitions, with residual reads routed through the block-cached bulk
-/// decoder when the refined set is dense. An index output aligns through
-/// the translucent join; a *bitmap* output is consumed directly — the
-/// join degenerates to O(1) positional membership and each survivor's
-/// approximation is re-decoded from the host replica of the device
-/// array, with no index-list round-trip. Charges are keyed on the
-/// candidate count, identical in both representations.
+/// Refine one selection over `live`, the undecided candidates still alive:
+/// reconstruct each exact payload from its approximation and residual (at
+/// the fact position, or the dimension position through the host FK
+/// index), re-test the precise range — fanned out over `morsels`
+/// contiguous partitions — and charge the host work from the live count
+/// (`merge_bytes`: the downloaded list it is aligned with, if any).
 #[allow(clippy::too_many_arguments)]
 fn refine_selection(
     env: &Env,
     col: &ColRef<'_>,
-    approx_out: &SelVec,
-    survivors: Option<&[Oid]>,
     range: &RangePred,
+    live: &[Oid],
+    merge_bytes: u64,
     morsels: usize,
     pool: &ScratchPool,
     ledger: &mut CostLedger,
-) -> Result<Vec<Oid>> {
-    let (meta, cand_n) = (col.bound.meta(), approx_out.len());
-    if meta.fully_device_resident() {
-        env.charge_download("select.refine.download", cand_n as u64 * 4, ledger);
-    } else {
-        let bytes = candidate_stream_bytes(meta.stored_width(), cand_n as u64);
-        let seconds = env.pcie.transfer_seconds(bytes);
-        ledger.charge(Component::Pcie, "select.refine.download", seconds, bytes);
-    }
-    let refined_n = survivors.map_or(cand_n, <[Oid]>::len);
-    let residual = col.residual(refined_n);
-    let out = match approx_out {
-        SelVec::Indices(c) => refine_filter(meta, residual, c, survivors, range, morsels, pool)?,
-        SelVec::Bitmap(mask) => {
-            let (arr, link) = (col.bound.approx(), col.link());
-            refine_filter_mask(
-                meta, residual, mask, arr, link, survivors, range, morsels, pool,
-            )?
-        }
-    };
-    let merge_bytes = survivors.map_or(0, |_| cand_n as u64 * 4);
-    if meta.fully_device_resident() {
-        env.charge_host_scan(
-            "select.refine.materialize",
-            refined_n as u64 * 4 + merge_bytes,
-            refined_n as u64,
-            ledger,
-        );
-    } else {
-        env.charge_host_scattered(
-            "select.refine",
-            col.bound.residual_access_bytes(refined_n) + merge_bytes,
-            refined_n as u64 * bwd_core::ops::REFINE_OPS_PER_TUPLE,
-            ledger,
-        );
-    }
-    Ok(out)
+) -> Vec<Oid> {
+    let (meta, arr) = (col.bound.meta(), col.bound.approx());
+    let residual = col.residual(live.len());
+    let kept = refine_filter(meta, residual, arr, col.link(), live, range, morsels, pool);
+    env.charge_host_scattered(
+        "select.refine",
+        col.bound.residual_access_bytes(live.len()) + merge_bytes,
+        live.len() as u64 * bwd_core::ops::REFINE_OPS_PER_TUPLE,
+        ledger,
+    );
+    kept
 }
 
 /// The A&R slice source over one worker's contiguous survivor run.
@@ -970,5 +1039,113 @@ impl SliceSource for ArSource<'_> {
             ids.extend(pos.iter().map(|&p| group_ids[window.start + p as usize]));
         }
         Ok(!self.rows.is_empty())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bwd_core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, ScalarExpr};
+    use bwd_core::CmpOp;
+    use bwd_storage::Column;
+    use bwd_types::Value;
+
+    /// The labelled events and bytes of a Q1-shaped plan over 1 000 rows:
+    /// `where d <= 599 group by g` aggregating the resident `v`, with `d`
+    /// (= the row number) split `device_bits`/rest.
+    fn q1_shaped_bill(device_bits: u32) -> Vec<(String, u64)> {
+        let ints = |f: fn(i32) -> i32| Column::from_i32((0..1000).map(f).collect());
+        let mut db = Database::new();
+        let cols = [
+            ("d", ints(|i| i)),
+            ("g", ints(|i| i % 4)),
+            ("v", ints(|i| i * 3 % 1000)),
+        ];
+        let cols = cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect();
+        db.create_table("t", cols).unwrap();
+        db.bwdecompose("t", "d", device_bits).unwrap();
+        let plan = LogicalPlan::scan("t")
+            .filter(Predicate::Cmp {
+                column: "d".into(),
+                op: CmpOp::Le,
+                value: Value::Int(599),
+            })
+            .aggregate(
+                vec!["g".into()],
+                vec![
+                    AggExpr {
+                        func: AggFunc::Sum,
+                        arg: Some(ScalarExpr::col("v")),
+                        alias: "s".into(),
+                    },
+                    AggExpr {
+                        func: AggFunc::Count,
+                        arg: None,
+                        alias: "n".into(),
+                    },
+                ],
+            );
+        let plan = db.bind(&plan, &Default::default()).unwrap();
+        db.auto_bind(&plan).unwrap();
+        let mut ledger = CostLedger::with_trace();
+        let opts = ArExecOptions::default();
+        let r = run_ar_sliced(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
+        assert_eq!(r.survivors, 600);
+        assert_eq!(r.rows.len(), 4);
+        (ledger.events().iter())
+            .map(|e| (e.label.clone(), e.bytes))
+            .collect()
+    }
+
+    /// The bill is a function of the split. 24/8 leaves `d` four granules
+    /// of 256 (2 stored bits): `d <= 599` scans granules 0..=2 (768
+    /// candidates), decides granules 0..=1 (512 rows) and leaves granule 2
+    /// undecided (256 candidates, 88 survivors). `g` is 2 bits wide, `v`
+    /// 10. A fully resident `d` (10 stored bits) bills what it always did.
+    #[test]
+    fn ledger_follows_the_decided_undecided_split() {
+        let label = |l: &str, bytes: u64| (l.to_string(), bytes);
+        let pairs = |width: u64, n: u64| (n * (32 + width)).div_ceil(8);
+        let packed = |width: u64, n: u64| (n * width).div_ceil(8);
+        assert_eq!(
+            q1_shaped_bill(24),
+            [
+                // The packed column, 768 pairs, one decided bit per pair.
+                label(
+                    "select.approx.scan",
+                    packed(2, 1000) + pairs(2, 768) + 768 / 8
+                ),
+                label("group.approx.hash-multi", 768 * 4),
+                // One transfer: the undecided pairs and four partials.
+                label("select.refine.download", pairs(2, 256) + 4 * 16),
+                label("select.refine", 256), // one residual byte each
+                // `g`: the device gathers its 512 rows, the host tail the
+                // 256 undecided candidates (download, 4 B/oid merge).
+                label("aggregate.gather", 512 * 4 + packed(2, 512)),
+                label("project.approx.gather", 256 * 4 + packed(2, 256)),
+                label("project.refine.download", packed(2, 256)),
+                label("project.refine.decode", 256 * 4),
+                // `v` likewise.
+                label("aggregate.gather", 512 * 4 + packed(10, 512)),
+                label("project.approx.gather", 256 * 4 + packed(10, 256)),
+                label("project.refine.download", packed(10, 256)),
+                label("project.refine.decode", 256 * 4),
+                label("group.refine.host", 88 * 8),
+                label("aggregate.eval", 0), // device, 512 rows
+                label("aggregate.eval", 0), // host, 88 rows
+            ]
+        );
+        assert_eq!(
+            q1_shaped_bill(32),
+            [
+                label("select.approx.scan", packed(10, 1000) + pairs(10, 600)),
+                label("group.approx.hash-multi", 600 * 4),
+                // The candidates are the dense prefix 0..600: streamed.
+                label("aggregate.gather", packed(2, 1000) + packed(2, 600)),
+                label("aggregate.gather", packed(10, 1000) + packed(10, 600)),
+                label("aggregate.eval", 0),
+                label("aggregate.download", 4 * 16),
+            ]
+        );
     }
 }

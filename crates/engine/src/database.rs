@@ -209,6 +209,14 @@ impl Database {
             .contains_key(&(table.to_string(), column.to_string()))
     }
 
+    /// Residual bits a decomposed column keeps on the host (`0`: fully
+    /// device-resident; `None`: not decomposed) — what decides whether a
+    /// selection on it can leave candidates undecided.
+    pub fn resbits(&self, table: &str, column: &str) -> Option<u32> {
+        let bound = self.bound_column(table, column).ok()?;
+        Some(bound.meta().resbits())
+    }
+
     /// The bound column (A&R executor).
     pub(crate) fn bound_column(&self, table: &str, column: &str) -> Result<&BoundColumn> {
         self.bound

@@ -14,27 +14,16 @@
 //!   range splitting and scoped-thread fan-out;
 //! * [`ScratchPool`] — recycled per-query buffers, so the parallel path
 //!   allocates zero intermediate vectors per morsel in steady state;
-//! * the drivers ([`refine_filter`], [`refine_filter_mask`]) — one per
-//!   parallelized selection-refinement stage, built on the translucent-join
-//!   partitioning below. (The query tail — projection refinement, grouping,
-//!   aggregation — streams slice-at-a-time through [`crate::tail`].)
-//!
-//! # Partitioning a translucent join
-//!
-//! The translucent join's cursor merge looks inherently serial: worker
-//! `p`'s start position on the candidate (superset) side depends on how
-//! far the previous partitions advanced. But the survivors are a subset of
-//! the candidates under one shared permutation, so survivor `i` can never
-//! sit *before* candidate position `i`: every worker starts its cursor at
-//! its partition's first survivor index — a lower bound — and the merge
-//! itself advances to the true position, comparison-only, in parallel.
+//! * [`refine_filter`] — the parallelized selection-refinement stage over
+//!   the undecided candidates. (The query tail — projection refinement,
+//!   grouping, aggregation — streams slice-at-a-time through
+//!   [`crate::tail`], whose sources own the translucent alignment.)
 
-use bwd_core::translucent::translucent_join_with;
 use bwd_core::RangePred;
-use bwd_kernels::scan::{cache_worthwhile, scan_block_ranges};
-use bwd_kernels::{Candidates, DeviceArray, SelMask};
+use bwd_kernels::scan::cache_worthwhile;
+use bwd_kernels::DeviceArray;
 use bwd_storage::{BitPackedVec, BlockDecoder, DecompositionMeta};
-use bwd_types::{Oid, Result};
+use bwd_types::Oid;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -325,145 +314,39 @@ fn take_oids(pool: &ScratchPool, bound: usize) -> Vec<Oid> {
     out
 }
 
-/// Morsel-parallel selection refinement: reconstruct each refined tuple's
-/// exact payload (approximation ‖ residual) and keep the oids passing the
-/// precise `range` test, in candidate order. `survivors` restricts the
-/// refinement to an earlier refinement's output (translucent join);
-/// `None` refines the full candidate list. Pure computation — the caller
-/// charges the simulated cost from the merged totals.
+/// Morsel-parallel selection refinement over the candidates the
+/// approximation left *undecided*: reconstruct each one's exact payload
+/// (approximation ‖ residual) and keep the oids passing the precise
+/// `range` test, in candidate order. Approximations decode from the
+/// (replicated-on-host) device array — `arr[oid]` for fact-side
+/// predicates, `arr[link[oid]]` through the FK link for dimension-side
+/// ones — the values the device gathers for exactly these candidates, so
+/// neither candidate representation is consulted. Pure computation — the
+/// caller charges the simulated cost from the merged totals.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_filter(
     meta: &DecompositionMeta,
     residual: ResidualSrc<'_>,
-    cands: &Candidates,
-    survivors: Option<&[Oid]>,
-    range: &RangePred,
-    morsels: usize,
-    pool: &ScratchPool,
-) -> Result<Vec<Oid>> {
-    match survivors {
-        None => {
-            // Aligned zip over (oids, approx); mirrors the serial loop's
-            // zip truncation to the shorter side.
-            let n = cands.oids.len().min(cands.approx.len());
-            let ranges = partition_ranges(n, morsels);
-            let outs = run_parts(&ranges, |_, r| {
-                let mut out = take_oids(pool, r.len());
-                let mut res = residual.reader();
-                for (&oid, &stored) in cands.oids[r.clone()].iter().zip(&cands.approx[r]) {
-                    if range.test(meta.payload_from_parts(stored, res.get(oid))) {
-                        out.push(oid);
-                    }
-                }
-                out
-            });
-            Ok(merge_oid_parts(outs, pool))
-        }
-        Some(subset) => {
-            let ranges = partition_ranges(subset.len(), morsels);
-            let outs = run_parts(&ranges, |_, r| -> Result<Vec<Oid>> {
-                let mut out = take_oids(pool, r.len());
-                let mut res = residual.reader();
-                // Survivor `r.start` sits at candidate position `r.start`
-                // or later: start the cursor there and let the merge find it.
-                let lo = r.start.min(cands.len());
-                let sub = &subset[r];
-                let (a_ids, a_vals, base) = match cands.dense {
-                    true => (&cands.oids[..], &cands.approx[..], Some(0)),
-                    false => (&cands.oids[lo..], &cands.approx[lo..], None),
-                };
-                translucent_join_with(a_ids, a_vals, base, sub, |bi, stored| {
-                    let oid = sub[bi];
-                    if range.test(meta.payload_from_parts(stored, res.get(oid))) {
-                        out.push(oid);
-                    }
-                })?;
-                Ok(out)
-            });
-            let outs = outs.into_iter().collect::<Result<_>>()?;
-            Ok(merge_oid_parts(outs, pool))
-        }
-    }
-}
-
-/// [`refine_filter`] consuming the *bitmap* representation directly — no
-/// index-list materialization round-trip. With no survivor subset the
-/// mask's blocks are walked in the scan's emission order (each worker
-/// decodes its chunk of blocks into pooled scratch 64 rows at a time); with a subset, membership is positional so the translucent join
-/// disappears entirely: each survivor's approximation is re-decoded from
-/// `approx` and re-tested. Output order equals what [`refine_filter`]
-/// produces over the materialized list, bit for bit. A positional bitmap
-/// carries no value column, so approximations decode straight from the
-/// (replicated-on-host) device array: `arr[oid]` for fact-side
-/// predicates, `arr[link[oid]]` through the FK link for dimension-side
-/// ones — exactly the values the materialized list would have carried.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_filter_mask(
-    meta: &DecompositionMeta,
-    residual: ResidualSrc<'_>,
-    mask: &SelMask,
     arr: &DeviceArray,
     link: Option<&DeviceArray>,
-    survivors: Option<&[Oid]>,
+    undecided: &[Oid],
     range: &RangePred,
     morsels: usize,
     pool: &ScratchPool,
-) -> Result<Vec<Oid>> {
-    match survivors {
-        None => {
-            let blocks = scan_block_ranges(mask.rows(), &mask.scan_options());
-            let chunks = partition_ranges_min(blocks.len(), morsels, 1);
-            let outs = run_parts(&chunks, |_, chunk| {
-                let rows: usize = blocks[chunk.clone()].iter().map(Range::len).sum();
-                let mut out = take_oids(pool, rows.min(mask.count()));
-                let mut oids = pool.take_u32();
-                let mut vals = pool.take_u64();
-                let mut res = residual.reader();
-                for b in &blocks[chunk] {
-                    oids.clear();
-                    vals.clear();
-                    match link {
-                        None => mask.append_block(arr, b.clone(), &mut oids, &mut vals),
-                        Some(l) => {
-                            mask.append_block_indirect(arr, l, b.clone(), &mut oids, &mut vals)
-                        }
-                    }
-                    for (&oid, &stored) in oids.iter().zip(&vals) {
-                        if range.test(meta.payload_from_parts(stored, res.get(oid))) {
-                            out.push(oid);
-                        }
-                    }
-                }
-                pool.put_u32(oids);
-                pool.put_u64(vals);
-                out
-            });
-            Ok(merge_oid_parts(outs, pool))
+) -> Vec<Oid> {
+    let ranges = partition_ranges(undecided.len(), morsels);
+    let outs = run_parts(&ranges, |_, r| {
+        let mut out = take_oids(pool, r.len());
+        let mut res = residual.reader();
+        for &oid in &undecided[r] {
+            let stored = arr.get(link.map_or(oid, |l| l.get(oid as usize) as Oid) as usize);
+            if range.test(meta.payload_from_parts(stored, res.get(oid))) {
+                out.push(oid);
+            }
         }
-        Some(subset) => {
-            let ranges = partition_ranges(subset.len(), morsels);
-            let words = mask.words();
-            let outs = run_parts(&ranges, |_, r| {
-                let mut out = take_oids(pool, r.len());
-                let mut res = residual.reader();
-                for &oid in &subset[r] {
-                    // Survivors shrink monotonically down the chain, so
-                    // every subset position is set in this (earlier)
-                    // selection's mask.
-                    debug_assert_eq!(
-                        words[oid as usize / 64] >> (oid as usize % 64) & 1,
-                        1,
-                        "survivor oid {oid} not in refined selection's mask"
-                    );
-                    let stored = arr.get(link.map_or(oid, |l| l.get(oid as usize) as Oid) as usize);
-                    if range.test(meta.payload_from_parts(stored, res.get(oid))) {
-                        out.push(oid);
-                    }
-                }
-                out
-            });
-            Ok(merge_oid_parts(outs, pool))
-        }
-    }
+        out
+    });
+    merge_oid_parts(outs, pool)
 }
 
 #[cfg(test)]

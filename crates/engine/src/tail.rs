@@ -741,7 +741,7 @@ mod tests {
             let fk = db.fk_index("t", "fk").unwrap().host_slice();
             let classic = |m, s| run_classic_sliced(db.catalog(), &plan, Some(fk), db.env(), m, s);
             let opts = |morsels| ArExecOptions { morsels, ..Default::default() };
-            let ar = |m, s| run_ar_sliced(db, &plan, &opts(m), db.env(), s);
+            let ar = |m, s| run_ar_sliced(db, &plan, &opts(m), db.env(), s, &mut Default::default());
             let want = oracle(db, &plan);
             let tag = format!("{plan:?} on {resident}: morsels {morsels} slice {slice_rows}");
             for (serial, sliced) in [

@@ -18,6 +18,12 @@
 //!   bitmap;
 //! * [`ScanSpec::emit`] — pure partition → (oid, approximation) pairs, over
 //!   a row span or an input oid list;
+//! * [`ScanSpec::mark_undecided_mask`] / [`ScanSpec::mark_undecided`] — the
+//!   kernel's second output, one **decided** bit per match: a match whose
+//!   approximation lies in the spec's *inner* interval
+//!   ([`ScanSpec::deciding`]) has its whole granule inside the exact
+//!   predicate and needs no refinement; every other match is OR-ed into a
+//!   positional *undecided* bitmap the chain accumulates;
 //! * [`ScanSpec::charge`] — the simulated cost, the only place the four
 //!   cost formulas (source × input) live. The bill is derived from the
 //!   same value that produced the rows, so the two cannot disagree, and
@@ -181,6 +187,9 @@ pub struct ScanSpec<'a> {
     lo: u64,
     hi: u64,
     n_in: Option<usize>,
+    /// The stored values whose whole granule satisfies the exact predicate
+    /// (`None`: no match is decided; `[lo, hi]`: every match is).
+    inner: Option<(u64, u64)>,
     /// Whether row lookups go through the block-cached bulk decoder:
     /// candidate rows ascend within scan blocks, so a dense input revisits
     /// the same 64-element decode block.
@@ -230,8 +239,28 @@ impl<'a> ScanSpec<'a> {
             lo,
             hi,
             n_in,
+            inner: Some((lo, hi)),
             cached: cache_worthwhile(n_in.unwrap_or(rows), rows),
         }
+    }
+
+    /// Decide only the matches inside `inner` — the granules wholly inside
+    /// the exact predicate the bounds were relaxed from. Without this
+    /// call every match counts as decided (the bounds *are* the predicate).
+    pub fn deciding(mut self, inner: Option<(u64, u64)>) -> Self {
+        self.inner = inner;
+        self
+    }
+
+    /// Whether no match can stay undecided (the inner interval is the
+    /// scanned one): the kernel then writes no decided bits at all.
+    pub fn decides_all(&self) -> bool {
+        self.inner == Some((self.lo, self.hi))
+    }
+
+    #[inline]
+    fn undecided(&self, v: u64) -> bool {
+        !self.inner.is_some_and(|(lo, hi)| v >= lo && v <= hi)
     }
 
     /// The array a row number indexes: the link when there is one.
@@ -378,6 +407,58 @@ impl<'a> ScanSpec<'a> {
         count_blocks(data.width(), blocks, zero_blocks);
     }
 
+    /// OR into `undecided` — the words of a positional bitmap covering the
+    /// same rows as `matches`, this step's output words from `word_start`
+    /// on — every match whose approximation lies outside the inner
+    /// interval. Word-aligned like [`ScanSpec::fill_mask`], so morsel
+    /// workers mark disjoint chunks.
+    pub fn mark_undecided_mask(&self, matches: &[u64], word_start: usize, undecided: &mut [u64]) {
+        debug_assert_eq!(matches.len(), undecided.len());
+        let base = word_start * 64;
+        match (self.inner, self.link) {
+            (None, _) => {
+                for (u, &m) in undecided.iter_mut().zip(matches) {
+                    *u |= m;
+                }
+            }
+            (Some((lo, hi)), None) => {
+                let n = (self.arr.len().saturating_sub(base)).min(matches.len() * 64);
+                let words = n.div_ceil(64);
+                if words == 0 {
+                    return;
+                }
+                let mut decided = vec![0u64; words];
+                let m = RangeMatcher::new(self.arr.data(), lo, hi);
+                m.fill_and(word_start, n, &matches[..words], &mut decided);
+                for ((u, &m), &d) in undecided.iter_mut().zip(matches).zip(&decided) {
+                    *u |= m & !d;
+                }
+            }
+            (Some(_), Some(_)) => {
+                let mut src = self.reader();
+                for (i, (u, &m)) in undecided.iter_mut().zip(matches).enumerate() {
+                    let mut bits = m;
+                    while bits != 0 {
+                        let k = bits.trailing_zeros() as usize;
+                        *u |= u64::from(self.undecided(src.get(base + i * 64 + k))) << k;
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`ScanSpec::mark_undecided_mask`] for index output: set the bit of
+    /// every emitted pair whose approximation lies outside the inner
+    /// interval in the whole-relation bitmap `undecided`.
+    pub fn mark_undecided(&self, oids: &[Oid], approx: &[u64], undecided: &mut [u64]) {
+        for (&oid, &v) in oids.iter().zip(approx) {
+            if self.undecided(v) {
+                undecided[oid as usize / 64] |= 1 << (oid % 64);
+            }
+        }
+    }
+
     /// Charge the simulated cost of this selection having produced `n_out`
     /// candidates (`opts` is the full scan's block geometry; chained steps
     /// ignore it). Morsel-parallel callers run the partitions themselves
@@ -396,7 +477,13 @@ impl<'a> ScanSpec<'a> {
     ///   dimension element per input candidate.
     pub fn charge(&self, env: &Env, n_out: usize, opts: &ScanOptions, ledger: &mut CostLedger) {
         let arr = self.arr;
-        let out_bytes = candidate_stream_bytes(arr.width(), n_out as u64);
+        // The compacted pairs, plus one decided bit each when any match
+        // can stay undecided.
+        let flag_bytes = match self.decides_all() {
+            true => 0,
+            false => (n_out as u64).div_ceil(8),
+        };
+        let out_bytes = candidate_stream_bytes(arr.width(), n_out as u64) + flag_bytes;
         match (self.link, self.n_in.map(|n| n as u64)) {
             (None, None) => {
                 let n = arr.len();
@@ -596,9 +683,11 @@ mod tests {
         /// earlier step's survivors (as oids and as a mask), output
         /// indices or bitmap. For each step: rows equal the oracle's, the
         /// bitmap converted through the block-emission order equals the
-        /// index output bit for bit, and both outputs are billed the same
-        /// events. Then the selection laws: σ_p∘σ_q = σ_q∘σ_p (as sets)
-        /// = σ_{p∧q}.
+        /// index output bit for bit, both outputs are billed the same
+        /// events, and both mark exactly the oracle's matches outside the
+        /// inner interval (the outer one trimmed at neither, either or
+        /// both ends, or empty) as undecided. Then the selection laws:
+        /// σ_p∘σ_q = σ_q∘σ_p (as sets) = σ_{p∧q}.
         #[test]
         fn prop_scan_spec_matches_oracle_and_selection_laws(
             width in 1u32..=32,
@@ -609,6 +698,7 @@ mod tests {
             preserve_order in any::<bool>(),
             cut in 0usize..12,
             bounds in proptest::collection::vec(0u64..=1100, 4..5),
+            trim in 0u64..5,
         ) {
             let env = Env::paper_default();
             let mut rng = SplitMix64::new(seed);
@@ -629,6 +719,11 @@ mod tests {
             let q = (bound(bounds[2], 9), bound(bounds[2], 9).saturating_add(bound(bounds[3], 9)));
             let emission = || scan_block_ranges(rows, &opts).into_iter().flatten();
 
+            // The inner interval: the outer one trimmed per `trim`.
+            let inner_of = |(lo, hi): (u64, u64)| match trim {
+                4 => None,
+                _ => Some((lo + (trim & 1), hi.saturating_sub(trim >> 1))).filter(|(l, h)| l <= h),
+            };
             let check = |spec: &ScanSpec<'_>, arr: &DeviceArray, via: Option<&DeviceArray>,
                          pred: (u64, u64), input: Option<(&Candidates, &SelMask)>| {
                 let ((cands, l_idx), (mask, l_mask)) =
@@ -644,15 +739,35 @@ mod tests {
                 };
                 prop_assert_eq!(&converted, &cands);
                 prop_assert_eq!(l_idx.events(), l_mask.events());
+                let inner = inner_of(pred);
+                let mut want = vec![0u64; rows.div_ceil(64)];
+                for (&oid, &v) in expect.0.iter().zip(&expect.1) {
+                    if !inner.is_some_and(|(lo, hi)| v >= lo && v <= hi) {
+                        want[oid as usize / 64] |= 1 << (oid % 64);
+                    }
+                }
+                let mut by_index = vec![0u64; want.len()];
+                spec.mark_undecided(&cands.oids, &cands.approx, &mut by_index);
+                let mut by_mask = vec![0u64; want.len()];
+                let at = cut.min(want.len());
+                let (head, tail) = by_mask.split_at_mut(at);
+                spec.mark_undecided_mask(&mask.words()[..at], 0, head);
+                spec.mark_undecided_mask(&mask.words()[at..], at, tail);
+                prop_assert_eq!(&by_index, &want);
+                prop_assert_eq!(&by_mask, &want);
+                prop_assert_eq!(spec.decides_all(), inner == Some(pred));
                 (cands, mask)
             };
 
-            let spec_p = ScanSpec::new(&a, link, p.0, p.1, None);
-            let spec_q = ScanSpec::new(&b, None, q.0, q.1, None);
+            let spec = |arr, via, (lo, hi): (u64, u64), n_in| {
+                ScanSpec::new(arr, via, lo, hi, n_in).deciding(inner_of((lo, hi)))
+            };
+            let spec_p = spec(&a, link, p, None);
+            let spec_q = spec(&b, None, q, None);
             let (cp, mp) = check(&spec_p, &a, link, p, None);
             let (cq, mq) = check(&spec_q, &b, None, q, None);
-            let p_on_q = ScanSpec::new(&a, link, p.0, p.1, Some(cq.len()));
-            let q_on_p = ScanSpec::new(&b, None, q.0, q.1, Some(cp.len()));
+            let p_on_q = spec(&a, link, p, Some(cq.len()));
+            let q_on_p = spec(&b, None, q, Some(cp.len()));
             let (cpq, mpq) = check(&p_on_q, &a, link, p, Some((&cq, &mq)));
             let (cqp, mqp) = check(&q_on_p, &b, None, q, Some((&cp, &mp)));
 
@@ -816,6 +931,16 @@ mod tests {
         assert_eq!(
             billed(ScanSpec::new(&dim, Some(&link), 0, 9, Some(300))),
             [label("select.approx.gather-filter-indirect", 300 * (4 + 4))]
+        );
+        // A spec that can leave matches undecided writes one decided bit
+        // per pair; one that decides them all (the default) writes none.
+        assert_eq!(
+            billed(ScanSpec::new(&fact, None, 0, 9, Some(300)).deciding(Some((1, 8)))),
+            [label("select.approx.gather-filter", 300 * 4 + 525 + 13)]
+        );
+        assert_eq!(
+            billed(ScanSpec::new(&fact, None, 0, 9, Some(300)).deciding(Some((0, 9)))),
+            [label("select.approx.gather-filter", 300 * 4 + 525)]
         );
     }
 

@@ -37,7 +37,7 @@ pub enum Phase {
 /// | `Admission`   | requested bytes, attempt    | 0, reserved bytes, requeues so far, 0 |
 /// | `Exec`        | morsels, host threads       | sim bits, bytes, result rows, 0 |
 /// | `ApproxSelect`| input candidates, step idx  | sim bits, bytes, output candidates, 1 = bitmap [`SelVec`] representation, 0 = indices |
-/// | `Refine`      | input candidates, step idx  | sim bits, bytes, surviving candidates, 0 |
+/// | `Refine`      | candidates still alive (decided + undecided), step idx | sim bits, bytes, surviving candidates, the undecided ones this step re-tested |
 /// | `Morsel`      | partition length, part idx  | 0, 0, output length, 0 |
 /// | `Placement`   | (instant) `a` device index, `b` estimated bytes |  |
 /// | `Resolve`     | (instant) `a` completion index, `b` 0 |  |

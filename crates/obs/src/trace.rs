@@ -355,7 +355,16 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
                 if end.d == 1 { "bitmap" } else { "indices" }
             ));
         }
-        (EventKind::Refine | EventKind::Morsel, Some(end)) => {
+        (EventKind::Refine, Some(end)) => {
+            out.push_str(&format!(
+                "  in={}  out={}  decided={}  undecided={}",
+                n.begin.a,
+                end.c,
+                n.begin.a.saturating_sub(end.d),
+                end.d
+            ));
+        }
+        (EventKind::Morsel, Some(end)) => {
             out.push_str(&format!("  in={}  out={}", n.begin.a, end.c));
         }
         (
@@ -439,6 +448,25 @@ mod tests {
         for w in t.events.windows(2) {
             assert!(w[0].t_ns <= w[1].t_ns, "time-ordered");
         }
+    }
+
+    #[test]
+    fn explain_prints_the_refine_split() {
+        let r = Recorder::new(RecorderConfig {
+            ring_capacity: 16,
+            clock: Clock::mock().0,
+        });
+        let w = r.worker("worker-0");
+        let exec = w.begin(EventKind::Exec, NO_SPAN, 1, 1);
+        // 100 candidates alive, 30 of them undecided, 10 of those refuted.
+        let refine = w.begin(EventKind::Refine, exec, 100, 0);
+        w.end(EventKind::Refine, refine, 0.25f64.to_bits(), 512, 90, 30);
+        w.end(EventKind::Exec, exec, 0.25f64.to_bits(), 512, 90, 0);
+        let text = QueryTrace::capture(&r).explain();
+        assert!(
+            text.contains("in=100  out=90  decided=70  undecided=30"),
+            "{text}"
+        );
     }
 
     #[test]

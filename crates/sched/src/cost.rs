@@ -28,7 +28,7 @@
 //! assumed.
 
 use crate::estimate::EstimateConfig;
-use bwd_core::plan::{ArPlan, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
+use bwd_core::plan::{split_column, ArPlan, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
 use bwd_engine::{Database, ExecMode};
 
 /// An estimated per-component latency for one job, in simulated seconds.
@@ -53,10 +53,7 @@ impl LatencyEstimate {
 /// dimension-qualified as `table.column`), with a safe fallback when the
 /// lookup fails — an estimator must never error a submission.
 fn column_bytes(db: &Database, fact_table: &str, name: &str, fallback_rows: u64) -> (u64, u64) {
-    let (table, column) = match name.split_once('.') {
-        Some((t, c)) => (t, c),
-        None => (fact_table, name),
-    };
+    let (table, column) = split_column(name, fact_table);
     match db.catalog().table(table).and_then(|t| t.column(column)) {
         Ok(col) => {
             let rows = col.len().max(1) as u64;
@@ -88,6 +85,41 @@ fn chain_selectivities(plan: &ArPlan, cfg: &EstimateConfig) -> Vec<f64> {
         .collect()
 }
 
+/// Expected share of the final candidates that some selection leaves
+/// *undecided* — the only ones the A&R executor downloads, refines and
+/// (when the device can aggregate the rest) sends through the host tail.
+///
+/// A selection on a column that keeps `resbits` on the host decides every
+/// granule wholly inside its range; only the boundary granule of each
+/// bounded end (`2^resbits` payloads wide) straddles it. Against the
+/// hinted exact range that is `boundary / (range + boundary)` of the
+/// step's candidates; a fully resident (or not yet decomposed) column
+/// decides everything, an excluded point nothing. Shares combine as
+/// independent: a candidate is decided when every selection decides it.
+fn undecided_share(db: &Database, plan: &ArPlan) -> f64 {
+    let decided: f64 = (plan.selections.iter())
+        .map(|s| {
+            if s.range.exclude.is_some() {
+                return 0.0;
+            }
+            let (table, column) = split_column(&s.column, &plan.table);
+            let Some(resbits) = db.resbits(table, column).filter(|&r| r > 0) else {
+                return 1.0;
+            };
+            let domain = (db.catalog().table(table))
+                .and_then(|t| t.column(column))
+                .ok()
+                .and_then(|c| c.payload_min_max())
+                .map_or(1.0, |(lo, hi)| (hi - lo) as f64 + 1.0);
+            let range = s.selectivity_hint.unwrap_or(1.0) * domain;
+            let ends = u32::from(s.range.lo.is_some()) + u32::from(s.range.hi.is_some());
+            let boundary = f64::from(ends) * (resbits.min(62) as f64).exp2();
+            range / (range + boundary)
+        })
+        .product();
+    1.0 - decided
+}
+
 /// Predicted final survivor count of one job: the table's rows scaled by
 /// the selection chain's cumulative hinted selectivity — the same term
 /// both estimators price candidate lists with. The calibrator compares
@@ -116,8 +148,9 @@ pub(crate) fn predicted_survivors(db: &Database, plan: &ArPlan, cfg: &EstimateCo
 /// co-processor: the approximation chain streams bit-packed columns at
 /// device bandwidth (a ~2 orders of magnitude faster roofline, which is
 /// exactly why short probes must not queue behind classic scans), with
-/// candidate downloads over PCI-E and host-side refinement over the
-/// hinted candidate counts.
+/// downloads over PCI-E, host-side refinement and the host tail priced
+/// from the share of the hinted candidates the approximation leaves
+/// undecided (the boundary granules), not from all of them.
 pub fn estimate_latency(
     db: &Database,
     plan: &ArPlan,
@@ -140,7 +173,8 @@ pub fn estimate_latency(
     let survivors =
         |i: usize| -> u64 { (rows as f64 * sel.get(i).copied().unwrap_or(1.0)).ceil() as u64 };
     let final_rows = survivors(plan.selections.len().saturating_sub(1));
-    let gcols = plan.gathered_columns().len() as u64;
+    let gathered = plan.gathered_columns();
+    let gcols = gathered.len() as u64;
     let mut est = LatencyEstimate::default();
 
     match mode {
@@ -169,24 +203,39 @@ pub fn estimate_latency(
         _ => {
             // Approximation chain on the device: first selection streams
             // the packed column (plain bytes as a safe upper proxy for
-            // the packed size), later ones gather over candidates.
+            // the packed size) and writes its candidate pairs, later ones
+            // gather over candidates.
             for (i, s) in plan.selections.iter().enumerate() {
                 est.device += dev.kernel_launch_overhead;
                 if i == 0 {
                     let (bytes, _) = column_bytes(db, &plan.table, &s.column, rows);
-                    est.device += dev.stream_seconds(bytes);
+                    est.device += dev.stream_seconds(bytes + survivors(0) * CANDIDATE_PAIR_BYTES);
                 } else {
                     est.device += dev.scattered_seconds(survivors(i - 1) * CANDIDATE_PAIR_BYTES);
                 }
             }
-            // Candidate oids cross PCI-E once for host-side refinement.
-            est.pcie += env.pcie.transfer_seconds(final_rows * 4);
-            // Refinement: scattered residual decode + exact re-test.
+            // Only the undecided candidates cross PCI-E for host-side
+            // refinement: scattered residual decode + exact re-test.
+            let undecided = (final_rows as f64 * undecided_share(db, plan)).ceil() as u64;
+            est.pcie += env.pcie.transfer_seconds(undecided * 4);
             est.host +=
-                cpu.scattered_seconds(final_rows * GATHER_VALUE_BYTES, final_rows, host_threads);
+                cpu.scattered_seconds(undecided * GATHER_VALUE_BYTES, undecided, host_threads);
             // Aggregation-input gathers over the final candidates.
             est.device += dev.kernel_launch_overhead * gcols as f64
                 + dev.scattered_seconds(final_rows * gcols * GATHER_VALUE_BYTES);
+            // The host tail: the undecided rows when the device can
+            // aggregate the decided ones (every gathered column
+            // resident), every row otherwise.
+            let resident = gathered.iter().all(|name| {
+                let (table, column) = split_column(name, &plan.table);
+                db.resbits(table, column).is_none_or(|r| r == 0)
+            });
+            let host_rows = if resident { undecided } else { final_rows };
+            est.host += cpu.scan_seconds(
+                host_rows * gcols * GATHER_VALUE_BYTES,
+                host_rows * gcols.max(1),
+                host_threads,
+            );
         }
     }
     est
@@ -289,6 +338,33 @@ mod tests {
             },
         );
         assert!(no_hints.seconds() >= wide.seconds());
+    }
+
+    #[test]
+    fn refinement_is_priced_from_the_boundary_granules() {
+        let mut db = db_with(1_000_000);
+        let wide = probe(&db, 0, 4_999); // half of the 0..10 000 domain
+        assert_eq!(undecided_share(&db, &wide), 0.0, "not decomposed yet");
+        db.bwdecompose("t", "a", 32).unwrap();
+        assert_eq!(undecided_share(&db, &wide), 0.0, "fully resident");
+        let cfg = EstimateConfig::default();
+        let resident = estimate_latency(&db, &wide, &ExecMode::ApproxRefine, 1, &cfg);
+        // 28/4: granules of 16 payloads, two bounded ends.
+        db.bwdecompose("t", "a", 28).unwrap();
+        let share = undecided_share(&db, &wide);
+        assert!((share - 32.0 / 5_032.0).abs() < 1e-12, "{share}");
+        let narrow = probe(&db, 0, 15);
+        assert!((undecided_share(&db, &narrow) - 32.0 / 48.0).abs() < 1e-12);
+        let split = estimate_latency(&db, &wide, &ExecMode::ApproxRefine, 1, &cfg);
+        assert!(split.host > resident.host && split.pcie > resident.pcie);
+        // Under 1 % of the candidates are refined: nowhere near the bill
+        // for all of them.
+        let rows = 500_000;
+        let all = db
+            .env()
+            .cpu
+            .scattered_seconds(rows * GATHER_VALUE_BYTES, rows, 1);
+        assert!(split.host < all / 50.0, "{split:?} vs {all}");
     }
 
     #[test]

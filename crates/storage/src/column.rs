@@ -9,7 +9,7 @@
 //! (the rewrite the paper applied to TPC-H Q14's `like 'PROMO%'`).
 
 use bwd_types::{BwdError, DataType, Date, Result, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Physical payload storage of a column.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +51,10 @@ pub struct Column {
     data: ColumnData,
     /// Ordered dictionary for `Str` columns.
     dict: Option<Arc<Dictionary>>,
+    /// Payload minimum/maximum, found by the first
+    /// [`Column::payload_min_max`] call: the binder asks per predicate per
+    /// `bind`, and a full pass each time was most of a short request.
+    min_max: OnceLock<Option<(i64, i64)>>,
 }
 
 impl Column {
@@ -60,6 +64,7 @@ impl Column {
             dtype: DataType::Int32,
             data: ColumnData::I32(vals),
             dict: None,
+            min_max: OnceLock::new(),
         }
     }
 
@@ -69,6 +74,7 @@ impl Column {
             dtype: DataType::Int64,
             data: ColumnData::I64(vals),
             dict: None,
+            min_max: OnceLock::new(),
         }
     }
 
@@ -78,6 +84,7 @@ impl Column {
             dtype: DataType::Date,
             data: ColumnData::I32(vals.into_iter().map(|d| d.days()).collect()),
             dict: None,
+            min_max: OnceLock::new(),
         }
     }
 
@@ -102,6 +109,7 @@ impl Column {
             dtype,
             data,
             dict: None,
+            min_max: OnceLock::new(),
         })
     }
 
@@ -113,6 +121,7 @@ impl Column {
             dtype: DataType::Str,
             data: ColumnData::I32(codes),
             dict: Some(Arc::new(dict)),
+            min_max: OnceLock::new(),
         }
     }
 
@@ -138,6 +147,7 @@ impl Column {
                     dtype,
                     data: ColumnData::I32(narrow),
                     dict: None,
+                    min_max: OnceLock::new(),
                 })
             }
         }
@@ -240,28 +250,31 @@ impl Column {
         self.len() as u64 * self.dtype.plain_width()
     }
 
-    /// Minimum and maximum payload, or `None` when empty.
+    /// Minimum and maximum payload, or `None` when empty — one pass over
+    /// the column the first time it is asked, remembered afterwards.
     pub fn payload_min_max(&self) -> Option<(i64, i64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut lo = i64::MAX;
-        let mut hi = i64::MIN;
-        match &self.data {
-            ColumnData::I32(v) => {
-                for &x in v {
-                    lo = lo.min(x as i64);
-                    hi = hi.max(x as i64);
+        *self.min_max.get_or_init(|| {
+            if self.is_empty() {
+                return None;
+            }
+            let mut lo = i64::MAX;
+            let mut hi = i64::MIN;
+            match &self.data {
+                ColumnData::I32(v) => {
+                    for &x in v {
+                        lo = lo.min(x as i64);
+                        hi = hi.max(x as i64);
+                    }
+                }
+                ColumnData::I64(v) => {
+                    for &x in v {
+                        lo = lo.min(x);
+                        hi = hi.max(x);
+                    }
                 }
             }
-            ColumnData::I64(v) => {
-                for &x in v {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-            }
-        }
-        Some((lo, hi))
+            Some((lo, hi))
+        })
     }
 }
 

@@ -293,3 +293,120 @@ fn repeated_group_key_is_gathered_and_billed_once() {
     }
     assert_eq!(rows[0], rows[1], "classic vs A&R");
 }
+
+/// refine∘approximate = exact for every decomposition split, and the bill
+/// is a function of the plan alone: over splits {8, 16, 24, 31, 32 device
+/// bits} × selectivity {nothing, inside one granule, granule-aligned,
+/// half, everything} × {global, grouped} × tail {device: resident
+/// aggregates, host: aggregating the split column} × a second (resident)
+/// conjunct × `CandidateRep` × morsels {1, 3} × pushdown, the A&R rows
+/// equal Classic's, and rows, `breakdown`, `traffic` and `survivors` equal
+/// the serial default-representation A&R run of the same plan.
+mod split_sweep {
+    use super::*;
+    use std::sync::OnceLock;
+    use waste_not::engine::{ArExecOptions, CandidateRep};
+    use waste_not::kernels::ScanOptions;
+
+    const ROWS: i64 = 30_000;
+    /// `a` spreads a permutation of `0..ROWS` over most of the `i32`
+    /// domain, so every split leaves many granules (or, at 16 bits and
+    /// finer, about one value per granule).
+    const STRIDE: i64 = 65_536;
+    const SPLITS: [u32; 5] = [8, 16, 24, 31, 32];
+
+    fn db(split: usize) -> &'static Database {
+        static DBS: [OnceLock<Database>; 5] = [const { OnceLock::new() }; 5];
+        DBS[split].get_or_init(|| {
+            let col =
+                |f: &dyn Fn(i64) -> i64| Column::from_i32((0..ROWS).map(|i| f(i) as i32).collect());
+            let mut db = Database::new();
+            let cols = [
+                ("a", col(&|i| i * 7919 % ROWS * STRIDE)),
+                ("g", col(&|i| i * 31 % 7)),
+                ("v", col(&|i| i * 13 % 9973 - 4000)),
+                ("w", col(&|i| i % 10)),
+            ];
+            let cols = cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect();
+            db.create_table("t", cols).unwrap();
+            db.bwdecompose("t", "a", SPLITS[split]).unwrap();
+            for resident in ["g", "v", "w"] {
+                db.bwdecompose("t", resident, 32).unwrap();
+            }
+            db
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_every_split_refines_to_the_exact_answer(
+            split in 0usize..5,
+            selectivity in 0usize..5,
+            grouped: bool,
+            host_tail: bool,
+            second: bool,
+            rep in 0usize..3,
+            wide: bool,
+            pushdown: bool,
+        ) {
+            let db = db(split);
+            let granule = 1i64 << (32 - SPLITS[split]);
+            let max = (ROWS - 1) * STRIDE;
+            let (lo, hi) = match selectivity {
+                0 => (STRIDE + 1, 2 * STRIDE - 1), // between two values
+                1 => (5 * STRIDE, 5 * STRIDE + granule.min(STRIDE) / 2), // within one granule
+                // Whole granules (the frame is 0): every candidate decided.
+                2 => {
+                    let g = granule.max(STRIDE);
+                    (ROWS / 8 * STRIDE / g * g, ROWS / 2 * STRIDE / g * g - 1)
+                }
+                3 => (0, max / 2),
+                _ => (0, max),
+            };
+            let mut preds = vec![Predicate::Between {
+                column: "a".into(),
+                lo: Value::Int(lo),
+                hi: Value::Int(hi),
+            }];
+            if second {
+                preds.push(Predicate::Cmp { column: "w".into(), op: CmpOp::Lt, value: Value::Int(7) });
+            }
+            let sum = |c: &str| AggExpr { func: AggFunc::Sum, arg: Some(ScalarExpr::col(c)), alias: c.into() };
+            let mut aggs = vec![AggExpr { func: AggFunc::Count, arg: None, alias: "n".into() }, sum("v")];
+            if host_tail {
+                aggs.push(sum("a"));
+            }
+            let logical = LogicalPlan::scan("t")
+                .filter(Predicate::And(preds))
+                .aggregate(if grouped { vec!["g".into()] } else { vec![] }, aggs);
+            let plan = db.bind(&logical, &RewriteOptions { pushdown }).unwrap();
+            // Several scan blocks, so candidates come out block-scrambled.
+            let opts = |candidates, morsels| ArExecOptions {
+                scan: ScanOptions { block_size: 4096, preserve_order: false },
+                candidates,
+                morsels,
+                ..ArExecOptions::default()
+            };
+            let run = |o| db.run_bound(&plan, ExecMode::ApproxRefineWith(o)).unwrap();
+            let classic = db.run_bound(&plan, ExecMode::Classic).unwrap();
+            let serial = run(opts(CandidateRep::Auto, 1));
+            let rep = [CandidateRep::Auto, CandidateRep::Indices, CandidateRep::Bitmap][rep];
+            let got = run(opts(rep, if wide { 3 } else { 1 }));
+            let tag = format!("{:?} {rep:?} wide={wide}", plan.selections);
+            prop_assert_eq!(&serial.rows, &classic.rows, "{}", tag);
+            prop_assert_eq!(serial.survivors, classic.survivors, "{}", tag);
+            prop_assert_eq!(&got.rows, &serial.rows, "{}", tag);
+            prop_assert_eq!(got.breakdown, serial.breakdown, "{}", tag);
+            prop_assert_eq!(got.traffic, serial.traffic, "{}", tag);
+            prop_assert_eq!(got.survivors, serial.survivors, "{}", tag);
+            // The resident fast path is the case undecided = ∅, at any
+            // split: nothing to refine, nothing for the host to aggregate.
+            if selectivity == 2 && !host_tail {
+                prop_assert!(serial.survivors > 1_000, "{}", tag);
+                prop_assert_eq!(serial.breakdown.host, 0.0, "{}", tag);
+            }
+        }
+    }
+}

@@ -156,3 +156,55 @@ fn space_constrained_uses_less_device_memory() {
     let c = db.run_bound(&plan, ExecMode::Classic).unwrap();
     assert_eq!(r.rows, c.rows);
 }
+
+/// Q1 in the space-constrained configuration now gathers its six
+/// aggregate inputs on the device for the rows `l_shipdate`'s 4 stored
+/// bits decide. The admission estimate budgets `gathered_columns() ×
+/// GATHER_VALUE_BYTES` per hinted candidate, so — even at safety factor 1,
+/// where the hinted reservation *is* the enforced budget — the query is
+/// admitted once: no `DeviceOutOfMemory`, no worst-case requeue.
+#[test]
+fn space_constrained_q1_is_admitted_first_time() {
+    use std::sync::Arc;
+    use waste_not::sched::EstimateConfig;
+    use waste_not::{SchedConfig, Scheduler};
+
+    let mut db = tpch();
+    let stmt = parse(
+        "select l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), \
+         sum(l_extendedprice * (1 - l_discount)), \
+         sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)), \
+         avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*) \
+         from lineitem where l_shipdate <= date '1998-12-01' - interval '90' day \
+         group by l_returnflag, l_linestatus",
+    )
+    .unwrap();
+    let BoundStatement::Query(q1) = bind(&stmt, db.catalog()).unwrap() else {
+        panic!("not a query")
+    };
+    let plan = db.bind(&q1, &Default::default()).unwrap();
+    db.auto_bind(&plan).unwrap();
+    db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
+    let classic = db.run_bound(&plan, ExecMode::Classic).unwrap();
+
+    let config = SchedConfig {
+        estimate: EstimateConfig {
+            use_hints: true,
+            safety_factor: 1.0,
+        },
+        ..SchedConfig::default()
+    };
+    let sched = Scheduler::new(Arc::new(db), config);
+    let ar = sched
+        .session()
+        .query(&plan, ExecMode::ApproxRefine)
+        .unwrap();
+    assert_eq!(ar.rows, classic.rows);
+    assert!(
+        ar.breakdown.device > ar.breakdown.host,
+        "{:?}",
+        ar.breakdown
+    );
+    let stats = sched.stats();
+    assert_eq!((stats.admission_requeues, stats.errors), (0, 0));
+}
