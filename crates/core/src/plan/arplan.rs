@@ -100,17 +100,21 @@ impl ArPlan {
     /// place and once in another.
     pub fn gathered_columns(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for g in &self.group_by {
-            if !out.contains(g) {
-                out.push(g.clone());
+        for c in self.group_by.iter().chain(&self.value_columns()) {
+            if !out.contains(c) {
+                out.push(c.clone());
             }
         }
-        for a in &self.aggs {
-            if let Some(arg) = &a.arg {
-                arg.collect_columns(&mut out);
-            }
-        }
-        for (e, _) in &self.project {
+        out
+    }
+
+    /// The columns some aggregate argument or projection reads, in
+    /// first-reference order — all the tail gathers when a device
+    /// pre-grouping's ids stand in for the group keys.
+    pub fn value_columns(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        let args = self.aggs.iter().filter_map(|a| a.arg.as_ref());
+        for e in args.chain(self.project.iter().map(|(e, _)| e)) {
             e.collect_columns(&mut out);
         }
         out

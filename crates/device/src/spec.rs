@@ -21,6 +21,10 @@ pub struct DeviceSpec {
     pub name: String,
     /// Device memory capacity in bytes (GTX 680: 2 GiB).
     pub memory_capacity: u64,
+    /// On-chip shared (OpenCL "local") memory one thread block can
+    /// address, in bytes (GTX 680: 48 KiB). Accumulator tables that fit
+    /// are private to a block instead of contended in device memory.
+    pub shared_mem_per_block: u64,
     /// Internal memory bandwidth in bytes/second (GTX 680: 192 GB/s).
     pub mem_bandwidth: f64,
     /// Fixed cost of launching one kernel, in seconds.
@@ -55,6 +59,7 @@ impl DeviceSpec {
         DeviceSpec {
             name: "GeForce GTX 680 (simulated)".into(),
             memory_capacity: 2 * GIB,
+            shared_mem_per_block: 48 << 10,
             mem_bandwidth: 192.2e9,
             kernel_launch_overhead: 8e-6,
             compute_throughput: 5.0e9,

@@ -43,6 +43,7 @@ use bwd_kernels::gather::{
     charge_gather, charge_gather_indirect, gather_indirect_partition_into, gather_partition_into,
 };
 use bwd_kernels::group::hash_group_multi;
+use bwd_kernels::reduce::GroupedAgg;
 use bwd_kernels::scan::scan_block_ranges;
 use bwd_kernels::{Candidates, DeviceArray, ScanOptions, ScanRows, ScanSpec, SelMask, SelVec};
 use bwd_obs::metrics::{Counter, Registry};
@@ -414,12 +415,15 @@ pub(crate) fn run_ar_sliced(
         breakdown: ledger.breakdown(),
     });
 
-    // Columns the aggregation/projection needs.
-    let needed_cols: Vec<(String, ColRef<'_>)> = plan
-        .gathered_columns()
-        .into_iter()
-        .map(|nm| resolve(&nm).map(|c| (nm, c)))
-        .collect::<Result<_>>()?;
+    // Columns the aggregation/projection needs: with a device
+    // pre-grouping, whose ids stand in for the keys, only the value columns.
+    let needed_cols: Vec<(String, ColRef<'_>)> = match device_group {
+        Some(_) => plan.value_columns(),
+        None => plan.gathered_columns(),
+    }
+    .into_iter()
+    .map(|nm| resolve(&nm).map(|c| (nm, c)))
+    .collect::<Result<_>>()?;
 
     // The one tail-placement rule: when every gathered column is fully
     // device-resident (and a grouped plan has its device pre-grouping),
@@ -439,13 +443,21 @@ pub(crate) fn run_ar_sliced(
         (true, None) if plan.aggs.is_empty() => decided as u64 * 16,
         (true, None) => 16,
     };
+    // Where a row is *priced* follows from the split alone: the device
+    // tail takes the decided rows, the host tail the candidates left —
+    // with their 4 B group ids when the device pre-grouped.
+    let (dev_rows, host_cands) = match device_tail {
+        true => (decided, undecided.len()),
+        false => (0, final_cands.len()),
+    };
+    let ids_bytes = device_group.as_ref().map_or(0, |_| host_cands as u64 * 4);
 
     // ============================ Refinement ============================
     // One transfer carries everything the host needs: per undecided
     // candidate its oid and each refinable selection's approximation, the
-    // decided oids when the host tail will gather for them (without a
-    // selection the candidates are every row: none needed), and the
-    // device's partials. The refinable
+    // host tail's group ids, the decided oids when the host tail will
+    // gather for them (without a selection the candidates are every row:
+    // none needed), and the device's partials. The refinable
     // selections then re-test last-to-first, the live set shrinking
     // monotonically; a plan without undecided candidates has no
     // refinement step at all. (The ablation refined per step.)
@@ -461,7 +473,7 @@ pub(crate) fn run_ar_sliced(
         let widths: u32 = (steps.iter())
             .map(|&i| sel_cols[i].bound.meta().stored_width())
             .sum();
-        let mut list_bytes = candidate_stream_bytes(widths, undecided.len() as u64);
+        let mut list_bytes = candidate_stream_bytes(widths, undecided.len() as u64) + ids_bytes;
         if !device_tail && !plan.selections.is_empty() {
             list_bytes += decided as u64 * 4;
         }
@@ -519,6 +531,8 @@ pub(crate) fn run_ar_sliced(
         {
             survivors = Some(merge_survivors(&final_cands.oids, &undecided, kept));
         }
+    } else if ids_bytes > 0 {
+        env.charge_download("group.approx.download", ids_bytes, ledger);
     }
     let refined_count = refined.as_ref().map_or(undecided.len(), Vec::len);
     let survivor_count = decided + refined_count;
@@ -529,15 +543,12 @@ pub(crate) fn run_ar_sliced(
     // ============================== The tail ==============================
     // Gather → refine → group → evaluate → aggregate, one slice of
     // survivors at a time (`crate::tail`), in one run over decided ∪
-    // refined rows: where a row is *priced* — the device's gathers and
-    // atomics, or the host's download, decode and bulk operators — follows
-    // from the split alone. Every charge below is issued once, in program
-    // order, from the totals, so the ledger cannot depend on how the host
-    // slices or parallelizes the real work.
-    let (dev_rows, host_cands, host_rows) = match device_tail {
-        true => (decided, undecided.len(), refined_count),
-        false => (0, final_cands.len(), survivor_count),
-    };
+    // refined rows, priced on the device (gathers, accumulator updates) or
+    // the host (download, decode, bulk operators) by the split above.
+    // Every charge below is issued once, in program order, from the
+    // totals, so the ledger cannot depend on how the host slices or
+    // parallelizes the real work.
+    let host_rows = host_cands - (undecided.len() - refined_count);
     let host_tail = !device_tail || host_cands > 0;
     if device_tail {
         // The device gathers every needed column over its rows into
@@ -545,6 +556,12 @@ pub(crate) fn run_ar_sliced(
         transient.charge(dev_rows as u64 * needed_cols.len() as u64 * GATHER_VALUE_BYTES)?;
     }
     let gather_probe = begin(EventKind::Gather, ledger, survivor_count as u64, 0);
+    let slot = |name: &String, c: &ColRef<'_>| ColumnSlot {
+        name: name.clone(),
+        payloads: Vec::new(),
+        dtype: c.dtype,
+        dict: c.dict.clone(),
+    };
     let mut schema = RowBlock::new(0);
     let mut cols = Vec::with_capacity(needed_cols.len());
     for (name, c) in &needed_cols {
@@ -575,25 +592,22 @@ pub(crate) fn run_ar_sliced(
                 }
             }
         }
-        schema.push_slot(ColumnSlot {
-            name: name.clone(),
-            payloads: Vec::new(),
-            dtype: c.dtype,
-            dict: c.dict.clone(),
-        });
+        schema.push_slot(slot(name, c));
         // Cached-vs-scattered residual reads are decided per query, from
         // the total the refinement will touch — not per slice.
         cols.push((c.bound, link, c.residual(host_rows)));
     }
     // Group keys that are fully device-resident were pre-grouped exactly
     // (their approximation *is* the value): carry those ids through the
-    // slices' translucent alignment instead of re-hashing refined keys.
+    // slices' translucent alignment instead of gathering, refining and
+    // re-hashing the key columns.
     let carried = device_group.as_ref().map(|g| {
         let keys = g.group_keys.iter().flat_map(|key| {
             (key.iter().zip(&group_cols))
                 .map(|(&stored, c)| c.bound.meta().payload_from_parts(stored, 0))
         });
-        GroupTable::from_keys(group_cols.len(), keys.collect())
+        let key_cols = plan.group_by.iter().zip(&group_cols);
+        GroupTable::from_keys(key_cols.map(|(g, c)| slot(g, c)).collect(), keys.collect())
     });
     let tail = Tail::new(plan, schema, carried)?;
     let sources = partition_ranges(survivor_count, morsels)
@@ -618,7 +632,7 @@ pub(crate) fn run_ar_sliced(
         survivor_count as u64,
         u64::from(device_tail),
     );
-    if host_tail && !plan.group_by.is_empty() {
+    if host_tail && !plan.group_by.is_empty() && device_group.is_none() {
         // Exact host grouping over the refined key slots.
         env.charge_host_scan(
             "group.refine.host",
@@ -635,18 +649,18 @@ pub(crate) fn run_ar_sliced(
         .map(|a| a.arg.as_ref().map_or(0, |e| e.op_count()) + 1)
         .chain(plan.project.iter().map(|(e, _)| e.op_count() + 1))
         .sum();
+    let spec = env.device.spec();
+    // Grouped device aggregation scatters one atomic update per aggregate
+    // per tuple. The paper's generic OpenCL kernels contend for one table
+    // in device memory (its Q1 stops at a 2.6x speedup); `GroupedAgg`
+    // keeps the table block-private and lane-replicated while it fits
+    // shared memory. Expression arithmetic runs in registers, uncontended.
+    let grouped = (device_group.as_ref().filter(|_| device_tail))
+        .map(|g| GroupedAgg::new(spec, dev_rows, plan.aggs.len(), g.n_groups()));
     if device_tail {
-        let spec = env.device.spec();
         let mut t = spec.compute_seconds(3 * dev_rows as u64 * expr_ops.max(1));
-        if let Some(g) = device_group.as_ref() {
-            // Grouped device aggregation scatters atomic updates into
-            // per-group accumulators: the same write-conflict contention
-            // as the grouping kernel, once per aggregate per tuple (this
-            // is what bounds the paper's Q1 to a ~3x speedup). Expression
-            // arithmetic itself runs in registers and does not contend.
-            let conflicts = 1.0 + 31.0 / g.n_groups().max(1) as f64;
-            let updates = dev_rows as f64 * plan.aggs.len() as f64;
-            t += updates * conflicts * spec.atomic_conflict_cost;
+        if let Some(agg) = &grouped {
+            t += agg.update_seconds(spec) + agg.merge_seconds(spec);
         }
         ledger.charge(Component::Device, "aggregate.eval", t, 0);
     }
@@ -667,7 +681,8 @@ pub(crate) fn run_ar_sliced(
         // Per-group results cross the bus (tiny).
         env.charge_download("aggregate.download", partial_bytes, ledger);
     }
-    groupagg_probe.end(&obs, ledger, rows.len() as u64, 0);
+    let tables = grouped.map_or(0, |agg| agg.replicas << 32 | agg.blocks);
+    groupagg_probe.end(&obs, ledger, rows.len() as u64, tables);
 
     Ok(QueryResult {
         columns,
@@ -1047,19 +1062,25 @@ mod tests {
     use super::*;
     use bwd_core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, ScalarExpr};
     use bwd_core::CmpOp;
+    use bwd_device::DeviceSpec;
     use bwd_storage::Column;
     use bwd_types::Value;
 
-    /// The labelled events and bytes of a Q1-shaped plan over 1 000 rows:
-    /// `where d <= 599 group by g` aggregating the resident `v`, with `d`
-    /// (= the row number) split `device_bits`/rest.
-    fn q1_shaped_bill(device_bits: u32) -> Vec<(String, u64)> {
-        let ints = |f: fn(i32) -> i32| Column::from_i32((0..1000).map(f).collect());
+    /// The events — label, bytes, simulated seconds — of `select g,
+    /// sum(<summed>), count(*) from t where d <= <cut> group by g` over
+    /// `rows` rows: `d` is the row number, split `device_bits`/rest; `g` =
+    /// `d % groups` and `v` = `3d % 1000` are resident.
+    fn grouped_bill(
+        (rows, groups, cut): (i32, i32, i32),
+        device_bits: u32,
+        summed: &str,
+    ) -> Vec<(String, u64, f64)> {
+        let ints = |f: &dyn Fn(i32) -> i32| Column::from_i32((0..rows).map(f).collect());
         let mut db = Database::new();
         let cols = [
-            ("d", ints(|i| i)),
-            ("g", ints(|i| i % 4)),
-            ("v", ints(|i| i * 3 % 1000)),
+            ("d", ints(&|i| i)),
+            ("g", ints(&|i| i % groups)),
+            ("v", ints(&|i| i * 3 % 1000)),
         ];
         let cols = cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect();
         db.create_table("t", cols).unwrap();
@@ -1068,14 +1089,14 @@ mod tests {
             .filter(Predicate::Cmp {
                 column: "d".into(),
                 op: CmpOp::Le,
-                value: Value::Int(599),
+                value: Value::Int(cut as i64),
             })
             .aggregate(
                 vec!["g".into()],
                 vec![
                     AggExpr {
                         func: AggFunc::Sum,
-                        arg: Some(ScalarExpr::col("v")),
+                        arg: Some(ScalarExpr::col(summed)),
                         alias: "s".into(),
                     },
                     AggExpr {
@@ -1090,61 +1111,120 @@ mod tests {
         let mut ledger = CostLedger::with_trace();
         let opts = ArExecOptions::default();
         let r = run_ar_sliced(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
-        assert_eq!(r.survivors, 600);
-        assert_eq!(r.rows.len(), 4);
+        assert_eq!(r.survivors, cut as usize + 1);
+        assert_eq!(r.rows.len(), groups as usize);
         (ledger.events().iter())
-            .map(|e| (e.label.clone(), e.bytes))
+            .map(|e| (e.label.clone(), e.bytes, e.seconds))
             .collect()
+    }
+
+    fn labels_and_bytes(bill: &[(String, u64, f64)]) -> Vec<(&str, u64)> {
+        bill.iter().map(|(l, b, _)| (l.as_str(), *b)).collect()
+    }
+
+    const Q1_SHAPED: (i32, i32, i32) = (1000, 4, 599);
+    const PAIR_BITS: u64 = 32;
+    fn pairs(width: u64, n: u64) -> u64 {
+        (n * (PAIR_BITS + width)).div_ceil(8)
+    }
+    fn packed(width: u64, n: u64) -> u64 {
+        (n * width).div_ceil(8)
     }
 
     /// The bill is a function of the split. 24/8 leaves `d` four granules
     /// of 256 (2 stored bits): `d <= 599` scans granules 0..=2 (768
     /// candidates), decides granules 0..=1 (512 rows) and leaves granule 2
     /// undecided (256 candidates, 88 survivors). `g` is 2 bits wide, `v`
-    /// 10. A fully resident `d` (10 stored bits) bills what it always did.
+    /// 10. The pre-grouping's ids stand in for `g` on both sides: no event
+    /// gathers, ships or decodes it, the host never regroups, and the
+    /// device folds into 32 replicas of a 4 × 2 × 16 B table.
     #[test]
     fn ledger_follows_the_decided_undecided_split() {
-        let label = |l: &str, bytes: u64| (l.to_string(), bytes);
-        let pairs = |width: u64, n: u64| (n * (32 + width)).div_ceil(8);
-        let packed = |width: u64, n: u64| (n * width).div_ceil(8);
+        let split = grouped_bill(Q1_SHAPED, 24, "v");
         assert_eq!(
-            q1_shaped_bill(24),
+            labels_and_bytes(&split),
             [
                 // The packed column, 768 pairs, one decided bit per pair.
-                label(
+                (
                     "select.approx.scan",
                     packed(2, 1000) + pairs(2, 768) + 768 / 8
                 ),
-                label("group.approx.hash-multi", 768 * 4),
-                // One transfer: the undecided pairs and four partials.
-                label("select.refine.download", pairs(2, 256) + 4 * 16),
-                label("select.refine", 256), // one residual byte each
-                // `g`: the device gathers its 512 rows, the host tail the
+                ("group.approx.hash-multi", 768 * 4),
+                // One transfer: the undecided pairs, their group ids and
+                // four partials.
+                ("select.refine.download", pairs(2, 256) + 256 * 4 + 4 * 16),
+                ("select.refine", 256), // one residual byte each
+                // `v`: the device gathers its 512 rows, the host tail the
                 // 256 undecided candidates (download, 4 B/oid merge).
-                label("aggregate.gather", 512 * 4 + packed(2, 512)),
-                label("project.approx.gather", 256 * 4 + packed(2, 256)),
-                label("project.refine.download", packed(2, 256)),
-                label("project.refine.decode", 256 * 4),
-                // `v` likewise.
-                label("aggregate.gather", 512 * 4 + packed(10, 512)),
-                label("project.approx.gather", 256 * 4 + packed(10, 256)),
-                label("project.refine.download", packed(10, 256)),
-                label("project.refine.decode", 256 * 4),
-                label("group.refine.host", 88 * 8),
-                label("aggregate.eval", 0), // device, 512 rows
-                label("aggregate.eval", 0), // host, 88 rows
+                ("aggregate.gather", 512 * 4 + packed(10, 512)),
+                ("project.approx.gather", 256 * 4 + packed(10, 256)),
+                ("project.refine.download", packed(10, 256)),
+                ("project.refine.decode", 256 * 4),
+                ("aggregate.eval", 0), // device, 512 rows
+                ("aggregate.eval", 0), // host, 88 rows
             ]
         );
+        // Device `aggregate.eval`: two one-op aggregates over 512 rows in
+        // registers, 1 024 updates spread over 32 × 4 cells per
+        // accumulator, one block's replicas merged by a second launch.
+        let spec = DeviceSpec::gtx680();
+        let updates = 1024.0 * (1.0 + 31.0 / 128.0) * spec.atomic_conflict_cost;
+        let merge = spec.kernel_launch_overhead + spec.stream_seconds(32 * 4 * 2 * 16);
         assert_eq!(
-            q1_shaped_bill(32),
+            split[8].2,
+            spec.compute_seconds(3 * 512 * 2) + (updates + merge)
+        );
+
+        assert_eq!(
+            labels_and_bytes(&grouped_bill(Q1_SHAPED, 32, "v")),
             [
-                label("select.approx.scan", packed(10, 1000) + pairs(10, 600)),
-                label("group.approx.hash-multi", 600 * 4),
+                ("select.approx.scan", packed(10, 1000) + pairs(10, 600)),
+                ("group.approx.hash-multi", 600 * 4),
                 // The candidates are the dense prefix 0..600: streamed.
-                label("aggregate.gather", packed(2, 1000) + packed(2, 600)),
-                label("aggregate.gather", packed(10, 1000) + packed(10, 600)),
-                label("aggregate.eval", 0),
-                label("aggregate.download", 4 * 16),
+                ("aggregate.gather", packed(10, 1000) + packed(10, 600)),
+                ("aggregate.eval", 0),
+                ("aggregate.download", 4 * 16),
+            ]
+        );
+    }
+
+    /// A key an aggregate also reads is still gathered, shipped and
+    /// decoded like any other argument (here `g` in place of `v`) — and
+    /// still never regrouped on the host.
+    #[test]
+    fn a_summed_group_key_is_still_gathered() {
+        assert_eq!(
+            labels_and_bytes(&grouped_bill(Q1_SHAPED, 24, "g"))[4..],
+            [
+                ("aggregate.gather", 512 * 4 + packed(2, 512)),
+                ("project.approx.gather", 256 * 4 + packed(2, 256)),
+                ("project.refine.download", packed(2, 256)),
+                ("project.refine.decode", 256 * 4),
+                ("aggregate.eval", 0),
+                ("aggregate.eval", 0),
+            ]
+        );
+    }
+
+    /// 4 096 groups × 2 aggregates × 16 B is past the 48 KiB of shared
+    /// memory: one table in device memory, `1 + 31/4096` conflicts per
+    /// update, nothing to merge — the whole event list (summing the key,
+    /// so nothing leaves the gathers) is the parent commit's, to the bit.
+    #[test]
+    fn past_the_shared_memory_budget_the_bill_is_the_global_atomics_one() {
+        let bill = grouped_bill((8192, 4096, 6143), 32, "g");
+        let bits: Vec<_> = (bill.iter())
+            .map(|(l, b, s)| (l.as_str(), *b, s.to_bits()))
+            .collect();
+        // Labels, bytes and seconds bits as dumped at the parent commit.
+        assert_eq!(
+            bits,
+            [
+                ("select.approx.scan", 47872, 0x3ee436939bf0e544),
+                ("group.approx.hash-multi", 24576, 0x3ee969e6967e6655),
+                ("aggregate.gather", 21504, 0x3ee35aac9d222756),
+                ("aggregate.eval", 0, 0x3eec71bdc1f3d418),
+                ("aggregate.download", 65536, 0x3efdfaf186757259),
             ]
         );
     }

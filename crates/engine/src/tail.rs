@@ -22,7 +22,7 @@
 //! rounds, with every worker joined. Simulated costs are not this
 //! module's business: the executors charge them once from the totals.
 
-use crate::eval::{payload_to_value, AggValue, Exprs, Node, RowBlock};
+use crate::eval::{payload_to_value, AggValue, ColumnSlot, Exprs, Node, RowBlock};
 use crate::morsel::run_parts_mut;
 use bwd_core::plan::{AggFunc, ArPlan, BinOp};
 use bwd_device::Env;
@@ -51,7 +51,8 @@ pub(crate) trait SliceSource: Send {
 #[derive(Debug, Default)]
 struct Program {
     exprs: Exprs,
-    /// Block slots of the group keys (empty: global aggregate or projection).
+    /// Block slots of the group keys the sinks hash (none when the source
+    /// carries a pre-grouping: its key columns need not be gathered).
     key_slots: Vec<usize>,
     /// Distinct accumulator inputs (`None` = `count(*)`): `sum(x)` and
     /// `avg(x)` fold the same node once.
@@ -64,7 +65,7 @@ struct Program {
 }
 
 impl Program {
-    fn compile(plan: &ArPlan, schema: &RowBlock) -> Result<Program> {
+    fn compile(plan: &ArPlan, schema: &RowBlock, carried: bool) -> Result<Program> {
         let mut p = Program::default();
         if plan.aggs.is_empty() {
             for (e, alias) in &plan.project {
@@ -75,7 +76,9 @@ impl Program {
             return Ok(p);
         }
         for g in &plan.group_by {
-            p.key_slots.push(schema.slot_index(g)?);
+            if !carried {
+                p.key_slots.push(schema.slot_index(g)?);
+            }
             p.columns.push(g.clone());
         }
         for a in &plan.aggs {
@@ -196,23 +199,25 @@ fn eval_nodes(
     }
 }
 
-/// Group keys in one flat arena (`width` payloads per group, in group-id
-/// order) behind an open-addressing index — no per-row or per-group
-/// allocation. Ids are assigned in first-appearance order.
+/// Group keys in one flat arena (one payload per key column per group, in
+/// group-id order) behind an open-addressing index — no per-row or
+/// per-group allocation. Ids are assigned in first-appearance order.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GroupTable {
-    width: usize,
+    /// The key columns' names, types and dictionaries (no payloads).
+    cols: Vec<ColumnSlot>,
     keys: Vec<i64>,
     /// Group id + 1 per bucket (0 = empty); the length is a power of two.
     index: Vec<u32>,
 }
 
 impl GroupTable {
-    /// A table whose groups `0..keys.len() / width` are pre-assigned (a
-    /// pre-grouping carried in from the device); `keys` must be distinct.
-    pub(crate) fn from_keys(width: usize, keys: Vec<i64>) -> GroupTable {
+    /// A table over key columns `cols` whose groups `0..keys.len() /
+    /// cols.len()` are pre-assigned (a pre-grouping carried in from the
+    /// device); `keys` must be distinct.
+    pub(crate) fn from_keys(cols: Vec<ColumnSlot>, keys: Vec<i64>) -> GroupTable {
         let mut t = GroupTable {
-            width,
+            cols,
             keys,
             index: Vec::new(),
         };
@@ -221,11 +226,11 @@ impl GroupTable {
     }
 
     fn len(&self) -> usize {
-        self.keys.len() / self.width.max(1)
+        self.keys.len() / self.cols.len().max(1)
     }
 
     fn key(&self, g: usize) -> &[i64] {
-        &self.keys[g * self.width..][..self.width]
+        &self.keys[g * self.cols.len()..][..self.cols.len()]
     }
 
     fn bucket(&self, key: &[i64]) -> usize {
@@ -322,9 +327,8 @@ fn fold(accs: &mut [Acc], values: Option<Src<'_>>, len: usize, at: impl Fn(usize
 pub(crate) struct Sink<'p> {
     prog: &'p Program,
     block: RowBlock,
+    /// Per row its group: hashed from the key slots, or the source's.
     ids: Vec<u32>,
-    /// Whether the source supplies `ids` (against the pre-filled `groups`).
-    carried: bool,
     groups: GroupTable,
     /// `groups.len() × prog.accs.len()` accumulators, group-major.
     accs: Vec<Acc>,
@@ -338,8 +342,8 @@ impl<'p> Sink<'p> {
     /// Group, evaluate and fold the slice currently in `self.block`.
     fn consume(&mut self) -> Result<()> {
         let (p, nodes) = (self.prog, &self.prog.exprs.nodes);
-        let (len, stride, grouped) = (self.block.len(), p.accs.len(), !p.key_slots.is_empty());
-        if grouped && !self.carried {
+        let (len, stride, grouped) = (self.block.len(), p.accs.len(), !self.groups.cols.is_empty());
+        if !p.key_slots.is_empty() {
             let key_col = |&s: &usize| self.block.slot(s).payloads.as_slice();
             let cols: Vec<&[i64]> = p.key_slots.iter().map(key_col).collect();
             let mut key = vec![0i64; cols.len()];
@@ -388,9 +392,9 @@ impl<'p> Sink<'p> {
             return;
         }
         for (g, part) in other.accs.chunks(stride).enumerate() {
-            let id = match self.prog.key_slots.is_empty() {
-                true => 0,
-                false => self.groups.intern(other.groups.key(g)) as usize,
+            let id = match !self.groups.cols.is_empty() {
+                true => self.groups.intern(other.groups.key(g)) as usize,
+                false => 0,
             };
             if self.accs.len() < (id + 1) * stride {
                 self.accs.resize((id + 1) * stride, EMPTY_ACC);
@@ -410,7 +414,7 @@ impl<'p> Sink<'p> {
         if p.aggs.is_empty() {
             return (p.columns.clone(), self.rows);
         }
-        let (stride, grouped) = (p.accs.len(), !p.key_slots.is_empty());
+        let (stride, grouped) = (p.accs.len(), !self.groups.cols.is_empty());
         if !grouped {
             // Global aggregation over zero rows still yields one row.
             self.accs.resize(stride, EMPTY_ACC);
@@ -423,11 +427,8 @@ impl<'p> Sink<'p> {
                 continue;
             }
             let key = if grouped { self.groups.key(g) } else { &[] };
-            let mut row: Vec<Value> = (p.key_slots.iter().zip(key))
-                .map(|(&s, &k)| {
-                    let slot = self.block.slot(s);
-                    payload_to_value(k, slot.dtype, slot.dict.as_deref())
-                })
+            let mut row: Vec<Value> = (self.groups.cols.iter().zip(key))
+                .map(|(c, &k)| payload_to_value(k, c.dtype, c.dict.as_deref()))
                 .collect();
             row.extend(p.aggs.iter().map(|&(func, ai)| {
                 accs[ai].render(func, p.accs[ai].map_or(0, |root| p.exprs.nodes[root].1))
@@ -435,7 +436,7 @@ impl<'p> Sink<'p> {
             rows.push(row);
         }
         // Deterministic output: sort by the group key values.
-        let key_len = p.key_slots.len();
+        let key_len = self.groups.cols.len();
         rows.sort_by(|a, b| {
             (a[..key_len].iter().zip(&b[..key_len]))
                 .map(|(x, y)| x.total_cmp(y))
@@ -463,15 +464,16 @@ struct Worker<'p, S> {
 impl Tail {
     /// Bind `plan`'s aggregates/projections against `schema` — a
     /// zero-row block holding one slot per gathered column. With
-    /// `carried`, sources supply group ids into that pre-filled table
-    /// and the sinks skip their own hashing.
+    /// `carried`, sources supply group ids into that pre-filled table,
+    /// the sinks skip their own hashing and the schema needs no slot for
+    /// a key that nothing else reads.
     pub(crate) fn new(
         plan: &ArPlan,
         schema: RowBlock,
         carried: Option<GroupTable>,
     ) -> Result<Tail> {
         Ok(Tail {
-            prog: Program::compile(plan, &schema)?,
+            prog: Program::compile(plan, &schema, carried.is_some())?,
             schema,
             carried,
         })
@@ -482,10 +484,12 @@ impl Tail {
             prog: &self.prog,
             block: self.schema.clone(),
             ids: Vec::new(),
-            carried: self.carried.is_some(),
-            groups: self.carried.clone().unwrap_or_else(|| GroupTable {
-                width: self.prog.key_slots.len(),
-                ..GroupTable::default()
+            groups: self.carried.clone().unwrap_or_else(|| {
+                let key_col = |&s: &usize| self.schema.slot(s).clone();
+                GroupTable::from_keys(
+                    self.prog.key_slots.iter().map(key_col).collect(),
+                    Vec::new(),
+                )
             }),
             accs: Vec::new(),
             rows: Vec::new(),
@@ -707,6 +711,119 @@ mod tests {
             key.into_iter().map(Value::Int).chain(aggs).collect()
         });
         Ok((rows.collect(), survivors))
+    }
+
+    /// The device's grouped aggregation (`GroupedAgg`) folds every row
+    /// into the accumulator table of its thread block and lane and merges
+    /// the `blocks × replicas` tables log-depth. Done with the tail's own
+    /// sinks — carried ids, `absorb` as the pairwise merge — that equals
+    /// the single-table fold bit for bit: sums of `i64` extremes, products
+    /// past 2^100, groups most tables never see (their `i128::MAX`/`MIN`
+    /// min/max sentinels survive every merge) and one no row is in.
+    #[test]
+    fn private_tables_merged_pairwise_equal_the_single_table_fold() {
+        use {bwd_kernels::reduce::GroupedAgg, AggFunc::*, BinOp::Mul};
+        const N: usize = 3 * 65_536 + 1000;
+        let (groups, wide, scale) = (5u32, [i64::MAX, i64::MIN, -1, 0, 7], [-3, 0, 5, 1 << 40]);
+        let mut rng = bwd_types::SplitMix64::new(0x7ab1e);
+        let rows: Vec<(u32, i64, i64)> = (0..N)
+            .map(|i| {
+                // Group 3 lives in one lane of one block; group 4 nowhere.
+                let g = if i % 32 == 9 && i / 65_536 == 2 {
+                    3
+                } else {
+                    rng.below(3) as u32
+                };
+                (g, wide[rng.below(5) as usize], scale[rng.below(4) as usize])
+            })
+            .collect();
+        let agg = |func, arg, i: usize| AggExpr {
+            func,
+            arg,
+            alias: format!("a{i}"),
+        };
+        let (v, w) = (|| E::col("v"), || E::col("w"));
+        let plan = LogicalPlan::scan("t").aggregate(
+            vec!["g".into()],
+            vec![
+                agg(Sum, Some(v()), 0),
+                agg(Count, None, 1),
+                agg(Min, Some(w()), 2),
+                agg(Max, Some(v().binary(Mul, w())), 3),
+            ],
+        );
+        let slot = |name: &str| ColumnSlot {
+            name: name.into(),
+            payloads: Vec::new(),
+            dtype: bwd_types::DataType::Int64,
+            dict: None,
+        };
+        let mut db = Database::new();
+        let empty = || Column::from_i64(Vec::new());
+        let cols = ["g", "v", "w"].map(|n| (n.to_string(), empty()));
+        db.create_table("t", cols.into()).unwrap();
+        let plan = db.bind(&plan, &Default::default()).unwrap();
+        let mut schema = RowBlock::new(0);
+        schema.push_slot(slot("v"));
+        schema.push_slot(slot("w"));
+        let carried = GroupTable::from_keys(vec![slot("g")], (0..groups as i64).collect());
+        let tail = Tail::new(&plan, schema, Some(carried)).unwrap();
+
+        // Fold `rows` (at most a slice at a time) into `sink`.
+        let fold_into = |sink: &mut Sink<'_>, rows: &[(u32, i64, i64)]| {
+            for slice in rows.chunks(S) {
+                sink.block.resize(slice.len());
+                sink.ids = slice.iter().map(|r| r.0).collect();
+                for (out, r) in sink.block.payloads_mut(0).iter_mut().zip(slice) {
+                    *out = r.1;
+                }
+                for (out, r) in sink.block.payloads_mut(1).iter_mut().zip(slice) {
+                    *out = r.2;
+                }
+                sink.consume().unwrap();
+            }
+        };
+        let mut single = tail.sink();
+        fold_into(&mut single, &rows);
+
+        let gtx = bwd_device::DeviceSpec::gtx680();
+        let spec = GroupedAgg::new(&gtx, N, plan.aggs.len(), groups as usize);
+        assert_eq!((spec.replicas, spec.blocks), (32, 4));
+        let mut private: Vec<Vec<(u32, i64, i64)>> = vec![Vec::new(); 32 * 4];
+        for (i, row) in rows.iter().enumerate() {
+            private[spec.table_of(i as u64) as usize].push(*row);
+        }
+        let mut tables: Vec<Sink<'_>> = (private.iter())
+            .map(|rows| {
+                let mut sink = tail.sink();
+                fold_into(&mut sink, rows);
+                sink
+            })
+            .collect();
+        while tables.len() > 1 {
+            let mut pairs = tables.into_iter();
+            tables = Vec::new();
+            while let Some(mut left) = pairs.next() {
+                pairs
+                    .next()
+                    .into_iter()
+                    .for_each(|right| left.absorb(right));
+                tables.push(left);
+            }
+        }
+        let merged = tables.pop().unwrap();
+
+        let bits = |sink: &Sink<'_>| -> Vec<(i128, u64, i128, i128)> {
+            let accs = sink.accs.iter().map(|a| (a.sum, a.count, a.min, a.max));
+            accs.collect()
+        };
+        assert_eq!(bits(&merged), bits(&single));
+        let (max_product, three) = ((i64::MAX as i128) << 40, &bits(&single)[3 * 4..4 * 4]);
+        assert_eq!(three[1].1, 2048, "group 3: one lane of the last full block");
+        assert!(bits(&single).iter().any(|a| a.3 == max_product));
+        let (_, rows) = merged.finish();
+        assert_eq!(rows, single.finish().1);
+        assert_eq!(rows.len(), 4, "group 4 kept no row");
     }
 
     proptest::proptest! {

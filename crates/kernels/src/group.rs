@@ -5,29 +5,44 @@
 //! the same cell serialize through atomics — the fewer distinct groups, the
 //! more threads collide on the same cells. The paper observes exactly this:
 //! "the performance improves with the number of groups due to fewer write
-//! conflicts on the grouping table" (Fig 8f). The cost model charges a
-//! contention term proportional to `1 + (warp_size - 1) / groups` conflicts
-//! per tuple.
+//! conflicts on the grouping table" (Fig 8f); [`conflicts`] is that model.
 
 use crate::array::DeviceArray;
 use crate::candidates::Candidates;
 use bwd_device::{Component, CostLedger, Env};
-use bwd_types::FxHashMap;
+use bwd_types::{bits::low_mask, FxHashMap, Oid};
 
-/// Simulated warp width for the contention model.
-const WARP: f64 = 32.0;
+/// Simulated warp width: the lanes that can collide on one table cell.
+pub const WARP: u64 = 32;
 
-/// The result of a grouping kernel.
+/// Expected serialized attempts per atomic update when a warp's lanes
+/// scatter over `cells` equally likely accumulator cells — the one
+/// contention model of the grouping kernels and of grouped aggregation
+/// ([`crate::reduce::GroupedAgg`]).
+pub fn conflicts(cells: u64) -> f64 {
+    1.0 + (WARP - 1) as f64 / cells.max(1) as f64
+}
+
+/// Composite keys up to this many bits index a direct-address table
+/// (2^16 four-byte cells: cache-resident on the host simulating it).
+const DIRECT_BITS: u32 = 16;
+
+/// The result of a grouping kernel over keys of type `K`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupResult {
+pub struct Grouping<K> {
     /// Group id per input position (aligned with the candidate list, or
     /// with the full column when grouping everything).
     pub group_ids: Vec<u32>,
-    /// Distinct key value (stored domain) per group id.
-    pub group_keys: Vec<u64>,
+    /// Key per group id, in the stored domain.
+    pub group_keys: Vec<K>,
 }
 
-impl GroupResult {
+/// A single-column grouping: each group's key is its distinct value.
+pub type GroupResult = Grouping<u64>;
+/// A multi-column grouping: each group's key holds one value per key column.
+pub type MultiGroupResult = Grouping<Vec<u64>>;
+
+impl<K> Grouping<K> {
     /// Number of distinct groups.
     pub fn n_groups(&self) -> usize {
         self.group_keys.len()
@@ -45,62 +60,30 @@ pub fn hash_group(
     ledger: &mut CostLedger,
 ) -> GroupResult {
     let mut table: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut group_ids = Vec::with_capacity(cands.map_or(keys.len(), Candidates::len));
-    let mut group_keys = Vec::new();
-
-    let mut assign = |v: u64| {
-        let next = group_keys.len() as u32;
-        let id = *table.entry(v).or_insert_with(|| {
-            group_keys.push(v);
-            next
-        });
-        group_ids.push(id);
+    let lookup = |&v: &u64, next| *table.entry(v).or_insert(next);
+    let g = match cands {
+        Some(c) => assign_ids(c.oids.iter().map(|&oid| keys.get(oid as usize)), lookup),
+        None => assign_ids(keys.data().iter(), lookup),
     };
-
-    let n = match cands {
-        Some(c) => {
-            for &oid in &c.oids {
-                assign(keys.get(oid as usize));
-            }
-            c.len()
-        }
-        None => {
-            for v in keys.data().iter() {
-                assign(v);
-            }
-            keys.len()
-        }
-    };
-
-    charge_group_cost(env, keys, n as u64, group_keys.len() as u64, ledger);
-
-    GroupResult {
-        group_ids,
-        group_keys,
-    }
-}
-
-/// The result of a multi-column grouping kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiGroupResult {
-    /// Group id per candidate position.
-    pub group_ids: Vec<u32>,
-    /// Per group, the stored key value of each key column (outer index =
-    /// group id, inner = key column).
-    pub group_keys: Vec<Vec<u64>>,
-}
-
-impl MultiGroupResult {
-    /// Number of distinct groups.
-    pub fn n_groups(&self) -> usize {
-        self.group_keys.len()
-    }
+    let (spec, tuples) = (env.device.spec(), g.group_ids.len() as u64);
+    // Streaming the keys + writing one group id per tuple.
+    let io_bytes = keys.packed_bytes() + tuples * 4;
+    let base = spec.kernel_launch_overhead
+        + spec
+            .stream_seconds(io_bytes)
+            .max(spec.compute_seconds(2 * tuples));
+    let contention = tuples as f64 * conflicts(g.n_groups() as u64) * spec.atomic_conflict_cost;
+    let t = base + contention;
+    ledger.charge(Component::Device, "group.approx.hash", t, io_bytes);
+    g
 }
 
 /// Group candidates by a *composite* key over several device-resident
 /// columns (TPC-H Q1 groups by `(l_returnflag, l_linestatus)`). One
 /// scattered gather per key column feeds the same contention-modelled hash
-/// table as [`hash_group`].
+/// table as [`hash_group`]. Key columns of at most 64 bits together are
+/// concatenated into one word per row — a table index up to 16 bits,
+/// a `u64` hash key past it; only wider composites allocate a key per row.
 pub fn hash_group_multi(
     env: &Env,
     keys: &[&DeviceArray],
@@ -111,64 +94,91 @@ pub fn hash_group_multi(
         !keys.is_empty(),
         "grouping requires at least one key column"
     );
-    let mut table: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
-    let mut group_ids = Vec::with_capacity(cands.len());
-    let mut group_keys: Vec<Vec<u64>> = Vec::new();
-    for &oid in &cands.oids {
-        let key: Vec<u64> = keys.iter().map(|k| k.get(oid as usize)).collect();
-        let next = group_keys.len() as u32;
-        let id = *table.entry(key.clone()).or_insert_with(|| {
-            group_keys.push(key);
-            next
-        });
-        group_ids.push(id);
-    }
+    let bits: u32 = keys.iter().map(|k| k.width()).sum();
+    let g = match bits {
+        0..=64 => group_packed(keys, bits, &cands.oids),
+        _ => group_wide(keys, &cands.oids),
+    };
     // One gather stream per key column + the shared contention model.
     let gather_bytes: u64 = keys
         .iter()
         .map(|k| cands.len() as u64 * bwd_device::units::element_access_bytes(k.width()))
         .sum();
     let spec = env.device.spec();
-    let conflicts = 1.0 + (WARP - 1.0) / group_keys.len().max(1) as f64;
     let t = spec.kernel_launch_overhead
         + spec.scattered_seconds(gather_bytes + cands.len() as u64 * 4)
-        + cands.len() as f64 * conflicts * spec.atomic_conflict_cost;
+        + cands.len() as f64 * conflicts(g.n_groups() as u64) * spec.atomic_conflict_cost;
     ledger.charge(
         Component::Device,
         "group.approx.hash-multi",
         t,
         gather_bytes,
     );
-    MultiGroupResult {
+    g
+}
+
+/// First-seen-order group ids over a stream of keys: `lookup(key, next)`
+/// returns the id `key` already has, or claims `next` for it.
+fn assign_ids<K>(
+    keys: impl Iterator<Item = K>,
+    mut lookup: impl FnMut(&K, u32) -> u32,
+) -> Grouping<K> {
+    let mut group_ids = Vec::with_capacity(keys.size_hint().0);
+    let mut group_keys = Vec::new();
+    for key in keys {
+        let id = lookup(&key, group_keys.len() as u32);
+        if id as usize == group_keys.len() {
+            group_keys.push(key);
+        }
+        group_ids.push(id);
+    }
+    Grouping {
         group_ids,
         group_keys,
     }
 }
 
-fn charge_group_cost(
-    env: &Env,
-    keys: &DeviceArray,
-    tuples: u64,
-    groups: u64,
-    ledger: &mut CostLedger,
-) {
-    let spec = env.device.spec();
-    // Streaming the keys + writing one group id per tuple.
-    let io_bytes = keys.packed_bytes() + tuples * 4;
-    let base = spec.kernel_launch_overhead
-        + spec
-            .stream_seconds(io_bytes)
-            .max(spec.compute_seconds(2 * tuples));
-    // Contention: with g groups, the expected number of intra-warp
-    // collisions per insert grows like (WARP - 1) / g.
-    let conflicts_per_tuple = 1.0 + (WARP - 1.0) / groups.max(1) as f64;
-    let contention = tuples as f64 * conflicts_per_tuple * spec.atomic_conflict_cost;
-    ledger.charge(
-        Component::Device,
-        "group.approx.hash",
-        base + contention,
-        io_bytes,
-    );
+/// [`hash_group_multi`] over key columns of `bits <= 64` bits together.
+fn group_packed(keys: &[&DeviceArray], bits: u32, oids: &[Oid]) -> MultiGroupResult {
+    // A 64-bit column shifts everything before it (all zero-width) out.
+    let shl = |k: u64, by: u32| k.checked_shl(by).unwrap_or(0);
+    let pack = |&oid: &Oid| (keys.iter()).fold(0, |k, a| shl(k, a.width()) | a.get(oid as usize));
+    let packed = if bits <= DIRECT_BITS {
+        let mut table = vec![0u32; 1 << bits]; // group id + 1 per key
+        assign_ids(oids.iter().map(pack), |&key, next| {
+            let cell = &mut table[key as usize];
+            if *cell == 0 {
+                *cell = next + 1;
+            }
+            *cell - 1
+        })
+    } else {
+        let mut table: FxHashMap<u64, u32> = FxHashMap::default();
+        assign_ids(oids.iter().map(pack), |&key, next| {
+            *table.entry(key).or_insert(next)
+        })
+    };
+    let unpack = |mut key: u64| {
+        let mut cols = vec![0; keys.len()];
+        for (col, a) in cols.iter_mut().zip(keys).rev() {
+            *col = key & low_mask(a.width());
+            key = key.checked_shr(a.width()).unwrap_or(0);
+        }
+        cols
+    };
+    Grouping {
+        group_ids: packed.group_ids,
+        group_keys: packed.group_keys.into_iter().map(unpack).collect(),
+    }
+}
+
+/// [`hash_group_multi`] past 64 key bits: one `Vec` key per row.
+fn group_wide(keys: &[&DeviceArray], oids: &[Oid]) -> MultiGroupResult {
+    let mut table: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
+    let key_of = |&oid: &Oid| keys.iter().map(|k| k.get(oid as usize)).collect();
+    assign_ids(oids.iter().map(key_of), |key: &Vec<u64>, next| {
+        *table.entry(key.clone()).or_insert(next)
+    })
 }
 
 #[cfg(test)]
@@ -243,6 +253,45 @@ mod tests {
         let g = hash_group(&env, &keys, None, &mut ledger);
         assert!(g.group_ids.is_empty());
         assert_eq!(g.n_groups(), 0);
+    }
+
+    /// One to three key columns of every width up to 32 bits (and one of
+    /// 64) — composites of 1..=96 bits, so the direct-address table, the
+    /// `u64` hash table and the `Vec`-keyed fallback all run — against the
+    /// `Vec`-keyed path: same first-seen ids, same keys, and the bill a
+    /// function of the widths, the candidate count and the group count
+    /// alone.
+    #[test]
+    fn packed_keys_group_like_vec_keys() {
+        let env = Env::paper_default();
+        let mut rng = bwd_types::SplitMix64::new(0x9a0c);
+        let shapes = (1..=3usize).flat_map(|c| (1..=32u32).map(move |w| (c, w)));
+        for (n_cols, width) in shapes.chain([(1, 64)]) {
+            // Per column a pool of at most four values, the widest included.
+            let cols: Vec<DeviceArray> = (0..n_cols)
+                .map(|_| {
+                    let pool: Vec<u64> = (0..3)
+                        .map(|_| rng.next_u64() & low_mask(width))
+                        .chain([low_mask(width)])
+                        .collect();
+                    let vals: Vec<u64> = (0..600).map(|_| pool[rng.below(4) as usize]).collect();
+                    arr(&env, width, &vals)
+                })
+                .collect();
+            let keys: Vec<&DeviceArray> = cols.iter().collect();
+            let oids: Vec<Oid> = (0..600).rev().step_by(2).collect();
+            let cands = Candidates::from_pairs(oids, Vec::new());
+            let mut ledger = CostLedger::with_trace();
+            let g = hash_group_multi(&env, &keys, &cands, &mut ledger);
+            assert_eq!(g, group_wide(&keys, &cands.oids), "{n_cols} x {width}");
+            let spec = env.device.spec();
+            let gathered = n_cols as u64 * 300 * bwd_device::units::element_access_bytes(width);
+            let t = spec.kernel_launch_overhead
+                + spec.scattered_seconds(gathered + 300 * 4)
+                + 300.0 * conflicts(g.n_groups() as u64) * spec.atomic_conflict_cost;
+            let e = &ledger.events()[0];
+            assert_eq!((e.bytes, e.seconds), (gathered, t), "{n_cols} x {width}");
+        }
     }
 
     #[test]

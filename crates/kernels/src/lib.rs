@@ -19,8 +19,9 @@
 //!   (pre-indexed equi-joins share this code path, §IV-D);
 //! * [`group`] — hash grouping with the write-conflict contention model
 //!   behind Figure 8f;
-//! * [`reduce`] — exact sums/products for fully-resident columns and
-//!   candidate-set producing min/max reductions (Figure 6);
+//! * [`reduce`] — grouped aggregation over fully-resident columns
+//!   (block-private, lane-replicated accumulator tables) and candidate-set
+//!   producing min/max reductions (Figure 6);
 //! * [`join`] — massively parallel nested-loop theta joins.
 
 pub mod array;

@@ -3,124 +3,93 @@
 //! Device-side aggregation comes in two flavours (§IV-F):
 //!
 //! * **exact** reductions over fully device-resident columns — when every
-//!   significant bit is on the device, sums and products need no
-//!   refinement at all, so the device computes the final answer;
+//!   significant bit is on the device, sums and counts need no refinement
+//!   at all, so the device computes the final partials. [`GroupedAgg`] is
+//!   the grouped case: which accumulator tables the kernel folds into, and
+//!   what that costs, from one value;
 //! * **candidate-producing** reductions for `min`/`max` over decomposed
 //!   columns — the approximation alone cannot decide the winner, so the
 //!   kernel returns every tuple whose granule could contain the true
 //!   extremum (Figure 6 semantics), and the host refines.
-//!
-//! Value mapping: kernels operate on stored-domain `u64`s; callers pass a
-//! mapper (`stored -> i64 payload`) so the arithmetic happens on logical
-//! payloads. The mapper is a generic parameter and inlines into the loop.
 
 use crate::array::DeviceArray;
 use crate::candidates::Candidates;
-use crate::group::GroupResult;
+use crate::group::{conflicts, WARP};
+use crate::scan::ScanOptions;
 use bwd_device::units::element_access_bytes;
-use bwd_device::{Component, CostLedger, Env};
+use bwd_device::{CostLedger, DeviceSpec, Env};
 
-/// Exact sum of `map(arr[oid])` over the candidates.
-pub fn sum_mapped<F: Fn(u64) -> i64>(
-    env: &Env,
-    arr: &DeviceArray,
-    cands: &Candidates,
-    map: F,
-    label: &str,
-    ledger: &mut CostLedger,
-) -> i128 {
-    let mut acc: i128 = 0;
-    for &oid in &cands.oids {
-        acc += map(arr.get(oid as usize)) as i128;
-    }
-    let touched = cands.len() as u64 * element_access_bytes(arr.width());
-    env.charge_kernel_scattered(label, touched, cands.len() as u64, ledger);
-    acc
+/// Bytes of one device accumulator (an `i128` sum or a count, padded).
+const ACCUMULATOR_BYTES: u64 = 16;
+
+/// Rows per thread block: the scan kernels' block size.
+fn block_rows() -> u64 {
+    ScanOptions::default().block_size as u64
 }
 
-/// Exact sum of `map_a(a[oid]) * map_b(b[oid])` over the candidates — the
-/// shape of TPC-H Q6's `sum(l_extendedprice * l_discount)` when both
-/// columns are fully device-resident.
-#[allow(clippy::too_many_arguments)]
-pub fn sum_product<FA: Fn(u64) -> i64, FB: Fn(u64) -> i64>(
-    env: &Env,
-    a: &DeviceArray,
-    b: &DeviceArray,
-    cands: &Candidates,
-    map_a: FA,
-    map_b: FB,
-    label: &str,
-    ledger: &mut CostLedger,
-) -> i128 {
-    let mut acc: i128 = 0;
-    for &oid in &cands.oids {
-        let x = map_a(a.get(oid as usize)) as i128;
-        let y = map_b(b.get(oid as usize)) as i128;
-        acc += x * y;
-    }
-    let touched =
-        cands.len() as u64 * (element_access_bytes(a.width()) + element_access_bytes(b.width()));
-    env.charge_kernel_scattered(label, touched, 2 * cands.len() as u64, ledger);
-    acc
+/// Grouped device aggregation into `groups × accumulators` accumulators,
+/// as `engine/tail.rs` does it on the host: every thread block folds its
+/// rows into tables private to it, replicated across warp lanes as often
+/// as shared memory allows, and a log-depth pass merges the `blocks ×
+/// replicas` tables pairwise. Sums and counts are monoid homomorphisms, so
+/// the merged table equals the single-table fold bit for bit (asserted
+/// with the tail's own sinks). A table past the shared-memory budget is
+/// the one contended table in device memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupedAgg {
+    /// Accumulator updates: one per tuple per aggregate.
+    pub updates: u64,
+    /// Distinct groups.
+    pub groups: u64,
+    /// Bytes of one accumulator table.
+    pub table_bytes: u64,
+    /// Copies of the table a warp's lanes spread over.
+    pub replicas: u64,
+    /// Thread blocks holding private tables (0 past the budget).
+    pub blocks: u64,
 }
 
-/// Per-group exact aggregation of `map(values[oid])` (sum) and counts,
-/// using a previously computed grouping. Returns `(sums, counts)` indexed
-/// by group id. Charges the same contention model as grouping: scattered
-/// accumulator updates conflict when few groups exist.
-pub fn grouped_sum_mapped<F: Fn(u64) -> i64>(
-    env: &Env,
-    values: &DeviceArray,
-    cands: &Candidates,
-    groups: &GroupResult,
-    map: F,
-    label: &str,
-    ledger: &mut CostLedger,
-) -> (Vec<i128>, Vec<u64>) {
-    assert_eq!(
-        cands.len(),
-        groups.group_ids.len(),
-        "grouping must be positionally aligned with candidates"
-    );
-    let n_groups = groups.n_groups();
-    let mut sums = vec![0i128; n_groups];
-    let mut counts = vec![0u64; n_groups];
-    for (&oid, &g) in cands.oids.iter().zip(&groups.group_ids) {
-        sums[g as usize] += map(values.get(oid as usize)) as i128;
-        counts[g as usize] += 1;
+impl GroupedAgg {
+    /// The aggregation of `rows` tuples into `groups` groups of
+    /// `accumulators` aggregates each on `device`.
+    pub fn new(device: &DeviceSpec, rows: usize, accumulators: usize, groups: usize) -> GroupedAgg {
+        let (rows, accumulators, groups) = (rows as u64, accumulators as u64, groups as u64);
+        let table_bytes = groups * accumulators * ACCUMULATOR_BYTES;
+        let fits = table_bytes <= device.shared_mem_per_block;
+        GroupedAgg {
+            updates: rows * accumulators,
+            groups,
+            table_bytes,
+            replicas: (device.shared_mem_per_block / table_bytes.max(1)).clamp(1, WARP),
+            blocks: if fits { rows.div_ceil(block_rows()) } else { 0 },
+        }
     }
-    let spec = env.device.spec();
-    let touched = cands.len() as u64 * element_access_bytes(values.width());
-    let conflicts = 1.0 + 31.0 / n_groups.max(1) as f64;
-    let t = spec.kernel_launch_overhead
-        + spec.scattered_seconds(touched)
-        + cands.len() as f64 * conflicts * spec.atomic_conflict_cost;
-    ledger.charge(Component::Device, label, t, touched);
-    (sums, counts)
-}
 
-/// Minimum and maximum stored value over the candidates (a parallel
-/// tree reduction: bandwidth-bound, negligible output).
-pub fn min_max_stored(
-    env: &Env,
-    arr: &DeviceArray,
-    cands: &Candidates,
-    label: &str,
-    ledger: &mut CostLedger,
-) -> Option<(u64, u64)> {
-    let mut lo = u64::MAX;
-    let mut hi = 0u64;
-    for &oid in &cands.oids {
-        let v = arr.get(oid as usize);
-        lo = lo.min(v);
-        hi = hi.max(v);
+    /// The private table row `row` of the input folds into: its thread
+    /// block's replica for its lane (the one table past the budget).
+    pub fn table_of(&self, row: u64) -> u64 {
+        match self.blocks {
+            0 => 0,
+            _ => row / block_rows() * self.replicas + row % self.replicas,
+        }
     }
-    let touched = cands.len() as u64 * element_access_bytes(arr.width());
-    env.charge_kernel_scattered(label, touched, cands.len() as u64, ledger);
-    if cands.is_empty() {
-        None
-    } else {
-        Some((lo, hi))
+
+    /// Simulated seconds of the accumulator updates: atomics contending
+    /// over `replicas × groups` cells per accumulator.
+    pub fn update_seconds(&self, device: &DeviceSpec) -> f64 {
+        self.updates as f64 * conflicts(self.replicas * self.groups) * device.atomic_conflict_cost
+    }
+
+    /// Simulated seconds of merging the private tables: one more launch
+    /// streaming every replica once.
+    pub fn merge_seconds(&self, device: &DeviceSpec) -> f64 {
+        match self.blocks {
+            0 => 0.0,
+            blocks => {
+                device.kernel_launch_overhead
+                    + device.stream_seconds(blocks * self.replicas * self.table_bytes)
+            }
+        }
     }
 }
 
@@ -184,7 +153,6 @@ fn filter_by<P: Fn(u64) -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bwd_device::Env;
     use bwd_storage::BitPackedVec;
 
     fn arr(env: &Env, width: u32, vals: &[u64]) -> DeviceArray {
@@ -207,99 +175,126 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sum_mapped_exact() {
-        let env = Env::paper_default();
-        let a = arr(&env, 8, &[1, 2, 3, 4, 5]);
-        let mut l = CostLedger::new();
-        let s = sum_mapped(&env, &a, &all_cands(5), |v| v as i64 * 10, "sum", &mut l);
-        assert_eq!(s, 150);
-        assert!(l.breakdown().device > 0.0);
+    /// The accumulator-update seconds of the parent commit's model: one
+    /// table in device memory, `1 + 31/groups` conflicts per update.
+    fn global_update_seconds(device: &DeviceSpec, agg: &GroupedAgg) -> f64 {
+        agg.updates as f64 * conflicts(agg.groups) * device.atomic_conflict_cost
     }
 
+    fn with_shared(bytes: u64) -> DeviceSpec {
+        DeviceSpec {
+            shared_mem_per_block: bytes,
+            ..DeviceSpec::gtx680()
+        }
+    }
+
+    /// TPC-H Q1 on the GTX 680: 3 groups × 8 aggregates are 384 B, so a
+    /// full warp of replicas fits 128 times over and the conflicts per
+    /// update fall from `1 + 31/3` to `1 + 31/96`; the merge reads 32
+    /// replicas per 65 536-row block.
     #[test]
-    fn sum_product_matches_scalar_loop() {
-        let env = Env::paper_default();
-        let price = arr(&env, 16, &[100, 200, 300]);
-        let disc = arr(&env, 4, &[1, 2, 3]);
-        let mut l = CostLedger::new();
-        let s = sum_product(
-            &env,
-            &price,
-            &disc,
-            &all_cands(3),
-            |v| v as i64,
-            |v| v as i64,
-            "q6",
-            &mut l,
+    fn q1_folds_into_a_warp_of_replicas() {
+        let (gtx, rows) = (DeviceSpec::gtx680(), 2_737_216usize);
+        let agg = GroupedAgg::new(&gtx, rows, 8, 3);
+        assert_eq!(
+            (agg.table_bytes, agg.replicas, agg.blocks, agg.updates),
+            (384, 32, 42, 8 * rows as u64)
         );
-        assert_eq!(s, 100 + 200 * 2 + 300 * 3);
+        let updates = (8 * rows) as f64 * (1.0 + 31.0 / 96.0) * 0.5e-9;
+        assert_eq!(agg.update_seconds(&gtx), updates);
+        assert_eq!(
+            agg.merge_seconds(&gtx),
+            8e-6 + (42 * 32 * 384) as f64 / 192.2e9
+        );
+        assert!(agg.update_seconds(&gtx) * 8.5 < global_update_seconds(&gtx, &agg));
+        // Rows fold into their block's replica for their lane.
+        assert_eq!(agg.table_of(0), 0);
+        assert_eq!(agg.table_of(65_535), 31);
+        assert_eq!(agg.table_of(65_536 + 33), 32 + 1);
+    }
+
+    /// The budget edge only moves the merge: a table that just fits has
+    /// one replica per block and contends exactly like the global table;
+    /// one group more and there is nothing to merge — the parent commit's
+    /// bill, to the bit.
+    #[test]
+    fn the_bill_is_continuous_at_the_budget_edge() {
+        let (gtx, rows) = (DeviceSpec::gtx680(), 1_000_000);
+        for accumulators in [1, 2, 3, 8] {
+            let edge =
+                (gtx.shared_mem_per_block / (accumulators as u64 * ACCUMULATOR_BYTES)) as usize;
+            let fits = GroupedAgg::new(&gtx, rows, accumulators, edge);
+            assert_eq!((fits.replicas, fits.blocks), (1, 16));
+            assert_eq!(
+                fits.update_seconds(&gtx),
+                global_update_seconds(&gtx, &fits)
+            );
+            assert!(fits.merge_seconds(&gtx) > 0.0);
+            let past = GroupedAgg::new(&gtx, rows, accumulators, edge + 1);
+            assert_eq!(
+                (past.replicas, past.blocks, past.table_of(999_999)),
+                (1, 0, 0)
+            );
+            assert_eq!(
+                past.update_seconds(&gtx),
+                global_update_seconds(&gtx, &past)
+            );
+            assert_eq!(past.merge_seconds(&gtx), 0.0);
+        }
+    }
+
+    proptest::proptest! {
+        /// More shared memory never means more contention, no budget
+        /// contends worse than the global table, and the merge never
+        /// streams more than one budget per block.
+        #[test]
+        fn contention_never_rises_with_shared_memory(
+            rows in 0usize..5_000_000,
+            accumulators in 1usize..=8,
+            groups in 1usize..=5000,
+            budgets in proptest::collection::vec(0u64..(1 << 20), 2..3),
+        ) {
+            let (small, large) = (budgets[0].min(budgets[1]), budgets[0].max(budgets[1]));
+            let [a, b] = [small, large].map(|s| {
+                let device = with_shared(s);
+                let agg = GroupedAgg::new(&device, rows, accumulators, groups);
+                assert!(agg.update_seconds(&device) <= global_update_seconds(&device, &agg));
+                assert!(agg.blocks * agg.replicas * agg.table_bytes <= agg.blocks * s);
+                agg.update_seconds(&device)
+            });
+            assert!(b <= a, "{small} B: {a} s, {large} B: {b} s");
+        }
+
+        /// Fewer groups, more conflicts (fig 8f's shape): wherever every
+        /// replica's table divides the budget — group counts 3·2^k on the
+        /// GTX 680's 3·2^14 B — contention never rises with the group
+        /// count, in shared memory, across the edge and past it. (Between
+        /// such counts a replica lost to rounding makes a sawtooth, which
+        /// the global table's bill bounds from above.)
+        #[test]
+        fn contention_never_rises_with_the_group_count(
+            rows in 0usize..5_000_000,
+            log_accumulators in 0u32..=3,
+            k in 0u32..14,
+        ) {
+            let gtx = DeviceSpec::gtx680();
+            let [few, many] = [3usize << k, 6 << k].map(|groups| {
+                GroupedAgg::new(&gtx, rows, 1 << log_accumulators, groups).update_seconds(&gtx)
+            });
+            assert!(many <= few, "{} groups: {few} s, {} groups: {many} s", 3 << k, 6 << k);
+        }
     }
 
     #[test]
-    fn grouped_sums_and_counts() {
-        let env = Env::paper_default();
-        let vals = arr(&env, 8, &[10, 20, 30, 40]);
-        let cands = all_cands(4);
-        let groups = GroupResult {
-            group_ids: vec![0, 1, 0, 1],
-            group_keys: vec![7, 8],
-        };
-        let mut l = CostLedger::new();
-        let (sums, counts) =
-            grouped_sum_mapped(&env, &vals, &cands, &groups, |v| v as i64, "g", &mut l);
-        assert_eq!(sums, vec![40, 60]);
-        assert_eq!(counts, vec![2, 2]);
-    }
-
-    #[test]
-    fn min_max_and_threshold_filters() {
+    fn threshold_filters() {
         let env = Env::paper_default();
         let a = arr(&env, 8, &[9, 3, 7, 3, 12]);
         let cands = all_cands(5);
         let mut l = CostLedger::new();
-        let (lo, hi) = min_max_stored(&env, &a, &cands, "mm", &mut l).unwrap();
-        assert_eq!((lo, hi), (3, 12));
         let c = filter_le(&env, &a, &cands, 3, "min-cands", &mut l);
         assert_eq!(c.oids, vec![1, 3]);
         assert_eq!(c.approx, vec![3, 3]);
         let c = filter_ge(&env, &a, &cands, 9, "max-cands", &mut l);
         assert_eq!(c.oids, vec![0, 4]);
-    }
-
-    #[test]
-    fn empty_candidate_reductions() {
-        let env = Env::paper_default();
-        let a = arr(&env, 8, &[1, 2, 3]);
-        let mut l = CostLedger::new();
-        assert_eq!(
-            sum_mapped(&env, &a, &Candidates::empty(), |v| v as i64, "s", &mut l),
-            0
-        );
-        assert_eq!(
-            min_max_stored(&env, &a, &Candidates::empty(), "m", &mut l),
-            None
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positionally aligned")]
-    fn grouped_sum_rejects_misaligned_grouping() {
-        let env = Env::paper_default();
-        let vals = arr(&env, 8, &[1, 2]);
-        let groups = GroupResult {
-            group_ids: vec![0],
-            group_keys: vec![0],
-        };
-        let mut l = CostLedger::new();
-        let _ = grouped_sum_mapped(
-            &env,
-            &vals,
-            &all_cands(2),
-            &groups,
-            |v| v as i64,
-            "g",
-            &mut l,
-        );
     }
 }

@@ -367,6 +367,15 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
         (EventKind::Morsel, Some(end)) => {
             out.push_str(&format!("  in={}  out={}", n.begin.a, end.c));
         }
+        (EventKind::GroupAgg, Some(end)) if end.d != 0 => {
+            // Which side of the shared-memory budget the device aggregated on.
+            out.push_str(&format!(
+                "  out={}  replicas={}  blocks={}",
+                end.c,
+                end.d >> 32,
+                end.d as u32
+            ));
+        }
         (
             EventKind::Exec | EventKind::Gather | EventKind::GroupAgg | EventKind::Classic,
             Some(end),
@@ -451,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_prints_the_refine_split() {
+    fn explain_prints_the_refine_split_and_the_accumulator_tables() {
         let r = Recorder::new(RecorderConfig {
             ring_capacity: 16,
             clock: Clock::mock().0,
@@ -461,12 +470,16 @@ mod tests {
         // 100 candidates alive, 30 of them undecided, 10 of those refuted.
         let refine = w.begin(EventKind::Refine, exec, 100, 0);
         w.end(EventKind::Refine, refine, 0.25f64.to_bits(), 512, 90, 30);
+        // 3 result rows folded through 32 replicas in each of 42 blocks.
+        let agg = w.begin(EventKind::GroupAgg, exec, 90, 1);
+        w.end(EventKind::GroupAgg, agg, 0, 0, 3, 32 << 32 | 42);
         w.end(EventKind::Exec, exec, 0.25f64.to_bits(), 512, 90, 0);
         let text = QueryTrace::capture(&r).explain();
         assert!(
             text.contains("in=100  out=90  decided=70  undecided=30"),
             "{text}"
         );
+        assert!(text.contains("out=3  replicas=32  blocks=42"), "{text}");
     }
 
     #[test]
