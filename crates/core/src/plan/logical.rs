@@ -58,19 +58,6 @@ impl ScalarExpr {
         }
     }
 
-    /// Number of primitive operator nodes the bulk-processing model
-    /// evaluates (and materializes) for this expression — the cost driver
-    /// of expression-heavy aggregation like TPC-H Q1.
-    pub fn op_count(&self) -> u64 {
-        match self {
-            ScalarExpr::Column(_) | ScalarExpr::Literal(_) => 0,
-            ScalarExpr::Binary { lhs, rhs, .. } => 1 + lhs.op_count() + rhs.op_count(),
-            ScalarExpr::Case {
-                then, otherwise, ..
-            } => 1 + then.op_count() + otherwise.op_count(),
-        }
-    }
-
     /// Collect every column referenced by the expression.
     pub fn collect_columns(&self, out: &mut Vec<String>) {
         match self {

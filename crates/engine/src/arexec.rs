@@ -11,15 +11,15 @@
 //!    *undecided*. No step depends on any refinement, so the approximate
 //!    answer (candidate count) is available here.
 //! 2. **Refinement** (host) of what the approximation left undecided: the
-//!    undecided `(oid, approximation)` pairs cross PCI-E once, selections
-//!    re-test them last-to-first with residuals, and the tail follows the
-//!    split — when every gathered column is fully device-resident the
-//!    device aggregates the decided rows and ships per-group partials
-//!    while the host covers the undecided survivors; otherwise
-//!    (destructive distributivity, §IV-G) the host tail covers decided ∪
-//!    refined rows. The paper's all-GPU configurations are the case
-//!    *undecided = ∅*. See ARCHITECTURE.md, "Decided and undecided
-//!    candidates".
+//!    undecided `(oid, approximation)` pairs cross PCI-E once and
+//!    selections re-test them last-to-first with residuals. When every
+//!    gathered column is fully device-resident the host then sends one
+//!    survivor bit per undecided candidate back up and the device gathers
+//!    and aggregates decided ∪ refined rows — the host pays for refinement
+//!    and nothing else; otherwise (destructive distributivity, §IV-G) the
+//!    host tail covers decided ∪ refined rows. The paper's all-GPU
+//!    configurations are the case *undecided = ∅*. See ARCHITECTURE.md,
+//!    "Decided and undecided candidates".
 //!
 //! The `pushdown: false` ablation interleaves refinement with the
 //! selection chain, paying a PCI-E round trip per predicate (§III-A).
@@ -427,37 +427,38 @@ pub(crate) fn run_ar_sliced(
 
     // The one tail-placement rule: when every gathered column is fully
     // device-resident (and a grouped plan has its device pre-grouping),
-    // the device reconstructs exact values itself, so it aggregates the
-    // decided rows and ships per-group partials; the host tail covers the
-    // undecided survivors only. Otherwise (destructive distributivity,
-    // §IV-G) the host tail covers decided ∪ refined rows. The paper's
-    // all-GPU configurations are the case *undecided = ∅*.
+    // the device reconstructs exact values itself, so it runs the whole
+    // tail — over decided ∪ refined rows, once the host has sent one
+    // survivor bit per undecided candidate back up — and the host pays
+    // for refinement alone. Otherwise (destructive distributivity, §IV-G)
+    // the host tail covers decided ∪ refined rows. The paper's all-GPU
+    // configurations are the case *undecided = ∅*.
     let device_tail = (needed_cols.iter()).all(|(_, c)| c.bound.meta().fully_device_resident())
         && (plan.group_by.is_empty() || device_group.is_some());
+    // A tail that reads nothing from the device (an ungrouped bare count)
+    // has nothing to send up: the device counts the rows it decided, its
+    // partial rides the list transfer and the host adds its refined count.
+    let split_count = device_tail && needed_cols.is_empty() && device_group.is_none();
     // The device's accumulator table (16 B per entry, as results were
-    // always billed): one per pre-group, one for a global aggregate, one
-    // per decided row for a projection.
-    let partial_bytes = match (device_tail, &device_group) {
-        (false, _) => 0,
-        (true, Some(g)) => g.n_groups() as u64 * 16,
-        (true, None) if plan.aggs.is_empty() => decided as u64 * 16,
-        (true, None) => 16,
+    // always billed) over `rows` rows: one entry per pre-group, one for a
+    // global aggregate, one per row for a projection.
+    let partial_bytes = |rows: usize| match &device_group {
+        Some(g) => g.n_groups() as u64 * 16,
+        None if plan.aggs.is_empty() => rows as u64 * 16,
+        None => 16,
     };
-    // Where a row is *priced* follows from the split alone: the device
-    // tail takes the decided rows, the host tail the candidates left —
-    // with their 4 B group ids when the device pre-grouped.
-    let (dev_rows, host_cands) = match device_tail {
-        true => (decided, undecided.len()),
-        false => (0, final_cands.len()),
+    // Only a host tail needs the pre-grouping's 4 B ids.
+    let ids_bytes = match &device_group {
+        Some(_) if !device_tail => final_cands.len() as u64 * 4,
+        _ => 0,
     };
-    let ids_bytes = device_group.as_ref().map_or(0, |_| host_cands as u64 * 4);
 
     // ============================ Refinement ============================
     // One transfer carries everything the host needs: per undecided
-    // candidate its oid and each refinable selection's approximation, the
-    // host tail's group ids, the decided oids when the host tail will
-    // gather for them (without a selection the candidates are every row:
-    // none needed), and the device's partials. The refinable
+    // candidate its oid and each refinable selection's approximation; for
+    // a host tail also its group ids and the decided oids it will gather
+    // for (without a selection the candidates are every row: none
+    // needed); for a split count the device's partial. The refinable
     // selections then re-test last-to-first, the live set shrinking
     // monotonically; a plan without undecided candidates has no
     // refinement step at all. (The ablation refined per step.)
@@ -478,8 +479,11 @@ pub(crate) fn run_ar_sliced(
             list_bytes += decided as u64 * 4;
         }
         if list_bytes > 0 {
-            env.charge_download("select.refine.download", list_bytes + partial_bytes, ledger);
-            partials_rode = true;
+            if split_count {
+                list_bytes += partial_bytes(decided);
+                partials_rode = true;
+            }
+            env.charge_download("select.refine.download", list_bytes, ledger);
         }
         for (k, &i) in steps.iter().enumerate() {
             let (sel, c) = (&plan.selections[i], &sel_cols[i]);
@@ -536,6 +540,18 @@ pub(crate) fn run_ar_sliced(
     }
     let refined_count = refined.as_ref().map_or(undecided.len(), Vec::len);
     let survivor_count = decided + refined_count;
+    // The device still holds the undecided list in the order it sent it:
+    // one bit per entry tells it which of them the host kept.
+    let uploaded_bits = match device_tail && !split_count {
+        true => undecided.len() as u64,
+        false => 0,
+    };
+    if uploaded_bits > 0 {
+        let bytes = uploaded_bits.div_ceil(8);
+        let seconds = env.pcie.transfer_seconds(bytes);
+        ledger.charge(Component::Pcie, "select.refine.upload", seconds, bytes);
+        metrics.uploaded_bits.add(uploaded_bits);
+    }
 
     env.fault.check(FaultSite::Exec)?;
     env.preempt.check()?; // before the tail
@@ -544,16 +560,21 @@ pub(crate) fn run_ar_sliced(
     // Gather → refine → group → evaluate → aggregate, one slice of
     // survivors at a time (`crate::tail`), in one run over decided ∪
     // refined rows, priced on the device (gathers, accumulator updates) or
-    // the host (download, decode, bulk operators) by the split above.
+    // the host (download, decode, bulk operators) by the placement above.
     // Every charge below is issued once, in program order, from the
     // totals, so the ledger cannot depend on how the host slices or
     // parallelizes the real work.
-    let host_rows = host_cands - (undecided.len() - refined_count);
-    let host_tail = !device_tail || host_cands > 0;
+    let (dev_rows, host_rows) = match (device_tail, split_count) {
+        (false, _) => (0, survivor_count),
+        (true, false) => (survivor_count, 0),
+        (true, true) => (decided, refined_count),
+    };
+    let host_tail = !device_tail || (split_count && !undecided.is_empty());
     if device_tail {
         // The device gathers every needed column over its rows into
-        // scratch before aggregating.
-        transient.charge(dev_rows as u64 * needed_cols.len() as u64 * GATHER_VALUE_BYTES)?;
+        // scratch before aggregating, beside the survivor bitmap.
+        let gathers = dev_rows as u64 * needed_cols.len() as u64 * GATHER_VALUE_BYTES;
+        transient.charge(gathers + uploaded_bits.div_ceil(8))?;
     }
     let gather_probe = begin(EventKind::Gather, ledger, survivor_count as u64, 0);
     let slot = |name: &String, c: &ColRef<'_>| ColumnSlot {
@@ -566,6 +587,7 @@ pub(crate) fn run_ar_sliced(
     let mut cols = Vec::with_capacity(needed_cols.len());
     for (name, c) in &needed_cols {
         let (arr, link) = (c.bound.approx(), c.link());
+        // Each gathered column is read on exactly one side.
         if device_tail {
             // Gathers stay on the device, payloads decode exactly (no
             // residual exists), nothing crosses the bus.
@@ -576,19 +598,19 @@ pub(crate) fn run_ar_sliced(
                     charge_gather_indirect(env, arr, l, dev_rows, "aggregate.gather", ledger)
                 }
             }
-        }
-        if host_tail {
+        } else {
             // Approximate projection on the device, download,
             // translucent refinement with residuals.
-            let dense = final_cands.dense && !device_tail;
+            let cands = final_cands.len();
             match link {
                 None => {
-                    charge_gather(env, arr, dense, host_cands, "project.approx.gather", ledger);
-                    charge_project_refine(env, c.bound, host_cands, host_rows, true, ledger);
+                    let dense = final_cands.dense;
+                    charge_gather(env, arr, dense, cands, "project.approx.gather", ledger);
+                    charge_project_refine(env, c.bound, cands, host_rows, true, ledger);
                 }
                 Some(l) => {
-                    charge_gather_indirect(env, arr, l, host_cands, "join.fk.approx", ledger);
-                    charge_fk_project_refine(env, c.bound, host_cands, host_rows, true, ledger);
+                    charge_gather_indirect(env, arr, l, cands, "join.fk.approx", ledger);
+                    charge_fk_project_refine(env, c.bound, cands, host_rows, true, ledger);
                 }
             }
         }
@@ -630,9 +652,9 @@ pub(crate) fn run_ar_sliced(
         EventKind::GroupAgg,
         ledger,
         survivor_count as u64,
-        u64::from(device_tail),
+        uploaded_bits << 1 | u64::from(device_tail),
     );
-    if host_tail && !plan.group_by.is_empty() && device_group.is_none() {
+    if !device_tail && !plan.group_by.is_empty() && device_group.is_none() {
         // Exact host grouping over the refined key slots.
         env.charge_host_scan(
             "group.refine.host",
@@ -642,23 +664,20 @@ pub(crate) fn run_ar_sliced(
         );
     }
 
-    // Aggregation / projection arithmetic.
-    let expr_ops: u64 = plan
-        .aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map_or(0, |e| e.op_count()) + 1)
-        .chain(plan.project.iter().map(|(e, _)| e.op_count() + 1))
-        .sum();
+    // Aggregation / projection arithmetic, billed by the DAG the tail
+    // runs: its distinct primitives and distinct accumulators.
+    let (expr_ops, accumulators) = (tail.expr_ops(), tail.accumulators());
     let spec = env.device.spec();
-    // Grouped device aggregation scatters one atomic update per aggregate
-    // per tuple. The paper's generic OpenCL kernels contend for one table
-    // in device memory (its Q1 stops at a 2.6x speedup); `GroupedAgg`
-    // keeps the table block-private and lane-replicated while it fits
-    // shared memory. Expression arithmetic runs in registers, uncontended.
+    // Grouped device aggregation scatters one atomic update per
+    // accumulator per tuple. The paper's generic OpenCL kernels contend
+    // for one table in device memory (its Q1 stops at a 2.6x speedup);
+    // `GroupedAgg` keeps the table block-private and lane-replicated while
+    // it fits shared memory. Expression arithmetic runs in registers,
+    // uncontended.
     let grouped = (device_group.as_ref().filter(|_| device_tail))
-        .map(|g| GroupedAgg::new(spec, dev_rows, plan.aggs.len(), g.n_groups()));
+        .map(|g| GroupedAgg::new(spec, dev_rows, accumulators, g.n_groups()));
     if device_tail {
-        let mut t = spec.compute_seconds(3 * dev_rows as u64 * expr_ops.max(1));
+        let mut t = spec.compute_seconds(3 * dev_rows as u64 * expr_ops);
         if let Some(agg) = &grouped {
             t += agg.update_seconds(spec) + agg.merge_seconds(spec);
         }
@@ -668,18 +687,18 @@ pub(crate) fn run_ar_sliced(
         // Destructive distributivity (§IV-G): the sums are evaluated with
         // the *classic* bulk operators over reconstructed exact values —
         // per-primitive materialization plus one accumulation pass per
-        // aggregate, same pricing as the classic pipe.
+        // accumulator, same pricing as the classic pipe.
         let rows = host_rows as u64;
         let threads = env.host_threads;
-        let expr = (env.cpu).scan_seconds(rows * expr_ops * 8, rows * expr_ops.max(1), threads);
-        let accum = plan.aggs.len().max(1) as f64 * env.cpu.scan_seconds(rows * 8, rows, threads);
+        let expr = (env.cpu).scan_seconds(rows * expr_ops * 8, rows * expr_ops, threads);
+        let accum = accumulators.max(1) as f64 * env.cpu.scan_seconds(rows * 8, rows, threads);
         ledger.charge(Component::Host, "aggregate.eval", expr + accum, 0);
     }
 
     let (columns, rows) = tail.finish(partials);
     if device_tail && !partials_rode {
         // Per-group results cross the bus (tiny).
-        env.charge_download("aggregate.download", partial_bytes, ledger);
+        env.charge_download("aggregate.download", partial_bytes(dev_rows), ledger);
     }
     let tables = grouped.map_or(0, |agg| agg.replicas << 32 | agg.blocks);
     groupagg_probe.end(&obs, ledger, rows.len() as u64, tables);
@@ -697,10 +716,12 @@ pub(crate) fn run_ar_sliced(
 /// Process-wide refinement counters (see
 /// `bwd_obs::metrics::Registry::global`), bumped once per query at the
 /// gather boundary: how many final candidates the approximation decided,
-/// and how many it left for the host to re-test.
+/// how many it left for the host to re-test, and how many survivor bits
+/// went back up for a device tail.
 struct RefineMetrics {
     decided: Counter,
     undecided: Counter,
+    uploaded_bits: Counter,
 }
 
 fn refine_metrics() -> &'static RefineMetrics {
@@ -708,6 +729,7 @@ fn refine_metrics() -> &'static RefineMetrics {
     METRICS.get_or_init(|| RefineMetrics {
         decided: Registry::global().counter("bwd_refine_decided_total"),
         undecided: Registry::global().counter("bwd_refine_undecided_total"),
+        uploaded_bits: Registry::global().counter("bwd_refine_uploaded_bits_total"),
     })
 }
 
@@ -1060,21 +1082,36 @@ impl SliceSource for ArSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bwd_core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, ScalarExpr};
+    use crate::classic::run_classic_sliced;
+    use bwd_core::plan::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr as E};
     use bwd_core::CmpOp;
-    use bwd_device::DeviceSpec;
+    use bwd_device::{CostEvent, DeviceSpec};
     use bwd_storage::Column;
     use bwd_types::Value;
 
-    /// The events — label, bytes, simulated seconds — of `select g,
-    /// sum(<summed>), count(*) from t where d <= <cut> group by g` over
-    /// `rows` rows: `d` is the row number, split `device_bits`/rest; `g` =
-    /// `d % groups` and `v` = `3d % 1000` are resident.
-    fn grouped_bill(
+    fn agg(func: AggFunc, arg: Option<E>) -> AggExpr {
+        let alias = format!("{func:?}({arg:?})");
+        AggExpr { func, arg, alias }
+    }
+
+    fn sum_and_count(summed: &str) -> Vec<AggExpr> {
+        vec![
+            agg(AggFunc::Sum, Some(E::col(summed))),
+            agg(AggFunc::Count, None),
+        ]
+    }
+
+    /// `t(d, g, v)` over `rows` rows — `d` is the row number, split
+    /// `device_bits`/rest; `g` = `d % groups` and `v` = `3d % 1000` are
+    /// resident — and `select [g,] <aggs> from t where d <= <cut> [group
+    /// by g]` bound against it.
+    fn table_and_plan(
         (rows, groups, cut): (i32, i32, i32),
         device_bits: u32,
-        summed: &str,
-    ) -> Vec<(String, u64, f64)> {
+        grouped: bool,
+        aggs: Vec<AggExpr>,
+        pushdown: bool,
+    ) -> (Database, ArPlan) {
         let ints = |f: &dyn Fn(i32) -> i32| Column::from_i32((0..rows).map(f).collect());
         let mut db = Database::new();
         let cols = [
@@ -1085,41 +1122,52 @@ mod tests {
         let cols = cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect();
         db.create_table("t", cols).unwrap();
         db.bwdecompose("t", "d", device_bits).unwrap();
+        let group_by = if grouped { vec!["g".into()] } else { vec![] };
         let plan = LogicalPlan::scan("t")
             .filter(Predicate::Cmp {
                 column: "d".into(),
                 op: CmpOp::Le,
                 value: Value::Int(cut as i64),
             })
-            .aggregate(
-                vec!["g".into()],
-                vec![
-                    AggExpr {
-                        func: AggFunc::Sum,
-                        arg: Some(ScalarExpr::col(summed)),
-                        alias: "s".into(),
-                    },
-                    AggExpr {
-                        func: AggFunc::Count,
-                        arg: None,
-                        alias: "n".into(),
-                    },
-                ],
-            );
-        let plan = db.bind(&plan, &Default::default()).unwrap();
+            .aggregate(group_by, aggs);
+        let plan = db
+            .bind(&plan, &bwd_core::plan::RewriteOptions { pushdown })
+            .unwrap();
         db.auto_bind(&plan).unwrap();
+        (db, plan)
+    }
+
+    /// The A&R ledger events of [`table_and_plan`]'s query.
+    fn bill(
+        shape: (i32, i32, i32),
+        device_bits: u32,
+        grouped: bool,
+        aggs: Vec<AggExpr>,
+        pushdown: bool,
+    ) -> Vec<CostEvent> {
+        let (db, plan) = table_and_plan(shape, device_bits, grouped, aggs, pushdown);
         let mut ledger = CostLedger::with_trace();
         let opts = ArExecOptions::default();
         let r = run_ar_sliced(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
-        assert_eq!(r.survivors, cut as usize + 1);
+        assert_eq!(r.survivors, shape.2 as usize + 1);
+        let groups = if grouped { shape.1.min(shape.2 + 1) } else { 1 };
         assert_eq!(r.rows.len(), groups as usize);
-        (ledger.events().iter())
-            .map(|e| (e.label.clone(), e.bytes, e.seconds))
-            .collect()
+        ledger.events().to_vec()
     }
 
-    fn labels_and_bytes(bill: &[(String, u64, f64)]) -> Vec<(&str, u64)> {
-        bill.iter().map(|(l, b, _)| (l.as_str(), *b)).collect()
+    /// `select g, sum(<summed>), count(*) … group by g`, pushdown on.
+    fn grouped_bill(shape: (i32, i32, i32), device_bits: u32, summed: &str) -> Vec<CostEvent> {
+        bill(shape, device_bits, true, sum_and_count(summed), true)
+    }
+
+    fn labels_and_bytes(bill: &[CostEvent]) -> Vec<(&str, u64)> {
+        bill.iter().map(|e| (e.label.as_str(), e.bytes)).collect()
+    }
+
+    fn bits(bill: &[CostEvent]) -> Vec<(&str, u64, u64)> {
+        (bill.iter())
+            .map(|e| (e.label.as_str(), e.bytes, e.seconds.to_bits()))
+            .collect()
     }
 
     const Q1_SHAPED: (i32, i32, i32) = (1000, 4, 599);
@@ -1135,9 +1183,10 @@ mod tests {
     /// of 256 (2 stored bits): `d <= 599` scans granules 0..=2 (768
     /// candidates), decides granules 0..=1 (512 rows) and leaves granule 2
     /// undecided (256 candidates, 88 survivors). `g` is 2 bits wide, `v`
-    /// 10. The pre-grouping's ids stand in for `g` on both sides: no event
-    /// gathers, ships or decodes it, the host never regroups, and the
-    /// device folds into 32 replicas of a 4 × 2 × 16 B table.
+    /// 10. Every gathered column is resident, so the host refines and
+    /// nothing else: the undecided pairs come down alone, one survivor bit
+    /// each goes back up, and the device gathers `v` and folds all 600
+    /// survivors into 32 replicas of a 4 × 2 × 16 B table.
     #[test]
     fn ledger_follows_the_decided_undecided_split() {
         let split = grouped_bill(Q1_SHAPED, 24, "v");
@@ -1150,33 +1199,35 @@ mod tests {
                     packed(2, 1000) + pairs(2, 768) + 768 / 8
                 ),
                 ("group.approx.hash-multi", 768 * 4),
-                // One transfer: the undecided pairs, their group ids and
-                // four partials.
-                ("select.refine.download", pairs(2, 256) + 256 * 4 + 4 * 16),
+                ("select.refine.download", pairs(2, 256)),
                 ("select.refine", 256), // one residual byte each
-                // `v`: the device gathers its 512 rows, the host tail the
-                // 256 undecided candidates (download, 4 B/oid merge).
-                ("aggregate.gather", 512 * 4 + packed(10, 512)),
-                ("project.approx.gather", 256 * 4 + packed(10, 256)),
-                ("project.refine.download", packed(10, 256)),
-                ("project.refine.decode", 256 * 4),
-                ("aggregate.eval", 0), // device, 512 rows
-                ("aggregate.eval", 0), // host, 88 rows
+                ("select.refine.upload", 256 / 8),
+                ("aggregate.gather", 600 * 4 + packed(10, 600)),
+                ("aggregate.eval", 0), // device, 600 rows
+                ("aggregate.download", 4 * 16),
             ]
         );
-        // Device `aggregate.eval`: two one-op aggregates over 512 rows in
-        // registers, 1 024 updates spread over 32 × 4 cells per
+        // Device `aggregate.eval`: two one-op aggregates over 600 rows in
+        // registers, their updates spread over 32 × 4 cells per
         // accumulator, one block's replicas merged by a second launch.
         let spec = DeviceSpec::gtx680();
-        let updates = 1024.0 * (1.0 + 31.0 / 128.0) * spec.atomic_conflict_cost;
-        let merge = spec.kernel_launch_overhead + spec.stream_seconds(32 * 4 * 2 * 16);
+        let agg = GroupedAgg::new(&spec, 600, 2, 4);
+        assert_eq!((agg.updates, agg.replicas, agg.blocks), (1200, 32, 1));
         assert_eq!(
-            split[8].2,
-            spec.compute_seconds(3 * 512 * 2) + (updates + merge)
+            split[6].seconds,
+            spec.compute_seconds(3 * 600 * 2)
+                + (agg.update_seconds(&spec) + agg.merge_seconds(&spec))
+        );
+        let on_host = |e: &&CostEvent| e.component == Component::Host;
+        assert_eq!(
+            split.iter().filter(on_host).count(),
+            1,
+            "select.refine alone"
         );
 
+        let resident = grouped_bill(Q1_SHAPED, 32, "v");
         assert_eq!(
-            labels_and_bytes(&grouped_bill(Q1_SHAPED, 32, "v")),
+            labels_and_bytes(&resident),
             [
                 ("select.approx.scan", packed(10, 1000) + pairs(10, 600)),
                 ("group.approx.hash-multi", 600 * 4),
@@ -1186,24 +1237,179 @@ mod tests {
                 ("aggregate.download", 4 * 16),
             ]
         );
+        // Space-constrained = all-GPU + refinement: the same fold.
+        assert_eq!(split[6].seconds, resident[3].seconds);
     }
 
-    /// A key an aggregate also reads is still gathered, shipped and
-    /// decoded like any other argument (here `g` in place of `v`) — and
-    /// still never regrouped on the host.
+    /// A key an aggregate also reads is still gathered like any other
+    /// argument (here `g` in place of `v`) — on the device, once.
     #[test]
     fn a_summed_group_key_is_still_gathered() {
         assert_eq!(
             labels_and_bytes(&grouped_bill(Q1_SHAPED, 24, "g"))[4..],
             [
-                ("aggregate.gather", 512 * 4 + packed(2, 512)),
-                ("project.approx.gather", 256 * 4 + packed(2, 256)),
-                ("project.refine.download", packed(2, 256)),
-                ("project.refine.decode", 256 * 4),
+                ("select.refine.upload", 256 / 8),
+                ("aggregate.gather", 600 * 4 + packed(2, 600)),
                 ("aggregate.eval", 0),
-                ("aggregate.eval", 0),
+                ("aggregate.download", 4 * 16),
             ]
         );
+    }
+
+    /// A tail that reads nothing from the device sends nothing up: the
+    /// ungrouped bare count at 24/8 keeps its split — the device counts the
+    /// 512 decided rows, its partial rides the list, the host adds its 88 —
+    /// and, like the resident run, the parent commit's event list to the bit.
+    #[test]
+    fn a_bare_count_keeps_the_parents_bill() {
+        let count = || vec![agg(AggFunc::Count, None)];
+        assert_eq!(
+            bits(&bill(Q1_SHAPED, 24, false, count(), true)),
+            [
+                ("select.approx.scan", 3610, 0x3ee132576b20e04a),
+                ("select.refine.download", 1104, 0x3ee9c080c2610076),
+                ("select.refine", 256, 0x3eb9c511dc3a41e0),
+                ("aggregate.eval", 0, 0x3e949da7e361ce4c),
+                ("aggregate.eval", 0, 0x3ea2e5d9e5c45270),
+            ]
+        );
+        assert_eq!(
+            bits(&bill(Q1_SHAPED, 32, false, count(), true)),
+            [
+                ("select.approx.scan", 4400, 0x3ee132576b20e04a),
+                ("aggregate.eval", 0, 0x3e9828c0be769dc1),
+                ("aggregate.download", 16, 0x3ee92ca0280aa1f4),
+            ]
+        );
+    }
+
+    /// Whatever the split, the cut, the grouping, the summed column or the
+    /// pushdown arm: a tail over device-resident columns bills the host for
+    /// refinement only, moves nothing but the undecided list, its survivor
+    /// bits and the partials, and folds on the device exactly what the
+    /// all-resident run folds.
+    #[test]
+    fn a_resident_tail_pays_the_host_for_refinement_alone() {
+        let eval_bits = |bill: &[CostEvent]| -> Vec<u64> {
+            let evals = bill.iter().filter(|e| e.label == "aggregate.eval");
+            evals.map(|e| e.seconds.to_bits()).collect()
+        };
+        for (grouped, summed, pushdown) in [
+            (false, "v", true),
+            (false, "g", false),
+            (true, "v", false),
+            (true, "g", true),
+            (true, "v", true),
+        ] {
+            // Every cut keeps a survivor in each group: the accumulator
+            // table is sized by the pre-grouping, which sees the candidates.
+            for cut in [3, 255, 256, 599, 998, 999] {
+                let run = |bits| {
+                    bill(
+                        (1000, 4, cut),
+                        bits,
+                        grouped,
+                        sum_and_count(summed),
+                        pushdown,
+                    )
+                };
+                let resident = run(32);
+                for device_bits in [8, 16, 24, 31, 32] {
+                    let tag =
+                        format!("{device_bits} bits, d <= {cut}, {grouped} {summed} {pushdown}");
+                    let bill = run(device_bits);
+                    for e in &bill {
+                        let allowed: &[&str] = match e.component {
+                            Component::Host => &["select.refine"],
+                            Component::Pcie => &[
+                                "select.refine.download",
+                                "select.refine.upload",
+                                "aggregate.download",
+                                "select.approx.upload-survivors",
+                            ],
+                            Component::Device => &[
+                                "select.approx.scan",
+                                "group.approx.hash-multi",
+                                "aggregate.gather",
+                                "aggregate.eval",
+                            ],
+                        };
+                        assert!(allowed.contains(&e.label.as_str()), "{tag}: {e:?}");
+                    }
+                    assert_eq!(eval_bits(&bill).len(), 1, "{tag}");
+                    assert_eq!(eval_bits(&bill), eval_bits(&resident), "{tag}");
+                }
+            }
+        }
+    }
+
+    /// Both pipes bill the DAG the tail runs. A Q1-shaped aggregate list
+    /// (`v` as quantity and tax, `d` as price, `g` as discount) holds 4
+    /// distinct arithmetic nodes and 6 distinct accumulators — `avg(x)`
+    /// shares `sum(x)`'s, the charge reuses the discounted price — where
+    /// the expression trees count 14 primitives and 8 passes. A list that
+    /// shares nothing bills what it always did.
+    #[test]
+    fn both_pipes_bill_distinct_primitives_and_accumulators() {
+        use {AggFunc::*, BinOp::*};
+        let (qty, price, disc, tax) = (
+            || E::col("v"),
+            || E::col("d"),
+            || E::col("g"),
+            || E::col("v"),
+        );
+        let one = || E::lit(1i64);
+        let disc_price = || price().binary(Mul, one().binary(Sub, disc()));
+        let q1 = || {
+            vec![
+                agg(Sum, Some(qty())),
+                agg(Sum, Some(price())),
+                agg(Sum, Some(disc_price())),
+                agg(
+                    Sum,
+                    Some(disc_price().binary(Mul, one().binary(Add, tax()))),
+                ),
+                agg(Avg, Some(qty())),
+                agg(Avg, Some(price())),
+                agg(Avg, Some(disc())),
+                agg(Count, None),
+            ]
+        };
+        let k = 600u64;
+        let classic = |aggs: Vec<AggExpr>| {
+            let (db, plan) = table_and_plan(Q1_SHAPED, 32, true, aggs, true);
+            let (mut ledger, env) = (CostLedger::with_trace(), db.env());
+            run_classic_sliced(db.catalog(), &plan, None, env, 1, SLICE_ROWS, &mut ledger).unwrap();
+            let tail = ledger.events().iter().map(|e| (e.label.clone(), e.bytes));
+            tail.filter(|(l, _)| l.starts_with("classic.aggregate"))
+                .collect::<Vec<_>>()
+        };
+        let expect = |ops: u64, passes: usize| {
+            let mut events = vec![("classic.aggregate.expr".to_string(), k * ops * 8)];
+            events.resize(1 + passes, ("classic.aggregate.accum".to_string(), k * 8));
+            events
+        };
+        assert_eq!(classic(q1()), expect(10, 6));
+        assert_eq!(classic(sum_and_count("v")), expect(2, 2));
+
+        // The A&R side, same counts. All resident: the device folds 6
+        // accumulators per group after 10 primitives per row.
+        let (env, spec) = (Env::paper_default(), DeviceSpec::gtx680());
+        let eval = |device_bits| {
+            let bill = bill(Q1_SHAPED, device_bits, true, q1(), true);
+            let mut evals = bill.into_iter().filter(|e| e.label == "aggregate.eval");
+            let eval = evals.next().unwrap();
+            assert!(evals.next().is_none());
+            (eval.component, eval.seconds)
+        };
+        let agg = GroupedAgg::new(&spec, 600, 6, 4);
+        let device = spec.compute_seconds(3 * k * 10)
+            + (agg.update_seconds(&spec) + agg.merge_seconds(&spec));
+        assert_eq!(eval(32), (Component::Device, device));
+        // `d` split 24/8 is summed: §IV-G puts the tail on the host.
+        let host =
+            env.cpu.scan_seconds(k * 10 * 8, k * 10, 1) + 6.0 * env.cpu.scan_seconds(k * 8, k, 1);
+        assert_eq!(eval(24), (Component::Host, host));
     }
 
     /// 4 096 groups × 2 aggregates × 16 B is past the 48 KiB of shared
@@ -1212,13 +1418,9 @@ mod tests {
     /// so nothing leaves the gathers) is the parent commit's, to the bit.
     #[test]
     fn past_the_shared_memory_budget_the_bill_is_the_global_atomics_one() {
-        let bill = grouped_bill((8192, 4096, 6143), 32, "g");
-        let bits: Vec<_> = (bill.iter())
-            .map(|(l, b, s)| (l.as_str(), *b, s.to_bits()))
-            .collect();
         // Labels, bytes and seconds bits as dumped at the parent commit.
         assert_eq!(
-            bits,
+            bits(&grouped_bill((8192, 4096, 6143), 32, "g")),
             [
                 ("select.approx.scan", 47872, 0x3ee436939bf0e544),
                 ("group.approx.hash-multi", 24576, 0x3ee969e6967e6655),

@@ -51,11 +51,13 @@ pub fn run_classic_morsel(
     env: &Env,
     morsels: usize,
 ) -> Result<QueryResult> {
-    run_classic_sliced(catalog, plan, fk_host, env, morsels, SLICE_ROWS)
+    let ledger = &mut CostLedger::new();
+    run_classic_sliced(catalog, plan, fk_host, env, morsels, SLICE_ROWS, ledger)
 }
 
-/// [`run_classic_morsel`] with an explicit tail slice size (tests sweep
-/// it; results and charges are independent of it).
+/// [`run_classic_morsel`] with an explicit tail slice size and ledger
+/// (tests sweep the one and read the other's events; results and charges
+/// are independent of the slice size).
 pub(crate) fn run_classic_sliced(
     catalog: &Catalog,
     plan: &ArPlan,
@@ -63,8 +65,8 @@ pub(crate) fn run_classic_sliced(
     env: &Env,
     morsels: usize,
     slice_rows: usize,
+    ledger: &mut CostLedger,
 ) -> Result<QueryResult> {
-    let mut ledger = CostLedger::new();
     let fact = catalog.table(&plan.table)?;
     let n = fact.len();
 
@@ -167,14 +169,14 @@ pub(crate) fn run_classic_sliced(
                 "classic.select.scan",
                 col.plain_bytes() + out * 4,
                 n as u64,
-                &mut ledger,
+                ledger,
             );
         } else {
             env.charge_host_scattered(
                 "classic.select.fetch",
                 prev_count * col.dtype().plain_width() + out * 4,
                 prev_count,
-                &mut ledger,
+                ledger,
             );
         }
         prev_count = out;
@@ -199,7 +201,7 @@ pub(crate) fn run_classic_sliced(
             "classic.project.fetch",
             k as u64 * (col.dtype().plain_width() + extra_hop),
             k as u64,
-            &mut ledger,
+            ledger,
         );
         schema.push_slot(ColumnSlot {
             name,
@@ -212,49 +214,36 @@ pub(crate) fn run_classic_sliced(
 
     // --- Grouping (hash over key payloads). ---
     if !plan.group_by.is_empty() {
-        env.charge_host_scan(
-            "classic.group.hash",
-            k as u64 * 8,
-            2 * k as u64,
-            &mut ledger,
-        );
+        env.charge_host_scan("classic.group.hash", k as u64 * 8, 2 * k as u64, ledger);
     }
 
     // --- Aggregation / projection. ---
+    let tail = Tail::new(plan, schema, None)?;
     if !plan.aggs.is_empty() {
-        // Bulk processing materializes every expression primitive as a
-        // full intermediate column (read + write), then runs one grouped
-        // accumulation pass per aggregate with scattered accumulator
-        // updates — this is what makes expression-heavy Q1 expensive on
-        // the classic pipe.
-        let expr_ops: u64 = plan
-            .aggs
-            .iter()
-            .map(|a| a.arg.as_ref().map_or(0, |e| e.op_count()) + 1)
-            .sum();
+        // Bulk processing materializes every distinct expression
+        // primitive as a full intermediate column (read + write), then
+        // runs one grouped accumulation pass per distinct accumulator
+        // with scattered accumulator updates — this is what makes
+        // expression-heavy Q1 expensive on the classic pipe.
+        let expr_ops = tail.expr_ops();
         env.charge_host_scan(
             "classic.aggregate.expr",
             k as u64 * expr_ops * 8,
             k as u64 * expr_ops,
-            &mut ledger,
+            ledger,
         );
-        // One accumulation pass per aggregate; the accumulator table is
+        // One accumulation pass per accumulator; the accumulator table is
         // small (cache-resident), so the pass streams the expression
         // column rather than thrashing memory.
-        for _ in &plan.aggs {
-            env.charge_host_scan(
-                "classic.aggregate.accum",
-                k as u64 * 8,
-                k as u64,
-                &mut ledger,
-            );
+        for _ in 0..tail.accumulators() {
+            env.charge_host_scan("classic.aggregate.accum", k as u64 * 8, k as u64, ledger);
         }
     } else {
         env.charge_host_scan(
             "classic.project.eval",
             0,
             k as u64 * plan.project.len() as u64,
-            &mut ledger,
+            ledger,
         );
     }
 
@@ -269,7 +258,6 @@ pub(crate) fn run_classic_sliced(
             fk_host,
         })
         .collect();
-    let tail = Tail::new(plan, schema, None)?;
     let (columns, rows) = tail.finish(tail.run(env, sources, slice_rows)?);
 
     Ok(QueryResult {

@@ -479,6 +479,21 @@ impl Tail {
         })
     }
 
+    /// Expression primitives the tail evaluates per row: every distinct
+    /// arithmetic node of the DAG plus one materialized input per distinct
+    /// accumulator (or projected column) — what both pipes bill, so a
+    /// sub-expression several aggregates share is priced once.
+    pub(crate) fn expr_ops(&self) -> u64 {
+        let nodes = self.prog.exprs.nodes.iter();
+        let arithmetic = nodes.filter(|(n, _)| matches!(n, Node::Bin(..) | Node::Case { .. }));
+        (arithmetic.count() + self.prog.accs.len() + self.prog.project.len()) as u64
+    }
+
+    /// Distinct accumulators per group: `sum(x)` and `avg(x)` share one.
+    pub(crate) fn accumulators(&self) -> usize {
+        self.prog.accs.len()
+    }
+
     fn sink(&self) -> Sink<'_> {
         Sink {
             prog: &self.prog,
@@ -856,7 +871,7 @@ mod tests {
             let plan = scan.fk_join("fk", "d").aggregate(group_by, aggs);
             let plan = db.bind(&plan, &Default::default()).unwrap();
             let fk = db.fk_index("t", "fk").unwrap().host_slice();
-            let classic = |m, s| run_classic_sliced(db.catalog(), &plan, Some(fk), db.env(), m, s);
+            let classic = |m, s| run_classic_sliced(db.catalog(), &plan, Some(fk), db.env(), m, s, &mut Default::default());
             let opts = |morsels| ArExecOptions { morsels, ..Default::default() };
             let ar = |m, s| run_ar_sliced(db, &plan, &opts(m), db.env(), s, &mut Default::default());
             let want = oracle(db, &plan);

@@ -39,7 +39,8 @@ pub fn gather(
 /// The simulated cost of a [`gather`] of `n` candidates (dense candidates
 /// stream coalesced; scattered ones pay the random-access rate). Split out
 /// so a morsel-parallel caller that ran [`gather_partition_into`] itself
-/// charges exactly what the serial kernel would.
+/// charges exactly what the serial kernel would. A gather over zero rows
+/// launches nothing.
 pub fn charge_gather(
     env: &Env,
     arr: &DeviceArray,
@@ -48,6 +49,9 @@ pub fn charge_gather(
     label: &str,
     ledger: &mut CostLedger,
 ) {
+    if n == 0 {
+        return;
+    }
     if dense {
         // Dense candidates read the array front to back: perfectly
         // coalesced, so charge the sequential stream rate.
@@ -88,6 +92,9 @@ pub fn charge_gather_indirect(
     label: &str,
     ledger: &mut CostLedger,
 ) {
+    if n == 0 {
+        return;
+    }
     let touched = n as u64
         * (element_access_bytes(link.width()) + element_access_bytes(values.width()))
         + out_bytes(values.width(), n);
@@ -214,11 +221,19 @@ mod tests {
         assert!(l_indirect.breakdown().device > l_direct.breakdown().device);
     }
 
+    /// A gather over zero rows launches no kernel: no event, no launch
+    /// overhead — dense, scattered or through a link.
     #[test]
-    fn empty_candidates() {
+    fn empty_candidates_launch_nothing() {
         let env = Env::paper_default();
         let a = arr(&env, 8, &[1, 2, 3]);
-        let mut ledger = CostLedger::new();
+        let mut ledger = CostLedger::with_trace();
         assert!(gather(&env, &a, &Candidates::empty(), "p", &mut ledger).is_empty());
+        charge_gather(&env, &a, true, 0, "p", &mut ledger);
+        charge_gather_indirect(&env, &a, &a, 0, "p", &mut ledger);
+        assert!(ledger.events().is_empty());
+        assert_eq!(ledger.breakdown().total(), 0.0);
+        charge_gather(&env, &a, false, 1, "p", &mut ledger);
+        assert_eq!(ledger.events().len(), 1);
     }
 }

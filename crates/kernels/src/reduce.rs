@@ -37,7 +37,7 @@ fn block_rows() -> u64 {
 /// the one contended table in device memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupedAgg {
-    /// Accumulator updates: one per tuple per aggregate.
+    /// Accumulator updates: one per tuple per accumulator.
     pub updates: u64,
     /// Distinct groups.
     pub groups: u64,
@@ -51,7 +51,8 @@ pub struct GroupedAgg {
 
 impl GroupedAgg {
     /// The aggregation of `rows` tuples into `groups` groups of
-    /// `accumulators` aggregates each on `device`.
+    /// `accumulators` distinct accumulators each on `device` (`sum(x)` and
+    /// `avg(x)` share one).
     pub fn new(device: &DeviceSpec, rows: usize, accumulators: usize, groups: usize) -> GroupedAgg {
         let (rows, accumulators, groups) = (rows as u64, accumulators as u64, groups as u64);
         let table_bytes = groups * accumulators * ACCUMULATOR_BYTES;
@@ -188,23 +189,23 @@ mod tests {
         }
     }
 
-    /// TPC-H Q1 on the GTX 680: 3 groups × 8 aggregates are 384 B, so a
-    /// full warp of replicas fits 128 times over and the conflicts per
-    /// update fall from `1 + 31/3` to `1 + 31/96`; the merge reads 32
-    /// replicas per 65 536-row block.
+    /// TPC-H Q1 on the GTX 680, all 2 892 672 survivors of SF 0.5: 3
+    /// groups × 6 accumulators are 288 B, so a full warp of replicas fits
+    /// 170 times over and the conflicts per update fall from `1 + 31/3` to
+    /// `1 + 31/96`; the merge reads 32 replicas per 65 536-row block.
     #[test]
     fn q1_folds_into_a_warp_of_replicas() {
-        let (gtx, rows) = (DeviceSpec::gtx680(), 2_737_216usize);
-        let agg = GroupedAgg::new(&gtx, rows, 8, 3);
+        let (gtx, rows) = (DeviceSpec::gtx680(), 2_892_672usize);
+        let agg = GroupedAgg::new(&gtx, rows, 6, 3);
         assert_eq!(
             (agg.table_bytes, agg.replicas, agg.blocks, agg.updates),
-            (384, 32, 42, 8 * rows as u64)
+            (288, 32, 45, 6 * rows as u64)
         );
-        let updates = (8 * rows) as f64 * (1.0 + 31.0 / 96.0) * 0.5e-9;
+        let updates = (6 * rows) as f64 * (1.0 + 31.0 / 96.0) * 0.5e-9;
         assert_eq!(agg.update_seconds(&gtx), updates);
         assert_eq!(
             agg.merge_seconds(&gtx),
-            8e-6 + (42 * 32 * 384) as f64 / 192.2e9
+            8e-6 + (45 * 32 * 288) as f64 / 192.2e9
         );
         assert!(agg.update_seconds(&gtx) * 8.5 < global_update_seconds(&gtx, &agg));
         // Rows fold into their block's replica for their lane.

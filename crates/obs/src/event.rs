@@ -38,7 +38,7 @@ pub enum Phase {
 /// | `Exec`        | morsels, host threads       | sim bits, bytes, result rows, 0 |
 /// | `ApproxSelect`| input candidates, step idx  | sim bits, bytes, output candidates, 1 = bitmap [`SelVec`] representation, 0 = indices |
 /// | `Refine`      | candidates still alive (decided + undecided), step idx | sim bits, bytes, surviving candidates, the undecided ones this step re-tested |
-/// | `GroupAgg`    | surviving rows, 1 = device tail | sim bits, bytes, result rows, grouped device aggregation: `replicas << 32 \| blocks` of private accumulator tables (`blocks` 0 = one table in device memory, past the shared-memory budget) |
+/// | `GroupAgg`    | surviving rows, `uploaded survivor bits << 1 \| 1 = device tail` | sim bits, bytes, result rows, grouped device aggregation: `replicas << 32 \| blocks` of private accumulator tables (`blocks` 0 = one table in device memory, past the shared-memory budget) |
 /// | `Morsel`      | partition length, part idx  | 0, 0, output length, 0 |
 /// | `Placement`   | (instant) `a` device index, `b` estimated bytes |  |
 /// | `Resolve`     | (instant) `a` completion index, `b` 0 |  |

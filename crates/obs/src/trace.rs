@@ -367,19 +367,26 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
         (EventKind::Morsel, Some(end)) => {
             out.push_str(&format!("  in={}  out={}", n.begin.a, end.c));
         }
-        (EventKind::GroupAgg, Some(end)) if end.d != 0 => {
-            // Which side of the shared-memory budget the device aggregated on.
-            out.push_str(&format!(
-                "  out={}  replicas={}  blocks={}",
-                end.c,
-                end.d >> 32,
-                end.d as u32
-            ));
+        (EventKind::GroupAgg, Some(end)) => {
+            // Where the tail ran and how many survivor bits the host sent
+            // up for it; then which side of the shared-memory budget the
+            // device aggregated on.
+            match n.begin.b & 1 {
+                1 => out.push_str(&format!("  tail=device  uploaded={}", n.begin.b >> 1)),
+                _ => out.push_str("  tail=host"),
+            }
+            if end.c > 0 {
+                out.push_str(&format!("  out={}", end.c));
+            }
+            if end.d != 0 {
+                out.push_str(&format!(
+                    "  replicas={}  blocks={}",
+                    end.d >> 32,
+                    end.d as u32
+                ));
+            }
         }
-        (
-            EventKind::Exec | EventKind::Gather | EventKind::GroupAgg | EventKind::Classic,
-            Some(end),
-        ) if end.c > 0 => {
+        (EventKind::Exec | EventKind::Gather | EventKind::Classic, Some(end)) if end.c > 0 => {
             out.push_str(&format!("  out={}", end.c));
         }
         _ => {}
@@ -470,16 +477,24 @@ mod tests {
         // 100 candidates alive, 30 of them undecided, 10 of those refuted.
         let refine = w.begin(EventKind::Refine, exec, 100, 0);
         w.end(EventKind::Refine, refine, 0.25f64.to_bits(), 512, 90, 30);
-        // 3 result rows folded through 32 replicas in each of 42 blocks.
-        let agg = w.begin(EventKind::GroupAgg, exec, 90, 1);
+        // The device tail, told the 20 refined survivors by 30 bits: 3
+        // result rows folded through 32 replicas in each of 42 blocks.
+        let agg = w.begin(EventKind::GroupAgg, exec, 90, 30 << 1 | 1);
         w.end(EventKind::GroupAgg, agg, 0, 0, 3, 32 << 32 | 42);
+        // A host tail (§IV-G) over the same rows: nothing went up.
+        let agg = w.begin(EventKind::GroupAgg, exec, 90, 0);
+        w.end(EventKind::GroupAgg, agg, 0, 0, 3, 0);
         w.end(EventKind::Exec, exec, 0.25f64.to_bits(), 512, 90, 0);
         let text = QueryTrace::capture(&r).explain();
         assert!(
             text.contains("in=100  out=90  decided=70  undecided=30"),
             "{text}"
         );
-        assert!(text.contains("out=3  replicas=32  blocks=42"), "{text}");
+        assert!(
+            text.contains("tail=device  uploaded=30  out=3  replicas=32  blocks=42"),
+            "{text}"
+        );
+        assert!(text.contains("tail=host  out=3\n"), "{text}");
     }
 
     #[test]

@@ -86,8 +86,7 @@ fn chain_selectivities(plan: &ArPlan, cfg: &EstimateConfig) -> Vec<f64> {
 }
 
 /// Expected share of the final candidates that some selection leaves
-/// *undecided* — the only ones the A&R executor downloads, refines and
-/// (when the device can aggregate the rest) sends through the host tail.
+/// *undecided* — the only ones the A&R executor downloads and refines.
 ///
 /// A selection on a column that keeps `resbits` on the host decides every
 /// granule wholly inside its range; only the boundary granule of each
@@ -148,9 +147,10 @@ pub(crate) fn predicted_survivors(db: &Database, plan: &ArPlan, cfg: &EstimateCo
 /// co-processor: the approximation chain streams bit-packed columns at
 /// device bandwidth (a ~2 orders of magnitude faster roofline, which is
 /// exactly why short probes must not queue behind classic scans), with
-/// downloads over PCI-E, host-side refinement and the host tail priced
-/// from the share of the hinted candidates the approximation leaves
-/// undecided (the boundary granules), not from all of them.
+/// downloads over PCI-E and host-side refinement priced from the share
+/// of the hinted candidates the approximation leaves undecided (the
+/// boundary granules), not from all of them, and a host tail only where
+/// the executor places one.
 pub fn estimate_latency(
     db: &Database,
     plan: &ArPlan,
@@ -223,14 +223,24 @@ pub fn estimate_latency(
             // Aggregation-input gathers over the final candidates.
             est.device += dev.kernel_launch_overhead * gcols as f64
                 + dev.scattered_seconds(final_rows * gcols * GATHER_VALUE_BYTES);
-            // The host tail: the undecided rows when the device can
-            // aggregate the decided ones (every gathered column
-            // resident), every row otherwise.
+            // The tail follows the executor's placement. Every gathered
+            // column resident: the device finishes what the host refined
+            // — one survivor bit per undecided candidate goes back up and
+            // no host tail is left. A bare count gathers nothing and sends
+            // nothing up: the host adds its undecided rows. Otherwise
+            // (§IV-G) the host tail covers every row.
             let resident = gathered.iter().all(|name| {
                 let (table, column) = split_column(name, &plan.table);
                 db.resbits(table, column).is_none_or(|r| r == 0)
             });
-            let host_rows = if resident { undecided } else { final_rows };
+            let host_rows = match (resident, gathered.is_empty()) {
+                (true, false) => 0,
+                (true, true) => undecided,
+                (false, _) => final_rows,
+            };
+            if resident && !gathered.is_empty() && undecided > 0 {
+                est.pcie += env.pcie.transfer_seconds(undecided.div_ceil(8));
+            }
             est.host += cpu.scan_seconds(
                 host_rows * gcols * GATHER_VALUE_BYTES,
                 host_rows * gcols.max(1),
@@ -244,7 +254,7 @@ pub fn estimate_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bwd_core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
+    use bwd_core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, ScalarExpr};
     use bwd_storage::Column;
     use bwd_types::Value;
 
@@ -267,7 +277,7 @@ mod tests {
         db
     }
 
-    fn probe(db: &Database, lo: i64, hi: i64) -> ArPlan {
+    fn aggregate(db: &Database, lo: i64, hi: i64, func: AggFunc, arg: Option<&str>) -> ArPlan {
         let plan = LogicalPlan::scan("t")
             .filter(Predicate::Between {
                 column: "a".into(),
@@ -277,12 +287,22 @@ mod tests {
             .aggregate(
                 vec![],
                 vec![AggExpr {
-                    func: AggFunc::Count,
-                    arg: None,
+                    func,
+                    arg: arg.map(ScalarExpr::col),
                     alias: "n".into(),
                 }],
             );
         db.bind(&plan, &Default::default()).unwrap()
+    }
+
+    /// `select count(*) from t where a between lo and hi`.
+    fn probe(db: &Database, lo: i64, hi: i64) -> ArPlan {
+        aggregate(db, lo, hi, AggFunc::Count, None)
+    }
+
+    /// `select sum(b) from t where a between lo and hi`.
+    fn summing_b(db: &Database, lo: i64, hi: i64) -> ArPlan {
+        aggregate(db, lo, hi, AggFunc::Sum, Some("b"))
     }
 
     #[test]
@@ -349,6 +369,9 @@ mod tests {
         assert_eq!(undecided_share(&db, &wide), 0.0, "fully resident");
         let cfg = EstimateConfig::default();
         let resident = estimate_latency(&db, &wide, &ExecMode::ApproxRefine, 1, &cfg);
+        let wide_sum = summing_b(&db, 0, 4_999);
+        let resident_sum = estimate_latency(&db, &wide_sum, &ExecMode::ApproxRefine, 1, &cfg);
+        assert_eq!(resident_sum.host, 0.0);
         // 28/4: granules of 16 payloads, two bounded ends.
         db.bwdecompose("t", "a", 28).unwrap();
         let share = undecided_share(&db, &wide);
@@ -357,6 +380,20 @@ mod tests {
         assert!((undecided_share(&db, &narrow) - 32.0 / 48.0).abs() < 1e-12);
         let split = estimate_latency(&db, &wide, &ExecMode::ApproxRefine, 1, &cfg);
         assert!(split.host > resident.host && split.pcie > resident.pcie);
+        // A tail over a resident value column runs on the device either
+        // way: the split costs the host its refinement term and nothing
+        // else, and PCI-E the list down plus one bit per entry back up.
+        let split_sum = estimate_latency(&db, &wide_sum, &ExecMode::ApproxRefine, 1, &cfg);
+        let undecided = (500_000.0 * share).ceil() as u64;
+        let (cpu, pcie) = (&db.env().cpu, &db.env().pcie);
+        assert_eq!(
+            split_sum.host - resident_sum.host,
+            cpu.scattered_seconds(undecided * GATHER_VALUE_BYTES, undecided, 1)
+        );
+        assert_eq!(
+            split_sum.pcie,
+            pcie.transfer_seconds(undecided * 4) + pcie.transfer_seconds(undecided.div_ceil(8))
+        );
         // Under 1 % of the candidates are refined: nowhere near the bill
         // for all of them.
         let rows = 500_000;
