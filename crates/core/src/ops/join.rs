@@ -19,7 +19,7 @@ use crate::translucent::translucent_join_with;
 use bwd_device::{Component, CostLedger, Device, Env};
 use bwd_kernels::gather::gather_indirect;
 use bwd_kernels::{Candidates, DeviceArray, Theta};
-use bwd_storage::BitPackedVec;
+use bwd_storage::{BitPackedVec, ColumnData};
 use bwd_types::bits::bits_for_width;
 use bwd_types::{BwdError, FxHashMap, Oid, Result};
 
@@ -35,19 +35,21 @@ pub struct FkIndex {
 }
 
 impl FkIndex {
-    /// Build from raw key payloads: hash the dimension keys (build side,
-    /// on the CPU as §IV-D prescribes), then translate every fact key.
-    /// Charges the build scan + the device upload of the packed index.
+    /// Build from the two key columns' storage, read in place: hash the
+    /// dimension keys (build side, on the CPU as §IV-D prescribes), then
+    /// translate every fact key. Charges the build scan + the device
+    /// upload of the packed index.
     pub fn build(
-        fact_keys: &[i64],
-        dim_keys: &[i64],
+        fact_keys: &ColumnData,
+        dim_keys: &ColumnData,
         device: &Device,
         env: &Env,
         ledger: &mut CostLedger,
     ) -> Result<Self> {
         let mut table: FxHashMap<i64, u32> = FxHashMap::default();
         table.reserve(dim_keys.len());
-        for (row, &k) in dim_keys.iter().enumerate() {
+        for row in 0..dim_keys.len() {
+            let k = dim_keys.get(row);
             if table.insert(k, row as u32).is_some() {
                 return Err(BwdError::InvalidArgument(format!(
                     "dimension key {k} is not unique"
@@ -55,11 +57,12 @@ impl FkIndex {
             }
         }
         let mut host = Vec::with_capacity(fact_keys.len());
-        for &k in fact_keys {
-            let row = table
+        for row in 0..fact_keys.len() {
+            let k = fact_keys.get(row);
+            let dim_row = table
                 .get(&k)
                 .ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))?;
-            host.push(*row);
+            host.push(*dim_row);
         }
         // CPU hash build + probe cost.
         let t = env.cpu.scan_seconds(
@@ -70,10 +73,7 @@ impl FkIndex {
         ledger.charge(Component::Host, "fkindex.build", t, 0);
 
         let width = bits_for_width(dim_keys.len() as u64);
-        let mut packed = BitPackedVec::with_capacity(width, host.len());
-        for &r in &host {
-            packed.push(r as u64);
-        }
+        let packed = BitPackedVec::pack(width, host.iter().map(|&r| r as u64));
         let device = DeviceArray::upload(device, packed, "fkindex", ledger)?;
         Ok(FkIndex { host, device })
     }
@@ -330,9 +330,10 @@ mod tests {
     fn fk_index_builds_and_rejects_bad_input() {
         let env = Env::paper_default();
         let mut ledger = CostLedger::new();
+        let keys = |k: &[i32]| ColumnData::I32(k.to_vec());
         let fk = FkIndex::build(
-            &[103, 101, 101, 102],
-            &[101, 102, 103],
+            &keys(&[103, 101, 101, 102]),
+            &ColumnData::I64(vec![101, 102, 103]),
             &env.device,
             &env,
             &mut ledger,
@@ -342,9 +343,13 @@ mod tests {
         assert_eq!(fk.dim_row(0), 2);
         assert_eq!(fk.dim_row(1), 0);
         // Duplicate dimension key.
-        assert!(FkIndex::build(&[1], &[1, 1], &env.device, &env, &mut ledger).is_err());
+        assert!(
+            FkIndex::build(&keys(&[1]), &keys(&[1, 1]), &env.device, &env, &mut ledger).is_err()
+        );
         // Dangling foreign key.
-        assert!(FkIndex::build(&[9], &[1, 2], &env.device, &env, &mut ledger).is_err());
+        assert!(
+            FkIndex::build(&keys(&[9]), &keys(&[1, 2]), &env.device, &env, &mut ledger).is_err()
+        );
     }
 
     #[test]
@@ -357,7 +362,14 @@ mod tests {
         // Facts: 1000 lineitems.
         let fact_keys: Vec<i64> = (0..1000).map(|i| 1000 + (i * 7) % 100).collect();
         let mut ledger = CostLedger::new();
-        let fk = FkIndex::build(&fact_keys, &dim_keys, &env.device, &env, &mut ledger).unwrap();
+        let fk = FkIndex::build(
+            &ColumnData::I64(fact_keys.clone()),
+            &ColumnData::I64(dim_keys),
+            &env.device,
+            &env,
+            &mut ledger,
+        )
+        .unwrap();
 
         let c = cands(vec![5, 900, 33, 1]);
         let approx = fk_project_approx(&env, &fk, &dim_col, &c, &mut ledger);

@@ -15,7 +15,8 @@
 //! decimal(7,5), time int)`.
 
 use crate::rng::Xoshiro;
-use bwd_storage::Column;
+use bwd_storage::{Column, ColumnData};
+use bwd_types::DataType;
 
 /// The paper's coordinate bounding box, scaled by 1e5 (payload domain).
 pub const LON_MIN: i64 = -1_262_427;
@@ -118,18 +119,27 @@ pub fn gen_trips(cfg: &SpatialConfig) -> TripsTable {
             let x = (sx as f64 + (tx - sx) as f64 * f) as i64 + jitter_x;
             let y = (sy as f64 + (ty - sy) as f64 * f) as i64 + jitter_y;
             tripid.push(trip);
-            lon.push(x.clamp(LON_MIN, LON_MAX));
-            lat.push(y.clamp(LAT_MIN, LAT_MAX));
+            lon.push(x.clamp(LON_MIN, LON_MAX) as i32);
+            lat.push(y.clamp(LAT_MIN, LAT_MAX) as i32);
             clock += 1 + rng.below(10) as i64;
             time.push(clock as i32);
         }
         produced += len;
     }
 
+    // Coordinates are built in the 4 bytes a 7- or 8-digit decimal is
+    // stored in: no widened vector to narrow afterwards.
+    let coordinate = |precision, vals: Vec<i32>| {
+        let dtype = DataType::Decimal {
+            precision,
+            scale: 5,
+        };
+        Column::from_data(dtype, ColumnData::I32(vals)).expect("the bounding box fits")
+    };
     TripsTable {
         tripid: Column::from_i32(tripid),
-        lon: Column::from_decimals(lon, 8, 5).expect("lon fits decimal(8,5)"),
-        lat: Column::from_decimals(lat, 7, 5).expect("lat fits decimal(7,5)"),
+        lon: coordinate(8, lon),
+        lat: coordinate(7, lat),
         time: Column::from_i32(time),
     }
 }

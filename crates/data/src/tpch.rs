@@ -13,8 +13,8 @@
 //! Scale factor 1 ≈ 6 M lineitems / 200 K parts, linearly scaled.
 
 use crate::rng::Xoshiro;
-use bwd_storage::Column;
-use bwd_types::Date;
+use bwd_storage::{Column, ColumnData};
+use bwd_types::{DataType, Date};
 
 /// Deterministic generator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -83,21 +83,26 @@ pub fn gen_part(cfg: &TpchConfig) -> PartTable {
     let n = cfg.parts();
     let mut rng = Xoshiro::seed(cfg.seed ^ 0x9A57);
     let mut keys = Vec::with_capacity(n);
-    let mut types: Vec<String> = Vec::with_capacity(n);
+    let mut types = Vec::with_capacity(n);
     let mut prices = Vec::with_capacity(n);
+    // The 125 type strings are spelled once; a row is its three draws.
+    let mut vocab = Vec::with_capacity(125);
+    for t1 in TYPES1 {
+        for t2 in TYPES2 {
+            vocab.extend(TYPES3.map(|t3| format!("{t1} {t2} {t3}")));
+        }
+    }
     for i in 0..n {
         keys.push((i + 1) as i32);
-        let t1 = TYPES1[rng.below(5) as usize];
-        let t2 = TYPES2[rng.below(5) as usize];
-        let t3 = TYPES3[rng.below(5) as usize];
-        types.push(format!("{t1} {t2} {t3}"));
+        let (t1, t2, t3) = (rng.below(5), rng.below(5), rng.below(5));
+        types.push(((t1 * 5 + t2) * 5 + t3) as i32);
         // TPC-H retail price formula, in cents.
         let key = (i + 1) as i64;
         prices.push(90_000 + (key % 20_001) * 10 + (key % 1_000) * 100);
     }
     PartTable {
         p_partkey: Column::from_i32(keys),
-        p_type: Column::from_strings(&types),
+        p_type: Column::from_codes(&vocab, types).expect("three draws below 5 name a type"),
         p_retailprice: Column::from_decimals(prices, 12, 2).expect("prices fit"),
     }
 }
@@ -134,8 +139,14 @@ pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
     let mut price = Vec::with_capacity(n);
     let mut discount = Vec::with_capacity(n);
     let mut tax = Vec::with_capacity(n);
-    let mut rflag: Vec<&str> = Vec::with_capacity(n);
-    let mut lstatus: Vec<&str> = Vec::with_capacity(n);
+    // Flags as codes into these vocabularies, not one `&str` per row.
+    const RETURNFLAGS: [&str; 3] = ["A", "R", "N"];
+    const LINESTATUSES: [&str; 2] = ["F", "O"];
+    const FLAG_N: i32 = 2;
+    const STATUS_F: i32 = 0;
+    const STATUS_O: i32 = 1;
+    let mut rflag = Vec::with_capacity(n);
+    let mut lstatus = Vec::with_capacity(n);
     let mut shipdate = Vec::with_capacity(n);
 
     // The 1995-06-17 "current date" watershed drives returnflag/linestatus.
@@ -152,13 +163,13 @@ pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
         discount.push(rng.range_i64(0, 10));
         tax.push(rng.range_i64(0, 8));
         let ship = epoch + rng.range_i64(0, SHIPDATE_DAYS - 1) as i32;
-        shipdate.push(Date(ship));
+        shipdate.push(ship);
         if ship <= currentdate {
-            rflag.push(if rng.below(2) == 0 { "A" } else { "R" });
-            lstatus.push("F");
+            rflag.push(rng.below(2) as i32); // "A" or "R"
+            lstatus.push(STATUS_F);
         } else {
-            rflag.push("N");
-            lstatus.push("O");
+            rflag.push(FLAG_N);
+            lstatus.push(STATUS_O);
         }
     }
 
@@ -168,9 +179,10 @@ pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
         l_extendedprice: Column::from_decimals(price, 12, 2).expect("prices fit"),
         l_discount: Column::from_decimals(discount, 12, 2).expect("fits"),
         l_tax: Column::from_decimals(tax, 12, 2).expect("fits"),
-        l_returnflag: Column::from_strings(&rflag),
-        l_linestatus: Column::from_strings(&lstatus),
-        l_shipdate: Column::from_dates(shipdate),
+        l_returnflag: Column::from_codes(&RETURNFLAGS, rflag).expect("codes 0..3"),
+        l_linestatus: Column::from_codes(&LINESTATUSES, lstatus).expect("codes 0..2"),
+        l_shipdate: Column::from_data(DataType::Date, ColumnData::I32(shipdate))
+            .expect("day counts are 4 bytes wide"),
     }
 }
 
@@ -236,12 +248,24 @@ mod tests {
             seed: 2,
         });
         let dict = part.p_type.dictionary().unwrap();
-        assert!(dict.len() <= 125);
-        // A PROMO range exists and is a contiguous code block.
+        assert_eq!(dict.len(), 125);
+        // Q14's `like 'PROMO%'` is rewritten to one code range: the 25
+        // PROMO types, all of them and nothing else, are contiguous.
         let (lo, hi) = dict.prefix_code_range("PROMO").unwrap();
-        assert!(hi >= lo);
-        for code in lo..=hi {
-            assert!(dict.value_of(code).starts_with("PROMO"));
+        assert_eq!(hi - lo + 1, 25);
+        for code in 0..dict.len() as u32 {
+            let promo = dict.value_of(code).starts_with("PROMO");
+            assert_eq!(promo, (lo..=hi).contains(&code), "code {code}");
+        }
+        // And every row's code spells the type its three draws named.
+        let (mut rng, n) = (Xoshiro::seed(2 ^ 0x9A57), part.p_type.len());
+        for row in 0..n {
+            let (t1, t2, t3) = (rng.below(5), rng.below(5), rng.below(5));
+            let spelled = format!(
+                "{} {} {}",
+                TYPES1[t1 as usize], TYPES2[t2 as usize], TYPES3[t3 as usize]
+            );
+            assert_eq!(part.p_type.value(row), bwd_types::Value::Str(spelled));
         }
     }
 

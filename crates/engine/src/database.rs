@@ -141,11 +141,11 @@ impl Database {
             dim_table: dim_table.into(),
             dim_key: dim_key.into(),
         })?;
-        let fact_keys = self.catalog.table(fact_table)?.column(fact_key)?.payloads();
-        let dim_keys = self.catalog.table(dim_table)?.column(dim_key)?.payloads();
+        let fact_keys = self.catalog.table(fact_table)?.column(fact_key)?;
+        let dim_keys = self.catalog.table(dim_table)?.column(dim_key)?;
         let idx = FkIndex::build(
-            &fact_keys,
-            &dim_keys,
+            fact_keys.data(),
+            dim_keys.data(),
             &self.env.device,
             &self.env,
             &mut self.load_ledger,
@@ -186,7 +186,7 @@ impl Database {
         let col = self.catalog.table(table)?.column(column)?;
         DecomposedColumn::validate_spec(col.dtype(), spec)?;
         let plain_bytes = col.plain_bytes();
-        let dec = DecomposedColumn::decompose(&col.payloads(), col.dtype(), spec)?;
+        let dec = DecomposedColumn::decompose_column(col, spec)?;
         let report = DecompositionReport {
             device_bytes: dec.device_bytes(),
             host_bytes: dec.host_bytes(),
@@ -195,11 +195,31 @@ impl Database {
             plain_bytes,
         };
         let label = format!("{table}.{column}");
+        let key = (table.to_string(), column.to_string());
+        let replica_key = format!("col:{label}");
+        // A column bound before gives its approximation (one copy per
+        // card) back *before* the new one goes up: re-decomposing needs
+        // room for the larger of the two, not for both. It does so only
+        // once the new one is known to fit every card, so a
+        // re-decomposition that cannot fit leaves the old binding intact.
+        let held = self
+            .bound
+            .get(&key)
+            .map_or(0, |old| old.approx().packed_bytes());
+        for dev in self.env.pool.devices() {
+            let available = dev.memory().available() + held;
+            if report.device_bytes > available {
+                return Err(BwdError::DeviceOutOfMemory {
+                    requested: report.device_bytes,
+                    available,
+                });
+            }
+        }
+        self.bound.remove(&key);
+        self.replicas.remove(&replica_key);
         let bound = BoundColumn::bind(dec, &self.env.device, &label, &mut self.load_ledger)?;
-        let device_bytes = bound.approx().packed_bytes();
-        self.bound
-            .insert((table.to_string(), column.to_string()), bound);
-        self.replicate(format!("col:{label}"), device_bytes, &label)?;
+        self.bound.insert(key, bound);
+        self.replicate(replica_key, report.device_bytes, &label)?;
         Ok(report)
     }
 
@@ -545,6 +565,48 @@ mod tests {
             .unwrap();
         assert_eq!(on_primary.rows, on_second.rows);
         assert_eq!(on_primary.breakdown, on_second.breakdown);
+    }
+
+    #[test]
+    fn redecomposition_needs_room_for_the_larger_copy_not_for_both() {
+        // 10 000 rows of 14-bit values: 17 500 B all-device, 7 500 B at
+        // 24/8, 40 000 B uncompressed — on two cards of 20 000 B each.
+        let card = bwd_device::DeviceSpec::gtx680().with_capacity(20_000);
+        let mut db = Database::with_env(Env::with_devices(vec![card; 2]));
+        let a = Column::from_i32((0..10_000).collect());
+        db.create_table("r", vec![("a".into(), a)]).unwrap();
+        let used = |db: &Database| -> Vec<u64> {
+            let devices = db.env().pool.devices();
+            devices.iter().map(|d| d.memory().used()).collect()
+        };
+        db.bwdecompose("r", "a", 32).unwrap();
+        assert_eq!(used(&db), [17_500, 17_500]);
+        // Shrinking (the set-up's all-device → 24/8 step): old + new is
+        // 25 000 B, the result alone fits.
+        db.bwdecompose("r", "a", 24).unwrap();
+        assert_eq!(used(&db), [7_500, 7_500]);
+        // Growing back: 12 500 B free + the 7 500 B it gives back.
+        db.bwdecompose("r", "a", 32).unwrap();
+        assert_eq!(used(&db), [17_500, 17_500]);
+        // What cannot fit even alone fails before anything is released.
+        match db.bwdecompose_spec("r", "a", &DecompositionSpec::uncompressed(32)) {
+            Err(BwdError::DeviceOutOfMemory {
+                requested: 40_000,
+                available: 20_000,
+            }) => {}
+            other => panic!("expected a 40 000 B request against 20 000 B, got {other:?}"),
+        }
+        assert_eq!(used(&db), [17_500, 17_500]);
+        assert_eq!(
+            db.resbits("r", "a"),
+            Some(0),
+            "the old binding still serves"
+        );
+        let n = db.run(&count_where_a(100, 499), ExecMode::ApproxRefine);
+        assert_eq!(n.unwrap().rows[0][0], Value::Int(400));
+        for device in db.env().pool.devices() {
+            assert_eq!(device.memory().peak(), 17_500, "never old + new");
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! word-at-a-time decoder loads every backing word exactly once and keeps
 //! the bit cursor in registers, instead of re-deriving word index and
 //! shift per element as [`BitPackedVec::get`] must. [`BitPackedVec::iter`]
-//! and [`BlockDecoder`] are built on top of it.
+//! and [`BlockDecoder`] are built on top of it. [`BitPackedVec::pack`] is
+//! the same cursor in the other direction: bulk producers write every
+//! backing word exactly once; [`BitPackedVec::push`] is for incremental
+//! appends only.
 
 use bwd_types::bits::low_mask;
 
@@ -19,6 +22,12 @@ use bwd_types::bits::low_mask;
 /// [`BlockDecoder`]). 64 elements guarantee the scratch fits in L1 and
 /// that, at any width, a block touches at most 65 backing words.
 pub const DECODE_BLOCK: usize = 64;
+
+/// Backing words of `len` elements of `width` bits (`width` in `0..=64`).
+fn words_for(width: u32, len: usize) -> usize {
+    assert!(width <= 64, "element width {width} exceeds 64 bits");
+    (len as u64 * width as u64).div_ceil(64) as usize
+}
 
 /// An immutable-width, append-only vector of `width`-bit unsigned values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,13 +54,49 @@ impl BitPackedVec {
 
     /// An empty vector with room for `n` elements pre-allocated.
     pub fn with_capacity(width: u32, n: usize) -> Self {
-        assert!(width <= 64, "element width {width} exceeds 64 bits");
-        let words = (n as u64 * width as u64).div_ceil(64) as usize;
         BitPackedVec {
-            words: Vec::with_capacity(words),
+            words: Vec::with_capacity(words_for(width, n)),
             width,
             len: 0,
         }
+    }
+
+    /// `len` zero elements in a buffer of exactly the words they occupy —
+    /// what a [`PackCursor`] fills.
+    pub(crate) fn zeroed(width: u32, len: usize) -> Self {
+        BitPackedVec {
+            words: vec![0; words_for(width, len)],
+            width,
+            len,
+        }
+    }
+
+    /// Bulk-pack a stream of already-narrow values — the inverse of
+    /// [`BitPackedVec::unpack_range`]: one register-resident bit cursor
+    /// writes each backing word once into the pre-sized buffer, where
+    /// [`BitPackedVec::push`] re-derives word index and shift and grows
+    /// the buffer per element. Equal, word for word, to pushing the same
+    /// values.
+    ///
+    /// # Panics
+    /// Panics (debug) if any value needs more than `width` bits, and if
+    /// the iterator does not yield exactly the `len()` it reports.
+    pub fn pack<I>(width: u32, vals: I) -> Self
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let vals = vals.into_iter();
+        let mut out = Self::zeroed(width, vals.len());
+        let mut cursor = PackCursor::new(width, &mut out.words);
+        let mut packed = 0usize;
+        for v in vals {
+            cursor.push(v);
+            packed += 1;
+        }
+        cursor.finish();
+        assert_eq!(packed, out.len, "iterator misreported its length");
+        out
     }
 
     /// Pack a slice of already-narrow values.
@@ -59,11 +104,7 @@ impl BitPackedVec {
     /// # Panics
     /// Panics (debug) if any value needs more than `width` bits.
     pub fn from_slice(width: u32, vals: &[u64]) -> Self {
-        let mut v = Self::with_capacity(width, vals.len());
-        for &x in vals {
-            v.push(x);
-        }
-        v
+        Self::pack(width, vals.iter().copied())
     }
 
     /// Bits per element.
@@ -252,6 +293,73 @@ impl BitPackedVec {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// The backing words, for [`PackCursor`]s over disjoint block ranges.
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+}
+
+/// A write cursor over a zeroed run of backing words that starts on an
+/// element boundary *and* a word boundary: the front of a vector, or row
+/// `64 k` of it — 64 rows × `width` bits are exactly `width` words, so
+/// every [`DECODE_BLOCK`] starts a word at every width. The accumulator
+/// word and its fill level stay in registers; each backing word is stored
+/// once, when it is full ([`PackCursor::finish`] stores a partial last
+/// one).
+pub(crate) struct PackCursor<'a> {
+    words: &'a mut [u64],
+    width: u32,
+    next: usize,
+    acc: u64,
+    fill: u32,
+}
+
+impl<'a> PackCursor<'a> {
+    /// A cursor at bit 0 of `words`, packing `width`-bit elements.
+    pub(crate) fn new(width: u32, words: &'a mut [u64]) -> Self {
+        debug_assert!(width <= 64);
+        PackCursor {
+            words,
+            width,
+            next: 0,
+            acc: 0,
+            fill: 0,
+        }
+    }
+
+    /// Append one value.
+    ///
+    /// # Panics
+    /// Panics past the end of the words; debug-panics if `v` does not fit
+    /// in `width` bits.
+    #[inline]
+    pub(crate) fn push(&mut self, v: u64) {
+        debug_assert!(
+            self.width == 64 || v <= low_mask(self.width),
+            "value {v:#x} exceeds {} bits",
+            self.width
+        );
+        self.acc |= v << self.fill;
+        self.fill += self.width;
+        if self.fill >= 64 {
+            self.words[self.next] = self.acc;
+            self.next += 1;
+            self.fill -= 64;
+            // What did not fit, `v >> (width - fill)`, as two shifts: a
+            // value that fit exactly (`fill == 0`) must shift out
+            // entirely, at width 64 too.
+            self.acc = (v >> 1) >> (self.width - 1 - self.fill);
+        }
+    }
+
+    /// Store the partial last word, if any.
+    pub(crate) fn finish(self) {
+        if self.fill > 0 {
+            self.words[self.next] = self.acc;
+        }
+    }
 }
 
 /// Iterator over a [`BitPackedVec`], buffered through the bulk decoder.
@@ -363,19 +471,27 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The bulk packer equals the `push` loop — words, width and len — at
+    /// every width, on the lengths around the 64-row block boundaries and
+    /// on random ones, and both read back what went in.
     #[test]
-    fn push_get_roundtrip_widths() {
-        for width in [1u32, 3, 7, 8, 12, 13, 19, 24, 31, 32, 33, 47, 63, 64] {
-            let mask = low_mask(width);
-            let vals: Vec<u64> = (0..200u64)
-                .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & mask)
-                .collect();
-            let packed = BitPackedVec::from_slice(width, &vals);
-            assert_eq!(packed.len(), vals.len());
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(packed.get(i), v, "width={width} i={i}");
+    fn pack_equals_the_push_loop_at_every_width_and_block_boundary() {
+        let mut rng = bwd_types::SplitMix64::new(0xB17);
+        for width in 0..=64u32 {
+            let random = rng.below(6000) as usize;
+            for len in [0, 1, 63, 64, 65, 127, 128, 4097, random] {
+                let vals: Vec<u64> = (0..len).map(|_| rng.next_u64() & low_mask(width)).collect();
+                let mut pushed = BitPackedVec::new(width);
+                for &v in &vals {
+                    pushed.push(v);
+                }
+                let packed = BitPackedVec::pack(width, vals.iter().copied());
+                assert_eq!(packed, pushed, "width={width} len={len}");
+                assert_eq!(packed.to_vec(), vals, "width={width} len={len}");
+                for (i, &v) in vals.iter().enumerate().step_by(61) {
+                    assert_eq!(packed.get(i), v, "width={width} i={i}");
+                }
             }
-            assert_eq!(packed.to_vec(), vals, "width={width}");
         }
     }
 
@@ -406,16 +522,6 @@ mod tests {
     fn get_out_of_bounds_panics() {
         let v = BitPackedVec::from_slice(8, &[1]);
         v.get(1);
-    }
-
-    #[test]
-    fn word_boundary_straddle() {
-        // 60-bit elements guarantee straddles on every second element.
-        let vals: Vec<u64> = (0..50)
-            .map(|i| (i * 0x00FF_FFFF_FFFF_FFFF_u64) & low_mask(60))
-            .collect();
-        let packed = BitPackedVec::from_slice(60, &vals);
-        assert_eq!(packed.to_vec(), vals);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`Dictionary`] so that prefix predicates become code-range predicates
 //! (the rewrite the paper applied to TPC-H Q14's `like 'PROMO%'`).
 
-use bwd_types::{BwdError, DataType, Date, Result, Value};
+use bwd_types::{BwdError, DataType, Date, FxHashMap, Result, Value};
 use std::sync::{Arc, OnceLock};
 
 /// Physical payload storage of a column.
@@ -58,34 +58,29 @@ pub struct Column {
 }
 
 impl Column {
-    /// Build an `Int32` column.
-    pub fn from_i32(vals: Vec<i32>) -> Self {
+    fn new(dtype: DataType, data: ColumnData, dict: Option<Arc<Dictionary>>) -> Self {
         Column {
-            dtype: DataType::Int32,
-            data: ColumnData::I32(vals),
-            dict: None,
+            dtype,
+            data,
+            dict,
             min_max: OnceLock::new(),
         }
+    }
+
+    /// Build an `Int32` column.
+    pub fn from_i32(vals: Vec<i32>) -> Self {
+        Column::new(DataType::Int32, ColumnData::I32(vals), None)
     }
 
     /// Build an `Int64` column.
     pub fn from_i64(vals: Vec<i64>) -> Self {
-        Column {
-            dtype: DataType::Int64,
-            data: ColumnData::I64(vals),
-            dict: None,
-            min_max: OnceLock::new(),
-        }
+        Column::new(DataType::Int64, ColumnData::I64(vals), None)
     }
 
     /// Build a `Date` column from day counts.
     pub fn from_dates(vals: Vec<Date>) -> Self {
-        Column {
-            dtype: DataType::Date,
-            data: ColumnData::I32(vals.into_iter().map(|d| d.days()).collect()),
-            dict: None,
-            min_max: OnceLock::new(),
-        }
+        let days = vals.into_iter().map(|d| d.days()).collect();
+        Column::new(DataType::Date, ColumnData::I32(days), None)
     }
 
     /// Build a decimal column from already-scaled integers.
@@ -105,52 +100,64 @@ impl Column {
         } else {
             ColumnData::I64(unscaled)
         };
-        Ok(Column {
-            dtype,
-            data,
-            dict: None,
-            min_max: OnceLock::new(),
-        })
+        Ok(Column::new(dtype, data, None))
     }
 
     /// Build a string column: constructs the ordered dictionary and encodes
     /// each row as its code.
     pub fn from_strings<S: AsRef<str>>(vals: &[S]) -> Self {
         let (dict, codes) = Dictionary::build(vals);
-        Column {
-            dtype: DataType::Str,
-            data: ColumnData::I32(codes),
-            dict: Some(Arc::new(dict)),
-            min_max: OnceLock::new(),
-        }
+        Column::new(DataType::Str, ColumnData::I32(codes), Some(Arc::new(dict)))
     }
 
-    /// A column of raw payloads with an explicit type (generators use this).
-    pub fn from_payloads(payloads: Vec<i64>, dtype: DataType) -> Result<Self> {
-        match dtype {
-            DataType::Int64 => Ok(Column::from_i64(payloads)),
-            DataType::Decimal { precision, scale } => {
-                Column::from_decimals(payloads, precision, scale)
-            }
-            DataType::Str => Err(BwdError::InvalidArgument(
-                "string columns must be built via from_strings".into(),
-            )),
-            _ => {
-                let mut narrow = Vec::with_capacity(payloads.len());
-                for v in &payloads {
-                    let n = i32::try_from(*v).map_err(|_| {
-                        BwdError::InvalidArgument(format!("payload {v} exceeds 32-bit width"))
-                    })?;
-                    narrow.push(n);
-                }
-                Ok(Column {
-                    dtype,
-                    data: ColumnData::I32(narrow),
-                    dict: None,
-                    min_max: OnceLock::new(),
-                })
+    /// Build a string column from rows already coded against a known
+    /// vocabulary (`codes[i]` indexes `vocab`) — a loader that knows its
+    /// vocabulary need not hold one `&str` per row. The dictionary is the
+    /// ordered set of entries some row uses, exactly what
+    /// [`Column::from_strings`] builds from the spelled-out rows; `codes`
+    /// is re-coded in place.
+    ///
+    /// # Errors
+    /// Fails on a code outside `vocab`.
+    pub fn from_codes<S: AsRef<str>>(vocab: &[S], mut codes: Vec<i32>) -> Result<Self> {
+        let dict = Dictionary::from_vocabulary(vocab, &mut codes)?;
+        let data = ColumnData::I32(codes);
+        Ok(Column::new(DataType::Str, data, Some(Arc::new(dict))))
+    }
+
+    /// A non-string column over storage already in its physical width —
+    /// nothing is copied, widened or narrowed.
+    ///
+    /// # Errors
+    /// Fails when the storage width is not `dtype.plain_width()`, when a
+    /// decimal payload has more digits than its precision, and for `Str`
+    /// (whose codes mean nothing without a dictionary: use
+    /// [`Column::from_strings`] or [`Column::from_codes`]).
+    pub fn from_data(dtype: DataType, data: ColumnData) -> Result<Self> {
+        let width = match data {
+            ColumnData::I32(_) => 4,
+            ColumnData::I64(_) => 8,
+        };
+        if dtype == DataType::Str || width != dtype.plain_width() {
+            return Err(BwdError::InvalidArgument(format!(
+                "{width}-byte payload storage cannot back a {dtype} column"
+            )));
+        }
+        let col = Column::new(dtype, data, None);
+        if let DataType::Decimal { precision, .. } = dtype {
+            // The extrema decide it, and stay cached for decomposition.
+            let fits = |v: i64| match 10u64.checked_pow(precision as u32) {
+                Some(limit) => v.unsigned_abs() < limit,
+                None => true,
+            };
+            let (lo, hi) = col.payload_min_max().unwrap_or((0, 0));
+            if let Some(v) = [lo, hi].into_iter().find(|&v| !fits(v)) {
+                return Err(BwdError::InvalidArgument(format!(
+                    "decimal payload {v} exceeds precision {precision}"
+                )));
             }
         }
+        Ok(col)
     }
 
     /// Logical type.
@@ -183,7 +190,8 @@ impl Column {
         self.data.get(i)
     }
 
-    /// All payloads widened to `i64` (decomposition input).
+    /// All payloads widened to `i64` — a full copy, for tests and
+    /// measurement harnesses; the engine reads [`Column::data`] in place.
     pub fn payloads(&self) -> Vec<i64> {
         match &self.data {
             ColumnData::I32(v) => v.iter().map(|&x| x as i64).collect(),
@@ -253,27 +261,9 @@ impl Column {
     /// Minimum and maximum payload, or `None` when empty — one pass over
     /// the column the first time it is asked, remembered afterwards.
     pub fn payload_min_max(&self) -> Option<(i64, i64)> {
-        *self.min_max.get_or_init(|| {
-            if self.is_empty() {
-                return None;
-            }
-            let mut lo = i64::MAX;
-            let mut hi = i64::MIN;
-            match &self.data {
-                ColumnData::I32(v) => {
-                    for &x in v {
-                        lo = lo.min(x as i64);
-                        hi = hi.max(x as i64);
-                    }
-                }
-                ColumnData::I64(v) => {
-                    for &x in v {
-                        lo = lo.min(x);
-                        hi = hi.max(x);
-                    }
-                }
-            }
-            Some((lo, hi))
+        *self.min_max.get_or_init(|| match &self.data {
+            ColumnData::I32(v) => extrema(v),
+            ColumnData::I64(v) => extrema(v),
         })
     }
 }
@@ -287,20 +277,57 @@ pub struct Dictionary {
 
 impl Dictionary {
     /// Build from row values; returns the dictionary and per-row codes.
+    ///
+    /// One hashing pass hands out ids in first-seen order; only the
+    /// distinct values are then sorted, and the ids re-coded to ranks.
     pub fn build<S: AsRef<str>>(rows: &[S]) -> (Dictionary, Vec<i32>) {
-        let mut distinct: Vec<&str> = rows.iter().map(|s| s.as_ref()).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let values: Vec<String> = distinct.iter().map(|s| s.to_string()).collect();
-        let codes = rows
+        let mut ids: FxHashMap<&str, i32> = FxHashMap::default();
+        let mut vocab: Vec<&str> = Vec::new();
+        let mut codes: Vec<i32> = rows
             .iter()
             .map(|s| {
-                values
-                    .binary_search_by(|v| v.as_str().cmp(s.as_ref()))
-                    .expect("value must be present") as i32
+                *ids.entry(s.as_ref()).or_insert_with(|| {
+                    vocab.push(s.as_ref());
+                    vocab.len() as i32 - 1
+                })
             })
             .collect();
-        (Dictionary { values }, codes)
+        let dict = Dictionary::from_vocabulary(&vocab, &mut codes)
+            .expect("first-seen ids index the vocabulary");
+        (dict, codes)
+    }
+
+    /// The ordered dictionary of the `vocab` entries that `codes` uses;
+    /// every code is rewritten from its index into `vocab` to its rank in
+    /// the dictionary. `vocab` may be unordered and may repeat itself.
+    fn from_vocabulary<S: AsRef<str>>(vocab: &[S], codes: &mut [i32]) -> Result<Dictionary> {
+        let mut used = vec![false; vocab.len()];
+        for &c in codes.iter() {
+            let slot = usize::try_from(c).ok().and_then(|c| used.get_mut(c));
+            *slot.ok_or_else(|| {
+                BwdError::InvalidArgument(format!(
+                    "string code {c} outside a vocabulary of {}",
+                    vocab.len()
+                ))
+            })? = true;
+        }
+        let mut values: Vec<&str> = vocab
+            .iter()
+            .zip(&used)
+            .filter_map(|(s, &used)| used.then_some(s.as_ref()))
+            .collect();
+        values.sort_unstable();
+        values.dedup();
+        let rank: Vec<i32> = vocab
+            .iter()
+            .map(|s| values.binary_search(&s.as_ref()).map_or(-1, |r| r as i32))
+            .collect();
+        for c in codes.iter_mut() {
+            *c = rank[*c as usize];
+        }
+        Ok(Dictionary {
+            values: values.into_iter().map(String::from).collect(),
+        })
     }
 
     /// Number of distinct values.
@@ -348,6 +375,16 @@ impl Dictionary {
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         self.values.iter().map(|s| s.as_str())
     }
+}
+
+/// Minimum and maximum of `vals`, folded in their own width (32-bit lanes
+/// for 32-bit storage) and widened at the end; `None` when empty.
+pub(crate) fn extrema<T: Copy + Ord + Into<i64>>(vals: &[T]) -> Option<(i64, i64)> {
+    let first = *vals.first()?;
+    let (lo, hi) = vals
+        .iter()
+        .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    Some((lo.into(), hi.into()))
 }
 
 fn rescale(unscaled: i64, from: u8, to: u8) -> Result<i64> {
@@ -460,10 +497,87 @@ mod tests {
     }
 
     #[test]
-    fn from_payloads_variants() {
-        let c = Column::from_payloads(vec![1, 2], DataType::Date).unwrap();
-        assert_eq!(c.dtype(), DataType::Date);
-        assert!(Column::from_payloads(vec![i64::MAX], DataType::Int32).is_err());
-        assert!(Column::from_payloads(vec![1], DataType::Str).is_err());
+    fn from_data_checks_width_and_precision_and_copies_nothing() {
+        let coord = DataType::Decimal {
+            precision: 7,
+            scale: 5,
+        };
+        let vals = vec![2_709_371, 7_013_643];
+        let at = vals.as_ptr();
+        let c = Column::from_data(coord, ColumnData::I32(vals)).unwrap();
+        assert_eq!(c.value(1), Value::decimal(7_013_643, 5));
+        let ColumnData::I32(stored) = c.data() else {
+            panic!("a 7-digit decimal is 4 bytes wide")
+        };
+        assert_eq!(stored.as_ptr(), at, "the storage moved in, uncopied");
+        for bad in [10_000_000, -10_000_000] {
+            assert!(Column::from_data(coord, ColumnData::I32(vec![0, bad])).is_err());
+        }
+        assert!(Column::from_data(coord, ColumnData::I64(vec![1])).is_err());
+        assert!(Column::from_data(DataType::Int64, ColumnData::I32(vec![1])).is_err());
+        let wide = |v| Column::from_data(DataType::decimal(2), ColumnData::I64(vec![v]));
+        assert!(wide(10i64.pow(18) - 1).is_ok() && wide(10i64.pow(18)).is_err());
+        assert!(Column::from_data(DataType::Date, ColumnData::I32(vec![])).is_ok());
+        assert!(Column::from_data(DataType::Str, ColumnData::I32(vec![0])).is_err());
+    }
+
+    /// The parent's `Dictionary::build` — sort every row reference, then
+    /// binary-search every row — kept as the oracle.
+    fn build_by_sorting_rows<S: AsRef<str>>(rows: &[S]) -> (Dictionary, Vec<i32>) {
+        let mut distinct: Vec<&str> = rows.iter().map(|s| s.as_ref()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let values: Vec<String> = distinct.iter().map(|s| s.to_string()).collect();
+        let codes = rows
+            .iter()
+            .map(|s| {
+                values
+                    .binary_search_by(|v| v.as_str().cmp(s.as_ref()))
+                    .unwrap() as i32
+            })
+            .collect();
+        (Dictionary { values }, codes)
+    }
+
+    #[test]
+    fn build_equals_sorting_every_row() {
+        let mut rng = bwd_types::SplitMix64::new(0xD1C7);
+        let all_distinct: Vec<String> = (0..500).map(|i| format!("v{}", i * 7919 % 500)).collect();
+        // Shared prefixes (one a prefix of another) and multi-byte UTF-8,
+        // whose byte order is what `str` order means.
+        let tricky = [
+            "", "a", "ab", "abc", "ab ", "b", "PROMO", "PROMO ", "PROMO B", "Z", "zebra", "é", "ü",
+            "ß", "日本", "日", "𝄞", "e\u{301}",
+        ];
+        let drawn: Vec<&str> = (0..3000)
+            .map(|_| tricky[rng.below(tricky.len() as u64) as usize])
+            .collect();
+        let cases: [Vec<&str>; 5] = [
+            vec![],
+            vec!["only"; 40],
+            all_distinct.iter().map(String::as_str).collect(),
+            tricky.to_vec(),
+            drawn,
+        ];
+        for rows in &cases {
+            assert_eq!(Dictionary::build(rows), build_by_sorting_rows(rows));
+        }
+    }
+
+    #[test]
+    fn from_codes_equals_from_strings_of_the_spelled_out_rows() {
+        // Unordered, with a repeat and an entry no row uses.
+        let vocab = ["R", "A", "N", "A", "unused"];
+        let codes = vec![2, 0, 0, 1, 3, 2, 0];
+        let spelled: Vec<&str> = codes.iter().map(|&c| vocab[c as usize]).collect();
+        let coded = Column::from_codes(&vocab, codes).unwrap();
+        let strings = Column::from_strings(&spelled);
+        assert_eq!(coded.data(), strings.data());
+        assert_eq!(coded.dictionary(), strings.dictionary());
+        assert_eq!(coded.dictionary().unwrap().len(), 3);
+        assert!(Column::from_codes(&vocab, vec![0, 5]).is_err());
+        assert!(Column::from_codes(&vocab, vec![-1]).is_err());
+        let none = Column::from_codes(&vocab, vec![]).unwrap();
+        assert!(none.dictionary().unwrap().is_empty());
     }
 }

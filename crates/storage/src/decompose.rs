@@ -21,11 +21,16 @@
 //! into device memory and keep only the metadata + residual on the host —
 //! see `DecomposedColumn::into_parts`.
 
-use crate::bitpack::BitPackedVec;
+use crate::bitpack::{BitPackedVec, PackCursor, DECODE_BLOCK};
+use crate::column::{extrema, Column, ColumnData};
 use crate::encoding::{decode, encode, physical_bits};
 use crate::prefix::{OutOfRange, PrefixBase, PrefixGranularity};
-use bwd_types::bits::low_mask;
+use bwd_types::bits::{low_mask, split_bits};
 use bwd_types::{BwdError, DataType, Result};
+
+/// Rows from which a decomposition fans out over the host's cores; a
+/// shorter column is split on the calling thread.
+const PARALLEL_ROWS: usize = 1 << 20;
 
 /// How a column is to be decomposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +202,7 @@ impl DecompositionMeta {
 /// A bitwise-decomposed column: device-destined approximation plus
 /// host-resident residual, with the metadata to reconstruct exact values
 /// and to translate predicates into the stored approximation domain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecomposedColumn {
     meta: DecompositionMeta,
     /// Stored approximations, `meta.stored_width()` bits each.
@@ -207,57 +212,135 @@ pub struct DecomposedColumn {
     len: usize,
 }
 
-impl DecomposedColumn {
-    /// Decompose `payloads` of logical type `dtype` according to `spec`.
-    pub fn decompose(payloads: &[i64], dtype: DataType, spec: &DecompositionSpec) -> Result<Self> {
-        let w = physical_bits(dtype);
-        let device_bits = spec.device_bits.min(w);
-        let resbits = w - device_bits;
+/// The per-row half of a decomposition, everything column-wide already
+/// folded into constants: payload → encoded → frame-subtracted → (stored
+/// approximation, residual).
+#[derive(Clone, Copy)]
+struct Splitter {
+    /// `encode(p, dtype) == (p as u64 & phys_mask) ^ sign_flip`.
+    phys_mask: u64,
+    sign_flip: u64,
+    frame: u64,
+    resbits: u32,
+    prefix: PrefixBase,
+}
 
-        // Pass 1: the encoded min/max determine frame and major prefix
-        // (the shared high-bit prefix of a set equals that of its extrema).
-        let mut min_enc = u64::MAX;
-        let mut max_enc = 0u64;
-        for &p in payloads {
-            let e = encode(p, dtype);
-            min_enc = min_enc.min(e);
-            max_enc = max_enc.max(e);
+impl Splitter {
+    /// Split `rows` into the two word runs their elements occupy. `rows`
+    /// starts on a [`DECODE_BLOCK`] boundary of the column, so both runs
+    /// start on a word boundary.
+    fn run<T: Copy + Into<i64>>(&self, rows: &[T], approx: &mut [u64], residual: &mut [u64]) {
+        let mut approx = PackCursor::new(self.prefix.stored_width(), approx);
+        let mut residual = PackCursor::new(self.resbits, residual);
+        for &payload in rows {
+            let enc = (payload.into() as u64 & self.phys_mask) ^ self.sign_flip;
+            let (major, minor) = split_bits(enc - self.frame, self.resbits);
+            approx.push(self.prefix.compress(major));
+            // Loop-invariant: an all-device column runs the one-cursor loop.
+            if self.resbits > 0 {
+                residual.push(minor);
+            }
         }
-        if payloads.is_empty() {
-            min_enc = 0;
-            max_enc = 0;
-        }
-        let frame = if spec.frame_of_reference { min_enc } else { 0 };
-        let max_norm = max_enc - frame;
+        approx.finish();
+        residual.finish();
+    }
+}
 
-        let major_width = w - resbits;
-        let extrema_majors = [(min_enc - frame) >> resbits, max_norm >> resbits];
-        let prefix = PrefixBase::analyze(&extrema_majors, major_width, spec.granularity);
-        let meta = DecompositionMeta {
+/// How many contiguous chunks a column of `rows` rows is split in.
+fn chunk_count(rows: usize) -> usize {
+    if rows < PARALLEL_ROWS {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Decompose `rows` (payloads in any integer width) whose payload minimum
+/// and maximum are `extrema`, in `chunks` contiguous pieces.
+///
+/// Frame and prefix need the extrema only: the encoding preserves order,
+/// so the encoded extrema are the encoded payload extrema, and the high
+/// bits a set shares are the high bits its extrema share. The rows
+/// themselves are read once, each feeding both partitions. Pieces are cut
+/// at multiples of [`DECODE_BLOCK`] rows — word boundaries of both
+/// partitions at every width — so each worker fills its own range of the
+/// two output buffers and the words do not depend on `chunks`.
+fn split<T: Copy + Into<i64> + Sync>(
+    rows: &[T],
+    extrema: Option<(i64, i64)>,
+    dtype: DataType,
+    spec: &DecompositionSpec,
+    chunks: usize,
+) -> DecomposedColumn {
+    let w = physical_bits(dtype);
+    let resbits = w - spec.device_bits.min(w);
+    let (min_enc, max_enc) =
+        extrema.map_or((0, 0), |(lo, hi)| (encode(lo, dtype), encode(hi, dtype)));
+    let frame = if spec.frame_of_reference { min_enc } else { 0 };
+    let max_norm = max_enc - frame;
+    let extrema_majors = [
+        split_bits(min_enc - frame, resbits).0,
+        split_bits(max_norm, resbits).0,
+    ];
+    let prefix = PrefixBase::analyze(&extrema_majors, w - resbits, spec.granularity);
+
+    let mut approx = BitPackedVec::zeroed(prefix.stored_width(), rows.len());
+    let mut residual = BitPackedVec::zeroed(resbits, rows.len());
+    let splitter = Splitter {
+        phys_mask: low_mask(w),
+        sign_flip: 1 << (w - 1),
+        frame,
+        resbits,
+        prefix,
+    };
+    let blocks = rows.len().div_ceil(chunks).div_ceil(DECODE_BLOCK);
+    std::thread::scope(|scope| {
+        let (mut rows, mut approx, mut residual) = (rows, approx.words_mut(), residual.words_mut());
+        while rows.len() > blocks * DECODE_BLOCK {
+            let (head, tail) = rows.split_at(blocks * DECODE_BLOCK);
+            let (approx_head, approx_tail) =
+                approx.split_at_mut(blocks * prefix.stored_width() as usize);
+            let (residual_head, residual_tail) = residual.split_at_mut(blocks * resbits as usize);
+            scope.spawn(move || splitter.run(head, approx_head, residual_head));
+            (rows, approx, residual) = (tail, approx_tail, residual_tail);
+        }
+        splitter.run(rows, approx, residual);
+    });
+
+    DecomposedColumn {
+        meta: DecompositionMeta {
             dtype,
             physical_bits: w,
             resbits,
             frame,
             max_norm,
             prefix,
-        };
+        },
+        approx,
+        residual,
+        len: rows.len(),
+    }
+}
 
-        // Pass 2: split and pack.
-        let mut approx = BitPackedVec::with_capacity(prefix.stored_width(), payloads.len());
-        let mut residual = BitPackedVec::with_capacity(resbits, payloads.len());
-        let res_mask = low_mask(resbits);
-        for &p in payloads {
-            let norm = encode(p, dtype) - frame;
-            approx.push(prefix.compress(norm >> resbits));
-            residual.push(norm & res_mask);
+impl DecomposedColumn {
+    /// Decompose `payloads` of logical type `dtype` according to `spec`.
+    pub fn decompose(payloads: &[i64], dtype: DataType, spec: &DecompositionSpec) -> Result<Self> {
+        let chunks = chunk_count(payloads.len());
+        Ok(split(payloads, extrema(payloads), dtype, spec, chunks))
+    }
+
+    /// Decompose a stored column according to `spec`, reading its physical
+    /// storage in place — no widened copy — and taking the extrema from
+    /// [`Column::payload_min_max`], which the binder asks for anyway.
+    pub fn decompose_column(col: &Column, spec: &DecompositionSpec) -> Result<Self> {
+        Ok(Self::column_in_chunks(col, spec, chunk_count(col.len())))
+    }
+
+    fn column_in_chunks(col: &Column, spec: &DecompositionSpec, chunks: usize) -> Self {
+        let extrema = col.payload_min_max();
+        match col.data() {
+            ColumnData::I32(rows) => split(rows, extrema, col.dtype(), spec, chunks),
+            ColumnData::I64(rows) => split(rows, extrema, col.dtype(), spec, chunks),
         }
-
-        Ok(DecomposedColumn {
-            meta,
-            approx,
-            residual,
-            len: payloads.len(),
-        })
     }
 
     /// The translation metadata.
@@ -425,17 +508,134 @@ mod tests {
         .unwrap()
     }
 
+    /// The two-pass, `push`-per-element decomposition this module had
+    /// before the one-pass kernel — kept as the oracle.
+    fn decompose_by_pushing(
+        payloads: &[i64],
+        dtype: DataType,
+        spec: &DecompositionSpec,
+    ) -> DecomposedColumn {
+        let w = physical_bits(dtype);
+        let resbits = w - spec.device_bits.min(w);
+        let mut min_enc = u64::MAX;
+        let mut max_enc = 0u64;
+        for &p in payloads {
+            let e = encode(p, dtype);
+            min_enc = min_enc.min(e);
+            max_enc = max_enc.max(e);
+        }
+        if payloads.is_empty() {
+            min_enc = 0;
+            max_enc = 0;
+        }
+        let frame = if spec.frame_of_reference { min_enc } else { 0 };
+        let max_norm = max_enc - frame;
+        let extrema_majors = [(min_enc - frame) >> resbits, max_norm >> resbits];
+        let prefix = PrefixBase::analyze(&extrema_majors, w - resbits, spec.granularity);
+        let mut approx = BitPackedVec::new(prefix.stored_width());
+        let mut residual = BitPackedVec::new(resbits);
+        for &p in payloads {
+            let norm = encode(p, dtype) - frame;
+            approx.push(prefix.compress(norm >> resbits));
+            residual.push(norm & low_mask(resbits));
+        }
+        DecomposedColumn {
+            meta: DecompositionMeta {
+                dtype,
+                physical_bits: w,
+                resbits,
+                frame,
+                max_norm,
+                prefix,
+            },
+            approx,
+            residual,
+            len: payloads.len(),
+        }
+    }
+
+    /// A column of `len` rows of `dtype` over a random sub-domain of it.
+    fn random_column(dtype: DataType, len: usize, rng: &mut bwd_types::SplitMix64) -> Column {
+        let (lo, span) = match dtype {
+            DataType::Int64 => (-(1i64 << 40), 1u64 << (1 + rng.below(41))),
+            DataType::Decimal { .. } => (-40_000_000, 1 << (1 + rng.below(26))),
+            _ => (-(1i64 << 30), 1 << (1 + rng.below(31))),
+        };
+        let lo = lo + rng.below(1 << 20) as i64;
+        let mut draw = |_| lo + rng.below(span) as i64;
+        match dtype {
+            DataType::Str => {
+                let rows: Vec<String> = (0..len).map(|i| format!("s{}", draw(i) % 97)).collect();
+                Column::from_strings(&rows)
+            }
+            _ if dtype.plain_width() == 8 => {
+                Column::from_data(dtype, ColumnData::I64((0..len).map(draw).collect())).unwrap()
+            }
+            _ => {
+                let narrow = (0..len).map(|i| draw(i) as i32).collect();
+                Column::from_data(dtype, ColumnData::I32(narrow)).unwrap()
+            }
+        }
+    }
+
+    /// The column entry point, at every chunk count and whether or not the
+    /// extrema were cached beforehand, builds the `DecomposedColumn` —
+    /// metadata and every packed word — that the slice entry point and the
+    /// parent's push loop build from the widened copy; and it is exact.
     #[test]
-    fn reconstructs_exact_values() {
-        let vals: Vec<i64> = (0..1000).map(|i| (i * 7919) % 100_000).collect();
-        for device_bits in [1, 8, 16, 24, 31, 32] {
-            let d = ints(&vals, device_bits);
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(
-                    d.reconstruct_payload(i),
-                    v,
-                    "device_bits={device_bits} i={i}"
-                );
+    fn column_entry_point_equals_the_slice_one_and_the_push_loop() {
+        let mut rng = bwd_types::SplitMix64::new(0xDEC0);
+        let dtypes = [
+            DataType::Int32,
+            DataType::Int64,
+            DataType::Date,
+            DataType::Str,
+            DataType::Decimal {
+                precision: 8,
+                scale: 5,
+            },
+            DataType::Decimal {
+                precision: 12,
+                scale: 2,
+            },
+        ];
+        for dtype in dtypes {
+            for len in [0, 1, 64, 449, 450 + rng.below(400) as usize] {
+                let col = random_column(dtype, len, &mut rng);
+                let payloads = col.payloads();
+                for device_bits in [1, 8, 24, 31, 32, 64] {
+                    let specs = [
+                        DecompositionSpec::with_device_bits(device_bits),
+                        DecompositionSpec::uncompressed(device_bits),
+                        DecompositionSpec {
+                            granularity: PrefixGranularity::Byte,
+                            ..DecompositionSpec::with_device_bits(device_bits)
+                        },
+                    ];
+                    for spec in &specs {
+                        let case = format!("{dtype} len={len} {spec:?}");
+                        let oracle = decompose_by_pushing(&payloads, dtype, spec);
+                        for (i, &p) in payloads.iter().enumerate() {
+                            assert_eq!(oracle.reconstruct_payload(i), p, "{case} row {i}");
+                        }
+                        let sliced = DecomposedColumn::decompose(&payloads, dtype, spec).unwrap();
+                        assert_eq!(sliced, oracle, "{case}");
+                        for chunks in [1, 2, 3, 7] {
+                            for extrema_cached in [false, true] {
+                                // A fresh column: no extrema cached yet.
+                                let col = match col.dictionary() {
+                                    Some(_) => col.clone(),
+                                    None => Column::from_data(dtype, col.data().clone()).unwrap(),
+                                };
+                                if extrema_cached {
+                                    col.payload_min_max();
+                                }
+                                let got = DecomposedColumn::column_in_chunks(&col, spec, chunks);
+                                assert_eq!(got, oracle, "{case} chunks={chunks}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -577,21 +777,6 @@ mod tests {
             &DecompositionSpec::with_device_bits(24)
         )
         .is_ok());
-    }
-
-    #[test]
-    fn int64_decomposition() {
-        let vals: Vec<i64> = vec![-5_000_000_000, 0, 7_000_000_000];
-        let d = DecomposedColumn::decompose(
-            &vals,
-            DataType::Int64,
-            &DecompositionSpec::with_device_bits(40),
-        )
-        .unwrap();
-        assert_eq!(d.resbits(), 24);
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(d.reconstruct_payload(i), v);
-        }
     }
 
     #[test]

@@ -1,0 +1,93 @@
+//! The guard behind the one-pass load path: ingesting, indexing and
+//! decomposing a column may not hold a row-count-sized transient.
+//!
+//! One test, alone in its binary (the high-water mark is per process).
+//! Over 4 M rows, every load step — `Column::from_strings`, `create_table`,
+//! `declare_fk`, `bwdecompose` 24/8 and all-device — may raise `VmHWM`
+//! over the resident set just before it by the bytes the step leaves
+//! resident (string codes, the FK mapping twice — host positions and the
+//! packed device copy —, the two packed partitions) plus 8 MiB for hash
+//! tables, dictionaries and allocator slack. What this replaced held, on
+//! top: a 61 MiB `Vec<&str>` of row references to sort while building a
+//! dictionary, and a 30.5 MiB widened `Vec<i64>` copy of every column it
+//! indexed or decomposed. Linux-only, and skipped where
+//! `/proc/self/clear_refs` cannot reset the high-water mark.
+
+#![cfg(target_os = "linux")]
+
+use waste_not::engine::Database;
+use waste_not::storage::Column;
+
+const ROWS: usize = 4_000_000;
+const SLACK_MIB: f64 = 8.0;
+const MIB: f64 = (1 << 20) as f64;
+
+/// A `/proc/self/status` field in MiB.
+fn status_mib(field: &str) -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with(field)).unwrap();
+    let kib: f64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+    kib / 1024.0
+}
+
+/// Run `step`; its result, and how far the peak RSS rose over the RSS
+/// just before it, in MiB.
+fn peak_rise<T>(step: impl FnOnce() -> T) -> (T, f64) {
+    // "5" resets the peak RSS to the current RSS (Linux ≥ 4.0).
+    std::fs::write("/proc/self/clear_refs", "5").unwrap();
+    let before = status_mib("VmRSS:");
+    let out = step();
+    (out, status_mib("VmHWM:") - before)
+}
+
+fn assert_no_transient(step: &str, rise_mib: f64, resident_bytes: u64) {
+    let resident_mib = resident_bytes as f64 / MIB;
+    eprintln!("{step}: peak RSS +{rise_mib:.1} MiB, {resident_mib:.1} MiB of it stay resident");
+    assert!(
+        rise_mib <= resident_mib + SLACK_MIB,
+        "{step}: peak RSS rose {rise_mib:.1} MiB for {resident_mib:.1} MiB that stay resident \
+         (slack {SLACK_MIB} MiB) — is something copying the column?"
+    );
+}
+
+#[test]
+fn loading_holds_no_row_count_sized_transient() {
+    if std::fs::write("/proc/self/clear_refs", "5").is_err() {
+        eprintln!("skipped: /proc/self/clear_refs is not writable");
+        return;
+    }
+    const FLAGS: [&str; 3] = ["A", "N", "R"];
+    let flags: Vec<&str> = (0..ROWS).map(|i| FLAGS[i * 7 % 3]).collect();
+    let (flag, rise) = peak_rise(|| Column::from_strings(&flags));
+    assert_no_transient("from_strings", rise, ROWS as u64 * 4);
+    drop(flags);
+
+    let i32s = |f: fn(usize) -> usize| Column::from_i32((0..ROWS).map(|i| f(i) as i32).collect());
+    let columns = vec![
+        ("key".into(), i32s(|i| 1 + i * 31 % 1000)),
+        ("wide".into(), i32s(|i| i * 7919 % ROWS)),
+        ("narrow".into(), i32s(|i| i % 50)),
+        ("flag".into(), flag),
+    ];
+    let dim = vec![("key".into(), Column::from_i32((1..=1000).collect()))];
+
+    let mut db = Database::new();
+    let (_, rise) = peak_rise(|| {
+        db.create_table("fact", columns).unwrap();
+        db.create_table("dim", dim).unwrap();
+    });
+    assert_no_transient("create_table", rise, 0);
+
+    let (_, rise) = peak_rise(|| db.declare_fk("fact", "key", "dim", "key").unwrap());
+    // 4-byte host positions + 10-bit packed positions for the device.
+    assert_no_transient("declare_fk", rise, ROWS as u64 * 4 + ROWS as u64 * 10 / 8);
+
+    for (column, device_bits) in [("wide", 24), ("narrow", 64), ("flag", 64), ("wide", 64)] {
+        let (report, rise) = peak_rise(|| db.bwdecompose("fact", column, device_bits).unwrap());
+        assert_no_transient(
+            &format!("bwdecompose({column}, {device_bits})"),
+            rise,
+            report.device_bytes + report.host_bytes,
+        );
+    }
+}
