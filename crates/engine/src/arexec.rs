@@ -23,6 +23,12 @@
 //!
 //! The `pushdown: false` ablation interleaves refinement with the
 //! selection chain, paying a PCI-E round trip per predicate (§III-A).
+//!
+//! What the model bills as oid lists the host never builds: past the
+//! selection chain the candidates stay in the representation the chain
+//! produced, read a window at a time through [`Positions`]; refinement's
+//! verdict is positional; the only list-shaped state is O(undecided). See
+//! ARCHITECTURE.md, "The query tail".
 
 use crate::database::Database;
 use crate::eval::{ColumnSlot, RowBlock};
@@ -42,14 +48,15 @@ use bwd_device::{Component, CostLedger, Env};
 use bwd_kernels::gather::{
     charge_gather, charge_gather_indirect, gather_indirect_partition_into, gather_partition_into,
 };
-use bwd_kernels::group::hash_group_multi;
 use bwd_kernels::reduce::GroupedAgg;
 use bwd_kernels::scan::scan_block_ranges;
-use bwd_kernels::{Candidates, DeviceArray, ScanOptions, ScanRows, ScanSpec, SelMask, SelVec};
+use bwd_kernels::{
+    Candidates, Cursor, DeviceArray, Grouper, Positions, ScanOptions, ScanRows, ScanSpec, SelMask,
+    SelVec,
+};
 use bwd_obs::metrics::{Counter, Registry};
 use bwd_obs::{EventKind, SpanId, WorkerHandle, NO_SPAN};
 use bwd_types::{BwdError, FaultSite, Oid, Result};
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// How the approximate-selection chain materializes its candidates.
@@ -289,16 +296,17 @@ pub(crate) fn run_ar_sliced(
     let refinable = |i: usize| relaxed[i].is_some_and(|r| r.inner != Some(r.outer));
 
     // ======================= Approximation subplan =======================
-    let mut sel_outputs: Vec<SelVec> = Vec::with_capacity(plan.selections.len());
+    // The chain's latest output: a step reads it and replaces it.
+    let mut sel_output: Option<SelVec> = None;
     // Positional bitmap over fact rows: the candidates some selection's
     // approximation left undecided (sized by the first step that can).
+    // Refinement clears the bit of every candidate it keeps, so what stays
+    // marked among the candidates is what it dropped.
     let mut undecided_bits: Vec<u64> = Vec::new();
     // The final candidates' undecided members, and those of them that
     // passed every refinement so far (`None`: none ran yet).
     let mut undecided: Vec<Oid> = Vec::new();
     let mut refined: Option<Vec<Oid>> = None;
-    // Exact survivors in candidate order (`None`: every candidate).
-    let mut survivors: Option<Vec<Oid>> = None;
 
     for (i, (sel, c)) in plan.selections.iter().zip(&sel_cols).enumerate() {
         // With pushdown the approximate selections chain on the device,
@@ -307,17 +315,23 @@ pub(crate) fn run_ar_sliced(
         // ablation refined the previous step already and uploads its
         // survivors; every step's candidates are materialized for the
         // immediate refinement anyway, so it runs on indices.
-        let uploaded = survivors.take().map(|oids| {
-            ledger.charge(
-                Component::Pcie,
-                "select.approx.upload-survivors",
-                env.pcie.transfer_seconds(oids.len() as u64 * 4),
-                oids.len() as u64 * 4,
-            );
-            SelVec::Indices(Candidates::from_pairs(oids, Vec::new()))
-        });
+        let uploaded = match (plan.pushdown, &sel_output) {
+            (false, Some(SelVec::Indices(prev))) => {
+                let kept = |&oid: &Oid| !marked(&undecided_bits, oid);
+                let oids: Vec<Oid> = prev.oids.iter().copied().filter(kept).collect();
+                undecided_bits.clear();
+                ledger.charge(
+                    Component::Pcie,
+                    "select.approx.upload-survivors",
+                    env.pcie.transfer_seconds(oids.len() as u64 * 4),
+                    oids.len() as u64 * 4,
+                );
+                Some(SelVec::Indices(Candidates::from_pairs(oids, Vec::new())))
+            }
+            _ => None,
+        };
         let (input, rep) = match plan.pushdown {
-            true => (sel_outputs.last(), opts.candidates),
+            true => (sel_output.as_ref(), opts.candidates),
             false => (uploaded.as_ref(), CandidateRep::Indices),
         };
         let input_len = input.map_or(n, SelVec::len) as u64;
@@ -342,8 +356,8 @@ pub(crate) fn run_ar_sliced(
             // Ablation: refine before the next selection runs — survivors
             // re-cross PCI-E per predicate (§III-A), so the host takes the
             // decided oids along with the undecided pairs.
-            undecided = undecided_of(list, &undecided_bits);
-            undecided_bits.clear();
+            let is_undecided = |&oid: &Oid| marked(&undecided_bits, oid);
+            undecided = list.oids.iter().copied().filter(is_undecided).collect();
             let probe = begin(EventKind::Refine, ledger, list.len() as u64, i as u64);
             let pairs =
                 candidate_stream_bytes(c.bound.meta().stored_width(), undecided.len() as u64);
@@ -355,11 +369,16 @@ pub(crate) fn run_ar_sliced(
                     refine_selection(env, c, &sel.range, &undecided, 0, morsels, &pool, ledger)
                 }
             };
-            let merged = merge_survivors(&list.oids, &undecided, &kept);
-            probe.end(&obs, ledger, merged.len() as u64, undecided.len() as u64);
-            (survivors, refined) = (Some(merged), Some(kept));
+            unmark(&mut undecided_bits, &kept);
+            probe.end(
+                &obs,
+                ledger,
+                decided + kept.len() as u64,
+                undecided.len() as u64,
+            );
+            refined = Some(kept);
         }
-        sel_outputs.push(cands);
+        sel_output = Some(cands);
         env.fault.check(FaultSite::Exec)?; // the card may die between steps
         env.preempt.check()?; // between approximate-selection steps
     }
@@ -367,31 +386,15 @@ pub(crate) fn run_ar_sliced(
     env.fault.check(FaultSite::Exec)?;
     env.preempt.check()?; // the gather boundary
 
-    // The gather boundary: downstream operators (device pre-grouping,
-    // projection gathers, the tail's translucent alignment) need
-    // positions, so a bitmap expands here into the oid list the index
-    // path would have carried all along — same oids, same block-scrambled
-    // order. Approximations are *not* materialized (8 B per candidate):
-    // refinement re-decodes them for the undecided candidates only.
-    let expanded;
-    let final_cands: &Candidates = match sel_outputs.last() {
-        Some(SelVec::Indices(c)) => c,
-        Some(SelVec::Bitmap(m)) => {
-            expanded = Candidates::from_pairs(m.oids(), Vec::new());
-            &expanded
-        }
-        None => {
-            expanded = Candidates::dense_all(n);
-            &expanded
-        }
-    };
-    if plan.pushdown {
-        undecided = undecided_of(final_cands, &undecided_bits);
-    }
-    let decided = final_cands.len() - undecided.len();
-    let metrics = refine_metrics();
-    metrics.decided.add(decided as u64);
-    metrics.undecided.add(undecided.len() as u64);
+    // The gather boundary expands nothing: downstream operators (the
+    // undecided list, device pre-grouping, the tail's slice sources) read
+    // the final candidates' positions a window at a time — same oids,
+    // same block-scrambled order as the list the index path carries, and
+    // that list is what the bill below keeps pricing. Approximations are
+    // *not* materialized: refinement re-decodes them for the undecided
+    // candidates only.
+    let final_cands = Positions::of(sel_output.as_ref(), n);
+    let cands_dense = final_cands.dense();
 
     // Approximate pre-grouping (device) where the keys allow it.
     let group_cols: Vec<ColRef<'_>> = plan
@@ -399,16 +402,41 @@ pub(crate) fn run_ar_sliced(
         .iter()
         .map(|g| resolve(g))
         .collect::<Result<_>>()?;
-    let device_group = if !plan.group_by.is_empty()
+    let mut device_group = (!plan.group_by.is_empty()
         && group_cols
             .iter()
-            .all(|c| c.fk.is_none() && c.bound.meta().fully_device_resident())
-    {
+            .all(|c| c.fk.is_none() && c.bound.meta().fully_device_resident()))
+    .then(|| {
         let arrays: Vec<&DeviceArray> = group_cols.iter().map(|c| c.bound.approx()).collect();
-        Some(hash_group_multi(env, &arrays, final_cands, ledger))
-    } else {
-        None
-    };
+        Grouper::new(&arrays)
+    });
+    // One pass over the candidates feeds both consumers that need every
+    // one of them: the undecided list (the ablation listed its own per
+    // step) and the grouping table.
+    let list_undecided = plan.pushdown && !undecided_bits.is_empty();
+    if list_undecided || device_group.is_some() {
+        let mut cursor = final_cands.cursor(0..final_cands.span());
+        let mut window = pool.take_u32();
+        let mut more = true;
+        while more {
+            more = cursor.next_window(slice_rows, &mut window);
+            if list_undecided {
+                let is_undecided = |&oid: &Oid| marked(&undecided_bits, oid);
+                undecided.extend(window.iter().copied().filter(is_undecided));
+            }
+            if let Some(g) = &mut device_group {
+                g.observe(&window);
+            }
+        }
+        pool.put_u32(window);
+    }
+    if let Some(g) = &device_group {
+        g.charge(env, ledger);
+    }
+    let decided = final_cands.len() - undecided.len();
+    let metrics = refine_metrics();
+    metrics.decided.add(decided as u64);
+    metrics.undecided.add(undecided.len() as u64);
 
     let approx_answer = opts.approximate_answer.then(|| ApproxAnswer {
         candidate_count: final_cands.len(),
@@ -529,17 +557,18 @@ pub(crate) fn run_ar_sliced(
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
             env.preempt.check()?; // between refinement steps
         }
-        if let Some(kept) = refined
-            .as_deref()
-            .filter(|kept| kept.len() < undecided.len())
-        {
-            survivors = Some(merge_survivors(&final_cands.oids, &undecided, kept));
-        }
+        unmark(&mut undecided_bits, refined.as_deref().unwrap_or(&[]));
     } else if ids_bytes > 0 {
         env.charge_download("group.approx.download", ids_bytes, ledger);
     }
     let refined_count = refined.as_ref().map_or(undecided.len(), Vec::len);
     let survivor_count = decided + refined_count;
+    // The verdict, positionally: a candidate survives unless it is still
+    // marked (empty: refinement dropped none).
+    let dropped: &[u64] = match refined_count < undecided.len() {
+        true => &undecided_bits,
+        false => &[],
+    };
     // The device still holds the undecided list in the order it sent it:
     // one bit per entry tells it which of them the host kept.
     let uploaded_bits = match device_tail && !split_count {
@@ -591,7 +620,7 @@ pub(crate) fn run_ar_sliced(
         if device_tail {
             // Gathers stay on the device, payloads decode exactly (no
             // residual exists), nothing crosses the bus.
-            let dense = final_cands.dense && undecided.is_empty();
+            let dense = cands_dense && undecided.is_empty();
             match link {
                 None => charge_gather(env, arr, dense, dev_rows, "aggregate.gather", ledger),
                 Some(l) => {
@@ -604,8 +633,14 @@ pub(crate) fn run_ar_sliced(
             let cands = final_cands.len();
             match link {
                 None => {
-                    let dense = final_cands.dense;
-                    charge_gather(env, arr, dense, cands, "project.approx.gather", ledger);
+                    charge_gather(
+                        env,
+                        arr,
+                        cands_dense,
+                        cands,
+                        "project.approx.gather",
+                        ledger,
+                    );
                     charge_project_refine(env, c.bound, cands, host_rows, true, ledger);
                 }
                 Some(l) => {
@@ -620,11 +655,11 @@ pub(crate) fn run_ar_sliced(
         cols.push((c.bound, link, c.residual(host_rows)));
     }
     // Group keys that are fully device-resident were pre-grouped exactly
-    // (their approximation *is* the value): carry those ids through the
-    // slices' translucent alignment instead of gathering, refining and
+    // (their approximation *is* the value): the sources look the
+    // survivors' ids up in that table instead of gathering, refining and
     // re-hashing the key columns.
     let carried = device_group.as_ref().map(|g| {
-        let keys = g.group_keys.iter().flat_map(|key| {
+        let keys = g.group_keys().iter().flat_map(|key| {
             (key.iter().zip(&group_cols))
                 .map(|(&stored, c)| c.bound.meta().payload_from_parts(stored, 0))
         });
@@ -632,16 +667,20 @@ pub(crate) fn run_ar_sliced(
         GroupTable::from_keys(key_cols.map(|(g, c)| slot(g, c)).collect(), keys.collect())
     });
     let tail = Tail::new(plan, schema, carried)?;
-    let sources = partition_ranges(survivor_count, morsels)
+    // A tail that reads nothing by position (a bare count) needs no
+    // positions: any `survivor_count` rows do.
+    let (positions, dropped) = match cols.is_empty() && device_group.is_none() {
+        true => (Positions::All(survivor_count), &[][..]),
+        false => (final_cands, dropped),
+    };
+    let sources = partition_ranges(positions.span(), morsels)
         .into_iter()
-        .map(|rows| ArSource {
-            cands: final_cands,
-            survivors: survivors.as_deref().unwrap_or(&final_cands.oids),
-            cursor: rows.start,
-            rows,
+        .map(|span| ArSource {
+            cursor: positions.cursor(span),
+            dropped,
             cols: cols.iter().map(|&(b, l, r)| (b, l, r.reader())).collect(),
-            group_ids: device_group.as_ref().map(|g| g.group_ids.as_slice()),
-            pos: Vec::new(),
+            grouper: device_group.as_ref(),
+            oids: Vec::new(),
             approx: Vec::new(),
         })
         .collect();
@@ -733,28 +772,18 @@ fn refine_metrics() -> &'static RefineMetrics {
     })
 }
 
-/// The members of `cands` some selection marked in `undecided_bits`, in
-/// candidate order (an unsized bitmap: no step could leave any).
-fn undecided_of(cands: &Candidates, undecided_bits: &[u64]) -> Vec<Oid> {
-    let marked = |&oid: &Oid| undecided_bits[oid as usize / 64] >> (oid % 64) & 1 == 1;
-    match undecided_bits.is_empty() {
-        true => Vec::new(),
-        false => cands.oids.iter().copied().filter(marked).collect(),
-    }
+/// Whether `oid`'s bit is set in the positional bitmap `bits` (an unsized
+/// bitmap marks none: no step could leave a candidate undecided).
+#[inline]
+fn marked(bits: &[u64], oid: Oid) -> bool {
+    (bits.get(oid as usize / 64)).is_some_and(|w| w >> (oid % 64) & 1 == 1)
 }
 
-/// The exact survivors in candidate order: every decided candidate, and
-/// of the `undecided` ones those still in `refined` (both subsequences of
-/// `cands` under its permutation).
-fn merge_survivors(cands: &[Oid], undecided: &[Oid], refined: &[Oid]) -> Vec<Oid> {
-    let (mut und, mut kept) = (undecided.iter().peekable(), refined.iter().peekable());
-    let mut out = Vec::with_capacity(cands.len() - undecided.len() + refined.len());
-    for oid in cands {
-        if und.next_if_eq(&oid).is_none() || kept.next_if_eq(&oid).is_some() {
-            out.push(*oid);
-        }
+/// Clear the bit of every one of `oids`.
+fn unmark(bits: &mut [u64], oids: &[Oid]) {
+    for &oid in oids {
+        bits[oid as usize / 64] &= !(1 << (oid % 64));
     }
-    out
 }
 
 /// One approximate selection step (full scan / chained, direct / through
@@ -951,96 +980,27 @@ fn refine_selection(
     kept
 }
 
-/// The A&R slice source over one worker's contiguous survivor run.
+/// The A&R slice source over one worker's part of the candidates'
+/// emission sequence.
 ///
-/// Survivors are a subset of the final candidates under one shared
-/// permutation, so a *running* translucent cursor aligns them: each slice
-/// advances it over the candidate window holding the slice's survivors
-/// (at most `slice_rows` of either), recording every survivor's position
-/// in the window once for all columns. Per column the window's stored
-/// approximations are gathered (what the device's projection produced)
-/// and refined with residuals into the slice block; a carried device
-/// pre-grouping rides the same alignment like one more projected column.
-/// Without refinement (`survivors` = the candidates themselves — the
-/// device fast path, or a plan without selections) the alignment is the
-/// identity and the residuals are empty or read positionally.
+/// Each slice pulls the next window of at most `slice_rows` candidates,
+/// keeps the survivors — every candidate refinement did not drop — and
+/// reads only those: per column the stored approximations (what the
+/// device's projection produces) refined with residuals into the slice
+/// block, and the carried device pre-grouping's ids by lookup. Positions
+/// are oids, so nothing is aligned: survivors stay in candidate order
+/// because the window is.
 struct ArSource<'a> {
-    cands: &'a Candidates,
-    survivors: &'a [Oid],
-    /// This worker's remaining survivor rows.
-    rows: Range<usize>,
-    /// Candidate-side cursor: no remaining survivor sits before it. It
-    /// starts at the run's first row index — survivor `i` cannot precede
-    /// candidate `i` — and the merge advances it, so no pre-pass locates
-    /// partition boundaries.
-    cursor: usize,
+    cursor: Cursor<'a>,
+    /// Positional: the candidates refinement dropped (empty: none).
+    dropped: &'a [u64],
     cols: Vec<(&'a BoundColumn, Option<&'a DeviceArray>, ResidualReader<'a>)>,
-    /// Device pre-grouping ids, aligned with the candidates.
-    group_ids: Option<&'a [u32]>,
-    /// Window-relative candidate position per slice row (reused).
-    pos: Vec<u32>,
-    /// The current column's window approximations (reused).
+    /// The device pre-grouping the survivors' ids come from.
+    grouper: Option<&'a Grouper<'a>>,
+    /// The current slice's survivors (reused).
+    oids: Vec<Oid>,
+    /// The current column's approximations (reused).
     approx: Vec<u64>,
-}
-
-impl ArSource<'_> {
-    /// Advance over the next slice: returns its survivor rows and its
-    /// candidate window, leaving the alignment in `self.pos`.
-    fn align(&mut self, slice_rows: usize) -> Result<(Range<usize>, Range<usize>)> {
-        let (oids, surv) = (&self.cands.oids, self.survivors);
-        let (start, end) = (
-            self.rows.start,
-            self.rows.end.min(self.rows.start + slice_rows),
-        );
-        self.pos.clear();
-        if self.cols.is_empty() && self.group_ids.is_none() {
-            self.rows.start = end; // nothing consumes candidate positions
-            return Ok((start..end, 0..0));
-        }
-        let mut row = start;
-        let window = if self.cands.dense {
-            // Invisible join: a candidate's position is its oid.
-            let (base, mut top) = (surv[start] as usize, 0);
-            while row < end && (surv[row] as usize).wrapping_sub(base) < slice_rows {
-                self.pos.push((surv[row] as usize - base) as u32);
-                top = top.max(surv[row] as usize);
-                row += 1;
-            }
-            let window = base..top + 1;
-            if window.end > oids.len() {
-                return Err(BwdError::Exec(format!(
-                    "invisible join: oid {} outside dense range",
-                    window.end - 1
-                )));
-            }
-            window
-        } else {
-            // Algorithm 1: advance the cursor until it matches the
-            // current survivor; both advance on a match.
-            let first = oids[self.cursor.min(oids.len())..]
-                .iter()
-                .position(|&o| o == surv[start])
-                .ok_or_else(|| {
-                    BwdError::Exec(format!(
-                        "translucent join: oid {} not found — permutation precondition violated",
-                        surv[start]
-                    ))
-                })?;
-            let base = self.cursor + first;
-            let mut at = base;
-            while row < end && at < oids.len().min(base + slice_rows) {
-                if oids[at] == surv[row] {
-                    self.pos.push((at - base) as u32);
-                    row += 1;
-                    self.cursor = at + 1;
-                }
-                at += 1;
-            }
-            base..self.cursor
-        };
-        self.rows.start = row;
-        Ok((start..row, window))
-    }
 }
 
 impl SliceSource for ArSource<'_> {
@@ -1050,32 +1010,33 @@ impl SliceSource for ArSource<'_> {
         block: &mut RowBlock,
         ids: &mut Vec<u32>,
     ) -> Result<bool> {
-        let (run, window) = self.align(slice_rows)?;
-        block.resize(run.len());
-        let (oids, pos) = (&self.survivors[run], &self.pos);
+        let more = self.cursor.next_window(slice_rows, &mut self.oids);
+        if !self.dropped.is_empty() {
+            self.oids.retain(|&oid| !marked(self.dropped, oid));
+        }
+        let oids = &self.oids;
+        block.resize(oids.len());
+        self.approx.resize(oids.len(), 0);
         for (slot, (col, link, residual)) in self.cols.iter_mut().enumerate() {
             let arr = col.approx();
-            self.approx.resize(window.len(), 0);
             match link {
-                None if self.cands.dense => arr.data().unpack_range(window.start, &mut self.approx),
-                None => {
-                    gather_partition_into(arr, &self.cands.oids[window.clone()], &mut self.approx)
-                }
-                Some(l) => {
-                    let window = &self.cands.oids[window.clone()];
-                    gather_indirect_partition_into(arr, l, window, &mut self.approx)
-                }
+                None => gather_partition_into(arr, oids, &mut self.approx),
+                Some(l) => gather_indirect_partition_into(arr, l, oids, &mut self.approx),
             }
             let meta = col.meta();
-            for ((out, &p), &oid) in block.payloads_mut(slot).iter_mut().zip(pos).zip(oids) {
-                *out = meta.payload_from_parts(self.approx[p as usize], residual.get(oid));
+            for ((out, &a), &oid) in block
+                .payloads_mut(slot)
+                .iter_mut()
+                .zip(&self.approx)
+                .zip(oids)
+            {
+                *out = meta.payload_from_parts(a, residual.get(oid));
             }
         }
-        if let Some(group_ids) = self.group_ids {
-            ids.clear();
-            ids.extend(pos.iter().map(|&p| group_ids[window.start + p as usize]));
+        if let Some(grouper) = self.grouper {
+            grouper.ids(oids, ids);
         }
-        Ok(!self.rows.is_empty())
+        Ok(more)
     }
 }
 
@@ -1410,6 +1371,196 @@ mod tests {
         let host =
             env.cpu.scan_seconds(k * 10 * 8, k * 10, 1) + 6.0 * env.cpu.scan_seconds(k * 8, k, 1);
         assert_eq!(eval(24), (Component::Host, host));
+    }
+
+    /// `p(id, d, g)` over 10 000 rows: `d` = twice a permutation of the row
+    /// numbers, split 24/8 (granules of 256, odd payloads absent); `id`
+    /// the row number and `g` = `id % 10`, both resident.
+    fn permuted() -> Database {
+        let col = |f: fn(i32) -> i32| Column::from_i32((0..10_000).map(f).collect());
+        let cols = [
+            ("id", col(|i| i)),
+            ("d", col(|i| i * 7919 % 10_000 * 2)),
+            ("g", col(|i| i % 10)),
+        ];
+        let mut db = Database::new();
+        let cols = cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect();
+        db.create_table("p", cols).unwrap();
+        for (column, device_bits) in [("id", 32), ("d", 24), ("g", 32)] {
+            db.bwdecompose("p", column, device_bits).unwrap();
+        }
+        db
+    }
+
+    fn between(column: &str, lo: i64, hi: i64) -> Predicate {
+        let (column, lo, hi) = (column.into(), Value::Int(lo), Value::Int(hi));
+        Predicate::Between { column, lo, hi }
+    }
+
+    /// What the streamed seam must not move. A projection returns its rows
+    /// in candidate order — per simulated thread block in emission order,
+    /// ascending inside one; ascending in the classic pipe — whatever holds
+    /// the candidates, however many workers walk them in whatever slices;
+    /// and the bill of either pushdown arm is the parent commit's to the
+    /// bit, in every representation.
+    #[test]
+    fn projections_keep_candidate_order_and_the_parents_bill() {
+        let db = permuted();
+        let one = E::lit(1i64);
+        let logical = LogicalPlan::scan("p")
+            .filter(between("d", 0, 9_000))
+            .filter(between("g", 0, 6))
+            .project(vec![
+                (E::col("id"), "id".into()),
+                (E::col("d").binary(BinOp::Add, one), "d1".into()),
+            ]);
+        let scan = ScanOptions {
+            block_size: 2048,
+            preserve_order: false,
+        };
+        let kept = |id: &usize| id * 7919 % 10_000 * 2 <= 9_000 && id % 10 <= 6;
+        let row = |id: usize| {
+            vec![
+                Value::Int(id as i64),
+                Value::Int((id * 7919 % 10_000 * 2 + 1) as i64),
+            ]
+        };
+        let ascending: Vec<_> = (0..10_000).filter(kept).map(row).collect();
+        let emission = scan_block_ranges(10_000, &scan).into_iter().flatten();
+        let scrambled: Vec<_> = emission.filter(kept).map(row).collect();
+        assert_ne!(ascending, scrambled);
+        // (breakdown, traffic) as dumped at the parent commit.
+        let parents = [
+            (
+                true,
+                [0x3f07305e9cb7690a, 0x3f1152346b9ca520, 0x3f05b87cd10b6b80],
+                [99435, 29040, 21444],
+            ),
+            (
+                false,
+                [0x3f02f564c156bf2c, 0x3f1161e8827ed8a0, 0x3f138a28a78070be],
+                [97455, 28487, 57425],
+            ),
+        ];
+        for (pushdown, breakdown, traffic) in parents {
+            let plan = db
+                .bind(&logical, &bwd_core::plan::RewriteOptions { pushdown })
+                .unwrap();
+            for morsels in [1, 2, 4] {
+                for slice_rows in [1, 1000, SLICE_ROWS] {
+                    let (mut ledger, env) = (CostLedger::new(), db.env());
+                    let classic = run_classic_sliced(
+                        db.catalog(),
+                        &plan,
+                        None,
+                        env,
+                        morsels,
+                        slice_rows,
+                        &mut ledger,
+                    );
+                    assert_eq!(classic.unwrap().rows, ascending, "{morsels} x {slice_rows}");
+                    for candidates in [
+                        CandidateRep::Auto,
+                        CandidateRep::Indices,
+                        CandidateRep::Bitmap,
+                    ] {
+                        let opts = ArExecOptions {
+                            scan,
+                            candidates,
+                            morsels,
+                            ..Default::default()
+                        };
+                        let r = run_ar_sliced(
+                            &db,
+                            &plan,
+                            &opts,
+                            env,
+                            slice_rows,
+                            &mut CostLedger::new(),
+                        )
+                        .unwrap();
+                        let tag = format!("{pushdown} {candidates:?} {morsels} x {slice_rows}");
+                        assert_eq!(r.rows, scrambled, "{tag}");
+                        let b = r.breakdown;
+                        let bits = [b.device, b.host, b.pcie].map(f64::to_bits);
+                        assert_eq!(bits, breakdown, "{tag}: {bits:#x?}");
+                        let t = r.traffic;
+                        assert_eq!([t.device, t.host, t.pcie], traffic, "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// No candidate (the range lies past the domain) and no survivor (128
+    /// candidates in the granule of an odd payload, none exact) render what
+    /// they always did, in both pipes: no projected row, no group, one row
+    /// of a global aggregate.
+    #[test]
+    fn nothing_selected_renders_as_before() {
+        let db = permuted();
+        let aggs = || {
+            vec![
+                agg(AggFunc::Count, None),
+                agg(AggFunc::Sum, Some(E::col("id"))),
+                agg(AggFunc::Min, Some(E::col("d"))),
+            ]
+        };
+        for (range, candidates) in [((30_000, 40_000), 0), ((4_097, 4_097), 128)] {
+            let filtered = || LogicalPlan::scan("p").filter(between("d", range.0, range.1));
+            let shapes = [
+                (
+                    filtered().project(vec![(E::col("id"), "id".into())]),
+                    vec![],
+                ),
+                (filtered().aggregate(vec!["g".into()], aggs()), vec![]),
+                (
+                    filtered().aggregate(vec![], aggs()),
+                    vec![vec![Value::Int(0); 3]],
+                ),
+            ];
+            for (logical, rows) in shapes {
+                for pushdown in [true, false] {
+                    let plan = db
+                        .bind(&logical, &bwd_core::plan::RewriteOptions { pushdown })
+                        .unwrap();
+                    let env = db.env();
+                    let classic = run_classic_sliced(
+                        db.catalog(),
+                        &plan,
+                        None,
+                        env,
+                        1,
+                        SLICE_ROWS,
+                        &mut CostLedger::new(),
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        (classic.rows, classic.survivors),
+                        (rows.clone(), 0),
+                        "{plan:?}"
+                    );
+                    for candidates_rep in [CandidateRep::Indices, CandidateRep::Bitmap] {
+                        let opts = ArExecOptions {
+                            candidates: candidates_rep,
+                            approximate_answer: true,
+                            ..Default::default()
+                        };
+                        let r = run_ar_sliced(
+                            &db,
+                            &plan,
+                            &opts,
+                            env,
+                            SLICE_ROWS,
+                            &mut CostLedger::new(),
+                        )
+                        .unwrap();
+                        assert_eq!((r.rows, r.survivors), (rows.clone(), 0), "{plan:?}");
+                        assert_eq!(r.approx.unwrap().candidate_count, candidates, "{plan:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// 4 096 groups × 2 aggregates × 16 B is past the 48 KiB of shared

@@ -1,24 +1,26 @@
 //! The classic (CPU-only) bulk executor — the "standard MonetDB" baseline
 //! of the evaluation (§VI-A).
 //!
-//! Operators are tight loops over full-resolution columns: a selection
-//! scans payloads and materializes an oid list; the tail then streams it
-//! slice-at-a-time through [`crate::tail`] — fetch by oid (invisible
+//! Operators are tight loops over full-resolution columns: the selection
+//! chain scans payloads into one positional bitmap — filled by the first
+//! predicate, AND-refined by the rest — and the tail streams its set bits
+//! slice-at-a-time through [`crate::tail`]: fetch by oid (invisible
 //! joins), hash the key payloads, evaluate, aggregate. Every step charges
-//! the host cost model — the *bulk* model, one full pass per primitive —
-//! once from the totals, at the environment's thread allocation
-//! (Figure 11 varies the threads).
+//! the host cost model — the *bulk* model, one full pass per primitive and
+//! an oid list per selection — once from the totals, at the environment's
+//! thread allocation (Figure 11 varies the threads).
 
 use crate::catalog::Catalog;
 use crate::eval::{ColumnSlot, RowBlock};
-use crate::morsel::{partition_ranges, run_parts_yielding};
+use crate::morsel::{partition_mask_ranges, partition_ranges, run_parts_mut_yielding};
 use crate::result::QueryResult;
 use crate::tail::{SliceSource, Tail, SLICE_ROWS};
-use bwd_core::plan::ArPlan;
+use bwd_core::plan::{ArPlan, BoundSelection};
+use bwd_core::RangePred;
 use bwd_device::{CostLedger, Env};
-use bwd_storage::Column;
-use bwd_types::{BwdError, Oid, Result};
-use std::ops::Range;
+use bwd_kernels::{Cursor, Positions, ScanOptions, SelMask};
+use bwd_storage::{Column, ColumnData};
+use bwd_types::{bits::low_mask, BwdError, Oid, Result};
 
 /// Execute an A&R-bound plan classically (host only, exact data).
 ///
@@ -38,12 +40,13 @@ pub fn run_classic(
 /// `morsels` real OS threads over contiguous row partitions.
 ///
 /// Results are **bit-identical** to the serial run: each partition runs
-/// the full selection chain locally (chained filters are partition-local
-/// because a CPU selection preserves row order), and partition outputs are
-/// concatenated in partition order — exactly the serial scan order.
-/// Simulated costs are charged once from the merged per-stage tuple
-/// counts, so the cost model is independent of the real parallelism;
-/// `env.host_threads` keeps modelling the *simulated* thread allocation.
+/// the full selection chain over its own words of the one survivor bitmap
+/// (a CPU selection is positional, so chained filters stay
+/// partition-local), and the tail walks the set bits in ascending order —
+/// exactly the serial scan order. Simulated costs are charged once from
+/// the merged per-stage tuple counts, so the cost model is independent of
+/// the real parallelism; `env.host_threads` keeps modelling the
+/// *simulated* thread allocation.
 pub fn run_classic_morsel(
     catalog: &Catalog,
     plan: &ArPlan,
@@ -85,9 +88,7 @@ pub(crate) fn run_classic_sliced(
             Ok((fact.column(name)?, false))
         }
     };
-    let dim_row = |oid: Oid| -> usize { fk_host.map(|f| f[oid as usize] as usize).unwrap_or(0) };
-
-    // --- Selection chain (materializing oid lists). ---
+    // --- Selection chain (one survivor bitmap). ---
     // Pre-resolve once so worker threads share plain `&Column` refs.
     let sel_cols: Vec<(&Column, bool)> = plan
         .selections
@@ -99,64 +100,14 @@ pub(crate) fn run_classic_sliced(
             "dimension predicate without a foreign-key index".into(),
         ));
     }
-
-    // The whole chain for one contiguous row partition. A CPU selection
-    // preserves order, so chained filters stay partition-local and the
-    // concatenation of partition outputs equals the serial scan order.
-    let chain = |start: Oid, end: Oid| -> (Vec<Oid>, Vec<u64>) {
-        let mut counts = Vec::with_capacity(sel_cols.len());
-        let mut surv: Option<Vec<Oid>> = None;
-        for (sel, &(col, is_dim)) in plan.selections.iter().zip(&sel_cols) {
-            let fetch = |oid: Oid| {
-                if is_dim {
-                    col.payload(dim_row(oid))
-                } else {
-                    col.payload(oid as usize)
-                }
-            };
-            let next: Vec<Oid> = match &surv {
-                None => (start..end)
-                    .filter(|&oid| sel.range.test(fetch(oid)))
-                    .collect(),
-                Some(prev) => prev
-                    .iter()
-                    .copied()
-                    .filter(|&oid| sel.range.test(fetch(oid)))
-                    .collect(),
-            };
-            counts.push(next.len() as u64);
-            surv = Some(next);
+    // No selection: every tuple survives, and nothing is materialized.
+    let (mask, stage_counts) = match plan.selections.is_empty() {
+        true => (None, Vec::new()),
+        false => {
+            let (mask, counts) =
+                selection_mask(&plan.selections, &sel_cols, fk_host, n, morsels, env)?;
+            (Some(mask), counts)
         }
-        (surv.unwrap_or_default(), counts)
-    };
-
-    let (survivors, stage_counts): (Option<Vec<Oid>>, Vec<u64>) = if plan.selections.is_empty() {
-        (None, Vec::new())
-    } else {
-        // With a preemption hook installed, cut the row space finer than
-        // the thread count so a yield point comes up every ~SLICE_ROWS
-        // rows instead of once per scan. Partition outputs concatenate in
-        // partition order and costs are charged from merged totals, so the
-        // result and every simulated charge are independent of the
-        // partition count (pinned by `morsel_run_is_bit_identical_to_serial`).
-        let parts = if env.preempt.is_enabled() {
-            morsels.max(n.div_ceil(SLICE_ROWS))
-        } else {
-            morsels
-        };
-        let ranges = partition_ranges(n, parts);
-        let outputs = run_parts_yielding(&ranges, morsels, &env.preempt, |_, r| {
-            chain(r.start as Oid, r.end as Oid)
-        })?;
-        let mut merged = Vec::new();
-        let mut totals = vec![0u64; plan.selections.len()];
-        for (part_surv, part_counts) in outputs {
-            merged.extend(part_surv);
-            for (t, c) in totals.iter_mut().zip(part_counts) {
-                *t += c;
-            }
-        }
-        (Some(merged), totals)
     };
 
     // Charge the chain once from the merged per-stage counts — identical
@@ -182,8 +133,8 @@ pub(crate) fn run_classic_sliced(
         prev_count = out;
     }
 
-    // No selection: every tuple survives, and no oid list is materialized.
-    let k = survivors.as_ref().map_or(n, Vec::len);
+    let survivors = mask.as_ref().map_or(Positions::All(n), Positions::Mask);
+    let k = survivors.len();
 
     // --- Projective fetches: one slot per gathered column. ---
     let needed = plan.gathered_columns();
@@ -247,13 +198,18 @@ pub(crate) fn run_classic_sliced(
         );
     }
 
-    // The real work behind all of the above, one slice at a time.
+    // The real work behind all of the above, one slice at a time. A tail
+    // that fetches nothing (a bare count) reads no position: any `k` do.
     env.preempt.check()?;
-    let sources = partition_ranges(k, morsels)
+    let positions = match cols.is_empty() {
+        true => Positions::All(k),
+        false => survivors,
+    };
+    let sources = partition_ranges(positions.span(), morsels)
         .into_iter()
-        .map(|rows| ClassicSource {
-            survivors: survivors.as_deref(),
-            rows,
+        .map(|span| ClassicSource {
+            cursor: positions.cursor(span),
+            oids: Vec::new(),
             cols: &cols,
             fk_host,
         })
@@ -270,21 +226,111 @@ pub(crate) fn run_classic_sliced(
     })
 }
 
+/// The selection chain over rows `0..n` as one positional bitmap — filled
+/// by the first selection's full scan, AND-refined in place by each later
+/// one (which tests only the rows still set) — plus the survivor count
+/// after every stage, which is what the bulk model's oid lists are billed
+/// from. Workers take word-aligned partitions of the bitmap, so they
+/// write disjoint words and every partition boundary is a row boundary of
+/// the serial scan.
+///
+/// With a preemption hook installed the row space is cut finer than the
+/// thread count, so a yield point comes up every ~[`SLICE_ROWS`] rows
+/// instead of once per scan. Bits are positional and counts are sums, so
+/// the result and every simulated charge are independent of the partition
+/// count.
+fn selection_mask(
+    selections: &[BoundSelection],
+    sel_cols: &[(&Column, bool)],
+    fk_host: Option<&[u32]>,
+    n: usize,
+    morsels: usize,
+    env: &Env,
+) -> Result<(SelMask, Vec<u64>)> {
+    // The whole chain over the mask words from `first_word` on.
+    let chain = |first_word: usize, words: &mut [u64]| -> Vec<u64> {
+        let mut counts = Vec::with_capacity(selections.len());
+        for (stage, (sel, &(col, is_dim))) in selections.iter().zip(sel_cols).enumerate() {
+            let (rows, fk) = ((stage == 0).then_some(n), fk_host.filter(|_| is_dim));
+            // One loop per physical width: the per-row work is a load and
+            // two compares, a dispatch inside it would double it.
+            counts.push(match col.data() {
+                ColumnData::I32(v) => select_words(words, first_word, rows, &sel.range, v, fk),
+                ColumnData::I64(v) => select_words(words, first_word, rows, &sel.range, v, fk),
+            });
+        }
+        counts
+    };
+    let mut words = vec![0u64; n.div_ceil(64)];
+    let parts = match env.preempt.is_enabled() {
+        true => morsels.max(n.div_ceil(SLICE_ROWS)),
+        false => morsels,
+    };
+    let ranges = partition_mask_ranges(words.len(), parts);
+    let outputs =
+        run_parts_mut_yielding(&mut words, &ranges, morsels, &env.preempt, |_, r, chunk| {
+            chain(r.start, chunk)
+        })?;
+    let mut totals = vec![0u64; selections.len()];
+    for part_counts in outputs {
+        for (t, c) in totals.iter_mut().zip(part_counts) {
+            *t += c;
+        }
+    }
+    // Set bits are walked in ascending row order: the serial scan's.
+    let ascending = ScanOptions {
+        preserve_order: true,
+        ..ScanOptions::default()
+    };
+    Ok((SelMask::from_words(words, n, &ascending), totals))
+}
+
+/// One selection over the mask words from `first_word` on, testing
+/// `col[row]` (`col[fk[row]]` for a dimension column): with `rows` (the
+/// relation's length) a full scan that fills the words, without it the
+/// AND-refinement of the rows still set. Returns the survivor count.
+fn select_words<T: Copy + Into<i64>>(
+    words: &mut [u64],
+    first_word: usize,
+    rows: Option<usize>,
+    range: &RangePred,
+    col: &[T],
+    fk: Option<&[u32]>,
+) -> u64 {
+    let mut count = 0;
+    for (w, word) in words.iter_mut().enumerate() {
+        let at = (first_word + w) * 64;
+        let mut live = match rows {
+            Some(n) => low_mask((n - at).min(64) as u32),
+            None => *word,
+        };
+        *word = 0;
+        while live != 0 {
+            let (k, row) = (live.trailing_zeros(), at + live.trailing_zeros() as usize);
+            let payload = col[fk.map_or(row, |fk| fk[row] as usize)].into();
+            *word |= u64::from(range.test(payload)) << k;
+            live &= live - 1;
+        }
+        count += u64::from(word.count_ones());
+    }
+    count
+}
+
 /// The classic slice source: projective fetches by oid (through the
-/// host FK index for dimension columns) over one worker's survivor run.
+/// host FK index for dimension columns) over one worker's part of the
+/// survivors.
 struct ClassicSource<'a> {
-    /// `None`: no selection ran, row `i` is oid `i`.
-    survivors: Option<&'a [Oid]>,
-    rows: Range<usize>,
+    cursor: Cursor<'a>,
+    /// The current slice's survivors (reused).
+    oids: Vec<Oid>,
     cols: &'a [(&'a Column, bool)],
     fk_host: Option<&'a [u32]>,
 }
 
 impl SliceSource for ClassicSource<'_> {
     fn fill(&mut self, slice_rows: usize, block: &mut RowBlock, _: &mut Vec<u32>) -> Result<bool> {
-        let run = self.rows.start..self.rows.end.min(self.rows.start + slice_rows);
-        self.rows.start = run.end;
-        block.resize(run.len());
+        let more = self.cursor.next_window(slice_rows, &mut self.oids);
+        block.resize(self.oids.len());
         for (slot, &(col, is_dim)) in self.cols.iter().enumerate() {
             // `run_classic_sliced` rejects dimension columns without an index.
             let fetch = |oid: usize| match self.fk_host {
@@ -292,14 +338,10 @@ impl SliceSource for ClassicSource<'_> {
                 _ => col.payload(oid),
             };
             let out = block.payloads_mut(slot).iter_mut();
-            match self.survivors {
-                Some(s) => out
-                    .zip(&s[run.clone()])
-                    .for_each(|(o, &oid)| *o = fetch(oid as usize)),
-                None => out.zip(run.clone()).for_each(|(o, oid)| *o = fetch(oid)),
-            }
+            out.zip(&self.oids)
+                .for_each(|(o, &oid)| *o = fetch(oid as usize));
         }
-        Ok(!self.rows.is_empty())
+        Ok(more)
     }
 }
 
@@ -386,84 +428,145 @@ mod tests {
         }
     }
 
-    #[test]
-    fn morsel_run_is_bit_identical_to_serial() {
-        // Large enough to clear MIN_MORSEL_ROWS so threads really spawn.
-        let mut cat = Catalog::new();
-        let n = 50_000;
-        cat.add_table(
-            Table::new(
-                "t",
-                vec![
-                    (
-                        "a".into(),
-                        Column::from_i32((0..n).map(|i| (i * 17) % 1000).collect()),
-                    ),
-                    (
-                        "b".into(),
-                        Column::from_i32((0..n).map(|i| i % 5).collect()),
-                    ),
-                ],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let env = Env::paper_default();
-        let plan = ArPlan {
-            table: "t".into(),
-            selections: vec![
-                BoundSelection {
-                    column: "a".into(),
-                    range: RangePred::between(100, 700),
-                    selectivity_hint: None,
-                },
-                BoundSelection {
-                    column: "b".into(),
-                    range: RangePred::between(1, 3),
-                    selectivity_hint: None,
-                },
-            ],
-            fk_join: None,
-            group_by: vec!["b".into()],
-            aggs: vec![AggExpr {
-                func: AggFunc::Sum,
-                arg: Some(E::col("a")),
-                alias: "s".into(),
-            }],
-            project: vec![],
-            pushdown: true,
-        };
-        let serial = run_classic(&cat, &plan, None, &env).unwrap();
-        for morsels in [2, 3, 8, 64] {
-            let parallel = run_classic_morsel(&cat, &plan, None, &env, morsels).unwrap();
-            assert_eq!(serial.rows, parallel.rows, "morsels={morsels}");
-            assert_eq!(serial.survivors, parallel.survivors);
-            // The simulated cost model is independent of real parallelism.
-            assert_eq!(serial.breakdown, parallel.breakdown);
-            assert_eq!(serial.traffic, parallel.traffic);
+    /// The selection chain this module retired — an oid list per stage,
+    /// filtered into the next — kept as the oracle: `(survivors, per-stage
+    /// counts)` of the serial scan.
+    fn list_chain(
+        selections: &[BoundSelection],
+        sel_cols: &[(&Column, bool)],
+        fk: &[u32],
+        n: usize,
+    ) -> (Vec<Oid>, Vec<u64>) {
+        let mut counts = Vec::new();
+        let mut surv: Vec<Oid> = (0..n as Oid).collect();
+        for (sel, &(col, is_dim)) in selections.iter().zip(sel_cols) {
+            let fetch = |oid: Oid| match is_dim {
+                true => col.payload(fk[oid as usize] as usize),
+                false => col.payload(oid as usize),
+            };
+            surv.retain(|&oid| sel.range.test(fetch(oid)));
+            counts.push(surv.len() as u64);
         }
+        (surv, counts)
     }
 
+    /// The mask chain against the list chain: for no to four selections —
+    /// dense, sparse, through the FK index, an exclusion, one that keeps
+    /// nothing — at every worker count, with and without the finer
+    /// preemption-grain partitioning, a projection returns the list
+    /// chain's survivors in its order, and the bill reads its per-stage
+    /// counts and is the serial run's to the bit.
     #[test]
-    fn chained_selections() {
-        let cat = setup();
-        let env = Env::paper_default();
-        let plan = count_plan(
-            vec![
-                BoundSelection {
-                    column: "a".into(),
-                    range: RangePred::between(0, 49),
-                    selectivity_hint: None,
-                },
-                BoundSelection {
-                    column: "b".into(),
-                    range: RangePred::between(0, 0),
-                    selectivity_hint: None,
-                },
-            ],
+    fn mask_chain_matches_the_list_chain() {
+        const N: usize = 150_001;
+        let i32s = |n: usize, f: &dyn Fn(i64) -> i64| {
+            Column::from_i32((0..n as i64).map(|i| f(i) as i32).collect())
+        };
+        let fact = vec![
+            ("id".into(), Column::from_i64((0..N as i64).collect())),
+            ("a".into(), i32s(N, &|i| i * 7919 % 1000)),
+            (
+                "b".into(),
+                Column::from_i64((0..N as i64).map(|i| i * 31 % 97).collect()),
+            ),
+            ("fk".into(), i32s(N, &|i| i * 13 % 50)),
+        ];
+        let dim = vec![("x".into(), i32s(50, &|i| i % 6))];
+        let mut cat = Catalog::new();
+        cat.add_table(Table::new("t", fact).unwrap()).unwrap();
+        cat.add_table(Table::new("d", dim).unwrap()).unwrap();
+        let fk: Vec<u32> = (0..N as u32).map(|i| (i as u64 * 13 % 50) as u32).collect();
+        let sel = |column: &str, range| BoundSelection {
+            column: column.into(),
+            range,
+            selectivity_hint: None,
+        };
+        let not_five = RangePred {
+            exclude: Some(5),
+            ..RangePred::all()
+        };
+        let chains = [
             vec![],
-        );
-        let r = run_classic(&cat, &plan, None, &env).unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(10)); // multiples of 5 in 0..50
+            vec![sel("a", RangePred::between(0, 979))],
+            vec![sel("d.x", RangePred::between(2, 3)), sel("b", not_five)],
+            vec![
+                sel("a", RangePred::between(100, 104)),
+                sel("b", RangePred::between(0, 60)),
+                sel("d.x", RangePred::between(1, 5)),
+            ],
+            vec![
+                sel("b", RangePred::between(10, 90)),
+                sel("d.x", RangePred::between(0, 4)),
+                sel("a", RangePred::between(2000, 3000)),
+                sel("id", RangePred::between(0, 10)),
+            ],
+        ];
+        let polls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let yielding = {
+            let polls = std::sync::Arc::clone(&polls);
+            bwd_device::YieldPoint::new(std::sync::Arc::new(move || {
+                polls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok(())
+            }))
+        };
+        for selections in chains {
+            let plan = ArPlan {
+                table: "t".into(),
+                selections,
+                fk_join: Some(bwd_core::plan::FkJoinPlan {
+                    fact_key: "fk".into(),
+                    dim_table: "d".into(),
+                }),
+                group_by: vec![],
+                aggs: vec![],
+                project: vec![(E::col("id"), "id".into())],
+                pushdown: true,
+            };
+            let column = |name: &str| match name.split_once('.') {
+                Some((t, c)) => (cat.table(t).unwrap().column(c).unwrap(), true),
+                None => (cat.table("t").unwrap().column(name).unwrap(), false),
+            };
+            let sel_cols: Vec<_> = plan.selections.iter().map(|s| column(&s.column)).collect();
+            let (survivors, counts) = list_chain(&plan.selections, &sel_cols, &fk, N);
+            let rows: Vec<Vec<Value>> = (survivors.iter())
+                .map(|&oid| vec![Value::Int(oid as i64)])
+                .collect();
+            let mut serial = None;
+            for (morsels, preempt) in [1, 2, 3, 7]
+                .into_iter()
+                .flat_map(|m| [(m, false), (m, true)])
+            {
+                let mut env = Env::paper_default();
+                if preempt {
+                    env.preempt = yielding.clone();
+                }
+                let mut ledger = CostLedger::with_trace();
+                let r =
+                    run_classic_sliced(&cat, &plan, Some(&fk), &env, morsels, 1000, &mut ledger)
+                        .unwrap();
+                let tag = format!(
+                    "{} selections, {morsels} morsels, preempt {preempt}",
+                    counts.len()
+                );
+                assert_eq!(r.rows, rows, "{tag}");
+                assert_eq!(r.survivors, survivors.len(), "{tag}");
+                // The cost model is independent of the real parallelism.
+                let bill = serial.get_or_insert((r.breakdown, r.traffic));
+                assert_eq!((r.breakdown, r.traffic), *bill, "{tag}");
+                // Every stage writes its oid list: 4 B per survivor on top
+                // of what it reads.
+                let mut input = N as u64;
+                for ((e, &out), &(col, _)) in ledger.events().iter().zip(&counts).zip(&sel_cols) {
+                    let read = match e.label.as_str() {
+                        "classic.select.scan" => col.plain_bytes(),
+                        "classic.select.fetch" => input * col.dtype().plain_width(),
+                        other => panic!("{tag}: {other} inside the chain"),
+                    };
+                    assert_eq!(e.bytes, read + out * 4, "{tag}");
+                    input = out;
+                }
+            }
+        }
+        assert!(polls.load(std::sync::atomic::Ordering::Relaxed) > 8 * N / SLICE_ROWS);
     }
 }

@@ -17,7 +17,7 @@
 //! * [`refine_filter`] — the parallelized selection-refinement stage over
 //!   the undecided candidates. (The query tail — projection refinement,
 //!   grouping, aggregation — streams slice-at-a-time through
-//!   [`crate::tail`], whose sources own the translucent alignment.)
+//!   [`crate::tail`].)
 
 use bwd_core::RangePred;
 use bwd_kernels::scan::cache_worthwhile;
@@ -111,30 +111,35 @@ where
     })
 }
 
-/// Like [`run_parts`], but runs `ranges` in batches of at most `batch`
+/// Like [`run_parts_mut`], but runs `ranges` in batches of at most `batch`
 /// partitions with a [`bwd_device::YieldPoint`] check between batches —
 /// the fan-out primitive behind morsel-boundary preemption and
 /// cooperative cancellation. The calling (orchestrating) thread is the
 /// one that polls the yield point, so a hosted nested query runs with
 /// every morsel worker of the paused batch already joined — and a
 /// cancellation observed at the boundary stops with no worker in
-/// flight. Outputs come back in partition order exactly as [`run_parts`]
-/// would return them; the worker index passed to `f` is batch-local
-/// (restarts per batch) and must only be used for load-placement, never
-/// for output addressing.
-pub(crate) fn run_parts_yielding<T, F>(
+/// flight. Outputs come back in partition order exactly as
+/// [`run_parts_mut`] would return them; the worker index passed to `f` is
+/// batch-local (restarts per batch) and must only be used for
+/// load-placement, never for output addressing.
+pub(crate) fn run_parts_mut_yielding<T, R, F>(
+    out: &mut [T],
     ranges: &[Range<usize>],
     batch: usize,
     preempt: &bwd_device::YieldPoint,
     f: F,
-) -> bwd_types::Result<Vec<T>>
+) -> bwd_types::Result<Vec<R>>
 where
     T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
+    R: Send,
+    F: Fn(usize, Range<usize>, &mut [T]) -> R + Sync,
 {
     let mut outs = Vec::with_capacity(ranges.len());
+    let mut rest = out;
     for chunk in ranges.chunks(batch.max(1)) {
-        outs.extend(run_parts(chunk, &f));
+        let (head, tail) = rest.split_at_mut(chunk.iter().map(Range::len).sum());
+        outs.extend(run_parts_mut(head, chunk, &f));
+        rest = tail;
         preempt.check()?;
     }
     Ok(outs)
@@ -143,14 +148,15 @@ where
 /// Like [`run_parts`], but additionally hands each worker the disjoint
 /// chunk of `out` matching its range, so positionally-aligned stages write
 /// straight into one shared output buffer (no per-partition vectors, no
-/// merge copy). `out.len()` must equal the partitioned length.
+/// merge copy). `out` covers exactly the (contiguous) ranges.
 pub(crate) fn run_parts_mut<T, R, F>(out: &mut [T], ranges: &[Range<usize>], f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, Range<usize>, &mut [T]) -> R + Sync,
 {
-    debug_assert_eq!(out.len(), ranges.last().map_or(0, |r| r.end));
+    let covered = ranges.last().map_or(0, |r| r.end) - ranges.first().map_or(0, |r| r.start);
+    debug_assert_eq!(out.len(), covered);
     if ranges.len() <= 1 {
         return ranges.iter().map(|r| f(0, r.clone(), out)).collect();
     }
@@ -354,14 +360,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_parts_yielding_matches_run_parts_and_polls_between_batches() {
+    fn run_parts_mut_yielding_matches_run_parts_mut_and_polls_between_batches() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
         let ranges = partition_ranges_min(1000, 10, 1);
         assert_eq!(ranges.len(), 10);
-        let work = |_: usize, r: Range<usize>| r.into_iter().sum::<usize>();
-        let plain = run_parts(&ranges, work);
+        // Each worker numbers its chunk's slots and reports their sum.
+        let work = |_: usize, r: Range<usize>, chunk: &mut [usize]| {
+            chunk.iter_mut().zip(r.clone()).for_each(|(c, i)| *c = i);
+            r.into_iter().sum::<usize>()
+        };
+        let mut slots = vec![0; 1000];
+        let plain = run_parts_mut(&mut slots, &ranges, work);
+        assert_eq!(slots, (0..1000).collect::<Vec<_>>());
         let fired = Arc::new(AtomicUsize::new(0));
         let hook = {
             let fired = Arc::clone(&fired);
@@ -372,23 +384,30 @@ mod tests {
         };
         for batch in [1usize, 3, 10, 64] {
             fired.store(0, Ordering::Relaxed);
-            let sliced = run_parts_yielding(&ranges, batch, &hook, work).unwrap();
-            assert_eq!(sliced, plain, "batch={batch}");
+            let mut sliced_slots = vec![0; 1000];
+            let sliced =
+                run_parts_mut_yielding(&mut sliced_slots, &ranges, batch, &hook, work).unwrap();
+            assert_eq!(
+                (sliced, sliced_slots),
+                (plain.clone(), slots.clone()),
+                "batch={batch}"
+            );
             assert_eq!(fired.load(Ordering::Relaxed), ranges.len().div_ceil(batch));
         }
         // Disabled hook: same outputs, zero overhead beyond the branch.
-        let off =
-            run_parts_yielding(&ranges, 4, &bwd_device::YieldPoint::disabled(), work).unwrap();
-        assert_eq!(off, plain);
+        let off = bwd_device::YieldPoint::disabled();
+        let mut off_slots = vec![0; 1000];
+        let outs = run_parts_mut_yielding(&mut off_slots, &ranges, 4, &off, work).unwrap();
+        assert_eq!((outs, off_slots), (plain, slots));
     }
 
     #[test]
-    fn run_parts_yielding_stops_at_the_erroring_boundary() {
+    fn run_parts_mut_yielding_stops_at_the_erroring_boundary() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
         let ranges = partition_ranges_min(1000, 10, 1);
-        let work = |_: usize, r: Range<usize>| r.into_iter().sum::<usize>();
+        let work = |_: usize, r: Range<usize>, _: &mut [u8]| r.into_iter().sum::<usize>();
         let polls = Arc::new(AtomicUsize::new(0));
         let hook = {
             let polls = Arc::clone(&polls);
@@ -402,7 +421,7 @@ mod tests {
         };
         // Batch of 2: boundaries after ranges 2, 4, ...; the second poll
         // cancels, so exactly 2 polls happen and no result is returned.
-        let out = run_parts_yielding(&ranges, 2, &hook, work);
+        let out = run_parts_mut_yielding(&mut [0; 1000], &ranges, 2, &hook, work);
         assert!(matches!(out, Err(bwd_types::BwdError::Cancelled)));
         assert_eq!(polls.load(Ordering::Relaxed), 2);
     }

@@ -1,10 +1,11 @@
 //! The streaming query tail shared by both executors: slice-at-a-time
 //! gather → group → evaluate → aggregate.
 //!
-//! Both pipes end in the same place — a list of surviving tuples, the
+//! Both pipes end in the same place — a set of surviving tuples, the
 //! columns the output needs, an optional grouping and a list of
-//! aggregates or projections. Neither materializes survivors × columns:
-//! an executor-specific `SliceSource` fills a reused slice-local
+//! aggregates or projections. Neither materializes survivors × columns,
+//! or the survivors themselves: an executor-specific `SliceSource` walks
+//! its selection's positions and fills a reused slice-local
 //! [`RowBlock`] with the next run of at most [`SLICE_ROWS`] survivors,
 //! and a `Sink` assigns group ids against a table that persists across
 //! slices (keys in one flat arena), evaluates every *distinct* expression
@@ -14,10 +15,11 @@
 //! scaled integers), so the classic and A&R paths produce *identical*
 //! rows — the equivalence the integration tests assert.
 //!
-//! `morsels` workers each own a sink over a contiguous run of survivors
-//! and advance one slice per round; partial sinks merge in partition
-//! order (aggregate over a union of partitions = merge of the partials),
-//! so rows are bit-identical at every worker count and slice size. The
+//! `morsels` workers each own a sink over a contiguous part of the
+//! candidates' emission sequence and advance one slice per round; partial
+//! sinks merge in partition order (aggregate over a union of partitions =
+//! merge of the partials; projected rows concatenate), so rows are
+//! bit-identical at every worker count and slice size. The
 //! orchestrating thread polls the fault plan and the yield point between
 //! rounds, with every worker joined. Simulated costs are not this
 //! module's business: the executors charge them once from the totals.
@@ -36,13 +38,14 @@ use std::ops::Range;
 pub const SLICE_ROWS: usize = 32 * 1024;
 
 /// The executor-specific half of the tail: where a slice's payloads come
-/// from (classic: fetch by oid; A&R: gather approximations over the
-/// slice's candidate window and refine them with residuals).
+/// from (classic: fetch by oid; A&R: gather the survivors' approximations
+/// and refine them with residuals).
 pub(crate) trait SliceSource: Send {
     /// Re-size `block` to the next run of at most `slice_rows` survivors
-    /// and fill every slot; a source that carries a pre-grouping also
-    /// replaces `ids` with the run's group ids. Returns whether survivors
-    /// remain after this slice.
+    /// (possibly none: a window of candidates may keep no survivor) and
+    /// fill every slot; a source that carries a pre-grouping also replaces
+    /// `ids` with the run's group ids. Returns whether the source has more
+    /// to walk after this slice.
     fn fill(&mut self, slice_rows: usize, block: &mut RowBlock, ids: &mut Vec<u32>)
         -> Result<bool>;
 }

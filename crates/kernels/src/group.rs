@@ -10,7 +10,7 @@
 use crate::array::DeviceArray;
 use crate::candidates::Candidates;
 use bwd_device::{Component, CostLedger, Env};
-use bwd_types::{bits::low_mask, FxHashMap, Oid};
+use bwd_types::{FxHashMap, Oid};
 
 /// Simulated warp width: the lanes that can collide on one table cell.
 pub const WARP: u64 = 32;
@@ -79,42 +79,166 @@ pub fn hash_group(
 }
 
 /// Group candidates by a *composite* key over several device-resident
-/// columns (TPC-H Q1 groups by `(l_returnflag, l_linestatus)`). One
-/// scattered gather per key column feeds the same contention-modelled hash
-/// table as [`hash_group`]. Key columns of at most 64 bits together are
-/// concatenated into one word per row — a table index up to 16 bits,
-/// a `u64` hash key past it; only wider composites allocate a key per row.
+/// columns (TPC-H Q1 groups by `(l_returnflag, l_linestatus)`) in one
+/// shot: a [`Grouper`] fed the whole candidate list, billed, its ids
+/// materialized — one 4 B id per candidate, which a streaming caller
+/// never holds.
 pub fn hash_group_multi(
     env: &Env,
     keys: &[&DeviceArray],
     cands: &Candidates,
     ledger: &mut CostLedger,
 ) -> MultiGroupResult {
-    assert!(
-        !keys.is_empty(),
-        "grouping requires at least one key column"
-    );
-    let bits: u32 = keys.iter().map(|k| k.width()).sum();
-    let g = match bits {
-        0..=64 => group_packed(keys, bits, &cands.oids),
-        _ => group_wide(keys, &cands.oids),
-    };
-    // One gather stream per key column + the shared contention model.
-    let gather_bytes: u64 = keys
-        .iter()
-        .map(|k| cands.len() as u64 * bwd_device::units::element_access_bytes(k.width()))
-        .sum();
-    let spec = env.device.spec();
-    let t = spec.kernel_launch_overhead
-        + spec.scattered_seconds(gather_bytes + cands.len() as u64 * 4)
-        + cands.len() as f64 * conflicts(g.n_groups() as u64) * spec.atomic_conflict_cost;
-    ledger.charge(
-        Component::Device,
-        "group.approx.hash-multi",
-        t,
-        gather_bytes,
-    );
-    g
+    let mut grouper = Grouper::new(keys);
+    let mut group_ids = Vec::with_capacity(cands.len());
+    grouper.assign(&cands.oids, |id| group_ids.push(id));
+    grouper.charge(env, ledger);
+    Grouping {
+        group_ids,
+        group_keys: grouper.group_keys,
+    }
+}
+
+/// The composite-key grouping table as persistent state: candidates
+/// stream through [`Grouper::observe`] in any chunking and get first-seen
+/// group ids exactly as one pass over the whole list would assign them;
+/// afterwards [`Grouper::ids`] is a pure lookup, so the tail's workers
+/// share one table and nobody holds an id per candidate. Key columns of at
+/// most 64 bits together are concatenated into one word per row — a table
+/// index up to 16 bits, a `u64` hash key past it; only wider composites
+/// allocate a key per row.
+#[derive(Debug)]
+pub struct Grouper<'a> {
+    keys: Vec<&'a DeviceArray>,
+    table: Table,
+    /// Key per group id (one stored value per key column), first-seen order.
+    group_keys: Vec<Vec<u64>>,
+    observed: usize,
+}
+
+/// Key → group id, by the composite key's width.
+#[derive(Debug)]
+enum Table {
+    /// Direct-address: group id + 1 per packed key (0 = unseen).
+    Direct(Vec<u32>),
+    Packed(FxHashMap<u64, u32>),
+    Wide(FxHashMap<Vec<u64>, u32>),
+}
+
+/// `oid`'s value in every key column.
+fn key_of(keys: &[&DeviceArray], oid: Oid) -> Vec<u64> {
+    keys.iter().map(|k| k.get(oid as usize)).collect()
+}
+
+/// [`key_of`] concatenated into one word (at most 64 key bits together; a
+/// 64-bit column shifts everything before it — all zero-width — out).
+#[inline]
+fn packed_key_of(keys: &[&DeviceArray], oid: Oid) -> u64 {
+    let shl = |k: u64, by: u32| k.checked_shl(by).unwrap_or(0);
+    (keys.iter()).fold(0, |k, a| shl(k, a.width()) | a.get(oid as usize))
+}
+
+impl<'a> Grouper<'a> {
+    /// An empty table over the key columns `keys`.
+    ///
+    /// # Panics
+    /// Panics without a key column.
+    pub fn new(keys: &[&'a DeviceArray]) -> Self {
+        assert!(
+            !keys.is_empty(),
+            "grouping requires at least one key column"
+        );
+        let bits: u32 = keys.iter().map(|k| k.width()).sum();
+        Grouper {
+            keys: keys.to_vec(),
+            table: if bits <= DIRECT_BITS {
+                Table::Direct(vec![0; 1 << bits])
+            } else if bits <= 64 {
+                Table::Packed(FxHashMap::default())
+            } else {
+                Table::Wide(FxHashMap::default())
+            },
+            group_keys: Vec::new(),
+            observed: 0,
+        }
+    }
+
+    /// Feed the next chunk of candidates: a key not seen before claims the
+    /// next group id.
+    pub fn observe(&mut self, oids: &[Oid]) {
+        self.assign(oids, |_| {});
+    }
+
+    /// [`Grouper::observe`], handing each oid's group id to `emit`.
+    fn assign(&mut self, oids: &[Oid], mut emit: impl FnMut(u32)) {
+        self.observed += oids.len();
+        let keys = self.keys.as_slice();
+        for &oid in oids {
+            let next = self.group_keys.len() as u32;
+            let id = match &mut self.table {
+                Table::Direct(table) => {
+                    let cell = &mut table[packed_key_of(keys, oid) as usize];
+                    if *cell == 0 {
+                        *cell = next + 1;
+                    }
+                    *cell - 1
+                }
+                Table::Packed(table) => *table.entry(packed_key_of(keys, oid)).or_insert(next),
+                Table::Wide(table) => *table.entry(key_of(keys, oid)).or_insert(next),
+            };
+            if id == next {
+                self.group_keys.push(key_of(keys, oid));
+            }
+            emit(id);
+        }
+    }
+
+    /// Replace `out` with the group id of every oid, aligned with `oids`.
+    ///
+    /// # Panics
+    /// Panics on an oid whose key was never observed.
+    pub fn ids(&self, oids: &[Oid], out: &mut Vec<u32>) {
+        let keys = self.keys.as_slice();
+        out.clear();
+        out.extend(oids.iter().map(|&oid| match &self.table {
+            Table::Direct(table) => {
+                (table[packed_key_of(keys, oid) as usize].checked_sub(1)).expect("key observed")
+            }
+            Table::Packed(table) => table[&packed_key_of(keys, oid)],
+            Table::Wide(table) => table[&key_of(keys, oid)],
+        }));
+    }
+
+    /// Number of distinct groups observed so far.
+    pub fn n_groups(&self) -> usize {
+        self.group_keys.len()
+    }
+
+    /// Key per group id (one stored value per key column).
+    pub fn group_keys(&self) -> &[Vec<u64>] {
+        &self.group_keys
+    }
+
+    /// Charge the grouping kernel over everything observed: one gather
+    /// stream per key column, one 4 B id per candidate and the shared
+    /// contention model — a function of the key widths, the number of
+    /// candidates observed and [`Grouper::n_groups`] alone.
+    pub fn charge(&self, env: &Env, ledger: &mut CostLedger) {
+        let n = self.observed as u64;
+        let gather_bytes: u64 = (self.keys.iter())
+            .map(|k| n * bwd_device::units::element_access_bytes(k.width()))
+            .sum();
+        let spec = env.device.spec();
+        let t = spec.kernel_launch_overhead
+            + spec.scattered_seconds(gather_bytes + n * 4)
+            + n as f64 * conflicts(self.n_groups() as u64) * spec.atomic_conflict_cost;
+        ledger.charge(
+            Component::Device,
+            "group.approx.hash-multi",
+            t,
+            gather_bytes,
+        );
+    }
 }
 
 /// First-seen-order group ids over a stream of keys: `lookup(key, next)`
@@ -138,54 +262,12 @@ fn assign_ids<K>(
     }
 }
 
-/// [`hash_group_multi`] over key columns of `bits <= 64` bits together.
-fn group_packed(keys: &[&DeviceArray], bits: u32, oids: &[Oid]) -> MultiGroupResult {
-    // A 64-bit column shifts everything before it (all zero-width) out.
-    let shl = |k: u64, by: u32| k.checked_shl(by).unwrap_or(0);
-    let pack = |&oid: &Oid| (keys.iter()).fold(0, |k, a| shl(k, a.width()) | a.get(oid as usize));
-    let packed = if bits <= DIRECT_BITS {
-        let mut table = vec![0u32; 1 << bits]; // group id + 1 per key
-        assign_ids(oids.iter().map(pack), |&key, next| {
-            let cell = &mut table[key as usize];
-            if *cell == 0 {
-                *cell = next + 1;
-            }
-            *cell - 1
-        })
-    } else {
-        let mut table: FxHashMap<u64, u32> = FxHashMap::default();
-        assign_ids(oids.iter().map(pack), |&key, next| {
-            *table.entry(key).or_insert(next)
-        })
-    };
-    let unpack = |mut key: u64| {
-        let mut cols = vec![0; keys.len()];
-        for (col, a) in cols.iter_mut().zip(keys).rev() {
-            *col = key & low_mask(a.width());
-            key = key.checked_shr(a.width()).unwrap_or(0);
-        }
-        cols
-    };
-    Grouping {
-        group_ids: packed.group_ids,
-        group_keys: packed.group_keys.into_iter().map(unpack).collect(),
-    }
-}
-
-/// [`hash_group_multi`] past 64 key bits: one `Vec` key per row.
-fn group_wide(keys: &[&DeviceArray], oids: &[Oid]) -> MultiGroupResult {
-    let mut table: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
-    let key_of = |&oid: &Oid| keys.iter().map(|k| k.get(oid as usize)).collect();
-    assign_ids(oids.iter().map(key_of), |key: &Vec<u64>, next| {
-        *table.entry(key.clone()).or_insert(next)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bwd_device::Env;
     use bwd_storage::BitPackedVec;
+    use bwd_types::bits::low_mask;
 
     fn arr(env: &Env, width: u32, vals: &[u64]) -> DeviceArray {
         let mut l = CostLedger::new();
@@ -255,12 +337,23 @@ mod tests {
         assert_eq!(g.n_groups(), 0);
     }
 
+    /// The one-shot grouping this module used to be, one `Vec` key per
+    /// row: the oracle for every arm of the [`Grouper`].
+    fn group_wide(keys: &[&DeviceArray], oids: &[Oid]) -> MultiGroupResult {
+        let mut table: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
+        let key_of = |&oid: &Oid| keys.iter().map(|k| k.get(oid as usize)).collect();
+        assign_ids(oids.iter().map(key_of), |key: &Vec<u64>, next| {
+            *table.entry(key.clone()).or_insert(next)
+        })
+    }
+
     /// One to three key columns of every width up to 32 bits (and one of
     /// 64) — composites of 1..=96 bits, so the direct-address table, the
     /// `u64` hash table and the `Vec`-keyed fallback all run — against the
-    /// `Vec`-keyed path: same first-seen ids, same keys, and the bill a
+    /// `Vec`-keyed oracle: same first-seen ids, same keys, and the bill a
     /// function of the widths, the candidate count and the group count
-    /// alone.
+    /// alone — in one shot, and fed in arbitrary chunks (a lookup of any
+    /// oids afterwards returns the ids the one shot assigned).
     #[test]
     fn packed_keys_group_like_vec_keys() {
         let env = Env::paper_default();
@@ -291,6 +384,25 @@ mod tests {
                 + 300.0 * conflicts(g.n_groups() as u64) * spec.atomic_conflict_cost;
             let e = &ledger.events()[0];
             assert_eq!((e.bytes, e.seconds), (gathered, t), "{n_cols} x {width}");
+
+            let mut chunked = Grouper::new(&keys);
+            let mut rest = cands.oids.as_slice();
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(1 + rng.below(rest.len() as u64) as usize);
+                chunked.observe(chunk);
+                rest = tail;
+            }
+            assert_eq!(chunked.group_keys(), g.group_keys, "{n_cols} x {width}");
+            let mut streamed = CostLedger::with_trace();
+            chunked.charge(&env, &mut streamed);
+            assert_eq!(streamed.events(), ledger.events(), "{n_cols} x {width}");
+            let (mut ids, mut want) = (vec![7], Vec::new());
+            for at in [0..300, 0..0, 17..290, 299..300] {
+                chunked.ids(&cands.oids[at.clone()], &mut ids);
+                assert_eq!(ids, g.group_ids[at], "{n_cols} x {width}");
+                want.extend_from_slice(&ids);
+            }
+            assert_eq!(want.len(), 300 + 273 + 1);
         }
     }
 

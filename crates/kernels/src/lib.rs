@@ -14,7 +14,8 @@
 //!   the block-scrambled output order of a parallel selection;
 //! * [`selvec`] — adaptive candidate representations: positional match
 //!   bitmaps ([`SelMask`]) vs materialized index lists, convertible
-//!   bit-identically;
+//!   bit-identically, and the window [`Cursor`] everything past the
+//!   selection chain reads either through;
 //! * [`gather`] — positional lookups (projections) and FK-indexed lookups
 //!   (pre-indexed equi-joins share this code path, §IV-D);
 //! * [`group`] — hash grouping with the write-conflict contention model
@@ -36,7 +37,7 @@ pub mod selvec;
 pub use array::DeviceArray;
 pub use candidates::Candidates;
 pub use gather::{gather_partition, gather_partition_into};
-pub use group::{GroupResult, MultiGroupResult};
+pub use group::{GroupResult, Grouper, MultiGroupResult};
 pub use join::Theta;
 pub use scan::{scan_block_ranges, ScanOptions, ScanRows, ScanSpec};
-pub use selvec::{SelMask, SelVec};
+pub use selvec::{Cursor, Positions, SelMask, SelVec};

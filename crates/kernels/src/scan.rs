@@ -513,6 +513,11 @@ impl<'a> ScanSpec<'a> {
     }
 }
 
+/// Set bits in a 64-block below which survivor emission reads elements
+/// one by one instead of bulk-decoding the whole block (mirrors the
+/// 1-in-8 density heuristic of [`cache_worthwhile`]).
+const DENSE_BLOCK_MIN: u32 = 8;
+
 /// Emit the survivors of one matched 64-element group (`n` elements at
 /// row `i`, match bits `bits != 0`): bulk-decode when every element or a
 /// dense subset matches, per-element decode when sparse.
@@ -533,7 +538,7 @@ fn emit_matches(
             oids.push((i + k) as Oid);
             approx.push(v);
         }
-    } else if bits.count_ones() >= crate::selvec::DENSE_BLOCK_MIN {
+    } else if bits.count_ones() >= DENSE_BLOCK_MIN {
         // Dense block: decode once, then emit set bits.
         data.unpack_range(i, &mut buf[..n]);
         while bits != 0 {

@@ -13,22 +13,23 @@
 //!   group that already has no survivors.
 //!
 //! [`SelVec`] is the sum type the A&R executor threads through its
-//! approximate-selection chain, choosing the representation per query and
-//! converting **lazily** at the boundary where downstream operators need
-//! positions and values (refinement download, projection gathers,
-//! grouping).
+//! approximate-selection chain, choosing the representation per query —
+//! and never converting: past the chain, downstream operators (undecided
+//! list, pre-grouping, the tail's gathers) read the candidates'
+//! [`Positions`] a window at a time through a [`Cursor`], whichever
+//! representation holds them.
 //!
 //! # Bit-identity with the index path
 //!
 //! A bitmap is positional, but the simulated parallel selection emits
 //! candidates in bit-reversed block order (§IV-A item 3). A [`SelMask`]
 //! therefore remembers the scan geometry that produced it
-//! ([`ScanOptions`] block size and ordering flag); conversion walks the
+//! ([`ScanOptions`] block size and ordering flag); its cursor walks the
 //! same [`scan_block_ranges`] sequence and emits set bits block by block
 //! via `trailing_zeros`, reproducing the index path's permutation byte
-//! for byte — same oids, same order, same approximations. Chained
-//! refinements AND masks positionally, which preserves exactly the
-//! subsequence the chained index filter would keep.
+//! for byte — same oids, same order. Chained refinements AND masks
+//! positionally, which preserves exactly the subsequence the chained
+//! index filter would keep.
 //!
 //! All of this is representation only: [`crate::scan::ScanSpec::charge`]
 //! bills the paper's candidate-pair model in both representations
@@ -37,18 +38,10 @@
 
 use crate::array::DeviceArray;
 use crate::candidates::Candidates;
+use crate::gather::{gather_indirect_partition_into, gather_partition};
 use crate::scan::{scan_block_ranges, ScanOptions};
-use bwd_storage::DECODE_BLOCK;
-use bwd_types::Oid;
+use bwd_types::{bits::low_mask, Oid};
 use std::ops::Range;
-
-/// Set bits in a 64-block below which survivor emission reads elements
-/// one by one instead of bulk-decoding the whole block (mirrors the
-/// 1-in-8 density heuristic of [`crate::scan::cache_worthwhile`]).
-/// Shared by mask→index conversion here and the packed-domain arm of
-/// [`crate::scan::ScanSpec::emit`], so the cutoff cannot drift between
-/// the two emission paths.
-pub(crate) const DENSE_BLOCK_MIN: u32 = 8;
 
 /// A positional match bitmap over a scan's input rows, plus the scan
 /// geometry needed to convert it into the equivalent block-scrambled
@@ -124,64 +117,15 @@ impl SelMask {
 
     /// Materialize the candidate list this mask represents —
     /// bit-identical to what [`crate::scan::select_range`] (or the
-    /// chained filters) would have produced directly: set bits are
-    /// emitted per simulated thread block in the scan's emission order,
-    /// ascending within each block, with approximations decoded from
-    /// `arr`.
+    /// chained filters) would have produced directly: set bits in the
+    /// [`Cursor`]'s order, with approximations decoded from `arr`. The
+    /// reference the bitmap path is tested against; the executor never
+    /// expands a mask.
     pub fn to_candidates(&self, arr: &DeviceArray) -> Candidates {
         assert_eq!(arr.len(), self.rows, "mask/array length mismatch");
-        let mut oids: Vec<Oid> = Vec::with_capacity(self.count);
-        let mut approx: Vec<u64> = Vec::with_capacity(self.count);
-        for r in scan_block_ranges(self.rows, &self.scan_options()) {
-            self.append_block(arr, r, &mut oids, &mut approx);
-        }
+        let oids = self.expand();
+        let approx = gather_partition(arr, &oids);
         Candidates::from_pairs(oids, approx)
-    }
-
-    /// Emit the candidates of row range `r` (one simulated thread block,
-    /// or a morsel's chunk of blocks) in ascending row order, appending
-    /// to `oids`/`approx` — the partition form morsel workers use before
-    /// their outputs concatenate in block order.
-    pub fn append_block(
-        &self,
-        arr: &DeviceArray,
-        r: Range<usize>,
-        oids: &mut Vec<Oid>,
-        approx: &mut Vec<u64>,
-    ) {
-        let data = arr.data();
-        let mut buf = [0u64; DECODE_BLOCK];
-        let mut s = r.start;
-        while s < r.end {
-            let seg_start = (s / 64) * 64;
-            let e = r.end.min(seg_start + 64);
-            // This 64-row segment's bits, clipped to [s, e).
-            let lo_clip = (s - seg_start) as u32;
-            let hi_clip = (e - seg_start) as u32;
-            let mut bits = self.words[s / 64] & clip_mask(lo_clip, hi_clip);
-            if bits != 0 {
-                let seg_len = (self.rows - seg_start).min(64);
-                if bits.count_ones() >= DENSE_BLOCK_MIN {
-                    // Dense segment: decode the whole 64-row block once.
-                    data.unpack_range(seg_start, &mut buf[..seg_len]);
-                    while bits != 0 {
-                        let k = bits.trailing_zeros() as usize;
-                        oids.push((seg_start + k) as Oid);
-                        approx.push(buf[k]);
-                        bits &= bits - 1;
-                    }
-                } else {
-                    // Sparse segment: touch only the survivors.
-                    while bits != 0 {
-                        let k = bits.trailing_zeros() as usize;
-                        oids.push((seg_start + k) as Oid);
-                        approx.push(data.get(seg_start + k));
-                        bits &= bits - 1;
-                    }
-                }
-            }
-            s = e;
-        }
     }
 
     /// Materialize the candidate list of an *indirected* (dimension-side)
@@ -190,78 +134,19 @@ impl SelMask {
     /// [`crate::scan::ScanSpec`] emits directly.
     pub fn to_candidates_indirect(&self, arr: &DeviceArray, link: &DeviceArray) -> Candidates {
         assert_eq!(link.len(), self.rows, "mask/link length mismatch");
-        let mut oids: Vec<Oid> = Vec::with_capacity(self.count);
-        let mut approx: Vec<u64> = Vec::with_capacity(self.count);
-        for r in scan_block_ranges(self.rows, &self.scan_options()) {
-            self.append_block_indirect(arr, link, r, &mut oids, &mut approx);
-        }
+        let oids = self.expand();
+        let mut approx = vec![0; oids.len()];
+        gather_indirect_partition_into(arr, link, &oids, &mut approx);
         Candidates::from_pairs(oids, approx)
     }
 
-    /// [`SelMask::append_block`] through a link array: emit the
-    /// candidates of fact-row range `r` with approximations
-    /// `arr[link[row]]`. Dense segments bulk-decode the *link* block (the
-    /// dimension reads stay per-element — link values land anywhere).
-    pub fn append_block_indirect(
-        &self,
-        arr: &DeviceArray,
-        link: &DeviceArray,
-        r: Range<usize>,
-        oids: &mut Vec<Oid>,
-        approx: &mut Vec<u64>,
-    ) {
-        let link_data = link.data();
-        let mut buf = [0u64; DECODE_BLOCK];
-        let mut s = r.start;
-        while s < r.end {
-            let seg_start = (s / 64) * 64;
-            let e = r.end.min(seg_start + 64);
-            let lo_clip = (s - seg_start) as u32;
-            let hi_clip = (e - seg_start) as u32;
-            let mut bits = self.words[s / 64] & clip_mask(lo_clip, hi_clip);
-            if bits != 0 {
-                let seg_len = (self.rows - seg_start).min(64);
-                if bits.count_ones() >= DENSE_BLOCK_MIN {
-                    link_data.unpack_range(seg_start, &mut buf[..seg_len]);
-                    while bits != 0 {
-                        let k = bits.trailing_zeros() as usize;
-                        oids.push((seg_start + k) as Oid);
-                        approx.push(arr.get(buf[k] as usize));
-                        bits &= bits - 1;
-                    }
-                } else {
-                    while bits != 0 {
-                        let k = bits.trailing_zeros() as usize;
-                        oids.push((seg_start + k) as Oid);
-                        approx.push(arr.get(link.get(seg_start + k) as usize));
-                        bits &= bits - 1;
-                    }
-                }
-            }
-            s = e;
-        }
-    }
-
-    /// The candidate oids this mask represents, in the scan's emission
-    /// order — [`SelMask::to_candidates`] without decoding a single
-    /// approximation, for consumers that only need positions.
-    pub fn oids(&self) -> Vec<Oid> {
-        let mut out = Vec::with_capacity(self.count);
-        for r in scan_block_ranges(self.rows, &self.scan_options()) {
-            let mut s = r.start;
-            while s < r.end {
-                let seg_start = (s / 64) * 64;
-                let e = r.end.min(seg_start + 64);
-                let clip = clip_mask((s - seg_start) as u32, (e - seg_start) as u32);
-                let mut bits = self.words[s / 64] & clip;
-                while bits != 0 {
-                    out.push((seg_start + bits.trailing_zeros() as usize) as Oid);
-                    bits &= bits - 1;
-                }
-                s = e;
-            }
-        }
-        out
+    /// Every candidate oid, in one window.
+    fn expand(&self) -> Vec<Oid> {
+        let mut oids = Vec::with_capacity(self.count);
+        Positions::Mask(self)
+            .cursor(0..self.rows)
+            .next_window(self.count.max(1), &mut oids);
+        oids
     }
 
     /// The set rows in ascending order, without values (diagnostics and
@@ -294,8 +179,7 @@ impl SelMask {
 /// Bits `[lo, hi)` of a word set (`hi <= 64`).
 #[inline]
 fn clip_mask(lo: u32, hi: u32) -> u64 {
-    let high = if hi >= 64 { u64::MAX } else { (1u64 << hi) - 1 };
-    high & !((1u64 << lo) - 1)
+    low_mask(hi) & !low_mask(lo)
 }
 
 /// The adaptive candidate representation the A&R executor threads through
@@ -304,7 +188,7 @@ fn clip_mask(lo: u32, hi: u32) -> u64 {
 pub enum SelVec {
     /// Materialized (oid, approximation) pairs in emission order.
     Indices(Candidates),
-    /// Positional bitmap; converts lazily at the gather boundary.
+    /// Positional bitmap over the scanned rows.
     Bitmap(SelMask),
 }
 
@@ -325,12 +209,6 @@ impl SelVec {
         self.len() == 0
     }
 
-    /// Whether this is the bitmap representation.
-    #[inline]
-    pub fn is_bitmap(&self) -> bool {
-        matches!(self, SelVec::Bitmap(_))
-    }
-
     /// The candidate list without conversion, when already materialized.
     #[inline]
     pub fn as_indices(&self) -> Option<&Candidates> {
@@ -339,23 +217,168 @@ impl SelVec {
             SelVec::Bitmap(_) => None,
         }
     }
+}
 
-    /// Materialize the candidate list (clones when already indices;
-    /// converts — decoding approximations from `arr` — when a bitmap).
-    /// The result is bit-identical whichever representation was held.
-    pub fn to_candidates(&self, arr: &DeviceArray) -> Candidates {
-        match self {
-            SelVec::Indices(c) => c.clone(),
-            SelVec::Bitmap(m) => m.to_candidates(arr),
+/// Where a selection chain's final candidates are — positions only, and
+/// nothing expanded: what every operator past the gather boundary
+/// (undecided list, pre-grouping, the tail's slice sources) reads, one
+/// window of at most a slice at a time through a [`Cursor`]. The order is
+/// the one the index path materializes: the kernel's list as emitted, a
+/// mask's set bits per simulated thread block in [`scan_block_ranges`]
+/// order and ascending inside a block, every row ascending.
+#[derive(Debug, Clone, Copy)]
+pub enum Positions<'a> {
+    /// Every row `0..n` (a plan without selections).
+    All(usize),
+    /// The set bits of a positional bitmap.
+    Mask(&'a SelMask),
+    /// The kernel's own sparse index output.
+    List(&'a Candidates),
+}
+
+impl<'a> Positions<'a> {
+    /// The positions of a chain's last output over a `rows`-row relation
+    /// (`None`: no selection ran, every row is a candidate).
+    pub fn of(last: Option<&'a SelVec>, rows: usize) -> Self {
+        match last {
+            None => Positions::All(rows),
+            Some(SelVec::Bitmap(m)) => Positions::Mask(m),
+            Some(SelVec::Indices(c)) => Positions::List(c),
         }
     }
 
-    /// [`SelVec::to_candidates`] for a dimension-side selection: bitmap
-    /// approximations decode as `arr[link[row]]`.
-    pub fn to_candidates_indirect(&self, arr: &DeviceArray, link: &DeviceArray) -> Candidates {
+    /// Candidate count.
+    pub fn len(&self) -> usize {
         match self {
-            SelVec::Indices(c) => c.clone(),
-            SelVec::Bitmap(m) => m.to_candidates_indirect(arr, link),
+            Positions::All(n) => *n,
+            Positions::Mask(m) => m.count(),
+            Positions::List(c) => c.len(),
+        }
+    }
+
+    /// Whether there are no candidates.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether the candidates are exactly rows `0..len()` in ascending
+    /// order ([`Candidates::dense`] of the expanded list, derived without
+    /// expanding): a mask must hold that prefix and nothing else, and the
+    /// thread blocks the prefix reaches must be emitted in ascending order.
+    pub fn dense(&self) -> bool {
+        match self {
+            Positions::All(_) => true,
+            Positions::List(c) => c.dense,
+            Positions::Mask(m) => {
+                let (full, rest) = (m.count / 64, (m.count % 64) as u32);
+                let prefix = m.words[..full].iter().all(|&w| w == u64::MAX)
+                    && (rest == 0 || m.words[full] == low_mask(rest));
+                let blocks = scan_block_ranges(m.rows, &m.scan_options());
+                let reached = blocks.iter().map(|r| r.start).filter(|&s| s < m.count);
+                prefix && reached.is_sorted()
+            }
+        }
+    }
+
+    /// Length of the emission sequence a cursor walks: the list's entries,
+    /// or the rows a mask covers. Contiguous ranges of it are what morsel
+    /// workers take; outputs concatenated in range order keep the order.
+    pub fn span(&self) -> usize {
+        match self {
+            Positions::All(n) => *n,
+            Positions::Mask(m) => m.rows,
+            Positions::List(c) => c.len(),
+        }
+    }
+
+    /// A cursor over the part `span` of the emission sequence
+    /// (`0..self.span()` walks every candidate).
+    pub fn cursor(&self, span: Range<usize>) -> Cursor<'a> {
+        Cursor(match *self {
+            Positions::All(_) => Walk::All(span),
+            Positions::List(c) => Walk::List(&c.oids[span]),
+            Positions::Mask(mask) => {
+                // The thread blocks, clipped to `span` of their
+                // concatenation; last to first, so the next one pops.
+                let mut todo = Vec::new();
+                let mut at = 0;
+                for r in scan_block_ranges(mask.rows, &mask.scan_options()) {
+                    let (lo, hi) = (span.start.max(at), span.end.min(at + r.len()));
+                    if lo < hi {
+                        todo.push(r.start + (lo - at)..r.start + (hi - at));
+                    }
+                    at += r.len();
+                }
+                todo.reverse();
+                Walk::Mask { mask, todo }
+            }
+        })
+    }
+}
+
+/// A resumable walk over (a part of) a [`Positions`]' emission sequence.
+#[derive(Debug)]
+pub struct Cursor<'a>(Walk<'a>);
+
+/// What is left to emit.
+#[derive(Debug)]
+enum Walk<'a> {
+    All(Range<usize>),
+    List(&'a [Oid]),
+    /// The row ranges still to test, the current one last; it shrinks from
+    /// its start — to any bit of a word, so a window may end mid-word.
+    Mask {
+        mask: &'a SelMask,
+        todo: Vec<Range<usize>>,
+    },
+}
+
+impl Cursor<'_> {
+    /// Replace `out` with the next at most `max` (> 0) candidate oids.
+    /// Returns whether the walk has more to cover — a mask's remainder
+    /// may still turn out to hold no set bit.
+    pub fn next_window(&mut self, max: usize, out: &mut Vec<Oid>) -> bool {
+        debug_assert!(max > 0, "an empty window never advances");
+        out.clear();
+        match &mut self.0 {
+            Walk::All(rows) => {
+                let end = rows.end.min(rows.start + max);
+                out.extend(rows.start as Oid..end as Oid);
+                rows.start = end;
+                end < rows.end
+            }
+            Walk::List(rest) => {
+                let (window, tail) = rest.split_at(max.min(rest.len()));
+                out.extend_from_slice(window);
+                *rest = tail;
+                !rest.is_empty()
+            }
+            Walk::Mask { mask, todo } => {
+                while let Some(r) = todo.last_mut() {
+                    while r.start < r.end {
+                        let room = max - out.len();
+                        if room == 0 {
+                            return true;
+                        }
+                        let seg_start = r.start / 64 * 64;
+                        let e = r.end.min(seg_start + 64);
+                        let clip = clip_mask((r.start - seg_start) as u32, (e - seg_start) as u32);
+                        let mut bits = mask.words[r.start / 64] & clip;
+                        r.start = e;
+                        for _ in 0..room.min(bits.count_ones() as usize) {
+                            out.push((seg_start + bits.trailing_zeros() as usize) as Oid);
+                            bits &= bits - 1;
+                        }
+                        if bits != 0 {
+                            // The window filled mid-word: resume at the next set bit.
+                            r.start = seg_start + bits.trailing_zeros() as usize;
+                            return true;
+                        }
+                    }
+                    todo.pop();
+                }
+                false
+            }
         }
     }
 }
@@ -366,6 +389,30 @@ mod tests {
     use crate::scan::{select_range, select_range_on, ScanSpec};
     use bwd_device::{CostLedger, Env};
     use bwd_storage::BitPackedVec;
+
+    impl SelMask {
+        /// The candidate oids this mask represents, in the scan's emission
+        /// order, expanded at once — the oracle the [`Cursor`] is tested
+        /// against.
+        fn oids(&self) -> Vec<Oid> {
+            let mut out = Vec::with_capacity(self.count);
+            for r in scan_block_ranges(self.rows, &self.scan_options()) {
+                let mut s = r.start;
+                while s < r.end {
+                    let seg_start = (s / 64) * 64;
+                    let e = r.end.min(seg_start + 64);
+                    let clip = clip_mask((s - seg_start) as u32, (e - seg_start) as u32);
+                    let mut bits = self.words[s / 64] & clip;
+                    while bits != 0 {
+                        out.push((seg_start + bits.trailing_zeros() as usize) as Oid);
+                        bits &= bits - 1;
+                    }
+                    s = e;
+                }
+            }
+            out
+        }
+    }
 
     /// The whole-relation bitmap of a direct selection (AND-refining
     /// `input` when given), billed through the spec like the index path.
@@ -472,12 +519,84 @@ mod tests {
         let mut sorted = cands.oids.clone();
         sorted.sort_unstable();
         assert_eq!(mask.sorted_oids(), sorted);
-        // SelVec agrees on counts and conversion in both representations.
+        // SelVec agrees on counts in both representations.
         let as_bitmap = SelVec::Bitmap(mask);
-        let as_indices = SelVec::Indices(cands.clone());
+        let as_indices = SelVec::Indices(cands);
         assert_eq!(as_bitmap.len(), as_indices.len());
-        assert_eq!(as_bitmap.to_candidates(&arr), cands);
-        assert_eq!(as_indices.to_candidates(&arr), cands);
+    }
+
+    /// The cursor against the expansion it retires: at every geometry,
+    /// density and window size — and cut into worker spans anywhere — the
+    /// windows hold at most `max` oids and concatenate to the one-shot
+    /// oid list, and `dense()` is the expanded list's flag, for the mask
+    /// and for the list the kernel would have emitted in its place.
+    #[test]
+    fn cursor_windows_concatenate_to_the_expanded_list() {
+        let mut rng = bwd_types::SplitMix64::new(0xc0750);
+        let walk = |pos: Positions<'_>, cuts: &[usize], max: usize| {
+            let (mut got, mut window) = (Vec::new(), Vec::new());
+            for span in cuts.windows(2) {
+                let mut cursor = pos.cursor(span[0]..span[1]);
+                let mut more = true;
+                while more {
+                    more = cursor.next_window(max, &mut window);
+                    assert!(window.len() <= max);
+                    got.extend_from_slice(&window);
+                }
+                assert!(!cursor.next_window(max, &mut window) && window.is_empty());
+            }
+            got
+        };
+        let mut dense_masks = 0;
+        for block_size in [64usize, 256, 4096] {
+            let lens = [0, 1, 63, 64, 65, block_size - 1, block_size + 1];
+            for rows in lens.into_iter().chain([3 * block_size + 7]) {
+                // Densities: none, 1/64, 1/2, a prefix (twice), every row.
+                for (preserve_order, density) in (0..12).map(|i| (i % 2 == 1, i / 2)) {
+                    let opts = ScanOptions {
+                        block_size,
+                        preserve_order,
+                    };
+                    let prefix = rng.below(rows as u64 + 1) as usize;
+                    let set = |row: usize, rng: &mut bwd_types::SplitMix64| match density {
+                        0 => false,
+                        1 => rng.below(64) == 0,
+                        2 => rng.below(2) == 0,
+                        3 | 4 => row < prefix,
+                        _ => true,
+                    };
+                    let mut words = vec![0u64; rows.div_ceil(64)];
+                    for row in 0..rows {
+                        words[row / 64] |= u64::from(set(row, &mut rng)) << (row % 64);
+                    }
+                    let mask = SelMask::from_words(words, rows, &opts);
+                    let list = Candidates::from_pairs(mask.oids(), Vec::new());
+                    dense_masks += usize::from(list.dense && list.len() > block_size);
+                    for pos in [Positions::Mask(&mask), Positions::List(&list)] {
+                        let tag = format!("{pos:?}"); // geometry, words and all
+                        assert_eq!((pos.len(), pos.dense()), (list.len(), list.dense), "{tag}");
+                        let mut cuts =
+                            [0, rng.below(pos.span() as u64 + 1) as usize, 0, pos.span()];
+                        cuts[2] = cuts[1] + rng.below((pos.span() - cuts[1]) as u64 + 1) as usize;
+                        for max in [1, 63, 64, 1000, 32 * 1024] {
+                            assert_eq!(walk(pos, &[0, pos.span()], max), list.oids, "{max}: {tag}");
+                            assert_eq!(walk(pos, &cuts, max), list.oids, "{max} cut: {tag}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            dense_masks > 0,
+            "a dense prefix past the first thread block"
+        );
+        let all = Positions::All(1000);
+        assert!(all.dense() && all.len() == 1000);
+        assert_eq!(
+            walk(all, &[0, 7, 1000], 64),
+            (0..1000).collect::<Vec<Oid>>()
+        );
+        assert!(walk(Positions::All(0), &[0, 0], 64).is_empty());
     }
 
     /// Empty and all-match masks convert to the right extremes.

@@ -236,8 +236,10 @@ fn dead_card_drains_batch_onto_survivor() {
     assert!(metric(&m, "bwd_sched_retries_total") >= 3);
 }
 
-/// A database with one big table and a prepared grouped-count plan —
+/// A database with one big table and a prepared filtered-sum plan —
 /// large enough that an A&R execution spans many yield-point intervals.
+/// (A sum, not a count: a bare count reads no position, and its tail
+/// finishes before a spinning observer is sure to catch it mid-flight.)
 fn big_db(rows: i32) -> (Arc<Database>, waste_not::core::plan::ArPlan) {
     let mut db = Database::new();
     db.create_table(
@@ -257,9 +259,9 @@ fn big_db(rows: i32) -> (Arc<Database>, waste_not::core::plan::ArPlan) {
         .aggregate(
             vec![],
             vec![AggExpr {
-                func: AggFunc::Count,
-                arg: None,
-                alias: "n".into(),
+                func: AggFunc::Sum,
+                arg: Some(waste_not::core::plan::ScalarExpr::col("a")),
+                alias: "s".into(),
             }],
         );
     let ar = db.bind(&plan, &Default::default()).unwrap();
