@@ -18,7 +18,7 @@ use bwd_core::plan::ArPlan;
 use bwd_device::{DeviceSpec, Env};
 use bwd_engine::{Database, ExecMode};
 use bwd_obs::Clock;
-use bwd_sched::{estimate_working_set, EstimateConfig, SchedConfig, Scheduler};
+use bwd_sched::{EstimateConfig, PlanFootprint, SchedConfig, Scheduler};
 use bwd_sql::{bind, parse, BoundStatement};
 use bwd_types::{BwdError, Result};
 use std::sync::Arc;
@@ -94,7 +94,9 @@ pub fn measure(rows: usize, queries: usize) -> Result<MultiDevReport> {
     // reservation fit, but two do not: a single device serializes the
     // batch through its admission queue, which is exactly what the
     // second card relieves.
-    let est = estimate_working_set(&ref_db, &ref_plan, &EstimateConfig::default()).estimated;
+    let est = PlanFootprint::of(&ref_db, &ref_plan, &ExecMode::ApproxRefine, 1)
+        .reservation(EstimateConfig::default().scale(1.0))
+        .estimated;
     let persistent = ref_db.env().device.memory().used();
     let capacity = persistent + est + est / 2;
 

@@ -61,7 +61,7 @@ pub struct SjfRun {
     /// positionally in `tests/priority_sched.rs`.
     pub wall_ms: f64,
     /// Mean estimated-over-actual simulated seconds across the batch —
-    /// how well `estimate_latency` was calibrated on this workload.
+    /// how well the latency estimate was calibrated on this workload.
     pub estimate_ratio: f64,
 }
 

@@ -2,17 +2,16 @@
 //!
 //! The simulated card enforces a *real* 2 GB capacity; persistent
 //! approximations already live there. Before an A&R query runs, the
-//! scheduler reserves the query's worst-case transient working set from
-//! the same [`DeviceMemory`] — so concurrent co-processor queries are
-//! arbitrated by actual byte accounting, not hope. A reservation that
-//! does not currently fit *queues* (the blocking allocation wakes on
-//! every release) instead of erroring; only a request larger than the
-//! whole card fails fast, and a configurable deadline turns pathological
-//! waits into [`bwd_types::BwdError::AdmissionTimeout`].
+//! scheduler reserves the query's transient working set
+//! ([`crate::PlanFootprint::reservation`]) from the same
+//! [`DeviceMemory`] — so concurrent co-processor queries are arbitrated
+//! by actual byte accounting, not hope. A reservation that does not
+//! currently fit *queues* (the blocking allocation wakes on every
+//! release) instead of erroring; only a request larger than the whole
+//! card fails fast, and a configurable deadline turns pathological waits
+//! into [`bwd_types::BwdError::AdmissionTimeout`].
 
-use bwd_core::plan::ArPlan;
 use bwd_device::{DeviceBuffer, DeviceMemory};
-use bwd_engine::Database;
 use bwd_types::Result;
 use std::time::Duration;
 
@@ -20,38 +19,6 @@ use std::time::Duration;
 pub const KERNEL_SCRATCH_BYTES: u64 = 64 << 10;
 
 pub use bwd_core::plan::{CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
-
-/// **Worst-case** device working set of one A&R query, in bytes.
-///
-/// The approximation subplan materializes one candidate list per
-/// selection — at worst one `(oid: u32, approx: u64)` pair per input row —
-/// and the device fast path additionally gathers every aggregation input
-/// column over the candidates. This bound is selectivity-independent:
-/// reserving it guarantees admission holds even when every predicate
-/// matches everything, so a query admitted at this size can never fail
-/// for device memory.
-///
-/// It is no longer the only estimate the scheduler uses, though: when the
-/// binder attached `selectivity_hint`s to the plan's selections,
-/// [`crate::estimate::estimate_working_set`] shrinks the initial
-/// reservation to `safety_factor ×` the hinted footprint and the
-/// scheduler enforces that smaller budget during execution. If a query
-/// turns out to be underestimated it OOMs early, releases its permit,
-/// inflates to *this* worst case and re-enters its device's admission
-/// queue — so the hint raises concurrency while this bound remains the
-/// correctness backstop. Over-reserving only delays a query; it never
-/// breaks one.
-pub fn working_set_estimate(db: &Database, plan: &ArPlan) -> u64 {
-    let rows = db
-        .catalog()
-        .table(&plan.table)
-        .map(|t| t.len() as u64)
-        .unwrap_or(0);
-    let selections = plan.selections.len() as u64;
-    rows * (selections * CANDIDATE_PAIR_BYTES
-        + plan.gathered_columns().len() as u64 * GATHER_VALUE_BYTES)
-        + KERNEL_SCRATCH_BYTES
-}
 
 /// Arbitrates the device between concurrent A&R queries.
 ///
@@ -230,40 +197,5 @@ mod tests {
         let permit = ctrl.admit(1_000_000).unwrap();
         assert_eq!(permit.bytes(), 60);
         assert_eq!(mem.used(), 100);
-    }
-
-    #[test]
-    fn estimate_counts_selections_and_gathers() {
-        use bwd_core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, ScalarExpr};
-        use bwd_storage::Column;
-        use bwd_types::Value;
-
-        let mut db = Database::new();
-        db.create_table(
-            "t",
-            vec![
-                ("a".into(), Column::from_i32((0..1000).collect())),
-                ("b".into(), Column::from_i32((0..1000).collect())),
-            ],
-        )
-        .unwrap();
-        let plan = LogicalPlan::scan("t")
-            .filter(Predicate::Between {
-                column: "a".into(),
-                lo: Value::Int(1),
-                hi: Value::Int(10),
-            })
-            .aggregate(
-                vec![],
-                vec![AggExpr {
-                    func: AggFunc::Sum,
-                    arg: Some(ScalarExpr::col("b")),
-                    alias: "s".into(),
-                }],
-            );
-        let ar = db.bind(&plan, &Default::default()).unwrap();
-        let est = working_set_estimate(&db, &ar);
-        // 1000 rows * (1 selection * 12 B + 1 gathered column * 8 B) + scratch.
-        assert_eq!(est, 1000 * (12 + 8) + KERNEL_SCRATCH_BYTES);
     }
 }

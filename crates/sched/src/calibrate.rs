@@ -1,7 +1,6 @@
 //! Closed-loop estimate calibration.
 //!
-//! The latency model ([`crate::cost::estimate_latency`]) and the
-//! admission model ([`crate::estimate::estimate_working_set`]) are both
+//! The latency and admission estimates ([`crate::PlanFootprint`]) are
 //! built from static ingredients — catalog sizes, uniform-domain
 //! selectivity hints, hardware specs. The scheduler *measures* how wrong
 //! they are on every completed query ([`crate::StreamSnapshot::
@@ -17,11 +16,10 @@
 //!   ordering (and the aging bound's notion of "short") sharpens as a
 //!   session runs;
 //! * **candidate factor** — observed final survivors over the hinted
-//!   prediction ([`crate::cost`]'s cumulative-selectivity term);
+//!   prediction ([`crate::PlanFootprint::predicted_survivors`]);
 //!   multiplies the hinted fractions inside
-//!   [`crate::estimate::estimate_working_set_scaled`], so admission
-//!   reservations track real candidate list sizes instead of uniformity
-//!   assumptions.
+//!   [`crate::PlanFootprint::reservation`], so admission reservations
+//!   track real candidate list sizes instead of uniformity assumptions.
 //!
 //! Corrections are clamped to a symmetric range so one pathological
 //! observation cannot wedge a shape, and an over-shrunk admission
@@ -30,22 +28,16 @@
 //! completed queries*, never on wall-clock time, so single-worker runs
 //! stay exactly reproducible.
 
-use bwd_core::plan::ArPlan;
-use bwd_engine::ExecMode;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Correction factors are clamped to `[1/FACTOR_CLAMP, FACTOR_CLAMP]`.
 const FACTOR_CLAMP: f64 = 32.0;
 
-/// The execution-mode half of a [`ShapeKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShapeMode {
-    /// Classic (host bulk) execution.
-    Classic,
-    /// Approximate & refine execution (any candidate representation).
-    ApproxRefine,
-}
+/// EWMA smoothing weight of each new observation. The first observation
+/// of a shape seeds the average directly (no bias toward the uncorrected
+/// model).
+const ALPHA: f64 = 0.3;
 
 /// The plan-shape identity calibration is keyed on: coarse enough that a
 /// seeded workload's recurring query templates collide into one bucket,
@@ -55,8 +47,9 @@ pub enum ShapeMode {
 pub struct ShapeKey {
     /// Fact table the plan scans.
     pub table: String,
-    /// Classic vs A&R execution.
-    pub mode: ShapeMode,
+    /// Classic (host bulk) execution, as opposed to approximate & refine
+    /// (any candidate representation).
+    pub classic: bool,
     /// Number of chained selections.
     pub selections: usize,
     /// Whether the plan joins through a foreign key.
@@ -68,30 +61,12 @@ pub struct ShapeKey {
 }
 
 impl ShapeKey {
-    /// The shape of one bound plan under one execution mode.
-    pub fn of(plan: &ArPlan, mode: &ExecMode) -> Self {
-        ShapeKey {
-            table: plan.table.clone(),
-            mode: match mode {
-                ExecMode::Classic => ShapeMode::Classic,
-                _ => ShapeMode::ApproxRefine,
-            },
-            selections: plan.selections.len(),
-            fk_join: plan.fk_join.is_some(),
-            group_by: plan.group_by.len(),
-            aggs: plan.aggs.len(),
-        }
-    }
-
     /// Stable label for metrics output, e.g. `big/classic/s1/fk0/g1/a2`.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/s{}/fk{}/g{}/a{}",
             self.table,
-            match self.mode {
-                ShapeMode::Classic => "classic",
-                ShapeMode::ApproxRefine => "ar",
-            },
+            if self.classic { "classic" } else { "ar" },
             self.selections,
             u8::from(self.fk_join),
             self.group_by,
@@ -100,24 +75,17 @@ impl ShapeKey {
     }
 }
 
-/// Calibration knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The calibration switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CalibrateConfig {
     /// Learn and apply corrections at all. Disabled, every factor is 1
-    /// and the estimators behave exactly as before this module existed.
+    /// and the estimates are the model's own.
     pub enabled: bool,
-    /// EWMA smoothing weight of each new observation, in `(0, 1]`. The
-    /// first observation of a shape seeds the average directly (no bias
-    /// toward the uncorrected model).
-    pub alpha: f64,
 }
 
 impl Default for CalibrateConfig {
     fn default() -> Self {
-        CalibrateConfig {
-            enabled: true,
-            alpha: 0.3,
-        }
+        CalibrateConfig { enabled: true }
     }
 }
 
@@ -151,11 +119,6 @@ impl Calibrator {
         }
     }
 
-    /// Whether calibration is learning and applying corrections.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
     /// Fold one completed query into its shape's averages.
     ///
     /// `raw_est`/`actual` are simulated seconds (the uncalibrated model
@@ -174,7 +137,6 @@ impl Calibrator {
         if !self.cfg.enabled || raw_est <= 0.0 || actual <= 0.0 {
             return;
         }
-        let alpha = self.cfg.alpha.clamp(f64::MIN_POSITIVE, 1.0);
         let lat = (actual / raw_est).clamp(1.0 / FACTOR_CLAMP, FACTOR_CLAMP);
         let cands = if predicted > 0 {
             (survivors as f64 / predicted as f64).clamp(1.0 / FACTOR_CLAMP, FACTOR_CLAMP)
@@ -188,37 +150,29 @@ impl Calibrator {
             samples: 0,
         });
         if cal.samples > 0 {
-            cal.latency_ratio += alpha * (lat - cal.latency_ratio);
-            cal.cands_ratio += alpha * (cands - cal.cands_ratio);
+            cal.latency_ratio += ALPHA * (lat - cal.latency_ratio);
+            cal.cands_ratio += ALPHA * (cands - cal.cands_ratio);
         }
         cal.samples += 1;
     }
 
-    /// Multiplier for the raw latency estimate of `shape` (1 when
-    /// disabled or unobserved).
-    pub fn latency_factor(&self, shape: &ShapeKey) -> f64 {
+    /// One learned ratio of `shape` (1 when disabled or unobserved).
+    fn factor(&self, shape: &ShapeKey, ratio: fn(&ShapeCalibration) -> f64) -> f64 {
         if !self.cfg.enabled {
             return 1.0;
         }
-        self.shapes
-            .lock()
-            .unwrap()
-            .get(shape)
-            .map_or(1.0, |c| c.latency_ratio)
+        self.shapes.lock().unwrap().get(shape).map_or(1.0, ratio)
     }
 
-    /// Multiplier for the hinted candidate fractions of `shape` (1 when
-    /// disabled or unobserved); feeds
-    /// [`crate::estimate::estimate_working_set_scaled`].
+    /// Multiplier for the raw latency estimate of `shape`.
+    pub fn latency_factor(&self, shape: &ShapeKey) -> f64 {
+        self.factor(shape, |c| c.latency_ratio)
+    }
+
+    /// Multiplier for the hinted candidate fractions of `shape`; feeds
+    /// [`crate::EstimateConfig::scale`].
     pub fn cands_factor(&self, shape: &ShapeKey) -> f64 {
-        if !self.cfg.enabled {
-            return 1.0;
-        }
-        self.shapes
-            .lock()
-            .unwrap()
-            .get(shape)
-            .map_or(1.0, |c| c.cands_ratio)
+        self.factor(shape, |c| c.cands_ratio)
     }
 
     /// Every learned shape, sorted by label (stable metrics output).
@@ -242,7 +196,7 @@ mod tests {
     fn shape() -> ShapeKey {
         ShapeKey {
             table: "t".into(),
-            mode: ShapeMode::Classic,
+            classic: true,
             selections: 1,
             fk_join: false,
             group_by: 0,
@@ -252,26 +206,20 @@ mod tests {
 
     #[test]
     fn first_sample_seeds_later_samples_smooth() {
-        let c = Calibrator::new(CalibrateConfig {
-            enabled: true,
-            alpha: 0.5,
-        });
+        let c = Calibrator::new(CalibrateConfig::default());
         assert_eq!(c.latency_factor(&shape()), 1.0);
         c.observe(&shape(), 1.0, 2.0, 100, 50);
         assert_eq!(c.latency_factor(&shape()), 2.0); // seeded, not blended
         assert_eq!(c.cands_factor(&shape()), 0.5);
         c.observe(&shape(), 1.0, 4.0, 100, 150);
-        assert_eq!(c.latency_factor(&shape()), 3.0); // 2 + 0.5·(4−2)
-        assert_eq!(c.cands_factor(&shape()), 1.0); // 0.5 + 0.5·(1.5−0.5)
+        assert_eq!(c.latency_factor(&shape()), 2.0 + 0.3 * (4.0 - 2.0));
+        assert_eq!(c.cands_factor(&shape()), 0.5 + 0.3 * (1.5 - 0.5));
         assert_eq!(c.snapshot()[0].1.samples, 2);
     }
 
     #[test]
     fn disabled_calibrator_is_inert() {
-        let c = Calibrator::new(CalibrateConfig {
-            enabled: false,
-            alpha: 0.3,
-        });
+        let c = Calibrator::new(CalibrateConfig { enabled: false });
         c.observe(&shape(), 1.0, 10.0, 10, 1000);
         assert_eq!(c.latency_factor(&shape()), 1.0);
         assert_eq!(c.cands_factor(&shape()), 1.0);
@@ -295,7 +243,7 @@ mod tests {
         let c = Calibrator::new(CalibrateConfig::default());
         let a = shape();
         let b = ShapeKey {
-            mode: ShapeMode::ApproxRefine,
+            classic: false,
             ..shape()
         };
         c.observe(&a, 1.0, 4.0, 10, 10);

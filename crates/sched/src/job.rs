@@ -1,9 +1,11 @@
 //! Queue entries, per-job reports and completion tickets.
 
+use crate::footprint::PlanFootprint;
 use bwd_core::plan::ArPlan;
 use bwd_engine::{ExecMode, QueryResult};
 use bwd_obs::{QueryTrace, Recorder, SpanId};
 use bwd_types::{BwdError, Result};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -160,22 +162,21 @@ pub(crate) struct Job {
     pub plan: ArPlan,
     pub mode: ExecMode,
     pub opts: SubmitOptions,
-    /// Originating session (diagnostics / future per-session policies).
-    #[allow(dead_code)]
+    /// Originating session (stamped on the job's [`crate::TraceRecord`]).
     pub session: u64,
     /// Estimated latency in simulated seconds (the SJF queue key, and
     /// the estimate-vs-actual accounting input). Already includes the
     /// calibrator's per-shape latency correction.
     pub est_seconds: f64,
-    /// The uncalibrated model estimate ([`crate::cost::estimate_latency`])
-    /// — what the calibrator ratios completed jobs against, so learned
-    /// corrections never compound on themselves.
-    pub raw_est_seconds: f64,
-    /// The plan shape this job calibrates under.
-    pub shape: crate::calibrate::ShapeKey,
-    /// Hinted final survivor count ([`crate::cost`]'s cumulative
-    /// selectivity term); compared against the result's actual survivors.
-    pub predicted_survivors: u64,
+    /// The one walk of the plan, taken at submission: the uncalibrated
+    /// latency, the reservation sizes, the predicted survivors and the
+    /// shape the job calibrates under.
+    pub footprint: PlanFootprint,
+    /// Set once the hinted reservation was proven too small (the query
+    /// ran over its budget): from then on the job asks for the worst
+    /// case — also after it is handed back to the queue or fails over to
+    /// another card.
+    pub worst_case: Cell<bool>,
     pub reply: mpsc::Sender<(Result<QueryResult>, JobReport)>,
     pub submitted: Instant,
     /// The per-query recorder (disabled when tracing is off for this job
@@ -183,9 +184,10 @@ pub(crate) struct Job {
     pub recorder: Recorder,
     /// The root `query` span, opened at submission on the `session` lane.
     pub root: SpanId,
-    /// The `queue` span opened at submission; the worker that dequeues
-    /// the job closes it.
-    pub queue_span: SpanId,
+    /// The open `queue` span: opened at submission (and again when a
+    /// hosted job is handed back); the worker that dequeues the job
+    /// closes it.
+    pub queue_span: Cell<SpanId>,
     /// Completion notification shared with this job's [`Ticket`].
     pub hook: Arc<CompletionHook>,
     /// Cancellation/deadline state shared with this job's [`Ticket`].
@@ -219,7 +221,7 @@ pub struct JobReport {
     /// finishes; on a one-worker scheduler this is the execution order).
     pub completion_index: u64,
     /// The latency estimate the queue ordered this job by, in simulated
-    /// seconds ([`crate::cost::estimate_latency`]).
+    /// seconds ([`crate::PlanFootprint::latency`], calibrated).
     pub est_seconds: f64,
     /// The simulated seconds the job actually cost (its result
     /// breakdown's total; `0` for failed jobs) — compare against

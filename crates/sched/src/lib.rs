@@ -16,10 +16,10 @@
 //! ```text
 //!  Session ─┐  submit(plan, mode, prio)      ┌─ worker 0 ── classic pipe (morsel-parallel)
 //!  Session ─┼─▶ PolicyQueue ───────▶ pool ───┼─ worker 1 ─┐
-//!  Session ─┘   (Fifo | SJF | Priority,      └─ worker N ─┤  A&R: estimate + place
-//!                │  bypass-count aging)                   ▼
-//!                ▼                        ┌── device 0 admission queue ─▶ DeviceMemory 0
-//!             Ticket (result + JobReport) └── device 1 admission queue ─▶ DeviceMemory 1
+//!  Session ─┘   (Fifo | SJF | Priority,      └─ worker N ─┤  A&R: place (least loaded)
+//!   │ one PlanFootprint  bypass-count aging)              ▼
+//!   ▼ per submission                      ┌── device 0 admission queue ─▶ DeviceMemory 0
+//!  Ticket (result + JobReport)            └── device 1 admission queue ─▶ DeviceMemory 1
 //!                                             (per-card FIFO reservations, never exceeded;
 //!                                              underestimates re-queue at worst case)
 //! ```
@@ -30,9 +30,14 @@
 //!   with an [`ExecMode`]; each submission returns a [`Ticket`] that
 //!   resolves to the query's [`QueryResult`] plus a [`JobReport`]
 //!   (queue wait, completion order, estimate vs actual).
+//! * **One walk per plan**: [`PlanFootprint::of`] reads the catalog, the
+//!   binder's selectivity hints and column residency once, at
+//!   submission; the latency estimate the queue sorts by, the admission
+//!   reservation, the calibrator's prediction and its [`ShapeKey`] are
+//!   all views of that footprint ([`footprint`]).
 //! * **Priority-aware queueing**: the central queue is a [`PolicyQueue`]
 //!   ordered by a pluggable [`QueuePolicy`] — FIFO, shortest-job-first
-//!   over the cost model's [`estimate_latency`], or caller-assigned
+//!   over [`PlanFootprint::latency`], or caller-assigned
 //!   [`SubmitOptions::priority`] — with deterministic bypass-count aging
 //!   so long/low-priority jobs are never starved (at most
 //!   `aging_threshold` younger pops may overtake a queued job). Short
@@ -40,14 +45,15 @@
 //!   `figures -- bench-sjf` measures the p50/p99 win.
 //! * **Multi-device placement**: the database's [`Env`] may carry a
 //!   [`DevicePool`]; every card holds a replica of the persistent
-//!   approximations, and each A&R query is routed by a
-//!   [`PlacementPolicy`] (least-loaded by default, where load = reserved
-//!   bytes + queued estimated work) — or pinned via
-//!   [`SubmitOptions::device`].
-//! * **Statistics-based admission**: [`estimate_working_set`] shrinks the
-//!   initial reservation using the binder's selectivity hints times a
-//!   configurable safety factor ([`EstimateConfig`]), clamped to the
-//!   worst case ([`working_set_estimate`]). Each device's
+//!   approximations, and each A&R query is routed to the least-loaded
+//!   online card (load = reserved bytes + queued estimated work) — or
+//!   pinned via [`SubmitOptions::device`]. A card that faults three
+//!   times in a row goes offline until a recovery probe succeeds; a
+//!   faulted query is retried once on another card.
+//! * **Statistics-based admission**: [`PlanFootprint::reservation`]
+//!   shrinks the initial reservation using the hints times a configurable
+//!   safety factor ([`EstimateConfig`]), clamped to the worst case
+//!   ([`PlanFootprint::worst_case_bytes`]). Each device's
 //!   [`AdmissionController`] reserves from that card's real
 //!   [`DeviceMemory`] *before* the query runs; a request that does not
 //!   currently fit **queues** in strict per-device FIFO order rather than
@@ -57,6 +63,11 @@
 //!   same device's queue — the session never sees the transient failure.
 //!   Concurrent reservations can never exceed any card's capacity —
 //!   every [`DeviceSnapshot::peak_bytes`] proves it.
+//! * **One declared lifecycle**: a job's [`lifecycle::State`]s and the
+//!   [`lifecycle::LEGAL`] edges between them are a table, and one
+//!   function accounts for every transition — trace events,
+//!   `bwd_sched_*` metrics, per-stream and per-device tallies,
+//!   calibration.
 //! * Classic-pipe queries run their selection chain **morsel-parallel**
 //!   across partitioned columns on real threads
 //!   (`bwd_engine::run_classic_morsel`), bit-identical to serial.
@@ -78,9 +89,9 @@
 
 pub mod admission;
 pub mod calibrate;
-pub mod cost;
-pub mod estimate;
+pub mod footprint;
 pub mod job;
+pub mod lifecycle;
 pub mod placement;
 pub mod policy;
 pub mod scheduler;
@@ -90,20 +101,14 @@ pub mod throughput;
 pub mod workload;
 
 pub use admission::{
-    working_set_estimate, AdmissionController, AdmissionPermit, CANDIDATE_PAIR_BYTES,
-    GATHER_VALUE_BYTES, KERNEL_SCRATCH_BYTES,
+    AdmissionController, AdmissionPermit, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES,
+    KERNEL_SCRATCH_BYTES,
 };
-pub use calibrate::{CalibrateConfig, Calibrator, ShapeCalibration, ShapeKey, ShapeMode};
-pub use cost::{estimate_latency, LatencyEstimate};
-pub use estimate::{
-    estimate_working_set, estimate_working_set_scaled, EstimateConfig, WorkingSetEstimate,
-};
+pub use calibrate::{CalibrateConfig, Calibrator, ShapeCalibration, ShapeKey};
+pub use footprint::{EstimateConfig, LatencyEstimate, PlanFootprint, WorkingSetEstimate};
 pub use job::{JobReport, SubmitOptions, Ticket};
-pub use placement::PlacementPolicy;
 pub use policy::{PolicyQueue, PoppedKey, QueuePolicy};
-pub use scheduler::{
-    HealthConfig, PreemptConfig, RetryPolicy, SchedConfig, Scheduler, TraceRecord,
-};
+pub use scheduler::{PreemptConfig, SchedConfig, Scheduler, TraceRecord};
 pub use session::Session;
 pub use stats::{DeviceSnapshot, QueuePressure, SchedulerStats, StreamSnapshot};
 pub use throughput::{run_throughput, run_throughput_with, ThroughputOptions, ThroughputReport};

@@ -1,0 +1,475 @@
+//! The job lifecycle: its states, the legal edges between them, and the
+//! one place that accounts for a transition.
+//!
+//! The scheduler's control flow — the placement loop, the over-budget
+//! requeue, failover retry, the yield hook, panic isolation, every RAII
+//! permit and pending guard — is straight-line code in
+//! [`crate::scheduler`] that *names* what just happened as a
+//! `Transition` and hands it to `Run::step`. `step` is the only
+//! function in this crate that records a trace event, bumps a
+//! `bwd_sched_*` metric, feeds the stream accumulators and the
+//! calibrator, or touches a device's health and tallies — so every fact
+//! is counted once, and in debug builds every edge a job takes is checked
+//! against [`LEGAL`].
+
+use crate::job::Job;
+use crate::scheduler::Shared;
+use bwd_device::Component;
+use bwd_engine::QueryResult;
+use bwd_obs::metrics::{Counter, Histogram, Registry};
+use bwd_obs::{EventKind, Recorder, SpanId, WorkerHandle, NO_SPAN};
+use bwd_types::{BwdError, Result};
+use std::cell::Cell;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Where a job is between its submission and its reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum State {
+    /// In the policy queue (or just taken off it by a worker).
+    Queued,
+    /// Routed to a device, waiting for that card's admission.
+    Placed,
+    /// Holding its device-memory reservation.
+    Admitted,
+    /// Executing in the engine.
+    Running,
+    /// Paused at a yield point while its worker hosts a shorter job.
+    Yielded,
+    /// Sent back: over its hinted budget (to the same card's admission,
+    /// at the worst case), or — hosted — to the policy queue because its
+    /// non-blocking reservation did not fit.
+    Requeued,
+    /// Leaving a card that faulted, for another one.
+    Retried,
+    /// Replied with a result.
+    Resolved,
+    /// Replied with [`BwdError::Cancelled`] or
+    /// [`BwdError::DeadlineExceeded`].
+    Cancelled,
+    /// Replied with any other error.
+    Failed,
+}
+
+impl State {
+    /// Whether the job has been replied to.
+    pub fn is_terminal(self) -> bool {
+        matches!(self, State::Resolved | State::Cancelled | State::Failed)
+    }
+}
+
+/// Every edge a job may take. Invariant 8 rides on the shape of this
+/// table: a reservation is held in `Admitted`, `Running` and `Yielded`
+/// only, and every edge out of `Running` that does not end in `Yielded`
+/// drops the permit before the next state is entered.
+pub const LEGAL: &[(State, State)] = {
+    use State::*;
+    &[
+        // Off the queue: classic jobs need no card.
+        (Queued, Running),
+        (Queued, Placed),
+        // Cancelled or expired while queued: never starts.
+        (Queued, Cancelled),
+        // Pinned to an offline or unknown card.
+        (Queued, Failed),
+        // The card's admission.
+        (Placed, Admitted),
+        // Hosted: the non-blocking reservation did not fit.
+        (Placed, Requeued),
+        // The reservation itself hit a device fault.
+        (Placed, Retried),
+        // A stop observed inside the admission wait.
+        (Placed, Cancelled),
+        // Admission timeout, or a fault with no retry left.
+        (Placed, Failed),
+        (Admitted, Running),
+        // Execution.
+        (Running, Yielded),
+        (Yielded, Running),
+        (Running, Resolved),
+        // The hinted budget ran out: the permit is released first.
+        (Running, Requeued),
+        (Running, Retried),
+        (Running, Cancelled),
+        (Running, Failed),
+        // The ways back: the same card at the worst case, the policy
+        // queue (seq and bypass count kept), another card.
+        (Requeued, Placed),
+        (Requeued, Queued),
+        (Retried, Placed),
+    ]
+};
+
+/// Scheduler-owned metric handles (resolved once at construction; hot
+/// paths touch atomics only). Per-mode query counts live in the stream
+/// accumulators, per-device tallies in the device slots — all counters of
+/// the same `registry`.
+pub(crate) struct SchedMetrics {
+    pub registry: Registry,
+    pub errors: Counter,
+    queue_wait_us: Histogram,
+    exec_wall_us: Histogram,
+    /// Per-job `estimate/actual` latency ratio in thousandths (1000 =
+    /// perfect), observed only for jobs with a non-zero actual cost.
+    estimate_ratio_milli: Histogram,
+    /// Queued jobs hosted inline at a yield point of a running job.
+    preemptions: Counter,
+    /// Hosted jobs whose non-blocking admission failed and that went
+    /// back to the queue with their original seq and bypass count.
+    preempt_requeues: Counter,
+    cancelled: Counter,
+    /// Device-faulted queries re-placed on another card.
+    retries: Counter,
+    /// Online → offline transitions across the pool.
+    device_offline: Counter,
+    /// Offline → online transitions (successful recovery probes).
+    device_recovered: Counter,
+}
+
+impl SchedMetrics {
+    pub fn new() -> SchedMetrics {
+        let registry = Registry::new();
+        SchedMetrics {
+            errors: registry.counter("bwd_sched_errors_total"),
+            queue_wait_us: registry.histogram("bwd_sched_queue_wait_us"),
+            exec_wall_us: registry.histogram("bwd_sched_exec_wall_us"),
+            estimate_ratio_milli: registry.histogram("bwd_sched_estimate_ratio_milli"),
+            preemptions: registry.counter("bwd_sched_preemptions_total"),
+            preempt_requeues: registry.counter("bwd_sched_preempt_requeues_total"),
+            cancelled: registry.counter("bwd_sched_cancelled_total"),
+            retries: registry.counter("bwd_sched_retries_total"),
+            device_offline: registry.counter("bwd_sched_device_offline_total"),
+            device_recovered: registry.counter("bwd_sched_device_recovered_total"),
+            registry,
+        }
+    }
+}
+
+/// What the control flow tells [`Run::step`] just happened.
+pub(crate) enum Transition<'a> {
+    /// A worker took the job off the queue after `queued`.
+    Dequeued { job: &'a Job, queued: Duration },
+    /// The exec span opens; a classic job runs from here.
+    Started {
+        morsels: usize,
+        host_threads: u32,
+        classic: bool,
+    },
+    /// A recovery probe brought card `device` back on its `tick`-th pass.
+    DeviceUp { device: usize, tick: u64 },
+    /// Routed to `device`, about to reserve `bytes` there.
+    Placed { device: usize, bytes: u64 },
+    /// The `attempt`-th reservation enters the card's admission.
+    Reserving { bytes: u64, attempt: u64 },
+    /// Granted `reserved` bytes: the engine runs.
+    Admitted { reserved: u64, requeues: u64 },
+    /// Refused: a stop, a timeout, a fault or (hosted) would-block — the
+    /// error the caller propagates decides where the job goes.
+    Refused { requeues: u64 },
+    /// The hinted budget ran out on `device`; the permit is already
+    /// released and the job re-enters that card's admission at the worst
+    /// case.
+    OverBudget { device: usize },
+    /// `device` finished the query.
+    Served {
+        device: usize,
+        result: &'a QueryResult,
+    },
+    /// `device` faulted under the query, which — with a `retry` left —
+    /// goes to another card.
+    Faulted { device: usize, retry: bool },
+    /// The exec span closes.
+    Finished(&'a Result<QueryResult>),
+    /// Paused at a yield point to host a job estimated at `child_est`
+    /// seconds.
+    Yielded { child_est: f64 },
+    /// The hosted job is done — or `would_block` and, unless the queue
+    /// closed meanwhile, `requeued`.
+    Resumed { would_block: bool, requeued: bool },
+    /// Hosted and refused: back to the policy queue.
+    HandedBack { job: &'a Job },
+    /// Accounted and stamped; the reply leaves next.
+    Replied {
+        job: &'a Job,
+        result: &'a Result<QueryResult>,
+        queued: Duration,
+        wall: Duration,
+        completion_index: u64,
+    },
+}
+
+impl Transition<'_> {
+    /// The states this transition passes through, in order (empty: the
+    /// job stays where it is).
+    fn walk(&self) -> &'static [State] {
+        use State::*;
+        match self {
+            Transition::Started { classic: true, .. } => &[Running],
+            Transition::Placed { .. } => &[Placed],
+            Transition::Admitted { .. } => &[Admitted, Running],
+            Transition::OverBudget { .. } => &[Requeued, Placed],
+            Transition::Faulted { retry: true, .. } => &[Retried],
+            Transition::Yielded { .. } => &[Yielded],
+            Transition::Resumed { .. } => &[Running],
+            Transition::HandedBack { .. } => &[Requeued, Queued],
+            Transition::Replied { result, .. } => match result {
+                Ok(_) => &[Resolved],
+                Err(e) if stop_kind(e).is_some() => &[Cancelled],
+                Err(_) => &[Failed],
+            },
+            _ => &[],
+        }
+    }
+}
+
+/// `Some(1)` for a deadline expiry, `Some(0)` for an explicit cancel.
+fn stop_kind(e: &BwdError) -> Option<u64> {
+    match e {
+        BwdError::Cancelled => Some(0),
+        BwdError::DeadlineExceeded { .. } => Some(1),
+        _ => None,
+    }
+}
+
+/// Open a submitted job's root and queue spans on its `session` lane:
+/// the job is [`State::Queued`].
+pub(crate) fn submitted(
+    recorder: &Recorder,
+    session: u64,
+    priority: i32,
+    est_seconds: f64,
+) -> (SpanId, SpanId) {
+    let lane = recorder.worker("session");
+    let root = lane.begin(EventKind::Query, NO_SPAN, session, priority as u64);
+    let queue = lane.begin(EventKind::Queue, root, est_seconds.to_bits(), 0);
+    (root, queue)
+}
+
+/// One job's passage through one worker: where its events go, and where
+/// it stands.
+pub(crate) struct Run<'a> {
+    pub shared: &'a Arc<Shared>,
+    /// The worker's lane label.
+    pub lane: &'a str,
+    /// Yield-point nesting: `0` is a worker draining the queue, `>0` a
+    /// job hosted inline while another is paused.
+    pub depth: u32,
+    /// This worker's lane on the job's recorder (a no-op handle when the
+    /// job runs untraced).
+    obs: WorkerHandle,
+    root: SpanId,
+    exec: Cell<SpanId>,
+    /// The open admission or yield span.
+    open: Cell<SpanId>,
+    state: Cell<State>,
+}
+
+impl<'a> Run<'a> {
+    /// The run of a job a worker just dequeued: it records on a new
+    /// lane of the job's `recorder`, under the job's `root` span.
+    pub fn new(
+        shared: &'a Arc<Shared>,
+        recorder: &Recorder,
+        root: SpanId,
+        lane: &'a str,
+        depth: u32,
+    ) -> Run<'a> {
+        Run {
+            shared,
+            lane,
+            depth,
+            obs: recorder.worker(lane),
+            root,
+            exec: Cell::new(NO_SPAN),
+            open: Cell::new(NO_SPAN),
+            state: Cell::new(State::Queued),
+        }
+    }
+
+    /// This run as that of a job paused under its `exec` span — what a
+    /// yield hook builds each time it hosts (the hook outlives every
+    /// borrow of the job, so it carries the recorder and the span).
+    pub fn paused_at(self, exec: SpanId) -> Run<'a> {
+        self.exec.set(exec);
+        self.state.set(State::Running);
+        self
+    }
+
+    /// The exec span ([`NO_SPAN`] before [`Transition::Started`]).
+    pub fn exec(&self) -> SpanId {
+        self.exec.get()
+    }
+
+    /// Account for one transition: move the state along [`LEGAL`], then
+    /// emit the transition's events and counts.
+    pub fn step(&self, t: Transition<'_>) {
+        for &next in t.walk() {
+            debug_assert!(
+                LEGAL.contains(&(self.state.get(), next)),
+                "illegal lifecycle edge {:?} -> {next:?}",
+                self.state.get()
+            );
+            self.state.set(next);
+        }
+        let (shared, obs, exec) = (self.shared, &self.obs, self.exec.get());
+        let m = &shared.metrics;
+        match t {
+            Transition::Dequeued { job, queued } => obs.end(
+                EventKind::Queue,
+                job.queue_span.get(),
+                queued.as_secs_f64().to_bits(),
+                0,
+                0,
+                0,
+            ),
+            Transition::Started {
+                morsels,
+                host_threads,
+                ..
+            } => self.exec.set(obs.begin(
+                EventKind::Exec,
+                self.root,
+                morsels as u64,
+                host_threads as u64,
+            )),
+            Transition::DeviceUp { device, tick } => {
+                shared.devices[device].set_online();
+                m.device_recovered.inc();
+                obs.instant(EventKind::DeviceUp, exec, device as u64, tick);
+            }
+            Transition::Placed { device, bytes } => {
+                obs.instant(EventKind::Placement, exec, device as u64, bytes)
+            }
+            Transition::Reserving { bytes, attempt } => {
+                self.open
+                    .set(obs.begin(EventKind::Admission, exec, bytes, attempt))
+            }
+            Transition::Admitted { reserved, requeues } => obs.end(
+                EventKind::Admission,
+                self.open.get(),
+                0,
+                reserved,
+                requeues,
+                0,
+            ),
+            Transition::Refused { requeues } => {
+                obs.end(EventKind::Admission, self.open.get(), 0, 0, requeues, 1)
+            }
+            Transition::OverBudget { device } => shared.devices[device].requeues.inc(),
+            Transition::Served { device, result: r } => {
+                let slot = &shared.devices[device];
+                slot.queries.inc();
+                // Fold the co-processor share of this query into the
+                // per-device ledger (host time belongs to the CPU stream,
+                // not to a card).
+                let ledger = slot.device.ledger();
+                let (cost, bytes) = (&r.breakdown, &r.traffic);
+                ledger.charge(Component::Device, "sched.query", cost.device, bytes.device);
+                ledger.charge(Component::Pcie, "sched.query", cost.pcie, bytes.pcie);
+                slot.record_success();
+            }
+            Transition::Faulted { device, retry } => {
+                let slot = &shared.devices[device];
+                if slot.record_fault() {
+                    m.device_offline.inc();
+                    let faults = slot.consecutive_faults.load(Ordering::Relaxed);
+                    obs.instant(EventKind::DeviceDown, exec, device as u64, faults);
+                }
+                if retry {
+                    m.retries.inc();
+                }
+            }
+            Transition::Finished(Ok(r)) => obs.end(
+                EventKind::Exec,
+                exec,
+                r.breakdown.total().to_bits(),
+                r.traffic.total(),
+                r.rows.len() as u64,
+                0,
+            ),
+            Transition::Finished(Err(_)) => obs.end(EventKind::Exec, exec, 0, 0, 0, 1),
+            Transition::Yielded { child_est } => {
+                m.preemptions.inc();
+                shared.preempt_active.fetch_add(1, Ordering::Relaxed);
+                let (est, depth) = (child_est.to_bits(), u64::from(self.depth + 1));
+                self.open.set(obs.begin(EventKind::Yield, exec, est, depth));
+            }
+            Transition::Resumed {
+                would_block,
+                requeued,
+            } => {
+                if requeued {
+                    m.preempt_requeues.inc();
+                }
+                let span = self.open.get();
+                obs.end(EventKind::Yield, span, 0, 0, 0, u64::from(would_block));
+                obs.instant(EventKind::Resume, exec, 0, 0);
+                shared.preempt_active.fetch_sub(1, Ordering::Relaxed);
+            }
+            Transition::HandedBack { job } => {
+                // Reopen the queue span on the session lane (arg `1`
+                // marks the re-entry), so the trace shows queue → exec →
+                // queue → exec.
+                let lane = job.recorder.worker("session");
+                let est = job.est_seconds.to_bits();
+                let span = lane.begin(EventKind::Queue, job.root, est, 1);
+                job.queue_span.set(span);
+            }
+            Transition::Replied {
+                job,
+                result,
+                queued,
+                wall,
+                completion_index,
+            } => {
+                let fp = &job.footprint;
+                let actual_sim = result.as_ref().map_or(0.0, |r| r.breakdown.total());
+                match result {
+                    Ok(r) => {
+                        let stream = if fp.shape.classic {
+                            &shared.classic
+                        } else {
+                            &shared.approx_refine
+                        };
+                        stream.record(&r.breakdown, &r.traffic, wall, queued, job.est_seconds);
+                        // Close the estimate loop: the next submission of
+                        // this shape queues under a sharper estimate and
+                        // reserves closer to its real candidate footprint.
+                        // The *uncalibrated* model output is what is
+                        // ratioed, so corrections never compound.
+                        shared.calibrator.observe(
+                            &fp.shape,
+                            fp.latency().seconds(),
+                            actual_sim,
+                            fp.predicted_survivors(),
+                            r.survivors as u64,
+                        );
+                    }
+                    Err(e) => {
+                        if let Some(deadline) = stop_kind(e) {
+                            m.cancelled.inc();
+                            obs.instant(EventKind::Cancel, job.root, deadline, 0);
+                        }
+                        m.errors.inc();
+                    }
+                }
+                m.queue_wait_us.observe(queued.as_micros() as u64);
+                m.exec_wall_us.observe(wall.as_micros() as u64);
+                if actual_sim > 0.0 {
+                    let milli = (job.est_seconds / actual_sim * 1000.0).clamp(0.0, u64::MAX as f64);
+                    m.estimate_ratio_milli.observe(milli as u64);
+                }
+                obs.instant(EventKind::Resolve, job.root, completion_index, 0);
+                obs.end(
+                    EventKind::Query,
+                    job.root,
+                    job.est_seconds.to_bits(),
+                    actual_sim.to_bits(),
+                    result.as_ref().map_or(0, |r| r.rows.len() as u64),
+                    u64::from(result.is_err()),
+                );
+            }
+        }
+    }
+}

@@ -9,7 +9,7 @@
 //! * [`QueuePolicy::Fifo`] — strict arrival order (the PR 1–3 behavior,
 //!   kept as the regression baseline);
 //! * [`QueuePolicy::ShortestJobFirst`] — order by the cost model's
-//!   latency estimate ([`crate::cost::estimate_latency`]), arrival order
+//!   latency estimate ([`crate::PlanFootprint::latency`]), arrival order
 //!   as the tie-break, so equal-cost workloads degrade to exact FIFO;
 //! * [`QueuePolicy::Priority`] — order by the caller's
 //!   [`crate::SubmitOptions::priority`] (higher first), then by latency

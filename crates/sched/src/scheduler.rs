@@ -1,16 +1,17 @@
 //! The worker pool, device placement and shared scheduler state.
 
 use crate::calibrate::{CalibrateConfig, Calibrator};
-use crate::estimate::{estimate_working_set_scaled, EstimateConfig};
+use crate::footprint::{EstimateConfig, WorkingSetEstimate};
 use crate::job::{Job, JobReport};
-use crate::placement::{place, DeviceSlot, PlacementPolicy};
+use crate::lifecycle::{Run, SchedMetrics, Transition};
+use crate::placement::{place, DeviceSlot};
 use crate::policy::{PolicyQueue, QueuePolicy};
 use crate::session::Session;
 use crate::stats::{DeviceSnapshot, SchedulerStats, StreamAccum};
-use bwd_device::YieldPoint;
+use bwd_device::{Env, YieldPoint};
 use bwd_engine::{ArExecOptions, Database, ExecMode, QueryResult};
-use bwd_obs::metrics::{Counter, Histogram, Registry};
-use bwd_obs::{EventKind, QueryTrace, SpanId, TraceCtx, WorkerHandle};
+use bwd_obs::metrics::Registry;
+use bwd_obs::{QueryTrace, TraceCtx, NO_SPAN};
 use bwd_types::{BwdError, Result};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -61,60 +62,6 @@ impl Default for PreemptConfig {
     }
 }
 
-/// Bounded retry of device-faulted queries on another card.
-///
-/// Only [`BwdError::DeviceFault`] is retried — the work itself was valid
-/// and idempotent, the card misbehaved. Cancellations, deadlines, OOMs,
-/// panics and plan errors are never retried, a query pinned to a device
-/// ([`crate::SubmitOptions::device`]) fails rather than migrate, and a
-/// single-card pool has nowhere else to go. Retried queries produce
-/// bit-identical results: every card holds a replica of the persistent
-/// approximations, so re-running elsewhere reads the same data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Times one query may be re-placed on a different device after a
-    /// device fault. `0` disables failover retry entirely.
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 1 }
-    }
-}
-
-/// Device-health knobs: when repeated faults take a card offline, and
-/// how recovery is probed.
-///
-/// Health is a three-state machine per [`crate::stats::DeviceSnapshot`]:
-/// *online* (serving) → *offline* (after `offline_after` consecutive
-/// faults; queued work drains onto healthy cards because placement
-/// happens at dequeue time) → *online* again once a recovery probe — a
-/// real allocation through the card's fault-injected memory path —
-/// succeeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Consecutive device faults (no intervening success) that take a
-    /// card offline.
-    pub offline_after: u64,
-    /// Probe an offline card every this many placement passes (every A&R
-    /// placement advances each offline card's probe clock by one).
-    pub probe_every: u64,
-    /// Size of the recovery probe allocation in bytes; it goes through
-    /// the card's real allocation path and is released immediately.
-    pub probe_bytes: u64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            offline_after: 3,
-            probe_every: 8,
-            probe_bytes: 64 << 10,
-        }
-    }
-}
-
 /// Scheduler construction knobs.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
@@ -126,9 +73,7 @@ pub struct SchedConfig {
     /// `host_threads` allocation is mirrored up to this many real
     /// threads). `1` disables intra-query parallelism.
     pub max_morsels: usize,
-    /// How A&R queries are routed across the device pool.
-    pub placement: PlacementPolicy,
-    /// Statistics-based admission estimates (hints + safety factor).
+    /// The safety factor on statistics-based admission reservations.
     pub estimate: EstimateConfig,
     /// How queued jobs are ordered ([`QueuePolicy::ShortestJobFirst`] by
     /// default — with equal latency estimates it degrades to exact FIFO,
@@ -153,11 +98,6 @@ pub struct SchedConfig {
     /// Closed-loop estimate calibration (default on; see
     /// [`CalibrateConfig`]).
     pub calibrate: CalibrateConfig,
-    /// Bounded retry-elsewhere after device faults (default one retry;
-    /// see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
-    /// Device offline/recovery thresholds (see [`HealthConfig`]).
-    pub health: HealthConfig,
 }
 
 impl Default for SchedConfig {
@@ -169,7 +109,6 @@ impl Default for SchedConfig {
             workers: hw.min(8),
             admission_deadline: Some(Duration::from_secs(10)),
             max_morsels: hw,
-            placement: PlacementPolicy::default(),
             estimate: EstimateConfig::default(),
             policy: QueuePolicy::default(),
             aging_threshold: 32,
@@ -177,8 +116,6 @@ impl Default for SchedConfig {
             trace_ring_capacity: 1024,
             preempt: PreemptConfig::default(),
             calibrate: CalibrateConfig::default(),
-            retry: RetryPolicy::default(),
-            health: HealthConfig::default(),
         }
     }
 }
@@ -196,56 +133,6 @@ pub struct TraceRecord {
     pub trace: QueryTrace,
 }
 
-/// Scheduler-owned metric handles (resolved once at construction; hot
-/// paths touch atomics only).
-pub(crate) struct SchedMetrics {
-    pub registry: Registry,
-    pub queries_classic: Counter,
-    pub queries_ar: Counter,
-    pub errors: Counter,
-    pub queue_wait_us: Histogram,
-    pub exec_wall_us: Histogram,
-    /// Calibration samples: per-job `estimate/actual` latency ratio in
-    /// thousandths (1000 = perfect), observed only for jobs with a
-    /// non-zero actual simulated cost.
-    pub estimate_ratio_milli: Histogram,
-    /// Queued jobs hosted inline at a yield point of a running job.
-    pub preemptions: Counter,
-    /// Hosted jobs whose non-blocking admission failed and that went
-    /// back to the queue with their original seq and bypass count.
-    pub preempt_requeues: Counter,
-    /// Jobs resolved with [`BwdError::Cancelled`] or
-    /// [`BwdError::DeadlineExceeded`].
-    pub cancelled: Counter,
-    /// Device-faulted queries re-placed on another card.
-    pub retries: Counter,
-    /// Online → offline transitions across the pool.
-    pub device_offline: Counter,
-    /// Offline → online transitions (successful recovery probes).
-    pub device_recovered: Counter,
-}
-
-impl SchedMetrics {
-    fn new() -> SchedMetrics {
-        let registry = Registry::new();
-        SchedMetrics {
-            queries_classic: registry.counter("bwd_sched_queries_total{mode=\"classic\"}"),
-            queries_ar: registry.counter("bwd_sched_queries_total{mode=\"approx_refine\"}"),
-            errors: registry.counter("bwd_sched_errors_total"),
-            queue_wait_us: registry.histogram("bwd_sched_queue_wait_us"),
-            exec_wall_us: registry.histogram("bwd_sched_exec_wall_us"),
-            estimate_ratio_milli: registry.histogram("bwd_sched_estimate_ratio_milli"),
-            preemptions: registry.counter("bwd_sched_preemptions_total"),
-            preempt_requeues: registry.counter("bwd_sched_preempt_requeues_total"),
-            cancelled: registry.counter("bwd_sched_cancelled_total"),
-            retries: registry.counter("bwd_sched_retries_total"),
-            device_offline: registry.counter("bwd_sched_device_offline_total"),
-            device_recovered: registry.counter("bwd_sched_device_recovered_total"),
-            registry,
-        }
-    }
-}
-
 pub(crate) struct QueueState {
     pub jobs: PolicyQueue<Job>,
     pub closed: bool,
@@ -258,41 +145,29 @@ pub(crate) struct Shared {
     pub work_ready: Condvar,
     /// One slot per pool device: admission controller + load accounting.
     pub devices: Vec<DeviceSlot>,
-    pub placement: PlacementPolicy,
-    pub estimate: EstimateConfig,
-    pub policy: QueuePolicy,
-    pub rr_cursor: AtomicU64,
+    /// The construction knobs (`workers`, `max_morsels` and
+    /// `trace_ring_capacity` raised to their minimum).
+    pub config: SchedConfig,
     pub classic: StreamAccum,
     pub approx_refine: StreamAccum,
-    pub errors: AtomicU64,
     /// Global completion stamp source ([`JobReport::completion_index`]).
     pub completions: AtomicU64,
     pub next_session: AtomicU64,
-    pub max_morsels: usize,
-    /// Scheduler-wide tracing default (see [`SchedConfig::tracing`]).
-    pub tracing: bool,
-    pub trace_ring_capacity: usize,
     /// Captured traces of completed jobs ([`Scheduler::drain_traces`]).
     pub traces: Mutex<Vec<TraceRecord>>,
     pub metrics: SchedMetrics,
-    /// Morsel-boundary preemption knobs (copied from [`SchedConfig`]).
-    pub preempt: PreemptConfig,
     /// Live count of jobs currently paused at a yield point while the
     /// worker hosts shorter work ([`crate::QueuePressure::preempted`]).
     pub preempt_active: AtomicU64,
     /// Per-plan-shape estimate corrections, fed by every completion.
     pub calibrator: Calibrator,
-    /// Bounded retry-elsewhere policy for device faults.
-    pub retry: RetryPolicy,
-    /// Device offline/recovery thresholds.
-    pub health: HealthConfig,
 }
 
 /// A multi-session query scheduler over one shared [`Database`] and its
 /// device pool.
 ///
 /// Queries execute on real OS threads. A&R queries are first *placed* on
-/// a device (least-loaded by default, every card holds a replica of the
+/// a device (the least loaded; every card holds a replica of the
 /// persistent approximations) and then pass that device's memory
 /// admission with a statistics-based reservation; an underestimated
 /// query OOMs early, releases its permit and re-enters the same device's
@@ -347,14 +222,20 @@ impl Scheduler {
     /// pool device — construct the scheduler *after* loading, so the
     /// bytes resident on each card (persistent columns and replicas)
     /// count as permanent.
-    pub fn new(db: Arc<Database>, config: SchedConfig) -> Scheduler {
-        let devices = db
-            .env()
-            .pool
-            .devices()
-            .iter()
-            .map(|d| DeviceSlot::new(Arc::clone(d), config.admission_deadline))
+    pub fn new(db: Arc<Database>, mut config: SchedConfig) -> Scheduler {
+        config.workers = config.workers.max(1);
+        config.max_morsels = config.max_morsels.max(1);
+        config.trace_ring_capacity = config.trace_ring_capacity.max(4);
+        let metrics = SchedMetrics::new();
+        let registry = &metrics.registry;
+        let devices = (db.env().pool.devices().iter().enumerate())
+            .map(|(i, d)| DeviceSlot::new(Arc::clone(d), config.admission_deadline, i, registry))
             .collect();
+        let stream = |mode: &str| {
+            StreamAccum::new(
+                registry.counter(&format!("bwd_sched_queries_total{{mode=\"{mode}\"}}")),
+            )
+        };
         let shared = Arc::new(Shared {
             db,
             queue: Mutex::new(QueueState {
@@ -363,27 +244,17 @@ impl Scheduler {
             }),
             work_ready: Condvar::new(),
             devices,
-            placement: config.placement,
-            estimate: config.estimate,
-            policy: config.policy,
-            rr_cursor: AtomicU64::new(0),
-            classic: StreamAccum::default(),
-            approx_refine: StreamAccum::default(),
-            errors: AtomicU64::new(0),
+            classic: stream("classic"),
+            approx_refine: stream("approx_refine"),
             completions: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
-            max_morsels: config.max_morsels.max(1),
-            tracing: config.tracing,
-            trace_ring_capacity: config.trace_ring_capacity.max(4),
             traces: Mutex::new(Vec::new()),
-            metrics: SchedMetrics::new(),
-            preempt: config.preempt,
+            metrics,
             preempt_active: AtomicU64::new(0),
             calibrator: Calibrator::new(config.calibrate),
-            retry: config.retry,
-            health: config.health,
+            config,
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..shared.config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
@@ -444,8 +315,8 @@ impl Scheduler {
                 let mem = slot.admission.memory();
                 DeviceSnapshot {
                     name: slot.device.spec().name.clone(),
-                    queries: slot.queries.load(Ordering::Relaxed),
-                    requeues: slot.requeues.load(Ordering::Relaxed),
+                    queries: slot.queries.get(),
+                    requeues: slot.requeues.get(),
                     admission_waits: mem.total_waits(),
                     used_bytes: mem.used(),
                     pending_bytes: slot.pending_bytes.load(Ordering::Relaxed),
@@ -454,17 +325,17 @@ impl Scheduler {
                     breakdown: slot.device.ledger().breakdown(),
                     offline: !slot.is_online(),
                     consecutive_faults: slot.consecutive_faults.load(Ordering::Relaxed),
-                    offline_events: slot.offline_events.load(Ordering::Relaxed),
+                    offline_events: slot.offline_events.get(),
                 }
             })
             .collect();
         let busiest = devices.iter().max_by_key(|d| d.peak_bytes);
         SchedulerStats {
-            policy: self.shared.policy,
+            policy: self.shared.config.policy,
             completed: self.shared.completions.load(Ordering::Relaxed),
             classic: self.shared.classic.snapshot(),
             approx_refine: self.shared.approx_refine.snapshot(),
-            errors: self.shared.errors.load(Ordering::Relaxed),
+            errors: self.shared.metrics.errors.get(),
             admission_waits: devices.iter().map(|d| d.admission_waits).sum(),
             admission_requeues: devices.iter().map(|d| d.requeues).sum(),
             device_peak_bytes: busiest.map(|d| d.peak_bytes).unwrap_or(0),
@@ -486,59 +357,46 @@ impl Scheduler {
     }
 
     /// A Prometheus-style text snapshot of every metric this scheduler
-    /// owns (queue waits, exec walls, per-mode query counts, estimate
-    /// calibration), the per-device admission gauges derived from
-    /// [`Scheduler::stats`], and the process-wide registry (device
-    /// memory, kernel block counters).
+    /// owns (queue waits, exec walls, per-mode and per-device query
+    /// counts, estimate calibration), the per-device admission gauges
+    /// derived from [`Scheduler::stats`], and the process-wide registry
+    /// (device memory, kernel block counters).
     pub fn metrics_snapshot(&self) -> String {
-        let mut out = self.shared.metrics.registry.render();
+        // Point-in-time values enter the registry as gauges right before
+        // it renders; everything counted is in it already.
+        let registry = &self.shared.metrics.registry;
+        let set = |name: String, value: u64| registry.gauge(&name).set(value as i64);
         for (i, dev) in self.stats().devices.iter().enumerate() {
-            out.push_str(&format!(
-                "bwd_sched_device_queries_total{{device=\"{i}\"}} {}\n",
-                dev.queries
-            ));
-            out.push_str(&format!(
-                "bwd_sched_device_requeues_total{{device=\"{i}\"}} {}\n",
-                dev.requeues
-            ));
-            out.push_str(&format!(
-                "bwd_sched_device_admission_waits_total{{device=\"{i}\"}} {}\n",
-                dev.admission_waits
-            ));
-            out.push_str(&format!(
-                "bwd_sched_device_used_bytes{{device=\"{i}\"}} {}\n",
-                dev.used_bytes
-            ));
-            out.push_str(&format!(
-                "bwd_sched_device_peak_bytes{{device=\"{i}\"}} {}\n",
-                dev.peak_bytes
-            ));
-            out.push_str(&format!(
-                "bwd_sched_device_capacity_bytes{{device=\"{i}\"}} {}\n",
-                dev.capacity_bytes
-            ));
-            out.push_str(&format!(
-                "bwd_sched_device_offline{{device=\"{i}\"}} {}\n",
-                u64::from(dev.offline)
-            ));
+            for (name, value) in [
+                ("admission_waits_total", dev.admission_waits),
+                ("used_bytes", dev.used_bytes),
+                ("peak_bytes", dev.peak_bytes),
+                ("capacity_bytes", dev.capacity_bytes),
+                ("offline", u64::from(dev.offline)),
+            ] {
+                set(format!("bwd_sched_device_{name}{{device=\"{i}\"}}"), value);
+            }
         }
         for (shape, cal) in self.shared.calibrator.snapshot() {
             let label = shape.label();
-            out.push_str(&format!(
-                "bwd_sched_calibrator_latency_ratio_milli{{shape=\"{label}\"}} {}\n",
-                (cal.latency_ratio * 1000.0).round() as u64
-            ));
-            out.push_str(&format!(
-                "bwd_sched_calibrator_cands_ratio_milli{{shape=\"{label}\"}} {}\n",
-                (cal.cands_ratio * 1000.0).round() as u64
-            ));
-            out.push_str(&format!(
-                "bwd_sched_calibrator_samples{{shape=\"{label}\"}} {}\n",
-                cal.samples
-            ));
+            for (name, value) in [
+                (
+                    "latency_ratio_milli",
+                    (cal.latency_ratio * 1000.0).round() as u64,
+                ),
+                (
+                    "cands_ratio_milli",
+                    (cal.cands_ratio * 1000.0).round() as u64,
+                ),
+                ("samples", cal.samples),
+            ] {
+                set(
+                    format!("bwd_sched_calibrator_{name}{{shape=\"{label}\"}}"),
+                    value,
+                );
+            }
         }
-        out.push_str(&Registry::global().render());
-        out
+        registry.render() + &Registry::global().render()
     }
 
     /// Close the queue and join the workers. Queued-but-unstarted jobs
@@ -588,9 +446,8 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     }
 }
 
-/// Run one dequeued job to completion on the current thread: close its
-/// queue span, execute with panic isolation, account the completion and
-/// deliver the reply.
+/// Run one dequeued job to completion on the current thread: execute
+/// with panic isolation, account the completion and deliver the reply.
 ///
 /// `depth` counts yield-point nesting — `0` is a worker draining the
 /// queue, `>0` a job hosted inline while another job is paused at a
@@ -599,19 +456,8 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 /// under its original seq and bypass count; completed jobs return `None`.
 fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str, depth: u32) -> Option<Job> {
     let queued = job.submitted.elapsed();
-    // This worker's lane on the job's recorder (a no-op handle when the
-    // job runs untraced). The queue span was opened at submission on the
-    // session lane; the dequeueing worker closes it, then wraps the
-    // execution in an `exec` span.
-    let obs = job.recorder.worker(lane);
-    obs.end(
-        EventKind::Queue,
-        job.queue_span,
-        queued.as_secs_f64().to_bits(),
-        0,
-        0,
-        0,
-    );
+    let run = Run::new(shared, &job.recorder, job.root, lane, depth);
+    run.step(Transition::Dequeued { job: &job, queued });
     let started = Instant::now();
     // A cancelled or deadline-expired job never starts executing: it
     // resolves with its typed error straight out of the queue (there is
@@ -622,86 +468,25 @@ fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str, depth: u32) -> Option
     // this outer one is the backstop for panics outside it).
     let result = match job.cancel.status() {
         Err(stop) => Err(stop),
-        Ok(()) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(shared, &job, &obs, lane, depth)
-        }))
-        .unwrap_or_else(|payload| Err(panic_error(payload))),
+        Ok(()) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(&run, &job)))
+            .unwrap_or_else(|payload| Err(panic_error(payload))),
     };
-    if depth > 0 {
-        if let Err(BwdError::AdmissionWouldBlock { .. }) = &result {
-            // The hosted job could not reserve device memory without
-            // blocking. Hand it back for a seq-preserving requeue: reopen
-            // its queue span on the session lane (arg `1` marks the
-            // re-entry) so the trace shows queue → exec → queue → exec.
-            let session_lane = job.recorder.worker("session");
-            let mut job = job;
-            job.queue_span =
-                session_lane.begin(EventKind::Queue, job.root, job.est_seconds.to_bits(), 1);
-            return Some(job);
-        }
+    if depth > 0 && matches!(result, Err(BwdError::AdmissionWouldBlock { .. })) {
+        // The hosted job could not reserve device memory without
+        // blocking: hand it back for a seq-preserving requeue.
+        run.step(Transition::HandedBack { job: &job });
+        return Some(job);
     }
     let wall = started.elapsed();
-    let accum = match job.mode {
-        ExecMode::Classic => &shared.classic,
-        _ => &shared.approx_refine,
-    };
-    let actual_sim = result.as_ref().map(|r| r.breakdown.total()).unwrap_or(0.0);
-    let rows = result.as_ref().map(|r| r.rows.len() as u64).unwrap_or(0);
-    match &result {
-        Ok(r) => {
-            accum.record(&r.breakdown, &r.traffic, wall, queued, job.est_seconds);
-            // Close the estimate loop: fold this completion into the
-            // per-shape calibrator so the next submission of the same
-            // shape queues under a sharper estimate and reserves closer
-            // to its real candidate footprint.
-            shared.calibrator.observe(
-                &job.shape,
-                job.raw_est_seconds,
-                actual_sim,
-                job.predicted_survivors,
-                r.survivors as u64,
-            );
-            match job.mode {
-                ExecMode::Classic => shared.metrics.queries_classic.inc(),
-                _ => shared.metrics.queries_ar.inc(),
-            }
-        }
-        Err(e) => {
-            if matches!(e, BwdError::Cancelled | BwdError::DeadlineExceeded { .. }) {
-                shared.metrics.cancelled.inc();
-                obs.instant(
-                    EventKind::Cancel,
-                    job.root,
-                    u64::from(matches!(e, BwdError::DeadlineExceeded { .. })),
-                    0,
-                );
-            }
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.errors.inc();
-        }
-    }
-    shared
-        .metrics
-        .queue_wait_us
-        .observe(queued.as_micros() as u64);
-    shared.metrics.exec_wall_us.observe(wall.as_micros() as u64);
-    // Estimate-calibration sample (satellite of the estimator): the
-    // est/actual ratio in thousandths, queryable as a histogram.
-    if actual_sim > 0.0 {
-        let milli = (job.est_seconds / actual_sim * 1000.0).clamp(0.0, u64::MAX as f64);
-        shared.metrics.estimate_ratio_milli.observe(milli as u64);
-    }
     let completion_index = shared.completions.fetch_add(1, Ordering::Relaxed);
-    obs.instant(EventKind::Resolve, job.root, completion_index, 0);
-    obs.end(
-        EventKind::Query,
-        job.root,
-        job.est_seconds.to_bits(),
-        actual_sim.to_bits(),
-        rows,
-        u64::from(result.is_err()),
-    );
-    let trace = if job.recorder.is_enabled() {
+    run.step(Transition::Replied {
+        job: &job,
+        result: &result,
+        queued,
+        wall,
+        completion_index,
+    });
+    let trace = job.recorder.is_enabled().then(|| {
         let trace = QueryTrace::capture(&job.recorder);
         shared.traces.lock().unwrap().push(TraceRecord {
             session: job.session,
@@ -709,16 +494,14 @@ fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str, depth: u32) -> Option
             label: job.plan.table.clone(),
             trace: trace.clone(),
         });
-        Some(trace)
-    } else {
-        None
-    };
+        trace
+    });
     let report = JobReport {
         queue_wait: queued,
         exec: wall,
         completion_index,
         est_seconds: job.est_seconds,
-        actual_sim_seconds: actual_sim,
+        actual_sim_seconds: result.as_ref().map_or(0.0, |r| r.breakdown.total()),
         priority: job.opts.priority,
         trace,
     };
@@ -749,16 +532,17 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> BwdError {
 /// did not fit goes back to the queue with its original seq and bypass
 /// count, and the poll returns early: admission is full, so further
 /// candidates would hit the same wall.
-fn yield_hook(shared: &Arc<Shared>, job: &Job, lane: &str, exec: SpanId, depth: u32) -> YieldPoint {
-    let shared = Arc::clone(shared);
+fn yield_hook(run: &Run<'_>, job: &Job) -> YieldPoint {
+    let shared = Arc::clone(run.shared);
     let recorder = job.recorder.clone();
-    let lane = lane.to_string();
+    let lane = run.lane.to_string();
+    let (depth, exec) = (run.depth, run.exec());
     let parent_est = job.est_seconds;
-    let ratio = shared.preempt.ratio;
+    let ratio = shared.config.preempt.ratio;
     let cancel = Arc::clone(&job.cancel);
     // Per-execution hosting budget: a steady stream of short arrivals
     // must not stretch one long job's wall clock without bound.
-    let budget = AtomicU32::new(shared.preempt.max_hosted);
+    let budget = AtomicU32::new(shared.config.preempt.max_hosted);
     YieldPoint::new(Arc::new(move || {
         // Cancellation/deadline first: a stopping query must not host
         // more work — the error propagates out of the engine at this
@@ -780,15 +564,10 @@ fn yield_hook(shared: &Arc<Shared>, job: &Job, lane: &str, exec: SpanId, depth: 
                 return Ok(());
             };
             budget.fetch_sub(1, Ordering::Relaxed);
-            shared.metrics.preemptions.inc();
-            shared.preempt_active.fetch_add(1, Ordering::Relaxed);
-            let obs = recorder.worker(&lane);
-            let yspan = obs.begin(
-                EventKind::Yield,
-                exec,
-                child.est_seconds.to_bits(),
-                u64::from(depth + 1),
-            );
+            let paused = Run::new(&shared, &recorder, NO_SPAN, &lane, depth).paused_at(exec);
+            paused.step(Transition::Yielded {
+                child_est: child.est_seconds,
+            });
             let back = execute_job(&shared, child, &lane, depth + 1);
             let would_block = back.is_some();
             let mut requeued = false;
@@ -800,16 +579,16 @@ fn yield_hook(shared: &Arc<Shared>, job: &Job, lane: &str, exec: SpanId, depth: 
                     // closed meanwhile — its ticket then resolves to the
                     // shutdown error, exactly like any discarded job).
                     Some(child) if !q.closed => {
-                        shared.metrics.preempt_requeues.inc();
                         q.jobs.requeue(key, child);
                         requeued = true;
                     }
                     _ => q.jobs.finish(key),
                 }
             }
-            obs.end(EventKind::Yield, yspan, 0, 0, 0, u64::from(would_block));
-            obs.instant(EventKind::Resume, exec, 0, 0);
-            shared.preempt_active.fetch_sub(1, Ordering::Relaxed);
+            paused.step(Transition::Resumed {
+                would_block,
+                requeued,
+            });
             if requeued {
                 // A sleeping worker (or another yield point) may have
                 // room where this device did not.
@@ -823,13 +602,8 @@ fn yield_hook(shared: &Arc<Shared>, job: &Job, lane: &str, exec: SpanId, depth: 
     }))
 }
 
-fn run_job(
-    shared: &Arc<Shared>,
-    job: &Job,
-    obs: &WorkerHandle,
-    lane: &str,
-    depth: u32,
-) -> Result<QueryResult> {
+fn run_job(run: &Run<'_>, job: &Job) -> Result<QueryResult> {
+    let shared = run.shared;
     let db = &shared.db;
     let mut env = db.env().clone();
     // Same clamp the submission-time latency estimate used
@@ -844,112 +618,111 @@ fn run_job(
         .opts
         .morsels
         .unwrap_or(env.host_threads as usize)
-        .clamp(1, shared.max_morsels);
-    let exec = obs.begin(
-        EventKind::Exec,
-        job.root,
-        morsels as u64,
-        env.host_threads as u64,
-    );
+        .clamp(1, shared.config.max_morsels);
+    let classic = matches!(job.mode, ExecMode::Classic);
+    run.step(Transition::Started {
+        morsels,
+        host_threads: env.host_threads,
+        classic,
+    });
     // Hand the per-query recorder to the engine: its phase spans
     // (approx-select, refine, gather, group/agg, morsels, classic) nest
     // under this worker's exec span on the same lane.
-    env.trace = TraceCtx::new(job.recorder.clone(), exec, lane);
+    env.trace = TraceCtx::new(job.recorder.clone(), run.exec(), run.lane);
     // Arm the yield point: the engine polls it between partitions. With
     // preemption on, each poll may additionally host queued short work
     // inline (one nesting level deeper, up to the configured depth)
     // before this job resumes; with preemption off the hook still
     // observes cancellation and deadlines, so every running query stops
     // within one yield-point interval of being cancelled.
-    if shared.preempt.enabled && depth < shared.preempt.max_depth {
-        env.preempt = yield_hook(shared, job, lane, exec, depth);
+    let preempt = &shared.config.preempt;
+    env.preempt = if preempt.enabled && run.depth < preempt.max_depth {
+        yield_hook(run, job)
     } else {
         let cancel = Arc::clone(&job.cancel);
-        env.preempt = YieldPoint::new(Arc::new(move || cancel.status()));
-    }
+        YieldPoint::new(Arc::new(move || cancel.status()))
+    };
     // Panic isolation *inside* the exec span: a query that panics — a
     // real bug or an injected `FaultKind::Panic` — must still close this
     // span on its way out, so captured traces stay well-formed while the
     // RAII permits/buffers release on the unwind.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &job.mode {
-        ExecMode::Classic => db.run_bound_in(&job.plan, job.mode.clone(), &env, morsels),
-        mode => run_ar_job(shared, job, mode, &env, morsels, obs, exec, depth),
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if classic {
+            db.run_bound_in(&job.plan, ExecMode::Classic, &env, morsels)
+        } else {
+            run_ar_job(run, job, &env, morsels)
+        }
     }))
     .unwrap_or_else(|payload| Err(panic_error(payload)));
-    match &result {
-        Ok(r) => obs.end(
-            EventKind::Exec,
-            exec,
-            r.breakdown.total().to_bits(),
-            r.traffic.total(),
-            r.rows.len() as u64,
-            0,
-        ),
-        Err(_) => obs.end(EventKind::Exec, exec, 0, 0, 0, 1),
-    }
+    run.step(Transition::Finished(&result));
     result
 }
+
+/// An offline card is probed every this many placement passes (every A&R
+/// placement advances each offline card's probe clock by one).
+const PROBE_EVERY: u64 = 8;
+
+/// Size of the recovery probe allocation in bytes; it goes through the
+/// card's real allocation path and is released immediately.
+const PROBE_BYTES: u64 = 64 << 10;
 
 /// Advance every offline card's probe clock by one placement pass; on
 /// cadence, attempt a real allocation through the card's (possibly
 /// fault-injected) memory. A successful probe brings the card back
 /// online with its fault streak cleared — queued work then flows to it
 /// again through normal placement.
-fn probe_offline_devices(shared: &Shared, obs: &WorkerHandle, exec: SpanId) {
-    for (i, slot) in shared.devices.iter().enumerate() {
+fn probe_offline_devices(run: &Run<'_>) {
+    for (device, slot) in run.shared.devices.iter().enumerate() {
         if slot.is_online() {
             continue;
         }
         let tick = slot.probe_clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if tick % shared.health.probe_every.max(1) != 0 {
+        if tick % PROBE_EVERY != 0 {
             continue;
         }
-        if let Ok(probe) = slot.admission.memory().alloc(shared.health.probe_bytes) {
+        if let Ok(probe) = slot.admission.memory().alloc(PROBE_BYTES) {
             drop(probe);
-            slot.set_online();
-            shared.metrics.device_recovered.inc();
-            obs.instant(EventKind::DeviceUp, exec, i as u64, tick);
+            run.step(Transition::DeviceUp { device, tick });
         }
     }
 }
 
+/// Times one query may be re-placed on a different device after a
+/// device fault (cancellations, deadlines, OOMs, panics and plan errors
+/// are never retried).
+const MAX_RETRIES: u32 = 1;
+
 /// Place and execute one A&R query, handling device failover: a query
 /// that dies with a [`BwdError::DeviceFault`] feeds the faulting card's
-/// health machine (possibly taking it offline) and — when the
-/// [`RetryPolicy`] allows, the job is not pinned, and the pool has
-/// another card — is retried once on a different device. Results of a
-/// retried query are bit-identical to a fault-free run: every card holds
-/// the same replicated data, and the first attempt produced nothing.
-#[allow(clippy::too_many_arguments)]
-fn run_ar_job(
-    shared: &Shared,
-    job: &Job,
-    mode: &ExecMode,
-    env: &bwd_device::Env,
-    morsels: usize,
-    obs: &WorkerHandle,
-    exec: SpanId,
-    depth: u32,
-) -> Result<QueryResult> {
-    let db = &shared.db;
+/// health machine (possibly taking it offline) and — with a retry left
+/// ([`MAX_RETRIES`]), the job not pinned, and another card in the pool —
+/// is retried on a different device. Results of a retried query are
+/// bit-identical to a fault-free run: every card holds the same
+/// replicated data, and the first attempt produced nothing.
+fn run_ar_job(run: &Run<'_>, job: &Job, env: &Env, morsels: usize) -> Result<QueryResult> {
+    let shared = run.shared;
     // The calibrator's learned candidate-count factor scales the hinted
     // reservation: shapes whose candidate lists ran below the uniform
     // hints reserve less (admitting more concurrently), over-shrunk
     // reservations still recover via the OOM-early → requeue backstop.
-    let est = estimate_working_set_scaled(
-        db,
-        &job.plan,
-        &shared.estimate,
-        shared.calibrator.cands_factor(&job.shape),
-    );
+    let cands_factor = shared.calibrator.cands_factor(&job.footprint.shape);
+    let scale = shared.config.estimate.scale(cands_factor);
+    let hinted = job.footprint.reservation(scale);
 
     let mut avoid: Option<usize> = None;
-    let mut retries_left = shared.retry.max_retries;
+    let mut retries_left = MAX_RETRIES;
     loop {
-        probe_offline_devices(shared, obs, exec);
-        // --- Placement: pin wins, otherwise the policy routes by load
-        // over the online cards (skipping the one a retry just left). ---
-        let idx = match job.opts.device {
+        probe_offline_devices(run);
+        // A hint proven wrong stays wrong: once the query ran over its
+        // budget it asks for the worst case — on whichever card, and
+        // after being handed back to the queue.
+        let mut est = hinted;
+        if job.worst_case.get() {
+            est.estimated = est.worst_case;
+        }
+        // --- Placement: pin wins, otherwise the least-loaded online card
+        // (skipping the one a retry just left). ---
+        let device = match job.opts.device {
             Some(i) if i < shared.devices.len() => {
                 if !shared.devices[i].is_online() {
                     return Err(BwdError::DeviceFault(format!(
@@ -964,39 +737,25 @@ fn run_ar_job(
                     shared.devices.len()
                 )))
             }
-            None => place(&shared.devices, shared.placement, &shared.rr_cursor, avoid),
+            None => place(&shared.devices, avoid),
         };
-        obs.instant(EventKind::Placement, exec, idx as u64, est.estimated);
-        let slot = &shared.devices[idx];
-        match run_ar_on_device(shared, job, mode, env, morsels, obs, exec, depth, &est, idx) {
+        let bytes = est.estimated;
+        run.step(Transition::Placed { device, bytes });
+        match run_ar_on_device(run, job, env, morsels, &est, device) {
             Err(BwdError::DeviceFault(msg)) => {
-                if slot.record_fault(shared.health.offline_after) {
-                    shared.metrics.device_offline.inc();
-                    obs.instant(
-                        EventKind::DeviceDown,
-                        exec,
-                        idx as u64,
-                        slot.consecutive_faults.load(Ordering::Relaxed),
-                    );
-                }
                 // Device faults are the retryable class: the work is
                 // valid and idempotent, only the card misbehaved. Retry
                 // elsewhere, bounded, never for pinned jobs.
-                let can_retry =
+                let retry =
                     retries_left > 0 && job.opts.device.is_none() && shared.devices.len() > 1;
-                if !can_retry {
+                run.step(Transition::Faulted { device, retry });
+                if !retry {
                     return Err(BwdError::DeviceFault(msg));
                 }
                 retries_left -= 1;
-                avoid = Some(idx);
-                shared.metrics.retries.inc();
+                avoid = Some(device);
             }
-            result => {
-                if result.is_ok() {
-                    slot.record_success();
-                }
-                return result;
-            }
+            result => return result,
         }
     }
 }
@@ -1012,27 +771,21 @@ fn run_ar_job(
 /// remaining deadline budget, so an expiring query reports
 /// [`BwdError::DeadlineExceeded`] instead of camping in the reservation
 /// queue.
-#[allow(clippy::too_many_arguments)]
 fn run_ar_on_device(
-    shared: &Shared,
+    run: &Run<'_>,
     job: &Job,
-    mode: &ExecMode,
-    env: &bwd_device::Env,
+    env: &Env,
     morsels: usize,
-    obs: &WorkerHandle,
-    exec: SpanId,
-    depth: u32,
-    est: &crate::estimate::WorkingSetEstimate,
-    idx: usize,
+    est: &WorkingSetEstimate,
+    device: usize,
 ) -> Result<QueryResult> {
-    let db = &shared.db;
-    let slot = &shared.devices[idx];
-    let env = env.on_device(idx)?;
+    let slot = &run.shared.devices[device];
+    let env = env.on_device(device)?;
 
     // Effective A&R options: plain `ApproxRefine` mirrors the morsel
     // allocation; explicit options are honored as-is. The scheduler only
     // manages the device budget when the caller didn't set one.
-    let mut opts = match mode {
+    let mut opts = match &job.mode {
         ExecMode::ApproxRefineWith(o) => o.clone(),
         _ => ArExecOptions {
             morsels,
@@ -1040,69 +793,52 @@ fn run_ar_on_device(
         },
     };
     let scheduler_managed = opts.device_budget.is_none();
-    let mut request = est.estimated;
     if scheduler_managed && est.is_reduced() {
         opts.device_budget = Some(est.data_budget());
     }
 
-    let mut attempt: u64 = 0;
+    let mut bytes = est.estimated;
     let mut requeues: u64 = 0;
     loop {
-        attempt += 1;
         // Reserve on the chosen device. The pending guard keeps the
-        // not-yet-admitted estimate visible to the placement policy and
-        // drops as soon as the blocking reservation resolves either way.
-        let admission = obs.begin(EventKind::Admission, exec, request, attempt);
+        // not-yet-admitted estimate visible to placement and drops as
+        // soon as the reservation resolves either way.
+        let attempt = requeues + 1;
+        run.step(Transition::Reserving { bytes, attempt });
         let permit = {
-            let _pending = slot.begin_pending(request);
-            if depth == 0 {
+            let _pending = slot.begin_pending(bytes);
+            let outcome = if run.depth == 0 {
                 // Clamp the blocking wait to the job's remaining deadline
                 // budget; an already-stopped job skips the wait entirely.
-                let outcome = job.cancel.status().and_then(|()| {
+                let admitted = job.cancel.status().and_then(|()| {
                     let wait = match (slot.admission.deadline(), job.cancel.remaining()) {
                         (Some(a), Some(r)) => Some(a.min(r)),
                         (a, r) => a.or(r),
                     };
-                    slot.admission.admit_within(request, wait)
+                    slot.admission.admit_within(bytes, wait)
                 });
-                match outcome {
-                    Ok(p) => p,
-                    Err(e) => {
-                        // A wait cut short by the job's own expiry is the
-                        // job's deadline, not a device admission timeout.
-                        let e = match (e, job.cancel.status()) {
-                            (BwdError::AdmissionTimeout { .. }, Err(stop)) => stop,
-                            (e, _) => e,
-                        };
-                        obs.end(EventKind::Admission, admission, 0, 0, requeues, 1);
-                        return Err(e);
-                    }
-                }
+                // A wait cut short by the job's own expiry is the job's
+                // deadline, not a device admission timeout.
+                admitted.map_err(|e| match (e, job.cancel.status()) {
+                    (BwdError::AdmissionTimeout { .. }, Err(stop)) => stop,
+                    (e, _) => e,
+                })
             } else {
-                match slot.admission.try_admit(request) {
-                    Some(p) => p,
-                    None => {
-                        obs.end(EventKind::Admission, admission, 0, 0, requeues, 1);
-                        return Err(BwdError::AdmissionWouldBlock { requested: request });
-                    }
+                (slot.admission.try_admit(bytes))
+                    .ok_or(BwdError::AdmissionWouldBlock { requested: bytes })
+            };
+            match outcome {
+                Ok(permit) => permit,
+                Err(e) => {
+                    run.step(Transition::Refused { requeues });
+                    return Err(e);
                 }
             }
         };
-        obs.end(
-            EventKind::Admission,
-            admission,
-            0,
-            permit.bytes(),
-            requeues,
-            0,
-        );
-        let result = db.run_bound_in(
-            &job.plan,
-            ExecMode::ApproxRefineWith(opts.clone()),
-            &env,
-            morsels,
-        );
-        match result {
+        let reserved = permit.bytes();
+        run.step(Transition::Admitted { reserved, requeues });
+        let mode = ExecMode::ApproxRefineWith(opts.clone());
+        match run.shared.db.run_bound_in(&job.plan, mode, &env, morsels) {
             Err(BwdError::DeviceOutOfMemory { .. })
                 if scheduler_managed && opts.device_budget.is_some() =>
             {
@@ -1113,31 +849,15 @@ fn run_ar_on_device(
                 // this device's admission queue. The session never sees
                 // the transient failure.
                 drop(permit);
-                slot.requeues.fetch_add(1, Ordering::Relaxed);
+                run.step(Transition::OverBudget { device });
                 requeues += 1;
                 opts.device_budget = None;
-                request = est.worst_case;
-                continue;
+                bytes = est.worst_case;
+                job.worst_case.set(true);
             }
             result => {
                 if let Ok(r) = &result {
-                    slot.queries.fetch_add(1, Ordering::Relaxed);
-                    // Fold the co-processor share of this query into the
-                    // per-device ledger (host time belongs to the CPU
-                    // stream, not to a card).
-                    let ledger = slot.device.ledger();
-                    ledger.charge(
-                        bwd_device::Component::Device,
-                        "sched.query",
-                        r.breakdown.device,
-                        r.traffic.device,
-                    );
-                    ledger.charge(
-                        bwd_device::Component::Pcie,
-                        "sched.query",
-                        r.breakdown.pcie,
-                        r.traffic.pcie,
-                    );
+                    run.step(Transition::Served { device, result: r });
                 }
                 drop(permit);
                 return result;

@@ -1,13 +1,14 @@
 //! The session front door.
 
-use crate::calibrate::ShapeKey;
-use crate::cost::{estimate_latency, predicted_survivors};
+use crate::footprint::PlanFootprint;
 use crate::job::{CancelState, CompletionHook, Job, SubmitOptions, Ticket};
+use crate::lifecycle;
 use crate::scheduler::Shared;
 use bwd_core::plan::{ArPlan, RewriteOptions};
 use bwd_engine::{ExecMode, QueryResult};
 use bwd_sql::{bind, parse, BoundStatement};
 use bwd_types::{BwdError, Result};
+use std::cell::Cell;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -39,51 +40,36 @@ impl Session {
 
     /// Enqueue with per-query overrides.
     ///
-    /// The submission is stamped with a latency estimate
-    /// ([`crate::cost::estimate_latency`]) from the plan's selectivity
-    /// hints and the platform cost model; the scheduler's
-    /// [`crate::QueuePolicy`] orders the queue by that estimate and by
-    /// [`SubmitOptions::priority`].
+    /// The plan is walked once, here ([`PlanFootprint::of`]): the
+    /// submission is stamped with a latency estimate from the plan's
+    /// selectivity hints and the platform cost model, and carries the
+    /// footprint its admission reservation is later sized from; the
+    /// scheduler's [`crate::QueuePolicy`] orders the queue by that
+    /// estimate and by [`SubmitOptions::priority`].
     pub fn submit_with(&self, plan: ArPlan, mode: ExecMode, opts: SubmitOptions) -> Ticket {
         let (tx, rx) = mpsc::channel();
         let threads = opts.effective_host_threads(self.shared.db.env());
-        let raw_est_seconds = estimate_latency(
-            &self.shared.db,
-            &plan,
-            &mode,
-            threads,
-            &self.shared.estimate,
-        )
-        .seconds();
+        let footprint = PlanFootprint::of(&self.shared.db, &plan, &mode, threads);
         // Close the estimate loop: the per-shape calibrator multiplies
         // the raw model output by the observed-over-estimated EWMA of
         // previously completed queries of the same shape, so the SJF sort
         // key (and the aging bound's notion of "short") sharpens as a
         // session runs. Factor 1 until the shape has been observed.
-        let shape = ShapeKey::of(&plan, &mode);
-        let est_seconds = raw_est_seconds * self.shared.calibrator.latency_factor(&shape);
-        let predicted = predicted_survivors(&self.shared.db, &plan, &self.shared.estimate);
+        let est_seconds =
+            footprint.latency().seconds() * self.shared.calibrator.latency_factor(&footprint.shape);
         let priority = opts.priority;
         // Per-query recorder: the whole lifecycle (queue wait included)
         // lands on one timeline because every recorder shares the
         // process-wide monotonic epoch.
-        let recorder = if opts.trace.unwrap_or(self.shared.tracing) {
+        let recorder = if opts.trace.unwrap_or(self.shared.config.tracing) {
             bwd_obs::Recorder::new(bwd_obs::RecorderConfig {
-                ring_capacity: self.shared.trace_ring_capacity,
+                ring_capacity: self.shared.config.trace_ring_capacity,
                 ..bwd_obs::RecorderConfig::default()
             })
         } else {
             bwd_obs::Recorder::disabled()
         };
-        let session_lane = recorder.worker("session");
-        let root = session_lane.begin(
-            bwd_obs::EventKind::Query,
-            bwd_obs::NO_SPAN,
-            self.id,
-            priority as u64,
-        );
-        let queue_span =
-            session_lane.begin(bwd_obs::EventKind::Queue, root, est_seconds.to_bits(), 0);
+        let (root, queue_span) = lifecycle::submitted(&recorder, self.id, priority, est_seconds);
         let hook = Arc::new(CompletionHook::default());
         // The deadline clock starts at submission: queue wait spends the
         // same budget execution does.
@@ -94,14 +80,13 @@ impl Session {
             opts,
             session: self.id,
             est_seconds,
-            raw_est_seconds,
-            shape,
-            predicted_survivors: predicted,
+            footprint,
+            worst_case: Cell::new(false),
             reply: tx,
             submitted: Instant::now(),
             recorder,
             root,
-            queue_span,
+            queue_span: Cell::new(queue_span),
             hook: Arc::clone(&hook),
             cancel: Arc::clone(&cancel),
         };

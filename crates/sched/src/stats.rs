@@ -7,6 +7,7 @@
 //! re-deriving costs from a model.
 
 use bwd_device::{Breakdown, Component, SharedLedger, TrafficBytes};
+use bwd_obs::metrics::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -27,7 +28,7 @@ pub struct StreamSnapshot {
     /// the head-of-line-blocking tail the queue policy exists to shrink.
     pub max_queued: Duration,
     /// Sum of the per-job latency estimates
-    /// ([`crate::cost::estimate_latency`]) of this stream's completed
+    /// ([`crate::PlanFootprint::latency`]) of this stream's completed
     /// queries, in simulated seconds; compare against
     /// `breakdown.total()` (the actual) via
     /// [`StreamSnapshot::estimate_ratio`].
@@ -186,7 +187,8 @@ pub struct SchedulerStats {
 /// Thread-safe accumulator behind a [`StreamSnapshot`].
 #[derive(Debug, Default)]
 pub(crate) struct StreamAccum {
-    queries: AtomicU64,
+    /// The stream's `bwd_sched_queries_total{mode=…}` counter.
+    queries: Counter,
     busy_nanos: AtomicU64,
     queued_nanos: AtomicU64,
     max_queued_nanos: AtomicU64,
@@ -195,6 +197,13 @@ pub(crate) struct StreamAccum {
 }
 
 impl StreamAccum {
+    pub fn new(queries: Counter) -> StreamAccum {
+        StreamAccum {
+            queries,
+            ..StreamAccum::default()
+        }
+    }
+
     pub fn record(
         &self,
         breakdown: &Breakdown,
@@ -203,7 +212,7 @@ impl StreamAccum {
         queued: Duration,
         est_seconds: f64,
     ) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.queries.inc();
         self.busy_nanos
             .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
         self.queued_nanos
@@ -234,7 +243,7 @@ impl StreamAccum {
 
     pub fn snapshot(&self) -> StreamSnapshot {
         StreamSnapshot {
-            queries: self.queries.load(Ordering::Relaxed),
+            queries: self.queries.get(),
             breakdown: self.ledger.breakdown(),
             traffic: self.ledger.traffic(),
             busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),

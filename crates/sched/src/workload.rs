@@ -398,9 +398,8 @@ mod tests {
         assert!(!l.rows.is_empty());
         // The generated pair is genuinely short-vs-long under the cost
         // model the queue sorts by.
-        let cfg = crate::EstimateConfig::default();
-        let es = crate::cost::estimate_latency(gen.db(), &short.plan, &short.mode, 1, &cfg);
-        let el = crate::cost::estimate_latency(gen.db(), &long.plan, &long.mode, 1, &cfg);
+        let es = crate::PlanFootprint::of(gen.db(), &short.plan, &short.mode, 1).latency();
+        let el = crate::PlanFootprint::of(gen.db(), &long.plan, &long.mode, 1).latency();
         assert!(
             el.seconds() > 10.0 * es.seconds(),
             "long {el:?} vs short {es:?}"

@@ -168,7 +168,6 @@ fn underestimate_requeues_gracefully_and_stays_bit_identical() {
         SchedConfig {
             workers: 4,
             estimate: EstimateConfig {
-                use_hints: true,
                 safety_factor: 1e-6,
             },
             ..SchedConfig::default()

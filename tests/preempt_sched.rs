@@ -18,7 +18,7 @@ use std::sync::Arc;
 use waste_not::engine::CandidateRep;
 use waste_not::sched::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{
-    estimate_working_set, EstimateConfig, PreemptConfig, QueuePolicy, SchedConfig, Scheduler,
+    EstimateConfig, PlanFootprint, PreemptConfig, QueuePolicy, SchedConfig, Scheduler,
     SubmitOptions,
 };
 use waste_not::{ArExecOptions, ExecMode, QueryResult};
@@ -165,7 +165,9 @@ fn nested_admission_never_blocks_it_requeues_with_seq_and_bypass_preserved() {
     let mut gen = WorkloadGen::new(0xB10C, spec()).unwrap();
     let short = gen.short();
     let long = gen.long();
-    let s_bytes = estimate_working_set(gen.db(), &short.plan, &EstimateConfig::default()).estimated;
+    let s_bytes = PlanFootprint::of(gen.db(), &short.plan, &short.mode, 1)
+        .reservation(EstimateConfig::default().scale(1.0))
+        .estimated;
 
     // Build the scheduler *before* carving up the card: its admission
     // controller snapshots resident bytes at construction and clamps
@@ -234,6 +236,95 @@ fn nested_admission_never_blocks_it_requeues_with_seq_and_bypass_preserved() {
     assert_eq!(sched.stats().errors, 0, "would-block is not a query error");
 }
 
+/// A hosted job whose hint was proven wrong remembers it. With a safety
+/// factor of 1e-6 every probe's hinted reservation is the kernel scratch
+/// plus one candidate pair, so it admits, runs over its budget and asks
+/// again at the worst case. The card has room for the host's permit plus
+/// a hinted request, one byte short of a worst-case one: hosted inside
+/// the paused gate job, the probe's second, non-blocking request would
+/// block and the probe goes back to the queue. From there it must ask
+/// for the worst case straight away — at the host's next yield point
+/// (would-block again, but no second execution) and, once the host has
+/// finished, at depth 0 — instead of re-running at the budget it already
+/// blew: one over-budget requeue in total, not one per dequeue.
+#[test]
+fn a_requeued_job_keeps_the_worst_case_it_was_inflated_to() {
+    let mut gen = WorkloadGen::new(0x0B5E, spec()).unwrap();
+    let (host, probe) = (gen.short(), gen.short());
+    let estimate = EstimateConfig {
+        safety_factor: 1e-6,
+    };
+    let est =
+        PlanFootprint::of(gen.db(), &probe.plan, &probe.mode, 1).reservation(estimate.scale(1.0));
+    assert!(est.estimated < est.worst_case);
+
+    let sched = Scheduler::new(
+        Arc::clone(gen.db()),
+        SchedConfig {
+            workers: 1,
+            admission_deadline: None,
+            policy: QueuePolicy::Fifo,
+            preempt: forced(true),
+            estimate,
+            ..SchedConfig::default()
+        },
+    );
+    let mem = gen.db().env().pool.devices()[0].memory().clone();
+    let room = est.estimated + est.worst_case - 1;
+    let hold = mem.alloc(mem.available() - room).unwrap();
+    let gate = mem.alloc(room).unwrap(); // now zero bytes free
+    let session = sched.session();
+    let pinned = SubmitOptions {
+        device: Some(0),
+        trace: Some(true),
+        ..SubmitOptions::default()
+    };
+    // The host sets its own budget, so it runs within it: only the probe
+    // is ever over budget. It blocks inside depth-0 admission, provably
+    // freezing the worker while the probe queues behind it.
+    let within_budget = ExecMode::ApproxRefineWith(ArExecOptions {
+        device_budget: Some(u64::MAX),
+        ..ArExecOptions::default()
+    });
+    let t_host = session.submit_with(host.plan.clone(), within_budget, pinned);
+    while mem.queued() < 1 {
+        std::thread::yield_now();
+    }
+    let t_probe = session.submit_with(probe.plan.clone(), probe.mode.clone(), pinned);
+    drop(gate);
+
+    let (r_host, rep_host) = t_host.wait_report().unwrap();
+    let (r_probe, rep_probe, trace) = t_probe.wait_traced().unwrap();
+    drop(hold);
+    assert!(rep_host.completion_index < rep_probe.completion_index);
+    assert_eq!(r_host.rows, gen.reference(&host).unwrap().rows);
+    assert_eq!(r_probe.rows, gen.reference(&probe).unwrap().rows);
+
+    // Every admission attempt of the probe, in order: `(requested bytes,
+    // attempt)`. Hinted once; the worst case from then on, and on the
+    // final dequeue as the *first* attempt.
+    trace.validate().unwrap();
+    let asked: Vec<(u64, u64)> = (trace.events.iter())
+        .filter(|e| {
+            e.kind == waste_not::obs::EventKind::Admission
+                && e.phase == waste_not::obs::Phase::Begin
+        })
+        .map(|e| (e.a, e.b))
+        .collect();
+    assert_eq!(asked[..2], [(est.estimated, 1), (est.worst_case, 2)]);
+    assert!(asked.len() >= 3, "{asked:?}");
+    assert!(
+        asked[2..].iter().all(|&a| a == (est.worst_case, 1)),
+        "{asked:?}"
+    );
+
+    let stats = sched.stats();
+    assert_eq!(stats.admission_requeues, 1, "one run over budget, ever");
+    assert_eq!(stats.errors, 0, "would-block is not a query error");
+    let snapshot = sched.metrics_snapshot();
+    assert!(metric(&snapshot, "bwd_sched_preempt_requeues_total") >= 1);
+}
+
 #[test]
 fn calibration_sharpens_estimates_over_a_session() {
     // 100 queries of two recurring shapes on one worker, waited
@@ -248,10 +339,7 @@ fn calibration_sharpens_estimates_over_a_session() {
             Arc::clone(gen.db()),
             SchedConfig {
                 workers: 1,
-                calibrate: waste_not::sched::CalibrateConfig {
-                    enabled: calibrate,
-                    ..Default::default()
-                },
+                calibrate: waste_not::sched::CalibrateConfig { enabled: calibrate },
                 ..SchedConfig::default()
             },
         );

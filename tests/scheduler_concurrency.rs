@@ -157,7 +157,8 @@ fn admission_queues_and_never_exceeds_capacity() {
         .rows
         .clone();
 
-    let estimate = waste_not::sched::working_set_estimate(&db, &plan);
+    let estimate = waste_not::sched::PlanFootprint::of(&db, &plan, &ExecMode::ApproxRefine, 1)
+        .worst_case_bytes();
     let mem = db.env().device.memory().clone();
     let capacity = mem.capacity();
     assert!(

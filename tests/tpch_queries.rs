@@ -188,10 +188,7 @@ fn space_constrained_q1_is_admitted_first_time() {
     let classic = db.run_bound(&plan, ExecMode::Classic).unwrap();
 
     let config = SchedConfig {
-        estimate: EstimateConfig {
-            use_hints: true,
-            safety_factor: 1.0,
-        },
+        estimate: EstimateConfig { safety_factor: 1.0 },
         ..SchedConfig::default()
     };
     let sched = Scheduler::new(Arc::new(db), config);
