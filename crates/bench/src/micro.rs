@@ -262,47 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn fig8a_shapes() {
-        let env = small_env();
-        let f = fig8_selection(&env, 200_000, 32, "fig8a");
-        assert_eq!(f.rows.len(), SELECTIVITY_SWEEP.len());
-        // A&R beats MonetDB at low selectivity on resident data.
-        let (_, low) = &f.rows[0];
-        assert!(low[1] < low[0], "A&R must win at 1%: {low:?}");
-        // The approximate phase is always cheaper than the total.
-        for (_, r) in &f.rows {
-            assert!(r[2] <= r[1]);
-        }
-    }
-
-    #[test]
-    fn fig8b_crossover_at_high_selectivity() {
-        let env = small_env();
-        let f = fig8_selection(&env, 200_000, 24, "fig8b");
-        let (_, low) = &f.rows[0];
-        let (_, high) = f.rows.last().unwrap();
-        assert!(low[1] < low[0], "A&R wins at 1%");
-        assert!(
-            high[1] > high[0],
-            "refinement costs defeat A&R at 100% on distributed data: {high:?}"
-        );
-    }
-
-    #[test]
-    fn fig8c_more_bits_help_selective_queries() {
-        let env = small_env();
-        let f = fig8c_bits_sweep(&env, 100_000);
-        // At the most selective sweep (.01%), few GPU bits are much worse
-        // than many GPU bits.
-        let first = &f.rows.first().unwrap().1;
-        let last = &f.rows.last().unwrap().1;
-        assert!(
-            first[2] > last[2] * 1.5,
-            "10 bits must be much slower than 30 for .01%: {first:?} vs {last:?}"
-        );
-    }
-
-    #[test]
     fn fig8f_grouping_improves_with_cardinality() {
         let env = small_env();
         let f = fig8f_grouping(&env, 100_000);
@@ -312,21 +271,6 @@ mod tests {
         // A&R below classic everywhere.
         for (_, r) in &f.rows {
             assert!(r[1] < r[0], "{r:?}");
-        }
-    }
-
-    #[test]
-    fn fig8d_projection_ar_wins() {
-        let env = small_env();
-        let f = fig8_projection(&env, 1_000_000, 32, "fig8d");
-        // Fixed launch/transfer latencies dominate tiny candidate lists;
-        // the paper's claim holds from moderate selectivities up (its N is
-        // 100 M, where the fixed costs vanish).
-        for ((x, r), _) in f.rows.iter().zip(SELECTIVITY_SWEEP).skip(2) {
-            assert!(
-                r[1] <= r[0] * 1.2,
-                "A&R projection competitive at {x}: {r:?}"
-            );
         }
     }
 }

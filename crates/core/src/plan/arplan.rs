@@ -11,13 +11,6 @@
 use crate::plan::logical::{AggExpr, ScalarExpr};
 use crate::relax::RangePred;
 
-// The executor's transient working-set accounting and the scheduler's
-// admission estimates both bill candidates through these units; they are
-// *defined* in `bwd_device::units` (one layer below the kernels, which
-// also charge through them) and re-exported here under their historical
-// plan-adjacent paths.
-pub use bwd_device::units::{CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
-
 /// A selection bound to a column, with the predicate already translated to
 /// the payload domain (dates resolved to day counts, decimals rescaled,
 /// dictionary prefixes to code ranges).
@@ -94,10 +87,9 @@ impl ArPlan {
 
     /// The columns the query tail materializes per surviving tuple — group
     /// keys, aggregate arguments, projections — in first-reference order,
-    /// each exactly once. Both executors gather (and bill) this list and
-    /// the scheduler's estimators count it, so a column referenced twice
-    /// (`group by a, b, a`) can never be fetched or charged twice in one
-    /// place and once in another.
+    /// each exactly once. Both executors gather (and bill) this list, so
+    /// a column referenced twice (`group by a, b, a`) can never be fetched
+    /// or charged twice in one place and once in another.
     pub fn gathered_columns(&self) -> Vec<String> {
         let mut out = Vec::new();
         for c in self.group_by.iter().chain(&self.value_columns()) {

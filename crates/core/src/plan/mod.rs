@@ -5,8 +5,6 @@ pub mod arplan;
 pub mod logical;
 pub mod rewrite;
 
-pub use arplan::{
-    split_column, ArPlan, BoundSelection, FkJoinPlan, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES,
-};
+pub use arplan::{split_column, ArPlan, BoundSelection, FkJoinPlan};
 pub use logical::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr};
 pub use rewrite::{rewrite, PlanResolver, RewriteOptions};

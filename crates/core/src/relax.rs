@@ -162,6 +162,18 @@ pub struct StoredRange {
     pub inner: Option<(u64, u64)>,
 }
 
+impl StoredRange {
+    /// How many payloads the outer and the inner interval's granules
+    /// cover — against the whole domain's (`RangePred::all()` relaxed),
+    /// the shares of uniformly spread rows a selection admits and decides.
+    pub fn payloads(&self, meta: &DecompositionMeta) -> (f64, f64) {
+        let width = |(lo, hi): (u64, u64)| {
+            meta.granule_payload(hi).1 as f64 - meta.granule_payload(lo).0 as f64 + 1.0
+        };
+        (width(self.outer), self.inner.map_or(0.0, width))
+    }
+}
+
 /// Relax a payload range into stored-approximation bounds for a decomposed
 /// column. `None` means the approximate selection is provably empty.
 pub fn relax_to_stored(meta: &DecompositionMeta, range: &RangePred) -> Option<StoredRange> {

@@ -1,19 +1,15 @@
 //! Shared byte-unit helpers of the simulated cost model.
 //!
-//! Every layer that prices data movement — kernel `charge_*` functions in
-//! `bwd-kernels`, the executor's transient working-set accounting in
-//! `bwd-engine`, and the scheduler's admission/latency estimates in
-//! `bwd-sched` — must bill the *same* operation with the *same* byte
-//! count, or budgets and reservations silently drift apart. These units
-//! used to be duplicated across `scan.rs`, `gather.rs` and
-//! `candidates.rs`; they now live here, one layer below every consumer
-//! (`bwd_core::plan` re-exports the constants under their historical
-//! paths, so upper layers keep importing them "next to the plan").
+//! Every layer that prices data movement — the kernel `charge_*`
+//! functions in `bwd-kernels` and the one bill in `bwd-engine`
+//! (`engine/bill.rs`, which the scheduler's estimates go through too) —
+//! must bill the *same* operation with the *same* byte count, or budgets
+//! and reservations silently drift apart: the units live here, one layer
+//! below every consumer.
 
 /// Bytes one materialized candidate occupies in device memory: a `u32`
-/// oid plus a worst-case 64-bit approximation value. Shared unit between
-/// the executor's transient working-set accounting and the scheduler's
-/// admission estimates.
+/// oid plus a worst-case 64-bit approximation value — the unit of the
+/// transient working-set accounting (`engine/bill.rs:Transient`).
 pub const CANDIDATE_PAIR_BYTES: u64 = 12;
 
 /// Bytes per value the device fast path gathers per candidate when

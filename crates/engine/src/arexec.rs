@@ -30,29 +30,23 @@
 //! verdict is positional; the only list-shaped state is O(undecided). See
 //! ARCHITECTURE.md, "The query tail".
 
+use crate::bill::{ArShape, Counts, RefineCounts, StepCounts, Transient};
 use crate::database::Database;
-use crate::eval::{ColumnSlot, RowBlock};
+use crate::eval::RowBlock;
 use crate::morsel::{
     partition_mask_ranges, partition_ranges, partition_ranges_min, refine_filter, run_parts,
-    run_parts_mut, ResidualReader, ResidualSrc, ScratchPool,
+    run_parts_mut, ResidualReader, ScratchPool,
 };
 use crate::result::{ApproxAnswer, QueryResult};
-use crate::tail::{GroupTable, SliceSource, Tail, SLICE_ROWS};
-use bwd_core::ops::join::{charge_fk_project_refine, FkIndex};
-use bwd_core::ops::project::charge_project_refine;
+use crate::tail::{GroupTable, SliceSource, SLICE_ROWS};
 use bwd_core::plan::ArPlan;
-use bwd_core::relax::{relax_to_stored, StoredRange};
-use bwd_core::{BoundColumn, RangePred};
-use bwd_device::units::candidate_stream_bytes;
-use bwd_device::{Component, CostLedger, Env};
-use bwd_kernels::gather::{
-    charge_gather, charge_gather_indirect, gather_indirect_partition_into, gather_partition_into,
-};
-use bwd_kernels::reduce::GroupedAgg;
+use bwd_core::relax::StoredRange;
+use bwd_core::BoundColumn;
+use bwd_device::{CostLedger, Env};
+use bwd_kernels::gather::{gather_indirect_partition_into, gather_partition_into};
 use bwd_kernels::scan::scan_block_ranges;
 use bwd_kernels::{
-    Candidates, Cursor, DeviceArray, Grouper, Positions, ScanOptions, ScanRows, ScanSpec, SelMask,
-    SelVec,
+    Candidates, Cursor, DeviceArray, Grouper, Positions, ScanOptions, ScanRows, SelMask, SelVec,
 };
 use bwd_obs::metrics::{Counter, Registry};
 use bwd_obs::{EventKind, SpanId, WorkerHandle, NO_SPAN};
@@ -127,8 +121,6 @@ impl Default for ArExecOptions {
     }
 }
 
-use bwd_core::plan::{CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
-
 /// Running account of a query's transient device allocations, checked
 /// against the admission budget (when one is set).
 struct TransientBudget {
@@ -198,28 +190,6 @@ impl Probe {
     }
 }
 
-/// A resolved column reference.
-struct ColRef<'a> {
-    bound: &'a BoundColumn,
-    /// For a dimension column: the FK index it is reached through.
-    fk: Option<&'a FkIndex>,
-    dtype: bwd_types::DataType,
-    dict: Option<std::sync::Arc<bwd_storage::Dictionary>>,
-}
-
-impl<'a> ColRef<'a> {
-    /// The device-resident FK link of a dimension column.
-    fn link(&self) -> Option<&'a DeviceArray> {
-        self.fk.map(FkIndex::device)
-    }
-
-    /// Where a refinement touching `accesses` tuples reads the residuals.
-    fn residual(&self, accesses: usize) -> ResidualSrc<'a> {
-        let host_fk = self.fk.map(FkIndex::host_slice);
-        ResidualSrc::for_column(self.bound, self.fk.is_some(), host_fk, accesses)
-    }
-}
-
 /// Execute the plan with Approximate & Refine processing.
 pub fn run_ar(db: &Database, plan: &ArPlan, opts: &ArExecOptions) -> Result<QueryResult> {
     run_ar_in(db, plan, opts, db.env())
@@ -251,505 +221,350 @@ pub(crate) fn run_ar_sliced(
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<QueryResult> {
-    let obs = env.trace.recorder.worker(&env.trace.lane);
-    let begin = |kind, ledger: &CostLedger, a: u64, b: u64| {
-        Probe::begin(&obs, kind, env.trace.parent, ledger, a, b)
+    run_ar_counted(db, plan, opts, env, slice_rows, ledger).map(|(result, ..)| result)
+}
+
+/// [`run_ar_sliced`], also returning what the run counted and the
+/// transient device bytes it held.
+///
+/// Approximate → refine → tail over one [`Run`]: each phase does the real
+/// work, counts what it did and bills the counts through the shape's
+/// sites (`crate::bill`) between its spans; where the tail runs was
+/// settled when the shape was resolved ([`ArShape::place`]).
+pub(crate) fn run_ar_counted(
+    db: &Database,
+    plan: &ArPlan,
+    opts: &ArExecOptions,
+    env: &Env,
+    slice_rows: usize,
+    ledger: &mut CostLedger,
+) -> Result<(QueryResult, Counts, u64)> {
+    let shape = ArShape::resolve(db, plan, opts.scan)?;
+    let mut run = Run {
+        counts: Counts {
+            rows: shape.rows,
+            ..Counts::default()
+        },
+        shape,
+        opts,
+        env,
+        obs: env.trace.recorder.worker(&env.trace.lane),
+        slice_rows,
+        morsels: opts.morsels.max(1),
+        pool: ScratchPool::default(),
+        transient: TransientBudget {
+            used: 0,
+            budget: opts.device_budget,
+        },
+        ledger,
     };
-    let fact = db.catalog().table(&plan.table)?;
-    let n = fact.len();
-    let morsels = opts.morsels.max(1);
-    let mut transient = TransientBudget {
-        used: 0,
-        budget: opts.device_budget,
-    };
-    let pool = ScratchPool::default();
-    let fk: Option<&FkIndex> = match &plan.fk_join {
-        Some(j) => Some(db.fk_index(&plan.table, &j.fact_key)?),
-        None => None,
-    };
-
-    let resolve = |name: &str| -> Result<ColRef<'_>> {
-        let (table, col, fk) = match name.split_once('.') {
-            // A joined dimension table implies `fk` (looked up above).
-            Some((t, c)) if plan.fk_join.as_ref().is_some_and(|j| j.dim_table == t) => (t, c, fk),
-            Some((t, _)) => return Err(BwdError::Bind(format!("table {t} not joined"))),
-            None => (plan.table.as_str(), name, None),
-        };
-        let catalog_col = db.catalog().table(table)?.column(col)?;
-        Ok(ColRef {
-            bound: db.bound_column(table, col)?,
-            fk,
-            dtype: catalog_col.dtype(),
-            dict: catalog_col.dictionary().cloned(),
-        })
-    };
-    let sel_cols: Vec<ColRef<'_>> = (plan.selections.iter())
-        .map(|s| resolve(&s.column))
-        .collect::<Result<_>>()?;
-    // Per selection: the relaxed interval its kernel scans by and the
-    // inner one whose granules decide the exact predicate. Only a
-    // selection whose two intervals differ can leave a candidate
-    // undecided — a fully device-resident column never does.
-    let relaxed: Vec<Option<StoredRange>> = (sel_cols.iter().zip(&plan.selections))
-        .map(|(c, s)| relax_to_stored(c.bound.meta(), &s.range))
-        .collect();
-    let refinable = |i: usize| relaxed[i].is_some_and(|r| r.inner != Some(r.outer));
-
-    // ======================= Approximation subplan =======================
-    // The chain's latest output: a step reads it and replaces it.
-    let mut sel_output: Option<SelVec> = None;
-    // Positional bitmap over fact rows: the candidates some selection's
-    // approximation left undecided (sized by the first step that can).
-    // Refinement clears the bit of every candidate it keeps, so what stays
-    // marked among the candidates is what it dropped.
-    let mut undecided_bits: Vec<u64> = Vec::new();
-    // The final candidates' undecided members, and those of them that
-    // passed every refinement so far (`None`: none ran yet).
-    let mut undecided: Vec<Oid> = Vec::new();
-    let mut refined: Option<Vec<Oid>> = None;
-
-    for (i, (sel, c)) in plan.selections.iter().zip(&sel_cols).enumerate() {
-        // With pushdown the approximate selections chain on the device,
-        // in either representation (a dim step tests `arr[link[row]]` for
-        // each still-live bit, so no round-trip happens mid-chain). The
-        // ablation refined the previous step already and uploads its
-        // survivors; every step's candidates are materialized for the
-        // immediate refinement anyway, so it runs on indices.
-        let uploaded = match (plan.pushdown, &sel_output) {
-            (false, Some(SelVec::Indices(prev))) => {
-                let kept = |&oid: &Oid| !marked(&undecided_bits, oid);
-                let oids: Vec<Oid> = prev.oids.iter().copied().filter(kept).collect();
-                undecided_bits.clear();
-                ledger.charge(
-                    Component::Pcie,
-                    "select.approx.upload-survivors",
-                    env.pcie.transfer_seconds(oids.len() as u64 * 4),
-                    oids.len() as u64 * 4,
-                );
-                Some(SelVec::Indices(Candidates::from_pairs(oids, Vec::new())))
-            }
-            _ => None,
-        };
-        let (input, rep) = match plan.pushdown {
-            true => (sel_output.as_ref(), opts.candidates),
-            false => (uploaded.as_ref(), CandidateRep::Indices),
-        };
-        let input_len = input.map_or(n, SelVec::len) as u64;
-        let probe = begin(EventKind::ApproxSelect, ledger, input_len, i as u64);
-        let cands = approx_select_step(
-            env,
-            c,
-            relaxed[i],
-            input,
-            &opts.scan,
-            morsels,
-            rep,
-            probe.span,
-            &pool,
-            &mut undecided_bits,
-            ledger,
-        )?;
-        let rep_bit = u64::from(matches!(cands, SelVec::Bitmap(_)));
-        probe.end(&obs, ledger, cands.len() as u64, rep_bit);
-        transient.charge(cands.len() as u64 * CANDIDATE_PAIR_BYTES)?;
-        if let (false, SelVec::Indices(list)) = (plan.pushdown, &cands) {
-            // Ablation: refine before the next selection runs — survivors
-            // re-cross PCI-E per predicate (§III-A), so the host takes the
-            // decided oids along with the undecided pairs.
-            let is_undecided = |&oid: &Oid| marked(&undecided_bits, oid);
-            undecided = list.oids.iter().copied().filter(is_undecided).collect();
-            let probe = begin(EventKind::Refine, ledger, list.len() as u64, i as u64);
-            let pairs =
-                candidate_stream_bytes(c.bound.meta().stored_width(), undecided.len() as u64);
-            let decided = (list.len() - undecided.len()) as u64;
-            env.charge_download("select.refine.download", pairs + decided * 4, ledger);
-            let kept = match undecided.is_empty() {
-                true => Vec::new(),
-                false => {
-                    refine_selection(env, c, &sel.range, &undecided, 0, morsels, &pool, ledger)
-                }
-            };
-            unmark(&mut undecided_bits, &kept);
-            probe.end(
-                &obs,
-                ledger,
-                decided + kept.len() as u64,
-                undecided.len() as u64,
-            );
-            refined = Some(kept);
-        }
-        sel_output = Some(cands);
-        env.fault.check(FaultSite::Exec)?; // the card may die between steps
-        env.preempt.check()?; // between approximate-selection steps
-    }
-
-    env.fault.check(FaultSite::Exec)?;
-    env.preempt.check()?; // the gather boundary
-
-    // The gather boundary expands nothing: downstream operators (the
-    // undecided list, device pre-grouping, the tail's slice sources) read
-    // the final candidates' positions a window at a time — same oids,
-    // same block-scrambled order as the list the index path carries, and
-    // that list is what the bill below keeps pricing. Approximations are
-    // *not* materialized: refinement re-decodes them for the undecided
-    // candidates only.
-    let final_cands = Positions::of(sel_output.as_ref(), n);
-    let cands_dense = final_cands.dense();
-
-    // Approximate pre-grouping (device) where the keys allow it.
-    let group_cols: Vec<ColRef<'_>> = plan
-        .group_by
-        .iter()
-        .map(|g| resolve(g))
-        .collect::<Result<_>>()?;
-    let mut device_group = (!plan.group_by.is_empty()
-        && group_cols
-            .iter()
-            .all(|c| c.fk.is_none() && c.bound.meta().fully_device_resident()))
-    .then(|| {
-        let arrays: Vec<&DeviceArray> = group_cols.iter().map(|c| c.bound.approx()).collect();
-        Grouper::new(&arrays)
+    let mut approx = run.approximate()?;
+    let answer = opts.approximate_answer.then(|| ApproxAnswer {
+        candidate_count: run.counts.candidates() as usize,
+        breakdown: run.ledger.breakdown(),
     });
-    // One pass over the candidates feeds both consumers that need every
-    // one of them: the undecided list (the ablation listed its own per
-    // step) and the grouping table.
-    let list_undecided = plan.pushdown && !undecided_bits.is_empty();
-    if list_undecided || device_group.is_some() {
-        let mut cursor = final_cands.cursor(0..final_cands.span());
-        let mut window = pool.take_u32();
-        let mut more = true;
-        while more {
-            more = cursor.next_window(slice_rows, &mut window);
-            if list_undecided {
-                let is_undecided = |&oid: &Oid| marked(&undecided_bits, oid);
-                undecided.extend(window.iter().copied().filter(is_undecided));
-            }
-            if let Some(g) = &mut device_group {
-                g.observe(&window);
-            }
-        }
-        pool.put_u32(window);
+    run.refine(&mut approx)?;
+    let result = run.tail(&approx, answer)?;
+    Ok((result, run.counts, run.transient.used))
+}
+
+/// One execution: the resolved shape, what the run has counted so far and
+/// the ledger the counts are billed into.
+struct Run<'a> {
+    shape: ArShape<'a>,
+    opts: &'a ArExecOptions,
+    env: &'a Env,
+    obs: WorkerHandle,
+    slice_rows: usize,
+    morsels: usize,
+    pool: ScratchPool,
+    counts: Counts,
+    transient: TransientBudget,
+    ledger: &'a mut CostLedger,
+}
+
+/// What the approximation subplan hands on.
+#[derive(Default)]
+struct Approx<'a> {
+    /// The chain's latest output: a step reads it and replaces it.
+    output: Option<SelVec>,
+    /// Positional bitmap over fact rows: the candidates some selection's
+    /// approximation left undecided (sized by the first step that can).
+    /// Refinement clears the bit of every candidate it keeps, so what stays
+    /// marked among the candidates is what it dropped.
+    undecided_bits: Vec<u64>,
+    /// The final candidates' undecided members, and those of them that
+    /// passed every refinement so far (`None`: none ran yet).
+    undecided: Vec<Oid>,
+    refined: Option<Vec<Oid>>,
+    /// The device pre-grouping, where the keys allow it.
+    grouper: Option<Grouper<'a>>,
+}
+
+impl<'a> Run<'a> {
+    fn begin(&self, kind: EventKind, a: u64, b: u64) -> Probe {
+        Probe::begin(&self.obs, kind, self.env.trace.parent, self.ledger, a, b)
     }
-    if let Some(g) = &device_group {
-        g.charge(env, ledger);
-    }
-    let decided = final_cands.len() - undecided.len();
-    let metrics = refine_metrics();
-    metrics.decided.add(decided as u64);
-    metrics.undecided.add(undecided.len() as u64);
 
-    let approx_answer = opts.approximate_answer.then(|| ApproxAnswer {
-        candidate_count: final_cands.len(),
-        breakdown: ledger.breakdown(),
-    });
-
-    // Columns the aggregation/projection needs: with a device
-    // pre-grouping, whose ids stand in for the keys, only the value columns.
-    let needed_cols: Vec<(String, ColRef<'_>)> = match device_group {
-        Some(_) => plan.value_columns(),
-        None => plan.gathered_columns(),
-    }
-    .into_iter()
-    .map(|nm| resolve(&nm).map(|c| (nm, c)))
-    .collect::<Result<_>>()?;
-
-    // The one tail-placement rule: when every gathered column is fully
-    // device-resident (and a grouped plan has its device pre-grouping),
-    // the device reconstructs exact values itself, so it runs the whole
-    // tail — over decided ∪ refined rows, once the host has sent one
-    // survivor bit per undecided candidate back up — and the host pays
-    // for refinement alone. Otherwise (destructive distributivity, §IV-G)
-    // the host tail covers decided ∪ refined rows. The paper's all-GPU
-    // configurations are the case *undecided = ∅*.
-    let device_tail = (needed_cols.iter()).all(|(_, c)| c.bound.meta().fully_device_resident())
-        && (plan.group_by.is_empty() || device_group.is_some());
-    // A tail that reads nothing from the device (an ungrouped bare count)
-    // has nothing to send up: the device counts the rows it decided, its
-    // partial rides the list transfer and the host adds its refined count.
-    let split_count = device_tail && needed_cols.is_empty() && device_group.is_none();
-    // The device's accumulator table (16 B per entry, as results were
-    // always billed) over `rows` rows: one entry per pre-group, one for a
-    // global aggregate, one per row for a projection.
-    let partial_bytes = |rows: usize| match &device_group {
-        Some(g) => g.n_groups() as u64 * 16,
-        None if plan.aggs.is_empty() => rows as u64 * 16,
-        None => 16,
-    };
-    // Only a host tail needs the pre-grouping's 4 B ids.
-    let ids_bytes = match &device_group {
-        Some(_) if !device_tail => final_cands.len() as u64 * 4,
-        _ => 0,
-    };
-
-    // ============================ Refinement ============================
-    // One transfer carries everything the host needs: per undecided
-    // candidate its oid and each refinable selection's approximation; for
-    // a host tail also its group ids and the decided oids it will gather
-    // for (without a selection the candidates are every row: none
-    // needed); for a split count the device's partial. The refinable
-    // selections then re-test last-to-first, the live set shrinking
-    // monotonically; a plan without undecided candidates has no
-    // refinement step at all. (The ablation refined per step.)
-    let mut partials_rode = false;
-    if plan.pushdown {
-        let steps: Vec<usize> = match undecided.is_empty() {
-            true => Vec::new(),
-            false => (0..plan.selections.len())
-                .rev()
-                .filter(|&i| refinable(i))
-                .collect(),
-        };
-        let widths: u32 = (steps.iter())
-            .map(|&i| sel_cols[i].bound.meta().stored_width())
-            .sum();
-        let mut list_bytes = candidate_stream_bytes(widths, undecided.len() as u64) + ids_bytes;
-        if !device_tail && !plan.selections.is_empty() {
-            list_bytes += decided as u64 * 4;
-        }
-        if list_bytes > 0 {
-            if split_count {
-                list_bytes += partial_bytes(decided);
-                partials_rode = true;
-            }
-            env.charge_download("select.refine.download", list_bytes, ledger);
-        }
-        for (k, &i) in steps.iter().enumerate() {
-            let (sel, c) = (&plan.selections[i], &sel_cols[i]);
-            let live = refined.as_deref().unwrap_or(&undecided);
-            let input_len = (decided + live.len()) as u64;
-            let probe = begin(EventKind::Refine, ledger, input_len, i as u64);
-            if i + 1 != plan.selections.len() {
-                // The last kernel's own output holds its pairs; an earlier
-                // selection's approximations are re-gathered for the
-                // undecided candidates.
-                let (arr, n_und) = (c.bound.approx(), undecided.len());
-                match c.link() {
-                    None => charge_gather(env, arr, false, n_und, "select.refine.gather", ledger),
-                    Some(l) => {
-                        charge_gather_indirect(env, arr, l, n_und, "select.refine.gather", ledger)
-                    }
+    /// The approximation subplan: the relaxed selection chain, then one
+    /// pass over its candidates for the undecided list and the
+    /// pre-grouping.
+    fn approximate(&mut self) -> Result<Approx<'a>> {
+        let (plan, env, n) = (self.shape.plan, self.env, self.counts.rows as usize);
+        let mut a = Approx::default();
+        for i in 0..plan.selections.len() {
+            // With pushdown the approximate selections chain on the device,
+            // in either representation (a dim step tests `arr[link[row]]` for
+            // each still-live bit, so no round-trip happens mid-chain). The
+            // ablation refined the previous step already and uploads its
+            // survivors; every step's candidates are materialized for the
+            // immediate refinement anyway, so it runs on indices.
+            let uploaded = match (plan.pushdown, &a.output) {
+                (false, Some(SelVec::Indices(prev))) => {
+                    let kept = |&oid: &Oid| !marked(&a.undecided_bits, oid);
+                    let oids: Vec<Oid> = prev.oids.iter().copied().filter(kept).collect();
+                    a.undecided_bits.clear();
+                    Some(SelVec::Indices(Candidates::from_pairs(oids, Vec::new())))
                 }
-            }
-            // Every refinement after the first aligns the live set with
-            // the downloaded list through a translucent merge.
-            let merge_bytes = if k == 0 {
-                0
-            } else {
-                undecided.len() as u64 * 4
+                _ => None,
             };
-            let kept = refine_selection(
+            let (input, rep) = match plan.pushdown {
+                true => (a.output.as_ref(), self.opts.candidates),
+                false => (uploaded.as_ref(), CandidateRep::Indices),
+            };
+            let mut step = StepCounts {
+                input: input.map_or(n, SelVec::len) as u64,
+                candidates: 0,
+            };
+            self.counts.steps.push(step);
+            self.shape
+                .upload_survivors(i, &self.counts, env, self.ledger);
+            let probe = self.begin(EventKind::ApproxSelect, step.input, i as u64);
+            let cands = approx_select_step(
                 env,
-                c,
-                &sel.range,
-                live,
-                merge_bytes,
-                morsels,
-                &pool,
-                ledger,
+                &self.shape,
+                i,
+                input,
+                &self.opts.scan,
+                self.morsels,
+                rep,
+                probe.span,
+                &self.pool,
+                &mut a.undecided_bits,
             );
-            probe.end(
-                &obs,
-                ledger,
-                (decided + kept.len()) as u64,
-                live.len() as u64,
-            );
-            refined = Some(kept);
+            step.candidates = cands.len() as u64;
+            self.counts.steps[i] = step;
+            self.shape.select(i, &self.counts, env, self.ledger);
+            let rep_bit = u64::from(matches!(cands, SelVec::Bitmap(_)));
+            probe.end(&self.obs, self.ledger, step.candidates, rep_bit);
+            self.transient.charge(Transient::list(step.candidates))?;
+            if let (false, SelVec::Indices(list)) = (plan.pushdown, &cands) {
+                // Ablation: refine before the next selection runs — survivors
+                // re-cross PCI-E per predicate (§III-A).
+                let is_undecided = |&oid: &Oid| marked(&a.undecided_bits, oid);
+                a.undecided = list.oids.iter().copied().filter(is_undecided).collect();
+                let live = a.undecided.len() as u64;
+                let probe = self.begin(EventKind::Refine, step.candidates, i as u64);
+                let kept = match a.undecided.is_empty() {
+                    true => Vec::new(),
+                    false => self.refine_selection(i, &a.undecided),
+                };
+                let kept_len = kept.len() as u64;
+                self.counts.refines.push(RefineCounts {
+                    live,
+                    kept: kept_len,
+                });
+                self.shape.refine_ablated(i, &self.counts, env, self.ledger);
+                unmark(&mut a.undecided_bits, &kept);
+                let out = step.candidates - live + kept_len;
+                probe.end(&self.obs, self.ledger, out, live);
+                a.refined = Some(kept);
+            }
+            a.output = Some(cands);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
-            env.preempt.check()?; // between refinement steps
+            env.preempt.check()?; // between approximate-selection steps
         }
-        unmark(&mut undecided_bits, refined.as_deref().unwrap_or(&[]));
-    } else if ids_bytes > 0 {
-        env.charge_download("group.approx.download", ids_bytes, ledger);
-    }
-    let refined_count = refined.as_ref().map_or(undecided.len(), Vec::len);
-    let survivor_count = decided + refined_count;
-    // The verdict, positionally: a candidate survives unless it is still
-    // marked (empty: refinement dropped none).
-    let dropped: &[u64] = match refined_count < undecided.len() {
-        true => &undecided_bits,
-        false => &[],
-    };
-    // The device still holds the undecided list in the order it sent it:
-    // one bit per entry tells it which of them the host kept.
-    let uploaded_bits = match device_tail && !split_count {
-        true => undecided.len() as u64,
-        false => 0,
-    };
-    if uploaded_bits > 0 {
-        let bytes = uploaded_bits.div_ceil(8);
-        let seconds = env.pcie.transfer_seconds(bytes);
-        ledger.charge(Component::Pcie, "select.refine.upload", seconds, bytes);
-        metrics.uploaded_bits.add(uploaded_bits);
-    }
 
-    env.fault.check(FaultSite::Exec)?;
-    env.preempt.check()?; // before the tail
+        env.fault.check(FaultSite::Exec)?;
+        env.preempt.check()?; // the gather boundary
 
-    // ============================== The tail ==============================
-    // Gather → refine → group → evaluate → aggregate, one slice of
-    // survivors at a time (`crate::tail`), in one run over decided ∪
-    // refined rows, priced on the device (gathers, accumulator updates) or
-    // the host (download, decode, bulk operators) by the placement above.
-    // Every charge below is issued once, in program order, from the
-    // totals, so the ledger cannot depend on how the host slices or
-    // parallelizes the real work.
-    let (dev_rows, host_rows) = match (device_tail, split_count) {
-        (false, _) => (0, survivor_count),
-        (true, false) => (survivor_count, 0),
-        (true, true) => (decided, refined_count),
-    };
-    let host_tail = !device_tail || (split_count && !undecided.is_empty());
-    if device_tail {
-        // The device gathers every needed column over its rows into
-        // scratch before aggregating, beside the survivor bitmap.
-        let gathers = dev_rows as u64 * needed_cols.len() as u64 * GATHER_VALUE_BYTES;
-        transient.charge(gathers + uploaded_bits.div_ceil(8))?;
-    }
-    let gather_probe = begin(EventKind::Gather, ledger, survivor_count as u64, 0);
-    let slot = |name: &String, c: &ColRef<'_>| ColumnSlot {
-        name: name.clone(),
-        payloads: Vec::new(),
-        dtype: c.dtype,
-        dict: c.dict.clone(),
-    };
-    let mut schema = RowBlock::new(0);
-    let mut cols = Vec::with_capacity(needed_cols.len());
-    for (name, c) in &needed_cols {
-        let (arr, link) = (c.bound.approx(), c.link());
-        // Each gathered column is read on exactly one side.
-        if device_tail {
-            // Gathers stay on the device, payloads decode exactly (no
-            // residual exists), nothing crosses the bus.
-            let dense = cands_dense && undecided.is_empty();
-            match link {
-                None => charge_gather(env, arr, dense, dev_rows, "aggregate.gather", ledger),
-                Some(l) => {
-                    charge_gather_indirect(env, arr, l, dev_rows, "aggregate.gather", ledger)
+        // The gather boundary expands nothing: downstream operators (the
+        // undecided list, device pre-grouping, the tail's slice sources) read
+        // the final candidates' positions a window at a time — same oids,
+        // same block-scrambled order as the list the index path carries, and
+        // that list is what the bill keeps pricing. Approximations are *not*
+        // materialized: refinement re-decodes them for the undecided
+        // candidates only.
+        let cands = Positions::of(a.output.as_ref(), n);
+        self.counts.dense = cands.dense();
+        a.grouper = self.shape.pregroup.then(|| {
+            let keys = self.shape.group_cols.iter().map(|c| c.bound.approx());
+            Grouper::new(&keys.collect::<Vec<&DeviceArray>>())
+        });
+        // One pass over the candidates feeds both consumers that need every
+        // one of them: the undecided list (the ablation listed its own per
+        // step) and the grouping table.
+        let list_undecided = plan.pushdown && !a.undecided_bits.is_empty();
+        if list_undecided || a.grouper.is_some() {
+            let mut cursor = cands.cursor(0..cands.span());
+            let mut window = self.pool.take_u32();
+            let mut more = true;
+            while more {
+                more = cursor.next_window(self.slice_rows, &mut window);
+                if list_undecided {
+                    let is_undecided = |&oid: &Oid| marked(&a.undecided_bits, oid);
+                    a.undecided
+                        .extend(window.iter().copied().filter(is_undecided));
+                }
+                if let Some(g) = &mut a.grouper {
+                    g.observe(&window);
                 }
             }
-        } else {
-            // Approximate projection on the device, download,
-            // translucent refinement with residuals.
-            let cands = final_cands.len();
-            match link {
-                None => {
-                    charge_gather(
-                        env,
-                        arr,
-                        cands_dense,
-                        cands,
-                        "project.approx.gather",
-                        ledger,
-                    );
-                    charge_project_refine(env, c.bound, cands, host_rows, true, ledger);
-                }
-                Some(l) => {
-                    charge_gather_indirect(env, arr, l, cands, "join.fk.approx", ledger);
-                    charge_fk_project_refine(env, c.bound, cands, host_rows, true, ledger);
-                }
-            }
+            self.pool.put_u32(window);
         }
-        schema.push_slot(slot(name, c));
+        self.counts.undecided = a.undecided.len() as u64;
+        self.counts.groups = a.grouper.as_ref().map_or(0, Grouper::n_groups) as u64;
+        self.shape.pregroup(&self.counts, env, self.ledger);
+        let metrics = refine_metrics();
+        metrics.decided.add(self.counts.decided());
+        metrics.undecided.add(self.counts.undecided);
+        Ok(a)
+    }
+
+    /// Refinement (host) of what the approximation left undecided: one
+    /// transfer carries everything the host needs, then the selections
+    /// that can leave a candidate undecided re-test last-to-first, the
+    /// live set shrinking monotonically; a plan without undecided
+    /// candidates has no refinement step at all. (The ablation refined
+    /// per step.) A device tail then gets one survivor bit per undecided
+    /// candidate back.
+    fn refine(&mut self, a: &mut Approx<'_>) -> Result<()> {
+        let (plan, env, decided) = (self.shape.plan, self.env, self.counts.decided());
+        self.shape.download(&self.counts, env, self.ledger);
+        if plan.pushdown {
+            for (k, i) in self
+                .shape
+                .refine_order(&self.counts)
+                .into_iter()
+                .enumerate()
+            {
+                let live = a.refined.as_deref().unwrap_or(&a.undecided);
+                let live_len = live.len() as u64;
+                let probe = self.begin(EventKind::Refine, decided + live_len, i as u64);
+                let kept = self.refine_selection(i, live);
+                let kept_len = kept.len() as u64;
+                self.counts.refines.push(RefineCounts {
+                    live: live_len,
+                    kept: kept_len,
+                });
+                self.shape.refine_step(k, &self.counts, env, self.ledger);
+                probe.end(&self.obs, self.ledger, decided + kept_len, live_len);
+                a.refined = Some(kept);
+                env.fault.check(FaultSite::Exec)?; // the card may die between steps
+                env.preempt.check()?; // between refinement steps
+            }
+            unmark(&mut a.undecided_bits, a.refined.as_deref().unwrap_or(&[]));
+        }
+        let refined = a.refined.as_ref().map_or(a.undecided.len(), Vec::len);
+        self.counts.survivors = decided + refined as u64;
+        self.shape.upload(&self.counts, env, self.ledger);
+        refine_metrics()
+            .uploaded_bits
+            .add(self.shape.place.uploaded_bits(&self.counts));
+        env.fault.check(FaultSite::Exec)?;
+        env.preempt.check() // before the tail
+    }
+
+    /// Refine selection `i` over `live`, the undecided candidates still
+    /// alive: reconstruct each exact payload from its approximation and
+    /// residual (at the fact position, or the dimension position through
+    /// the host FK index) and re-test the precise range, fanned out over
+    /// contiguous partitions.
+    fn refine_selection(&self, i: usize, live: &[Oid]) -> Vec<Oid> {
+        let (col, range) = (&self.shape.sels[i].0, &self.shape.plan.selections[i].range);
+        let (meta, arr) = (col.bound.meta(), col.bound.approx());
+        let residual = col.residual(live.len());
+        let (morsels, pool) = (self.morsels, &self.pool);
+        refine_filter(meta, residual, arr, col.link(), live, range, morsels, pool)
+    }
+
+    /// The tail: gather → refine → group → evaluate → aggregate, one slice
+    /// of survivors at a time (`crate::tail`), in one run over decided ∪
+    /// refined rows, priced on the device or the host by the shape's
+    /// placement. Every charge is issued once, in program order, from the
+    /// totals, so the ledger cannot depend on how the host slices or
+    /// parallelizes the real work.
+    fn tail(&mut self, a: &Approx<'_>, approx: Option<ApproxAnswer>) -> Result<QueryResult> {
+        let (env, place, n) = (self.env, self.shape.place, self.counts.rows as usize);
+        let survivors = self.counts.survivors as usize;
+        let host_rows = place.tail_rows(&self.counts).1 as usize;
+        self.transient.charge(place.tail(&self.counts))?;
+        let gather_probe = self.begin(EventKind::Gather, survivors as u64, 0);
+        self.shape.gathers(&self.counts, env, self.ledger);
         // Cached-vs-scattered residual reads are decided per query, from
         // the total the refinement will touch — not per slice.
-        cols.push((c.bound, link, c.residual(host_rows)));
-    }
-    // Group keys that are fully device-resident were pre-grouped exactly
-    // (their approximation *is* the value): the sources look the
-    // survivors' ids up in that table instead of gathering, refining and
-    // re-hashing the key columns.
-    let carried = device_group.as_ref().map(|g| {
-        let keys = g.group_keys().iter().flat_map(|key| {
-            (key.iter().zip(&group_cols))
-                .map(|(&stored, c)| c.bound.meta().payload_from_parts(stored, 0))
-        });
-        let key_cols = plan.group_by.iter().zip(&group_cols);
-        GroupTable::from_keys(key_cols.map(|(g, c)| slot(g, c)).collect(), keys.collect())
-    });
-    let tail = Tail::new(plan, schema, carried)?;
-    // A tail that reads nothing by position (a bare count) needs no
-    // positions: any `survivor_count` rows do.
-    let (positions, dropped) = match cols.is_empty() && device_group.is_none() {
-        true => (Positions::All(survivor_count), &[][..]),
-        false => (final_cands, dropped),
-    };
-    let sources = partition_ranges(positions.span(), morsels)
-        .into_iter()
-        .map(|span| ArSource {
-            cursor: positions.cursor(span),
-            dropped,
-            cols: cols.iter().map(|&(b, l, r)| (b, l, r.reader())).collect(),
-            grouper: device_group.as_ref(),
-            oids: Vec::new(),
-            approx: Vec::new(),
-        })
-        .collect();
-    let partials = tail.run(env, sources, slice_rows)?;
-    gather_probe.end(&obs, ledger, survivor_count as u64, 0);
-
-    let groupagg_probe = begin(
-        EventKind::GroupAgg,
-        ledger,
-        survivor_count as u64,
-        uploaded_bits << 1 | u64::from(device_tail),
-    );
-    if !device_tail && !plan.group_by.is_empty() && device_group.is_none() {
-        // Exact host grouping over the refined key slots.
-        env.charge_host_scan(
-            "group.refine.host",
-            host_rows as u64 * 8,
-            2 * host_rows as u64,
-            ledger,
-        );
-    }
-
-    // Aggregation / projection arithmetic, billed by the DAG the tail
-    // runs: its distinct primitives and distinct accumulators.
-    let (expr_ops, accumulators) = (tail.expr_ops(), tail.accumulators());
-    let spec = env.device.spec();
-    // Grouped device aggregation scatters one atomic update per
-    // accumulator per tuple. The paper's generic OpenCL kernels contend
-    // for one table in device memory (its Q1 stops at a 2.6x speedup);
-    // `GroupedAgg` keeps the table block-private and lane-replicated while
-    // it fits shared memory. Expression arithmetic runs in registers,
-    // uncontended.
-    let grouped = (device_group.as_ref().filter(|_| device_tail))
-        .map(|g| GroupedAgg::new(spec, dev_rows, accumulators, g.n_groups()));
-    if device_tail {
-        let mut t = spec.compute_seconds(3 * dev_rows as u64 * expr_ops);
-        if let Some(agg) = &grouped {
-            t += agg.update_seconds(spec) + agg.merge_seconds(spec);
+        let cols: Vec<_> = (self.shape.gathered.iter())
+            .map(|(_, c)| (c.bound, c.link(), c.residual(host_rows)))
+            .collect();
+        // Group keys that are fully device-resident were pre-grouped exactly
+        // (their approximation *is* the value): the sources look the
+        // survivors' ids up in that table instead of gathering, refining and
+        // re-hashing the key columns.
+        if let Some(g) = &a.grouper {
+            let group_cols = &self.shape.group_cols;
+            let keys = g.group_keys().iter().flat_map(|key| {
+                (key.iter().zip(group_cols))
+                    .map(|(&stored, c)| c.bound.meta().payload_from_parts(stored, 0))
+            });
+            let slots = self.shape.plan.group_by.iter().zip(group_cols);
+            let slots = slots.map(|(g, c)| c.slot(g)).collect();
+            let table = GroupTable::from_keys(slots, keys.collect());
+            self.shape.tail.carry(table);
         }
-        ledger.charge(Component::Device, "aggregate.eval", t, 0);
-    }
-    if host_tail {
-        // Destructive distributivity (§IV-G): the sums are evaluated with
-        // the *classic* bulk operators over reconstructed exact values —
-        // per-primitive materialization plus one accumulation pass per
-        // accumulator, same pricing as the classic pipe.
-        let rows = host_rows as u64;
-        let threads = env.host_threads;
-        let expr = (env.cpu).scan_seconds(rows * expr_ops * 8, rows * expr_ops, threads);
-        let accum = accumulators.max(1) as f64 * env.cpu.scan_seconds(rows * 8, rows, threads);
-        ledger.charge(Component::Host, "aggregate.eval", expr + accum, 0);
-    }
+        // The verdict, positionally: a candidate survives unless it is still
+        // marked (empty: refinement dropped none).
+        let dropped: &[u64] = match self.counts.refined() < self.counts.undecided {
+            true => &a.undecided_bits,
+            false => &[],
+        };
+        // A tail that reads nothing by position (a bare count) needs no
+        // positions: any `survivors` rows do.
+        let (positions, dropped) = match cols.is_empty() && a.grouper.is_none() {
+            true => (Positions::All(survivors), &[][..]),
+            false => (Positions::of(a.output.as_ref(), n), dropped),
+        };
+        let sources = partition_ranges(positions.span(), self.morsels)
+            .into_iter()
+            .map(|span| ArSource {
+                cursor: positions.cursor(span),
+                dropped,
+                cols: cols.iter().map(|&(b, l, r)| (b, l, r.reader())).collect(),
+                grouper: a.grouper.as_ref(),
+                oids: Vec::new(),
+                approx: Vec::new(),
+            })
+            .collect();
+        let tail = &self.shape.tail;
+        let partials = tail.run(env, sources, self.slice_rows)?;
+        gather_probe.end(&self.obs, self.ledger, survivors as u64, 0);
 
-    let (columns, rows) = tail.finish(partials);
-    if device_tail && !partials_rode {
-        // Per-group results cross the bus (tiny).
-        env.charge_download("aggregate.download", partial_bytes(dev_rows), ledger);
-    }
-    let tables = grouped.map_or(0, |agg| agg.replicas << 32 | agg.blocks);
-    groupagg_probe.end(&obs, ledger, rows.len() as u64, tables);
+        let placed = place.uploaded_bits(&self.counts) << 1 | u64::from(place.device_tail);
+        let groupagg_probe = self.begin(EventKind::GroupAgg, survivors as u64, placed);
+        self.shape.aggregate(&self.counts, env, self.ledger);
+        let (columns, rows) = tail.finish(partials);
+        let agg = self.shape.grouped_agg(&self.counts, env);
+        let tables = agg.map_or(0, |agg| agg.replicas << 32 | agg.blocks);
+        groupagg_probe.end(&self.obs, self.ledger, rows.len() as u64, tables);
 
-    Ok(QueryResult {
-        columns,
-        rows,
-        breakdown: ledger.breakdown(),
-        traffic: ledger.traffic(),
-        survivors: survivor_count,
-        approx: approx_answer,
-    })
+        Ok(QueryResult {
+            columns,
+            rows,
+            breakdown: self.ledger.breakdown(),
+            traffic: self.ledger.traffic(),
+            survivors,
+            approx,
+        })
+    }
 }
 
 /// Process-wide refinement counters (see
@@ -807,8 +622,8 @@ fn unmark(bits: &mut [u64], oids: &[Oid]) {
 #[allow(clippy::too_many_arguments)]
 fn approx_select_step(
     env: &Env,
-    col: &ColRef<'_>,
-    relaxed: Option<StoredRange>,
+    shape: &ArShape<'_>,
+    i: usize,
     input: Option<&SelVec>,
     scan: &ScanOptions,
     morsels: usize,
@@ -816,8 +631,7 @@ fn approx_select_step(
     stage: SpanId,
     pool: &ScratchPool,
     undecided: &mut Vec<u64>,
-    ledger: &mut CostLedger,
-) -> Result<SelVec> {
+) -> SelVec {
     // One morsel span per fanned-out partition, recorded from the worker
     // thread itself onto its own lane. The enabled check happens *before*
     // the lane label is built, so the disabled path allocates nothing.
@@ -833,17 +647,18 @@ fn approx_select_step(
         let span = t.begin(EventKind::Morsel, stage, input_len as u64, part as u64);
         (t, span)
     };
-    let Some(StoredRange {
-        outer: (lo, hi),
-        inner,
-    }) = relaxed
+    let (col, relaxed) = &shape.sels[i];
+    let (
+        Some(spec),
+        Some(StoredRange {
+            outer: (lo, hi), ..
+        }),
+    ) = (shape.scan_spec(i, input.map(SelVec::len)), *relaxed)
     else {
-        return Ok(SelVec::Indices(Candidates::empty()));
+        return SelVec::Indices(Candidates::empty());
     };
     let arr = col.bound.approx();
-    let link = col.link();
-    let rows = link.unwrap_or(arr).len();
-    let spec = ScanSpec::new(arr, link, lo, hi, input.map(SelVec::len)).deciding(inner);
+    let rows = col.link().unwrap_or(arr).len();
     if !spec.decides_all() && undecided.is_empty() {
         *undecided = vec![0; rows.div_ceil(64)]; // zeroed lazily by the allocator
     }
@@ -872,12 +687,10 @@ fn approx_select_step(
                 spec.mark_undecided_mask(&words[r.clone()], r.start, chunk)
             });
         }
-        let mask = match mask_in {
+        return SelVec::Bitmap(match mask_in {
             Some(m) => m.like(words),
             None => SelMask::from_words(words, rows, scan),
-        };
-        spec.charge(env, mask.count(), scan, ledger);
-        return Ok(SelVec::Bitmap(mask));
+        });
     }
 
     let cands_in = input.and_then(SelVec::as_indices);
@@ -906,8 +719,7 @@ fn approx_select_step(
     if !spec.decides_all() {
         spec.mark_undecided(&oids, &approx, undecided);
     }
-    spec.charge(env, oids.len(), scan, ledger);
-    Ok(SelVec::Indices(Candidates::from_pairs(oids, approx)))
+    SelVec::Indices(Candidates::from_pairs(oids, approx))
 }
 
 /// Whether a full-scan selection step should produce the bitmap
@@ -937,7 +749,7 @@ fn merge_candidate_parts(
     if outs.len() == 1 {
         // Single partition: hand the (pool-born) buffers to the caller
         // instead of copying them.
-        return outs.pop().unwrap();
+        return outs.swap_remove(0);
     }
     let total: usize = outs.iter().map(|(o, _)| o.len()).sum();
     let mut oids = Vec::with_capacity(total);
@@ -949,35 +761,6 @@ fn merge_candidate_parts(
         pool.put_u64(v);
     }
     (oids, vals)
-}
-
-/// Refine one selection over `live`, the undecided candidates still alive:
-/// reconstruct each exact payload from its approximation and residual (at
-/// the fact position, or the dimension position through the host FK
-/// index), re-test the precise range — fanned out over `morsels`
-/// contiguous partitions — and charge the host work from the live count
-/// (`merge_bytes`: the downloaded list it is aligned with, if any).
-#[allow(clippy::too_many_arguments)]
-fn refine_selection(
-    env: &Env,
-    col: &ColRef<'_>,
-    range: &RangePred,
-    live: &[Oid],
-    merge_bytes: u64,
-    morsels: usize,
-    pool: &ScratchPool,
-    ledger: &mut CostLedger,
-) -> Vec<Oid> {
-    let (meta, arr) = (col.bound.meta(), col.bound.approx());
-    let residual = col.residual(live.len());
-    let kept = refine_filter(meta, residual, arr, col.link(), live, range, morsels, pool);
-    env.charge_host_scattered(
-        "select.refine",
-        col.bound.residual_access_bytes(live.len()) + merge_bytes,
-        live.len() as u64 * bwd_core::ops::REFINE_OPS_PER_TUPLE,
-        ledger,
-    );
-    kept
 }
 
 /// The A&R slice source over one worker's part of the candidates'
@@ -1046,7 +829,8 @@ mod tests {
     use crate::classic::run_classic_sliced;
     use bwd_core::plan::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr as E};
     use bwd_core::CmpOp;
-    use bwd_device::{CostEvent, DeviceSpec};
+    use bwd_device::{Component, CostEvent, DeviceSpec};
+    use bwd_kernels::reduce::GroupedAgg;
     use bwd_storage::Column;
     use bwd_types::Value;
 

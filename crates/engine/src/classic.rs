@@ -5,22 +5,23 @@
 //! chain scans payloads into one positional bitmap — filled by the first
 //! predicate, AND-refined by the rest — and the tail streams its set bits
 //! slice-at-a-time through [`crate::tail`]: fetch by oid (invisible
-//! joins), hash the key payloads, evaluate, aggregate. Every step charges
-//! the host cost model — the *bulk* model, one full pass per primitive and
-//! an oid list per selection — once from the totals, at the environment's
-//! thread allocation (Figure 11 varies the threads).
+//! joins), hash the key payloads, evaluate, aggregate. The run counts its
+//! per-stage survivors and bills them once through
+//! [`ClassicShape::bill`] — the *bulk* model, at the environment's thread
+//! allocation (Figure 11 varies the threads).
 
+use crate::bill::{ClassicShape, Counts, StepCounts};
 use crate::catalog::Catalog;
-use crate::eval::{ColumnSlot, RowBlock};
+use crate::eval::RowBlock;
 use crate::morsel::{partition_mask_ranges, partition_ranges, run_parts_mut_yielding};
 use crate::result::QueryResult;
-use crate::tail::{SliceSource, Tail, SLICE_ROWS};
+use crate::tail::{SliceSource, SLICE_ROWS};
 use bwd_core::plan::{ArPlan, BoundSelection};
 use bwd_core::RangePred;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::{Cursor, Positions, ScanOptions, SelMask};
 use bwd_storage::{Column, ColumnData};
-use bwd_types::{bits::low_mask, BwdError, Oid, Result};
+use bwd_types::{bits::low_mask, Oid, Result};
 
 /// Execute an A&R-bound plan classically (host only, exact data).
 ///
@@ -70,138 +71,52 @@ pub(crate) fn run_classic_sliced(
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<QueryResult> {
-    let fact = catalog.table(&plan.table)?;
-    let n = fact.len();
+    run_classic_counted(catalog, plan, fk_host, env, morsels, slice_rows, ledger).map(|r| r.0)
+}
 
-    // Column resolution: bare names hit the fact table, qualified names the
-    // joined dimension.
-    let resolve = |name: &str| -> Result<(&Column, bool)> {
-        if let Some((t, c)) = name.split_once('.') {
-            let dim = plan
-                .fk_join
-                .as_ref()
-                .filter(|j| j.dim_table == t)
-                .ok_or_else(|| BwdError::Bind(format!("table {t} not joined")))?;
-            let _ = dim;
-            Ok((catalog.table(t)?.column(c)?, true))
-        } else {
-            Ok((fact.column(name)?, false))
-        }
+/// [`run_classic_sliced`], also returning what the run counted.
+pub(crate) fn run_classic_counted(
+    catalog: &Catalog,
+    plan: &ArPlan,
+    fk_host: Option<&[u32]>,
+    env: &Env,
+    morsels: usize,
+    slice_rows: usize,
+    ledger: &mut CostLedger,
+) -> Result<(QueryResult, Counts)> {
+    let shape = ClassicShape::resolve(catalog, plan, fk_host.is_some())?;
+    let mut counts = Counts {
+        rows: shape.rows,
+        ..Counts::default()
     };
-    // --- Selection chain (one survivor bitmap). ---
-    // Pre-resolve once so worker threads share plain `&Column` refs.
-    let sel_cols: Vec<(&Column, bool)> = plan
-        .selections
-        .iter()
-        .map(|sel| resolve(&sel.column))
-        .collect::<Result<_>>()?;
-    if sel_cols.iter().any(|&(_, is_dim)| is_dim) && fk_host.is_none() {
-        return Err(BwdError::Exec(
-            "dimension predicate without a foreign-key index".into(),
-        ));
-    }
-    // No selection: every tuple survives, and nothing is materialized.
-    let (mask, stage_counts) = match plan.selections.is_empty() {
-        true => (None, Vec::new()),
+    let n = counts.rows as usize;
+
+    // --- Selection chain (one survivor bitmap). No selection: every tuple
+    // survives, and nothing is materialized.
+    let mask = match plan.selections.is_empty() {
+        true => None,
         false => {
-            let (mask, counts) =
-                selection_mask(&plan.selections, &sel_cols, fk_host, n, morsels, env)?;
-            (Some(mask), counts)
+            let (mask, stages) =
+                selection_mask(&plan.selections, &shape.sels, fk_host, n, morsels, env)?;
+            let inputs = std::iter::once(counts.rows).chain(stages.iter().copied());
+            counts.steps = (inputs.zip(&stages))
+                .map(|(input, &candidates)| StepCounts { input, candidates })
+                .collect();
+            Some(mask)
         }
     };
-
-    // Charge the chain once from the merged per-stage counts — identical
-    // to the serial charges because they depend only on totals.
-    let mut prev_count = n as u64;
-    for (i, (_, &(col, _))) in plan.selections.iter().zip(&sel_cols).enumerate() {
-        let out = stage_counts[i];
-        if i == 0 {
-            env.charge_host_scan(
-                "classic.select.scan",
-                col.plain_bytes() + out * 4,
-                n as u64,
-                ledger,
-            );
-        } else {
-            env.charge_host_scattered(
-                "classic.select.fetch",
-                prev_count * col.dtype().plain_width() + out * 4,
-                prev_count,
-                ledger,
-            );
-        }
-        prev_count = out;
-    }
-
     let survivors = mask.as_ref().map_or(Positions::All(n), Positions::Mask);
     let k = survivors.len();
+    counts.survivors = k as u64;
 
-    // --- Projective fetches: one slot per gathered column. ---
-    let needed = plan.gathered_columns();
-    let mut schema = RowBlock::new(0);
-    let mut cols: Vec<(&Column, bool)> = Vec::with_capacity(needed.len());
-    for name in needed {
-        let (col, is_dim) = resolve(&name)?;
-        if is_dim && fk_host.is_none() {
-            return Err(BwdError::Exec(format!(
-                "dimension column {name} without a foreign-key index"
-            )));
-        }
-        let extra_hop = if is_dim { 4 } else { 0 };
-        env.charge_host_scattered(
-            "classic.project.fetch",
-            k as u64 * (col.dtype().plain_width() + extra_hop),
-            k as u64,
-            ledger,
-        );
-        schema.push_slot(ColumnSlot {
-            name,
-            payloads: Vec::new(),
-            dtype: col.dtype(),
-            dict: col.dictionary().cloned(),
-        });
-        cols.push((col, is_dim));
-    }
-
-    // --- Grouping (hash over key payloads). ---
-    if !plan.group_by.is_empty() {
-        env.charge_host_scan("classic.group.hash", k as u64 * 8, 2 * k as u64, ledger);
-    }
-
-    // --- Aggregation / projection. ---
-    let tail = Tail::new(plan, schema, None)?;
-    if !plan.aggs.is_empty() {
-        // Bulk processing materializes every distinct expression
-        // primitive as a full intermediate column (read + write), then
-        // runs one grouped accumulation pass per distinct accumulator
-        // with scattered accumulator updates — this is what makes
-        // expression-heavy Q1 expensive on the classic pipe.
-        let expr_ops = tail.expr_ops();
-        env.charge_host_scan(
-            "classic.aggregate.expr",
-            k as u64 * expr_ops * 8,
-            k as u64 * expr_ops,
-            ledger,
-        );
-        // One accumulation pass per accumulator; the accumulator table is
-        // small (cache-resident), so the pass streams the expression
-        // column rather than thrashing memory.
-        for _ in 0..tail.accumulators() {
-            env.charge_host_scan("classic.aggregate.accum", k as u64 * 8, k as u64, ledger);
-        }
-    } else {
-        env.charge_host_scan(
-            "classic.project.eval",
-            0,
-            k as u64 * plan.project.len() as u64,
-            ledger,
-        );
-    }
+    // Charge once from the merged per-stage counts — identical to the
+    // serial charges because they depend only on totals.
+    shape.bill(&counts, env, ledger);
 
     // The real work behind all of the above, one slice at a time. A tail
     // that fetches nothing (a bare count) reads no position: any `k` do.
     env.preempt.check()?;
-    let positions = match cols.is_empty() {
+    let positions = match shape.gathered.is_empty() {
         true => Positions::All(k),
         false => survivors,
     };
@@ -210,20 +125,22 @@ pub(crate) fn run_classic_sliced(
         .map(|span| ClassicSource {
             cursor: positions.cursor(span),
             oids: Vec::new(),
-            cols: &cols,
+            cols: &shape.gathered,
             fk_host,
         })
         .collect();
+    let tail = &shape.tail;
     let (columns, rows) = tail.finish(tail.run(env, sources, slice_rows)?);
 
-    Ok(QueryResult {
+    let result = QueryResult {
         columns,
         rows,
         breakdown: ledger.breakdown(),
         traffic: ledger.traffic(),
         survivors: k,
         approx: None,
-    })
+    };
+    Ok((result, counts))
 }
 
 /// The selection chain over rows `0..n` as one positional bitmap — filled

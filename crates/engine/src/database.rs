@@ -7,8 +7,10 @@
 //! the `bwd` pipe (A&R), built from the same logical plan.
 
 use crate::arexec::ArExecOptions;
+use crate::bill::Counts;
 use crate::catalog::{Catalog, FkDecl, Table};
 use crate::result::QueryResult;
+use crate::tail::SLICE_ROWS;
 use bwd_core::ops::join::FkIndex;
 use bwd_core::plan::{rewrite, ArPlan, LogicalPlan, PlanResolver, RewriteOptions};
 use bwd_core::{BoundColumn, RangePred};
@@ -229,14 +231,6 @@ impl Database {
             .contains_key(&(table.to_string(), column.to_string()))
     }
 
-    /// Residual bits a decomposed column keeps on the host (`0`: fully
-    /// device-resident; `None`: not decomposed) — what decides whether a
-    /// selection on it can leave candidates undecided.
-    pub fn resbits(&self, table: &str, column: &str) -> Option<u32> {
-        let bound = self.bound_column(table, column).ok()?;
-        Some(bound.meta().resbits())
-    }
-
     /// The bound column (A&R executor).
     pub(crate) fn bound_column(&self, table: &str, column: &str) -> Result<&BoundColumn> {
         self.bound
@@ -318,45 +312,56 @@ impl Database {
         env: &Env,
         morsels: usize,
     ) -> Result<QueryResult> {
-        match mode {
+        (self.run_counted(plan, mode, env, morsels)).map(|(result, ..)| result)
+    }
+
+    /// [`Database::run_bound_in`], also returning the [`Counts`] the run
+    /// observed and the transient device bytes it held — what
+    /// [`crate::bill`] priced it from, and what a scheduler's prediction
+    /// of the same plan can be held against.
+    pub fn run_counted(
+        &self,
+        plan: &ArPlan,
+        mode: ExecMode,
+        env: &Env,
+        morsels: usize,
+    ) -> Result<(QueryResult, Counts, u64)> {
+        let ledger = &mut CostLedger::new();
+        let opts = match mode {
             ExecMode::Classic => {
                 let fk_host = match &plan.fk_join {
-                    Some(j) => Some(self.fk_index(&plan.table, &j.fact_key)?),
+                    Some(j) => Some(self.fk_index(&plan.table, &j.fact_key)?.host_slice()),
                     None => None,
                 };
                 let obs = env.trace.recorder.worker(&env.trace.lane);
-                let span = obs.begin(
-                    bwd_obs::EventKind::Classic,
-                    env.trace.parent,
-                    0,
-                    morsels as u64,
-                );
-                let result = crate::classic::run_classic_morsel(
+                let kind = bwd_obs::EventKind::Classic;
+                let span = obs.begin(kind, env.trace.parent, 0, morsels as u64);
+                let (result, counts) = crate::classic::run_classic_counted(
                     &self.catalog,
                     plan,
-                    fk_host.map(|f| f.host_slice()),
+                    fk_host,
                     env,
                     morsels,
+                    SLICE_ROWS,
+                    ledger,
                 )?;
                 obs.end(
-                    bwd_obs::EventKind::Classic,
+                    kind,
                     span,
                     result.breakdown.total().to_bits(),
                     result.traffic.total(),
                     result.rows.len() as u64,
                     0,
                 );
-                Ok(result)
+                return Ok((result, counts, 0));
             }
-            ExecMode::ApproxRefine => {
-                let opts = ArExecOptions {
-                    morsels,
-                    ..ArExecOptions::default()
-                };
-                crate::arexec::run_ar_in(self, plan, &opts, env)
-            }
-            ExecMode::ApproxRefineWith(opts) => crate::arexec::run_ar_in(self, plan, &opts, env),
-        }
+            ExecMode::ApproxRefine => ArExecOptions {
+                morsels,
+                ..ArExecOptions::default()
+            },
+            ExecMode::ApproxRefineWith(opts) => opts,
+        };
+        crate::arexec::run_ar_counted(self, plan, &opts, env, SLICE_ROWS, ledger)
     }
 }
 
@@ -597,11 +602,8 @@ mod tests {
             other => panic!("expected a 40 000 B request against 20 000 B, got {other:?}"),
         }
         assert_eq!(used(&db), [17_500, 17_500]);
-        assert_eq!(
-            db.resbits("r", "a"),
-            Some(0),
-            "the old binding still serves"
-        );
+        let old = db.bound_column("r", "a").unwrap().meta();
+        assert_eq!(old.resbits(), 0, "the old binding still serves");
         let n = db.run(&count_where_a(100, 499), ExecMode::ApproxRefine);
         assert_eq!(n.unwrap().rows[0][0], Value::Int(400));
         for device in db.env().pool.devices() {

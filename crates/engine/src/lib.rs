@@ -7,6 +7,9 @@
 //!   foreign-key indexes, plan binding, and execution through either the
 //!   **classic pipe** ([`classic`], CPU bulk processing — the baseline) or
 //!   the **bwd pipe** ([`arexec`], Approximate & Refine co-processing);
+//! * [`bill`] — the cost model, once: what a plan *shape* costs over a set
+//!   of *counts*. The executors bill what they counted, the scheduler
+//!   what it predicts;
 //! * [`eval`] / [`tail`] — the slice-at-a-time query tail (gather → group
 //!   → evaluate → aggregate) with exact scaled-integer expression
 //!   evaluation, shared by both pipes, guaranteeing bit-identical results.
@@ -16,6 +19,7 @@
 //! streams concurrently on the multi-session scheduler.
 
 pub mod arexec;
+pub mod bill;
 pub mod catalog;
 pub mod classic;
 pub mod database;
@@ -25,6 +29,7 @@ pub mod result;
 pub mod tail;
 
 pub use arexec::{run_ar, run_ar_in, ArExecOptions, CandidateRep, BITMAP_MIN_SELECTIVITY};
+pub use bill::{Counts, RefineCounts, Shape, StepCounts, Transient};
 pub use catalog::{Catalog, FkDecl, Table};
 pub use classic::{run_classic, run_classic_morsel};
 pub use database::{Database, DecompositionReport, ExecMode};

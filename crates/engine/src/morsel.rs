@@ -105,10 +105,18 @@ where
             })
             .collect();
         let tail = f(last, ranges[last].clone());
-        let mut outs: Vec<T> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let mut outs: Vec<T> = handles.into_iter().map(joined).collect();
         outs.push(tail);
         outs
     })
+}
+
+/// A worker's output — or its panic, resumed on the orchestrating thread
+/// with the payload it was raised with.
+fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Like [`run_parts_mut`], but runs `ranges` in batches of at most `batch`
@@ -160,15 +168,14 @@ where
     if ranges.len() <= 1 {
         return ranges.iter().map(|r| f(0, r.clone(), out)).collect();
     }
-    let mut chunks = Vec::with_capacity(ranges.len());
-    let mut rest = out;
-    for r in ranges {
-        let (chunk, tail) = rest.split_at_mut(r.len());
-        chunks.push(chunk);
-        rest = tail;
-    }
     let last = ranges.len() - 1;
-    let last_chunk = chunks.pop().expect("one chunk per range");
+    let mut chunks = Vec::with_capacity(last);
+    let mut last_chunk = out;
+    for r in &ranges[..last] {
+        let (chunk, tail) = last_chunk.split_at_mut(r.len());
+        chunks.push(chunk);
+        last_chunk = tail;
+    }
     std::thread::scope(|scope| {
         let handles: Vec<_> = ranges[..last]
             .iter()
@@ -181,7 +188,7 @@ where
             })
             .collect();
         let tail = f(last, ranges[last].clone(), last_chunk);
-        let mut outs: Vec<R> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let mut outs: Vec<R> = handles.into_iter().map(joined).collect();
         outs.push(tail);
         outs
     })
@@ -197,23 +204,29 @@ pub(crate) struct ScratchPool {
     u64s: Mutex<Vec<Vec<u64>>>,
 }
 
+/// The pool behind `m`, poisoned or not: a stack of plain buffers is
+/// valid wherever a panicking worker left it.
+fn pool<T>(m: &Mutex<Vec<T>>) -> std::sync::MutexGuard<'_, Vec<T>> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 impl ScratchPool {
     pub(crate) fn take_u32(&self) -> Vec<u32> {
-        self.u32s.lock().unwrap().pop().unwrap_or_default()
+        pool(&self.u32s).pop().unwrap_or_default()
     }
 
     pub(crate) fn put_u32(&self, mut v: Vec<u32>) {
         v.clear();
-        self.u32s.lock().unwrap().push(v);
+        pool(&self.u32s).push(v);
     }
 
     pub(crate) fn take_u64(&self) -> Vec<u64> {
-        self.u64s.lock().unwrap().pop().unwrap_or_default()
+        pool(&self.u64s).pop().unwrap_or_default()
     }
 
     pub(crate) fn put_u64(&self, mut v: Vec<u64>) {
         v.clear();
-        self.u64s.lock().unwrap().push(v);
+        pool(&self.u64s).push(v);
     }
 }
 
@@ -240,24 +253,20 @@ pub(crate) enum ResidualSrc<'a> {
 impl<'a> ResidualSrc<'a> {
     /// The source for `col`, with the cache heuristic driven by how many
     /// of the column's rows the refinement will touch.
+    /// `fk` is the host FK index a dimension column is reached through.
     pub(crate) fn for_column(
         col: &'a bwd_core::BoundColumn,
-        is_dim: bool,
         fk: Option<&'a [u32]>,
         expected_accesses: usize,
     ) -> ResidualSrc<'a> {
-        if col.meta().resbits() == 0 {
-            ResidualSrc::None
-        } else if is_dim {
-            ResidualSrc::Dim {
-                residual: col.residual(),
-                fk: fk.expect("dim refinement requires a host FK index"),
-            }
-        } else {
-            ResidualSrc::Fact {
-                residual: col.residual(),
+        let residual = col.residual();
+        match fk {
+            _ if col.meta().resbits() == 0 => ResidualSrc::None,
+            Some(fk) => ResidualSrc::Dim { residual, fk },
+            None => ResidualSrc::Fact {
+                residual,
                 cached: cache_worthwhile(expected_accesses, col.len()),
-            }
+            },
         }
     }
 
@@ -302,7 +311,7 @@ impl ResidualReader<'_> {
 /// second full-length copy).
 fn merge_oid_parts(mut outs: Vec<Vec<Oid>>, pool: &ScratchPool) -> Vec<Oid> {
     if outs.len() == 1 {
-        return outs.pop().expect("one partition");
+        return outs.swap_remove(0);
     }
     let mut merged = Vec::with_capacity(outs.iter().map(Vec::len).sum());
     for out in outs {

@@ -482,6 +482,12 @@ impl Tail {
         })
     }
 
+    /// Carry the pre-grouping `table` in (replacing the placeholder the
+    /// tail was bound with).
+    pub(crate) fn carry(&mut self, table: GroupTable) {
+        self.carried = Some(table);
+    }
+
     /// Expression primitives the tail evaluates per row: every distinct
     /// arithmetic node of the DAG plus one materialized input per distinct
     /// accumulator (or projected column) — what both pipes bill, so a

@@ -219,26 +219,44 @@ impl<'a> Grouper<'a> {
         &self.group_keys
     }
 
-    /// Charge the grouping kernel over everything observed: one gather
-    /// stream per key column, one 4 B id per candidate and the shared
-    /// contention model — a function of the key widths, the number of
-    /// candidates observed and [`Grouper::n_groups`] alone.
+    /// Charge the grouping kernel over everything observed
+    /// ([`charge_hash_group_multi`]).
     pub fn charge(&self, env: &Env, ledger: &mut CostLedger) {
-        let n = self.observed as u64;
-        let gather_bytes: u64 = (self.keys.iter())
-            .map(|k| n * bwd_device::units::element_access_bytes(k.width()))
-            .sum();
-        let spec = env.device.spec();
-        let t = spec.kernel_launch_overhead
-            + spec.scattered_seconds(gather_bytes + n * 4)
-            + n as f64 * conflicts(self.n_groups() as u64) * spec.atomic_conflict_cost;
-        ledger.charge(
-            Component::Device,
-            "group.approx.hash-multi",
-            t,
-            gather_bytes,
+        let widths = self.keys.iter().map(|k| k.width());
+        charge_hash_group_multi(
+            env,
+            widths,
+            self.observed as u64,
+            self.n_groups() as u64,
+            ledger,
         );
     }
+}
+
+/// The composite-key grouping kernel's price: one gather stream per key
+/// column, one 4 B id per candidate and the shared contention model — a
+/// function of the key `widths`, the `observed` candidates and the
+/// `groups` they fall into alone.
+pub fn charge_hash_group_multi(
+    env: &Env,
+    widths: impl Iterator<Item = u32>,
+    observed: u64,
+    groups: u64,
+    ledger: &mut CostLedger,
+) {
+    let gather_bytes: u64 = widths
+        .map(|w| observed * bwd_device::units::element_access_bytes(w))
+        .sum();
+    let spec = env.device.spec();
+    let t = spec.kernel_launch_overhead
+        + spec.scattered_seconds(gather_bytes + observed * 4)
+        + observed as f64 * conflicts(groups) * spec.atomic_conflict_cost;
+    ledger.charge(
+        Component::Device,
+        "group.approx.hash-multi",
+        t,
+        gather_bytes,
+    );
 }
 
 /// First-seen-order group ids over a stream of keys: `lookup(key, next)`

@@ -18,8 +18,6 @@ use std::time::Duration;
 /// Fixed per-query kernel scratch headroom (launch buffers, counters).
 pub const KERNEL_SCRATCH_BYTES: u64 = 64 << 10;
 
-pub use bwd_core::plan::{CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
-
 /// Arbitrates the device between concurrent A&R queries.
 ///
 /// Cloneable; all clones share the same underlying [`DeviceMemory`], so

@@ -30,11 +30,14 @@
 //!   with an [`ExecMode`]; each submission returns a [`Ticket`] that
 //!   resolves to the query's [`QueryResult`] plus a [`JobReport`]
 //!   (queue wait, completion order, estimate vs actual).
-//! * **One walk per plan**: [`PlanFootprint::of`] reads the catalog, the
-//!   binder's selectivity hints and column residency once, at
-//!   submission; the latency estimate the queue sorts by, the admission
-//!   reservation, the calibrator's prediction and its [`ShapeKey`] are
-//!   all views of that footprint ([`footprint`]).
+//! * **One walk per plan, one bill**: [`PlanFootprint::of`] resolves the
+//!   plan through the executors' own resolver once, at submission, and
+//!   predicts the counts a run will observe from the binder's selectivity
+//!   hints and the relaxed intervals of the decomposed columns. The
+//!   latency estimate the queue sorts by is the executor's bill
+//!   (`bwd_engine::bill`) over those counts, the admission reservation
+//!   its transient device bytes; this crate prices nothing itself
+//!   ([`footprint`]).
 //! * **Priority-aware queueing**: the central queue is a [`PolicyQueue`]
 //!   ordered by a pluggable [`QueuePolicy`] — FIFO, shortest-job-first
 //!   over [`PlanFootprint::latency`], or caller-assigned
@@ -50,10 +53,10 @@
 //!   pinned via [`SubmitOptions::device`]. A card that faults three
 //!   times in a row goes offline until a recovery probe succeeds; a
 //!   faulted query is retried once on another card.
-//! * **Statistics-based admission**: [`PlanFootprint::reservation`]
-//!   shrinks the initial reservation using the hints times a configurable
-//!   safety factor ([`EstimateConfig`]), clamped to the worst case
-//!   ([`PlanFootprint::worst_case_bytes`]). Each device's
+//! * **Statistics-based admission**: [`PlanFootprint::reservation`] is
+//!   what a run with the predicted counts, inflated by a configurable
+//!   safety factor ([`EstimateConfig`]), would hold — clamped to the
+//!   all-rows worst case ([`PlanFootprint::worst_case_bytes`]). Each device's
 //!   [`AdmissionController`] reserves from that card's real
 //!   [`DeviceMemory`] *before* the query runs; a request that does not
 //!   currently fit **queues** in strict per-device FIFO order rather than
@@ -100,12 +103,9 @@ pub mod stats;
 pub mod throughput;
 pub mod workload;
 
-pub use admission::{
-    AdmissionController, AdmissionPermit, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES,
-    KERNEL_SCRATCH_BYTES,
-};
+pub use admission::{AdmissionController, AdmissionPermit, KERNEL_SCRATCH_BYTES};
 pub use calibrate::{CalibrateConfig, Calibrator, ShapeCalibration, ShapeKey};
-pub use footprint::{EstimateConfig, LatencyEstimate, PlanFootprint, WorkingSetEstimate};
+pub use footprint::{EstimateConfig, PlanFootprint, WorkingSetEstimate};
 pub use job::{JobReport, SubmitOptions, Ticket};
 pub use policy::{PolicyQueue, PoppedKey, QueuePolicy};
 pub use scheduler::{PreemptConfig, SchedConfig, Scheduler, TraceRecord};

@@ -440,7 +440,7 @@ impl<'a> Run<'a> {
                         // ratioed, so corrections never compound.
                         shared.calibrator.observe(
                             &fp.shape,
-                            fp.latency().seconds(),
+                            fp.latency().total(),
                             actual_sim,
                             fp.predicted_survivors(),
                             r.survivors as u64,

@@ -56,7 +56,7 @@ impl Session {
         // key (and the aging bound's notion of "short") sharpens as a
         // session runs. Factor 1 until the shape has been observed.
         let est_seconds =
-            footprint.latency().seconds() * self.shared.calibrator.latency_factor(&footprint.shape);
+            footprint.latency().total() * self.shared.calibrator.latency_factor(&footprint.shape);
         let priority = opts.priority;
         // Per-query recorder: the whole lifecycle (queue wait included)
         // lands on one timeline because every recorder shares the

@@ -401,7 +401,7 @@ mod tests {
         let es = crate::PlanFootprint::of(gen.db(), &short.plan, &short.mode, 1).latency();
         let el = crate::PlanFootprint::of(gen.db(), &long.plan, &long.mode, 1).latency();
         assert!(
-            el.seconds() > 10.0 * es.seconds(),
+            el.total() > 10.0 * es.total(),
             "long {el:?} vs short {es:?}"
         );
     }

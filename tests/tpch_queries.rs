@@ -157,12 +157,17 @@ fn space_constrained_uses_less_device_memory() {
     assert_eq!(r.rows, c.rows);
 }
 
-/// Q1 in the space-constrained configuration now gathers its six
-/// aggregate inputs on the device for the rows `l_shipdate`'s 4 stored
-/// bits decide. The admission estimate budgets `gathered_columns() ×
-/// GATHER_VALUE_BYTES` per hinted candidate, so — even at safety factor 1,
-/// where the hinted reservation *is* the enforced budget — the query is
-/// admitted once: no `DeviceOutOfMemory`, no worst-case requeue.
+/// Q1 in the space-constrained configuration gathers its four value
+/// columns on the device (the pre-grouping's ids stand in for the two
+/// keys) over decided ∪ refined rows. The reservation is the executor's
+/// own transient bytes over the *predicted* counts, so at safety factor 1
+/// — where the reservation *is* the enforced budget — the margin is what
+/// the statistics miss: 60 000 candidate pairs × 12 B + 57 863 predicted
+/// survivors × 4 columns × 8 B + 5 273 survivor bits = 2 572 276 B,
+/// against 2 571 960 B held (57 853 survivors, 5 311 undecided). Admitted
+/// once: no `DeviceOutOfMemory`, no worst-case requeue. (The parent
+/// reserved 3 471 780 B — 57 863 hinted candidates × (12 B + 6 columns ×
+/// 8 B), the two key columns the executor never gathers included.)
 #[test]
 fn space_constrained_q1_is_admitted_first_time() {
     use std::sync::Arc;
