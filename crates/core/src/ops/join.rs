@@ -19,7 +19,7 @@ use crate::translucent::translucent_join_with;
 use bwd_device::{Component, CostLedger, Device, Env};
 use bwd_kernels::gather::gather_indirect;
 use bwd_kernels::{Candidates, DeviceArray, Theta};
-use bwd_storage::{BitPackedVec, ColumnData};
+use bwd_storage::{with_slice, BitPackedVec, ColumnData};
 use bwd_types::bits::bits_for_width;
 use bwd_types::{BwdError, FxHashMap, Oid, Result};
 
@@ -46,24 +46,8 @@ impl FkIndex {
         env: &Env,
         ledger: &mut CostLedger,
     ) -> Result<Self> {
-        let mut table: FxHashMap<i64, u32> = FxHashMap::default();
-        table.reserve(dim_keys.len());
-        for row in 0..dim_keys.len() {
-            let k = dim_keys.get(row);
-            if table.insert(k, row as u32).is_some() {
-                return Err(BwdError::InvalidArgument(format!(
-                    "dimension key {k} is not unique"
-                )));
-            }
-        }
-        let mut host = Vec::with_capacity(fact_keys.len());
-        for row in 0..fact_keys.len() {
-            let k = fact_keys.get(row);
-            let dim_row = table
-                .get(&k)
-                .ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))?;
-            host.push(*dim_row);
-        }
+        let table = with_slice!(dim_keys, keys => dim_rows_by_key(keys))?;
+        let host = with_slice!(fact_keys, keys => dim_rows_of(keys, &table))?;
         // CPU hash build + probe cost.
         let t = env.cpu.scan_seconds(
             (fact_keys.len() + dim_keys.len()) as u64 * 8,
@@ -105,6 +89,34 @@ impl FkIndex {
     pub fn is_empty(&self) -> bool {
         self.host.is_empty()
     }
+}
+
+/// Hash the dimension keys: key → dimension row.
+fn dim_rows_by_key<T: Copy + Into<i64>>(keys: &[T]) -> Result<FxHashMap<i64, u32>> {
+    let mut table: FxHashMap<i64, u32> = FxHashMap::default();
+    table.reserve(keys.len());
+    for (row, &k) in keys.iter().enumerate() {
+        let k = k.into();
+        if table.insert(k, row as u32).is_some() {
+            return Err(BwdError::InvalidArgument(format!(
+                "dimension key {k} is not unique"
+            )));
+        }
+    }
+    Ok(table)
+}
+
+/// Translate every fact key into its dimension row.
+fn dim_rows_of<T: Copy + Into<i64>>(keys: &[T], table: &FxHashMap<i64, u32>) -> Result<Vec<u32>> {
+    let mut host = Vec::with_capacity(keys.len());
+    for &k in keys {
+        let k = k.into();
+        let dim_row = table
+            .get(&k)
+            .ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))?;
+        host.push(*dim_row);
+    }
+    Ok(host)
 }
 
 /// Approximate FK-projective join: for each fact candidate, fetch the

@@ -15,7 +15,7 @@
 //! decimal(7,5), time int)`.
 
 use crate::rng::Xoshiro;
-use bwd_storage::{Column, ColumnData};
+use bwd_storage::Column;
 use bwd_types::DataType;
 
 /// The paper's coordinate bounding box, scaled by 1e5 (payload domain).
@@ -127,14 +127,15 @@ pub fn gen_trips(cfg: &SpatialConfig) -> TripsTable {
         produced += len;
     }
 
-    // Coordinates are built in the 4 bytes a 7- or 8-digit decimal is
-    // stored in: no widened vector to narrow afterwards.
+    // Coordinates are built in the 4 bytes their 23-bit domains need: no
+    // wider vector to narrow afterwards.
     let coordinate = |precision, vals: Vec<i32>| {
         let dtype = DataType::Decimal {
             precision,
             scale: 5,
         };
-        Column::from_data(dtype, ColumnData::I32(vals)).expect("the bounding box fits")
+        Column::from_data(dtype, vals.into())
+            .expect("clamped to the box: |lon| < 10^8, |lat| < 10^7")
     };
     TripsTable {
         tripid: Column::from_i32(tripid),

@@ -68,6 +68,12 @@ pub fn ship_epoch() -> Date {
 /// Number of distinct ship dates (TPC-H: 2,526 days — 12 bits).
 pub const SHIPDATE_DAYS: i64 = 2526;
 
+/// The type of every TPC-H money column.
+const DECIMAL_12_2: DataType = DataType::Decimal {
+    precision: 12,
+    scale: 2,
+};
+
 /// Generated `part` table columns.
 pub struct PartTable {
     /// `p_partkey` — dense 1-based keys.
@@ -78,7 +84,14 @@ pub struct PartTable {
     pub p_retailprice: Column,
 }
 
-/// Generate the `part` table.
+/// TPC-H's retail price of part `key`, in cents: at most 90 000 +
+/// 200 000 + 99 900 = 389 900.
+fn retail_price(key: i64) -> i64 {
+    90_000 + (key % 20_001) * 10 + (key % 1_000) * 100
+}
+
+/// Generate the `part` table. Every column is pushed in the width its
+/// documented domain needs, so no wider vector exists to narrow.
 pub fn gen_part(cfg: &TpchConfig) -> PartTable {
     let n = cfg.parts();
     let mut rng = Xoshiro::seed(cfg.seed ^ 0x9A57);
@@ -95,15 +108,14 @@ pub fn gen_part(cfg: &TpchConfig) -> PartTable {
     for i in 0..n {
         keys.push((i + 1) as i32);
         let (t1, t2, t3) = (rng.below(5), rng.below(5), rng.below(5));
-        types.push(((t1 * 5 + t2) * 5 + t3) as i32);
-        // TPC-H retail price formula, in cents.
-        let key = (i + 1) as i64;
-        prices.push(90_000 + (key % 20_001) * 10 + (key % 1_000) * 100);
+        types.push(((t1 * 5 + t2) * 5 + t3) as i8); // 0..=124
+        prices.push(retail_price((i + 1) as i64) as i32); // ≤ 389 900
     }
     PartTable {
         p_partkey: Column::from_i32(keys),
-        p_type: Column::from_codes(&vocab, types).expect("three draws below 5 name a type"),
-        p_retailprice: Column::from_decimals(prices, 12, 2).expect("prices fit"),
+        p_type: Column::from_codes(&vocab, types).expect("three draws below 5 index the 125"),
+        p_retailprice: Column::from_data(DECIMAL_12_2, prices.into())
+            .expect("389 900 cents are 6 of 12 digits, in 4 of 8 bytes"),
     }
 }
 
@@ -127,12 +139,14 @@ pub struct LineitemTable {
     pub l_shipdate: Column,
 }
 
-/// Generate the `lineitem` table.
+/// Generate the `lineitem` table. Every column is pushed in the width its
+/// documented domain needs, so no wider vector exists to narrow.
 pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
     let n = cfg.lineitems();
     let parts = cfg.parts() as i64;
     let mut rng = Xoshiro::seed(cfg.seed);
-    let epoch = ship_epoch().days();
+    // 1992-01-02 is day 8 036; the last ship date, day 10 561, fits `i16`.
+    let epoch = ship_epoch().days() as i64;
 
     let mut partkey = Vec::with_capacity(n);
     let mut quantity = Vec::with_capacity(n);
@@ -142,30 +156,29 @@ pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
     // Flags as codes into these vocabularies, not one `&str` per row.
     const RETURNFLAGS: [&str; 3] = ["A", "R", "N"];
     const LINESTATUSES: [&str; 2] = ["F", "O"];
-    const FLAG_N: i32 = 2;
-    const STATUS_F: i32 = 0;
-    const STATUS_O: i32 = 1;
+    const FLAG_N: i8 = 2;
+    const STATUS_F: i8 = 0;
+    const STATUS_O: i8 = 1;
     let mut rflag = Vec::with_capacity(n);
     let mut lstatus = Vec::with_capacity(n);
     let mut shipdate = Vec::with_capacity(n);
 
     // The 1995-06-17 "current date" watershed drives returnflag/linestatus.
-    let currentdate = Date::from_ymd(1995, 6, 17).days();
+    let currentdate = Date::from_ymd(1995, 6, 17).days() as i64;
 
     for _ in 0..n {
         let pk = 1 + rng.below(parts as u64) as i64;
         partkey.push(pk as i32);
         let qty = rng.range_i64(1, 50);
-        quantity.push(qty as i32);
-        // extendedprice = qty * part retail price (same formula as gen_part).
-        let retail = 90_000 + (pk % 20_001) * 10 + (pk % 1_000) * 100;
-        price.push(qty * retail);
-        discount.push(rng.range_i64(0, 10));
-        tax.push(rng.range_i64(0, 8));
-        let ship = epoch + rng.range_i64(0, SHIPDATE_DAYS - 1) as i32;
-        shipdate.push(ship);
+        quantity.push(qty as i8);
+        // extendedprice = qty * part retail price: ≤ 50 × 389 900 cents.
+        price.push((qty * retail_price(pk)) as i32);
+        discount.push(rng.range_i64(0, 10) as i8);
+        tax.push(rng.range_i64(0, 8) as i8);
+        let ship = epoch + rng.range_i64(0, SHIPDATE_DAYS - 1);
+        shipdate.push(ship as i16);
         if ship <= currentdate {
-            rflag.push(rng.below(2) as i32); // "A" or "R"
+            rflag.push(rng.below(2) as i8); // "A" or "R"
             lstatus.push(STATUS_F);
         } else {
             rflag.push(FLAG_N);
@@ -173,16 +186,21 @@ pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
         }
     }
 
+    let decimal = |vals: ColumnData| {
+        Column::from_data(DECIMAL_12_2, vals)
+            .expect("19 495 000 cents are 8 of 12 digits, in 4 of 8 bytes")
+    };
     LineitemTable {
         l_partkey: Column::from_i32(partkey),
-        l_quantity: Column::from_i32(quantity),
-        l_extendedprice: Column::from_decimals(price, 12, 2).expect("prices fit"),
-        l_discount: Column::from_decimals(discount, 12, 2).expect("fits"),
-        l_tax: Column::from_decimals(tax, 12, 2).expect("fits"),
+        l_quantity: Column::from_data(DataType::Int32, quantity.into())
+            .expect("one byte is narrower than an int's four"),
+        l_extendedprice: decimal(price.into()),
+        l_discount: decimal(discount.into()),
+        l_tax: decimal(tax.into()),
         l_returnflag: Column::from_codes(&RETURNFLAGS, rflag).expect("codes 0..3"),
         l_linestatus: Column::from_codes(&LINESTATUSES, lstatus).expect("codes 0..2"),
-        l_shipdate: Column::from_data(DataType::Date, ColumnData::I32(shipdate))
-            .expect("day counts are 4 bytes wide"),
+        l_shipdate: Column::from_data(DataType::Date, shipdate.into())
+            .expect("two bytes are narrower than a date's four"),
     }
 }
 
@@ -302,10 +320,9 @@ mod tests {
         let li = gen_lineitem(&cfg);
         for i in 0..li.l_quantity.len().min(100) {
             let pk = li.l_partkey.payload(i);
-            let retail = 90_000 + (pk % 20_001) * 10 + (pk % 1_000) * 100;
             assert_eq!(
                 li.l_extendedprice.payload(i),
-                li.l_quantity.payload(i) * retail
+                li.l_quantity.payload(i) * retail_price(pk)
             );
         }
     }

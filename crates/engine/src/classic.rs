@@ -20,7 +20,7 @@ use bwd_core::plan::{ArPlan, BoundSelection};
 use bwd_core::RangePred;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::{Cursor, Positions, ScanOptions, SelMask};
-use bwd_storage::{Column, ColumnData};
+use bwd_storage::{with_slice, Column};
 use bwd_types::{bits::low_mask, Oid, Result};
 
 /// Execute an A&R-bound plan classically (host only, exact data).
@@ -171,10 +171,9 @@ fn selection_mask(
             let (rows, fk) = ((stage == 0).then_some(n), fk_host.filter(|_| is_dim));
             // One loop per physical width: the per-row work is a load and
             // two compares, a dispatch inside it would double it.
-            counts.push(match col.data() {
-                ColumnData::I32(v) => select_words(words, first_word, rows, &sel.range, v, fk),
-                ColumnData::I64(v) => select_words(words, first_word, rows, &sel.range, v, fk),
-            });
+            counts.push(with_slice!(col.data(), v => {
+                select_words(words, first_word, rows, &sel.range, v, fk)
+            }));
         }
         counts
     };
@@ -250,15 +249,21 @@ impl SliceSource for ClassicSource<'_> {
         block.resize(self.oids.len());
         for (slot, &(col, is_dim)) in self.cols.iter().enumerate() {
             // `run_classic_sliced` rejects dimension columns without an index.
-            let fetch = |oid: usize| match self.fk_host {
-                Some(fk) if is_dim => col.payload(fk[oid] as usize),
-                _ => col.payload(oid),
-            };
-            let out = block.payloads_mut(slot).iter_mut();
-            out.zip(&self.oids)
-                .for_each(|(o, &oid)| *o = fetch(oid as usize));
+            let fk = self.fk_host.filter(|_| is_dim);
+            let out = block.payloads_mut(slot);
+            with_slice!(col.data(), v => fetch(v, fk, &self.oids, out));
         }
         Ok(more)
+    }
+}
+
+/// `out[i] = col[oids[i]]` (`col[fk[oids[i]]]` for a dimension column),
+/// widened: one loop per physical width, like [`select_words`].
+fn fetch<T: Copy + Into<i64>>(col: &[T], fk: Option<&[u32]>, oids: &[Oid], out: &mut [i64]) {
+    let rows = out.iter_mut().zip(oids);
+    match fk {
+        Some(fk) => rows.for_each(|(o, &oid)| *o = col[fk[oid as usize] as usize].into()),
+        None => rows.for_each(|(o, &oid)| *o = col[oid as usize].into()),
     }
 }
 
@@ -485,5 +490,69 @@ mod tests {
             }
         }
         assert!(polls.load(std::sync::atomic::Ordering::Relaxed) > 8 * N / SLICE_ROWS);
+    }
+
+    /// The first two links of a chain over typed slices: a full scan of
+    /// `a` that fills the mask, then the refinement of its set rows by
+    /// `b` through `fk` — the mask words and both survivor counts.
+    fn two_links<A: Copy + Into<i64>, B: Copy + Into<i64>>(
+        (a, a_range): (&[A], &RangePred),
+        (b, b_range): (&[B], &RangePred),
+        fk: &[u32],
+    ) -> (Vec<u64>, [u64; 2]) {
+        let mut words = vec![0u64; a.len().div_ceil(64)];
+        let scanned = select_words(&mut words, 0, Some(a.len()), a_range, a, None);
+        let refined = select_words(&mut words, 0, None, b_range, b, Some(fk));
+        (words, [scanned, refined])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// Width is invisible to the classic pipe: over a fact column and a
+        /// dimension column stored in any two of the four widths, the
+        /// selection chain fills the mask words and counts — and the tail
+        /// fetches the payloads — it does over their widened copies.
+        #[test]
+        fn width_is_invisible_to_the_selection_chain_and_the_fetch(
+            a_bits in 1u32..=63,
+            b_bits in 1u32..=63,
+            n in 0usize..700,
+            dim_rows in 1usize..40,
+            seed: u64,
+        ) {
+            let mut rng = bwd_types::SplitMix64::new(seed);
+            // Domains centred on zero, so every width is hit from both signs.
+            let mut column = |rows: usize, bits: u32| {
+                let draw = |_| rng.below(1 << bits) as i64 - (1i64 << (bits - 1));
+                Column::from_i64((0..rows).map(draw).collect())
+            };
+            let (a, b) = (column(n, a_bits), column(dim_rows, b_bits));
+            let fk: Vec<u32> = (0..n).map(|_| rng.below(dim_rows as u64) as u32).collect();
+            let mut range = |bits: u32| {
+                let edge = rng.below(1 << bits) as i64 - (1i64 << (bits - 1));
+                RangePred {
+                    exclude: Some(edge / 2),
+                    ..RangePred::between(edge.min(0) / 2, edge.max(0))
+                }
+            };
+            let (a_range, b_range) = (range(a_bits), range(b_bits));
+            let widened = two_links((&a.payloads(), &a_range), (&b.payloads(), &b_range), &fk);
+            let stored = with_slice!(a.data(), a => with_slice!(b.data(), b => {
+                two_links((a, &a_range), (b, &b_range), &fk)
+            }));
+            let tag = format!("{} and {} bytes", a.data().width(), b.data().width());
+            proptest::prop_assert_eq!(stored, widened, "{}", tag);
+
+            let oids: Vec<Oid> = (0..n as Oid).filter(|_| rng.below(3) > 0).collect();
+            let mut out = vec![0i64; oids.len()];
+            with_slice!(a.data(), a => fetch(a, None, &oids, &mut out));
+            let direct: Vec<i64> = oids.iter().map(|&o| a.payload(o as usize)).collect();
+            proptest::prop_assert_eq!(&out, &direct, "{}", tag);
+            with_slice!(b.data(), b => fetch(b, Some(&fk), &oids, &mut out));
+            let through_fk: Vec<i64> =
+                oids.iter().map(|&o| b.payload(fk[o as usize] as usize)).collect();
+            proptest::prop_assert_eq!(&out, &through_fk, "{}", tag);
+        }
     }
 }

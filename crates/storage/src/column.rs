@@ -2,31 +2,88 @@
 //!
 //! A [`Column`] is the full-resolution, host-resident representation every
 //! classic (CPU-only) operator works on, and the source from which
-//! decomposition derives the device partitions. Physical storage follows
-//! MonetDB's static type expansion: 32-bit types live in `Vec<i32>`,
-//! 64-bit types in `Vec<i64>`; strings are codes into an *ordered*
-//! [`Dictionary`] so that prefix predicates become code-range predicates
-//! (the rewrite the paper applied to TPC-H Q14's `like 'PROMO%'`).
+//! decomposition derives the device partitions. Two widths, kept apart:
+//!
+//! * the **modeled** width follows MonetDB's static type expansion —
+//!   32-bit types 4 bytes, 64-bit types 8 ([`DataType::plain_width`]) —
+//!   and is what every bill, every decomposition report and the load
+//!   ledger charge ([`Column::plain_bytes`]);
+//! * the **physical** width is the narrowest of 1, 2, 4 or 8 bytes that
+//!   holds the column's payload extrema ([`Column::physical_bytes`]).
+//!   Nothing but the allocator reads it: it never reaches a bill.
+//!
+//! Strings are codes into an *ordered* [`Dictionary`] so that prefix
+//! predicates become code-range predicates (the rewrite the paper applied
+//! to TPC-H Q14's `like 'PROMO%'`).
 
 use bwd_types::{BwdError, DataType, Date, FxHashMap, Result, Value};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Physical payload storage of a column.
+/// Physical payload storage of a column, in one of the four widths.
+///
+/// Read it through [`with_slice!`](crate::with_slice): one dispatch per
+/// typed slice, never one per row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
-    /// 32-bit payloads (Int32, Date, dictionary codes, narrow decimals).
+    /// 8-bit payloads.
+    I8(Vec<i8>),
+    /// 16-bit payloads.
+    I16(Vec<i16>),
+    /// 32-bit payloads.
     I32(Vec<i32>),
-    /// 64-bit payloads (Int64, wide decimals).
+    /// 64-bit payloads.
     I64(Vec<i64>),
+}
+
+/// Evaluate `$body` with `$rows` bound to the typed payload slice (or
+/// vector) behind `$data` — the one place a physical width is dispatched
+/// on. `$body` is compiled once per width, so it may call anything generic
+/// over `T: Copy + Into<i64>`.
+#[macro_export]
+macro_rules! with_slice {
+    ($data:expr, $rows:ident => $body:expr) => {
+        match $data {
+            $crate::ColumnData::I8($rows) => $body,
+            $crate::ColumnData::I16($rows) => $body,
+            $crate::ColumnData::I32($rows) => $body,
+            $crate::ColumnData::I64($rows) => $body,
+        }
+    };
+}
+
+/// An element type of [`ColumnData`]: `i8`, `i16`, `i32` or `i64`.
+pub trait Payload: Copy + Ord + Into<i64> {
+    /// `v` cut to this width, for values known to fit it.
+    fn cut(v: i64) -> Self;
+    /// `vals` as column storage, moved.
+    fn store(vals: Vec<Self>) -> ColumnData;
+}
+
+macro_rules! payload_widths {
+    ($($t:ty => $arm:ident),*) => {$(
+        impl Payload for $t {
+            #[inline]
+            fn cut(v: i64) -> Self {
+                v as $t
+            }
+            fn store(vals: Vec<Self>) -> ColumnData {
+                ColumnData::$arm(vals)
+            }
+        }
+    )*};
+}
+payload_widths!(i8 => I8, i16 => I16, i32 => I32, i64 => I64);
+
+impl<T: Payload> From<Vec<T>> for ColumnData {
+    fn from(vals: Vec<T>) -> Self {
+        T::store(vals)
+    }
 }
 
 impl ColumnData {
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            ColumnData::I32(v) => v.len(),
-            ColumnData::I64(v) => v.len(),
-        }
+        with_slice!(self, rows => rows.len())
     }
 
     /// Whether the column holds no rows.
@@ -34,136 +91,179 @@ impl ColumnData {
         self.len() == 0
     }
 
-    /// Payload of row `i`, widened to `i64`.
+    /// Payload of row `i`, widened to `i64` — for single rows; a loop
+    /// takes the slice through [`with_slice!`](crate::with_slice).
     #[inline]
+    #[allow(clippy::useless_conversion)] // the `i64` arm
     pub fn get(&self, i: usize) -> i64 {
-        match self {
-            ColumnData::I32(v) => v[i] as i64,
-            ColumnData::I64(v) => v[i],
-        }
+        with_slice!(self, rows => rows[i].into())
     }
+
+    /// Bytes per stored payload: 1, 2, 4 or 8.
+    pub fn width(&self) -> u64 {
+        fn of<T>(_: &[T]) -> u64 {
+            std::mem::size_of::<T>() as u64
+        }
+        with_slice!(self, rows => of(rows))
+    }
+
+    /// `self` in the width `U`, which holds every payload: itself when it
+    /// already is, else a re-packed copy (and `self` dropped).
+    #[allow(clippy::useless_conversion)] // the `i64` arm
+    fn packed_as<U: Payload>(self) -> ColumnData {
+        if self.width() == std::mem::size_of::<U>() as u64 {
+            return self;
+        }
+        with_slice!(&self, rows => U::store(rows.iter().map(|&x| U::cut(x.into())).collect()))
+    }
+}
+
+/// A column's logical type, with what only that type carries: a string
+/// column cannot be without its dictionary.
+#[derive(Debug, Clone)]
+enum Logical {
+    /// Any type but `Str` ([`Column::from_data`] rejects it).
+    Plain(DataType),
+    /// `Str`: payloads are codes into this ordered dictionary.
+    Str(Arc<Dictionary>),
 }
 
 /// A persistent, fully-decomposed (column-store) attribute.
 #[derive(Debug, Clone)]
 pub struct Column {
-    dtype: DataType,
+    logical: Logical,
+    /// In the narrowest width that holds `min_max`.
     data: ColumnData,
-    /// Ordered dictionary for `Str` columns.
-    dict: Option<Arc<Dictionary>>,
-    /// Payload minimum/maximum, found by the first
-    /// [`Column::payload_min_max`] call: the binder asks per predicate per
-    /// `bind`, and a full pass each time was most of a short request.
-    min_max: OnceLock<Option<(i64, i64)>>,
+    /// Payload minimum/maximum, `None` when empty: found once, on the way
+    /// in — it decides the storage width, and decomposition and the binder
+    /// (per predicate per `bind`) ask for it anyway.
+    min_max: Option<(i64, i64)>,
 }
 
 impl Column {
-    fn new(dtype: DataType, data: ColumnData, dict: Option<Arc<Dictionary>>) -> Self {
-        Column {
-            dtype,
-            data,
-            dict,
-            min_max: OnceLock::new(),
-        }
-    }
-
-    /// Build an `Int32` column.
-    pub fn from_i32(vals: Vec<i32>) -> Self {
-        Column::new(DataType::Int32, ColumnData::I32(vals), None)
-    }
-
-    /// Build an `Int64` column.
-    pub fn from_i64(vals: Vec<i64>) -> Self {
-        Column::new(DataType::Int64, ColumnData::I64(vals), None)
-    }
-
-    /// Build a `Date` column from day counts.
-    pub fn from_dates(vals: Vec<Date>) -> Self {
-        let days = vals.into_iter().map(|d| d.days()).collect();
-        Column::new(DataType::Date, ColumnData::I32(days), None)
-    }
-
-    /// Build a decimal column from already-scaled integers.
-    pub fn from_decimals(unscaled: Vec<i64>, precision: u8, scale: u8) -> Result<Self> {
-        let dtype = DataType::Decimal { precision, scale };
-        let data = if dtype.plain_width() == 4 {
-            let mut narrow = Vec::with_capacity(unscaled.len());
-            for v in &unscaled {
-                let n = i32::try_from(*v).map_err(|_| {
-                    BwdError::InvalidArgument(format!(
-                        "decimal payload {v} exceeds precision {precision}"
-                    ))
-                })?;
-                narrow.push(n);
-            }
-            ColumnData::I32(narrow)
+    /// The one constructor: finds the extrema and stores `data` in the
+    /// narrowest width that holds them — moved in when it already is,
+    /// re-packed once (and the wider vector dropped) when it is not.
+    fn new(logical: Logical, data: ColumnData) -> Self {
+        let min_max = with_slice!(&data, rows => extrema(rows));
+        let (lo, hi) = min_max.unwrap_or((0, 0));
+        let holds = |min, max| min <= lo && hi <= max;
+        let data = if holds(i8::MIN as i64, i8::MAX as i64) {
+            data.packed_as::<i8>()
+        } else if holds(i16::MIN as i64, i16::MAX as i64) {
+            data.packed_as::<i16>()
+        } else if holds(i32::MIN as i64, i32::MAX as i64) {
+            data.packed_as::<i32>()
         } else {
-            ColumnData::I64(unscaled)
+            data
         };
-        Ok(Column::new(dtype, data, None))
-    }
-
-    /// Build a string column: constructs the ordered dictionary and encodes
-    /// each row as its code.
-    pub fn from_strings<S: AsRef<str>>(vals: &[S]) -> Self {
-        let (dict, codes) = Dictionary::build(vals);
-        Column::new(DataType::Str, ColumnData::I32(codes), Some(Arc::new(dict)))
-    }
-
-    /// Build a string column from rows already coded against a known
-    /// vocabulary (`codes[i]` indexes `vocab`) — a loader that knows its
-    /// vocabulary need not hold one `&str` per row. The dictionary is the
-    /// ordered set of entries some row uses, exactly what
-    /// [`Column::from_strings`] builds from the spelled-out rows; `codes`
-    /// is re-coded in place.
-    ///
-    /// # Errors
-    /// Fails on a code outside `vocab`.
-    pub fn from_codes<S: AsRef<str>>(vocab: &[S], mut codes: Vec<i32>) -> Result<Self> {
-        let dict = Dictionary::from_vocabulary(vocab, &mut codes)?;
-        let data = ColumnData::I32(codes);
-        Ok(Column::new(DataType::Str, data, Some(Arc::new(dict))))
-    }
-
-    /// A non-string column over storage already in its physical width —
-    /// nothing is copied, widened or narrowed.
-    ///
-    /// # Errors
-    /// Fails when the storage width is not `dtype.plain_width()`, when a
-    /// decimal payload has more digits than its precision, and for `Str`
-    /// (whose codes mean nothing without a dictionary: use
-    /// [`Column::from_strings`] or [`Column::from_codes`]).
-    pub fn from_data(dtype: DataType, data: ColumnData) -> Result<Self> {
-        let width = match data {
-            ColumnData::I32(_) => 4,
-            ColumnData::I64(_) => 8,
-        };
-        if dtype == DataType::Str || width != dtype.plain_width() {
-            return Err(BwdError::InvalidArgument(format!(
-                "{width}-byte payload storage cannot back a {dtype} column"
-            )));
+        Column {
+            logical,
+            data,
+            min_max,
         }
-        let col = Column::new(dtype, data, None);
-        if let DataType::Decimal { precision, .. } = dtype {
-            // The extrema decide it, and stay cached for decomposition.
+    }
+
+    /// `self`, unless a decimal payload has more digits than the precision
+    /// the type names — the one digit check, for every fallible entry.
+    fn within_precision(self) -> Result<Self> {
+        if let DataType::Decimal { precision, .. } = self.dtype() {
             let fits = |v: i64| match 10u64.checked_pow(precision as u32) {
                 Some(limit) => v.unsigned_abs() < limit,
                 None => true,
             };
-            let (lo, hi) = col.payload_min_max().unwrap_or((0, 0));
+            let (lo, hi) = self.min_max.unwrap_or((0, 0));
             if let Some(v) = [lo, hi].into_iter().find(|&v| !fits(v)) {
                 return Err(BwdError::InvalidArgument(format!(
                     "decimal payload {v} exceeds precision {precision}"
                 )));
             }
         }
-        Ok(col)
+        Ok(self)
+    }
+
+    /// Build an `Int32` column.
+    pub fn from_i32(vals: Vec<i32>) -> Self {
+        Column::new(Logical::Plain(DataType::Int32), vals.into())
+    }
+
+    /// Build an `Int64` column.
+    pub fn from_i64(vals: Vec<i64>) -> Self {
+        Column::new(Logical::Plain(DataType::Int64), vals.into())
+    }
+
+    /// Build a `Date` column from day counts.
+    pub fn from_dates(vals: Vec<Date>) -> Self {
+        let days: Vec<i32> = vals.into_iter().map(|d| d.days()).collect();
+        Column::new(Logical::Plain(DataType::Date), days.into())
+    }
+
+    /// Build a decimal column from already-scaled integers.
+    ///
+    /// # Errors
+    /// Fails when a payload has more digits than `precision`.
+    pub fn from_decimals(unscaled: Vec<i64>, precision: u8, scale: u8) -> Result<Self> {
+        let dtype = DataType::Decimal { precision, scale };
+        Column::new(Logical::Plain(dtype), unscaled.into()).within_precision()
+    }
+
+    /// Build a string column: constructs the ordered dictionary and encodes
+    /// each row as its code.
+    pub fn from_strings<S: AsRef<str>>(vals: &[S]) -> Self {
+        let (dict, codes) = Dictionary::build(vals);
+        Column::new(Logical::Str(Arc::new(dict)), codes.into())
+    }
+
+    /// Build a string column from rows already coded against a known
+    /// vocabulary (`codes[i]` indexes `vocab`) — a loader that knows its
+    /// vocabulary need not hold one `&str` per row, nor codes wider than
+    /// the vocabulary needs. The dictionary is the ordered set of entries
+    /// some row uses, exactly what [`Column::from_strings`] builds from the
+    /// spelled-out rows; `codes` is re-coded in place.
+    ///
+    /// # Errors
+    /// Fails on a code outside `vocab`.
+    pub fn from_codes<S: AsRef<str>, C: Payload>(vocab: &[S], mut codes: Vec<C>) -> Result<Self> {
+        let (lo, hi) = extrema(&codes).unwrap_or((0, 0));
+        if let Some(c) = [lo, hi]
+            .into_iter()
+            .find(|&c| c < 0 || c >= vocab.len() as i64)
+        {
+            return Err(BwdError::InvalidArgument(format!(
+                "string code {c} outside a vocabulary of {}",
+                vocab.len()
+            )));
+        }
+        let dict = Dictionary::from_vocabulary(vocab, &mut codes);
+        Ok(Column::new(Logical::Str(Arc::new(dict)), codes.into()))
+    }
+
+    /// A non-string column of logical type `dtype` over `data`, which
+    /// moves in uncopied when it is already in the narrowest width that
+    /// holds its extrema.
+    ///
+    /// # Errors
+    /// Fails when the storage is wider than `dtype.plain_width()`, when a
+    /// decimal payload has more digits than its precision, and for `Str`
+    /// (whose codes mean nothing without a dictionary: use
+    /// [`Column::from_strings`] or [`Column::from_codes`]).
+    pub fn from_data(dtype: DataType, data: ColumnData) -> Result<Self> {
+        let width = data.width();
+        if dtype == DataType::Str || width > dtype.plain_width() {
+            return Err(BwdError::InvalidArgument(format!(
+                "{width}-byte payload storage cannot back a {dtype} column"
+            )));
+        }
+        Column::new(Logical::Plain(dtype), data).within_precision()
     }
 
     /// Logical type.
     #[inline]
     pub fn dtype(&self) -> DataType {
-        self.dtype
+        match self.logical {
+            Logical::Plain(dtype) => dtype,
+            Logical::Str(_) => DataType::Str,
+        }
     }
 
     /// Number of rows.
@@ -192,79 +292,79 @@ impl Column {
 
     /// All payloads widened to `i64` — a full copy, for tests and
     /// measurement harnesses; the engine reads [`Column::data`] in place.
+    #[allow(clippy::useless_conversion)] // the `i64` arm
     pub fn payloads(&self) -> Vec<i64> {
-        match &self.data {
-            ColumnData::I32(v) => v.iter().map(|&x| x as i64).collect(),
-            ColumnData::I64(v) => v.clone(),
-        }
+        with_slice!(&self.data, rows => rows.iter().map(|&x| x.into()).collect())
     }
 
     /// The ordered dictionary, if this is a string column.
     pub fn dictionary(&self) -> Option<&Arc<Dictionary>> {
-        self.dict.as_ref()
+        match &self.logical {
+            Logical::Plain(_) => None,
+            Logical::Str(dict) => Some(dict),
+        }
     }
 
     /// Logical value of row `i`.
     pub fn value(&self, i: usize) -> Value {
         let p = self.data.get(i);
-        match self.dtype {
-            DataType::Int32 | DataType::Int64 => Value::Int(p),
-            DataType::Date => Value::Date(Date(p as i32)),
-            DataType::Decimal { scale, .. } => Value::decimal(p, scale),
-            DataType::Bool => Value::Bool(p != 0),
-            DataType::Str => {
-                let dict = self
-                    .dict
-                    .as_ref()
-                    .expect("string column without dictionary");
-                Value::Str(dict.value_of(p as u32).to_string())
-            }
+        match &self.logical {
+            Logical::Str(dict) => Value::Str(dict.value_of(p as u32).to_string()),
+            // `Plain` never holds `Str`; a bare code is the integer it is.
+            Logical::Plain(DataType::Int32 | DataType::Int64 | DataType::Str) => Value::Int(p),
+            Logical::Plain(DataType::Date) => Value::Date(Date(p as i32)),
+            Logical::Plain(DataType::Decimal { scale, .. }) => Value::decimal(p, *scale),
+            Logical::Plain(DataType::Bool) => Value::Bool(p != 0),
         }
     }
 
     /// Convert a literal [`Value`] into this column's payload domain
     /// (query constants against this column).
     pub fn payload_of_value(&self, v: &Value) -> Result<i64> {
-        match (self.dtype, v) {
-            (DataType::Int32 | DataType::Int64, Value::Int(x)) => Ok(*x),
-            (DataType::Date, Value::Date(d)) => Ok(d.days() as i64),
-            (DataType::Decimal { scale, .. }, Value::Decimal { unscaled, scale: s }) => {
-                rescale(*unscaled, *s, scale)
-            }
-            (DataType::Decimal { scale, .. }, Value::Int(x)) => {
-                x.checked_mul(10i64.pow(scale as u32)).ok_or_else(|| {
+        match (&self.logical, v) {
+            (Logical::Plain(DataType::Int32 | DataType::Int64), Value::Int(x)) => Ok(*x),
+            (Logical::Plain(DataType::Date), Value::Date(d)) => Ok(d.days() as i64),
+            (
+                Logical::Plain(DataType::Decimal { scale, .. }),
+                Value::Decimal { unscaled, scale: s },
+            ) => rescale(*unscaled, *s, *scale),
+            (Logical::Plain(DataType::Decimal { scale, .. }), Value::Int(x)) => {
+                x.checked_mul(10i64.pow(*scale as u32)).ok_or_else(|| {
                     BwdError::InvalidArgument(format!("integer {x} overflows decimal({scale})"))
                 })
             }
-            (DataType::Str, Value::Str(s)) => {
-                let dict = self
-                    .dict
-                    .as_ref()
-                    .expect("string column without dictionary");
+            (Logical::Str(dict), Value::Str(s)) => {
                 dict.code_of(s).map(|c| c as i64).ok_or_else(|| {
                     BwdError::NotFound(format!("string literal {s:?} not in dictionary"))
                 })
             }
-            (DataType::Bool, Value::Bool(b)) => Ok(*b as i64),
-            (dt, v) => Err(BwdError::TypeMismatch(format!(
-                "cannot compare {dt} column with literal {v:?}"
+            (Logical::Plain(DataType::Bool), Value::Bool(b)) => Ok(*b as i64),
+            (_, v) => Err(BwdError::TypeMismatch(format!(
+                "cannot compare {} column with literal {v:?}",
+                self.dtype()
             ))),
         }
     }
 
-    /// Modeled in-memory size in bytes (what the paper's data-volume and
-    /// streaming-baseline arithmetic charges for the full-resolution column).
+    /// Modeled in-memory size in bytes: rows × [`DataType::plain_width`],
+    /// the paper's model of static type expansion. This — never
+    /// [`Column::physical_bytes`] — is what the data-volume and
+    /// streaming-baseline arithmetic, every bill and the load ledger
+    /// charge for the full-resolution column.
     pub fn plain_bytes(&self) -> u64 {
-        self.len() as u64 * self.dtype.plain_width()
+        self.len() as u64 * self.dtype().plain_width()
     }
 
-    /// Minimum and maximum payload, or `None` when empty — one pass over
-    /// the column the first time it is asked, remembered afterwards.
+    /// Bytes the payloads occupy on this host: rows × the narrowest of 1,
+    /// 2, 4 or 8 bytes that holds the extrema. Only the allocator reads
+    /// it; no simulated cost does.
+    pub fn physical_bytes(&self) -> u64 {
+        self.len() as u64 * self.data.width()
+    }
+
+    /// Minimum and maximum payload, or `None` when empty.
     pub fn payload_min_max(&self) -> Option<(i64, i64)> {
-        *self.min_max.get_or_init(|| match &self.data {
-            ColumnData::I32(v) => extrema(v),
-            ColumnData::I64(v) => extrema(v),
-        })
+        self.min_max
     }
 }
 
@@ -292,24 +392,20 @@ impl Dictionary {
                 })
             })
             .collect();
-        let dict = Dictionary::from_vocabulary(&vocab, &mut codes)
-            .expect("first-seen ids index the vocabulary");
+        // A first-seen id is the index `vocab` held it at.
+        let dict = Dictionary::from_vocabulary(&vocab, &mut codes);
         (dict, codes)
     }
 
     /// The ordered dictionary of the `vocab` entries that `codes` uses;
-    /// every code is rewritten from its index into `vocab` to its rank in
-    /// the dictionary. `vocab` may be unordered and may repeat itself.
-    fn from_vocabulary<S: AsRef<str>>(vocab: &[S], codes: &mut [i32]) -> Result<Dictionary> {
+    /// every code — an index into `vocab`, the caller has checked — is
+    /// rewritten to its rank in the dictionary. `vocab` may be unordered
+    /// and may repeat itself.
+    fn from_vocabulary<S: AsRef<str>, C: Payload>(vocab: &[S], codes: &mut [C]) -> Dictionary {
+        let index = |c: C| Into::<i64>::into(c) as usize;
         let mut used = vec![false; vocab.len()];
         for &c in codes.iter() {
-            let slot = usize::try_from(c).ok().and_then(|c| used.get_mut(c));
-            *slot.ok_or_else(|| {
-                BwdError::InvalidArgument(format!(
-                    "string code {c} outside a vocabulary of {}",
-                    vocab.len()
-                ))
-            })? = true;
+            used[index(c)] = true;
         }
         let mut values: Vec<&str> = vocab
             .iter()
@@ -318,16 +414,18 @@ impl Dictionary {
             .collect();
         values.sort_unstable();
         values.dedup();
-        let rank: Vec<i32> = vocab
+        // A used entry's rank is below the number of distinct codes, which
+        // `C` holds; an unused entry's is never read.
+        let rank: Vec<C> = vocab
             .iter()
-            .map(|s| values.binary_search(&s.as_ref()).map_or(-1, |r| r as i32))
+            .map(|s| C::cut(values.binary_search(&s.as_ref()).map_or(-1, |r| r as i64)))
             .collect();
         for c in codes.iter_mut() {
-            *c = rank[*c as usize];
+            *c = rank[index(*c)];
         }
-        Ok(Dictionary {
+        Dictionary {
             values: values.into_iter().map(String::from).collect(),
-        })
+        }
     }
 
     /// Number of distinct values.
@@ -406,9 +504,192 @@ fn rescale(unscaled: i64, from: u8, to: u8) -> Result<i64> {
     }
 }
 
+/// Test support, shared with `decompose.rs`: one logical column per draw
+/// over every type × width class, built by two routes.
+#[cfg(test)]
+pub(crate) mod width_cases {
+    use super::*;
+
+    /// Every value a width boundary lies next to.
+    pub(crate) const BOUNDARIES: [i64; 16] = [
+        0,
+        -1,
+        -129,
+        -128,
+        127,
+        128,
+        -32_769,
+        -32_768,
+        32_767,
+        32_768,
+        i32::MIN as i64 - 1,
+        i32::MIN as i64,
+        i32::MAX as i64,
+        i32::MAX as i64 + 1,
+        -(1 << 62),
+        i64::MAX,
+    ];
+
+    const DECIMAL_8_5: DataType = DataType::Decimal {
+        precision: 8,
+        scale: 5,
+    };
+    const DECIMAL_12_2: DataType = DataType::Decimal {
+        precision: 12,
+        scale: 2,
+    };
+    pub(crate) const TYPES: [DataType; 7] = [
+        DataType::Int32,
+        DataType::Int64,
+        DataType::Date,
+        DataType::Bool,
+        DataType::Str,
+        DECIMAL_8_5,
+        DECIMAL_12_2,
+    ];
+
+    /// The narrowest of 1, 2, 4, 8 bytes holding `lo..=hi`, found the slow
+    /// way.
+    pub(crate) fn needs(lo: i64, hi: i64) -> u64 {
+        let fits = |bits: u32| [lo, hi].iter().all(|&v| v >> (bits - 1) == v >> 63);
+        [1, 2, 4]
+            .into_iter()
+            .find(|&w| fits(8 * w as u32))
+            .unwrap_or(8)
+    }
+
+    /// `rows` in the narrowest storage that holds them, packed by hand.
+    fn narrowest(rows: &[i64]) -> ColumnData {
+        let (lo, hi) = extrema(rows).unwrap_or((0, 0));
+        match needs(lo, hi) {
+            1 => ColumnData::I8(rows.iter().map(|&v| v as i8).collect()),
+            2 => ColumnData::I16(rows.iter().map(|&v| v as i16).collect()),
+            4 => ColumnData::I32(rows.iter().map(|&v| v as i32).collect()),
+            _ => ColumnData::I64(rows.to_vec()),
+        }
+    }
+
+    /// One logical column, by two routes.
+    pub(crate) struct Case {
+        pub(crate) dtype: DataType,
+        /// What every reader must see.
+        pub(crate) payloads: Vec<i64>,
+        /// Built from the widest input the type's constructor takes.
+        pub(crate) wide: Column,
+        /// Built from storage already in the narrowest width.
+        pub(crate) narrow: Column,
+    }
+
+    /// The column of `TYPES[ty]` whose extrema are the boundaries `lo_at`
+    /// and `hi_at` (clamped into the type's domain, in either order), of
+    /// `len` rows: none, one, or both extrema and `len - 2` draws between.
+    pub(crate) fn build(ty: usize, lo_at: usize, hi_at: usize, len: usize, seed: u64) -> Case {
+        let dtype = TYPES[ty];
+        let mut rng = bwd_types::SplitMix64::new(seed);
+        let (min, max) = match dtype {
+            DataType::Int64 => (i64::MIN, i64::MAX),
+            DataType::Bool => (0, 1),
+            // Codes: one dictionary entry per value up to the top one.
+            DataType::Str => (0, 32_768),
+            DECIMAL_8_5 => (1 - 10i64.pow(8), 10i64.pow(8) - 1),
+            DECIMAL_12_2 => (1 - 10i64.pow(12), 10i64.pow(12) - 1),
+            _ => (i32::MIN as i64, i32::MAX as i64),
+        };
+        let (a, b) = (
+            BOUNDARIES[lo_at].clamp(min, max),
+            BOUNDARIES[hi_at].clamp(min, max),
+        );
+        let (lo, hi) = (a.min(b), a.max(b));
+        // `hi - lo` < 2^64 − 1: the boundaries stop short of `i64::MIN`.
+        let mut draw = || lo.wrapping_add(rng.below(hi.wrapping_sub(lo) as u64 + 1) as i64);
+        let payloads: Vec<i64> = match (dtype, len) {
+            (_, 0) => vec![],
+            // A dictionary holds what some row uses: use every code.
+            (DataType::Str, _) => (0..=hi).rev().chain((1..len).map(|_| draw())).collect(),
+            (_, 1) => vec![hi],
+            _ => [lo, hi]
+                .into_iter()
+                .chain((2..len).map(|_| draw()))
+                .collect(),
+        };
+        let i32s = || payloads.iter().map(|&v| v as i32).collect::<Vec<_>>();
+        let narrow = narrowest(&payloads);
+        let (wide, narrow) = match dtype {
+            DataType::Str => {
+                let vocab: Vec<String> = (0..=hi).map(|i| format!("{i:05}")).collect();
+                let spelled: Vec<&str> = payloads.iter().map(|&c| &*vocab[c as usize]).collect();
+                let coded = with_slice!(narrow, codes => Column::from_codes(&vocab, codes));
+                (Column::from_strings(&spelled), coded.unwrap())
+            }
+            _ => {
+                let wide = match dtype {
+                    DataType::Int32 => Column::from_i32(i32s()),
+                    DataType::Int64 => Column::from_i64(payloads.clone()),
+                    DataType::Date => Column::from_dates(i32s().into_iter().map(Date).collect()),
+                    DataType::Decimal { precision, scale } => {
+                        Column::from_decimals(payloads.clone(), precision, scale).unwrap()
+                    }
+                    _ => Column::from_data(dtype, i32s().into()).unwrap(),
+                };
+                (wide, Column::from_data(dtype, narrow).unwrap())
+            }
+        };
+        Case {
+            dtype,
+            payloads,
+            wide,
+            narrow,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::width_cases::{needs, BOUNDARIES};
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Width is invisible: whatever width a column's values arrived
+        /// in, every reader sees the same column, stored the same way.
+        #[test]
+        fn width_is_invisible_to_every_reader(
+            ty in 0usize..width_cases::TYPES.len(),
+            lo_at in 0usize..BOUNDARIES.len(),
+            hi_at in 0usize..BOUNDARIES.len(),
+            len in 0usize..300,
+            seed: u64,
+        ) {
+            let case = width_cases::build(ty, lo_at, hi_at, len, seed);
+            let tag = format!("{} × {:?}", case.dtype, extrema(&case.payloads));
+            let (lo, hi) = extrema(&case.payloads).unwrap_or((0, 0));
+            for c in [&case.wide, &case.narrow] {
+                prop_assert_eq!(c.dtype(), case.dtype, "{}", tag);
+                prop_assert_eq!(c.payloads(), case.payloads.clone(), "{}", tag);
+                prop_assert_eq!(c.payload_min_max(), extrema(&case.payloads), "{}", tag);
+                prop_assert_eq!(c.data().width(), needs(lo, hi), "{}", tag);
+                let rows = case.payloads.len() as u64;
+                prop_assert_eq!(c.physical_bytes(), rows * needs(lo, hi), "{}", tag);
+                prop_assert_eq!(c.plain_bytes(), rows * case.dtype.plain_width(), "{}", tag);
+            }
+            prop_assert_eq!(case.wide.data(), case.narrow.data(), "{}", tag);
+            prop_assert_eq!(case.wide.dictionary(), case.narrow.dictionary(), "{}", tag);
+            for (i, &p) in case.payloads.iter().enumerate() {
+                let value = match case.dtype {
+                    DataType::Int32 | DataType::Int64 => Value::Int(p),
+                    DataType::Date => Value::Date(Date(p as i32)),
+                    DataType::Bool => Value::Bool(p == 1),
+                    DataType::Str => Value::Str(format!("{p:05}")),
+                    DataType::Decimal { scale, .. } => Value::decimal(p, scale),
+                };
+                prop_assert_eq!(case.wide.payload(i), p, "{} row {}", tag, i);
+                prop_assert_eq!(case.wide.value(i), value.clone(), "{} row {}", tag, i);
+                prop_assert_eq!(case.narrow.value(i), value, "{} row {}", tag, i);
+            }
+        }
+    }
 
     #[test]
     fn int_column_roundtrip() {
@@ -439,7 +720,9 @@ mod tests {
         assert_eq!(c.value(0), Value::decimal(268_288, 5));
         // Payload exceeding i32: rejected for precision<=9.
         assert!(Column::from_decimals(vec![i64::MAX], 8, 5).is_err());
-        let wide = Column::from_decimals(vec![i64::MAX / 2], 15, 2).unwrap();
+        // More digits than the precision names: rejected when wide, too.
+        assert!(Column::from_decimals(vec![i64::MAX / 2], 15, 2).is_err());
+        let wide = Column::from_decimals(vec![10i64.pow(15) - 1], 15, 2).unwrap();
         assert_eq!(wide.dtype().plain_width(), 8);
     }
 
@@ -507,18 +790,171 @@ mod tests {
         let c = Column::from_data(coord, ColumnData::I32(vals)).unwrap();
         assert_eq!(c.value(1), Value::decimal(7_013_643, 5));
         let ColumnData::I32(stored) = c.data() else {
-            panic!("a 7-digit decimal is 4 bytes wide")
+            panic!("seven digits need 4 bytes")
         };
         assert_eq!(stored.as_ptr(), at, "the storage moved in, uncopied");
         for bad in [10_000_000, -10_000_000] {
             assert!(Column::from_data(coord, ColumnData::I32(vec![0, bad])).is_err());
         }
+        // Storage wider than the type is modeled at is refused — whatever
+        // it holds —, narrower storage is what the rule would pick anyway.
         assert!(Column::from_data(coord, ColumnData::I64(vec![1])).is_err());
-        assert!(Column::from_data(DataType::Int64, ColumnData::I32(vec![1])).is_err());
+        assert!(Column::from_data(DataType::Int32, ColumnData::I64(vec![1])).is_err());
+        let narrow = Column::from_data(DataType::Int64, ColumnData::I16(vec![1, 300])).unwrap();
+        assert_eq!((narrow.plain_bytes(), narrow.physical_bytes()), (16, 4));
         let wide = |v| Column::from_data(DataType::decimal(2), ColumnData::I64(vec![v]));
         assert!(wide(10i64.pow(18) - 1).is_ok() && wide(10i64.pow(18)).is_err());
         assert!(Column::from_data(DataType::Date, ColumnData::I32(vec![])).is_ok());
         assert!(Column::from_data(DataType::Str, ColumnData::I32(vec![0])).is_err());
+    }
+
+    /// `from_decimals` enforces the precision it names — on the narrow
+    /// path (the parent only asked whether the payload fits `i32`) and on
+    /// the wide one (the parent asked nothing).
+    #[test]
+    fn from_decimals_enforces_its_precision() {
+        for (v, precision, scale) in [(999_999_999, 8, 5), (10i64.pow(14), 12, 2)] {
+            for v in [v, -v] {
+                let err = Column::from_decimals(vec![0, v], precision, scale).unwrap_err();
+                assert!(matches!(err, BwdError::InvalidArgument(_)), "{err}");
+                assert!(err.to_string().contains("exceeds precision"), "{err}");
+            }
+        }
+        assert!(Column::from_decimals(vec![99_999_999, -99_999_999], 8, 5).is_ok());
+        assert!(Column::from_decimals(vec![10i64.pow(12) - 1], 12, 2).is_ok());
+        assert!(Column::from_decimals(vec![], 1, 0).is_ok());
+    }
+
+    /// No state of a `Column` panics on its accessors: a string column
+    /// cannot be built without its dictionary, and asking a plain column
+    /// for a string is a typed error.
+    #[test]
+    fn a_string_column_is_its_dictionary() {
+        let s = Column::from_codes(&["b", "a"], vec![0i8, 1, 0]).unwrap();
+        assert_eq!(s.dtype(), DataType::Str);
+        assert_eq!(s.value(0), Value::Str("b".into()));
+        assert_eq!(s.payload_of_value(&Value::Str("a".into())).unwrap(), 0);
+        assert!(matches!(
+            s.payload_of_value(&Value::Str("c".into())),
+            Err(BwdError::NotFound(_))
+        ));
+        assert!(matches!(
+            s.payload_of_value(&Value::Int(0)),
+            Err(BwdError::TypeMismatch(_))
+        ));
+        for plain in [
+            Column::from_i32(vec![1]),
+            Column::from_data(DataType::Bool, ColumnData::I8(vec![1])).unwrap(),
+        ] {
+            assert!(plain.dictionary().is_none());
+            assert!(matches!(
+                plain.payload_of_value(&Value::Str("a".into())),
+                Err(BwdError::TypeMismatch(_))
+            ));
+        }
+    }
+
+    /// Where a column's payloads live.
+    fn address(c: &Column) -> usize {
+        with_slice!(c.data(), rows => rows.as_ptr() as usize)
+    }
+
+    /// After every public constructor the stored width is the narrowest
+    /// that holds the extrema — whatever width the values arrived in.
+    #[test]
+    fn every_constructor_stores_the_narrowest_width() {
+        let check = |c: Column, lo: i64, hi: i64, how: &str| {
+            let tag = format!("{how} over {lo}..={hi}");
+            assert_eq!(c.payload_min_max(), Some((lo, hi)), "{tag}");
+            assert_eq!(c.data().width(), needs(lo, hi), "{tag}");
+            assert_eq!(c.physical_bytes(), 3 * needs(lo, hi), "{tag}");
+            assert_eq!(c.plain_bytes(), 3 * c.dtype().plain_width(), "{tag}");
+            assert_eq!(c.payloads(), [lo, hi, lo], "{tag}");
+        };
+        let decimal = DataType::Decimal {
+            precision: 12,
+            scale: 2,
+        };
+        for lo in BOUNDARIES {
+            for hi in BOUNDARIES.into_iter().filter(|&hi| lo <= hi) {
+                let rows = vec![lo, hi, lo];
+                check(Column::from_i64(rows.clone()), lo, hi, "from_i64");
+                let data = ColumnData::I64(rows.clone());
+                check(
+                    Column::from_data(DataType::Int64, data).unwrap(),
+                    lo,
+                    hi,
+                    "from_data",
+                );
+                if hi < 10i64.pow(12) && lo > -(10i64.pow(12)) {
+                    let c = Column::from_decimals(rows.clone(), 12, 2).unwrap();
+                    assert_eq!(c.dtype(), decimal);
+                    check(c, lo, hi, "from_decimals");
+                }
+                let (Ok(lo32), Ok(hi32)) = (i32::try_from(lo), i32::try_from(hi)) else {
+                    continue;
+                };
+                let rows = vec![lo32, hi32, lo32];
+                check(Column::from_i32(rows.clone()), lo, hi, "from_i32");
+                let dates = rows.iter().map(|&d| Date(d)).collect();
+                check(Column::from_dates(dates), lo, hi, "from_dates");
+            }
+        }
+        // String codes: the width follows the dictionary, not the codes'.
+        for (distinct, width) in [(1, 1), (128, 1), (129, 2), (32_768, 2), (32_769, 4)] {
+            let vocab: Vec<String> = (0..distinct).map(|i| format!("{i:05}")).collect();
+            let spelled = Column::from_strings(&vocab);
+            let coded = Column::from_codes(&vocab, (0..distinct).collect()).unwrap();
+            for c in [spelled, coded] {
+                assert_eq!(c.data().width(), width, "{distinct} strings");
+                assert_eq!(c.payload_min_max(), Some((0, distinct as i64 - 1)));
+            }
+        }
+        for empty in [
+            Column::from_i64(vec![]),
+            Column::from_strings::<&str>(&[]),
+            Column::from_decimals(vec![], 12, 2).unwrap(),
+        ] {
+            assert_eq!((empty.data().width(), empty.payload_min_max()), (1, None));
+        }
+    }
+
+    /// Storage that arrives in the narrowest width moves in uncopied, in
+    /// all four widths and through every constructor that takes a vector.
+    #[test]
+    fn narrowest_storage_moves_in_uncopied() {
+        fn moved<T: Payload>(rows: Vec<T>, build: impl FnOnce(Vec<T>) -> Column) {
+            let at = rows.as_ptr() as usize;
+            let c = build(rows);
+            assert_eq!(c.data().width() as usize, std::mem::size_of::<T>());
+            assert_eq!(
+                address(&c),
+                at,
+                "{}-byte storage was copied",
+                c.data().width()
+            );
+        }
+        let date = |data: ColumnData| Column::from_data(DataType::Date, data).unwrap();
+        moved(vec![-128i8, 127], |v| date(v.into()));
+        moved(vec![-129i16, 0], |v| date(v.into()));
+        moved(vec![0i32, 32_768], |v| date(v.into()));
+        moved(vec![0i32, 32_768], Column::from_i32);
+        moved(vec![i32::MIN as i64 - 1, 0], Column::from_i64);
+        moved(vec![1i64 << 40], |v| {
+            Column::from_decimals(v, 15, 2).unwrap()
+        });
+        moved(vec![1i64 << 40], |v| {
+            Column::from_data(DataType::decimal(2), v.into()).unwrap()
+        });
+        moved(vec![1i8, 0, 1], |v| {
+            Column::from_codes(&["x", "y"], v).unwrap()
+        });
+        // And what is not narrowest is re-packed: a new, smaller home.
+        let wide = vec![5i64; 1000];
+        let at = wide.as_ptr() as usize;
+        let c = Column::from_i64(wide);
+        assert_eq!((c.data().width(), c.physical_bytes()), (1, 1000));
+        assert_ne!(address(&c), at);
     }
 
     /// The parent's `Dictionary::build` — sort every row reference, then
@@ -570,14 +1006,25 @@ mod tests {
         let vocab = ["R", "A", "N", "A", "unused"];
         let codes = vec![2, 0, 0, 1, 3, 2, 0];
         let spelled: Vec<&str> = codes.iter().map(|&c| vocab[c as usize]).collect();
-        let coded = Column::from_codes(&vocab, codes).unwrap();
         let strings = Column::from_strings(&spelled);
-        assert_eq!(coded.data(), strings.data());
-        assert_eq!(coded.dictionary(), strings.dictionary());
-        assert_eq!(coded.dictionary().unwrap().len(), 3);
+        // Codes of any width, against a vocabulary of any size, end as the
+        // same bytes: three strings need one.
+        let narrow: Vec<i8> = codes.iter().map(|&c| c as i8).collect();
+        let wide: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
+        for coded in [
+            Column::from_codes(&vocab, codes).unwrap(),
+            Column::from_codes(&vocab, narrow).unwrap(),
+            Column::from_codes(&vocab, wide).unwrap(),
+        ] {
+            assert_eq!(coded.data(), strings.data());
+            assert_eq!(coded.data(), &ColumnData::I8(vec![1, 2, 2, 0, 0, 1, 2]));
+            assert_eq!(coded.dictionary(), strings.dictionary());
+            assert_eq!(coded.dictionary().unwrap().len(), 3);
+        }
         assert!(Column::from_codes(&vocab, vec![0, 5]).is_err());
         assert!(Column::from_codes(&vocab, vec![-1]).is_err());
-        let none = Column::from_codes(&vocab, vec![]).unwrap();
+        assert!(Column::from_codes(&vocab, vec![0i64, 1 << 32]).is_err());
+        let none = Column::from_codes(&vocab, Vec::<i32>::new()).unwrap();
         assert!(none.dictionary().unwrap().is_empty());
     }
 }

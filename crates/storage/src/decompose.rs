@@ -22,9 +22,10 @@
 //! see `DecomposedColumn::into_parts`.
 
 use crate::bitpack::{BitPackedVec, PackCursor, DECODE_BLOCK};
-use crate::column::{extrema, Column, ColumnData};
+use crate::column::{extrema, Column};
 use crate::encoding::{decode, encode, physical_bits};
 use crate::prefix::{OutOfRange, PrefixBase, PrefixGranularity};
+use crate::with_slice;
 use bwd_types::bits::{low_mask, split_bits};
 use bwd_types::{BwdError, DataType, Result};
 
@@ -337,10 +338,7 @@ impl DecomposedColumn {
 
     fn column_in_chunks(col: &Column, spec: &DecompositionSpec, chunks: usize) -> Self {
         let extrema = col.payload_min_max();
-        match col.data() {
-            ColumnData::I32(rows) => split(rows, extrema, col.dtype(), spec, chunks),
-            ColumnData::I64(rows) => split(rows, extrema, col.dtype(), spec, chunks),
-        }
+        with_slice!(col.data(), rows => split(rows, extrema, col.dtype(), spec, chunks))
     }
 
     /// The translation metadata.
@@ -497,6 +495,8 @@ impl DecomposedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::width_cases;
+    use crate::ColumnData;
     use proptest::prelude::*;
 
     fn ints(vals: &[i64], device_bits: u32) -> DecomposedColumn {
@@ -578,8 +578,8 @@ mod tests {
         }
     }
 
-    /// The column entry point, at every chunk count and whether or not the
-    /// extrema were cached beforehand, builds the `DecomposedColumn` —
+    /// The column entry point, at every chunk count, builds the
+    /// `DecomposedColumn` —
     /// metadata and every packed word — that the slice entry point and the
     /// parent's push loop build from the widened copy; and it is exact.
     #[test]
@@ -621,19 +621,43 @@ mod tests {
                         let sliced = DecomposedColumn::decompose(&payloads, dtype, spec).unwrap();
                         assert_eq!(sliced, oracle, "{case}");
                         for chunks in [1, 2, 3, 7] {
-                            for extrema_cached in [false, true] {
-                                // A fresh column: no extrema cached yet.
-                                let col = match col.dictionary() {
-                                    Some(_) => col.clone(),
-                                    None => Column::from_data(dtype, col.data().clone()).unwrap(),
-                                };
-                                if extrema_cached {
-                                    col.payload_min_max();
-                                }
-                                let got = DecomposedColumn::column_in_chunks(&col, spec, chunks);
-                                assert_eq!(got, oracle, "{case} chunks={chunks}");
-                            }
+                            let got = DecomposedColumn::column_in_chunks(&col, spec, chunks);
+                            assert_eq!(got, oracle, "{case} chunks={chunks}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Width is invisible to decomposition: a column stored in 1, 2, 4
+        /// or 8 bytes, built from wide or from narrow input, decomposes —
+        /// 24/8 and all-device, in one piece and in three — into the
+        /// metadata and packed words of the widened payloads.
+        #[test]
+        fn width_is_invisible_to_decomposition(
+            ty in 0usize..width_cases::TYPES.len(),
+            lo_at in 0usize..width_cases::BOUNDARIES.len(),
+            hi_at in 0usize..width_cases::BOUNDARIES.len(),
+            len in 0usize..1200,
+            seed: u64,
+        ) {
+            let case = width_cases::build(ty, lo_at, hi_at, len, seed);
+            let bits = physical_bits(case.dtype);
+            for spec in [
+                DecompositionSpec::with_device_bits(bits - 8),
+                DecompositionSpec::with_device_bits(bits),
+            ] {
+                let widened =
+                    DecomposedColumn::decompose(&case.payloads, case.dtype, &spec).unwrap();
+                for col in [&case.wide, &case.narrow] {
+                    for chunks in [1, 3] {
+                        let got = DecomposedColumn::column_in_chunks(col, &spec, chunks);
+                        let width = col.data().width();
+                        prop_assert_eq!(&got, &widened, "{} {}-byte {:?}", case.dtype, width, spec);
                     }
                 }
             }

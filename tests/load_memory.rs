@@ -2,15 +2,19 @@
 //! decomposing a column may not hold a row-count-sized transient.
 //!
 //! One test, alone in its binary (the high-water mark is per process).
-//! Over 4 M rows, every load step — `Column::from_strings`, `create_table`,
-//! `declare_fk`, `bwdecompose` 24/8 and all-device — may raise `VmHWM`
-//! over the resident set just before it by the bytes the step leaves
-//! resident (string codes, the FK mapping twice — host positions and the
+//! Over 4 M rows, every load step — `Column::from_strings`,
+//! `Column::from_decimals`, `create_table`, `declare_fk`, `bwdecompose`
+//! 24/8 and all-device — may raise `VmHWM` over the resident set just
+//! before it by the bytes the step leaves resident (payloads in the 1, 2,
+//! 4 or 8 bytes they need, the FK mapping twice — host positions and the
 //! packed device copy —, the two packed partitions) plus 8 MiB for hash
-//! tables, dictionaries and allocator slack. What this replaced held, on
+//! tables, dictionaries and allocator slack; a constructor handed values
+//! wider than they need may hold that input beside the re-packed column
+//! until it returns, and not a moment longer. What this replaced held, on
 //! top: a 61 MiB `Vec<&str>` of row references to sort while building a
-//! dictionary, and a 30.5 MiB widened `Vec<i64>` copy of every column it
-//! indexed or decomposed. Linux-only, and skipped where
+//! dictionary, a 30.5 MiB widened `Vec<i64>` copy of every column it
+//! indexed or decomposed, and — resident for good — 8 bytes a row for an
+//! eleven-valued decimal. Linux-only, and skipped where
 //! `/proc/self/clear_refs` cannot reset the high-water mark.
 
 #![cfg(target_os = "linux")]
@@ -59,8 +63,28 @@ fn loading_holds_no_row_count_sized_transient() {
     const FLAGS: [&str; 3] = ["A", "N", "R"];
     let flags: Vec<&str> = (0..ROWS).map(|i| FLAGS[i * 7 % 3]).collect();
     let (flag, rise) = peak_rise(|| Column::from_strings(&flags));
-    assert_no_transient("from_strings", rise, ROWS as u64 * 4);
+    // First-seen ids are 4 bytes a row — a dictionary's size is known only
+    // after its last row — until the ranks are packed into the 1 they need.
+    let step = "from_strings (4 B/row of ids while it runs, 1 B/row after)";
+    assert_no_transient(step, rise, ROWS as u64 * (4 + 1));
+    assert_eq!(flag.physical_bytes(), ROWS as u64);
     drop(flags);
+
+    // A decimal(12,2) of eleven values, handed over in the 8 bytes a row
+    // its type is modeled at: the peak holds the re-packed byte a row
+    // beside the input it arrived with, and when the constructor returns
+    // the input is gone.
+    let wide: Vec<i64> = (0..ROWS).map(|i| (i * 7 % 11) as i64).collect();
+    let with_input = status_mib("VmRSS:");
+    let (discount, rise) = peak_rise(|| Column::from_decimals(wide, 12, 2).unwrap());
+    assert_no_transient("from_decimals", rise, ROWS as u64);
+    let stays = status_mib("VmRSS:") - (with_input - (ROWS * 8) as f64 / MIB);
+    eprintln!("from_decimals: {stays:.1} MiB stay resident");
+    assert!(
+        stays <= ROWS as f64 / MIB + SLACK_MIB,
+        "from_decimals: {stays:.1} MiB stay resident for eleven values a byte holds"
+    );
+    assert_eq!(discount.plain_bytes(), ROWS as u64 * 8);
 
     let i32s = |f: fn(usize) -> usize| Column::from_i32((0..ROWS).map(|i| f(i) as i32).collect());
     let columns = vec![
@@ -68,6 +92,7 @@ fn loading_holds_no_row_count_sized_transient() {
         ("wide".into(), i32s(|i| i * 7919 % ROWS)),
         ("narrow".into(), i32s(|i| i % 50)),
         ("flag".into(), flag),
+        ("discount".into(), discount),
     ];
     let dim = vec![("key".into(), Column::from_i32((1..=1000).collect()))];
 
@@ -82,7 +107,15 @@ fn loading_holds_no_row_count_sized_transient() {
     // 4-byte host positions + 10-bit packed positions for the device.
     assert_no_transient("declare_fk", rise, ROWS as u64 * 4 + ROWS as u64 * 10 / 8);
 
-    for (column, device_bits) in [("wide", 24), ("narrow", 64), ("flag", 64), ("wide", 64)] {
+    let steps = [
+        ("wide", 24),
+        ("narrow", 64),
+        ("flag", 64),
+        ("wide", 64),
+        ("discount", 56),
+        ("discount", 64),
+    ];
+    for (column, device_bits) in steps {
         let (report, rise) = peak_rise(|| db.bwdecompose("fact", column, device_bits).unwrap());
         assert_no_transient(
             &format!("bwdecompose({column}, {device_bits})"),
