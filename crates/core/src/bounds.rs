@@ -95,15 +95,14 @@ impl Interval {
             self.hi as i128 * other.lo as i128,
             self.hi as i128 * other.hi as i128,
         ];
-        let lo = c.iter().copied().min().unwrap();
-        let hi = c.iter().copied().max().unwrap();
         Interval {
-            lo: clamp_i128(lo),
-            hi: clamp_i128(hi),
+            lo: clamp_i128(c.into_iter().fold(i128::MAX, i128::min)),
+            hi: clamp_i128(c.into_iter().fold(i128::MIN, i128::max)),
         }
     }
 
-    /// Interval quotient (truncating integer division).
+    /// Interval quotient (truncating integer division; `i64::MIN / -1`
+    /// saturates, which only widens).
     ///
     /// # Errors
     /// Fails when the divisor interval contains 0 — the result would be
@@ -115,14 +114,14 @@ impl Interval {
             ));
         }
         let c = [
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
+            self.lo.saturating_div(other.lo),
+            self.lo.saturating_div(other.hi),
+            self.hi.saturating_div(other.lo),
+            self.hi.saturating_div(other.hi),
         ];
         Ok(Interval {
-            lo: *c.iter().min().unwrap(),
-            hi: *c.iter().max().unwrap(),
+            lo: c.into_iter().fold(i64::MAX, i64::min),
+            hi: c.into_iter().fold(i64::MIN, i64::max),
         })
     }
 
@@ -225,6 +224,9 @@ mod tests {
             a.div(&Interval::new(-5, -2)).unwrap(),
             Interval::new(-10, -2)
         );
+        // The one overflowing quotient saturates (the parent panicked).
+        let edge = Interval::new(i64::MIN, 0).div(&Interval::point(-1));
+        assert_eq!(edge.unwrap(), Interval::new(0, i64::MAX));
     }
 
     #[test]

@@ -4,22 +4,26 @@
 //! approximation partition lives in device memory (as a
 //! [`bwd_kernels::DeviceArray`]), its residual stays host-resident, and the
 //! [`bwd_storage::DecompositionMeta`] travels along for predicate
-//! translation and reconstruction. Binding charges the one-time PCI-E
-//! upload — the paper pays this at `bwdecompose()` time, outside query
-//! execution, so callers pass a separate load ledger.
+//! translation and reconstruction. The residual is *modeled* as a packed
+//! host partition ([`BoundColumn::residual_access_bytes`] is what a bill
+//! charges) and *read* from the plain column the catalog keeps anyway,
+//! shared, not copied: the host holds each bit once. Binding charges the
+//! one-time PCI-E upload — the paper pays this at `bwdecompose()` time,
+//! outside query execution, so callers pass a separate load ledger.
 
 use bwd_device::{CostLedger, Device};
 use bwd_kernels::DeviceArray;
-use bwd_storage::{BitPackedVec, DecomposedColumn, DecompositionMeta};
+use bwd_storage::{ColumnData, DecomposedColumn, DecompositionMeta};
 use bwd_types::{Oid, Result};
+use std::sync::Arc;
 
 /// A decomposed column whose approximation is device-resident.
 #[derive(Debug)]
 pub struct BoundColumn {
     meta: DecompositionMeta,
     approx: DeviceArray,
-    residual: BitPackedVec,
-    len: usize,
+    /// The plain payloads the residual bits are read from.
+    plain: Arc<ColumnData>,
 }
 
 impl BoundColumn {
@@ -31,27 +35,25 @@ impl BoundColumn {
         label: &str,
         load_ledger: &mut CostLedger,
     ) -> Result<Self> {
-        let len = col.len();
-        let (meta, approx, residual) = col.into_parts();
+        let (meta, approx, plain) = col.into_parts();
         let approx = DeviceArray::upload(device, approx, label, load_ledger)?;
         Ok(BoundColumn {
             meta,
             approx,
-            residual,
-            len,
+            plain,
         })
     }
 
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.plain.len()
     }
 
     /// Whether the column holds no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.plain.is_empty()
     }
 
     /// The translation metadata.
@@ -66,21 +68,21 @@ impl BoundColumn {
         &self.approx
     }
 
-    /// The host-resident residual partition.
+    /// The plain payloads the residual bits are read from, as the
+    /// catalog's column shares them. A loop dispatches their width once,
+    /// through `bwd_storage::with_slice!`, and applies
+    /// [`DecompositionMeta::residual_of_payload`] per row.
     #[inline]
-    pub fn residual(&self) -> &BitPackedVec {
-        &self.residual
+    pub fn plain(&self) -> &Arc<ColumnData> {
+        &self.plain
     }
 
     /// Residual payload of a tuple — the *invisible join* with the
     /// persistent residual: the position follows from the oid (§IV-A).
+    /// For single tuples; a loop reads [`BoundColumn::plain`].
     #[inline]
     pub fn residual_of(&self, oid: Oid) -> u64 {
-        if self.meta.resbits() == 0 {
-            0
-        } else {
-            self.residual.get(oid as usize)
-        }
+        self.meta.residual_of_payload(self.plain.get(oid as usize))
     }
 
     /// Exact payload of a tuple given its stored approximation (saves the

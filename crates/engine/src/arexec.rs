@@ -35,7 +35,7 @@ use crate::database::Database;
 use crate::eval::RowBlock;
 use crate::morsel::{
     partition_mask_ranges, partition_ranges, partition_ranges_min, refine_filter, run_parts,
-    run_parts_mut, ResidualReader, ScratchPool,
+    run_parts_mut, ResidualSrc, ScratchPool,
 };
 use crate::result::{ApproxAnswer, QueryResult};
 use crate::tail::{GroupTable, SliceSource, SLICE_ROWS};
@@ -482,10 +482,9 @@ impl<'a> Run<'a> {
     /// contiguous partitions.
     fn refine_selection(&self, i: usize, live: &[Oid]) -> Vec<Oid> {
         let (col, range) = (&self.shape.sels[i].0, &self.shape.plan.selections[i].range);
-        let (meta, arr) = (col.bound.meta(), col.bound.approx());
-        let residual = col.residual(live.len());
+        let (arr, link) = (col.bound.approx(), col.link());
         let (morsels, pool) = (self.morsels, &self.pool);
-        refine_filter(meta, residual, arr, col.link(), live, range, morsels, pool)
+        refine_filter(col.residual(), arr, link, live, range, morsels, pool)
     }
 
     /// The tail: gather → refine → group → evaluate → aggregate, one slice
@@ -497,14 +496,11 @@ impl<'a> Run<'a> {
     fn tail(&mut self, a: &Approx<'_>, approx: Option<ApproxAnswer>) -> Result<QueryResult> {
         let (env, place, n) = (self.env, self.shape.place, self.counts.rows as usize);
         let survivors = self.counts.survivors as usize;
-        let host_rows = place.tail_rows(&self.counts).1 as usize;
         self.transient.charge(place.tail(&self.counts))?;
         let gather_probe = self.begin(EventKind::Gather, survivors as u64, 0);
         self.shape.gathers(&self.counts, env, self.ledger);
-        // Cached-vs-scattered residual reads are decided per query, from
-        // the total the refinement will touch — not per slice.
         let cols: Vec<_> = (self.shape.gathered.iter())
-            .map(|(_, c)| (c.bound, c.link(), c.residual(host_rows)))
+            .map(|(_, c)| (c.bound, c.link(), c.residual()))
             .collect();
         // Group keys that are fully device-resident were pre-grouped exactly
         // (their approximation *is* the value): the sources look the
@@ -538,7 +534,7 @@ impl<'a> Run<'a> {
             .map(|span| ArSource {
                 cursor: positions.cursor(span),
                 dropped,
-                cols: cols.iter().map(|&(b, l, r)| (b, l, r.reader())).collect(),
+                cols: cols.clone(),
                 grouper: a.grouper.as_ref(),
                 oids: Vec::new(),
                 approx: Vec::new(),
@@ -777,7 +773,7 @@ struct ArSource<'a> {
     cursor: Cursor<'a>,
     /// Positional: the candidates refinement dropped (empty: none).
     dropped: &'a [u64],
-    cols: Vec<(&'a BoundColumn, Option<&'a DeviceArray>, ResidualReader<'a>)>,
+    cols: Vec<(&'a BoundColumn, Option<&'a DeviceArray>, ResidualSrc<'a>)>,
     /// The device pre-grouping the survivors' ids come from.
     grouper: Option<&'a Grouper<'a>>,
     /// The current slice's survivors (reused).
@@ -800,24 +796,19 @@ impl SliceSource for ArSource<'_> {
         let oids = &self.oids;
         block.resize(oids.len());
         self.approx.resize(oids.len(), 0);
-        for (slot, (col, link, residual)) in self.cols.iter_mut().enumerate() {
+        for (slot, (col, link, residual)) in self.cols.iter().enumerate() {
             let arr = col.approx();
             match link {
                 None => gather_partition_into(arr, oids, &mut self.approx),
                 Some(l) => gather_indirect_partition_into(arr, l, oids, &mut self.approx),
             }
-            let meta = col.meta();
-            for ((out, &a), &oid) in block
-                .payloads_mut(slot)
-                .iter_mut()
-                .zip(&self.approx)
-                .zip(oids)
-            {
-                *out = meta.payload_from_parts(a, residual.get(oid));
-            }
+            let (meta, approx, out) = (col.meta(), &self.approx, block.payloads_mut(slot));
+            residual.for_each(oids, |i, res| {
+                out[i] = meta.payload_from_parts(approx[i], res)
+            });
         }
         if let Some(grouper) = self.grouper {
-            grouper.ids(oids, ids);
+            grouper.ids(oids, ids)?;
         }
         Ok(more)
     }

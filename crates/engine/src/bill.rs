@@ -234,9 +234,9 @@ impl<'a> ColRef<'a> {
         self.fk.map(FkIndex::device)
     }
 
-    /// Where a refinement touching `accesses` tuples reads the residuals.
-    pub(crate) fn residual(&self, accesses: usize) -> ResidualSrc<'a> {
-        ResidualSrc::for_column(self.bound, self.fk.map(FkIndex::host_slice), accesses)
+    /// Where a refinement reads the residuals.
+    pub(crate) fn residual(&self) -> ResidualSrc<'a> {
+        ResidualSrc::for_column(self.bound, self.fk.map(FkIndex::host_slice))
     }
 
     pub(crate) fn slot(&self, name: &str) -> ColumnSlot {

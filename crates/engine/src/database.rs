@@ -258,22 +258,18 @@ impl Database {
         rewrite(plan, &Resolver { db: self }, opts)
     }
 
-    /// Decompose every not-yet-bound column the plan references as fully
-    /// device-resident — the paper's all-GPU TPC-H configuration, where
-    /// narrow attributes are simply kept bit-packed on the device.
+    /// Decompose every not-yet-bound column a selection, a group key or
+    /// the tail of the plan reads as fully device-resident — the paper's
+    /// all-GPU TPC-H configuration, where narrow attributes are simply
+    /// kept bit-packed on the device. A join key none of those names stays
+    /// off it: both executors reach the dimension through the FK index.
     pub fn auto_bind(&mut self, plan: &ArPlan) -> Result<()> {
-        let mut work: Vec<(String, String)> = Vec::new();
-        for name in plan.referenced_columns() {
-            let (t, c) = match name.split_once('.') {
-                Some((t, c)) => (t.to_string(), c.to_string()),
-                None => (plan.table.clone(), name),
-            };
-            if !self.is_bound(&t, &c) {
-                work.push((t, c));
+        let selected = plan.selections.iter().map(|s| s.column.clone());
+        for name in selected.chain(plan.gathered_columns()) {
+            let (t, c) = name.split_once('.').unwrap_or((&plan.table, &name));
+            if !self.is_bound(t, c) {
+                self.bwdecompose_spec(t, c, &DecompositionSpec::all_device())?;
             }
-        }
-        for (t, c) in work {
-            self.bwdecompose_spec(&t, &c, &DecompositionSpec::all_device())?;
         }
         Ok(())
     }

@@ -20,9 +20,8 @@
 //!   [`crate::tail`].)
 
 use bwd_core::RangePred;
-use bwd_kernels::scan::cache_worthwhile;
 use bwd_kernels::DeviceArray;
-use bwd_storage::{BitPackedVec, BlockDecoder, DecompositionMeta};
+use bwd_storage::{with_slice, ColumnData, DecompositionMeta};
 use bwd_types::Oid;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -230,78 +229,43 @@ impl ScratchPool {
     }
 }
 
-/// Where a refinement finds a tuple's residual bits.
+/// Where a refinement finds its tuples' residual bits: in the plain
+/// column, at the fact position or — for a dimension column — at the
+/// position the host FK map gives.
 #[derive(Clone, Copy)]
-pub(crate) enum ResidualSrc<'a> {
-    /// Fully device-resident column: no residual exists, every read is 0.
-    None,
-    /// Fact-positioned residual (`residual[oid]`). `cached` routes reads
-    /// through the block-cached bulk decoder — worth it when the refined
-    /// set is dense (candidate oids ascend within scan blocks).
-    Fact {
-        residual: &'a BitPackedVec,
-        cached: bool,
-    },
-    /// Dimension-positioned residual through the host FK index
-    /// (`residual[fk[oid]]`): arbitrary positions, never cached.
-    Dim {
-        residual: &'a BitPackedVec,
-        fk: &'a [u32],
-    },
+pub(crate) struct ResidualSrc<'a> {
+    meta: &'a DecompositionMeta,
+    plain: &'a ColumnData,
+    fk: Option<&'a [u32]>,
 }
 
 impl<'a> ResidualSrc<'a> {
-    /// The source for `col`, with the cache heuristic driven by how many
-    /// of the column's rows the refinement will touch.
-    /// `fk` is the host FK index a dimension column is reached through.
-    pub(crate) fn for_column(
-        col: &'a bwd_core::BoundColumn,
-        fk: Option<&'a [u32]>,
-        expected_accesses: usize,
-    ) -> ResidualSrc<'a> {
-        let residual = col.residual();
-        match fk {
-            _ if col.meta().resbits() == 0 => ResidualSrc::None,
-            Some(fk) => ResidualSrc::Dim { residual, fk },
-            None => ResidualSrc::Fact {
-                residual,
-                cached: cache_worthwhile(expected_accesses, col.len()),
-            },
+    /// The source for `col`; `fk` is the host FK map a dimension column
+    /// is reached through.
+    pub(crate) fn for_column(col: &'a bwd_core::BoundColumn, fk: Option<&'a [u32]>) -> Self {
+        ResidualSrc {
+            meta: col.meta(),
+            plain: col.plain(),
+            fk,
         }
     }
 
-    /// A per-worker reader (each worker owns its decode cache).
-    pub(crate) fn reader(&self) -> ResidualReader<'a> {
-        match *self {
-            ResidualSrc::None => ResidualReader::Zero,
-            ResidualSrc::Fact {
-                residual,
-                cached: false,
-            } => ResidualReader::Direct(residual),
-            ResidualSrc::Fact {
-                residual,
-                cached: true,
-            } => ResidualReader::Cached(Box::new(BlockDecoder::new(residual))),
-            ResidualSrc::Dim { residual, fk } => ResidualReader::Dim(residual, fk),
-        }
-    }
-}
-
-pub(crate) enum ResidualReader<'a> {
-    Zero,
-    Direct(&'a BitPackedVec),
-    Cached(Box<BlockDecoder<'a>>),
-    Dim(&'a BitPackedVec, &'a [u32]),
-}
-
-impl ResidualReader<'_> {
+    /// `f(i, residual of oids[i])` for every `i`, in order. The physical
+    /// width is dispatched here, once per call, never per row; a fully
+    /// device-resident column has no residual and loads nothing.
     #[inline]
-    pub(crate) fn get(&mut self, oid: Oid) -> u64 {
-        match self {
-            ResidualReader::Zero => 0,
-            ResidualReader::Direct(res) => res.get(oid as usize),
-            ResidualReader::Cached(dec) => dec.get(oid as usize),
-            ResidualReader::Dim(res, fk) => res.get(fk[oid as usize] as usize),
+    pub(crate) fn for_each(&self, oids: &[Oid], f: impl FnMut(usize, u64)) {
+        with_slice!(self.plain, rows => self.read(rows, oids, f))
+    }
+
+    #[inline]
+    fn read<T: Copy + Into<i64>>(&self, rows: &[T], oids: &[Oid], mut f: impl FnMut(usize, u64)) {
+        let residual = |pos: usize| self.meta.residual_of_payload(rows[pos].into());
+        let oids = oids.iter().enumerate();
+        match self.fk {
+            _ if self.meta.resbits() == 0 => oids.for_each(|(i, _)| f(i, 0)),
+            None => oids.for_each(|(i, &oid)| f(i, residual(oid as usize))),
+            Some(fk) => oids.for_each(|(i, &oid)| f(i, residual(fk[oid as usize] as usize))),
         }
     }
 }
@@ -338,9 +302,7 @@ fn take_oids(pool: &ScratchPool, bound: usize) -> Vec<Oid> {
 /// ones — the values the device gathers for exactly these candidates, so
 /// neither candidate representation is consulted. Pure computation — the
 /// caller charges the simulated cost from the merged totals.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_filter(
-    meta: &DecompositionMeta,
     residual: ResidualSrc<'_>,
     arr: &DeviceArray,
     link: Option<&DeviceArray>,
@@ -352,13 +314,14 @@ pub(crate) fn refine_filter(
     let ranges = partition_ranges(undecided.len(), morsels);
     let outs = run_parts(&ranges, |_, r| {
         let mut out = take_oids(pool, r.len());
-        let mut res = residual.reader();
-        for &oid in &undecided[r] {
+        let part = &undecided[r];
+        residual.for_each(part, |i, res| {
+            let oid = part[i];
             let stored = arr.get(link.map_or(oid, |l| l.get(oid as usize) as Oid) as usize);
-            if range.test(meta.payload_from_parts(stored, res.get(oid))) {
+            if range.test(residual.meta.payload_from_parts(stored, res)) {
                 out.push(oid);
             }
-        }
+        });
         out
     });
     merge_oid_parts(outs, pool)
@@ -495,6 +458,103 @@ mod tests {
             let prod = partition_ranges(len, parts);
             let covered: usize = prod.iter().map(|r| r.len()).sum();
             proptest::prop_assert_eq!(covered, len);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// A refinement that reads residuals from the typed plain slice
+        /// keeps the oids, in order, that one reading a packed residual
+        /// partition — rebuilt here the way the two-cursor splitter packed
+        /// it — keeps: every type × physical width × kind of split,
+        /// fact-positioned and through an FK map, on 1 and on 3 morsels.
+        #[test]
+        fn refine_filter_keeps_what_a_packed_residual_reader_keeps(
+            ty in 0usize..5,
+            span_bits in 0usize..4,
+            split in 0usize..5,
+            rows in 0usize..12_000,
+            seed: u64,
+        ) {
+            use bwd_core::BoundColumn;
+            use bwd_storage::encoding::{encode, physical_bits};
+            use bwd_storage::{BitPackedVec, Column, DecomposedColumn, DecompositionSpec};
+            use bwd_types::{bits::low_mask, Date};
+
+            let mut rng = bwd_types::SplitMix64::new(seed);
+            // Payloads around zero that need 1, 2, 4 or (64-bit types) 8 bytes.
+            let span = 1u64 << [6, 14, 26, if ty < 3 { 26 } else { 40 }][span_bits];
+            let lo = -((span / 2) as i64);
+            let vals: Vec<i64> = (0..rows).map(|_| lo + rng.below(span) as i64).collect();
+            let i32s = || vals.iter().map(|&v| v as i32);
+            let col = match ty {
+                0 => Column::from_i32(i32s().collect()),
+                1 => Column::from_dates(i32s().map(Date).collect()),
+                2 => Column::from_decimals(vals.clone(), 8, 5).unwrap(),
+                3 => Column::from_i64(vals.clone()),
+                _ => Column::from_decimals(vals.clone(), 15, 2).unwrap(),
+            };
+            let bits = physical_bits(col.dtype());
+            let spec = [
+                DecompositionSpec::with_device_bits(bits - 8),
+                DecompositionSpec::with_device_bits(8),
+                DecompositionSpec::all_device(),
+                DecompositionSpec::uncompressed(bits - 8),
+                DecompositionSpec {
+                    frame_of_reference: false,
+                    ..DecompositionSpec::with_device_bits(bits - 8)
+                },
+            ][split];
+            let env = bwd_device::Env::paper_default();
+            let ledger = &mut bwd_device::CostLedger::new();
+            let dec = DecomposedColumn::decompose_column(&col, &spec).unwrap();
+            let bound = BoundColumn::bind(dec, &env.device, "col", ledger).unwrap();
+            let (meta, arr) = (bound.meta(), bound.approx());
+
+            let frame = match (spec.frame_of_reference, col.payload_min_max()) {
+                (true, Some((min, _))) => encode(min, col.dtype()),
+                _ => 0,
+            };
+            let mut packed = BitPackedVec::new(meta.resbits());
+            for &v in &vals {
+                packed.push((encode(v, col.dtype()) - frame) & low_mask(meta.resbits()));
+            }
+
+            let a = lo + rng.below(span) as i64;
+            let range = RangePred {
+                exclude: vals.first().copied().filter(|_| seed.is_multiple_of(2)),
+                ..RangePred::between(a, a + rng.below(span) as i64)
+            };
+            // The fact rows: the column's own, or 9 000 reaching it by FK.
+            let fk: Vec<u32> = (0..9_000).map(|_| rng.below(rows.max(1) as u64) as u32).collect();
+            let fk_words: Vec<u64> = fk.iter().map(|&r| r as u64).collect();
+            let link = BitPackedVec::from_slice(32, &fk_words);
+            let link = DeviceArray::upload(&env.device, link, "link", ledger).unwrap();
+            let pool = ScratchPool::default();
+            for through_fk in [false, true].into_iter().take(1 + usize::from(rows > 0)) {
+                let (fact_rows, fk, link) = match through_fk {
+                    false => (rows, None, None),
+                    true => (fk.len(), Some(&fk[..]), Some(&link)),
+                };
+                let live: Vec<Oid> =
+                    (0..fact_rows as Oid).filter(|_| rng.below(8) > 0).collect();
+                let at = |oid: Oid| fk.map_or(oid, |fk| fk[oid as usize]) as usize;
+                let want: Vec<Oid> = (live.iter().copied())
+                    .filter(|&oid| {
+                        let exact = meta.payload_from_parts(arr.get(at(oid)), packed.get(at(oid)));
+                        assert_eq!(exact, vals[at(oid)]);
+                        range.test(exact)
+                    })
+                    .collect();
+                let src = ResidualSrc::for_column(&bound, fk);
+                for morsels in [1, 3] {
+                    let got = refine_filter(src, arr, link, &live, &range, morsels, &pool);
+                    proptest::prop_assert_eq!(
+                        &got, &want, "{} {:?} fk={} morsels={}", col.dtype(), spec, through_fk, morsels
+                    );
+                }
+            }
         }
     }
 

@@ -108,11 +108,11 @@ impl Candidates {
     pub fn refresh_flags(&mut self) {
         self.sorted = self.oids.windows(2).all(|w| w[0] < w[1]);
         self.dense = self.sorted
-            && self
-                .oids
-                .first()
-                .map(|&f| f == 0 && self.oids.len() == (*self.oids.last().unwrap() as usize + 1))
-                .unwrap_or(true);
+            && match (self.oids.first(), self.oids.last()) {
+                (None, _) => true,
+                (Some(&0), Some(&last)) => self.oids.len() == last as usize + 1,
+                _ => false,
+            };
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::array::DeviceArray;
 use crate::candidates::Candidates;
 use bwd_device::{Component, CostLedger, Env};
-use bwd_types::{FxHashMap, Oid};
+use bwd_types::{BwdError, FxHashMap, Oid, Result};
 
 /// Simulated warp width: the lanes that can collide on one table cell.
 pub const WARP: u64 = 32;
@@ -195,18 +195,23 @@ impl<'a> Grouper<'a> {
 
     /// Replace `out` with the group id of every oid, aligned with `oids`.
     ///
-    /// # Panics
-    /// Panics on an oid whose key was never observed.
-    pub fn ids(&self, oids: &[Oid], out: &mut Vec<u32>) {
+    /// # Errors
+    /// Fails on an oid whose key was never observed.
+    pub fn ids(&self, oids: &[Oid], out: &mut Vec<u32>) -> Result<()> {
         let keys = self.keys.as_slice();
         out.clear();
-        out.extend(oids.iter().map(|&oid| match &self.table {
-            Table::Direct(table) => {
-                (table[packed_key_of(keys, oid) as usize].checked_sub(1)).expect("key observed")
-            }
-            Table::Packed(table) => table[&packed_key_of(keys, oid)],
-            Table::Wide(table) => table[&key_of(keys, oid)],
-        }));
+        out.reserve(oids.len());
+        for &oid in oids {
+            let id = match &self.table {
+                Table::Direct(table) => table[packed_key_of(keys, oid) as usize].checked_sub(1),
+                Table::Packed(table) => table.get(&packed_key_of(keys, oid)).copied(),
+                Table::Wide(table) => table.get(&key_of(keys, oid)).copied(),
+            };
+            out.push(id.ok_or_else(|| {
+                BwdError::InvalidArgument(format!("oid {oid}: its group key was never observed"))
+            })?);
+        }
+        Ok(())
     }
 
     /// Number of distinct groups observed so far.
@@ -416,11 +421,14 @@ mod tests {
             assert_eq!(streamed.events(), ledger.events(), "{n_cols} x {width}");
             let (mut ids, mut want) = (vec![7], Vec::new());
             for at in [0..300, 0..0, 17..290, 299..300] {
-                chunked.ids(&cands.oids[at.clone()], &mut ids);
+                chunked.ids(&cands.oids[at.clone()], &mut ids).unwrap();
                 assert_eq!(ids, g.group_ids[at], "{n_cols} x {width}");
                 want.extend_from_slice(&ids);
             }
             assert_eq!(want.len(), 300 + 273 + 1);
+            // A key nothing observed is a typed error on every table kind.
+            let unobserved = Grouper::new(&keys).ids(&cands.oids[..1], &mut ids);
+            assert!(matches!(unobserved, Err(BwdError::InvalidArgument(_))));
         }
     }
 

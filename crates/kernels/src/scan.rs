@@ -162,7 +162,7 @@ pub fn scan_block_ranges(n: usize, opts: &ScanOptions) -> Vec<Range<usize>> {
 /// dense enough for the block-cached decoder to win (a cache miss decodes a
 /// whole [`DECODE_BLOCK`]; below ~1/8 density the per-element path is
 /// cheaper).
-pub fn cache_worthwhile(accesses: usize, len: usize) -> bool {
+fn cache_worthwhile(accesses: usize, len: usize) -> bool {
     accesses.saturating_mul(8) >= len
 }
 

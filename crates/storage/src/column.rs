@@ -106,15 +106,25 @@ impl ColumnData {
         }
         with_slice!(self, rows => of(rows))
     }
+}
 
-    /// `self` in the width `U`, which holds every payload: itself when it
-    /// already is, else a re-packed copy (and `self` dropped).
-    #[allow(clippy::useless_conversion)] // the `i64` arm
-    fn packed_as<U: Payload>(self) -> ColumnData {
-        if self.width() == std::mem::size_of::<U>() as u64 {
-            return self;
-        }
-        with_slice!(&self, rows => U::store(rows.iter().map(|&x| U::cut(x.into())).collect()))
+/// `rows`, whose extrema are `min_max`, re-packed into the narrowest of 1,
+/// 2, 4 or 8 bytes that holds them; `None` when `T` is that width already.
+pub(crate) fn narrowed<T: Payload>(rows: &[T], min_max: Option<(i64, i64)>) -> Option<ColumnData> {
+    fn pack<T: Payload, U: Payload>(rows: &[T]) -> Option<ColumnData> {
+        (std::mem::size_of::<U>() < std::mem::size_of::<T>())
+            .then(|| U::store(rows.iter().map(|&x| U::cut(x.into())).collect()))
+    }
+    let (lo, hi) = min_max.unwrap_or((0, 0));
+    let holds = |min, max| min <= lo && hi <= max;
+    if holds(i8::MIN as i64, i8::MAX as i64) {
+        pack::<T, i8>(rows)
+    } else if holds(i16::MIN as i64, i16::MAX as i64) {
+        pack::<T, i16>(rows)
+    } else if holds(i32::MIN as i64, i32::MAX as i64) {
+        pack::<T, i32>(rows)
+    } else {
+        None
     }
 }
 
@@ -128,12 +138,13 @@ enum Logical {
     Str(Arc<Dictionary>),
 }
 
-/// A persistent, fully-decomposed (column-store) attribute.
+/// A persistent, fully-decomposed (column-store) attribute. A clone is a
+/// reference: the payloads are shared, never copied.
 #[derive(Debug, Clone)]
 pub struct Column {
     logical: Logical,
     /// In the narrowest width that holds `min_max`.
-    data: ColumnData,
+    data: Arc<ColumnData>,
     /// Payload minimum/maximum, `None` when empty: found once, on the way
     /// in — it decides the storage width, and decomposition and the binder
     /// (per predicate per `bind`) ask for it anyway.
@@ -146,20 +157,10 @@ impl Column {
     /// re-packed once (and the wider vector dropped) when it is not.
     fn new(logical: Logical, data: ColumnData) -> Self {
         let min_max = with_slice!(&data, rows => extrema(rows));
-        let (lo, hi) = min_max.unwrap_or((0, 0));
-        let holds = |min, max| min <= lo && hi <= max;
-        let data = if holds(i8::MIN as i64, i8::MAX as i64) {
-            data.packed_as::<i8>()
-        } else if holds(i16::MIN as i64, i16::MAX as i64) {
-            data.packed_as::<i16>()
-        } else if holds(i32::MIN as i64, i32::MAX as i64) {
-            data.packed_as::<i32>()
-        } else {
-            data
-        };
+        let data = with_slice!(&data, rows => narrowed(rows, min_max)).unwrap_or(data);
         Column {
             logical,
-            data,
+            data: Arc::new(data),
             min_max,
         }
     }
@@ -284,6 +285,13 @@ impl Column {
         &self.data
     }
 
+    /// The storage as its clones and decompositions share it — a
+    /// decomposed column reads its residual bits here.
+    #[inline]
+    pub fn shared_data(&self) -> &Arc<ColumnData> {
+        &self.data
+    }
+
     /// Payload of row `i`, widened to `i64`.
     #[inline]
     pub fn payload(&self, i: usize) -> i64 {
@@ -294,7 +302,7 @@ impl Column {
     /// measurement harnesses; the engine reads [`Column::data`] in place.
     #[allow(clippy::useless_conversion)] // the `i64` arm
     pub fn payloads(&self) -> Vec<i64> {
-        with_slice!(&self.data, rows => rows.iter().map(|&x| x.into()).collect())
+        with_slice!(self.data(), rows => rows.iter().map(|&x| x.into()).collect())
     }
 
     /// The ordered dictionary, if this is a string column.

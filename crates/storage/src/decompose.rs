@@ -7,7 +7,11 @@
 //! prefix-compressed: a per-column *frame* (the minimum encoded value — the
 //! "base for the prefix compression" the paper stores in its BAT metadata)
 //! is factored out, and remaining shared leading bits are removed via
-//! [`PrefixBase`]. Both partitions are bit-packed.
+//! [`PrefixBase`]. The approximation is bit-packed; the residual is
+//! *modeled* as bit-packed on the host — [`DecomposedColumn::host_bytes`],
+//! which every bill and report charges — and *read* from the plain column
+//! the catalog keeps anyway ([`DecompositionMeta::residual_of_payload`]):
+//! this host holds each bit once.
 //!
 //! The number of device-resident bits follows the paper's `bwdecompose(A,
 //! 24)` convention: it counts major bits of the column's *physical* width,
@@ -16,18 +20,19 @@
 //!
 //! The struct is split in two: [`DecompositionMeta`] carries the pure
 //! translation logic (predicate relaxation targets, granule error bounds,
-//! reconstruction), while [`DecomposedColumn`] couples it with the two
-//! packed partitions. Execution layers move the approximation partition
-//! into device memory and keep only the metadata + residual on the host —
-//! see `DecomposedColumn::into_parts`.
+//! reconstruction), while [`DecomposedColumn`] couples it with the packed
+//! approximation and the shared plain storage. Execution layers move the
+//! approximation into device memory and keep the rest on the host — see
+//! `DecomposedColumn::into_parts`.
 
 use crate::bitpack::{BitPackedVec, PackCursor, DECODE_BLOCK};
-use crate::column::{extrema, Column};
+use crate::column::{extrema, narrowed, Column, ColumnData};
 use crate::encoding::{decode, encode, physical_bits};
 use crate::prefix::{OutOfRange, PrefixBase, PrefixGranularity};
 use crate::with_slice;
 use bwd_types::bits::{low_mask, split_bits};
 use bwd_types::{BwdError, DataType, Result};
+use std::sync::Arc;
 
 /// Rows from which a decomposition fans out over the host's cores; a
 /// shorter column is split on the calling thread.
@@ -120,6 +125,22 @@ impl DecompositionMeta {
         self.resbits == 0
     }
 
+    /// `payload`, encoded and frame-subtracted: what is split at `resbits`.
+    /// `encode(p, dtype) == (p as u64 & phys_mask) ^ sign_flip`.
+    #[inline]
+    fn normalized(&self, payload: i64) -> u64 {
+        let encoded =
+            (payload as u64 & low_mask(self.physical_bits)) ^ (1 << (self.physical_bits - 1));
+        encoded - self.frame
+    }
+
+    /// The residual (minor) bits of a payload of this column — the host
+    /// partition is this function of the plain column, never a second copy.
+    #[inline]
+    pub fn residual_of_payload(&self, payload: i64) -> u64 {
+        self.normalized(payload) & low_mask(self.resbits)
+    }
+
     /// Exact payload from a (stored approximation, residual) pair —
     /// Algorithm 2's bitwise concatenation `appr +bw res`.
     #[inline]
@@ -200,51 +221,30 @@ impl DecompositionMeta {
     }
 }
 
-/// A bitwise-decomposed column: device-destined approximation plus
-/// host-resident residual, with the metadata to reconstruct exact values
-/// and to translate predicates into the stored approximation domain.
-#[derive(Debug, Clone, PartialEq)]
+/// A bitwise-decomposed column: the device-destined approximation, and
+/// the plain column it was split from standing in for the host-resident
+/// residual, with the metadata to reconstruct exact values and to
+/// translate predicates into the stored approximation domain.
+#[derive(Debug, Clone)]
 pub struct DecomposedColumn {
     meta: DecompositionMeta,
     /// Stored approximations, `meta.stored_width()` bits each.
     approx: BitPackedVec,
-    /// Stored residuals, `meta.resbits()` bits each.
-    residual: BitPackedVec,
-    len: usize,
+    /// The plain payloads, shared with the catalog's column: row `i`'s
+    /// residual is `meta.residual_of_payload` of row `i` here.
+    plain: Arc<ColumnData>,
 }
 
-/// The per-row half of a decomposition, everything column-wide already
-/// folded into constants: payload → encoded → frame-subtracted → (stored
-/// approximation, residual).
-#[derive(Clone, Copy)]
-struct Splitter {
-    /// `encode(p, dtype) == (p as u64 & phys_mask) ^ sign_flip`.
-    phys_mask: u64,
-    sign_flip: u64,
-    frame: u64,
-    resbits: u32,
-    prefix: PrefixBase,
-}
-
-impl Splitter {
-    /// Split `rows` into the two word runs their elements occupy. `rows`
-    /// starts on a [`DECODE_BLOCK`] boundary of the column, so both runs
-    /// start on a word boundary.
-    fn run<T: Copy + Into<i64>>(&self, rows: &[T], approx: &mut [u64], residual: &mut [u64]) {
-        let mut approx = PackCursor::new(self.prefix.stored_width(), approx);
-        let mut residual = PackCursor::new(self.resbits, residual);
-        for &payload in rows {
-            let enc = (payload.into() as u64 & self.phys_mask) ^ self.sign_flip;
-            let (major, minor) = split_bits(enc - self.frame, self.resbits);
-            approx.push(self.prefix.compress(major));
-            // Loop-invariant: an all-device column runs the one-cursor loop.
-            if self.resbits > 0 {
-                residual.push(minor);
-            }
-        }
-        approx.finish();
-        residual.finish();
+/// Pack the stored approximations of `rows` into the word run their
+/// elements occupy. `rows` starts on a [`DECODE_BLOCK`] boundary of the
+/// column, so the run starts on a word boundary.
+fn pack_approx<T: Copy + Into<i64>>(meta: &DecompositionMeta, rows: &[T], approx: &mut [u64]) {
+    let mut approx = PackCursor::new(meta.stored_width(), approx);
+    for &payload in rows {
+        let (major, _) = split_bits(meta.normalized(payload.into()), meta.resbits);
+        approx.push(meta.prefix.compress(major));
     }
+    approx.finish();
 }
 
 /// How many contiguous chunks a column of `rows` rows is split in.
@@ -255,23 +255,24 @@ fn chunk_count(rows: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Decompose `rows` (payloads in any integer width) whose payload minimum
-/// and maximum are `extrema`, in `chunks` contiguous pieces.
+/// The metadata and packed approximation of `rows` (payloads in any
+/// integer width) whose payload minimum and maximum are `extrema`, packed
+/// in `chunks` contiguous pieces.
 ///
 /// Frame and prefix need the extrema only: the encoding preserves order,
 /// so the encoded extrema are the encoded payload extrema, and the high
 /// bits a set shares are the high bits its extrema share. The rows
-/// themselves are read once, each feeding both partitions. Pieces are cut
-/// at multiples of [`DECODE_BLOCK`] rows — word boundaries of both
-/// partitions at every width — so each worker fills its own range of the
-/// two output buffers and the words do not depend on `chunks`.
+/// themselves are read once. Pieces are cut at multiples of
+/// [`DECODE_BLOCK`] rows — word boundaries at every width — so each worker
+/// fills its own range of the output buffer and the words do not depend on
+/// `chunks`.
 fn split<T: Copy + Into<i64> + Sync>(
     rows: &[T],
     extrema: Option<(i64, i64)>,
     dtype: DataType,
     spec: &DecompositionSpec,
     chunks: usize,
-) -> DecomposedColumn {
+) -> (DecompositionMeta, BitPackedVec) {
     let w = physical_bits(dtype);
     let resbits = w - spec.device_bits.min(w);
     let (min_enc, max_enc) =
@@ -283,62 +284,68 @@ fn split<T: Copy + Into<i64> + Sync>(
         split_bits(max_norm, resbits).0,
     ];
     let prefix = PrefixBase::analyze(&extrema_majors, w - resbits, spec.granularity);
-
-    let mut approx = BitPackedVec::zeroed(prefix.stored_width(), rows.len());
-    let mut residual = BitPackedVec::zeroed(resbits, rows.len());
-    let splitter = Splitter {
-        phys_mask: low_mask(w),
-        sign_flip: 1 << (w - 1),
-        frame,
+    let meta = DecompositionMeta {
+        dtype,
+        physical_bits: w,
         resbits,
+        frame,
+        max_norm,
         prefix,
     };
+
+    let mut approx = BitPackedVec::zeroed(prefix.stored_width(), rows.len());
     let blocks = rows.len().div_ceil(chunks).div_ceil(DECODE_BLOCK);
     std::thread::scope(|scope| {
-        let (mut rows, mut approx, mut residual) = (rows, approx.words_mut(), residual.words_mut());
+        let (mut rows, mut approx) = (rows, approx.words_mut());
         while rows.len() > blocks * DECODE_BLOCK {
             let (head, tail) = rows.split_at(blocks * DECODE_BLOCK);
             let (approx_head, approx_tail) =
                 approx.split_at_mut(blocks * prefix.stored_width() as usize);
-            let (residual_head, residual_tail) = residual.split_at_mut(blocks * resbits as usize);
-            scope.spawn(move || splitter.run(head, approx_head, residual_head));
-            (rows, approx, residual) = (tail, approx_tail, residual_tail);
+            scope.spawn(move || pack_approx(&meta, head, approx_head));
+            (rows, approx) = (tail, approx_tail);
         }
-        splitter.run(rows, approx, residual);
+        pack_approx(&meta, rows, approx);
     });
-
-    DecomposedColumn {
-        meta: DecompositionMeta {
-            dtype,
-            physical_bits: w,
-            resbits,
-            frame,
-            max_norm,
-            prefix,
-        },
-        approx,
-        residual,
-        len: rows.len(),
-    }
+    (meta, approx)
 }
 
 impl DecomposedColumn {
-    /// Decompose `payloads` of logical type `dtype` according to `spec`.
+    /// Decompose `payloads` of logical type `dtype` according to `spec`,
+    /// over its own narrowest-width copy of them.
     pub fn decompose(payloads: &[i64], dtype: DataType, spec: &DecompositionSpec) -> Result<Self> {
-        let chunks = chunk_count(payloads.len());
-        Ok(split(payloads, extrema(payloads), dtype, spec, chunks))
+        let min_max = extrema(payloads);
+        let plain = narrowed(payloads, min_max).unwrap_or_else(|| payloads.to_vec().into());
+        let (plain, chunks) = (Arc::new(plain), chunk_count(payloads.len()));
+        Ok(Self::in_chunks(plain, min_max, dtype, spec, chunks))
     }
 
     /// Decompose a stored column according to `spec`, reading its physical
-    /// storage in place — no widened copy — and taking the extrema from
-    /// [`Column::payload_min_max`], which the binder asks for anyway.
+    /// storage in place — no widened copy, and shared from here on — and
+    /// taking the extrema from [`Column::payload_min_max`], which the
+    /// binder asks for anyway.
     pub fn decompose_column(col: &Column, spec: &DecompositionSpec) -> Result<Self> {
         Ok(Self::column_in_chunks(col, spec, chunk_count(col.len())))
     }
 
     fn column_in_chunks(col: &Column, spec: &DecompositionSpec, chunks: usize) -> Self {
-        let extrema = col.payload_min_max();
-        with_slice!(col.data(), rows => split(rows, extrema, col.dtype(), spec, chunks))
+        let plain = Arc::clone(col.shared_data());
+        Self::in_chunks(plain, col.payload_min_max(), col.dtype(), spec, chunks)
+    }
+
+    fn in_chunks(
+        plain: Arc<ColumnData>,
+        extrema: Option<(i64, i64)>,
+        dtype: DataType,
+        spec: &DecompositionSpec,
+        chunks: usize,
+    ) -> Self {
+        let (meta, approx) =
+            with_slice!(&*plain, rows => split(rows, extrema, dtype, spec, chunks));
+        DecomposedColumn {
+            meta,
+            approx,
+            plain,
+        }
     }
 
     /// The translation metadata.
@@ -350,13 +357,13 @@ impl DecomposedColumn {
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.plain.len()
     }
 
     /// Whether the column holds no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.plain.is_empty()
     }
 
     /// Logical type of the column.
@@ -395,10 +402,10 @@ impl DecomposedColumn {
         &self.approx
     }
 
-    /// The bit-packed residual partition (host-resident).
+    /// The plain payloads the residual is read from, as shared.
     #[inline]
-    pub fn residual(&self) -> &BitPackedVec {
-        &self.residual
+    pub fn plain(&self) -> &Arc<ColumnData> {
+        &self.plain
     }
 
     /// Bytes the approximation occupies on the device.
@@ -407,10 +414,11 @@ impl DecomposedColumn {
         self.approx.packed_bytes()
     }
 
-    /// Bytes the residual occupies on the host.
+    /// Bytes the residual occupies on the modeled host: bit-packed, as the
+    /// paper stores it (here the bits are read from the plain column).
     #[inline]
     pub fn host_bytes(&self) -> u64 {
-        self.residual.packed_bytes()
+        (self.len() as u64 * self.meta.resbits as u64).div_ceil(8)
     }
 
     /// Stored approximation of row `i`.
@@ -422,14 +430,14 @@ impl DecomposedColumn {
     /// Residual payload of row `i`.
     #[inline]
     pub fn residual_of_row(&self, i: usize) -> u64 {
-        self.residual.get(i)
+        self.meta.residual_of_payload(self.plain.get(i))
     }
 
     /// Exact payload of row `i`.
     #[inline]
     pub fn reconstruct_payload(&self, i: usize) -> i64 {
         self.meta
-            .payload_from_parts(self.approx.get(i), self.residual.get(i))
+            .payload_from_parts(self.approx.get(i), self.residual_of_row(i))
     }
 
     /// Exact payload from a (stored approximation, residual) pair.
@@ -472,10 +480,10 @@ impl DecomposedColumn {
         self.meta.granule_size()
     }
 
-    /// Split into `(meta, approximation, residual)` — the execution layer
-    /// moves the approximation into device memory and keeps the rest.
-    pub fn into_parts(self) -> (DecompositionMeta, BitPackedVec, BitPackedVec) {
-        (self.meta, self.approx, self.residual)
+    /// Split into `(meta, approximation, plain payloads)` — the execution
+    /// layer moves the approximation into device memory and keeps the rest.
+    pub fn into_parts(self) -> (DecompositionMeta, BitPackedVec, Arc<ColumnData>) {
+        (self.meta, self.approx, self.plain)
     }
 
     /// Validate a spec against a type without decomposing (catalog checks).
@@ -508,13 +516,21 @@ mod tests {
         .unwrap()
     }
 
+    /// Both partitions, packed: what the two-cursor splitter this module
+    /// had before the residual became a view produced.
+    struct Partitions {
+        meta: DecompositionMeta,
+        approx: BitPackedVec,
+        residual: BitPackedVec,
+    }
+
     /// The two-pass, `push`-per-element decomposition this module had
     /// before the one-pass kernel — kept as the oracle.
     fn decompose_by_pushing(
         payloads: &[i64],
         dtype: DataType,
         spec: &DecompositionSpec,
-    ) -> DecomposedColumn {
+    ) -> Partitions {
         let w = physical_bits(dtype);
         let resbits = w - spec.device_bits.min(w);
         let mut min_enc = u64::MAX;
@@ -539,7 +555,7 @@ mod tests {
             approx.push(prefix.compress(norm >> resbits));
             residual.push(norm & low_mask(resbits));
         }
-        DecomposedColumn {
+        Partitions {
             meta: DecompositionMeta {
                 dtype,
                 physical_bits: w,
@@ -550,7 +566,30 @@ mod tests {
             },
             approx,
             residual,
-            len: payloads.len(),
+        }
+    }
+
+    /// `got` is `want` with the residual a view: same metadata, same
+    /// approximation words, same modeled bytes on both sides, and row by
+    /// row the residual the oracle packed and the payload it came from.
+    fn assert_is_the_partition(
+        got: &DecomposedColumn,
+        want: &Partitions,
+        payloads: &[i64],
+        case: &str,
+    ) {
+        assert_eq!(got.meta(), &want.meta, "{case}");
+        assert_eq!(got.approx(), &want.approx, "{case}");
+        assert_eq!(got.len(), payloads.len(), "{case}");
+        assert_eq!(got.device_bytes(), want.approx.packed_bytes(), "{case}");
+        assert_eq!(got.host_bytes(), want.residual.packed_bytes(), "{case}");
+        for (i, &p) in payloads.iter().enumerate() {
+            assert_eq!(
+                got.residual_of_row(i),
+                want.residual.get(i),
+                "{case} row {i}"
+            );
+            assert_eq!(got.reconstruct_payload(i), p, "{case} row {i}");
         }
     }
 
@@ -578,10 +617,10 @@ mod tests {
         }
     }
 
-    /// The column entry point, at every chunk count, builds the
-    /// `DecomposedColumn` —
-    /// metadata and every packed word — that the slice entry point and the
-    /// parent's push loop build from the widened copy; and it is exact.
+    /// The column entry point, at every chunk count, and the slice entry
+    /// point build what the push loop builds from the widened copy:
+    /// metadata, every approximation word, and — as a view — every
+    /// residual; and it is exact.
     #[test]
     fn column_entry_point_equals_the_slice_one_and_the_push_loop() {
         let mut rng = bwd_types::SplitMix64::new(0xDEC0);
@@ -615,14 +654,12 @@ mod tests {
                     for spec in &specs {
                         let case = format!("{dtype} len={len} {spec:?}");
                         let oracle = decompose_by_pushing(&payloads, dtype, spec);
-                        for (i, &p) in payloads.iter().enumerate() {
-                            assert_eq!(oracle.reconstruct_payload(i), p, "{case} row {i}");
-                        }
                         let sliced = DecomposedColumn::decompose(&payloads, dtype, spec).unwrap();
-                        assert_eq!(sliced, oracle, "{case}");
+                        assert_is_the_partition(&sliced, &oracle, &payloads, &case);
                         for chunks in [1, 2, 3, 7] {
                             let got = DecomposedColumn::column_in_chunks(&col, spec, chunks);
-                            assert_eq!(got, oracle, "{case} chunks={chunks}");
+                            let case = format!("{case} chunks={chunks}");
+                            assert_is_the_partition(&got, &oracle, &payloads, &case);
                         }
                     }
                 }
@@ -633,12 +670,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// Width is invisible to decomposition: a column stored in 1, 2, 4
-        /// or 8 bytes, built from wide or from narrow input, decomposes —
-        /// 24/8 and all-device, in one piece and in three — into the
-        /// metadata and packed words of the widened payloads.
+        /// The view *is* the partition, and width is invisible to it: a
+        /// column of any type stored in 1, 2, 4 or 8 bytes (negative,
+        /// empty, one row, extrema on the width boundaries), built from
+        /// wide or from narrow input, decomposes under every kind of spec,
+        /// in one piece and in three, into the metadata and approximation
+        /// words of the widened payloads; and its residuals, read from the
+        /// plain storage it shares, are the ones the two-cursor splitter
+        /// packed.
         #[test]
-        fn width_is_invisible_to_decomposition(
+        fn the_view_is_the_partition_at_every_width(
             ty in 0usize..width_cases::TYPES.len(),
             lo_at in 0usize..width_cases::BOUNDARIES.len(),
             hi_at in 0usize..width_cases::BOUNDARIES.len(),
@@ -649,15 +690,21 @@ mod tests {
             let bits = physical_bits(case.dtype);
             for spec in [
                 DecompositionSpec::with_device_bits(bits - 8),
-                DecompositionSpec::with_device_bits(bits),
+                DecompositionSpec::with_device_bits(8),
+                DecompositionSpec::all_device(),
+                DecompositionSpec::uncompressed(bits - 8),
+                DecompositionSpec {
+                    frame_of_reference: false,
+                    ..DecompositionSpec::with_device_bits(bits - 8)
+                },
             ] {
-                let widened =
-                    DecomposedColumn::decompose(&case.payloads, case.dtype, &spec).unwrap();
+                let want = decompose_by_pushing(&case.payloads, case.dtype, &spec);
                 for col in [&case.wide, &case.narrow] {
                     for chunks in [1, 3] {
                         let got = DecomposedColumn::column_in_chunks(col, &spec, chunks);
-                        let width = col.data().width();
-                        prop_assert_eq!(&got, &widened, "{} {}-byte {:?}", case.dtype, width, spec);
+                        let tag = format!("{} {}-byte {spec:?}", case.dtype, col.data().width());
+                        assert_is_the_partition(&got, &want, &case.payloads, &tag);
+                        prop_assert!(Arc::ptr_eq(got.plain(), col.shared_data()), "{}", tag);
                     }
                 }
             }
@@ -808,12 +855,10 @@ mod tests {
         let vals: Vec<i64> = (0..100).map(|i| i * 37 % 1000).collect();
         let d = ints(&vals, 26);
         let expect: Vec<i64> = (0..100).map(|i| d.reconstruct_payload(i)).collect();
-        let (meta, approx, residual) = d.into_parts();
+        let (meta, approx, plain) = d.into_parts();
         for (i, &want) in expect.iter().enumerate() {
-            assert_eq!(
-                meta.payload_from_parts(approx.get(i), residual.get(i)),
-                want
-            );
+            let res = meta.residual_of_payload(plain.get(i));
+            assert_eq!(meta.payload_from_parts(approx.get(i), res), want);
         }
     }
 

@@ -4,7 +4,7 @@
 use waste_not::data::{gen_lineitem, gen_part, TpchConfig};
 use waste_not::engine::{Database, ExecMode};
 use waste_not::sql::{bind, parse, BoundStatement};
-use waste_not::storage::DecompositionSpec;
+use waste_not::storage::{DecomposedColumn, DecompositionSpec};
 use waste_not::Value;
 
 const SF: f64 = 0.01;
@@ -88,16 +88,17 @@ fn q1_equivalence_across_decompositions() {
     );
 }
 
+const Q14: &str = "select \
+    sum(case when p_type like 'PROMO%' then l_extendedprice * (1 - l_discount) else 0 end) as promo, \
+    sum(l_extendedprice * (1 - l_discount)) as total \
+    from lineitem, part where l_partkey = p_partkey \
+    and l_shipdate >= date '1995-09-01' \
+    and l_shipdate < date '1995-09-01' + interval '1' month";
+
 #[test]
 fn q14_join_and_case_equivalence() {
     let mut db = tpch();
-    let q14 = "select \
-        sum(case when p_type like 'PROMO%' then l_extendedprice * (1 - l_discount) else 0 end) as promo, \
-        sum(l_extendedprice * (1 - l_discount)) as total \
-        from lineitem, part where l_partkey = p_partkey \
-        and l_shipdate >= date '1995-09-01' \
-        and l_shipdate < date '1995-09-01' + interval '1' month";
-    let (classic, ar) = run_both(&mut db, q14);
+    let (classic, ar) = run_both(&mut db, Q14);
     assert_eq!(classic, ar);
     // Promo revenue is a strict positive fraction of total (~1/5 of types
     // are PROMO).
@@ -107,6 +108,59 @@ fn q14_join_and_case_equivalence() {
     let ratio = promo / total;
     assert!(ratio > 0.05 && ratio < 0.45, "ratio {ratio}");
 }
+
+/// `auto_bind` uploads what a selection, a group key or the tail reads —
+/// not the join key: both executors reach the dimension through the FK
+/// index alone, so its approximation would sit on the device unread. The
+/// space-constrained A&R run is the one the commit that still uploaded it
+/// produced, bit for bit.
+#[test]
+fn auto_bind_leaves_the_join_key_off_the_device() {
+    let mut db = tpch();
+    let BoundStatement::Query(q14) = bind(&parse(Q14).unwrap(), db.catalog()).unwrap() else {
+        panic!("not a query")
+    };
+    let plan = db.bind(&q14, &Default::default()).unwrap();
+    let fk_link = db.env().device.memory().used();
+    db.auto_bind(&plan).unwrap();
+    assert!(!db.is_bound("lineitem", "l_partkey"));
+    let read = [
+        ("lineitem", "l_shipdate"),
+        ("lineitem", "l_extendedprice"),
+        ("lineitem", "l_discount"),
+        ("part", "p_type"),
+    ];
+    let uploaded: u64 = (read.iter())
+        .map(|&(table, column)| {
+            assert!(db.is_bound(table, column), "{table}.{column}");
+            let plain = db.catalog().table(table).unwrap().column(column).unwrap();
+            DecomposedColumn::decompose_column(plain, &DecompositionSpec::all_device())
+                .unwrap()
+                .device_bytes()
+        })
+        .sum();
+    assert_eq!(db.env().device.memory().used(), fk_link + uploaded);
+
+    db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
+    let ar = db.run_bound(&plan, ExecMode::ApproxRefine).unwrap();
+    let (cost, traffic) = (ar.breakdown, ar.traffic);
+    let dump = format!(
+        "{:?} device {:#018x} host {:#018x} pcie {:#018x} bytes {} {} {}",
+        ar.rows,
+        cost.device.to_bits(),
+        cost.host.to_bits(),
+        cost.pcie.to_bits(),
+        traffic.device,
+        traffic.host,
+        traffic.pcie,
+    );
+    assert_eq!(dump, PARENT_Q14, "\n{dump}");
+}
+
+const PARENT_Q14: &str = "[[Decimal { unscaled: 56616630850, scale: 4 }, \
+    Decimal { unscaled: 264230816910, scale: 4 }]] \
+    device 0x3f0885e667055054 host 0x3f03733592f01868 pcie 0x3f06ac15912a487a \
+    bytes 73471 6183 28613";
 
 #[test]
 fn q14_with_decomposed_dimension_column() {
