@@ -101,8 +101,8 @@ impl ArPlan {
     }
 
     /// The columns some aggregate argument or projection reads, in
-    /// first-reference order — all the tail gathers when a device
-    /// pre-grouping's ids stand in for the group keys.
+    /// first-reference order — all the tail gathers into its slice block
+    /// when a device grouping's ids stand in for the group keys.
     pub fn value_columns(&self) -> Vec<String> {
         let mut out = Vec::new();
         let args = self.aggs.iter().filter_map(|a| a.arg.as_ref());

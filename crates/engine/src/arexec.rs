@@ -5,7 +5,8 @@
 //!
 //! 1. **Approximation subplan** (device): the relaxed selection chain runs
 //!    entirely on the co-processor — full scan first, candidate-list
-//!    filters after — followed by the approximate pre-grouping. Every
+//!    filters after — followed by the approximate pre-grouping where
+//!    something needs its ids ([`Grouping`]). Every
 //!    selection kernel also tells the candidates it *decides* (whole
 //!    granule inside the exact predicate) from those it leaves
 //!    *undecided*. No step depends on any refinement, so the approximate
@@ -30,7 +31,7 @@
 //! verdict is positional; the only list-shaped state is O(undecided). See
 //! ARCHITECTURE.md, "The query tail".
 
-use crate::bill::{ArShape, Counts, RefineCounts, StepCounts, Transient};
+use crate::bill::{ArShape, Counts, Grouping, RefineCounts, StepCounts, Transient};
 use crate::database::Database;
 use crate::eval::RowBlock;
 use crate::morsel::{
@@ -44,12 +45,13 @@ use bwd_core::relax::StoredRange;
 use bwd_core::BoundColumn;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::gather::{gather_indirect_partition_into, gather_partition_into};
+use bwd_kernels::group::packed_key_of;
 use bwd_kernels::scan::scan_block_ranges;
 use bwd_kernels::{
     Candidates, Cursor, DeviceArray, Grouper, Positions, ScanOptions, ScanRows, SelMask, SelVec,
 };
 use bwd_obs::metrics::{Counter, Registry};
-use bwd_obs::{EventKind, SpanId, WorkerHandle, NO_SPAN};
+use bwd_obs::{EventKind, GroupAggTables, SpanId, WorkerHandle, NO_SPAN};
 use bwd_types::{BwdError, FaultSite, Oid, Result};
 use std::sync::OnceLock;
 
@@ -239,7 +241,7 @@ pub(crate) fn run_ar_counted(
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<(QueryResult, Counts, u64)> {
-    let shape = ArShape::resolve(db, plan, opts.scan)?;
+    let shape = ArShape::resolve(db, plan, opts.scan, env.device.spec())?;
     let mut run = Run {
         counts: Counts {
             rows: shape.rows,
@@ -297,7 +299,7 @@ struct Approx<'a> {
     /// passed every refinement so far (`None`: none ran yet).
     undecided: Vec<Oid>,
     refined: Option<Vec<Oid>>,
-    /// The device pre-grouping, where the keys allow it.
+    /// The hash pre-grouping, where the plan runs one.
     grouper: Option<Grouper<'a>>,
 }
 
@@ -306,9 +308,15 @@ impl<'a> Run<'a> {
         Probe::begin(&self.obs, kind, self.env.trace.parent, self.ledger, a, b)
     }
 
-    /// The approximation subplan: the relaxed selection chain, then one
-    /// pass over its candidates for the undecided list and the
-    /// pre-grouping.
+    /// The group keys' approximations, in key order.
+    fn keys(&self) -> Vec<&'a DeviceArray> {
+        let keys = self.shape.group_cols.iter();
+        keys.map(|c| c.bound.approx()).collect()
+    }
+
+    /// The approximation subplan: the relaxed selection chain, then —
+    /// where either is needed — one pass over its candidates for the
+    /// undecided list and the hash pre-grouping.
     fn approximate(&mut self) -> Result<Approx<'a>> {
         let (plan, env, n) = (self.shape.plan, self.env, self.counts.rows as usize);
         let mut a = Approx::default();
@@ -397,10 +405,7 @@ impl<'a> Run<'a> {
         // candidates only.
         let cands = Positions::of(a.output.as_ref(), n);
         self.counts.dense = cands.dense();
-        a.grouper = self.shape.pregroup.then(|| {
-            let keys = self.shape.group_cols.iter().map(|c| c.bound.approx());
-            Grouper::new(&keys.collect::<Vec<&DeviceArray>>())
-        });
+        a.grouper = (self.shape.grouping == Grouping::Hash).then(|| Grouper::new(&self.keys()));
         // One pass over the candidates feeds both consumers that need every
         // one of them: the undecided list (the ablation listed its own per
         // step) and the grouping table.
@@ -425,6 +430,7 @@ impl<'a> Run<'a> {
         self.counts.undecided = a.undecided.len() as u64;
         self.counts.groups = a.grouper.as_ref().map_or(0, Grouper::n_groups) as u64;
         self.shape.pregroup(&self.counts, env, self.ledger);
+        self.transient.charge(self.shape.place.ids(&self.counts))?;
         let metrics = refine_metrics();
         metrics.decided.add(self.counts.decided());
         metrics.undecided.add(self.counts.undecided);
@@ -502,10 +508,20 @@ impl<'a> Run<'a> {
         let cols: Vec<_> = (self.shape.gathered.iter())
             .map(|(_, c)| (c.bound, c.link(), c.residual()))
             .collect();
-        // Group keys that are fully device-resident were pre-grouped exactly
-        // (their approximation *is* the value): the sources look the
-        // survivors' ids up in that table instead of gathering, refining and
+        // Group keys that are fully device-resident are grouped exactly on
+        // the device (their approximation *is* the value): the sources look
+        // the survivors' ids up in the hash pre-grouping's table, or pack
+        // their keys into the slot, instead of gathering, refining and
         // re-hashing the key columns.
+        let slot_keys = match self.shape.grouping {
+            Grouping::Direct { .. } => self.keys(),
+            _ => Vec::new(),
+        };
+        let ids = match (self.shape.grouping, &a.grouper) {
+            (Grouping::Direct { .. }, _) => GroupIds::Packed(&slot_keys),
+            (_, Some(grouper)) => GroupIds::Carried(grouper),
+            (_, None) => GroupIds::Hashed,
+        };
         if let Some(g) = &a.grouper {
             let group_cols = &self.shape.group_cols;
             let keys = g.group_keys().iter().flat_map(|key| {
@@ -525,7 +541,7 @@ impl<'a> Run<'a> {
         };
         // A tail that reads nothing by position (a bare count) needs no
         // positions: any `survivors` rows do.
-        let (positions, dropped) = match cols.is_empty() && a.grouper.is_none() {
+        let (positions, dropped) = match cols.is_empty() && matches!(ids, GroupIds::Hashed) {
             true => (Positions::All(survivors), &[][..]),
             false => (Positions::of(a.output.as_ref(), n), dropped),
         };
@@ -535,7 +551,7 @@ impl<'a> Run<'a> {
                 cursor: positions.cursor(span),
                 dropped,
                 cols: cols.clone(),
-                grouper: a.grouper.as_ref(),
+                ids,
                 oids: Vec::new(),
                 approx: Vec::new(),
             })
@@ -546,11 +562,26 @@ impl<'a> Run<'a> {
 
         let placed = place.uploaded_bits(&self.counts) << 1 | u64::from(place.device_tail);
         let groupagg_probe = self.begin(EventKind::GroupAgg, survivors as u64, placed);
-        self.shape.aggregate(&self.counts, env, self.ledger);
         let (columns, rows) = tail.finish(partials);
+        let (grouping, sized_by) = match self.shape.grouping {
+            Grouping::None => (u64::from(!self.shape.plan.group_by.is_empty()), 0),
+            Grouping::Hash => (2, self.counts.groups),
+            Grouping::Direct { slots } => {
+                // The occupied slots are the groups the merged table renders.
+                self.counts.groups = rows.len() as u64;
+                (3, slots)
+            }
+        };
+        self.shape.aggregate(&self.counts, env, self.ledger);
         let agg = self.shape.grouped_agg(&self.counts, env);
-        let tables = agg.map_or(0, |agg| agg.replicas << 32 | agg.blocks);
-        groupagg_probe.end(&self.obs, self.ledger, rows.len() as u64, tables);
+        let tables = GroupAggTables {
+            grouping,
+            sized_by,
+            replicas: agg.map_or(0, |agg| agg.replicas),
+            blocks: agg.map_or(0, |agg| agg.blocks),
+        };
+        let out = rows.len() as u64;
+        groupagg_probe.end(&self.obs, self.ledger, out, tables.pack());
 
         Ok(QueryResult {
             columns,
@@ -759,6 +790,17 @@ fn merge_candidate_parts(
     (oids, vals)
 }
 
+/// Where a slice's group ids come from.
+#[derive(Clone, Copy)]
+enum GroupIds<'a> {
+    /// The sink hashes the refined key slots (or the plan has no groups).
+    Hashed,
+    /// Looked up in the hash pre-grouping's table.
+    Carried(&'a Grouper<'a>),
+    /// The packed key approximations themselves: the slot.
+    Packed(&'a [&'a DeviceArray]),
+}
+
 /// The A&R slice source over one worker's part of the candidates'
 /// emission sequence.
 ///
@@ -766,16 +808,15 @@ fn merge_candidate_parts(
 /// keeps the survivors — every candidate refinement did not drop — and
 /// reads only those: per column the stored approximations (what the
 /// device's projection produces) refined with residuals into the slice
-/// block, and the carried device pre-grouping's ids by lookup. Positions
-/// are oids, so nothing is aligned: survivors stay in candidate order
-/// because the window is.
+/// block, and the device grouping's ids ([`GroupIds`]). Positions are
+/// oids, so nothing is aligned: survivors stay in candidate order because
+/// the window is.
 struct ArSource<'a> {
     cursor: Cursor<'a>,
     /// Positional: the candidates refinement dropped (empty: none).
     dropped: &'a [u64],
     cols: Vec<(&'a BoundColumn, Option<&'a DeviceArray>, ResidualSrc<'a>)>,
-    /// The device pre-grouping the survivors' ids come from.
-    grouper: Option<&'a Grouper<'a>>,
+    ids: GroupIds<'a>,
     /// The current slice's survivors (reused).
     oids: Vec<Oid>,
     /// The current column's approximations (reused).
@@ -807,8 +848,13 @@ impl SliceSource for ArSource<'_> {
                 out[i] = meta.payload_from_parts(approx[i], res)
             });
         }
-        if let Some(grouper) = self.grouper {
-            grouper.ids(oids, ids)?;
+        match self.ids {
+            GroupIds::Hashed => {}
+            GroupIds::Carried(grouper) => grouper.ids(oids, ids)?,
+            GroupIds::Packed(keys) => {
+                ids.clear();
+                ids.extend(oids.iter().map(|&oid| packed_key_of(keys, oid) as u32));
+            }
         }
         Ok(more)
     }
@@ -921,8 +967,10 @@ mod tests {
     /// undecided (256 candidates, 88 survivors). `g` is 2 bits wide, `v`
     /// 10. Every gathered column is resident, so the host refines and
     /// nothing else: the undecided pairs come down alone, one survivor bit
-    /// each goes back up, and the device gathers `v` and folds all 600
-    /// survivors into 32 replicas of a 4 × 2 × 16 B table.
+    /// each goes back up, and the device folds all 600 survivors into 32
+    /// replicas of a 2^2 × 2 × 16 B table addressed by `g` itself
+    /// (4 × 2 × 16 × 32 = 4 096 B of the 49 152): it gathers `g` like `v`,
+    /// and no grouping kernel runs.
     #[test]
     fn ledger_follows_the_decided_undecided_split() {
         let split = grouped_bill(Q1_SHAPED, 24, "v");
@@ -934,20 +982,20 @@ mod tests {
                     "select.approx.scan",
                     packed(2, 1000) + pairs(2, 768) + 768 / 8
                 ),
-                ("group.approx.hash-multi", 768 * 4),
                 ("select.refine.download", pairs(2, 256)),
                 ("select.refine", 256), // one residual byte each
                 ("select.refine.upload", 256 / 8),
+                ("aggregate.gather", 600 * 4 + packed(2, 600)), // the key
                 ("aggregate.gather", 600 * 4 + packed(10, 600)),
                 ("aggregate.eval", 0), // device, 600 rows
                 ("aggregate.download", 4 * 16),
             ]
         );
         // Device `aggregate.eval`: two one-op aggregates over 600 rows in
-        // registers, their updates spread over 32 × 4 cells per
+        // registers, their updates spread over 32 × 4 occupied cells per
         // accumulator, one block's replicas merged by a second launch.
         let spec = DeviceSpec::gtx680();
-        let agg = GroupedAgg::new(&spec, 600, 2, 4);
+        let agg = GroupedAgg::slotted(&spec, 600, 2, 4, 4);
         assert_eq!((agg.updates, agg.replicas, agg.blocks), (1200, 32, 1));
         assert_eq!(
             split[6].seconds,
@@ -966,8 +1014,8 @@ mod tests {
             labels_and_bytes(&resident),
             [
                 ("select.approx.scan", packed(10, 1000) + pairs(10, 600)),
-                ("group.approx.hash-multi", 600 * 4),
                 // The candidates are the dense prefix 0..600: streamed.
+                ("aggregate.gather", packed(2, 1000) + packed(2, 600)),
                 ("aggregate.gather", packed(10, 1000) + packed(10, 600)),
                 ("aggregate.eval", 0),
                 ("aggregate.download", 4 * 16),
@@ -977,18 +1025,81 @@ mod tests {
         assert_eq!(split[6].seconds, resident[3].seconds);
     }
 
-    /// A key an aggregate also reads is still gathered like any other
-    /// argument (here `g` in place of `v`) — on the device, once.
+    /// A key an aggregate also reads (here `g` in place of `v`) is gathered
+    /// once: the slot and the argument are the same read.
     #[test]
     fn a_summed_group_key_is_still_gathered() {
+        let bill = grouped_bill(Q1_SHAPED, 24, "g");
         assert_eq!(
-            labels_and_bytes(&grouped_bill(Q1_SHAPED, 24, "g"))[4..],
+            labels_and_bytes(&bill)[3..],
             [
                 ("select.refine.upload", 256 / 8),
                 ("aggregate.gather", 600 * 4 + packed(2, 600)),
                 ("aggregate.eval", 0),
                 ("aggregate.download", 4 * 16),
             ]
+        );
+        // The same fold as when `v` is summed: `aggregate.eval` prices
+        // primitives, accumulators and occupied slots, not columns.
+        assert_eq!(bill[5].seconds, grouped_bill(Q1_SHAPED, 24, "v")[6].seconds);
+    }
+
+    /// The contention is priced on the slots some row folded into, the
+    /// table on all of them: `d <= 1` keeps rows of groups 0 and 1 only, so
+    /// the two updates per row contend over 32 × 2 cells although each
+    /// replica has four slots — and two result rows come home.
+    #[test]
+    fn contention_is_priced_on_the_occupied_slots() {
+        let (db, plan) = table_and_plan((1000, 4, 1), 32, true, sum_and_count("v"), true);
+        let mut ledger = CostLedger::with_trace();
+        let opts = ArExecOptions::default();
+        let (r, counts, _) =
+            run_ar_counted(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
+        assert_eq!((r.rows.len(), counts.groups), (2, 2));
+        let spec = DeviceSpec::gtx680();
+        let agg = GroupedAgg::slotted(&spec, 2, 2, 4, 2);
+        assert_eq!((agg.table_bytes, agg.replicas, agg.groups), (128, 32, 2));
+        let eval = ledger.events().iter().find(|e| e.label == "aggregate.eval");
+        assert_eq!(
+            eval.unwrap().seconds,
+            spec.compute_seconds(3 * 2 * 2)
+                + (agg.update_seconds(&spec) + agg.merge_seconds(&spec))
+        );
+        let download = ledger.events().last().unwrap();
+        assert_eq!(
+            (download.label.as_str(), download.bytes),
+            ("aggregate.download", 2 * 16)
+        );
+    }
+
+    /// A hash pre-grouping writes one 4 B id per final candidate and holds
+    /// them until the tail (here the host's, which needs them over PCI-E) is
+    /// done: the run's transient bytes count them beside the candidate
+    /// list, and a budget one byte short fails the way the scheduler
+    /// requeues on. (`d` summed at 24/8 puts the tail on the host, §IV-G.)
+    #[test]
+    fn a_hash_pregroupings_ids_are_held_and_reserved() {
+        let (db, plan) = table_and_plan(Q1_SHAPED, 24, true, sum_and_count("d"), true);
+        let run = |device_budget| {
+            let opts = ArExecOptions {
+                device_budget,
+                ..Default::default()
+            };
+            let mut ledger = CostLedger::with_trace();
+            let run = run_ar_counted(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger);
+            run.map(|(_, counts, held)| (counts, held, ledger.events().to_vec()))
+        };
+        let (counts, held, events) = run(None).unwrap();
+        assert!(events.iter().any(|e| e.label == "group.approx.hash-multi"));
+        assert_eq!(counts.candidates(), 768);
+        assert_eq!(held, 768 * 12 + 768 * 4);
+        assert_eq!(run(Some(held)).unwrap().1, held);
+        let short = run(Some(held - 1)).unwrap_err();
+        let (requested, available) = (held, held - 1);
+        assert!(
+            matches!(short, BwdError::DeviceOutOfMemory { requested: r, available: a }
+                if (r, a) == (requested, available)),
+            "{short:?}"
         );
     }
 
@@ -1037,8 +1148,8 @@ mod tests {
             (true, "g", true),
             (true, "v", true),
         ] {
-            // Every cut keeps a survivor in each group: the accumulator
-            // table is sized by the pre-grouping, which sees the candidates.
+            // Every cut keeps a survivor in each group: the contention is
+            // priced on the slots some survivor folds into.
             for cut in [3, 255, 256, 599, 998, 999] {
                 let run = |bits| {
                     bill(

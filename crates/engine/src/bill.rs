@@ -31,12 +31,13 @@ use bwd_core::plan::ArPlan;
 use bwd_core::relax::{relax_to_stored, StoredRange};
 use bwd_core::{BoundColumn, RangePred};
 use bwd_device::units::{candidate_stream_bytes, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
-use bwd_device::{Breakdown, Component, CostLedger, Env};
+use bwd_device::{Breakdown, Component, CostLedger, DeviceSpec, Env};
 use bwd_kernels::gather::{charge_gather, charge_gather_indirect};
 use bwd_kernels::group::charge_hash_group_multi;
 use bwd_kernels::reduce::GroupedAgg;
 use bwd_kernels::{DeviceArray, ScanOptions, ScanSpec};
 use bwd_storage::Column;
+use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, Result};
 
 /// One selection step: what it read and what it kept.
@@ -77,7 +78,9 @@ pub struct Counts {
     pub refines: Vec<RefineCounts>,
     /// Rows that passed every exact predicate.
     pub survivors: u64,
-    /// Groups the device pre-grouping found among the candidates.
+    /// Groups the device found: a hash pre-grouping's among the final
+    /// candidates; the occupied slots of slot-addressed aggregation among
+    /// the rows it folded.
     pub groups: u64,
 }
 
@@ -136,7 +139,7 @@ impl Counts {
 /// disagree.
 ///
 /// The one placement rule: when every gathered column is fully
-/// device-resident (and a grouped plan has its device pre-grouping) the
+/// device-resident (and a grouped plan's keys are: [`Grouping`]) the
 /// device reconstructs exact values itself, so it runs the whole tail —
 /// over decided ∪ refined rows, once the host has sent one survivor bit
 /// per undecided candidate back up — and the host pays for refinement
@@ -154,6 +157,9 @@ pub struct Transient {
     /// rides the list transfer, the host adds its refined count and
     /// nothing goes back up.
     pub split_count: bool,
+    /// Whether a hash pre-grouping writes one 4 B id per final candidate
+    /// and holds them until the tail (or their download) is done.
+    pub group_ids: bool,
 }
 
 impl Transient {
@@ -193,11 +199,44 @@ impl Transient {
         }
     }
 
+    /// A hash pre-grouping's id vector.
+    pub fn ids(&self, c: &Counts) -> u64 {
+        match self.group_ids {
+            true => c.candidates() * GROUP_ID_BYTES,
+            false => 0,
+        }
+    }
+
     /// Everything a run with these counts holds.
     pub fn bytes(&self, c: &Counts) -> u64 {
         let lists: u64 = c.steps.iter().map(|s| Self::list(s.candidates)).sum();
-        lists + self.tail(c)
+        lists + self.ids(c) + self.tail(c)
     }
+}
+
+/// Bytes of one group id of a hash pre-grouping.
+const GROUP_ID_BYTES: u64 = 4;
+
+/// How the device finds a grouped plan's groups, settled when the shape is
+/// resolved. One rule: keys the device cannot read exactly — behind the
+/// join, or with residual bits on the host — leave the grouping to the
+/// host; keys it can are pre-grouped by the paper's hash kernel (§IV-E),
+/// *unless* nobody but the device's own aggregation would read the ids and
+/// the table addressed by the packed key itself still replicates across a
+/// full warp ([`GroupedAgg::direct_slots`]): then the key is the group id
+/// and the kernel does not run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grouping {
+    /// An ungrouped plan, or exact host grouping over the refined keys.
+    None,
+    /// Hash pre-grouping over every final candidate: dense first-seen
+    /// ids, 4 B per candidate — carried into a device tail, downloaded
+    /// for a host one.
+    Hash,
+    /// A device tail folding straight into tables of `slots` = `2^key
+    /// bits` slots: no grouping kernel, no ids; the aggregation reads the
+    /// key approximations like any other gathered column.
+    Direct { slots: u64 },
 }
 
 /// `(table, column, reached through the join)` of a plan's column name:
@@ -218,6 +257,39 @@ fn slot(name: &str, col: &Column) -> ColumnSlot {
         dtype: col.dtype(),
         dict: col.dictionary().cloned(),
     }
+}
+
+/// The carried table of a slot-addressed aggregation: group `s` is the key
+/// whose stored codes concatenate to `s` as
+/// [`bwd_kernels::group::packed_key_of`] builds it
+/// (first key column in the high bits). A code past a column's largest
+/// stored value — code 3 of a three-word dictionary — is no row's: its
+/// slots stay empty and are never rendered, whatever payload stands there.
+fn slot_table(plan: &ArPlan, group_cols: &[ColRef<'_>], slots: u64) -> GroupTable {
+    // Per key column: its meta, width and the codes it stores.
+    let cols: Vec<_> = (group_cols.iter())
+        .map(|c| {
+            let meta = c.bound.meta();
+            let stored = relax_to_stored(meta, &RangePred::all()).map(|all| all.outer);
+            (meta, c.bound.approx().width(), stored)
+        })
+        .collect();
+    let mut keys = Vec::with_capacity(slots as usize * cols.len());
+    for slot in 0..slots {
+        let mut shift: u32 = cols.iter().map(|c| c.1).sum();
+        for &(meta, width, stored) in &cols {
+            shift -= width;
+            let code = slot >> shift & low_mask(width);
+            let is_stored = stored.is_some_and(|(lo, hi)| (lo..=hi).contains(&code));
+            keys.push(if is_stored {
+                meta.payload_from_parts(code, 0)
+            } else {
+                0
+            });
+        }
+    }
+    let slots = plan.group_by.iter().zip(group_cols);
+    GroupTable::from_keys(slots.map(|(g, c)| c.slot(g)).collect(), keys)
 }
 
 /// A resolved column reference of an A&R plan.
@@ -284,11 +356,9 @@ pub struct ArShape<'a> {
     /// column never does.
     pub(crate) sels: Vec<(ColRef<'a>, Option<StoredRange>)>,
     pub(crate) group_cols: Vec<ColRef<'a>>,
-    /// Approximate pre-grouping on the device: every key fact-side and
-    /// fully device-resident (its approximation *is* the value).
-    pub(crate) pregroup: bool,
-    /// Columns the tail gathers: with a pre-grouping, whose ids stand in
-    /// for the keys, only the value columns.
+    pub(crate) grouping: Grouping,
+    /// Columns the tail gathers into its slice block: with a device
+    /// grouping, whose ids stand in for the keys, only the value columns.
     pub(crate) gathered: Vec<(String, ColRef<'a>)>,
     pub(crate) place: Transient,
     /// The compiled tail: `aggregate.eval` bills its distinct primitives
@@ -300,8 +370,14 @@ const REFINE_DOWNLOAD: &str = "select.refine.download";
 const EVAL: &str = "aggregate.eval";
 
 impl<'a> ArShape<'a> {
-    /// Resolve `plan`'s columns against `db`'s bound (decomposed) tables.
-    pub fn resolve(db: &'a Database, plan: &'a ArPlan, scan: ScanOptions) -> Result<Self> {
+    /// Resolve `plan`'s columns against `db`'s bound (decomposed) tables,
+    /// for a run on `device`.
+    pub fn resolve(
+        db: &'a Database,
+        plan: &'a ArPlan,
+        scan: ScanOptions,
+        device: &DeviceSpec,
+    ) -> Result<Self> {
         let rows = db.catalog().table(&plan.table)?.len() as u64;
         let fk: Option<&FkIndex> = match &plan.fk_join {
             Some(j) => Some(db.fk_index(&plan.table, &j.fact_key)?),
@@ -323,11 +399,13 @@ impl<'a> ArShape<'a> {
         }
         let group_cols: Vec<ColRef<'a>> =
             plan.group_by.iter().map(resolve).collect::<Result<_>>()?;
-        let pregroup =
+        // The device groups by keys whose approximation *is* the value:
+        // fact-side and fully device-resident.
+        let device_groups =
             !group_cols.is_empty() && group_cols.iter().all(|c| c.fk.is_none() && c.resident());
         let mut gathered = Vec::new();
         let mut schema = RowBlock::new(0);
-        for name in match pregroup {
+        for name in match device_groups {
             true => plan.value_columns(),
             false => plan.gathered_columns(),
         } {
@@ -335,24 +413,49 @@ impl<'a> ArShape<'a> {
             schema.push_slot(c.slot(&name));
             gathered.push((name, c));
         }
-        let device_tail =
-            gathered.iter().all(|(_, c)| c.resident()) && (plan.group_by.is_empty() || pregroup);
+        let device_tail = gathered.iter().all(|(_, c)| c.resident())
+            && (plan.group_by.is_empty() || device_groups);
+        // A hash pre-grouping's table is carried in once it is known.
+        let mut tail = Tail::new(plan, schema, device_groups.then(GroupTable::default))?;
+        let key_bits: u32 = group_cols.iter().map(|c| c.bound.approx().width()).sum();
+        let grouping = match GroupedAgg::direct_slots(device, key_bits, tail.accumulators()) {
+            _ if !device_groups => Grouping::None,
+            Some(slots) if device_tail => {
+                tail.carry(slot_table(plan, &group_cols, slots));
+                Grouping::Direct { slots }
+            }
+            _ => Grouping::Hash,
+        };
         Ok(ArShape {
             plan,
             rows,
             scan,
             sels,
             group_cols,
-            pregroup,
+            grouping,
             place: Transient {
                 gathered: gathered.len() as u64,
                 device_tail,
-                split_count: device_tail && gathered.is_empty() && !pregroup,
+                split_count: device_tail && gathered.is_empty() && !device_groups,
+                group_ids: grouping == Grouping::Hash,
             },
             gathered,
-            // The pre-grouping's table is carried in once it is known.
-            tail: Tail::new(plan, schema, pregroup.then(GroupTable::default))?,
+            tail,
         })
+    }
+
+    /// The key columns a slot-addressed aggregation reads besides the
+    /// gathered ones: each distinct key no aggregate argument gathers
+    /// already.
+    fn slot_keys(&self) -> impl Iterator<Item = &ColRef<'a>> {
+        let names = &self.plan.group_by;
+        let direct = matches!(self.grouping, Grouping::Direct { .. });
+        let read_already = move |i: usize| {
+            names[..i].contains(&names[i]) || self.gathered.iter().any(|(g, _)| *g == names[i])
+        };
+        let keys = self.group_cols.iter().enumerate();
+        keys.filter(move |&(i, _)| direct && !read_already(i))
+            .map(|(_, c)| c)
     }
 
     /// Selection `i`'s kernel over `n_in` input candidates (`None`: every
@@ -375,30 +478,36 @@ impl<'a> ArShape<'a> {
         }
     }
 
-    /// The device's grouped aggregation, when it folds the tail into a
-    /// pre-grouping's table.
+    /// The device's grouped aggregation, when it folds the tail into
+    /// accumulator tables: one slot per hash pre-group, or the packed
+    /// key's slots of which the groups are the occupied ones.
     pub(crate) fn grouped_agg(&self, c: &Counts, env: &Env) -> Option<GroupedAgg> {
         let (rows, accs) = (self.place.tail_rows(c).0 as usize, self.tail.accumulators());
-        (self.pregroup && self.place.device_tail)
-            .then(|| GroupedAgg::new(env.device.spec(), rows, accs, c.groups as usize))
+        let slots = match self.grouping {
+            Grouping::Hash if self.place.device_tail => c.groups,
+            Grouping::Direct { slots } => slots,
+            _ => return None,
+        };
+        let spec = env.device.spec();
+        Some(GroupedAgg::slotted(spec, rows, accs, slots, c.groups))
     }
 
-    /// Only a host tail needs the pre-grouping's 4 B ids.
+    /// Only a host tail needs the pre-grouping's ids brought down.
     fn ids_bytes(&self, c: &Counts) -> u64 {
-        match self.pregroup && !self.place.device_tail {
-            true => c.candidates() * 4,
-            false => 0,
+        match self.place.device_tail {
+            true => 0,
+            false => self.place.ids(c),
         }
     }
 
-    /// The device's accumulator table (16 B per entry) over `rows` rows:
-    /// one entry per pre-group, one for a global aggregate, one per row
-    /// for a projection.
+    /// The device's results (16 B per entry) over `rows` rows: one entry
+    /// per group, one for a global aggregate, one per row for a
+    /// projection.
     fn partial_bytes(&self, rows: u64, c: &Counts) -> u64 {
-        match (self.pregroup, self.plan.aggs.is_empty()) {
-            (true, _) => c.groups * 16,
-            (false, true) => rows * 16,
-            (false, false) => 16,
+        match (self.grouping, self.plan.aggs.is_empty()) {
+            (Grouping::Hash | Grouping::Direct { .. }, _) => c.groups * 16,
+            (Grouping::None, true) => rows * 16,
+            (Grouping::None, false) => 16,
         }
     }
 
@@ -462,9 +571,10 @@ impl<'a> ArShape<'a> {
         }
     }
 
-    /// Approximate pre-grouping (device) over every final candidate.
+    /// Approximate pre-grouping (device) over every final candidate —
+    /// where something needs its ids.
     pub(crate) fn pregroup(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
-        if self.pregroup {
+        if self.grouping == Grouping::Hash {
             let widths = self.group_cols.iter().map(|c| c.bound.approx().width());
             charge_hash_group_multi(env, widths, c.candidates(), c.groups, l);
         }
@@ -515,14 +625,16 @@ impl<'a> ArShape<'a> {
     }
 
     /// Each gathered column is read on exactly one side. A device tail's
-    /// gathers stay on the device, payloads decode exactly (no residual
-    /// exists), nothing crosses the bus; a host tail pays the approximate
-    /// projection on the device, the download and the translucent
-    /// refinement with residuals.
+    /// gathers stay on the device — a slot-addressed aggregation's keys
+    /// first, read like any other column — payloads decode exactly (no
+    /// residual exists), nothing crosses the bus; a host tail pays the
+    /// approximate projection on the device, the download and the
+    /// translucent refinement with residuals.
     pub(crate) fn gathers(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
         let (dev_rows, host_rows) = self.place.tail_rows(c);
         let (cands, rows) = (c.candidates() as usize, host_rows as usize);
-        for (_, col) in &self.gathered {
+        let values = self.gathered.iter().map(|(_, col)| col);
+        for col in self.slot_keys().chain(values) {
             if self.place.device_tail {
                 let dense = c.dense && c.undecided == 0;
                 col.charge_gather(env, dense, dev_rows, "aggregate.gather", l);
@@ -542,7 +654,7 @@ impl<'a> ArShape<'a> {
     pub(crate) fn aggregate(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
         let place = self.place;
         let (dev_rows, host_rows) = place.tail_rows(c);
-        if !place.device_tail && !self.plan.group_by.is_empty() && !self.pregroup {
+        if !self.plan.group_by.is_empty() && self.grouping == Grouping::None {
             // Exact host grouping over the refined key slots.
             env.charge_host_scan("group.refine.host", host_rows * 8, 2 * host_rows, l);
         }
@@ -705,7 +817,8 @@ pub enum Shape<'a> {
 }
 
 impl<'a> Shape<'a> {
-    /// Resolve `plan` as the executor of `mode` would.
+    /// Resolve `plan` as the executor of `mode` would, on `db`'s primary
+    /// device.
     pub fn resolve(db: &'a Database, plan: &'a ArPlan, mode: &ExecMode) -> Result<Shape<'a>> {
         let scan = match mode {
             ExecMode::Classic => {
@@ -715,7 +828,7 @@ impl<'a> Shape<'a> {
             ExecMode::ApproxRefine => ScanOptions::default(),
             ExecMode::ApproxRefineWith(opts) => opts.scan,
         };
-        ArShape::resolve(db, plan, scan).map(Shape::Ar)
+        ArShape::resolve(db, plan, scan, db.env().device.spec()).map(Shape::Ar)
     }
 
     /// Rows of the fact table.
@@ -754,11 +867,15 @@ impl<'a> Shape<'a> {
         }
     }
 
-    /// Upper bound on the groups a device pre-grouping can find: the
-    /// product of its key columns' domains (0 without one).
+    /// Upper bound on the groups a device grouping can find: the product
+    /// of its key columns' domains (0 without one). A slot-addressed
+    /// table's slots are exact from the shape; how many of them the data
+    /// occupies is still this prediction.
     pub fn key_domain(&self) -> f64 {
         match self {
-            Shape::Ar(s) if s.pregroup => s.group_cols.iter().map(ColRef::domain).product(),
+            Shape::Ar(s) if s.grouping != Grouping::None => {
+                s.group_cols.iter().map(ColRef::domain).product()
+            }
             _ => 0.0,
         }
     }
@@ -786,14 +903,16 @@ mod tests {
     use bwd_core::plan::RewriteOptions;
     use bwd_core::plan::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr as E};
     use bwd_device::CostEvent;
+    use bwd_kernels::group::WARP;
     use bwd_types::{SplitMix64, Value};
     use proptest::prelude::*;
 
     const ROWS: i32 = 20_000;
 
-    /// `t(d, e, g, h, v, w, fk)` ⋈ `dim(x, y)`: `d` (a permutation), `e`,
-    /// `h`, `w` and `dim.y` keep residual bits on the host, `g`, `v`, `fk`
-    /// and `dim.x` are fully device-resident.
+    /// `t(d, e, g, h, v, w, fk, k1..k12)` ⋈ `dim(x, y)`: `d` (a
+    /// permutation), `e`, `h`, `w` and `dim.y` keep residual bits on the
+    /// host, `g`, `v`, `fk`, `dim.x` and the `b`-bit keys `k<b>` are fully
+    /// device-resident.
     fn db() -> &'static Database {
         static DB: std::sync::OnceLock<Database> = std::sync::OnceLock::new();
         DB.get_or_init(build_db)
@@ -801,7 +920,10 @@ mod tests {
 
     fn build_db() -> Database {
         let ints = |n: i32, f: &dyn Fn(i32) -> i32| Column::from_i32((0..n).map(f).collect());
-        let fact = vec![
+        let key_names: Vec<String> = (1..=12).map(|b| format!("k{b}")).collect();
+        let keys = key_names.iter().zip(1..=12);
+        let keys = keys.map(|(n, b)| (n.as_str(), ints(ROWS, &|i| i % (1 << b)), 32));
+        let mut fact = vec![
             ("d", ints(ROWS, &|i| i * 7919 % ROWS), 24),
             ("e", ints(ROWS, &|i| i * 31 % 1000), 28),
             ("g", ints(ROWS, &|i| i % 7), 32),
@@ -810,6 +932,7 @@ mod tests {
             ("w", ints(ROWS, &|i| i * 17 % 5000), 24),
             ("fk", ints(ROWS, &|i| i * 11 % 50), 32),
         ];
+        fact.extend(keys);
         let dim = vec![
             ("id", ints(50, &|i| i), 32),
             ("x", ints(50, &|i| i % 6), 32),
@@ -838,8 +961,10 @@ mod tests {
         AggExpr { func, arg, alias }
     }
 
-    /// One plan per way the bill can go: a device tail folding into a
-    /// pre-grouping, the split bare count, a host tail (§IV-G), host
+    /// One plan per way the bill can go: a device tail folding into slots
+    /// addressed by the key, one folding into a hash pre-grouping's table
+    /// (1 000 groups: past a warp of replicas), the split bare count, a
+    /// host tail (§IV-G) with and without a pre-grouping's ids, host
     /// grouping over a split key, a projection, a chain through the FK
     /// link — and two of them again without pushdown.
     fn plans(db: &Database) -> Vec<(&'static str, ArPlan)> {
@@ -855,12 +980,24 @@ mod tests {
                     .aggregate(vec!["g".into()], vec![sum("v"), agg(Count, None)]),
                 true,
             ),
+            (
+                "grouped-hash",
+                chained
+                    .clone()
+                    .aggregate(vec!["v".into()], vec![sum("g"), agg(Count, None)]),
+                true,
+            ),
             ("count", t().aggregate(vec![], vec![agg(Count, None)]), true),
             (
                 "host-tail",
                 chained
                     .clone()
                     .aggregate(vec![], vec![sum("w"), agg(Avg, Some(E::col("v")))]),
+                true,
+            ),
+            (
+                "host-tail-ids",
+                t().aggregate(vec!["g".into()], vec![sum("w")]),
                 true,
             ),
             (
@@ -901,6 +1038,11 @@ mod tests {
                 (name, db.bind(&plan, &RewriteOptions { pushdown }).unwrap())
             })
             .collect()
+    }
+
+    fn shape_of<'a>(db: &'a Database, plan: &'a ArPlan) -> ArShape<'a> {
+        let device = db.env().device.spec();
+        ArShape::resolve(db, plan, ScanOptions::default(), device).unwrap()
     }
 
     fn events(shape: &ArShape<'_>, c: &Counts) -> Vec<CostEvent> {
@@ -975,7 +1117,7 @@ mod tests {
             let mut ledger = CostLedger::with_trace();
             let (run, counts, held) =
                 run_ar_counted(db, &plan, &opts, env, SLICE_ROWS, &mut ledger).unwrap();
-            let shape = ArShape::resolve(db, &plan, ScanOptions::default()).unwrap();
+            let shape = shape_of(db, &plan);
             let events = events(&shape, &counts);
             assert_eq!(events, ledger.events(), "{name}");
             assert_eq!(shape.place.bytes(&counts), held, "{name}");
@@ -1004,7 +1146,7 @@ mod tests {
             let db = db();
             let rng = &mut SplitMix64::new(seed);
             for (name, plan) in plans(db).into_iter().filter(|(_, p)| p.pushdown) {
-                let shape = ArShape::resolve(db, &plan, ScanOptions::default()).unwrap();
+                let shape = shape_of(db, &plan);
                 let base = chain(rng, shape.rows, plan.selections.len());
                 let last = *base.last().unwrap();
                 let undecided = rng.below(last + 1);
@@ -1037,8 +1179,9 @@ mod tests {
         fn more_groups_never_raise_the_pregrouping(seed in any::<u64>()) {
             let db = db();
             let rng = &mut SplitMix64::new(seed);
-            let plan = &plans(db)[0].1;
-            let shape = ArShape::resolve(db, plan, ScanOptions::default()).unwrap();
+            let plan = &plans(db)[1].1;
+            let shape = shape_of(db, plan);
+            prop_assert_eq!(shape.grouping, Grouping::Hash);
             let chain = chain(rng, shape.rows, plan.selections.len());
             let (few, more) = (1 + rng.below(3000), rng.below(3000));
             let pregroup = |groups| {
@@ -1052,6 +1195,72 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The placement rule, and why it is safe. Over keys of 1..=12 bits
+        /// (one column, or split over two — the same one twice included),
+        /// 1..=8 accumulators and generated counts: the rule picks *direct*
+        /// exactly when a warp of `2^bits`-slot tables fits shared memory.
+        /// Then, against the same shape forced through the hash
+        /// pre-grouping on the same counts: the accumulator updates cost
+        /// the same (both tables keep a full warp of replicas, contention
+        /// is on the groups), and the whole bill is never dearer from one
+        /// candidate per replicated cell on (at most 3 072) — below that by
+        /// no more than the one partial block's merge stream (at most one
+        /// budget, 0.26 us) — give or take one gather launch per key column
+        /// after the first, which the hash kernel reads in its single one.
+        #[test]
+        fn direct_is_never_dearer_than_the_hash_pregrouping(seed in any::<u64>()) {
+            let db = db();
+            let rng = &mut SplitMix64::new(seed);
+            let env = Env::paper_default();
+            let spec = env.device.spec();
+            let (bits, accs) = (1 + rng.below(12) as u32, 1 + rng.below(8));
+            let low = rng.below(bits as u64) as u32;
+            let widths = [bits - low, low];
+            let keys: Vec<String> = (widths.iter().filter(|&&b| b > 0))
+                .map(|b| format!("k{b}"))
+                .collect();
+            let sum = |j| agg(AggFunc::Sum, Some(E::col("v").binary(BinOp::Add, E::lit(j))));
+            let plan = LogicalPlan::scan("t")
+                .filter(between("d", 100, 12_345))
+                .aggregate(keys.clone(), (1..=accs as i64).map(sum).collect());
+            let plan = db.bind(&plan, &RewriteOptions::default()).unwrap();
+            let direct = shape_of(db, &plan);
+            prop_assert_eq!(direct.tail.accumulators() as u64, accs);
+            let (slots, cells) = (1u64 << bits, (WARP << bits) * accs);
+            if cells * 16 > spec.shared_mem_per_block {
+                prop_assert_eq!(direct.grouping, Grouping::Hash);
+            } else {
+                prop_assert_eq!(direct.grouping, Grouping::Direct { slots });
+                let mut hash = shape_of(db, &plan);
+                (hash.grouping, hash.place.group_ids) = (Grouping::Hash, true);
+                // One case in four has fewer candidates than cells.
+                let few = rng.below(4) == 0;
+                let chain = chain(rng, if few { cells.min(64) } else { direct.rows }, 1);
+                let undecided = rng.below(chain[0] + 1);
+                let drops = [rng.below(undecided + 1)];
+                let groups = 1 + rng.below(slots.min(chain[0].max(1)));
+                let c = counts(&direct, &chain, undecided, &drops, groups);
+                let update = |shape: &ArShape<'_>| {
+                    shape.grouped_agg(&c, &env).unwrap().update_seconds(spec)
+                };
+                prop_assert_eq!(update(&direct), update(&hash));
+                let launches = (keys.len() - 1) as f64 * spec.kernel_launch_overhead;
+                let partial_block = match c.candidates() < cells {
+                    true => spec.stream_seconds(spec.shared_mem_per_block),
+                    false => 0.0,
+                };
+                let (direct, hash) = (total(&direct, &c), total(&hash, &c));
+                prop_assert!(
+                    direct <= hash + launches + partial_block,
+                    "{keys:?} x {accs}: {direct} > {hash} at {c:?}"
+                );
+            }
+        }
+    }
+
     /// `undecided = 0` is the paper's all-GPU configuration: no refinement
     /// event, nothing uploaded. And zero candidates cost what launching
     /// the selection costs: no gather, no accumulator update, no launch
@@ -1060,7 +1269,7 @@ mod tests {
     fn nothing_undecided_is_all_gpu_and_nothing_selected_is_nearly_free() {
         let db = db();
         for (name, plan) in plans(db).into_iter().filter(|(_, p)| p.pushdown) {
-            let shape = ArShape::resolve(db, &plan, ScanOptions::default()).unwrap();
+            let shape = shape_of(db, &plan);
             let chain: Vec<u64> = (1..=plan.selections.len() as u64)
                 .map(|i| 9_000 / i)
                 .collect();

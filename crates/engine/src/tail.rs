@@ -43,8 +43,8 @@ pub const SLICE_ROWS: usize = 32 * 1024;
 pub(crate) trait SliceSource: Send {
     /// Re-size `block` to the next run of at most `slice_rows` survivors
     /// (possibly none: a window of candidates may keep no survivor) and
-    /// fill every slot; a source that carries a pre-grouping also replaces
-    /// `ids` with the run's group ids. Returns whether the source has more
+    /// fill every slot; a source that carries a device grouping also
+    /// replaces `ids` with the run's group ids. Returns whether the source has more
     /// to walk after this slice.
     fn fill(&mut self, slice_rows: usize, block: &mut RowBlock, ids: &mut Vec<u32>)
         -> Result<bool>;
@@ -55,7 +55,7 @@ pub(crate) trait SliceSource: Send {
 struct Program {
     exprs: Exprs,
     /// Block slots of the group keys the sinks hash (none when the source
-    /// carries a pre-grouping: its key columns need not be gathered).
+    /// carries a device grouping: its key columns need not be gathered).
     key_slots: Vec<usize>,
     /// Distinct accumulator inputs (`None` = `count(*)`): `sum(x)` and
     /// `avg(x)` fold the same node once.
@@ -216,8 +216,10 @@ pub(crate) struct GroupTable {
 
 impl GroupTable {
     /// A table over key columns `cols` whose groups `0..keys.len() /
-    /// cols.len()` are pre-assigned (a pre-grouping carried in from the
-    /// device); `keys` must be distinct.
+    /// cols.len()` are pre-assigned (a grouping carried in from the
+    /// device: a hash pre-grouping's first-seen ids, or one group per slot
+    /// of a packed key — addressed by id alone, so the keys of slots no
+    /// row can fall into need not be distinct).
     pub(crate) fn from_keys(cols: Vec<ColumnSlot>, keys: Vec<i64>) -> GroupTable {
         let mut t = GroupTable {
             cols,
@@ -394,10 +396,13 @@ impl<'p> Sink<'p> {
         if stride == 0 {
             return;
         }
+        // A carried table numbers its groups identically in every sink.
+        let (grouped, carried) = (!self.groups.cols.is_empty(), self.prog.key_slots.is_empty());
         for (g, part) in other.accs.chunks(stride).enumerate() {
-            let id = match !self.groups.cols.is_empty() {
-                true => self.groups.intern(other.groups.key(g)) as usize,
-                false => 0,
+            let id = match (grouped, carried) {
+                (false, _) => 0,
+                (true, true) => g,
+                (true, false) => self.groups.intern(other.groups.key(g)) as usize,
             };
             if self.accs.len() < (id + 1) * stride {
                 self.accs.resize((id + 1) * stride, EMPTY_ACC);
@@ -424,8 +429,10 @@ impl<'p> Sink<'p> {
         }
         let mut rows: Vec<Vec<Value>> = Vec::new();
         for (g, accs) in self.accs.chunks(stride).enumerate() {
-            // A carried pre-grouping numbers groups over the candidates;
-            // one that kept no survivor is not a group of the result.
+            // A carried grouping numbers groups over the candidates, or
+            // over every slot of the packed key; one that kept no survivor
+            // is not a group of the result (and its key may be no value of
+            // the column at all: it is never rendered).
             if grouped && accs[0].count == 0 {
                 continue;
             }
@@ -451,7 +458,7 @@ impl<'p> Sink<'p> {
 }
 
 /// A query's tail, bound once: the compiled output expressions, the
-/// slice-block schema and (optionally) a carried pre-grouping.
+/// slice-block schema and (optionally) a carried device grouping.
 pub(crate) struct Tail {
     prog: Program,
     schema: RowBlock,
@@ -482,8 +489,8 @@ impl Tail {
         })
     }
 
-    /// Carry the pre-grouping `table` in (replacing the placeholder the
-    /// tail was bound with).
+    /// Carry the device grouping's `table` in (replacing the placeholder
+    /// the tail was bound with).
     pub(crate) fn carry(&mut self, table: GroupTable) {
         self.carried = Some(table);
     }
@@ -674,17 +681,23 @@ mod tests {
         picked.map(agg).collect()
     }
 
-    /// The row-at-a-time oracle: scan, filter, per-row `eval_row`, one map
-    /// entry per group — `(rows, survivors)`.
+    /// The row-at-a-time oracle over table `t` (⋈ `d` through `fk`, where
+    /// declared): scan, filter, per-row `eval_row`, one map entry per group
+    /// — `(rows, survivors)`.
     fn oracle(db: &Database, plan: &ArPlan) -> Result<(Vec<Vec<Value>>, usize)> {
-        let fk = db.fk_index("t", "fk")?.host_slice();
+        let fk = db.fk_index("t", "fk").map(|fk| fk.host_slice());
+        let rows = db.catalog().table("t")?.len();
         let column = |name: &str| {
             let (t, c) = name.split_once('.').unwrap_or(("t", name));
             (db.catalog().table(t).unwrap().column(c).unwrap(), t == "d")
         };
         let fetch = |name: &str, oid: usize| {
             let (col, is_dim) = column(name);
-            col.payload(if is_dim { fk[oid] as usize } else { oid })
+            col.payload(if is_dim {
+                fk.as_ref().unwrap()[oid] as usize
+            } else {
+                oid
+            })
         };
         let names = plan.gathered_columns();
         let mut block = RowBlock::new(1);
@@ -711,7 +724,7 @@ mod tests {
                 .iter()
                 .all(|s| s.range.test(fetch(&s.column, oid)))
         };
-        for oid in (0..ROWS).filter(|&oid| selected(oid)) {
+        for oid in (0..rows).filter(|&oid| selected(oid)) {
             survivors += 1;
             for (slot, name) in names.iter().enumerate() {
                 block.payloads_mut(slot)[0] = fetch(name, oid);
@@ -732,7 +745,11 @@ mod tests {
         let rows = groups.into_iter().map(|(key, accs)| {
             let aggs = accs.iter().zip(&plan.aggs);
             let aggs = aggs.map(|(&(acc, scale), a)| acc.render(a.func, scale));
-            key.into_iter().map(Value::Int).chain(aggs).collect()
+            let key = key.into_iter().zip(&plan.group_by).map(|(k, g)| {
+                let col = column(g).0;
+                payload_to_value(k, col.dtype(), col.dictionary().map(|d| &**d))
+            });
+            key.chain(aggs).collect()
         });
         Ok((rows.collect(), survivors))
     }
@@ -748,11 +765,12 @@ mod tests {
     fn private_tables_merged_pairwise_equal_the_single_table_fold() {
         use {bwd_kernels::reduce::GroupedAgg, AggFunc::*, BinOp::Mul};
         const N: usize = 3 * 65_536 + 1000;
-        let (groups, wide, scale) = (5u32, [i64::MAX, i64::MIN, -1, 0, 7], [-3, 0, 5, 1 << 40]);
+        // Eight slots (a 3-bit key), four of them ever occupied.
+        let (slots, wide, scale) = (8u32, [i64::MAX, i64::MIN, -1, 0, 7], [-3, 0, 5, 1 << 40]);
         let mut rng = bwd_types::SplitMix64::new(0x7ab1e);
         let rows: Vec<(u32, i64, i64)> = (0..N)
             .map(|i| {
-                // Group 3 lives in one lane of one block; group 4 nowhere.
+                // Slot 3 lives in one lane of one block; slots 4..8 nowhere.
                 let g = if i % 32 == 9 && i / 65_536 == 2 {
                     3
                 } else {
@@ -790,7 +808,7 @@ mod tests {
         let mut schema = RowBlock::new(0);
         schema.push_slot(slot("v"));
         schema.push_slot(slot("w"));
-        let carried = GroupTable::from_keys(vec![slot("g")], (0..groups as i64).collect());
+        let carried = GroupTable::from_keys(vec![slot("g")], (0..slots as i64).collect());
         let tail = Tail::new(&plan, schema, Some(carried)).unwrap();
 
         // Fold `rows` (at most a slice at a time) into `sink`.
@@ -811,7 +829,8 @@ mod tests {
         fold_into(&mut single, &rows);
 
         let gtx = bwd_device::DeviceSpec::gtx680();
-        let spec = GroupedAgg::new(&gtx, N, plan.aggs.len(), groups as usize);
+        assert_eq!(GroupedAgg::direct_slots(&gtx, 3, plan.aggs.len()), Some(8));
+        let spec = GroupedAgg::slotted(&gtx, N, plan.aggs.len(), slots as u64, 4);
         assert_eq!((spec.replicas, spec.blocks), (32, 4));
         let mut private: Vec<Vec<(u32, i64, i64)>> = vec![Vec::new(); 32 * 4];
         for (i, row) in rows.iter().enumerate() {
@@ -847,7 +866,115 @@ mod tests {
         assert!(bits(&single).iter().any(|a| a.3 == max_product));
         let (_, rows) = merged.finish();
         assert_eq!(rows, single.finish().1);
-        assert_eq!(rows.len(), 4, "group 4 kept no row");
+        assert_eq!(rows.len(), 4, "slots 4..8 kept no row");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// The packed key is the group id. Over one to three resident key
+        /// columns of 1..=9 bits together — sparsely occupied, the first a
+        /// dictionary with unused codes where its width allows — a device
+        /// tail folding into slot-addressed tables (shared memory for a
+        /// warp of 512-slot tables), one carrying a hash pre-grouping's ids
+        /// (no shared memory at all) and whichever of the two the GTX 680's
+        /// 48 KiB pick return the rows of the row-at-a-time oracle and of
+        /// the classic pipe, at every worker count, slice size and
+        /// candidate representation, with refinement dropping candidates.
+        #[test]
+        fn slots_group_like_carried_ids_and_the_oracle(
+            seed: u64,
+            bits in 1u32..=9,
+            n_cols in 1usize..=3,
+            mi in 0usize..4,
+            li in 0usize..3,
+            ri in 0usize..3,
+        ) {
+            use crate::CandidateRep::*;
+            use bwd_device::DeviceSpec;
+            const N: usize = 3000;
+            let mut rng = bwd_types::SplitMix64::new(seed);
+            // `bits` split over at most `n_cols` columns of at least one bit.
+            let mut widths = vec![1u32; n_cols.min(bits as usize)];
+            for _ in widths.len() as u32..bits {
+                let at = rng.below(widths.len() as u64) as usize;
+                widths[at] += 1;
+            }
+            let mut cols: Vec<(String, Column)> = Vec::new();
+            for (i, &w) in widths.iter().enumerate() {
+                // Both extrema (so the column is `w` bits wide) and at most
+                // two codes between them; a dictionary is the words some
+                // row uses, so 2^(w-1) + 1 of them (each used once, then
+                // the pool) need `w` bits and leave the codes past the last
+                // word without a string.
+                let (top, words) = ((1i32 << w) - 1, (1i32 << (w - 1)) + 1);
+                let is_dict = i == 0 && w >= 2;
+                let top = if is_dict { words - 1 } else { top };
+                let pool = [0, top, rng.below(top as u64 + 1) as i32, rng.below(top as u64 + 1) as i32];
+                let codes: Vec<i32> = (0..N as i32)
+                    .map(|row| match row {
+                        _ if is_dict && row < words => row,
+                        0 | 1 => pool[row as usize],
+                        _ => pool[rng.below(4) as usize],
+                    })
+                    .collect();
+                let col = match is_dict {
+                    true => {
+                        let vocab: Vec<String> = (0..words).map(|c| format!("w{c:03}")).collect();
+                        Column::from_codes(&vocab, codes).unwrap()
+                    }
+                    false => Column::from_i32(codes),
+                };
+                cols.push((format!("g{i}"), col));
+            }
+            let ints = |f: &dyn Fn(i64) -> i64| Column::from_i32((0..N as i64).map(|i| f(i) as i32).collect());
+            cols.push(("k".into(), ints(&|i| i * 7919 % N as i64)));
+            cols.push(("v".into(), ints(&|i| i * 13 % 997 - 400)));
+            let mut db = Database::new();
+            db.create_table("t", cols).unwrap();
+            for (i, _) in widths.iter().enumerate() {
+                db.bwdecompose("t", &format!("g{i}"), 32).unwrap();
+            }
+            db.bwdecompose("t", "k", 24).unwrap();
+            db.bwdecompose("t", "v", 32).unwrap();
+            let survivors = [1, 700, 2999, N][rng.below(4) as usize] as i64;
+            let agg = |func, arg: Option<E>, i: usize| AggExpr { func, arg, alias: format!("a{i}") };
+            let plan = LogicalPlan::scan("t")
+                .filter(between("k", 0, survivors - 1))
+                .aggregate(
+                    (0..widths.len()).map(|i| format!("g{i}")).collect(),
+                    vec![
+                        agg(AggFunc::Sum, Some(E::col("v")), 0),
+                        agg(AggFunc::Count, None, 1),
+                        agg(AggFunc::Min, Some(E::col("v")), 2),
+                    ],
+                );
+            let plan = db.bind(&plan, &Default::default()).unwrap();
+            let (want, kept) = oracle(&db, &plan).unwrap();
+            assert_eq!(kept as i64, survivors);
+            let (morsels, slice_rows) = ([1, 2, 3, 8][mi], [1, 7, S][li]);
+            let opts = ArExecOptions {
+                morsels,
+                candidates: [Auto, Indices, Bitmap][ri],
+                ..Default::default()
+            };
+            let classic =
+                run_classic_sliced(db.catalog(), &plan, None, db.env(), morsels, slice_rows, &mut Default::default());
+            assert_eq!(classic.unwrap().rows, want);
+            let accs = 2; // `sum(v)` and `min(v)` fold one accumulator
+            for shared_mem_per_block in [1 << 20, 0, DeviceSpec::gtx680().shared_mem_per_block] {
+                let spec = DeviceSpec { shared_mem_per_block, ..DeviceSpec::gtx680() };
+                let direct = (1u64 << bits) * accs * 16 * 32 <= shared_mem_per_block;
+                let env = Env::with_device(spec);
+                let mut ledger = bwd_device::CostLedger::with_trace();
+                let run = run_ar_sliced(&db, &plan, &opts, &env, slice_rows, &mut ledger).unwrap();
+                let tag = format!("{widths:?} keys, {shared_mem_per_block} B shared, {opts:?} x {slice_rows}");
+                assert_eq!(run.rows, want, "{tag}");
+                assert_eq!(run.survivors, kept, "{tag}");
+                let hashed = ledger.events().iter().any(|e| e.label == "group.approx.hash-multi");
+                assert_eq!(hashed, !direct, "{tag}");
+            }
+        }
     }
 
     proptest::proptest! {

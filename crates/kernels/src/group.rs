@@ -130,10 +130,14 @@ fn key_of(keys: &[&DeviceArray], oid: Oid) -> Vec<u64> {
     keys.iter().map(|k| k.get(oid as usize)).collect()
 }
 
-/// [`key_of`] concatenated into one word (at most 64 key bits together; a
-/// 64-bit column shifts everything before it — all zero-width — out).
+/// `oid`'s value in every key column, concatenated into one word, first
+/// column in the high bits (at most 64 key bits together; a 64-bit column
+/// shifts everything before it — all zero-width — out). The one slot
+/// function: the [`Grouper`] indexes its table by it, and a key of few
+/// enough bits *is* the group id grouped aggregation folds by
+/// ([`crate::reduce::GroupedAgg::direct_slots`]).
 #[inline]
-fn packed_key_of(keys: &[&DeviceArray], oid: Oid) -> u64 {
+pub fn packed_key_of(keys: &[&DeviceArray], oid: Oid) -> u64 {
     let shl = |k: u64, by: u32| k.checked_shl(by).unwrap_or(0);
     (keys.iter()).fold(0, |k, a| shl(k, a.width()) | a.get(oid as usize))
 }
@@ -429,6 +433,38 @@ mod tests {
             // A key nothing observed is a typed error on every table kind.
             let unobserved = Grouper::new(&keys).ids(&cands.oids[..1], &mut ids);
             assert!(matches!(unobserved, Err(BwdError::InvalidArgument(_))));
+        }
+    }
+
+    /// The slot function is the concatenation of the stored codes, first
+    /// column in the high bits — what `engine/bill.rs:slot_table` decodes a
+    /// slot by — so distinct keys never share a slot and every slot is
+    /// below `2^Σ widths`: one to three columns of 0..=9 bits together.
+    #[test]
+    fn the_packed_key_is_the_concatenated_codes() {
+        let env = Env::paper_default();
+        let mut rng = bwd_types::SplitMix64::new(0x5107);
+        for _ in 0..200 {
+            let widths: Vec<u32> = (0..1 + rng.below(3)).map(|_| rng.below(4) as u32).collect();
+            let cols: Vec<DeviceArray> = (widths.iter())
+                .map(|&w| {
+                    let vals: Vec<u64> = (0..64).map(|_| rng.next_u64() & low_mask(w)).collect();
+                    arr(&env, w, &vals)
+                })
+                .collect();
+            let keys: Vec<&DeviceArray> = cols.iter().collect();
+            let bits: u32 = widths.iter().sum();
+            let mut slot_of: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
+            for oid in 0..64 {
+                let (slot, key) = (packed_key_of(&keys, oid), key_of(&keys, oid));
+                assert!(slot < 1 << bits, "{widths:?}: slot {slot}");
+                let (mut rest, mut decoded) = (slot, vec![0; key.len()]);
+                for (code, &w) in decoded.iter_mut().zip(&widths).rev() {
+                    (*code, rest) = (rest & low_mask(w), rest >> w);
+                }
+                assert_eq!(decoded, key, "{widths:?}: slot {slot}");
+                assert_eq!(*slot_of.entry(slot).or_insert(key.clone()), key);
+            }
         }
     }
 

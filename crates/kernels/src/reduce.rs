@@ -27,21 +27,28 @@ fn block_rows() -> u64 {
     ScanOptions::default().block_size as u64
 }
 
-/// Grouped device aggregation into `groups × accumulators` accumulators,
-/// as `engine/tail.rs` does it on the host: every thread block folds its
-/// rows into tables private to it, replicated across warp lanes as often
-/// as shared memory allows, and a log-depth pass merges the `blocks ×
-/// replicas` tables pairwise. Sums and counts are monoid homomorphisms, so
-/// the merged table equals the single-table fold bit for bit (asserted
-/// with the tail's own sinks). A table past the shared-memory budget is
-/// the one contended table in device memory.
+/// Grouped device aggregation into a table of `slots × accumulators`
+/// accumulators, as `engine/tail.rs` does it on the host: every thread
+/// block folds its rows into tables private to it, replicated across warp
+/// lanes as often as shared memory allows, and a log-depth pass merges the
+/// `blocks × replicas` tables pairwise. Sums and counts are monoid
+/// homomorphisms, so the merged table equals the single-table fold bit for
+/// bit (asserted with the tail's own sinks). A table past the shared-memory
+/// budget is the one contended table in device memory.
+///
+/// The table is *sized* by its slots and *contended* by its groups — the
+/// slots some row folds into; an empty slot attracts no lane. A table
+/// addressed by a hash pre-grouping's dense ids has a slot per group
+/// ([`GroupedAgg::new`]); one addressed by the packed key itself
+/// ([`GroupedAgg::direct_slots`]) has `2^key_bits`, however few of them
+/// the data occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupedAgg {
     /// Accumulator updates: one per tuple per accumulator.
     pub updates: u64,
-    /// Distinct groups.
+    /// Occupied slots: the groups.
     pub groups: u64,
-    /// Bytes of one accumulator table.
+    /// Bytes of one accumulator table (every slot of it).
     pub table_bytes: u64,
     /// Copies of the table a warp's lanes spread over.
     pub replicas: u64,
@@ -52,10 +59,22 @@ pub struct GroupedAgg {
 impl GroupedAgg {
     /// The aggregation of `rows` tuples into `groups` groups of
     /// `accumulators` distinct accumulators each on `device` (`sum(x)` and
-    /// `avg(x)` share one).
+    /// `avg(x)` share one), the table one slot per group.
     pub fn new(device: &DeviceSpec, rows: usize, accumulators: usize, groups: usize) -> GroupedAgg {
-        let (rows, accumulators, groups) = (rows as u64, accumulators as u64, groups as u64);
-        let table_bytes = groups * accumulators * ACCUMULATOR_BYTES;
+        GroupedAgg::slotted(device, rows, accumulators, groups as u64, groups as u64)
+    }
+
+    /// [`GroupedAgg::new`] over a table of `slots` slots of which the rows
+    /// occupy `groups`.
+    pub fn slotted(
+        device: &DeviceSpec,
+        rows: usize,
+        accumulators: usize,
+        slots: u64,
+        groups: u64,
+    ) -> GroupedAgg {
+        let (rows, accumulators) = (rows as u64, accumulators as u64);
+        let table_bytes = slots * accumulators * ACCUMULATOR_BYTES;
         let fits = table_bytes <= device.shared_mem_per_block;
         GroupedAgg {
             updates: rows * accumulators,
@@ -64,6 +83,21 @@ impl GroupedAgg {
             replicas: (device.shared_mem_per_block / table_bytes.max(1)).clamp(1, WARP),
             blocks: if fits { rows.div_ceil(block_rows()) } else { 0 },
         }
+    }
+
+    /// The placement rule of slot-addressed aggregation: the slots of a
+    /// table indexed by a packed key of `key_bits` bits
+    /// ([`crate::group::packed_key_of`]), when a full warp of its replicas
+    /// still fits shared memory — `2^key_bits × accumulators × 16 B × WARP
+    /// ≤ shared_mem_per_block`. Keeping every replica is what makes the
+    /// accumulator updates cost exactly what they cost behind a hash
+    /// pre-grouping of the same groups, whose smaller table replicates no
+    /// further than a warp either. (Slot ids are `u32`, like group ids.)
+    pub fn direct_slots(device: &DeviceSpec, key_bits: u32, accumulators: usize) -> Option<u64> {
+        let slots = (key_bits < 32).then(|| 1u64 << key_bits)?;
+        let warp_of_tables =
+            slots.checked_mul(accumulators.max(1) as u64 * ACCUMULATOR_BYTES * WARP)?;
+        (warp_of_tables <= device.shared_mem_per_block).then_some(slots)
     }
 
     /// The private table row `row` of the input folds into: its thread
@@ -214,6 +248,43 @@ mod tests {
         assert_eq!(agg.table_of(65_536 + 33), 32 + 1);
     }
 
+    /// The placement rule on the GTX 680: Q1's 3 key bits × 6 accumulators
+    /// replicate across a full warp in half the 48 KiB (8 × 6 × 16 × 32 =
+    /// 24 576); a fourth key bit at 6 accumulators, or a seventh at one,
+    /// does not fit. The table is sized by its 8 slots and contended by
+    /// the 3 the data occupies: the updates cost what they cost behind a
+    /// pre-grouping that found 3 groups, the merge streams all 8.
+    #[test]
+    fn a_warp_of_slot_tables_fits_or_the_rule_declines() {
+        let (gtx, rows) = (DeviceSpec::gtx680(), 2_892_672usize);
+        assert_eq!(GroupedAgg::direct_slots(&gtx, 3, 6), Some(8));
+        assert_eq!(GroupedAgg::direct_slots(&gtx, 4, 6), Some(16)); // 49 152: the edge
+        assert_eq!(GroupedAgg::direct_slots(&gtx, 4, 7), None);
+        assert_eq!(GroupedAgg::direct_slots(&gtx, 5, 6), None);
+        assert_eq!(GroupedAgg::direct_slots(&gtx, 6, 1), Some(64));
+        assert_eq!(GroupedAgg::direct_slots(&gtx, 7, 1), None);
+        assert_eq!(GroupedAgg::direct_slots(&gtx, 0, 1), Some(1));
+        assert_eq!(
+            GroupedAgg::direct_slots(&with_shared(u64::MAX), 32, 1),
+            None
+        );
+        assert_eq!(GroupedAgg::direct_slots(&gtx, u32::MAX, 1), None);
+
+        let (direct, hashed) = (
+            GroupedAgg::slotted(&gtx, rows, 6, 8, 3),
+            GroupedAgg::new(&gtx, rows, 6, 3),
+        );
+        assert_eq!(
+            (direct.table_bytes, direct.replicas, direct.groups),
+            (768, 32, 3)
+        );
+        assert_eq!(direct.update_seconds(&gtx), hashed.update_seconds(&gtx));
+        assert_eq!(
+            direct.merge_seconds(&gtx) - hashed.merge_seconds(&gtx),
+            gtx.stream_seconds(45 * 32 * 768) - gtx.stream_seconds(45 * 32 * 288)
+        );
+    }
+
     /// The budget edge only moves the merge: a table that just fits has
     /// one replica per block and contends exactly like the global table;
     /// one group more and there is nothing to merge — the parent commit's
@@ -264,6 +335,29 @@ mod tests {
                 agg.update_seconds(&device)
             });
             assert!(b <= a, "{small} B: {a} s, {large} B: {b} s");
+        }
+
+        /// Wherever the rule picks slot addressing, on any budget, the
+        /// table keeps a full warp of replicas — so its updates cost what
+        /// a hash pre-grouping's (one slot per group) cost over the same
+        /// groups, however sparsely the slots are occupied.
+        #[test]
+        fn the_rule_keeps_a_full_warp_of_replicas(
+            rows in 0usize..5_000_000,
+            accumulators in 1usize..=8,
+            key_bits in 0u32..=12,
+            occupied in 0u64..=4096,
+            budget in 0u64..(1 << 22),
+        ) {
+            let device = with_shared(budget);
+            if let Some(slots) = GroupedAgg::direct_slots(&device, key_bits, accumulators) {
+                let groups = occupied.min(slots);
+                let direct = GroupedAgg::slotted(&device, rows, accumulators, slots, groups);
+                let hashed = GroupedAgg::new(&device, rows, accumulators, groups as usize);
+                assert_eq!((slots, direct.replicas, hashed.replicas), (1 << key_bits, WARP, WARP));
+                assert_eq!(direct.update_seconds(&device), hashed.update_seconds(&device));
+                assert!(direct.blocks * direct.replicas * direct.table_bytes <= direct.blocks * budget);
+            }
         }
 
         /// Fewer groups, more conflicts (fig 8f's shape): wherever every

@@ -38,7 +38,7 @@ pub enum Phase {
 /// | `Exec`        | morsels, host threads       | sim bits, bytes, result rows, 0 |
 /// | `ApproxSelect`| input candidates, step idx  | sim bits, bytes, output candidates, 1 = bitmap [`SelVec`] representation, 0 = indices |
 /// | `Refine`      | candidates still alive (decided + undecided), step idx | sim bits, bytes, surviving candidates, the undecided ones this step re-tested |
-/// | `GroupAgg`    | surviving rows, `uploaded survivor bits << 1 \| 1 = device tail` | sim bits, bytes, result rows, grouped device aggregation: `replicas << 32 \| blocks` of private accumulator tables (`blocks` 0 = one table in device memory, past the shared-memory budget) |
+/// | `GroupAgg`    | surviving rows, `uploaded survivor bits << 1 \| 1 = device tail` | sim bits, bytes, result rows, [`GroupAggTables::pack`] |
 /// | `Morsel`      | partition length, part idx  | 0, 0, output length, 0 |
 /// | `Placement`   | (instant) `a` device index, `b` estimated bytes |  |
 /// | `Resolve`     | (instant) `a` completion index, `b` 0 |  |
@@ -132,5 +132,44 @@ impl EventKind {
 impl std::fmt::Display for EventKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// `GroupAgg` End `d`: which grouping fed the aggregation, beside the count
+/// it is sized by, and the private accumulator tables of a grouped device
+/// aggregation — packed as `grouping << 62 | sized_by << 40 | replicas <<
+/// 32 | blocks`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GroupAggTables {
+    /// 0 ungrouped, 1 the host hashed the refined keys, 2 hash
+    /// pre-grouping on the device, 3 the packed key addressed the slots.
+    pub grouping: u64,
+    /// Hash pre-grouping: groups among the candidates; direct: slots
+    /// (22 bits, saturating).
+    pub sized_by: u64,
+    /// Copies of the table per thread block (0: no device aggregation).
+    pub replicas: u64,
+    /// Thread blocks holding private tables (0 = one table in device
+    /// memory, past the shared-memory budget).
+    pub blocks: u64,
+}
+
+impl GroupAggTables {
+    const SIZED_BY_MAX: u64 = (1 << 22) - 1;
+
+    /// The payload word.
+    pub fn pack(self) -> u64 {
+        let sized_by = self.sized_by.min(Self::SIZED_BY_MAX);
+        self.grouping << 62 | sized_by << 40 | self.replicas << 32 | self.blocks
+    }
+
+    /// The fields of a payload word.
+    pub fn unpack(d: u64) -> GroupAggTables {
+        GroupAggTables {
+            grouping: d >> 62,
+            sized_by: d >> 40 & Self::SIZED_BY_MAX,
+            replicas: d >> 32 & 0xff,
+            blocks: d & u64::from(u32::MAX),
+        }
     }
 }

@@ -51,7 +51,7 @@ mod ring;
 mod trace;
 
 pub use clock::{Clock, ClockSource, MockClock};
-pub use event::{EventKind, Phase, SpanId, NO_SPAN};
+pub use event::{EventKind, GroupAggTables, Phase, SpanId, NO_SPAN};
 pub use recorder::{Recorder, RecorderConfig, WorkerHandle};
 pub use ring::Event;
 pub use trace::{QueryTrace, SpanNode};

@@ -1,7 +1,7 @@
 //! [`QueryTrace`]: the drained event set of one query, with integrity
 //! validation, a span tree, and an `EXPLAIN ANALYZE`-style rendering.
 
-use crate::event::{EventKind, Phase, SpanId, NO_SPAN};
+use crate::event::{EventKind, GroupAggTables, Phase, SpanId, NO_SPAN};
 use crate::recorder::Recorder;
 use crate::ring::Event;
 use std::collections::BTreeMap;
@@ -369,8 +369,8 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
         }
         (EventKind::GroupAgg, Some(end)) => {
             // Where the tail ran and how many survivor bits the host sent
-            // up for it; then which side of the shared-memory budget the
-            // device aggregated on.
+            // up for it; which grouping fed it; then which side of the
+            // shared-memory budget the device aggregated on.
             match n.begin.b & 1 {
                 1 => out.push_str(&format!("  tail=device  uploaded={}", n.begin.b >> 1)),
                 _ => out.push_str("  tail=host"),
@@ -378,12 +378,18 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
             if end.c > 0 {
                 out.push_str(&format!("  out={}", end.c));
             }
-            if end.d != 0 {
-                out.push_str(&format!(
-                    "  replicas={}  blocks={}",
-                    end.d >> 32,
-                    end.d as u32
-                ));
+            let t = GroupAggTables::unpack(end.d);
+            match t.grouping {
+                1 => out.push_str("  grouping=host"),
+                2 => out.push_str(&format!("  grouping=hash groups={}", t.sized_by)),
+                3 => out.push_str(&format!(
+                    "  grouping=direct slots={} groups={}",
+                    t.sized_by, end.c
+                )),
+                _ => {}
+            }
+            if (t.replicas, t.blocks) != (0, 0) {
+                out.push_str(&format!("  replicas={}  blocks={}", t.replicas, t.blocks));
             }
         }
         (EventKind::Exec | EventKind::Gather | EventKind::Classic, Some(end)) if end.c > 0 => {
@@ -478,23 +484,40 @@ mod tests {
         let refine = w.begin(EventKind::Refine, exec, 100, 0);
         w.end(EventKind::Refine, refine, 0.25f64.to_bits(), 512, 90, 30);
         // The device tail, told the 20 refined survivors by 30 bits: 3
-        // result rows folded through 32 replicas in each of 42 blocks.
+        // result rows folded through 32 replicas in each of 42 blocks of
+        // 8-slot tables the packed key addresses.
         let agg = w.begin(EventKind::GroupAgg, exec, 90, 30 << 1 | 1);
-        w.end(EventKind::GroupAgg, agg, 0, 0, 3, 32 << 32 | 42);
-        // A host tail (§IV-G) over the same rows: nothing went up.
+        let tables = |grouping, sized_by| GroupAggTables {
+            grouping,
+            sized_by,
+            replicas: 32,
+            blocks: 42,
+        };
+        w.end(EventKind::GroupAgg, agg, 0, 0, 3, tables(3, 8).pack());
+        // The same tail behind a hash pre-grouping that found 4 groups
+        // among the candidates, one of which kept no survivor.
+        let agg = w.begin(EventKind::GroupAgg, exec, 90, 30 << 1 | 1);
+        w.end(EventKind::GroupAgg, agg, 0, 0, 3, tables(2, 4).pack());
+        // A host tail (§IV-G) over the same rows: nothing went up, the host
+        // hashed the refined keys; and an ungrouped one.
         let agg = w.begin(EventKind::GroupAgg, exec, 90, 0);
-        w.end(EventKind::GroupAgg, agg, 0, 0, 3, 0);
+        w.end(EventKind::GroupAgg, agg, 0, 0, 3, 1 << 62);
+        let agg = w.begin(EventKind::GroupAgg, exec, 90, 0);
+        w.end(EventKind::GroupAgg, agg, 0, 0, 1, 0);
         w.end(EventKind::Exec, exec, 0.25f64.to_bits(), 512, 90, 0);
         let text = QueryTrace::capture(&r).explain();
         assert!(
             text.contains("in=100  out=90  decided=70  undecided=30"),
             "{text}"
         );
-        assert!(
-            text.contains("tail=device  uploaded=30  out=3  replicas=32  blocks=42"),
-            "{text}"
-        );
-        assert!(text.contains("tail=host  out=3\n"), "{text}");
+        for grouping in ["direct slots=8 groups=3", "hash groups=4"] {
+            let line = format!(
+                "tail=device  uploaded=30  out=3  grouping={grouping}  replicas=32  blocks=42\n"
+            );
+            assert!(text.contains(&line), "{text}");
+        }
+        assert!(text.contains("tail=host  out=3  grouping=host\n"), "{text}");
+        assert!(text.contains("tail=host  out=1\n"), "{text}");
     }
 
     #[test]

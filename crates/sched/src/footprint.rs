@@ -99,7 +99,9 @@ pub struct PlanFootprint {
 /// what the exact predicate keeps (no hint: whatever is admitted); shares
 /// multiply along the chain as independent. The ablation feeds each step
 /// the refined survivors of the last. Groups are bounded by the key
-/// columns' domains; a refinement chain shrinks evenly from the undecided
+/// columns' domains (the slots of a table the packed key addresses are
+/// exact from the shape; only how many of them the data occupies is
+/// predicted here); a refinement chain shrinks evenly from the undecided
 /// candidates to the ones that survive.
 fn predict(shape: &Shape<'_>, plan: &ArPlan) -> Counts {
     let rows = shape.rows();

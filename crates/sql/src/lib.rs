@@ -11,12 +11,16 @@
 //! use bwd_engine::{Catalog, Table};
 //! use bwd_storage::Column;
 //!
+//! # fn main() -> bwd_types::Result<()> {
 //! let mut catalog = Catalog::new();
-//! catalog
-//!     .add_table(Table::new("t", vec![("a".into(), Column::from_i32(vec![1, 2, 3]))]).unwrap())
-//!     .unwrap();
-//! let stmt = parse("select count(*) from t where a >= 2").unwrap();
-//! let BoundStatement::Query(plan) = bind(&stmt, &catalog).unwrap() else { unreachable!() };
+//! catalog.add_table(Table::new("t", vec![("a".into(), Column::from_i32(vec![1, 2, 3]))])?)?;
+//! // A malformed statement is a typed `BwdError::Parse`, an unknown table
+//! // or column a `BwdError::Bind`: neither panics.
+//! let stmt = parse("select count(*) from t where a >= 2")?;
+//! let BoundStatement::Query(plan) = bind(&stmt, &catalog)? else { unreachable!() };
+//! # let _ = plan;
+//! # Ok(())
+//! # }
 //! ```
 
 pub mod binder;

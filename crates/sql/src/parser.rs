@@ -181,7 +181,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token) -> Result<()> {
+    fn expect_token(&mut self, t: &Token) -> Result<()> {
         if self.eat_if(t) {
             Ok(())
         } else {
@@ -417,7 +417,7 @@ impl Parser {
             Token::Star => Ok(Expr::Star),
             Token::LParen => {
                 let e = self.or_expr()?;
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
                 Ok(e)
             }
             Token::Ident(name) => match name.as_str() {
@@ -451,7 +451,7 @@ impl Parser {
                             while self.eat_if(&Token::Comma) {
                                 args.push(self.expr()?);
                             }
-                            self.expect(&Token::RParen)?;
+                            self.expect_token(&Token::RParen)?;
                         }
                         Ok(Expr::Func(name, args))
                     } else if self.eat_if(&Token::Dot) {

@@ -4,7 +4,7 @@
 //! must not bend, and every pinned series is the digits the figure
 //! printed before the bill moved into `engine/bill.rs`.
 
-use bwd_bench::evaluation::{fig10_query, tpch_db, Q1};
+use bwd_bench::evaluation::{fig10_query, tpch_db, Q1, Q14, Q6};
 use bwd_bench::micro::{
     fig8_projection, fig8_selection, fig8c_bits_sweep, fig8f_grouping, SELECTIVITY_SWEEP,
 };
@@ -200,4 +200,20 @@ fn fig10a_q1_all_gpu_then_space_constrained_then_classic() {
     let total = |row: usize| fig.rows[row].1[3];
     let (ar, space, classic) = (total(0), total(1), total(2));
     assert!(ar <= space && space < classic, "{ar} {space} {classic}");
+}
+
+/// Fig 10b/10c: on Q6 and Q14 too, all-GPU A&R is no slower than
+/// space-constrained A&R, which beats the classic pipe.
+#[test]
+fn fig10bc_q6_q14_space_constrained_beats_classic() {
+    let mut db = tpch_db(0.02).unwrap();
+    for (id, sql) in [("fig10b", Q6), ("fig10c", Q14)] {
+        let fig = fig10_query(&mut db, id, id, sql, "").unwrap();
+        let total = |row: usize| fig.rows[row].1[3];
+        let (ar, space, classic) = (total(0), total(1), total(2));
+        assert!(
+            ar <= space && space < classic,
+            "{id}: {ar} {space} {classic}"
+        );
+    }
 }

@@ -316,9 +316,9 @@ fn dropping_a_scheduler_with_queued_jobs_resolves_tickets_under_each_policy() {
     }
 }
 
-/// SJF ranks by the bill. TPC-H Q1 in A&R mode pre-groups, evaluates ten
-/// expression primitives and updates six accumulators over 96 % of
-/// `lineitem`; a classic Q14 scans one column and fetches a month's worth
+/// SJF ranks by the bill. TPC-H Q1 in A&R mode gathers six columns,
+/// evaluates ten expression primitives and updates six accumulators over
+/// 96 % of `lineitem` (and pre-grouped them too when this was written); a classic Q14 scans one column and fetches a month's worth
 /// of rows. Queued together — Q1 first, so arrival order cannot help —
 /// Q14 runs first. At this scale (SF 0.01, every column resident) the
 /// parent's hand-written estimator put Q1 at 0.131 ms and Q14 at

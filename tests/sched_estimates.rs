@@ -40,7 +40,11 @@ fn bench_db() -> Database {
 /// two of the bill it predicts. (The parent's hand-written estimator read
 /// 0.18–0.87 on the A&R side here and 0.12–0.40 at the benchmark's scale:
 /// it priced scans at stream bandwidth and nothing of pre-grouping,
-/// `aggregate.eval` or expression arithmetic.)
+/// `aggregate.eval` or expression arithmetic.) Q1's A&R estimate read 0.84
+/// while a hash pre-grouping's contention was predicted at the key domains'
+/// 6 groups where the data holds 3; its device tail now folds into slots
+/// the key addresses, the operator does not run, and what is left of the
+/// misprediction is the accumulator updates' share: 0.96, held to 10 %.
 #[test]
 fn uncalibrated_estimates_are_within_2x_of_the_bill() {
     let db = Arc::new(bench_db());
@@ -66,8 +70,12 @@ fn uncalibrated_estimates_are_within_2x_of_the_bill() {
             assert_eq!(report.actual_sim_seconds, result.breakdown.total());
             let ratio = report.est_seconds / report.actual_sim_seconds;
             println!("est_ratio {name} {mode:?}: {ratio:.3}");
+            let within = match (name, &mode) {
+                ("q1", ExecMode::ApproxRefine) => 0.9..=1.1,
+                _ => 0.5..=2.0,
+            };
             assert!(
-                (0.5..=2.0).contains(&ratio),
+                within.contains(&ratio),
                 "{name} {mode:?}: estimated {} for a bill of {}",
                 report.est_seconds,
                 report.actual_sim_seconds

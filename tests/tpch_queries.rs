@@ -212,8 +212,9 @@ fn space_constrained_uses_less_device_memory() {
 }
 
 /// Q1 in the space-constrained configuration gathers its four value
-/// columns on the device (the pre-grouping's ids stand in for the two
-/// keys) over decided ∪ refined rows. The reservation is the executor's
+/// columns on the device (the packed 3-bit key is the group id and lives
+/// in a register: no id vector, nothing staged for the two keys) over
+/// decided ∪ refined rows. The reservation is the executor's
 /// own transient bytes over the *predicted* counts, so at safety factor 1
 /// — where the reservation *is* the enforced budget — the margin is what
 /// the statistics miss: 60 000 candidate pairs × 12 B + 57 863 predicted
