@@ -1,37 +1,5 @@
-//! Regenerate the paper's evaluation figures.
-//!
-//! ```text
-//! figures [ids...] [--scale-micro N] [--scale-spatial N] [--sf X]
-//!         [--full] [--csv DIR]
-//!
-//!   ids: all (default) | fig1 | fig8a | fig8b | fig8c | fig8d | fig8e
-//!        | fig8f | fig9 | tab1 | fig10a | fig10b | fig10c | fig11
-//!        | bench-arexec | bench-multidev | bench-sjf | bench-scan
-//!        | trace | fault-soak
-//! ```
-//!
-//! `bench-arexec` measures the morsel-parallel A&R pipeline's *wall
-//! clock* (not simulated time) on a 1M-row micro table (override with
-//! `--scale-micro`) and writes the `BENCH_arexec.json` baseline into the
-//! current directory. `bench-multidev` runs the same A&R batch on a
-//! 1-card and a 2-card platform and compares device-stream makespan,
-//! admission queueing and placement spread (bit-identity enforced).
-//! `bench-sjf` drains the identical seeded short/long mix under each
-//! queue policy and fails unless shortest-job-first strictly beats FIFO
-//! on short-query waits with bit-identical answers and no starved long
-//! scan. `bench-scan` sweeps the selection kernel over width ×
-//! selectivity (index and bitmap output vs a naive `get()` oracle),
-//! writes the `BENCH_scan.json` baseline and fails on any bit-identity
-//! violation or a collapse of the production-over-oracle ratio against
-//! the committed baseline at the same scale.
-//! `trace` runs a seeded scheduler batch with query-lifecycle tracing
-//! on, validates every trace, writes the Chrome `trace_event` export to
-//! `TRACE_workload.json` and prints one query's EXPLAIN ANALYZE tree.
-//! `fault-soak` is the chaos smoke: a seeded allocation-fault burst on
-//! one card of a two-card pool must produce offline → failover →
-//! recovery with zero lost tickets, bit-identical results, and a
-//! transcript that replays exactly from the same seed.
-//! None of the six is part of `all`.
+//! Regenerate the paper's evaluation figures (`figures --help` prints
+//! the ids and flags).
 //!
 //! Defaults are laptop-friendly scales; `--full` switches to the paper's
 //! scales (100 M microbenchmark tuples, 250 M GPS fixes, TPC-H SF-10 —
@@ -44,19 +12,29 @@ use bwd_device::Env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "figures [ids...] [--scale-micro N] [--scale-spatial N] [--sf X] [--full] [--csv DIR]
+  ids: all (default) | fig1 | fig8a | fig8b | fig8c | fig8d | fig8e
+       | fig8f | fig9 | tab1 | fig10a | fig10b | fig10c | fig11";
+
+/// The ids `all` (and no id) expands to.
+const ALL: [&str; 13] = [
+    "fig1", "fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig8f", "tab1", "fig9", "fig10a",
+    "fig10b", "fig10c", "fig11",
+];
+
 struct Args {
     ids: Vec<String>,
     micro_n: usize,
-    micro_explicit: bool,
     scale: MacroScale,
     csv: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// `Ok(None)` is `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         ids: Vec::new(),
         micro_n: 4_000_000,
-        micro_explicit: false,
         scale: MacroScale::default(),
         csv: None,
     };
@@ -72,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--scale-micro expects a number")?;
-                args.micro_explicit = true;
             }
             "--scale-spatial" => {
                 args.scale.spatial_fixes = it
@@ -89,28 +66,24 @@ fn parse_args() -> Result<Args, String> {
             "--csv" => {
                 args.csv = Some(PathBuf::from(it.next().ok_or("--csv expects a path")?));
             }
-            "--help" | "-h" => {
-                return Err("see module docs: figures [ids...] [--full] [--csv DIR] ...".into())
-            }
+            "--help" | "-h" => return Ok(None),
             id if !id.starts_with('-') => args.ids.push(id.to_string()),
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
     if args.ids.is_empty() || args.ids.iter().any(|i| i == "all") {
-        args.ids = [
-            "fig1", "fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig8f", "tab1", "fig9", "fig10a",
-            "fig10b", "fig10c", "fig11",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        args.ids = ALL.iter().map(|s| s.to_string()).collect();
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
@@ -163,133 +136,7 @@ fn main() -> ExitCode {
             "fig11" => evaluation::fig11(args.scale.tpch_sf)
                 .map(|f| vec![f])
                 .map_err(|e| e.to_string()),
-            "bench-arexec" => {
-                // Wall-clock baseline: defaults to the 1M-row workload the
-                // committed BENCH_arexec.json records.
-                let n = if args.micro_explicit {
-                    args.micro_n
-                } else {
-                    1 << 20
-                };
-                match bwd_bench::arexec::measure(n, 3) {
-                    Ok(report) => {
-                        let path = std::path::Path::new("BENCH_arexec.json");
-                        if let Err(e) = check_arexec_baseline(path, &report) {
-                            eprintln!("bench-arexec: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                        match bwd_bench::arexec::write_json(&report, path) {
-                            Ok(()) => eprintln!("wrote {}", path.display()),
-                            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-                        }
-                        if !report.bit_identical {
-                            eprintln!("bench-arexec: morsel runs were NOT bit-identical");
-                            return ExitCode::FAILURE;
-                        }
-                        if !report.traced_identical {
-                            eprintln!("bench-arexec: tracing changed results or simulated costs");
-                            return ExitCode::FAILURE;
-                        }
-                        Ok(vec![bwd_bench::arexec::figure(&report)])
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            "trace" => match bwd_bench::trace::measure(6, 2, Default::default()) {
-                Ok(report) => {
-                    let path = std::path::Path::new("TRACE_workload.json");
-                    match bwd_bench::trace::write_json(&report, path) {
-                        Ok(()) => eprintln!("wrote {}", path.display()),
-                        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-                    }
-                    match bwd_bench::trace::check(&report) {
-                        Ok(()) => {
-                            println!("{}", report.explain);
-                            Ok(vec![bwd_bench::trace::figure(&report)])
-                        }
-                        Err(e) => {
-                            println!("{}", bwd_bench::trace::figure(&report).render());
-                            Err(e.to_string())
-                        }
-                    }
-                }
-                Err(e) => Err(e.to_string()),
-            },
-            "bench-scan" => {
-                // Selection-kernel sweep: defaults to the 4M-row
-                // workload the committed BENCH_scan.json records.
-                let n = if args.micro_explicit {
-                    args.micro_n
-                } else {
-                    1 << 22
-                };
-                match bwd_bench::scan::measure(n, 3) {
-                    Ok(report) => {
-                        let path = std::path::Path::new("BENCH_scan.json");
-                        if let Err(e) = check_scan_baseline(path, &report) {
-                            eprintln!("bench-scan: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                        match bwd_bench::scan::write_json(&report, path) {
-                            Ok(()) => eprintln!("wrote {}", path.display()),
-                            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-                        }
-                        match bwd_bench::scan::check(&report) {
-                            Ok(()) => Ok(vec![bwd_bench::scan::figure(&report)]),
-                            Err(e) => {
-                                println!("{}", bwd_bench::scan::figure(&report).render());
-                                Err(e.to_string())
-                            }
-                        }
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            "bench-sjf" => {
-                let n = if args.micro_explicit {
-                    args.micro_n
-                } else {
-                    400_000
-                };
-                match bwd_bench::sjf::measure(n, 16, 4) {
-                    Ok(report) => match bwd_bench::sjf::check(&report) {
-                        Ok(()) => Ok(vec![bwd_bench::sjf::figure(&report)]),
-                        Err(e) => {
-                            println!("{}", bwd_bench::sjf::figure(&report).render());
-                            Err(e.to_string())
-                        }
-                    },
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            "bench-multidev" => {
-                let n = if args.micro_explicit {
-                    args.micro_n
-                } else {
-                    200_000
-                };
-                match bwd_bench::multidev::measure(n, 16) {
-                    Ok(report) => {
-                        if !report.bit_identical {
-                            eprintln!("bench-multidev: scheduled runs were NOT bit-identical");
-                            return ExitCode::FAILURE;
-                        }
-                        Ok(vec![bwd_bench::multidev::figure(&report)])
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            "fault-soak" => match bwd_bench::chaos::measure(0xFA417, 24) {
-                Ok(report) => match bwd_bench::chaos::check(&report) {
-                    Ok(()) => Ok(vec![bwd_bench::chaos::figure(&report)]),
-                    Err(e) => {
-                        println!("{}", bwd_bench::chaos::figure(&report).render());
-                        Err(e.to_string())
-                    }
-                },
-                Err(e) => Err(e.to_string()),
-            },
-            other => Err(format!("unknown figure id {other}")),
+            other => Err(format!("unknown figure id {other}\n{USAGE}")),
         };
         match result {
             Ok(figs) => {
@@ -325,109 +172,6 @@ fn check_fig10_shape(figs: Vec<Figure>) -> Result<Vec<Figure>, String> {
         }
     }
     Ok(figs)
-}
-
-/// Zero-overhead guard: compare the fresh sweep — which runs with the
-/// recorder *disabled*, the default — against the committed
-/// `BENCH_arexec.json`, when one exists for the same workload size
-/// (CI's scaled-down smoke never matches the committed 1M-row
-/// baseline, so this never flakes across machines). Wall clock on a
-/// shared machine is noisy, so only a systemic regression — every
-/// morsel count slower than the baseline beyond the noise factor —
-/// fails; per-count deltas are always printed.
-fn check_arexec_baseline(
-    path: &std::path::Path,
-    report: &bwd_bench::arexec::ArexecReport,
-) -> Result<(), String> {
-    const NOISE_FACTOR: f64 = 2.0;
-    let Ok(old) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Ok(doc) = bwd_obs::json::parse(&old) else {
-        eprintln!(
-            "existing {} is not valid JSON; skipping baseline comparison",
-            path.display()
-        );
-        return Ok(());
-    };
-    if doc.get("rows").and_then(|v| v.as_num()) != Some(report.rows as f64) {
-        return Ok(());
-    }
-    let Some(samples) = doc.get("samples").and_then(|v| v.as_arr()) else {
-        return Ok(());
-    };
-    let mut compared = 0;
-    let mut regressed = 0;
-    for s in samples {
-        let (Some(m), Some(base)) = (
-            s.get("morsels").and_then(|v| v.as_num()),
-            s.get("best_seconds").and_then(|v| v.as_num()),
-        ) else {
-            continue;
-        };
-        if let Some(cur) = report.samples.iter().find(|c| c.morsels == m as usize) {
-            let ratio = cur.best_seconds / base.max(1e-12);
-            eprintln!(
-                "bench-arexec: {} morsels best {:.6}s vs baseline {:.6}s ({ratio:.2}x)",
-                cur.morsels, cur.best_seconds, base
-            );
-            compared += 1;
-            if ratio > NOISE_FACTOR {
-                regressed += 1;
-            }
-        }
-    }
-    if compared > 0 && regressed == compared {
-        return Err(format!(
-            "disabled-recorder sweep regressed beyond {NOISE_FACTOR}x on every morsel count"
-        ));
-    }
-    Ok(())
-}
-
-/// Mirror of [`check_arexec_baseline`] for the selection-kernel sweep:
-/// when the committed `BENCH_scan.json` records the same workload size,
-/// fail if the fresh production-over-oracle headline
-/// (`best_speedup_over_oracle_w16`) has collapsed beyond the noise factor
-/// against the committed one. The ratio of two wall-clock paths on the
-/// *same* run is far steadier than raw seconds, but a shared machine
-/// still jitters — only a > 2x collapse fails; the delta is always
-/// printed.
-fn check_scan_baseline(
-    path: &std::path::Path,
-    report: &bwd_bench::scan::ScanReport,
-) -> Result<(), String> {
-    const NOISE_FACTOR: f64 = 2.0;
-    let Ok(old) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Ok(doc) = bwd_obs::json::parse(&old) else {
-        eprintln!(
-            "existing {} is not valid JSON; skipping baseline comparison",
-            path.display()
-        );
-        return Ok(());
-    };
-    if doc.get("rows").and_then(|v| v.as_num()) != Some(report.rows as f64) {
-        return Ok(());
-    }
-    let Some(base) = doc
-        .get("best_speedup_over_oracle_w16")
-        .and_then(|v| v.as_num())
-    else {
-        return Ok(());
-    };
-    let fresh = report.best_speedup_at_most(16);
-    eprintln!(
-        "bench-scan: best speedup over the oracle (w<=16) {fresh:.2}x vs committed baseline {base:.2}x"
-    );
-    if fresh < base / NOISE_FACTOR {
-        return Err(format!(
-            "production-over-oracle speedup collapsed beyond {NOISE_FACTOR}x against the committed \
-             baseline ({fresh:.2}x vs {base:.2}x)"
-        ));
-    }
-    Ok(())
 }
 
 /// Table I: the spatial benchmark definition, executed verbatim (schema,

@@ -9,7 +9,7 @@ use bwd_device::{DeviceSpec, Env, GIB};
 use bwd_engine::{Database, ExecMode, QueryResult};
 use bwd_sched::run_throughput;
 use bwd_sql::{bind, parse, BoundStatement};
-use bwd_types::Result;
+use bwd_types::{BwdError, Result};
 
 /// Scale configuration for the macro experiments.
 #[derive(Debug, Clone, Copy)]
@@ -94,9 +94,7 @@ pub fn spatial_db(fixes: usize) -> Result<Database> {
 pub fn run_sql(db: &mut Database, sql: &str, mode: ExecMode) -> Result<QueryResult> {
     let stmt = parse(sql)?;
     let BoundStatement::Query(plan) = bind(&stmt, db.catalog())? else {
-        return Err(bwd_types::BwdError::InvalidArgument(
-            "expected a query".into(),
-        ));
+        return Err(BwdError::InvalidArgument("expected a query".into()));
     };
     db.run(&plan, mode)
 }
@@ -105,15 +103,12 @@ pub fn run_sql(db: &mut Database, sql: &str, mode: ExecMode) -> Result<QueryResu
 pub fn bind_sql(db: &Database, sql: &str) -> Result<ArPlan> {
     let stmt = parse(sql)?;
     let BoundStatement::Query(plan) = bind(&stmt, db.catalog())? else {
-        return Err(bwd_types::BwdError::InvalidArgument(
-            "expected a query".into(),
-        ));
+        return Err(BwdError::InvalidArgument("expected a query".into()));
     };
     db.bind(&plan, &Default::default())
 }
 
-/// Fig 9: the spatial range query. Returns the figure; panics (in tests)
-/// if A&R and classic disagree.
+/// Fig 9: the spatial range query. Fails if A&R and classic disagree.
 pub fn fig9_spatial(fixes: usize) -> Result<Figure> {
     let mut db = spatial_db(fixes)?;
 
@@ -143,7 +138,9 @@ pub fn fig9_spatial(fixes: usize) -> Result<Figure> {
 
     let classic = run_sql(&mut db, SPATIAL_QUERY, ExecMode::Classic)?;
     let ar = run_sql(&mut db, SPATIAL_QUERY, ExecMode::ApproxRefine)?;
-    assert_eq!(ar.rows, classic.rows, "A&R must equal classic");
+    if ar.rows != classic.rows {
+        return Err(BwdError::Exec("fig9: A&R and classic disagree".into()));
+    }
 
     let input_bytes = db.catalog().table("trips")?.column("lon")?.plain_bytes()
         + db.catalog().table("trips")?.column("lat")?.plain_bytes();
@@ -225,14 +222,13 @@ pub fn fig10_query(
     )?;
 
     let classic = db.run_bound(&plan, ExecMode::Classic)?;
-    assert_eq!(
-        ar.rows, classic.rows,
-        "{id}: A&R (all-GPU) must equal classic"
-    );
-    assert_eq!(
-        ar_space.rows, classic.rows,
-        "{id}: A&R (space) must equal classic"
-    );
+    for (run, rows) in [("all-GPU", &ar.rows), ("space-constrained", &ar_space.rows)] {
+        if *rows != classic.rows {
+            return Err(BwdError::Exec(format!(
+                "{id}: A&R ({run}) and classic disagree"
+            )));
+        }
+    }
 
     // Streaming baseline: the referenced input columns cross PCI-E.
     let mut input_bytes = 0u64;
@@ -361,63 +357,6 @@ pub fn fig1() -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig9_ar_beats_classic_and_stream() {
-        let f = fig9_spatial(300_000).unwrap();
-        let ar = f.rows[0].1[3];
-        let monetdb = f.rows[1].1[3];
-        let stream = f.rows[2].1[3];
-        assert!(ar < monetdb, "A&R {ar} must beat MonetDB {monetdb}");
-        assert!(ar < stream, "A&R {ar} must beat streaming {stream}");
-        // Most of A&R time on the device (paper: ~80%).
-        let gpu_frac = f.rows[0].1[0] / ar;
-        assert!(gpu_frac > 0.4, "GPU share {gpu_frac}");
-    }
-
-    #[test]
-    fn fig10_shapes() {
-        // Small-but-not-tiny scale: below ~100k lineitems the fixed kernel
-        // launch / PCI-E latencies (~90 us per query) dominate and the
-        // comparison is meaningless; the paper runs SF-10.
-        let figs = fig10(0.02).unwrap();
-        for f in &figs {
-            let ar = f.rows[0].1[3];
-            let space = f.rows[1].1[3];
-            let classic = f.rows[2].1[3];
-            assert!(ar < classic, "{}: A&R {ar} vs MonetDB {classic}", f.id);
-            assert!(
-                space >= ar,
-                "{}: space-constrained {space} must not beat all-GPU {ar}",
-                f.id
-            );
-        }
-        // Q6: all-GPU markedly faster than classic (paper: ~14x, ours
-        // should be at least 3x at small scale).
-        let q6 = &figs[1];
-        assert!(q6.rows[0].1[3] * 3.0 < q6.rows[2].1[3]);
-    }
-
-    /// The shape the executor must keep: A&R beats the classic pipe on
-    /// Q1, Q6 and Q14 even space-constrained. (Q14's month of `l_shipdate`
-    /// sits inside one 256-day granule — nothing is decided — so below
-    /// SF 0.05 its fixed launch and transfer latencies eat the margin.)
-    #[test]
-    fn fig10_space_constrained_beats_classic() {
-        for f in fig10(0.05).unwrap() {
-            let (space, classic) = (f.rows[1].1[3], f.rows[2].1[3]);
-            assert!(space < classic, "{}: {space} vs MonetDB {classic}", f.id);
-        }
-    }
-
-    #[test]
-    fn fig11_additive_throughput() {
-        let f = fig11(0.005).unwrap();
-        let n = f.rows.len();
-        let cumulative = f.rows[n - 1].1[0];
-        let cpu32 = f.rows[5].1[0];
-        assert!(cumulative > cpu32, "combined beats CPU-only");
-    }
 
     #[test]
     fn fig1_static() {

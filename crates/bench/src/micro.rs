@@ -252,25 +252,3 @@ pub fn fig8f_grouping(env: &Env, n: usize) -> Figure {
     fig.note("A&R grouping improves with group count: fewer atomic write conflicts (§IV-E)");
     fig
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small_env() -> Env {
-        Env::paper_default()
-    }
-
-    #[test]
-    fn fig8f_grouping_improves_with_cardinality() {
-        let env = small_env();
-        let f = fig8f_grouping(&env, 100_000);
-        let first = &f.rows.first().unwrap().1;
-        let last = &f.rows.last().unwrap().1;
-        assert!(first[2] > last[2], "contention must fall with groups");
-        // A&R below classic everywhere.
-        for (_, r) in &f.rows {
-            assert!(r[1] < r[0], "{r:?}");
-        }
-    }
-}

@@ -30,4 +30,4 @@ pub mod translucent;
 pub use bounds::Interval;
 pub use column::BoundColumn;
 pub use relax::{classify_granule, relax_to_stored, CmpOp, GranuleMatch, RangePred, StoredRange};
-pub use translucent::{hash_join_baseline, translucent_join, translucent_join_with, JoinPath};
+pub use translucent::{translucent_join, translucent_join_with, JoinPath};

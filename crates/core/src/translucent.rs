@@ -19,8 +19,8 @@
 
 use bwd_types::{BwdError, Oid, Result};
 
-/// How a translucent join was executed (exposed for tests, diagnostics and
-/// the invisible-fastpath ablation).
+/// How a translucent join was executed (exposed for tests and
+/// diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinPath {
     /// Positional lookup: the outer ids were sorted and dense.
@@ -121,30 +121,27 @@ pub fn translucent_join_with<T: Copy>(
     Ok(JoinPath::Translucent)
 }
 
-/// Hash-join fallback over the same input shape, used only by the
-/// `translucent_vs_hash` ablation: build on A, probe with B. Requires
-/// conditions 1–2 but *not* the shared permutation.
-pub fn hash_join_baseline<T: Copy>(a_ids: &[Oid], a_vals: &[T], b_ids: &[Oid]) -> Result<Vec<T>> {
-    let mut table: bwd_types::FxHashMap<Oid, T> = bwd_types::FxHashMap::default();
-    table.reserve(a_ids.len());
-    for (&id, &v) in a_ids.iter().zip(a_vals) {
-        table.insert(id, v);
-    }
-    b_ids
-        .iter()
-        .map(|b| {
-            table
-                .get(b)
-                .copied()
-                .ok_or_else(|| BwdError::Exec(format!("hash join: oid {b} not found")))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The oracle of [`translucent_join`]'s property: a hash join over the
+    /// same input shape — build on A, probe with B. Requires conditions
+    /// 1–2 but *not* the shared permutation.
+    fn hash_join_baseline<T: Copy>(a_ids: &[Oid], a_vals: &[T], b_ids: &[Oid]) -> Result<Vec<T>> {
+        let table: bwd_types::FxHashMap<Oid, T> =
+            a_ids.iter().copied().zip(a_vals.iter().copied()).collect();
+        b_ids
+            .iter()
+            .map(|b| {
+                table
+                    .get(b)
+                    .copied()
+                    .ok_or_else(|| BwdError::Exec(format!("hash join: oid {b} not found")))
+            })
+            .collect()
+    }
 
     #[test]
     fn paper_figure5_example() {

@@ -1,7 +1,7 @@
 //! The workspace's one wall-clock abstraction.
 //!
 //! Every wall-clock measurement in the workspace (trace timestamps, the
-//! throughput harness, the wall-clock benches) goes through a [`Clock`]
+//! throughput harness, the front door's idle reaper) goes through a [`Clock`]
 //! instead of ad-hoc `Instant::now()` calls, so tests can substitute a
 //! [`MockClock`] and measurement code stops depending on real time.
 //!
@@ -82,13 +82,6 @@ impl Clock {
     pub fn now_seconds(&self) -> f64 {
         self.now_ns() as f64 / 1e9
     }
-
-    /// Run `f` and return its result plus the elapsed wall seconds.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> (T, f64) {
-        let t0 = self.now_ns();
-        let out = f();
-        (out, (self.now_ns() - t0) as f64 / 1e9)
-    }
 }
 
 /// Control handle of a mocked [`Clock`] (see [`Clock::mock`]).
@@ -125,8 +118,6 @@ mod tests {
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);
-        let (_, dt) = c.time(|| std::hint::black_box(1 + 1));
-        assert!(dt >= 0.0);
     }
 
     #[test]
@@ -137,12 +128,6 @@ mod tests {
         assert_eq!(clock.now_ns(), 1_500);
         ctl.set_ns(42);
         assert_eq!(clock.now_ns(), 42);
-        let (out, dt) = clock.time(|| {
-            ctl.advance_ns(2_000_000_000);
-            7
-        });
-        assert_eq!(out, 7);
-        assert!((dt - 2.0).abs() < 1e-12);
     }
 
     #[test]

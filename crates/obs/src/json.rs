@@ -1,6 +1,7 @@
 //! A tiny dependency-free JSON parser, enough to validate exported
-//! Chrome traces in tests and CI smokes. Not a general-purpose parser:
-//! numbers are `f64`, no streaming, input must fit in memory.
+//! Chrome traces and read the benchmark's result files. Not a
+//! general-purpose parser: numbers are `f64`, no streaming, input must
+//! fit in memory.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

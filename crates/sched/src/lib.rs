@@ -44,8 +44,9 @@
 //!   [`SubmitOptions::priority`] — with deterministic bypass-count aging
 //!   so long/low-priority jobs are never starved (at most
 //!   `aging_threshold` younger pops may overtake a queued job). Short
-//!   A&R probes no longer head-of-line-block behind bulk classic scans;
-//!   `figures -- bench-sjf` measures the p50/p99 win.
+//!   A&R probes no longer head-of-line-block behind bulk classic scans
+//!   (`tests/priority_sched.rs` pins the drain orders; the benchmark's
+//!   `sched.queue_wait_ms_p50` on `mixed_streams` measures the wait).
 //! * **Multi-device placement**: the database's [`Env`] may carry a
 //!   [`DevicePool`]; every card holds a replica of the persistent
 //!   approximations, and each A&R query is routed to the least-loaded

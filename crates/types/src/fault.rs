@@ -16,10 +16,11 @@
 //! # Determinism caveat
 //!
 //! Draws at one site are ordered by whoever calls [`FaultPlan::roll`]
-//! first. Under a single scheduler worker (how the fault-soak tests run)
-//! that order is the execution order and the full fault sequence is
-//! reproducible; with several workers the per-site streams are still
-//! deterministic but their interleaving follows thread timing.
+//! first. Under a single scheduler worker (how `tests/fault_domains.rs`
+//! runs its seeded soak) that order is the execution order and the full
+//! fault sequence is reproducible; with several workers the per-site
+//! streams are still deterministic but their interleaving follows thread
+//! timing.
 
 use crate::error::BwdError;
 use crate::rng::SplitMix64;

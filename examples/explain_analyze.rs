@@ -2,8 +2,9 @@
 //!
 //! Builds a decomposed table, serves it through the scheduler with
 //! tracing enabled, and prints the per-phase wall/simulated-time tree a
-//! traced ticket carries, followed by the scheduler's Prometheus-style
-//! metrics snapshot.
+//! traced ticket carries, writes the same trace as Chrome `trace_event`
+//! JSON (load it in `chrome://tracing` or Perfetto), and prints the
+//! scheduler's Prometheus-style metrics snapshot.
 //!
 //! ```text
 //! cargo run --release --example explain_analyze
@@ -11,9 +12,10 @@
 
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
 use waste_not::engine::{ArExecOptions, ExecMode};
+use waste_not::obs::chrome::chrome_trace;
 use waste_not::sched::{SchedConfig, SubmitOptions};
 use waste_not::storage::Column;
-use waste_not::{Db, Result, Value};
+use waste_not::{BwdError, Db, Result, Value};
 
 fn main() -> Result<()> {
     let mut db = Db::new();
@@ -75,6 +77,10 @@ fn main() -> Result<()> {
     );
     println!("exec wall = {:.3} ms\n", report.exec.as_secs_f64() * 1e3);
     println!("{}", trace.explain());
+    let path = std::env::temp_dir().join("explain_analyze.trace.json");
+    let json = chrome_trace(&[("explain_analyze".to_string(), trace)]);
+    std::fs::write(&path, json).map_err(|e| BwdError::Exec(e.to_string()))?;
+    println!("Chrome trace_event JSON: {}\n", path.display());
     println!("{}", server.metrics_snapshot());
     Ok(())
 }

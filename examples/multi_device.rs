@@ -10,8 +10,8 @@
 //! cargo run --release --example multi_device [-- rows]
 //! ```
 //!
-//! The 1-vs-2-card comparison with a deliberately scarce card lives in
-//! `figures -- bench-multidev`.
+//! `tests/multi_device.rs` runs one batch on one card and on two and
+//! asserts the busiest card's simulated time falls with the second.
 
 use std::sync::Arc;
 

@@ -3,7 +3,9 @@
 //! (a) queries scheduled across 2 devices return bit-identical rows and
 //!     simulated costs vs serial single-device execution;
 //! (b) neither device's memory is ever oversubscribed;
-//! (c) the least-loaded policy actually spreads load;
+//! (c) the least-loaded policy actually spreads load, so the busiest
+//!     card's simulated device-stream time (the batch's makespan) falls
+//!     below what one card spends on the same batch;
 //! (d) the statistics-underestimate re-queue path (OOM → release →
 //!     inflate → re-queue) completes without a visible error.
 
@@ -12,7 +14,7 @@ use std::sync::Arc;
 use waste_not::core::plan::ArPlan;
 use waste_not::device::DeviceSpec;
 use waste_not::engine::{Database, ExecMode};
-use waste_not::sched::{EstimateConfig, SchedConfig, Scheduler};
+use waste_not::sched::{EstimateConfig, SchedConfig, Scheduler, SchedulerStats};
 use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::storage::Column;
 use waste_not::{Env, QueryResult};
@@ -67,18 +69,14 @@ fn assert_identical(got: &QueryResult, want: &QueryResult, ctx: &str) {
     assert_eq!(got.survivors, want.survivors, "{ctx}: survivors diverged");
 }
 
-#[test]
-fn two_devices_bit_identical_never_oversubscribed_and_spread() {
-    // Serial single-device reference.
-    let (ref_db, ref_plans) = build_db(1);
-    let reference: Vec<QueryResult> = ref_plans
-        .iter()
-        .map(|p| ref_db.run_bound(p, ExecMode::ApproxRefine).unwrap())
-        .collect();
+const ROUNDS: usize = 4;
 
-    // The same plans scheduled across two devices, mixed with classic
-    // queries so the CPU stream runs alongside.
-    let (db, plans) = build_db(2);
+/// Schedule one batch on a `devices`-card pool: `ROUNDS` A&R submissions
+/// of every plan, mixed with one classic submission each so the CPU
+/// stream runs alongside. Every ticket is checked against the serial
+/// single-device `reference` — A&R bit-identically, classic by rows.
+fn scheduled_batch(devices: usize, reference: &[QueryResult]) -> (Arc<Database>, SchedulerStats) {
+    let (db, plans) = build_db(devices);
     let db = Arc::new(db);
     let sched = Scheduler::new(
         Arc::clone(&db),
@@ -87,7 +85,6 @@ fn two_devices_bit_identical_never_oversubscribed_and_spread() {
             ..SchedConfig::default()
         },
     );
-    const ROUNDS: usize = 4;
     let session = sched.session();
     let ar_tickets: Vec<(usize, _)> = (0..ROUNDS)
         .flat_map(|_| {
@@ -104,7 +101,6 @@ fn two_devices_bit_identical_never_oversubscribed_and_spread() {
         .map(|(pi, p)| (pi, session.submit(p.clone(), ExecMode::Classic)))
         .collect();
 
-    // (a) bit-identical rows and simulated costs vs the serial reference.
     for (pi, t) in ar_tickets {
         let got = t.wait().unwrap();
         assert_identical(&got, &reference[pi], &format!("A&R plan {pi}"));
@@ -113,10 +109,38 @@ fn two_devices_bit_identical_never_oversubscribed_and_spread() {
         let got = t.wait().unwrap();
         assert_eq!(got.rows, reference[pi].rows, "classic plan {pi}");
     }
-
     let stats = sched.stats();
     assert_eq!(stats.errors, 0);
-    assert_eq!(stats.devices.len(), 2);
+    assert_eq!(stats.devices.len(), devices);
+    (db, stats)
+}
+
+/// The busiest card's simulated device-stream seconds: kernel time plus
+/// the PCI-E transfers that fed it.
+fn makespan(stats: &SchedulerStats) -> f64 {
+    (stats.devices.iter())
+        .map(|d| d.breakdown.device + d.breakdown.pcie)
+        .fold(0.0, f64::max)
+}
+
+#[test]
+fn two_devices_bit_identical_never_oversubscribed_and_spread() {
+    // Serial single-device reference.
+    let (ref_db, ref_plans) = build_db(1);
+    let reference: Vec<QueryResult> = ref_plans
+        .iter()
+        .map(|p| ref_db.run_bound(p, ExecMode::ApproxRefine).unwrap())
+        .collect();
+
+    // (a) the same batch on one card and on two, bit-identical rows and
+    // simulated costs vs the serial reference.
+    let (_, one_card) = scheduled_batch(1, &reference);
+    let (db, stats) = scheduled_batch(2, &reference);
+
+    // (c) identical per-query costs, so the second card can only win by
+    // taking a share of the batch: the device-stream makespan falls.
+    let (one, two) = (makespan(&one_card), makespan(&stats));
+    assert!(two < one, "2-card makespan {two} s vs 1-card {one} s");
 
     // (b) neither device was ever oversubscribed — checked on the real
     // memory systems, not just the snapshots.
@@ -131,8 +155,8 @@ fn two_devices_bit_identical_never_oversubscribed_and_spread() {
         assert!(dev.memory().peak() <= dev.memory().capacity());
     }
 
-    // (c) the least-loaded policy spread the batch: both devices served
-    // at least one query, and together exactly the A&R total.
+    // The least-loaded policy spread the batch: both devices served at
+    // least one query, and together exactly the A&R total.
     let per_dev: Vec<u64> = stats.devices.iter().map(|d| d.queries).collect();
     assert!(
         per_dev.iter().all(|&q| q > 0),
@@ -140,7 +164,7 @@ fn two_devices_bit_identical_never_oversubscribed_and_spread() {
     );
     assert_eq!(
         per_dev.iter().sum::<u64>(),
-        (ROUNDS * plans.len()) as u64,
+        (ROUNDS * QUERIES.len()) as u64,
         "every A&R query ran on exactly one device"
     );
     // Per-device ledgers accumulated each card's share.

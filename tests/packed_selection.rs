@@ -4,8 +4,9 @@
 //! morsel count in {1, 2, 8}, the same plans produce the same rows, the
 //! same survivor counts, the same PCI-E traffic and the same simulated
 //! component costs. The SWAR word-parallel compare and the bitmap
-//! candidates buy wall-clock only (`BENCH_scan.json` measures how much);
-//! this test proves they buy nothing else.
+//! candidates buy wall-clock only (the benchmark's
+//! `kernels.select_range_ns_per_row` and `storage.mask_fill_ns_per_row`
+//! measure how much); this test proves they buy nothing else.
 
 use waste_not::core::plan::ScalarExpr as E;
 use waste_not::core::plan::{AggExpr, AggFunc, ArPlan, BinOp, LogicalPlan, Predicate};

@@ -4,7 +4,7 @@
 //! must not bend, and every pinned series is the digits the figure
 //! printed before the bill moved into `engine/bill.rs`.
 
-use bwd_bench::evaluation::{fig10_query, tpch_db, Q1, Q14, Q6};
+use bwd_bench::evaluation::{fig10_query, fig11, fig9_spatial, tpch_db, Q1, Q14, Q6};
 use bwd_bench::micro::{
     fig8_projection, fig8_selection, fig8c_bits_sweep, fig8f_grouping, SELECTIVITY_SWEEP,
 };
@@ -173,6 +173,9 @@ fn fig8f_grouping_time_falls_with_the_group_count() {
     let (ar, approx) = (series(&fig, 1), series(&fig, 2));
     assert!(approx.windows(2).all(|w| w[1] < w[0]), "{approx:?}");
     assert!(ar.windows(2).all(|w| w[1] < w[0]), "{ar:?}");
+    for (x, r) in &fig.rows {
+        assert!(r[1] < r[0], "A&R must beat MonetDB at {x} groups: {r:?}");
+    }
     let at_parent = [
         0.00025299999999999997,
         0.0001464375,
@@ -203,7 +206,8 @@ fn fig10a_q1_all_gpu_then_space_constrained_then_classic() {
 }
 
 /// Fig 10b/10c: on Q6 and Q14 too, all-GPU A&R is no slower than
-/// space-constrained A&R, which beats the classic pipe.
+/// space-constrained A&R, which beats the classic pipe; on Q6 all-GPU
+/// A&R is at least 3x faster than classic (paper, SF 10: ~14x).
 #[test]
 fn fig10bc_q6_q14_space_constrained_beats_classic() {
     let mut db = tpch_db(0.02).unwrap();
@@ -214,6 +218,45 @@ fn fig10bc_q6_q14_space_constrained_beats_classic() {
         assert!(
             ar <= space && space < classic,
             "{id}: {ar} {space} {classic}"
+        );
+        if id == "fig10b" {
+            assert!(ar * 3.0 < classic, "{id}: {ar} vs {classic}");
+        }
+    }
+}
+
+/// Fig 9: on the Table I spatial query A&R beats both MonetDB and the
+/// hypothetical stream, and spends most of its time on the device
+/// (paper: ~80 %).
+#[test]
+fn fig9_ar_beats_classic_and_stream() {
+    let f = fig9_spatial(300_000).unwrap();
+    let (ar, monetdb, stream) = (f.rows[0].1[3], f.rows[1].1[3], f.rows[2].1[3]);
+    assert!(ar < monetdb, "A&R {ar} must beat MonetDB {monetdb}");
+    assert!(ar < stream, "A&R {ar} must beat streaming {stream}");
+    let gpu_frac = f.rows[0].1[0] / ar;
+    assert!(gpu_frac > 0.4, "GPU share {gpu_frac}");
+}
+
+/// Fig 11: "a gap in the memory wall" — the CPU stream beside the A&R
+/// stream serves more queries per second than either stream alone (the
+/// CPU at 32 threads, the A&R stream by itself).
+#[test]
+fn fig11_combined_beats_either_stream_alone() {
+    let f = fig11(0.005).unwrap();
+    let qps = |label: &str| {
+        f.rows
+            .iter()
+            .find(|(x, _)| x == label)
+            .unwrap_or_else(|| panic!("no {label} row: {:?}", f.rows))
+            .1[0]
+    };
+    let cumulative = qps("Cumulative");
+    for alone in ["CPU parallel 32", "A&R only"] {
+        assert!(
+            cumulative > qps(alone),
+            "{cumulative} vs {alone} {}",
+            qps(alone)
         );
     }
 }

@@ -67,16 +67,23 @@ fn metric(snapshot: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric {name} missing from snapshot:\n{snapshot}"))
 }
 
+/// What one batch run leaves behind: every query's full result (gate job
+/// first, then batch order), each batch job's kind and completion index,
+/// and the preemption count the run performed.
+struct BatchRun {
+    results: Vec<QueryResult>,
+    completed: Vec<(JobKind, u64)>,
+    preemptions: u64,
+}
+
 /// Run the seeded batch on a one-worker scheduler under one
-/// policy/representation/morsel configuration; returns every query's
-/// full result (gate job first, then batch order) plus the preemption
-/// count the run performed.
+/// policy/representation/morsel/preemption configuration.
 fn run_batch(
     policy: QueuePolicy,
     rep: CandidateRep,
     morsels: usize,
-    preempt: bool,
-) -> (Vec<QueryResult>, u64) {
+    preempt: PreemptConfig,
+) -> BatchRun {
     let mut gen = WorkloadGen::new(0xF1E1D, spec()).unwrap();
     let sched = Scheduler::new(
         Arc::clone(gen.db()),
@@ -85,7 +92,7 @@ fn run_batch(
             admission_deadline: None,
             policy,
             aging_threshold: 1000,
-            preempt: forced(preempt),
+            preempt,
             ..SchedConfig::default()
         },
     );
@@ -121,12 +128,31 @@ fn run_batch(
     gate.release();
 
     let mut results = vec![gate_ticket.wait().unwrap()];
-    results.extend(tickets.into_iter().map(|t| t.wait().unwrap()));
+    let mut completed = Vec::new();
+    for (q, t) in batch.iter().zip(tickets) {
+        let (result, report) = t.wait_report().unwrap();
+        results.push(result);
+        completed.push((q.kind, report.completion_index));
+    }
     let preemptions = metric(&sched.metrics_snapshot(), "bwd_sched_preemptions_total");
     let stats = sched.stats();
     assert_eq!(stats.errors, 0, "{policy:?}/{rep:?}/m{morsels}");
     assert!(stats.device_peak_bytes <= stats.device_capacity_bytes);
-    (results, preemptions)
+    BatchRun {
+        results,
+        completed,
+        preemptions,
+    }
+}
+
+fn assert_bit_identical(off: &[QueryResult], on: &[QueryResult], tag: &str) {
+    assert_eq!(off.len(), on.len());
+    for (i, (a, b)) in off.iter().zip(on).enumerate() {
+        assert_eq!(a.rows, b.rows, "{tag} query {i}: rows");
+        assert_eq!(a.survivors, b.survivors, "{tag} query {i}: survivors");
+        assert_eq!(a.breakdown, b.breakdown, "{tag} query {i}: simulated cost");
+        assert_eq!(a.traffic, b.traffic, "{tag} query {i}: traffic bytes");
+    }
 }
 
 #[test]
@@ -135,23 +161,47 @@ fn results_and_charges_are_bit_identical_with_preemption_on_and_off() {
         for rep in REPS {
             for morsels in MORSELS {
                 let tag = format!("{policy:?}/{rep:?}/morsels={morsels}");
-                let (off, p_off) = run_batch(policy, rep, morsels, false);
-                let (on, p_on) = run_batch(policy, rep, morsels, true);
-                assert_eq!(p_off, 0, "{tag}: disabled scheduler must never preempt");
+                let off = run_batch(policy, rep, morsels, forced(false));
+                let on = run_batch(policy, rep, morsels, forced(true));
+                assert_eq!(
+                    off.preemptions, 0,
+                    "{tag}: disabled scheduler must never preempt"
+                );
                 assert!(
-                    p_on > 0,
+                    on.preemptions > 0,
                     "{tag}: forced yields with a stacked queue must preempt"
                 );
-                assert_eq!(off.len(), on.len());
-                for (i, (a, b)) in off.iter().zip(&on).enumerate() {
-                    assert_eq!(a.rows, b.rows, "{tag} query {i}: rows");
-                    assert_eq!(a.survivors, b.survivors, "{tag} query {i}: survivors");
-                    assert_eq!(a.breakdown, b.breakdown, "{tag} query {i}: simulated cost");
-                    assert_eq!(a.traffic, b.traffic, "{tag} query {i}: traffic bytes");
-                }
+                assert_bit_identical(&off.results, &on.results, &tag);
             }
         }
     }
+
+    // The shipped knobs, merely enabled: a FIFO queue whose head is a long
+    // scan (`mixed` puts one first) hosts the shorts queued behind it —
+    // the default `ratio` admits them — so every short completes before
+    // the long it arrived after, and nothing else moves.
+    let tag = "Fifo/default preemption";
+    let off = run_batch(QueuePolicy::Fifo, CandidateRep::Auto, 1, forced(false));
+    let on = run_batch(
+        QueuePolicy::Fifo,
+        CandidateRep::Auto,
+        1,
+        PreemptConfig {
+            enabled: true,
+            ..PreemptConfig::default()
+        },
+    );
+    assert!(on.preemptions > 0, "{tag}: {:?}", on.completed);
+    let (head_kind, head_done) = on.completed[0];
+    assert_eq!(head_kind, JobKind::Long);
+    assert!(
+        on.completed
+            .iter()
+            .all(|&(kind, done)| kind == JobKind::Long || done < head_done),
+        "{tag}: a short waited for the long at the head: {:?}",
+        on.completed
+    );
+    assert_bit_identical(&off.results, &on.results, tag);
 }
 
 #[test]

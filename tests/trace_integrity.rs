@@ -1,15 +1,19 @@
 //! Trace-integrity properties: for any morsel fan-out, a traced query's
 //! event stream is structurally sound — every span that begins also
 //! ends, parents begin before their children, per-worker sequence
-//! numbers are strictly monotone — and ring-buffer overflow is reported
-//! on the captured trace, never silently swallowed.
+//! numbers are strictly monotone, the exec span's phases account for its
+//! wall — a two-worker batch exports as valid Chrome `trace_event` JSON,
+//! and ring-buffer overflow is reported on the captured trace, never
+//! silently swallowed.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
 use waste_not::engine::{ArExecOptions, Database, ExecMode};
-use waste_not::obs::{Phase, QueryTrace};
+use waste_not::obs::chrome::{chrome_trace, validate_chrome_trace};
+use waste_not::obs::{EventKind, Phase, QueryTrace, SpanNode};
 use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::Value;
@@ -118,11 +122,44 @@ fn assert_structurally_sound(trace: &QueryTrace) {
     }
 }
 
+fn find_exec(nodes: &[SpanNode]) -> Option<&SpanNode> {
+    nodes.iter().find_map(|n| match n.kind {
+        EventKind::Exec => Some(n),
+        _ => find_exec(&n.children),
+    })
+}
+
+/// The exec span's direct phases run one after another inside it, so
+/// their walls sum to at most its wall; the exec span itself sits inside
+/// the job's exec wall as the scheduler measured it (a second clock read:
+/// 10 % + 5 ms of slack).
+fn assert_phases_account_for_exec(trace: &QueryTrace, report_exec: Duration) {
+    let roots = trace.roots();
+    let exec = find_exec(&roots).expect("trace has an exec span");
+    let mut at = exec.t_begin_ns;
+    for phase in &exec.children {
+        assert!(
+            phase.t_begin_ns >= at && phase.t_end_ns <= exec.t_end_ns,
+            "{:?} overlaps its predecessor or leaves the exec span",
+            phase.kind
+        );
+        at = phase.t_end_ns;
+    }
+    let limit = report_exec.as_secs_f64() * 1.1 + 0.005;
+    assert!(
+        exec.wall_seconds() <= limit,
+        "{} > {limit}",
+        exec.wall_seconds()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(9))]
 
     /// Across morsel fan-outs (serial, 2-way, 8-way) and decomposition
-    /// widths, every traced A&R query yields a structurally sound trace.
+    /// widths, every traced A&R query of a two-worker batch yields a
+    /// structurally sound trace whose phases account for its exec wall,
+    /// and the batch's Chrome export validates.
     #[test]
     fn prop_traces_are_structurally_sound(
         morsel_idx in 0usize..3,
@@ -133,35 +170,45 @@ proptest! {
         let sched = Scheduler::new(
             db,
             SchedConfig {
-                workers: 1,
+                workers: 2,
                 tracing: true,
                 ..SchedConfig::default()
             },
         );
-        let (_result, _report, trace) = sched
-            .session()
-            .submit_with(
-                plan,
-                ExecMode::ApproxRefineWith(ArExecOptions {
-                    morsels,
-                    ..Default::default()
-                }),
-                SubmitOptions::default(),
-            )
-            .wait_traced()
-            .unwrap();
-        assert_structurally_sound(&trace);
-        // The morsel fan-out shows up as per-partition spans.
-        let morsel_lanes = trace
-            .lanes
-            .iter()
-            .filter(|l| l.contains("/m"))
-            .count();
-        prop_assert!(
-            morsel_lanes >= morsels.min(2),
-            "expected morsel lanes for {morsels} morsels, lanes = {:?}",
-            trace.lanes
-        );
+        let session = sched.session();
+        let tickets: Vec<_> = (0..2)
+            .map(|_| {
+                session.submit_with(
+                    plan.clone(),
+                    ExecMode::ApproxRefineWith(ArExecOptions {
+                        morsels,
+                        ..Default::default()
+                    }),
+                    SubmitOptions::default(),
+                )
+            })
+            .collect();
+        let mut labeled = Vec::new();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let (_result, report, trace) = t.wait_traced().unwrap();
+            assert_structurally_sound(&trace);
+            assert_phases_account_for_exec(&trace, report.exec);
+            // The morsel fan-out shows up as per-partition spans.
+            let morsel_lanes = trace
+                .lanes
+                .iter()
+                .filter(|l| l.contains("/m"))
+                .count();
+            prop_assert!(
+                morsel_lanes >= morsels.min(2),
+                "expected morsel lanes for {morsels} morsels, lanes = {:?}",
+                trace.lanes
+            );
+            labeled.push((format!("q{i}"), trace));
+        }
+        let events = validate_chrome_trace(&chrome_trace(&labeled))
+            .unwrap_or_else(|e| panic!("invalid Chrome export: {e}"));
+        prop_assert!(events > 0, "the Chrome export holds no events");
     }
 }
 
