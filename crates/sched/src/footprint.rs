@@ -1,61 +1,31 @@
 //! One walk of a bound plan, priced once at submission.
 //!
 //! Everything the scheduler wants to know about a plan before it runs —
-//! how long it will take (the SJF queue key), how much device memory it
-//! will hold (the admission reservation), how many rows it should leave
-//! (what the calibrator checks the hints against) and which recurring
-//! *shape* it is — is the executor's own bill (`bwd_engine::bill`) over
-//! the counts the plan's statistics *predict*. [`PlanFootprint::of`]
-//! resolves the plan through the executors' resolver and predicts a
-//! [`Counts`] — a small summary that answers every question asked of the
-//! relation, as the relational-coreset literature has it; every number
-//! afterwards is the bill, or its transient bytes, over counts:
+//! how long it will take (the SJF queue key) and how much device memory
+//! it will hold (the admission reservation) — is the executor's own bill
+//! (`bwd_engine::bill`) over the counts the plan's statistics *predict*.
+//! [`PlanFootprint::of`] resolves the plan through the executors' resolver
+//! and predicts a [`Counts`] — a small summary that answers every question
+//! asked of the relation, as the relational-coreset literature has it;
+//! every number afterwards is the bill, or its transient bytes, over
+//! counts, and a pure function of (plan, catalog, thread allocation):
 //!
 //! * [`PlanFootprint::latency`] — the bill of the predicted counts. Handed
 //!   the counts a run *observed* ([`PlanFootprint::with_counts`]) it is
-//!   that run's breakdown to the bit; the calibrator corrects the rest.
+//!   that run's breakdown to the bit.
 //! * [`PlanFootprint::worst_case_bytes`] — the transient bytes of the
 //!   all-rows counts: admitted at this size, a query cannot run out.
 //! * [`PlanFootprint::reservation`] — the transient bytes of the predicted
-//!   counts inflated by [`EstimateConfig::safety_factor`] (and the
-//!   calibrator's candidate factor), clamped to the worst case. The
-//!   scheduler enforces it as the query's device budget; an underestimated
-//!   query OOMs early and re-enters admission at the worst case.
+//!   counts inflated by [`crate::SchedConfig::safety_factor`], clamped to
+//!   the worst case. The scheduler enforces it as the query's device
+//!   budget; an underestimated query — correlated predicates, which the
+//!   independence assumption cannot see — OOMs early and re-enters
+//!   admission at the worst case.
 
 use crate::admission::KERNEL_SCRATCH_BYTES;
-use crate::calibrate::ShapeKey;
 use bwd_core::plan::ArPlan;
 use bwd_device::Breakdown;
 use bwd_engine::{Counts, Database, ExecMode, RefineCounts, Shape, StepCounts, Transient};
-
-/// The admission knob a caller may turn.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimateConfig {
-    /// Multiplier on the predicted counts before reserving. Above 1 buys
-    /// headroom against non-uniform data; below 1 deliberately
-    /// under-reserves and leans on the OOM → re-queue path (tests); a
-    /// non-finite or non-positive factor reserves the worst case.
-    pub safety_factor: f64,
-}
-
-impl Default for EstimateConfig {
-    fn default() -> Self {
-        EstimateConfig { safety_factor: 4.0 }
-    }
-}
-
-impl EstimateConfig {
-    /// The scale [`PlanFootprint::reservation`] takes: the safety factor
-    /// times [`crate::Calibrator::cands_factor`] (a non-finite or
-    /// non-positive one is ignored).
-    pub fn scale(&self, cands_factor: f64) -> f64 {
-        if cands_factor.is_finite() && cands_factor > 0.0 {
-            self.safety_factor * cands_factor
-        } else {
-            self.safety_factor
-        }
-    }
-}
 
 /// The two admission sizes of one A&R query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +54,6 @@ impl WorkingSetEstimate {
 /// [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanFootprint {
-    /// The recurring shape this job calibrates under.
-    pub shape: ShapeKey,
     /// What the plan's statistics predict a run will count (all zero,
     /// like every estimate, when the plan does not resolve).
     pub counts: Counts,
@@ -180,14 +148,6 @@ impl PlanFootprint {
         counts: Option<Counts>,
     ) -> PlanFootprint {
         let mut fp = PlanFootprint {
-            shape: ShapeKey {
-                table: plan.table.clone(),
-                classic: matches!(mode, ExecMode::Classic),
-                selections: plan.selections.len(),
-                fk_join: plan.fk_join.is_some(),
-                group_by: plan.group_by.len(),
-                aggs: plan.aggs.len(),
-            },
             counts: Counts::default(),
             transient: Transient::default(),
             latency: Breakdown::default(),
@@ -206,14 +166,6 @@ impl PlanFootprint {
         fp
     }
 
-    /// Predicted final survivor count: the table's rows scaled by the
-    /// chain's cumulative hinted selectivity. The calibrator compares it
-    /// against [`bwd_engine::QueryResult::survivors`] to learn a per-shape
-    /// candidate-count correction.
-    pub fn predicted_survivors(&self) -> u64 {
-        self.counts.survivors
-    }
-
     /// The latency estimate, in simulated seconds per component (its
     /// total is the SJF sort key): the bill of [`PlanFootprint::counts`]
     /// for the mode and thread count this footprint was taken at.
@@ -230,17 +182,18 @@ impl PlanFootprint {
         KERNEL_SCRATCH_BYTES + self.transient.bytes(&all)
     }
 
-    /// The admission sizes at `scale` ([`EstimateConfig::scale`]): what a
-    /// run holds whose every count is the predicted one inflated by
-    /// `scale` (capped at the row count), clamped to the worst case. Pure
-    /// arithmetic over the carried counts: the calibrator's factor is
-    /// applied at dequeue without a second walk, and an over-shrunk
-    /// reservation is not a correctness risk — the budget-enforced
-    /// execution OOMs early and re-enters admission at the worst case.
-    pub fn reservation(&self, scale: f64) -> WorkingSetEstimate {
+    /// The admission sizes at `safety_factor`
+    /// ([`crate::SchedConfig::safety_factor`]): what a run holds whose
+    /// every count is the predicted one inflated by the factor (capped at
+    /// the row count), clamped to the worst case; a non-finite or
+    /// non-positive factor reserves the worst case. Pure arithmetic over
+    /// the carried counts, and an over-shrunk reservation is not a
+    /// correctness risk — the budget-enforced execution OOMs early and
+    /// re-enters admission at the worst case.
+    pub fn reservation(&self, safety_factor: f64) -> WorkingSetEstimate {
         let worst_case = self.worst_case_bytes();
-        let estimated = match scale.is_finite() && scale > 0.0 {
-            true => KERNEL_SCRATCH_BYTES + self.transient.bytes(&self.counts.scaled(scale)),
+        let estimated = match safety_factor.is_finite() && safety_factor > 0.0 {
+            true => KERNEL_SCRATCH_BYTES + self.transient.bytes(&self.counts.scaled(safety_factor)),
             false => worst_case,
         };
         WorkingSetEstimate {
@@ -297,14 +250,8 @@ mod tests {
         PlanFootprint::of(db, plan, mode, threads).latency()
     }
 
-    fn reserve(
-        db: &Database,
-        plan: &ArPlan,
-        safety_factor: f64,
-        factor: f64,
-    ) -> WorkingSetEstimate {
-        PlanFootprint::of(db, plan, &AR, 1)
-            .reservation(EstimateConfig { safety_factor }.scale(factor))
+    fn reserve(db: &Database, plan: &ArPlan, safety_factor: f64) -> WorkingSetEstimate {
+        PlanFootprint::of(db, plan, &AR, 1).reservation(safety_factor)
     }
 
     #[test]
@@ -401,7 +348,7 @@ mod tests {
         };
         let fp = PlanFootprint::of(&db, &plan, &ExecMode::Classic, 1);
         assert_eq!(fp.latency().total(), 0.0);
-        assert_eq!(fp.predicted_survivors(), 0);
+        assert_eq!(fp.counts.survivors, 0);
 
         let mut db = Database::new();
         let col = Column::from_i32((0..1000).collect());
@@ -410,7 +357,7 @@ mod tests {
         let unbound = PlanFootprint::of(&db, &plan, &AR, 1);
         let classic = PlanFootprint::of(&db, &plan, &ExecMode::Classic, 1);
         assert_eq!(unbound.latency(), classic.latency());
-        assert!(unbound.latency().host > 0.0 && !unbound.shape.classic);
+        assert!(unbound.latency().host > 0.0);
     }
 
     /// `select count(*) from t where a between 0 and 999` over
@@ -437,7 +384,7 @@ mod tests {
     #[test]
     fn hints_shrink_below_worst_case() {
         let (db, ar) = hinted_plan();
-        let est = reserve(&db, &ar, 4.0, 1.0);
+        let est = reserve(&db, &ar, 4.0);
         assert!(est.is_reduced(), "{est:?}");
         // 10% selectivity × safety 4 = 40% of the rows, 12 B a pair.
         assert_eq!(est.estimated, 4_000 * 12 + KERNEL_SCRATCH_BYTES);
@@ -452,8 +399,8 @@ mod tests {
     fn degenerate_configs_fall_back_to_worst_case() {
         let (db, ar) = hinted_plan();
         // A huge factor saturates at the worst case, never beyond.
-        for safety in [0.0, f64::NAN, f64::INFINITY, 1e12] {
-            let est = reserve(&db, &ar, safety, 1.0);
+        for safety in [0.0, -3.0, f64::NAN, f64::INFINITY, 1e12] {
+            let est = reserve(&db, &ar, safety);
             assert_eq!(est.estimated, est.worst_case, "safety {safety}");
             assert!(!est.is_reduced());
         }
@@ -462,7 +409,7 @@ mod tests {
     #[test]
     fn low_safety_factor_underestimates_deliberately() {
         let (db, ar) = hinted_plan();
-        let est = reserve(&db, &ar, 1e-6, 1.0);
+        let est = reserve(&db, &ar, 1e-6);
         // Essentially only the fixed scratch survives: the re-queue test
         // relies on this to force the OOM path.
         assert!(est.estimated <= KERNEL_SCRATCH_BYTES + 12);
@@ -470,32 +417,11 @@ mod tests {
     }
 
     #[test]
-    fn candidate_factor_scales_like_safety_and_stays_clamped() {
-        let (db, ar) = hinted_plan();
-        let base = reserve(&db, &ar, 4.0, 1.0);
-        // factor 0.5 with safety 4 ≡ safety 2 with factor 1.
-        let shrunk = reserve(&db, &ar, 4.0, 0.5);
-        let halved = reserve(&db, &ar, 2.0, 1.0);
-        assert_eq!(shrunk.estimated, halved.estimated);
-        assert!(shrunk.estimated < base.estimated);
-        // A huge factor saturates at the worst case; degenerate factors
-        // are ignored.
-        assert_eq!(reserve(&db, &ar, 4.0, 1e12).estimated, base.worst_case);
-        for bad in [f64::NAN, f64::INFINITY, 0.0, -3.0] {
-            assert_eq!(
-                reserve(&db, &ar, 4.0, bad).estimated,
-                base.estimated,
-                "factor {bad}"
-            );
-        }
-    }
-
-    #[test]
     fn estimate_is_monotone_in_safety_factor() {
         let (db, ar) = hinted_plan();
         let mut last = 0;
         for f in [0.5, 1.0, 2.0, 4.0, 8.0] {
-            let est = reserve(&db, &ar, f, 1.0);
+            let est = reserve(&db, &ar, f);
             assert!(est.estimated >= last);
             assert!(est.estimated <= est.worst_case);
             last = est.estimated;
@@ -610,7 +536,7 @@ mod tests {
                             [want.host, want.device, want.pcie].map(f64::to_bits),
                             "{ctx}"
                         );
-                        assert_eq!(fp.predicted_survivors(), run.survivors as u64, "{ctx}");
+                        assert_eq!(fp.counts.survivors, run.survivors as u64, "{ctx}");
                         if !matches!(mode, ExecMode::Classic) {
                             let reserved = fp.reservation(1.0);
                             assert_eq!(reserved.data_budget(), held, "{ctx}");

@@ -164,13 +164,8 @@ pub(crate) struct Job {
     pub opts: SubmitOptions,
     /// Originating session (stamped on the job's [`crate::TraceRecord`]).
     pub session: u64,
-    /// Estimated latency in simulated seconds (the SJF queue key, and
-    /// the estimate-vs-actual accounting input). Already includes the
-    /// calibrator's per-shape latency correction.
-    pub est_seconds: f64,
-    /// The one walk of the plan, taken at submission: the uncalibrated
-    /// latency, the reservation sizes, the predicted survivors and the
-    /// shape the job calibrates under.
+    /// The one walk of the plan, taken at submission: the latency
+    /// estimate ([`Job::est_seconds`]) and the reservation sizes.
     pub footprint: PlanFootprint,
     /// Set once the hinted reservation was proven too small (the query
     /// ran over its budget): from then on the job asks for the worst
@@ -192,6 +187,15 @@ pub(crate) struct Job {
     pub hook: Arc<CompletionHook>,
     /// Cancellation/deadline state shared with this job's [`Ticket`].
     pub cancel: Arc<CancelState>,
+}
+
+impl Job {
+    /// Estimated latency in simulated seconds: the SJF queue key, the
+    /// preemption eligibility test and the estimate-vs-actual accounting
+    /// input — the bill of the footprint's predicted counts.
+    pub fn est_seconds(&self) -> f64 {
+        self.footprint.latency().total()
+    }
 }
 
 impl Drop for Job {
@@ -221,7 +225,8 @@ pub struct JobReport {
     /// finishes; on a one-worker scheduler this is the execution order).
     pub completion_index: u64,
     /// The latency estimate the queue ordered this job by, in simulated
-    /// seconds ([`crate::PlanFootprint::latency`], calibrated).
+    /// seconds: the total of [`crate::PlanFootprint::latency`], a pure
+    /// function of the plan, the catalog and the thread allocation.
     pub est_seconds: f64,
     /// The simulated seconds the job actually cost (its result
     /// breakdown's total; `0` for failed jobs) — compare against

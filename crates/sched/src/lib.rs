@@ -56,8 +56,9 @@
 //!   faulted query is retried once on another card.
 //! * **Statistics-based admission**: [`PlanFootprint::reservation`] is
 //!   what a run with the predicted counts, inflated by a configurable
-//!   safety factor ([`EstimateConfig`]), would hold — clamped to the
-//!   all-rows worst case ([`PlanFootprint::worst_case_bytes`]). Each device's
+//!   safety factor ([`SchedConfig::safety_factor`]), would hold —
+//!   clamped to the all-rows worst case
+//!   ([`PlanFootprint::worst_case_bytes`]). Each device's
 //!   [`AdmissionController`] reserves from that card's real
 //!   [`DeviceMemory`] *before* the query runs; a request that does not
 //!   currently fit **queues** in strict per-device FIFO order rather than
@@ -70,8 +71,8 @@
 //! * **One declared lifecycle**: a job's [`lifecycle::State`]s and the
 //!   [`lifecycle::LEGAL`] edges between them are a table, and one
 //!   function accounts for every transition — trace events,
-//!   `bwd_sched_*` metrics, per-stream and per-device tallies,
-//!   calibration.
+//!   `bwd_sched_*` metrics, per-stream and per-device tallies. It only
+//!   reads a job's estimate, which is fixed at submission.
 //! * Classic-pipe queries run their selection chain **morsel-parallel**
 //!   across partitioned columns on real threads
 //!   (`bwd_engine::run_classic_morsel`), bit-identical to serial.
@@ -92,7 +93,6 @@
 #![deny(missing_docs)]
 
 pub mod admission;
-pub mod calibrate;
 pub mod footprint;
 pub mod job;
 pub mod lifecycle;
@@ -105,8 +105,7 @@ pub mod throughput;
 pub mod workload;
 
 pub use admission::{AdmissionController, AdmissionPermit, KERNEL_SCRATCH_BYTES};
-pub use calibrate::{CalibrateConfig, Calibrator, ShapeCalibration, ShapeKey};
-pub use footprint::{EstimateConfig, PlanFootprint, WorkingSetEstimate};
+pub use footprint::{PlanFootprint, WorkingSetEstimate};
 pub use job::{JobReport, SubmitOptions, Ticket};
 pub use policy::{PolicyQueue, PoppedKey, QueuePolicy};
 pub use scheduler::{PreemptConfig, SchedConfig, Scheduler, TraceRecord};

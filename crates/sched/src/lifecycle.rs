@@ -7,15 +7,14 @@
 //! [`crate::scheduler`] that *names* what just happened as a
 //! `Transition` and hands it to `Run::step`. `step` is the only
 //! function in this crate that records a trace event, bumps a
-//! `bwd_sched_*` metric, feeds the stream accumulators and the
-//! calibrator, or touches a device's health and tallies — so every fact
-//! is counted once, and in debug builds every edge a job takes is checked
-//! against [`LEGAL`].
+//! `bwd_sched_*` metric, feeds the stream accumulators, or touches a
+//! device's health and tallies — so every fact is counted once, and in
+//! debug builds every edge a job takes is checked against [`LEGAL`].
 
 use crate::job::Job;
 use crate::scheduler::Shared;
 use bwd_device::Component;
-use bwd_engine::QueryResult;
+use bwd_engine::{ExecMode, QueryResult};
 use bwd_obs::metrics::{Counter, Histogram, Registry};
 use bwd_obs::{EventKind, Recorder, SpanId, WorkerHandle, NO_SPAN};
 use bwd_types::{BwdError, Result};
@@ -412,7 +411,7 @@ impl<'a> Run<'a> {
                 // marks the re-entry), so the trace shows queue → exec →
                 // queue → exec.
                 let lane = job.recorder.worker("session");
-                let est = job.est_seconds.to_bits();
+                let est = job.est_seconds().to_bits();
                 let span = lane.begin(EventKind::Queue, job.root, est, 1);
                 job.queue_span.set(span);
             }
@@ -423,28 +422,15 @@ impl<'a> Run<'a> {
                 wall,
                 completion_index,
             } => {
-                let fp = &job.footprint;
+                let est = job.est_seconds();
                 let actual_sim = result.as_ref().map_or(0.0, |r| r.breakdown.total());
                 match result {
                     Ok(r) => {
-                        let stream = if fp.shape.classic {
-                            &shared.classic
-                        } else {
-                            &shared.approx_refine
+                        let stream = match job.mode {
+                            ExecMode::Classic => &shared.classic,
+                            _ => &shared.approx_refine,
                         };
-                        stream.record(&r.breakdown, &r.traffic, wall, queued, job.est_seconds);
-                        // Close the estimate loop: the next submission of
-                        // this shape queues under a sharper estimate and
-                        // reserves closer to its real candidate footprint.
-                        // The *uncalibrated* model output is what is
-                        // ratioed, so corrections never compound.
-                        shared.calibrator.observe(
-                            &fp.shape,
-                            fp.latency().total(),
-                            actual_sim,
-                            fp.predicted_survivors(),
-                            r.survivors as u64,
-                        );
+                        stream.record(&r.breakdown, &r.traffic, wall, queued, est);
                     }
                     Err(e) => {
                         if let Some(deadline) = stop_kind(e) {
@@ -457,14 +443,14 @@ impl<'a> Run<'a> {
                 m.queue_wait_us.observe(queued.as_micros() as u64);
                 m.exec_wall_us.observe(wall.as_micros() as u64);
                 if actual_sim > 0.0 {
-                    let milli = (job.est_seconds / actual_sim * 1000.0).clamp(0.0, u64::MAX as f64);
+                    let milli = (est / actual_sim * 1000.0).clamp(0.0, u64::MAX as f64);
                     m.estimate_ratio_milli.observe(milli as u64);
                 }
                 obs.instant(EventKind::Resolve, job.root, completion_index, 0);
                 obs.end(
                     EventKind::Query,
                     job.root,
-                    job.est_seconds.to_bits(),
+                    est.to_bits(),
                     actual_sim.to_bits(),
                     result.as_ref().map_or(0, |r| r.rows.len() as u64),
                     u64::from(result.is_err()),

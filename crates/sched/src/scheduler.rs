@@ -1,7 +1,6 @@
 //! The worker pool, device placement and shared scheduler state.
 
-use crate::calibrate::{CalibrateConfig, Calibrator};
-use crate::footprint::{EstimateConfig, WorkingSetEstimate};
+use crate::footprint::WorkingSetEstimate;
 use crate::job::{Job, JobReport};
 use crate::lifecycle::{Run, SchedMetrics, Transition};
 use crate::placement::{place, DeviceSlot};
@@ -73,8 +72,13 @@ pub struct SchedConfig {
     /// `host_threads` allocation is mirrored up to this many real
     /// threads). `1` disables intra-query parallelism.
     pub max_morsels: usize,
-    /// The safety factor on statistics-based admission reservations.
-    pub estimate: EstimateConfig,
+    /// Multiplier on a plan's predicted counts before its admission
+    /// reservation is sized ([`crate::PlanFootprint::reservation`]).
+    /// Above 1 buys headroom against non-uniform data; below 1
+    /// deliberately under-reserves and leans on the OOM → re-queue path
+    /// (tests); a non-finite or non-positive factor reserves the worst
+    /// case.
+    pub safety_factor: f64,
     /// How queued jobs are ordered ([`QueuePolicy::ShortestJobFirst`] by
     /// default — with equal latency estimates it degrades to exact FIFO,
     /// so homogeneous workloads behave as before while mixed short/long
@@ -95,9 +99,6 @@ pub struct SchedConfig {
     pub trace_ring_capacity: usize,
     /// Morsel-boundary preemption (default off; see [`PreemptConfig`]).
     pub preempt: PreemptConfig,
-    /// Closed-loop estimate calibration (default on; see
-    /// [`CalibrateConfig`]).
-    pub calibrate: CalibrateConfig,
 }
 
 impl Default for SchedConfig {
@@ -109,13 +110,12 @@ impl Default for SchedConfig {
             workers: hw.min(8),
             admission_deadline: Some(Duration::from_secs(10)),
             max_morsels: hw,
-            estimate: EstimateConfig::default(),
+            safety_factor: 4.0,
             policy: QueuePolicy::default(),
             aging_threshold: 32,
             tracing: false,
             trace_ring_capacity: 1024,
             preempt: PreemptConfig::default(),
-            calibrate: CalibrateConfig::default(),
         }
     }
 }
@@ -159,8 +159,6 @@ pub(crate) struct Shared {
     /// Live count of jobs currently paused at a yield point while the
     /// worker hosts shorter work ([`crate::QueuePressure::preempted`]).
     pub preempt_active: AtomicU64,
-    /// Per-plan-shape estimate corrections, fed by every completion.
-    pub calibrator: Calibrator,
 }
 
 /// A multi-session query scheduler over one shared [`Database`] and its
@@ -251,7 +249,6 @@ impl Scheduler {
             traces: Mutex::new(Vec::new()),
             metrics,
             preempt_active: AtomicU64::new(0),
-            calibrator: Calibrator::new(config.calibrate),
             config,
         });
         let workers = (0..shared.config.workers)
@@ -358,14 +355,13 @@ impl Scheduler {
 
     /// A Prometheus-style text snapshot of every metric this scheduler
     /// owns (queue waits, exec walls, per-mode and per-device query
-    /// counts, estimate calibration), the per-device admission gauges
-    /// derived from [`Scheduler::stats`], and the process-wide registry
-    /// (device memory, kernel block counters).
+    /// counts, the estimate-ratio histogram), the per-device admission
+    /// gauges derived from [`Scheduler::stats`], and the process-wide
+    /// registry (device memory, kernel block counters).
     pub fn metrics_snapshot(&self) -> String {
         // Point-in-time values enter the registry as gauges right before
         // it renders; everything counted is in it already.
         let registry = &self.shared.metrics.registry;
-        let set = |name: String, value: u64| registry.gauge(&name).set(value as i64);
         for (i, dev) in self.stats().devices.iter().enumerate() {
             for (name, value) in [
                 ("admission_waits_total", dev.admission_waits),
@@ -374,26 +370,8 @@ impl Scheduler {
                 ("capacity_bytes", dev.capacity_bytes),
                 ("offline", u64::from(dev.offline)),
             ] {
-                set(format!("bwd_sched_device_{name}{{device=\"{i}\"}}"), value);
-            }
-        }
-        for (shape, cal) in self.shared.calibrator.snapshot() {
-            let label = shape.label();
-            for (name, value) in [
-                (
-                    "latency_ratio_milli",
-                    (cal.latency_ratio * 1000.0).round() as u64,
-                ),
-                (
-                    "cands_ratio_milli",
-                    (cal.cands_ratio * 1000.0).round() as u64,
-                ),
-                ("samples", cal.samples),
-            ] {
-                set(
-                    format!("bwd_sched_calibrator_{name}{{shape=\"{label}\"}}"),
-                    value,
-                );
+                let name = format!("bwd_sched_device_{name}{{device=\"{i}\"}}");
+                registry.gauge(&name).set(value as i64);
             }
         }
         registry.render() + &Registry::global().render()
@@ -500,7 +478,7 @@ fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str, depth: u32) -> Option
         queue_wait: queued,
         exec: wall,
         completion_index,
-        est_seconds: job.est_seconds,
+        est_seconds: job.est_seconds(),
         actual_sim_seconds: result.as_ref().map_or(0.0, |r| r.breakdown.total()),
         priority: job.opts.priority,
         trace,
@@ -537,7 +515,7 @@ fn yield_hook(run: &Run<'_>, job: &Job) -> YieldPoint {
     let recorder = job.recorder.clone();
     let lane = run.lane.to_string();
     let (depth, exec) = (run.depth, run.exec());
-    let parent_est = job.est_seconds;
+    let parent_est = job.est_seconds();
     let ratio = shared.config.preempt.ratio;
     let cancel = Arc::clone(&job.cancel);
     // Per-execution hosting budget: a steady stream of short arrivals
@@ -566,7 +544,7 @@ fn yield_hook(run: &Run<'_>, job: &Job) -> YieldPoint {
             budget.fetch_sub(1, Ordering::Relaxed);
             let paused = Run::new(&shared, &recorder, NO_SPAN, &lane, depth).paused_at(exec);
             paused.step(Transition::Yielded {
-                child_est: child.est_seconds,
+                child_est: child.est_seconds(),
             });
             let back = execute_job(&shared, child, &lane, depth + 1);
             let would_block = back.is_some();
@@ -701,14 +679,7 @@ const MAX_RETRIES: u32 = 1;
 /// replicated data, and the first attempt produced nothing.
 fn run_ar_job(run: &Run<'_>, job: &Job, env: &Env, morsels: usize) -> Result<QueryResult> {
     let shared = run.shared;
-    // The calibrator's learned candidate-count factor scales the hinted
-    // reservation: shapes whose candidate lists ran below the uniform
-    // hints reserve less (admitting more concurrently), over-shrunk
-    // reservations still recover via the OOM-early → requeue backstop.
-    let cands_factor = shared.calibrator.cands_factor(&job.footprint.shape);
-    let scale = shared.config.estimate.scale(cands_factor);
-    let hinted = job.footprint.reservation(scale);
-
+    let hinted = job.footprint.reservation(shared.config.safety_factor);
     let mut avoid: Option<usize> = None;
     let mut retries_left = MAX_RETRIES;
     loop {

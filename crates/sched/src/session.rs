@@ -50,13 +50,7 @@ impl Session {
         let (tx, rx) = mpsc::channel();
         let threads = opts.effective_host_threads(self.shared.db.env());
         let footprint = PlanFootprint::of(&self.shared.db, &plan, &mode, threads);
-        // Close the estimate loop: the per-shape calibrator multiplies
-        // the raw model output by the observed-over-estimated EWMA of
-        // previously completed queries of the same shape, so the SJF sort
-        // key (and the aging bound's notion of "short") sharpens as a
-        // session runs. Factor 1 until the shape has been observed.
-        let est_seconds =
-            footprint.latency().total() * self.shared.calibrator.latency_factor(&footprint.shape);
+        let est_seconds = footprint.latency().total();
         let priority = opts.priority;
         // Per-query recorder: the whole lifecycle (queue wait included)
         // lands on one timeline because every recorder shares the
@@ -79,7 +73,6 @@ impl Session {
             mode,
             opts,
             session: self.id,
-            est_seconds,
             footprint,
             worst_case: Cell::new(false),
             reply: tx,

@@ -61,7 +61,7 @@ impl StreamSnapshot {
     }
 
     /// Estimated over actual simulated seconds — `1.0` means the latency
-    /// estimator was perfectly calibrated for this stream, `>1`
+    /// estimator predicted this stream's bill exactly, `>1`
     /// over-estimates, `<1` under-estimates. A truly idle stream (no
     /// estimate, no actual) reports `0`; a stream that was *estimated*
     /// to cost something but accumulated zero actual cost reports

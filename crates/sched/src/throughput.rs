@@ -83,7 +83,7 @@ pub struct ThroughputReport {
     pub ar_mean_queue_wait_seconds: f64,
     /// Estimated over actual simulated seconds for the A&R stream in the
     /// combined phase ([`crate::StreamSnapshot::estimate_ratio`]) — how
-    /// well the SJF latency estimator was calibrated on this workload.
+    /// well the SJF latency estimator predicted this workload's bill.
     pub ar_estimate_ratio: f64,
     /// Device-memory high-water mark across the whole experiment (the
     /// maximum over the pool's devices).

@@ -23,8 +23,8 @@ use bwd_obs::{EventKind, Phase, QueryTrace};
 use bwd_sched::lifecycle::{State, LEGAL};
 use bwd_sched::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
 use bwd_sched::{
-    EstimateConfig, PlanFootprint, PreemptConfig, QueuePolicy, SchedConfig, Scheduler, Session,
-    SubmitOptions, Ticket,
+    PlanFootprint, PreemptConfig, QueuePolicy, SchedConfig, Scheduler, Session, SubmitOptions,
+    Ticket,
 };
 use bwd_types::{BwdError, FaultPlan, FaultSite, FaultSpec};
 use std::sync::{Arc, Mutex};
@@ -114,7 +114,7 @@ impl Ctx {
     fn card0(&self, probe: &QuerySpec) -> (bwd_device::DeviceMemory, u64) {
         let mem = self.gen.db().env().pool.devices()[0].memory().clone();
         let est = PlanFootprint::of(self.gen.db(), &probe.plan, &probe.mode, 1)
-            .reservation(EstimateConfig::default().scale(1.0));
+            .reservation(SchedConfig::default().safety_factor);
         (mem, est.estimated)
     }
 }
@@ -252,7 +252,7 @@ const CASES: &[Case] = &[
             Queued, Placed, Admitted, Running, Requeued, Placed, Admitted, Running, Resolved,
         ],
         faults: FaultPlan::disabled,
-        config: |c| c.estimate.safety_factor = 1e-6,
+        config: |c| c.safety_factor = 1e-6,
         drive: |ctx| {
             let q = ctx.gen.short();
             let got = ctx.submit(&ctx.subject, &q, Default::default()).wait();

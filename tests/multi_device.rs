@@ -14,7 +14,7 @@ use std::sync::Arc;
 use waste_not::core::plan::ArPlan;
 use waste_not::device::DeviceSpec;
 use waste_not::engine::{Database, ExecMode};
-use waste_not::sched::{EstimateConfig, SchedConfig, Scheduler, SchedulerStats};
+use waste_not::sched::{SchedConfig, Scheduler, SchedulerStats};
 use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::storage::Column;
 use waste_not::{Env, QueryResult};
@@ -191,9 +191,7 @@ fn underestimate_requeues_gracefully_and_stays_bit_identical() {
         Arc::clone(&db),
         SchedConfig {
             workers: 4,
-            estimate: EstimateConfig {
-                safety_factor: 1e-6,
-            },
+            safety_factor: 1e-6,
             ..SchedConfig::default()
         },
     );

@@ -18,8 +18,7 @@ use std::sync::Arc;
 use waste_not::engine::CandidateRep;
 use waste_not::sched::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{
-    EstimateConfig, PlanFootprint, PreemptConfig, QueuePolicy, SchedConfig, Scheduler,
-    SubmitOptions,
+    PlanFootprint, PreemptConfig, QueuePolicy, SchedConfig, Scheduler, SubmitOptions,
 };
 use waste_not::{ArExecOptions, ExecMode, QueryResult};
 
@@ -216,7 +215,7 @@ fn nested_admission_never_blocks_it_requeues_with_seq_and_bypass_preserved() {
     let short = gen.short();
     let long = gen.long();
     let s_bytes = PlanFootprint::of(gen.db(), &short.plan, &short.mode, 1)
-        .reservation(EstimateConfig::default().scale(1.0))
+        .reservation(SchedConfig::default().safety_factor)
         .estimated;
 
     // Build the scheduler *before* carving up the card: its admission
@@ -301,11 +300,8 @@ fn nested_admission_never_blocks_it_requeues_with_seq_and_bypass_preserved() {
 fn a_requeued_job_keeps_the_worst_case_it_was_inflated_to() {
     let mut gen = WorkloadGen::new(0x0B5E, spec()).unwrap();
     let (host, probe) = (gen.short(), gen.short());
-    let estimate = EstimateConfig {
-        safety_factor: 1e-6,
-    };
-    let est =
-        PlanFootprint::of(gen.db(), &probe.plan, &probe.mode, 1).reservation(estimate.scale(1.0));
+    let safety_factor = 1e-6;
+    let est = PlanFootprint::of(gen.db(), &probe.plan, &probe.mode, 1).reservation(safety_factor);
     assert!(est.estimated < est.worst_case);
 
     let sched = Scheduler::new(
@@ -315,7 +311,7 @@ fn a_requeued_job_keeps_the_worst_case_it_was_inflated_to() {
             admission_deadline: None,
             policy: QueuePolicy::Fifo,
             preempt: forced(true),
-            estimate,
+            safety_factor,
             ..SchedConfig::default()
         },
     );
@@ -373,61 +369,6 @@ fn a_requeued_job_keeps_the_worst_case_it_was_inflated_to() {
     assert_eq!(stats.errors, 0, "would-block is not a query error");
     let snapshot = sched.metrics_snapshot();
     assert!(metric(&snapshot, "bwd_sched_preempt_requeues_total") >= 1);
-}
-
-#[test]
-fn calibration_sharpens_estimates_over_a_session() {
-    // 100 queries of two recurring shapes on one worker, waited
-    // sequentially so every submission sees the completions before it.
-    // The per-shape EWMA must pull the latency estimate toward the
-    // observed simulated cost: the last decile's |est/actual − 1| error
-    // drops below the first decile's, and below what the same session
-    // produces with calibration disabled.
-    fn session_errors(calibrate: bool) -> Vec<f64> {
-        let mut gen = WorkloadGen::new(0xCA11B, spec()).unwrap();
-        let sched = Scheduler::new(
-            Arc::clone(gen.db()),
-            SchedConfig {
-                workers: 1,
-                calibrate: waste_not::sched::CalibrateConfig { enabled: calibrate },
-                ..SchedConfig::default()
-            },
-        );
-        let session = sched.session();
-        let mut errs = Vec::with_capacity(100);
-        for i in 0..100 {
-            let q = if i % 2 == 0 { gen.short() } else { gen.long() };
-            let (_, rep) = session.submit(q.plan, q.mode).wait_report().unwrap();
-            assert!(rep.actual_sim_seconds > 0.0);
-            errs.push((rep.est_seconds / rep.actual_sim_seconds - 1.0).abs());
-        }
-        if calibrate {
-            let snapshot = sched.metrics_snapshot();
-            assert!(
-                snapshot.contains("bwd_sched_calibrator_samples"),
-                "calibrator state must be exported:\n{snapshot}"
-            );
-            assert!(snapshot.contains("bwd_sched_calibrator_latency_ratio_milli"));
-        }
-        errs
-    }
-
-    let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
-    let calibrated = session_errors(true);
-    let uncalibrated = session_errors(false);
-    let first = mean(&calibrated[..10]);
-    let last = mean(&calibrated[90..]);
-    assert!(
-        last < first,
-        "calibration must strictly shrink the estimate error over the \
-         session: first decile {first:.4}, last decile {last:.4}"
-    );
-    assert!(
-        last < mean(&uncalibrated[90..]),
-        "calibrated tail error {last:.4} must beat the uncalibrated tail \
-         {:.4}",
-        mean(&uncalibrated[90..])
-    );
 }
 
 /// The query tail — gather, group, evaluate, aggregate — polls the yield

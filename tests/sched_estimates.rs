@@ -1,18 +1,28 @@
 //! The scheduler's estimate against the run it estimated, where the
 //! benchmark cannot look (`sched.est_ratio` there is measured on probes
-//! only): the five benchmark statements in both modes through a
-//! [`Session`], calibration off, on the benchmark's decomposition at
+//! only): the five benchmark statements and three skewed spatial boxes in
+//! both modes through a [`Session`], on the benchmark's decomposition at
 //! micro scale.
 
 use std::sync::Arc;
 
 use bwd_bench::evaluation::{bind_sql, tpch_db, Q1, Q14, Q6, SPATIAL_QUERY};
 use waste_not::data::{gen_trips, SpatialConfig};
-use waste_not::sched::CalibrateConfig;
+use waste_not::sched::{PlanFootprint, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::{Database, ExecMode, SchedConfig, Scheduler};
 
 const PROBE: &str = "select count(*) from small where a between 1000000 and 1655359";
+
+/// A box over the densest corner of the Zipf-weighted fixes.
+const DENSE_BOX: &str = "select count(lon) from trips \
+     where lon between 2.26950 and 2.46950 and lat between 48.75660 and 48.95660";
+/// A box where few fixes fall.
+const SPARSE_BOX: &str = "select count(lon) from trips \
+     where lon between 27.91000 and 28.11000 and lat between 40.92000 and 41.12000";
+/// A box no fix falls in.
+const EMPTY_BOX: &str = "select count(lon) from trips \
+     where lon between -10.00000 and -9.80000 and lat between 60.00000 and 60.20000";
 
 /// The benchmark's tables, decomposed as `benchmark/src/setup.rs` does:
 /// `lon`/`lat` 24/8, every TPC-H column resident, then `l_shipdate` and
@@ -35,22 +45,34 @@ fn bench_db() -> Database {
     db
 }
 
-/// `JobReport::est_seconds ÷ actual_sim_seconds`, uncalibrated, for the
-/// five statements × {Classic, A&R}: every estimate within a factor of
-/// two of the bill it predicts. (The parent's hand-written estimator read
-/// 0.18–0.87 on the A&R side here and 0.12–0.40 at the benchmark's scale:
-/// it priced scans at stream bandwidth and nothing of pre-grouping,
-/// `aggregate.eval` or expression arithmetic.) Q1's A&R estimate read 0.84
-/// while a hash pre-grouping's contention was predicted at the key domains'
-/// 6 groups where the data holds 3; its device tail now folds into slots
-/// the key addresses, the operator does not run, and what is left of the
+/// `JobReport::est_seconds ÷ actual_sim_seconds` for every statement ×
+/// {Classic, A&R}: every estimate within a factor of two of the bill it
+/// predicts. (The parent's hand-written estimator read 0.18–0.87 on the
+/// A&R side here and 0.12–0.40 at the benchmark's scale: it priced scans
+/// at stream bandwidth and nothing of pre-grouping, `aggregate.eval` or
+/// expression arithmetic.) Q1's A&R estimate read 0.84 while a hash
+/// pre-grouping's contention was predicted at the key domains' 6 groups
+/// where the data holds 3; its device tail now folds into slots the key
+/// addresses, the operator does not run, and what is left of the
 /// misprediction is the accumulator updates' share: 0.96, held to 10 %.
+///
+/// The estimate is a pure function of (plan, catalog, thread allocation):
+/// each statement is submitted twice, one after the other, and the second
+/// report's estimate is the first's and the footprint's total to the bit —
+/// no completion moves it.
+///
+/// The skewed boxes read (A&R / Classic) 0.782 / 0.669 dense, 0.826 /
+/// 1.006 sparse and 1.000 / 1.000 empty. What the dense box's estimate
+/// misses is correlation, not marginal skew: at 400 k fixes, exact 1-D
+/// marginals multiplied as independent predict 3 344 of its 33 063 rows
+/// (and 9 of the sparse box's 1 067), so no histogram would fix it. Its
+/// reservation runs out instead, and the OOM-early → worst-case requeue
+/// recovers: at most one requeue per A&R box submission, never an error.
 #[test]
 fn uncalibrated_estimates_are_within_2x_of_the_bill() {
     let db = Arc::new(bench_db());
     let config = SchedConfig {
         workers: 1,
-        calibrate: CalibrateConfig { enabled: false },
         ..SchedConfig::default()
     };
     let sched = Scheduler::new(Arc::clone(&db), config);
@@ -58,29 +80,60 @@ fn uncalibrated_estimates_are_within_2x_of_the_bill() {
     let statements = [
         ("probe", PROBE),
         ("box", SPATIAL_QUERY),
+        ("dense box", DENSE_BOX),
+        ("sparse box", SPARSE_BOX),
+        ("empty box", EMPTY_BOX),
         ("q6", Q6),
         ("q14", Q14),
         ("q1", Q1),
     ];
+    let threads = SubmitOptions::default().effective_host_threads(db.env());
+    let mut ar_box_submissions = 0;
     for (name, sql) in statements {
         let plan = bind_sql(&db, sql).unwrap();
+        let mut classic_rows = None;
         for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
-            let ticket = session.submit(plan.clone(), mode.clone());
-            let (result, report) = ticket.wait_report().unwrap();
-            assert_eq!(report.actual_sim_seconds, result.breakdown.total());
-            let ratio = report.est_seconds / report.actual_sim_seconds;
-            println!("est_ratio {name} {mode:?}: {ratio:.3}");
-            let within = match (name, &mode) {
-                ("q1", ExecMode::ApproxRefine) => 0.9..=1.1,
-                _ => 0.5..=2.0,
-            };
-            assert!(
-                within.contains(&ratio),
-                "{name} {mode:?}: estimated {} for a bill of {}",
-                report.est_seconds,
-                report.actual_sim_seconds
-            );
+            let footprint = PlanFootprint::of(&db, &plan, &mode, threads);
+            let priced = footprint.latency().total();
+            let mut rows = None;
+            for round in 0..2 {
+                let ticket = session.submit(plan.clone(), mode.clone());
+                let (result, report) = ticket.wait_report().unwrap();
+                assert_eq!(report.actual_sim_seconds, result.breakdown.total());
+                assert_eq!(
+                    report.est_seconds.to_bits(),
+                    priced.to_bits(),
+                    "{name} {mode:?} round {round}: {} is not the footprint's {priced}",
+                    report.est_seconds
+                );
+                let ratio = report.est_seconds / report.actual_sim_seconds;
+                if round == 0 {
+                    println!("est_ratio {name} {mode:?}: {ratio:.3}");
+                }
+                let within = match (name, &mode) {
+                    ("q1", ExecMode::ApproxRefine) => 0.9..=1.1,
+                    _ => 0.5..=2.0,
+                };
+                assert!(
+                    within.contains(&ratio),
+                    "{name} {mode:?}: estimated {} for a bill of {}",
+                    report.est_seconds,
+                    report.actual_sim_seconds
+                );
+                assert_eq!(*rows.get_or_insert(result.rows.clone()), result.rows);
+                if name.ends_with("box") && matches!(mode, ExecMode::ApproxRefine) {
+                    ar_box_submissions += 1;
+                }
+            }
+            let rows = rows.unwrap();
+            assert_eq!(*classic_rows.get_or_insert(rows.clone()), rows, "{name}");
         }
     }
-    assert_eq!(sched.stats().errors, 0);
+    let stats = sched.stats();
+    assert!(
+        stats.admission_requeues <= ar_box_submissions,
+        "{} requeues over {ar_box_submissions} A&R box submissions",
+        stats.admission_requeues
+    );
+    assert_eq!(stats.errors, 0);
 }

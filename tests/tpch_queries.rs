@@ -226,7 +226,6 @@ fn space_constrained_uses_less_device_memory() {
 #[test]
 fn space_constrained_q1_is_admitted_first_time() {
     use std::sync::Arc;
-    use waste_not::sched::EstimateConfig;
     use waste_not::{SchedConfig, Scheduler};
 
     let mut db = tpch();
@@ -248,7 +247,7 @@ fn space_constrained_q1_is_admitted_first_time() {
     let classic = db.run_bound(&plan, ExecMode::Classic).unwrap();
 
     let config = SchedConfig {
-        estimate: EstimateConfig { safety_factor: 1.0 },
+        safety_factor: 1.0,
         ..SchedConfig::default()
     };
     let sched = Scheduler::new(Arc::new(db), config);
