@@ -20,8 +20,8 @@ pub struct BoundSelection {
     pub column: String,
     /// Inclusive payload range.
     pub range: RangePred,
-    /// Optional selectivity hint in `[0, 1]` used by the pushdown rule to
-    /// order the approximate selection chain (most selective first).
+    /// Optional selectivity hint in `[0, 1]`: the share of rows the exact
+    /// predicate keeps, as the catalog's statistics predict it.
     pub selectivity_hint: Option<f64>,
 }
 
@@ -46,7 +46,7 @@ pub struct FkJoinPlan {
 pub struct ArPlan {
     /// The fact table.
     pub table: String,
-    /// Relaxed selections, in approximate-chain order.
+    /// Relaxed selections, in the order the chain runs them.
     pub selections: Vec<BoundSelection>,
     /// Optional foreign-key join.
     pub fk_join: Option<FkJoinPlan>,

@@ -1,7 +1,8 @@
 //! The `bwd_pipe` micro-optimizer (§V-B): rewrite a classic logical plan
 //! into an A&R plan, then apply the rule-based optimization of §III-A —
-//! push approximate selections below refinements, ordered most-selective
-//! first when hints exist.
+//! push approximate selections below refinements. Selections bind in query
+//! order, one per column; which order a run takes them in is the engine's
+//! choice, priced by its bill (`bwd_engine::bill::order`).
 //!
 //! Literal payloads are resolved through a [`PlanResolver`] so the core
 //! stays catalog-agnostic: the engine's catalog knows dictionary codes,
@@ -27,7 +28,8 @@ pub trait PlanResolver {
         prefix: &str,
     ) -> Result<Option<(i64, i64)>>;
 
-    /// Optional selectivity hint for ordering the approximate chain.
+    /// Optional share of the rows `range` keeps, in `[0, 1]`: what the
+    /// engine predicts an exact selection keeps.
     fn selectivity_hint(&self, _table: &str, _column: &str, _range: &RangePred) -> Option<f64> {
         None
     }
@@ -152,16 +154,6 @@ pub fn rewrite(
         sel.selectivity_hint = resolver.selectivity_hint(t, c, &sel.range);
     }
 
-    if opts.pushdown {
-        // §III-A: approximate selections chain below everything; order the
-        // chain most-selective-first where hints exist (stable otherwise).
-        selections.sort_by(|a, b| {
-            let ka = a.selectivity_hint.unwrap_or(f64::INFINITY);
-            let kb = b.selectivity_hint.unwrap_or(f64::INFINITY);
-            ka.total_cmp(&kb)
-        });
-    }
-
     let plan = ArPlan {
         table,
         selections,
@@ -283,7 +275,6 @@ mod tests {
         }
 
         fn selectivity_hint(&self, _t: &str, column: &str, _r: &RangePred) -> Option<f64> {
-            // Pretend "b" is the most selective column.
             match column {
                 "b" => Some(0.01),
                 "a" => Some(0.5),
@@ -318,12 +309,18 @@ mod tests {
             .aggregate(vec![], count_agg());
         let ar = rewrite(&plan, &TestResolver, &RewriteOptions::default()).unwrap();
         assert_eq!(ar.table, "t");
-        assert_eq!(ar.selections.len(), 2);
-        // Pushdown ordered most-selective first: b (0.01) before a (0.5).
-        assert_eq!(ar.selections[0].column, "b");
-        assert_eq!(ar.selections[0].range, RangePred::between(0, 5));
-        assert_eq!(ar.selections[1].column, "a");
-        assert_eq!(ar.selections[1].range, RangePred::at_least(11));
+        // Bound in query order with their hints; the engine orders the
+        // chain (its `bill.rs` tests hold the laws of that order).
+        let bound: Vec<_> = (ar.selections.iter())
+            .map(|s| (s.column.as_str(), s.range, s.selectivity_hint))
+            .collect();
+        assert_eq!(
+            bound,
+            [
+                ("a", RangePred::at_least(11), Some(0.5)),
+                ("b", RangePred::between(0, 5), Some(0.01)),
+            ]
+        );
         assert!(ar.pushdown);
     }
 

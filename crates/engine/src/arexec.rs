@@ -223,19 +223,27 @@ pub(crate) fn run_ar_sliced(
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<QueryResult> {
-    run_ar_counted(db, plan, opts, env, slice_rows, ledger).map(|(result, ..)| result)
+    let chain: Vec<usize> = (0..plan.selections.len()).collect();
+    let run = run_ar_counted(db, plan, &chain, opts, env, slice_rows, ledger);
+    run.map(|(result, ..)| result)
 }
 
 /// [`run_ar_sliced`], also returning what the run counted and the
-/// transient device bytes it held.
+/// transient device bytes it held. `plan` may be a bound plan with its
+/// selections reordered ([`bill::order`]); `chain` holds, per step, the
+/// selection's index in the bound plan — what an `ApproxSelect` span
+/// reports.
 ///
 /// Approximate → refine → tail over one [`Run`]: each phase does the real
 /// work, counts what it did and bills the counts through the shape's
 /// sites (`crate::bill`) between its spans; where the tail runs was
 /// settled when the shape was resolved ([`ArShape::place`]).
+///
+/// [`bill::order`]: crate::bill::order
 pub(crate) fn run_ar_counted(
     db: &Database,
     plan: &ArPlan,
+    chain: &[usize],
     opts: &ArExecOptions,
     env: &Env,
     slice_rows: usize,
@@ -248,6 +256,7 @@ pub(crate) fn run_ar_counted(
             ..Counts::default()
         },
         shape,
+        chain,
         opts,
         env,
         obs: env.trace.recorder.worker(&env.trace.lane),
@@ -274,6 +283,8 @@ pub(crate) fn run_ar_counted(
 /// the ledger the counts are billed into.
 struct Run<'a> {
     shape: ArShape<'a>,
+    /// Per step, the selection's index in the bound plan.
+    chain: &'a [usize],
     opts: &'a ArExecOptions,
     env: &'a Env,
     obs: WorkerHandle,
@@ -347,7 +358,7 @@ impl<'a> Run<'a> {
             self.counts.steps.push(step);
             self.shape
                 .upload_survivors(i, &self.counts, env, self.ledger);
-            let probe = self.begin(EventKind::ApproxSelect, step.input, i as u64);
+            let probe = self.begin(EventKind::ApproxSelect, step.input, self.chain[i] as u64);
             let cands = approx_select_step(
                 env,
                 &self.shape,
@@ -1054,7 +1065,7 @@ mod tests {
         let mut ledger = CostLedger::with_trace();
         let opts = ArExecOptions::default();
         let (r, counts, _) =
-            run_ar_counted(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
+            run_ar_counted(&db, &plan, &[0], &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
         assert_eq!((r.rows.len(), counts.groups), (2, 2));
         let spec = DeviceSpec::gtx680();
         let agg = GroupedAgg::slotted(&spec, 2, 2, 4, 2);
@@ -1086,7 +1097,7 @@ mod tests {
                 ..Default::default()
             };
             let mut ledger = CostLedger::with_trace();
-            let run = run_ar_counted(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger);
+            let run = run_ar_counted(&db, &plan, &[0], &opts, db.env(), SLICE_ROWS, &mut ledger);
             run.map(|(_, counts, held)| (counts, held, ledger.events().to_vec()))
         };
         let (counts, held, events) = run(None).unwrap();

@@ -13,11 +13,12 @@
 //!
 //! Two callers. The executors *count* while they run and bill what they
 //! counted, site by site between their spans; `bwd_sched`'s footprint
-//! bills what it *predicts* through [`Shape::bill`], which walks the same
-//! sites in the same order — handed a run's observed counts it returns
-//! that run's `breakdown` to the bit. Morsels, slice size and candidate
-//! representation are not inputs, so no bill can depend on them. See
-//! ARCHITECTURE.md, "The bill".
+//! bills what [`Shape::predict`] *predicts* through [`Shape::bill`], which
+//! walks the same sites in the same order — handed a run's observed counts
+//! it returns that run's `breakdown` to the bit. Morsels, slice size and
+//! candidate representation are not inputs, so no bill can depend on them.
+//! The same prediction picks the order a run takes its selections in
+//! ([`order`]). See ARCHITECTURE.md, "The bill" and "Chain order".
 
 use crate::catalog::Catalog;
 use crate::database::{Database, ExecMode};
@@ -39,6 +40,7 @@ use bwd_kernels::{DeviceArray, ScanOptions, ScanSpec};
 use bwd_storage::Column;
 use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, Result};
+use std::borrow::Cow;
 
 /// One selection step: what it read and what it kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -718,6 +720,9 @@ impl<'a> ArShape<'a> {
     }
 }
 
+/// Bytes of one fact row's FK code, read on the way to its dimension row.
+const FK_CODE_BYTES: u64 = 4;
+
 /// A plan resolved for the classic pipe: plain columns, no device.
 pub struct ClassicShape<'a> {
     pub(crate) plan: &'a ArPlan,
@@ -768,21 +773,23 @@ impl<'a> ClassicShape<'a> {
     /// selection — charged once from the totals, at the environment's
     /// thread allocation.
     pub fn bill(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
-        for (i, (&(col, _), step)) in self.sels.iter().zip(&c.steps).enumerate() {
-            // Every stage writes its oid list: 4 B per survivor.
-            let out = step.candidates * 4;
+        let hop = |is_dim: bool| if is_dim { FK_CODE_BYTES } else { 0 };
+        for (i, (&(col, is_dim), step)) in self.sels.iter().zip(&c.steps).enumerate() {
+            // Every stage writes its oid list: 4 B per survivor. A dimension
+            // column is reached through the FK code of every row it tests.
+            let (out, codes) = (step.candidates * 4, step.input * hop(is_dim));
             if i == 0 {
-                env.charge_host_scan("classic.select.scan", col.plain_bytes() + out, c.rows, l);
+                let bytes = col.plain_bytes() + codes + out;
+                env.charge_host_scan("classic.select.scan", bytes, c.rows, l);
             } else {
-                let read = step.input * col.dtype().plain_width();
+                let read = step.input * col.dtype().plain_width() + codes;
                 env.charge_host_scattered("classic.select.fetch", read + out, step.input, l);
             }
         }
         let k = c.survivors;
         // Projective fetches (invisible joins), one per gathered column.
         for &(col, is_dim) in &self.gathered {
-            let extra_hop = if is_dim { 4 } else { 0 };
-            let bytes = k * (col.dtype().plain_width() + extra_hop);
+            let bytes = k * (col.dtype().plain_width() + hop(is_dim));
             env.charge_host_scattered("classic.project.fetch", bytes, k, l);
         }
         if !self.plan.group_by.is_empty() {
@@ -893,12 +900,157 @@ impl<'a> Shape<'a> {
         }
         l.breakdown()
     }
+
+    /// The plan this shape was resolved from.
+    fn plan(&self) -> &'a ArPlan {
+        match self {
+            Shape::Classic(s) => s.plan,
+            Shape::Ar(s) => s.plan,
+        }
+    }
+
+    /// The counts the plan's statistics predict. Per selection the relaxed
+    /// interval's share of the column's domain is what the approximation
+    /// *admits*, its inner interval's what it *decides*, and the binder's
+    /// hint what the exact predicate keeps (no hint: whatever is admitted);
+    /// shares multiply along the chain as independent. The ablation feeds
+    /// each step the refined survivors of the last. Groups are bounded by
+    /// the key columns' domains (the slots of a table the packed key
+    /// addresses are exact from the shape; only how many of them the data
+    /// occupies is predicted here); a refinement chain shrinks evenly from
+    /// the undecided candidates to the ones that survive.
+    pub fn predict(&self) -> Counts {
+        let (plan, rows) = (self.plan(), self.rows());
+        let n = |share: f64| (rows as f64 * share).ceil() as u64;
+        let (mut admitted, mut decided, mut exact) = (1.0f64, 1.0f64, 1.0f64);
+        let mut c = Counts {
+            rows,
+            dense: plan.selections.is_empty(),
+            ..Counts::default()
+        };
+        let mut ablated = Vec::new();
+        for (i, sel) in plan.selections.iter().enumerate() {
+            let hint = sel.selectivity_hint.map(|h| h.clamp(0.0, 1.0));
+            let exact_only = (hint.unwrap_or(1.0), hint.unwrap_or(1.0));
+            let (admit, decide) = self.shares(i).unwrap_or(exact_only);
+            let keep = hint.unwrap_or(admit).clamp(decide.min(admit), admit);
+            let (input, settled) = match plan.pushdown {
+                true => (admitted, decided),
+                false => (exact, exact),
+            };
+            (admitted, decided, exact) = (input * admit, settled * decide, exact * keep);
+            c.steps.push(StepCounts {
+                input: n(input),
+                candidates: n(admitted),
+            });
+            ablated.push(RefineCounts {
+                live: n(admitted) - n(decided),
+                kept: n(exact) - n(decided),
+            });
+        }
+        (c.undecided, c.survivors) = (n(admitted) - n(decided), n(exact));
+        c.groups = self.key_domain().min(c.candidates() as f64) as u64;
+        let steps = self.refinements(&c) as u64;
+        let dropped = c.undecided - c.refined().min(c.undecided);
+        let live = |k: u64| c.undecided - dropped * k / steps;
+        let shrink = |k| RefineCounts {
+            live: live(k),
+            kept: live(k + 1),
+        };
+        c.refines = match plan.pushdown {
+            true => (0..steps).map(shrink).collect(),
+            false => ablated,
+        };
+        c.refines.truncate(steps as usize);
+        c
+    }
+}
+
+/// Chains up to this long are ordered by pricing every permutation of
+/// their selections (6! = 720 bills); longer ones by their hints.
+const PRICED_CHAIN: usize = 6;
+
+/// The order a run of `plan` in `mode` on `env` takes its selections in:
+/// per step, the selection's index in `plan`.
+///
+/// σ_p∘σ_q = σ_q∘σ_p, so every order returns the same rows; this one is the
+/// cheapest by the bill over the counts [`Shape::predict`] predicts for it.
+/// Each pipe pays its own way — A&R by what the granules admit, Classic by
+/// the width it fetches — so the two may disagree. Permutations are priced
+/// in lexicographic order from the plan's own and the earliest strict
+/// minimum is kept, so an ordered plan orders to itself. Nothing is priced
+/// and the plan's order stands for a chain of at most one selection, for
+/// the `pushdown: false` ablation (§III-A: it runs the query's order) and
+/// for a plan that does not resolve (its run reports why). A chain longer
+/// than [`PRICED_CHAIN`] runs most selective hint first.
+pub(crate) fn chain_order(db: &Database, plan: &ArPlan, mode: &ExecMode, env: &Env) -> Vec<usize> {
+    let sels = &plan.selections;
+    let mut order: Vec<usize> = (0..sels.len()).collect();
+    if sels.len() <= 1 || !plan.pushdown {
+        return order;
+    }
+    if sels.len() > PRICED_CHAIN {
+        let hint = |&i: &usize| sels[i].selectivity_hint.unwrap_or(f64::INFINITY);
+        order.sort_by(|a, b| hint(a).total_cmp(&hint(b)));
+        return order;
+    }
+    let mut candidate = plan.clone();
+    let mut price = |perm: &[usize]| {
+        candidate.selections = perm.iter().map(|&i| sels[i].clone()).collect();
+        let shape = Shape::resolve(db, &candidate, mode).ok()?;
+        Some(shape.bill(&shape.predict(), env).total())
+    };
+    let Some(mut cheapest) = price(&order) else {
+        return order;
+    };
+    let mut perm = order.clone();
+    while next_permutation(&mut perm) {
+        if let Some(bill) = price(&perm).filter(|&bill| bill < cheapest) {
+            (cheapest, order) = (bill, perm.clone());
+        }
+    }
+    order
+}
+
+/// Step `perm` to its lexicographic successor; `false`, leaving it as it
+/// is, at the last one.
+fn next_permutation(perm: &mut [usize]) -> bool {
+    let Some(i) = (1..perm.len()).rfind(|&i| perm[i - 1] < perm[i]) else {
+        return false;
+    };
+    // `perm[i]` itself is larger than `perm[i - 1]`: the search finds one.
+    let j = (i..perm.len())
+        .rfind(|&j| perm[j] > perm[i - 1])
+        .unwrap_or(i);
+    perm.swap(i - 1, j);
+    perm[i..].reverse();
+    true
+}
+
+/// `plan` with its selections in chain order `order` ([`chain_order`]):
+/// the plan itself, borrowed, where that is the order they are in.
+pub(crate) fn in_order<'p>(plan: &'p ArPlan, order: &[usize]) -> Cow<'p, ArPlan> {
+    if order.iter().enumerate().all(|(k, &i)| k == i) {
+        return Cow::Borrowed(plan);
+    }
+    let mut ordered = plan.clone();
+    ordered.selections = order.iter().map(|&i| plan.selections[i].clone()).collect();
+    Cow::Owned(ordered)
+}
+
+/// `plan` with its selections in the order a run of it in `mode` on `env`
+/// bills cheapest ([`chain_order`]). [`Database::run_counted`] — every
+/// `Database::run*` entry point — runs this order, and the scheduler's
+/// footprint prices it, so an estimate is the bill of the order that runs.
+pub fn order<'p>(db: &Database, plan: &'p ArPlan, mode: &ExecMode, env: &Env) -> Cow<'p, ArPlan> {
+    in_order(plan, &chain_order(db, plan, mode, env))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arexec::{run_ar_counted, ArExecOptions};
+    use crate::classic::run_classic_counted;
     use crate::tail::SLICE_ROWS;
     use bwd_core::plan::RewriteOptions;
     use bwd_core::plan::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr as E};
@@ -1115,14 +1267,17 @@ mod tests {
         for (name, plan) in plans(db) {
             let (env, opts) = (db.env(), ArExecOptions::default());
             let mut ledger = CostLedger::with_trace();
+            let chain: Vec<usize> = (0..plan.selections.len()).collect();
             let (run, counts, held) =
-                run_ar_counted(db, &plan, &opts, env, SLICE_ROWS, &mut ledger).unwrap();
+                run_ar_counted(db, &plan, &chain, &opts, env, SLICE_ROWS, &mut ledger).unwrap();
             let shape = shape_of(db, &plan);
             let events = events(&shape, &counts);
             assert_eq!(events, ledger.events(), "{name}");
             assert_eq!(shape.place.bytes(&counts), held, "{name}");
             assert_eq!(Shape::Ar(shape).bill(&counts, env), run.breakdown, "{name}");
 
+            // `run_counted` runs the chain in the order its bill picks.
+            let plan = order(db, &plan, &ExecMode::Classic, env);
             let shape = Shape::resolve(db, &plan, &ExecMode::Classic).unwrap();
             let (run, counts, _) = db.run_counted(&plan, ExecMode::Classic, env, 1).unwrap();
             assert_eq!(shape.bill(&counts, env), run.breakdown, "{name}");
@@ -1259,6 +1414,179 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A classic selection on a dimension column reads `col[fk[row]]` for
+    /// every row it tests, so it pays the 4 B FK code per tested row the
+    /// projective fetch through the same link pays — first in the chain
+    /// (the scan) or not (the fetch).
+    #[test]
+    fn a_classic_dimension_selection_pays_the_fk_hop() {
+        let db = db();
+        let plan = plans(db)
+            .into_iter()
+            .find(|(name, _)| *name == "fk")
+            .unwrap()
+            .1;
+        let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().host_slice());
+        for chain in [[0, 1], [1, 0]] {
+            let plan = in_order(&plan, &chain);
+            let ledger = &mut CostLedger::new();
+            let run =
+                run_classic_counted(db.catalog(), &plan, Some(fk), env, 1, SLICE_ROWS, ledger);
+            let counts = run.unwrap().1;
+            let mut shape = ClassicShape::resolve(db.catalog(), &plan, true).unwrap();
+            let bytes = |shape: &ClassicShape<'_>| {
+                let mut l = CostLedger::with_trace();
+                shape.bill(&counts, env, &mut l);
+                l.events().iter().map(|e| e.bytes).collect::<Vec<_>>()
+            };
+            let linked = bytes(&shape);
+            let k = shape.sels.iter().position(|&(_, is_dim)| is_dim).unwrap();
+            assert_eq!(plan.selections[k].column, "dim.y");
+            // The same column, as if it stood in the fact table.
+            shape.sels[k].1 = false;
+            let direct = bytes(&shape);
+            for (i, (linked, direct)) in linked.iter().zip(&direct).enumerate() {
+                let codes = if i == k { 4 * counts.steps[k].input } else { 0 };
+                assert_eq!(*linked, direct + codes, "{chain:?}: event {i}");
+            }
+        }
+    }
+
+    /// The columns a generated chain draws from, each with the largest
+    /// value it holds: split `d, e, h, w`, resident `g, v`, and `dim.y`
+    /// (split) behind `fk`.
+    const LAW_COLUMNS: [(&str, i64); 7] = [
+        ("d", 19_999),
+        ("e", 999),
+        ("h", 299),
+        ("w", 4_999),
+        ("g", 6),
+        ("v", 999),
+        ("dim.y", 4_900),
+    ];
+
+    /// The chain order's laws, over seeded chains of 2–4 selections drawn
+    /// from [`LAW_COLUMNS`] (every other one with the dimension predicate,
+    /// every third with an empty range) under a grouped device tail, a
+    /// host tail and a bare count, in both pipes: every permutation
+    /// returns the same rows (σ_p∘σ_q = σ_q∘σ_p); the chosen order's
+    /// predicted bill is at most every permutation's, the first one in
+    /// lexicographic order among equals; ordering the ordered plan returns
+    /// it, borrowed — and in each pipe some chain's bound order is not the
+    /// cheapest. A plan with one selection, or without pushdown, comes back
+    /// borrowed; a chain past [`PRICED_CHAIN`] runs its hints in ascending
+    /// order.
+    #[test]
+    fn the_chain_order_laws() {
+        use crate::arexec::run_ar_in;
+        use crate::classic::run_classic_morsel;
+        let db = db();
+        let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().host_slice());
+        let rng = &mut SplitMix64::new(27);
+        let sum = |c: &str| agg(AggFunc::Sum, Some(E::col(c)));
+        let bind = |plan: &LogicalPlan, pushdown| db.bind(plan, &RewriteOptions { pushdown });
+        let modes = [ExecMode::Classic, ExecMode::ApproxRefine];
+        // Per pipe, the cases whose bound order was not the cheapest.
+        let mut moved = [0; 2];
+        for case in 0..12 {
+            let mut columns: Vec<_> = LAW_COLUMNS[..6].to_vec();
+            let steps = 2 + rng.below(3) as usize;
+            let mut drawn = Vec::new();
+            if case % 2 == 0 {
+                drawn.push(LAW_COLUMNS[6]);
+            }
+            while drawn.len() < steps {
+                drawn.push(columns.swap_remove(rng.below(columns.len() as u64) as usize));
+            }
+            let mut scan = LogicalPlan::scan("t").fk_join("fk", "dim");
+            for (k, &(column, max)) in drawn.iter().enumerate() {
+                let (lo, hi) = match case % 3 == 0 && k == steps - 1 {
+                    true => (max, max / 2),
+                    false => {
+                        let lo = rng.below(max as u64 + 1) as i64;
+                        (lo, lo + rng.below((max - lo) as u64 + 1) as i64)
+                    }
+                };
+                scan = scan.filter(between(column, lo, hi));
+            }
+            let (groups, aggs) = match case % 3 {
+                0 => (vec!["g".into()], vec![sum("v"), agg(AggFunc::Count, None)]),
+                1 => (vec![], vec![sum("w")]),
+                _ => (vec![], vec![agg(AggFunc::Count, None)]),
+            };
+            let plan = bind(&scan.aggregate(groups, aggs), true).unwrap();
+            assert_eq!(plan.selections.len(), steps, "case {case}");
+            let mut rows = None;
+            for mode in &modes {
+                let ctx = format!("case {case} {mode:?} {:?}", plan.selections);
+                let mut perms = vec![(0..steps).collect::<Vec<usize>>()];
+                let mut perm = perms[0].clone();
+                while next_permutation(&mut perm) {
+                    perms.push(perm.clone());
+                }
+                let mut bills = Vec::new();
+                for perm in &perms {
+                    let p = in_order(&plan, perm);
+                    let run = match mode {
+                        ExecMode::Classic => run_classic_morsel(db.catalog(), &p, Some(fk), env, 1),
+                        _ => run_ar_in(db, &p, &ArExecOptions::default(), env),
+                    };
+                    let got = run.unwrap().rows;
+                    assert_eq!(
+                        rows.get_or_insert_with(|| got.clone()),
+                        &got,
+                        "{ctx} {perm:?}"
+                    );
+                    let shape = Shape::resolve(db, &p, mode).unwrap();
+                    bills.push(shape.bill(&shape.predict(), env).total());
+                }
+                let chosen = chain_order(db, &plan, mode, env);
+                let at = perms.iter().position(|p| *p == chosen).unwrap();
+                moved[usize::from(matches!(mode, ExecMode::Classic))] += usize::from(at > 0);
+                for (k, &bill) in bills.iter().enumerate() {
+                    assert!(bills[at] <= bill, "{ctx}: {chosen:?} over {:?}", perms[k]);
+                    assert!(
+                        k >= at || bills[at] < bill,
+                        "{ctx}: tie past {:?}",
+                        perms[k]
+                    );
+                }
+                let ordered = order(db, &plan, mode, env);
+                assert_eq!(*ordered, *in_order(&plan, &chosen), "{ctx}");
+                let again = order(db, &ordered, mode, env);
+                assert!(
+                    matches!(again, Cow::Borrowed(p) if std::ptr::eq(p, &*ordered)),
+                    "{ctx}"
+                );
+            }
+        }
+        assert!(moved.iter().all(|&n| n > 0), "{moved:?}");
+
+        let count = || vec![agg(AggFunc::Count, None)];
+        let one = LogicalPlan::scan("t").filter(between("d", 5, 50));
+        let mut seven = LogicalPlan::scan("t").fk_join("fk", "dim");
+        for &(column, max) in LAW_COLUMNS.iter().rev() {
+            seven = seven.filter(between(column, 0, max / 3));
+        }
+        let (one, seven) = (
+            one.aggregate(vec![], count()),
+            seven.aggregate(vec![], count()),
+        );
+        for (plan, pushdown) in [(&one, true), (&seven, false)] {
+            let plan = bind(plan, pushdown).unwrap();
+            for mode in &modes {
+                let ordered = order(db, &plan, mode, env);
+                assert!(matches!(ordered, Cow::Borrowed(p) if std::ptr::eq(p, &plan)));
+            }
+        }
+        let plan = bind(&seven, true).unwrap();
+        let hints: Vec<f64> = (order(db, &plan, &modes[1], env).selections.iter())
+            .map(|s| s.selectivity_hint.unwrap())
+            .collect();
+        assert!(hints.windows(2).all(|w| w[0] <= w[1]), "{hints:?}");
+        assert_eq!(plan.selections.len(), 7);
     }
 
     /// `undecided = 0` is the paper's all-GPU configuration: no refinement

@@ -476,15 +476,18 @@ mod tests {
                 let bill = serial.get_or_insert((r.breakdown, r.traffic));
                 assert_eq!((r.breakdown, r.traffic), *bill, "{tag}");
                 // Every stage writes its oid list: 4 B per survivor on top
-                // of what it reads.
+                // of what it reads — through a 4 B FK code per row tested
+                // for a dimension column.
                 let mut input = N as u64;
-                for ((e, &out), &(col, _)) in ledger.events().iter().zip(&counts).zip(&sel_cols) {
+                let stages = ledger.events().iter().zip(&counts).zip(&sel_cols);
+                for ((e, &out), &(col, is_dim)) in stages {
                     let read = match e.label.as_str() {
                         "classic.select.scan" => col.plain_bytes(),
                         "classic.select.fetch" => input * col.dtype().plain_width(),
                         other => panic!("{tag}: {other} inside the chain"),
                     };
-                    assert_eq!(e.bytes, read + out * 4, "{tag}");
+                    let codes = if is_dim { input * 4 } else { 0 };
+                    assert_eq!(e.bytes, read + codes + out * 4, "{tag}");
                     input = out;
                 }
             }

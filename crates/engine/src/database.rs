@@ -7,7 +7,7 @@
 //! the `bwd` pipe (A&R), built from the same logical plan.
 
 use crate::arexec::ArExecOptions;
-use crate::bill::Counts;
+use crate::bill::{self, Counts};
 use crate::catalog::{Catalog, FkDecl, Table};
 use crate::result::QueryResult;
 use crate::tail::SLICE_ROWS;
@@ -284,7 +284,8 @@ impl Database {
         self.run_bound(&ar, mode)
     }
 
-    /// Execute an already-bound A&R plan.
+    /// Execute an already-bound A&R plan, its selections in the order its
+    /// bill prices cheapest ([`bill::order`]).
     pub fn run_bound(&self, plan: &ArPlan, mode: ExecMode) -> Result<QueryResult> {
         self.run_bound_in(plan, mode, &self.env, 1)
     }
@@ -314,7 +315,9 @@ impl Database {
     /// [`Database::run_bound_in`], also returning the [`Counts`] the run
     /// observed and the transient device bytes it held — what
     /// [`crate::bill`] priced it from, and what a scheduler's prediction
-    /// of the same plan can be held against.
+    /// of the same plan can be held against. The run takes the plan's
+    /// selections in the order its bill prices cheapest
+    /// ([`bill::order`]); the counts are in that order.
     pub fn run_counted(
         &self,
         plan: &ArPlan,
@@ -323,6 +326,9 @@ impl Database {
         morsels: usize,
     ) -> Result<(QueryResult, Counts, u64)> {
         let ledger = &mut CostLedger::new();
+        let chain = bill::chain_order(self, plan, &mode, env);
+        let ordered = bill::in_order(plan, &chain);
+        let plan: &ArPlan = &ordered;
         let opts = match mode {
             ExecMode::Classic => {
                 let fk_host = match &plan.fk_join {
@@ -331,7 +337,8 @@ impl Database {
                 };
                 let obs = env.trace.recorder.worker(&env.trace.lane);
                 let kind = bwd_obs::EventKind::Classic;
-                let span = obs.begin(kind, env.trace.parent, 0, morsels as u64);
+                let order = bwd_obs::pack_chain_order(&chain);
+                let span = obs.begin(kind, env.trace.parent, order, morsels as u64);
                 let (result, counts) = crate::classic::run_classic_counted(
                     &self.catalog,
                     plan,
@@ -357,7 +364,7 @@ impl Database {
             },
             ExecMode::ApproxRefineWith(opts) => opts,
         };
-        crate::arexec::run_ar_counted(self, plan, &opts, env, SLICE_ROWS, ledger)
+        crate::arexec::run_ar_counted(self, plan, &chain, &opts, env, SLICE_ROWS, ledger)
     }
 }
 

@@ -36,7 +36,8 @@ pub enum Phase {
 /// | `Queue`       | est-seconds bits, 0         | queue-wait-seconds bits, 0, 0, 0 |
 /// | `Admission`   | requested bytes, attempt    | 0, reserved bytes, requeues so far, 0 |
 /// | `Exec`        | morsels, host threads       | sim bits, bytes, result rows, 0 |
-/// | `ApproxSelect`| input candidates, step idx  | sim bits, bytes, output candidates, 1 = bitmap [`SelVec`] representation, 0 = indices |
+/// | `ApproxSelect`| input candidates, the selection's index in the bound plan | sim bits, bytes, output candidates, 1 = bitmap [`SelVec`] representation, 0 = indices |
+/// | `Classic`     | [`pack_chain_order`] of the chain, morsels | sim bits, bytes, result rows, 0 |
 /// | `Refine`      | candidates still alive (decided + undecided), step idx | sim bits, bytes, surviving candidates, the undecided ones this step re-tested |
 /// | `GroupAgg`    | surviving rows, `uploaded survivor bits << 1 \| 1 = device tail` | sim bits, bytes, result rows, [`GroupAggTables::pack`] |
 /// | `Morsel`      | partition length, part idx  | 0, 0, output length, 0 |
@@ -133,6 +134,27 @@ impl std::fmt::Display for EventKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
+}
+
+/// `Classic` Begin `a`: the order the selection chain ran in — per step the
+/// selection's index in the bound plan plus one, in 4 bits, the first step
+/// lowest; a zero nibble ends the chain. A chain of more than 15 selections
+/// packs as 0: no order recorded.
+pub fn pack_chain_order(order: &[usize]) -> u64 {
+    if order.len() > 15 || order.iter().any(|&i| i >= 15) {
+        return 0;
+    }
+    (order.iter().rev()).fold(0, |word, &i| word << 4 | (i as u64 + 1))
+}
+
+/// The chain order [`pack_chain_order`] packed into `word`.
+pub fn unpack_chain_order(mut word: u64) -> Vec<usize> {
+    let mut order = Vec::new();
+    while word & 0xf != 0 {
+        order.push((word & 0xf) as usize - 1);
+        word >>= 4;
+    }
+    order
 }
 
 /// `GroupAgg` End `d`: which grouping fed the aggregation, beside the count

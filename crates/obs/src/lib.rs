@@ -51,7 +51,9 @@ mod ring;
 mod trace;
 
 pub use clock::{Clock, ClockSource, MockClock};
-pub use event::{EventKind, GroupAggTables, Phase, SpanId, NO_SPAN};
+pub use event::{
+    pack_chain_order, unpack_chain_order, EventKind, GroupAggTables, Phase, SpanId, NO_SPAN,
+};
 pub use recorder::{Recorder, RecorderConfig, WorkerHandle};
 pub use ring::Event;
 pub use trace::{QueryTrace, SpanNode};

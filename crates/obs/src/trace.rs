@@ -1,7 +1,7 @@
 //! [`QueryTrace`]: the drained event set of one query, with integrity
 //! validation, a span tree, and an `EXPLAIN ANALYZE`-style rendering.
 
-use crate::event::{EventKind, GroupAggTables, Phase, SpanId, NO_SPAN};
+use crate::event::{unpack_chain_order, EventKind, GroupAggTables, Phase, SpanId, NO_SPAN};
 use crate::recorder::Recorder;
 use crate::ring::Event;
 use std::collections::BTreeMap;
@@ -349,7 +349,8 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
         }
         (EventKind::ApproxSelect, Some(end)) => {
             out.push_str(&format!(
-                "  in={}  out={}  rep={}",
+                "  sel={}  in={}  out={}  rep={}",
+                n.begin.b,
                 n.begin.a,
                 end.c,
                 if end.d == 1 { "bitmap" } else { "indices" }
@@ -392,7 +393,17 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
                 out.push_str(&format!("  replicas={}  blocks={}", t.replicas, t.blocks));
             }
         }
-        (EventKind::Exec | EventKind::Gather | EventKind::Classic, Some(end)) if end.c > 0 => {
+        (EventKind::Classic, Some(end)) => {
+            let order = unpack_chain_order(n.begin.a);
+            if !order.is_empty() {
+                let order: Vec<String> = order.iter().map(usize::to_string).collect();
+                out.push_str(&format!("  order={}", order.join(",")));
+            }
+            if end.c > 0 {
+                out.push_str(&format!("  out={}", end.c));
+            }
+        }
+        (EventKind::Exec | EventKind::Gather, Some(end)) if end.c > 0 => {
             out.push_str(&format!("  out={}", end.c));
         }
         _ => {}
@@ -428,6 +439,7 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
 mod tests {
     use super::*;
     use crate::clock::Clock;
+    use crate::event::pack_chain_order;
     use crate::recorder::{Recorder, RecorderConfig};
 
     fn sample_trace() -> QueryTrace {
@@ -518,6 +530,34 @@ mod tests {
         }
         assert!(text.contains("tail=host  out=3  grouping=host\n"), "{text}");
         assert!(text.contains("tail=host  out=1\n"), "{text}");
+    }
+
+    /// The chain order a run took shows: an A&R step names its selection's
+    /// index in the bound plan, a classic span the whole permutation.
+    #[test]
+    fn explain_prints_the_chain_order() {
+        for order in [vec![], vec![0], vec![2, 0, 1], (0..15).rev().collect()] {
+            assert_eq!(unpack_chain_order(pack_chain_order(&order)), order);
+        }
+        assert_eq!(pack_chain_order(&[2, 0, 1]), 0x213);
+        assert_eq!(pack_chain_order(&(0..16).collect::<Vec<_>>()), 0);
+        let r = Recorder::new(RecorderConfig {
+            ring_capacity: 16,
+            clock: Clock::mock().0,
+        });
+        let w = r.worker("worker-0");
+        let exec = w.begin(EventKind::Exec, NO_SPAN, 1, 1);
+        let sel = w.begin(EventKind::ApproxSelect, exec, 1000, 2);
+        w.end(EventKind::ApproxSelect, sel, 0, 0, 100, 0);
+        let classic = w.begin(EventKind::Classic, exec, pack_chain_order(&[0, 2, 1]), 1);
+        w.end(EventKind::Classic, classic, 0, 0, 1, 0);
+        let bare = w.begin(EventKind::Classic, exec, 0, 1);
+        w.end(EventKind::Classic, bare, 0, 0, 1, 0);
+        w.end(EventKind::Exec, exec, 0, 0, 1, 0);
+        let text = QueryTrace::capture(&r).explain();
+        assert!(text.contains("sel=2  in=1000  out=100"), "{text}");
+        assert!(text.contains("  order=0,2,1  out=1\n"), "{text}");
+        assert_eq!(text.matches("order=").count(), 1, "{text}");
     }
 
     #[test]

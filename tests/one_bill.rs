@@ -2,7 +2,8 @@
 //! bills the ledger under — may be spelled in `engine/bill.rs` and in the
 //! kernel or core function that owns its formula, nowhere else in product
 //! code; `bill.rs` names each of its labels once; and the scheduler names
-//! no hardware-spec method: its estimates are the bill, not a second copy.
+//! no hardware-spec method and no count type: its estimates are the bill
+//! over the engine's own prediction, not a second copy.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -75,15 +76,20 @@ fn charge_labels_live_in_the_bill_and_with_their_formulas_owner() {
     assert!(twice.is_empty(), "bill.rs names a label twice: {twice:?}");
 }
 
+/// The scheduler names no hardware-spec method and builds no step or
+/// refinement count: the counts a plan's statistics predict are
+/// `engine/bill.rs`'s (`Shape::predict`), and so is their price.
 #[test]
 fn the_scheduler_prices_nothing_itself() {
-    const PRICING: [&str; 6] = [
+    const BILLS_OWN: [&str; 8] = [
         "scan_seconds",
         "stream_seconds",
         "scattered_seconds",
         "transfer_seconds",
         "compute_seconds",
         "kernel_launch_overhead",
+        "StepCounts",
+        "RefineCounts",
     ];
     let mut files = Vec::new();
     rust_files(
@@ -93,7 +99,7 @@ fn the_scheduler_prices_nothing_itself() {
     assert!(files.len() > 10);
     for file in files {
         let source = fs::read_to_string(&file).unwrap();
-        let named: Vec<_> = PRICING.iter().filter(|p| source.contains(**p)).collect();
+        let named: Vec<_> = BILLS_OWN.iter().filter(|p| source.contains(**p)).collect();
         assert!(named.is_empty(), "{} names {named:?}", file.display());
     }
 }

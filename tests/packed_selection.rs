@@ -11,7 +11,7 @@
 use waste_not::core::plan::ScalarExpr as E;
 use waste_not::core::plan::{AggExpr, AggFunc, ArPlan, BinOp, LogicalPlan, Predicate};
 use waste_not::data::{gen_lineitem, gen_part, micro, TpchConfig};
-use waste_not::engine::{ArExecOptions, CandidateRep, Database, ExecMode};
+use waste_not::engine::{run_ar_in, ArExecOptions, CandidateRep, Database, ExecMode};
 use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::storage::Column;
 use waste_not::Value;
@@ -23,21 +23,21 @@ const REPS: [CandidateRep; 3] = [
     CandidateRep::Auto,
 ];
 
+/// The A&R executor over `plan`'s chain in the order it is bound in (a
+/// `Database::run*` entry point would run the order its bill prices
+/// cheapest; the Q14-shaped test pins its own).
 fn run(
     db: &Database,
     plan: &ArPlan,
     rep: CandidateRep,
     morsels: usize,
 ) -> waste_not::engine::QueryResult {
-    db.run_bound(
-        plan,
-        ExecMode::ApproxRefineWith(ArExecOptions {
-            candidates: rep,
-            morsels,
-            ..Default::default()
-        }),
-    )
-    .unwrap()
+    let opts = ArExecOptions {
+        candidates: rep,
+        morsels,
+        ..Default::default()
+    };
+    run_ar_in(db, plan, &opts, db.env()).unwrap()
 }
 
 /// Every (representation, morsels) cell against the serial index run.

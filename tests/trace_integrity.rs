@@ -3,8 +3,8 @@
 //! ends, parents begin before their children, per-worker sequence
 //! numbers are strictly monotone, the exec span's phases account for its
 //! wall — a two-worker batch exports as valid Chrome `trace_event` JSON,
-//! and ring-buffer overflow is reported on the captured trace, never
-//! silently swallowed.
+//! ring-buffer overflow is reported on the captured trace, never silently
+//! swallowed, and a traced Q6 shows the selection order each pipe ran.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -210,6 +210,88 @@ proptest! {
             .unwrap_or_else(|e| panic!("invalid Chrome export: {e}"));
         prop_assert!(events > 0, "the Chrome export holds no events");
     }
+}
+
+fn spans_of(node: &SpanNode, kind: EventKind, out: &mut Vec<SpanNode>) {
+    if node.kind == kind {
+        out.push(node.clone());
+    }
+    node.children.iter().for_each(|c| spans_of(c, kind, out));
+}
+
+/// A traced Q6 shows the order its chain ran in, which is the one its
+/// pipe's bill picks: each A&R `approx-select` names its selection's index
+/// in the bound plan (`sel=`), the `classic` span the permutation
+/// (`order=`). At `l_shipdate` 24/8 the two pipes disagree — A&R runs
+/// the discount first (the granules of the date admit more than its
+/// range), Classic the quantity before the discount (the 4 B int before
+/// the 8 B decimal).
+#[test]
+fn a_traced_q6_shows_the_chain_order_each_pipe_ran() {
+    use waste_not::data::{gen_lineitem, TpchConfig};
+    use waste_not::engine::bill::order;
+    use waste_not::sql::{bind, parse, BoundStatement};
+    let mut db = Database::new();
+    let lineitem = gen_lineitem(&TpchConfig::scale(0.02)).into_columns();
+    db.create_table("lineitem", lineitem).unwrap();
+    let q6 = "select sum(l_extendedprice * l_discount) as revenue from lineitem \
+         where l_shipdate >= date '1994-01-01' \
+         and l_shipdate < date '1994-01-01' + interval '1' year \
+         and l_discount between 0.05 and 0.07 and l_quantity < 24";
+    let BoundStatement::Query(logical) = bind(&parse(q6).unwrap(), db.catalog()).unwrap() else {
+        panic!("not a query");
+    };
+    let plan = db.bind(&logical, &Default::default()).unwrap();
+    db.auto_bind(&plan).unwrap();
+    db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
+    let sched = Scheduler::new(
+        Arc::new(db),
+        SchedConfig {
+            workers: 1,
+            tracing: true,
+            ..SchedConfig::default()
+        },
+    );
+    let db = sched.database();
+    let bound: Vec<_> = plan.selections.iter().map(|s| s.column.as_str()).collect();
+    assert_eq!(bound, ["l_shipdate", "l_discount", "l_quantity"]);
+    let mut rows = Vec::new();
+    for (mode, kind) in [
+        (ExecMode::ApproxRefine, EventKind::ApproxSelect),
+        (ExecMode::Classic, EventKind::Classic),
+    ] {
+        let ordered = order(db, &plan, &mode, db.env());
+        let picked: Vec<usize> = (ordered.selections.iter())
+            .map(|s| plan.selections.iter().position(|b| b == s).unwrap())
+            .collect();
+        match kind {
+            EventKind::Classic => assert_eq!(picked, [0, 2, 1]),
+            _ => assert_eq!(picked[0], 1, "the discount first: {picked:?}"),
+        }
+        let ticket = sched.session().submit(plan.clone(), mode.clone());
+        let (result, _report, trace) = ticket.wait_traced().unwrap();
+        rows.push(result.rows);
+        assert_structurally_sound(&trace);
+        let mut spans = Vec::new();
+        trace
+            .roots()
+            .iter()
+            .for_each(|r| spans_of(r, kind, &mut spans));
+        let recorded: Vec<usize> = match kind {
+            EventKind::Classic => waste_not::obs::unpack_chain_order(spans[0].begin.a),
+            _ => spans.iter().map(|s| s.begin.b as usize).collect(),
+        };
+        assert_eq!(recorded, picked, "{mode:?}");
+        let text = trace.explain();
+        let shown = match kind {
+            EventKind::Classic => vec!["order=0,2,1".to_string()],
+            _ => picked.iter().map(|i| format!("sel={i}  ")).collect(),
+        };
+        for s in shown {
+            assert!(text.contains(&s), "{mode:?}: {s} in\n{text}");
+        }
+    }
+    assert_eq!(rows[0], rows[1], "A&R rows = Classic rows");
 }
 
 /// A deliberately tiny ring overflows on a real query — and the capture
