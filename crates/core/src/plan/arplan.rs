@@ -61,6 +61,14 @@ pub struct ArPlan {
     /// selection is approximated *and refined* before the next one runs —
     /// the pre-optimizer plan shape, kept as an ablation.
     pub pushdown: bool,
+    /// Co-factor columns the tail folds into its grouping (empty: none).
+    /// The binder never sets them; the engine's bill does, where it prices
+    /// the folded tail cheaper. The tail then groups by `group_by` ∪
+    /// `fold`, accumulates one sum per measure plus a count, and rolls
+    /// the fold groups up into the `group_by` groups: every aggregate
+    /// argument is affine in its measure over the keys, Σ (c·x + d) =
+    /// c·Σx + d·N.
+    pub fold: Vec<String>,
 }
 
 impl ArPlan {
@@ -92,7 +100,7 @@ impl ArPlan {
     /// or charged twice in one place and once in another.
     pub fn gathered_columns(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for c in self.group_by.iter().chain(&self.value_columns()) {
+        for c in self.group_keys().iter().chain(&self.value_columns()) {
             if !out.contains(c) {
                 out.push(c.clone());
             }
@@ -100,14 +108,25 @@ impl ArPlan {
         out
     }
 
+    /// The keys the tail groups by: `group_by`, then the folded
+    /// co-factors.
+    pub fn group_keys(&self) -> Vec<String> {
+        self.group_by.iter().chain(&self.fold).cloned().collect()
+    }
+
     /// The columns some aggregate argument or projection reads, in
     /// first-reference order — all the tail gathers into its slice block
-    /// when a device grouping's ids stand in for the group keys.
+    /// when a device grouping's ids stand in for the group keys. Under a
+    /// fold, the measures: the argument columns no group key covers.
     pub fn value_columns(&self) -> Vec<String> {
         let mut out = Vec::new();
         let args = self.aggs.iter().filter_map(|a| a.arg.as_ref());
         for e in args.chain(self.project.iter().map(|(e, _)| e)) {
             e.collect_columns(&mut out);
+        }
+        if !self.fold.is_empty() {
+            let keys = self.group_keys();
+            out.retain(|c| !keys.contains(c));
         }
         out
     }
@@ -140,7 +159,7 @@ impl ArPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::logical::AggFunc;
+    use crate::plan::logical::{AggFunc, BinOp};
 
     fn minimal_plan() -> ArPlan {
         ArPlan {
@@ -155,6 +174,7 @@ mod tests {
             }],
             project: vec![],
             pushdown: true,
+            fold: vec![],
         }
     }
 
@@ -196,5 +216,16 @@ mod tests {
         p.group_by = vec!["c".into(), "b".into(), "c".into()];
         assert_eq!(p.gathered_columns(), vec!["c", "b"]);
         assert_eq!(p.referenced_columns(), vec!["a", "c", "b"]);
+        // A folded co-factor is a key; the measures are what no key covers.
+        p.group_by = vec!["c".into()];
+        p.aggs.push(AggExpr {
+            func: AggFunc::Sum,
+            arg: Some(ScalarExpr::col("e").binary(BinOp::Mul, ScalarExpr::col("b"))),
+            alias: "t".into(),
+        });
+        p.fold = vec!["b".into()];
+        assert_eq!(p.group_keys(), ["c", "b"]);
+        assert_eq!(p.value_columns(), ["e"]);
+        assert_eq!(p.gathered_columns(), ["c", "b", "e"]);
     }
 }

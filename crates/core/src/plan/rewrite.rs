@@ -162,6 +162,7 @@ pub fn rewrite(
         aggs,
         project,
         pushdown: opts.pushdown,
+        fold: Vec::new(),
     };
     plan.validate().map_err(BwdError::Plan)?;
     Ok(plan)

@@ -51,7 +51,7 @@ use bwd_kernels::{
     Candidates, Cursor, DeviceArray, Grouper, Positions, ScanOptions, ScanRows, SelMask, SelVec,
 };
 use bwd_obs::metrics::{Counter, Registry};
-use bwd_obs::{EventKind, GroupAggTables, SpanId, WorkerHandle, NO_SPAN};
+use bwd_obs::{EventKind, GroupAggTables, GroupAggTail, SpanId, WorkerHandle, NO_SPAN};
 use bwd_types::{BwdError, FaultSite, Oid, Result};
 use std::sync::OnceLock;
 
@@ -150,15 +150,15 @@ impl TransientBudget {
 /// kind-specific discriminant) into the span's `End` payload. All cost
 /// when tracing is disabled: one branch at begin and one at end — in
 /// particular the ledger snapshots are never taken.
-struct Probe {
-    span: SpanId,
+pub(crate) struct Probe {
+    pub(crate) span: SpanId,
     kind: EventKind,
     sim0: f64,
     bytes0: u64,
 }
 
 impl Probe {
-    fn begin(
+    pub(crate) fn begin(
         obs: &WorkerHandle,
         kind: EventKind,
         parent: SpanId,
@@ -182,7 +182,7 @@ impl Probe {
         }
     }
 
-    fn end(self, obs: &WorkerHandle, ledger: &CostLedger, out: u64, d: u64) {
+    pub(crate) fn end(self, obs: &WorkerHandle, ledger: &CostLedger, out: u64, d: u64) {
         if self.span == NO_SPAN {
             return;
         }
@@ -539,8 +539,8 @@ impl<'a> Run<'a> {
                 (key.iter().zip(group_cols))
                     .map(|(&stored, c)| c.bound.meta().payload_from_parts(stored, 0))
             });
-            let slots = self.shape.plan.group_by.iter().zip(group_cols);
-            let slots = slots.map(|(g, c)| c.slot(g)).collect();
+            let slots = self.shape.plan.group_keys().into_iter().zip(group_cols);
+            let slots = slots.map(|(g, c)| c.slot(&g)).collect();
             let table = GroupTable::from_keys(slots, keys.collect());
             self.shape.tail.carry(table);
         }
@@ -571,18 +571,27 @@ impl<'a> Run<'a> {
         let partials = tail.run(env, sources, self.slice_rows)?;
         gather_probe.end(&self.obs, self.ledger, survivors as u64, 0);
 
-        let placed = place.uploaded_bits(&self.counts) << 1 | u64::from(place.device_tail);
-        let groupagg_probe = self.begin(EventKind::GroupAgg, survivors as u64, placed);
-        let (columns, rows) = tail.finish(partials);
-        let (grouping, sized_by) = match self.shape.grouping {
-            Grouping::None => (u64::from(!self.shape.plan.group_by.is_empty()), 0),
-            Grouping::Hash => (2, self.counts.groups),
-            Grouping::Direct { slots } => {
-                // The occupied slots are the groups the merged table renders.
-                self.counts.groups = rows.len() as u64;
-                (3, slots)
-            }
+        let placed = GroupAggTail {
+            device: place.device_tail,
+            uploaded: place.uploaded_bits(&self.counts),
+            ..tail.fold_trace()
         };
+        let groupagg_probe = self.begin(EventKind::GroupAgg, survivors as u64, placed.pack());
+        let out = tail.finish(partials);
+        // Where no hash pre-grouping counted them, the groups are the
+        // merged table's: the occupied slots, or a host-grouped fold's.
+        let (grouping, sized_by, counted) = match self.shape.grouping {
+            Grouping::None => (
+                u64::from(!self.shape.plan.group_by.is_empty()),
+                0,
+                self.shape.plan.fold.is_empty(),
+            ),
+            Grouping::Hash => (2, self.counts.groups, true),
+            Grouping::Direct { slots } => (3, slots, false),
+        };
+        if !counted {
+            self.counts.groups = out.groups;
+        }
         self.shape.aggregate(&self.counts, env, self.ledger);
         let agg = self.shape.grouped_agg(&self.counts, env);
         let tables = GroupAggTables {
@@ -591,12 +600,12 @@ impl<'a> Run<'a> {
             replicas: agg.map_or(0, |agg| agg.replicas),
             blocks: agg.map_or(0, |agg| agg.blocks),
         };
-        let out = rows.len() as u64;
-        groupagg_probe.end(&self.obs, self.ledger, out, tables.pack());
+        let rendered = out.rows.len() as u64;
+        groupagg_probe.end(&self.obs, self.ledger, rendered, tables.pack());
 
         Ok(QueryResult {
-            columns,
-            rows,
+            columns: out.columns,
+            rows: out.rows,
             breakdown: self.ledger.breakdown(),
             traffic: self.ledger.traffic(),
             survivors,
@@ -999,7 +1008,7 @@ mod tests {
                 ("aggregate.gather", 600 * 4 + packed(2, 600)), // the key
                 ("aggregate.gather", 600 * 4 + packed(10, 600)),
                 ("aggregate.eval", 0), // device, 600 rows
-                ("aggregate.download", 4 * 16),
+                ("aggregate.download", 4 * 2 * 16),
             ]
         );
         // Device `aggregate.eval`: two one-op aggregates over 600 rows in
@@ -1029,7 +1038,7 @@ mod tests {
                 ("aggregate.gather", packed(2, 1000) + packed(2, 600)),
                 ("aggregate.gather", packed(10, 1000) + packed(10, 600)),
                 ("aggregate.eval", 0),
-                ("aggregate.download", 4 * 16),
+                ("aggregate.download", 4 * 2 * 16),
             ]
         );
         // Space-constrained = all-GPU + refinement: the same fold.
@@ -1047,7 +1056,7 @@ mod tests {
                 ("select.refine.upload", 256 / 8),
                 ("aggregate.gather", 600 * 4 + packed(2, 600)),
                 ("aggregate.eval", 0),
-                ("aggregate.download", 4 * 16),
+                ("aggregate.download", 4 * 2 * 16),
             ]
         );
         // The same fold as when `v` is summed: `aggregate.eval` prices
@@ -1079,7 +1088,7 @@ mod tests {
         let download = ledger.events().last().unwrap();
         assert_eq!(
             (download.label.as_str(), download.bytes),
-            ("aggregate.download", 2 * 16)
+            ("aggregate.download", 2 * 2 * 16)
         );
     }
 
@@ -1463,7 +1472,9 @@ mod tests {
     /// 4 096 groups × 2 aggregates × 16 B is past the 48 KiB of shared
     /// memory: one table in device memory, `1 + 31/4096` conflicts per
     /// update, nothing to merge — the whole event list (summing the key,
-    /// so nothing leaves the gathers) is the parent commit's, to the bit.
+    /// so nothing leaves the gathers) is the parent commit's, to the bit,
+    /// but for the download: the merged table's 4 096 × 2 × 16 B, where
+    /// the parent billed one 16 B accumulator per group.
     #[test]
     fn past_the_shared_memory_budget_the_bill_is_the_global_atomics_one() {
         // Labels, bytes and seconds bits as dumped at the parent commit.
@@ -1474,7 +1485,7 @@ mod tests {
                 ("group.approx.hash-multi", 24576, 0x3ee969e6967e6655),
                 ("aggregate.gather", 21504, 0x3ee35aac9d222756),
                 ("aggregate.eval", 0, 0x3eec71bdc1f3d418),
-                ("aggregate.download", 65536, 0x3efdfaf186757259),
+                ("aggregate.download", 4096 * 2 * 16, 0x3f07b054aa313944),
             ]
         );
     }

@@ -17,14 +17,15 @@
 //! walks the same sites in the same order — handed a run's observed counts
 //! it returns that run's `breakdown` to the bit. Morsels, slice size and
 //! candidate representation are not inputs, so no bill can depend on them.
-//! The same prediction picks the order a run takes its selections in
-//! ([`order`]). See ARCHITECTURE.md, "The bill" and "Chain order".
+//! The same prediction picks the order a run takes its selections in and
+//! whether its tail folds co-factors into the grouping ([`order`]). See
+//! ARCHITECTURE.md, "The bill", "Chain order" and "The fold".
 
 use crate::catalog::Catalog;
 use crate::database::{Database, ExecMode};
 use crate::eval::{ColumnSlot, RowBlock};
 use crate::morsel::ResidualSrc;
-use crate::tail::{GroupTable, Tail};
+use crate::tail::{degree, GroupTable, Tail};
 use bwd_core::ops::join::{charge_fk_project_refine, FkIndex};
 use bwd_core::ops::project::charge_project_refine;
 use bwd_core::ops::REFINE_OPS_PER_TUPLE;
@@ -35,7 +36,7 @@ use bwd_device::units::{candidate_stream_bytes, CANDIDATE_PAIR_BYTES, GATHER_VAL
 use bwd_device::{Breakdown, Component, CostLedger, DeviceSpec, Env};
 use bwd_kernels::gather::{charge_gather, charge_gather_indirect};
 use bwd_kernels::group::charge_hash_group_multi;
-use bwd_kernels::reduce::GroupedAgg;
+use bwd_kernels::reduce::{GroupedAgg, ACCUMULATOR_BYTES};
 use bwd_kernels::{DeviceArray, ScanOptions, ScanSpec};
 use bwd_storage::Column;
 use bwd_types::bits::low_mask;
@@ -82,7 +83,8 @@ pub struct Counts {
     pub survivors: u64,
     /// Groups the device found: a hash pre-grouping's among the final
     /// candidates; the occupied slots of slot-addressed aggregation among
-    /// the rows it folded.
+    /// the rows it folded. Where no device grouping counts them, a fold's
+    /// groups the host rolls up (0 without a fold).
     pub groups: u64,
 }
 
@@ -290,8 +292,8 @@ fn slot_table(plan: &ArPlan, group_cols: &[ColRef<'_>], slots: u64) -> GroupTabl
             });
         }
     }
-    let slots = plan.group_by.iter().zip(group_cols);
-    GroupTable::from_keys(slots.map(|(g, c)| c.slot(g)).collect(), keys)
+    let slots = plan.group_keys().into_iter().zip(group_cols);
+    GroupTable::from_keys(slots.map(|(g, c)| c.slot(&g)).collect(), keys)
 }
 
 /// A resolved column reference of an A&R plan.
@@ -399,8 +401,8 @@ impl<'a> ArShape<'a> {
             let relaxed = relax_to_stored(c.bound.meta(), &s.range);
             sels.push((c, relaxed));
         }
-        let group_cols: Vec<ColRef<'a>> =
-            plan.group_by.iter().map(resolve).collect::<Result<_>>()?;
+        let keys = plan.group_keys();
+        let group_cols: Vec<ColRef<'a>> = keys.iter().map(resolve).collect::<Result<_>>()?;
         // The device groups by keys whose approximation *is* the value:
         // fact-side and fully device-resident.
         let device_groups =
@@ -418,7 +420,11 @@ impl<'a> ArShape<'a> {
         let device_tail = gathered.iter().all(|(_, c)| c.resident())
             && (plan.group_by.is_empty() || device_groups);
         // A hash pre-grouping's table is carried in once it is known.
-        let mut tail = Tail::new(plan, schema, device_groups.then(GroupTable::default))?;
+        let key_slots = || {
+            let slots = keys.iter().zip(&group_cols).map(|(g, c)| c.slot(g));
+            GroupTable::from_keys(slots.collect(), Vec::new())
+        };
+        let mut tail = Tail::new(plan, schema, device_groups.then(key_slots))?;
         let key_bits: u32 = group_cols.iter().map(|c| c.bound.approx().width()).sum();
         let grouping = match GroupedAgg::direct_slots(device, key_bits, tail.accumulators()) {
             _ if !device_groups => Grouping::None,
@@ -450,7 +456,7 @@ impl<'a> ArShape<'a> {
     /// gathered ones: each distinct key no aggregate argument gathers
     /// already.
     fn slot_keys(&self) -> impl Iterator<Item = &ColRef<'a>> {
-        let names = &self.plan.group_by;
+        let names = self.plan.group_keys();
         let direct = matches!(self.grouping, Grouping::Direct { .. });
         let read_already = move |i: usize| {
             names[..i].contains(&names[i]) || self.gathered.iter().any(|(g, _)| *g == names[i])
@@ -502,15 +508,17 @@ impl<'a> ArShape<'a> {
         }
     }
 
-    /// The device's results (16 B per entry) over `rows` rows: one entry
-    /// per group, one for a global aggregate, one per row for a
-    /// projection.
+    /// The device's results over `rows` rows: one entry per group (under a
+    /// fold, per fold group), one for a global aggregate, one per row for a
+    /// projection — each entry its accumulators' 16 B (a projected row's
+    /// 16 B).
     fn partial_bytes(&self, rows: u64, c: &Counts) -> u64 {
-        match (self.grouping, self.plan.aggs.is_empty()) {
-            (Grouping::Hash | Grouping::Direct { .. }, _) => c.groups * 16,
-            (Grouping::None, true) => rows * 16,
-            (Grouping::None, false) => 16,
-        }
+        let entries = match (self.grouping, self.plan.aggs.is_empty()) {
+            (Grouping::Hash | Grouping::Direct { .. }, _) => c.groups,
+            (Grouping::None, true) => rows,
+            (Grouping::None, false) => 1,
+        };
+        entries * self.tail.accumulators().max(1) as u64 * ACCUMULATOR_BYTES
     }
 
     /// The one transfer that carries everything the host needs: per
@@ -651,16 +659,19 @@ impl<'a> ArShape<'a> {
     }
 
     /// Grouping, then aggregation / projection arithmetic — billed by the
-    /// DAG the tail runs: its distinct primitives and accumulators — and
-    /// the result's way home.
+    /// DAG the tail runs: its distinct primitives and accumulators — the
+    /// result's way home and a fold's roll-up.
     pub(crate) fn aggregate(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
         let place = self.place;
         let (dev_rows, host_rows) = place.tail_rows(c);
-        if !self.plan.group_by.is_empty() && self.grouping == Grouping::None {
+        let host_groups = !self.plan.group_by.is_empty() && self.grouping == Grouping::None;
+        if host_groups {
             // Exact host grouping over the refined key slots.
             env.charge_host_scan("group.refine.host", host_rows * 8, 2 * host_rows, l);
         }
         let (expr_ops, accumulators) = (self.tail.expr_ops(), self.tail.accumulators());
+        // The host packs each fold key it groups by into the key.
+        let packs = if host_groups { key_packs(self.plan) } else { 0 };
         if place.device_tail {
             // Grouped device aggregation scatters one atomic update per
             // accumulator per tuple. The paper's generic OpenCL kernels
@@ -680,8 +691,8 @@ impl<'a> ArShape<'a> {
             // with the *classic* bulk operators over reconstructed exact
             // values — per-primitive materialization plus one accumulation
             // pass per accumulator, same pricing as the classic pipe.
-            let (rows, threads) = (host_rows, env.host_threads);
-            let expr = (env.cpu).scan_seconds(rows * expr_ops * 8, rows * expr_ops, threads);
+            let (rows, threads, ops) = (host_rows, env.host_threads, expr_ops + packs);
+            let expr = (env.cpu).scan_seconds(rows * ops * 8, rows * ops, threads);
             let accum = accumulators.max(1) as f64 * env.cpu.scan_seconds(rows * 8, rows, threads);
             l.charge(Component::Host, EVAL, expr + accum, 0);
         }
@@ -689,6 +700,7 @@ impl<'a> ArShape<'a> {
             // Per-group results cross the bus (tiny).
             env.charge_download("aggregate.download", self.partial_bytes(dev_rows, c), l);
         }
+        charge_rollup(&self.tail, c.groups, env, "aggregate.rollup", l);
     }
 
     // ---- The phases: the sites, composed.
@@ -731,6 +743,8 @@ pub struct ClassicShape<'a> {
     /// reached through the FK index.
     pub(crate) sels: Vec<(&'a Column, bool)>,
     pub(crate) gathered: Vec<(&'a Column, bool)>,
+    /// The group keys' columns.
+    keys: Vec<&'a Column>,
     pub(crate) tail: Tail,
 }
 
@@ -760,11 +774,15 @@ impl<'a> ClassicShape<'a> {
             schema.push_slot(slot(&name, col));
             gathered.push((col, is_dim));
         }
+        let keys = (plan.group_keys().iter())
+            .map(|g| Ok(resolve(g)?.0))
+            .collect::<Result<_>>()?;
         Ok(ClassicShape {
             plan,
             rows: catalog.table(&plan.table)?.len() as u64,
             sels,
             gathered,
+            keys,
             tail: Tail::new(plan, schema, None)?,
         })
     }
@@ -773,6 +791,12 @@ impl<'a> ClassicShape<'a> {
     /// selection — charged once from the totals, at the environment's
     /// thread allocation.
     pub fn bill(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
+        self.select_and_fetch(c, env, l);
+        self.aggregate(c, env, l);
+    }
+
+    /// The selection chain and the projective fetches.
+    pub(crate) fn select_and_fetch(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
         let hop = |is_dim: bool| if is_dim { FK_CODE_BYTES } else { 0 };
         for (i, (&(col, is_dim), step)) in self.sels.iter().zip(&c.steps).enumerate() {
             // Every stage writes its oid list: 4 B per survivor. A dimension
@@ -792,6 +816,12 @@ impl<'a> ClassicShape<'a> {
             let bytes = k * (col.dtype().plain_width() + hop(is_dim));
             env.charge_host_scattered("classic.project.fetch", bytes, k, l);
         }
+    }
+
+    /// Grouping, aggregation or projection arithmetic, and a fold's
+    /// roll-up.
+    pub(crate) fn aggregate(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
+        let k = c.survivors;
         if !self.plan.group_by.is_empty() {
             // Hash over the key payloads.
             env.charge_host_scan("classic.group.hash", k * 8, 2 * k, l);
@@ -802,16 +832,35 @@ impl<'a> ClassicShape<'a> {
             return;
         }
         // Bulk processing materializes every distinct expression primitive
-        // as a full intermediate column (read + write), then runs one
-        // grouped accumulation pass per distinct accumulator — this is
-        // what makes expression-heavy Q1 expensive on the classic pipe.
-        // The accumulator table is small (cache-resident), so a pass
-        // streams the expression column rather than thrashing memory.
-        let expr_ops = self.tail.expr_ops();
+        // as a full intermediate column (read + write) — and each fold key,
+        // packed into the group key — then runs one grouped accumulation
+        // pass per distinct accumulator — this is what makes
+        // expression-heavy Q1 expensive on the classic pipe. The
+        // accumulator table is small (cache-resident), so a pass streams
+        // the expression column rather than thrashing memory.
+        let expr_ops = self.tail.expr_ops() + key_packs(self.plan);
         env.charge_host_scan("classic.aggregate.expr", k * expr_ops * 8, k * expr_ops, l);
         for _ in 0..self.tail.accumulators() {
             env.charge_host_scan("classic.aggregate.accum", k * 8, k, l);
         }
+        charge_rollup(&self.tail, c.groups, env, "classic.aggregate.rollup", l);
+    }
+}
+
+/// Primitives a host grouping spends per row packing the fold keys into
+/// the group key: one per key.
+fn key_packs(plan: &ArPlan) -> u64 {
+    plan.fold.len() as u64
+}
+
+/// A fold's roll-up on the host: per fold group of the `groups` the table
+/// holds, the plain DAG twice over its row of accumulators (nothing
+/// without a fold).
+fn charge_rollup(tail: &Tail, groups: u64, env: &Env, label: &str, l: &mut CostLedger) {
+    let ops = tail.rollup_ops();
+    if ops > 0 {
+        let bytes = groups * tail.accumulators() as u64 * ACCUMULATOR_BYTES;
+        env.charge_host_scan(label, bytes, groups * ops, l);
     }
 }
 
@@ -874,14 +923,17 @@ impl<'a> Shape<'a> {
         }
     }
 
-    /// Upper bound on the groups a device grouping can find: the product
-    /// of its key columns' domains (0 without one). A slot-addressed
-    /// table's slots are exact from the shape; how many of them the data
-    /// occupies is still this prediction.
+    /// Upper bound on the groups a device grouping or a fold's table can
+    /// find: the product of its key columns' domains (0 without either). A
+    /// slot-addressed table's slots are exact from the shape; how many of
+    /// them the data occupies is still this prediction.
     pub fn key_domain(&self) -> f64 {
         match self {
-            Shape::Ar(s) if s.grouping != Grouping::None => {
+            Shape::Ar(s) if s.grouping != Grouping::None || !s.plan.fold.is_empty() => {
                 s.group_cols.iter().map(ColRef::domain).product()
+            }
+            Shape::Classic(s) if !s.plan.fold.is_empty() => {
+                s.keys.iter().map(|c| domain(c)).product()
             }
             _ => 0.0,
         }
@@ -1027,23 +1079,151 @@ fn next_permutation(perm: &mut [usize]) -> bool {
     true
 }
 
-/// `plan` with its selections in chain order `order` ([`chain_order`]):
-/// the plan itself, borrowed, where that is the order they are in.
-pub(crate) fn in_order<'p>(plan: &'p ArPlan, order: &[usize]) -> Cow<'p, ArPlan> {
-    if order.iter().enumerate().all(|(k, &i)| k == i) {
+/// Distinct payloads between a column's extrema (1 for an empty one).
+fn domain(col: &Column) -> f64 {
+    col.payload_min_max()
+        .map_or(1.0, |(lo, hi)| (hi as f64 - lo as f64) + 1.0)
+}
+
+/// The co-factors `plan`'s tail can fold into its grouping — none where it
+/// cannot (ARCHITECTURE.md, "The fold"). The plan is grouped, and every
+/// aggregate is a `sum`, `avg` or `count` of an argument built from
+/// columns, literals, `+`, `−` and `×` of degree ≤ 1 in the column of the
+/// largest domain it reads, its measure; every other column it reads is a
+/// key, and the keys not grouped by already are the co-factors. Each of
+/// them is on the fact side, and the fold table — Π domains(K ∪ F) × one
+/// accumulator per measure and a count × 16 B — fits `table_bound`.
+fn cofactors(catalog: &Catalog, plan: &ArPlan, table_bound: u64) -> Vec<String> {
+    use bwd_core::plan::AggFunc::{Avg, Count, Sum};
+    let column = |name: &str| {
+        let (table, col, is_dim) = locate(plan, name).ok()?;
+        Some((catalog.table(table).ok()?.column(col).ok()?, is_dim))
+    };
+    let domain_of = |name: &str| column(name).map(|(col, _)| domain(col));
+    let (mut fold, mut measures) = (Vec::<String>::new(), Vec::<String>::new());
+    if plan.group_by.is_empty() || plan.aggs.is_empty() {
+        return fold;
+    }
+    for a in &plan.aggs {
+        let mut read = Vec::new();
+        if let Some(e) = &a.arg {
+            e.collect_columns(&mut read);
+        }
+        // The measure is the first column of the largest domain.
+        let (mut measure, mut keys) = (None::<(String, f64)>, Vec::new());
+        for c in read {
+            let Some(d) = domain_of(&c) else {
+                return Vec::new();
+            };
+            match &measure {
+                Some((_, m)) if d <= *m => keys.push(c),
+                _ => keys.extend(measure.replace((c, d)).map(|(m, _)| m)),
+            }
+        }
+        let measure = measure.map(|(m, _)| m);
+        let x = measure.as_deref().unwrap_or("");
+        let affine = (a.arg.as_ref()).map_or(Some(0), |e| degree(e, x));
+        if !matches!(a.func, Sum | Avg | Count) || affine.is_none_or(|d| d > 1) {
+            return Vec::new();
+        }
+        measures.extend(measure);
+        for k in keys {
+            if !plan.group_by.contains(&k) && !fold.contains(&k) {
+                fold.push(k);
+            }
+        }
+    }
+    // Every co-factor is on the fact side.
+    if fold
+        .iter()
+        .any(|c| column(c).is_none_or(|(_, is_dim)| is_dim))
+    {
+        return Vec::new();
+    }
+    measures.retain(|m| !fold.contains(m) && !plan.group_by.contains(m));
+    measures.sort();
+    measures.dedup();
+    let mut keys: Vec<&String> = plan.group_by.iter().chain(&fold).collect();
+    keys.sort();
+    keys.dedup();
+    let slots: f64 = keys
+        .iter()
+        .map(|k| domain_of(k).unwrap_or(f64::INFINITY))
+        .product();
+    let entry = (measures.len() as u64 + 1) * ACCUMULATOR_BYTES;
+    match slots * entry as f64 <= table_bound as f64 {
+        true => fold,
+        false => Vec::new(),
+    }
+}
+
+/// The co-factors a run of `plan` — its selections in their final order,
+/// folding nothing — in `mode` on `env` folds into its grouping
+/// ([`cofactors`]): the folded form where its bill over the counts
+/// [`Shape::predict`] predicts is strictly cheaper than the plain form's,
+/// none on a tie or where either form does not resolve. Nothing is
+/// priced where nothing can fold.
+fn fold_of(db: &Database, plan: &ArPlan, mode: &ExecMode, env: &Env) -> Vec<String> {
+    let fold = cofactors(db.catalog(), plan, env.device.spec().shared_mem_per_block);
+    if fold.is_empty() {
+        return fold;
+    }
+    let price = |p: &ArPlan| {
+        let shape = Shape::resolve(db, p, mode).ok()?;
+        Some(shape.bill(&shape.predict(), env).total())
+    };
+    let folded = ArPlan {
+        fold,
+        ..plan.clone()
+    };
+    match (price(plan), price(&folded)) {
+        (Some(plain), Some(cheaper)) if cheaper < plain => folded.fold,
+        _ => Vec::new(),
+    }
+}
+
+/// How a run of `plan` in `mode` on `env` goes: per step the selection's
+/// index in `plan` ([`chain_order`], over the plain form), and the
+/// co-factors its tail folds over that order ([`fold_of`]). A fold the
+/// plan carries already is decided afresh.
+pub(crate) fn plan_of(
+    db: &Database,
+    plan: &ArPlan,
+    mode: &ExecMode,
+    env: &Env,
+) -> (Vec<usize>, Vec<String>) {
+    let plain = ArPlan {
+        fold: Vec::new(),
+        ..plan.clone()
+    };
+    let chain = chain_order(db, &plain, mode, env);
+    let fold = fold_of(db, &in_order(&plain, &chain, &[]), mode, env);
+    (chain, fold)
+}
+
+/// `plan` with its selections in chain order `order` ([`chain_order`])
+/// and folding `fold`: the plan itself, borrowed, where that is how it
+/// stands.
+pub(crate) fn in_order<'p>(plan: &'p ArPlan, order: &[usize], fold: &[String]) -> Cow<'p, ArPlan> {
+    if order.iter().enumerate().all(|(k, &i)| k == i) && plan.fold == fold {
         return Cow::Borrowed(plan);
     }
     let mut ordered = plan.clone();
     ordered.selections = order.iter().map(|&i| plan.selections[i].clone()).collect();
+    ordered.fold = fold.to_vec();
     Cow::Owned(ordered)
 }
 
-/// `plan` with its selections in the order a run of it in `mode` on `env`
-/// bills cheapest ([`chain_order`]). [`Database::run_counted`] — every
-/// `Database::run*` entry point — runs this order, and the scheduler's
-/// footprint prices it, so an estimate is the bill of the order that runs.
+/// `plan` as a run of it in `mode` on `env` bills cheapest: its
+/// selections in the order its pipe's bill prices cheapest, its
+/// co-factors folded into the grouping where that is strictly cheaper
+/// still (ARCHITECTURE.md, "Chain order" and "The fold").
+/// [`Database::run_counted`] — every `Database::run*` entry point — runs
+/// this plan, and the scheduler's footprint prices it, so an estimate is
+/// the bill of the plan that runs.
 pub fn order<'p>(db: &Database, plan: &'p ArPlan, mode: &ExecMode, env: &Env) -> Cow<'p, ArPlan> {
-    in_order(plan, &chain_order(db, plan, mode, env))
+    let (chain, fold) = plan_of(db, plan, mode, env);
+    in_order(plan, &chain, &fold)
 }
 
 #[cfg(test)]
@@ -1113,12 +1293,47 @@ mod tests {
         AggExpr { func, arg, alias }
     }
 
+    /// TPC-H Q1's aggregate list over `t`: `g` as the quantity, `v` as the
+    /// price, `k3` as the discount and `k4` as the tax.
+    fn q1_shaped() -> Vec<AggExpr> {
+        use {AggFunc::*, BinOp::*};
+        let (qty, price, disc, tax) = (
+            || E::col("g"),
+            || E::col("v"),
+            || E::col("k3"),
+            || E::col("k4"),
+        );
+        let one = || E::lit(1i64);
+        let disc_price = || price().binary(Mul, one().binary(Sub, disc()));
+        let charge = || disc_price().binary(Mul, one().binary(Add, tax()));
+        vec![
+            agg(Sum, Some(qty())),
+            agg(Sum, Some(price())),
+            agg(Sum, Some(disc_price())),
+            agg(Sum, Some(charge())),
+            agg(Avg, Some(qty())),
+            agg(Avg, Some(price())),
+            agg(Avg, Some(disc())),
+            agg(Count, None),
+        ]
+    }
+
+    /// `plan` folding every co-factor it can on `db`'s device.
+    fn folded(db: &Database, plan: &ArPlan) -> ArPlan {
+        let bound = db.env().device.spec().shared_mem_per_block;
+        ArPlan {
+            fold: cofactors(db.catalog(), plan, bound),
+            ..plan.clone()
+        }
+    }
+
     /// One plan per way the bill can go: a device tail folding into slots
     /// addressed by the key, one folding into a hash pre-grouping's table
     /// (1 000 groups: past a warp of replicas), the split bare count, a
     /// host tail (§IV-G) with and without a pre-grouping's ids, host
     /// grouping over a split key, a projection, a chain through the FK
-    /// link — and two of them again without pushdown.
+    /// link, a Q1-shaped tail folding its discount and tax into the
+    /// grouping — and two of them again without pushdown.
     fn plans(db: &Database) -> Vec<(&'static str, ArPlan)> {
         use AggFunc::*;
         let t = || LogicalPlan::scan("t").filter(between("d", 100, 12_345));
@@ -1175,6 +1390,11 @@ mod tests {
                 true,
             ),
             (
+                "folded",
+                t().aggregate(vec!["k1".into(), "k2".into()], q1_shaped()),
+                true,
+            ),
+            (
                 "grouped-ablated",
                 chained.clone().aggregate(vec!["g".into()], vec![sum("v")]),
                 false,
@@ -1187,7 +1407,8 @@ mod tests {
         ];
         (shapes.into_iter())
             .map(|(name, plan, pushdown)| {
-                (name, db.bind(&plan, &RewriteOptions { pushdown }).unwrap())
+                let plan = db.bind(&plan, &RewriteOptions { pushdown }).unwrap();
+                (name, folded(db, &plan))
             })
             .collect()
     }
@@ -1430,10 +1651,10 @@ mod tests {
             .1;
         let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().host_slice());
         for chain in [[0, 1], [1, 0]] {
-            let plan = in_order(&plan, &chain);
+            let plan = in_order(&plan, &chain, &[]);
             let ledger = &mut CostLedger::new();
-            let run =
-                run_classic_counted(db.catalog(), &plan, Some(fk), env, 1, SLICE_ROWS, ledger);
+            let (catalog, fk) = (db.catalog(), Some(fk));
+            let run = run_classic_counted(catalog, &plan, &chain, fk, env, 1, SLICE_ROWS, ledger);
             let counts = run.unwrap().1;
             let mut shape = ClassicShape::resolve(db.catalog(), &plan, true).unwrap();
             let bytes = |shape: &ClassicShape<'_>| {
@@ -1528,7 +1749,7 @@ mod tests {
                 }
                 let mut bills = Vec::new();
                 for perm in &perms {
-                    let p = in_order(&plan, perm);
+                    let p = in_order(&plan, perm, &[]);
                     let run = match mode {
                         ExecMode::Classic => run_classic_morsel(db.catalog(), &p, Some(fk), env, 1),
                         _ => run_ar_in(db, &p, &ArExecOptions::default(), env),
@@ -1554,7 +1775,7 @@ mod tests {
                     );
                 }
                 let ordered = order(db, &plan, mode, env);
-                assert_eq!(*ordered, *in_order(&plan, &chosen), "{ctx}");
+                assert_eq!(*ordered, *in_order(&plan, &chosen, &[]), "{ctx}");
                 let again = order(db, &ordered, mode, env);
                 assert!(
                     matches!(again, Cow::Borrowed(p) if std::ptr::eq(p, &*ordered)),
@@ -1590,9 +1811,10 @@ mod tests {
     }
 
     /// `undecided = 0` is the paper's all-GPU configuration: no refinement
-    /// event, nothing uploaded. And zero candidates cost what launching
-    /// the selection costs: no gather, no accumulator update, no launch
-    /// on their behalf.
+    /// event, nothing uploaded, and a device tail bills the host nothing
+    /// but a fold's roll-up of the table it brings home. And zero
+    /// candidates cost what launching the selection costs: no gather, no
+    /// accumulator update, no launch on their behalf.
     #[test]
     fn nothing_undecided_is_all_gpu_and_nothing_selected_is_nearly_free() {
         let db = db();
@@ -1608,7 +1830,8 @@ mod tests {
                 e.label.starts_with("select.refine") && (device_tail || e.label != REFINE_DOWNLOAD)
             };
             assert_eq!(all_gpu.iter().filter(refinement).count(), 0, "{name}");
-            let on_host = |e: &CostEvent| e.component == Component::Host;
+            let on_host =
+                |e: &CostEvent| e.component == Component::Host && e.label != "aggregate.rollup";
             assert!(!device_tail || !all_gpu.iter().any(on_host), "{name}");
 
             let empty = counts(&shape, &vec![0; chain.len()], 0, &[0], 0);
@@ -1620,5 +1843,218 @@ mod tests {
                 assert!(e.label != EVAL || e.seconds == 0.0, "{name}: {e:?}");
             }
         }
+    }
+
+    /// A device aggregation ships its merged table home, and every entry
+    /// of it holds each of its accumulators' 16 B: a global aggregate's
+    /// one entry, a grouped result's one per group — under a fold, one per
+    /// fold group. (The parent billed 16 B an entry.)
+    #[test]
+    fn the_result_download_carries_every_accumulator() {
+        use AggFunc::*;
+        let db = db();
+        let t = || LogicalPlan::scan("t").filter(between("g", 0, 5));
+        let bind = |plan: LogicalPlan| db.bind(&plan, &RewriteOptions::default()).unwrap();
+        let sum_and_count = vec![agg(Sum, Some(E::col("v"))), agg(Count, None)];
+        let global = bind(t().aggregate(vec![], sum_and_count));
+        let q1 = bind(t().aggregate(vec!["k1".into(), "k2".into()], q1_shaped()));
+        let download = |plan: &ArPlan| {
+            let (opts, mut ledger) = (ArExecOptions::default(), CostLedger::with_trace());
+            let chain: Vec<usize> = (0..plan.selections.len()).collect();
+            let run = run_ar_counted(db, plan, &chain, &opts, db.env(), SLICE_ROWS, &mut ledger);
+            let counts = run.unwrap().1;
+            let mut downloads = ledger
+                .events()
+                .iter()
+                .filter(|e| e.label == "aggregate.download");
+            (downloads.next().unwrap().bytes, counts.groups)
+        };
+        assert_eq!(download(&global), (2 * 16, 0));
+        // The four slots of (k1, k2) some row occupies, six accumulators each.
+        assert_eq!(download(&q1), (4 * 6 * 16, 4));
+        // Folding the discount and the tax: 16 fold groups of three.
+        let folded = folded(db, &q1);
+        assert_eq!(folded.fold, ["k3", "k4"]);
+        assert_eq!(download(&folded), (16 * 3 * 16, 16));
+    }
+
+    /// The fold's laws (ARCHITECTURE.md, "The fold"), over seeded grouped
+    /// plans on [`db`]: group keys among `g, k1, k2` (and the split `h`,
+    /// which the host groups by), a measure among `v, w` (`w` split: a host
+    /// tail) or the group key `g`, and co-factors among `k1, k2, k3`, in
+    /// aggregates that must fold — the measure times `1 − k`, times `k₁·k₂`
+    /// plus `k₁`, a pure-key `avg(k)` — and plans that must not: a `/`, a
+    /// `CASE`, a `min`, a `max`, a degree-2 measure, a dimension
+    /// co-factor, a fold table past the shared-memory bound, nothing to
+    /// fold. In both pipes, at 1 and 3
+    /// workers and slices of [`SLICE_ROWS`] and 1 000 rows: the folded rows
+    /// are the plain rows are the row-at-a-time oracle's, bit for bit; the
+    /// form [`order`] keeps is the one the bill predicts cheaper, the plain
+    /// one on a tie; ordering its plan returns it borrowed, and a fold the
+    /// input carries is decided afresh; and the chosen run's counts bill
+    /// its breakdown to the bit. Each pipe folds some plan.
+    #[test]
+    fn the_fold_laws() {
+        use crate::arexec::run_ar_sliced;
+        use crate::classic::run_classic_sliced;
+        use crate::tail::tests::oracle;
+        use {AggFunc::*, BinOp::*};
+        let db = db();
+        let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().host_slice());
+        let rng = &mut SplitMix64::new(28);
+        let col = |c: &str| E::col(c);
+        let one = || E::lit(1i64);
+        let t = || {
+            LogicalPlan::scan("t")
+                .fk_join("fk", "dim")
+                .filter(between("d", 100, 15_000))
+        };
+        let bind = |plan: LogicalPlan| db.bind(&plan, &RewriteOptions::default()).unwrap();
+        let mut cases = Vec::new();
+        for _ in 0..10 {
+            let keys = [&["g"][..], &["k1"], &["k2"], &["g", "k1"]][rng.below(4) as usize];
+            let measure = ["v", "w"][rng.below(2) as usize];
+            let mut cofactors: Vec<&str> = ["k1", "k2", "k3"]
+                .into_iter()
+                .filter(|k| !keys.contains(k))
+                .collect();
+            while cofactors.len() > 2 {
+                cofactors.swap_remove(rng.below(cofactors.len() as u64) as usize);
+            }
+            let (m, k1, k2) = (|| col(measure), || col(cofactors[0]), || col(cofactors[1]));
+            let mut aggs = vec![match rng.below(2) {
+                0 => agg(Sum, Some(m().binary(Mul, one().binary(Sub, k1())))),
+                _ => agg(
+                    Sum,
+                    Some(m().binary(Mul, k1()).binary(Mul, k2()).binary(Add, k1())),
+                ),
+            }];
+            let more = [
+                agg(Avg, Some(k1())),
+                agg(Avg, Some(m())),
+                agg(Count, None),
+                agg(Sum, Some(k2().binary(Sub, one()))),
+            ];
+            aggs.extend(more.into_iter().filter(|_| rng.below(2) == 0));
+            let keys = keys.iter().map(|k| k.to_string()).collect();
+            cases.push((true, bind(t().aggregate(keys, aggs))));
+        }
+        let fold = || {
+            agg(
+                Sum,
+                Some(col("v").binary(Mul, one().binary(Sub, col("k3")))),
+            )
+        };
+        let when = Box::new(between("k3", 0, 3));
+        let case = E::Case {
+            when,
+            then: Box::new(col("v")),
+            otherwise: Box::new(E::lit(0i64)),
+        };
+        let times_one_minus_k1 =
+            |m: &str| agg(Sum, Some(col(m).binary(Mul, one().binary(Sub, col("k1")))));
+        for (group_by, aggs, folds) in [
+            // The host groups by the split key.
+            (
+                "h",
+                vec![times_one_minus_k1("v"), agg(Avg, Some(col("k1")))],
+                true,
+            ),
+            // The measure is a group key: no row sums it.
+            (
+                "g",
+                vec![times_one_minus_k1("g"), agg(Avg, Some(col("g")))],
+                true,
+            ),
+            (
+                "g",
+                vec![fold(), agg(Sum, Some(col("v").binary(Div, E::lit(2i64))))],
+                false,
+            ),
+            ("g", vec![fold(), agg(Sum, Some(case))], false),
+            ("g", vec![fold(), agg(Min, Some(col("v")))], false),
+            ("g", vec![fold(), agg(Max, Some(col("g")))], false),
+            (
+                "g",
+                vec![fold(), agg(Sum, Some(col("v").binary(Mul, col("v"))))],
+                false,
+            ),
+            (
+                "g",
+                vec![agg(Sum, Some(col("v").binary(Mul, col("dim.x"))))],
+                false,
+            ),
+            (
+                "k2",
+                vec![agg(Sum, Some(col("v").binary(Mul, col("k9"))))],
+                false,
+            ),
+            ("g", vec![agg(Sum, Some(col("v"))), agg(Count, None)], false),
+        ] {
+            cases.push((folds, bind(t().aggregate(vec![group_by.into()], aggs))));
+        }
+        let modes = [ExecMode::Classic, ExecMode::ApproxRefine];
+        let mut chose_fold = [0; 2];
+        for (must_fold, plan) in &cases {
+            let ctx = format!("{:?} by {:?}", plan.aggs, plan.group_by);
+            let folded = folded(db, plan);
+            assert_eq!(!folded.fold.is_empty(), *must_fold, "{ctx}");
+            let want = format!("{:?}", oracle(db, plan).unwrap().0);
+            for (m, mode) in modes.iter().enumerate() {
+                for form in [plan, &folded] {
+                    for (morsels, slice) in [(1, SLICE_ROWS), (3, SLICE_ROWS), (1, 1000), (3, 1000)]
+                    {
+                        let tag =
+                            format!("{ctx} {mode:?} fold {:?} x{morsels} /{slice}", form.fold);
+                        let ledger = &mut CostLedger::new();
+                        let run = match mode {
+                            ExecMode::Classic => run_classic_sliced(
+                                db.catalog(),
+                                form,
+                                Some(fk),
+                                env,
+                                morsels,
+                                slice,
+                                ledger,
+                            ),
+                            _ => {
+                                let opts = ArExecOptions {
+                                    morsels,
+                                    ..Default::default()
+                                };
+                                run_ar_sliced(db, form, &opts, env, slice, ledger)
+                            }
+                        };
+                        assert_eq!(format!("{:?}", run.unwrap().rows), want, "{tag}");
+                    }
+                }
+                let price = |p: &ArPlan| {
+                    let shape = Shape::resolve(db, p, mode).unwrap();
+                    shape.bill(&shape.predict(), env).total()
+                };
+                let chosen = order(db, plan, mode, env);
+                if !folded.fold.is_empty() {
+                    let (plain, cheaper) = (price(plan), price(&folded));
+                    match chosen.fold.is_empty() {
+                        true => assert!(plain <= cheaper, "{ctx} {mode:?}: {plain} > {cheaper}"),
+                        false => assert!(cheaper < plain, "{ctx} {mode:?}: {cheaper} >= {plain}"),
+                    }
+                    assert_eq!(*order(db, &folded, mode, env), *chosen, "{ctx} {mode:?}");
+                    chose_fold[m] += usize::from(!chosen.fold.is_empty());
+                } else {
+                    assert!(chosen.fold.is_empty(), "{ctx} {mode:?}");
+                }
+                let again = order(db, &chosen, mode, env);
+                assert!(
+                    matches!(again, Cow::Borrowed(p) if std::ptr::eq(p, &*chosen)),
+                    "{ctx} {mode:?}"
+                );
+                let (run, counts, _) = db.run_counted(plan, mode.clone(), env, 1).unwrap();
+                assert_eq!(format!("{:?}", run.rows), want, "{ctx} {mode:?}");
+                let shape = Shape::resolve(db, &chosen, mode).unwrap();
+                assert_eq!(shape.bill(&counts, env), run.breakdown, "{ctx} {mode:?}");
+            }
+        }
+        assert!(chose_fold.iter().all(|&n| n > 0), "{chose_fold:?}");
     }
 }

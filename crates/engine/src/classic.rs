@@ -10,6 +10,7 @@
 //! [`ClassicShape::bill`] — the *bulk* model, at the environment's thread
 //! allocation (Figure 11 varies the threads).
 
+use crate::arexec::Probe;
 use crate::bill::{ClassicShape, Counts, StepCounts};
 use crate::catalog::Catalog;
 use crate::eval::RowBlock;
@@ -20,6 +21,7 @@ use bwd_core::plan::{ArPlan, BoundSelection};
 use bwd_core::RangePred;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::{Cursor, Positions, ScanOptions, SelMask};
+use bwd_obs::{pack_chain_order, EventKind, GroupAggTables};
 use bwd_storage::{with_slice, Column};
 use bwd_types::{bits::low_mask, Oid, Result};
 
@@ -71,13 +73,24 @@ pub(crate) fn run_classic_sliced(
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<QueryResult> {
-    run_classic_counted(catalog, plan, fk_host, env, morsels, slice_rows, ledger).map(|r| r.0)
+    let chain: Vec<usize> = (0..plan.selections.len()).collect();
+    let run = run_classic_counted(
+        catalog, plan, &chain, fk_host, env, morsels, slice_rows, ledger,
+    );
+    run.map(|r| r.0)
 }
 
-/// [`run_classic_sliced`], also returning what the run counted.
+/// [`run_classic_sliced`], also returning what the run counted. `plan` may
+/// be a bound plan with its selections reordered ([`bill::order`]); `chain`
+/// holds, per step, the selection's index in the bound plan — what the
+/// `Classic` span reports.
+///
+/// [`bill::order`]: crate::bill::order
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_classic_counted(
     catalog: &Catalog,
     plan: &ArPlan,
+    chain: &[usize],
     fk_host: Option<&[u32]>,
     env: &Env,
     morsels: usize,
@@ -85,6 +98,16 @@ pub(crate) fn run_classic_counted(
     ledger: &mut CostLedger,
 ) -> Result<(QueryResult, Counts)> {
     let shape = ClassicShape::resolve(catalog, plan, fk_host.is_some())?;
+    let obs = env.trace.recorder.worker(&env.trace.lane);
+    let order = pack_chain_order(chain);
+    let run = Probe::begin(
+        &obs,
+        EventKind::Classic,
+        env.trace.parent,
+        ledger,
+        order,
+        morsels as u64,
+    );
     let mut counts = Counts {
         rows: shape.rows,
         ..Counts::default()
@@ -111,7 +134,7 @@ pub(crate) fn run_classic_counted(
 
     // Charge once from the merged per-stage counts — identical to the
     // serial charges because they depend only on totals.
-    shape.bill(&counts, env, ledger);
+    shape.select_and_fetch(&counts, env, ledger);
 
     // The real work behind all of the above, one slice at a time. A tail
     // that fetches nothing (a bare count) reads no position: any `k` do.
@@ -130,11 +153,33 @@ pub(crate) fn run_classic_counted(
         })
         .collect();
     let tail = &shape.tail;
-    let (columns, rows) = tail.finish(tail.run(env, sources, slice_rows)?);
+    let partials = tail.run(env, sources, slice_rows)?;
+    let folded = tail.fold_trace();
+    let agg = Probe::begin(
+        &obs,
+        EventKind::GroupAgg,
+        run.span,
+        ledger,
+        k as u64,
+        folded.pack(),
+    );
+    let out = tail.finish(partials);
+    if !plan.fold.is_empty() {
+        // The fold groups the roll-up reads.
+        counts.groups = out.groups;
+    }
+    shape.aggregate(&counts, env, ledger);
+    let host_grouping = GroupAggTables {
+        grouping: u64::from(!plan.group_by.is_empty()),
+        ..GroupAggTables::default()
+    };
+    let rendered = out.rows.len() as u64;
+    agg.end(&obs, ledger, rendered, host_grouping.pack());
+    run.end(&obs, ledger, rendered, 0);
 
     let result = QueryResult {
-        columns,
-        rows,
+        columns: out.columns,
+        rows: out.rows,
         breakdown: ledger.breakdown(),
         traffic: ledger.traffic(),
         survivors: k,
@@ -314,6 +359,7 @@ mod tests {
             ],
             project: vec![],
             pushdown: true,
+            fold: vec![],
         }
     }
 
@@ -443,6 +489,7 @@ mod tests {
                 aggs: vec![],
                 project: vec![(E::col("id"), "id".into())],
                 pushdown: true,
+                fold: vec![],
             };
             let column = |name: &str| match name.split_once('.') {
                 Some((t, c)) => (cat.table(t).unwrap().column(c).unwrap(), true),

@@ -284,8 +284,8 @@ impl Database {
         self.run_bound(&ar, mode)
     }
 
-    /// Execute an already-bound A&R plan, its selections in the order its
-    /// bill prices cheapest ([`bill::order`]).
+    /// Execute an already-bound A&R plan as its bill prices it cheapest
+    /// ([`bill::order`]).
     pub fn run_bound(&self, plan: &ArPlan, mode: ExecMode) -> Result<QueryResult> {
         self.run_bound_in(plan, mode, &self.env, 1)
     }
@@ -316,8 +316,9 @@ impl Database {
     /// observed and the transient device bytes it held — what
     /// [`crate::bill`] priced it from, and what a scheduler's prediction
     /// of the same plan can be held against. The run takes the plan's
-    /// selections in the order its bill prices cheapest
-    /// ([`bill::order`]); the counts are in that order.
+    /// selections in the order its bill prices cheapest and folds its
+    /// co-factors where that pays ([`bill::order`]); the counts are that
+    /// plan's.
     pub fn run_counted(
         &self,
         plan: &ArPlan,
@@ -326,8 +327,8 @@ impl Database {
         morsels: usize,
     ) -> Result<(QueryResult, Counts, u64)> {
         let ledger = &mut CostLedger::new();
-        let chain = bill::chain_order(self, plan, &mode, env);
-        let ordered = bill::in_order(plan, &chain);
+        let (chain, fold) = bill::plan_of(self, plan, &mode, env);
+        let ordered = bill::in_order(plan, &chain, &fold);
         let plan: &ArPlan = &ordered;
         let opts = match mode {
             ExecMode::Classic => {
@@ -335,27 +336,16 @@ impl Database {
                     Some(j) => Some(self.fk_index(&plan.table, &j.fact_key)?.host_slice()),
                     None => None,
                 };
-                let obs = env.trace.recorder.worker(&env.trace.lane);
-                let kind = bwd_obs::EventKind::Classic;
-                let order = bwd_obs::pack_chain_order(&chain);
-                let span = obs.begin(kind, env.trace.parent, order, morsels as u64);
                 let (result, counts) = crate::classic::run_classic_counted(
                     &self.catalog,
                     plan,
+                    &chain,
                     fk_host,
                     env,
                     morsels,
                     SLICE_ROWS,
                     ledger,
                 )?;
-                obs.end(
-                    kind,
-                    span,
-                    result.breakdown.total().to_bits(),
-                    result.traffic.total(),
-                    result.rows.len() as u64,
-                    0,
-                );
                 return Ok((result, counts, 0));
             }
             ExecMode::ApproxRefine => ArExecOptions {

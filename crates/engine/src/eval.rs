@@ -169,6 +169,14 @@ pub(crate) enum Node {
     },
 }
 
+impl Node {
+    /// Whether the node computes (a primitive the bill prices), rather
+    /// than reading a slot or a constant.
+    pub(crate) fn is_arithmetic(&self) -> bool {
+        matches!(self, Node::Bin(..) | Node::Case { .. })
+    }
+}
+
 /// Expressions bound against a row block — names resolved to slot
 /// indices, literals to payloads, predicates to payload ranges — and
 /// flattened into a DAG of distinct `(node, decimal scale)` pairs in

@@ -26,8 +26,9 @@
 
 use crate::eval::{payload_to_value, AggValue, ColumnSlot, Exprs, Node, RowBlock};
 use crate::morsel::run_parts_mut;
-use bwd_core::plan::{AggFunc, ArPlan, BinOp};
+use bwd_core::plan::{AggExpr, AggFunc, ArPlan, BinOp, ScalarExpr};
 use bwd_device::Env;
+use bwd_obs::GroupAggTail;
 use bwd_types::{BwdError, FaultSite, FxHasher, Result, Value};
 use std::hash::Hasher;
 use std::ops::Range;
@@ -60,15 +61,46 @@ struct Program {
     /// Distinct accumulator inputs (`None` = `count(*)`): `sum(x)` and
     /// `avg(x)` fold the same node once.
     accs: Vec<Option<usize>>,
-    /// Per output aggregate: the function and its accumulator.
+    /// Per output aggregate: the function and its accumulator (under a
+    /// fold, its plain input in [`Fold::inputs`]).
     aggs: Vec<(AggFunc, usize)>,
     /// Per projected expression: its root node (non-aggregate queries).
     project: Vec<usize>,
     columns: Vec<String>,
+    /// The roll-up of a grouping folded over co-factor keys.
+    fold: Option<Fold>,
+}
+
+/// Index of `item` in `items`, appending it on first appearance.
+fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
+    items.iter().position(|i| *i == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    })
+}
+
+/// The degree of `e` as a polynomial in column `x` (0 where `e` does not
+/// read it); `None` where `e` is no polynomial — a `/` or a `CASE`.
+pub(crate) fn degree(e: &ScalarExpr, x: &str) -> Option<u32> {
+    match e {
+        ScalarExpr::Column(c) => Some(u32::from(c == x)),
+        ScalarExpr::Literal(_) => Some(0),
+        ScalarExpr::Binary { op, lhs, rhs } => {
+            let (l, r) = (degree(lhs, x)?, degree(rhs, x)?);
+            match op {
+                BinOp::Add | BinOp::Sub => Some(l.max(r)),
+                BinOp::Mul => Some(l + r),
+                BinOp::Div => None,
+            }
+        }
+        ScalarExpr::Case { .. } => None,
+    }
 }
 
 impl Program {
-    fn compile(plan: &ArPlan, schema: &RowBlock, carried: bool) -> Result<Program> {
+    /// Bind `plan` over `schema`; `carried` is the device grouping's table
+    /// (its columns the group keys), whose ids stand in for the key slots.
+    fn compile(plan: &ArPlan, schema: &RowBlock, carried: Option<&GroupTable>) -> Result<Program> {
         let mut p = Program::default();
         if plan.aggs.is_empty() {
             for (e, alias) in &plan.project {
@@ -78,31 +110,186 @@ impl Program {
             }
             return Ok(p);
         }
-        for g in &plan.group_by {
-            if !carried {
-                p.key_slots.push(schema.slot_index(g)?);
-            }
-            p.columns.push(g.clone());
+        let keys = plan.group_keys();
+        if carried.is_none() {
+            let slot = |g: &String| schema.slot_index(g);
+            p.key_slots = keys.iter().map(slot).collect::<Result<_>>()?;
+        }
+        p.columns = plan.group_by.clone();
+        if !plan.fold.is_empty() {
+            let key_cols = match carried {
+                Some(t) => t.cols.clone(),
+                None => p
+                    .key_slots
+                    .iter()
+                    .map(|&s| schema.slot(s).clone())
+                    .collect(),
+            };
+            p.fold = Some(Fold::new(plan, key_cols, schema)?);
         }
         for a in &plan.aggs {
-            let root = match &a.arg {
-                Some(e) => Some(p.exprs.bind(e, schema)?),
-                None if a.func == AggFunc::Count => None,
+            if a.arg.is_none() && a.func != AggFunc::Count {
+                let msg = format!("{:?} requires an argument expression", a.func);
+                return Err(BwdError::Plan(msg));
+            }
+            let acc = match &mut p.fold {
                 None => {
-                    return Err(BwdError::Plan(format!(
-                        "{:?} requires an argument expression",
-                        a.func
-                    )))
+                    let root = a.arg.as_ref().map(|e| p.exprs.bind(e, schema));
+                    intern(&mut p.accs, root.transpose()?)
+                }
+                // A row accumulates the sum of the input's measure; the
+                // input itself is evaluated once per fold group.
+                Some(fold) => {
+                    let sum = match fold.measure(a)? {
+                        Some(m) => {
+                            let x = p.exprs.bind(&ScalarExpr::col(m), schema)?;
+                            Some(intern(&mut p.accs, Some(x)))
+                        }
+                        None => None,
+                    };
+                    let root = a.arg.as_ref().map(|e| fold.exprs.bind(e, &fold.block));
+                    intern(&mut fold.inputs, (root.transpose()?, sum))
                 }
             };
-            let acc = p.accs.iter().position(|r| *r == root).unwrap_or_else(|| {
-                p.accs.push(root);
-                p.accs.len() - 1
-            });
             p.aggs.push((a.func, acc));
             p.columns.push(a.alias.clone());
         }
+        if let Some(fold) = &mut p.fold {
+            fold.count = intern(&mut p.accs, None);
+        }
         Ok(p)
+    }
+
+    /// The plain accumulator inputs and the DAG they are bound in: what
+    /// an output aggregate's accumulator index refers to.
+    fn inputs(&self) -> (&Exprs, Vec<Option<usize>>) {
+        match &self.fold {
+            Some(f) => (&f.exprs, f.inputs.iter().map(|i| i.0).collect()),
+            None => (&self.exprs, self.accs.clone()),
+        }
+    }
+}
+
+/// A grouping folded over co-factor keys F (ARCHITECTURE.md, "The fold").
+/// The sinks group by K ∪ F and accumulate per row one sum per measure plus
+/// a count. Every plain accumulator input is affine in its measure `x`
+/// over the keys, `c·x + d`, so its sum over a fold group is `c·Σx + d·N`
+/// exactly: [`Fold::roll_up`] evaluates the plain DAG once per fold group
+/// at `x = 0` (`d`) and `x = 1` (`c + d`) with the same exact evaluator,
+/// and adds the fold groups into the K groups' plain accumulators.
+#[derive(Debug)]
+struct Fold {
+    /// The plain accumulator inputs, bound over `block`.
+    exprs: Exprs,
+    /// One slot per group key (K, then F), then one per measure.
+    block: RowBlock,
+    /// The columns some row accumulates the sum of.
+    measures: Vec<String>,
+    /// |K|: the leading keys the fold groups roll up into.
+    keys: usize,
+    /// |F|: the keys after them.
+    cofactors: usize,
+    /// The plain program's distinct accumulator inputs (`None` =
+    /// `count(*)`), each beside the row accumulator that sums its measure
+    /// (`None`: it reads none — it is constant over a fold group).
+    inputs: Vec<(Option<usize>, Option<usize>)>,
+    /// The row accumulator counting a fold group's rows.
+    count: usize,
+}
+
+impl Fold {
+    /// The fold of `plan` over `key_cols` (its group keys' slots); the
+    /// measures' slots come from the tail's `schema`.
+    fn new(plan: &ArPlan, key_cols: Vec<ColumnSlot>, schema: &RowBlock) -> Result<Fold> {
+        let measures = plan.value_columns();
+        let mut block = RowBlock::new(0);
+        key_cols.into_iter().for_each(|c| block.push_slot(c));
+        for m in &measures {
+            block.push_slot(schema.slot(schema.slot_index(m)?).clone());
+        }
+        Ok(Fold {
+            exprs: Exprs::default(),
+            block,
+            measures,
+            keys: plan.group_by.len(),
+            cofactors: plan.fold.len(),
+            inputs: Vec::new(),
+            count: 0,
+        })
+    }
+
+    /// The measure `a` sums — the one column it reads that no key covers
+    /// (`None`: it reads only keys) — once `a` is checked to fold: a sum,
+    /// an average or a count of an argument of degree ≤ 1 in it.
+    fn measure(&self, a: &AggExpr) -> Result<Option<&str>> {
+        let mut read = Vec::new();
+        if let Some(e) = &a.arg {
+            e.collect_columns(&mut read);
+        }
+        let free: Vec<&str> = (self.measures.iter())
+            .filter(|m| read.contains(m))
+            .map(String::as_str)
+            .collect();
+        let measure = free.first().copied();
+        let affine = (a.arg.as_ref()).map_or(Some(0), |e| degree(e, measure.unwrap_or("")));
+        let summable = matches!(a.func, AggFunc::Sum | AggFunc::Avg | AggFunc::Count);
+        match free.len() <= 1 && summable && affine.is_some_and(|d| d <= 1) {
+            true => Ok(measure),
+            false => Err(BwdError::Plan(format!("{} does not fold", a.alias))),
+        }
+    }
+
+    /// The plain accumulators of the K groups — in a new table over the
+    /// leading key columns — rolled up from the fold groups of `groups`,
+    /// whose row accumulators `accs` hold `stride` per group; a slice of
+    /// fold groups at a time.
+    fn roll_up(&self, groups: &GroupTable, accs: &[Acc], stride: usize) -> (GroupTable, Vec<Acc>) {
+        let (keys, width, nodes) = (groups.cols.len(), self.inputs.len(), &self.exprs.nodes);
+        let occupied: Vec<usize> = (0..accs.len() / stride)
+            .filter(|&g| accs[g * stride + self.count].count > 0)
+            .collect();
+        let cols = groups.cols[..self.keys].to_vec();
+        let (mut table, mut out) = (GroupTable::from_keys(cols, Vec::new()), Vec::new());
+        let mut block = self.block.clone();
+        let (mut bufs, mut bad) = (vec![Vec::new(); nodes.len()], vec![Vec::new(); nodes.len()]);
+        for slice in occupied.chunks(SLICE_ROWS) {
+            block.resize(slice.len());
+            for k in 0..keys {
+                let out = block.payloads_mut(k).iter_mut();
+                out.zip(slice).for_each(|(p, &g)| *p = groups.key(g)[k]);
+            }
+            // Every input's value per fold group with each measure at `x`.
+            let mut at = |x: i64| -> Vec<Vec<i128>> {
+                (keys..keys + self.measures.len()).for_each(|m| block.payloads_mut(m).fill(x));
+                eval_nodes(nodes, &block, &mut bufs, &mut bad);
+                let value = |&(root, _): &(Option<usize>, _)| match root {
+                    Some(r) => {
+                        let v = src(nodes, &block, &bufs, r);
+                        (0..slice.len()).map(|i| v.at(i)).collect()
+                    }
+                    None => Vec::new(),
+                };
+                self.inputs.iter().map(value).collect()
+            };
+            let (offset, at_one) = (at(0), at(1));
+            for (row, &g) in slice.iter().enumerate() {
+                let id = table.intern(&groups.key(g)[..self.keys]) as usize;
+                if out.len() < (id + 1) * width {
+                    out.resize((id + 1) * width, EMPTY_ACC);
+                }
+                let fold = &accs[g * stride..][..stride];
+                let n = fold[self.count].count;
+                for (i, &(root, sum)) in self.inputs.iter().enumerate() {
+                    let acc = &mut out[id * width + i];
+                    acc.count += n;
+                    if root.is_some() {
+                        let (d, c) = (offset[i][row], at_one[i][row] - offset[i][row]);
+                        acc.sum += c * sum.map_or(0, |s| fold[s].sum) + d * n as i128;
+                    }
+                }
+            }
+        }
+        (table, out)
     }
 }
 
@@ -416,45 +603,71 @@ impl<'p> Sink<'p> {
         }
     }
 
-    /// Render the result: `(column names, rows)`, rows sorted by group key.
-    fn finish(mut self) -> (Vec<String>, Vec<Vec<Value>>) {
+    /// Render the result, rows sorted by group key.
+    fn finish(mut self) -> Output {
         let p = self.prog;
+        let columns = p.columns.clone();
         if p.aggs.is_empty() {
-            return (p.columns.clone(), self.rows);
+            let rows = self.rows;
+            return Output {
+                columns,
+                rows,
+                groups: 0,
+            };
         }
         let (stride, grouped) = (p.accs.len(), !self.groups.cols.is_empty());
         if !grouped {
             // Global aggregation over zero rows still yields one row.
             self.accs.resize(stride, EMPTY_ACC);
         }
+        // A carried grouping numbers groups over the candidates, or over
+        // every slot of the packed key; one that kept no survivor is not a
+        // group of the result (and its key may be no value of the column
+        // at all: it is never rendered).
+        let occupied = |accs: &&[Acc]| !grouped || accs[0].count > 0;
+        let groups = self.accs.chunks(stride).filter(occupied).count() as u64;
+        let (table, accs) = match &p.fold {
+            Some(f) => f.roll_up(&self.groups, &self.accs, stride),
+            None => (self.groups, self.accs),
+        };
+        let (exprs, inputs) = p.inputs();
+        let scale = |ai: usize| inputs[ai].map_or(0, |root| exprs.nodes[root].1);
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        for (g, accs) in self.accs.chunks(stride).enumerate() {
-            // A carried grouping numbers groups over the candidates, or
-            // over every slot of the packed key; one that kept no survivor
-            // is not a group of the result (and its key may be no value of
-            // the column at all: it is never rendered).
-            if grouped && accs[0].count == 0 {
+        for (g, accs) in accs.chunks(inputs.len()).enumerate() {
+            if !occupied(&accs) {
                 continue;
             }
-            let key = if grouped { self.groups.key(g) } else { &[] };
-            let mut row: Vec<Value> = (self.groups.cols.iter().zip(key))
+            let key = if grouped { table.key(g) } else { &[] };
+            let mut row: Vec<Value> = (table.cols.iter().zip(key))
                 .map(|(c, &k)| payload_to_value(k, c.dtype, c.dict.as_deref()))
                 .collect();
-            row.extend(p.aggs.iter().map(|&(func, ai)| {
-                accs[ai].render(func, p.accs[ai].map_or(0, |root| p.exprs.nodes[root].1))
-            }));
+            row.extend((p.aggs.iter()).map(|&(func, ai)| accs[ai].render(func, scale(ai))));
             rows.push(row);
         }
         // Deterministic output: sort by the group key values.
-        let key_len = self.groups.cols.len();
+        let key_len = table.cols.len();
         rows.sort_by(|a, b| {
             (a[..key_len].iter().zip(&b[..key_len]))
                 .map(|(x, y)| x.total_cmp(y))
                 .find(|o| o.is_ne())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        (p.columns.clone(), rows)
+        Output {
+            columns,
+            rows,
+            groups,
+        }
     }
+}
+
+/// A tail's rendered result.
+pub(crate) struct Output {
+    pub(crate) columns: Vec<String>,
+    /// Sorted by group key.
+    pub(crate) rows: Vec<Vec<Value>>,
+    /// The groups the merged sinks folded rows into — under a fold, the
+    /// fold groups — or the one of a global aggregate (0 for a projection).
+    pub(crate) groups: u64,
 }
 
 /// A query's tail, bound once: the compiled output expressions, the
@@ -474,16 +687,17 @@ struct Worker<'p, S> {
 impl Tail {
     /// Bind `plan`'s aggregates/projections against `schema` — a
     /// zero-row block holding one slot per gathered column. With
-    /// `carried`, sources supply group ids into that pre-filled table,
-    /// the sinks skip their own hashing and the schema needs no slot for
-    /// a key that nothing else reads.
+    /// `carried` (a table over the group keys' columns), sources supply
+    /// group ids into that pre-filled table, the sinks skip their own
+    /// hashing and the schema needs no slot for a key that nothing else
+    /// reads.
     pub(crate) fn new(
         plan: &ArPlan,
         schema: RowBlock,
         carried: Option<GroupTable>,
     ) -> Result<Tail> {
         Ok(Tail {
-            prog: Program::compile(plan, &schema, carried.is_some())?,
+            prog: Program::compile(plan, &schema, carried.as_ref())?,
             schema,
             carried,
         })
@@ -501,13 +715,38 @@ impl Tail {
     /// sub-expression several aggregates share is priced once.
     pub(crate) fn expr_ops(&self) -> u64 {
         let nodes = self.prog.exprs.nodes.iter();
-        let arithmetic = nodes.filter(|(n, _)| matches!(n, Node::Bin(..) | Node::Case { .. }));
+        let arithmetic = nodes.filter(|(n, _)| n.is_arithmetic());
         (arithmetic.count() + self.prog.accs.len() + self.prog.project.len()) as u64
     }
 
     /// Distinct accumulators per group: `sum(x)` and `avg(x)` share one.
+    /// Under a fold, one per measure plus the count.
     pub(crate) fn accumulators(&self) -> usize {
         self.prog.accs.len()
+    }
+
+    /// The `GroupAgg` span's account of the fold: the co-factor keys, the
+    /// plain program's accumulators and the folded tail's (all 0 without a
+    /// fold).
+    pub(crate) fn fold_trace(&self) -> GroupAggTail {
+        match &self.prog.fold {
+            Some(f) => GroupAggTail {
+                fold: f.cofactors as u64,
+                accs: f.inputs.len() as u64,
+                folded_accs: self.prog.accs.len() as u64,
+                ..GroupAggTail::default()
+            },
+            None => GroupAggTail::default(),
+        }
+    }
+
+    /// Primitives the roll-up runs per fold group: the plain DAG's, at
+    /// `x = 0` and at `x = 1` (0 without a fold).
+    pub(crate) fn rollup_ops(&self) -> u64 {
+        self.prog.fold.as_ref().map_or(0, |f| {
+            let arithmetic = f.exprs.nodes.iter().filter(|(n, _)| n.is_arithmetic());
+            2 * (arithmetic.count() + f.inputs.len()) as u64
+        })
     }
 
     fn sink(&self) -> Sink<'_> {
@@ -568,8 +807,8 @@ impl Tail {
     }
 
     /// Merge the partial sinks of [`Tail::run`] in partition order and
-    /// render `(column names, rows)`, rows sorted by group key.
-    pub(crate) fn finish(&self, sinks: Vec<Sink<'_>>) -> (Vec<String>, Vec<Vec<Value>>) {
+    /// render the result.
+    pub(crate) fn finish(&self, sinks: Vec<Sink<'_>>) -> Output {
         let mut sinks = sinks.into_iter();
         let mut merged = sinks.next().unwrap_or_else(|| self.sink());
         sinks.for_each(|s| merged.absorb(s));
@@ -578,7 +817,7 @@ impl Tail {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::eval::ColumnSlot;
     use crate::{arexec::run_ar_sliced, classic::run_classic_sliced, ArExecOptions, Database};
@@ -681,15 +920,21 @@ mod tests {
         picked.map(agg).collect()
     }
 
-    /// The row-at-a-time oracle over table `t` (⋈ `d` through `fk`, where
-    /// declared): scan, filter, per-row `eval_row`, one map entry per group
-    /// — `(rows, survivors)`.
-    fn oracle(db: &Database, plan: &ArPlan) -> Result<(Vec<Vec<Value>>, usize)> {
+    /// The row-at-a-time oracle over table `t` (⋈ its dimension through
+    /// `fk`, where declared): scan, filter, per-row `eval_row`, one map
+    /// entry per group — `(rows, survivors)`. It reads the plan's
+    /// `group_by` and aggregates as they stand: a fold is the tail's
+    /// business, not the query's.
+    pub(crate) fn oracle(db: &Database, plan: &ArPlan) -> Result<(Vec<Vec<Value>>, usize)> {
+        let plan = &ArPlan {
+            fold: Vec::new(),
+            ..plan.clone()
+        };
         let fk = db.fk_index("t", "fk").map(|fk| fk.host_slice());
         let rows = db.catalog().table("t")?.len();
         let column = |name: &str| {
             let (t, c) = name.split_once('.').unwrap_or(("t", name));
-            (db.catalog().table(t).unwrap().column(c).unwrap(), t == "d")
+            (db.catalog().table(t).unwrap().column(c).unwrap(), t != "t")
         };
         let fetch = |name: &str, oid: usize| {
             let (col, is_dim) = column(name);
@@ -864,8 +1109,8 @@ mod tests {
         let (max_product, three) = ((i64::MAX as i128) << 40, &bits(&single)[3 * 4..4 * 4]);
         assert_eq!(three[1].1, 2048, "group 3: one lane of the last full block");
         assert!(bits(&single).iter().any(|a| a.3 == max_product));
-        let (_, rows) = merged.finish();
-        assert_eq!(rows, single.finish().1);
+        let rows = merged.finish().rows;
+        assert_eq!(rows, single.finish().rows);
         assert_eq!(rows.len(), 4, "slots 4..8 kept no row");
     }
 

@@ -20,7 +20,7 @@ use bwd_device::units::element_access_bytes;
 use bwd_device::{CostLedger, DeviceSpec, Env};
 
 /// Bytes of one device accumulator (an `i128` sum or a count, padded).
-const ACCUMULATOR_BYTES: u64 = 16;
+pub const ACCUMULATOR_BYTES: u64 = 16;
 
 /// Rows per thread block: the scan kernels' block size.
 fn block_rows() -> u64 {

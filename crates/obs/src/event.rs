@@ -39,7 +39,7 @@ pub enum Phase {
 /// | `ApproxSelect`| input candidates, the selection's index in the bound plan | sim bits, bytes, output candidates, 1 = bitmap [`SelVec`] representation, 0 = indices |
 /// | `Classic`     | [`pack_chain_order`] of the chain, morsels | sim bits, bytes, result rows, 0 |
 /// | `Refine`      | candidates still alive (decided + undecided), step idx | sim bits, bytes, surviving candidates, the undecided ones this step re-tested |
-/// | `GroupAgg`    | surviving rows, `uploaded survivor bits << 1 \| 1 = device tail` | sim bits, bytes, result rows, [`GroupAggTables::pack`] |
+/// | `GroupAgg`    | surviving rows, [`GroupAggTail::pack`] | sim bits, bytes, result rows, [`GroupAggTables::pack`] |
 /// | `Morsel`      | partition length, part idx  | 0, 0, output length, 0 |
 /// | `Placement`   | (instant) `a` device index, `b` estimated bytes |  |
 /// | `Resolve`     | (instant) `a` completion index, `b` 0 |  |
@@ -155,6 +155,49 @@ pub fn unpack_chain_order(mut word: u64) -> Vec<usize> {
         word >>= 4;
     }
     order
+}
+
+/// `GroupAgg` Begin `b`: where the tail ran — on the device, told the
+/// refined survivors by `uploaded` bits, or on the host — and the fold its
+/// grouping absorbed, packed as `fold << 60 | accs << 54 | folded_accs <<
+/// 48 | uploaded << 1 | device` (each field saturating).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GroupAggTail {
+    /// Whether the device ran the tail.
+    pub device: bool,
+    /// Survivor bits the host sent up for it (47 bits).
+    pub uploaded: u64,
+    /// Co-factor keys folded into the grouping (0: no fold; 4 bits).
+    pub fold: u64,
+    /// Under a fold, the plain program's distinct accumulators and the
+    /// folded tail's (6 bits each).
+    pub accs: u64,
+    /// See `accs`.
+    pub folded_accs: u64,
+}
+
+impl GroupAggTail {
+    /// The payload word.
+    pub fn pack(self) -> u64 {
+        let (fold, accs, folded) = (
+            self.fold.min(15),
+            self.accs.min(63),
+            self.folded_accs.min(63),
+        );
+        let uploaded = self.uploaded.min((1 << 47) - 1);
+        fold << 60 | accs << 54 | folded << 48 | uploaded << 1 | u64::from(self.device)
+    }
+
+    /// The fields of a payload word.
+    pub fn unpack(b: u64) -> GroupAggTail {
+        GroupAggTail {
+            device: b & 1 == 1,
+            uploaded: b >> 1 & ((1 << 47) - 1),
+            fold: b >> 60,
+            accs: b >> 54 & 63,
+            folded_accs: b >> 48 & 63,
+        }
+    }
 }
 
 /// `GroupAgg` End `d`: which grouping fed the aggregation, beside the count

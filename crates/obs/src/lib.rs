@@ -52,7 +52,8 @@ mod trace;
 
 pub use clock::{Clock, ClockSource, MockClock};
 pub use event::{
-    pack_chain_order, unpack_chain_order, EventKind, GroupAggTables, Phase, SpanId, NO_SPAN,
+    pack_chain_order, unpack_chain_order, EventKind, GroupAggTables, GroupAggTail, Phase, SpanId,
+    NO_SPAN,
 };
 pub use recorder::{Recorder, RecorderConfig, WorkerHandle};
 pub use ring::Event;

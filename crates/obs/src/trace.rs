@@ -1,7 +1,9 @@
 //! [`QueryTrace`]: the drained event set of one query, with integrity
 //! validation, a span tree, and an `EXPLAIN ANALYZE`-style rendering.
 
-use crate::event::{unpack_chain_order, EventKind, GroupAggTables, Phase, SpanId, NO_SPAN};
+use crate::event::{
+    unpack_chain_order, EventKind, GroupAggTables, GroupAggTail, Phase, SpanId, NO_SPAN,
+};
 use crate::recorder::Recorder;
 use crate::ring::Event;
 use std::collections::BTreeMap;
@@ -370,11 +372,13 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
         }
         (EventKind::GroupAgg, Some(end)) => {
             // Where the tail ran and how many survivor bits the host sent
-            // up for it; which grouping fed it; then which side of the
-            // shared-memory budget the device aggregated on.
-            match n.begin.b & 1 {
-                1 => out.push_str(&format!("  tail=device  uploaded={}", n.begin.b >> 1)),
-                _ => out.push_str("  tail=host"),
+            // up for it; which grouping fed it and what it folded; then
+            // which side of the shared-memory budget the device aggregated
+            // on.
+            let tail = GroupAggTail::unpack(n.begin.b);
+            match tail.device {
+                true => out.push_str(&format!("  tail=device  uploaded={}", tail.uploaded)),
+                false => out.push_str("  tail=host"),
             }
             if end.c > 0 {
                 out.push_str(&format!("  out={}", end.c));
@@ -388,6 +392,10 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
                     t.sized_by, end.c
                 )),
                 _ => {}
+            }
+            if tail.fold > 0 {
+                let (fold, before, after) = (tail.fold, tail.accs, tail.folded_accs);
+                out.push_str(&format!("  fold={fold} accs={before}→{after}"));
             }
             if (t.replicas, t.blocks) != (0, 0) {
                 out.push_str(&format!("  replicas={}  blocks={}", t.replicas, t.blocks));
@@ -439,7 +447,7 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
 mod tests {
     use super::*;
     use crate::clock::Clock;
-    use crate::event::pack_chain_order;
+    use crate::event::{pack_chain_order, GroupAggTail};
     use crate::recorder::{Recorder, RecorderConfig};
 
     fn sample_trace() -> QueryTrace {
@@ -530,6 +538,72 @@ mod tests {
         }
         assert!(text.contains("tail=host  out=3  grouping=host\n"), "{text}");
         assert!(text.contains("tail=host  out=1\n"), "{text}");
+    }
+
+    /// A folded grouping shows how many co-factor keys it absorbed and the
+    /// accumulators before and after, on either pipe's `group-agg` line; a
+    /// plain one shows nothing of it. The payload word round-trips every
+    /// field and saturates each.
+    #[test]
+    fn explain_prints_the_fold() {
+        let folded = GroupAggTail {
+            device: true,
+            uploaded: 30,
+            fold: 2,
+            accs: 6,
+            folded_accs: 3,
+        };
+        assert_eq!(GroupAggTail::unpack(folded.pack()), folded);
+        let huge = GroupAggTail {
+            device: false,
+            uploaded: u64::MAX,
+            fold: 99,
+            accs: 99,
+            folded_accs: 99,
+        };
+        let saturated = GroupAggTail::unpack(huge.pack());
+        assert_eq!(
+            (
+                saturated.uploaded,
+                saturated.fold,
+                saturated.accs,
+                saturated.folded_accs
+            ),
+            ((1 << 47) - 1, 15, 63, 63)
+        );
+        let r = Recorder::new(RecorderConfig {
+            ring_capacity: 16,
+            clock: Clock::mock().0,
+        });
+        let w = r.worker("worker-0");
+        let exec = w.begin(EventKind::Exec, NO_SPAN, 1, 1);
+        let hash = GroupAggTables {
+            grouping: 2,
+            sized_by: 297,
+            replicas: 3,
+            blocks: 42,
+        };
+        let agg = w.begin(EventKind::GroupAgg, exec, 90, folded.pack());
+        w.end(EventKind::GroupAgg, agg, 0, 0, 4, hash.pack());
+        let host = GroupAggTail {
+            device: false,
+            uploaded: 0,
+            ..folded
+        };
+        let agg = w.begin(EventKind::GroupAgg, exec, 90, host.pack());
+        w.end(EventKind::GroupAgg, agg, 0, 0, 4, 1 << 62);
+        let agg = w.begin(EventKind::GroupAgg, exec, 90, 0);
+        w.end(EventKind::GroupAgg, agg, 0, 0, 4, 1 << 62);
+        w.end(EventKind::Exec, exec, 0, 0, 4, 0);
+        let text = QueryTrace::capture(&r).explain();
+        let device = "tail=device  uploaded=30  out=4  grouping=hash groups=297  fold=2 accs=6→3  replicas=3  blocks=42\n";
+        assert!(text.contains(device), "{text}");
+        assert!(
+            text.contains("tail=host  out=4  grouping=host  fold=2 accs=6→3\n"),
+            "{text}"
+        );
+        assert!(text.contains("tail=host  out=4  grouping=host\n"), "{text}");
+        assert_eq!(text.matches("fold=").count(), 2, "{text}");
     }
 
     /// The chain order a run took shows: an A&R step names its selection's

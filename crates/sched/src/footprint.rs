@@ -298,6 +298,7 @@ mod tests {
             }],
             project: vec![],
             pushdown: true,
+            fold: vec![],
         };
         let fp = PlanFootprint::of(&db, &plan, &ExecMode::Classic, 1);
         assert_eq!(fp.latency().total(), 0.0);

@@ -52,9 +52,11 @@ fn bench_db() -> Database {
 /// at stream bandwidth and nothing of pre-grouping, `aggregate.eval` or
 /// expression arithmetic.) Q1's A&R estimate read 0.84 while a hash
 /// pre-grouping's contention was predicted at the key domains' 6 groups
-/// where the data holds 3; its device tail now folds into slots the key
-/// addresses, the operator does not run, and what is left of the
-/// misprediction is the accumulator updates' share: 0.96, held to 10 %.
+/// where the data holds 3, and 0.96 once the packed key addressed the
+/// slots. Its tail now folds the discount and the tax into the grouping:
+/// a hash pre-grouping again, predicted at 594 fold groups where the data
+/// holds 297 — fewer write conflicts, a larger download and roll-up than
+/// the run's — and the estimate reads 1.04, held to 10 %.
 ///
 /// The estimate is a pure function of (plan, catalog, thread allocation):
 /// each statement is submitted twice, one after the other, and the second

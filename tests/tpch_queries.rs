@@ -113,7 +113,8 @@ fn q14_join_and_case_equivalence() {
 /// not the join key: both executors reach the dimension through the FK
 /// index alone, so its approximation would sit on the device unread. The
 /// space-constrained A&R run is the one the commit that still uploaded it
-/// produced, bit for bit.
+/// produced, bit for bit — but for the result download, which now carries
+/// both accumulators' 16 B where that commit billed one (+16 B of PCI-E).
 #[test]
 fn auto_bind_leaves_the_join_key_off_the_device() {
     let mut db = tpch();
@@ -159,8 +160,8 @@ fn auto_bind_leaves_the_join_key_off_the_device() {
 
 const PARENT_Q14: &str = "[[Decimal { unscaled: 56616630850, scale: 4 }, \
     Decimal { unscaled: 264230816910, scale: 4 }]] \
-    device 0x3f0885e667055054 host 0x3f03733592f01868 pcie 0x3f06ac15912a487a \
-    bytes 73471 6183 28613";
+    device 0x3f0885e667055054 host 0x3f03733592f01868 pcie 0x3f06aca0bee8b7e2 \
+    bytes 73471 6183 28629";
 
 #[test]
 fn q14_with_decomposed_dimension_column() {
@@ -211,18 +212,19 @@ fn space_constrained_uses_less_device_memory() {
     assert_eq!(r.rows, c.rows);
 }
 
-/// Q1 in the space-constrained configuration gathers its four value
-/// columns on the device (the packed 3-bit key is the group id and lives
-/// in a register: no id vector, nothing staged for the two keys) over
-/// decided ∪ refined rows. The reservation is the executor's
-/// own transient bytes over the *predicted* counts, so at safety factor 1
-/// — where the reservation *is* the enforced budget — the margin is what
-/// the statistics miss: 60 000 candidate pairs × 12 B + 57 863 predicted
-/// survivors × 4 columns × 8 B + 5 273 survivor bits = 2 572 276 B,
-/// against 2 571 960 B held (57 853 survivors, 5 311 undecided). Admitted
-/// once: no `DeviceOutOfMemory`, no worst-case requeue. (The parent
-/// reserved 3 471 780 B — 57 863 hinted candidates × (12 B + 6 columns ×
-/// 8 B), the two key columns the executor never gathers included.)
+/// Q1 in the space-constrained configuration folds the discount and the
+/// tax into its grouping: a hash pre-grouping over the four resident keys
+/// (11 bits: a warp of slot tables would not fit) writes a 4 B id per
+/// candidate, and the device gathers only the quantity and the price over
+/// decided ∪ refined rows. The reservation is the executor's own transient
+/// bytes over the *predicted* counts, so at safety factor 1 — where the
+/// reservation *is* the enforced budget — the margin is what the
+/// statistics miss: 60 000 candidate pairs × 12 B + 60 000 ids × 4 B +
+/// 57 863 predicted survivors × 2 columns × 8 B + 5 273 survivor bits =
+/// 1 886 468 B, against 1 886 312 B held (57 853 survivors, 5 311
+/// undecided). Admitted once: no `DeviceOutOfMemory`, no worst-case
+/// requeue. (Unfolded, the packed 3-bit key was the group id and the
+/// device gathered four value columns: 2 572 276 B reserved.)
 #[test]
 fn space_constrained_q1_is_admitted_first_time() {
     use std::sync::Arc;

@@ -4,7 +4,8 @@
 //! numbers are strictly monotone, the exec span's phases account for its
 //! wall — a two-worker batch exports as valid Chrome `trace_event` JSON,
 //! ring-buffer overflow is reported on the captured trace, never silently
-//! swallowed, and a traced Q6 shows the selection order each pipe ran.
+//! swallowed, a traced Q6 shows the selection order each pipe ran and a
+//! traced Q1 the fold.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -290,6 +291,48 @@ fn a_traced_q6_shows_the_chain_order_each_pipe_ran() {
         for s in shown {
             assert!(text.contains(&s), "{mode:?}: {s} in\n{text}");
         }
+    }
+    assert_eq!(rows[0], rows[1], "A&R rows = Classic rows");
+}
+
+/// A traced Q1 shows the fold each pipe ran: the plan the bill picks
+/// groups by the discount and the tax beside the two keys, and the
+/// `group-agg` line of either pipe's `explain()` says so — two co-factor
+/// keys, the six accumulators of the plain tail down to three (quantity,
+/// price, count). Both pipes return the same rows.
+#[test]
+fn a_traced_q1_shows_the_fold_in_both_pipes() {
+    use bwd_bench::evaluation::{bind_sql, tpch_db, Q1};
+    use waste_not::engine::bill::order;
+    let mut db = tpch_db(0.02).unwrap();
+    let plan = bind_sql(&db, Q1).unwrap();
+    db.auto_bind(&plan).unwrap();
+    db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
+    let sched = Scheduler::new(
+        Arc::new(db),
+        SchedConfig {
+            workers: 1,
+            tracing: true,
+            ..SchedConfig::default()
+        },
+    );
+    let db = sched.database();
+    assert!(plan.fold.is_empty(), "the binder folds nothing");
+    let mut rows = Vec::new();
+    for mode in [ExecMode::ApproxRefine, ExecMode::Classic] {
+        let ordered = order(db, &plan, &mode, db.env());
+        assert_eq!(ordered.fold, ["l_discount", "l_tax"], "{mode:?}");
+        let ticket = sched.session().submit(plan.clone(), mode.clone());
+        let (result, _report, trace) = ticket.wait_traced().unwrap();
+        rows.push(result.rows);
+        assert_structurally_sound(&trace);
+        let text = trace.explain();
+        let mut lines = text.lines().filter(|l| l.contains("group-agg"));
+        let line = lines
+            .next()
+            .unwrap_or_else(|| panic!("{mode:?}: no group-agg in\n{text}"));
+        assert!(line.contains("  fold=2 accs=6→3"), "{mode:?}: {line}");
+        assert!(lines.next().is_none(), "{mode:?}:\n{text}");
     }
     assert_eq!(rows[0], rows[1], "A&R rows = Classic rows");
 }
