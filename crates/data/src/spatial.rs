@@ -15,7 +15,7 @@
 //! decimal(7,5), time int)`.
 
 use crate::rng::Xoshiro;
-use bwd_storage::Column;
+use bwd_storage::{Column, Payload, I24};
 use bwd_types::DataType;
 
 /// The paper's coordinate bounding box, scaled by 1e5 (payload domain).
@@ -119,17 +119,18 @@ pub fn gen_trips(cfg: &SpatialConfig) -> TripsTable {
             let x = (sx as f64 + (tx - sx) as f64 * f) as i64 + jitter_x;
             let y = (sy as f64 + (ty - sy) as f64 * f) as i64 + jitter_y;
             tripid.push(trip);
-            lon.push(x.clamp(LON_MIN, LON_MAX) as i32);
-            lat.push(y.clamp(LAT_MIN, LAT_MAX) as i32);
+            lon.push(I24::cut(x.clamp(LON_MIN, LON_MAX)));
+            lat.push(I24::cut(y.clamp(LAT_MIN, LAT_MAX)));
             clock += 1 + rng.below(10) as i64;
             time.push(clock as i32);
         }
         produced += len;
     }
 
-    // Coordinates are built in the 4 bytes their 23-bit domains need: no
-    // wider vector to narrow afterwards.
-    let coordinate = |precision, vals: Vec<i32>| {
+    // Coordinates are built in the 3 bytes their 23-bit domains need: no
+    // wider vector to narrow afterwards. `tripid` and `time` grow with the
+    // fixes, so they arrive as `i32` and narrow once, in `Column`.
+    let coordinate = |precision, vals: Vec<I24>| {
         let dtype = DataType::Decimal {
             precision,
             scale: 5,

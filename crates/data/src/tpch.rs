@@ -90,8 +90,9 @@ fn retail_price(key: i64) -> i64 {
     90_000 + (key % 20_001) * 10 + (key % 1_000) * 100
 }
 
-/// Generate the `part` table. Every column is pushed in the width its
-/// documented domain needs, so no wider vector exists to narrow.
+/// Generate the `part` table. `p_type` is pushed in the byte its 125 codes
+/// need; key and price, whose ranges grow with the scale up to SF 0.1,
+/// arrive as `i32` and narrow once, in `Column`.
 pub fn gen_part(cfg: &TpchConfig) -> PartTable {
     let n = cfg.parts();
     let mut rng = Xoshiro::seed(cfg.seed ^ 0x9A57);
@@ -115,7 +116,7 @@ pub fn gen_part(cfg: &TpchConfig) -> PartTable {
         p_partkey: Column::from_i32(keys),
         p_type: Column::from_codes(&vocab, types).expect("three draws below 5 index the 125"),
         p_retailprice: Column::from_data(DECIMAL_12_2, prices.into())
-            .expect("389 900 cents are 6 of 12 digits, in 4 of 8 bytes"),
+            .expect("389 900 cents are 6 of 12 digits, in 3 of 8 bytes"),
     }
 }
 
@@ -139,8 +140,10 @@ pub struct LineitemTable {
     pub l_shipdate: Column,
 }
 
-/// Generate the `lineitem` table. Every column is pushed in the width its
-/// documented domain needs, so no wider vector exists to narrow.
+/// Generate the `lineitem` table. Every measure, flag and date is pushed in
+/// the width its documented domain needs, so no wider vector exists to
+/// narrow; `l_partkey`, whose range grows with the scale, arrives as `i32`
+/// and narrows once, in `Column`.
 pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
     let n = cfg.lineitems();
     let parts = cfg.parts() as i64;

@@ -259,6 +259,21 @@ fn select_words<T: Copy + Into<i64>>(
     fk: Option<&[u32]>,
 ) -> u64 {
     let mut count = 0;
+    if let (Some(n), None) = (rows, fk) {
+        // A full scan of a fact column reads its rows in order, as 64-row
+        // slices: no bit to find and no index to check, which is what
+        // keeps a 3-byte payload as cheap to test as a 4-byte one.
+        let start = first_word * 64;
+        let rows = &col[start..n.min(start + 64 * words.len())];
+        for (word, rows) in words.iter_mut().zip(rows.chunks(64)) {
+            let mut bits = 0;
+            for (k, &payload) in rows.iter().enumerate() {
+                bits |= u64::from(range.test(payload.into())) << k;
+            }
+            (*word, count) = (bits, count + u64::from(bits.count_ones()));
+        }
+        return count;
+    }
     for (w, word) in words.iter_mut().enumerate() {
         let at = (first_word + w) * 64;
         let mut live = match rows {
@@ -556,37 +571,74 @@ mod tests {
         (words, [scanned, refined])
     }
 
+    /// Every value a width boundary lies next to: the extremes of `i8`,
+    /// `i16`, `u16`, the 3-byte `I24` and `i32`, one past each, and two
+    /// deep in `i64`.
+    const EDGES: [i64; 22] = [
+        0,
+        -1,
+        -129,
+        -128,
+        127,
+        128,
+        -32_769,
+        -32_768,
+        32_767,
+        32_768,
+        65_535,
+        65_536,
+        -(1 << 23) - 1,
+        -(1 << 23),
+        (1 << 23) - 1,
+        1 << 23,
+        i32::MIN as i64 - 1,
+        i32::MIN as i64,
+        i32::MAX as i64,
+        i32::MAX as i64 + 1,
+        -(1 << 62),
+        1 << 62,
+    ];
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(200))]
 
         /// Width is invisible to the classic pipe: over a fact column and a
-        /// dimension column stored in any two of the four widths, the
-        /// selection chain fills the mask words and counts — and the tail
-        /// fetches the payloads — it does over their widened copies.
+        /// dimension column stored in any two of the six widths — their
+        /// extrema on the width boundaries —, the selection chain fills the
+        /// mask words and counts — and the tail fetches the payloads — it
+        /// does over their widened copies.
         #[test]
         fn width_is_invisible_to_the_selection_chain_and_the_fetch(
-            a_bits in 1u32..=63,
-            b_bits in 1u32..=63,
+            a_lo in 0usize..EDGES.len(),
+            a_hi in 0usize..EDGES.len(),
+            b_lo in 0usize..EDGES.len(),
+            b_hi in 0usize..EDGES.len(),
             n in 0usize..700,
             dim_rows in 1usize..40,
             seed: u64,
         ) {
             let mut rng = bwd_types::SplitMix64::new(seed);
-            // Domains centred on zero, so every width is hit from both signs.
-            let mut column = |rows: usize, bits: u32| {
-                let draw = |_| rng.below(1 << bits) as i64 - (1i64 << (bits - 1));
-                Column::from_i64((0..rows).map(draw).collect())
+            let domain = |x: usize, y: usize| (EDGES[x].min(EDGES[y]), EDGES[x].max(EDGES[y]));
+            let (a_dom, b_dom) = (domain(a_lo, a_hi), domain(b_lo, b_hi));
+            // `hi - lo` < 2^64 − 1: the edges stop short of the `i64` extremes.
+            let mut draw = |(lo, hi): (i64, i64)| {
+                lo.wrapping_add(rng.below(hi.wrapping_sub(lo) as u64 + 1) as i64)
             };
-            let (a, b) = (column(n, a_bits), column(dim_rows, b_bits));
-            let fk: Vec<u32> = (0..n).map(|_| rng.below(dim_rows as u64) as u32).collect();
-            let mut range = |bits: u32| {
-                let edge = rng.below(1 << bits) as i64 - (1i64 << (bits - 1));
+            // Both extrema, then draws between them.
+            let mut column = |rows: usize, dom: (i64, i64)| {
+                let rest = (2..rows).map(|_| draw(dom));
+                Column::from_i64([dom.0, dom.1].into_iter().chain(rest).take(rows).collect())
+            };
+            let (a, b) = (column(n, a_dom), column(dim_rows, b_dom));
+            let fk: Vec<u32> = (0..n).map(|_| draw((0, dim_rows as i64 - 1)) as u32).collect();
+            let mut range = |dom: (i64, i64)| {
+                let (x, y) = (draw(dom), draw(dom));
                 RangePred {
-                    exclude: Some(edge / 2),
-                    ..RangePred::between(edge.min(0) / 2, edge.max(0))
+                    exclude: Some(draw(dom)),
+                    ..RangePred::between(x.min(y), x.max(y))
                 }
             };
-            let (a_range, b_range) = (range(a_bits), range(b_bits));
+            let (a_range, b_range) = (range(a_dom), range(b_dom));
             let widened = two_links((&a.payloads(), &a_range), (&b.payloads(), &b_range), &fk);
             let stored = with_slice!(a.data(), a => with_slice!(b.data(), b => {
                 two_links((a, &a_range), (b, &b_range), &fk)

@@ -472,7 +472,7 @@ mod tests {
         #[test]
         fn refine_filter_keeps_what_a_packed_residual_reader_keeps(
             ty in 0usize..5,
-            span_bits in 0usize..4,
+            span_bits in 0usize..6,
             split in 0usize..5,
             rows in 0usize..12_000,
             seed: u64,
@@ -483,9 +483,11 @@ mod tests {
             use bwd_types::{bits::low_mask, Date};
 
             let mut rng = bwd_types::SplitMix64::new(seed);
-            // Payloads around zero that need 1, 2, 4 or (64-bit types) 8 bytes.
-            let span = 1u64 << [6, 14, 26, if ty < 3 { 26 } else { 40 }][span_bits];
-            let lo = -((span / 2) as i64);
+            // Payloads around zero that need 1, 2, 3, 4 or (64-bit types) 8
+            // bytes — and from zero, the 2 of a `u16`.
+            let log = [6, 14, 16, 22, 26, if ty < 3 { 26 } else { 40 }][span_bits];
+            let span = 1u64 << log;
+            let lo = if log == 16 { 0 } else { -((span / 2) as i64) };
             let vals: Vec<i64> = (0..rows).map(|_| lo + rng.below(span) as i64).collect();
             let i32s = || vals.iter().map(|&v| v as i32);
             let col = match ty {

@@ -345,11 +345,12 @@ impl Parser {
             // Date interval arithmetic folds at parse time:
             // `date '1998-12-01' - interval '90' day`.
             if self.eat_kw("interval") {
+                let bad = |amount: &dyn std::fmt::Debug| {
+                    BwdError::Parse(format!("bad interval amount {amount:?}"))
+                };
                 let amount = match self.next()? {
-                    Token::Str(s) => s
-                        .parse::<i32>()
-                        .map_err(|_| BwdError::Parse(format!("bad interval amount {s:?}")))?,
-                    Token::Int(v) => v as i32,
+                    Token::Str(s) => s.parse::<i32>().map_err(|_| bad(&s))?,
+                    Token::Int(v) => i32::try_from(v).map_err(|_| bad(&v))?,
                     other => {
                         return Err(BwdError::Parse(format!(
                             "interval expects a quoted amount, found {other:?}"
@@ -357,24 +358,26 @@ impl Parser {
                     }
                 };
                 let unit = self.ident()?;
-                let signed = if kind == BinKind::Sub {
-                    -amount
-                } else {
-                    amount
+                let signed = match kind {
+                    BinKind::Sub => amount.checked_neg().ok_or_else(|| bad(&amount))?,
+                    _ => amount,
                 };
                 let Expr::Date(d) = lhs else {
                     return Err(BwdError::Parse(
                         "interval arithmetic requires a date operand".into(),
                     ));
                 };
-                lhs = Expr::Date(match unit.as_str() {
+                let shifted = match unit.as_str() {
                     "day" | "days" => d.add_days(signed),
                     "month" | "months" => d.add_months(signed),
                     "year" | "years" => d.add_years(signed),
                     other => {
                         return Err(BwdError::Parse(format!("unknown interval unit {other:?}")))
                     }
-                });
+                };
+                lhs = Expr::Date(shifted.ok_or_else(|| {
+                    BwdError::Parse(format!("date {d} shifted by {signed} {unit} overflows"))
+                })?);
                 continue;
             }
             let rhs = self.mul_expr()?;
@@ -582,6 +585,57 @@ mod tests {
             panic!()
         };
         assert_eq!(*lo, Expr::Dec(-1_262_427, 5));
+    }
+
+    /// The date a `select … where d <= <bound>` statement folded its bound
+    /// to.
+    fn folded(bound: &str) -> Result<Date> {
+        let Statement::Query(q) = parse(&format!("select a from t where d <= {bound}"))? else {
+            panic!("{bound}: not a query")
+        };
+        match q.where_clause {
+            Some(Expr::Bin(BinKind::Le, _, rhs)) => match *rhs {
+                Expr::Date(d) => Ok(d),
+                other => panic!("{bound}: folded to {other:?}"),
+            },
+            other => panic!("{bound}: {other:?}"),
+        }
+    }
+
+    /// Interval amounts and shifts that leave `i32` are parse errors —
+    /// never a truncated amount, a wrapped date or an overflow panic —,
+    /// and the ordinary shifts still fold.
+    #[test]
+    fn interval_overflow_is_a_parse_error() {
+        let day = |bound: &str| folded(bound).map(|d| d.to_string());
+        assert_eq!(
+            day("date '1998-12-01' - interval '90' day").unwrap(),
+            "1998-09-02"
+        );
+        assert_eq!(
+            day("date '1998-12-01' - interval 90 day").unwrap(),
+            "1998-09-02"
+        );
+        assert_eq!(
+            day("date '1994-01-01' + interval '1' year").unwrap(),
+            "1995-01-01"
+        );
+        for bound in [
+            // 2^32 + 90: truncated to `i32` it was 90.
+            "date '1998-12-01' - interval 4294967386 day",
+            "date '1998-12-01' - interval '4294967386' day",
+            "date '1998-12-01' - interval '-2147483648' day",
+            "date '1998-12-01' + interval '2147483647' day",
+            "date '1998-12-01' - interval '2147483647' day - interval '2147483647' day",
+            "date '1998-12-01' + interval '2147483647' month",
+            "date '1998-12-01' - interval '2147483647' month",
+            "date '1998-12-01' + interval '178956971' year",
+            "date '1998-12-01' + interval '2147483647' year",
+            "date '1998-12-01' - interval '2147483647' year",
+        ] {
+            let err = folded(bound).unwrap_err();
+            assert!(matches!(err, BwdError::Parse(_)), "{bound}: {err}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   32-bit types 4 bytes, 64-bit types 8 ([`DataType::plain_width`]) —
 //!   and is what every bill, every decomposition report and the load
 //!   ledger charge ([`Column::plain_bytes`]);
-//! * the **physical** width is the narrowest of 1, 2, 4 or 8 bytes that
-//!   holds the column's payload extrema ([`Column::physical_bytes`]).
+//! * the **physical** width is the fewest bytes — 1, 2, 3, 4 or 8 — that
+//!   hold the column's payload extrema ([`Column::physical_bytes`]).
 //!   Nothing but the allocator reads it: it never reaches a bill.
 //!
 //! Strings are codes into an *ordered* [`Dictionary`] so that prefix
@@ -17,9 +17,11 @@
 //! to TPC-H Q14's `like 'PROMO%'`).
 
 use bwd_types::{BwdError, DataType, Date, FxHashMap, Result, Value};
+use std::any::TypeId;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Physical payload storage of a column, in one of the four widths.
+/// Physical payload storage of a column, in one of the six widths.
 ///
 /// Read it through [`with_slice!`](crate::with_slice): one dispatch per
 /// typed slice, never one per row.
@@ -29,6 +31,10 @@ pub enum ColumnData {
     I8(Vec<i8>),
     /// 16-bit payloads.
     I16(Vec<i16>),
+    /// Unsigned 16-bit payloads: `0..=65 535`.
+    U16(Vec<u16>),
+    /// 24-bit payloads, three bytes each.
+    I24(Vec<I24>),
     /// 32-bit payloads.
     I32(Vec<i32>),
     /// 64-bit payloads.
@@ -45,23 +51,81 @@ macro_rules! with_slice {
         match $data {
             $crate::ColumnData::I8($rows) => $body,
             $crate::ColumnData::I16($rows) => $body,
+            $crate::ColumnData::U16($rows) => $body,
+            $crate::ColumnData::I24($rows) => $body,
             $crate::ColumnData::I32($rows) => $body,
             $crate::ColumnData::I64($rows) => $body,
         }
     };
 }
 
-/// An element type of [`ColumnData`]: `i8`, `i16`, `i32` or `i64`.
-pub trait Payload: Copy + Ord + Into<i64> {
+/// A signed 24-bit payload in three little-endian bytes: `-2^23..2^23`.
+/// A `Vec<I24>` holds three bytes a row (`size_of::<I24>() == 3`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct I24([u8; 3]);
+
+impl I24 {
+    /// The least value.
+    pub const MIN: i64 = -(1 << 23);
+    /// The greatest value.
+    pub const MAX: i64 = (1 << 23) - 1;
+
+    /// The value: the sign-extended top byte over the low two — a 2-byte
+    /// and a 1-byte load, cheaper than assembling four bytes and shifting.
+    #[inline]
+    fn get(self) -> i32 {
+        let [a, b, c] = self.0;
+        (i32::from(c as i8) << 16) | i32::from(u16::from_le_bytes([a, b]))
+    }
+}
+
+impl From<I24> for i64 {
+    #[inline]
+    fn from(v: I24) -> i64 {
+        v.get().into()
+    }
+}
+
+impl Ord for I24 {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.get().cmp(&other.get())
+    }
+}
+
+impl PartialOrd for I24 {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::fmt::Debug for I24 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+/// An element type of [`ColumnData`]: `i8`, `i16`, `u16`, [`I24`], `i32`
+/// or `i64`.
+pub trait Payload: Copy + Ord + Into<i64> + 'static {
+    /// What the extrema fold compares: the payload itself for a native
+    /// integer (so the fold runs in that width's lanes), the `i32` value
+    /// of an [`I24`] (decoded once a row, not twice a comparison).
+    type Lane: Copy + Ord + Into<i64>;
     /// `v` cut to this width, for values known to fit it.
     fn cut(v: i64) -> Self;
     /// `vals` as column storage, moved.
     fn store(vals: Vec<Self>) -> ColumnData;
+    /// `self` as the extrema fold compares it.
+    fn lane(self) -> Self::Lane;
 }
 
 macro_rules! payload_widths {
     ($($t:ty => $arm:ident),*) => {$(
         impl Payload for $t {
+            type Lane = $t;
             #[inline]
             fn cut(v: i64) -> Self {
                 v as $t
@@ -69,10 +133,30 @@ macro_rules! payload_widths {
             fn store(vals: Vec<Self>) -> ColumnData {
                 ColumnData::$arm(vals)
             }
+            #[inline]
+            fn lane(self) -> $t {
+                self
+            }
         }
     )*};
 }
-payload_widths!(i8 => I8, i16 => I16, i32 => I32, i64 => I64);
+payload_widths!(i8 => I8, i16 => I16, u16 => U16, i32 => I32, i64 => I64);
+
+impl Payload for I24 {
+    type Lane = i32;
+    #[inline]
+    fn cut(v: i64) -> Self {
+        let [a, b, c, _] = (v as i32).to_le_bytes();
+        I24([a, b, c])
+    }
+    fn store(vals: Vec<Self>) -> ColumnData {
+        ColumnData::I24(vals)
+    }
+    #[inline]
+    fn lane(self) -> i32 {
+        self.get()
+    }
+}
 
 impl<T: Payload> From<Vec<T>> for ColumnData {
     fn from(vals: Vec<T>) -> Self {
@@ -99,7 +183,7 @@ impl ColumnData {
         with_slice!(self, rows => rows[i].into())
     }
 
-    /// Bytes per stored payload: 1, 2, 4 or 8.
+    /// Bytes per stored payload: 1, 2, 3, 4 or 8.
     pub fn width(&self) -> u64 {
         fn of<T>(_: &[T]) -> u64 {
             std::mem::size_of::<T>() as u64
@@ -108,11 +192,13 @@ impl ColumnData {
     }
 }
 
-/// `rows`, whose extrema are `min_max`, re-packed into the narrowest of 1,
-/// 2, 4 or 8 bytes that holds them; `None` when `T` is that width already.
+/// `rows`, whose extrema are `min_max`, re-packed into the first of `i8`,
+/// `i16`, `u16`, [`I24`] and `i32` that holds them — the fewest bytes,
+/// signed first where two widths tie; `None` when `T` is that type already
+/// or only `i64` holds them.
 pub(crate) fn narrowed<T: Payload>(rows: &[T], min_max: Option<(i64, i64)>) -> Option<ColumnData> {
     fn pack<T: Payload, U: Payload>(rows: &[T]) -> Option<ColumnData> {
-        (std::mem::size_of::<U>() < std::mem::size_of::<T>())
+        (TypeId::of::<U>() != TypeId::of::<T>())
             .then(|| U::store(rows.iter().map(|&x| U::cut(x.into())).collect()))
     }
     let (lo, hi) = min_max.unwrap_or((0, 0));
@@ -121,6 +207,10 @@ pub(crate) fn narrowed<T: Payload>(rows: &[T], min_max: Option<(i64, i64)>) -> O
         pack::<T, i8>(rows)
     } else if holds(i16::MIN as i64, i16::MAX as i64) {
         pack::<T, i16>(rows)
+    } else if holds(0, u16::MAX as i64) {
+        pack::<T, u16>(rows)
+    } else if holds(I24::MIN, I24::MAX) {
+        pack::<T, I24>(rows)
     } else if holds(i32::MIN as i64, i32::MAX as i64) {
         pack::<T, i32>(rows)
     } else {
@@ -363,9 +453,9 @@ impl Column {
         self.len() as u64 * self.dtype().plain_width()
     }
 
-    /// Bytes the payloads occupy on this host: rows × the narrowest of 1,
-    /// 2, 4 or 8 bytes that holds the extrema. Only the allocator reads
-    /// it; no simulated cost does.
+    /// Bytes the payloads occupy on this host: rows × the fewest of 1, 2,
+    /// 3, 4 or 8 bytes that hold the extrema. Only the allocator reads it;
+    /// no simulated cost does.
     pub fn physical_bytes(&self) -> u64 {
         self.len() as u64 * self.data.width()
     }
@@ -483,13 +573,15 @@ impl Dictionary {
     }
 }
 
-/// Minimum and maximum of `vals`, folded in their own width (32-bit lanes
-/// for 32-bit storage) and widened at the end; `None` when empty.
-pub(crate) fn extrema<T: Copy + Ord + Into<i64>>(vals: &[T]) -> Option<(i64, i64)> {
-    let first = *vals.first()?;
+/// Minimum and maximum of `vals`, folded in their [`Payload::Lane`]s
+/// (32-bit lanes for 32-bit storage) and widened at the end; `None` when
+/// empty.
+pub(crate) fn extrema<T: Payload>(vals: &[T]) -> Option<(i64, i64)> {
+    let first = vals.first()?.lane();
     let (lo, hi) = vals
         .iter()
-        .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        .map(|x| x.lane())
+        .fold((first, first), |(lo, hi), x| (lo.min(x), hi.max(x)));
     Some((lo.into(), hi.into()))
 }
 
@@ -519,7 +611,7 @@ pub(crate) mod width_cases {
     use super::*;
 
     /// Every value a width boundary lies next to.
-    pub(crate) const BOUNDARIES: [i64; 16] = [
+    pub(crate) const BOUNDARIES: [i64; 22] = [
         0,
         -1,
         -129,
@@ -530,6 +622,12 @@ pub(crate) mod width_cases {
         -32_768,
         32_767,
         32_768,
+        65_535,
+        65_536,
+        I24::MIN - 1,
+        I24::MIN,
+        I24::MAX,
+        I24::MAX + 1,
         i32::MIN as i64 - 1,
         i32::MIN as i64,
         i32::MAX as i64,
@@ -556,22 +654,36 @@ pub(crate) mod width_cases {
         DECIMAL_12_2,
     ];
 
-    /// The narrowest of 1, 2, 4, 8 bytes holding `lo..=hi`, found the slow
-    /// way.
-    pub(crate) fn needs(lo: i64, hi: i64) -> u64 {
-        let fits = |bits: u32| [lo, hi].iter().all(|&v| v >> (bits - 1) == v >> 63);
-        [1, 2, 4]
-            .into_iter()
-            .find(|&w| fits(8 * w as u32))
-            .unwrap_or(8)
+    /// Whether `lo..=hi` fits `bits` signed bits, found the slow way.
+    fn signed(lo: i64, hi: i64, bits: u32) -> bool {
+        [lo, hi].iter().all(|&v| v >> (bits - 1) == v >> 63)
     }
 
-    /// `rows` in the narrowest storage that holds them, packed by hand.
-    fn narrowest(rows: &[i64]) -> ColumnData {
+    /// Whether `lo..=hi` fits `u16`.
+    fn unsigned16(lo: i64, hi: i64) -> bool {
+        lo >= 0 && hi >> 16 == 0
+    }
+
+    /// The fewest of 1, 2, 3, 4, 8 bytes holding `lo..=hi`.
+    pub(crate) fn needs(lo: i64, hi: i64) -> u64 {
+        match () {
+            _ if signed(lo, hi, 8) => 1,
+            _ if signed(lo, hi, 16) || unsigned16(lo, hi) => 2,
+            _ if signed(lo, hi, 24) => 3,
+            _ if signed(lo, hi, 32) => 4,
+            _ => 8,
+        }
+    }
+
+    /// `rows` in the narrowest storage that holds them — signed where a
+    /// signed and an unsigned width tie —, packed by hand.
+    pub(crate) fn narrowest(rows: &[i64]) -> ColumnData {
         let (lo, hi) = extrema(rows).unwrap_or((0, 0));
         match needs(lo, hi) {
             1 => ColumnData::I8(rows.iter().map(|&v| v as i8).collect()),
-            2 => ColumnData::I16(rows.iter().map(|&v| v as i16).collect()),
+            2 if signed(lo, hi, 16) => ColumnData::I16(rows.iter().map(|&v| v as i16).collect()),
+            2 => ColumnData::U16(rows.iter().map(|&v| v as u16).collect()),
+            3 => ColumnData::I24(rows.iter().map(|&v| I24::cut(v)).collect()),
             4 => ColumnData::I32(rows.iter().map(|&v| v as i32).collect()),
             _ => ColumnData::I64(rows.to_vec()),
         }
@@ -598,7 +710,7 @@ pub(crate) mod width_cases {
             DataType::Int64 => (i64::MIN, i64::MAX),
             DataType::Bool => (0, 1),
             // Codes: one dictionary entry per value up to the top one.
-            DataType::Str => (0, 32_768),
+            DataType::Str => (0, 65_536),
             DECIMAL_8_5 => (1 - 10i64.pow(8), 10i64.pow(8) - 1),
             DECIMAL_12_2 => (1 - 10i64.pow(12), 10i64.pow(12) - 1),
             _ => (i32::MIN as i64, i32::MAX as i64),
@@ -683,6 +795,9 @@ mod tests {
                 prop_assert_eq!(c.plain_bytes(), rows * case.dtype.plain_width(), "{}", tag);
             }
             prop_assert_eq!(case.wide.data(), case.narrow.data(), "{}", tag);
+            // Stored in the width the rule picks: signed where widths tie.
+            let picked = width_cases::narrowest(&case.payloads);
+            prop_assert_eq!(case.wide.data(), &picked, "{}", tag);
             prop_assert_eq!(case.wide.dictionary(), case.narrow.dictionary(), "{}", tag);
             for (i, &p) in case.payloads.iter().enumerate() {
                 let value = match case.dtype {
@@ -712,9 +827,10 @@ mod tests {
     #[test]
     fn date_column() {
         let d = Date::parse("1994-01-01").unwrap();
-        let c = Column::from_dates(vec![d, d.add_days(10)]);
+        let later = Date(d.days() + 10);
+        let c = Column::from_dates(vec![d, later]);
         assert_eq!(c.dtype(), DataType::Date);
-        assert_eq!(c.value(1), Value::Date(d.add_days(10)));
+        assert_eq!(c.value(1), Value::Date(later));
         assert_eq!(
             c.payload_of_value(&Value::Date(d)).unwrap(),
             d.days() as i64
@@ -793,12 +909,12 @@ mod tests {
             precision: 7,
             scale: 5,
         };
-        let vals = vec![2_709_371, 7_013_643];
+        let vals = vec![I24::cut(2_709_371), I24::cut(7_013_643)];
         let at = vals.as_ptr();
-        let c = Column::from_data(coord, ColumnData::I32(vals)).unwrap();
+        let c = Column::from_data(coord, ColumnData::I24(vals)).unwrap();
         assert_eq!(c.value(1), Value::decimal(7_013_643, 5));
-        let ColumnData::I32(stored) = c.data() else {
-            panic!("seven digits need 4 bytes")
+        let ColumnData::I24(stored) = c.data() else {
+            panic!("seven digits below 2^23 need 3 bytes")
         };
         assert_eq!(stored.as_ptr(), at, "the storage moved in, uncopied");
         for bad in [10_000_000, -10_000_000] {
@@ -909,7 +1025,16 @@ mod tests {
             }
         }
         // String codes: the width follows the dictionary, not the codes'.
-        for (distinct, width) in [(1, 1), (128, 1), (129, 2), (32_768, 2), (32_769, 4)] {
+        let strings = [
+            (1, 1),
+            (128, 1),
+            (129, 2),
+            (32_768, 2),
+            (32_769, 2),
+            (65_536, 2),
+            (65_537, 3),
+        ];
+        for (distinct, width) in strings {
             let vocab: Vec<String> = (0..distinct).map(|i| format!("{i:05}")).collect();
             let spelled = Column::from_strings(&vocab);
             let coded = Column::from_codes(&vocab, (0..distinct).collect()).unwrap();
@@ -928,7 +1053,7 @@ mod tests {
     }
 
     /// Storage that arrives in the narrowest width moves in uncopied, in
-    /// all four widths and through every constructor that takes a vector.
+    /// all six widths and through every constructor that takes a vector.
     #[test]
     fn narrowest_storage_moves_in_uncopied() {
         fn moved<T: Payload>(rows: Vec<T>, build: impl FnOnce(Vec<T>) -> Column) {
@@ -945,8 +1070,11 @@ mod tests {
         let date = |data: ColumnData| Column::from_data(DataType::Date, data).unwrap();
         moved(vec![-128i8, 127], |v| date(v.into()));
         moved(vec![-129i16, 0], |v| date(v.into()));
-        moved(vec![0i32, 32_768], |v| date(v.into()));
-        moved(vec![0i32, 32_768], Column::from_i32);
+        moved(vec![0u16, 65_535], |v| date(v.into()));
+        let i24s = vec![I24::cut(I24::MIN), I24::cut(32_768)];
+        moved(i24s, |v| date(v.into()));
+        moved(vec![0i32, I24::MAX as i32 + 1], |v| date(v.into()));
+        moved(vec![0i32, I24::MAX as i32 + 1], Column::from_i32);
         moved(vec![i32::MIN as i64 - 1, 0], Column::from_i64);
         moved(vec![1i64 << 40], |v| {
             Column::from_decimals(v, 15, 2).unwrap()
@@ -963,6 +1091,28 @@ mod tests {
         let c = Column::from_i64(wide);
         assert_eq!((c.data().width(), c.physical_bytes()), (1, 1000));
         assert_ne!(address(&c), at);
+        // Where two widths tie, signed comes first: one column, one storage.
+        let c = date(ColumnData::U16(vec![0, 32_767]));
+        assert_eq!(c.data(), &ColumnData::I16(vec![0, 32_767]));
+    }
+
+    /// An [`I24`] is its value in three bytes: every boundary survives the
+    /// round trip, and the order is the values' order.
+    #[test]
+    fn an_i24_is_three_bytes_of_its_value() {
+        assert_eq!(std::mem::size_of::<I24>(), 3);
+        assert_eq!(
+            std::mem::size_of::<Vec<I24>>(),
+            std::mem::size_of::<Vec<i32>>()
+        );
+        let edges = [I24::MIN, I24::MIN + 1, -32_769, -1, 0, 1, 65_536, I24::MAX];
+        for (i, &v) in edges.iter().enumerate() {
+            assert_eq!(i64::from(I24::cut(v)), v);
+            assert_eq!(format!("{:?}", I24::cut(v)), v.to_string());
+            for &w in &edges[i..] {
+                assert_eq!(I24::cut(v).cmp(&I24::cut(w)), v.cmp(&w), "{v} vs {w}");
+            }
+        }
     }
 
     /// The parent's `Dictionary::build` — sort every row reference, then

@@ -671,8 +671,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
         /// The view *is* the partition, and width is invisible to it: a
-        /// column of any type stored in 1, 2, 4 or 8 bytes (negative,
-        /// empty, one row, extrema on the width boundaries), built from
+        /// column of any type stored in 1, 2 (signed or not), 3, 4 or 8
+        /// bytes (negative, empty, one row, extrema on the width
+        /// boundaries — ±2^15, 2^16, ±2^23 among them), built from
         /// wide or from narrow input, decomposes under every kind of spec,
         /// in one piece and in three, into the metadata and approximation
         /// words of the widened payloads; and its residuals, read from the

@@ -27,7 +27,7 @@ pub mod swar;
 
 pub use bat::{Bat, Head};
 pub use bitpack::{BitPackedVec, BlockDecoder, DECODE_BLOCK};
-pub use column::{Column, ColumnData, Dictionary, Payload};
+pub use column::{Column, ColumnData, Dictionary, Payload, I24};
 pub use decompose::{DecomposedColumn, DecompositionMeta, DecompositionSpec};
 pub use lanes::{LaneParams, U64x4, U64x8, U64xN};
 pub use prefix::{OutOfRange, PrefixBase, PrefixGranularity};

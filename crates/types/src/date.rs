@@ -17,13 +17,22 @@ impl Date {
     /// Construct from a civil `(year, month, day)` triple.
     ///
     /// # Panics
-    /// Panics if `month` or `day` are out of range (this is a programming
-    /// error in generators/tests; the SQL layer validates user input and
-    /// returns an error instead).
+    /// Panics if `month` or `day` are out of range, or the year so far from
+    /// 1970 that its day count leaves `i32` (this is a programming error in
+    /// generators/tests; the SQL layer validates user input and returns an
+    /// error instead).
     pub fn from_ymd(year: i32, month: u32, day: u32) -> Self {
         assert!((1..=12).contains(&month), "month out of range: {month}");
         assert!((1..=31).contains(&day), "day out of range: {day}");
-        Date(days_from_civil(year, month, day))
+        Date::checked_ymd(year.into(), month, day).expect("year out of range")
+    }
+
+    /// The civil date `(year, month, day)` — `month` and `day` valid —, or
+    /// `None` when its day count leaves `i32` (beyond ±5.8 M years).
+    fn checked_ymd(year: i64, month: u32, day: u32) -> Option<Self> {
+        i32::try_from(days_from_civil(year, month, day))
+            .ok()
+            .map(Date)
     }
 
     /// Parse `"YYYY-MM-DD"`.
@@ -32,10 +41,10 @@ impl Date {
         let y: i32 = parts.next()?.parse().ok()?;
         let m: u32 = parts.next()?.parse().ok()?;
         let d: u32 = parts.next()?.parse().ok()?;
-        if !(1..=12).contains(&m) || d < 1 || d > days_in_month(y, m) {
+        if !(1..=12).contains(&m) || d < 1 || d > days_in_month(y.into(), m) {
             return None;
         }
-        Some(Date(days_from_civil(y, m, d)))
+        Date::checked_ymd(y.into(), m, d)
     }
 
     /// The `(year, month, day)` triple of this date.
@@ -49,26 +58,29 @@ impl Date {
         self.0
     }
 
-    /// This date shifted by `n` calendar days.
+    /// This date shifted by `n` calendar days; `None` when the day count
+    /// leaves `i32`.
     #[inline]
-    pub fn add_days(self, n: i32) -> Self {
-        Date(self.0 + n)
+    pub fn add_days(self, n: i32) -> Option<Self> {
+        self.0.checked_add(n).map(Date)
     }
 
     /// This date shifted by `n` calendar months (day-of-month clamped to the
-    /// target month's length, as SQL interval arithmetic does).
-    pub fn add_months(self, n: i32) -> Self {
+    /// target month's length, as SQL interval arithmetic does); `None` when
+    /// the day count leaves `i32`.
+    pub fn add_months(self, n: i32) -> Option<Self> {
         let (y, m, d) = self.ymd();
-        let zero_based = y as i64 * 12 + (m as i64 - 1) + n as i64;
-        let ny = zero_based.div_euclid(12) as i32;
+        // |y| < 5.9 M and |n| ≤ 2^31: no overflow in `i64`.
+        let zero_based = i64::from(y) * 12 + (i64::from(m) - 1) + i64::from(n);
+        let ny = zero_based.div_euclid(12);
         let nm = zero_based.rem_euclid(12) as u32 + 1;
-        let nd = d.min(days_in_month(ny, nm));
-        Date::from_ymd(ny, nm, nd)
+        Date::checked_ymd(ny, nm, d.min(days_in_month(ny, nm)))
     }
 
-    /// This date shifted by `n` calendar years.
-    pub fn add_years(self, n: i32) -> Self {
-        self.add_months(n * 12)
+    /// This date shifted by `n` calendar years; `None` when the day count
+    /// leaves `i32`.
+    pub fn add_years(self, n: i32) -> Option<Self> {
+        self.add_months(n.checked_mul(12)?)
     }
 }
 
@@ -85,11 +97,11 @@ impl fmt::Debug for Date {
     }
 }
 
-fn is_leap(y: i32) -> bool {
+fn is_leap(y: i64) -> bool {
     y % 4 == 0 && (y % 100 != 0 || y % 400 == 0)
 }
 
-fn days_in_month(y: i32, m: u32) -> u32 {
+fn days_in_month(y: i64, m: u32) -> u32 {
     match m {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,
@@ -104,15 +116,16 @@ fn days_in_month(y: i32, m: u32) -> u32 {
     }
 }
 
-/// Days since 1970-01-01 for the civil date `(y, m, d)`.
-fn days_from_civil(y: i32, m: u32, d: u32) -> i32 {
-    let y = y as i64 - if m <= 2 { 1 } else { 0 };
+/// Days since 1970-01-01 for the civil date `(y, m, d)`; exact for every
+/// year within ±2^50.
+fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
+    let y = y - if m <= 2 { 1 } else { 0 };
     let era = y.div_euclid(400);
     let yoe = y - era * 400; // [0, 399]
     let mp = ((m as i64) + 9) % 12; // March = 0
     let doy = (153 * mp + 2) / 5 + (d as i64) - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    (era * 146_097 + doe - 719_468) as i32
+    era * 146_097 + doe - 719_468
 }
 
 /// Civil `(y, m, d)` for a day count since 1970-01-01.
@@ -173,11 +186,33 @@ mod tests {
     #[test]
     fn interval_arithmetic() {
         let d = Date::parse("1995-09-01").unwrap();
-        assert_eq!(d.add_months(1).to_string(), "1995-10-01"); // TPC-H Q14 window
-        assert_eq!(d.add_years(1).to_string(), "1996-09-01");
+        let shown = |d: Option<Date>| d.unwrap().to_string();
+        assert_eq!(shown(d.add_months(1)), "1995-10-01"); // TPC-H Q14 window
+        assert_eq!(shown(d.add_years(1)), "1996-09-01");
         let eom = Date::parse("1996-01-31").unwrap();
-        assert_eq!(eom.add_months(1).to_string(), "1996-02-29"); // clamped, leap year
-        assert_eq!(eom.add_months(-2).to_string(), "1995-11-30");
+        assert_eq!(shown(eom.add_months(1)), "1996-02-29"); // clamped, leap year
+        assert_eq!(shown(eom.add_months(-2)), "1995-11-30");
+        assert_eq!(shown(d.add_days(-90)), "1995-06-03");
+    }
+
+    /// Shifts whose day count leaves `i32` are `None`, never a wrapped or
+    /// truncated date; the last representable days are reached exactly.
+    #[test]
+    fn interval_arithmetic_overflow_is_none() {
+        let d = Date::parse("1998-12-01").unwrap();
+        assert_eq!(d.add_days(i32::MAX), None);
+        assert_eq!(Date(i32::MIN).add_days(-1), None);
+        assert_eq!(Date(i32::MAX - 1).add_days(1), Some(Date(i32::MAX)));
+        for n in [i32::MAX, i32::MIN, i32::MAX / 12 + 1] {
+            assert_eq!(d.add_months(n), None, "{n} months");
+            assert_eq!(d.add_years(n), None, "{n} years");
+        }
+        assert_eq!(Date(i32::MAX).add_months(1), None);
+        assert_eq!(Date(i32::MIN).add_years(-1), None);
+        assert_eq!(Date::parse("2147483647-01-01"), None);
+        let (y, m, _) = Date(i32::MAX).ymd();
+        let first_of_last = Date::parse(&format!("{y}-{m:02}-01")).unwrap();
+        assert_eq!(first_of_last.ymd(), (y, m, 1));
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //! runs its seeded soak) that order is the execution order and the full
 //! fault sequence is reproducible; with several workers the per-site
 //! streams are still deterministic but their interleaving follows thread
-//! timing.
+//! timing: which caller gets draw k does, draw k's dice do not, so the
+//! faults among a site's first n draws are the same set.
 
 use crate::error::BwdError;
 use crate::rng::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,11 +234,19 @@ impl FaultPlan {
         if st.spec.ppm == 0 {
             return None;
         }
-        let k = st.draws.fetch_add(1, Ordering::Relaxed);
         // The rng must advance on every draw — skipped or capped draws
         // included — so draw k always sees the same dice regardless of
-        // how many faults the schedule let through before it.
-        let dice = st.rng.lock().unwrap().below(1_000_000);
+        // how many faults the schedule let through before it; and the
+        // index is taken under the same lock, or two racing draws could
+        // swap dice. The lock guards one rng step, which leaves the state
+        // valid even if a holder panicked, so a poisoned lock is recovered.
+        let (k, dice) = {
+            let mut rng = st.rng.lock().unwrap_or_else(PoisonError::into_inner);
+            (
+                st.draws.fetch_add(1, Ordering::Relaxed),
+                rng.below(1_000_000),
+            )
+        };
         if k < st.spec.skip || st.injected.load(Ordering::Relaxed) >= st.spec.max {
             return None;
         }
@@ -383,5 +392,37 @@ mod tests {
         }
         assert_eq!(interleaved, outcomes(&solo, FaultSite::TransportRead, 100));
         assert_eq!(plan.draws(FaultSite::TransportRead), 100);
+    }
+
+    /// Racing workers cannot swap dice: four threads rolling 5 000 times
+    /// each at one site inject exactly the faults the serial plan injects
+    /// over the same 20 000 draws.
+    #[test]
+    fn racing_draws_keep_their_dice() {
+        const THREADS: usize = 4;
+        const ROLLS: usize = 5_000;
+        let spec = FaultSpec {
+            ppm: 500_000,
+            skip: 2_000,
+            ..FaultSpec::default()
+        };
+        let mk = || FaultPlan::seeded(11).site(FaultSite::Exec, spec).build();
+        let serial = outcomes(&mk(), FaultSite::Exec, THREADS * ROLLS);
+        let want = serial.iter().filter(|&&hit| hit).count() as u64;
+        for round in 0..20 {
+            let (plan, start) = (mk(), std::sync::Barrier::new(THREADS));
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        // All four contend from the first draw, so the skip
+                        // boundary is crossed in a race.
+                        start.wait();
+                        outcomes(&plan, FaultSite::Exec, ROLLS)
+                    });
+                }
+            });
+            assert_eq!(plan.draws(FaultSite::Exec), (THREADS * ROLLS) as u64);
+            assert_eq!(plan.injected(FaultSite::Exec), want, "round {round}");
+        }
     }
 }

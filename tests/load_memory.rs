@@ -3,10 +3,11 @@
 //!
 //! One test, alone in its binary (the high-water mark is per process).
 //! Over 4 M rows, every load step — `Column::from_strings`,
-//! `Column::from_decimals`, `create_table`, `declare_fk`, `bwdecompose`
-//! 24/8 and all-device — may raise `VmHWM` over the resident set just
-//! before it by the bytes the step leaves resident (payloads in the 1, 2,
-//! 4 or 8 bytes they need, the FK mapping twice — host positions and the
+//! `Column::from_decimals`, `Column::from_i32`, `create_table`,
+//! `declare_fk`, `bwdecompose` 24/8 and all-device — may raise `VmHWM`
+//! over the resident set just before it by the bytes the step leaves
+//! resident (payloads in the 1, 2, 3, 4 or 8 bytes they need, the FK
+//! mapping twice — host positions and the
 //! packed device copy —, the packed approximation: a residual is read from
 //! the plain column, not packed a second time) plus 8 MiB for hash
 //! tables, dictionaries and allocator slack; a constructor handed values
@@ -132,6 +133,25 @@ fn loading_holds_no_row_count_sized_transient() {
         "from_decimals: {stays:.1} MiB stay resident for eleven values a byte holds"
     );
     assert_eq!(discount.plain_bytes(), ROWS as u64 * 8);
+
+    // The two widths between the powers of two, handed over as `i32`: a
+    // domain past `i16` that a `u16` holds, and a 23-bit one. The peak holds
+    // the re-packed 2 or 3 bytes a row beside the input; afterwards the
+    // counted heap holds those bytes and no `i32` copy.
+    let domains = [("u16", 32_768, 1 << 15, 2), ("i24", -(1 << 22), 1 << 23, 3)];
+    for (domain, lo, span, width) in domains {
+        let held = LIVE.load(Relaxed);
+        let input: Vec<i32> = (0..ROWS).map(|i| lo + (i * 7919 % span) as i32).collect();
+        let (col, rise) = peak_rise(|| Column::from_i32(input));
+        let kept = ROWS as u64 * width;
+        assert_no_transient(&format!("from_i32 ({domain} domain)"), rise, kept);
+        assert_eq!(col.physical_bytes(), kept, "{domain}");
+        let stays = LIVE.load(Relaxed) - held;
+        assert!(
+            stays <= kept as usize + (64 << 10),
+            "from_i32 ({domain} domain): {stays} B stay on the heap for {kept} B of payloads"
+        );
+    }
 
     let i32s = |f: fn(usize) -> usize| Column::from_i32((0..ROWS).map(|i| f(i) as i32).collect());
     let columns = vec![

@@ -4,12 +4,19 @@
 //!
 //! At 50 000 fixes (seed 3) and TPC-H SF 0.005 (seed 1; 30 000 lineitems,
 //! 1 000 parts) — the scale `crates/engine/tests/load_ledger.rs` pins the
-//! load ledger at. Each physical width is the narrowest of 1, 2, 4, 8
-//! bytes holding the domain stated beside it; the generators push the
-//! TPC-H measures in those widths, the keys and `tripid` arrive as `i32`
-//! and the storage rule narrows them on its own. At the benchmark's scale
-//! (8 M fixes, SF 0.5) the three keys need 4 bytes too: `trips` 16,
-//! `lineitem` 15, `part` 9 B/row, against modeled 16 / 44 / 16.
+//! load ledger at. Each physical width is the first of `i8`, `i16`, `u16`,
+//! the 3-byte `I24` and `i32` (else `i64`) holding the domain stated
+//! beside it; the generators push the TPC-H measures in those widths and
+//! the coordinates in 3 bytes, the keys, prices, `tripid` and `time`
+//! arrive as `i32` and the storage rule narrows them on its own.
+//!
+//! At the benchmark's scale (8 M fixes, SF 0.5; 3 M lineitems, 100 000
+//! parts): `tripid` 1..≈40 000 needs a `u16` (2), the coordinates stay 3,
+//! `time` reaches ≈ 44 M (4); `l_partkey` and `p_partkey` 1..=100 000 and
+//! `p_retailprice` ≤ 389 900 need 3, `l_extendedprice` reaches 19 495 000
+//! (4), the rest are as here. So `trips` 2 + 3 + 3 + 4 = 12, `lineitem`
+//! 3 + 1 + 4 + 1 + 1 + 1 + 1 + 2 = 14, `part` 3 + 1 + 3 = 7 B/row, against
+//! modeled 16 / 44 / 16.
 //!
 //! A width that moves back fails the physical column; a width that leaks
 //! into a bill fails the modeled one, the reports or the ledger — all
@@ -22,16 +29,16 @@ use waste_not::engine::Database;
 const WIDTHS: [(&str, &str, u64, u64); 15] = [
     // ~250 trips of 1..=400 fixes: more than 127, fewer than 32 768.
     ("trips", "tripid", 2, 4),
-    // −1 262 427..=2 964 975 and 2 709 371..=7 013 643: 23 bits.
-    ("trips", "lon", 4, 4),
-    ("trips", "lat", 4, 4),
-    // 50 000 steps of 1..=10 s: past 32 767, far below 2^31.
-    ("trips", "time", 4, 4),
+    // −1 262 427..=2 964 975 and 2 709 371..=7 013 643: inside ±2^23.
+    ("trips", "lon", 3, 4),
+    ("trips", "lat", 3, 4),
+    // 50 000 steps of 1..=10 s: past 65 535, below 2^23.
+    ("trips", "time", 3, 4),
     // 1..=1 000.
     ("lineitem", "l_partkey", 2, 4),
     // 1..=50.
     ("lineitem", "l_quantity", 1, 4),
-    // At most 50 × 389 900 = 19 495 000 cents, at least 90 000.
+    // Up to 50 × 199 890 = 9 994 500 cents (key 999): past 2^23.
     ("lineitem", "l_extendedprice", 4, 8),
     // 0..=10 and 0..=8 cents.
     ("lineitem", "l_discount", 1, 8),
@@ -41,10 +48,10 @@ const WIDTHS: [(&str, &str, u64, u64); 15] = [
     ("lineitem", "l_linestatus", 1, 4),
     // Days 8 036..=10 561.
     ("lineitem", "l_shipdate", 2, 4),
-    // 1..=1 000; 125 dictionary entries; 90 000..=389 900 cents.
+    // 1..=1 000; 125 dictionary entries; 90 110..=199 890 cents.
     ("part", "p_partkey", 2, 4),
     ("part", "p_type", 1, 4),
-    ("part", "p_retailprice", 4, 8),
+    ("part", "p_retailprice", 3, 8),
 ];
 
 /// `(table, column, device bits, device bytes, host bytes, resbits, stored
@@ -93,8 +100,8 @@ fn physical_bytes_per_row_are_pinned_and_reach_no_bill() {
     }
     let expected = [
         ("lineitem", (13, 44)),
-        ("part", (7, 16)),
-        ("trips", (14, 16)),
+        ("part", (6, 16)),
+        ("trips", (11, 16)),
     ];
     assert_eq!(per_row.into_iter().collect::<Vec<_>>(), expected);
     for (table, _) in expected {
