@@ -25,10 +25,12 @@ pub struct SubmitOptions {
     /// letting the placement policy choose. Out-of-range indices fail the
     /// query; classic queries ignore this.
     pub device: Option<usize>,
-    /// Scheduling priority under [`crate::QueuePolicy::Priority`]: higher
-    /// values dequeue sooner (ties break on the latency estimate, then
-    /// arrival order). Ignored by the other policies; aging still bounds
-    /// how long a low-priority job can be bypassed. Defaults to `0`.
+    /// Scheduling priority, the queue's first key: higher values dequeue
+    /// sooner (ties break on the latency estimate, then arrival order),
+    /// and a job paused at a yield point hosts only queued work of at
+    /// least its own priority. Aging still bounds how long a low-priority
+    /// job can be bypassed, and `SchedConfig::aging_threshold: 0` ignores
+    /// priorities for arrival order. Defaults to `0`.
     pub priority: i32,
     /// Per-query tracing override: `Some(true)` records a full
     /// [`QueryTrace`] for this job even when the scheduler default is
@@ -212,7 +214,7 @@ impl Drop for Job {
 /// The completion index makes ordering decisions *observable*: the
 /// scheduler stamps every finished job with a global monotone counter, so
 /// a test driving a one-worker scheduler can assert the exact execution
-/// order a [`crate::QueuePolicy`] produced — no wall-clock sleeps, no
+/// order the [`crate::PolicyQueue`] produced — no wall-clock sleeps, no
 /// timestamp comparisons.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobReport {

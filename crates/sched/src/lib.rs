@@ -16,8 +16,8 @@
 //! ```text
 //!  Session ─┐  submit(plan, mode, prio)      ┌─ worker 0 ── classic pipe (morsel-parallel)
 //!  Session ─┼─▶ PolicyQueue ───────▶ pool ───┼─ worker 1 ─┐
-//!  Session ─┘   (Fifo | SJF | Priority,      └─ worker N ─┤  A&R: place (least loaded)
-//!   │ one PlanFootprint  bypass-count aging)              ▼
+//!  Session ─┘   (priority, estimate,         └─ worker N ─┤  A&R: place (least loaded)
+//!   │ one PlanFootprint  arrival; aging)                  ▼
 //!   ▼ per submission                      ┌── device 0 admission queue ─▶ DeviceMemory 0
 //!  Ticket (result + JobReport)            └── device 1 admission queue ─▶ DeviceMemory 1
 //!                                             (per-card FIFO reservations, never exceeded;
@@ -38,13 +38,15 @@
 //!   (`bwd_engine::bill`) over those counts, the admission reservation
 //!   its transient device bytes; this crate prices nothing itself
 //!   ([`footprint`]).
-//! * **Priority-aware queueing**: the central queue is a [`PolicyQueue`]
-//!   ordered by a pluggable [`QueuePolicy`] — FIFO, shortest-job-first
-//!   over [`PlanFootprint::latency`], or caller-assigned
-//!   [`SubmitOptions::priority`] — with deterministic bypass-count aging
-//!   so long/low-priority jobs are never starved (at most
-//!   `aging_threshold` younger pops may overtake a queued job). Short
-//!   A&R probes no longer head-of-line-block behind bulk classic scans
+//! * **One queue order**: the central queue is a [`PolicyQueue`] that
+//!   runs caller-assigned [`SubmitOptions::priority`] first (higher
+//!   sooner), then the smaller [`PlanFootprint::latency`], then arrival —
+//!   shortest-job-first whenever priorities are equal, as they are by
+//!   default — with deterministic bypass-count aging so long or
+//!   low-priority jobs are never starved (at most
+//!   [`SchedConfig::aging_threshold`] younger pops may overtake a queued
+//!   job; `0` is arrival order). Short A&R probes do not
+//!   head-of-line-block behind bulk classic scans
 //!   (`tests/priority_sched.rs` pins the drain orders; the benchmark's
 //!   `sched.queue_wait_ms_p50` on `mixed_streams` measures the wait).
 //! * **Multi-device placement**: the database's [`Env`] may carry a
@@ -107,7 +109,7 @@ pub mod workload;
 pub use admission::{AdmissionController, AdmissionPermit, KERNEL_SCRATCH_BYTES};
 pub use footprint::{PlanFootprint, WorkingSetEstimate};
 pub use job::{JobReport, SubmitOptions, Ticket};
-pub use policy::{PolicyQueue, PoppedKey, QueuePolicy};
+pub use policy::{PolicyQueue, PoppedKey};
 pub use scheduler::{PreemptConfig, SchedConfig, Scheduler, TraceRecord};
 pub use session::Session;
 pub use stats::{DeviceSnapshot, QueuePressure, SchedulerStats, StreamSnapshot};

@@ -4,7 +4,7 @@ use crate::footprint::WorkingSetEstimate;
 use crate::job::{Job, JobReport};
 use crate::lifecycle::{Run, SchedMetrics, Transition};
 use crate::placement::{place, DeviceSlot};
-use crate::policy::{PolicyQueue, QueuePolicy};
+use crate::policy::PolicyQueue;
 use crate::session::Session;
 use crate::stats::{DeviceSnapshot, SchedulerStats, StreamAccum};
 use bwd_device::{Env, YieldPoint};
@@ -28,17 +28,15 @@ use std::time::{Duration, Instant};
 /// exactly where it left off. The paused job's state lives untouched on
 /// the worker's stack, so results, traffic and simulated charges are
 /// bit-identical with preemption on or off — only wall-clock interleaving
-/// changes. `tests/preempt_sched.rs` holds that invariant across every
-/// queue policy and candidate representation.
+/// changes. `tests/preempt_sched.rs` holds that invariant in both queue
+/// orders (the default and arrival order) and across candidate
+/// representations. Hosted jobs may themselves host, two levels deep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreemptConfig {
     /// Poll yield points and host queued short jobs at them. Default
     /// `false`: completion *order* (not results) changes under
     /// preemption, and order-sensitive callers must opt in.
     pub enabled: bool,
-    /// Maximum nesting depth of hosted jobs (a hosted job may itself
-    /// yield to shorter work until this depth). Depth 0 never yields.
-    pub max_depth: u32,
     /// A queued job is eligible for hosting when its latency estimate is
     /// at most `ratio` times the paused job's — preempting for work as
     /// long as the rest of the current job would only add latency.
@@ -54,7 +52,6 @@ impl Default for PreemptConfig {
     fn default() -> Self {
         PreemptConfig {
             enabled: false,
-            max_depth: 2,
             ratio: 0.25,
             max_hosted: 16,
         }
@@ -79,14 +76,11 @@ pub struct SchedConfig {
     /// (tests); a non-finite or non-positive factor reserves the worst
     /// case.
     pub safety_factor: f64,
-    /// How queued jobs are ordered ([`QueuePolicy::ShortestJobFirst`] by
-    /// default — with equal latency estimates it degrades to exact FIFO,
-    /// so homogeneous workloads behave as before while mixed short/long
-    /// workloads stop head-of-line blocking).
-    pub policy: QueuePolicy,
     /// Anti-starvation bound: the maximum number of times a queued job
     /// may be bypassed by younger work before it becomes un-overtakable
-    /// (see [`crate::policy`]). `0` forbids reordering entirely.
+    /// (see [`crate::policy`]). `0` forbids reordering entirely: jobs run
+    /// in arrival order instead of the queue's one order (priority, then
+    /// latency estimate, then arrival).
     pub aging_threshold: u32,
     /// Record a [`QueryTrace`] for every job (default `false`; per-query
     /// [`crate::SubmitOptions::trace`] overrides in either direction).
@@ -111,7 +105,6 @@ impl Default for SchedConfig {
             admission_deadline: Some(Duration::from_secs(10)),
             max_morsels: hw,
             safety_factor: 4.0,
-            policy: QueuePolicy::default(),
             aging_threshold: 32,
             tracing: false,
             trace_ring_capacity: 1024,
@@ -237,7 +230,7 @@ impl Scheduler {
         let shared = Arc::new(Shared {
             db,
             queue: Mutex::new(QueueState {
-                jobs: PolicyQueue::new(config.policy, config.aging_threshold),
+                jobs: PolicyQueue::new(config.aging_threshold),
                 closed: false,
             }),
             work_ready: Condvar::new(),
@@ -328,7 +321,6 @@ impl Scheduler {
             .collect();
         let busiest = devices.iter().max_by_key(|d| d.peak_bytes);
         SchedulerStats {
-            policy: self.shared.config.policy,
             completed: self.shared.completions.load(Ordering::Relaxed),
             classic: self.shared.classic.snapshot(),
             approx_refine: self.shared.approx_refine.snapshot(),
@@ -498,24 +490,33 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> BwdError {
     BwdError::Exec(format!("query panicked during execution: {msg}"))
 }
 
+/// Nesting depth of hosted jobs: a job hosted at a yield point may itself
+/// host shorter work, down to this depth. Depth 0 is a worker draining
+/// the queue.
+const MAX_DEPTH: u32 = 2;
+
 /// Build the [`YieldPoint`] hook one execution polls between partitions.
 ///
-/// Each poll drains eligible queued work inline: a queued job whose
-/// latency estimate is at most `ratio` times the paused job's is popped
-/// provisionally ([`PolicyQueue::pop_if`]), executed to completion on
-/// this same thread (one nesting level deeper), and the paused job then
-/// resumes from exactly where it stopped. The paused job's partial state
-/// never moves — results, traffic and simulated charges are bit-identical
-/// with preemption on or off. A hosted job whose non-blocking admission
-/// did not fit goes back to the queue with its original seq and bypass
-/// count, and the poll returns early: admission is full, so further
-/// candidates would hit the same wall.
+/// Each poll drains eligible queued work inline. The queue's next job is
+/// eligible when the queue's own order would have run it before the
+/// paused job — its priority is at least the paused job's — and its
+/// latency estimate is at most `ratio` times the paused job's. It is
+/// popped provisionally ([`PolicyQueue::pop_if`]), executed to completion
+/// on this same thread (one nesting level deeper), and the paused job
+/// then resumes from exactly where it stopped. Only the head is offered:
+/// if it fails the estimate test, no job of its priority behind it can
+/// pass, and one of lower priority may not overtake it. The paused job's
+/// partial state never moves — results, traffic and simulated charges are
+/// bit-identical with preemption on or off. A hosted job whose
+/// non-blocking admission did not fit goes back to the queue with its
+/// original seq and bypass count, and the poll returns early: admission
+/// is full, so further candidates would hit the same wall.
 fn yield_hook(run: &Run<'_>, job: &Job) -> YieldPoint {
     let shared = Arc::clone(run.shared);
     let recorder = job.recorder.clone();
     let lane = run.lane.to_string();
     let (depth, exec) = (run.depth, run.exec());
-    let parent_est = job.est_seconds();
+    let (parent_est, parent_priority) = (job.est_seconds(), job.opts.priority);
     let ratio = shared.config.preempt.ratio;
     let cancel = Arc::clone(&job.cancel);
     // Per-execution hosting budget: a steady stream of short arrivals
@@ -532,11 +533,11 @@ fn yield_hook(run: &Run<'_>, job: &Job) -> YieldPoint {
                 if q.closed {
                     return Ok(());
                 }
-                // Scan past ineligible entries (under FIFO the head is
-                // usually another bulk scan) — aging's no-overtake bound
-                // is enforced inside the queue, not here.
-                q.jobs
-                    .pop_if_scan(|k, _| k.est_seconds <= ratio * parent_est)
+                // Aging's no-overtake bound is enforced inside the queue:
+                // an aged head is offered before anything younger.
+                q.jobs.pop_if(|k, _| {
+                    k.priority >= parent_priority && k.est_seconds <= ratio * parent_est
+                })
             };
             let Some((key, child)) = popped else {
                 return Ok(());
@@ -549,18 +550,15 @@ fn yield_hook(run: &Run<'_>, job: &Job) -> YieldPoint {
             let back = execute_job(&shared, child, &lane, depth + 1);
             let would_block = back.is_some();
             let mut requeued = false;
-            {
+            if let Some(child) = back {
+                // Would-block: the child re-enters under its original seq
+                // and bypass count (dropped instead if the queue closed
+                // meanwhile — its ticket then resolves to the shutdown
+                // error, exactly like any discarded job).
                 let mut q = shared.queue.lock().unwrap();
-                match back {
-                    // Would-block: the child re-enters under its original
-                    // seq and bypass count (dropped instead if the queue
-                    // closed meanwhile — its ticket then resolves to the
-                    // shutdown error, exactly like any discarded job).
-                    Some(child) if !q.closed => {
-                        q.jobs.requeue(key, child);
-                        requeued = true;
-                    }
-                    _ => q.jobs.finish(key),
+                if !q.closed {
+                    q.jobs.requeue(key, child);
+                    requeued = true;
                 }
             }
             paused.step(Transition::Resumed {
@@ -609,12 +607,12 @@ fn run_job(run: &Run<'_>, job: &Job) -> Result<QueryResult> {
     env.trace = TraceCtx::new(job.recorder.clone(), run.exec(), run.lane);
     // Arm the yield point: the engine polls it between partitions. With
     // preemption on, each poll may additionally host queued short work
-    // inline (one nesting level deeper, up to the configured depth)
+    // inline (one nesting level deeper, down to `MAX_DEPTH`)
     // before this job resumes; with preemption off the hook still
     // observes cancellation and deadlines, so every running query stops
     // within one yield-point interval of being cancelled.
     let preempt = &shared.config.preempt;
-    env.preempt = if preempt.enabled && run.depth < preempt.max_depth {
+    env.preempt = if preempt.enabled && run.depth < MAX_DEPTH {
         yield_hook(run, job)
     } else {
         let cancel = Arc::clone(&job.cancel);

@@ -43,9 +43,9 @@ impl Session {
     /// The plan is walked once, here ([`PlanFootprint::of`]): the
     /// submission is stamped with a latency estimate from the plan's
     /// selectivity hints and the platform cost model, and carries the
-    /// footprint its admission reservation is later sized from; the
-    /// scheduler's [`crate::QueuePolicy`] orders the queue by that
-    /// estimate and by [`SubmitOptions::priority`].
+    /// footprint its admission reservation is later sized from. The
+    /// scheduler's [`crate::PolicyQueue`] runs [`SubmitOptions::priority`]
+    /// first, then that estimate, then arrival.
     pub fn submit_with(&self, plan: ArPlan, mode: ExecMode, opts: SubmitOptions) -> Ticket {
         let (tx, rx) = mpsc::channel();
         let threads = opts.effective_host_threads(self.shared.db.env());

@@ -154,8 +154,6 @@ pub struct DeviceSnapshot {
 /// Point-in-time view of the whole scheduler.
 #[derive(Debug, Clone)]
 pub struct SchedulerStats {
-    /// The queue-ordering policy this scheduler runs.
-    pub policy: crate::policy::QueuePolicy,
     /// Jobs completed in total (success or error) — the source of
     /// [`crate::JobReport::completion_index`] stamps.
     pub completed: u64,

@@ -9,8 +9,9 @@
 //!   long classic scans, one small table for short A&R probes) and emits
 //!   query specs from a seeded SplitMix64 stream — the same seed always
 //!   produces the same workload, on every machine, so a bench or test can
-//!   re-run the identical mix under every [`crate::QueuePolicy`] and
-//!   compare results bit-for-bit;
+//!   re-run the identical mix in either queue order (the default, or
+//!   arrival order with `aging_threshold: 0`) and compare results
+//!   bit-for-bit;
 //! * [`Gate`] freezes a scheduler deterministically: it reserves every
 //!   free byte of a device so the first A&R job blocks *inside*
 //!   admission, pinning a worker while the test stacks up the queue it
@@ -83,7 +84,7 @@ pub struct QuerySpec {
 
 impl QuerySpec {
     /// Submission options matching this spec's kind: `short_priority`
-    /// for probes, priority 0 for scans (used by priority-policy runs).
+    /// for probes, priority 0 for scans.
     pub fn submit_options(&self, short_priority: i32) -> SubmitOptions {
         SubmitOptions {
             priority: match self.kind {
@@ -246,7 +247,8 @@ impl WorkloadGen {
 
     /// A deterministically-shuffled batch of `shorts` probes and `longs`
     /// scans. The first element is always a long scan when `longs > 0`,
-    /// so a FIFO drain provably head-of-line-blocks the probes behind it.
+    /// so an arrival-order drain provably head-of-line-blocks the probes
+    /// behind it.
     pub fn mixed(&mut self, shorts: usize, longs: usize) -> Vec<QuerySpec> {
         let mut batch: Vec<QuerySpec> = Vec::with_capacity(shorts + longs);
         for _ in 0..shorts {

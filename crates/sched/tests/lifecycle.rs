@@ -23,8 +23,7 @@ use bwd_obs::{EventKind, Phase, QueryTrace};
 use bwd_sched::lifecycle::{State, LEGAL};
 use bwd_sched::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
 use bwd_sched::{
-    PlanFootprint, PreemptConfig, QueuePolicy, SchedConfig, Scheduler, Session, SubmitOptions,
-    Ticket,
+    PlanFootprint, PreemptConfig, SchedConfig, Scheduler, Session, SubmitOptions, Ticket,
 };
 use bwd_types::{BwdError, FaultPlan, FaultSite, FaultSpec};
 use std::sync::{Arc, Mutex};
@@ -134,7 +133,6 @@ fn exec_faults(max: u64, panic: bool) -> FaultPlan {
 fn forced(max_hosted: u32) -> PreemptConfig {
     PreemptConfig {
         enabled: true,
-        max_depth: 2,
         ratio: f64::INFINITY,
         max_hosted,
     }
@@ -199,7 +197,7 @@ const CASES: &[Case] = &[
         ],
         faults: FaultPlan::disabled,
         config: |c| {
-            c.policy = QueuePolicy::Fifo;
+            c.aging_threshold = 0;
             c.preempt = forced(64);
         },
         drive: |ctx| {
@@ -334,7 +332,7 @@ const CASES: &[Case] = &[
         ],
         faults: FaultPlan::disabled,
         config: |c| {
-            c.policy = QueuePolicy::Fifo;
+            c.aging_threshold = 0;
             c.preempt = forced(1);
         },
         drive: |ctx| {

@@ -6,7 +6,8 @@
 //! every query's rows, survivor count, simulated cost breakdown and
 //! traffic bytes must be **bit-identical** with preemption on or off —
 //! preemption buys latency, never answers. The sweep below pins that
-//! across every [`QueuePolicy`] × [`CandidateRep`] × morsel count.
+//! in both queue orders (the default, and arrival order with
+//! `aging_threshold: 0`) × [`CandidateRep`] × morsel count.
 //!
 //! Determinism follows the `priority_sched` playbook: a one-worker
 //! scheduler frozen behind a [`Gate`] while the batch stacks up, forced
@@ -17,16 +18,12 @@ use std::sync::Arc;
 
 use waste_not::engine::CandidateRep;
 use waste_not::sched::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
-use waste_not::sched::{
-    PlanFootprint, PreemptConfig, QueuePolicy, SchedConfig, Scheduler, SubmitOptions,
-};
+use waste_not::sched::{PlanFootprint, PreemptConfig, SchedConfig, Scheduler, SubmitOptions};
 use waste_not::{ArExecOptions, ExecMode, QueryResult};
 
-const POLICIES: [QueuePolicy; 3] = [
-    QueuePolicy::Fifo,
-    QueuePolicy::ShortestJobFirst,
-    QueuePolicy::Priority,
-];
+/// The two queue orders, as aging thresholds: the default, and arrival
+/// order.
+const ORDERS: [u32; 2] = [32, 0];
 const REPS: [CandidateRep; 3] = [
     CandidateRep::Auto,
     CandidateRep::Indices,
@@ -49,7 +46,6 @@ fn spec() -> WorkloadSpec {
 fn forced(enabled: bool) -> PreemptConfig {
     PreemptConfig {
         enabled,
-        max_depth: 2,
         ratio: f64::INFINITY,
         max_hosted: 64,
     }
@@ -76,9 +72,9 @@ struct BatchRun {
 }
 
 /// Run the seeded batch on a one-worker scheduler under one
-/// policy/representation/morsel/preemption configuration.
+/// order/representation/morsel/preemption configuration.
 fn run_batch(
-    policy: QueuePolicy,
+    aging_threshold: u32,
     rep: CandidateRep,
     morsels: usize,
     preempt: PreemptConfig,
@@ -89,8 +85,7 @@ fn run_batch(
         SchedConfig {
             workers: 1,
             admission_deadline: None,
-            policy,
-            aging_threshold: 1000,
+            aging_threshold,
             preempt,
             ..SchedConfig::default()
         },
@@ -135,7 +130,10 @@ fn run_batch(
     }
     let preemptions = metric(&sched.metrics_snapshot(), "bwd_sched_preemptions_total");
     let stats = sched.stats();
-    assert_eq!(stats.errors, 0, "{policy:?}/{rep:?}/m{morsels}");
+    assert_eq!(
+        stats.errors, 0,
+        "aging {aging_threshold}/{rep:?}/m{morsels}"
+    );
     assert!(stats.device_peak_bytes <= stats.device_capacity_bytes);
     BatchRun {
         results,
@@ -156,12 +154,12 @@ fn assert_bit_identical(off: &[QueryResult], on: &[QueryResult], tag: &str) {
 
 #[test]
 fn results_and_charges_are_bit_identical_with_preemption_on_and_off() {
-    for policy in POLICIES {
+    for aging_threshold in ORDERS {
         for rep in REPS {
             for morsels in MORSELS {
-                let tag = format!("{policy:?}/{rep:?}/morsels={morsels}");
-                let off = run_batch(policy, rep, morsels, forced(false));
-                let on = run_batch(policy, rep, morsels, forced(true));
+                let tag = format!("aging {aging_threshold}/{rep:?}/morsels={morsels}");
+                let off = run_batch(aging_threshold, rep, morsels, forced(false));
+                let on = run_batch(aging_threshold, rep, morsels, forced(true));
                 assert_eq!(
                     off.preemptions, 0,
                     "{tag}: disabled scheduler must never preempt"
@@ -175,14 +173,16 @@ fn results_and_charges_are_bit_identical_with_preemption_on_and_off() {
         }
     }
 
-    // The shipped knobs, merely enabled: a FIFO queue whose head is a long
-    // scan (`mixed` puts one first) hosts the shorts queued behind it —
-    // the default `ratio` admits them — so every short completes before
-    // the long it arrived after, and nothing else moves.
-    let tag = "Fifo/default preemption";
-    let off = run_batch(QueuePolicy::Fifo, CandidateRep::Auto, 1, forced(false));
+    // The shipped knobs, merely enabled: in arrival order the long scan at
+    // the head (`mixed` puts one first) hosts the shorts queued behind it
+    // — the default `ratio` admits them — so every short queued ahead of
+    // the second long completes before the head does, and nothing else
+    // moves. Hosting offers the queue's head only, so it stops at the
+    // second long; the shorts behind that one wait for it to start.
+    let tag = "arrival order/default preemption";
+    let off = run_batch(0, CandidateRep::Auto, 1, forced(false));
     let on = run_batch(
-        QueuePolicy::Fifo,
+        0,
         CandidateRep::Auto,
         1,
         PreemptConfig {
@@ -193,8 +193,11 @@ fn results_and_charges_are_bit_identical_with_preemption_on_and_off() {
     assert!(on.preemptions > 0, "{tag}: {:?}", on.completed);
     let (head_kind, head_done) = on.completed[0];
     assert_eq!(head_kind, JobKind::Long);
+    let second_long = (on.completed.iter().skip(1))
+        .position(|&(kind, _)| kind == JobKind::Long)
+        .map_or(on.completed.len(), |i| i + 1);
     assert!(
-        on.completed
+        on.completed[..second_long]
             .iter()
             .all(|&(kind, done)| kind == JobKind::Long || done < head_done),
         "{tag}: a short waited for the long at the head: {:?}",
@@ -227,7 +230,7 @@ fn nested_admission_never_blocks_it_requeues_with_seq_and_bypass_preserved() {
         SchedConfig {
             workers: 1,
             admission_deadline: None,
-            policy: QueuePolicy::Fifo,
+            aging_threshold: 0,
             preempt: forced(true),
             ..SchedConfig::default()
         },
@@ -258,9 +261,10 @@ fn nested_admission_never_blocks_it_requeues_with_seq_and_bypass_preserved() {
     let (r2, rep2) = t2.wait_report().unwrap();
     drop(hold);
 
-    // s1 hosted the long inline (FIFO head at its first yield point), so
-    // the long finishes first; s2 — repeatedly offered and re-queued on
-    // its would-block — runs last, at depth 0, after s1 released S.
+    // s1 hosted the long inline (the arrival-order head at its first
+    // yield point), so the long finishes first; s2 — repeatedly offered
+    // and re-queued on its would-block — runs last, at depth 0, after s1
+    // released S.
     assert!(
         rep_long.completion_index < rep1.completion_index,
         "the hosted long must complete inside s1: long {rep_long:?} vs s1 {rep1:?}"
@@ -309,7 +313,7 @@ fn a_requeued_job_keeps_the_worst_case_it_was_inflated_to() {
         SchedConfig {
             workers: 1,
             admission_deadline: None,
-            policy: QueuePolicy::Fifo,
+            aging_threshold: 0,
             preempt: forced(true),
             safety_factor,
             ..SchedConfig::default()

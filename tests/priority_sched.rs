@@ -6,21 +6,21 @@
 //! batch under test stacks up in the queue, and the drain order is then
 //! read back from each job's [`JobReport::completion_index`] — a global
 //! counter the scheduler stamps at completion, which on one worker *is*
-//! the execution order the [`QueuePolicy`] chose.
+//! the execution order the queue chose. The queue has one order
+//! (priority, then latency estimate, then arrival); `aging_threshold: 0`
+//! is arrival order.
 
 use std::sync::Arc;
 
 use waste_not::sched::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{
-    JobReport, QueuePolicy, SchedConfig, Scheduler, Session, SubmitOptions, Ticket,
+    JobReport, PreemptConfig, SchedConfig, Scheduler, Session, SubmitOptions, Ticket,
 };
 use waste_not::Value;
 
-const POLICIES: [QueuePolicy; 3] = [
-    QueuePolicy::Fifo,
-    QueuePolicy::ShortestJobFirst,
-    QueuePolicy::Priority,
-];
+/// The two queue orders, as aging thresholds: the default, and arrival
+/// order.
+const ORDERS: [u32; 2] = [32, 0];
 
 fn small_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -35,14 +35,14 @@ fn small_spec() -> WorkloadSpec {
     }
 }
 
-fn one_worker(gen: &WorkloadGen, policy: QueuePolicy, aging_threshold: u32) -> Scheduler {
+fn one_worker(gen: &WorkloadGen, aging_threshold: u32, preempt: PreemptConfig) -> Scheduler {
     Scheduler::new(
         Arc::clone(gen.db()),
         SchedConfig {
             workers: 1,
             admission_deadline: None,
-            policy,
             aging_threshold,
+            preempt,
             ..SchedConfig::default()
         },
     )
@@ -60,7 +60,7 @@ fn freeze(gen: &mut WorkloadGen, session: &Session, gate: &Gate) -> Ticket {
 #[test]
 fn sjf_drains_every_short_probe_before_the_long_scans() {
     let mut gen = WorkloadGen::new(11, small_spec()).unwrap();
-    let sched = one_worker(&gen, QueuePolicy::ShortestJobFirst, 1000);
+    let sched = one_worker(&gen, 1000, PreemptConfig::default());
     let session = sched.session();
     let gate = Gate::block(gen.db(), 0).unwrap();
     let gate_ticket = freeze(&mut gen, &session, &gate);
@@ -111,14 +111,29 @@ fn sjf_drains_every_short_probe_before_the_long_scans() {
 
 #[test]
 fn priority_policy_overrides_the_latency_estimate() {
+    priority_beats_the_estimate(PreemptConfig::default());
+}
+
+/// A running priority-7 scan may host only queued work of priority 7 or
+/// more: the priority −1 probes are not the work the queue would run
+/// first, so enabling preemption leaves the drain order alone.
+#[test]
+fn preemption_never_hosts_below_the_paused_priority() {
+    priority_beats_the_estimate(PreemptConfig {
+        enabled: true,
+        ..Default::default()
+    });
+}
+
+fn priority_beats_the_estimate(preempt: PreemptConfig) {
     let mut gen = WorkloadGen::new(13, small_spec()).unwrap();
-    let sched = one_worker(&gen, QueuePolicy::Priority, 1000);
+    let sched = one_worker(&gen, 1000, preempt);
     let session = sched.session();
     let gate = Gate::block(gen.db(), 0).unwrap();
     let gate_ticket = freeze(&mut gen, &session, &gate);
 
-    // Longs submitted at high priority, shorts at low: under Priority
-    // the *slower* jobs must win, proving priority beats the estimate.
+    // Longs submitted at high priority, shorts at low: the *slower* jobs
+    // must win, proving priority beats the estimate.
     let longs: Vec<_> = (0..2).map(|_| gen.long()).collect();
     let shorts: Vec<_> = (0..4).map(|_| gen.short()).collect();
     let short_tickets: Vec<_> = shorts
@@ -165,15 +180,13 @@ fn priority_policy_overrides_the_latency_estimate() {
     sorted_longs.sort_unstable();
     assert_eq!(sorted_longs, vec![1, 2], "{long_idx:?}");
     assert_eq!(short_idx, vec![3, 4, 5, 6]);
-    // The reports carry the priorities the decision used.
-    assert_eq!(sched.stats().policy, QueuePolicy::Priority);
 }
 
 #[test]
 fn aging_bounds_bypasses_exactly_no_starvation() {
     let mut gen = WorkloadGen::new(17, small_spec()).unwrap();
     // A long scan may be overtaken by at most 4 younger jobs.
-    let sched = one_worker(&gen, QueuePolicy::ShortestJobFirst, 4);
+    let sched = one_worker(&gen, 4, PreemptConfig::default());
     let session = sched.session();
     let gate = Gate::block(gen.db(), 0).unwrap();
     let gate_ticket = freeze(&mut gen, &session, &gate);
@@ -210,22 +223,22 @@ fn aging_bounds_bypasses_exactly_no_starvation() {
 
 #[test]
 fn results_and_costs_are_bit_identical_across_policies() {
-    // The policy may only reorder work — answers, simulated costs and
-    // traffic must not move. Run the identical seeded batch under every
-    // policy on a concurrent (4-worker) scheduler and compare to serial.
+    // The order may only reorder work — answers, simulated costs and
+    // traffic must not move. Run the identical seeded batch in both
+    // orders on a concurrent (4-worker) scheduler and compare to serial.
     let reference: Vec<_> = {
         let mut gen = WorkloadGen::new(23, small_spec()).unwrap();
         let batch = gen.mixed(8, 3);
         batch.iter().map(|q| gen.reference(q).unwrap()).collect()
     };
-    for policy in POLICIES {
+    for aging_threshold in ORDERS {
         let mut gen = WorkloadGen::new(23, small_spec()).unwrap();
         let batch = gen.mixed(8, 3);
         let sched = Scheduler::new(
             Arc::clone(gen.db()),
             SchedConfig {
                 workers: 4,
-                policy,
+                aging_threshold,
                 ..SchedConfig::default()
             },
         );
@@ -236,15 +249,18 @@ fn results_and_costs_are_bit_identical_across_policies() {
             .collect();
         for (i, t) in tickets.into_iter().enumerate() {
             let got = t.wait().unwrap();
-            assert_eq!(got.rows, reference[i].rows, "{policy:?} query {i}");
+            assert_eq!(got.rows, reference[i].rows, "{aging_threshold} query {i}");
             assert_eq!(
                 got.breakdown, reference[i].breakdown,
-                "{policy:?} query {i}"
+                "{aging_threshold} query {i}"
             );
-            assert_eq!(got.traffic, reference[i].traffic, "{policy:?} query {i}");
+            assert_eq!(
+                got.traffic, reference[i].traffic,
+                "{aging_threshold} query {i}"
+            );
         }
         let stats = sched.stats();
-        assert_eq!(stats.errors, 0, "{policy:?}");
+        assert_eq!(stats.errors, 0, "{aging_threshold}");
         assert!(stats.device_peak_bytes <= stats.device_capacity_bytes);
         // Estimate-vs-actual accounting accumulated on both streams.
         assert!(stats.classic.est_sim_seconds > 0.0);
@@ -256,7 +272,7 @@ fn results_and_costs_are_bit_identical_across_policies() {
 #[test]
 fn fifo_policy_regression_drains_in_exact_arrival_order() {
     let mut gen = WorkloadGen::new(29, small_spec()).unwrap();
-    let sched = one_worker(&gen, QueuePolicy::Fifo, 32);
+    let sched = one_worker(&gen, 0, PreemptConfig::default());
     let session = sched.session();
     let gate = Gate::block(gen.db(), 0).unwrap();
     let gate_ticket = freeze(&mut gen, &session, &gate);
@@ -277,9 +293,9 @@ fn fifo_policy_regression_drains_in_exact_arrival_order() {
 
 #[test]
 fn dropping_a_scheduler_with_queued_jobs_resolves_tickets_under_each_policy() {
-    for policy in POLICIES {
+    for aging_threshold in ORDERS {
         let mut gen = WorkloadGen::new(31, small_spec()).unwrap();
-        let sched = one_worker(&gen, policy, 32);
+        let sched = one_worker(&gen, aging_threshold, PreemptConfig::default());
         let session = sched.session();
         let gate = Gate::block(gen.db(), 0).unwrap();
         let gate_ticket = freeze(&mut gen, &session, &gate);
@@ -291,7 +307,7 @@ fn dropping_a_scheduler_with_queued_jobs_resolves_tickets_under_each_policy() {
             .iter()
             .map(|q| session.submit_with(q.plan.clone(), q.mode.clone(), q.submit_options(1)))
             .collect();
-        assert_eq!(sched.queue_len(), batch.len(), "{policy:?}");
+        assert_eq!(sched.queue_len(), batch.len(), "{aging_threshold}");
 
         // Drop the scheduler from another thread (it blocks joining the
         // gated worker); the queued tickets must resolve with a
@@ -300,12 +316,18 @@ fn dropping_a_scheduler_with_queued_jobs_resolves_tickets_under_each_policy() {
         let dropper = std::thread::spawn(move || sched.shutdown());
         for t in tickets {
             let err = t.wait().unwrap_err();
-            assert!(err.to_string().contains("shut down"), "{policy:?}: {err}");
+            assert!(
+                err.to_string().contains("shut down"),
+                "{aging_threshold}: {err}"
+            );
         }
         // New submissions are rejected immediately once the queue closed.
         let late = gen.short();
         let err = session.submit(late.plan, late.mode).wait().unwrap_err();
-        assert!(err.to_string().contains("shut down"), "{policy:?}: {err}");
+        assert!(
+            err.to_string().contains("shut down"),
+            "{aging_threshold}: {err}"
+        );
 
         gate.release();
         // The in-flight gate job still completes normally.
@@ -316,7 +338,7 @@ fn dropping_a_scheduler_with_queued_jobs_resolves_tickets_under_each_policy() {
     }
 }
 
-/// SJF ranks by the bill. TPC-H Q1 in A&R mode gathers six columns,
+/// The estimate is the bill. TPC-H Q1 in A&R mode gathers six columns,
 /// evaluates ten expression primitives and updates six accumulators over
 /// 96 % of `lineitem` (and pre-grouped them too when this was written); a classic Q14 scans one column and fetches a month's worth
 /// of rows. Queued together — Q1 first, so arrival order cannot help —
@@ -345,7 +367,6 @@ fn sjf_runs_a_classic_q14_before_an_ar_q1() {
         SchedConfig {
             workers: 1,
             admission_deadline: None,
-            policy: QueuePolicy::ShortestJobFirst,
             ..SchedConfig::default()
         },
     );

@@ -1,12 +1,12 @@
 //! Tracing is invisible to execution: across candidate representations
-//! and queue policies, a query's rows, simulated cost breakdown and
+//! and both queue orders, a query's rows, simulated cost breakdown and
 //! per-component traffic are bit-identical whether the recorder is on
 //! or off. Observability must never perturb the system it observes.
 
 use std::sync::Arc;
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
 use waste_not::engine::{ArExecOptions, CandidateRep, Database, ExecMode, QueryResult};
-use waste_not::sched::{QueuePolicy, SchedConfig, Scheduler, SubmitOptions};
+use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::Value;
 
@@ -51,7 +51,7 @@ fn served_db() -> (Arc<Database>, waste_not::core::plan::ArPlan) {
 fn run_one(
     db: &Arc<Database>,
     plan: &waste_not::core::plan::ArPlan,
-    policy: QueuePolicy,
+    aging_threshold: u32,
     rep: CandidateRep,
     tracing: bool,
 ) -> QueryResult {
@@ -59,7 +59,7 @@ fn run_one(
         Arc::clone(db),
         SchedConfig {
             workers: 1,
-            policy,
+            aging_threshold,
             tracing,
             ..SchedConfig::default()
         },
@@ -87,26 +87,26 @@ fn run_one(
 #[test]
 fn tracing_is_bit_identical_across_reps_and_policies() {
     let (db, plan) = served_db();
-    for policy in [
-        QueuePolicy::Fifo,
-        QueuePolicy::ShortestJobFirst,
-        QueuePolicy::Priority,
-    ] {
+    // The default order, and arrival order.
+    for aging_threshold in [32, 0] {
         for rep in [
             CandidateRep::Auto,
             CandidateRep::Indices,
             CandidateRep::Bitmap,
         ] {
-            let off = run_one(&db, &plan, policy, rep, false);
-            let on = run_one(&db, &plan, policy, rep, true);
-            assert_eq!(on.rows, off.rows, "{policy:?}/{rep:?}: rows diverged");
+            let off = run_one(&db, &plan, aging_threshold, rep, false);
+            let on = run_one(&db, &plan, aging_threshold, rep, true);
+            assert_eq!(
+                on.rows, off.rows,
+                "aging {aging_threshold}/{rep:?}: rows diverged"
+            );
             assert_eq!(
                 on.breakdown, off.breakdown,
-                "{policy:?}/{rep:?}: simulated cost diverged under tracing"
+                "aging {aging_threshold}/{rep:?}: simulated cost diverged under tracing"
             );
             assert_eq!(
                 on.traffic, off.traffic,
-                "{policy:?}/{rep:?}: traffic diverged under tracing"
+                "aging {aging_threshold}/{rep:?}: traffic diverged under tracing"
             );
             assert_eq!(on.survivors, off.survivors);
         }
