@@ -1,8 +1,9 @@
 //! The `bwd_pipe` micro-optimizer (§V-B): rewrite a classic logical plan
 //! into an A&R plan, then apply the rule-based optimization of §III-A —
 //! push approximate selections below refinements. Selections bind in query
-//! order, one per column; which order a run takes them in is the engine's
-//! choice, priced by its bill (`bwd_engine::bill::order`).
+//! order, one per column, and fold nothing; which order a run takes them
+//! in and whether its tail folds co-factors is the engine's one priced
+//! choice (`bwd_engine::bill::order`).
 //!
 //! Literal payloads are resolved through a [`PlanResolver`] so the core
 //! stays catalog-agnostic: the engine's catalog knows dictionary codes,

@@ -192,13 +192,8 @@ impl Probe {
     }
 }
 
-/// Execute the plan with Approximate & Refine processing.
-pub fn run_ar(db: &Database, plan: &ArPlan, opts: &ArExecOptions) -> Result<QueryResult> {
-    run_ar_in(db, plan, opts, db.env())
-}
-
-/// [`run_ar`] against an explicit environment — the per-query override
-/// the concurrent scheduler uses, since `db.env()` is shared state. The
+/// Execute the plan as bound — its selections in their order, its fold as
+/// carried — with Approximate & Refine processing on `env`. The
 /// environment carries both the host-thread allocation *and* the chosen
 /// device: pass `db.env().on_device(k)` to run this query against card
 /// `k` of a multi-device pool (every card holds a replica of the
@@ -209,30 +204,17 @@ pub fn run_ar_in(
     opts: &ArExecOptions,
     env: &Env,
 ) -> Result<QueryResult> {
-    run_ar_sliced(db, plan, opts, env, SLICE_ROWS, &mut CostLedger::new())
-}
-
-/// [`run_ar_in`] with an explicit tail slice size and ledger (tests sweep
-/// the one and read the other's events; results and charges are
-/// independent of the slice size).
-pub(crate) fn run_ar_sliced(
-    db: &Database,
-    plan: &ArPlan,
-    opts: &ArExecOptions,
-    env: &Env,
-    slice_rows: usize,
-    ledger: &mut CostLedger,
-) -> Result<QueryResult> {
     let chain: Vec<usize> = (0..plan.selections.len()).collect();
-    let run = run_ar_counted(db, plan, &chain, opts, env, slice_rows, ledger);
+    let ledger = &mut CostLedger::new();
+    let run = run_ar_counted(db, plan, &chain, opts, env, SLICE_ROWS, ledger);
     run.map(|(result, ..)| result)
 }
 
-/// [`run_ar_sliced`], also returning what the run counted and the
-/// transient device bytes it held. `plan` may be a bound plan with its
-/// selections reordered ([`bill::order`]); `chain` holds, per step, the
-/// selection's index in the bound plan — what an `ApproxSelect` span
-/// reports.
+/// [`run_ar_in`] with an explicit tail slice size and ledger, also
+/// returning what the run counted and the transient device bytes it held.
+/// `plan` may be the plan [`bill::order`] chose for a bound one; `chain`
+/// holds, per step, the selection's index in the bound plan — what an
+/// `ApproxSelect` span reports.
 ///
 /// Approximate → refine → tail over one [`Run`]: each phase does the real
 /// work, counts what it did and bills the counts through the shape's
@@ -881,15 +863,31 @@ impl SliceSource for ArSource<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::classic::run_classic_sliced;
+    use crate::classic::tests::run_classic_sliced;
     use bwd_core::plan::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr as E};
     use bwd_core::CmpOp;
     use bwd_device::{Component, CostEvent, DeviceSpec};
     use bwd_kernels::reduce::GroupedAgg;
     use bwd_storage::Column;
     use bwd_types::Value;
+
+    /// [`run_ar_in`] with an explicit tail slice size and ledger (tests
+    /// sweep the one and read the other's events; results and charges are
+    /// independent of the slice size).
+    pub(crate) fn run_ar_sliced(
+        db: &Database,
+        plan: &ArPlan,
+        opts: &ArExecOptions,
+        env: &Env,
+        slice_rows: usize,
+        ledger: &mut CostLedger,
+    ) -> Result<QueryResult> {
+        let chain: Vec<usize> = (0..plan.selections.len()).collect();
+        let run = run_ar_counted(db, plan, &chain, opts, env, slice_rows, ledger);
+        run.map(|(result, ..)| result)
+    }
 
     fn agg(func: AggFunc, arg: Option<E>) -> AggExpr {
         let alias = format!("{func:?}({arg:?})");

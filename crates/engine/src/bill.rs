@@ -17,15 +17,23 @@
 //! walks the same sites in the same order — handed a run's observed counts
 //! it returns that run's `breakdown` to the bit. Morsels, slice size and
 //! candidate representation are not inputs, so no bill can depend on them.
-//! The same prediction picks the order a run takes its selections in and
-//! whether its tail folds co-factors into the grouping ([`order`]). See
-//! ARCHITECTURE.md, "The bill", "Chain order" and "The fold".
+//!
+//! This file is the price: the shapes, the counts and the sites. The
+//! prediction is `predict.rs`; `choose.rs` prices every plan a run could
+//! execute in place of the bound one — selection order × fold — and keeps
+//! the cheapest ([`order`]). See ARCHITECTURE.md, "The bill".
+
+mod choose;
+mod predict;
+
+pub(crate) use choose::cheapest;
+pub use choose::order;
 
 use crate::catalog::Catalog;
 use crate::database::{Database, ExecMode};
 use crate::eval::{ColumnSlot, RowBlock};
 use crate::morsel::ResidualSrc;
-use crate::tail::{degree, GroupTable, Tail};
+use crate::tail::{GroupTable, Tail};
 use bwd_core::ops::join::{charge_fk_project_refine, FkIndex};
 use bwd_core::ops::project::charge_project_refine;
 use bwd_core::ops::REFINE_OPS_PER_TUPLE;
@@ -41,7 +49,6 @@ use bwd_kernels::{DeviceArray, ScanOptions, ScanSpec};
 use bwd_storage::Column;
 use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, Result};
-use std::borrow::Cow;
 
 /// One selection step: what it read and what it kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,12 +328,6 @@ impl<'a> ColRef<'a> {
 
     fn resident(&self) -> bool {
         self.bound.meta().fully_device_resident()
-    }
-
-    /// Distinct payloads between the column's extrema.
-    fn domain(&self) -> f64 {
-        let meta = self.bound.meta();
-        relax_to_stored(meta, &RangePred::all()).map_or(1.0, |all| all.payloads(meta).0)
     }
 
     /// A device gather of `n` approximations, through the link if any.
@@ -873,9 +874,14 @@ pub enum Shape<'a> {
 }
 
 impl<'a> Shape<'a> {
-    /// Resolve `plan` as the executor of `mode` would, on `db`'s primary
-    /// device.
-    pub fn resolve(db: &'a Database, plan: &'a ArPlan, mode: &ExecMode) -> Result<Shape<'a>> {
+    /// Resolve `plan` as the executor of `mode` would for a run on `env`'s
+    /// device (an A&R shape's [`Grouping`] reads its spec).
+    pub fn resolve(
+        db: &'a Database,
+        plan: &'a ArPlan,
+        mode: &ExecMode,
+        env: &Env,
+    ) -> Result<Shape<'a>> {
         let scan = match mode {
             ExecMode::Classic => {
                 let has_fk = plan.fk_join.is_some();
@@ -884,15 +890,7 @@ impl<'a> Shape<'a> {
             ExecMode::ApproxRefine => ScanOptions::default(),
             ExecMode::ApproxRefineWith(opts) => opts.scan,
         };
-        ArShape::resolve(db, plan, scan, db.env().device.spec()).map(Shape::Ar)
-    }
-
-    /// Rows of the fact table.
-    pub fn rows(&self) -> u64 {
-        match self {
-            Shape::Classic(s) => s.rows,
-            Shape::Ar(s) => s.rows,
-        }
+        ArShape::resolve(db, plan, scan, env.device.spec()).map(Shape::Ar)
     }
 
     /// The tail placement and the transient device bytes that follow
@@ -901,41 +899,6 @@ impl<'a> Shape<'a> {
         match self {
             Shape::Classic(_) => Transient::default(),
             Shape::Ar(s) => s.place,
-        }
-    }
-
-    /// Shares of the column's domain selection `i`'s relaxed interval
-    /// *admits* and its inner interval *decides*, payloads uniform over
-    /// the domain; `None` where the pipe tests exact values.
-    pub fn shares(&self, i: usize) -> Option<(f64, f64)> {
-        let Shape::Ar(s) = self else { return None };
-        let (c, relaxed) = &s.sels[i];
-        let (admitted, decided) = relaxed.map_or((0.0, 0.0), |r| r.payloads(c.bound.meta()));
-        Some((admitted / c.domain(), decided / c.domain()))
-    }
-
-    /// How many refinements a run with counts `c` records.
-    pub fn refinements(&self, c: &Counts) -> usize {
-        match self {
-            Shape::Classic(_) => 0,
-            Shape::Ar(s) if s.plan.pushdown => s.refine_order(c).len(),
-            Shape::Ar(s) => s.sels.len(),
-        }
-    }
-
-    /// Upper bound on the groups a device grouping or a fold's table can
-    /// find: the product of its key columns' domains (0 without either). A
-    /// slot-addressed table's slots are exact from the shape; how many of
-    /// them the data occupies is still this prediction.
-    pub fn key_domain(&self) -> f64 {
-        match self {
-            Shape::Ar(s) if s.grouping != Grouping::None || !s.plan.fold.is_empty() => {
-                s.group_cols.iter().map(ColRef::domain).product()
-            }
-            Shape::Classic(s) if !s.plan.fold.is_empty() => {
-                s.keys.iter().map(|c| domain(c)).product()
-            }
-            _ => 0.0,
         }
     }
 
@@ -952,278 +915,6 @@ impl<'a> Shape<'a> {
         }
         l.breakdown()
     }
-
-    /// The plan this shape was resolved from.
-    fn plan(&self) -> &'a ArPlan {
-        match self {
-            Shape::Classic(s) => s.plan,
-            Shape::Ar(s) => s.plan,
-        }
-    }
-
-    /// The counts the plan's statistics predict. Per selection the relaxed
-    /// interval's share of the column's domain is what the approximation
-    /// *admits*, its inner interval's what it *decides*, and the binder's
-    /// hint what the exact predicate keeps (no hint: whatever is admitted);
-    /// shares multiply along the chain as independent. The ablation feeds
-    /// each step the refined survivors of the last. Groups are bounded by
-    /// the key columns' domains (the slots of a table the packed key
-    /// addresses are exact from the shape; only how many of them the data
-    /// occupies is predicted here); a refinement chain shrinks evenly from
-    /// the undecided candidates to the ones that survive.
-    pub fn predict(&self) -> Counts {
-        let (plan, rows) = (self.plan(), self.rows());
-        let n = |share: f64| (rows as f64 * share).ceil() as u64;
-        let (mut admitted, mut decided, mut exact) = (1.0f64, 1.0f64, 1.0f64);
-        let mut c = Counts {
-            rows,
-            dense: plan.selections.is_empty(),
-            ..Counts::default()
-        };
-        let mut ablated = Vec::new();
-        for (i, sel) in plan.selections.iter().enumerate() {
-            let hint = sel.selectivity_hint.map(|h| h.clamp(0.0, 1.0));
-            let exact_only = (hint.unwrap_or(1.0), hint.unwrap_or(1.0));
-            let (admit, decide) = self.shares(i).unwrap_or(exact_only);
-            let keep = hint.unwrap_or(admit).clamp(decide.min(admit), admit);
-            let (input, settled) = match plan.pushdown {
-                true => (admitted, decided),
-                false => (exact, exact),
-            };
-            (admitted, decided, exact) = (input * admit, settled * decide, exact * keep);
-            c.steps.push(StepCounts {
-                input: n(input),
-                candidates: n(admitted),
-            });
-            ablated.push(RefineCounts {
-                live: n(admitted) - n(decided),
-                kept: n(exact) - n(decided),
-            });
-        }
-        (c.undecided, c.survivors) = (n(admitted) - n(decided), n(exact));
-        c.groups = self.key_domain().min(c.candidates() as f64) as u64;
-        let steps = self.refinements(&c) as u64;
-        let dropped = c.undecided - c.refined().min(c.undecided);
-        let live = |k: u64| c.undecided - dropped * k / steps;
-        let shrink = |k| RefineCounts {
-            live: live(k),
-            kept: live(k + 1),
-        };
-        c.refines = match plan.pushdown {
-            true => (0..steps).map(shrink).collect(),
-            false => ablated,
-        };
-        c.refines.truncate(steps as usize);
-        c
-    }
-}
-
-/// Chains up to this long are ordered by pricing every permutation of
-/// their selections (6! = 720 bills); longer ones by their hints.
-const PRICED_CHAIN: usize = 6;
-
-/// The order a run of `plan` in `mode` on `env` takes its selections in:
-/// per step, the selection's index in `plan`.
-///
-/// σ_p∘σ_q = σ_q∘σ_p, so every order returns the same rows; this one is the
-/// cheapest by the bill over the counts [`Shape::predict`] predicts for it.
-/// Each pipe pays its own way — A&R by what the granules admit, Classic by
-/// the width it fetches — so the two may disagree. Permutations are priced
-/// in lexicographic order from the plan's own and the earliest strict
-/// minimum is kept, so an ordered plan orders to itself. Nothing is priced
-/// and the plan's order stands for a chain of at most one selection, for
-/// the `pushdown: false` ablation (§III-A: it runs the query's order) and
-/// for a plan that does not resolve (its run reports why). A chain longer
-/// than [`PRICED_CHAIN`] runs most selective hint first.
-pub(crate) fn chain_order(db: &Database, plan: &ArPlan, mode: &ExecMode, env: &Env) -> Vec<usize> {
-    let sels = &plan.selections;
-    let mut order: Vec<usize> = (0..sels.len()).collect();
-    if sels.len() <= 1 || !plan.pushdown {
-        return order;
-    }
-    if sels.len() > PRICED_CHAIN {
-        let hint = |&i: &usize| sels[i].selectivity_hint.unwrap_or(f64::INFINITY);
-        order.sort_by(|a, b| hint(a).total_cmp(&hint(b)));
-        return order;
-    }
-    let mut candidate = plan.clone();
-    let mut price = |perm: &[usize]| {
-        candidate.selections = perm.iter().map(|&i| sels[i].clone()).collect();
-        let shape = Shape::resolve(db, &candidate, mode).ok()?;
-        Some(shape.bill(&shape.predict(), env).total())
-    };
-    let Some(mut cheapest) = price(&order) else {
-        return order;
-    };
-    let mut perm = order.clone();
-    while next_permutation(&mut perm) {
-        if let Some(bill) = price(&perm).filter(|&bill| bill < cheapest) {
-            (cheapest, order) = (bill, perm.clone());
-        }
-    }
-    order
-}
-
-/// Step `perm` to its lexicographic successor; `false`, leaving it as it
-/// is, at the last one.
-fn next_permutation(perm: &mut [usize]) -> bool {
-    let Some(i) = (1..perm.len()).rfind(|&i| perm[i - 1] < perm[i]) else {
-        return false;
-    };
-    // `perm[i]` itself is larger than `perm[i - 1]`: the search finds one.
-    let j = (i..perm.len())
-        .rfind(|&j| perm[j] > perm[i - 1])
-        .unwrap_or(i);
-    perm.swap(i - 1, j);
-    perm[i..].reverse();
-    true
-}
-
-/// Distinct payloads between a column's extrema (1 for an empty one).
-fn domain(col: &Column) -> f64 {
-    col.payload_min_max()
-        .map_or(1.0, |(lo, hi)| (hi as f64 - lo as f64) + 1.0)
-}
-
-/// The co-factors `plan`'s tail can fold into its grouping — none where it
-/// cannot (ARCHITECTURE.md, "The fold"). The plan is grouped, and every
-/// aggregate is a `sum`, `avg` or `count` of an argument built from
-/// columns, literals, `+`, `−` and `×` of degree ≤ 1 in the column of the
-/// largest domain it reads, its measure; every other column it reads is a
-/// key, and the keys not grouped by already are the co-factors. Each of
-/// them is on the fact side, and the fold table — Π domains(K ∪ F) × one
-/// accumulator per measure and a count × 16 B — fits `table_bound`.
-fn cofactors(catalog: &Catalog, plan: &ArPlan, table_bound: u64) -> Vec<String> {
-    use bwd_core::plan::AggFunc::{Avg, Count, Sum};
-    let column = |name: &str| {
-        let (table, col, is_dim) = locate(plan, name).ok()?;
-        Some((catalog.table(table).ok()?.column(col).ok()?, is_dim))
-    };
-    let domain_of = |name: &str| column(name).map(|(col, _)| domain(col));
-    let (mut fold, mut measures) = (Vec::<String>::new(), Vec::<String>::new());
-    if plan.group_by.is_empty() || plan.aggs.is_empty() {
-        return fold;
-    }
-    for a in &plan.aggs {
-        let mut read = Vec::new();
-        if let Some(e) = &a.arg {
-            e.collect_columns(&mut read);
-        }
-        // The measure is the first column of the largest domain.
-        let (mut measure, mut keys) = (None::<(String, f64)>, Vec::new());
-        for c in read {
-            let Some(d) = domain_of(&c) else {
-                return Vec::new();
-            };
-            match &measure {
-                Some((_, m)) if d <= *m => keys.push(c),
-                _ => keys.extend(measure.replace((c, d)).map(|(m, _)| m)),
-            }
-        }
-        let measure = measure.map(|(m, _)| m);
-        let x = measure.as_deref().unwrap_or("");
-        let affine = (a.arg.as_ref()).map_or(Some(0), |e| degree(e, x));
-        if !matches!(a.func, Sum | Avg | Count) || affine.is_none_or(|d| d > 1) {
-            return Vec::new();
-        }
-        measures.extend(measure);
-        for k in keys {
-            if !plan.group_by.contains(&k) && !fold.contains(&k) {
-                fold.push(k);
-            }
-        }
-    }
-    // Every co-factor is on the fact side.
-    if fold
-        .iter()
-        .any(|c| column(c).is_none_or(|(_, is_dim)| is_dim))
-    {
-        return Vec::new();
-    }
-    measures.retain(|m| !fold.contains(m) && !plan.group_by.contains(m));
-    measures.sort();
-    measures.dedup();
-    let mut keys: Vec<&String> = plan.group_by.iter().chain(&fold).collect();
-    keys.sort();
-    keys.dedup();
-    let slots: f64 = keys
-        .iter()
-        .map(|k| domain_of(k).unwrap_or(f64::INFINITY))
-        .product();
-    let entry = (measures.len() as u64 + 1) * ACCUMULATOR_BYTES;
-    match slots * entry as f64 <= table_bound as f64 {
-        true => fold,
-        false => Vec::new(),
-    }
-}
-
-/// The co-factors a run of `plan` — its selections in their final order,
-/// folding nothing — in `mode` on `env` folds into its grouping
-/// ([`cofactors`]): the folded form where its bill over the counts
-/// [`Shape::predict`] predicts is strictly cheaper than the plain form's,
-/// none on a tie or where either form does not resolve. Nothing is
-/// priced where nothing can fold.
-fn fold_of(db: &Database, plan: &ArPlan, mode: &ExecMode, env: &Env) -> Vec<String> {
-    let fold = cofactors(db.catalog(), plan, env.device.spec().shared_mem_per_block);
-    if fold.is_empty() {
-        return fold;
-    }
-    let price = |p: &ArPlan| {
-        let shape = Shape::resolve(db, p, mode).ok()?;
-        Some(shape.bill(&shape.predict(), env).total())
-    };
-    let folded = ArPlan {
-        fold,
-        ..plan.clone()
-    };
-    match (price(plan), price(&folded)) {
-        (Some(plain), Some(cheaper)) if cheaper < plain => folded.fold,
-        _ => Vec::new(),
-    }
-}
-
-/// How a run of `plan` in `mode` on `env` goes: per step the selection's
-/// index in `plan` ([`chain_order`], over the plain form), and the
-/// co-factors its tail folds over that order ([`fold_of`]). A fold the
-/// plan carries already is decided afresh.
-pub(crate) fn plan_of(
-    db: &Database,
-    plan: &ArPlan,
-    mode: &ExecMode,
-    env: &Env,
-) -> (Vec<usize>, Vec<String>) {
-    let plain = ArPlan {
-        fold: Vec::new(),
-        ..plan.clone()
-    };
-    let chain = chain_order(db, &plain, mode, env);
-    let fold = fold_of(db, &in_order(&plain, &chain, &[]), mode, env);
-    (chain, fold)
-}
-
-/// `plan` with its selections in chain order `order` ([`chain_order`])
-/// and folding `fold`: the plan itself, borrowed, where that is how it
-/// stands.
-pub(crate) fn in_order<'p>(plan: &'p ArPlan, order: &[usize], fold: &[String]) -> Cow<'p, ArPlan> {
-    if order.iter().enumerate().all(|(k, &i)| k == i) && plan.fold == fold {
-        return Cow::Borrowed(plan);
-    }
-    let mut ordered = plan.clone();
-    ordered.selections = order.iter().map(|&i| plan.selections[i].clone()).collect();
-    ordered.fold = fold.to_vec();
-    Cow::Owned(ordered)
-}
-
-/// `plan` as a run of it in `mode` on `env` bills cheapest: its
-/// selections in the order its pipe's bill prices cheapest, its
-/// co-factors folded into the grouping where that is strictly cheaper
-/// still (ARCHITECTURE.md, "Chain order" and "The fold").
-/// [`Database::run_counted`] — every `Database::run*` entry point — runs
-/// this plan, and the scheduler's footprint prices it, so an estimate is
-/// the bill of the plan that runs.
-pub fn order<'p>(db: &Database, plan: &'p ArPlan, mode: &ExecMode, env: &Env) -> Cow<'p, ArPlan> {
-    let (chain, fold) = plan_of(db, plan, mode, env);
-    in_order(plan, &chain, &fold)
 }
 
 #[cfg(test)]
@@ -1245,7 +936,7 @@ mod tests {
     /// permutation), `e`, `h`, `w` and `dim.y` keep residual bits on the
     /// host, `g`, `v`, `fk`, `dim.x` and the `b`-bit keys `k<b>` are fully
     /// device-resident.
-    fn db() -> &'static Database {
+    pub(super) fn db() -> &'static Database {
         static DB: std::sync::OnceLock<Database> = std::sync::OnceLock::new();
         DB.get_or_init(build_db)
     }
@@ -1283,12 +974,12 @@ mod tests {
         db
     }
 
-    fn between(column: &str, lo: i64, hi: i64) -> Predicate {
+    pub(super) fn between(column: &str, lo: i64, hi: i64) -> Predicate {
         let (column, lo, hi) = (column.into(), Value::Int(lo), Value::Int(hi));
         Predicate::Between { column, lo, hi }
     }
 
-    fn agg(func: AggFunc, arg: Option<E>) -> AggExpr {
+    pub(super) fn agg(func: AggFunc, arg: Option<E>) -> AggExpr {
         let alias = format!("{func:?}({arg:?})");
         AggExpr { func, arg, alias }
     }
@@ -1319,10 +1010,21 @@ mod tests {
     }
 
     /// `plan` folding every co-factor it can on `db`'s device.
-    fn folded(db: &Database, plan: &ArPlan) -> ArPlan {
+    pub(super) fn folded(db: &Database, plan: &ArPlan) -> ArPlan {
         let bound = db.env().device.spec().shared_mem_per_block;
         ArPlan {
-            fold: cofactors(db.catalog(), plan, bound),
+            fold: choose::cofactors(db.catalog(), plan, bound),
+            ..plan.clone()
+        }
+    }
+
+    /// `plan` with per step the selection `order` names, folding `fold`.
+    pub(super) fn arranged(plan: &ArPlan, order: &[usize], fold: &[String]) -> ArPlan {
+        let selections = order.iter().map(|&i| plan.selections[i].clone()).collect();
+        let fold = fold.to_vec();
+        ArPlan {
+            selections,
+            fold,
             ..plan.clone()
         }
     }
@@ -1499,9 +1201,36 @@ mod tests {
 
             // `run_counted` runs the chain in the order its bill picks.
             let plan = order(db, &plan, &ExecMode::Classic, env);
-            let shape = Shape::resolve(db, &plan, &ExecMode::Classic).unwrap();
+            let shape = Shape::resolve(db, &plan, &ExecMode::Classic, env).unwrap();
             let (run, counts, _) = db.run_counted(&plan, ExecMode::Classic, env, 1).unwrap();
             assert_eq!(shape.bill(&counts, env), run.breakdown, "{name}");
+        }
+    }
+
+    /// A run on card k is chosen and billed by a shape resolved for card k.
+    /// On a second card with a twelfth of the primary's shared memory, the
+    /// grouping the primary addresses by slots is hashed instead, and the
+    /// shape resolved for that card bills the run's counts to its breakdown.
+    #[test]
+    fn a_shape_resolves_on_the_card_it_is_priced_for() {
+        let db = db();
+        let small = DeviceSpec {
+            shared_mem_per_block: 4 << 10,
+            ..DeviceSpec::default()
+        };
+        let pool = Env::with_devices(vec![DeviceSpec::default(), small]);
+        let (name, plan) = plans(db).swap_remove(0);
+        let mode = ExecMode::ApproxRefine;
+        for (card, grouping) in [(0, Grouping::Direct { slots: 8 }), (1, Grouping::Hash)] {
+            let env = pool.on_device(card).unwrap();
+            let chosen = order(db, &plan, &mode, &env);
+            let shape = Shape::resolve(db, &chosen, &mode, &env).unwrap();
+            assert!(
+                matches!(&shape, Shape::Ar(s) if s.grouping == grouping),
+                "{name} {card}"
+            );
+            let (run, counts, _) = db.run_counted(&plan, mode.clone(), &env, 1).unwrap();
+            assert_eq!(shape.bill(&counts, &env), run.breakdown, "{name} {card}");
         }
     }
 
@@ -1651,7 +1380,7 @@ mod tests {
             .1;
         let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().host_slice());
         for chain in [[0, 1], [1, 0]] {
-            let plan = in_order(&plan, &chain, &[]);
+            let plan = arranged(&plan, &chain, &[]);
             let ledger = &mut CostLedger::new();
             let (catalog, fk) = (db.catalog(), Some(fk));
             let run = run_classic_counted(catalog, &plan, &chain, fk, env, 1, SLICE_ROWS, ledger);
@@ -1673,141 +1402,6 @@ mod tests {
                 assert_eq!(*linked, direct + codes, "{chain:?}: event {i}");
             }
         }
-    }
-
-    /// The columns a generated chain draws from, each with the largest
-    /// value it holds: split `d, e, h, w`, resident `g, v`, and `dim.y`
-    /// (split) behind `fk`.
-    const LAW_COLUMNS: [(&str, i64); 7] = [
-        ("d", 19_999),
-        ("e", 999),
-        ("h", 299),
-        ("w", 4_999),
-        ("g", 6),
-        ("v", 999),
-        ("dim.y", 4_900),
-    ];
-
-    /// The chain order's laws, over seeded chains of 2–4 selections drawn
-    /// from [`LAW_COLUMNS`] (every other one with the dimension predicate,
-    /// every third with an empty range) under a grouped device tail, a
-    /// host tail and a bare count, in both pipes: every permutation
-    /// returns the same rows (σ_p∘σ_q = σ_q∘σ_p); the chosen order's
-    /// predicted bill is at most every permutation's, the first one in
-    /// lexicographic order among equals; ordering the ordered plan returns
-    /// it, borrowed — and in each pipe some chain's bound order is not the
-    /// cheapest. A plan with one selection, or without pushdown, comes back
-    /// borrowed; a chain past [`PRICED_CHAIN`] runs its hints in ascending
-    /// order.
-    #[test]
-    fn the_chain_order_laws() {
-        use crate::arexec::run_ar_in;
-        use crate::classic::run_classic_morsel;
-        let db = db();
-        let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().host_slice());
-        let rng = &mut SplitMix64::new(27);
-        let sum = |c: &str| agg(AggFunc::Sum, Some(E::col(c)));
-        let bind = |plan: &LogicalPlan, pushdown| db.bind(plan, &RewriteOptions { pushdown });
-        let modes = [ExecMode::Classic, ExecMode::ApproxRefine];
-        // Per pipe, the cases whose bound order was not the cheapest.
-        let mut moved = [0; 2];
-        for case in 0..12 {
-            let mut columns: Vec<_> = LAW_COLUMNS[..6].to_vec();
-            let steps = 2 + rng.below(3) as usize;
-            let mut drawn = Vec::new();
-            if case % 2 == 0 {
-                drawn.push(LAW_COLUMNS[6]);
-            }
-            while drawn.len() < steps {
-                drawn.push(columns.swap_remove(rng.below(columns.len() as u64) as usize));
-            }
-            let mut scan = LogicalPlan::scan("t").fk_join("fk", "dim");
-            for (k, &(column, max)) in drawn.iter().enumerate() {
-                let (lo, hi) = match case % 3 == 0 && k == steps - 1 {
-                    true => (max, max / 2),
-                    false => {
-                        let lo = rng.below(max as u64 + 1) as i64;
-                        (lo, lo + rng.below((max - lo) as u64 + 1) as i64)
-                    }
-                };
-                scan = scan.filter(between(column, lo, hi));
-            }
-            let (groups, aggs) = match case % 3 {
-                0 => (vec!["g".into()], vec![sum("v"), agg(AggFunc::Count, None)]),
-                1 => (vec![], vec![sum("w")]),
-                _ => (vec![], vec![agg(AggFunc::Count, None)]),
-            };
-            let plan = bind(&scan.aggregate(groups, aggs), true).unwrap();
-            assert_eq!(plan.selections.len(), steps, "case {case}");
-            let mut rows = None;
-            for mode in &modes {
-                let ctx = format!("case {case} {mode:?} {:?}", plan.selections);
-                let mut perms = vec![(0..steps).collect::<Vec<usize>>()];
-                let mut perm = perms[0].clone();
-                while next_permutation(&mut perm) {
-                    perms.push(perm.clone());
-                }
-                let mut bills = Vec::new();
-                for perm in &perms {
-                    let p = in_order(&plan, perm, &[]);
-                    let run = match mode {
-                        ExecMode::Classic => run_classic_morsel(db.catalog(), &p, Some(fk), env, 1),
-                        _ => run_ar_in(db, &p, &ArExecOptions::default(), env),
-                    };
-                    let got = run.unwrap().rows;
-                    assert_eq!(
-                        rows.get_or_insert_with(|| got.clone()),
-                        &got,
-                        "{ctx} {perm:?}"
-                    );
-                    let shape = Shape::resolve(db, &p, mode).unwrap();
-                    bills.push(shape.bill(&shape.predict(), env).total());
-                }
-                let chosen = chain_order(db, &plan, mode, env);
-                let at = perms.iter().position(|p| *p == chosen).unwrap();
-                moved[usize::from(matches!(mode, ExecMode::Classic))] += usize::from(at > 0);
-                for (k, &bill) in bills.iter().enumerate() {
-                    assert!(bills[at] <= bill, "{ctx}: {chosen:?} over {:?}", perms[k]);
-                    assert!(
-                        k >= at || bills[at] < bill,
-                        "{ctx}: tie past {:?}",
-                        perms[k]
-                    );
-                }
-                let ordered = order(db, &plan, mode, env);
-                assert_eq!(*ordered, *in_order(&plan, &chosen, &[]), "{ctx}");
-                let again = order(db, &ordered, mode, env);
-                assert!(
-                    matches!(again, Cow::Borrowed(p) if std::ptr::eq(p, &*ordered)),
-                    "{ctx}"
-                );
-            }
-        }
-        assert!(moved.iter().all(|&n| n > 0), "{moved:?}");
-
-        let count = || vec![agg(AggFunc::Count, None)];
-        let one = LogicalPlan::scan("t").filter(between("d", 5, 50));
-        let mut seven = LogicalPlan::scan("t").fk_join("fk", "dim");
-        for &(column, max) in LAW_COLUMNS.iter().rev() {
-            seven = seven.filter(between(column, 0, max / 3));
-        }
-        let (one, seven) = (
-            one.aggregate(vec![], count()),
-            seven.aggregate(vec![], count()),
-        );
-        for (plan, pushdown) in [(&one, true), (&seven, false)] {
-            let plan = bind(plan, pushdown).unwrap();
-            for mode in &modes {
-                let ordered = order(db, &plan, mode, env);
-                assert!(matches!(ordered, Cow::Borrowed(p) if std::ptr::eq(p, &plan)));
-            }
-        }
-        let plan = bind(&seven, true).unwrap();
-        let hints: Vec<f64> = (order(db, &plan, &modes[1], env).selections.iter())
-            .map(|s| s.selectivity_hint.unwrap())
-            .collect();
-        assert!(hints.windows(2).all(|w| w[0] <= w[1]), "{hints:?}");
-        assert_eq!(plan.selections.len(), 7);
     }
 
     /// `undecided = 0` is the paper's all-GPU configuration: no refinement
@@ -1876,185 +1470,5 @@ mod tests {
         let folded = folded(db, &q1);
         assert_eq!(folded.fold, ["k3", "k4"]);
         assert_eq!(download(&folded), (16 * 3 * 16, 16));
-    }
-
-    /// The fold's laws (ARCHITECTURE.md, "The fold"), over seeded grouped
-    /// plans on [`db`]: group keys among `g, k1, k2` (and the split `h`,
-    /// which the host groups by), a measure among `v, w` (`w` split: a host
-    /// tail) or the group key `g`, and co-factors among `k1, k2, k3`, in
-    /// aggregates that must fold — the measure times `1 − k`, times `k₁·k₂`
-    /// plus `k₁`, a pure-key `avg(k)` — and plans that must not: a `/`, a
-    /// `CASE`, a `min`, a `max`, a degree-2 measure, a dimension
-    /// co-factor, a fold table past the shared-memory bound, nothing to
-    /// fold. In both pipes, at 1 and 3
-    /// workers and slices of [`SLICE_ROWS`] and 1 000 rows: the folded rows
-    /// are the plain rows are the row-at-a-time oracle's, bit for bit; the
-    /// form [`order`] keeps is the one the bill predicts cheaper, the plain
-    /// one on a tie; ordering its plan returns it borrowed, and a fold the
-    /// input carries is decided afresh; and the chosen run's counts bill
-    /// its breakdown to the bit. Each pipe folds some plan.
-    #[test]
-    fn the_fold_laws() {
-        use crate::arexec::run_ar_sliced;
-        use crate::classic::run_classic_sliced;
-        use crate::tail::tests::oracle;
-        use {AggFunc::*, BinOp::*};
-        let db = db();
-        let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().host_slice());
-        let rng = &mut SplitMix64::new(28);
-        let col = |c: &str| E::col(c);
-        let one = || E::lit(1i64);
-        let t = || {
-            LogicalPlan::scan("t")
-                .fk_join("fk", "dim")
-                .filter(between("d", 100, 15_000))
-        };
-        let bind = |plan: LogicalPlan| db.bind(&plan, &RewriteOptions::default()).unwrap();
-        let mut cases = Vec::new();
-        for _ in 0..10 {
-            let keys = [&["g"][..], &["k1"], &["k2"], &["g", "k1"]][rng.below(4) as usize];
-            let measure = ["v", "w"][rng.below(2) as usize];
-            let mut cofactors: Vec<&str> = ["k1", "k2", "k3"]
-                .into_iter()
-                .filter(|k| !keys.contains(k))
-                .collect();
-            while cofactors.len() > 2 {
-                cofactors.swap_remove(rng.below(cofactors.len() as u64) as usize);
-            }
-            let (m, k1, k2) = (|| col(measure), || col(cofactors[0]), || col(cofactors[1]));
-            let mut aggs = vec![match rng.below(2) {
-                0 => agg(Sum, Some(m().binary(Mul, one().binary(Sub, k1())))),
-                _ => agg(
-                    Sum,
-                    Some(m().binary(Mul, k1()).binary(Mul, k2()).binary(Add, k1())),
-                ),
-            }];
-            let more = [
-                agg(Avg, Some(k1())),
-                agg(Avg, Some(m())),
-                agg(Count, None),
-                agg(Sum, Some(k2().binary(Sub, one()))),
-            ];
-            aggs.extend(more.into_iter().filter(|_| rng.below(2) == 0));
-            let keys = keys.iter().map(|k| k.to_string()).collect();
-            cases.push((true, bind(t().aggregate(keys, aggs))));
-        }
-        let fold = || {
-            agg(
-                Sum,
-                Some(col("v").binary(Mul, one().binary(Sub, col("k3")))),
-            )
-        };
-        let when = Box::new(between("k3", 0, 3));
-        let case = E::Case {
-            when,
-            then: Box::new(col("v")),
-            otherwise: Box::new(E::lit(0i64)),
-        };
-        let times_one_minus_k1 =
-            |m: &str| agg(Sum, Some(col(m).binary(Mul, one().binary(Sub, col("k1")))));
-        for (group_by, aggs, folds) in [
-            // The host groups by the split key.
-            (
-                "h",
-                vec![times_one_minus_k1("v"), agg(Avg, Some(col("k1")))],
-                true,
-            ),
-            // The measure is a group key: no row sums it.
-            (
-                "g",
-                vec![times_one_minus_k1("g"), agg(Avg, Some(col("g")))],
-                true,
-            ),
-            (
-                "g",
-                vec![fold(), agg(Sum, Some(col("v").binary(Div, E::lit(2i64))))],
-                false,
-            ),
-            ("g", vec![fold(), agg(Sum, Some(case))], false),
-            ("g", vec![fold(), agg(Min, Some(col("v")))], false),
-            ("g", vec![fold(), agg(Max, Some(col("g")))], false),
-            (
-                "g",
-                vec![fold(), agg(Sum, Some(col("v").binary(Mul, col("v"))))],
-                false,
-            ),
-            (
-                "g",
-                vec![agg(Sum, Some(col("v").binary(Mul, col("dim.x"))))],
-                false,
-            ),
-            (
-                "k2",
-                vec![agg(Sum, Some(col("v").binary(Mul, col("k9"))))],
-                false,
-            ),
-            ("g", vec![agg(Sum, Some(col("v"))), agg(Count, None)], false),
-        ] {
-            cases.push((folds, bind(t().aggregate(vec![group_by.into()], aggs))));
-        }
-        let modes = [ExecMode::Classic, ExecMode::ApproxRefine];
-        let mut chose_fold = [0; 2];
-        for (must_fold, plan) in &cases {
-            let ctx = format!("{:?} by {:?}", plan.aggs, plan.group_by);
-            let folded = folded(db, plan);
-            assert_eq!(!folded.fold.is_empty(), *must_fold, "{ctx}");
-            let want = format!("{:?}", oracle(db, plan).unwrap().0);
-            for (m, mode) in modes.iter().enumerate() {
-                for form in [plan, &folded] {
-                    for (morsels, slice) in [(1, SLICE_ROWS), (3, SLICE_ROWS), (1, 1000), (3, 1000)]
-                    {
-                        let tag =
-                            format!("{ctx} {mode:?} fold {:?} x{morsels} /{slice}", form.fold);
-                        let ledger = &mut CostLedger::new();
-                        let run = match mode {
-                            ExecMode::Classic => run_classic_sliced(
-                                db.catalog(),
-                                form,
-                                Some(fk),
-                                env,
-                                morsels,
-                                slice,
-                                ledger,
-                            ),
-                            _ => {
-                                let opts = ArExecOptions {
-                                    morsels,
-                                    ..Default::default()
-                                };
-                                run_ar_sliced(db, form, &opts, env, slice, ledger)
-                            }
-                        };
-                        assert_eq!(format!("{:?}", run.unwrap().rows), want, "{tag}");
-                    }
-                }
-                let price = |p: &ArPlan| {
-                    let shape = Shape::resolve(db, p, mode).unwrap();
-                    shape.bill(&shape.predict(), env).total()
-                };
-                let chosen = order(db, plan, mode, env);
-                if !folded.fold.is_empty() {
-                    let (plain, cheaper) = (price(plan), price(&folded));
-                    match chosen.fold.is_empty() {
-                        true => assert!(plain <= cheaper, "{ctx} {mode:?}: {plain} > {cheaper}"),
-                        false => assert!(cheaper < plain, "{ctx} {mode:?}: {cheaper} >= {plain}"),
-                    }
-                    assert_eq!(*order(db, &folded, mode, env), *chosen, "{ctx} {mode:?}");
-                    chose_fold[m] += usize::from(!chosen.fold.is_empty());
-                } else {
-                    assert!(chosen.fold.is_empty(), "{ctx} {mode:?}");
-                }
-                let again = order(db, &chosen, mode, env);
-                assert!(
-                    matches!(again, Cow::Borrowed(p) if std::ptr::eq(p, &*chosen)),
-                    "{ctx} {mode:?}"
-                );
-                let (run, counts, _) = db.run_counted(plan, mode.clone(), env, 1).unwrap();
-                assert_eq!(format!("{:?}", run.rows), want, "{ctx} {mode:?}");
-                let shape = Shape::resolve(db, &chosen, mode).unwrap();
-                assert_eq!(shape.bill(&counts, env), run.breakdown, "{ctx} {mode:?}");
-            }
-        }
-        assert!(chose_fold.iter().all(|&n| n > 0), "{chose_fold:?}");
     }
 }

@@ -25,65 +25,23 @@ use bwd_obs::{pack_chain_order, EventKind, GroupAggTables};
 use bwd_storage::{with_slice, Column};
 use bwd_types::{bits::low_mask, Oid, Result};
 
-/// Execute an A&R-bound plan classically (host only, exact data).
+/// Execute an A&R-bound plan classically (host only, exact data) and
+/// return what the run counted. `plan` may be the plan [`bill::order`]
+/// chose for a bound one; `chain` holds, per step, the selection's index
+/// in the bound plan — what the `Classic` span reports. `fk_host` is the
+/// pre-built foreign-key index (fact row → dimension row) when the plan
+/// contains a join — the paper's baseline uses pre-built indexes for
+/// projective joins as well.
 ///
-/// `fk_host` is the pre-built foreign-key index (fact row → dimension row)
-/// when the plan contains a join — the paper's baseline uses pre-built
-/// indexes for projective joins as well.
-pub fn run_classic(
-    catalog: &Catalog,
-    plan: &ArPlan,
-    fk_host: Option<&[u32]>,
-    env: &Env,
-) -> Result<QueryResult> {
-    run_classic_morsel(catalog, plan, fk_host, env, 1)
-}
-
-/// [`run_classic`] with the selection chain executed morsel-parallel on
-/// `morsels` real OS threads over contiguous row partitions.
-///
-/// Results are **bit-identical** to the serial run: each partition runs
-/// the full selection chain over its own words of the one survivor bitmap
-/// (a CPU selection is positional, so chained filters stay
-/// partition-local), and the tail walks the set bits in ascending order —
-/// exactly the serial scan order. Simulated costs are charged once from
-/// the merged per-stage tuple counts, so the cost model is independent of
-/// the real parallelism; `env.host_threads` keeps modelling the
-/// *simulated* thread allocation.
-pub fn run_classic_morsel(
-    catalog: &Catalog,
-    plan: &ArPlan,
-    fk_host: Option<&[u32]>,
-    env: &Env,
-    morsels: usize,
-) -> Result<QueryResult> {
-    let ledger = &mut CostLedger::new();
-    run_classic_sliced(catalog, plan, fk_host, env, morsels, SLICE_ROWS, ledger)
-}
-
-/// [`run_classic_morsel`] with an explicit tail slice size and ledger
-/// (tests sweep the one and read the other's events; results and charges
-/// are independent of the slice size).
-pub(crate) fn run_classic_sliced(
-    catalog: &Catalog,
-    plan: &ArPlan,
-    fk_host: Option<&[u32]>,
-    env: &Env,
-    morsels: usize,
-    slice_rows: usize,
-    ledger: &mut CostLedger,
-) -> Result<QueryResult> {
-    let chain: Vec<usize> = (0..plan.selections.len()).collect();
-    let run = run_classic_counted(
-        catalog, plan, &chain, fk_host, env, morsels, slice_rows, ledger,
-    );
-    run.map(|r| r.0)
-}
-
-/// [`run_classic_sliced`], also returning what the run counted. `plan` may
-/// be a bound plan with its selections reordered ([`bill::order`]); `chain`
-/// holds, per step, the selection's index in the bound plan — what the
-/// `Classic` span reports.
+/// The selection chain runs morsel-parallel on `morsels` real OS threads
+/// over contiguous row partitions, and results are **bit-identical** to
+/// the serial run: each partition runs the full chain over its own words
+/// of the one survivor bitmap (a CPU selection is positional, so chained
+/// filters stay partition-local), and the tail walks the set bits in
+/// ascending order — exactly the serial scan order. Simulated costs are
+/// charged once from the merged per-stage tuple counts, so the cost model
+/// is independent of the real parallelism; `env.host_threads` keeps
+/// modelling the *simulated* thread allocation.
 ///
 /// [`bill::order`]: crate::bill::order
 #[allow(clippy::too_many_arguments)]
@@ -328,7 +286,7 @@ fn fetch<T: Copy + Into<i64>>(col: &[T], fk: Option<&[u32]>, oids: &[Oid], out: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::catalog::Table;
     use bwd_core::plan::{AggExpr, AggFunc, ArPlan, BoundSelection, ScalarExpr as E};
@@ -378,6 +336,30 @@ mod tests {
         }
     }
 
+    /// [`run_classic_counted`] over the plan as bound, with an explicit tail
+    /// slice size and ledger (tests sweep the one and read the other's
+    /// events; results and charges are independent of the slice size).
+    pub(crate) fn run_classic_sliced(
+        catalog: &Catalog,
+        plan: &ArPlan,
+        fk_host: Option<&[u32]>,
+        env: &Env,
+        morsels: usize,
+        slice_rows: usize,
+        ledger: &mut CostLedger,
+    ) -> Result<QueryResult> {
+        let chain: Vec<usize> = (0..plan.selections.len()).collect();
+        let run = run_classic_counted(
+            catalog, plan, &chain, fk_host, env, morsels, slice_rows, ledger,
+        );
+        run.map(|r| r.0)
+    }
+
+    fn run(cat: &Catalog, plan: &ArPlan, env: &Env) -> QueryResult {
+        let ledger = &mut CostLedger::new();
+        run_classic_sliced(cat, plan, None, env, 1, SLICE_ROWS, ledger).unwrap()
+    }
+
     #[test]
     fn select_count_sum() {
         let cat = setup();
@@ -390,7 +372,7 @@ mod tests {
             }],
             vec![],
         );
-        let r = run_classic(&cat, &plan, None, &env).unwrap();
+        let r = run(&cat, &plan, &env);
         assert_eq!(r.rows[0][0], Value::Int(10));
         assert_eq!(r.rows[0][1], Value::Int((10..20).sum::<i64>()));
         assert!(r.breakdown.host > 0.0);
@@ -402,7 +384,7 @@ mod tests {
         let cat = setup();
         let env = Env::paper_default();
         let plan = count_plan(vec![], vec!["b".into()]);
-        let r = run_classic(&cat, &plan, None, &env).unwrap();
+        let r = run(&cat, &plan, &env);
         assert_eq!(r.rows.len(), 5);
         // Each residue class has 20 members; keys sorted 0..5.
         for (i, row) in r.rows.iter().enumerate() {

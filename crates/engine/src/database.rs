@@ -315,10 +315,9 @@ impl Database {
     /// [`Database::run_bound_in`], also returning the [`Counts`] the run
     /// observed and the transient device bytes it held — what
     /// [`crate::bill`] priced it from, and what a scheduler's prediction
-    /// of the same plan can be held against. The run takes the plan's
-    /// selections in the order its bill prices cheapest and folds its
-    /// co-factors where that pays ([`bill::order`]); the counts are that
-    /// plan's.
+    /// of the same plan can be held against. The run executes the plan its
+    /// bill prices cheapest — selection order and fold ([`bill::order`]);
+    /// the counts are that plan's.
     pub fn run_counted(
         &self,
         plan: &ArPlan,
@@ -327,9 +326,8 @@ impl Database {
         morsels: usize,
     ) -> Result<(QueryResult, Counts, u64)> {
         let ledger = &mut CostLedger::new();
-        let (chain, fold) = bill::plan_of(self, plan, &mode, env);
-        let ordered = bill::in_order(plan, &chain, &fold);
-        let plan: &ArPlan = &ordered;
+        let (chain, chosen) = bill::cheapest(self, plan, &mode, env);
+        let plan: &ArPlan = &chosen;
         let opts = match mode {
             ExecMode::Classic => {
                 let fk_host = match &plan.fk_join {

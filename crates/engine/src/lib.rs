@@ -9,14 +9,10 @@
 //!   the **bwd pipe** ([`arexec`], Approximate & Refine co-processing);
 //! * [`bill`] — the cost model, once: what a plan *shape* costs over a set
 //!   of *counts*. The executors bill what they counted, the scheduler
-//!   what it predicts;
+//!   what it predicts, and [`bill::order`] picks the plan a run executes;
 //! * [`eval`] / [`tail`] — the slice-at-a-time query tail (gather → group
 //!   → evaluate → aggregate) with exact scaled-integer expression
 //!   evaluation, shared by both pipes, guaranteeing bit-identical results.
-//!
-//! The Figure 11 multi-stream experiment used to be *modelled* here; it is
-//! now *measured* by `bwd_sched::run_throughput`, which executes both
-//! streams concurrently on the multi-session scheduler.
 
 pub mod arexec;
 pub mod bill;
@@ -28,9 +24,8 @@ pub(crate) mod morsel;
 pub mod result;
 pub mod tail;
 
-pub use arexec::{run_ar, run_ar_in, ArExecOptions, CandidateRep, BITMAP_MIN_SELECTIVITY};
+pub use arexec::{run_ar_in, ArExecOptions, CandidateRep, BITMAP_MIN_SELECTIVITY};
 pub use bill::{Counts, RefineCounts, Shape, StepCounts, Transient};
 pub use catalog::{Catalog, FkDecl, Table};
-pub use classic::{run_classic, run_classic_morsel};
 pub use database::{Database, DecompositionReport, ExecMode};
 pub use result::{ApproxAnswer, QueryResult};

@@ -170,7 +170,7 @@ impl Program {
     }
 }
 
-/// A grouping folded over co-factor keys F (ARCHITECTURE.md, "The fold").
+/// A grouping folded over co-factor keys F (ARCHITECTURE.md, "The bill").
 /// The sinks group by K ∪ F and accumulate per row one sum per measure plus
 /// a count. Every plain accumulator input is affine in its measure `x`
 /// over the keys, `c·x + d`, so its sum over a fold group is `c·Σx + d·N`
@@ -819,8 +819,10 @@ impl Tail {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::arexec::tests::run_ar_sliced;
+    use crate::classic::tests::run_classic_sliced;
     use crate::eval::ColumnSlot;
-    use crate::{arexec::run_ar_sliced, classic::run_classic_sliced, ArExecOptions, Database};
+    use crate::{ArExecOptions, Database};
     use bwd_core::plan::{AggExpr, LogicalPlan, Predicate, ScalarExpr as E};
     use bwd_storage::{Column, DecompositionSpec};
     use std::collections::BTreeMap;

@@ -4,8 +4,9 @@
 //! how long it will take (the SJF queue key) and how much device memory
 //! it will hold (the admission reservation) — is the executor's own bill
 //! (`bwd_engine::bill`) over the counts the plan's statistics *predict*.
-//! [`PlanFootprint::of`] orders the plan's selections as the run will,
-//! resolves it through the executors' resolver and has the engine predict
+//! [`PlanFootprint::of`] takes the plan the run will execute — selection
+//! order and fold, as the engine's chooser picks them — resolves it on the
+//! primary card through the executors' resolver and has the engine predict
 //! a [`Counts`] — a small summary that answers every question asked of the
 //! relation, as the relational-coreset literature has it. This module does
 //! no count arithmetic of its own; every number is the bill, or its
@@ -65,9 +66,9 @@ pub struct PlanFootprint {
 }
 
 impl PlanFootprint {
-    /// Walk `plan` once: order its selections as the run will
+    /// Walk `plan` once: take the plan the run will execute
     /// ([`bwd_engine::bill::order`]), resolve it as the executor of `mode`
-    /// would and bill the counts its statistics predict
+    /// would on the primary card and bill the counts its statistics predict
     /// ([`Shape::predict`]). `host_threads` is the simulated allocation
     /// the job will run with
     /// ([`crate::SubmitOptions::effective_host_threads`]).
@@ -104,13 +105,13 @@ impl PlanFootprint {
         // An estimator never errors a submission: an A&R plan over a
         // column that is not bound yet is priced as Classic, a plan that
         // does not resolve at all as nothing.
-        let mode = match Shape::resolve(db, plan, mode) {
+        let env = db.env().clone().host_threads(host_threads);
+        let mode = match Shape::resolve(db, plan, mode, &env) {
             Ok(_) => mode,
             Err(_) => &ExecMode::Classic,
         };
-        let env = db.env().clone().host_threads(host_threads);
         let plan = order(db, plan, mode, &env);
-        let Ok(shape) = Shape::resolve(db, &plan, mode) else {
+        let Ok(shape) = Shape::resolve(db, &plan, mode, &env) else {
             return fp;
         };
         fp.counts = counts.unwrap_or_else(|| shape.predict());

@@ -77,7 +77,7 @@
 //!   reads a job's estimate, which is fixed at submission.
 //! * Classic-pipe queries run their selection chain **morsel-parallel**
 //!   across partitioned columns on real threads
-//!   (`bwd_engine::run_classic_morsel`), bit-identical to serial.
+//!   (`bwd_engine::Database::run_bound_in`), bit-identical to serial.
 //! * Per-stream and per-device accounting: simulated cost
 //!   ([`bwd_device::SharedLedger`]) and wall clock per [`ExecMode`]
 //!   stream, plus each device's share — [`Scheduler::stats`].
