@@ -25,20 +25,25 @@ use bwd_types::{BwdError, FxHashMap, Oid, Result};
 
 /// A pre-built foreign-key index: fact row → dimension row.
 ///
-/// The host side is the paper's CPU-built hash table materialized as a
-/// positional map; the device side is the same mapping bit-packed and
-/// resident for approximate (projective) joins.
+/// The paper's CPU-built hash table, materialized once as a positional
+/// map bit-packed at the dimension's row width and resident on the device
+/// for approximate (projective) joins. The host reads the same bits: there
+/// is no second, word-wide copy of the mapping.
 #[derive(Debug)]
 pub struct FkIndex {
-    host: Vec<u32>,
-    device: DeviceArray,
+    link: DeviceArray,
 }
 
 impl FkIndex {
     /// Build from the two key columns' storage, read in place: hash the
     /// dimension keys (build side, on the CPU as §IV-D prescribes), then
-    /// translate every fact key. Charges the build scan + the device
-    /// upload of the packed index.
+    /// translate every fact key straight into the packed link. Charges the
+    /// build scan + the device upload of the packed index.
+    ///
+    /// # Errors
+    /// A duplicate dimension key, a fact key without a dimension match, a
+    /// dimension past `u32::MAX` rows (an [`Oid`] cannot address it) or a
+    /// link the device cannot hold.
     pub fn build(
         fact_keys: &ColumnData,
         dim_keys: &ColumnData,
@@ -46,8 +51,10 @@ impl FkIndex {
         env: &Env,
         ledger: &mut CostLedger,
     ) -> Result<Self> {
+        let dim_rows = dim_row_count(dim_keys.len())?;
         let table = with_slice!(dim_keys, keys => dim_rows_by_key(keys))?;
-        let host = with_slice!(fact_keys, keys => dim_rows_of(keys, &table))?;
+        let width = bits_for_width(u64::from(dim_rows));
+        let packed = with_slice!(fact_keys, keys => link_of(keys, &table, width))?;
         // CPU hash build + probe cost.
         let t = env.cpu.scan_seconds(
             (fact_keys.len() + dim_keys.len()) as u64 * 8,
@@ -55,49 +62,51 @@ impl FkIndex {
             env.host_threads,
         );
         ledger.charge(Component::Host, "fkindex.build", t, 0);
-
-        let width = bits_for_width(dim_keys.len() as u64);
-        let packed = BitPackedVec::pack(width, host.iter().map(|&r| r as u64));
-        let device = DeviceArray::upload(device, packed, "fkindex", ledger)?;
-        Ok(FkIndex { host, device })
+        let link = DeviceArray::upload(device, packed, "fkindex", ledger)?;
+        Ok(FkIndex { link })
     }
 
-    /// Dimension row of a fact row (host side).
+    /// Dimension row of a fact row.
     #[inline]
     pub fn dim_row(&self, fact_oid: Oid) -> u32 {
-        self.host[fact_oid as usize]
+        self.link.get(fact_oid as usize) as u32
     }
 
-    /// The device-resident packed index.
+    /// The packed mapping, device-resident: what the device gathers
+    /// through and the host decodes.
     #[inline]
     pub fn device(&self) -> &DeviceArray {
-        &self.device
-    }
-
-    /// The host-side mapping (fact row -> dimension row) as a slice.
-    #[inline]
-    pub fn host_slice(&self) -> &[u32] {
-        &self.host
+        &self.link
     }
 
     /// Number of fact rows.
     pub fn len(&self) -> usize {
-        self.host.len()
+        self.link.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.host.is_empty()
+        self.link.is_empty()
     }
 }
 
+/// A dimension's row count, if every row has an [`Oid`].
+fn dim_row_count(rows: usize) -> Result<u32> {
+    u32::try_from(rows).map_err(|_| {
+        BwdError::Unsupported(format!(
+            "a dimension of {rows} rows: row ids stop at {}",
+            u32::MAX
+        ))
+    })
+}
+
 /// Hash the dimension keys: key → dimension row.
-fn dim_rows_by_key<T: Copy + Into<i64>>(keys: &[T]) -> Result<FxHashMap<i64, u32>> {
-    let mut table: FxHashMap<i64, u32> = FxHashMap::default();
+fn dim_rows_by_key<T: Copy + Into<i64>>(keys: &[T]) -> Result<FxHashMap<i64, u64>> {
+    let mut table: FxHashMap<i64, u64> = FxHashMap::default();
     table.reserve(keys.len());
     for (row, &k) in keys.iter().enumerate() {
         let k = k.into();
-        if table.insert(k, row as u32).is_some() {
+        if table.insert(k, row as u64).is_some() {
             return Err(BwdError::InvalidArgument(format!(
                 "dimension key {k} is not unique"
             )));
@@ -106,17 +115,21 @@ fn dim_rows_by_key<T: Copy + Into<i64>>(keys: &[T]) -> Result<FxHashMap<i64, u32
     Ok(table)
 }
 
-/// Translate every fact key into its dimension row.
-fn dim_rows_of<T: Copy + Into<i64>>(keys: &[T], table: &FxHashMap<i64, u32>) -> Result<Vec<u32>> {
-    let mut host = Vec::with_capacity(keys.len());
-    for &k in keys {
-        let k = k.into();
-        let dim_row = table
-            .get(&k)
-            .ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))?;
-        host.push(*dim_row);
-    }
-    Ok(host)
+/// Translate every fact key into its dimension row, packed `width` bits
+/// wide as it goes.
+fn link_of<T: Copy + Into<i64>>(
+    keys: &[T],
+    table: &FxHashMap<i64, u64>,
+    width: u32,
+) -> Result<BitPackedVec> {
+    BitPackedVec::try_pack(
+        width,
+        keys.iter().map(|&k| {
+            let k = k.into();
+            let row = table.get(&k).copied();
+            row.ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))
+        }),
+    )
 }
 
 /// Approximate FK-projective join: for each fact candidate, fetch the
@@ -141,7 +154,7 @@ pub fn fk_project_approx(
 
 /// Refine an FK-projective join: align survivors with the approximate
 /// dimension values (translucent join), then reconstruct exact dimension
-/// payloads using the *dimension* residual at the host-side index position.
+/// payloads using the *dimension* residual at the position the index maps to.
 #[allow(clippy::too_many_arguments)]
 pub fn fk_project_refine(
     env: &Env,
@@ -352,8 +365,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fk.len(), 4);
-        assert_eq!(fk.dim_row(0), 2);
-        assert_eq!(fk.dim_row(1), 0);
+        assert_eq!(fk.device().width(), 2);
+        assert_eq!(
+            (0..4).map(|oid| fk.dim_row(oid)).collect::<Vec<_>>(),
+            [2, 0, 0, 1]
+        );
+        // A one-row dimension's link stores no bits at all.
+        let one = FkIndex::build(&keys(&[7, 7]), &keys(&[7]), &env.device, &env, &mut ledger);
+        let one = one.unwrap();
+        assert_eq!((one.device().width(), one.device().packed_bytes()), (0, 0));
+        assert_eq!((one.dim_row(0), one.dim_row(1)), (0, 0));
+        // Past `u32::MAX` rows a dimension row has no `Oid`.
+        assert_eq!(dim_row_count(u32::MAX as usize), Ok(u32::MAX));
+        assert!(matches!(
+            dim_row_count(u32::MAX as usize + 1),
+            Err(BwdError::Unsupported(_))
+        ));
         // Duplicate dimension key.
         assert!(
             FkIndex::build(&keys(&[1]), &keys(&[1, 1]), &env.device, &env, &mut ledger).is_err()

@@ -35,16 +35,14 @@ use crate::bill::{ArShape, Counts, Grouping, RefineCounts, StepCounts, Transient
 use crate::database::Database;
 use crate::eval::RowBlock;
 use crate::morsel::{
-    partition_mask_ranges, partition_ranges, partition_ranges_min, refine_filter, run_parts,
-    run_parts_mut, ResidualSrc, ScratchPool,
+    concat_parts, partition_mask_ranges, partition_ranges, partition_ranges_min, refine_filter,
+    run_parts, run_parts_mut, ResidualSrc, ScratchPool,
 };
 use crate::result::{ApproxAnswer, QueryResult};
 use crate::tail::{GroupTable, SliceSource, SLICE_ROWS};
 use bwd_core::plan::ArPlan;
 use bwd_core::relax::StoredRange;
-use bwd_core::BoundColumn;
 use bwd_device::{CostLedger, Env};
-use bwd_kernels::gather::{gather_indirect_partition_into, gather_partition_into};
 use bwd_kernels::group::packed_key_of;
 use bwd_kernels::scan::scan_block_ranges;
 use bwd_kernels::{
@@ -477,13 +475,11 @@ impl<'a> Run<'a> {
     /// Refine selection `i` over `live`, the undecided candidates still
     /// alive: reconstruct each exact payload from its approximation and
     /// residual (at the fact position, or the dimension position through
-    /// the host FK index) and re-test the precise range, fanned out over
+    /// the FK link) and re-test the precise range, fanned out over
     /// contiguous partitions.
     fn refine_selection(&self, i: usize, live: &[Oid]) -> Vec<Oid> {
         let (col, range) = (&self.shape.sels[i].0, &self.shape.plan.selections[i].range);
-        let (arr, link) = (col.bound.approx(), col.link());
-        let (morsels, pool) = (self.morsels, &self.pool);
-        refine_filter(col.residual(), arr, link, live, range, morsels, pool)
+        refine_filter(col.residual(), live, range, self.morsels, &self.pool)
     }
 
     /// The tail: gather → refine → group → evaluate → aggregate, one slice
@@ -498,8 +494,11 @@ impl<'a> Run<'a> {
         self.transient.charge(place.tail(&self.counts))?;
         let gather_probe = self.begin(EventKind::Gather, survivors as u64, 0);
         self.shape.gathers(&self.counts, env, self.ledger);
-        let cols: Vec<_> = (self.shape.gathered.iter())
-            .map(|(_, c)| (c.bound, c.link(), c.residual()))
+        let cols: Vec<_> = self
+            .shape
+            .gathered
+            .iter()
+            .map(|(_, c)| c.residual())
             .collect();
         // Group keys that are fully device-resident are grouped exactly on
         // the device (their approximation *is* the value): the sources look
@@ -546,7 +545,6 @@ impl<'a> Run<'a> {
                 cols: cols.clone(),
                 ids,
                 oids: Vec::new(),
-                approx: Vec::new(),
             })
             .collect();
         let tail = &self.shape.tail;
@@ -744,7 +742,9 @@ fn approx_select_step(
         t.end(EventKind::Morsel, span, 0, 0, oids.len() as u64, 0);
         (oids, vals)
     });
-    let (oids, approx) = merge_candidate_parts(outs, pool);
+    let (oids, vals): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
+    let oids = concat_parts(oids, |o| pool.put_u32(o));
+    let approx = concat_parts(vals, |v| pool.put_u64(v));
     if !spec.decides_all() {
         spec.mark_undecided(&oids, &approx, undecided);
     }
@@ -769,29 +769,6 @@ fn bitmap_worthwhile(rep: CandidateRep, lo: u64, hi: u64, width: u32) -> bool {
     }
 }
 
-/// Concatenate per-worker candidate buffers in partition order, recycling
-/// each buffer into the pool.
-fn merge_candidate_parts(
-    mut outs: Vec<(Vec<Oid>, Vec<u64>)>,
-    pool: &ScratchPool,
-) -> (Vec<Oid>, Vec<u64>) {
-    if outs.len() == 1 {
-        // Single partition: hand the (pool-born) buffers to the caller
-        // instead of copying them.
-        return outs.swap_remove(0);
-    }
-    let total: usize = outs.iter().map(|(o, _)| o.len()).sum();
-    let mut oids = Vec::with_capacity(total);
-    let mut vals = Vec::with_capacity(total);
-    for (o, v) in outs {
-        oids.extend_from_slice(&o);
-        vals.extend_from_slice(&v);
-        pool.put_u32(o);
-        pool.put_u64(v);
-    }
-    (oids, vals)
-}
-
 /// Where a slice's group ids come from.
 #[derive(Clone, Copy)]
 enum GroupIds<'a> {
@@ -809,20 +786,18 @@ enum GroupIds<'a> {
 /// Each slice pulls the next window of at most `slice_rows` candidates,
 /// keeps the survivors — every candidate refinement did not drop — and
 /// reads only those: per column the stored approximations (what the
-/// device's projection produces) refined with residuals into the slice
-/// block, and the device grouping's ids ([`GroupIds`]). Positions are
-/// oids, so nothing is aligned: survivors stay in candidate order because
-/// the window is.
+/// device's projection produces, through the FK link for a dimension
+/// column) refined with their residuals into the slice block, and the
+/// device grouping's ids ([`GroupIds`]). Positions are oids, so nothing
+/// is aligned: survivors stay in candidate order because the window is.
 struct ArSource<'a> {
     cursor: Cursor<'a>,
     /// Positional: the candidates refinement dropped (empty: none).
     dropped: &'a [u64],
-    cols: Vec<(&'a BoundColumn, Option<&'a DeviceArray>, ResidualSrc<'a>)>,
+    cols: Vec<ResidualSrc<'a>>,
     ids: GroupIds<'a>,
     /// The current slice's survivors (reused).
     oids: Vec<Oid>,
-    /// The current column's approximations (reused).
-    approx: Vec<u64>,
 }
 
 impl SliceSource for ArSource<'_> {
@@ -838,17 +813,9 @@ impl SliceSource for ArSource<'_> {
         }
         let oids = &self.oids;
         block.resize(oids.len());
-        self.approx.resize(oids.len(), 0);
-        for (slot, (col, link, residual)) in self.cols.iter().enumerate() {
-            let arr = col.approx();
-            match link {
-                None => gather_partition_into(arr, oids, &mut self.approx),
-                Some(l) => gather_indirect_partition_into(arr, l, oids, &mut self.approx),
-            }
-            let (meta, approx, out) = (col.meta(), &self.approx, block.payloads_mut(slot));
-            residual.for_each(oids, |i, res| {
-                out[i] = meta.payload_from_parts(approx[i], res)
-            });
+        for (slot, col) in self.cols.iter().enumerate() {
+            let out = block.payloads_mut(slot);
+            col.exact(oids, |i, exact| out[i] = exact);
         }
         match self.ids {
             GroupIds::Hashed => {}

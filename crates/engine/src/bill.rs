@@ -319,7 +319,7 @@ impl<'a> ColRef<'a> {
 
     /// Where a refinement reads the residuals.
     pub(crate) fn residual(&self) -> ResidualSrc<'a> {
-        ResidualSrc::for_column(self.bound, self.fk.map(FkIndex::host_slice))
+        ResidualSrc::for_column(self.bound, self.link().map(DeviceArray::data))
     }
 
     pub(crate) fn slot(&self, name: &str) -> ColumnSlot {
@@ -1378,7 +1378,7 @@ mod tests {
             .find(|(name, _)| *name == "fk")
             .unwrap()
             .1;
-        let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().host_slice());
+        let (env, fk) = (db.env(), db.fk_index("t", "fk").unwrap().device().data());
         for chain in [[0, 1], [1, 0]] {
             let plan = arranged(&plan, &chain, &[]);
             let ledger = &mut CostLedger::new();

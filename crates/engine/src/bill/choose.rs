@@ -195,7 +195,7 @@ mod tests {
         let (env, ledger) = (db.env(), &mut CostLedger::new());
         let run = match mode {
             ExecMode::Classic => {
-                let fk = db.fk_index("t", "fk").unwrap().host_slice();
+                let fk = db.fk_index("t", "fk").unwrap().device().data();
                 run_classic_sliced(db.catalog(), plan, Some(fk), env, morsels, slice, ledger)
             }
             _ => {

@@ -135,7 +135,9 @@ impl Catalog {
             .ok_or_else(|| BwdError::NotFound(format!("table {name}")))
     }
 
-    /// Register a foreign-key relationship (validated).
+    /// Register a foreign-key relationship (validated), in place of any
+    /// declared from the same fact key: a fact key references one
+    /// dimension.
     pub fn add_fk(&mut self, fk: FkDecl) -> Result<()> {
         let fact = self.table(&fk.fact_table)?;
         if !fact.has_column(&fk.fact_key) {
@@ -151,6 +153,8 @@ impl Catalog {
                 fk.dim_table, fk.dim_key
             )));
         }
+        self.fks
+            .retain(|f| (&f.fact_table, &f.fact_key) != (&fk.fact_table, &fk.fact_key));
         self.fks.push(fk);
         Ok(())
     }
@@ -230,6 +234,16 @@ mod tests {
         .unwrap();
         assert!(cat.fk_from("t", "a").is_some());
         assert!(cat.fk_from("t", "b").is_none());
+        // Declaring the fact key again replaces the declaration.
+        let to_b = FkDecl {
+            fact_table: "t".into(),
+            fact_key: "a".into(),
+            dim_table: "t".into(),
+            dim_key: "b".into(),
+        };
+        cat.add_fk(to_b.clone()).unwrap();
+        assert_eq!(cat.fk_from("t", "a"), Some(&to_b));
+        assert_eq!(cat.fks.len(), 1);
         // Missing column in FK declaration.
         assert!(cat
             .add_fk(FkDecl {

@@ -22,16 +22,16 @@ use bwd_core::RangePred;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::{Cursor, Positions, ScanOptions, SelMask};
 use bwd_obs::{pack_chain_order, EventKind, GroupAggTables};
-use bwd_storage::{with_slice, Column};
+use bwd_storage::{with_slice, BitPackedVec, Column, DECODE_BLOCK};
 use bwd_types::{bits::low_mask, Oid, Result};
 
 /// Execute an A&R-bound plan classically (host only, exact data) and
 /// return what the run counted. `plan` may be the plan [`bill::order`]
 /// chose for a bound one; `chain` holds, per step, the selection's index
-/// in the bound plan — what the `Classic` span reports. `fk_host` is the
-/// pre-built foreign-key index (fact row → dimension row) when the plan
-/// contains a join — the paper's baseline uses pre-built indexes for
-/// projective joins as well.
+/// in the bound plan — what the `Classic` span reports. `link` is the
+/// pre-built foreign-key index (fact row → dimension row, bit-packed) when
+/// the plan contains a join — the paper's baseline uses pre-built indexes
+/// for projective joins as well.
 ///
 /// The selection chain runs morsel-parallel on `morsels` real OS threads
 /// over contiguous row partitions, and results are **bit-identical** to
@@ -49,13 +49,13 @@ pub(crate) fn run_classic_counted(
     catalog: &Catalog,
     plan: &ArPlan,
     chain: &[usize],
-    fk_host: Option<&[u32]>,
+    link: Option<&BitPackedVec>,
     env: &Env,
     morsels: usize,
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<(QueryResult, Counts)> {
-    let shape = ClassicShape::resolve(catalog, plan, fk_host.is_some())?;
+    let shape = ClassicShape::resolve(catalog, plan, link.is_some())?;
     let obs = env.trace.recorder.worker(&env.trace.lane);
     let order = pack_chain_order(chain);
     let run = Probe::begin(
@@ -78,7 +78,7 @@ pub(crate) fn run_classic_counted(
         true => None,
         false => {
             let (mask, stages) =
-                selection_mask(&plan.selections, &shape.sels, fk_host, n, morsels, env)?;
+                selection_mask(&plan.selections, &shape.sels, link, n, morsels, env)?;
             let inputs = std::iter::once(counts.rows).chain(stages.iter().copied());
             counts.steps = (inputs.zip(&stages))
                 .map(|(input, &candidates)| StepCounts { input, candidates })
@@ -107,7 +107,7 @@ pub(crate) fn run_classic_counted(
             cursor: positions.cursor(span),
             oids: Vec::new(),
             cols: &shape.gathered,
-            fk_host,
+            link,
         })
         .collect();
     let tail = &shape.tail;
@@ -162,7 +162,7 @@ pub(crate) fn run_classic_counted(
 fn selection_mask(
     selections: &[BoundSelection],
     sel_cols: &[(&Column, bool)],
-    fk_host: Option<&[u32]>,
+    link: Option<&BitPackedVec>,
     n: usize,
     morsels: usize,
     env: &Env,
@@ -171,11 +171,11 @@ fn selection_mask(
     let chain = |first_word: usize, words: &mut [u64]| -> Vec<u64> {
         let mut counts = Vec::with_capacity(selections.len());
         for (stage, (sel, &(col, is_dim))) in selections.iter().zip(sel_cols).enumerate() {
-            let (rows, fk) = ((stage == 0).then_some(n), fk_host.filter(|_| is_dim));
+            let (rows, link) = ((stage == 0).then_some(n), link.filter(|_| is_dim));
             // One loop per physical width: the per-row work is a load and
             // two compares, a dispatch inside it would double it.
             counts.push(with_slice!(col.data(), v => {
-                select_words(words, first_word, rows, &sel.range, v, fk)
+                select_words(words, first_word, rows, &sel.range, v, link)
             }));
         }
         counts
@@ -205,7 +205,7 @@ fn selection_mask(
 }
 
 /// One selection over the mask words from `first_word` on, testing
-/// `col[row]` (`col[fk[row]]` for a dimension column): with `rows` (the
+/// `col[row]` (`col[link[row]]` for a dimension column): with `rows` (the
 /// relation's length) a full scan that fills the words, without it the
 /// AND-refinement of the rows still set. Returns the survivor count.
 fn select_words<T: Copy + Into<i64>>(
@@ -214,10 +214,10 @@ fn select_words<T: Copy + Into<i64>>(
     rows: Option<usize>,
     range: &RangePred,
     col: &[T],
-    fk: Option<&[u32]>,
+    link: Option<&BitPackedVec>,
 ) -> u64 {
     let mut count = 0;
-    if let (Some(n), None) = (rows, fk) {
+    if let (Some(n), None) = (rows, link) {
         // A full scan of a fact column reads its rows in order, as 64-row
         // slices: no bit to find and no index to check, which is what
         // keeps a 3-byte payload as cheap to test as a 4-byte one.
@@ -232,6 +232,9 @@ fn select_words<T: Copy + Into<i64>>(
         }
         return count;
     }
+    // A dimension column's positions: per word, the link entries from its
+    // first to its last live row, decoded in one pass.
+    let mut dims = [0u64; DECODE_BLOCK];
     for (w, word) in words.iter_mut().enumerate() {
         let at = (first_word + w) * 64;
         let mut live = match rows {
@@ -239,10 +242,14 @@ fn select_words<T: Copy + Into<i64>>(
             None => *word,
         };
         *word = 0;
+        if let Some(link) = link.filter(|_| live != 0) {
+            let (lo, hi) = (live.trailing_zeros(), 64 - live.leading_zeros());
+            link.unpack_range(at + lo as usize, &mut dims[lo as usize..hi as usize]);
+        }
         while live != 0 {
-            let (k, row) = (live.trailing_zeros(), at + live.trailing_zeros() as usize);
-            let payload = col[fk.map_or(row, |fk| fk[row] as usize)].into();
-            *word |= u64::from(range.test(payload)) << k;
+            let k = live.trailing_zeros() as usize;
+            let row = link.map_or(at + k, |_| dims[k] as usize);
+            *word |= u64::from(range.test(col[row].into())) << k;
             live &= live - 1;
         }
         count += u64::from(word.count_ones());
@@ -250,15 +257,14 @@ fn select_words<T: Copy + Into<i64>>(
     count
 }
 
-/// The classic slice source: projective fetches by oid (through the
-/// host FK index for dimension columns) over one worker's part of the
-/// survivors.
+/// The classic slice source: projective fetches by oid (through the FK
+/// link for dimension columns) over one worker's part of the survivors.
 struct ClassicSource<'a> {
     cursor: Cursor<'a>,
     /// The current slice's survivors (reused).
     oids: Vec<Oid>,
     cols: &'a [(&'a Column, bool)],
-    fk_host: Option<&'a [u32]>,
+    link: Option<&'a BitPackedVec>,
 }
 
 impl SliceSource for ClassicSource<'_> {
@@ -267,21 +273,36 @@ impl SliceSource for ClassicSource<'_> {
         block.resize(self.oids.len());
         for (slot, &(col, is_dim)) in self.cols.iter().enumerate() {
             // `run_classic_sliced` rejects dimension columns without an index.
-            let fk = self.fk_host.filter(|_| is_dim);
+            let link = self.link.filter(|_| is_dim);
             let out = block.payloads_mut(slot);
-            with_slice!(col.data(), v => fetch(v, fk, &self.oids, out));
+            with_slice!(col.data(), v => fetch(v, link, &self.oids, out));
         }
         Ok(more)
     }
 }
 
-/// `out[i] = col[oids[i]]` (`col[fk[oids[i]]]` for a dimension column),
-/// widened: one loop per physical width, like [`select_words`].
-fn fetch<T: Copy + Into<i64>>(col: &[T], fk: Option<&[u32]>, oids: &[Oid], out: &mut [i64]) {
-    let rows = out.iter_mut().zip(oids);
-    match fk {
-        Some(fk) => rows.for_each(|(o, &oid)| *o = col[fk[oid as usize] as usize].into()),
-        None => rows.for_each(|(o, &oid)| *o = col[oid as usize].into()),
+/// `out[i] = col[oids[i]]` (`col[link[oids[i]]]` for a dimension column),
+/// widened: one loop per physical width, like [`select_words`]. `oids`
+/// ascend (they are a mask's survivors), so a run of them inside one
+/// 64-row word decodes the link from its first to its last oid in one
+/// pass.
+fn fetch<T: Copy + Into<i64>>(
+    col: &[T],
+    link: Option<&BitPackedVec>,
+    oids: &[Oid],
+    out: &mut [i64],
+) {
+    let Some(link) = link else {
+        let rows = out.iter_mut().zip(oids);
+        return rows.for_each(|(o, &oid)| *o = col[oid as usize].into());
+    };
+    let (mut out, mut dims) = (out.iter_mut(), [0u64; DECODE_BLOCK]);
+    for run in oids.chunk_by(|a, b| a / 64 == b / 64) {
+        let (lo, hi) = (run[0] as usize, run[run.len() - 1] as usize);
+        link.unpack_range(lo, &mut dims[..=hi - lo]);
+        for (&oid, o) in run.iter().zip(out.by_ref()) {
+            *o = col[dims[oid as usize - lo] as usize].into();
+        }
     }
 }
 
@@ -342,7 +363,7 @@ pub(crate) mod tests {
     pub(crate) fn run_classic_sliced(
         catalog: &Catalog,
         plan: &ArPlan,
-        fk_host: Option<&[u32]>,
+        link: Option<&BitPackedVec>,
         env: &Env,
         morsels: usize,
         slice_rows: usize,
@@ -350,7 +371,7 @@ pub(crate) mod tests {
     ) -> Result<QueryResult> {
         let chain: Vec<usize> = (0..plan.selections.len()).collect();
         let run = run_classic_counted(
-            catalog, plan, &chain, fk_host, env, morsels, slice_rows, ledger,
+            catalog, plan, &chain, link, env, morsels, slice_rows, ledger,
         );
         run.map(|r| r.0)
     }
@@ -399,14 +420,14 @@ pub(crate) mod tests {
     fn list_chain(
         selections: &[BoundSelection],
         sel_cols: &[(&Column, bool)],
-        fk: &[u32],
+        fk: &BitPackedVec,
         n: usize,
     ) -> (Vec<Oid>, Vec<u64>) {
         let mut counts = Vec::new();
         let mut surv: Vec<Oid> = (0..n as Oid).collect();
         for (sel, &(col, is_dim)) in selections.iter().zip(sel_cols) {
             let fetch = |oid: Oid| match is_dim {
-                true => col.payload(fk[oid as usize] as usize),
+                true => col.payload(fk.get(oid as usize) as usize),
                 false => col.payload(oid as usize),
             };
             surv.retain(|&oid| sel.range.test(fetch(oid)));
@@ -440,7 +461,7 @@ pub(crate) mod tests {
         let mut cat = Catalog::new();
         cat.add_table(Table::new("t", fact).unwrap()).unwrap();
         cat.add_table(Table::new("d", dim).unwrap()).unwrap();
-        let fk: Vec<u32> = (0..N as u32).map(|i| (i as u64 * 13 % 50) as u32).collect();
+        let fk = BitPackedVec::pack(6, (0..N).map(|i| i as u64 * 13 % 50));
         let sel = |column: &str, range| BoundSelection {
             column: column.into(),
             range,
@@ -545,7 +566,7 @@ pub(crate) mod tests {
     fn two_links<A: Copy + Into<i64>, B: Copy + Into<i64>>(
         (a, a_range): (&[A], &RangePred),
         (b, b_range): (&[B], &RangePred),
-        fk: &[u32],
+        fk: &BitPackedVec,
     ) -> (Vec<u64>, [u64; 2]) {
         let mut words = vec![0u64; a.len().div_ceil(64)];
         let scanned = select_words(&mut words, 0, Some(a.len()), a_range, a, None);
@@ -612,7 +633,9 @@ pub(crate) mod tests {
                 Column::from_i64([dom.0, dom.1].into_iter().chain(rest).take(rows).collect())
             };
             let (a, b) = (column(n, a_dom), column(dim_rows, b_dom));
-            let fk: Vec<u32> = (0..n).map(|_| draw((0, dim_rows as i64 - 1)) as u32).collect();
+            let width = bwd_types::bits::bits_for_width(dim_rows as u64);
+            let fk = (0..n).map(|_| draw((0, dim_rows as i64 - 1)) as u64);
+            let fk = BitPackedVec::pack(width, fk);
             let mut range = |dom: (i64, i64)| {
                 let (x, y) = (draw(dom), draw(dom));
                 RangePred {
@@ -635,7 +658,7 @@ pub(crate) mod tests {
             proptest::prop_assert_eq!(&out, &direct, "{}", tag);
             with_slice!(b.data(), b => fetch(b, Some(&fk), &oids, &mut out));
             let through_fk: Vec<i64> =
-                oids.iter().map(|&o| b.payload(fk[o as usize] as usize)).collect();
+                oids.iter().map(|&o| b.payload(fk.get(o as usize) as usize)).collect();
             proptest::prop_assert_eq!(&out, &through_fk, "{}", tag);
         }
     }

@@ -129,7 +129,10 @@ impl Database {
     }
 
     /// Declare a foreign key and pre-build its index (CPU hash build +
-    /// device upload of the packed mapping, §IV-D).
+    /// device upload of the packed mapping, §IV-D). The declaration is
+    /// registered last, once the index and its replicas stand, so a
+    /// declaration that fails leaves none behind; declaring a fact key
+    /// again replaces its declaration and index.
     pub fn declare_fk(
         &mut self,
         fact_table: &str,
@@ -137,12 +140,6 @@ impl Database {
         dim_table: &str,
         dim_key: &str,
     ) -> Result<()> {
-        self.catalog.add_fk(FkDecl {
-            fact_table: fact_table.into(),
-            fact_key: fact_key.into(),
-            dim_table: dim_table.into(),
-            dim_key: dim_key.into(),
-        })?;
         let fact_keys = self.catalog.table(fact_table)?.column(fact_key)?;
         let dim_keys = self.catalog.table(dim_table)?.column(dim_key)?;
         let idx = FkIndex::build(
@@ -152,14 +149,19 @@ impl Database {
             &self.env,
             &mut self.load_ledger,
         )?;
-        let device_bytes = idx.device().packed_bytes();
-        self.fks
-            .insert((fact_table.to_string(), fact_key.to_string()), idx);
         self.replicate(
             format!("fk:{fact_table}.{fact_key}"),
-            device_bytes,
+            idx.device().packed_bytes(),
             &format!("fk.{fact_table}.{fact_key}"),
-        )
+        )?;
+        self.fks
+            .insert((fact_table.to_string(), fact_key.to_string()), idx);
+        self.catalog.add_fk(FkDecl {
+            fact_table: fact_table.into(),
+            fact_key: fact_key.into(),
+            dim_table: dim_table.into(),
+            dim_key: dim_key.into(),
+        })
     }
 
     /// `select bwdecompose(column, device_bits) from table` (§V-A):
@@ -330,15 +332,15 @@ impl Database {
         let plan: &ArPlan = &chosen;
         let opts = match mode {
             ExecMode::Classic => {
-                let fk_host = match &plan.fk_join {
-                    Some(j) => Some(self.fk_index(&plan.table, &j.fact_key)?.host_slice()),
+                let link = match &plan.fk_join {
+                    Some(j) => Some(self.fk_index(&plan.table, &j.fact_key)?.device().data()),
                     None => None,
                 };
                 let (result, counts) = crate::classic::run_classic_counted(
                     &self.catalog,
                     plan,
                     &chain,
-                    fk_host,
+                    link,
                     env,
                     morsels,
                     SLICE_ROWS,
@@ -672,6 +674,131 @@ mod tests {
         let unlimited = db.run_bound(&ar, ExecMode::ApproxRefine).unwrap();
         assert_eq!(budgeted.rows, unlimited.rows);
         assert_eq!(budgeted.breakdown, unlimited.breakdown);
+    }
+
+    /// What a run returned and billed, as one number: its rows, survivors,
+    /// per-component seconds (to the bit) and bytes.
+    fn digest(r: &QueryResult) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = bwd_types::hash::FxHasher::default();
+        let bill = [r.breakdown.device, r.breakdown.host, r.breakdown.pcie].map(f64::to_bits);
+        format!("{:?} {} {bill:?} {:?}", r.rows, r.survivors, r.traffic).hash(&mut h);
+        h.finish()
+    }
+
+    /// The FK link is packed at the dimension's row width: over seeded
+    /// dimensions of 1, 2, 2^k and 2^k + 1 rows it is 0, 1, k and k + 1
+    /// bits wide, and at every width a classic dimension selection and
+    /// fetch, the A&R refinement of a 24/8 dimension column through it
+    /// and a Q14-shaped plan in both pipes return — on 1 and on 3
+    /// workers — the rows and the bill, to the bit, of the commit that
+    /// still kept a word-wide host copy of the mapping.
+    #[test]
+    fn every_link_width_answers_and_bills_as_the_word_wide_map_did() {
+        use bwd_core::plan::BinOp;
+        const FACTS: usize = 20_000;
+        const PINNED: [u64; 6] = [
+            6625344766398146151,
+            662205922839379474,
+            13938281166069536057,
+            4692527404655924716,
+            4970964568292668356,
+            5331216777577460364,
+        ];
+        let mut rng = bwd_types::SplitMix64::new(32);
+        let ks = [2 + rng.below(6) as u32, 8 + rng.below(4) as u32];
+        let dims = ks
+            .iter()
+            .flat_map(|&k| [(1 << k, k), ((1 << k) + 1, k + 1)]);
+        let dims = [(1usize, 0u32), (2, 1)].into_iter().chain(dims);
+        let mut digests = Vec::new();
+        for (rows, width) in dims {
+            let mut draw = |n: usize| rng.below(n as u64) as i32;
+            let ids: Vec<i32> = (0..rows as i32).map(|i| 7 * i + 3).rev().collect();
+            let dim = vec![
+                ("id".into(), Column::from_i32(ids.clone())),
+                (
+                    "x".into(),
+                    Column::from_i32((0..rows).map(|_| draw(100_000) - 50_000).collect()),
+                ),
+                (
+                    "p".into(),
+                    Column::from_i32((0..rows).map(|_| draw(10)).collect()),
+                ),
+            ];
+            let fact = vec![
+                (
+                    "fk".into(),
+                    Column::from_i32((0..FACTS).map(|_| ids[draw(rows) as usize]).collect()),
+                ),
+                (
+                    "s".into(),
+                    Column::from_i32((0..FACTS).map(|_| draw(1000)).collect()),
+                ),
+                (
+                    "v".into(),
+                    Column::from_i32((0..FACTS).map(|_| 1 + draw(1000)).collect()),
+                ),
+                (
+                    "w".into(),
+                    Column::from_i32((0..FACTS).map(|_| draw(10)).collect()),
+                ),
+            ];
+            let mut db = Database::new();
+            db.create_table("d", dim).unwrap();
+            db.create_table("t", fact).unwrap();
+            db.declare_fk("t", "fk", "d", "id").unwrap();
+            assert_eq!(
+                db.fk_index("t", "fk").unwrap().device().width(),
+                width,
+                "{rows} rows"
+            );
+            db.bwdecompose("d", "x", 24).unwrap();
+            db.bwdecompose("t", "s", 24).unwrap();
+            let between = |column: &str, lo: i64, hi: i64| Predicate::Between {
+                column: column.into(),
+                lo: Value::Int(lo),
+                hi: Value::Int(hi),
+            };
+            let net =
+                || E::col("v").binary(BinOp::Mul, E::lit(10i64).binary(BinOp::Sub, E::col("w")));
+            let promo = E::Case {
+                when: Box::new(between("d.p", 2, 4)),
+                then: Box::new(net()),
+                otherwise: Box::new(E::lit(0i64)),
+            };
+            let sum = |alias: &str, arg| AggExpr {
+                func: AggFunc::Sum,
+                arg: Some(arg),
+                alias: alias.into(),
+            };
+            let scan = LogicalPlan::scan("t").fk_join("fk", "d");
+            let plans = [
+                (scan.clone().filter(between("d.x", -20_000, 9_000))).project(vec![
+                    (E::col("d.x"), "x".into()),
+                    (E::col("d.p"), "p".into()),
+                ]),
+                (scan.filter(between("s", 100, 340)))
+                    .aggregate(vec![], vec![sum("promo", promo), sum("all", net())]),
+            ];
+            for plan in plans {
+                let plan = db.bind(&plan, &RewriteOptions::default()).unwrap();
+                db.auto_bind(&plan).unwrap();
+                for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
+                    let run = |m| db.run_bound_in(&plan, mode.clone(), db.env(), m).unwrap();
+                    let one = digest(&run(1));
+                    assert_eq!(one, digest(&run(3)), "{rows} rows, {mode:?}, 3 workers");
+                    digests.push(one);
+                }
+            }
+        }
+        let per_dim: Vec<u64> = (digests.chunks(4))
+            .map(|c| c.iter().fold(0, |h: u64, &d| h.rotate_left(7) ^ d))
+            .collect();
+        assert_eq!(
+            per_dim, PINNED,
+            "rows or bill moved (dimensions of 1, 2, 2^{ks:?} (+1) rows)"
+        );
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   grouping, aggregation — streams slice-at-a-time through
 //!   [`crate::tail`].)
 
-use bwd_core::RangePred;
+use bwd_core::{BoundColumn, RangePred};
 use bwd_kernels::DeviceArray;
-use bwd_storage::{with_slice, ColumnData, DecompositionMeta};
+use bwd_storage::{with_slice, BitPackedVec, ColumnData, DecompositionMeta};
 use bwd_types::Oid;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -80,34 +80,16 @@ pub(crate) fn partition_ranges_min(
         .collect()
 }
 
-/// Run `f(worker_index, range)` for every range, on real OS threads when
-/// there is more than one. The calling thread takes the last range itself
-/// (it would otherwise idle in the join), so `n` partitions cost `n - 1`
-/// spawns. Results come back in partition order.
+/// Run `f(worker_index, range)` for every (contiguous) range, on real OS
+/// threads when there is more than one: [`run_parts_mut`] over an output
+/// of zero-sized slots, which allocates nothing.
 pub(crate) fn run_parts<T, F>(ranges: &[Range<usize>], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    if ranges.len() <= 1 {
-        return ranges.iter().map(|r| f(0, r.clone())).collect();
-    }
-    let last = ranges.len() - 1;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges[..last]
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let f = &f;
-                let r = r.clone();
-                scope.spawn(move || f(i, r))
-            })
-            .collect();
-        let tail = f(last, ranges[last].clone());
-        let mut outs: Vec<T> = handles.into_iter().map(joined).collect();
-        outs.push(tail);
-        outs
-    })
+    let slots = ranges.iter().map(Range::len).sum();
+    run_parts_mut(&mut vec![(); slots], ranges, |i, r, _| f(i, r))
 }
 
 /// A worker's output — or its panic, resumed on the orchestrating thread
@@ -152,10 +134,13 @@ where
     Ok(outs)
 }
 
-/// Like [`run_parts`], but additionally hands each worker the disjoint
-/// chunk of `out` matching its range, so positionally-aligned stages write
+/// [`run_parts`] that additionally hands each worker the disjoint chunk of
+/// `out` matching its range, so positionally-aligned stages write
 /// straight into one shared output buffer (no per-partition vectors, no
-/// merge copy). `out` covers exactly the (contiguous) ranges.
+/// merge copy). `out` covers exactly the (contiguous) ranges. The calling
+/// thread takes the last range itself (it would otherwise idle in the
+/// join), so `n` partitions cost `n - 1` spawns. Results come back in
+/// partition order.
 pub(crate) fn run_parts_mut<T, R, F>(out: &mut [T], ranges: &[Range<usize>], f: F) -> Vec<R>
 where
     T: Send,
@@ -229,58 +214,66 @@ impl ScratchPool {
     }
 }
 
-/// Where a refinement finds its tuples' residual bits: in the plain
-/// column, at the fact position or — for a dimension column — at the
-/// position the host FK map gives.
+/// Where a refinement finds its tuples' residual bits — in the plain
+/// column, at the fact position or, for a dimension column, at the
+/// position the packed FK link maps it to — and the approximations, at
+/// the same position, that they complete.
 #[derive(Clone, Copy)]
 pub(crate) struct ResidualSrc<'a> {
     meta: &'a DecompositionMeta,
+    approx: &'a DeviceArray,
     plain: &'a ColumnData,
-    fk: Option<&'a [u32]>,
+    link: Option<&'a BitPackedVec>,
 }
 
 impl<'a> ResidualSrc<'a> {
-    /// The source for `col`; `fk` is the host FK map a dimension column
-    /// is reached through.
-    pub(crate) fn for_column(col: &'a bwd_core::BoundColumn, fk: Option<&'a [u32]>) -> Self {
+    /// The source for `col`; `link` is the FK link a dimension column is
+    /// reached through.
+    pub(crate) fn for_column(col: &'a BoundColumn, link: Option<&'a BitPackedVec>) -> Self {
+        let (meta, approx, plain) = (col.meta(), col.approx(), col.plain());
         ResidualSrc {
-            meta: col.meta(),
-            plain: col.plain(),
-            fk,
+            meta,
+            approx,
+            plain,
+            link,
         }
     }
 
-    /// `f(i, residual of oids[i])` for every `i`, in order. The physical
-    /// width is dispatched here, once per call, never per row; a fully
-    /// device-resident column has no residual and loads nothing.
+    /// `f(i, exact payload of oids[i])` for every `i`, in order: the link
+    /// decoded once per oid, approximation ‖ residual read at the position
+    /// it gives. The physical width is dispatched here, once per call,
+    /// never per row; a fully device-resident column has no residual and
+    /// loads nothing.
     #[inline]
-    pub(crate) fn for_each(&self, oids: &[Oid], f: impl FnMut(usize, u64)) {
+    pub(crate) fn exact(&self, oids: &[Oid], f: impl FnMut(usize, i64)) {
         with_slice!(self.plain, rows => self.read(rows, oids, f))
     }
 
     #[inline]
-    fn read<T: Copy + Into<i64>>(&self, rows: &[T], oids: &[Oid], mut f: impl FnMut(usize, u64)) {
-        let residual = |pos: usize| self.meta.residual_of_payload(rows[pos].into());
-        let oids = oids.iter().enumerate();
-        match self.fk {
-            _ if self.meta.resbits() == 0 => oids.for_each(|(i, _)| f(i, 0)),
-            None => oids.for_each(|(i, &oid)| f(i, residual(oid as usize))),
-            Some(fk) => oids.for_each(|(i, &oid)| f(i, residual(fk[oid as usize] as usize))),
+    fn read<T: Copy + Into<i64>>(&self, rows: &[T], oids: &[Oid], mut f: impl FnMut(usize, i64)) {
+        let (meta, approx, link) = (self.meta, self.approx, self.link);
+        let residual = |pos: usize| match meta.resbits() {
+            0 => 0,
+            _ => meta.residual_of_payload(rows[pos].into()),
+        };
+        for (i, &oid) in oids.iter().enumerate() {
+            let pos = link.map_or(oid as usize, |l| l.get(oid as usize) as usize);
+            f(i, meta.payload_from_parts(approx.get(pos), residual(pos)));
         }
     }
 }
 
-/// Concatenate per-worker survivor lists in partition order, recycling
-/// the buffers; a single partition's list is handed over as is (no
-/// second full-length copy).
-fn merge_oid_parts(mut outs: Vec<Vec<Oid>>, pool: &ScratchPool) -> Vec<Oid> {
+/// Concatenate per-worker buffers in partition order, handing each back
+/// to `put` (its pool); a single partition's buffer is handed over as is
+/// (no second full-length copy).
+pub(crate) fn concat_parts<T: Copy>(mut outs: Vec<Vec<T>>, put: impl Fn(Vec<T>)) -> Vec<T> {
     if outs.len() == 1 {
         return outs.swap_remove(0);
     }
     let mut merged = Vec::with_capacity(outs.iter().map(Vec::len).sum());
     for out in outs {
         merged.extend_from_slice(&out);
-        pool.put_u32(out);
+        put(out);
     }
     merged
 }
@@ -299,13 +292,12 @@ fn take_oids(pool: &ScratchPool, bound: usize) -> Vec<Oid> {
 /// `range` test, in candidate order. Approximations decode from the
 /// (replicated-on-host) device array — `arr[oid]` for fact-side
 /// predicates, `arr[link[oid]]` through the FK link for dimension-side
-/// ones — the values the device gathers for exactly these candidates, so
-/// neither candidate representation is consulted. Pure computation — the
-/// caller charges the simulated cost from the merged totals.
+/// ones, one link decode serving both halves — the values the device
+/// gathers for exactly these candidates, so neither candidate
+/// representation is consulted. Pure computation — the caller charges the
+/// simulated cost from the merged totals.
 pub(crate) fn refine_filter(
-    residual: ResidualSrc<'_>,
-    arr: &DeviceArray,
-    link: Option<&DeviceArray>,
+    src: ResidualSrc<'_>,
     undecided: &[Oid],
     range: &RangePred,
     morsels: usize,
@@ -315,16 +307,14 @@ pub(crate) fn refine_filter(
     let outs = run_parts(&ranges, |_, r| {
         let mut out = take_oids(pool, r.len());
         let part = &undecided[r];
-        residual.for_each(part, |i, res| {
-            let oid = part[i];
-            let stored = arr.get(link.map_or(oid, |l| l.get(oid as usize) as Oid) as usize);
-            if range.test(residual.meta.payload_from_parts(stored, res)) {
-                out.push(oid);
+        src.exact(part, |i, exact| {
+            if range.test(exact) {
+                out.push(part[i]);
             }
         });
         out
     });
-    merge_oid_parts(outs, pool)
+    concat_parts(outs, |o| pool.put_u32(o))
 }
 
 #[cfg(test)]
@@ -468,7 +458,8 @@ mod tests {
         /// keeps the oids, in order, that one reading a packed residual
         /// partition — rebuilt here the way the two-cursor splitter packed
         /// it — keeps: every type × physical width × kind of split,
-        /// fact-positioned and through an FK map, on 1 and on 3 morsels.
+        /// fact-positioned and through a packed FK link, on 1 and on 3
+        /// morsels.
         #[test]
         fn refine_filter_keeps_what_a_packed_residual_reader_keeps(
             ty in 0usize..5,
@@ -528,20 +519,20 @@ mod tests {
                 exclude: vals.first().copied().filter(|_| seed.is_multiple_of(2)),
                 ..RangePred::between(a, a + rng.below(span) as i64)
             };
-            // The fact rows: the column's own, or 9 000 reaching it by FK.
-            let fk: Vec<u32> = (0..9_000).map(|_| rng.below(rows.max(1) as u64) as u32).collect();
-            let fk_words: Vec<u64> = fk.iter().map(|&r| r as u64).collect();
-            let link = BitPackedVec::from_slice(32, &fk_words);
-            let link = DeviceArray::upload(&env.device, link, "link", ledger).unwrap();
+            // The fact rows: the column's own, or 9 000 reaching it by FK
+            // through a link packed at the column's row width, as built.
+            let width = bwd_types::bits::bits_for_width(rows as u64);
+            let link = (0..9_000).map(|_| rng.below(rows.max(1) as u64));
+            let link = BitPackedVec::pack(width, link);
             let pool = ScratchPool::default();
             for through_fk in [false, true].into_iter().take(1 + usize::from(rows > 0)) {
-                let (fact_rows, fk, link) = match through_fk {
-                    false => (rows, None, None),
-                    true => (fk.len(), Some(&fk[..]), Some(&link)),
+                let (fact_rows, link) = match through_fk {
+                    false => (rows, None),
+                    true => (link.len(), Some(&link)),
                 };
                 let live: Vec<Oid> =
                     (0..fact_rows as Oid).filter(|_| rng.below(8) > 0).collect();
-                let at = |oid: Oid| fk.map_or(oid, |fk| fk[oid as usize]) as usize;
+                let at = |oid: Oid| link.map_or(oid as usize, |l| l.get(oid as usize) as usize);
                 let want: Vec<Oid> = (live.iter().copied())
                     .filter(|&oid| {
                         let exact = meta.payload_from_parts(arr.get(at(oid)), packed.get(at(oid)));
@@ -549,9 +540,9 @@ mod tests {
                         range.test(exact)
                     })
                     .collect();
-                let src = ResidualSrc::for_column(&bound, fk);
+                let src = ResidualSrc::for_column(&bound, link);
                 for morsels in [1, 3] {
-                    let got = refine_filter(src, arr, link, &live, &range, morsels, &pool);
+                    let got = refine_filter(src, &live, &range, morsels, &pool);
                     proptest::prop_assert_eq!(
                         &got, &want, "{} {:?} fk={} morsels={}", col.dtype(), spec, through_fk, morsels
                     );

@@ -932,7 +932,7 @@ pub(crate) mod tests {
             fold: Vec::new(),
             ..plan.clone()
         };
-        let fk = db.fk_index("t", "fk").map(|fk| fk.host_slice());
+        let fk = db.fk_index("t", "fk");
         let rows = db.catalog().table("t")?.len();
         let column = |name: &str| {
             let (t, c) = name.split_once('.').unwrap_or(("t", name));
@@ -941,7 +941,7 @@ pub(crate) mod tests {
         let fetch = |name: &str, oid: usize| {
             let (col, is_dim) = column(name);
             col.payload(if is_dim {
-                fk.as_ref().unwrap()[oid] as usize
+                fk.as_ref().unwrap().dim_row(oid as u32) as usize
             } else {
                 oid
             })
@@ -1253,7 +1253,7 @@ pub(crate) mod tests {
             let aggs = aggs(mask & !1 | usize::from(zero == 0));
             let plan = scan.fk_join("fk", "d").aggregate(group_by, aggs);
             let plan = db.bind(&plan, &Default::default()).unwrap();
-            let fk = db.fk_index("t", "fk").unwrap().host_slice();
+            let fk = db.fk_index("t", "fk").unwrap().device().data();
             let classic = |m, s| run_classic_sliced(db.catalog(), &plan, Some(fk), db.env(), m, s, &mut Default::default());
             let opts = |morsels| ArExecOptions { morsels, ..Default::default() };
             let ar = |m, s| run_ar_sliced(db, &plan, &opts(m), db.env(), s, &mut Default::default());

@@ -86,17 +86,33 @@ impl BitPackedVec {
         I: IntoIterator<Item = u64>,
         I::IntoIter: ExactSizeIterator,
     {
+        let vals = vals.into_iter().map(Ok::<u64, std::convert::Infallible>);
+        let Ok(out) = Self::try_pack(width, vals);
+        out
+    }
+
+    /// [`BitPackedVec::pack`] of values that may fail to compute: the
+    /// first error stops the packing and is returned, and the buffer is
+    /// dropped. No other copy of the values exists at any point.
+    ///
+    /// # Panics
+    /// As [`BitPackedVec::pack`].
+    pub fn try_pack<I, E>(width: u32, vals: I) -> Result<Self, E>
+    where
+        I: IntoIterator<Item = Result<u64, E>>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let vals = vals.into_iter();
         let mut out = Self::zeroed(width, vals.len());
         let mut cursor = PackCursor::new(width, &mut out.words);
         let mut packed = 0usize;
         for v in vals {
-            cursor.push(v);
+            cursor.push(v?);
             packed += 1;
         }
         cursor.finish();
         assert_eq!(packed, out.len, "iterator misreported its length");
-        out
+        Ok(out)
     }
 
     /// Pack a slice of already-narrow values.
@@ -493,6 +509,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A fallible pack is the plain pack when every value computes, and the
+    /// first error otherwise.
+    #[test]
+    fn try_pack_is_pack_or_the_first_error() {
+        let vals: Vec<u64> = (0..200).map(|i| i * 37 % 1024).collect();
+        let ok = BitPackedVec::try_pack(10, vals.iter().map(|&v| Ok::<u64, u64>(v)));
+        assert_eq!(ok, Ok(BitPackedVec::from_slice(10, &vals)));
+        let failing = vals.iter().map(|&v| if v > 1000 { Err(v) } else { Ok(v) });
+        let first = vals.iter().find(|&&v| v > 1000).copied();
+        assert_eq!(BitPackedVec::try_pack(10, failing).err(), first);
     }
 
     #[test]

@@ -243,6 +243,41 @@ mod tests {
         }
     }
 
+    /// A `declare_fk` that fails leaves no declaration behind: a later,
+    /// valid one from the same fact key answers its join in both pipes,
+    /// and the failed dimension is rejected at bind.
+    #[test]
+    fn a_failed_declare_fk_leaves_no_trace() {
+        let mut db = Db::new();
+        let ints = |v: &[i32]| Column::from_i32(v.to_vec());
+        let tables = [
+            ("f", vec![("k".into(), ints(&[1, 9, 1]))]),
+            ("d", vec![("k".into(), ints(&[1, 2]))]),
+            (
+                "e",
+                vec![("k".into(), ints(&[1, 9])), ("v".into(), ints(&[10, 20]))],
+            ),
+        ];
+        for (name, columns) in tables {
+            db.create_table(name, columns).unwrap();
+        }
+        let dangling = db.declare_fk("f", "k", "d", "k").unwrap_err();
+        assert_eq!(
+            dangling,
+            BwdError::Exec("foreign key 9 has no dimension match".into())
+        );
+        db.declare_fk("f", "k", "e", "k").unwrap();
+        for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
+            let q = "select count(*) as n, sum(e.v) as s from f, e where f.k = e.k";
+            let rows = self_rows(db.sql_mode(q, mode).unwrap());
+            assert_eq!(rows, [[Value::Int(3), Value::Int(40)]]);
+        }
+        match db.sql("select count(*) from f, d where f.k = d.k") {
+            Err(BwdError::Bind(m)) => assert!(m.contains("no declared foreign key joins f and d")),
+            other => panic!("expected a bind error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn decompose_statement_reports() {
         let mut db = Db::new();

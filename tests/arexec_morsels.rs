@@ -232,7 +232,7 @@ fn tpch_q14_fk_join_identical_across_morsels() {
     );
     db.auto_bind(&plan).unwrap();
     // Distribute both a fact and the dimension column so the FK-indirect
-    // refinement (dimension residual through the host index) runs too.
+    // refinement (dimension residual through the FK link) runs too.
     db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
     db.bwdecompose("part", "p_type", 4).unwrap();
     assert_bit_identical(&db, &plan, "Q14 fk join");

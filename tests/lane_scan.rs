@@ -106,8 +106,8 @@ fn chained_fact_selections_identical_across_the_grid() {
 
 /// A Q14-shaped fact + dimension chain: the dim predicate AND-refines
 /// the running bitmap *through the FK link* (no index round-trip), and
-/// the mask-consuming refinement reconstructs dim-side payloads via the
-/// host FK index — across the whole grid.
+/// the mask-consuming refinement reconstructs dim-side payloads through
+/// the same link — across the whole grid.
 #[test]
 fn dim_chain_identical_across_the_grid() {
     let cfg = TpchConfig::scale(0.02);

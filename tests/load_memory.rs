@@ -7,9 +7,10 @@
 //! `declare_fk`, `bwdecompose` 24/8 and all-device — may raise `VmHWM`
 //! over the resident set just before it by the bytes the step leaves
 //! resident (payloads in the 1, 2, 3, 4 or 8 bytes they need, the FK
-//! mapping twice — host positions and the
-//! packed device copy —, the packed approximation: a residual is read from
-//! the plain column, not packed a second time) plus 8 MiB for hash
+//! mapping once — packed at the dimension's row width, the one copy the
+//! device gathers through and the host decodes —, the packed
+//! approximation: a residual is read from the plain column, not packed a
+//! second time) plus 8 MiB for hash
 //! tables, dictionaries and allocator slack; a constructor handed values
 //! wider than they need may hold that input beside the re-packed column
 //! until it returns, and not a moment longer. What this replaced held, on
@@ -170,9 +171,17 @@ fn loading_holds_no_row_count_sized_transient() {
     });
     assert_no_transient("create_table", rise, 0);
 
+    let held = LIVE.load(Relaxed);
     let (_, rise) = peak_rise(|| db.declare_fk("fact", "key", "dim", "key").unwrap());
-    // 4-byte host positions + 10-bit packed positions for the device.
-    assert_no_transient("declare_fk", rise, ROWS as u64 * 4 + ROWS as u64 * 10 / 8);
+    // 10-bit packed positions, which the host reads as well: no 4-byte
+    // host copy, not even while the index is built.
+    let link = ROWS as u64 * 10 / 8;
+    assert_no_transient("declare_fk", rise, link);
+    let stays = LIVE.load(Relaxed) - held;
+    assert!(
+        stays <= link as usize + (64 << 10),
+        "declare_fk: {stays} B stay on the heap for a {link} B link — is a host copy back?"
+    );
 
     let steps = [
         ("wide", 24),
