@@ -145,6 +145,7 @@ fn main() -> ExitCode {
                     if let Some(dir) = &args.csv {
                         if let Err(e) = f.write_csv(dir) {
                             eprintln!("csv write failed: {e}");
+                            return ExitCode::FAILURE;
                         }
                     }
                 }

@@ -3,11 +3,11 @@
 //! experiment (Fig 11), plus the Figure 1 motivation curve.
 
 use crate::report::Figure;
+use crate::throughput::run_throughput;
 use bwd_core::plan::ArPlan;
 use bwd_data::{gen_lineitem, gen_part, gen_trips, SpatialConfig, TpchConfig};
 use bwd_device::{DeviceSpec, Env, GIB};
 use bwd_engine::{Database, ExecMode, QueryResult};
-use bwd_sched::run_throughput;
 use bwd_sql::{bind, parse, BoundStatement};
 use bwd_types::{BwdError, Result};
 

@@ -4,6 +4,9 @@
 //! * [`micro`] — Fig 8a–8f operator microbenchmarks;
 //! * [`evaluation`] — Fig 9 (Table I spatial workload), Fig 10a–c (TPC-H
 //!   Q1/Q6/Q14), Fig 11 (multi-stream throughput), Fig 1 (motivation);
+//! * [`throughput`] — the Fig 11 runner, measured on the scheduler;
+//! * [`workload`] — seeded short/long scheduler workloads and the
+//!   admission [`workload::Gate`] the scheduler tests freeze workers with;
 //! * [`report`] — table rendering and CSV output.
 //!
 //! Run `cargo run --release -p bwd-bench --bin figures -- all` (or a
@@ -14,3 +17,5 @@
 pub mod evaluation;
 pub mod micro;
 pub mod report;
+pub mod throughput;
+pub mod workload;

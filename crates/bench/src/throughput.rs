@@ -26,38 +26,19 @@
 //! bandwidth-stealing rule: the CPU stream keeps
 //! `1 - ar_demand / bw_max` of its throughput.
 
-use crate::job::SubmitOptions;
-use crate::scheduler::{SchedConfig, Scheduler};
-use crate::session::Session;
 use bwd_core::plan::ArPlan;
 use bwd_engine::{Database, ExecMode};
 use bwd_obs::Clock;
+use bwd_sched::{SchedConfig, Scheduler, Session, SubmitOptions};
 use bwd_types::Result;
 use std::sync::Arc;
 
-/// Knobs for [`run_throughput_with`].
-#[derive(Debug, Clone)]
-pub struct ThroughputOptions {
-    /// Queries executed per configuration point (more = smoother numbers,
-    /// linearly more work).
-    pub queries_per_step: usize,
-    /// Scheduler worker threads (≥ 2 so the combined phase genuinely
-    /// overlaps the two streams).
-    pub workers: usize,
-    /// The wall clock stamping the combined phase (the process-wide
-    /// monotonic clock by default; inject [`Clock::mock`] in tests).
-    pub clock: Clock,
-}
+/// Queries executed per configuration point.
+const QUERIES_PER_STEP: usize = 3;
 
-impl Default for ThroughputOptions {
-    fn default() -> Self {
-        ThroughputOptions {
-            queries_per_step: 3,
-            workers: 4,
-            clock: Clock::monotonic(),
-        }
-    }
-}
+/// Scheduler worker threads (≥ 2 so the combined phase genuinely overlaps
+/// the two streams).
+const WORKERS: usize = 4;
 
 /// Throughput (queries/second) of every configuration in Figure 11.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +63,7 @@ pub struct ThroughputReport {
     /// combined phase, wall-clock seconds.
     pub ar_mean_queue_wait_seconds: f64,
     /// Estimated over actual simulated seconds for the A&R stream in the
-    /// combined phase ([`crate::StreamSnapshot::estimate_ratio`]) — how
+    /// combined phase ([`bwd_sched::StreamSnapshot::estimate_ratio`]) — how
     /// well the SJF latency estimator predicted this workload's bill.
     pub ar_estimate_ratio: f64,
     /// Device-memory high-water mark across the whole experiment (the
@@ -103,7 +84,7 @@ impl ThroughputReport {
     }
 }
 
-/// Run the Figure 11 experiment for one query with default options.
+/// Run the Figure 11 experiment for one query.
 ///
 /// `thread_steps` is the simulated CPU thread sweep (the paper uses 1..32
 /// in powers of two). Every referenced column must already be bound
@@ -113,20 +94,11 @@ pub fn run_throughput(
     plan: &ArPlan,
     thread_steps: &[u32],
 ) -> Result<ThroughputReport> {
-    run_throughput_with(db, plan, thread_steps, &ThroughputOptions::default())
-}
-
-/// [`run_throughput`] with explicit options.
-pub fn run_throughput_with(
-    db: Arc<Database>,
-    plan: &ArPlan,
-    thread_steps: &[u32],
-    opts: &ThroughputOptions,
-) -> Result<ThroughputReport> {
     let config = SchedConfig {
-        workers: opts.workers.max(2),
+        workers: WORKERS,
         ..SchedConfig::default()
     };
+    let clock = Clock::monotonic();
 
     // --- CPU-only stream at each simulated thread count. ---
     let mut cpu_parallel = Vec::with_capacity(thread_steps.len());
@@ -134,8 +106,8 @@ pub fn run_throughput_with(
         let sched = Scheduler::new(Arc::clone(&db), config.clone());
         let session = sched.session();
         for &threads in thread_steps {
-            let sim = run_batch(&session, plan, ExecMode::Classic, threads, opts)?;
-            cpu_parallel.push((threads, opts.queries_per_step as f64 / sim.max(1e-12)));
+            let sim = run_batch(&session, plan, ExecMode::Classic, threads)?;
+            cpu_parallel.push((threads, QUERIES_PER_STEP as f64 / sim.max(1e-12)));
         }
     }
 
@@ -144,11 +116,10 @@ pub fn run_throughput_with(
         let sched = Scheduler::new(Arc::clone(&db), config.clone());
         let session = sched.session();
         let before = sched.stats().approx_refine;
-        let sim = run_batch(&session, plan, ExecMode::ApproxRefine, 1, opts)?;
+        let sim = run_batch(&session, plan, ExecMode::ApproxRefine, 1)?;
         let after = sched.stats().approx_refine;
-        let host_bytes =
-            (after.traffic.host - before.traffic.host) / opts.queries_per_step.max(1) as u64;
-        (opts.queries_per_step as f64 / sim.max(1e-12), host_bytes)
+        let host_bytes = (after.traffic.host - before.traffic.host) / QUERIES_PER_STEP as u64;
+        (QUERIES_PER_STEP as f64 / sim.max(1e-12), host_bytes)
     };
 
     // --- Combined: both streams submitted concurrently. ---
@@ -157,8 +128,8 @@ pub fn run_throughput_with(
         let sched = Scheduler::new(Arc::clone(&db), config);
         let cpu_session = sched.session();
         let ar_session = sched.session();
-        let started = opts.clock.now_seconds();
-        let cpu_tickets: Vec<_> = (0..opts.queries_per_step)
+        let started = clock.now_seconds();
+        let cpu_tickets: Vec<_> = (0..QUERIES_PER_STEP)
             .map(|_| {
                 cpu_session.submit_with(
                     plan.clone(),
@@ -170,7 +141,7 @@ pub fn run_throughput_with(
                 )
             })
             .collect();
-        let ar_tickets: Vec<_> = (0..opts.queries_per_step)
+        let ar_tickets: Vec<_> = (0..QUERIES_PER_STEP)
             .map(|_| {
                 ar_session.submit_with(
                     plan.clone(),
@@ -189,9 +160,9 @@ pub fn run_throughput_with(
         for t in ar_tickets {
             t.wait()?;
         }
-        let wall = opts.clock.now_seconds() - started;
+        let wall = clock.now_seconds() - started;
         (
-            opts.queries_per_step as f64 / cpu_sim.max(1e-12),
+            QUERIES_PER_STEP as f64 / cpu_sim.max(1e-12),
             wall,
             sched.stats(),
         )
@@ -226,16 +197,10 @@ pub fn run_throughput_with(
     })
 }
 
-/// Submit `queries_per_step` copies of the plan, wait for all, and return
-/// the stream's total simulated seconds.
-fn run_batch(
-    session: &Session,
-    plan: &ArPlan,
-    mode: ExecMode,
-    host_threads: u32,
-    opts: &ThroughputOptions,
-) -> Result<f64> {
-    let tickets: Vec<_> = (0..opts.queries_per_step)
+/// Submit [`QUERIES_PER_STEP`] copies of the plan, wait for all, and
+/// return the stream's total simulated seconds.
+fn run_batch(session: &Session, plan: &ArPlan, mode: ExecMode, host_threads: u32) -> Result<f64> {
+    let tickets: Vec<_> = (0..QUERIES_PER_STEP)
         .map(|_| {
             session.submit_with(
                 plan.clone(),

@@ -16,18 +16,18 @@
 //!   free byte of a device so the first A&R job blocks *inside*
 //!   admission, pinning a worker while the test stacks up the queue it
 //!   wants to observe. Combined with a one-worker scheduler and
-//!   [`crate::JobReport::completion_index`], the exact pop order of the
+//!   [`bwd_sched::JobReport::completion_index`], the exact pop order of the
 //!   queue becomes a plain integer assertion — no sleeps, no timing.
 //!
 //! The ordering rules themselves are additionally testable with no
-//! scheduler at all: [`crate::PolicyQueue`] is public and pure (its
+//! scheduler at all: [`bwd_sched::PolicyQueue`] is public and pure (its
 //! aging is bypass-count-based, not wall-clock-based), so the "virtual
 //! clock" of a scheduling test is simply the sequence of pops.
 
-use crate::job::SubmitOptions;
 use bwd_core::plan::{AggExpr, AggFunc, ArPlan, LogicalPlan, Predicate};
 use bwd_device::{DeviceBuffer, DeviceMemory, Env};
 use bwd_engine::{Database, ExecMode, QueryResult};
+use bwd_sched::SubmitOptions;
 use bwd_storage::Column;
 use bwd_types::{Result, SplitMix64, Value};
 use std::sync::Arc;
@@ -103,7 +103,7 @@ impl QuerySpec {
 /// # Examples
 ///
 /// ```
-/// use bwd_sched::workload::{WorkloadGen, WorkloadSpec};
+/// use bwd_bench::workload::{WorkloadGen, WorkloadSpec};
 ///
 /// let mut gen = WorkloadGen::new(7, WorkloadSpec {
 ///     long_rows: 20_000,
@@ -169,7 +169,7 @@ impl WorkloadGen {
         Ok(gen)
     }
 
-    /// The shared workload database (hand to [`crate::Scheduler::new`]).
+    /// The shared workload database (hand to [`bwd_sched::Scheduler::new`]).
     pub fn db(&self) -> &Arc<Database> {
         &self.db
     }
@@ -292,7 +292,7 @@ impl WorkloadGen {
 /// 3. [`Gate::wait_admission_blocked`] — the worker is now provably stuck;
 /// 4. submit the batch under test (it all queues);
 /// 5. [`Gate::release`] and assert on each ticket's
-///    [`crate::JobReport::completion_index`].
+///    [`bwd_sched::JobReport::completion_index`].
 pub struct Gate {
     mem: DeviceMemory,
     device: usize,
@@ -400,8 +400,8 @@ mod tests {
         assert!(!l.rows.is_empty());
         // The generated pair is genuinely short-vs-long under the cost
         // model the queue sorts by.
-        let es = crate::PlanFootprint::of(gen.db(), &short.plan, &short.mode, 1).latency();
-        let el = crate::PlanFootprint::of(gen.db(), &long.plan, &long.mode, 1).latency();
+        let es = bwd_sched::PlanFootprint::of(gen.db(), &short.plan, &short.mode, 1).latency();
+        let el = bwd_sched::PlanFootprint::of(gen.db(), &long.plan, &long.mode, 1).latency();
         assert!(
             el.total() > 10.0 * es.total(),
             "long {el:?} vs short {es:?}"
@@ -410,7 +410,7 @@ mod tests {
 
     #[test]
     fn gate_freezes_a_worker_on_a_multi_device_pool_when_pinned() {
-        use crate::scheduler::{SchedConfig, Scheduler};
+        use bwd_sched::{SchedConfig, Scheduler};
 
         // Regression: on a 2-card pool the least-loaded policy would
         // route an unpinned gate job to the ungated card; the pinned

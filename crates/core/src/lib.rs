@@ -11,23 +11,18 @@
 //!   invisible fast path;
 //! * [`relax`] — predicate relaxation (`f(x)`, §IV-B) and granule
 //!   certainty classification;
-//! * [`bounds`] — interval arithmetic for error-bound propagation and the
-//!   destructive-distributivity analysis (§IV-G);
 //! * [`ops`] — the operator pairs: selection (Algorithm 2), projection,
-//!   foreign-key & theta joins, grouping, and aggregation with Figure 6's
-//!   extremum candidate sets;
+//!   the foreign-key index, and Figure 6's extremum candidate sets;
 //! * [`plan`] — logical plans, the A&R physical plan, the `bwd_pipe`
 //!   rewriter and the rule-based approximate-selection pushdown (§III-A,
 //!   §V-B).
 
-pub mod bounds;
 pub mod column;
 pub mod ops;
 pub mod plan;
 pub mod relax;
 pub mod translucent;
 
-pub use bounds::Interval;
 pub use column::BoundColumn;
 pub use relax::{classify_granule, relax_to_stored, CmpOp, GranuleMatch, RangePred, StoredRange};
-pub use translucent::{translucent_join, translucent_join_with, JoinPath};
+pub use translucent::{translucent_join_with, JoinPath};

@@ -32,58 +32,6 @@ pub enum Extremum {
     Max,
 }
 
-/// Host-side exact sum over reconstructed payloads (the destructive-
-/// distributivity fallback: exact values are mandatory, §IV-G).
-pub fn sum_exact_host(
-    env: &Env,
-    col: &BoundColumn,
-    survivors: &[Oid],
-    survivor_stored: &[u64],
-    ledger: &mut CostLedger,
-) -> i128 {
-    debug_assert_eq!(survivors.len(), survivor_stored.len());
-    let mut acc: i128 = 0;
-    for (&oid, &stored) in survivors.iter().zip(survivor_stored) {
-        acc += col.reconstruct_with(oid, stored) as i128;
-    }
-    env.charge_host_scattered(
-        "agg.sum.host",
-        col.residual_access_bytes(survivors.len()),
-        survivors.len() as u64,
-        ledger,
-    );
-    acc
-}
-
-/// Host-side exact sum of products `a * b` over reconstructed payloads
-/// (TPC-H Q6's aggregate when the columns are decomposed).
-pub fn sum_product_exact_host(
-    env: &Env,
-    a: &BoundColumn,
-    a_stored: &[u64],
-    b: &BoundColumn,
-    b_stored: &[u64],
-    survivors: &[Oid],
-    ledger: &mut CostLedger,
-) -> i128 {
-    debug_assert_eq!(survivors.len(), a_stored.len());
-    debug_assert_eq!(survivors.len(), b_stored.len());
-    let mut acc: i128 = 0;
-    for i in 0..survivors.len() {
-        let oid = survivors[i];
-        let x = a.reconstruct_with(oid, a_stored[i]) as i128;
-        let y = b.reconstruct_with(oid, b_stored[i]) as i128;
-        acc += x * y;
-    }
-    env.charge_host_scattered(
-        "agg.sumprod.host",
-        a.residual_access_bytes(survivors.len()) + b.residual_access_bytes(survivors.len()),
-        survivors.len() as u64,
-        ledger,
-    );
-    acc
-}
-
 /// The device-side approximate phase of an extremum aggregation: produce
 /// the candidate set that provably contains the true extremum.
 ///
@@ -189,20 +137,10 @@ pub fn extremum_refine(
     best
 }
 
-/// `avg` = exact sum / exact count, computed on the host (destructive
-/// distributivity applies to the sum part).
-pub fn avg_from_parts(sum: i128, count: u64) -> Option<f64> {
-    if count == 0 {
-        None
-    } else {
-        Some(sum as f64 / count as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::select::{select_approx, select_refine};
+    use crate::ops::select::select_approx;
     use crate::relax::{classify_granule, GranuleMatch, RangePred};
     use bwd_kernels::ScanOptions;
     use bwd_storage::{DecomposedColumn, DecompositionSpec};
@@ -222,47 +160,6 @@ mod tests {
             &mut load,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn exact_host_sums() {
-        let vals: Vec<i64> = (0..1000).collect();
-        let env = Env::paper_default();
-        let col = bind(&env, &vals, 24);
-        let survivors: Vec<Oid> = (0..1000).step_by(2).collect();
-        let stored: Vec<u64> = survivors
-            .iter()
-            .map(|&o| col.approx().get(o as usize))
-            .collect();
-        let mut ledger = CostLedger::new();
-        let s = sum_exact_host(&env, &col, &survivors, &stored, &mut ledger);
-        assert_eq!(s, (0..1000i128).step_by(2).sum::<i128>());
-    }
-
-    #[test]
-    fn sum_product_matches_reference() {
-        let a_vals: Vec<i64> = (0..500).map(|i| i % 97).collect();
-        let b_vals: Vec<i64> = (0..500).map(|i| 1 + i % 11).collect();
-        let env = Env::paper_default();
-        let a = bind(&env, &a_vals, 26);
-        let b = bind(&env, &b_vals, 26);
-        let survivors: Vec<Oid> = (0..500).collect();
-        let a_stored: Vec<u64> = survivors
-            .iter()
-            .map(|&o| a.approx().get(o as usize))
-            .collect();
-        let b_stored: Vec<u64> = survivors
-            .iter()
-            .map(|&o| b.approx().get(o as usize))
-            .collect();
-        let mut ledger = CostLedger::new();
-        let s = sum_product_exact_host(&env, &a, &a_stored, &b, &b_stored, &survivors, &mut ledger);
-        let expect: i128 = a_vals
-            .iter()
-            .zip(&b_vals)
-            .map(|(&x, &y)| x as i128 * y as i128)
-            .sum();
-        assert_eq!(s, expect);
     }
 
     /// The Figure 6 scenario: the tuple with the minimal *approximate*
@@ -365,40 +262,5 @@ mod tests {
             3,
             "without certainty the full candidate set is kept"
         );
-    }
-
-    #[test]
-    fn avg_from_parts_handles_empty() {
-        assert_eq!(avg_from_parts(100, 4), Some(25.0));
-        assert_eq!(avg_from_parts(0, 0), None);
-    }
-
-    /// Refinement after a selection refine: sums over survivors match a
-    /// scalar reference on random-ish data.
-    #[test]
-    fn end_to_end_sum_after_selection() {
-        let x_vals: Vec<i64> = (0..5000).map(|i| (i * 13) % 1000).collect();
-        let y_vals: Vec<i64> = (0..5000).map(|i| (i * 7) % 300).collect();
-        let env = Env::paper_default();
-        let x = bind(&env, &x_vals, 26);
-        let y = bind(&env, &y_vals, 26);
-        let range = RangePred::between(100, 400);
-        let mut ledger = CostLedger::new();
-        let cands = select_approx(&env, &x, &range, &ScanOptions::default(), &mut ledger);
-        let refined = select_refine(&env, &x, &cands, None, &range, true, &mut ledger).unwrap();
-        // Project y approximations for survivors, then exact-sum on host.
-        let surv_cands = Candidates {
-            oids: refined.oids.clone(),
-            approx: vec![0; refined.len()],
-            sorted: false,
-            dense: false,
-        };
-        let y_stored = gather(&env, y.approx(), &surv_cands, "gather", &mut ledger);
-        let s = sum_exact_host(&env, &y, &refined.oids, &y_stored, &mut ledger);
-        let expect: i128 = (0..5000)
-            .filter(|&i| range.test(x_vals[i]))
-            .map(|i| y_vals[i] as i128)
-            .sum();
-        assert_eq!(s, expect);
     }
 }

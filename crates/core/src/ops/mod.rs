@@ -14,7 +14,6 @@
 //! translucent join.
 
 pub mod aggregate;
-pub mod group;
 pub mod join;
 pub mod project;
 pub mod select;
@@ -25,16 +24,7 @@ pub mod select;
 /// refining ~100 M candidates costs several hundred milliseconds.
 pub const REFINE_OPS_PER_TUPLE: u64 = 3;
 
-pub use aggregate::{
-    avg_from_parts, extremum_approx, extremum_refine, sum_exact_host, sum_product_exact_host,
-    Extremum,
-};
-pub use group::{group_approx, group_refine, RefinedGroups};
-pub use join::{
-    charge_fk_project_refine, fk_project_approx, fk_project_refine, theta_join_approx,
-    theta_join_refine, FkIndex,
-};
-pub use project::{
-    charge_project_refine, decode_resident, project_approx, project_ar, project_refine,
-};
-pub use select::{select_approx, select_approx_on, select_ar, select_refine, Refined};
+pub use aggregate::{extremum_approx, extremum_refine, Extremum};
+pub use join::{charge_fk_project_refine, FkIndex};
+pub use project::{charge_project_refine, project_approx, project_refine};
+pub use select::{select_approx, select_refine, Refined};

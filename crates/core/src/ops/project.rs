@@ -106,40 +106,6 @@ pub fn charge_project_refine(
     }
 }
 
-/// Full A&R projection for survivors of a refined selection: approximate
-/// gather on the device, download, refine on the host. The common plan
-/// tail for `select ... project` queries (Fig 8d/8e).
-pub fn project_ar(
-    env: &Env,
-    col: &BoundColumn,
-    cands: &Candidates,
-    survivors: &[Oid],
-    ledger: &mut CostLedger,
-) -> Result<Vec<i64>> {
-    let approx = project_approx(env, col, cands, ledger);
-    project_refine(
-        env,
-        col,
-        &cands.oids,
-        cands.dense.then_some(0),
-        &approx,
-        survivors,
-        true,
-        ledger,
-    )
-}
-
-/// Host-side conversion of already-refined stored values for a fully
-/// device-resident column (no residual exists; the approximate projection
-/// is exact and only needs decoding).
-pub fn decode_resident(col: &BoundColumn, stored_vals: &[u64]) -> Vec<i64> {
-    debug_assert!(col.meta().fully_device_resident());
-    stored_vals
-        .iter()
-        .map(|&s| col.meta().payload_from_parts(s, 0))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +128,29 @@ mod tests {
         .unwrap()
     }
 
+    /// Approximate gather, download and refinement of `survivors`: the
+    /// plan tail of `select ... project` queries (Fig 8d/8e).
+    fn project_survivors(
+        env: &Env,
+        col: &BoundColumn,
+        cands: &Candidates,
+        survivors: &[Oid],
+        ledger: &mut CostLedger,
+    ) -> Result<Vec<i64>> {
+        let approx = project_approx(env, col, cands, ledger);
+        let dense = cands.dense.then_some(0);
+        project_refine(
+            env,
+            col,
+            &cands.oids,
+            dense,
+            &approx,
+            survivors,
+            true,
+            ledger,
+        )
+    }
+
     fn scrambled_cands(oids: Vec<Oid>) -> Candidates {
         let mut c = Candidates {
             approx: vec![0; oids.len()],
@@ -182,7 +171,7 @@ mod tests {
         let cands = scrambled_cands(vec![17, 5, 9000, 3, 42, 777]);
         let survivors = vec![17, 9000, 42];
         let mut ledger = CostLedger::new();
-        let out = project_ar(&env, &col, &cands, &survivors, &mut ledger).unwrap();
+        let out = project_survivors(&env, &col, &cands, &survivors, &mut ledger).unwrap();
         assert_eq!(out, vec![vals[17], vals[9000], vals[42]]);
         let b = ledger.breakdown();
         assert!(b.device > 0.0 && b.pcie > 0.0 && b.host > 0.0);
@@ -196,7 +185,7 @@ mod tests {
         let cands = scrambled_cands((0..1000).collect()); // dense after refresh
         assert!(cands.dense);
         let mut ledger = CostLedger::new();
-        let out = project_ar(&env, &col, &cands, &[500, 2, 999], &mut ledger).unwrap();
+        let out = project_survivors(&env, &col, &cands, &[500, 2, 999], &mut ledger).unwrap();
         assert_eq!(out, vec![500, 2, 999]);
     }
 
@@ -208,7 +197,10 @@ mod tests {
         let cands = scrambled_cands(vec![3, 99, 31]);
         let mut ledger = CostLedger::new();
         let stored = project_approx(&env, &col, &cands, &mut ledger);
-        let payloads = decode_resident(&col, &stored);
+        let payloads: Vec<i64> = stored
+            .iter()
+            .map(|&s| col.meta().payload_from_parts(s, 0))
+            .collect();
         assert_eq!(payloads, vec![vals[3], vals[99], vals[31]]);
     }
 
@@ -219,7 +211,7 @@ mod tests {
         let col = bind(&env, &vals, 28);
         let cands = scrambled_cands(vec![5, 2]);
         let mut ledger = CostLedger::new();
-        let out = project_ar(&env, &col, &cands, &[], &mut ledger).unwrap();
+        let out = project_survivors(&env, &col, &cands, &[], &mut ledger).unwrap();
         assert!(out.is_empty());
     }
 }

@@ -19,7 +19,7 @@ use crate::column::BoundColumn;
 use crate::relax::{relax_to_stored, RangePred};
 use crate::translucent::translucent_join_with;
 use bwd_device::{CostLedger, Env};
-use bwd_kernels::scan::{select_range, select_range_on, ScanOptions};
+use bwd_kernels::scan::{select_range, ScanOptions};
 use bwd_kernels::Candidates;
 use bwd_types::{Oid, Result};
 
@@ -57,22 +57,6 @@ pub fn select_approx(
     match relax_to_stored(col.meta(), range) {
         None => Candidates::empty(),
         Some(r) => select_range(env, col.approx(), r.outer.0, r.outer.1, opts, ledger),
-    }
-}
-
-/// Approximate selection chained onto an existing candidate list
-/// (conjunctive predicates): gather this column's approximation per
-/// candidate, filter with relaxed bounds, preserve candidate order.
-pub fn select_approx_on(
-    env: &Env,
-    col: &BoundColumn,
-    input: &Candidates,
-    range: &RangePred,
-    ledger: &mut CostLedger,
-) -> Candidates {
-    match relax_to_stored(col.meta(), range) {
-        None => Candidates::empty(),
-        Some(r) => select_range_on(env, col.approx(), input, r.outer.0, r.outer.1, ledger),
     }
 }
 
@@ -179,22 +163,10 @@ pub fn select_refine(
     Ok(out)
 }
 
-/// Convenience: full A&R selection (approximate + immediate refinement) of
-/// one predicate — the single-operator microbenchmark shape (Fig 8a/8b).
-pub fn select_ar(
-    env: &Env,
-    col: &BoundColumn,
-    range: &RangePred,
-    opts: &ScanOptions,
-    ledger: &mut CostLedger,
-) -> Result<Refined> {
-    let cands = select_approx(env, col, range, opts, ledger);
-    select_refine(env, col, &cands, None, range, true, ledger)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bwd_kernels::scan::{ScanRows, ScanSpec};
     use bwd_storage::{DecomposedColumn, DecompositionSpec};
     use bwd_types::DataType;
     use proptest::prelude::*;
@@ -212,6 +184,19 @@ mod tests {
         (env, col)
     }
 
+    /// Approximate selection and immediate refinement of one predicate:
+    /// the single-operator microbenchmark shape (Fig 8a/8b).
+    fn select_refined(
+        env: &Env,
+        col: &BoundColumn,
+        range: &RangePred,
+        opts: &ScanOptions,
+        ledger: &mut CostLedger,
+    ) -> Result<Refined> {
+        let cands = select_approx(env, col, range, opts, ledger);
+        select_refine(env, col, &cands, None, range, true, ledger)
+    }
+
     fn exact_select(vals: &[i64], range: &RangePred) -> Vec<Oid> {
         (0..vals.len() as Oid)
             .filter(|&i| range.test(vals[i as usize]))
@@ -226,7 +211,7 @@ mod tests {
             let range = RangePred::between(1000, 2000);
             let mut ledger = CostLedger::new();
             let refined =
-                select_ar(&env, &col, &range, &ScanOptions::default(), &mut ledger).unwrap();
+                select_refined(&env, &col, &range, &ScanOptions::default(), &mut ledger).unwrap();
             let mut got = refined.oids.clone();
             got.sort_unstable();
             assert_eq!(
@@ -298,7 +283,14 @@ mod tests {
         };
         // Approximate subplan: chain the two relaxed selections.
         let ca = select_approx(&env, &col_a, &ra, &opts, &mut ledger);
-        let cb = select_approx_on(&env, &col_b, &ca, &rb, &mut ledger);
+        let (lo, hi) = relax_to_stored(col_b.meta(), &rb).unwrap().outer;
+        let (mut oids, mut approx) = (Vec::new(), Vec::new());
+        ScanSpec::new(col_b.approx(), None, lo, hi, Some(ca.len())).emit(
+            ScanRows::Oids(&ca.oids),
+            &mut oids,
+            &mut approx,
+        );
+        let cb = Candidates::from_pairs(oids, approx);
         // Refinement: refine A over the chained candidates, then B over
         // A's survivors.
         let refined_a =
@@ -358,7 +350,7 @@ mod tests {
         let vals: Vec<i64> = (0..10_000).collect();
         let (env, col) = bind(&vals, 24);
         let mut ledger = CostLedger::new();
-        let _ = select_ar(
+        let _ = select_refined(
             &env,
             &col,
             &RangePred::between(0, 5000),
@@ -382,7 +374,7 @@ mod tests {
             let range = RangePred::between(lo, lo + span);
             let mut ledger = CostLedger::new();
             let opts = ScanOptions { block_size: 64, preserve_order: false };
-            let refined = select_ar(&env, &col, &range, &opts, &mut ledger).unwrap();
+            let refined = select_refined(&env, &col, &range, &opts, &mut ledger).unwrap();
             let mut got = refined.oids.clone();
             got.sort_unstable();
             prop_assert_eq!(got, exact_select(&vals, &range));

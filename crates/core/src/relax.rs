@@ -12,7 +12,6 @@
 //! needed; we use the tight bound, which still yields a provable superset.
 
 use bwd_storage::DecompositionMeta;
-use bwd_types::bits::low_mask;
 
 /// A comparison operator of a simple predicate `column op literal`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,11 +135,6 @@ impl RangePred {
             && self.hi.is_none_or(|h| payload <= h)
             && self.exclude != Some(payload)
     }
-
-    /// Whether the range admits every payload (no refinement test needed).
-    pub fn is_all(&self) -> bool {
-        self.lo.is_none() && self.hi.is_none() && self.exclude.is_none()
-    }
 }
 
 /// A payload range translated into the stored-approximation domain of one
@@ -238,37 +232,38 @@ fn domain_max(meta: &DecompositionMeta) -> i64 {
     }
 }
 
-/// The paper's literal adaptation function `f(x)` over *masked* encoded
-/// values (kept for documentation and equivalence testing; execution uses
-/// [`relax_to_stored`]). Returns the relaxed comparison operand in the
-/// masked-value domain of §IV-B, given `resbits`.
-pub fn paper_f(op: CmpOp, appr_x: u64, resbits: u32) -> u64 {
-    let granule = 1u64 << resbits.min(63);
-    match op {
-        CmpOp::Eq => appr_x,
-        CmpOp::Gt => appr_x.wrapping_sub(1),
-        CmpOp::Ge => appr_x,
-        // Paper formula; one granule wider than necessary (ARCHITECTURE.md,
-        // "Decided and undecided candidates").
-        CmpOp::Lt => appr_x + granule + 1,
-        CmpOp::Le => appr_x + granule,
-        CmpOp::Ne => u64::MAX,
-    }
-}
-
-/// Mask a value to its approximation as the paper defines it: zero the low
-/// `resbits` bits ("bitmasking the value with the bitwise complement of
-/// `(1 << resbits) - 1`").
-pub fn paper_appr(x: u64, resbits: u32) -> u64 {
-    x & !low_mask(resbits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bwd_storage::{DecomposedColumn, DecompositionSpec};
+    use bwd_types::bits::low_mask;
     use bwd_types::DataType;
     use proptest::prelude::*;
+
+    /// The paper's literal adaptation function `f(x)` over *masked* encoded
+    /// values, kept beside [`relax_to_stored`] to document how the two
+    /// differ. Returns the relaxed comparison operand in the masked-value
+    /// domain of §IV-B, given `resbits`.
+    fn paper_f(op: CmpOp, appr_x: u64, resbits: u32) -> u64 {
+        let granule = 1u64 << resbits.min(63);
+        match op {
+            CmpOp::Eq => appr_x,
+            CmpOp::Gt => appr_x.wrapping_sub(1),
+            CmpOp::Ge => appr_x,
+            // Paper formula; one granule wider than necessary (ARCHITECTURE.md,
+            // "Decided and undecided candidates").
+            CmpOp::Lt => appr_x + granule + 1,
+            CmpOp::Le => appr_x + granule,
+            CmpOp::Ne => u64::MAX,
+        }
+    }
+
+    /// Mask a value to its approximation as the paper defines it: zero the low
+    /// `resbits` bits ("bitmasking the value with the bitwise complement of
+    /// `(1 << resbits) - 1`").
+    fn paper_appr(x: u64, resbits: u32) -> u64 {
+        x & !low_mask(resbits)
+    }
 
     fn column(vals: &[i64], device_bits: u32) -> DecomposedColumn {
         DecomposedColumn::decompose(
@@ -305,7 +300,6 @@ mod tests {
         assert_eq!(RangePred::from_cmp(CmpOp::Gt, i64::MAX), None);
         // `<>` keeps the excluded point for the refinement re-test.
         let ne = RangePred::from_cmp(CmpOp::Ne, 5).unwrap();
-        assert!(!ne.is_all());
         assert!(ne.test(4) && ne.test(6) && !ne.test(5));
     }
 

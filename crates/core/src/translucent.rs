@@ -30,8 +30,10 @@ pub enum JoinPath {
 }
 
 /// Join each id in `b_ids` (the subset side) with its value in the
-/// enumerated relation `(a_ids, a_vals)` (the superset side), returning
-/// values positionally aligned with `b_ids`.
+/// enumerated relation `(a_ids, a_vals)` (the superset side), invoking
+/// `emit(b_index, a_value)` for every match in `b_ids` order. Refinement
+/// operators fuse their reconstruction + predicate re-evaluation into this
+/// single pass (Algorithm 2's one-loop optimization).
 ///
 /// `a_dense_base`: when the superset ids are known to be `base..base+n`
 /// (sorted + dense), pass `Some(base)` to take the invisible path.
@@ -41,50 +43,6 @@ pub enum JoinPath {
 /// missing from `a_ids`, or appearing out of order) — this is a plan bug,
 /// not a data condition, but it is checked in release builds too because
 /// silent misalignment would corrupt results.
-pub fn translucent_join<T: Copy>(
-    a_ids: &[Oid],
-    a_vals: &[T],
-    a_dense_base: Option<Oid>,
-    b_ids: &[Oid],
-) -> Result<(Vec<T>, JoinPath)> {
-    debug_assert_eq!(a_ids.len(), a_vals.len());
-    if let Some(base) = a_dense_base {
-        let mut out = Vec::with_capacity(b_ids.len());
-        for &b in b_ids {
-            let idx = (b.wrapping_sub(base)) as usize;
-            let v = a_vals.get(idx).ok_or_else(|| {
-                BwdError::Exec(format!("invisible join: oid {b} outside dense range"))
-            })?;
-            out.push(*v);
-        }
-        return Ok((out, JoinPath::Invisible));
-    }
-
-    // Algorithm 1: advance the cursor on A until it matches the current
-    // element of B; both cursors advance on a match.
-    let mut out = Vec::with_capacity(b_ids.len());
-    let mut ia = 0usize;
-    for &b in b_ids {
-        loop {
-            let Some(&a) = a_ids.get(ia) else {
-                return Err(BwdError::Exec(format!(
-                    "translucent join: oid {b} not found — permutation precondition violated"
-                )));
-            };
-            ia += 1;
-            if a == b {
-                out.push(a_vals[ia - 1]);
-                break;
-            }
-        }
-    }
-    Ok((out, JoinPath::Translucent))
-}
-
-/// Streaming variant: invoke `emit(b_index, a_value)` for every match
-/// instead of materializing the output. Refinement operators fuse their
-/// reconstruction + predicate re-evaluation into this single pass
-/// (Algorithm 2's one-loop optimization).
 pub fn translucent_join_with<T: Copy>(
     a_ids: &[Oid],
     a_vals: &[T],
@@ -126,7 +84,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The oracle of [`translucent_join`]'s property: a hash join over the
+    /// The join's values, materialized in `b_ids` order.
+    fn translucent_values<T: Copy>(
+        a_ids: &[Oid],
+        a_vals: &[T],
+        a_dense_base: Option<Oid>,
+        b_ids: &[Oid],
+    ) -> Result<(Vec<T>, JoinPath)> {
+        let mut out = Vec::with_capacity(b_ids.len());
+        let path = translucent_join_with(a_ids, a_vals, a_dense_base, b_ids, |_, v| out.push(v))?;
+        Ok((out, path))
+    }
+
+    /// The oracle of the translucent join's property: a hash join over the
     /// same input shape — build on A, probe with B. Requires conditions
     /// 1–2 but *not* the shared permutation.
     fn hash_join_baseline<T: Copy>(a_ids: &[Oid], a_vals: &[T], b_ids: &[Oid]) -> Result<Vec<T>> {
@@ -150,7 +120,7 @@ mod tests {
         let a_ids = [3, 9, 1, 5, 2, 7];
         let a_vals = [0, 80, 16, 48, 16, 32];
         let b_ids = [9, 1, 5, 7];
-        let (vals, path) = translucent_join(&a_ids, &a_vals, None, &b_ids).unwrap();
+        let (vals, path) = translucent_values(&a_ids, &a_vals, None, &b_ids).unwrap();
         assert_eq!(vals, vec![80, 16, 48, 32]);
         assert_eq!(path, JoinPath::Translucent);
     }
@@ -160,7 +130,7 @@ mod tests {
         let a_ids: Vec<Oid> = (100..200).collect();
         let a_vals: Vec<i64> = (0..100).map(|i| i * 2).collect();
         let b_ids = [150, 101, 199]; // any order works positionally
-        let (vals, path) = translucent_join(&a_ids, &a_vals, Some(100), &b_ids).unwrap();
+        let (vals, path) = translucent_values(&a_ids, &a_vals, Some(100), &b_ids).unwrap();
         assert_eq!(vals, vec![100, 2, 198]);
         assert_eq!(path, JoinPath::Invisible);
     }
@@ -169,8 +139,8 @@ mod tests {
     fn detects_missing_id() {
         let a_ids = [1, 2, 3];
         let a_vals = [10, 20, 30];
-        assert!(translucent_join(&a_ids, &a_vals, None, &[5]).is_err());
-        assert!(translucent_join(&a_ids, &a_vals, Some(1), &[5]).is_err());
+        assert!(translucent_values(&a_ids, &a_vals, None, &[5]).is_err());
+        assert!(translucent_values(&a_ids, &a_vals, Some(1), &[5]).is_err());
     }
 
     #[test]
@@ -179,20 +149,20 @@ mod tests {
         // violates condition 3 and must error (cursor already past 1).
         let a_ids = [1, 3];
         let a_vals = [10, 30];
-        assert!(translucent_join(&a_ids, &a_vals, None, &[3, 1]).is_err());
+        assert!(translucent_values(&a_ids, &a_vals, None, &[3, 1]).is_err());
     }
 
     #[test]
     fn empty_subset_and_empty_superset() {
-        let (vals, _) = translucent_join::<i64>(&[1, 2], &[1, 2], None, &[]).unwrap();
+        let (vals, _) = translucent_values::<i64>(&[1, 2], &[1, 2], None, &[]).unwrap();
         assert!(vals.is_empty());
-        assert!(translucent_join::<i64>(&[], &[], None, &[1]).is_err());
-        let (vals, _) = translucent_join::<i64>(&[], &[], None, &[]).unwrap();
+        assert!(translucent_values::<i64>(&[], &[], None, &[1]).is_err());
+        let (vals, _) = translucent_values::<i64>(&[], &[], None, &[]).unwrap();
         assert!(vals.is_empty());
     }
 
     #[test]
-    fn streaming_variant_matches_materializing() {
+    fn emits_the_subset_index_with_each_value() {
         let a_ids = [7, 2, 9, 4];
         let a_vals = [70, 20, 90, 40];
         let b_ids = [2, 4];
@@ -237,7 +207,7 @@ mod tests {
                 .filter(|(i, _)| (keep_mask >> (i % 64)) & 1 == 1)
                 .map(|(_, &id)| id)
                 .collect();
-            let (tl, path) = translucent_join(&ids, &vals, None, &b_ids).unwrap();
+            let (tl, path) = translucent_values(&ids, &vals, None, &b_ids).unwrap();
             let hj = hash_join_baseline(&ids, &vals, &b_ids).unwrap();
             prop_assert_eq!(&tl, &hj);
             prop_assert_eq!(path, JoinPath::Translucent);

@@ -66,11 +66,6 @@ impl Device {
         ledger.charge(Component::Pcie, label, link.transfer_seconds(bytes), bytes);
         Ok(buf)
     }
-
-    /// Allocate scratch space (kernel outputs) without any transfer cost.
-    pub fn alloc_scratch(&self, bytes: u64) -> Result<DeviceBuffer> {
-        self.memory.alloc(bytes)
-    }
 }
 
 /// The ordered, non-empty set of co-processors installed in one host.
@@ -129,11 +124,6 @@ impl DevicePool {
     /// Always `false`; present for API completeness.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Sum of all devices' memory capacities.
-    pub fn total_capacity(&self) -> u64 {
-        self.devices.iter().map(|d| d.spec().memory_capacity).sum()
     }
 }
 
@@ -429,10 +419,6 @@ mod tests {
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.get(1).unwrap().spec().memory_capacity, 1 << 20);
         assert!(pool.get(2).is_none());
-        assert_eq!(
-            pool.total_capacity(),
-            pool.primary().spec().memory_capacity + (1 << 20)
-        );
     }
 
     #[test]

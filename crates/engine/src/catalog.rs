@@ -165,13 +165,6 @@ impl Catalog {
             .iter()
             .find(|f| f.fact_table == fact_table && f.fact_key == fact_key)
     }
-
-    /// All table names (sorted, for stable diagnostics).
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.tables.keys().map(|s| s.as_str()).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -253,6 +246,5 @@ mod tests {
                 dim_key: "k".into(),
             })
             .is_err());
-        assert_eq!(cat.table_names(), vec!["d", "t"]);
     }
 }

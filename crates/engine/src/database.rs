@@ -104,11 +104,6 @@ impl Database {
         &self.env
     }
 
-    /// Change the host thread allocation (Figure 11 sweeps this).
-    pub fn set_host_threads(&mut self, threads: u32) {
-        self.env.host_threads = threads.clamp(1, self.env.cpu.hw_threads);
-    }
-
     /// The schema catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog

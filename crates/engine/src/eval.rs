@@ -45,7 +45,7 @@ pub fn payload_to_value(p: i64, dtype: DataType, dict: Option<&Dictionary>) -> V
 }
 
 /// Convert a literal to the payload domain of a column type/dictionary.
-pub fn value_to_payload(v: &Value, dtype: DataType, dict: Option<&Dictionary>) -> Result<i64> {
+fn value_to_payload(v: &Value, dtype: DataType, dict: Option<&Dictionary>) -> Result<i64> {
     match (dtype, v) {
         (DataType::Int32 | DataType::Int64, Value::Int(x)) => Ok(*x),
         (DataType::Date, Value::Date(d)) => Ok(d.days() as i64),

@@ -30,7 +30,9 @@ pub fn gather(
         // decode, no positional lookups at all.
         arr.data().unpack_range(0, &mut out);
     } else {
-        gather_partition_into(arr, &cands.oids, &mut out);
+        for (slot, &o) in out.iter_mut().zip(&cands.oids) {
+            *slot = arr.get(o as usize);
+        }
     }
     charge_gather(env, arr, cands.dense, cands.len(), label, ledger);
     out
@@ -38,9 +40,8 @@ pub fn gather(
 
 /// The simulated cost of a [`gather`] of `n` candidates (dense candidates
 /// stream coalesced; scattered ones pay the random-access rate). Split out
-/// so a morsel-parallel caller that ran [`gather_partition_into`] itself
-/// charges exactly what the serial kernel would. A gather over zero rows
-/// launches nothing.
+/// so the engine's bill, which reads the arrays itself, charges exactly
+/// what the kernel would. A gather over zero rows launches nothing.
 pub fn charge_gather(
     env: &Env,
     arr: &DeviceArray,
@@ -67,23 +68,9 @@ pub fn charge_gather(
     }
 }
 
-/// Fetch `values[link[oid]]` for every candidate: a foreign-key join with
-/// a device-resident key column (`link`), e.g. `part[lineitem.partkey]`.
-pub fn gather_indirect(
-    env: &Env,
-    values: &DeviceArray,
-    link: &DeviceArray,
-    cands: &Candidates,
-    label: &str,
-    ledger: &mut CostLedger,
-) -> Vec<u64> {
-    let mut out = vec![0u64; cands.len()];
-    gather_indirect_partition_into(values, link, &cands.oids, &mut out);
-    charge_gather_indirect(env, values, link, cands.len(), label, ledger);
-    out
-}
-
-/// The simulated cost of a [`gather_indirect`] of `n` candidates.
+/// The simulated cost of fetching `values[link[oid]]` for `n` candidates:
+/// a foreign-key join through a device-resident key column, e.g.
+/// `part[lineitem.partkey]`.
 pub fn charge_gather_indirect(
     env: &Env,
     values: &DeviceArray,
@@ -99,53 +86,6 @@ pub fn charge_gather_indirect(
         * (element_access_bytes(link.width()) + element_access_bytes(values.width()))
         + out_bytes(values.width(), n);
     env.charge_kernel_scattered(label, touched, 2 * n as u64, ledger);
-}
-
-/// Fetch `arr[oid]` for a slice of candidate oids — the partition-aware
-/// entry point: pure computation, no cost charge, so a scheduler can fan
-/// a large gather out over worker threads (each takes a contiguous
-/// sub-slice of the candidate list) and charge the merged totals once.
-/// Concatenating partition outputs in slice order reproduces
-/// [`gather`]'s positional alignment exactly.
-pub fn gather_partition(arr: &DeviceArray, oids: &[bwd_types::Oid]) -> Vec<u64> {
-    let mut out = vec![0u64; oids.len()];
-    gather_partition_into(arr, oids, &mut out);
-    out
-}
-
-/// [`gather_partition`] into a caller-provided slice (`out.len()` must
-/// equal `oids.len()`) — the zero-allocation form morsel workers use to
-/// write disjoint chunks of one shared output buffer.
-pub fn gather_partition_into(arr: &DeviceArray, oids: &[bwd_types::Oid], out: &mut [u64]) {
-    debug_assert_eq!(oids.len(), out.len());
-    for (slot, &o) in out.iter_mut().zip(oids) {
-        *slot = arr.get(o as usize);
-    }
-}
-
-/// [`gather_partition_into`] through a link array (`values[link[oid]]`).
-pub fn gather_indirect_partition_into(
-    values: &DeviceArray,
-    link: &DeviceArray,
-    oids: &[bwd_types::Oid],
-    out: &mut [u64],
-) {
-    debug_assert_eq!(oids.len(), out.len());
-    for (slot, &o) in out.iter_mut().zip(oids) {
-        *slot = values.get(link.get(o as usize) as usize);
-    }
-}
-
-/// The foreign-key codes themselves (`link[oid]` per candidate), for plans
-/// that project several columns of the joined table.
-pub fn gather_keys(
-    env: &Env,
-    link: &DeviceArray,
-    cands: &Candidates,
-    label: &str,
-    ledger: &mut CostLedger,
-) -> Vec<u64> {
-    gather(env, link, cands, label, ledger)
 }
 
 fn out_bytes(width_bits: u32, n: usize) -> u64 {
@@ -192,19 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_indirect_follows_fk() {
-        let env = Env::paper_default();
-        // part.p_type codes: 4 parts.
-        let ptype = arr(&env, 8, &[10, 20, 30, 40]);
-        // lineitem.partkey: 6 lineitems referencing parts.
-        let partkey = arr(&env, 2, &[3, 0, 1, 1, 2, 0]);
-        let c = cands(vec![0, 4, 5]);
-        let mut ledger = CostLedger::new();
-        let out = gather_indirect(&env, &ptype, &partkey, &c, "fkjoin", &mut ledger);
-        assert_eq!(out, vec![40, 30, 10]);
-    }
-
-    #[test]
     fn indirect_costs_more_than_direct() {
         let env = Env::paper_default();
         let vals = arr(&env, 32, &(0..10_000u64).collect::<Vec<_>>());
@@ -217,7 +144,7 @@ mod tests {
         let mut l_direct = CostLedger::new();
         let mut l_indirect = CostLedger::new();
         let _ = gather(&env, &vals, &c, "d", &mut l_direct);
-        let _ = gather_indirect(&env, &vals, &link, &c, "i", &mut l_indirect);
+        charge_gather_indirect(&env, &vals, &link, c.len(), "i", &mut l_indirect);
         assert!(l_indirect.breakdown().device > l_direct.breakdown().device);
     }
 

@@ -13,31 +13,27 @@
 //!   word-parallel in the packed domain where the width allows), with
 //!   the block-scrambled output order of a parallel selection;
 //! * [`selvec`] — adaptive candidate representations: positional match
-//!   bitmaps ([`SelMask`]) vs materialized index lists, convertible
-//!   bit-identically, and the window [`Cursor`] everything past the
-//!   selection chain reads either through;
-//! * [`gather`] — positional lookups (projections) and FK-indexed lookups
-//!   (pre-indexed equi-joins share this code path, §IV-D);
+//!   bitmaps ([`SelMask`]) vs materialized index lists, emitting the
+//!   same order bit for bit, and the window [`Cursor`] everything past
+//!   the selection chain reads either through;
+//! * [`gather`] — positional lookups (projections) and the cost of
+//!   FK-indexed lookups (pre-indexed equi-joins, §IV-D);
 //! * [`group`] — hash grouping with the write-conflict contention model
 //!   behind Figure 8f;
 //! * [`reduce`] — grouped aggregation over fully-resident columns
 //!   (block-private, lane-replicated accumulator tables) and candidate-set
-//!   producing min/max reductions (Figure 6);
-//! * [`join`] — massively parallel nested-loop theta joins.
+//!   producing min/max reductions (Figure 6).
 
 pub mod array;
 pub mod candidates;
 pub mod gather;
 pub mod group;
-pub mod join;
 pub mod reduce;
 pub mod scan;
 pub mod selvec;
 
 pub use array::DeviceArray;
 pub use candidates::Candidates;
-pub use gather::{gather_partition, gather_partition_into};
 pub use group::{GroupResult, Grouper, MultiGroupResult};
-pub use join::Theta;
 pub use scan::{scan_block_ranges, ScanOptions, ScanRows, ScanSpec};
 pub use selvec::{Cursor, Positions, SelMask, SelVec};

@@ -579,24 +579,6 @@ pub fn select_range(
     Candidates::from_pairs(oids, approx)
 }
 
-/// Filter an existing candidate list by `[lo, hi]` bounds over *another*
-/// column's approximation (conjunctive predicates chain this way; the
-/// candidate order — and thus the shared permutation — is preserved).
-pub fn select_range_on(
-    env: &Env,
-    arr: &DeviceArray,
-    input: &Candidates,
-    lo: u64,
-    hi: u64,
-    ledger: &mut CostLedger,
-) -> Candidates {
-    let spec = ScanSpec::new(arr, None, lo, hi, Some(input.len()));
-    let (mut oids, mut approx) = (Vec::new(), Vec::new());
-    spec.emit(ScanRows::Oids(&input.oids), &mut oids, &mut approx);
-    spec.charge(env, oids.len(), &ScanOptions::default(), ledger);
-    Candidates::from_pairs(oids, approx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -867,7 +849,14 @@ mod tests {
             },
             &mut ledger,
         );
-        let c2 = select_range_on(&env, &b, &c1, 5, 25, &mut ledger);
+        // Chain a second selection onto c1's survivors.
+        let (mut oids, mut approx) = (Vec::new(), Vec::new());
+        ScanSpec::new(&b, None, 5, 25, Some(c1.len())).emit(
+            ScanRows::Oids(&c1.oids),
+            &mut oids,
+            &mut approx,
+        );
+        let c2 = Candidates::from_pairs(oids, approx);
         // c2 oids are a subsequence of c1 oids (same permutation).
         let mut it = c1.oids.iter();
         for oid in &c2.oids {

@@ -36,9 +36,7 @@
 //! (wall-clock is what the bitmap improves), so costs and results are
 //! bit-identical whichever representation the executor picks.
 
-use crate::array::DeviceArray;
 use crate::candidates::Candidates;
-use crate::gather::{gather_indirect_partition_into, gather_partition};
 use crate::scan::{scan_block_ranges, ScanOptions};
 use bwd_types::{bits::low_mask, Oid};
 use std::ops::Range;
@@ -113,66 +111,6 @@ impl SelMask {
             block_size: self.block_size,
             preserve_order: self.preserve_order,
         }
-    }
-
-    /// Materialize the candidate list this mask represents —
-    /// bit-identical to what [`crate::scan::select_range`] (or the
-    /// chained filters) would have produced directly: set bits in the
-    /// [`Cursor`]'s order, with approximations decoded from `arr`. The
-    /// reference the bitmap path is tested against; the executor never
-    /// expands a mask.
-    pub fn to_candidates(&self, arr: &DeviceArray) -> Candidates {
-        assert_eq!(arr.len(), self.rows, "mask/array length mismatch");
-        let oids = self.expand();
-        let approx = gather_partition(arr, &oids);
-        Candidates::from_pairs(oids, approx)
-    }
-
-    /// Materialize the candidate list of an *indirected* (dimension-side)
-    /// mask: bit `i` covers fact row `i`, and the approximation decoded
-    /// for it is `arr[link[i]]` — bit-identical to what a linked
-    /// [`crate::scan::ScanSpec`] emits directly.
-    pub fn to_candidates_indirect(&self, arr: &DeviceArray, link: &DeviceArray) -> Candidates {
-        assert_eq!(link.len(), self.rows, "mask/link length mismatch");
-        let oids = self.expand();
-        let mut approx = vec![0; oids.len()];
-        gather_indirect_partition_into(arr, link, &oids, &mut approx);
-        Candidates::from_pairs(oids, approx)
-    }
-
-    /// Every candidate oid, in one window.
-    fn expand(&self) -> Vec<Oid> {
-        let mut oids = Vec::with_capacity(self.count);
-        Positions::Mask(self)
-            .cursor(0..self.rows)
-            .next_window(self.count.max(1), &mut oids);
-        oids
-    }
-
-    /// The set rows in ascending order, without values (diagnostics and
-    /// mask→index invariant tests).
-    pub fn sorted_oids(&self) -> Vec<Oid> {
-        let mut out = Vec::with_capacity(self.count);
-        for (wi, &w) in self.words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let k = bits.trailing_zeros() as usize;
-                out.push((wi * 64 + k) as Oid);
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-
-    /// Rebuild a mask from a candidate list over the same scan geometry
-    /// (the inverse of [`SelMask::to_candidates`], used by roundtrip
-    /// tests).
-    pub fn from_candidates(c: &Candidates, rows: usize, opts: &ScanOptions) -> Self {
-        let mut words = vec![0u64; rows.div_ceil(64)];
-        for &oid in &c.oids {
-            words[oid as usize / 64] |= 1u64 << (oid as usize % 64);
-        }
-        Self::from_words(words, rows, opts)
     }
 }
 
@@ -386,11 +324,77 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::{select_range, select_range_on, ScanSpec};
+    use crate::array::DeviceArray;
+    use crate::scan::{select_range, ScanRows, ScanSpec};
     use bwd_device::{CostLedger, Env};
     use bwd_storage::BitPackedVec;
 
     impl SelMask {
+        /// Materialize the candidate list this mask represents —
+        /// bit-identical to what [`crate::scan::select_range`] (or the
+        /// chained filters) would have produced directly: set bits in the
+        /// [`Cursor`]'s order, with approximations decoded from `arr`. The
+        /// reference the bitmap path is tested against; the executor never
+        /// expands a mask.
+        pub(crate) fn to_candidates(&self, arr: &DeviceArray) -> Candidates {
+            assert_eq!(arr.len(), self.rows, "mask/array length mismatch");
+            let oids = self.expand();
+            let approx = oids.iter().map(|&o| arr.get(o as usize)).collect();
+            Candidates::from_pairs(oids, approx)
+        }
+
+        /// Materialize the candidate list of an *indirected* (dimension-side)
+        /// mask: bit `i` covers fact row `i`, and the approximation decoded
+        /// for it is `arr[link[i]]` — bit-identical to what a linked
+        /// [`crate::scan::ScanSpec`] emits directly.
+        pub(crate) fn to_candidates_indirect(
+            &self,
+            arr: &DeviceArray,
+            link: &DeviceArray,
+        ) -> Candidates {
+            assert_eq!(link.len(), self.rows, "mask/link length mismatch");
+            let oids = self.expand();
+            let approx = oids
+                .iter()
+                .map(|&o| arr.get(link.get(o as usize) as usize))
+                .collect();
+            Candidates::from_pairs(oids, approx)
+        }
+
+        /// Every candidate oid, in one window.
+        fn expand(&self) -> Vec<Oid> {
+            let mut oids = Vec::with_capacity(self.count);
+            Positions::Mask(self)
+                .cursor(0..self.rows)
+                .next_window(self.count.max(1), &mut oids);
+            oids
+        }
+
+        /// The set rows in ascending order, without values (diagnostics and
+        /// mask→index invariant tests).
+        pub(crate) fn sorted_oids(&self) -> Vec<Oid> {
+            let mut out = Vec::with_capacity(self.count);
+            for (wi, &w) in self.words.iter().enumerate() {
+                let mut bits = w;
+                while bits != 0 {
+                    let k = bits.trailing_zeros() as usize;
+                    out.push((wi * 64 + k) as Oid);
+                    bits &= bits - 1;
+                }
+            }
+            out
+        }
+
+        /// Rebuild a mask from a candidate list over the same scan
+        /// geometry (the inverse of [`SelMask::to_candidates`]).
+        fn from_candidates(c: &Candidates, rows: usize, opts: &ScanOptions) -> Self {
+            let mut words = vec![0u64; rows.div_ceil(64)];
+            for &oid in &c.oids {
+                words[oid as usize / 64] |= 1u64 << (oid as usize % 64);
+            }
+            Self::from_words(words, rows, opts)
+        }
+
         /// The candidate oids this mask represents, in the scan's emission
         /// order, expanded at once — the oracle the [`Cursor`] is tested
         /// against.
@@ -490,7 +494,11 @@ mod tests {
         };
         let mut l_idx = CostLedger::new();
         let c1 = select_range(&env, &a, 40, 400, &opts, &mut l_idx);
-        let c2 = select_range_on(&env, &b, &c1, 10, 99, &mut l_idx);
+        let spec = ScanSpec::new(&b, None, 10, 99, Some(c1.len()));
+        let (mut oids, mut approx) = (Vec::new(), Vec::new());
+        spec.emit(ScanRows::Oids(&c1.oids), &mut oids, &mut approx);
+        spec.charge(&env, oids.len(), &ScanOptions::default(), &mut l_idx);
+        let c2 = Candidates::from_pairs(oids, approx);
         let mut l_mask = CostLedger::new();
         let m1 = mask_scan(&env, &a, None, (40, 400), &opts, &mut l_mask);
         let m2 = mask_scan(&env, &b, Some(&m1), (10, 99), &opts, &mut l_mask);

@@ -64,15 +64,15 @@ pub(crate) struct ReactorCtx<'a> {
     pub peak_queue: &'a AtomicUsize,
 }
 
-impl ReactorCtx<'_> {
-    /// Probe the scheduler *now*: should socket reads pause?
-    pub(crate) fn read_paused(&self) -> bool {
-        let p = self.sched.pressure();
-        // Preempted (paused-at-yield-point) jobs count as queue pressure:
-        // each one is a worker that owes work before the queue can drain.
-        p.queued_jobs + p.preempted as usize >= self.cfg.pause_queued_jobs
-            || p.admission_waiting >= self.cfg.pause_admission_waiting
-    }
+/// Probe the scheduler *now*: would the read-pause watermarks skip a
+/// socket read? Preempted (paused-at-yield-point) jobs count as queue
+/// pressure — each one is a worker that owes work before the queue can
+/// drain — so a preempting scheduler pauses reads no later than a
+/// non-preempting one.
+pub(crate) fn reads_paused(sched: &Scheduler, cfg: &NetConfig) -> bool {
+    let p = sched.pressure();
+    p.queued_jobs + p.preempted as usize >= cfg.pause_queued_jobs
+        || p.admission_waiting >= cfg.pause_admission_waiting
 }
 
 /// One slot in the ordered response queue.
@@ -296,7 +296,7 @@ impl Conn {
         }
         // The watermark probe: sampled immediately before every read so
         // the bound holds pass-internally, not just pass-to-pass.
-        if ctx.read_paused() {
+        if reads_paused(ctx.sched, ctx.cfg) {
             ctx.metrics.read_pauses.inc();
             return false;
         }

@@ -16,7 +16,7 @@
 //! thousand threads.
 
 use crate::config::NetConfig;
-use crate::conn::{Conn, ReactorCtx, WakeFlag};
+use crate::conn::{reads_paused, Conn, ReactorCtx, WakeFlag};
 use crate::transport::{duplex, Duplex, TcpTransport, Transport};
 use bwd_core::plan::ArPlan;
 use bwd_obs::metrics::{Counter, Gauge, Registry};
@@ -289,12 +289,7 @@ impl NetServer {
     /// Whether a socket read issued *now* would be skipped by the
     /// read-pause watermarks.
     pub fn reads_paused(&self) -> bool {
-        let p = self.sched.pressure();
-        // Jobs paused at a yield point still occupy workers: count the
-        // live preemption depth as queue pressure so a preempting
-        // scheduler pauses reads no later than a non-preempting one.
-        p.queued_jobs + p.preempted as usize >= self.cfg.pause_queued_jobs
-            || p.admission_waiting >= self.cfg.pause_admission_waiting
+        reads_paused(&self.sched, &self.cfg)
     }
 
     /// A completion signal for embedding [`poll`](NetServer::poll) in an

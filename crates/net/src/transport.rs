@@ -12,7 +12,7 @@ use bwd_types::{FaultPlan, FaultSite};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Outcome of one non-blocking transport operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +151,6 @@ impl Transport for TcpTransport {
 /// One direction of a duplex pipe: a bounded byte queue.
 struct Pipe {
     state: Mutex<PipeState>,
-    readable: Condvar,
 }
 
 struct PipeState {
@@ -168,7 +167,6 @@ impl Pipe {
                 capacity: capacity.max(1),
                 closed: false,
             }),
-            readable: Condvar::new(),
         })
     }
 }
@@ -217,22 +215,6 @@ impl Duplex {
     pub fn unflushed(&self) -> usize {
         self.tx.state.lock().unwrap().data.len()
     }
-
-    /// Block until at least one byte is readable or the peer closed;
-    /// returns `false` on EOF-with-empty-buffer. Client-side convenience
-    /// for tests that interleave with a reactor thread.
-    pub fn wait_readable(&self) -> bool {
-        let mut s = self.rx.state.lock().unwrap();
-        loop {
-            if !s.data.is_empty() {
-                return true;
-            }
-            if s.closed {
-                return false;
-            }
-            s = self.rx.readable.wait(s).unwrap();
-        }
-    }
 }
 
 impl Transport for Duplex {
@@ -266,8 +248,6 @@ impl Transport for Duplex {
             return Ok(IoEvent::WouldBlock);
         }
         s.data.extend(buf[..n].iter().copied());
-        drop(s);
-        self.tx.readable.notify_all();
         Ok(IoEvent::Bytes(n))
     }
 
@@ -280,7 +260,6 @@ impl Drop for Duplex {
     fn drop(&mut self) {
         for pipe in [&self.rx, &self.tx] {
             pipe.state.lock().unwrap().closed = true;
-            pipe.readable.notify_all();
         }
     }
 }

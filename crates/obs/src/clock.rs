@@ -55,11 +55,6 @@ impl Clock {
         }
     }
 
-    /// A clock over a caller-provided source.
-    pub fn from_source(source: Arc<dyn ClockSource>) -> Clock {
-        Clock { source }
-    }
-
     /// A manually-advanced clock for tests, plus its control handle.
     pub fn mock() -> (Clock, MockClock) {
         let ctl = MockClock {
@@ -95,11 +90,6 @@ impl MockClock {
     pub fn advance_ns(&self, ns: u64) {
         self.now_ns.fetch_add(ns, Ordering::SeqCst);
     }
-
-    /// Set the mocked time to an absolute `ns` value.
-    pub fn set_ns(&self, ns: u64) {
-        self.now_ns.store(ns, Ordering::SeqCst);
-    }
 }
 
 impl ClockSource for MockClock {
@@ -111,6 +101,13 @@ impl ClockSource for MockClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MockClock {
+        /// Set the mocked time to an absolute `ns` value.
+        pub(crate) fn set_ns(&self, ns: u64) {
+            self.now_ns.store(ns, Ordering::SeqCst);
+        }
+    }
 
     #[test]
     fn monotonic_advances() {

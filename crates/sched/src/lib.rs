@@ -80,9 +80,10 @@
 //!   (`bwd_engine::Database::run_bound_in`), bit-identical to serial.
 //! * Per-stream and per-device accounting: simulated cost
 //!   ([`bwd_device::SharedLedger`]) and wall clock per [`ExecMode`]
-//!   stream, plus each device's share — [`Scheduler::stats`].
-//! * [`run_throughput`] measures the Figure 11 experiment by actually
-//!   running both streams concurrently on the scheduler.
+//!   stream, plus each device's share — [`Scheduler::stats`]. The
+//!   Figure 11 runner that reads them (`bwd_bench::throughput`) and the
+//!   seeded test workloads (`bwd_bench::workload`) live with the
+//!   evaluation harness, not in the serving crate.
 //!
 //! [`ArPlan`]: bwd_core::plan::ArPlan
 //! [`Database`]: bwd_engine::Database
@@ -103,8 +104,6 @@ pub mod policy;
 pub mod scheduler;
 pub mod session;
 pub mod stats;
-pub mod throughput;
-pub mod workload;
 
 pub use admission::{AdmissionController, AdmissionPermit, KERNEL_SCRATCH_BYTES};
 pub use footprint::{PlanFootprint, WorkingSetEstimate};
@@ -113,5 +112,3 @@ pub use policy::{PolicyQueue, PoppedKey};
 pub use scheduler::{PreemptConfig, SchedConfig, Scheduler, TraceRecord};
 pub use session::Session;
 pub use stats::{DeviceSnapshot, QueuePressure, SchedulerStats, StreamSnapshot};
-pub use throughput::{run_throughput, run_throughput_with, ThroughputOptions, ThroughputReport};
-pub use workload::{Gate, JobKind, QuerySpec, WorkloadGen, WorkloadSpec};

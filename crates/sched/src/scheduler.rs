@@ -1020,7 +1020,7 @@ mod tests {
         assert_eq!(idle.queued_jobs, 0);
         assert_eq!(idle.admission_waiting, 0);
         assert!(idle.capacity_bytes > 0);
-        assert!(idle.reserved_fraction() < 1.0);
+        assert!(idle.reserved_bytes < idle.capacity_bytes);
         let session = sched.session();
         let tickets: Vec<_> = (0..4)
             .map(|_| session.submit(plan.clone(), ExecMode::Classic))

@@ -36,17 +36,6 @@ pub struct StreamSnapshot {
 }
 
 impl StreamSnapshot {
-    /// Simulated queries/second: completed queries over the stream's
-    /// total simulated time (0 when idle).
-    pub fn sim_qps(&self) -> f64 {
-        let t = self.breakdown.total();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.queries as f64 / t
-        }
-    }
-
     /// Mean per-query wall-clock queue wait (zero when idle).
     pub fn mean_queued(&self) -> Duration {
         if self.queries == 0 {
@@ -105,17 +94,6 @@ pub struct QueuePressure {
     pub preempted: u64,
 }
 
-impl QueuePressure {
-    /// Reserved fraction of the pool, `0.0` for an empty pool.
-    pub fn reserved_fraction(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            0.0
-        } else {
-            self.reserved_bytes as f64 / self.capacity_bytes as f64
-        }
-    }
-}
-
 /// Point-in-time view of one device in the pool.
 #[derive(Debug, Clone)]
 pub struct DeviceSnapshot {
@@ -170,8 +148,8 @@ pub struct SchedulerStats {
     /// worst-case size, summed over all devices.
     pub admission_requeues: u64,
     /// High-water mark of reservations on the *busiest* device (the
-    /// maximum peak over the pool, matching
-    /// [`crate::ThroughputReport::device_peak_bytes`]); per-device
+    /// maximum peak over the pool, as the Figure 11 runner's
+    /// `ThroughputReport::device_peak_bytes` reports it); per-device
     /// values are in [`SchedulerStats::devices`].
     pub device_peak_bytes: u64,
     /// The capacity of that same busiest device, so the legacy

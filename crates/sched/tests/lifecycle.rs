@@ -17,11 +17,11 @@
 //! seeded [`FaultPlan`], and a cancellation lands through a ticket waker
 //! on the worker's own thread.
 
+use bwd_bench::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
 use bwd_device::Env;
 use bwd_engine::{ArExecOptions, ExecMode};
 use bwd_obs::{EventKind, Phase, QueryTrace};
 use bwd_sched::lifecycle::{State, LEGAL};
-use bwd_sched::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
 use bwd_sched::{
     PlanFootprint, PreemptConfig, SchedConfig, Scheduler, Session, SubmitOptions, Ticket,
 };

@@ -293,11 +293,6 @@ impl BitPackedVec {
         out
     }
 
-    /// Heap footprint of the backing store in bytes (allocated capacity).
-    pub fn heap_bytes(&self) -> u64 {
-        (self.words.capacity() * std::mem::size_of::<u64>()) as u64
-    }
-
     /// The raw backing words (element `i` occupies bits
     /// `[i*width, (i+1)*width)` of this little-endian bit stream; the
     /// last word's unused high bits are zero).

@@ -8,7 +8,7 @@
 //! unsigned integer order. Range predicates therefore commute with
 //! encoding — the property the A&R predicate relaxation (§IV-B) relies on.
 
-use bwd_types::{BwdError, DataType, Result};
+use bwd_types::DataType;
 
 /// Physical width in bits of a column's stored representation.
 #[inline]
@@ -33,38 +33,12 @@ pub fn encode(payload: i64, dtype: DataType) -> u64 {
     }
 }
 
-/// Fallible variant of [`encode`] for untrusted inputs (query constants).
-#[inline]
-pub fn try_encode(payload: i64, dtype: DataType) -> Result<u64> {
-    if physical_bits(dtype) == 32 && i32::try_from(payload).is_err() {
-        return Err(BwdError::InvalidArgument(format!(
-            "payload {payload} exceeds the 32-bit physical width of {dtype}"
-        )));
-    }
-    Ok(encode(payload, dtype))
-}
-
 /// Inverse of [`encode`].
 #[inline]
 pub fn decode(enc: u64, dtype: DataType) -> i64 {
     match physical_bits(dtype) {
         32 => ((enc as u32) ^ 0x8000_0000) as i32 as i64,
         _ => (enc ^ (1u64 << 63)) as i64,
-    }
-}
-
-/// Clamp an arbitrary `i64` constant into the encodable payload range of
-/// the type, returning the encoded value plus whether clamping occurred.
-///
-/// Used when a query constant (e.g. an `i64` literal) is compared against a
-/// 32-bit column: the comparison stays correct if the constant saturates.
-#[inline]
-pub fn encode_saturating(payload: i64, dtype: DataType) -> u64 {
-    if physical_bits(dtype) == 32 {
-        let clamped = payload.clamp(i32::MIN as i64, i32::MAX as i64);
-        encode(clamped, dtype)
-    } else {
-        encode(payload, dtype)
     }
 }
 
@@ -111,25 +85,6 @@ mod tests {
         for v in [i64::MIN, -1, 0, 1, i64::MAX] {
             assert_eq!(decode(encode(v, DataType::Int64), DataType::Int64), v);
         }
-    }
-
-    #[test]
-    fn try_encode_rejects_wide_payloads() {
-        assert!(try_encode(i64::MAX, DataType::Int32).is_err());
-        assert!(try_encode(42, DataType::Int32).is_ok());
-        assert!(try_encode(i64::MAX, DataType::Int64).is_ok());
-    }
-
-    #[test]
-    fn encode_saturating_clamps() {
-        assert_eq!(
-            encode_saturating(i64::MAX, DataType::Int32),
-            encode(i32::MAX as i64, DataType::Int32)
-        );
-        assert_eq!(
-            encode_saturating(i64::MIN, DataType::Int32),
-            encode(i32::MIN as i64, DataType::Int32)
-        );
     }
 
     proptest! {

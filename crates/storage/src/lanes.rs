@@ -60,19 +60,10 @@ pub type U64x4 = U64xN<4>;
 pub type U64x8 = U64xN<8>;
 
 impl<const N: usize> U64xN<N> {
-    /// Lanes in the batch.
-    pub const LANES: usize = N;
-
     /// All-zero batch.
     #[inline(always)]
     pub fn zero() -> Self {
         U64xN([0u64; N])
-    }
-
-    /// Every lane set to `x`.
-    #[inline(always)]
-    pub fn splat(x: u64) -> Self {
-        U64xN([x; N])
     }
 
     /// Load one two-word window per lane at a word stride of `stride`:

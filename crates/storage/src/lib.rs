@@ -13,10 +13,8 @@
 //! * [`decompose`] — the bitwise split of a column into a device-destined
 //!   approximation and a host-resident residual;
 //! * [`mod@column`] — full-resolution persistent columns and ordered string
-//!   dictionaries;
-//! * [`bat`] — Binary Association Tables, the MonetDB-style intermediate.
+//!   dictionaries.
 
-pub mod bat;
 pub mod bitpack;
 pub mod column;
 pub mod decompose;
@@ -25,7 +23,6 @@ pub mod lanes;
 pub mod prefix;
 pub mod swar;
 
-pub use bat::{Bat, Head};
 pub use bitpack::{BitPackedVec, BlockDecoder, DECODE_BLOCK};
 pub use column::{Column, ColumnData, Dictionary, Payload, I24};
 pub use decompose::{DecomposedColumn, DecompositionMeta, DecompositionSpec};

@@ -118,12 +118,6 @@ impl PrefixBase {
             std::cmp::Ordering::Equal => Ok(v & low_mask(self.stored_width())),
         }
     }
-
-    /// Bytes saved per value versus storing the full `width` bits, times
-    /// `n` values (metadata overhead of the base itself is negligible).
-    pub fn saved_bits(&self, n: u64) -> u64 {
-        self.prefix_bits as u64 * n
-    }
 }
 
 /// Result of projecting a constant outside the stored value domain.
@@ -208,13 +202,6 @@ mod tests {
         assert_eq!(p.stored_width(), 0);
         assert_eq!(p.compress(42), 0);
         assert_eq!(p.decompress(0), 42);
-    }
-
-    #[test]
-    fn saved_bits_accounting() {
-        let p = PrefixBase::analyze(&[0x8000_0001u64, 0x8000_00FF], 32, PrefixGranularity::Bit);
-        // 24 shared bits * 1M values = 3 MB saved (in bits).
-        assert_eq!(p.saved_bits(1_000_000), 24_000_000);
     }
 
     proptest! {

@@ -51,23 +51,6 @@ pub const fn split_bits(v: u64, resbits: u32) -> (u64, u64) {
     }
 }
 
-/// Inverse of [`split_bits`]: bitwise concatenation `major +bw minor`
-/// (notation of the paper's Algorithm 2).
-#[inline]
-pub const fn join_bits(major: u64, minor: u64, resbits: u32) -> u64 {
-    if resbits >= 64 {
-        minor
-    } else {
-        (major << resbits) | (minor & low_mask(resbits))
-    }
-}
-
-/// Round a bit count up to whole bytes.
-#[inline]
-pub const fn bits_to_bytes(bits: u64) -> u64 {
-    bits.div_ceil(8)
-}
-
 /// The number of shared high bits of all values in `vals` relative to a
 /// `width`-bit domain, at single-bit granularity.
 ///
@@ -91,6 +74,16 @@ pub fn common_prefix_bits(vals: &[u64], width: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inverse of [`split_bits`]: bitwise concatenation `major +bw minor`
+    /// (notation of the paper's Algorithm 2).
+    fn join_bits(major: u64, minor: u64, resbits: u32) -> u64 {
+        if resbits >= 64 {
+            minor
+        } else {
+            (major << resbits) | (minor & low_mask(resbits))
+        }
+    }
 
     #[test]
     fn bits_for_value_edge_cases() {
@@ -154,14 +147,5 @@ mod tests {
         let vals = [42u64, 42, 42];
         assert_eq!(common_prefix_bits(&vals, 32), 32);
         assert_eq!(common_prefix_bits(&[], 32), 0);
-    }
-
-    #[test]
-    fn bits_to_bytes_rounds_up() {
-        assert_eq!(bits_to_bytes(0), 0);
-        assert_eq!(bits_to_bytes(1), 1);
-        assert_eq!(bits_to_bytes(8), 1);
-        assert_eq!(bits_to_bytes(9), 2);
-        assert_eq!(bits_to_bytes(24), 3);
     }
 }

@@ -79,13 +79,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` with the fast hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// Hash a single `u64` directly (used by open-addressing tables that bypass
-/// the `Hasher` machinery entirely).
-#[inline]
-pub fn hash_u64(v: u64) -> u64 {
-    v.wrapping_mul(SEED).rotate_left(23).wrapping_mul(SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,13 +91,6 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m[&999], 1998);
-    }
-
-    #[test]
-    fn distinct_inputs_rarely_collide() {
-        use std::collections::HashSet;
-        let hashes: HashSet<u64> = (0..100_000u64).map(hash_u64).collect();
-        assert_eq!(hashes.len(), 100_000, "hash_u64 collided on dense keys");
     }
 
     #[test]

@@ -28,10 +28,3 @@ pub use value::{DataType, Value};
 /// list). They are dense and zero-based for persistent columns. 32 bits
 /// comfortably cover the paper's largest dataset (~250 M GPS fixes).
 pub type Oid = u32;
-
-/// Maximum number of value bits a decomposed column can carry.
-///
-/// Values are normalized to unsigned 64-bit payloads via the
-/// order-preserving encodings in [`value`]; decomposition then splits at
-/// most this many significant bits between devices.
-pub const MAX_VALUE_BITS: u32 = 64;

@@ -54,14 +54,6 @@ impl DataType {
         }
     }
 
-    /// Whether the type is numeric (supports arithmetic).
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            DataType::Int32 | DataType::Int64 | DataType::Decimal { .. }
-        )
-    }
-
     /// Width in bytes of the *uncompressed* in-memory representation, used
     /// for data-volume accounting (classic MonetDB stores i32/date as 4
     /// bytes, i64 as 8, dictionary codes as 4). Decimals with at most 9
@@ -79,22 +71,6 @@ impl DataType {
                 }
             }
         }
-    }
-
-    /// Order-preserving encoding of a logical (already primitive) `i64`
-    /// payload into the unsigned domain used by decomposition.
-    ///
-    /// Signed values are shifted by `i64::MIN` (equivalent to flipping the
-    /// sign bit), which preserves `<` exactly.
-    #[inline]
-    pub fn encode_i64(v: i64) -> u64 {
-        (v as u64) ^ (1u64 << 63)
-    }
-
-    /// Inverse of [`DataType::encode_i64`].
-    #[inline]
-    pub fn decode_i64(e: u64) -> i64 {
-        (e ^ (1u64 << 63)) as i64
     }
 }
 
@@ -141,37 +117,6 @@ impl Value {
         Value::Decimal { unscaled, scale }
     }
 
-    /// Parse a decimal literal such as `"2.68288"` at the given scale.
-    pub fn decimal_from_str(s: &str, scale: u8) -> Option<Self> {
-        let neg = s.starts_with('-');
-        let body = s.strip_prefix('-').unwrap_or(s);
-        let (int_part, frac_part) = match body.split_once('.') {
-            Some((i, f)) => (i, f),
-            None => (body, ""),
-        };
-        if int_part.is_empty() && frac_part.is_empty() {
-            return None;
-        }
-        let mut unscaled: i64 = if int_part.is_empty() {
-            0
-        } else {
-            int_part.parse().ok()?
-        };
-        for i in 0..scale as usize {
-            let digit = frac_part
-                .as_bytes()
-                .get(i)
-                .map(|b| (*b as char).to_digit(10))
-                .unwrap_or(Some(0))?;
-            unscaled = unscaled.checked_mul(10)?.checked_add(digit as i64)?;
-        }
-        // Digits beyond the scale are truncated (matches fixed-point casts).
-        if neg {
-            unscaled = -unscaled;
-        }
-        Some(Value::Decimal { unscaled, scale })
-    }
-
     /// The value as a raw `i64` payload if it has one (int, decimal
     /// unscaled, date days, bool, dictionary code is handled elsewhere).
     pub fn as_i64(&self) -> Option<i64> {
@@ -195,18 +140,6 @@ impl Value {
             Value::Date(d) => Some(d.days() as f64),
             Value::Bool(b) => Some(*b as i64 as f64),
             Value::Str(_) => None,
-        }
-    }
-
-    /// The logical type of this value (decimal precision defaults to 18).
-    pub fn data_type(&self) -> DataType {
-        match self {
-            Value::Int(_) => DataType::Int64,
-            Value::Decimal { scale, .. } => DataType::decimal(*scale),
-            Value::Date(_) => DataType::Date,
-            Value::Str(_) => DataType::Str,
-            Value::Bool(_) => DataType::Bool,
-            Value::Double(_) => DataType::decimal(0), // closest printable type
         }
     }
 
@@ -313,42 +246,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn encode_i64_preserves_order() {
-        let vals = [i64::MIN, -100, -1, 0, 1, 42, i64::MAX];
-        for w in vals.windows(2) {
-            assert!(
-                DataType::encode_i64(w[0]) < DataType::encode_i64(w[1]),
-                "{} vs {}",
-                w[0],
-                w[1]
-            );
-        }
-        for v in vals {
-            assert_eq!(DataType::decode_i64(DataType::encode_i64(v)), v);
-        }
-    }
-
-    #[test]
-    fn decimal_parse_and_display() {
-        let v = Value::decimal_from_str("2.68288", 5).unwrap();
-        assert_eq!(v, Value::decimal(268_288, 5));
-        assert_eq!(v.to_string(), "2.68288");
-
-        let v = Value::decimal_from_str("-12.62427", 5).unwrap();
-        assert_eq!(v, Value::decimal(-1_262_427, 5));
-        assert_eq!(v.to_string(), "-12.62427");
-
-        // Scale padding and truncation.
-        assert_eq!(
-            Value::decimal_from_str("50.4", 4).unwrap(),
-            Value::decimal(504_000, 4)
-        );
-        assert_eq!(
-            Value::decimal_from_str("0.123456", 2).unwrap(),
-            Value::decimal(12, 2)
-        );
-        assert_eq!(Value::decimal_from_str("", 2), None);
-        assert_eq!(Value::decimal_from_str("abc", 2), None);
+    fn decimal_display() {
+        assert_eq!(Value::decimal(268_288, 5).to_string(), "2.68288");
+        assert_eq!(Value::decimal(-1_262_427, 5).to_string(), "-12.62427");
     }
 
     #[test]

@@ -12,10 +12,11 @@
 
 use std::sync::Arc;
 
+use bwd_bench::throughput::run_throughput;
 use waste_not::core::plan::ArPlan;
 use waste_not::data::{gen_lineitem, TpchConfig};
 use waste_not::engine::{Database, ExecMode};
-use waste_not::sched::{run_throughput, SchedConfig, Scheduler, SubmitOptions};
+use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::Result;
 

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use waste_not::sched::workload::{JobKind, WorkloadGen, WorkloadSpec};
+use bwd_bench::workload::{JobKind, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{SchedConfig, Scheduler};
 use waste_not::Result;
 

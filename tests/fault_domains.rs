@@ -31,6 +31,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bwd_bench::workload::{Gate, WorkloadGen, WorkloadSpec};
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
 use waste_not::engine::Database;
 use waste_not::net::{
@@ -38,7 +39,6 @@ use waste_not::net::{
     WireMode,
 };
 use waste_not::obs::Clock;
-use waste_not::sched::workload::{Gate, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::{BwdError, Env, ExecMode, FaultPlan, FaultSite, FaultSpec, QueryResult, Value};

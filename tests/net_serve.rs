@@ -22,10 +22,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bwd_bench::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
 use waste_not::net::{
     Duplex, Frame, FrameDecoder, IoEvent, NetClient, NetConfig, NetServer, Transport, WireMode,
 };
-use waste_not::sched::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{SchedConfig, Scheduler};
 use waste_not::storage::Column;
 use waste_not::{BwdError, Db, ExecMode, QueryResult};

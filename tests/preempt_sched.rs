@@ -16,8 +16,8 @@
 
 use std::sync::Arc;
 
+use bwd_bench::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
 use waste_not::engine::CandidateRep;
-use waste_not::sched::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{PlanFootprint, PreemptConfig, SchedConfig, Scheduler, SubmitOptions};
 use waste_not::{ArExecOptions, ExecMode, QueryResult};
 

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use waste_not::sched::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
+use bwd_bench::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{
     JobReport, PreemptConfig, SchedConfig, Scheduler, Session, SubmitOptions, Ticket,
 };

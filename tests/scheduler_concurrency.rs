@@ -6,11 +6,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use bwd_bench::workload::Gate;
 use waste_not::core::plan::ArPlan;
 use waste_not::data::{gen_lineitem, gen_part, TpchConfig};
 use waste_not::device::DeviceSpec;
 use waste_not::engine::{ArExecOptions, Database, ExecMode};
-use waste_not::sched::workload::Gate;
 use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::storage::Column;

@@ -128,7 +128,7 @@ fn throughput_runner_on_spatial_workload() {
     };
     let plan = db.bind(&plan, &Default::default()).unwrap();
     let report =
-        waste_not::sched::run_throughput(std::sync::Arc::new(db), &plan, &[1, 4, 16]).unwrap();
+        bwd_bench::throughput::run_throughput(std::sync::Arc::new(db), &plan, &[1, 4, 16]).unwrap();
     assert!(report.cpu_parallel[2].1 > report.cpu_parallel[0].1);
     assert!(report.cumulative > report.cpu_parallel[2].1);
 }
