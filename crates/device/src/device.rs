@@ -128,19 +128,17 @@ impl DevicePool {
 }
 
 /// A scheduler-installed hook the executors poll between units of work
-/// (morsel batches, pipeline stages) so a long-running query can host
-/// queued short work at a safe boundary, observe a cancellation or
-/// deadline, and then resume — or stop.
+/// (morsel batches, pipeline stages, tail slices) so a running query
+/// observes a cancellation or deadline at a safe boundary — and stops.
 ///
 /// Exactly mirrors the [`bwd_obs::TraceCtx`] pattern: disabled costs one
 /// branch per check and is the default everywhere, so executors call
 /// [`YieldPoint::check`] unconditionally and propagate its error with
 /// `?`. The hook runs *between* result-affecting steps and never mutates
 /// executor state: when it returns `Ok(())` the results, traffic and
-/// simulated costs are bit-identical whether it is installed, fires, or
-/// neither (held by `tests/preempt_sched.rs`); when it returns an error
-/// (cancellation, deadline, injected fault) the execution stops at that
-/// boundary and produces no result at all.
+/// simulated costs are bit-identical whether it is installed or not;
+/// when it returns an error (cancellation, deadline) the execution stops
+/// at that boundary and produces no result at all.
 #[derive(Clone, Default)]
 pub struct YieldPoint {
     hook: Option<Arc<dyn Fn() -> Result<()> + Send + Sync>>,
@@ -207,10 +205,10 @@ pub struct Env {
     /// branch per recorded event); the scheduler swaps in the query's
     /// recorder on the per-query `Env` clone it hands the executor.
     pub trace: bwd_obs::TraceCtx,
-    /// Morsel-boundary preemption hook of the current execution.
+    /// Cancellation and deadline hook of the current execution.
     /// Disabled by default (one branch per check); the scheduler installs
     /// its hook on the per-query `Env` clone, exactly like `trace`.
-    pub preempt: YieldPoint,
+    pub yield_point: YieldPoint,
     /// Fault-injection plan of the current execution. Disabled by
     /// default (one branch per roll); the A&R executor polls its
     /// [`bwd_types::FaultSite::Exec`] stream between pipeline stages so
@@ -241,7 +239,7 @@ impl Env {
             pcie: PcieSpec::default(),
             host_threads: 1,
             trace: bwd_obs::TraceCtx::disabled(),
-            preempt: YieldPoint::disabled(),
+            yield_point: YieldPoint::disabled(),
             fault: bwd_types::FaultPlan::disabled(),
         }
     }
@@ -272,7 +270,7 @@ impl Env {
             pcie: self.pcie.clone(),
             host_threads: self.host_threads,
             trace: self.trace.clone(),
-            preempt: self.preempt.clone(),
+            yield_point: self.yield_point.clone(),
             fault: self.fault.clone(),
         })
     }

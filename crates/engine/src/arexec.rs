@@ -381,11 +381,11 @@ impl<'a> Run<'a> {
             }
             a.output = Some(cands);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
-            env.preempt.check()?; // between approximate-selection steps
+            env.yield_point.check()?; // between approximate-selection steps
         }
 
         env.fault.check(FaultSite::Exec)?;
-        env.preempt.check()?; // the gather boundary
+        env.yield_point.check()?; // the gather boundary
 
         // The gather boundary expands nothing: downstream operators (the
         // undecided list, device pre-grouping, the tail's slice sources) read
@@ -458,7 +458,7 @@ impl<'a> Run<'a> {
                 probe.end(&self.obs, self.ledger, decided + kept_len, live_len);
                 a.refined = Some(kept);
                 env.fault.check(FaultSite::Exec)?; // the card may die between steps
-                env.preempt.check()?; // between refinement steps
+                env.yield_point.check()?; // between refinement steps
             }
             unmark(&mut a.undecided_bits, a.refined.as_deref().unwrap_or(&[]));
         }
@@ -469,7 +469,7 @@ impl<'a> Run<'a> {
             .uploaded_bits
             .add(self.shape.place.uploaded_bits(&self.counts));
         env.fault.check(FaultSite::Exec)?;
-        env.preempt.check() // before the tail
+        env.yield_point.check() // before the tail
     }
 
     /// Refine selection `i` over `live`, the undecided candidates still

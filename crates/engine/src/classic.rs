@@ -96,7 +96,7 @@ pub(crate) fn run_classic_counted(
 
     // The real work behind all of the above, one slice at a time. A tail
     // that fetches nothing (a bare count) reads no position: any `k` do.
-    env.preempt.check()?;
+    env.yield_point.check()?;
     let positions = match shape.gathered.is_empty() {
         true => Positions::All(k),
         false => survivors,
@@ -154,7 +154,7 @@ pub(crate) fn run_classic_counted(
 /// write disjoint words and every partition boundary is a row boundary of
 /// the serial scan.
 ///
-/// With a preemption hook installed the row space is cut finer than the
+/// With a yield point installed the row space is cut finer than the
 /// thread count, so a yield point comes up every ~[`SLICE_ROWS`] rows
 /// instead of once per scan. Bits are positional and counts are sums, so
 /// the result and every simulated charge are independent of the partition
@@ -167,8 +167,9 @@ fn selection_mask(
     morsels: usize,
     env: &Env,
 ) -> Result<(SelMask, Vec<u64>)> {
-    // The whole chain over the mask words from `first_word` on.
-    let chain = |first_word: usize, words: &mut [u64]| -> Vec<u64> {
+    // The whole chain over the mask words from `part.start` on.
+    let chain = |_, part: std::ops::Range<usize>, words: &mut [u64]| -> Vec<u64> {
+        let first_word = part.start;
         let mut counts = Vec::with_capacity(selections.len());
         for (stage, (sel, &(col, is_dim))) in selections.iter().zip(sel_cols).enumerate() {
             let (rows, link) = ((stage == 0).then_some(n), link.filter(|_| is_dim));
@@ -181,15 +182,12 @@ fn selection_mask(
         counts
     };
     let mut words = vec![0u64; n.div_ceil(64)];
-    let parts = match env.preempt.is_enabled() {
+    let parts = match env.yield_point.is_enabled() {
         true => morsels.max(n.div_ceil(SLICE_ROWS)),
         false => morsels,
     };
     let ranges = partition_mask_ranges(words.len(), parts);
-    let outputs =
-        run_parts_mut_yielding(&mut words, &ranges, morsels, &env.preempt, |_, r, chunk| {
-            chain(r.start, chunk)
-        })?;
+    let outputs = run_parts_mut_yielding(&mut words, &ranges, morsels, &env.yield_point, chain)?;
     let mut totals = vec![0u64; selections.len()];
     for part_counts in outputs {
         for (t, c) in totals.iter_mut().zip(part_counts) {
@@ -439,7 +437,7 @@ pub(crate) mod tests {
     /// The mask chain against the list chain: for no to four selections —
     /// dense, sparse, through the FK index, an exclusion, one that keeps
     /// nothing — at every worker count, with and without the finer
-    /// preemption-grain partitioning, a projection returns the list
+    /// yield-grain partitioning, a projection returns the list
     /// chain's survivors in its order, and the bill reads its per-stage
     /// counts and is the serial run's to the bit.
     #[test]
@@ -519,20 +517,20 @@ pub(crate) mod tests {
                 .map(|&oid| vec![Value::Int(oid as i64)])
                 .collect();
             let mut serial = None;
-            for (morsels, preempt) in [1, 2, 3, 7]
+            for (morsels, polled) in [1, 2, 3, 7]
                 .into_iter()
                 .flat_map(|m| [(m, false), (m, true)])
             {
                 let mut env = Env::paper_default();
-                if preempt {
-                    env.preempt = yielding.clone();
+                if polled {
+                    env.yield_point = yielding.clone();
                 }
                 let mut ledger = CostLedger::with_trace();
                 let r =
                     run_classic_sliced(&cat, &plan, Some(&fk), &env, morsels, 1000, &mut ledger)
                         .unwrap();
                 let tag = format!(
-                    "{} selections, {morsels} morsels, preempt {preempt}",
+                    "{} selections, {morsels} morsels, polled {polled}",
                     counts.len()
                 );
                 assert_eq!(r.rows, rows, "{tag}");

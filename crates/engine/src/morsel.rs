@@ -102,12 +102,10 @@ fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
 
 /// Like [`run_parts_mut`], but runs `ranges` in batches of at most `batch`
 /// partitions with a [`bwd_device::YieldPoint`] check between batches —
-/// the fan-out primitive behind morsel-boundary preemption and
-/// cooperative cancellation. The calling (orchestrating) thread is the
-/// one that polls the yield point, so a hosted nested query runs with
-/// every morsel worker of the paused batch already joined — and a
-/// cancellation observed at the boundary stops with no worker in
-/// flight. Outputs come back in partition order exactly as
+/// the fan-out primitive behind cooperative cancellation. The calling
+/// (orchestrating) thread is the one that polls the yield point, so a
+/// cancellation observed at the boundary stops with every morsel worker
+/// of the batch already joined. Outputs come back in partition order exactly as
 /// [`run_parts_mut`] would return them; the worker index passed to `f` is
 /// batch-local (restarts per batch) and must only be used for
 /// load-placement, never for output addressing.
@@ -115,7 +113,7 @@ pub(crate) fn run_parts_mut_yielding<T, R, F>(
     out: &mut [T],
     ranges: &[Range<usize>],
     batch: usize,
-    preempt: &bwd_device::YieldPoint,
+    yield_point: &bwd_device::YieldPoint,
     f: F,
 ) -> bwd_types::Result<Vec<R>>
 where
@@ -129,7 +127,7 @@ where
         let (head, tail) = rest.split_at_mut(chunk.iter().map(Range::len).sum());
         outs.extend(run_parts_mut(head, chunk, &f));
         rest = tail;
-        preempt.check()?;
+        yield_point.check()?;
     }
     Ok(outs)
 }

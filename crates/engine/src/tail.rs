@@ -801,7 +801,7 @@ impl Tail {
                 .into_iter()
                 .collect::<Result<()>>()?;
             env.fault.check(FaultSite::Exec)?;
-            env.preempt.check()?;
+            env.yield_point.check()?;
         }
         Ok(workers.into_iter().map(|w| w.sink).collect())
     }

@@ -26,9 +26,7 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Pause socket reads when this many jobs sit in the scheduler
-    /// queue. Jobs paused at a preemption yield point
-    /// ([`bwd_sched::QueuePressure::preempted`]) count toward this
-    /// watermark too — each one is a worker that owes work.
+    /// queue ([`bwd_sched::QueuePressure::queued_jobs`]).
     pub pause_queued_jobs: usize,
     /// Pause socket reads when this many device-memory reservations are
     /// blocked inside admission (each one is a frozen worker).

@@ -65,14 +65,10 @@ pub(crate) struct ReactorCtx<'a> {
 }
 
 /// Probe the scheduler *now*: would the read-pause watermarks skip a
-/// socket read? Preempted (paused-at-yield-point) jobs count as queue
-/// pressure — each one is a worker that owes work before the queue can
-/// drain — so a preempting scheduler pauses reads no later than a
-/// non-preempting one.
+/// socket read?
 pub(crate) fn reads_paused(sched: &Scheduler, cfg: &NetConfig) -> bool {
     let p = sched.pressure();
-    p.queued_jobs + p.preempted as usize >= cfg.pause_queued_jobs
-        || p.admission_waiting >= cfg.pause_admission_waiting
+    p.queued_jobs >= cfg.pause_queued_jobs || p.admission_waiting >= cfg.pause_admission_waiting
 }
 
 /// One slot in the ordered response queue.

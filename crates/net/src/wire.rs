@@ -313,7 +313,8 @@ const ERR_EXEC: u8 = 7;
 const ERR_NOT_FOUND: u8 = 8;
 const ERR_UNSUPPORTED: u8 = 9;
 const ERR_INVALID_ARGUMENT: u8 = 10;
-const ERR_ADMISSION_WOULD_BLOCK: u8 = 11;
+// 11 is retired: it decodes as an unknown code and is never reused, so
+// an old peer's frame cannot decode as another error.
 const ERR_CANCELLED: u8 = 12;
 const ERR_DEADLINE_EXCEEDED: u8 = 13;
 const ERR_DEVICE_FAULT: u8 = 14;
@@ -339,12 +340,6 @@ pub fn put_bwd_error(buf: &mut Vec<u8>, e: &BwdError) {
         BwdError::NotFound(m) => (ERR_NOT_FOUND, 0, 0, m),
         BwdError::Unsupported(m) => (ERR_UNSUPPORTED, 0, 0, m),
         BwdError::InvalidArgument(m) => (ERR_INVALID_ARGUMENT, 0, 0, m),
-        // Scheduler-internal (intercepted before replies are built), but
-        // encode it faithfully anyway: the wire layer must not lose
-        // information if one ever escapes.
-        BwdError::AdmissionWouldBlock { requested } => {
-            (ERR_ADMISSION_WOULD_BLOCK, *requested, 0, "")
-        }
         BwdError::Cancelled => (ERR_CANCELLED, 0, 0, ""),
         BwdError::DeadlineExceeded { deadline_ms } => (ERR_DEADLINE_EXCEEDED, *deadline_ms, 0, ""),
         BwdError::DeviceFault(m) => (ERR_DEVICE_FAULT, 0, 0, m),
@@ -379,7 +374,6 @@ pub fn read_bwd_error(r: &mut Reader<'_>) -> WireResult<BwdError> {
         ERR_NOT_FOUND => BwdError::NotFound(msg),
         ERR_UNSUPPORTED => BwdError::Unsupported(msg),
         ERR_INVALID_ARGUMENT => BwdError::InvalidArgument(msg),
-        ERR_ADMISSION_WOULD_BLOCK => BwdError::AdmissionWouldBlock { requested: a },
         ERR_CANCELLED => BwdError::Cancelled,
         ERR_DEADLINE_EXCEEDED => BwdError::DeadlineExceeded { deadline_ms: a },
         ERR_DEVICE_FAULT => BwdError::DeviceFault(msg),

@@ -94,29 +94,61 @@ fn arb_result(rng: &mut u64) -> QueryResult {
     }
 }
 
-fn arb_error(rng: &mut u64) -> BwdError {
-    match mix(rng) % 12 {
-        0 => BwdError::DeviceOutOfMemory {
+/// Every [`BwdError`] variant once, with arbitrary fields, in the order
+/// [`variant`] numbers them.
+fn every_error(rng: &mut u64) -> Vec<BwdError> {
+    vec![
+        BwdError::DeviceOutOfMemory {
             requested: mix(rng),
             available: mix(rng),
         },
-        1 => BwdError::AdmissionTimeout {
+        BwdError::AdmissionTimeout {
             requested: mix(rng),
             waited_ms: mix(rng),
         },
-        11 => BwdError::AdmissionWouldBlock {
-            requested: mix(rng),
+        BwdError::InvalidBuffer(arb_string(rng, 60)),
+        BwdError::TypeMismatch(arb_string(rng, 60)),
+        BwdError::Parse(arb_string(rng, 60)),
+        BwdError::Bind(arb_string(rng, 60)),
+        BwdError::Plan(arb_string(rng, 60)),
+        BwdError::Exec(arb_string(rng, 60)),
+        BwdError::NotFound(arb_string(rng, 60)),
+        BwdError::Unsupported(arb_string(rng, 60)),
+        BwdError::InvalidArgument(arb_string(rng, 60)),
+        BwdError::Cancelled,
+        BwdError::DeadlineExceeded {
+            deadline_ms: mix(rng),
         },
-        2 => BwdError::InvalidBuffer(arb_string(rng, 60)),
-        3 => BwdError::TypeMismatch(arb_string(rng, 60)),
-        4 => BwdError::Parse(arb_string(rng, 60)),
-        5 => BwdError::Bind(arb_string(rng, 60)),
-        6 => BwdError::Plan(arb_string(rng, 60)),
-        7 => BwdError::Exec(arb_string(rng, 60)),
-        8 => BwdError::NotFound(arb_string(rng, 60)),
-        9 => BwdError::Unsupported(arb_string(rng, 60)),
-        _ => BwdError::InvalidArgument(arb_string(rng, 60)),
+        BwdError::DeviceFault(arb_string(rng, 60)),
+    ]
+}
+
+/// The position of `e`'s variant in [`every_error`]. No wildcard arm: a
+/// new variant does not compile until it has a position here, and
+/// `the_generator_makes_every_variant` fails until [`every_error`] makes
+/// it.
+fn variant(e: &BwdError) -> usize {
+    match e {
+        BwdError::DeviceOutOfMemory { .. } => 0,
+        BwdError::AdmissionTimeout { .. } => 1,
+        BwdError::InvalidBuffer(_) => 2,
+        BwdError::TypeMismatch(_) => 3,
+        BwdError::Parse(_) => 4,
+        BwdError::Bind(_) => 5,
+        BwdError::Plan(_) => 6,
+        BwdError::Exec(_) => 7,
+        BwdError::NotFound(_) => 8,
+        BwdError::Unsupported(_) => 9,
+        BwdError::InvalidArgument(_) => 10,
+        BwdError::Cancelled => 11,
+        BwdError::DeadlineExceeded { .. } => 12,
+        BwdError::DeviceFault(_) => 13,
     }
+}
+
+fn arb_error(rng: &mut u64) -> BwdError {
+    let mut all = every_error(rng);
+    all.swap_remove((mix(rng) % all.len() as u64) as usize)
 }
 
 fn arb_mode(rng: &mut u64) -> WireMode {
@@ -345,4 +377,47 @@ fn trailing_payload_bytes_are_rejected_not_overread() {
     let mut dec = FrameDecoder::new();
     dec.feed(&bytes);
     assert!(matches!(dec.next(), Err(FrameError::Malformed(_))));
+}
+
+#[test]
+fn the_generator_makes_every_variant() {
+    let all = every_error(&mut 1);
+    let positions: Vec<usize> = all.iter().map(variant).collect();
+    assert_eq!(positions, (0..all.len()).collect::<Vec<_>>());
+}
+
+/// Every variant survives the codec, each under both `retryable` flags.
+#[test]
+fn every_error_variant_round_trips() {
+    for error in every_error(&mut 7) {
+        for retryable in [false, true] {
+            let frame = Frame::Error {
+                error: error.clone(),
+                retryable,
+            };
+            let mut dec = FrameDecoder::new();
+            dec.feed(&frame.encode());
+            assert_eq!(dec.next().unwrap(), Some(frame));
+        }
+    }
+}
+
+/// Wire code 11 is retired: a frame carrying it is malformed, never some
+/// other variant.
+#[test]
+fn the_retired_error_code_decodes_to_an_error() {
+    let mut bytes = Frame::Error {
+        error: BwdError::Cancelled,
+        retryable: false,
+    }
+    .encode();
+    // Length prefix (4), frame type (1), retryable flag (1), error code.
+    assert_eq!(bytes[6], 12, "Cancelled's code");
+    bytes[6] = 11;
+    let mut dec = FrameDecoder::new();
+    dec.feed(&bytes);
+    match dec.next() {
+        Err(FrameError::Malformed(msg)) => assert!(msg.contains("code 11"), "{msg}"),
+        other => panic!("retired code decoded as {other:?}"),
+    }
 }

@@ -86,12 +86,6 @@ pub enum EventKind {
     NetRecv,
     /// A response frame queued for write on a connection (instant).
     NetSend,
-    /// A long-running query paused at a morsel-boundary yield point while
-    /// its worker runs preempted-in short work; `a` is the hosted job's
-    /// latency estimate bits, `b` the nesting depth.
-    Yield,
-    /// The paused query resumed execution (instant).
-    Resume,
     /// A device crossed its consecutive-fault threshold and went offline
     /// (instant, recorded on the query that observed the last fault).
     DeviceDown,
@@ -121,8 +115,6 @@ impl EventKind {
             EventKind::NetConn => "net-conn",
             EventKind::NetRecv => "net-recv",
             EventKind::NetSend => "net-send",
-            EventKind::Yield => "yield",
-            EventKind::Resume => "resume",
             EventKind::DeviceDown => "device-down",
             EventKind::DeviceUp => "device-up",
             EventKind::Cancel => "cancel",

@@ -3,8 +3,8 @@
 //!
 //! The paper's whole argument is about *where time and bytes go* — queue
 //! wait vs. admission wait vs. PCI-E transfer vs. refinement — and the
-//! scheduling layers that build on this workspace (preemption, estimator
-//! feedback, placement) need per-phase evidence rather than end-of-run
+//! scheduling layers that build on this workspace (queue order,
+//! admission, placement) need per-phase evidence rather than end-of-run
 //! aggregates. This crate is that substrate:
 //!
 //! * [`Recorder`] — per-query event recording into per-worker lock-free

@@ -57,8 +57,8 @@ impl AdmissionController {
         }
     }
 
-    /// Reserve `bytes` (clamped to [`AdmissionController::max_request`])
-    /// of device memory, queueing FIFO until they fit.
+    /// Reserve `bytes` (clamped to the card minus what was resident when
+    /// the controller was built) of device memory, queueing FIFO until they fit.
     ///
     /// The permit holds a real [`DeviceBuffer`]; dropping it releases the
     /// reservation and wakes queued requests.
@@ -81,27 +81,6 @@ impl AdmissionController {
     /// The per-reservation deadline this controller was built with.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
-    }
-
-    /// Try to reserve `bytes` (clamped like [`AdmissionController::admit`])
-    /// without blocking: `None` when the reservation does not fit *right
-    /// now*.
-    ///
-    /// This is the admission path for preempted-in nested jobs: their
-    /// host query is paused at a yield point still holding its own
-    /// permit, so blocking here could deadlock the worker against itself.
-    /// A `None` sends the nested job back to the policy queue
-    /// (seq/bypass-preserving requeue) instead of waiting.
-    pub fn try_admit(&self, bytes: u64) -> Option<AdmissionPermit> {
-        self.memory
-            .alloc(bytes.min(self.max_request))
-            .ok()
-            .map(|buffer| AdmissionPermit { buffer })
-    }
-
-    /// The largest reservation one query may hold.
-    pub fn max_request(&self) -> u64 {
-        self.max_request
     }
 
     /// The device memory this controller arbitrates.
@@ -170,26 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn try_admit_never_blocks_and_never_queues() {
-        let mem = DeviceMemory::new(100);
-        let ctrl = AdmissionController::new(mem.clone(), None);
-        let held = ctrl.try_admit(70).expect("fits");
-        assert_eq!(held.bytes(), 70);
-        // Doesn't fit right now: immediate None, no queued waiter, no
-        // accounting residue.
-        assert!(ctrl.try_admit(50).is_none());
-        assert_eq!(mem.queued(), 0);
-        assert_eq!(mem.used(), 70);
-        drop(held);
-        assert_eq!(ctrl.try_admit(50).unwrap().bytes(), 50);
-    }
-
-    #[test]
     fn oversized_estimates_clamp_to_the_non_persistent_share() {
         let mem = DeviceMemory::new(100);
         let _persistent = mem.alloc(40).unwrap();
         let ctrl = AdmissionController::new(mem.clone(), None);
-        assert_eq!(ctrl.max_request(), 60);
         // An estimate far past the card still admits — clamped — instead
         // of failing a query the serial engine could run.
         let permit = ctrl.admit(1_000_000).unwrap();

@@ -5,7 +5,6 @@ use bwd_core::plan::ArPlan;
 use bwd_engine::{ExecMode, QueryResult};
 use bwd_obs::{QueryTrace, Recorder, SpanId};
 use bwd_types::{BwdError, Result};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -26,11 +25,10 @@ pub struct SubmitOptions {
     /// query; classic queries ignore this.
     pub device: Option<usize>,
     /// Scheduling priority, the queue's first key: higher values dequeue
-    /// sooner (ties break on the latency estimate, then arrival order),
-    /// and a job paused at a yield point hosts only queued work of at
-    /// least its own priority. Aging still bounds how long a low-priority
-    /// job can be bypassed, and `SchedConfig::aging_threshold: 0` ignores
-    /// priorities for arrival order. Defaults to `0`.
+    /// sooner (ties break on the latency estimate, then arrival order).
+    /// Aging still bounds how long a low-priority job can be bypassed,
+    /// and `SchedConfig::aging_threshold: 0` ignores priorities for
+    /// arrival order. Defaults to `0`.
     pub priority: i32,
     /// Per-query tracing override: `Some(true)` records a full
     /// [`QueryTrace`] for this job even when the scheduler default is
@@ -169,11 +167,6 @@ pub(crate) struct Job {
     /// The one walk of the plan, taken at submission: the latency
     /// estimate ([`Job::est_seconds`]) and the reservation sizes.
     pub footprint: PlanFootprint,
-    /// Set once the hinted reservation was proven too small (the query
-    /// ran over its budget): from then on the job asks for the worst
-    /// case — also after it is handed back to the queue or fails over to
-    /// another card.
-    pub worst_case: Cell<bool>,
     pub reply: mpsc::Sender<(Result<QueryResult>, JobReport)>,
     pub submitted: Instant,
     /// The per-query recorder (disabled when tracing is off for this job
@@ -181,10 +174,9 @@ pub(crate) struct Job {
     pub recorder: Recorder,
     /// The root `query` span, opened at submission on the `session` lane.
     pub root: SpanId,
-    /// The open `queue` span: opened at submission (and again when a
-    /// hosted job is handed back); the worker that dequeues the job
-    /// closes it.
-    pub queue_span: Cell<SpanId>,
+    /// The `queue` span: opened at submission, closed by the worker
+    /// that dequeues the job.
+    pub queue_span: SpanId,
     /// Completion notification shared with this job's [`Ticket`].
     pub hook: Arc<CompletionHook>,
     /// Cancellation/deadline state shared with this job's [`Ticket`].
@@ -192,9 +184,9 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    /// Estimated latency in simulated seconds: the SJF queue key, the
-    /// preemption eligibility test and the estimate-vs-actual accounting
-    /// input — the bill of the footprint's predicted counts.
+    /// Estimated latency in simulated seconds: the SJF queue key and the
+    /// estimate-vs-actual accounting input — the bill of the footprint's
+    /// predicted counts.
     pub fn est_seconds(&self) -> f64 {
         self.footprint.latency().total()
     }

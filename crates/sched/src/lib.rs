@@ -108,7 +108,7 @@ pub mod stats;
 pub use admission::{AdmissionController, AdmissionPermit, KERNEL_SCRATCH_BYTES};
 pub use footprint::{PlanFootprint, WorkingSetEstimate};
 pub use job::{JobReport, SubmitOptions, Ticket};
-pub use policy::{PolicyQueue, PoppedKey};
-pub use scheduler::{PreemptConfig, SchedConfig, Scheduler, TraceRecord};
+pub use policy::PolicyQueue;
+pub use scheduler::{SchedConfig, Scheduler, TraceRecord};
 pub use session::Session;
 pub use stats::{DeviceSnapshot, QueuePressure, SchedulerStats, StreamSnapshot};

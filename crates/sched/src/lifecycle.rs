@@ -2,8 +2,8 @@
 //! one place that accounts for a transition.
 //!
 //! The scheduler's control flow — the placement loop, the over-budget
-//! requeue, failover retry, the yield hook, panic isolation, every RAII
-//! permit and pending guard — is straight-line code in
+//! requeue, failover retry, panic isolation, every RAII permit and
+//! pending guard — is straight-line code in
 //! [`crate::scheduler`] that *names* what just happened as a
 //! `Transition` and hands it to `Run::step`. `step` is the only
 //! function in this crate that records a trace event, bumps a
@@ -34,11 +34,8 @@ pub enum State {
     Admitted,
     /// Executing in the engine.
     Running,
-    /// Paused at a yield point while its worker hosts a shorter job.
-    Yielded,
-    /// Sent back: over its hinted budget (to the same card's admission,
-    /// at the worst case), or — hosted — to the policy queue because its
-    /// non-blocking reservation did not fit.
+    /// Over its hinted budget: sent back to the same card's admission,
+    /// at the worst case.
     Requeued,
     /// Leaving a card that faulted, for another one.
     Retried,
@@ -59,9 +56,9 @@ impl State {
 }
 
 /// Every edge a job may take. Invariant 8 rides on the shape of this
-/// table: a reservation is held in `Admitted`, `Running` and `Yielded`
-/// only, and every edge out of `Running` that does not end in `Yielded`
-/// drops the permit before the next state is entered.
+/// table: a reservation is held in `Admitted` and `Running` only, and
+/// every edge out of `Running` drops the permit before the next state is
+/// entered.
 pub const LEGAL: &[(State, State)] = {
     use State::*;
     &[
@@ -74,8 +71,6 @@ pub const LEGAL: &[(State, State)] = {
         (Queued, Failed),
         // The card's admission.
         (Placed, Admitted),
-        // Hosted: the non-blocking reservation did not fit.
-        (Placed, Requeued),
         // The reservation itself hit a device fault.
         (Placed, Retried),
         // A stop observed inside the admission wait.
@@ -84,18 +79,14 @@ pub const LEGAL: &[(State, State)] = {
         (Placed, Failed),
         (Admitted, Running),
         // Execution.
-        (Running, Yielded),
-        (Yielded, Running),
         (Running, Resolved),
         // The hinted budget ran out: the permit is released first.
         (Running, Requeued),
         (Running, Retried),
         (Running, Cancelled),
         (Running, Failed),
-        // The ways back: the same card at the worst case, the policy
-        // queue (seq and bypass count kept), another card.
+        // The ways back: the same card at the worst case, another card.
         (Requeued, Placed),
-        (Requeued, Queued),
         (Retried, Placed),
     ]
 };
@@ -112,11 +103,6 @@ pub(crate) struct SchedMetrics {
     /// Per-job `estimate/actual` latency ratio in thousandths (1000 =
     /// perfect), observed only for jobs with a non-zero actual cost.
     estimate_ratio_milli: Histogram,
-    /// Queued jobs hosted inline at a yield point of a running job.
-    preemptions: Counter,
-    /// Hosted jobs whose non-blocking admission failed and that went
-    /// back to the queue with their original seq and bypass count.
-    preempt_requeues: Counter,
     cancelled: Counter,
     /// Device-faulted queries re-placed on another card.
     retries: Counter,
@@ -134,8 +120,6 @@ impl SchedMetrics {
             queue_wait_us: registry.histogram("bwd_sched_queue_wait_us"),
             exec_wall_us: registry.histogram("bwd_sched_exec_wall_us"),
             estimate_ratio_milli: registry.histogram("bwd_sched_estimate_ratio_milli"),
-            preemptions: registry.counter("bwd_sched_preemptions_total"),
-            preempt_requeues: registry.counter("bwd_sched_preempt_requeues_total"),
             cancelled: registry.counter("bwd_sched_cancelled_total"),
             retries: registry.counter("bwd_sched_retries_total"),
             device_offline: registry.counter("bwd_sched_device_offline_total"),
@@ -163,8 +147,8 @@ pub(crate) enum Transition<'a> {
     Reserving { bytes: u64, attempt: u64 },
     /// Granted `reserved` bytes: the engine runs.
     Admitted { reserved: u64, requeues: u64 },
-    /// Refused: a stop, a timeout, a fault or (hosted) would-block — the
-    /// error the caller propagates decides where the job goes.
+    /// Refused: a stop, a timeout or a fault — the error the caller
+    /// propagates decides where the job goes.
     Refused { requeues: u64 },
     /// The hinted budget ran out on `device`; the permit is already
     /// released and the job re-enters that card's admission at the worst
@@ -180,14 +164,6 @@ pub(crate) enum Transition<'a> {
     Faulted { device: usize, retry: bool },
     /// The exec span closes.
     Finished(&'a Result<QueryResult>),
-    /// Paused at a yield point to host a job estimated at `child_est`
-    /// seconds.
-    Yielded { child_est: f64 },
-    /// The hosted job is done — or `would_block` and, unless the queue
-    /// closed meanwhile, `requeued`.
-    Resumed { would_block: bool, requeued: bool },
-    /// Hosted and refused: back to the policy queue.
-    HandedBack { job: &'a Job },
     /// Accounted and stamped; the reply leaves next.
     Replied {
         job: &'a Job,
@@ -209,9 +185,6 @@ impl Transition<'_> {
             Transition::Admitted { .. } => &[Admitted, Running],
             Transition::OverBudget { .. } => &[Requeued, Placed],
             Transition::Faulted { retry: true, .. } => &[Retried],
-            Transition::Yielded { .. } => &[Yielded],
-            Transition::Resumed { .. } => &[Running],
-            Transition::HandedBack { .. } => &[Requeued, Queued],
             Transition::Replied { result, .. } => match result {
                 Ok(_) => &[Resolved],
                 Err(e) if stop_kind(e).is_some() => &[Cancelled],
@@ -251,15 +224,12 @@ pub(crate) struct Run<'a> {
     pub shared: &'a Arc<Shared>,
     /// The worker's lane label.
     pub lane: &'a str,
-    /// Yield-point nesting: `0` is a worker draining the queue, `>0` a
-    /// job hosted inline while another is paused.
-    pub depth: u32,
     /// This worker's lane on the job's recorder (a no-op handle when the
     /// job runs untraced).
     obs: WorkerHandle,
     root: SpanId,
     exec: Cell<SpanId>,
-    /// The open admission or yield span.
+    /// The open admission span.
     open: Cell<SpanId>,
     state: Cell<State>,
 }
@@ -272,27 +242,16 @@ impl<'a> Run<'a> {
         recorder: &Recorder,
         root: SpanId,
         lane: &'a str,
-        depth: u32,
     ) -> Run<'a> {
         Run {
             shared,
             lane,
-            depth,
             obs: recorder.worker(lane),
             root,
             exec: Cell::new(NO_SPAN),
             open: Cell::new(NO_SPAN),
             state: Cell::new(State::Queued),
         }
-    }
-
-    /// This run as that of a job paused under its `exec` span — what a
-    /// yield hook builds each time it hosts (the hook outlives every
-    /// borrow of the job, so it carries the recorder and the span).
-    pub fn paused_at(self, exec: SpanId) -> Run<'a> {
-        self.exec.set(exec);
-        self.state.set(State::Running);
-        self
     }
 
     /// The exec span ([`NO_SPAN`] before [`Transition::Started`]).
@@ -316,7 +275,7 @@ impl<'a> Run<'a> {
         match t {
             Transition::Dequeued { job, queued } => obs.end(
                 EventKind::Queue,
-                job.queue_span.get(),
+                job.queue_span,
                 queued.as_secs_f64().to_bits(),
                 0,
                 0,
@@ -388,33 +347,6 @@ impl<'a> Run<'a> {
                 0,
             ),
             Transition::Finished(Err(_)) => obs.end(EventKind::Exec, exec, 0, 0, 0, 1),
-            Transition::Yielded { child_est } => {
-                m.preemptions.inc();
-                shared.preempt_active.fetch_add(1, Ordering::Relaxed);
-                let (est, depth) = (child_est.to_bits(), u64::from(self.depth + 1));
-                self.open.set(obs.begin(EventKind::Yield, exec, est, depth));
-            }
-            Transition::Resumed {
-                would_block,
-                requeued,
-            } => {
-                if requeued {
-                    m.preempt_requeues.inc();
-                }
-                let span = self.open.get();
-                obs.end(EventKind::Yield, span, 0, 0, 0, u64::from(would_block));
-                obs.instant(EventKind::Resume, exec, 0, 0);
-                shared.preempt_active.fetch_sub(1, Ordering::Relaxed);
-            }
-            Transition::HandedBack { job } => {
-                // Reopen the queue span on the session lane (arg `1`
-                // marks the re-entry), so the trace shows queue → exec →
-                // queue → exec.
-                let lane = job.recorder.worker("session");
-                let est = job.est_seconds().to_bits();
-                let span = lane.begin(EventKind::Queue, job.root, est, 1);
-                job.queue_span.set(span);
-            }
             Transition::Replied {
                 job,
                 result,

@@ -34,47 +34,26 @@
 //! needs checking. Its count needs no per-entry state. Every job that
 //! arrived before it since the last [`PolicyQueue::clear`] has left the
 //! queue, so each was popped exactly once, and every other pop since was
-//! of a younger job — a bypass. With `pops` counted since the last clear
-//! net of requeues, and `base` the first seq pushed since, the oldest
-//! queued seq `oldest` has been bypassed exactly `pops − (oldest − base)`
-//! times. `push` and `pop` are O(log n): one `BTreeMap` holds the entries
-//! in run order, a second their keys in arrival order.
-//!
-//! # Requeue without losing age
-//!
-//! Preemption and admission underestimates both need to put a
-//! popped-but-unrun job *back*. Re-pushing it as a fresh arrival would
-//! reset its seq and bypass count — a long job could then be starved past
-//! the `aging_threshold` guarantee forever. [`PolicyQueue::pop_if`] +
-//! [`PolicyQueue::requeue`] instead treat the pop as provisional:
-//! requeuing takes the pop back out of `pops` and restores the job under
-//! its original seq, which leaves its own bypass count *and* every other
-//! entry's exactly what they were had the pop never happened. (While the
-//! pop is outstanding, other entries may observe a count one higher than
-//! final — aging can only trigger *early*, so the starvation bound is
-//! never exceeded.)
+//! of a younger job — a bypass. With `pops` counted since the last clear,
+//! and `base` the first seq pushed since, the oldest queued seq `oldest`
+//! has been bypassed exactly `pops − (oldest − base)` times. `push` and
+//! `pop` are O(log n): one `BTreeMap` holds the entries in run order, a
+//! second their keys in arrival order.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// The scheduling identity of a queued entry: what
-/// [`PolicyQueue::pop_if`] offers its predicate and returns, and what
-/// [`PolicyQueue::requeue`] takes to put the entry back.
-///
-/// Keys order as the queue runs them: higher `priority` first, then the
-/// smaller `est_seconds`, then the earlier `seq`.
+/// The scheduling identity of a queued entry. Keys order as the queue
+/// runs them: higher `priority` first, then the smaller `est_seconds`,
+/// then the earlier `seq` (arrival).
 #[derive(Debug, Clone, Copy)]
-pub struct PoppedKey {
-    /// Arrival sequence number (monotone per queue) — preserved across a
-    /// requeue, so the job keeps its place in the aging order.
-    pub seq: u64,
-    /// Caller-assigned priority the entry was pushed with.
-    pub priority: i32,
-    /// Latency estimate (simulated seconds) the entry was pushed with.
-    pub est_seconds: f64,
+struct Key {
+    seq: u64,
+    priority: i32,
+    est_seconds: f64,
 }
 
-impl Ord for PoppedKey {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         (other.priority.cmp(&self.priority))
             .then(self.est_seconds.total_cmp(&other.est_seconds))
@@ -82,19 +61,19 @@ impl Ord for PoppedKey {
     }
 }
 
-impl PartialOrd for PoppedKey {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl PartialEq for PoppedKey {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for PoppedKey {}
+impl Eq for Key {}
 
 /// The scheduler's job queue: priority, then estimate, then arrival, with
 /// bypass-count aging.
@@ -121,12 +100,12 @@ pub struct PolicyQueue<T> {
     next_seq: u64,
     /// The first seq pushed since the last [`PolicyQueue::clear`].
     base_seq: u64,
-    /// Pops since the last clear, net of requeues.
+    /// Pops since the last clear.
     pops: u64,
     /// Queued entries in run order.
-    order: BTreeMap<PoppedKey, T>,
+    order: BTreeMap<Key, T>,
     /// The same entries' keys in arrival order.
-    arrivals: BTreeMap<u64, PoppedKey>,
+    arrivals: BTreeMap<u64, Key>,
 }
 
 impl<T> PolicyQueue<T> {
@@ -147,11 +126,6 @@ impl<T> PolicyQueue<T> {
         }
     }
 
-    /// The aging threshold (maximum bypasses per queued job).
-    pub fn aging_threshold(&self) -> u32 {
-        self.aging_threshold
-    }
-
     /// Queued jobs.
     pub fn len(&self) -> usize {
         self.order.len()
@@ -162,9 +136,7 @@ impl<T> PolicyQueue<T> {
         self.order.is_empty()
     }
 
-    /// Drop every queued item (scheduler shutdown). Outstanding
-    /// provisional pops are forgotten too — `requeue` after `clear`
-    /// re-enters the job as a fresh arrival.
+    /// Drop every queued item (scheduler shutdown).
     pub fn clear(&mut self) {
         self.order.clear();
         self.arrivals.clear();
@@ -177,26 +149,20 @@ impl<T> PolicyQueue<T> {
     pub fn push(&mut self, priority: i32, est_seconds: f64, item: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(
-            PoppedKey {
-                seq,
-                priority,
-                est_seconds,
-            },
-            item,
-        );
-        seq
-    }
-
-    fn insert(&mut self, key: PoppedKey, item: T) {
-        self.arrivals.insert(key.seq, key);
+        let key = Key {
+            seq,
+            priority,
+            est_seconds,
+        };
+        self.arrivals.insert(seq, key);
         self.order.insert(key, item);
+        seq
     }
 
     /// The key the next pop takes: the oldest entry once it is aged (see
     /// the module docs for why its bypass count is this subtraction),
     /// otherwise the first in run order.
-    fn next(&self) -> Option<PoppedKey> {
+    fn next(&self) -> Option<Key> {
         let (&oldest, &key) = self.arrivals.first_key_value()?;
         if self.pops - (oldest - self.base_seq) >= u64::from(self.aging_threshold) {
             return Some(key);
@@ -208,41 +174,10 @@ impl<T> PolicyQueue<T> {
     /// threshold), otherwise the first in run order. Every older job the
     /// chosen one overtakes has been bypassed once more.
     pub fn pop(&mut self) -> Option<T> {
-        self.pop_if(|_, _| true).map(|(_, item)| item)
-    }
-
-    /// Provisionally dequeue the next item, but only if `pred` accepts
-    /// it; a rejected candidate stays queued, untouched.
-    ///
-    /// The candidate is the exact entry [`PolicyQueue::pop`] would take —
-    /// in particular, if the next-in-line job is *aged*, no younger entry
-    /// is offered in its place (aging's no-overtake guarantee applies to
-    /// preemption pops too). An accepted pop counts as a bypass of every
-    /// older entry just like a normal pop; [`PolicyQueue::requeue`] puts
-    /// the item back as if it had never been popped.
-    pub fn pop_if(&mut self, pred: impl FnOnce(&PoppedKey, &T) -> bool) -> Option<(PoppedKey, T)> {
         let key = self.next()?;
-        if !pred(&key, self.order.get(&key)?) {
-            return None;
-        }
         self.arrivals.remove(&key.seq);
         self.pops += 1;
-        Some((key, self.order.remove(&key)?))
-    }
-
-    /// Return a provisionally popped item to the queue as if the pop never
-    /// happened: same seq, same bypass count — and every *other* entry's
-    /// bypass count also reverts, because the pop leaves the count again.
-    pub fn requeue(&mut self, key: PoppedKey, item: T) {
-        if key.seq < self.base_seq {
-            // The queue was cleared (shutdown/reset) while the pop was
-            // outstanding; its seq predates the count. Re-enter as a
-            // fresh arrival rather than corrupt the bookkeeping.
-            self.push(key.priority, key.est_seconds, item);
-            return;
-        }
-        self.pops -= 1;
-        self.insert(key, item);
+        self.order.remove(&key)
     }
 }
 
@@ -343,108 +278,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.clear();
         assert!(q.pop().is_none());
-        assert_eq!(q.aging_threshold(), 4);
-    }
-
-    #[test]
-    fn pop_if_rejection_leaves_queue_untouched() {
-        let mut q = PolicyQueue::new(8);
-        q.push(0, 10.0, "long");
-        q.push(0, 0.1, "short");
-        // The candidate offered is the first in run order ("short").
-        assert!(q
-            .pop_if(|k, item| {
-                assert_eq!(*item, "short");
-                assert_eq!(k.seq, 1);
-                false
-            })
-            .is_none());
-        assert_eq!(q.len(), 2);
-        assert_eq!(drain(&mut q), vec!["short", "long"]);
-    }
-
-    #[test]
-    fn pop_if_never_offers_past_an_aged_job() {
-        // Once the long is aged, pop_if must offer the long (which the
-        // predicate can reject) — never a younger short in its place.
-        let mut q = PolicyQueue::new(1);
-        q.push(0, 10.0, "long");
-        q.push(0, 0.1, "s1");
-        q.push(0, 0.1, "s2");
-        assert_eq!(q.pop(), Some("s1")); // long now aged (1 bypass)
-        assert!(q
-            .pop_if(|_, item| {
-                assert_eq!(*item, "long");
-                false
-            })
-            .is_none());
-        assert_eq!(drain(&mut q), vec!["long", "s2"]);
-    }
-
-    #[test]
-    fn pop_if_requeue_round_trip_keeps_the_order() {
-        // A provisional pop that gets requeued (nested admission
-        // would-block) must leave the queue exactly as if the pop never
-        // happened.
-        let mut q = PolicyQueue::new(8);
-        q.push(0, 10.0, "long");
-        q.push(0, 0.3, "s-late");
-        q.push(0, 0.1, "s-early");
-        let (key, item) = q.pop_if(|k, _| k.est_seconds <= 1.0).unwrap();
-        assert_eq!(item, "s-early"); // estimate order, not arrival order
-        q.requeue(key, item);
-        assert_eq!(drain(&mut q), vec!["s-early", "s-late", "long"]);
-    }
-
-    #[test]
-    fn requeue_preserves_seq_and_bypass_count_exactly() {
-        // Regression for the requeue/aging interaction: a provisionally
-        // popped and requeued job must keep its original seq and bypass
-        // count — the aging bound must hold across the requeue.
-        let mut q = PolicyQueue::new(3);
-        q.push(0, 10.0, "long");
-        q.push(0, 0.1, "s1");
-        q.push(0, 0.2, "s2");
-        assert_eq!(q.pop(), Some("s1")); // long: 1 bypass
-        assert_eq!(q.pop(), Some("s2")); // long: 2 bypasses
-        let (key, item) = q.pop_if(|_, _| true).expect("long is alone");
-        assert_eq!((item, key.seq), ("long", 0));
-        q.requeue(key, item);
-        // After the requeue the long still has exactly 2 bypasses: one
-        // more short may overtake it (3rd bypass → aged), the next must
-        // not. A fresh-arrival requeue would have reset the count to 0
-        // and let 3 more shorts starve it past the bound.
-        q.push(0, 0.1, "s3");
-        q.push(0, 0.1, "s4");
-        assert_eq!(q.pop(), Some("s3")); // 3rd bypass: exactly at threshold
-        assert_eq!(q.pop(), Some("long")); // aged — s4 may not overtake
-        assert_eq!(drain(&mut q), vec!["s4"]);
-    }
-
-    #[test]
-    fn requeue_restores_other_entries_bypass_counts() {
-        // The provisional pop of the *short* must not age the long by a
-        // phantom bypass once the short is requeued.
-        let mut q = PolicyQueue::new(1);
-        q.push(0, 10.0, "long");
-        q.push(0, 0.1, "short");
-        let (key, item) = q.pop_if(|_, _| true).unwrap();
-        assert_eq!(item, "short");
-        q.requeue(key, item);
-        // Had the pop stuck, the long would be aged (1 bypass ≥ 1) and
-        // would drain first; the requeue undid it, so the estimate wins.
-        assert_eq!(drain(&mut q), vec!["short", "long"]);
-    }
-
-    #[test]
-    fn requeue_after_clear_reenters_as_fresh_arrival() {
-        let mut q = PolicyQueue::new(0);
-        q.push(0, 1.0, "a");
-        let (key, item) = q.pop_if(|_, _| true).unwrap();
-        q.clear();
-        q.push(0, 1.0, "b");
-        q.requeue(key, item);
-        assert_eq!(drain(&mut q), vec!["b", "a"]);
     }
 
     #[test]
@@ -461,26 +294,14 @@ mod tests {
     }
 
     /// A linear oracle: every pop walks the queued entries and bumps the
-    /// counter of each older one it passes. A requeue deletes its pop from
-    /// the history and replays the rest, so every counter reads what it
-    /// would had the pop never happened.
+    /// counter of each older one it passes.
     struct RefQueue {
         aging_threshold: u32,
         next_seq: u64,
         /// `(priority, est, item)` of every seq ever pushed.
         pushed: BTreeMap<u64, (i32, f64, u32)>,
-        /// Pushes (`false`) and standing pops (`true`) since the last
-        /// clear, in order.
-        history: Vec<(u64, bool)>,
         /// Queued seqs and their bypass counters.
         live: BTreeMap<u64, u32>,
-    }
-
-    fn walk_pop(live: &mut BTreeMap<u64, u32>, seq: u64) {
-        live.remove(&seq);
-        for (_, bypassed) in live.range_mut(..seq) {
-            *bypassed += 1;
-        }
     }
 
     impl RefQueue {
@@ -489,7 +310,6 @@ mod tests {
                 aging_threshold,
                 next_seq: 0,
                 pushed: BTreeMap::new(),
-                history: Vec::new(),
                 live: BTreeMap::new(),
             }
         }
@@ -498,122 +318,53 @@ mod tests {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.pushed.insert(seq, (priority, est, item));
-            self.history.push((seq, false));
             self.live.insert(seq, 0);
             seq
         }
 
-        fn next(&self) -> Option<u64> {
+        fn pop(&mut self) -> Option<u32> {
             let aged = self.live.iter().find(|(_, &b)| b >= self.aging_threshold);
-            aged.map(|(&seq, _)| seq).or_else(|| {
+            let seq = aged.map(|(&seq, _)| seq).or_else(|| {
                 self.live.keys().copied().min_by(|a, b| {
                     let ((pa, ea, _), (pb, eb, _)) = (self.pushed[a], self.pushed[b]);
                     (pb.cmp(&pa)).then(ea.total_cmp(&eb)).then(a.cmp(b))
                 })
-            })
-        }
-
-        fn pop_if(&mut self, pred: impl FnOnce(u32) -> bool) -> Option<(u64, u32)> {
-            let seq = self.next()?;
-            let item = self.pushed[&seq].2;
-            if !pred(item) {
-                return None;
+            })?;
+            self.live.remove(&seq);
+            for (_, bypassed) in self.live.range_mut(..seq) {
+                *bypassed += 1;
             }
-            self.history.push((seq, true));
-            walk_pop(&mut self.live, seq);
-            Some((seq, item))
-        }
-
-        fn requeue(&mut self, seq: u64) {
-            let Some(i) = self.history.iter().position(|&e| e == (seq, true)) else {
-                // Cleared since the pop: a fresh arrival.
-                let (priority, est, item) = self.pushed[&seq];
-                self.push(priority, est, item);
-                return;
-            };
-            self.history.remove(i);
-            self.live.clear();
-            for &(seq, popped) in &self.history {
-                if popped {
-                    walk_pop(&mut self.live, seq);
-                } else {
-                    self.live.insert(seq, 0);
-                }
-            }
-        }
-
-        fn clear(&mut self) {
-            self.history.clear();
-            self.live.clear();
+            Some(self.pushed[&seq].2)
         }
     }
 
     #[test]
     fn randomized_interleavings_match_the_reference_implementation() {
-        // Seeded pseudorandom interleavings of push, pop, accepted and
-        // rejected `pop_if`, requeues of outstanding pops in random
-        // order and one mid-run `clear`, at several aging thresholds: the
-        // queue must offer and pop the exact sequence of the walked-
-        // counter oracle.
+        // Seeded pseudorandom interleavings of push and pop with one
+        // mid-run `clear`, at several aging thresholds: the queue must pop
+        // the exact sequence of the walked-counter oracle.
         let mut rng = bwd_types::SplitMix64::new(0x9e3779b97f4a7c15);
         for threshold in [0u32, 1, 3, 17, u32::MAX] {
             let mut q = PolicyQueue::new(threshold);
             let mut r = RefQueue::new(threshold);
-            let mut outstanding: Vec<(PoppedKey, u32)> = Vec::new();
             let mut id = 0u32;
             for step in 0..1200 {
                 if step == 600 {
                     q.clear();
-                    r.clear();
+                    r.live.clear();
                 }
-                match rng.next_u64() % 8 {
-                    0..=3 => {
-                        let prio = (rng.next_u64() % 4) as i32 - 1;
-                        let est = (rng.next_u64() % 16) as f64 * 0.25;
-                        assert_eq!(q.push(prio, est, id), r.push(prio, est, id));
-                        id += 1;
-                    }
-                    4 => {
-                        let want = r.pop_if(|_| true).map(|(_, item)| item);
-                        assert_eq!(q.pop(), want, "t={threshold} step {step}");
-                    }
-                    5 | 6 => {
-                        let accept = rng.below(3) != 0;
-                        let (mut offered, mut want_offered) = (None, None);
-                        let got = q.pop_if(|_, &item| {
-                            offered = Some(item);
-                            accept
-                        });
-                        let want = r.pop_if(|item| {
-                            want_offered = Some(item);
-                            accept
-                        });
-                        assert_eq!(offered, want_offered, "t={threshold} step {step}");
-                        assert_eq!(got.map(|(k, item)| (k.seq, item)), want);
-                        // Half the accepted pops run to completion; the
-                        // rest stay outstanding until a later requeue.
-                        if let Some(popped) = got.filter(|_| rng.below(2) == 0) {
-                            outstanding.push(popped);
-                        }
-                    }
-                    _ if !outstanding.is_empty() => {
-                        let i = rng.below(outstanding.len() as u64) as usize;
-                        let (key, item) = outstanding.swap_remove(i);
-                        q.requeue(key, item);
-                        r.requeue(key.seq);
-                    }
-                    _ => {}
+                if rng.next_u64() % 8 < 5 {
+                    let prio = (rng.next_u64() % 4) as i32 - 1;
+                    let est = (rng.next_u64() % 16) as f64 * 0.25;
+                    assert_eq!(q.push(prio, est, id), r.push(prio, est, id));
+                    id += 1;
+                } else {
+                    assert_eq!(q.pop(), r.pop(), "t={threshold} step {step}");
                 }
                 assert_eq!(q.len(), r.live.len(), "t={threshold} step {step}");
             }
-            while !outstanding.is_empty() {
-                let i = rng.below(outstanding.len() as u64) as usize;
-                let (key, item) = outstanding.swap_remove(i);
-                q.requeue(key, item);
-                r.requeue(key.seq);
-            }
             loop {
-                let (a, b) = (q.pop(), r.pop_if(|_| true).map(|(_, item)| item));
+                let (a, b) = (q.pop(), r.pop());
                 assert_eq!(a, b, "t={threshold}");
                 if a.is_none() {
                     break;

@@ -10,53 +10,12 @@ use crate::stats::{DeviceSnapshot, SchedulerStats, StreamAccum};
 use bwd_device::{Env, YieldPoint};
 use bwd_engine::{ArExecOptions, Database, ExecMode, QueryResult};
 use bwd_obs::metrics::Registry;
-use bwd_obs::{QueryTrace, TraceCtx, NO_SPAN};
+use bwd_obs::{QueryTrace, TraceCtx};
 use bwd_types::{BwdError, Result};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Morsel-boundary preemption knobs.
-///
-/// With preemption enabled, every running job's engine execution polls a
-/// [`YieldPoint`] between partitions (classic selection batches, A&R
-/// stage boundaries). At each poll the worker may *host* a queued short
-/// job inline: it pops an eligible job, runs it to completion on the same
-/// thread (nested admission never blocks — it uses a non-blocking
-/// reservation and re-queues on failure), then resumes the paused job
-/// exactly where it left off. The paused job's state lives untouched on
-/// the worker's stack, so results, traffic and simulated charges are
-/// bit-identical with preemption on or off — only wall-clock interleaving
-/// changes. `tests/preempt_sched.rs` holds that invariant in both queue
-/// orders (the default and arrival order) and across candidate
-/// representations. Hosted jobs may themselves host, two levels deep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreemptConfig {
-    /// Poll yield points and host queued short jobs at them. Default
-    /// `false`: completion *order* (not results) changes under
-    /// preemption, and order-sensitive callers must opt in.
-    pub enabled: bool,
-    /// A queued job is eligible for hosting when its latency estimate is
-    /// at most `ratio` times the paused job's — preempting for work as
-    /// long as the rest of the current job would only add latency.
-    /// `f64::INFINITY` hosts anything (useful in tests).
-    pub ratio: f64,
-    /// Cap on jobs one execution may host across all its yield points,
-    /// bounding how long a steady stream of short arrivals can stretch
-    /// one long job's wall clock.
-    pub max_hosted: u32,
-}
-
-impl Default for PreemptConfig {
-    fn default() -> Self {
-        PreemptConfig {
-            enabled: false,
-            ratio: 0.25,
-            max_hosted: 16,
-        }
-    }
-}
 
 /// Scheduler construction knobs.
 #[derive(Debug, Clone)]
@@ -91,8 +50,6 @@ pub struct SchedConfig {
     /// the oldest events and is reported on the captured trace, never
     /// blocking the recording thread.
     pub trace_ring_capacity: usize,
-    /// Morsel-boundary preemption (default off; see [`PreemptConfig`]).
-    pub preempt: PreemptConfig,
 }
 
 impl Default for SchedConfig {
@@ -108,7 +65,6 @@ impl Default for SchedConfig {
             aging_threshold: 32,
             tracing: false,
             trace_ring_capacity: 1024,
-            preempt: PreemptConfig::default(),
         }
     }
 }
@@ -149,9 +105,6 @@ pub(crate) struct Shared {
     /// Captured traces of completed jobs ([`Scheduler::drain_traces`]).
     pub traces: Mutex<Vec<TraceRecord>>,
     pub metrics: SchedMetrics,
-    /// Live count of jobs currently paused at a yield point while the
-    /// worker hosts shorter work ([`crate::QueuePressure::preempted`]).
-    pub preempt_active: AtomicU64,
 }
 
 /// A multi-session query scheduler over one shared [`Database`] and its
@@ -241,7 +194,6 @@ impl Scheduler {
             next_session: AtomicU64::new(0),
             traces: Mutex::new(Vec::new()),
             metrics,
-            preempt_active: AtomicU64::new(0),
             config,
         });
         let workers = (0..shared.config.workers)
@@ -275,24 +227,17 @@ impl Scheduler {
     }
 
     /// Instantaneous load probe for admission-aware front doors: current
-    /// queue depth, reservations blocked inside device admission, and
-    /// reserved device bytes. The `bwd-net` reactor samples this before
-    /// every socket read and stops reading past its configured
-    /// watermarks, so external demand piles up in kernel/transport
-    /// buffers instead of in this queue.
+    /// queue depth and reservations blocked inside device admission. The
+    /// `bwd-net` reactor samples this before every socket read and stops
+    /// reading past its configured watermarks, so external demand piles
+    /// up in kernel/transport buffers instead of in this queue.
     pub fn pressure(&self) -> crate::stats::QueuePressure {
-        let mut p = crate::stats::QueuePressure {
+        crate::stats::QueuePressure {
             queued_jobs: self.queue_len(),
-            preempted: self.shared.preempt_active.load(Ordering::Relaxed),
-            ..Default::default()
-        };
-        for slot in &self.shared.devices {
-            let mem = slot.admission.memory();
-            p.admission_waiting += mem.queued();
-            p.reserved_bytes += mem.used();
-            p.capacity_bytes += mem.capacity();
+            admission_waiting: (self.shared.devices.iter())
+                .map(|slot| slot.admission.memory().queued())
+                .sum(),
         }
-        p
     }
 
     /// Current per-stream, per-device and admission statistics.
@@ -407,26 +352,15 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                 q = shared.work_ready.wait(q).unwrap();
             }
         };
-        // Depth 0 uses blocking admission, so execution always completes
-        // here; the would-block requeue arm is unreachable at the top
-        // level (and a hypothetical leftover job would resolve its ticket
-        // with an error on drop rather than hang).
-        let leftover = execute_job(&shared, job, &lane, 0);
-        debug_assert!(leftover.is_none(), "depth-0 jobs never would-block");
+        execute_job(&shared, job, &lane);
     }
 }
 
 /// Run one dequeued job to completion on the current thread: execute
 /// with panic isolation, account the completion and deliver the reply.
-///
-/// `depth` counts yield-point nesting — `0` is a worker draining the
-/// queue, `>0` a job hosted inline while another job is paused at a
-/// [`YieldPoint`]. A nested execution whose non-blocking admission did
-/// not fit returns the job to the caller (`Some`), which re-queues it
-/// under its original seq and bypass count; completed jobs return `None`.
-fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str, depth: u32) -> Option<Job> {
+fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str) {
     let queued = job.submitted.elapsed();
-    let run = Run::new(shared, &job.recorder, job.root, lane, depth);
+    let run = Run::new(shared, &job.recorder, job.root, lane);
     run.step(Transition::Dequeued { job: &job, queued });
     let started = Instant::now();
     // A cancelled or deadline-expired job never starts executing: it
@@ -441,12 +375,6 @@ fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str, depth: u32) -> Option
         Ok(()) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(&run, &job)))
             .unwrap_or_else(|payload| Err(panic_error(payload))),
     };
-    if depth > 0 && matches!(result, Err(BwdError::AdmissionWouldBlock { .. })) {
-        // The hosted job could not reserve device memory without
-        // blocking: hand it back for a seq-preserving requeue.
-        run.step(Transition::HandedBack { job: &job });
-        return Some(job);
-    }
     let wall = started.elapsed();
     let completion_index = shared.completions.fetch_add(1, Ordering::Relaxed);
     run.step(Transition::Replied {
@@ -477,7 +405,6 @@ fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str, depth: u32) -> Option
     };
     // The submitter may have dropped its ticket; that's fine.
     let _ = job.reply.send((result, report));
-    None
 }
 
 /// Render a caught unwind payload as the per-query panic error.
@@ -488,94 +415,6 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> BwdError {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into());
     BwdError::Exec(format!("query panicked during execution: {msg}"))
-}
-
-/// Nesting depth of hosted jobs: a job hosted at a yield point may itself
-/// host shorter work, down to this depth. Depth 0 is a worker draining
-/// the queue.
-const MAX_DEPTH: u32 = 2;
-
-/// Build the [`YieldPoint`] hook one execution polls between partitions.
-///
-/// Each poll drains eligible queued work inline. The queue's next job is
-/// eligible when the queue's own order would have run it before the
-/// paused job — its priority is at least the paused job's — and its
-/// latency estimate is at most `ratio` times the paused job's. It is
-/// popped provisionally ([`PolicyQueue::pop_if`]), executed to completion
-/// on this same thread (one nesting level deeper), and the paused job
-/// then resumes from exactly where it stopped. Only the head is offered:
-/// if it fails the estimate test, no job of its priority behind it can
-/// pass, and one of lower priority may not overtake it. The paused job's
-/// partial state never moves — results, traffic and simulated charges are
-/// bit-identical with preemption on or off. A hosted job whose
-/// non-blocking admission did not fit goes back to the queue with its
-/// original seq and bypass count, and the poll returns early: admission
-/// is full, so further candidates would hit the same wall.
-fn yield_hook(run: &Run<'_>, job: &Job) -> YieldPoint {
-    let shared = Arc::clone(run.shared);
-    let recorder = job.recorder.clone();
-    let lane = run.lane.to_string();
-    let (depth, exec) = (run.depth, run.exec());
-    let (parent_est, parent_priority) = (job.est_seconds(), job.opts.priority);
-    let ratio = shared.config.preempt.ratio;
-    let cancel = Arc::clone(&job.cancel);
-    // Per-execution hosting budget: a steady stream of short arrivals
-    // must not stretch one long job's wall clock without bound.
-    let budget = AtomicU32::new(shared.config.preempt.max_hosted);
-    YieldPoint::new(Arc::new(move || {
-        // Cancellation/deadline first: a stopping query must not host
-        // more work — the error propagates out of the engine at this
-        // boundary and the job's reservation releases with it.
-        cancel.status()?;
-        while budget.load(Ordering::Relaxed) > 0 {
-            let popped = {
-                let mut q = shared.queue.lock().unwrap();
-                if q.closed {
-                    return Ok(());
-                }
-                // Aging's no-overtake bound is enforced inside the queue:
-                // an aged head is offered before anything younger.
-                q.jobs.pop_if(|k, _| {
-                    k.priority >= parent_priority && k.est_seconds <= ratio * parent_est
-                })
-            };
-            let Some((key, child)) = popped else {
-                return Ok(());
-            };
-            budget.fetch_sub(1, Ordering::Relaxed);
-            let paused = Run::new(&shared, &recorder, NO_SPAN, &lane, depth).paused_at(exec);
-            paused.step(Transition::Yielded {
-                child_est: child.est_seconds(),
-            });
-            let back = execute_job(&shared, child, &lane, depth + 1);
-            let would_block = back.is_some();
-            let mut requeued = false;
-            if let Some(child) = back {
-                // Would-block: the child re-enters under its original seq
-                // and bypass count (dropped instead if the queue closed
-                // meanwhile — its ticket then resolves to the shutdown
-                // error, exactly like any discarded job).
-                let mut q = shared.queue.lock().unwrap();
-                if !q.closed {
-                    q.jobs.requeue(key, child);
-                    requeued = true;
-                }
-            }
-            paused.step(Transition::Resumed {
-                would_block,
-                requeued,
-            });
-            if requeued {
-                // A sleeping worker (or another yield point) may have
-                // room where this device did not.
-                shared.work_ready.notify_one();
-            }
-            if would_block {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }))
 }
 
 fn run_job(run: &Run<'_>, job: &Job) -> Result<QueryResult> {
@@ -605,19 +444,11 @@ fn run_job(run: &Run<'_>, job: &Job) -> Result<QueryResult> {
     // (approx-select, refine, gather, group/agg, morsels, classic) nest
     // under this worker's exec span on the same lane.
     env.trace = TraceCtx::new(job.recorder.clone(), run.exec(), run.lane);
-    // Arm the yield point: the engine polls it between partitions. With
-    // preemption on, each poll may additionally host queued short work
-    // inline (one nesting level deeper, down to `MAX_DEPTH`)
-    // before this job resumes; with preemption off the hook still
-    // observes cancellation and deadlines, so every running query stops
-    // within one yield-point interval of being cancelled.
-    let preempt = &shared.config.preempt;
-    env.preempt = if preempt.enabled && run.depth < MAX_DEPTH {
-        yield_hook(run, job)
-    } else {
-        let cancel = Arc::clone(&job.cancel);
-        YieldPoint::new(Arc::new(move || cancel.status()))
-    };
+    // Arm the yield point: the engine polls it between partitions, and
+    // each poll observes cancellation and the deadline, so a running
+    // query stops within one yield-point interval of being cancelled.
+    let cancel = Arc::clone(&job.cancel);
+    env.yield_point = YieldPoint::new(Arc::new(move || cancel.status()));
     // Panic isolation *inside* the exec span: a query that panics — a
     // real bug or an injected `FaultKind::Panic` — must still close this
     // span on its way out, so captured traces stay well-formed while the
@@ -677,18 +508,14 @@ const MAX_RETRIES: u32 = 1;
 /// replicated data, and the first attempt produced nothing.
 fn run_ar_job(run: &Run<'_>, job: &Job, env: &Env, morsels: usize) -> Result<QueryResult> {
     let shared = run.shared;
-    let hinted = job.footprint.reservation(shared.config.safety_factor);
+    // A hint proven wrong stays wrong: once the query ran over its budget
+    // `run_ar_on_device` inflates this to the worst case, which a
+    // failover to another card then asks for straight away.
+    let mut est = job.footprint.reservation(shared.config.safety_factor);
     let mut avoid: Option<usize> = None;
     let mut retries_left = MAX_RETRIES;
     loop {
         probe_offline_devices(run);
-        // A hint proven wrong stays wrong: once the query ran over its
-        // budget it asks for the worst case — on whichever card, and
-        // after being handed back to the queue.
-        let mut est = hinted;
-        if job.worst_case.get() {
-            est.estimated = est.worst_case;
-        }
         // --- Placement: pin wins, otherwise the least-loaded online card
         // (skipping the one a retry just left). ---
         let device = match job.opts.device {
@@ -710,7 +537,7 @@ fn run_ar_job(run: &Run<'_>, job: &Job, env: &Env, morsels: usize) -> Result<Que
         };
         let bytes = est.estimated;
         run.step(Transition::Placed { device, bytes });
-        match run_ar_on_device(run, job, env, morsels, &est, device) {
+        match run_ar_on_device(run, job, env, morsels, &mut est, device) {
             Err(BwdError::DeviceFault(msg)) => {
                 // Device faults are the retryable class: the work is
                 // valid and idempotent, only the card misbehaved. Retry
@@ -730,14 +557,11 @@ fn run_ar_job(run: &Run<'_>, job: &Job, env: &Env, morsels: usize) -> Result<Que
 }
 
 /// Admit and execute one A&R query on the chosen device, handling the
-/// underestimate re-queue path.
+/// underestimate re-queue path: a run over its hinted budget inflates
+/// `est` to the worst case and asks this card again.
 ///
-/// At `depth > 0` (hosted inline at another job's yield point) every
-/// reservation is non-blocking: a request that does not fit raises
-/// [`BwdError::AdmissionWouldBlock`], which [`execute_job`] intercepts to
-/// re-queue the job — a paused host must never sit behind a blocking
-/// admission wait. At depth 0 the blocking wait is clamped to the job's
-/// remaining deadline budget, so an expiring query reports
+/// The blocking admission wait is clamped to the job's remaining
+/// deadline budget, so an expiring query reports
 /// [`BwdError::DeadlineExceeded`] instead of camping in the reservation
 /// queue.
 fn run_ar_on_device(
@@ -745,7 +569,7 @@ fn run_ar_on_device(
     job: &Job,
     env: &Env,
     morsels: usize,
-    est: &WorkingSetEstimate,
+    est: &mut WorkingSetEstimate,
     device: usize,
 ) -> Result<QueryResult> {
     let slot = &run.shared.devices[device];
@@ -766,36 +590,30 @@ fn run_ar_on_device(
         opts.device_budget = Some(est.data_budget());
     }
 
-    let mut bytes = est.estimated;
     let mut requeues: u64 = 0;
     loop {
         // Reserve on the chosen device. The pending guard keeps the
         // not-yet-admitted estimate visible to placement and drops as
         // soon as the reservation resolves either way.
-        let attempt = requeues + 1;
+        let (bytes, attempt) = (est.estimated, requeues + 1);
         run.step(Transition::Reserving { bytes, attempt });
         let permit = {
             let _pending = slot.begin_pending(bytes);
-            let outcome = if run.depth == 0 {
-                // Clamp the blocking wait to the job's remaining deadline
-                // budget; an already-stopped job skips the wait entirely.
-                let admitted = job.cancel.status().and_then(|()| {
-                    let wait = match (slot.admission.deadline(), job.cancel.remaining()) {
-                        (Some(a), Some(r)) => Some(a.min(r)),
-                        (a, r) => a.or(r),
-                    };
-                    slot.admission.admit_within(bytes, wait)
-                });
-                // A wait cut short by the job's own expiry is the job's
-                // deadline, not a device admission timeout.
-                admitted.map_err(|e| match (e, job.cancel.status()) {
-                    (BwdError::AdmissionTimeout { .. }, Err(stop)) => stop,
-                    (e, _) => e,
-                })
-            } else {
-                (slot.admission.try_admit(bytes))
-                    .ok_or(BwdError::AdmissionWouldBlock { requested: bytes })
-            };
+            // Clamp the blocking wait to the job's remaining deadline
+            // budget; an already-stopped job skips the wait entirely.
+            let admitted = job.cancel.status().and_then(|()| {
+                let wait = match (slot.admission.deadline(), job.cancel.remaining()) {
+                    (Some(a), Some(r)) => Some(a.min(r)),
+                    (a, r) => a.or(r),
+                };
+                slot.admission.admit_within(bytes, wait)
+            });
+            // A wait cut short by the job's own expiry is the job's
+            // deadline, not a device admission timeout.
+            let outcome = admitted.map_err(|e| match (e, job.cancel.status()) {
+                (BwdError::AdmissionTimeout { .. }, Err(stop)) => stop,
+                (e, _) => e,
+            });
             match outcome {
                 Ok(permit) => permit,
                 Err(e) => {
@@ -821,8 +639,7 @@ fn run_ar_on_device(
                 run.step(Transition::OverBudget { device });
                 requeues += 1;
                 opts.device_budget = None;
-                bytes = est.worst_case;
-                job.worst_case.set(true);
+                est.estimated = est.worst_case;
             }
             result => {
                 if let Ok(r) = &result {
@@ -1019,8 +836,6 @@ mod tests {
         let idle = sched.pressure();
         assert_eq!(idle.queued_jobs, 0);
         assert_eq!(idle.admission_waiting, 0);
-        assert!(idle.capacity_bytes > 0);
-        assert!(idle.reserved_bytes < idle.capacity_bytes);
         let session = sched.session();
         let tickets: Vec<_> = (0..4)
             .map(|_| session.submit(plan.clone(), ExecMode::Classic))

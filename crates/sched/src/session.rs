@@ -8,7 +8,6 @@ use bwd_core::plan::{ArPlan, RewriteOptions};
 use bwd_engine::{ExecMode, QueryResult};
 use bwd_sql::{bind, parse, BoundStatement};
 use bwd_types::{BwdError, Result};
-use std::cell::Cell;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -74,12 +73,11 @@ impl Session {
             opts,
             session: self.id,
             footprint,
-            worst_case: Cell::new(false),
             reply: tx,
             submitted: Instant::now(),
             recorder,
             root,
-            queue_span: Cell::new(queue_span),
+            queue_span,
             hook: Arc::clone(&hook),
             cancel: Arc::clone(&cancel),
         };

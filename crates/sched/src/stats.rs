@@ -81,17 +81,6 @@ pub struct QueuePressure {
     /// summed over the pool — each one is a worker thread frozen in
     /// [`crate::AdmissionController::admit`].
     pub admission_waiting: u64,
-    /// Bytes currently reserved across all pool devices (persistent
-    /// columns included).
-    pub reserved_bytes: u64,
-    /// Total pool capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Jobs currently paused at a yield point while their worker runs
-    /// preempted-in short work (the live preemption nesting depth,
-    /// summed over workers). A paused job holds its admission permit and
-    /// its place on the worker, so front doors should count it as
-    /// outstanding load even though it is neither queued nor running.
-    pub preempted: u64,
 }
 
 /// Point-in-time view of one device in the pool.

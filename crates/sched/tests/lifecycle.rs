@@ -13,20 +13,21 @@
 //! 3. each `bwd_sched_*` counter moved by exactly the number of matching
 //!    transitions in those walks.
 //!
+//! Together the rows walk every edge of [`LEGAL`].
+//!
 //! No sleeps: workers are frozen behind a [`Gate`], faults come from a
-//! seeded [`FaultPlan`], and a cancellation lands through a ticket waker
-//! on the worker's own thread.
+//! seeded [`FaultPlan`], and a cancellation lands while its job waits
+//! behind the gate.
 
 use bwd_bench::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
 use bwd_device::Env;
 use bwd_engine::{ArExecOptions, ExecMode};
 use bwd_obs::{EventKind, Phase, QueryTrace};
 use bwd_sched::lifecycle::{State, LEGAL};
-use bwd_sched::{
-    PlanFootprint, PreemptConfig, SchedConfig, Scheduler, Session, SubmitOptions, Ticket,
-};
+use bwd_sched::{SchedConfig, Scheduler, Session, SubmitOptions, Ticket};
 use bwd_types::{BwdError, FaultPlan, FaultSite, FaultSpec};
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 use State::*;
 
@@ -40,7 +41,6 @@ fn walk(trace: &QueryTrace) -> (Vec<State>, bool) {
     for e in &trace.events {
         let at = *walk.last().unwrap();
         let next: &[State] = match (e.kind, e.phase) {
-            (EventKind::Queue, Phase::Begin) if e.b == 1 => &[Requeued, Queued],
             (EventKind::Classic, Phase::Begin) => {
                 classic = true;
                 &[Running]
@@ -49,8 +49,6 @@ fn walk(trace: &QueryTrace) -> (Vec<State>, bool) {
             (EventKind::Placement, _) => &[Retried, Placed],
             (EventKind::Admission, Phase::Begin) if e.b > 1 => &[Requeued, Placed],
             (EventKind::Admission, Phase::End) if e.d == 0 => &[Admitted, Running],
-            (EventKind::Yield, Phase::Begin) => &[Yielded],
-            (EventKind::Resume, _) => &[Running],
             (EventKind::Cancel, _) => &[Cancelled],
             (EventKind::Query, Phase::End) if !at.is_terminal() && e.d == 0 => &[Resolved],
             (EventKind::Query, Phase::End) if !at.is_terminal() => &[Failed],
@@ -108,14 +106,6 @@ impl Ctx {
         gate.wait_admission_blocked(1);
         (gate, ticket)
     }
-
-    /// Card 0's memory and one probe's default (hinted) reservation.
-    fn card0(&self, probe: &QuerySpec) -> (bwd_device::DeviceMemory, u64) {
-        let mem = self.gen.db().env().pool.devices()[0].memory().clone();
-        let est = PlanFootprint::of(self.gen.db(), &probe.plan, &probe.mode, 1)
-            .reservation(SchedConfig::default().safety_factor);
-        (mem, est.estimated)
-    }
 }
 
 fn exec_faults(max: u64, panic: bool) -> FaultPlan {
@@ -126,16 +116,6 @@ fn exec_faults(max: u64, panic: bool) -> FaultPlan {
         panic,
     };
     FaultPlan::seeded(7).site(FaultSite::Exec, spec).build()
-}
-
-/// Forced yields: every queued job is eligible for hosting at every
-/// yield point.
-fn forced(max_hosted: u32) -> PreemptConfig {
-    PreemptConfig {
-        enabled: true,
-        ratio: f64::INFINITY,
-        max_hosted,
-    }
 }
 
 /// One terminal path.
@@ -192,36 +172,20 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "cancelled while running",
-        expect: &[
-            Queued, Placed, Admitted, Running, Yielded, Running, Cancelled,
-        ],
+        expect: &[Queued, Placed, Admitted, Running, Cancelled],
         faults: FaultPlan::disabled,
-        config: |c| {
-            c.aging_threshold = 0;
-            c.preempt = forced(64);
-        },
+        config: NO_CONFIG,
         drive: |ctx| {
-            // The job under test blocks inside admission; once through,
-            // it hosts the queued scan at its first yield point, and the
-            // scan's completion — on the worker's own thread, while the
-            // host is paused holding its permit — cancels the host, which
-            // stops at its next yield point.
+            // The cancel lands while the job waits inside admission,
+            // which does not poll it; admitted, the job runs, and the
+            // engine's first yield point stops it.
             let gate = Gate::block(ctx.gen.db(), 0).unwrap();
-            let (host, scan) = (ctx.gen.short(), ctx.gen.long());
-            let host = ctx.submit(&ctx.subject, &host, gate.submit_options());
+            let q = ctx.gen.short();
+            let running = ctx.submit(&ctx.subject, &q, gate.submit_options());
             gate.wait_admission_blocked(1);
-            let host = Arc::new(Mutex::new(host));
-            let hosted = ctx.submit(&ctx.helper, &scan, Default::default());
-            let cancel = Arc::clone(&host);
-            hosted.set_waker(move || cancel.lock().unwrap().cancel());
+            running.cancel();
             gate.release();
-            hosted.wait().unwrap();
-            let stopped = loop {
-                if let Some(result) = host.lock().unwrap().poll() {
-                    break result;
-                }
-                std::thread::yield_now();
-            };
+            let stopped = running.wait();
             assert!(matches!(stopped, Err(BwdError::Cancelled)), "{stopped:?}");
         },
     },
@@ -326,35 +290,27 @@ const CASES: &[Case] = &[
         },
     },
     Case {
-        name: "hosted would-block -> requeue -> ok",
-        expect: &[
-            Queued, Placed, Requeued, Queued, Placed, Admitted, Running, Resolved,
-        ],
+        name: "pinned, the reservation faults",
+        // A pinned job has no other card to retry on.
+        expect: &[Queued, Placed, Failed],
         faults: FaultPlan::disabled,
-        config: |c| {
-            c.aging_threshold = 0;
-            c.preempt = forced(1);
-        },
+        config: NO_CONFIG,
         drive: |ctx| {
-            // Card 0 has room for two probes' reservations less one
-            // byte: hosted inside the paused first probe, the second
-            // one's non-blocking request cannot fit.
-            let (host, q) = (ctx.gen.short(), ctx.gen.short());
-            let (mem, bytes) = ctx.card0(&q);
-            let hold = mem.alloc(mem.available() - (2 * bytes - 1)).unwrap();
-            let gate = mem.alloc(2 * bytes - 1).unwrap();
-            let host = ctx.submit(&ctx.helper, &host, Ctx::pinned(0));
-            while mem.queued() < 1 {
-                std::thread::yield_now();
-            }
-            let hosted = ctx.submit(&ctx.subject, &q, Ctx::pinned(0));
-            drop(gate);
-            host.wait().unwrap();
-            assert_eq!(
-                hosted.wait().unwrap().rows,
-                ctx.gen.reference(&q).unwrap().rows
-            );
-            drop(hold);
+            let once = FaultSpec {
+                ppm: 1_000_000,
+                skip: 0,
+                max: 1,
+                panic: false,
+            };
+            let fault = FaultPlan::seeded(3)
+                .site(FaultSite::DeviceAlloc, once)
+                .build();
+            ctx.gen.db().env().pool.devices()[0]
+                .memory()
+                .arm_faults(fault);
+            let q = ctx.gen.short();
+            let err = ctx.submit(&ctx.subject, &q, Ctx::pinned(0)).wait();
+            assert!(matches!(err, Err(BwdError::DeviceFault(_))), "{err:?}");
         },
     },
     Case {
@@ -450,8 +406,6 @@ fn check_counters(traces: &[QueryTrace], metrics: &str) {
         ("errors_total", states(Cancelled) + states(Failed)),
         ("cancelled_total", states(Cancelled)),
         ("retries_total", states(Retried)),
-        ("preemptions_total", states(Yielded)),
-        ("preempt_requeues_total", edges((Requeued, Queued))),
         ("device_offline_total", events(EventKind::DeviceDown)),
         ("device_recovered_total", events(EventKind::DeviceUp)),
         ("queue_wait_us_count", walks.len() as u64),
@@ -473,6 +427,7 @@ fn check_counters(traces: &[QueryTrace], metrics: &str) {
 
 #[test]
 fn every_trace_walks_the_table_and_every_exit_gives_the_card_back() {
+    let mut walked = HashSet::new();
     for case in CASES {
         let mut env = Env::multi_gpu(2);
         env.fault = (case.faults)();
@@ -514,9 +469,14 @@ fn every_trace_walks_the_table_and_every_exit_gives_the_card_back() {
             if record.session == ctx.subject.id() {
                 subject_walk = walk;
             }
+            walked.extend(walk.windows(2).map(|p| (p[0], p[1])));
         }
         assert_eq!(subject_walk, case.expect, "{}", case.name);
         let traces: Vec<_> = records.into_iter().map(|r| r.trace).collect();
         check_counters(&traces, &sched.metrics_snapshot());
     }
+    // Every walked edge is legal (`check_walk`), so this is the union of
+    // the walks equalling the table.
+    let unwalked: Vec<_> = LEGAL.iter().filter(|e| !walked.contains(e)).collect();
+    assert!(unwalked.is_empty(), "no row walks {unwalked:?}");
 }

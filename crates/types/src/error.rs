@@ -13,11 +13,6 @@ pub enum BwdError {
     DeviceOutOfMemory { requested: u64, available: u64 },
     /// A blocking device-memory reservation waited past its deadline.
     AdmissionTimeout { requested: u64, waited_ms: u64 },
-    /// A non-blocking device-memory reservation did not fit immediately.
-    /// Raised only by nested (preempted) executions, which must never
-    /// block inside admission while a host job is paused; the scheduler
-    /// intercepts it and re-queues the job — sessions never observe it.
-    AdmissionWouldBlock { requested: u64 },
     /// A device buffer handle was used after being freed or with the wrong device.
     InvalidBuffer(String),
     /// Mismatched or unsupported data types in an operator or expression.
@@ -70,10 +65,6 @@ impl fmt::Display for BwdError {
             } => write!(
                 f,
                 "device admission timed out: reservation of {requested} bytes still queued after {waited_ms} ms"
-            ),
-            BwdError::AdmissionWouldBlock { requested } => write!(
-                f,
-                "device admission would block: reservation of {requested} bytes does not fit now"
             ),
             BwdError::InvalidBuffer(m) => write!(f, "invalid device buffer: {m}"),
             BwdError::TypeMismatch(m) => write!(f, "type mismatch: {m}"),

@@ -10,14 +10,17 @@
 //!   fault-free serial reference. The same seed reproduces the same
 //!   offline/retry/recovery transcript.
 //! * **Forced failover** — one card permanently dead mid-workload: the
-//!   batch completes entirely on the survivor with zero lost tickets.
+//!   batch completes entirely on the survivor with zero lost tickets; a
+//!   job that ran over its hinted budget before its card faulted asks
+//!   the next card for the worst case straight away.
 //! * **Cancellation and deadlines** — a running query cancelled through
 //!   its [`Ticket`] stops at the next morsel-boundary yield point and
 //!   releases its device reservation; a zero-budget deadline resolves as
 //!   a typed error without ever executing.
 //!   Both are also observed *inside* the query tail, between two 32 k-row
 //!   slices of the group/aggregate stage, and so is an injected exec
-//!   fault.
+//!   fault; a hook that lets the query through is polled once per slice
+//!   and changes nothing.
 //! * **Panic isolation** — an injected executor panic becomes a per-query
 //!   error with balanced device accounting; the scheduler keeps serving.
 //! * **Net-level disconnect** — a peer whose transport dies mid-flight
@@ -28,18 +31,20 @@
 //! No sleeps: every wait is on *state*, with a wall-clock bail-out only
 //! to turn a deadlock into a loud failure.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bwd_bench::workload::{Gate, WorkloadGen, WorkloadSpec};
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
+use waste_not::device::YieldPoint;
 use waste_not::engine::Database;
 use waste_not::net::{
     duplex, FaultyTransport, Frame, FrameDecoder, IoEvent, NetConfig, NetServer, Transport,
     WireMode,
 };
 use waste_not::obs::Clock;
-use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
+use waste_not::sched::{PlanFootprint, SchedConfig, Scheduler, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::{BwdError, Env, ExecMode, FaultPlan, FaultSite, FaultSpec, QueryResult, Value};
 
@@ -236,6 +241,88 @@ fn dead_card_drains_batch_onto_survivor() {
     assert!(metric(&m, "bwd_sched_retries_total") >= 3);
 }
 
+/// A hint proven wrong stays wrong across a failover. With a safety
+/// factor of 1e-6 a probe's hinted reservation is the kernel scratch plus
+/// one candidate pair, so on card 0 it runs over its budget and asks
+/// again at the worst case; that second reservation faults, and on card
+/// 1 the job asks for the worst case on its first attempt instead of
+/// re-running at the budget it already blew.
+#[test]
+fn an_over_budget_job_asks_the_next_card_for_the_worst_case() {
+    let spec = WorkloadSpec {
+        short_rows: 4_000,
+        domain: 4_000,
+        ..small_spec()
+    };
+    let mut gen = WorkloadGen::with_env(0x0B5E, spec, Env::multi_gpu(2)).unwrap();
+    let probe = gen.short();
+    let safety_factor = 1e-6;
+    let est = PlanFootprint::of(gen.db(), &probe.plan, &probe.mode, 1).reservation(safety_factor);
+    assert!(est.estimated < est.worst_case);
+    let sched = Scheduler::new(
+        Arc::clone(gen.db()),
+        SchedConfig {
+            workers: 1,
+            safety_factor,
+            ..SchedConfig::default()
+        },
+    );
+    // Card 0's first reservation (the hint) goes through, its second (the
+    // worst case) faults.
+    let second = FaultSpec {
+        ppm: 1_000_000,
+        skip: 1,
+        max: 1,
+        panic: false,
+    };
+    gen.db().env().pool.devices()[0].memory().arm_faults(
+        FaultPlan::seeded(9)
+            .site(FaultSite::DeviceAlloc, second)
+            .build(),
+    );
+
+    let traced = SubmitOptions {
+        trace: Some(true),
+        ..SubmitOptions::default()
+    };
+    let ticket = sched
+        .session()
+        .submit_with(probe.plan.clone(), probe.mode.clone(), traced);
+    let (got, _, trace) = ticket.wait_traced().unwrap();
+    assert_bit_identical(&got, &gen.reference(&probe).unwrap(), "failed over");
+
+    // Placements `(device, bytes)` and admission attempts `(bytes,
+    // attempt)`, in order.
+    trace.validate().unwrap();
+    let steps: Vec<(&str, u64, u64)> = (trace.events.iter())
+        .filter_map(|e| match (e.kind, e.phase) {
+            (waste_not::obs::EventKind::Placement, _) => Some(("placed", e.a, e.b)),
+            (waste_not::obs::EventKind::Admission, waste_not::obs::Phase::Begin) => {
+                Some(("asked", e.a, e.b))
+            }
+            _ => None,
+        })
+        .collect();
+    let (hint, worst) = (est.estimated, est.worst_case);
+    assert_eq!(
+        steps,
+        [
+            ("placed", 0, hint),
+            ("asked", hint, 1),
+            ("asked", worst, 2),
+            ("placed", 1, worst),
+            ("asked", worst, 1),
+        ]
+    );
+    let stats = sched.stats();
+    assert_eq!(stats.admission_requeues, 1, "one run over budget, ever");
+    assert_eq!(stats.devices[1].queries, 1);
+    assert_eq!(
+        metric(&sched.metrics_snapshot(), "bwd_sched_retries_total"),
+        1
+    );
+}
+
 /// A database with one big table and a prepared filtered-sum plan —
 /// large enough that an A&R execution spans many yield-point intervals.
 /// (A sum, not a count: a bare count reads no position, and its tail
@@ -307,17 +394,10 @@ fn cancel_stops_running_query_and_releases_reservation() {
     assert_eq!(metric(&m, "bwd_sched_cancelled_total"), 1);
 }
 
-/// The query tail polls cancellation and the fault plan between slices:
-/// a selection-free grouped aggregate — whose tail *is* the query — stops
-/// with the typed error right at the slice boundary where the cancel (or
-/// the injected card fault) lands, in both pipes, and a run the chaos
-/// leaves alone is bit-identical to a plain one.
-#[test]
-fn cancel_and_exec_fault_stop_a_query_between_tail_slices() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use waste_not::core::plan::ScalarExpr;
-
-    let rows = (5 * waste_not::engine::tail::SLICE_ROWS + 17) as i32; // six slices
+/// A selection-free grouped sum over six 32 k-row tail slices: its tail
+/// *is* the query.
+fn six_slice_table() -> (Database, waste_not::core::plan::ArPlan) {
+    let rows = (5 * waste_not::engine::tail::SLICE_ROWS + 17) as i32;
     let mut db = Database::new();
     let g = Column::from_i32((0..rows).map(|i| i % 7).collect());
     let v = Column::from_i32((0..rows).map(|i| i * 13 % 1000).collect());
@@ -325,13 +405,23 @@ fn cancel_and_exec_fault_stop_a_query_between_tail_slices() {
         .unwrap();
     let sum = AggExpr {
         func: AggFunc::Sum,
-        arg: Some(ScalarExpr::col("v")),
+        arg: Some(waste_not::core::plan::ScalarExpr::col("v")),
         alias: "s".into(),
     };
     let plan = LogicalPlan::scan("t").aggregate(vec!["g".into()], vec![sum]);
     let plan = db.bind(&plan, &Default::default()).unwrap();
     db.auto_bind(&plan).unwrap();
+    (db, plan)
+}
 
+/// The query tail polls cancellation and the fault plan between slices:
+/// a selection-free grouped aggregate — whose tail *is* the query — stops
+/// with the typed error right at the slice boundary where the cancel (or
+/// the injected card fault) lands, in both pipes, and a run the chaos
+/// leaves alone is bit-identical to a plain one.
+#[test]
+fn cancel_and_exec_fault_stop_a_query_between_tail_slices() {
+    let (db, plan) = six_slice_table();
     // `polls` / `draws`: yield-point polls / exec fault draws before the
     // first slice (A&R: the gather boundary, then entering the tail).
     for (mode, polls, draws) in [(ExecMode::Classic, 1, 0), (ExecMode::ApproxRefine, 2, 2)] {
@@ -340,7 +430,7 @@ fn cancel_and_exec_fault_stop_a_query_between_tail_slices() {
         // Cancel lands while the third slice is in flight.
         let seen = Arc::new(AtomicUsize::new(0));
         let mut env = db.env().clone();
-        env.preempt = waste_not::device::YieldPoint::new(Arc::new({
+        env.yield_point = YieldPoint::new(Arc::new({
             let seen = Arc::clone(&seen);
             move || match seen.fetch_add(1, Ordering::Relaxed) {
                 k if k == polls + 2 => Err(BwdError::Cancelled),
@@ -371,6 +461,34 @@ fn cancel_and_exec_fault_stop_a_query_between_tail_slices() {
         // Its one fault spent, the same plan lets the query through.
         let after = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap();
         assert_bit_identical(&after, &plain, &format!("{mode:?} after the fault"));
+    }
+}
+
+/// A hook that lets the query through is polled once per tail slice,
+/// after the polls ahead of the tail (`lead`: classic enters the tail;
+/// A&R passes the gather boundary, then enters it), and changes nothing:
+/// rows, survivors, simulated costs and traffic are the plain run's.
+#[test]
+fn the_tail_polls_once_per_slice_and_an_ok_hook_changes_nothing() {
+    let (db, plan) = six_slice_table();
+    for (mode, lead) in [(ExecMode::Classic, 1), (ExecMode::ApproxRefine, 2)] {
+        let plain = db.run_bound(&plan, mode.clone()).unwrap();
+        let polls = Arc::new(AtomicUsize::new(0));
+        let mut env = db.env().clone();
+        env.yield_point = YieldPoint::new(Arc::new({
+            let polls = Arc::clone(&polls);
+            move || {
+                polls.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+        }));
+        let got = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap();
+        assert_eq!(
+            polls.load(Ordering::Relaxed),
+            lead + 6,
+            "{mode:?}: one poll per slice"
+        );
+        assert_bit_identical(&got, &plain, &format!("{mode:?} polled"));
     }
 }
 

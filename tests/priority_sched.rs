@@ -13,9 +13,7 @@
 use std::sync::Arc;
 
 use bwd_bench::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
-use waste_not::sched::{
-    JobReport, PreemptConfig, SchedConfig, Scheduler, Session, SubmitOptions, Ticket,
-};
+use waste_not::sched::{JobReport, SchedConfig, Scheduler, Session, SubmitOptions, Ticket};
 use waste_not::Value;
 
 /// The two queue orders, as aging thresholds: the default, and arrival
@@ -35,14 +33,13 @@ fn small_spec() -> WorkloadSpec {
     }
 }
 
-fn one_worker(gen: &WorkloadGen, aging_threshold: u32, preempt: PreemptConfig) -> Scheduler {
+fn one_worker(gen: &WorkloadGen, aging_threshold: u32) -> Scheduler {
     Scheduler::new(
         Arc::clone(gen.db()),
         SchedConfig {
             workers: 1,
             admission_deadline: None,
             aging_threshold,
-            preempt,
             ..SchedConfig::default()
         },
     )
@@ -60,7 +57,7 @@ fn freeze(gen: &mut WorkloadGen, session: &Session, gate: &Gate) -> Ticket {
 #[test]
 fn sjf_drains_every_short_probe_before_the_long_scans() {
     let mut gen = WorkloadGen::new(11, small_spec()).unwrap();
-    let sched = one_worker(&gen, 1000, PreemptConfig::default());
+    let sched = one_worker(&gen, 1000);
     let session = sched.session();
     let gate = Gate::block(gen.db(), 0).unwrap();
     let gate_ticket = freeze(&mut gen, &session, &gate);
@@ -111,23 +108,8 @@ fn sjf_drains_every_short_probe_before_the_long_scans() {
 
 #[test]
 fn priority_policy_overrides_the_latency_estimate() {
-    priority_beats_the_estimate(PreemptConfig::default());
-}
-
-/// A running priority-7 scan may host only queued work of priority 7 or
-/// more: the priority −1 probes are not the work the queue would run
-/// first, so enabling preemption leaves the drain order alone.
-#[test]
-fn preemption_never_hosts_below_the_paused_priority() {
-    priority_beats_the_estimate(PreemptConfig {
-        enabled: true,
-        ..Default::default()
-    });
-}
-
-fn priority_beats_the_estimate(preempt: PreemptConfig) {
     let mut gen = WorkloadGen::new(13, small_spec()).unwrap();
-    let sched = one_worker(&gen, 1000, preempt);
+    let sched = one_worker(&gen, 1000);
     let session = sched.session();
     let gate = Gate::block(gen.db(), 0).unwrap();
     let gate_ticket = freeze(&mut gen, &session, &gate);
@@ -186,7 +168,7 @@ fn priority_beats_the_estimate(preempt: PreemptConfig) {
 fn aging_bounds_bypasses_exactly_no_starvation() {
     let mut gen = WorkloadGen::new(17, small_spec()).unwrap();
     // A long scan may be overtaken by at most 4 younger jobs.
-    let sched = one_worker(&gen, 4, PreemptConfig::default());
+    let sched = one_worker(&gen, 4);
     let session = sched.session();
     let gate = Gate::block(gen.db(), 0).unwrap();
     let gate_ticket = freeze(&mut gen, &session, &gate);
@@ -272,7 +254,7 @@ fn results_and_costs_are_bit_identical_across_policies() {
 #[test]
 fn fifo_policy_regression_drains_in_exact_arrival_order() {
     let mut gen = WorkloadGen::new(29, small_spec()).unwrap();
-    let sched = one_worker(&gen, 0, PreemptConfig::default());
+    let sched = one_worker(&gen, 0);
     let session = sched.session();
     let gate = Gate::block(gen.db(), 0).unwrap();
     let gate_ticket = freeze(&mut gen, &session, &gate);
@@ -295,7 +277,7 @@ fn fifo_policy_regression_drains_in_exact_arrival_order() {
 fn dropping_a_scheduler_with_queued_jobs_resolves_tickets_under_each_policy() {
     for aging_threshold in ORDERS {
         let mut gen = WorkloadGen::new(31, small_spec()).unwrap();
-        let sched = one_worker(&gen, aging_threshold, PreemptConfig::default());
+        let sched = one_worker(&gen, aging_threshold);
         let session = sched.session();
         let gate = Gate::block(gen.db(), 0).unwrap();
         let gate_ticket = freeze(&mut gen, &session, &gate);
