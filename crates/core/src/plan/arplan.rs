@@ -56,11 +56,6 @@ pub struct ArPlan {
     pub aggs: Vec<AggExpr>,
     /// Non-aggregate output expressions.
     pub project: Vec<(ScalarExpr, String)>,
-    /// Whether the rule-based optimizer chained every approximate
-    /// selection below the refinements (§III-A). When `false`, each
-    /// selection is approximated *and refined* before the next one runs —
-    /// the pre-optimizer plan shape, kept as an ablation.
-    pub pushdown: bool,
     /// Co-factor columns the tail folds into its grouping (empty: none).
     /// The binder never sets them; the engine's bill does, where it prices
     /// the folded tail cheaper. The tail then groups by `group_by` ∪
@@ -133,7 +128,7 @@ impl ArPlan {
 
     /// The invariant behind the translucent join (§IV-A): the approximate
     /// selection chain must not be interrupted by order-changing
-    /// refinement steps when pushdown is on. The plan structure enforces
+    /// refinement steps (§III-A). The plan structure enforces
     /// this by construction; this check exists for tests and debugging.
     pub fn validate(&self) -> Result<(), String> {
         for s in &self.selections {
@@ -173,7 +168,6 @@ mod tests {
                 alias: "n".into(),
             }],
             project: vec![],
-            pushdown: true,
             fold: vec![],
         }
     }

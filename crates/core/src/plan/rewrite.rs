@@ -36,29 +36,19 @@ pub trait PlanResolver {
     }
 }
 
-/// Rewrite options.
-#[derive(Debug, Clone, Copy)]
-pub struct RewriteOptions {
-    /// Apply the §III-A pushdown rule (default on; off is the ablation).
-    pub pushdown: bool,
-}
-
-impl Default for RewriteOptions {
-    fn default() -> Self {
-        RewriteOptions { pushdown: true }
-    }
-}
+/// Rewrite options: none. Every A&R plan chains its approximate
+/// selections below the refinements (§III-A); there is no other plan
+/// shape to choose. The struct stays only because the frozen benchmark
+/// harness binds with `db.bind(&logical, &RewriteOptions::default())`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RewriteOptions {}
 
 /// Rewrite a logical plan into an A&R plan.
 ///
 /// # Errors
 /// Returns a plan error when the logical plan uses shapes outside the
 /// supported subset (disjunctions, non-FK joins, nested aggregates).
-pub fn rewrite(
-    plan: &LogicalPlan,
-    resolver: &dyn PlanResolver,
-    opts: &RewriteOptions,
-) -> Result<ArPlan> {
+pub fn rewrite(plan: &LogicalPlan, resolver: &dyn PlanResolver) -> Result<ArPlan> {
     let mut table: Option<String> = None;
     let mut selections: Vec<BoundSelection> = Vec::new();
     let mut fk_join: Option<FkJoinPlan> = None;
@@ -162,7 +152,6 @@ pub fn rewrite(
         group_by,
         aggs,
         project,
-        pushdown: opts.pushdown,
         fold: Vec::new(),
     };
     plan.validate().map_err(BwdError::Plan)?;
@@ -309,7 +298,7 @@ mod tests {
                 },
             ]))
             .aggregate(vec![], count_agg());
-        let ar = rewrite(&plan, &TestResolver, &RewriteOptions::default()).unwrap();
+        let ar = rewrite(&plan, &TestResolver).unwrap();
         assert_eq!(ar.table, "t");
         // Bound in query order with their hints; the engine orders the
         // chain (its `bill.rs` tests hold the laws of that order).
@@ -323,28 +312,6 @@ mod tests {
                 ("b", RangePred::between(0, 5), Some(0.01)),
             ]
         );
-        assert!(ar.pushdown);
-    }
-
-    #[test]
-    fn no_pushdown_preserves_query_order() {
-        let plan = LogicalPlan::scan("t")
-            .filter(Predicate::And(vec![
-                Predicate::Cmp {
-                    column: "a".into(),
-                    op: CmpOp::Gt,
-                    value: Value::Int(10),
-                },
-                Predicate::Cmp {
-                    column: "b".into(),
-                    op: CmpOp::Lt,
-                    value: Value::Int(5),
-                },
-            ]))
-            .aggregate(vec![], count_agg());
-        let ar = rewrite(&plan, &TestResolver, &RewriteOptions { pushdown: false }).unwrap();
-        assert_eq!(ar.selections[0].column, "a");
-        assert!(!ar.pushdown);
     }
 
     fn cmp(column: &str, op: CmpOp, v: i64) -> Predicate {
@@ -359,8 +326,7 @@ mod tests {
         let plan = LogicalPlan::scan("t")
             .filter(Predicate::And(conjuncts))
             .aggregate(vec![], count_agg());
-        let opts = RewriteOptions { pushdown: false };
-        rewrite(&plan, &TestResolver, &opts).unwrap().selections
+        rewrite(&plan, &TestResolver).unwrap().selections
     }
 
     #[test]
@@ -440,7 +406,7 @@ mod tests {
             ]))
             .aggregate(vec![], count_agg());
         let resolver = Counting(Default::default());
-        let ar = rewrite(&plan, &resolver, &RewriteOptions::default()).unwrap();
+        let ar = rewrite(&plan, &resolver).unwrap();
         assert_eq!(*resolver.0.borrow(), vec![RangePred::between(10, 19)]);
         assert_eq!(ar.selections[0].selectivity_hint, Some(0.25));
     }
@@ -453,7 +419,7 @@ mod tests {
                 prefix: "PROMO".into(),
             })
             .aggregate(vec![], count_agg());
-        let ar = rewrite(&plan, &TestResolver, &RewriteOptions::default()).unwrap();
+        let ar = rewrite(&plan, &TestResolver).unwrap();
         assert_eq!(ar.selections[0].range, RangePred::between(10, 19));
     }
 
@@ -467,7 +433,7 @@ mod tests {
                 value: Value::Int(7),
             })
             .aggregate(vec![], count_agg());
-        let ar = rewrite(&plan, &TestResolver, &RewriteOptions::default()).unwrap();
+        let ar = rewrite(&plan, &TestResolver).unwrap();
         assert_eq!(
             ar.fk_join,
             Some(FkJoinPlan {
@@ -487,7 +453,7 @@ mod tests {
                 value: Value::Int(1),
             })
             .aggregate(vec![], count_agg());
-        assert!(rewrite(&plan, &TestResolver, &RewriteOptions::default()).is_err());
+        assert!(rewrite(&plan, &TestResolver).is_err());
     }
 
     #[test]
@@ -496,12 +462,12 @@ mod tests {
             .fk_join("k1", "d1")
             .fk_join("k2", "d2")
             .aggregate(vec![], count_agg());
-        assert!(rewrite(&plan, &TestResolver, &RewriteOptions::default()).is_err());
+        assert!(rewrite(&plan, &TestResolver).is_err());
 
         let plan = LogicalPlan::scan("t")
             .aggregate(vec![], count_agg())
             .aggregate(vec![], count_agg());
-        assert!(rewrite(&plan, &TestResolver, &RewriteOptions::default()).is_err());
+        assert!(rewrite(&plan, &TestResolver).is_err());
     }
 
     #[test]
@@ -512,7 +478,7 @@ mod tests {
                 prefix: "NOPE".into(),
             })
             .aggregate(vec![], count_agg());
-        let ar = rewrite(&plan, &TestResolver, &RewriteOptions::default()).unwrap();
+        let ar = rewrite(&plan, &TestResolver).unwrap();
         let r = &ar.selections[0].range;
         assert!(r.lo.unwrap() > r.hi.unwrap(), "must be unsatisfiable");
     }

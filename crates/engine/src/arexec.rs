@@ -22,16 +22,13 @@
 //!    configurations are the case *undecided = ∅*. See ARCHITECTURE.md,
 //!    "Decided and undecided candidates".
 //!
-//! The `pushdown: false` ablation interleaves refinement with the
-//! selection chain, paying a PCI-E round trip per predicate (§III-A).
-//!
 //! What the model bills as oid lists the host never builds: past the
 //! selection chain the candidates stay in the representation the chain
 //! produced, read a window at a time through [`Positions`]; refinement's
 //! verdict is positional; the only list-shaped state is O(undecided). See
 //! ARCHITECTURE.md, "The query tail".
 
-use crate::bill::{ArShape, Counts, Grouping, RefineCounts, StepCounts, Transient};
+use crate::bill::{ArShape, Counts, Grouping, RefineCounts, Transient};
 use crate::database::Database;
 use crate::eval::RowBlock;
 use crate::morsel::{
@@ -312,73 +309,29 @@ impl<'a> Run<'a> {
         let (plan, env, n) = (self.shape.plan, self.env, self.counts.rows as usize);
         let mut a = Approx::default();
         for i in 0..plan.selections.len() {
-            // With pushdown the approximate selections chain on the device,
-            // in either representation (a dim step tests `arr[link[row]]` for
-            // each still-live bit, so no round-trip happens mid-chain). The
-            // ablation refined the previous step already and uploads its
-            // survivors; every step's candidates are materialized for the
-            // immediate refinement anyway, so it runs on indices.
-            let uploaded = match (plan.pushdown, &a.output) {
-                (false, Some(SelVec::Indices(prev))) => {
-                    let kept = |&oid: &Oid| !marked(&a.undecided_bits, oid);
-                    let oids: Vec<Oid> = prev.oids.iter().copied().filter(kept).collect();
-                    a.undecided_bits.clear();
-                    Some(SelVec::Indices(Candidates::from_pairs(oids, Vec::new())))
-                }
-                _ => None,
-            };
-            let (input, rep) = match plan.pushdown {
-                true => (a.output.as_ref(), self.opts.candidates),
-                false => (uploaded.as_ref(), CandidateRep::Indices),
-            };
-            let mut step = StepCounts {
-                input: input.map_or(n, SelVec::len) as u64,
-                candidates: 0,
-            };
-            self.counts.steps.push(step);
-            self.shape
-                .upload_survivors(i, &self.counts, env, self.ledger);
-            let probe = self.begin(EventKind::ApproxSelect, step.input, self.chain[i] as u64);
+            // The approximate selections chain on the device, in either
+            // representation (a dim step tests `arr[link[row]]` for each
+            // still-live bit, so no round-trip happens mid-chain).
+            let input = self.counts.input(i);
+            let probe = self.begin(EventKind::ApproxSelect, input, self.chain[i] as u64);
             let cands = approx_select_step(
                 env,
                 &self.shape,
                 i,
-                input,
+                a.output.as_ref(),
                 &self.opts.scan,
                 self.morsels,
-                rep,
+                self.opts.candidates,
                 probe.span,
                 &self.pool,
                 &mut a.undecided_bits,
             );
-            step.candidates = cands.len() as u64;
-            self.counts.steps[i] = step;
+            let kept = cands.len() as u64;
+            self.counts.steps.push(kept);
             self.shape.select(i, &self.counts, env, self.ledger);
             let rep_bit = u64::from(matches!(cands, SelVec::Bitmap(_)));
-            probe.end(&self.obs, self.ledger, step.candidates, rep_bit);
-            self.transient.charge(Transient::list(step.candidates))?;
-            if let (false, SelVec::Indices(list)) = (plan.pushdown, &cands) {
-                // Ablation: refine before the next selection runs — survivors
-                // re-cross PCI-E per predicate (§III-A).
-                let is_undecided = |&oid: &Oid| marked(&a.undecided_bits, oid);
-                a.undecided = list.oids.iter().copied().filter(is_undecided).collect();
-                let live = a.undecided.len() as u64;
-                let probe = self.begin(EventKind::Refine, step.candidates, i as u64);
-                let kept = match a.undecided.is_empty() {
-                    true => Vec::new(),
-                    false => self.refine_selection(i, &a.undecided),
-                };
-                let kept_len = kept.len() as u64;
-                self.counts.refines.push(RefineCounts {
-                    live,
-                    kept: kept_len,
-                });
-                self.shape.refine_ablated(i, &self.counts, env, self.ledger);
-                unmark(&mut a.undecided_bits, &kept);
-                let out = step.candidates - live + kept_len;
-                probe.end(&self.obs, self.ledger, out, live);
-                a.refined = Some(kept);
-            }
+            probe.end(&self.obs, self.ledger, kept, rep_bit);
+            self.transient.charge(Transient::list(kept))?;
             a.output = Some(cands);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
             env.yield_point.check()?; // between approximate-selection steps
@@ -398,9 +351,8 @@ impl<'a> Run<'a> {
         self.counts.dense = cands.dense();
         a.grouper = (self.shape.grouping == Grouping::Hash).then(|| Grouper::new(&self.keys()));
         // One pass over the candidates feeds both consumers that need every
-        // one of them: the undecided list (the ablation listed its own per
-        // step) and the grouping table.
-        let list_undecided = plan.pushdown && !a.undecided_bits.is_empty();
+        // one of them: the undecided list and the grouping table.
+        let list_undecided = !a.undecided_bits.is_empty();
         if list_undecided || a.grouper.is_some() {
             let mut cursor = cands.cursor(0..cands.span());
             let mut window = self.pool.take_u32();
@@ -432,36 +384,29 @@ impl<'a> Run<'a> {
     /// transfer carries everything the host needs, then the selections
     /// that can leave a candidate undecided re-test last-to-first, the
     /// live set shrinking monotonically; a plan without undecided
-    /// candidates has no refinement step at all. (The ablation refined
-    /// per step.) A device tail then gets one survivor bit per undecided
-    /// candidate back.
+    /// candidates has no refinement step at all. A device tail then gets
+    /// one survivor bit per undecided candidate back.
     fn refine(&mut self, a: &mut Approx<'_>) -> Result<()> {
-        let (plan, env, decided) = (self.shape.plan, self.env, self.counts.decided());
+        let (env, decided) = (self.env, self.counts.decided());
         self.shape.download(&self.counts, env, self.ledger);
-        if plan.pushdown {
-            for (k, i) in self
-                .shape
-                .refine_order(&self.counts)
-                .into_iter()
-                .enumerate()
-            {
-                let live = a.refined.as_deref().unwrap_or(&a.undecided);
-                let live_len = live.len() as u64;
-                let probe = self.begin(EventKind::Refine, decided + live_len, i as u64);
-                let kept = self.refine_selection(i, live);
-                let kept_len = kept.len() as u64;
-                self.counts.refines.push(RefineCounts {
-                    live: live_len,
-                    kept: kept_len,
-                });
-                self.shape.refine_step(k, &self.counts, env, self.ledger);
-                probe.end(&self.obs, self.ledger, decided + kept_len, live_len);
-                a.refined = Some(kept);
-                env.fault.check(FaultSite::Exec)?; // the card may die between steps
-                env.yield_point.check()?; // between refinement steps
-            }
-            unmark(&mut a.undecided_bits, a.refined.as_deref().unwrap_or(&[]));
+        let order = self.shape.refine_order(&self.counts);
+        for (k, i) in order.into_iter().enumerate() {
+            let live = a.refined.as_deref().unwrap_or(&a.undecided);
+            let live_len = live.len() as u64;
+            let probe = self.begin(EventKind::Refine, decided + live_len, i as u64);
+            let kept = self.refine_selection(i, live);
+            let kept_len = kept.len() as u64;
+            self.counts.refines.push(RefineCounts {
+                live: live_len,
+                kept: kept_len,
+            });
+            self.shape.refine_step(k, &self.counts, env, self.ledger);
+            probe.end(&self.obs, self.ledger, decided + kept_len, live_len);
+            a.refined = Some(kept);
+            env.fault.check(FaultSite::Exec)?; // the card may die between steps
+            env.yield_point.check()?; // between refinement steps
         }
+        unmark(&mut a.undecided_bits, a.refined.as_deref().unwrap_or(&[]));
         let refined = a.refined.as_ref().map_or(a.undecided.len(), Vec::len);
         self.counts.survivors = decided + refined as u64;
         self.shape.upload(&self.counts, env, self.ledger);
@@ -877,7 +822,6 @@ pub(crate) mod tests {
         device_bits: u32,
         grouped: bool,
         aggs: Vec<AggExpr>,
-        pushdown: bool,
     ) -> (Database, ArPlan) {
         let ints = |f: &dyn Fn(i32) -> i32| Column::from_i32((0..rows).map(f).collect());
         let mut db = Database::new();
@@ -897,9 +841,7 @@ pub(crate) mod tests {
                 value: Value::Int(cut as i64),
             })
             .aggregate(group_by, aggs);
-        let plan = db
-            .bind(&plan, &bwd_core::plan::RewriteOptions { pushdown })
-            .unwrap();
+        let plan = db.bind(&plan, &Default::default()).unwrap();
         db.auto_bind(&plan).unwrap();
         (db, plan)
     }
@@ -910,9 +852,8 @@ pub(crate) mod tests {
         device_bits: u32,
         grouped: bool,
         aggs: Vec<AggExpr>,
-        pushdown: bool,
     ) -> Vec<CostEvent> {
-        let (db, plan) = table_and_plan(shape, device_bits, grouped, aggs, pushdown);
+        let (db, plan) = table_and_plan(shape, device_bits, grouped, aggs);
         let mut ledger = CostLedger::with_trace();
         let opts = ArExecOptions::default();
         let r = run_ar_sliced(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
@@ -922,9 +863,9 @@ pub(crate) mod tests {
         ledger.events().to_vec()
     }
 
-    /// `select g, sum(<summed>), count(*) … group by g`, pushdown on.
+    /// `select g, sum(<summed>), count(*) … group by g`.
     fn grouped_bill(shape: (i32, i32, i32), device_bits: u32, summed: &str) -> Vec<CostEvent> {
-        bill(shape, device_bits, true, sum_and_count(summed), true)
+        bill(shape, device_bits, true, sum_and_count(summed))
     }
 
     fn labels_and_bytes(bill: &[CostEvent]) -> Vec<(&str, u64)> {
@@ -1035,7 +976,7 @@ pub(crate) mod tests {
     /// replica has four slots — and two result rows come home.
     #[test]
     fn contention_is_priced_on_the_occupied_slots() {
-        let (db, plan) = table_and_plan((1000, 4, 1), 32, true, sum_and_count("v"), true);
+        let (db, plan) = table_and_plan((1000, 4, 1), 32, true, sum_and_count("v"));
         let mut ledger = CostLedger::with_trace();
         let opts = ArExecOptions::default();
         let (r, counts, _) =
@@ -1064,7 +1005,7 @@ pub(crate) mod tests {
     /// requeues on. (`d` summed at 24/8 puts the tail on the host, §IV-G.)
     #[test]
     fn a_hash_pregroupings_ids_are_held_and_reserved() {
-        let (db, plan) = table_and_plan(Q1_SHAPED, 24, true, sum_and_count("d"), true);
+        let (db, plan) = table_and_plan(Q1_SHAPED, 24, true, sum_and_count("d"));
         let run = |device_budget| {
             let opts = ArExecOptions {
                 device_budget,
@@ -1096,7 +1037,7 @@ pub(crate) mod tests {
     fn a_bare_count_keeps_the_parents_bill() {
         let count = || vec![agg(AggFunc::Count, None)];
         assert_eq!(
-            bits(&bill(Q1_SHAPED, 24, false, count(), true)),
+            bits(&bill(Q1_SHAPED, 24, false, count())),
             [
                 ("select.approx.scan", 3610, 0x3ee132576b20e04a),
                 ("select.refine.download", 1104, 0x3ee9c080c2610076),
@@ -1106,7 +1047,7 @@ pub(crate) mod tests {
             ]
         );
         assert_eq!(
-            bits(&bill(Q1_SHAPED, 32, false, count(), true)),
+            bits(&bill(Q1_SHAPED, 32, false, count())),
             [
                 ("select.approx.scan", 4400, 0x3ee132576b20e04a),
                 ("aggregate.eval", 0, 0x3e9828c0be769dc1),
@@ -1115,8 +1056,8 @@ pub(crate) mod tests {
         );
     }
 
-    /// Whatever the split, the cut, the grouping, the summed column or the
-    /// pushdown arm: a tail over device-resident columns bills the host for
+    /// Whatever the split, the cut, the grouping or the summed column: a
+    /// tail over device-resident columns bills the host for
     /// refinement only, moves nothing but the undecided list, its survivor
     /// bits and the partials, and folds on the device exactly what the
     /// all-resident run folds.
@@ -1126,29 +1067,14 @@ pub(crate) mod tests {
             let evals = bill.iter().filter(|e| e.label == "aggregate.eval");
             evals.map(|e| e.seconds.to_bits()).collect()
         };
-        for (grouped, summed, pushdown) in [
-            (false, "v", true),
-            (false, "g", false),
-            (true, "v", false),
-            (true, "g", true),
-            (true, "v", true),
-        ] {
+        for (grouped, summed) in [(false, "v"), (false, "g"), (true, "v"), (true, "g")] {
             // Every cut keeps a survivor in each group: the contention is
             // priced on the slots some survivor folds into.
             for cut in [3, 255, 256, 599, 998, 999] {
-                let run = |bits| {
-                    bill(
-                        (1000, 4, cut),
-                        bits,
-                        grouped,
-                        sum_and_count(summed),
-                        pushdown,
-                    )
-                };
+                let run = |bits| bill((1000, 4, cut), bits, grouped, sum_and_count(summed));
                 let resident = run(32);
                 for device_bits in [8, 16, 24, 31, 32] {
-                    let tag =
-                        format!("{device_bits} bits, d <= {cut}, {grouped} {summed} {pushdown}");
+                    let tag = format!("{device_bits} bits, d <= {cut}, {grouped} {summed}");
                     let bill = run(device_bits);
                     for e in &bill {
                         let allowed: &[&str] = match e.component {
@@ -1157,7 +1083,6 @@ pub(crate) mod tests {
                                 "select.refine.download",
                                 "select.refine.upload",
                                 "aggregate.download",
-                                "select.approx.upload-survivors",
                             ],
                             Component::Device => &[
                                 "select.approx.scan",
@@ -1209,7 +1134,7 @@ pub(crate) mod tests {
         };
         let k = 600u64;
         let classic = |aggs: Vec<AggExpr>| {
-            let (db, plan) = table_and_plan(Q1_SHAPED, 32, true, aggs, true);
+            let (db, plan) = table_and_plan(Q1_SHAPED, 32, true, aggs);
             let (mut ledger, env) = (CostLedger::with_trace(), db.env());
             run_classic_sliced(db.catalog(), &plan, None, env, 1, SLICE_ROWS, &mut ledger).unwrap();
             let tail = ledger.events().iter().map(|e| (e.label.clone(), e.bytes));
@@ -1228,7 +1153,7 @@ pub(crate) mod tests {
         // accumulators per group after 10 primitives per row.
         let (env, spec) = (Env::paper_default(), DeviceSpec::gtx680());
         let eval = |device_bits| {
-            let bill = bill(Q1_SHAPED, device_bits, true, q1(), true);
+            let bill = bill(Q1_SHAPED, device_bits, true, q1());
             let mut evals = bill.into_iter().filter(|e| e.label == "aggregate.eval");
             let eval = evals.next().unwrap();
             assert!(evals.next().is_none());
@@ -1272,8 +1197,8 @@ pub(crate) mod tests {
     /// in candidate order — per simulated thread block in emission order,
     /// ascending inside one; ascending in the classic pipe — whatever holds
     /// the candidates, however many workers walk them in whatever slices;
-    /// and the bill of either pushdown arm is the parent commit's to the
-    /// bit, in every representation.
+    /// and the bill is the parent commit's to the bit, in every
+    /// representation.
     #[test]
     fn projections_keep_candidate_order_and_the_parents_bill() {
         let db = permuted();
@@ -1301,63 +1226,45 @@ pub(crate) mod tests {
         let scrambled: Vec<_> = emission.filter(kept).map(row).collect();
         assert_ne!(ascending, scrambled);
         // (breakdown, traffic) as dumped at the parent commit.
-        let parents = [
-            (
-                true,
-                [0x3f07305e9cb7690a, 0x3f1152346b9ca520, 0x3f05b87cd10b6b80],
-                [99435, 29040, 21444],
-            ),
-            (
-                false,
-                [0x3f02f564c156bf2c, 0x3f1161e8827ed8a0, 0x3f138a28a78070be],
-                [97455, 28487, 57425],
-            ),
-        ];
-        for (pushdown, breakdown, traffic) in parents {
-            let plan = db
-                .bind(&logical, &bwd_core::plan::RewriteOptions { pushdown })
-                .unwrap();
-            for morsels in [1, 2, 4] {
-                for slice_rows in [1, 1000, SLICE_ROWS] {
-                    let (mut ledger, env) = (CostLedger::new(), db.env());
-                    let classic = run_classic_sliced(
-                        db.catalog(),
-                        &plan,
-                        None,
-                        env,
+        let (breakdown, traffic) = (
+            [0x3f07305e9cb7690a, 0x3f1152346b9ca520, 0x3f05b87cd10b6b80],
+            [99435, 29040, 21444],
+        );
+        let plan = db.bind(&logical, &Default::default()).unwrap();
+        for morsels in [1, 2, 4] {
+            for slice_rows in [1, 1000, SLICE_ROWS] {
+                let (mut ledger, env) = (CostLedger::new(), db.env());
+                let classic = run_classic_sliced(
+                    db.catalog(),
+                    &plan,
+                    None,
+                    env,
+                    morsels,
+                    slice_rows,
+                    &mut ledger,
+                );
+                assert_eq!(classic.unwrap().rows, ascending, "{morsels} x {slice_rows}");
+                for candidates in [
+                    CandidateRep::Auto,
+                    CandidateRep::Indices,
+                    CandidateRep::Bitmap,
+                ] {
+                    let opts = ArExecOptions {
+                        scan,
+                        candidates,
                         morsels,
-                        slice_rows,
-                        &mut ledger,
-                    );
-                    assert_eq!(classic.unwrap().rows, ascending, "{morsels} x {slice_rows}");
-                    for candidates in [
-                        CandidateRep::Auto,
-                        CandidateRep::Indices,
-                        CandidateRep::Bitmap,
-                    ] {
-                        let opts = ArExecOptions {
-                            scan,
-                            candidates,
-                            morsels,
-                            ..Default::default()
-                        };
-                        let r = run_ar_sliced(
-                            &db,
-                            &plan,
-                            &opts,
-                            env,
-                            slice_rows,
-                            &mut CostLedger::new(),
-                        )
-                        .unwrap();
-                        let tag = format!("{pushdown} {candidates:?} {morsels} x {slice_rows}");
-                        assert_eq!(r.rows, scrambled, "{tag}");
-                        let b = r.breakdown;
-                        let bits = [b.device, b.host, b.pcie].map(f64::to_bits);
-                        assert_eq!(bits, breakdown, "{tag}: {bits:#x?}");
-                        let t = r.traffic;
-                        assert_eq!([t.device, t.host, t.pcie], traffic, "{tag}");
-                    }
+                        ..Default::default()
+                    };
+                    let r =
+                        run_ar_sliced(&db, &plan, &opts, env, slice_rows, &mut CostLedger::new())
+                            .unwrap();
+                    let tag = format!("{candidates:?} {morsels} x {slice_rows}");
+                    assert_eq!(r.rows, scrambled, "{tag}");
+                    let b = r.breakdown;
+                    let bits = [b.device, b.host, b.pcie].map(f64::to_bits);
+                    assert_eq!(bits, breakdown, "{tag}: {bits:#x?}");
+                    let t = r.traffic;
+                    assert_eq!([t.device, t.host, t.pcie], traffic, "{tag}");
                 }
             }
         }
@@ -1391,44 +1298,34 @@ pub(crate) mod tests {
                 ),
             ];
             for (logical, rows) in shapes {
-                for pushdown in [true, false] {
-                    let plan = db
-                        .bind(&logical, &bwd_core::plan::RewriteOptions { pushdown })
-                        .unwrap();
-                    let env = db.env();
-                    let classic = run_classic_sliced(
-                        db.catalog(),
-                        &plan,
-                        None,
-                        env,
-                        1,
-                        SLICE_ROWS,
-                        &mut CostLedger::new(),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        (classic.rows, classic.survivors),
-                        (rows.clone(), 0),
-                        "{plan:?}"
-                    );
-                    for candidates_rep in [CandidateRep::Indices, CandidateRep::Bitmap] {
-                        let opts = ArExecOptions {
-                            candidates: candidates_rep,
-                            approximate_answer: true,
-                            ..Default::default()
-                        };
-                        let r = run_ar_sliced(
-                            &db,
-                            &plan,
-                            &opts,
-                            env,
-                            SLICE_ROWS,
-                            &mut CostLedger::new(),
-                        )
-                        .unwrap();
-                        assert_eq!((r.rows, r.survivors), (rows.clone(), 0), "{plan:?}");
-                        assert_eq!(r.approx.unwrap().candidate_count, candidates, "{plan:?}");
-                    }
+                let plan = db.bind(&logical, &Default::default()).unwrap();
+                let env = db.env();
+                let classic = run_classic_sliced(
+                    db.catalog(),
+                    &plan,
+                    None,
+                    env,
+                    1,
+                    SLICE_ROWS,
+                    &mut CostLedger::new(),
+                )
+                .unwrap();
+                assert_eq!(
+                    (classic.rows, classic.survivors),
+                    (rows.clone(), 0),
+                    "{plan:?}"
+                );
+                for candidates_rep in [CandidateRep::Indices, CandidateRep::Bitmap] {
+                    let opts = ArExecOptions {
+                        candidates: candidates_rep,
+                        approximate_answer: true,
+                        ..Default::default()
+                    };
+                    let r =
+                        run_ar_sliced(&db, &plan, &opts, env, SLICE_ROWS, &mut CostLedger::new())
+                            .unwrap();
+                    assert_eq!((r.rows, r.survivors), (rows.clone(), 0), "{plan:?}");
+                    assert_eq!(r.approx.unwrap().candidate_count, candidates, "{plan:?}");
                 }
             }
         }

@@ -50,16 +50,6 @@ use bwd_storage::Column;
 use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, Result};
 
-/// One selection step: what it read and what it kept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepCounts {
-    /// Rows tested: the relation, then the previous step's candidates
-    /// (their refined survivors in the `pushdown: false` ablation).
-    pub input: u64,
-    /// Candidates emitted (classic: exact survivors).
-    pub candidates: u64,
-}
-
 /// One host refinement: the undecided candidates it re-tested and kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefineCounts {
@@ -75,16 +65,15 @@ pub struct RefineCounts {
 pub struct Counts {
     /// Rows of the fact table.
     pub rows: u64,
-    /// The selection chain, in chain order.
-    pub steps: Vec<StepCounts>,
+    /// The selection chain, in chain order: the candidates each step
+    /// emitted (classic: exact survivors).
+    pub steps: Vec<u64>,
     /// Whether the final candidates are exactly rows `0..candidates()` in
     /// ascending order — a gather over them streams instead of scattering.
     pub dense: bool,
-    /// Final candidates some selection's approximation left undecided (in
-    /// the ablation: the last step's).
+    /// Final candidates some selection's approximation left undecided.
     pub undecided: u64,
-    /// With pushdown one per entry of [`ArShape::refine_order`]; in the
-    /// ablation one per selection, in chain order.
+    /// One per entry of [`ArShape::refine_order`].
     pub refines: Vec<RefineCounts>,
     /// Rows that passed every exact predicate.
     pub survivors: u64,
@@ -98,7 +87,13 @@ pub struct Counts {
 impl Counts {
     /// The final candidates: the last step's, every row without one.
     pub fn candidates(&self) -> u64 {
-        self.steps.last().map_or(self.rows, |s| s.candidates)
+        self.steps.last().copied().unwrap_or(self.rows)
+    }
+
+    /// Rows step `i` tests: the relation, then the previous step's
+    /// candidates.
+    pub fn input(&self, i: usize) -> u64 {
+        i.checked_sub(1).map_or(self.rows, |p| self.steps[p])
     }
 
     /// Final candidates whose every approximation decided the predicate.
@@ -114,13 +109,9 @@ impl Counts {
     /// The worst case over `rows` rows and `steps` selections: every step
     /// keeps every row, nothing is decided, refinement drops nothing.
     pub fn all_rows(rows: u64, steps: usize) -> Counts {
-        let step = StepCounts {
-            input: rows,
-            candidates: rows,
-        };
         Counts {
             rows,
-            steps: vec![step; steps],
+            steps: vec![rows; steps],
             undecided: rows,
             survivors: rows,
             ..Counts::default()
@@ -133,7 +124,7 @@ impl Counts {
         let up = |n: u64| ((n as f64 * scale).ceil() as u64).min(self.rows);
         let mut c = self.clone();
         for s in &mut c.steps {
-            (s.input, s.candidates) = (up(s.input), up(s.candidates));
+            *s = up(*s);
         }
         for r in &mut c.refines {
             (r.live, r.kept) = (up(r.live), up(r.kept));
@@ -220,7 +211,7 @@ impl Transient {
 
     /// Everything a run with these counts holds.
     pub fn bytes(&self, c: &Counts) -> u64 {
-        let lists: u64 = c.steps.iter().map(|s| Self::list(s.candidates)).sum();
+        let lists: u64 = c.steps.iter().map(|&s| Self::list(s)).sum();
         lists + self.ids(c) + self.tail(c)
     }
 }
@@ -539,46 +530,16 @@ impl<'a> ArShape<'a> {
 
     /// Whether a split count's device partial rides the list transfer.
     fn partial_rides(&self, c: &Counts) -> bool {
-        self.plan.pushdown && self.place.split_count && self.list_bytes(c) > 0
+        self.place.split_count && self.list_bytes(c) > 0
     }
 
     // ---- The sites, in program order. Each is a no-op where the shape or
     // ---- the counts leave it nothing to charge.
 
-    /// Ablation: the previous step's refined survivors re-cross PCI-E
-    /// before step `i` (§III-A) — a round trip per predicate.
-    pub(crate) fn upload_survivors(&self, i: usize, c: &Counts, env: &Env, l: &mut CostLedger) {
-        if !self.plan.pushdown && i > 0 {
-            let (bytes, label) = (c.steps[i].input * 4, "select.approx.upload-survivors");
-            l.charge(
-                Component::Pcie,
-                label,
-                env.pcie.transfer_seconds(bytes),
-                bytes,
-            );
-        }
-    }
-
     /// Approximate selection `i`.
     pub(crate) fn select(&self, i: usize, c: &Counts, env: &Env, l: &mut CostLedger) {
-        let step = c.steps[i];
-        if let Some(spec) = self.scan_spec(i, (i > 0).then_some(step.input as usize)) {
-            spec.charge(env, step.candidates as usize, &self.scan, l);
-        }
-    }
-
-    /// Ablation: refine before the next selection runs — the host takes
-    /// the decided oids along with the undecided pairs.
-    pub(crate) fn refine_ablated(&self, i: usize, c: &Counts, env: &Env, l: &mut CostLedger) {
-        if self.plan.pushdown {
-            return;
-        }
-        let (col, live) = (&self.sels[i].0, c.refines[i].live);
-        let pairs = candidate_stream_bytes(col.bound.meta().stored_width(), live);
-        let decided = c.steps[i].candidates - live;
-        env.charge_download(REFINE_DOWNLOAD, pairs + decided * 4, l);
-        if live > 0 {
-            col.charge_refine(env, live, 0, l);
+        if let Some(spec) = self.scan_spec(i, (i > 0).then_some(c.input(i) as usize)) {
+            spec.charge(env, c.steps[i] as usize, &self.scan, l);
         }
     }
 
@@ -592,15 +553,8 @@ impl<'a> ArShape<'a> {
     }
 
     /// The list transfer ([`ArShape::list_bytes`]; a split count's device
-    /// partial rides it). The ablation refined per step: only a host
-    /// tail's group ids are left to fetch.
+    /// partial rides it).
     pub(crate) fn download(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
-        if !self.plan.pushdown {
-            if self.ids_bytes(c) > 0 {
-                env.charge_download("group.approx.download", self.ids_bytes(c), l);
-            }
-            return;
-        }
         let mut bytes = self.list_bytes(c);
         if bytes > 0 {
             if self.place.split_count {
@@ -709,20 +663,14 @@ impl<'a> ArShape<'a> {
     /// The approximation subplan: the selection chain and the
     /// pre-grouping.
     pub fn approximate(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
-        for i in 0..self.sels.len() {
-            self.upload_survivors(i, c, env, l);
-            self.select(i, c, env, l);
-            self.refine_ablated(i, c, env, l);
-        }
+        (0..self.sels.len()).for_each(|i| self.select(i, c, env, l));
         self.pregroup(c, env, l);
     }
 
     /// Refinement of what the approximation left undecided.
     pub fn refine(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
         self.download(c, env, l);
-        if self.plan.pushdown {
-            (0..self.refine_order(c).len()).for_each(|k| self.refine_step(k, c, env, l));
-        }
+        (0..self.refine_order(c).len()).for_each(|k| self.refine_step(k, c, env, l));
         self.upload(c, env, l);
     }
 
@@ -799,16 +747,17 @@ impl<'a> ClassicShape<'a> {
     /// The selection chain and the projective fetches.
     pub(crate) fn select_and_fetch(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
         let hop = |is_dim: bool| if is_dim { FK_CODE_BYTES } else { 0 };
-        for (i, (&(col, is_dim), step)) in self.sels.iter().zip(&c.steps).enumerate() {
+        for (i, (&(col, is_dim), &kept)) in self.sels.iter().zip(&c.steps).enumerate() {
             // Every stage writes its oid list: 4 B per survivor. A dimension
             // column is reached through the FK code of every row it tests.
-            let (out, codes) = (step.candidates * 4, step.input * hop(is_dim));
+            let (input, out) = (c.input(i), kept * 4);
+            let codes = input * hop(is_dim);
             if i == 0 {
                 let bytes = col.plain_bytes() + codes + out;
                 env.charge_host_scan("classic.select.scan", bytes, c.rows, l);
             } else {
-                let read = step.input * col.dtype().plain_width() + codes;
-                env.charge_host_scattered("classic.select.fetch", read + out, step.input, l);
+                let read = input * col.dtype().plain_width() + codes;
+                env.charge_host_scattered("classic.select.fetch", read + out, input, l);
             }
         }
         let k = c.survivors;
@@ -1035,7 +984,7 @@ mod tests {
     /// host tail (§IV-G) with and without a pre-grouping's ids, host
     /// grouping over a split key, a projection, a chain through the FK
     /// link, a Q1-shaped tail folding its discount and tax into the
-    /// grouping — and two of them again without pushdown.
+    /// grouping.
     fn plans(db: &Database) -> Vec<(&'static str, ArPlan)> {
         use AggFunc::*;
         let t = || LogicalPlan::scan("t").filter(between("d", 100, 12_345));
@@ -1047,32 +996,25 @@ mod tests {
                 chained
                     .clone()
                     .aggregate(vec!["g".into()], vec![sum("v"), agg(Count, None)]),
-                true,
             ),
             (
                 "grouped-hash",
                 chained
                     .clone()
                     .aggregate(vec!["v".into()], vec![sum("g"), agg(Count, None)]),
-                true,
             ),
-            ("count", t().aggregate(vec![], vec![agg(Count, None)]), true),
+            ("count", t().aggregate(vec![], vec![agg(Count, None)])),
             (
                 "host-tail",
-                chained
-                    .clone()
-                    .aggregate(vec![], vec![sum("w"), agg(Avg, Some(E::col("v")))]),
-                true,
+                chained.aggregate(vec![], vec![sum("w"), agg(Avg, Some(E::col("v")))]),
             ),
             (
                 "host-tail-ids",
                 t().aggregate(vec!["g".into()], vec![sum("w")]),
-                true,
             ),
             (
                 "host-group",
                 t().aggregate(vec!["h".into()], vec![sum("v")]),
-                true,
             ),
             (
                 "project",
@@ -1080,7 +1022,6 @@ mod tests {
                     E::col("v").binary(BinOp::Add, E::col("w")),
                     "s".into(),
                 )]),
-                true,
             ),
             (
                 "fk",
@@ -1089,27 +1030,15 @@ mod tests {
                     .filter(between("dim.y", 300, 2_950))
                     .filter(between("d", 0, 15_000))
                     .aggregate(vec![], vec![sum("dim.x"), sum("dim.y")]),
-                true,
             ),
             (
                 "folded",
                 t().aggregate(vec!["k1".into(), "k2".into()], q1_shaped()),
-                true,
-            ),
-            (
-                "grouped-ablated",
-                chained.clone().aggregate(vec!["g".into()], vec![sum("v")]),
-                false,
-            ),
-            (
-                "host-tail-ablated",
-                chained.aggregate(vec![], vec![sum("w")]),
-                false,
             ),
         ];
         (shapes.into_iter())
-            .map(|(name, plan, pushdown)| {
-                let plan = db.bind(&plan, &RewriteOptions { pushdown }).unwrap();
+            .map(|(name, plan)| {
+                let plan = db.bind(&plan, &RewriteOptions::default()).unwrap();
                 (name, folded(db, &plan))
             })
             .collect()
@@ -1133,7 +1062,7 @@ mod tests {
         events(shape, c).iter().map(|e| e.seconds).sum()
     }
 
-    /// Consistent counts of a pushdown run: a candidate chain, how many of
+    /// Consistent counts of a run: a candidate chain, how many of
     /// the last step's candidates stay undecided (none where no selection
     /// can leave one) and how many each refinement drops.
     fn counts(
@@ -1149,16 +1078,12 @@ mod tests {
             undecided: 1,
             ..Counts::default()
         };
-        let mut input = c.rows;
-        for &candidates in chain {
-            c.steps.push(StepCounts { input, candidates });
-            input = candidates;
-        }
+        c.steps = chain.to_vec();
         let order = shape.refine_order(&c);
         c.undecided = if order.is_empty() {
             0
         } else {
-            undecided.min(input)
+            undecided.min(c.candidates())
         };
         let mut live = c.undecided;
         for k in 0..shape.refine_order(&c).len() {
@@ -1182,8 +1107,8 @@ mod tests {
     }
 
     /// The bill the executor issues while it runs is the bill of the
-    /// counts it ends with: both pipes, every shape, both pushdown arms —
-    /// events, seconds and transient bytes.
+    /// counts it ends with: both pipes, every shape — events, seconds and
+    /// transient bytes.
     #[test]
     fn a_runs_counts_reproduce_its_ledger() {
         let db = db();
@@ -1250,7 +1175,7 @@ mod tests {
         fn more_rows_never_cost_less(seed in any::<u64>()) {
             let db = db();
             let rng = &mut SplitMix64::new(seed);
-            for (name, plan) in plans(db).into_iter().filter(|(_, p)| p.pushdown) {
+            for (name, plan) in plans(db) {
                 let shape = shape_of(db, &plan);
                 let base = chain(rng, shape.rows, plan.selections.len());
                 let last = *base.last().unwrap();
@@ -1398,7 +1323,7 @@ mod tests {
             shape.sels[k].1 = false;
             let direct = bytes(&shape);
             for (i, (linked, direct)) in linked.iter().zip(&direct).enumerate() {
-                let codes = if i == k { 4 * counts.steps[k].input } else { 0 };
+                let codes = if i == k { 4 * counts.input(k) } else { 0 };
                 assert_eq!(*linked, direct + codes, "{chain:?}: event {i}");
             }
         }
@@ -1412,7 +1337,7 @@ mod tests {
     #[test]
     fn nothing_undecided_is_all_gpu_and_nothing_selected_is_nearly_free() {
         let db = db();
-        for (name, plan) in plans(db).into_iter().filter(|(_, p)| p.pushdown) {
+        for (name, plan) in plans(db) {
             let shape = shape_of(db, &plan);
             let chain: Vec<u64> = (1..=plan.selections.len() as u64)
                 .map(|i| 9_000 / i)

@@ -26,11 +26,10 @@ const PRICED_CHAIN: usize = 6;
 ///
 /// The space is orders × folds. The orders: every permutation of a chain
 /// of at most `PRICED_CHAIN` selections, in lexicographic order from the
-/// plan's own; the hints ascending past that; the plan's own alone under
-/// the `pushdown: false` ablation (§III-A: it runs the query's order). Each
-/// order runs plain, then folding its co-factors where it has any — a fold
-/// the plan carries is decided afresh. Each pipe pays its own way: A&R by
-/// what the granules admit, Classic by the width it fetches. A candidate's
+/// plan's own; the hints ascending past that. Each order runs plain, then
+/// folding its co-factors where it has any — a fold the plan carries is
+/// decided afresh. Each pipe pays its own way: A&R by what the granules
+/// admit, Classic by the width it fetches. A candidate's
 /// price is its bill over the counts [`Shape::predict`] predicts for it,
 /// and the earliest strict minimum wins, so a chosen plan chooses itself.
 /// A lone candidate is not priced, and one that does not resolve is passed
@@ -52,10 +51,10 @@ pub(crate) fn cheapest<'p>(
     let sels = &plan.selections;
     let own: Vec<usize> = (0..sels.len()).collect();
     let mut orders = vec![own.clone()];
-    if plan.pushdown && sels.len() > PRICED_CHAIN {
+    if sels.len() > PRICED_CHAIN {
         let hint = |&i: &usize| sels[i].selectivity_hint.unwrap_or(f64::INFINITY);
         orders[0].sort_by(|a, b| hint(a).total_cmp(&hint(b)));
-    } else if plan.pushdown {
+    } else {
         let mut perm = own.clone();
         while next_permutation(&mut perm) {
             orders.push(perm.clone());
@@ -209,7 +208,7 @@ mod tests {
         format!("{:?}", run.unwrap().rows)
     }
 
-    /// The chooser's space for a `pushdown` plan in `mode`, enumerated
+    /// The chooser's space for a plan in `mode`, enumerated
     /// apart from it: per permutation of the chain, in lexicographic order
     /// from the plan's own, the plain form and — where the plan has
     /// co-factors — the folded one. The plan [`order`] picks is one of
@@ -274,16 +273,15 @@ mod tests {
     /// bill is at most every candidate's, the earliest among equals
     /// ([`the_pick_is_the_cheapest`]); choosing for the chosen plan returns
     /// it, borrowed — and in each pipe some chain's bound plan is not the
-    /// cheapest. A plan with one selection, or without pushdown, comes back
-    /// borrowed; a chain past [`PRICED_CHAIN`] runs its hints in ascending
-    /// order.
+    /// cheapest. A plan with one selection comes back borrowed; a chain past
+    /// [`PRICED_CHAIN`] runs its hints in ascending order.
     #[test]
     fn the_chain_order_laws() {
         use {AggFunc::*, BinOp::*};
         let (db, env) = (db(), db().env());
         let rng = &mut SplitMix64::new(27);
         let sum = |c: &str| agg(Sum, Some(E::col(c)));
-        let bind = |plan: &LogicalPlan, pushdown| db.bind(plan, &RewriteOptions { pushdown });
+        let bind = |plan: &LogicalPlan| db.bind(plan, &RewriteOptions::default());
         let modes = [ExecMode::Classic, ExecMode::ApproxRefine];
         // Per pipe, the cases whose bound plan was not the cheapest.
         let mut moved = [0; 2];
@@ -315,7 +313,7 @@ mod tests {
                 2 => (vec![], vec![agg(Count, None)]),
                 _ => (vec!["g".into()], vec![agg(Sum, Some(discounted))]),
             };
-            let plan = bind(&scan.aggregate(groups, aggs), true).unwrap();
+            let plan = bind(&scan.aggregate(groups, aggs)).unwrap();
             assert_eq!(plan.selections.len(), steps, "case {case}");
             let foldable = !folded(db, &plan).fold.is_empty();
             assert_eq!(foldable, case % 4 == 3, "case {case}");
@@ -349,14 +347,12 @@ mod tests {
             one.aggregate(vec![], count()),
             seven.aggregate(vec![], count()),
         );
-        for (plan, pushdown) in [(&one, true), (&seven, false)] {
-            let plan = bind(plan, pushdown).unwrap();
-            for mode in &modes {
-                let ordered = order(db, &plan, mode, env);
-                assert!(matches!(ordered, Cow::Borrowed(p) if std::ptr::eq(p, &plan)));
-            }
+        let plan = bind(&one).unwrap();
+        for mode in &modes {
+            let ordered = order(db, &plan, mode, env);
+            assert!(matches!(ordered, Cow::Borrowed(p) if std::ptr::eq(p, &plan)));
         }
-        let plan = bind(&seven, true).unwrap();
+        let plan = bind(&seven).unwrap();
         let hints: Vec<f64> = (order(db, &plan, &modes[1], env).selections.iter())
             .map(|s| s.selectivity_hint.unwrap())
             .collect();

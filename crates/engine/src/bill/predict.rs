@@ -2,7 +2,7 @@
 //! scheduler's footprint bills, and the chooser prices each candidate plan
 //! by ([`super::order`]).
 
-use super::{ColRef, Counts, Grouping, RefineCounts, Shape, StepCounts};
+use super::{ColRef, Counts, Grouping, RefineCounts, Shape};
 use bwd_core::plan::ArPlan;
 use bwd_core::relax::relax_to_stored;
 use bwd_core::RangePred;
@@ -37,8 +37,7 @@ impl<'a> Shape<'a> {
     pub fn refinements(&self, c: &Counts) -> usize {
         match self {
             Shape::Classic(_) => 0,
-            Shape::Ar(s) if s.plan.pushdown => s.refine_order(c).len(),
-            Shape::Ar(s) => s.sels.len(),
+            Shape::Ar(s) => s.refine_order(c).len(),
         }
     }
 
@@ -70,8 +69,7 @@ impl<'a> Shape<'a> {
     /// interval's share of the column's domain is what the approximation
     /// *admits*, its inner interval's what it *decides*, and the binder's
     /// hint what the exact predicate keeps (no hint: whatever is admitted);
-    /// shares multiply along the chain as independent. The ablation feeds
-    /// each step the refined survivors of the last. Groups are bounded by
+    /// shares multiply along the chain as independent. Groups are bounded by
     /// the key columns' domains (the slots of a table the packed key
     /// addresses are exact from the shape; only how many of them the data
     /// occupies is predicted here); a refinement chain shrinks evenly from
@@ -85,25 +83,13 @@ impl<'a> Shape<'a> {
             dense: plan.selections.is_empty(),
             ..Counts::default()
         };
-        let mut ablated = Vec::new();
         for (i, sel) in plan.selections.iter().enumerate() {
             let hint = sel.selectivity_hint.map(|h| h.clamp(0.0, 1.0));
             let exact_only = (hint.unwrap_or(1.0), hint.unwrap_or(1.0));
             let (admit, decide) = self.shares(i).unwrap_or(exact_only);
             let keep = hint.unwrap_or(admit).clamp(decide.min(admit), admit);
-            let (input, settled) = match plan.pushdown {
-                true => (admitted, decided),
-                false => (exact, exact),
-            };
-            (admitted, decided, exact) = (input * admit, settled * decide, exact * keep);
-            c.steps.push(StepCounts {
-                input: n(input),
-                candidates: n(admitted),
-            });
-            ablated.push(RefineCounts {
-                live: n(admitted) - n(decided),
-                kept: n(exact) - n(decided),
-            });
+            (admitted, decided, exact) = (admitted * admit, decided * decide, exact * keep);
+            c.steps.push(n(admitted));
         }
         (c.undecided, c.survivors) = (n(admitted) - n(decided), n(exact));
         c.groups = self.key_domain().min(c.candidates() as f64) as u64;
@@ -114,11 +100,7 @@ impl<'a> Shape<'a> {
             live: live(k),
             kept: live(k + 1),
         };
-        c.refines = match plan.pushdown {
-            true => (0..steps).map(shrink).collect(),
-            false => ablated,
-        };
-        c.refines.truncate(steps as usize);
+        c.refines = (0..steps).map(shrink).collect();
         c
     }
 }

@@ -11,7 +11,7 @@
 //! allocation (Figure 11 varies the threads).
 
 use crate::arexec::Probe;
-use crate::bill::{ClassicShape, Counts, StepCounts};
+use crate::bill::{ClassicShape, Counts};
 use crate::catalog::Catalog;
 use crate::eval::RowBlock;
 use crate::morsel::{partition_mask_ranges, partition_ranges, run_parts_mut_yielding};
@@ -79,10 +79,7 @@ pub(crate) fn run_classic_counted(
         false => {
             let (mask, stages) =
                 selection_mask(&plan.selections, &shape.sels, link, n, morsels, env)?;
-            let inputs = std::iter::once(counts.rows).chain(stages.iter().copied());
-            counts.steps = (inputs.zip(&stages))
-                .map(|(input, &candidates)| StepCounts { input, candidates })
-                .collect();
+            counts.steps = stages;
             Some(mask)
         }
     };
@@ -350,7 +347,6 @@ pub(crate) mod tests {
                 },
             ],
             project: vec![],
-            pushdown: true,
             fold: vec![],
         }
     }
@@ -504,7 +500,6 @@ pub(crate) mod tests {
                 group_by: vec![],
                 aggs: vec![],
                 project: vec![(E::col("id"), "id".into())],
-                pushdown: true,
                 fold: vec![],
             };
             let column = |name: &str| match name.split_once('.') {

@@ -250,9 +250,11 @@ impl Database {
             })
     }
 
-    /// Bind (rewrite) a logical plan into an A&R plan.
-    pub fn bind(&self, plan: &LogicalPlan, opts: &RewriteOptions) -> Result<ArPlan> {
-        rewrite(plan, &Resolver { db: self }, opts)
+    /// Bind (rewrite) a logical plan into an A&R plan. [`RewriteOptions`]
+    /// carries nothing: the parameter stays for callers that pass
+    /// `&RewriteOptions::default()`, the benchmark harness among them.
+    pub fn bind(&self, plan: &LogicalPlan, _opts: &RewriteOptions) -> Result<ArPlan> {
+        rewrite(plan, &Resolver { db: self })
     }
 
     /// Decompose every not-yet-bound column a selection, a group key or
@@ -389,16 +391,17 @@ impl PlanResolver for Resolver<'_> {
     }
 
     fn selectivity_hint(&self, table: &str, column: &str, range: &RangePred) -> Option<f64> {
-        // Uniform-domain estimate from the column's min/max statistics.
+        // Uniform-domain estimate from the column's min/max statistics,
+        // counted in `f64`: a domain spanning `i64` overflows no width.
         let col = self.db.catalog.table(table).ok()?.column(column).ok()?;
         let (min, max) = col.payload_min_max()?;
-        let width = (max - min + 1) as f64;
+        let values = |lo: i64, hi: i64| (hi as f64 - lo as f64) + 1.0;
         let lo = range.lo.unwrap_or(min).max(min);
         let hi = range.hi.unwrap_or(max).min(max);
         if hi < lo {
             return Some(0.0);
         }
-        Some(((hi - lo + 1) as f64 / width).clamp(0.0, 1.0))
+        Some((values(lo, hi) / values(min, max)).clamp(0.0, 1.0))
     }
 }
 
@@ -449,6 +452,35 @@ mod tests {
         let ar = db.run(&plan, ExecMode::ApproxRefine).unwrap();
         assert_eq!(classic.rows, ar.rows);
         assert_eq!(classic.rows[0][0], Value::Int(400));
+    }
+
+    /// A column spanning all of `i64` overflows no hint: `a >= 0` keeps
+    /// half the domain, and two of the three rows in either pipe.
+    #[test]
+    fn a_full_range_column_binds_a_finite_hint() {
+        let mut db = Database::new();
+        let a = Column::from_i64(vec![i64::MIN, 0, i64::MAX]);
+        db.create_table("w", vec![("a".into(), a)]).unwrap();
+        let plan = LogicalPlan::scan("w")
+            .filter(Predicate::Cmp {
+                column: "a".into(),
+                op: CmpOp::Ge,
+                value: Value::Int(0),
+            })
+            .aggregate(
+                vec![],
+                vec![AggExpr {
+                    func: AggFunc::Count,
+                    arg: None,
+                    alias: "n".into(),
+                }],
+            );
+        let bound = db.bind(&plan, &RewriteOptions::default()).unwrap();
+        assert_eq!(bound.selections[0].selectivity_hint, Some(0.5));
+        for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
+            let r = db.run(&plan, mode.clone()).unwrap();
+            assert_eq!(r.rows[0][0], Value::Int(2), "{mode:?}");
+        }
     }
 
     #[test]

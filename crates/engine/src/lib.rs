@@ -25,7 +25,7 @@ pub mod result;
 pub mod tail;
 
 pub use arexec::{run_ar_in, ArExecOptions, CandidateRep, BITMAP_MIN_SELECTIVITY};
-pub use bill::{Counts, RefineCounts, Shape, StepCounts, Transient};
+pub use bill::{Counts, RefineCounts, Shape, Transient};
 pub use catalog::{Catalog, FkDecl, Table};
 pub use database::{Database, DecompositionReport, ExecMode};
 pub use result::{ApproxAnswer, QueryResult};

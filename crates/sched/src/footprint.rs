@@ -298,7 +298,6 @@ mod tests {
                 alias: "n".into(),
             }],
             project: vec![],
-            pushdown: true,
             fold: vec![],
         };
         let fp = PlanFootprint::of(&db, &plan, &ExecMode::Classic, 1);
@@ -414,9 +413,9 @@ mod tests {
          and lat between 50.42220 and 50.44850";
     const PROBE: &str = "select count(*) from small where a between 1000000 and 1655359";
 
-    fn bind_sql(db: &Database, sql: &str, pushdown: bool) -> ArPlan {
+    fn bind_sql(db: &Database, sql: &str) -> ArPlan {
         match bwd_sql::bind(&bwd_sql::parse(sql).unwrap(), db.catalog()).unwrap() {
-            bwd_sql::BoundStatement::Query(q) => db.bind(&q, &RewriteOptions { pushdown }).unwrap(),
+            bwd_sql::BoundStatement::Query(q) => db.bind(&q, &RewriteOptions::default()).unwrap(),
             bwd_sql::BoundStatement::Decompose { .. } => panic!("not a query"),
         }
     }
@@ -424,7 +423,7 @@ mod tests {
     /// The benchmark's tables and query shapes at a small scale, fully
     /// device-resident or — `split` — with the selection columns at 24/8
     /// as `benchmark/src/setup.rs` decomposes them.
-    fn bench_db(split: bool, pushdown: bool) -> (Database, Vec<(&'static str, ArPlan)>) {
+    fn bench_db(split: bool) -> (Database, Vec<(&'static str, ArPlan)>) {
         use bwd_data::{gen_lineitem, gen_part, gen_trips, SpatialConfig, TpchConfig};
         let tpch = TpchConfig::scale(0.01);
         let mut db = Database::new();
@@ -450,7 +449,7 @@ mod tests {
             ("q1", Q1),
         ];
         for (_, sql) in sqls {
-            let plan = bind_sql(&db, sql, pushdown);
+            let plan = bind_sql(&db, sql);
             db.auto_bind(&plan).unwrap();
         }
         if split {
@@ -460,7 +459,7 @@ mod tests {
             db.bwdecompose("small", "a", 24).unwrap();
         }
         let plans = (sqls.iter())
-            .map(|&(n, sql)| (n, bind_sql(&db, sql, pushdown)))
+            .map(|&(n, sql)| (n, bind_sql(&db, sql)))
             .collect();
         (db, plans)
     }
@@ -469,40 +468,37 @@ mod tests {
     /// observed and it is that run's ledger: the latency is its breakdown
     /// to the bit and the reservation at scale 1 the transient bytes its
     /// budget was charged — in both pipes, fully resident and split 24/8,
-    /// pushdown on and off, at either thread allocation, for every
-    /// benchmark statement — Q6 at 24/8 in another chain order than it
-    /// was bound in, which run and footprint both take. (This is what
+    /// at either thread allocation, for every benchmark statement — Q6 at
+    /// 24/8 in another chain order than it was bound in, which run and
+    /// footprint both take. (This is what
     /// closed the `value_columns()` drift: the parent reserved Q1's two
     /// key columns although the executor, under a device pre-grouping,
     /// never gathers them.)
     #[test]
     fn observed_counts_in_the_runs_own_bits_out() {
         for split in [false, true] {
-            for pushdown in [true, false] {
-                let (db, plans) = bench_db(split, pushdown);
-                for (name, plan) in &plans {
-                    for (mode, threads) in [(ExecMode::Classic, 1), (AR, 1), (AR, 4)] {
-                        let ctx = format!("{name} split={split} pushdown={pushdown} {mode:?}");
-                        let env = db.env().clone().host_threads(threads);
-                        // Q6 at 24/8 runs another order than it was bound in.
-                        if *name == "q6" && split && pushdown {
-                            assert_ne!(*plan, *order(&db, plan, &mode, &env), "{ctx}");
-                        }
-                        let (run, counts, held) =
-                            db.run_counted(plan, mode.clone(), &env, 1).unwrap();
-                        let fp = PlanFootprint::with_counts(&db, plan, &mode, threads, counts);
-                        let (got, want) = (fp.latency(), run.breakdown);
-                        assert_eq!(
-                            [got.host, got.device, got.pcie].map(f64::to_bits),
-                            [want.host, want.device, want.pcie].map(f64::to_bits),
-                            "{ctx}"
-                        );
-                        assert_eq!(fp.counts.survivors, run.survivors as u64, "{ctx}");
-                        if !matches!(mode, ExecMode::Classic) {
-                            let reserved = fp.reservation(1.0);
-                            assert_eq!(reserved.data_budget(), held, "{ctx}");
-                            assert!(reserved.is_reduced() || held == 0, "{ctx}");
-                        }
+            let (db, plans) = bench_db(split);
+            for (name, plan) in &plans {
+                for (mode, threads) in [(ExecMode::Classic, 1), (AR, 1), (AR, 4)] {
+                    let ctx = format!("{name} split={split} {mode:?}");
+                    let env = db.env().clone().host_threads(threads);
+                    // Q6 at 24/8 runs another order than it was bound in.
+                    if *name == "q6" && split {
+                        assert_ne!(*plan, *order(&db, plan, &mode, &env), "{ctx}");
+                    }
+                    let (run, counts, held) = db.run_counted(plan, mode.clone(), &env, 1).unwrap();
+                    let fp = PlanFootprint::with_counts(&db, plan, &mode, threads, counts);
+                    let (got, want) = (fp.latency(), run.breakdown);
+                    assert_eq!(
+                        [got.host, got.device, got.pcie].map(f64::to_bits),
+                        [want.host, want.device, want.pcie].map(f64::to_bits),
+                        "{ctx}"
+                    );
+                    assert_eq!(fp.counts.survivors, run.survivors as u64, "{ctx}");
+                    if !matches!(mode, ExecMode::Classic) {
+                        let reserved = fp.reservation(1.0);
+                        assert_eq!(reserved.data_budget(), held, "{ctx}");
+                        assert!(reserved.is_reduced() || held == 0, "{ctx}");
                     }
                 }
             }

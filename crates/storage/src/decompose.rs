@@ -646,10 +646,6 @@ mod tests {
                     let specs = [
                         DecompositionSpec::with_device_bits(device_bits),
                         DecompositionSpec::uncompressed(device_bits),
-                        DecompositionSpec {
-                            granularity: PrefixGranularity::Byte,
-                            ..DecompositionSpec::with_device_bits(device_bits)
-                        },
                     ];
                     for spec in &specs {
                         let case = format!("{dtype} len={len} {spec:?}");

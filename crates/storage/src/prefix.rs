@@ -3,9 +3,10 @@
 //! The paper stores approximations prefix-compressed: bits that every value
 //! of a column shares ("leading zeros" in the simplest case, or a common
 //! high byte as in the spatial dataset, §VI-C2) are factored out into a
-//! single *base* stored once in the column's metadata. Compression can run
-//! at bit granularity (maximal) or byte granularity (what the paper's
-//! prototype used — "factoring out the highest of the 4 value bytes").
+//! single *base* stored once in the column's metadata. Compression runs at
+//! bit granularity: every shared high bit is factored out, a superset of
+//! what the paper's prototype did in whole bytes ("factoring out the
+//! highest of the 4 value bytes").
 
 use bwd_types::bits::{common_prefix_bits, low_mask};
 
@@ -15,10 +16,6 @@ pub enum PrefixGranularity {
     /// Factor out every shared high bit (maximal compression).
     #[default]
     Bit,
-    /// Factor out shared high bits in whole-byte steps (the paper's
-    /// prototype behaviour; slightly worse compression, byte-aligned
-    /// remainders).
-    Byte,
     /// Disable prefix compression (ablation baseline).
     None,
 }
@@ -39,13 +36,10 @@ impl PrefixBase {
     /// Analyze `vals` (each at most `width` bits) and produce the base.
     /// Does not modify the values; apply [`PrefixBase::compress`] per value.
     pub fn analyze(vals: &[u64], width: u32, granularity: PrefixGranularity) -> Self {
-        let mut prefix_bits = match granularity {
+        let prefix_bits = match granularity {
             PrefixGranularity::None => 0,
-            _ => common_prefix_bits(vals, width),
+            PrefixGranularity::Bit => common_prefix_bits(vals, width),
         };
-        if granularity == PrefixGranularity::Byte {
-            prefix_bits -= prefix_bits % 8;
-        }
         let base = if prefix_bits == 0 || vals.is_empty() {
             0
         } else {
@@ -145,18 +139,6 @@ mod tests {
         for &v in &vals {
             assert_eq!(p.decompress(p.compress(v)), v);
         }
-    }
-
-    #[test]
-    fn byte_granularity_rounds_down() {
-        let vals = [0u64, 99_999_999];
-        let p = PrefixBase::analyze(&vals, 32, PrefixGranularity::Byte);
-        assert_eq!(p.prefix_bits, 0); // 5 bits shared -> not a whole byte
-        let vals = [0x0000_1200u64, 0x0000_12FF];
-        let p = PrefixBase::analyze(&vals, 32, PrefixGranularity::Byte);
-        assert_eq!(p.prefix_bits, 24); // exactly 3 shared bytes
-        assert_eq!(p.base, 0x12);
-        assert_eq!(p.stored_width(), 8);
     }
 
     #[test]

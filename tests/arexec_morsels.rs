@@ -150,34 +150,6 @@ fn micro_chained_selections_identical_across_morsels() {
     assert_bit_identical(&db, &bind_plan(&db, &logical), "micro chained selections");
 }
 
-#[test]
-fn micro_pushdown_ablation_identical_across_morsels() {
-    let n = 60_000;
-    let db = micro_db(n);
-    let logical = LogicalPlan::scan("t")
-        .filter(Predicate::Between {
-            column: "a".into(),
-            lo: Value::Int(0),
-            hi: Value::Int(n as i64 / 3),
-        })
-        .filter(Predicate::Between {
-            column: "g".into(),
-            lo: Value::Int(3),
-            hi: Value::Int(20),
-        })
-        .aggregate(
-            vec![],
-            vec![AggExpr {
-                func: AggFunc::Sum,
-                arg: Some(E::col("v")),
-                alias: "s".into(),
-            }],
-        );
-    let mut plan = bind_plan(&db, &logical);
-    plan.pushdown = false; // interleaved refine: PCI-E round trip per predicate
-    assert_bit_identical(&db, &plan, "micro pushdown ablation");
-}
-
 fn tpch_db() -> Database {
     let cfg = TpchConfig::scale(0.02);
     let mut db = Database::new();

@@ -1,6 +1,6 @@
 //! The system-level correctness property: for every supported query, the
 //! A&R pipeline produces *bit-identical* results to the classic CPU
-//! pipeline, for every decomposition, with and without the pushdown rule.
+//! pipeline, for every decomposition.
 
 use proptest::prelude::*;
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, RewriteOptions, ScalarExpr};
@@ -80,8 +80,8 @@ proptest! {
         prop_assert_eq!(classic.survivors, ar.survivors);
     }
 
-    /// Conjunctions of predicates across decomposed columns, with and
-    /// without the pushdown rule.
+    /// Conjunctions of predicates across decomposed columns, their
+    /// approximate selections chained below the refinements (§III-A).
     #[test]
     fn prop_conjunction_and_pushdown(
         n in 50usize..400,
@@ -102,13 +102,10 @@ proptest! {
         ]);
         let plan = count_sum_plan(pred, false);
         let classic = db.run(&plan, ExecMode::Classic).unwrap();
-        let with = db.bind(&plan, &RewriteOptions { pushdown: true }).unwrap();
-        let without = db.bind(&plan, &RewriteOptions { pushdown: false }).unwrap();
-        db.auto_bind(&with).unwrap();
-        let r_with = db.run_bound(&with, ExecMode::ApproxRefine).unwrap();
-        let r_without = db.run_bound(&without, ExecMode::ApproxRefine).unwrap();
-        prop_assert_eq!(&classic.rows, &r_with.rows);
-        prop_assert_eq!(&classic.rows, &r_without.rows);
+        let bound = db.bind(&plan, &RewriteOptions::default()).unwrap();
+        db.auto_bind(&bound).unwrap();
+        let ar = db.run_bound(&bound, ExecMode::ApproxRefine).unwrap();
+        prop_assert_eq!(&classic.rows, &ar.rows);
     }
 
     /// Every comparison operator matches the scalar model.
@@ -299,7 +296,7 @@ fn repeated_group_key_is_gathered_and_billed_once() {
 /// bits} × selectivity {nothing, inside one granule, granule-aligned,
 /// half, everything} × {global, grouped} × tail {device: resident
 /// aggregates, host: aggregating the split column} × a second (resident)
-/// conjunct × `CandidateRep` × morsels {1, 3} × pushdown, the A&R rows
+/// conjunct × `CandidateRep` × morsels {1, 3}, the A&R rows
 /// equal Classic's, and rows, `breakdown`, `traffic` and `survivors` equal
 /// the serial default-representation A&R run of the same plan.
 mod split_sweep {
@@ -349,7 +346,6 @@ mod split_sweep {
             second: bool,
             rep in 0usize..3,
             wide: bool,
-            pushdown: bool,
         ) {
             let db = db(split);
             let granule = 1i64 << (32 - SPLITS[split]);
@@ -381,7 +377,7 @@ mod split_sweep {
             let logical = LogicalPlan::scan("t")
                 .filter(Predicate::And(preds))
                 .aggregate(if grouped { vec!["g".into()] } else { vec![] }, aggs);
-            let plan = db.bind(&logical, &RewriteOptions { pushdown }).unwrap();
+            let plan = db.bind(&logical, &RewriteOptions::default()).unwrap();
             // Several scan blocks, so candidates come out block-scrambled.
             let opts = |candidates, morsels| ArExecOptions {
                 scan: ScanOptions { block_size: 4096, preserve_order: false },

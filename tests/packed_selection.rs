@@ -185,37 +185,6 @@ fn sparse_selection_identical_across_reps_and_morsels() {
     assert_rep_bit_identical(&db, &bind_plan(&db, &logical), "sparse selection");
 }
 
-/// The pushdown ablation (refine-per-predicate) runs its chain on
-/// indices whatever the policy says; it must stay bit-identical under
-/// every representation knob anyway.
-#[test]
-fn pushdown_ablation_identical_across_reps_and_morsels() {
-    let n = 60_000;
-    let db = micro_db(n);
-    let logical = LogicalPlan::scan("t")
-        .filter(Predicate::Between {
-            column: "a".into(),
-            lo: Value::Int(0),
-            hi: Value::Int(n as i64 / 3),
-        })
-        .filter(Predicate::Between {
-            column: "g".into(),
-            lo: Value::Int(3),
-            hi: Value::Int(20),
-        })
-        .aggregate(
-            vec![],
-            vec![AggExpr {
-                func: AggFunc::Sum,
-                arg: Some(E::col("v")),
-                alias: "s".into(),
-            }],
-        );
-    let mut plan = bind_plan(&db, &logical);
-    plan.pushdown = false;
-    assert_rep_bit_identical(&db, &plan, "pushdown ablation");
-}
-
 fn tpch_db() -> Database {
     let cfg = TpchConfig::scale(0.02);
     let mut db = Database::new();
