@@ -2,18 +2,17 @@
 //!
 //! A [`BoundColumn`] is the runtime form of a `DecomposedColumn`: its
 //! approximation partition lives in device memory (as a
-//! [`bwd_kernels::DeviceArray`]), its residual stays host-resident, and the
-//! [`bwd_storage::DecompositionMeta`] travels along for predicate
-//! translation and reconstruction. The residual is *modeled* as a packed
-//! host partition ([`BoundColumn::residual_access_bytes`] is what a bill
-//! charges) and *read* from the plain column the catalog keeps anyway,
-//! shared, not copied: the host holds each bit once. Binding charges the
-//! one-time PCI-E upload — the paper pays this at `bwdecompose()` time,
-//! outside query execution, so callers pass a separate load ledger.
+//! [`bwd_kernels::DeviceArray`]), its packed residual stays host-resident,
+//! and the [`bwd_storage::DecompositionMeta`] travels along for predicate
+//! translation and reconstruction. Both partitions are shared with the
+//! catalog's split column, not copied: the host holds each bit once.
+//! Binding charges the one-time PCI-E upload — the paper pays this at
+//! `bwdecompose()` time, outside query execution, so callers pass a
+//! separate load ledger.
 
 use bwd_device::{CostLedger, Device};
 use bwd_kernels::DeviceArray;
-use bwd_storage::{ColumnData, DecomposedColumn, DecompositionMeta};
+use bwd_storage::{BitPackedVec, DecomposedColumn, DecompositionMeta};
 use bwd_types::{Oid, Result};
 use std::sync::Arc;
 
@@ -22,8 +21,7 @@ use std::sync::Arc;
 pub struct BoundColumn {
     meta: DecompositionMeta,
     approx: DeviceArray,
-    /// The plain payloads the residual bits are read from.
-    plain: Arc<ColumnData>,
+    residual: Arc<BitPackedVec>,
 }
 
 impl BoundColumn {
@@ -35,25 +33,25 @@ impl BoundColumn {
         label: &str,
         load_ledger: &mut CostLedger,
     ) -> Result<Self> {
-        let (meta, approx, plain) = col.into_parts();
+        let (meta, approx, residual) = col.into_parts();
         let approx = DeviceArray::upload(device, approx, label, load_ledger)?;
         Ok(BoundColumn {
             meta,
             approx,
-            plain,
+            residual,
         })
     }
 
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.plain.len()
+        self.approx.len()
     }
 
     /// Whether the column holds no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.plain.is_empty()
+        self.approx.is_empty()
     }
 
     /// The translation metadata.
@@ -68,21 +66,17 @@ impl BoundColumn {
         &self.approx
     }
 
-    /// The plain payloads the residual bits are read from, as the
-    /// catalog's column shares them. A loop dispatches their width once,
-    /// through `bwd_storage::with_slice!`, and applies
-    /// [`DecompositionMeta::residual_of_payload`] per row.
+    /// The host-resident packed residual.
     #[inline]
-    pub fn plain(&self) -> &Arc<ColumnData> {
-        &self.plain
+    pub fn residual(&self) -> &BitPackedVec {
+        &self.residual
     }
 
     /// Residual payload of a tuple — the *invisible join* with the
     /// persistent residual: the position follows from the oid (§IV-A).
-    /// For single tuples; a loop reads [`BoundColumn::plain`].
     #[inline]
     pub fn residual_of(&self, oid: Oid) -> u64 {
-        self.meta.residual_of_payload(self.plain.get(oid as usize))
+        self.residual.get(oid as usize)
     }
 
     /// Exact payload of a tuple given its stored approximation (saves the

@@ -3,8 +3,9 @@
 //! A selection on approximate data must match *every* value whose
 //! approximation equals that of some matching exact value. We normalize
 //! each comparison into an inclusive payload range first and then translate
-//! the range through `DecompositionMeta::stored_bounds`, which relaxes both
-//! endpoints to granule boundaries. This is equivalent to the paper's
+//! the range through `DecompositionMeta::stored_bounds_payload`, which
+//! clamps it to the type's payload domain and relaxes both endpoints to
+//! granule boundaries. This is equivalent to the paper's
 //! per-operator adaptation function `f` (proved in the tests below), with
 //! one deliberate deviation (ARCHITECTURE.md, "Decided and undecided
 //! candidates"): for `< x` the paper's
@@ -171,8 +172,8 @@ impl StoredRange {
 /// Relax a payload range into stored-approximation bounds for a decomposed
 /// column. `None` means the approximate selection is provably empty.
 pub fn relax_to_stored(meta: &DecompositionMeta, range: &RangePred) -> Option<StoredRange> {
-    let lo = range.lo.unwrap_or(domain_min(meta));
-    let hi = range.hi.unwrap_or(domain_max(meta));
+    let lo = range.lo.unwrap_or(i64::MIN);
+    let hi = range.hi.unwrap_or(i64::MAX);
     let outer = meta.stored_bounds_payload(lo, hi)?;
     // Only the two end granules can straddle the range; stored values are
     // monotone in the payload, so everything between them is inside.
@@ -211,24 +212,6 @@ pub fn classify_granule(meta: &DecompositionMeta, stored: u64, range: &RangePred
         GranuleMatch::Certain
     } else {
         GranuleMatch::Possible
-    }
-}
-
-/// The smallest payload representable in the column's physical width.
-fn domain_min(meta: &DecompositionMeta) -> i64 {
-    if meta.physical_bits() == 32 {
-        i32::MIN as i64
-    } else {
-        i64::MIN
-    }
-}
-
-/// The largest payload representable in the column's physical width.
-fn domain_max(meta: &DecompositionMeta) -> i64 {
-    if meta.physical_bits() == 32 {
-        i32::MAX as i64
-    } else {
-        i64::MAX
     }
 }
 
@@ -329,11 +312,11 @@ mod tests {
         // Values on a 16-granule lattice (resbits=4 when device_bits=28).
         let vals: Vec<i64> = (0..4096).collect();
         let col = column(&vals, 28);
-        assert_eq!(col.resbits(), 4);
+        assert_eq!(col.meta().resbits(), 4);
         let range = RangePred::between(100, 200);
         let (slo, shi) = relax_to_stored(col.meta(), &range).unwrap().outer;
         for (i, &v) in vals.iter().enumerate() {
-            let s = col.stored_of_row(i);
+            let s = col.approx().get(i);
             let in_relaxed = s >= slo && s <= shi;
             if range.test(v) {
                 assert!(in_relaxed, "exact match {v} must be candidate");
@@ -355,13 +338,13 @@ mod tests {
         let range = RangePred::between(16, 47); // exactly granules 1 and 2
                                                 // Row 20 sits in granule [16,31] ⊆ [16,47]: certain.
         assert_eq!(
-            classify_granule(col.meta(), col.stored_of_row(20), &range),
+            classify_granule(col.meta(), col.approx().get(20), &range),
             GranuleMatch::Certain
         );
         // Range [20, 40] straddles granule boundaries.
         let range = RangePred::between(20, 40);
         assert_eq!(
-            classify_granule(col.meta(), col.stored_of_row(20), &range),
+            classify_granule(col.meta(), col.approx().get(20), &range),
             GranuleMatch::Possible
         );
     }
@@ -373,7 +356,7 @@ mod tests {
         let range = RangePred::between(20, 40);
         // Granule [32,47] straddles hi=40: possible, not certain.
         assert_eq!(
-            classify_granule(col.meta(), col.stored_of_row(33), &range),
+            classify_granule(col.meta(), col.approx().get(33), &range),
             GranuleMatch::Possible
         );
     }
@@ -421,8 +404,8 @@ mod tests {
                 None => vec![],
                 Some(StoredRange { outer: (slo, shi), .. }) => (0..vals.len())
                     .filter(|&i| {
-                        let s = col.stored_of_row(i);
-                        s >= slo && s <= shi && range.test(col.reconstruct_payload(i))
+                        let (s, r) = (col.approx().get(i), col.residual().get(i));
+                        s >= slo && s <= shi && range.test(col.meta().payload_from_parts(s, r))
                     })
                     .collect(),
             };
@@ -457,7 +440,7 @@ mod tests {
             };
             let relaxed = relax_to_stored(col.meta(), &range);
             for (i, &v) in vals.iter().enumerate() {
-                let s = col.stored_of_row(i);
+                let s = col.approx().get(i);
                 let within = |b: Option<(u64, u64)>| b.is_some_and(|(lo, hi)| lo <= s && s <= hi);
                 if range.test(v) {
                     prop_assert!(within(relaxed.map(|r| r.outer)), "{v} passes {range:?}, missed");
@@ -474,7 +457,7 @@ mod tests {
                     prop_assert!(!certain, "wholly inside granule {s} left undecided");
                 }
             }
-            if col.resbits() == 0 && range.exclude.is_none() {
+            if col.meta().resbits() == 0 && range.exclude.is_none() {
                 prop_assert_eq!(relaxed.and_then(|r| r.inner), relaxed.map(|r| r.outer));
             }
         }
@@ -490,7 +473,7 @@ mod tests {
             let col = column(&vals, device_bits);
             let range = RangePred::between(lo, lo + span);
             for (i, &v) in vals.iter().enumerate() {
-                let s = col.stored_of_row(i);
+                let s = col.approx().get(i);
                 if classify_granule(col.meta(), s, &range) == GranuleMatch::Certain {
                     prop_assert!(range.test(v), "certain granule held non-match {v}");
                 }

@@ -2,9 +2,8 @@
 //!
 //! A [`Table`] is a named set of equally-long [`Column`]s (fully
 //! decomposed storage, §II-B); the [`Catalog`] owns the tables plus the
-//! declared foreign-key relationships. Decomposition state (which columns
-//! are bitwise-distributed, and how) lives in the `Database`, not here —
-//! the catalog is the logical schema.
+//! declared foreign-key relationships. A decomposed column is held here in
+//! its split form; its binding to the device lives in the `Database`.
 
 use bwd_storage::Column;
 use bwd_types::{BwdError, FxHashMap, Result};
@@ -133,6 +132,13 @@ impl Catalog {
         self.tables
             .get(name)
             .ok_or_else(|| BwdError::NotFound(format!("table {name}")))
+    }
+
+    /// Put `col` in place of the column `table.name`, both of which exist:
+    /// the split form `bwdecompose` swaps in for the plain one.
+    pub(crate) fn replace_column(&mut self, table: &str, name: &str, col: Column) {
+        let t = self.tables.get_mut(table).expect("the table exists");
+        t.columns[t.index[name]].1 = col;
     }
 
     /// Register a foreign-key relationship (validated), in place of any

@@ -22,7 +22,8 @@ use bwd_core::RangePred;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::{Cursor, Positions, ScanOptions, SelMask};
 use bwd_obs::{pack_chain_order, EventKind, GroupAggTables};
-use bwd_storage::{with_slice, BitPackedVec, Column, DECODE_BLOCK};
+use bwd_storage::encoding::{decode, encoded_bounds};
+use bwd_storage::{BitPackedVec, Column, DECODE_BLOCK};
 use bwd_types::{bits::low_mask, Oid, Result};
 
 /// Execute an A&R-bound plan classically (host only, exact data) and
@@ -170,11 +171,7 @@ fn selection_mask(
         let mut counts = Vec::with_capacity(selections.len());
         for (stage, (sel, &(col, is_dim))) in selections.iter().zip(sel_cols).enumerate() {
             let (rows, link) = ((stage == 0).then_some(n), link.filter(|_| is_dim));
-            // One loop per physical width: the per-row work is a load and
-            // two compares, a dispatch inside it would double it.
-            counts.push(with_slice!(col.data(), v => {
-                select_words(words, first_word, rows, &sel.range, v, link)
-            }));
+            counts.push(select_words(words, first_word, rows, &sel.range, col, link));
         }
         counts
     };
@@ -199,54 +196,54 @@ fn selection_mask(
     Ok((SelMask::from_words(words, n, &ascending), totals))
 }
 
-/// One selection over the mask words from `first_word` on, testing
-/// `col[row]` (`col[link[row]]` for a dimension column): with `rows` (the
+/// One selection over the mask words from `first_word` on, testing row
+/// `row` (row `link[row]` for a dimension column): with `rows` (the
 /// relation's length) a full scan that fills the words, without it the
-/// AND-refinement of the rows still set. Returns the survivor count.
-fn select_words<T: Copy + Into<i64>>(
+/// AND-refinement of the rows still set. Per word, the rows from its first
+/// to its last live one are decoded in one pass — the column's or, for a
+/// dimension column, the link's, which then reaches each live row's
+/// value. Returns the survivor count.
+fn select_words(
     words: &mut [u64],
     first_word: usize,
     rows: Option<usize>,
     range: &RangePred,
-    col: &[T],
+    col: &Column,
     link: Option<&BitPackedVec>,
 ) -> u64 {
-    let mut count = 0;
-    if let (Some(n), None) = (rows, link) {
-        // A full scan of a fact column reads its rows in order, as 64-row
-        // slices: no bit to find and no index to check, which is what
-        // keeps a 3-byte payload as cheap to test as a 4-byte one.
-        let start = first_word * 64;
-        let rows = &col[start..n.min(start + 64 * words.len())];
-        for (word, rows) in words.iter_mut().zip(rows.chunks(64)) {
-            let mut bits = 0;
-            for (k, &payload) in rows.iter().enumerate() {
-                bits |= u64::from(range.test(payload.into())) << k;
-            }
-            (*word, count) = (bits, count + u64::from(bits.count_ones()));
-        }
-        return count;
-    }
-    // A dimension column's positions: per word, the link entries from its
-    // first to its last live row, decoded in one pass.
-    let mut dims = [0u64; DECODE_BLOCK];
+    // The range in the encoded domain every column is read in: order-
+    // preserving, so a split column's concatenated partitions are tested
+    // without a decode.
+    let (dtype, mut count) = (col.dtype(), 0);
+    let (lo, hi) = (range.lo.unwrap_or(i64::MIN), range.hi.unwrap_or(i64::MAX));
+    let (lo, hi) = encoded_bounds(lo, hi, dtype).unwrap_or((1, 0));
+    let exclude = range
+        .exclude
+        .and_then(|x| encoded_bounds(x, x, dtype))
+        .map(|x| x.0);
+    // `&`, not `&&`: three compares and no branch to mispredict.
+    let test = |e: u64| (lo <= e) & (e <= hi) & (exclude != Some(e));
+    let (mut dims, mut keys) = ([0u64; DECODE_BLOCK], [0u64; DECODE_BLOCK]);
     for (w, word) in words.iter_mut().enumerate() {
         let at = (first_word + w) * 64;
-        let mut live = match rows {
+        let live = match rows {
             Some(n) => low_mask((n - at).min(64) as u32),
             None => *word,
         };
-        *word = 0;
-        if let Some(link) = link.filter(|_| live != 0) {
-            let (lo, hi) = (live.trailing_zeros(), 64 - live.leading_zeros());
-            link.unpack_range(at + lo as usize, &mut dims[lo as usize..hi as usize]);
+        let first = live.trailing_zeros() as usize;
+        let last = 64 - live.leading_zeros() as usize;
+        match link {
+            _ if live == 0 => {}
+            None => col.encoded_range(at + first, &mut keys[first..last]),
+            Some(link) => {
+                link.unpack_range(at + first, &mut dims[first..last]);
+                for k in (first..last).filter(|k| live >> k & 1 == 1) {
+                    keys[k] = col.encoded(dims[k] as usize);
+                }
+            }
         }
-        while live != 0 {
-            let k = live.trailing_zeros() as usize;
-            let row = link.map_or(at + k, |_| dims[k] as usize);
-            *word |= u64::from(range.test(col[row].into())) << k;
-            live &= live - 1;
-        }
+        let tested = (first..last).fold(0, |bits, k| bits | u64::from(test(keys[k])) << k);
+        *word = tested & live;
         count += u64::from(word.count_ones());
     }
     count
@@ -269,34 +266,31 @@ impl SliceSource for ClassicSource<'_> {
         for (slot, &(col, is_dim)) in self.cols.iter().enumerate() {
             // `run_classic_sliced` rejects dimension columns without an index.
             let link = self.link.filter(|_| is_dim);
-            let out = block.payloads_mut(slot);
-            with_slice!(col.data(), v => fetch(v, link, &self.oids, out));
+            fetch(col, link, &self.oids, block.payloads_mut(slot));
         }
         Ok(more)
     }
 }
 
-/// `out[i] = col[oids[i]]` (`col[link[oids[i]]]` for a dimension column),
-/// widened: one loop per physical width, like [`select_words`]. `oids`
-/// ascend (they are a mask's survivors), so a run of them inside one
-/// 64-row word decodes the link from its first to its last oid in one
-/// pass.
-fn fetch<T: Copy + Into<i64>>(
-    col: &[T],
-    link: Option<&BitPackedVec>,
-    oids: &[Oid],
-    out: &mut [i64],
-) {
-    let Some(link) = link else {
-        let rows = out.iter_mut().zip(oids);
-        return rows.for_each(|(o, &oid)| *o = col[oid as usize].into());
-    };
-    let (mut out, mut dims) = (out.iter_mut(), [0u64; DECODE_BLOCK]);
+/// `out[i]` = the payload of row `oids[i]` (of row `link[oids[i]]` for a
+/// dimension column). `oids` ascend (they are a mask's survivors), so a
+/// run of them inside one 64-row word decodes the rows — or the link —
+/// from its first to its last oid in one pass.
+fn fetch(col: &Column, link: Option<&BitPackedVec>, oids: &[Oid], out: &mut [i64]) {
+    let (dtype, mut out, mut keys) = (col.dtype(), out.iter_mut(), [0u64; DECODE_BLOCK]);
     for run in oids.chunk_by(|a, b| a / 64 == b / 64) {
         let (lo, hi) = (run[0] as usize, run[run.len() - 1] as usize);
-        link.unpack_range(lo, &mut dims[..=hi - lo]);
+        let keys = &mut keys[..=hi - lo];
+        match link {
+            Some(link) => link.unpack_range(lo, keys),
+            None => col.encoded_range(lo, keys),
+        }
         for (&oid, o) in run.iter().zip(out.by_ref()) {
-            *o = col[dims[oid as usize - lo] as usize].into();
+            let key = keys[oid as usize - lo];
+            *o = match link {
+                Some(_) => col.payload(key as usize),
+                None => decode(key, dtype),
+            };
         }
     }
 }
@@ -553,20 +547,6 @@ pub(crate) mod tests {
         assert!(polls.load(std::sync::atomic::Ordering::Relaxed) > 8 * N / SLICE_ROWS);
     }
 
-    /// The first two links of a chain over typed slices: a full scan of
-    /// `a` that fills the mask, then the refinement of its set rows by
-    /// `b` through `fk` — the mask words and both survivor counts.
-    fn two_links<A: Copy + Into<i64>, B: Copy + Into<i64>>(
-        (a, a_range): (&[A], &RangePred),
-        (b, b_range): (&[B], &RangePred),
-        fk: &BitPackedVec,
-    ) -> (Vec<u64>, [u64; 2]) {
-        let mut words = vec![0u64; a.len().div_ceil(64)];
-        let scanned = select_words(&mut words, 0, Some(a.len()), a_range, a, None);
-        let refined = select_words(&mut words, 0, None, b_range, b, Some(fk));
-        (words, [scanned, refined])
-    }
-
     /// Every value a width boundary lies next to: the extremes of `i8`,
     /// `i16`, `u16`, the 3-byte `I24` and `i32`, one past each, and two
     /// deep in `i64`.
@@ -595,20 +575,68 @@ pub(crate) mod tests {
         1 << 62,
     ];
 
+    /// A column of `rows` payloads drawn from `dom` — both extrema first —
+    /// as type `ty` (0: `Int64`; 1: `Int32` where the domain fits, else
+    /// `Int64`; 2: dictionary codes, one string per value of the domain cut
+    /// to 300), held plain (`split` 0) or split at 0, 1, 8 and w − 1
+    /// residual bits, with a frame or without (`split` 1..=8). The plain
+    /// twin rides along.
+    fn column(
+        rows: usize,
+        dom: (i64, i64),
+        ty: usize,
+        split: usize,
+        draw: &mut impl FnMut((i64, i64)) -> i64,
+    ) -> (Column, Column) {
+        let rest: Vec<i64> = (2..rows).map(|_| draw(dom)).collect();
+        let vals = [dom.0, dom.1].into_iter().chain(rest).take(rows);
+        let fits = i32::try_from(dom.0).is_ok() && i32::try_from(dom.1).is_ok();
+        let plain = match ty {
+            1 if fits => Column::from_i32(vals.map(|v| v as i32).collect()),
+            2 => {
+                let vocab: Vec<String> = (0..300).map(|i| format!("{i:03}")).collect();
+                let code = |v: i64| (v.wrapping_sub(dom.0) as u64 % 300) as i32;
+                Column::from_codes(&vocab, vals.map(code).collect()).unwrap()
+            }
+            _ => Column::from_i64(vals.collect()),
+        };
+        let bits = bwd_storage::encoding::physical_bits(plain.dtype());
+        let held = match split {
+            0 => plain.clone(),
+            _ => {
+                let device_bits = [bits, bits - 1, bits - 8, 1][(split - 1) / 2];
+                let spec = bwd_storage::DecompositionSpec {
+                    frame_of_reference: split % 2 == 1,
+                    ..bwd_storage::DecompositionSpec::with_device_bits(device_bits)
+                };
+                plain.decompose(&spec).unwrap()
+            }
+        };
+        (held, plain)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(200))]
 
-        /// Width is invisible to the classic pipe: over a fact column and a
-        /// dimension column stored in any two of the six widths — their
-        /// extrema on the width boundaries —, the selection chain fills the
-        /// mask words and counts — and the tail fetches the payloads — it
-        /// does over their widened copies.
+        /// Width and split are invisible to the classic pipe: over a fact
+        /// column and a dimension column of any type (dictionary codes
+        /// among them) stored in any two of the six widths — their extrema
+        /// on the width boundaries — or split at 0, 1, 8 or w − 1 residual
+        /// bits, with a frame or without, the selection chain (a full scan,
+        /// a refinement through the FK link, a fact-side refinement) fills
+        /// the mask words and counts — and the tail fetches the payloads,
+        /// fact-side and through the link — that the undecomposed twins
+        /// give, row by row.
         #[test]
-        fn width_is_invisible_to_the_selection_chain_and_the_fetch(
+        fn width_and_split_are_invisible_to_the_selection_chain_and_the_fetch(
             a_lo in 0usize..EDGES.len(),
             a_hi in 0usize..EDGES.len(),
             b_lo in 0usize..EDGES.len(),
             b_hi in 0usize..EDGES.len(),
+            a_ty in 0usize..3,
+            b_ty in 0usize..3,
+            a_split in 0usize..9,
+            b_split in 0usize..9,
             n in 0usize..700,
             dim_rows in 1usize..40,
             seed: u64,
@@ -620,38 +648,54 @@ pub(crate) mod tests {
             let mut draw = |(lo, hi): (i64, i64)| {
                 lo.wrapping_add(rng.below(hi.wrapping_sub(lo) as u64 + 1) as i64)
             };
-            // Both extrema, then draws between them.
-            let mut column = |rows: usize, dom: (i64, i64)| {
-                let rest = (2..rows).map(|_| draw(dom));
-                Column::from_i64([dom.0, dom.1].into_iter().chain(rest).take(rows).collect())
-            };
-            let (a, b) = (column(n, a_dom), column(dim_rows, b_dom));
+            let (a, a_plain) = column(n, a_dom, a_ty, a_split, &mut draw);
+            let (b, b_plain) = column(dim_rows, b_dom, b_ty, b_split, &mut draw);
             let width = bwd_types::bits::bits_for_width(dim_rows as u64);
-            let fk = (0..n).map(|_| draw((0, dim_rows as i64 - 1)) as u64);
-            let fk = BitPackedVec::pack(width, fk);
-            let mut range = |dom: (i64, i64)| {
-                let (x, y) = (draw(dom), draw(dom));
+            let fk: Vec<u64> = (0..n).map(|_| draw((0, dim_rows as i64 - 1)) as u64).collect();
+            let link = BitPackedVec::pack(width, fk.iter().copied());
+            // A range over the payloads, wider than the domain at times.
+            let mut range = |col: &Column| {
+                let (lo, hi) = col.payload_min_max().unwrap_or((0, 0));
+                let wide = (lo.saturating_sub(5), hi.saturating_add(5));
+                let (x, y) = (draw(wide), draw(wide));
                 RangePred {
-                    exclude: Some(draw(dom)),
+                    exclude: Some(draw((lo, hi))),
                     ..RangePred::between(x.min(y), x.max(y))
                 }
             };
-            let (a_range, b_range) = (range(a_dom), range(b_dom));
-            let widened = two_links((&a.payloads(), &a_range), (&b.payloads(), &b_range), &fk);
-            let stored = with_slice!(a.data(), a => with_slice!(b.data(), b => {
-                two_links((a, &a_range), (b, &b_range), &fk)
-            }));
-            let tag = format!("{} and {} bytes", a.data().width(), b.data().width());
-            proptest::prop_assert_eq!(stored, widened, "{}", tag);
+            let (a_range, b_range, a2_range) = (range(&a_plain), range(&b_plain), range(&a_plain));
+            let tag = format!("{} {} × {} {}", a.dtype(), a.physical_bytes(), b.dtype(), b.physical_bytes());
+
+            let mut words = vec![0u64; n.div_ceil(64)];
+            let counts = [
+                select_words(&mut words, 0, Some(n), &a_range, &a, None),
+                select_words(&mut words, 0, None, &b_range, &b, Some(&link)),
+                select_words(&mut words, 0, None, &a2_range, &a, None),
+            ];
+            let (mut want, mut want_counts) = (vec![0u64; words.len()], [0u64; 3]);
+            for row in 0..n {
+                let x = a_plain.payload(row);
+                let passes = [
+                    a_range.test(x),
+                    b_range.test(b_plain.payload(fk[row] as usize)),
+                    a2_range.test(x),
+                ];
+                for stage in 0..3 {
+                    want_counts[stage] += u64::from(passes[..=stage].iter().all(|&p| p));
+                }
+                want[row / 64] |= u64::from(passes.iter().all(|&p| p)) << (row % 64);
+            }
+            proptest::prop_assert_eq!(counts, want_counts, "{}", tag);
+            proptest::prop_assert_eq!(words, want, "{}", tag);
 
             let oids: Vec<Oid> = (0..n as Oid).filter(|_| rng.below(3) > 0).collect();
             let mut out = vec![0i64; oids.len()];
-            with_slice!(a.data(), a => fetch(a, None, &oids, &mut out));
-            let direct: Vec<i64> = oids.iter().map(|&o| a.payload(o as usize)).collect();
+            fetch(&a, None, &oids, &mut out);
+            let direct: Vec<i64> = oids.iter().map(|&o| a_plain.payload(o as usize)).collect();
             proptest::prop_assert_eq!(&out, &direct, "{}", tag);
-            with_slice!(b.data(), b => fetch(b, Some(&fk), &oids, &mut out));
+            fetch(&b, Some(&link), &oids, &mut out);
             let through_fk: Vec<i64> =
-                oids.iter().map(|&o| b.payload(fk.get(o as usize) as usize)).collect();
+                oids.iter().map(|&o| b_plain.payload(fk[o as usize] as usize)).collect();
             proptest::prop_assert_eq!(&out, &through_fk, "{}", tag);
         }
     }

@@ -15,7 +15,7 @@ use bwd_core::ops::join::FkIndex;
 use bwd_core::plan::{rewrite, ArPlan, LogicalPlan, PlanResolver, RewriteOptions};
 use bwd_core::{BoundColumn, RangePred};
 use bwd_device::{CostLedger, DeviceBuffer, Env};
-use bwd_storage::{Column, DecomposedColumn, DecompositionSpec};
+use bwd_storage::{Column, DecompositionSpec, Storage};
 use bwd_types::{BwdError, FxHashMap, Result, Value};
 
 /// How to execute a plan.
@@ -138,8 +138,8 @@ impl Database {
         let fact_keys = self.catalog.table(fact_table)?.column(fact_key)?;
         let dim_keys = self.catalog.table(dim_table)?.column(dim_key)?;
         let idx = FkIndex::build(
-            fact_keys.data(),
-            dim_keys.data(),
+            &fact_keys.plain(),
+            &dim_keys.plain(),
             &self.env.device,
             &self.env,
             &mut self.load_ledger,
@@ -161,7 +161,8 @@ impl Database {
 
     /// `select bwdecompose(column, device_bits) from table` (§V-A):
     /// bitwise-decompose a column, upload the approximation to the device,
-    /// keep the residual on the host.
+    /// keep the residual on the host — and nothing else: the catalog's
+    /// column becomes the split one, its plain payloads released.
     pub fn bwdecompose(
         &mut self,
         table: &str,
@@ -183,14 +184,17 @@ impl Database {
         spec: &DecompositionSpec,
     ) -> Result<DecompositionReport> {
         let col = self.catalog.table(table)?.column(column)?;
-        DecomposedColumn::validate_spec(col.dtype(), spec)?;
         let plain_bytes = col.plain_bytes();
-        let dec = DecomposedColumn::decompose_column(col, spec)?;
+        let split = col.decompose(spec)?;
+        let Storage::Split(dec) = split.storage() else {
+            unreachable!("a decomposed column is split")
+        };
+        let dec = dec.clone();
         let report = DecompositionReport {
             device_bytes: dec.device_bytes(),
             host_bytes: dec.host_bytes(),
-            resbits: dec.resbits(),
-            stored_width: dec.stored_width(),
+            resbits: dec.meta().resbits(),
+            stored_width: dec.meta().stored_width(),
             plain_bytes,
         };
         let label = format!("{table}.{column}");
@@ -200,7 +204,8 @@ impl Database {
         // card) back *before* the new one goes up: re-decomposing needs
         // room for the larger of the two, not for both. It does so only
         // once the new one is known to fit every card, so a
-        // re-decomposition that cannot fit leaves the old binding intact.
+        // re-decomposition that cannot fit leaves the old binding — and the
+        // catalog's column — intact.
         let held = self
             .bound
             .get(&key)
@@ -218,6 +223,7 @@ impl Database {
         self.replicas.remove(&replica_key);
         let bound = BoundColumn::bind(dec, &self.env.device, &label, &mut self.load_ledger)?;
         self.bound.insert(key, bound);
+        self.catalog.replace_column(table, column, split);
         self.replicate(replica_key, report.device_bytes, &label)?;
         Ok(report)
     }
@@ -629,6 +635,68 @@ mod tests {
         for device in db.env().pool.devices() {
             assert_eq!(device.memory().peak(), 17_500, "never old + new");
         }
+    }
+
+    /// A column's round trip all-device → 24/8 → all-device, then a
+    /// re-decomposition that cannot fit: at every step both pipes return
+    /// the rows and bills — to the bit — of the commit that still kept the
+    /// plain payloads beside the split, and the catalog's column reads
+    /// back the payloads it was loaded with (after the failed step: the
+    /// old split, intact).
+    #[test]
+    fn a_round_trip_through_the_split_answers_as_the_plain_column_did() {
+        const PINNED: [u64; 4] = [
+            5531037674305693889,
+            15689823285867732919,
+            5531037674305693889,
+            5531037674305693889,
+        ];
+        // 10 000 rows of 14-bit values: 17 500 B all-device, 7 500 B at
+        // 24/8, 40 000 B uncompressed; `b` all-device 8 750 B.
+        let card = bwd_device::DeviceSpec::gtx680().with_capacity(30_000);
+        let mut db = Database::with_env(Env::with_devices(vec![card]));
+        let a: Vec<i32> = (0..10_000).map(|i| i * 7 % 10_000).collect();
+        let b = Column::from_i32((0..10_000).map(|i| i % 100).collect());
+        let cols = vec![("a".into(), Column::from_i32(a.clone())), ("b".into(), b)];
+        db.create_table("r", cols).unwrap();
+        let grouped = LogicalPlan::scan("r")
+            .filter(Predicate::Cmp {
+                column: "a".into(),
+                op: CmpOp::Lt,
+                value: Value::Int(5_000),
+            })
+            .aggregate(
+                vec!["b".into()],
+                vec![AggExpr {
+                    func: AggFunc::Sum,
+                    arg: Some(E::col("a")),
+                    alias: "s".into(),
+                }],
+            );
+        let plans = [count_where_a(100, 499), grouped];
+        let mut digests = Vec::new();
+        for bits in [32, 24, 32, 0] {
+            match bits {
+                0 => {
+                    let spec = DecompositionSpec::uncompressed(32);
+                    let failed = db.bwdecompose_spec("r", "a", &spec);
+                    assert!(matches!(failed, Err(BwdError::DeviceOutOfMemory { .. })));
+                }
+                _ => drop(db.bwdecompose("r", "a", bits).unwrap()),
+            }
+            let col = db.catalog().table("r").unwrap().column("a").unwrap();
+            let want: Vec<i64> = a.iter().map(|&v| v as i64).collect();
+            assert_eq!(col.payloads(), want, "{bits}");
+            for plan in &plans {
+                for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
+                    digests.push(digest(&db.run(plan, mode).unwrap()));
+                }
+            }
+        }
+        let per_step: Vec<u64> = (digests.chunks(4))
+            .map(|c| c.iter().fold(0, |h: u64, &d| h.rotate_left(7) ^ d))
+            .collect();
+        assert_eq!(per_step, PINNED);
     }
 
     #[test]

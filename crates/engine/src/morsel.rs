@@ -21,7 +21,7 @@
 
 use bwd_core::{BoundColumn, RangePred};
 use bwd_kernels::DeviceArray;
-use bwd_storage::{with_slice, BitPackedVec, ColumnData, DecompositionMeta};
+use bwd_storage::{BitPackedVec, DecompositionMeta};
 use bwd_types::Oid;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -212,15 +212,15 @@ impl ScratchPool {
     }
 }
 
-/// Where a refinement finds its tuples' residual bits — in the plain
-/// column, at the fact position or, for a dimension column, at the
+/// Where a refinement finds its tuples' residual bits — in the packed
+/// residual, at the fact position or, for a dimension column, at the
 /// position the packed FK link maps it to — and the approximations, at
 /// the same position, that they complete.
 #[derive(Clone, Copy)]
 pub(crate) struct ResidualSrc<'a> {
     meta: &'a DecompositionMeta,
     approx: &'a DeviceArray,
-    plain: &'a ColumnData,
+    residual: &'a BitPackedVec,
     link: Option<&'a BitPackedVec>,
 }
 
@@ -228,35 +228,27 @@ impl<'a> ResidualSrc<'a> {
     /// The source for `col`; `link` is the FK link a dimension column is
     /// reached through.
     pub(crate) fn for_column(col: &'a BoundColumn, link: Option<&'a BitPackedVec>) -> Self {
-        let (meta, approx, plain) = (col.meta(), col.approx(), col.plain());
+        let (meta, approx, residual) = (col.meta(), col.approx(), col.residual());
         ResidualSrc {
             meta,
             approx,
-            plain,
+            residual,
             link,
         }
     }
 
     /// `f(i, exact payload of oids[i])` for every `i`, in order: the link
     /// decoded once per oid, approximation ‖ residual read at the position
-    /// it gives. The physical width is dispatched here, once per call,
-    /// never per row; a fully device-resident column has no residual and
-    /// loads nothing.
+    /// it gives.
     #[inline]
-    pub(crate) fn exact(&self, oids: &[Oid], f: impl FnMut(usize, i64)) {
-        with_slice!(self.plain, rows => self.read(rows, oids, f))
-    }
-
-    #[inline]
-    fn read<T: Copy + Into<i64>>(&self, rows: &[T], oids: &[Oid], mut f: impl FnMut(usize, i64)) {
-        let (meta, approx, link) = (self.meta, self.approx, self.link);
-        let residual = |pos: usize| match meta.resbits() {
-            0 => 0,
-            _ => meta.residual_of_payload(rows[pos].into()),
-        };
+    pub(crate) fn exact(&self, oids: &[Oid], mut f: impl FnMut(usize, i64)) {
+        let (meta, approx, residual, link) = (self.meta, self.approx, self.residual, self.link);
         for (i, &oid) in oids.iter().enumerate() {
             let pos = link.map_or(oid as usize, |l| l.get(oid as usize) as usize);
-            f(i, meta.payload_from_parts(approx.get(pos), residual(pos)));
+            f(
+                i,
+                meta.payload_from_parts(approx.get(pos), residual.get(pos)),
+            );
         }
     }
 }
@@ -452,14 +444,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// A refinement that reads residuals from the typed plain slice
-        /// keeps the oids, in order, that one reading a packed residual
-        /// partition — rebuilt here the way the two-cursor splitter packed
-        /// it — keeps: every type × physical width × kind of split,
-        /// fact-positioned and through a packed FK link, on 1 and on 3
-        /// morsels.
+        /// A refinement that reads approximation ‖ packed residual keeps
+        /// the oids, in order, that the undecomposed twin's payloads pass:
+        /// every type × physical width × kind of split, fact-positioned and
+        /// through a packed FK link, on 1 and on 3 morsels.
         #[test]
-        fn refine_filter_keeps_what_a_packed_residual_reader_keeps(
+        fn refine_filter_keeps_what_the_plain_twin_passes(
             ty in 0usize..5,
             span_bits in 0usize..6,
             split in 0usize..5,
@@ -467,9 +457,9 @@ mod tests {
             seed: u64,
         ) {
             use bwd_core::BoundColumn;
-            use bwd_storage::encoding::{encode, physical_bits};
+            use bwd_storage::encoding::physical_bits;
             use bwd_storage::{BitPackedVec, Column, DecomposedColumn, DecompositionSpec};
-            use bwd_types::{bits::low_mask, Date};
+            use bwd_types::Date;
 
             let mut rng = bwd_types::SplitMix64::new(seed);
             // Payloads around zero that need 1, 2, 3, 4 or (64-bit types) 8
@@ -501,16 +491,6 @@ mod tests {
             let ledger = &mut bwd_device::CostLedger::new();
             let dec = DecomposedColumn::decompose_column(&col, &spec).unwrap();
             let bound = BoundColumn::bind(dec, &env.device, "col", ledger).unwrap();
-            let (meta, arr) = (bound.meta(), bound.approx());
-
-            let frame = match (spec.frame_of_reference, col.payload_min_max()) {
-                (true, Some((min, _))) => encode(min, col.dtype()),
-                _ => 0,
-            };
-            let mut packed = BitPackedVec::new(meta.resbits());
-            for &v in &vals {
-                packed.push((encode(v, col.dtype()) - frame) & low_mask(meta.resbits()));
-            }
 
             let a = lo + rng.below(span) as i64;
             let range = RangePred {
@@ -532,11 +512,7 @@ mod tests {
                     (0..fact_rows as Oid).filter(|_| rng.below(8) > 0).collect();
                 let at = |oid: Oid| link.map_or(oid as usize, |l| l.get(oid as usize) as usize);
                 let want: Vec<Oid> = (live.iter().copied())
-                    .filter(|&oid| {
-                        let exact = meta.payload_from_parts(arr.get(at(oid)), packed.get(at(oid)));
-                        assert_eq!(exact, vals[at(oid)]);
-                        range.test(exact)
-                    })
+                    .filter(|&oid| range.test(vals[at(oid)]))
                     .collect();
                 let src = ResidualSrc::for_column(&bound, link);
                 for morsels in [1, 3] {

@@ -4,16 +4,18 @@
 //! memory reservation that represents its residency. In the simulation the
 //! bits physically live in host memory (kernels read them directly), but
 //! the reservation is real: it counts against the device's 2 GB capacity,
-//! and creating one charges the PCI-E upload.
+//! and creating one charges the PCI-E upload. The bits are shared, not
+//! copied: a decomposed column's catalog entry reads the same words.
 
 use bwd_device::{CostLedger, Device, DeviceBuffer};
 use bwd_storage::BitPackedVec;
 use bwd_types::Result;
+use std::sync::Arc;
 
 /// A bit-packed array resident in (simulated) device memory.
 #[derive(Debug)]
 pub struct DeviceArray {
-    data: BitPackedVec,
+    data: Arc<BitPackedVec>,
     #[allow(dead_code)] // held for its Drop: releases the device reservation
     buffer: DeviceBuffer,
 }
@@ -25,10 +27,11 @@ impl DeviceArray {
     /// the remaining device memory.
     pub fn upload(
         device: &Device,
-        data: BitPackedVec,
+        data: impl Into<Arc<BitPackedVec>>,
         label: &str,
         ledger: &mut CostLedger,
     ) -> Result<Self> {
+        let data = data.into();
         let buffer = device.upload(data.packed_bytes(), label, ledger)?;
         Ok(DeviceArray { data, buffer })
     }

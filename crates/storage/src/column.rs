@@ -1,23 +1,30 @@
 //! Persistent columns and ordered string dictionaries.
 //!
-//! A [`Column`] is the full-resolution, host-resident representation every
-//! classic (CPU-only) operator works on, and the source from which
-//! decomposition derives the device partitions. Two widths, kept apart:
+//! A [`Column`] is the full-resolution representation every classic
+//! (CPU-only) operator works on, and the source from which decomposition
+//! derives the device partitions. Its payloads are held one way at a time
+//! ([`Storage`]): plain, or — once decomposed — as the approximation ‖
+//! residual pair, the plain payloads released. Two widths, kept apart:
 //!
 //! * the **modeled** width follows MonetDB's static type expansion —
 //!   32-bit types 4 bytes, 64-bit types 8 ([`DataType::plain_width`]) —
 //!   and is what every bill, every decomposition report and the load
 //!   ledger charge ([`Column::plain_bytes`]);
-//! * the **physical** width is the fewest bytes — 1, 2, 3, 4 or 8 — that
-//!   hold the column's payload extrema ([`Column::physical_bytes`]).
-//!   Nothing but the allocator reads it: it never reaches a bill.
+//! * the **physical** width of a plain column is the fewest bytes — 1, 2,
+//!   3, 4 or 8 — that hold the column's payload extrema
+//!   ([`Column::physical_bytes`]). Nothing but the allocator reads it: it
+//!   never reaches a bill.
 //!
 //! Strings are codes into an *ordered* [`Dictionary`] so that prefix
 //! predicates become code-range predicates (the rewrite the paper applied
 //! to TPC-H Q14's `like 'PROMO%'`).
 
+use crate::decompose::{DecomposedColumn, DecompositionSpec};
+use crate::encoding::{decode, encode, physical_bits};
+use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, DataType, Date, FxHashMap, Result, Value};
 use std::any::TypeId;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -228,13 +235,22 @@ enum Logical {
     Str(Arc<Dictionary>),
 }
 
+/// How a column holds its payloads: every bit once.
+#[derive(Debug)]
+pub enum Storage {
+    /// Plain payloads, in the narrowest width that holds the extrema.
+    Plain(ColumnData),
+    /// Bitwise-decomposed: approximation ‖ residual are the column, and
+    /// no plain payload is kept beside them.
+    Split(DecomposedColumn),
+}
+
 /// A persistent, fully-decomposed (column-store) attribute. A clone is a
 /// reference: the payloads are shared, never copied.
 #[derive(Debug, Clone)]
 pub struct Column {
     logical: Logical,
-    /// In the narrowest width that holds `min_max`.
-    data: Arc<ColumnData>,
+    storage: Arc<Storage>,
     /// Payload minimum/maximum, `None` when empty: found once, on the way
     /// in — it decides the storage width, and decomposition and the binder
     /// (per predicate per `bind`) ask for it anyway.
@@ -250,9 +266,26 @@ impl Column {
         let data = with_slice!(&data, rows => narrowed(rows, min_max)).unwrap_or(data);
         Column {
             logical,
-            data: Arc::new(data),
+            storage: Arc::new(Storage::Plain(data)),
             min_max,
         }
+    }
+
+    /// This column split by `spec` — type, extrema and dictionary kept,
+    /// the payloads held as approximation ‖ residual only: when `self` is
+    /// dropped, so is its plain storage. A split column re-splits block by
+    /// block.
+    ///
+    /// # Errors
+    /// Fails on a spec [`DecomposedColumn::validate_spec`] rejects.
+    pub fn decompose(&self, spec: &DecompositionSpec) -> Result<Column> {
+        DecomposedColumn::validate_spec(self.dtype(), spec)?;
+        let split = DecomposedColumn::decompose_column(self, spec)?;
+        Ok(Column {
+            logical: self.logical.clone(),
+            storage: Arc::new(Storage::Split(split)),
+            min_max: self.min_max,
+        })
     }
 
     /// `self`, unless a decimal payload has more digits than the precision
@@ -360,39 +393,79 @@ impl Column {
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        match &*self.storage {
+            Storage::Plain(data) => data.len(),
+            Storage::Split(split) => split.len(),
+        }
     }
 
     /// Whether the column holds no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
-    /// Raw physical storage.
+    /// How the payloads are held — what a loop reads in place.
     #[inline]
-    pub fn data(&self) -> &ColumnData {
-        &self.data
+    pub fn storage(&self) -> &Storage {
+        &self.storage
     }
 
-    /// The storage as its clones and decompositions share it — a
-    /// decomposed column reads its residual bits here.
+    /// The payloads as plain storage in the narrowest width: borrowed from
+    /// a plain column, rebuilt — a full copy — from a split one.
+    pub fn plain(&self) -> Cow<'_, ColumnData> {
+        match &*self.storage {
+            Storage::Plain(data) => Cow::Borrowed(data),
+            Storage::Split(_) => {
+                let payloads = self.payloads();
+                let narrow = narrowed(&payloads, self.min_max);
+                Cow::Owned(narrow.unwrap_or(ColumnData::I64(payloads)))
+            }
+        }
+    }
+
+    /// Encoded value ([`encode`]) of row `i` — for single rows.
     #[inline]
-    pub fn shared_data(&self) -> &Arc<ColumnData> {
-        &self.data
+    pub fn encoded(&self, i: usize) -> u64 {
+        match &*self.storage {
+            Storage::Plain(data) => encode(data.get(i), self.dtype()),
+            Storage::Split(split) => split.encoded(i),
+        }
+    }
+
+    /// Encoded values ([`encode`]) of rows `start..start + out.len()`: a
+    /// plain column's payloads, or a split column's two partitions decoded
+    /// a block at a time and concatenated. The encoding preserves order,
+    /// so a range test reads them as they are.
+    pub fn encoded_range(&self, start: usize, out: &mut [u64]) {
+        match &*self.storage {
+            Storage::Plain(data) => with_slice!(data, rows => {
+                // `encode`, its branch on the width taken once.
+                let bits = physical_bits(self.dtype());
+                let (mask, flip) = (low_mask(bits), 1 << (bits - 1));
+                for (e, &p) in out.iter_mut().zip(&rows[start..]) {
+                    *e = (Into::<i64>::into(p) as u64 & mask) ^ flip;
+                }
+            }),
+            Storage::Split(split) => split.encoded_range(start, out),
+        }
     }
 
     /// Payload of row `i`, widened to `i64`.
     #[inline]
     pub fn payload(&self, i: usize) -> i64 {
-        self.data.get(i)
+        decode(self.encoded(i), self.dtype())
     }
 
     /// All payloads widened to `i64` — a full copy, for tests and
-    /// measurement harnesses; the engine reads [`Column::data`] in place.
-    #[allow(clippy::useless_conversion)] // the `i64` arm
+    /// measurement harnesses; the engine reads encoded runs in place.
     pub fn payloads(&self) -> Vec<i64> {
-        with_slice!(self.data(), rows => rows.iter().map(|&x| x.into()).collect())
+        let mut encoded = vec![0; self.len()];
+        self.encoded_range(0, &mut encoded);
+        encoded
+            .into_iter()
+            .map(|e| decode(e, self.dtype()))
+            .collect()
     }
 
     /// The ordered dictionary, if this is a string column.
@@ -405,7 +478,7 @@ impl Column {
 
     /// Logical value of row `i`.
     pub fn value(&self, i: usize) -> Value {
-        let p = self.data.get(i);
+        let p = self.payload(i);
         match &self.logical {
             Logical::Str(dict) => Value::Str(dict.value_of(p as u32).to_string()),
             // `Plain` never holds `Str`; a bare code is the integer it is.
@@ -454,10 +527,13 @@ impl Column {
     }
 
     /// Bytes the payloads occupy on this host: rows × the fewest of 1, 2,
-    /// 3, 4 or 8 bytes that hold the extrema. Only the allocator reads it;
-    /// no simulated cost does.
+    /// 3, 4 or 8 bytes that hold the extrema — or, split, both packed
+    /// partitions. Only the allocator reads it; no simulated cost does.
     pub fn physical_bytes(&self) -> u64 {
-        self.len() as u64 * self.data.width()
+        match &*self.storage {
+            Storage::Plain(data) => self.len() as u64 * data.width(),
+            Storage::Split(split) => split.device_bytes() + split.host_bytes(),
+        }
     }
 
     /// Minimum and maximum payload, or `None` when empty.
@@ -772,8 +848,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// Width is invisible: whatever width a column's values arrived
-        /// in, every reader sees the same column, stored the same way.
+        /// Width and split are invisible: whatever width a column's values
+        /// arrived in, every reader sees the same column, stored the same
+        /// way; and split at 0, 1, 8 or w − 1 residual bits, with a frame
+        /// or without, it is still that column to every reader — type,
+        /// extrema, dictionary, modeled bytes, payloads, values and the
+        /// encoded runs — held in its two packed partitions only.
         #[test]
         fn width_is_invisible_to_every_reader(
             ty in 0usize..width_cases::TYPES.len(),
@@ -789,15 +869,15 @@ mod tests {
                 prop_assert_eq!(c.dtype(), case.dtype, "{}", tag);
                 prop_assert_eq!(c.payloads(), case.payloads.clone(), "{}", tag);
                 prop_assert_eq!(c.payload_min_max(), extrema(&case.payloads), "{}", tag);
-                prop_assert_eq!(c.data().width(), needs(lo, hi), "{}", tag);
+                prop_assert_eq!(c.plain().width(), needs(lo, hi), "{}", tag);
                 let rows = case.payloads.len() as u64;
                 prop_assert_eq!(c.physical_bytes(), rows * needs(lo, hi), "{}", tag);
                 prop_assert_eq!(c.plain_bytes(), rows * case.dtype.plain_width(), "{}", tag);
             }
-            prop_assert_eq!(case.wide.data(), case.narrow.data(), "{}", tag);
+            prop_assert_eq!(case.wide.plain(), case.narrow.plain(), "{}", tag);
             // Stored in the width the rule picks: signed where widths tie.
             let picked = width_cases::narrowest(&case.payloads);
-            prop_assert_eq!(case.wide.data(), &picked, "{}", tag);
+            prop_assert_eq!(&*case.wide.plain(), &picked, "{}", tag);
             prop_assert_eq!(case.wide.dictionary(), case.narrow.dictionary(), "{}", tag);
             for (i, &p) in case.payloads.iter().enumerate() {
                 let value = match case.dtype {
@@ -810,6 +890,39 @@ mod tests {
                 prop_assert_eq!(case.wide.payload(i), p, "{} row {}", tag, i);
                 prop_assert_eq!(case.wide.value(i), value.clone(), "{} row {}", tag, i);
                 prop_assert_eq!(case.narrow.value(i), value, "{} row {}", tag, i);
+            }
+
+            let bits = crate::encoding::physical_bits(case.dtype);
+            let mut encoded = vec![0; case.payloads.len()];
+            case.narrow.encoded_range(0, &mut encoded);
+            for (device_bits, frame_of_reference) in
+                [bits, bits - 1, bits - 8, 1].into_iter().flat_map(|b| [(b, true), (b, false)])
+            {
+                let spec = DecompositionSpec {
+                    frame_of_reference,
+                    ..DecompositionSpec::with_device_bits(device_bits)
+                };
+                let c = case.narrow.decompose(&spec).unwrap();
+                let tag = format!("{tag} split {spec:?}");
+                let Storage::Split(split) = c.storage() else {
+                    panic!("{tag}: not split")
+                };
+                let held = split.device_bytes() + split.host_bytes();
+                prop_assert_eq!(c.physical_bytes(), held, "{}", tag);
+                prop_assert_eq!(c.dtype(), case.dtype, "{}", tag);
+                prop_assert_eq!(c.len(), case.payloads.len(), "{}", tag);
+                prop_assert_eq!(c.payload_min_max(), case.narrow.payload_min_max(), "{}", tag);
+                prop_assert_eq!(c.plain_bytes(), case.narrow.plain_bytes(), "{}", tag);
+                prop_assert_eq!(c.dictionary(), case.narrow.dictionary(), "{}", tag);
+                prop_assert_eq!(c.payloads(), case.payloads.clone(), "{}", tag);
+                prop_assert_eq!(&*c.plain(), &picked, "{}", tag);
+                let mut got = vec![0; encoded.len()];
+                c.encoded_range(0, &mut got);
+                prop_assert_eq!(&got, &encoded, "{}", tag);
+                for (i, &e) in encoded.iter().enumerate() {
+                    prop_assert_eq!(c.encoded(i), e, "{} row {}", tag, i);
+                    prop_assert_eq!(c.value(i), case.narrow.value(i), "{} row {}", tag, i);
+                }
             }
         }
     }
@@ -913,7 +1026,8 @@ mod tests {
         let at = vals.as_ptr();
         let c = Column::from_data(coord, ColumnData::I24(vals)).unwrap();
         assert_eq!(c.value(1), Value::decimal(7_013_643, 5));
-        let ColumnData::I24(stored) = c.data() else {
+        let plain = c.plain();
+        let ColumnData::I24(stored) = &*plain else {
             panic!("seven digits below 2^23 need 3 bytes")
         };
         assert_eq!(stored.as_ptr(), at, "the storage moved in, uncopied");
@@ -980,7 +1094,7 @@ mod tests {
 
     /// Where a column's payloads live.
     fn address(c: &Column) -> usize {
-        with_slice!(c.data(), rows => rows.as_ptr() as usize)
+        with_slice!(&*c.plain(), rows => rows.as_ptr() as usize)
     }
 
     /// After every public constructor the stored width is the narrowest
@@ -990,7 +1104,7 @@ mod tests {
         let check = |c: Column, lo: i64, hi: i64, how: &str| {
             let tag = format!("{how} over {lo}..={hi}");
             assert_eq!(c.payload_min_max(), Some((lo, hi)), "{tag}");
-            assert_eq!(c.data().width(), needs(lo, hi), "{tag}");
+            assert_eq!(c.plain().width(), needs(lo, hi), "{tag}");
             assert_eq!(c.physical_bytes(), 3 * needs(lo, hi), "{tag}");
             assert_eq!(c.plain_bytes(), 3 * c.dtype().plain_width(), "{tag}");
             assert_eq!(c.payloads(), [lo, hi, lo], "{tag}");
@@ -1039,7 +1153,7 @@ mod tests {
             let spelled = Column::from_strings(&vocab);
             let coded = Column::from_codes(&vocab, (0..distinct).collect()).unwrap();
             for c in [spelled, coded] {
-                assert_eq!(c.data().width(), width, "{distinct} strings");
+                assert_eq!(c.plain().width(), width, "{distinct} strings");
                 assert_eq!(c.payload_min_max(), Some((0, distinct as i64 - 1)));
             }
         }
@@ -1048,7 +1162,7 @@ mod tests {
             Column::from_strings::<&str>(&[]),
             Column::from_decimals(vec![], 12, 2).unwrap(),
         ] {
-            assert_eq!((empty.data().width(), empty.payload_min_max()), (1, None));
+            assert_eq!((empty.plain().width(), empty.payload_min_max()), (1, None));
         }
     }
 
@@ -1059,12 +1173,12 @@ mod tests {
         fn moved<T: Payload>(rows: Vec<T>, build: impl FnOnce(Vec<T>) -> Column) {
             let at = rows.as_ptr() as usize;
             let c = build(rows);
-            assert_eq!(c.data().width() as usize, std::mem::size_of::<T>());
+            assert_eq!(c.plain().width() as usize, std::mem::size_of::<T>());
             assert_eq!(
                 address(&c),
                 at,
                 "{}-byte storage was copied",
-                c.data().width()
+                c.plain().width()
             );
         }
         let date = |data: ColumnData| Column::from_data(DataType::Date, data).unwrap();
@@ -1089,11 +1203,11 @@ mod tests {
         let wide = vec![5i64; 1000];
         let at = wide.as_ptr() as usize;
         let c = Column::from_i64(wide);
-        assert_eq!((c.data().width(), c.physical_bytes()), (1, 1000));
+        assert_eq!((c.plain().width(), c.physical_bytes()), (1, 1000));
         assert_ne!(address(&c), at);
         // Where two widths tie, signed comes first: one column, one storage.
         let c = date(ColumnData::U16(vec![0, 32_767]));
-        assert_eq!(c.data(), &ColumnData::I16(vec![0, 32_767]));
+        assert_eq!(*c.plain(), ColumnData::I16(vec![0, 32_767]));
     }
 
     /// An [`I24`] is its value in three bytes: every boundary survives the
@@ -1174,8 +1288,8 @@ mod tests {
             Column::from_codes(&vocab, narrow).unwrap(),
             Column::from_codes(&vocab, wide).unwrap(),
         ] {
-            assert_eq!(coded.data(), strings.data());
-            assert_eq!(coded.data(), &ColumnData::I8(vec![1, 2, 2, 0, 0, 1, 2]));
+            assert_eq!(coded.plain(), strings.plain());
+            assert_eq!(*coded.plain(), ColumnData::I8(vec![1, 2, 2, 0, 0, 1, 2]));
             assert_eq!(coded.dictionary(), strings.dictionary());
             assert_eq!(coded.dictionary().unwrap().len(), 3);
         }

@@ -7,11 +7,9 @@
 //! prefix-compressed: a per-column *frame* (the minimum encoded value — the
 //! "base for the prefix compression" the paper stores in its BAT metadata)
 //! is factored out, and remaining shared leading bits are removed via
-//! [`PrefixBase`]. The approximation is bit-packed; the residual is
-//! *modeled* as bit-packed on the host — [`DecomposedColumn::host_bytes`],
-//! which every bill and report charges — and *read* from the plain column
-//! the catalog keeps anyway ([`DecompositionMeta::residual_of_payload`]):
-//! this host holds each bit once.
+//! [`PrefixBase`]. Both partitions are bit-packed, by one pass with two
+//! cursors, and together they are the column: the catalog drops the plain
+//! payloads once a column is split, so this host holds each bit once.
 //!
 //! The number of device-resident bits follows the paper's `bwdecompose(A,
 //! 24)` convention: it counts major bits of the column's *physical* width,
@@ -20,18 +18,18 @@
 //!
 //! The struct is split in two: [`DecompositionMeta`] carries the pure
 //! translation logic (predicate relaxation targets, granule error bounds,
-//! reconstruction), while [`DecomposedColumn`] couples it with the packed
-//! approximation and the shared plain storage. Execution layers move the
-//! approximation into device memory and keep the rest on the host — see
+//! reconstruction), while [`DecomposedColumn`] couples it with the two
+//! packed partitions, shared by the catalog's column and the binding that
+//! moves the approximation into device memory — see
 //! `DecomposedColumn::into_parts`.
 
 use crate::bitpack::{BitPackedVec, PackCursor, DECODE_BLOCK};
-use crate::column::{extrema, narrowed, Column, ColumnData};
-use crate::encoding::{decode, encode, physical_bits};
+use crate::column::{extrema, Column};
+use crate::encoding::{decode, encode, encoded_bounds, physical_bits};
 use crate::prefix::{OutOfRange, PrefixBase, PrefixGranularity};
-use crate::with_slice;
 use bwd_types::bits::{low_mask, split_bits};
 use bwd_types::{BwdError, DataType, Result};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows from which a decomposition fans out over the host's cores; a
@@ -125,28 +123,18 @@ impl DecompositionMeta {
         self.resbits == 0
     }
 
-    /// `payload`, encoded and frame-subtracted: what is split at `resbits`.
-    /// `encode(p, dtype) == (p as u64 & phys_mask) ^ sign_flip`.
+    /// The encoded value a (stored approximation, residual) pair
+    /// concatenates to — Algorithm 2's `appr +bw res` — with the frame
+    /// added back.
     #[inline]
-    fn normalized(&self, payload: i64) -> u64 {
-        let encoded =
-            (payload as u64 & low_mask(self.physical_bits)) ^ (1 << (self.physical_bits - 1));
-        encoded - self.frame
+    fn encoded_of_parts(&self, stored: u64, res: u64) -> u64 {
+        ((self.prefix.decompress(stored) << self.resbits) | res) + self.frame
     }
 
-    /// The residual (minor) bits of a payload of this column — the host
-    /// partition is this function of the plain column, never a second copy.
-    #[inline]
-    pub fn residual_of_payload(&self, payload: i64) -> u64 {
-        self.normalized(payload) & low_mask(self.resbits)
-    }
-
-    /// Exact payload from a (stored approximation, residual) pair —
-    /// Algorithm 2's bitwise concatenation `appr +bw res`.
+    /// Exact payload from a (stored approximation, residual) pair.
     #[inline]
     pub fn payload_from_parts(&self, stored: u64, res: u64) -> i64 {
-        let norm = (self.prefix.decompress(stored) << self.resbits) | res;
-        decode(norm + self.frame, self.dtype)
+        decode(self.encoded_of_parts(stored, res), self.dtype)
     }
 
     /// The inclusive *encoded* interval a stored approximation covers
@@ -169,26 +157,20 @@ impl DecompositionMeta {
         (decode(lo, self.dtype), decode(hi, self.dtype))
     }
 
-    /// Encode a payload constant into the column's encoded domain.
-    #[inline]
-    pub fn encode_payload(&self, payload: i64) -> u64 {
-        encode(payload, self.dtype)
-    }
-
-    /// Translate an inclusive *encoded* range `[enc_lo, enc_hi]` into
-    /// inclusive bounds over the stored approximation domain.
+    /// Translate an inclusive *payload* range into inclusive bounds over
+    /// the stored approximation domain. The range is clamped to the type's
+    /// payload domain first ([`encoded_bounds`]): a literal past it
+    /// neither wraps nor matches.
     ///
     /// Scanning the approximation with the returned bounds yields a
-    /// provable superset of the rows whose exact encoded value falls in the
+    /// provable superset of the rows whose exact payload falls in the
     /// range — this realizes the predicate relaxation `f(x)` of §IV-B.
     /// `None` means the range cannot contain any stored value (the
     /// approximate selection is empty without touching data).
-    pub fn stored_bounds(&self, enc_lo: u64, enc_hi: u64) -> Option<(u64, u64)> {
-        if enc_hi < enc_lo || enc_hi < self.frame {
-            return None;
-        }
+    pub fn stored_bounds_payload(&self, lo: i64, hi: i64) -> Option<(u64, u64)> {
+        let (enc_lo, enc_hi) = encoded_bounds(lo, hi, self.dtype)?;
         let norm_lo = enc_lo.saturating_sub(self.frame);
-        if norm_lo > self.max_norm {
+        if enc_hi < self.frame || norm_lo > self.max_norm {
             return None;
         }
         let norm_hi = (enc_hi - self.frame).min(self.max_norm);
@@ -206,45 +188,54 @@ impl DecompositionMeta {
         };
         Some((lo, hi))
     }
-
-    /// Like [`DecompositionMeta::stored_bounds`] but over payloads.
-    pub fn stored_bounds_payload(&self, lo: i64, hi: i64) -> Option<(u64, u64)> {
-        self.stored_bounds(self.encode_payload(lo), self.encode_payload(hi))
-    }
-
-    /// Worst-case number of payload values that share one approximation
-    /// granule (`2^resbits`): the resolution of the approximation, used by
-    /// the optimizer's selectivity reasoning and reported in diagnostics.
-    #[inline]
-    pub fn granule_size(&self) -> u64 {
-        1u64 << self.resbits.min(63)
-    }
 }
 
-/// A bitwise-decomposed column: the device-destined approximation, and
-/// the plain column it was split from standing in for the host-resident
-/// residual, with the metadata to reconstruct exact values and to
-/// translate predicates into the stored approximation domain.
+/// A bitwise-decomposed column: the device-destined approximation and the
+/// host-resident residual, both bit-packed, with the metadata to
+/// reconstruct exact values and to translate predicates into the stored
+/// approximation domain. A clone shares both partitions.
 #[derive(Debug, Clone)]
 pub struct DecomposedColumn {
     meta: DecompositionMeta,
     /// Stored approximations, `meta.stored_width()` bits each.
-    approx: BitPackedVec,
-    /// The plain payloads, shared with the catalog's column: row `i`'s
-    /// residual is `meta.residual_of_payload` of row `i` here.
-    plain: Arc<ColumnData>,
+    approx: Arc<BitPackedVec>,
+    /// Residuals, `meta.resbits()` bits each.
+    residual: Arc<BitPackedVec>,
 }
 
-/// Pack the stored approximations of `rows` into the word run their
-/// elements occupy. `rows` starts on a [`DECODE_BLOCK`] boundary of the
-/// column, so the run starts on a word boundary.
-fn pack_approx<T: Copy + Into<i64>>(meta: &DecompositionMeta, rows: &[T], approx: &mut [u64]) {
-    let mut approx = PackCursor::new(meta.stored_width(), approx);
-    for &payload in rows {
-        let (major, _) = split_bits(meta.normalized(payload.into()), meta.resbits);
-        approx.push(meta.prefix.compress(major));
+/// Pack both partitions of `rows` into the word runs their elements
+/// occupy, with one cursor each, reading the rows' encoded values a
+/// [`DECODE_BLOCK`] at a time through `fill(first row, out)`. `rows`
+/// starts on a block boundary, so both runs start on a word boundary.
+fn pack(
+    meta: &DecompositionMeta,
+    fill: &impl Fn(usize, &mut [u64]),
+    rows: Range<usize>,
+    approx: &mut [u64],
+    residual: &mut [u64],
+) {
+    let (frame, resbits, prefix) = (meta.frame, meta.resbits, meta.prefix);
+    let mut approx = PackCursor::new(prefix.stored_width(), approx);
+    let mut residual = PackCursor::new(resbits, residual);
+    let mut block = [0u64; DECODE_BLOCK];
+    for at in rows.clone().step_by(DECODE_BLOCK) {
+        let block = &mut block[..DECODE_BLOCK.min(rows.end - at)];
+        fill(at, block);
+        if resbits == 0 {
+            // All on the device: no residual bit to cut.
+            for &e in block.iter() {
+                approx.push(prefix.compress(e - frame));
+            }
+            continue;
+        }
+        for &e in block.iter() {
+            let (major, minor) = split_bits(e - frame, resbits);
+            approx.push(prefix.compress(major));
+            residual.push(minor);
+        }
     }
     approx.finish();
+    residual.finish();
 }
 
 /// How many contiguous chunks a column of `rows` rows is split in.
@@ -255,24 +246,24 @@ fn chunk_count(rows: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The metadata and packed approximation of `rows` (payloads in any
-/// integer width) whose payload minimum and maximum are `extrema`, packed
-/// in `chunks` contiguous pieces.
+/// The decomposition of the `len` rows `fill` encodes, whose payload
+/// minimum and maximum are `extrema`, packed in `chunks` contiguous pieces.
 ///
 /// Frame and prefix need the extrema only: the encoding preserves order,
 /// so the encoded extrema are the encoded payload extrema, and the high
 /// bits a set shares are the high bits its extrema share. The rows
 /// themselves are read once. Pieces are cut at multiples of
 /// [`DECODE_BLOCK`] rows — word boundaries at every width — so each worker
-/// fills its own range of the output buffer and the words do not depend on
-/// `chunks`.
-fn split<T: Copy + Into<i64> + Sync>(
-    rows: &[T],
+/// fills its own range of both output buffers and the words do not depend
+/// on `chunks`.
+fn split(
+    len: usize,
+    fill: impl Fn(usize, &mut [u64]) + Sync,
     extrema: Option<(i64, i64)>,
     dtype: DataType,
     spec: &DecompositionSpec,
     chunks: usize,
-) -> (DecompositionMeta, BitPackedVec) {
+) -> DecomposedColumn {
     let w = physical_bits(dtype);
     let resbits = w - spec.device_bits.min(w);
     let (min_enc, max_enc) =
@@ -293,34 +284,43 @@ fn split<T: Copy + Into<i64> + Sync>(
         prefix,
     };
 
-    let mut approx = BitPackedVec::zeroed(prefix.stored_width(), rows.len());
-    let blocks = rows.len().div_ceil(chunks).div_ceil(DECODE_BLOCK);
+    let (mut approx, fill) = (BitPackedVec::zeroed(prefix.stored_width(), len), &fill);
+    let mut residual = BitPackedVec::zeroed(resbits, len);
+    let block_rows = len.div_ceil(chunks).div_ceil(DECODE_BLOCK) * DECODE_BLOCK;
     std::thread::scope(|scope| {
-        let (mut rows, mut approx) = (rows, approx.words_mut());
-        while rows.len() > blocks * DECODE_BLOCK {
-            let (head, tail) = rows.split_at(blocks * DECODE_BLOCK);
-            let (approx_head, approx_tail) =
-                approx.split_at_mut(blocks * prefix.stored_width() as usize);
-            scope.spawn(move || pack_approx(&meta, head, approx_head));
-            (rows, approx) = (tail, approx_tail);
+        let (mut approx, mut residual) = (approx.words_mut(), residual.words_mut());
+        let mut at = 0;
+        while len - at > block_rows {
+            let blocks = block_rows / DECODE_BLOCK;
+            let (a, a_tail) = approx.split_at_mut(blocks * prefix.stored_width() as usize);
+            let (r, r_tail) = residual.split_at_mut(blocks * resbits as usize);
+            let rows = at..at + block_rows;
+            scope.spawn(move || pack(&meta, fill, rows, a, r));
+            (approx, residual, at) = (a_tail, r_tail, at + block_rows);
         }
-        pack_approx(&meta, rows, approx);
+        pack(&meta, fill, at..len, approx, residual);
     });
-    (meta, approx)
+    DecomposedColumn {
+        meta,
+        approx: Arc::new(approx),
+        residual: Arc::new(residual),
+    }
 }
 
 impl DecomposedColumn {
-    /// Decompose `payloads` of logical type `dtype` according to `spec`,
-    /// over its own narrowest-width copy of them.
+    /// Decompose `payloads` of logical type `dtype` according to `spec`.
     pub fn decompose(payloads: &[i64], dtype: DataType, spec: &DecompositionSpec) -> Result<Self> {
-        let min_max = extrema(payloads);
-        let plain = narrowed(payloads, min_max).unwrap_or_else(|| payloads.to_vec().into());
-        let (plain, chunks) = (Arc::new(plain), chunk_count(payloads.len()));
-        Ok(Self::in_chunks(plain, min_max, dtype, spec, chunks))
+        let fill = |at: usize, out: &mut [u64]| {
+            let rows = out.iter_mut().zip(&payloads[at..]);
+            rows.for_each(|(e, &p)| *e = encode(p, dtype));
+        };
+        let (n, chunks) = (payloads.len(), chunk_count(payloads.len()));
+        Ok(split(n, fill, extrema(payloads), dtype, spec, chunks))
     }
 
-    /// Decompose a stored column according to `spec`, reading its physical
-    /// storage in place — no widened copy, and shared from here on — and
+    /// Decompose a stored column according to `spec`, reading it in place
+    /// — a plain column's typed storage, or a split column's two
+    /// partitions, a block at a time ([`Column::encoded_range`]) — and
     /// taking the extrema from [`Column::payload_min_max`], which the
     /// binder asks for anyway.
     pub fn decompose_column(col: &Column, spec: &DecompositionSpec) -> Result<Self> {
@@ -328,24 +328,15 @@ impl DecomposedColumn {
     }
 
     fn column_in_chunks(col: &Column, spec: &DecompositionSpec, chunks: usize) -> Self {
-        let plain = Arc::clone(col.shared_data());
-        Self::in_chunks(plain, col.payload_min_max(), col.dtype(), spec, chunks)
-    }
-
-    fn in_chunks(
-        plain: Arc<ColumnData>,
-        extrema: Option<(i64, i64)>,
-        dtype: DataType,
-        spec: &DecompositionSpec,
-        chunks: usize,
-    ) -> Self {
-        let (meta, approx) =
-            with_slice!(&*plain, rows => split(rows, extrema, dtype, spec, chunks));
-        DecomposedColumn {
-            meta,
-            approx,
-            plain,
-        }
+        let fill = |at: usize, out: &mut [u64]| col.encoded_range(at, out);
+        split(
+            col.len(),
+            fill,
+            col.payload_min_max(),
+            col.dtype(),
+            spec,
+            chunks,
+        )
     }
 
     /// The translation metadata.
@@ -357,43 +348,13 @@ impl DecomposedColumn {
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.plain.len()
+        self.approx.len()
     }
 
     /// Whether the column holds no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.plain.is_empty()
-    }
-
-    /// Logical type of the column.
-    #[inline]
-    pub fn dtype(&self) -> DataType {
-        self.meta.dtype
-    }
-
-    /// Residual width in bits (0 means fully device-resident).
-    #[inline]
-    pub fn resbits(&self) -> u32 {
-        self.meta.resbits
-    }
-
-    /// Physical width in bits of the column's plain representation.
-    #[inline]
-    pub fn physical_bits(&self) -> u32 {
-        self.meta.physical_bits
-    }
-
-    /// Width in bits of a stored approximation element.
-    #[inline]
-    pub fn stored_width(&self) -> u32 {
-        self.meta.stored_width()
-    }
-
-    /// Whether every significant bit is on the device.
-    #[inline]
-    pub fn fully_device_resident(&self) -> bool {
-        self.meta.fully_device_resident()
+        self.approx.is_empty()
     }
 
     /// The bit-packed approximation partition (device-destined).
@@ -402,10 +363,10 @@ impl DecomposedColumn {
         &self.approx
     }
 
-    /// The plain payloads the residual is read from, as shared.
+    /// The bit-packed residual partition (host-resident).
     #[inline]
-    pub fn plain(&self) -> &Arc<ColumnData> {
-        &self.plain
+    pub fn residual(&self) -> &BitPackedVec {
+        &self.residual
     }
 
     /// Bytes the approximation occupies on the device.
@@ -414,59 +375,35 @@ impl DecomposedColumn {
         self.approx.packed_bytes()
     }
 
-    /// Bytes the residual occupies on the modeled host: bit-packed, as the
-    /// paper stores it (here the bits are read from the plain column).
+    /// Bytes the residual occupies on the host.
     #[inline]
     pub fn host_bytes(&self) -> u64 {
-        (self.len() as u64 * self.meta.resbits as u64).div_ceil(8)
+        self.residual.packed_bytes()
     }
 
-    /// Stored approximation of row `i`.
+    /// Encoded value of row `i` — for single rows; a loop decodes a run
+    /// through [`DecomposedColumn::encoded_range`].
     #[inline]
-    pub fn stored_of_row(&self, i: usize) -> u64 {
-        self.approx.get(i)
+    pub fn encoded(&self, i: usize) -> u64 {
+        (self.meta).encoded_of_parts(self.approx.get(i), self.residual.get(i))
     }
 
-    /// Residual payload of row `i`.
-    #[inline]
-    pub fn residual_of_row(&self, i: usize) -> u64 {
-        self.meta.residual_of_payload(self.plain.get(i))
-    }
-
-    /// Exact payload of row `i`.
-    #[inline]
-    pub fn reconstruct_payload(&self, i: usize) -> i64 {
-        self.meta
-            .payload_from_parts(self.approx.get(i), self.residual_of_row(i))
-    }
-
-    /// Exact payload from a (stored approximation, residual) pair.
-    #[inline]
-    pub fn payload_from_parts(&self, stored: u64, res: u64) -> i64 {
-        self.meta.payload_from_parts(stored, res)
-    }
-
-    /// See [`DecompositionMeta::granule_encoded`].
-    #[inline]
-    pub fn granule_encoded(&self, stored: u64) -> (u64, u64) {
-        self.meta.granule_encoded(stored)
-    }
-
-    /// See [`DecompositionMeta::granule_payload`].
-    #[inline]
-    pub fn granule_payload(&self, stored: u64) -> (i64, i64) {
-        self.meta.granule_payload(stored)
-    }
-
-    /// See [`DecompositionMeta::encode_payload`].
-    #[inline]
-    pub fn encode_payload(&self, payload: i64) -> u64 {
-        self.meta.encode_payload(payload)
-    }
-
-    /// See [`DecompositionMeta::stored_bounds`].
-    pub fn stored_bounds(&self, enc_lo: u64, enc_hi: u64) -> Option<(u64, u64)> {
-        self.meta.stored_bounds(enc_lo, enc_hi)
+    /// Encoded values of rows `start..start + out.len()`: both partitions
+    /// decoded a [`DECODE_BLOCK`] at a time, word by word, and
+    /// concatenated.
+    pub fn encoded_range(&self, start: usize, out: &mut [u64]) {
+        // `encoded_of_parts`, its prefix branch taken once: a stored value
+        // is below `2^stored_width`, so or-ing the prefix restores it.
+        let (high, meta) = (self.meta.prefix.decompress(0), &self.meta);
+        let mut res = [0u64; DECODE_BLOCK];
+        for (k, out) in out.chunks_mut(DECODE_BLOCK).enumerate() {
+            let at = start + k * DECODE_BLOCK;
+            self.approx.unpack_range(at, out);
+            self.residual.unpack_range(at, &mut res[..out.len()]);
+            for (e, &r) in out.iter_mut().zip(&res) {
+                *e = (((*e | high) << meta.resbits) | r) + meta.frame;
+            }
+        }
     }
 
     /// See [`DecompositionMeta::stored_bounds_payload`].
@@ -474,16 +411,11 @@ impl DecomposedColumn {
         self.meta.stored_bounds_payload(lo, hi)
     }
 
-    /// See [`DecompositionMeta::granule_size`].
-    #[inline]
-    pub fn granule_size(&self) -> u64 {
-        self.meta.granule_size()
-    }
-
-    /// Split into `(meta, approximation, plain payloads)` — the execution
-    /// layer moves the approximation into device memory and keeps the rest.
-    pub fn into_parts(self) -> (DecompositionMeta, BitPackedVec, Arc<ColumnData>) {
-        (self.meta, self.approx, self.plain)
+    /// Split into `(meta, approximation, residual)` — the execution layer
+    /// moves the approximation into device memory and keeps the rest; the
+    /// partitions stay shared with every clone.
+    pub fn into_parts(self) -> (DecompositionMeta, Arc<BitPackedVec>, Arc<BitPackedVec>) {
+        (self.meta, self.approx, self.residual)
     }
 
     /// Validate a spec against a type without decomposing (catalog checks).
@@ -503,9 +435,14 @@ impl DecomposedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::width_cases;
+    use crate::column::{width_cases, Storage};
     use crate::ColumnData;
     use proptest::prelude::*;
+
+    /// Exact payload of row `i`.
+    fn payload(d: &DecomposedColumn, i: usize) -> i64 {
+        decode(d.encoded(i), d.meta().dtype())
+    }
 
     fn ints(vals: &[i64], device_bits: u32) -> DecomposedColumn {
         DecomposedColumn::decompose(
@@ -516,8 +453,7 @@ mod tests {
         .unwrap()
     }
 
-    /// Both partitions, packed: what the two-cursor splitter this module
-    /// had before the residual became a view produced.
+    /// Both partitions, packed by pushing element by element.
     struct Partitions {
         meta: DecompositionMeta,
         approx: BitPackedVec,
@@ -569,9 +505,10 @@ mod tests {
         }
     }
 
-    /// `got` is `want` with the residual a view: same metadata, same
-    /// approximation words, same modeled bytes on both sides, and row by
-    /// row the residual the oracle packed and the payload it came from.
+    /// `got` is `want`: same metadata, the same words in both partitions
+    /// and so the same bytes on both sides; and it reads back as the
+    /// payloads it came from — row by row, whole, and through runs that
+    /// start anywhere and cross block boundaries.
     fn assert_is_the_partition(
         got: &DecomposedColumn,
         want: &Partitions,
@@ -580,16 +517,23 @@ mod tests {
     ) {
         assert_eq!(got.meta(), &want.meta, "{case}");
         assert_eq!(got.approx(), &want.approx, "{case}");
+        assert_eq!(got.residual(), &want.residual, "{case}");
         assert_eq!(got.len(), payloads.len(), "{case}");
         assert_eq!(got.device_bytes(), want.approx.packed_bytes(), "{case}");
         assert_eq!(got.host_bytes(), want.residual.packed_bytes(), "{case}");
         for (i, &p) in payloads.iter().enumerate() {
-            assert_eq!(
-                got.residual_of_row(i),
-                want.residual.get(i),
-                "{case} row {i}"
-            );
-            assert_eq!(got.reconstruct_payload(i), p, "{case} row {i}");
+            assert_eq!(payload(got, i), p, "{case} row {i}");
+        }
+        let n = payloads.len();
+        for start in [0, 1, 63, 64, 65, n / 3, n.saturating_sub(70)] {
+            let start = start.min(n);
+            let mut run = vec![0; (n - start).min(130)];
+            got.encoded_range(start, &mut run);
+            let run: Vec<i64> = run
+                .into_iter()
+                .map(|e| decode(e, got.meta().dtype()))
+                .collect();
+            assert_eq!(run, payloads[start..start + run.len()], "{case} at {start}");
         }
     }
 
@@ -617,10 +561,10 @@ mod tests {
         }
     }
 
-    /// The column entry point, at every chunk count, and the slice entry
+    /// The column entry point, at every chunk count — over a plain column
+    /// and re-splitting a split one block by block —, and the slice entry
     /// point build what the push loop builds from the widened copy:
-    /// metadata, every approximation word, and — as a view — every
-    /// residual; and it is exact.
+    /// metadata and every word of both partitions; and it is exact.
     #[test]
     fn column_entry_point_equals_the_slice_one_and_the_push_loop() {
         let mut rng = bwd_types::SplitMix64::new(0xDEC0);
@@ -652,10 +596,15 @@ mod tests {
                         let oracle = decompose_by_pushing(&payloads, dtype, spec);
                         let sliced = DecomposedColumn::decompose(&payloads, dtype, spec).unwrap();
                         assert_is_the_partition(&sliced, &oracle, &payloads, &case);
+                        let split = col
+                            .decompose(&DecompositionSpec::with_device_bits(20))
+                            .unwrap();
                         for chunks in [1, 2, 3, 7] {
-                            let got = DecomposedColumn::column_in_chunks(&col, spec, chunks);
-                            let case = format!("{case} chunks={chunks}");
-                            assert_is_the_partition(&got, &oracle, &payloads, &case);
+                            for col in [&col, &split] {
+                                let got = DecomposedColumn::column_in_chunks(col, spec, chunks);
+                                let case = format!("{case} chunks={chunks}");
+                                assert_is_the_partition(&got, &oracle, &payloads, &case);
+                            }
                         }
                     }
                 }
@@ -666,17 +615,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// The view *is* the partition, and width is invisible to it: a
-        /// column of any type stored in 1, 2 (signed or not), 3, 4 or 8
-        /// bytes (negative, empty, one row, extrema on the width
-        /// boundaries — ±2^15, 2^16, ±2^23 among them), built from
-        /// wide or from narrow input, decomposes under every kind of spec,
-        /// in one piece and in three, into the metadata and approximation
-        /// words of the widened payloads; and its residuals, read from the
-        /// plain storage it shares, are the ones the two-cursor splitter
-        /// packed.
+        /// The split is the partition, and width is invisible to it: a
+        /// column of any type (a dictionary's codes among them) stored in
+        /// 1, 2 (signed or not), 3, 4 or 8 bytes (negative, empty, one row,
+        /// extrema on the width boundaries — ±2^15, 2^16, ±2^23 among
+        /// them), built from wide or from narrow input, splits at 0, 1, 8
+        /// and w − 1 residual bits, with and without a frame, in one piece
+        /// and in three, into the words of both partitions the push loop
+        /// packs from the widened payloads — and so does the catalog's
+        /// split form of it, re-split by the next spec, and so the type,
+        /// extrema, dictionary and payloads of that form are the plain
+        /// column's.
         #[test]
-        fn the_view_is_the_partition_at_every_width(
+        fn the_split_is_the_partition_at_every_width(
             ty in 0usize..width_cases::TYPES.len(),
             lo_at in 0usize..width_cases::BOUNDARIES.len(),
             hi_at in 0usize..width_cases::BOUNDARIES.len(),
@@ -685,24 +636,31 @@ mod tests {
         ) {
             let case = width_cases::build(ty, lo_at, hi_at, len, seed);
             let bits = physical_bits(case.dtype);
-            for spec in [
-                DecompositionSpec::with_device_bits(bits - 8),
-                DecompositionSpec::with_device_bits(8),
-                DecompositionSpec::all_device(),
-                DecompositionSpec::uncompressed(bits - 8),
-                DecompositionSpec {
-                    frame_of_reference: false,
-                    ..DecompositionSpec::with_device_bits(bits - 8)
-                },
-            ] {
-                let want = decompose_by_pushing(&case.payloads, case.dtype, &spec);
+            let specs: Vec<DecompositionSpec> = [bits, bits - 1, bits - 8, 1]
+                .into_iter()
+                .flat_map(|device_bits| [true, false].map(|frame_of_reference| DecompositionSpec {
+                    frame_of_reference,
+                    ..DecompositionSpec::with_device_bits(device_bits)
+                }))
+                .collect();
+            for (k, spec) in specs.iter().enumerate() {
+                let want = decompose_by_pushing(&case.payloads, case.dtype, spec);
                 for col in [&case.wide, &case.narrow] {
+                    let tag = format!("{} {}-byte {spec:?}", case.dtype, col.plain().width());
                     for chunks in [1, 3] {
-                        let got = DecomposedColumn::column_in_chunks(col, &spec, chunks);
-                        let tag = format!("{} {}-byte {spec:?}", case.dtype, col.data().width());
+                        let got = DecomposedColumn::column_in_chunks(col, spec, chunks);
                         assert_is_the_partition(&got, &want, &case.payloads, &tag);
-                        prop_assert!(Arc::ptr_eq(got.plain(), col.shared_data()), "{}", tag);
                     }
+                    let split = col.decompose(&specs[(k + 1) % specs.len()]).unwrap();
+                    prop_assert!(matches!(split.storage(), Storage::Split(_)), "{}", tag);
+                    prop_assert_eq!(split.dtype(), col.dtype(), "{}", tag);
+                    prop_assert_eq!(split.len(), col.len(), "{}", tag);
+                    prop_assert_eq!(split.payload_min_max(), col.payload_min_max(), "{}", tag);
+                    prop_assert_eq!(split.dictionary(), col.dictionary(), "{}", tag);
+                    prop_assert_eq!(split.payloads(), case.payloads.clone(), "{}", tag);
+                    prop_assert_eq!(split.plain(), col.plain(), "{}", tag);
+                    let got = DecomposedColumn::column_in_chunks(&split, spec, 3);
+                    assert_is_the_partition(&got, &want, &case.payloads, &format!("re-split {tag}"));
                 }
             }
         }
@@ -713,10 +671,10 @@ mod tests {
         // bwdecompose(A, 24) on a 32-bit attribute: 24 device bits, 8 residual.
         let vals: Vec<i64> = (0..100).collect();
         let d = ints(&vals, 24);
-        assert_eq!(d.resbits(), 8);
-        assert!(!d.fully_device_resident());
+        assert_eq!(d.meta().resbits(), 8);
+        assert!(!d.meta().fully_device_resident());
         // 0..99 normalized: max_norm = 99, majors all 0 -> stored width 0.
-        assert_eq!(d.stored_width(), 0);
+        assert_eq!(d.meta().stored_width(), 0);
         assert_eq!(d.device_bytes(), 0);
         assert_eq!(d.host_bytes(), 100); // 8 bits * 100 rows
     }
@@ -726,11 +684,11 @@ mod tests {
         // TPC-H l_quantity: values 1..=50 need 6 bits; kept whole on device.
         let vals: Vec<i64> = (0..500).map(|i| 1 + (i % 50)).collect();
         let d = ints(&vals, 32);
-        assert!(d.fully_device_resident());
-        assert_eq!(d.stored_width(), 6);
+        assert!(d.meta().fully_device_resident());
+        assert_eq!(d.meta().stored_width(), 6);
         assert_eq!(d.host_bytes(), 0);
         for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(d.reconstruct_payload(i), v);
+            assert_eq!(payload(&d, i), v);
         }
     }
 
@@ -745,11 +703,11 @@ mod tests {
         };
         let d = DecomposedColumn::decompose(&vals, dtype, &DecompositionSpec::with_device_bits(24))
             .unwrap();
-        assert_eq!(d.resbits(), 8);
+        assert_eq!(d.meta().resbits(), 8);
         // Range 4227402 needs 23 bits; major part 23-8 = 15 bits.
-        assert_eq!(d.stored_width(), 15);
+        assert_eq!(d.meta().stored_width(), 15);
         for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(d.reconstruct_payload(i), v);
+            assert_eq!(payload(&d, i), v);
         }
         // Device volume: 15 bits/row vs 32 plain -> >50% smaller.
         assert!(d.device_bytes() * 2 < vals.len() as u64 * 4);
@@ -769,9 +727,9 @@ mod tests {
         )
         .unwrap();
         // Sign-flipped values straddle 0x8000_0000: no shared prefix.
-        assert_eq!(d.stored_width(), 24);
+        assert_eq!(d.meta().stored_width(), 24);
         for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(d.reconstruct_payload(i), v);
+            assert_eq!(payload(&d, i), v);
         }
     }
 
@@ -780,9 +738,9 @@ mod tests {
         let vals: Vec<i64> = (0..2000).map(|i| i * 13 % 9999).collect();
         let d = ints(&vals, 24);
         for (i, &v) in vals.iter().enumerate() {
-            let (lo, hi) = d.granule_payload(d.stored_of_row(i));
+            let (lo, hi) = d.meta().granule_payload(d.approx().get(i));
             assert!(lo <= v && v <= hi, "granule [{lo},{hi}] must contain {v}");
-            assert!(hi - lo < d.granule_size() as i64);
+            assert!(hi - lo < 1 << d.meta().resbits());
         }
     }
 
@@ -793,7 +751,7 @@ mod tests {
         let (plo, phi) = (10_000i64, 20_000i64);
         let (slo, shi) = d.stored_bounds_payload(plo, phi).unwrap();
         for (i, &v) in vals.iter().enumerate() {
-            let s = d.stored_of_row(i);
+            let s = d.approx().get(i);
             if v >= plo && v <= phi {
                 assert!(
                     s >= slo && s <= shi,
@@ -819,10 +777,48 @@ mod tests {
         let d = ints(&vals, 28);
         // Range reaching below / above the domain clamps to full coverage.
         let full = d.stored_bounds_payload(0, 1000).unwrap();
-        let all_stored: Vec<u64> = (0..d.len()).map(|i| d.stored_of_row(i)).collect();
+        let all_stored: Vec<u64> = (0..d.len()).map(|i| d.approx().get(i)).collect();
         let max_stored = *all_stored.iter().max().unwrap();
         let min_stored = *all_stored.iter().min().unwrap();
         assert!(full.0 <= min_stored && full.1 >= max_stored);
+    }
+
+    /// A literal past the type's payload domain is clamped to it, never
+    /// wrapped: `a < 2^32` on a 32-bit column admits every row, `a >
+    /// 2^31 − 1` and `a < −2^31` none.
+    #[test]
+    fn bounds_clamp_literals_to_the_payload_domain() {
+        let vals: Vec<i64> = (0..100_000).map(|i| (i * 37 % 50_000) - 25_000).collect();
+        let (min, max) = (i32::MIN as i64, i32::MAX as i64);
+        for device_bits in [24, 32] {
+            let meta = *ints(&vals, device_bits).meta();
+            let all = meta.stored_bounds_payload(min, max);
+            assert!(all.is_some());
+            for hi in [max + 1, 1 << 32, i64::MAX] {
+                assert_eq!(meta.stored_bounds_payload(min, hi), all, "< {hi}");
+                assert_eq!(meta.stored_bounds_payload(-(1 << 32), hi), all, "< {hi}");
+                assert_eq!(meta.stored_bounds_payload(max + 1, hi), None, "> {max}");
+            }
+            for lo in [min - 1, -(1 << 32), i64::MIN] {
+                assert_eq!(meta.stored_bounds_payload(lo, min - 1), None, "< {min}");
+            }
+        }
+        let bounds = |lo, hi, dtype| encoded_bounds(lo, hi, dtype);
+        let int32 = |v| encode(v, DataType::Int32);
+        assert_eq!(
+            bounds(i64::MIN, i64::MAX, DataType::Int32),
+            Some((0, u32::MAX as u64))
+        );
+        assert_eq!(
+            bounds(-5, 1 << 32, DataType::Int32),
+            Some((int32(-5), int32(max)))
+        );
+        assert_eq!(bounds(max + 1, i64::MAX, DataType::Int32), None);
+        assert_eq!(
+            bounds(i64::MIN, i64::MAX, DataType::Int64),
+            Some((0, u64::MAX))
+        );
+        assert_eq!(bounds(3, 2, DataType::Int64), None);
     }
 
     #[test]
@@ -851,10 +847,10 @@ mod tests {
     fn into_parts_preserves_translation() {
         let vals: Vec<i64> = (0..100).map(|i| i * 37 % 1000).collect();
         let d = ints(&vals, 26);
-        let expect: Vec<i64> = (0..100).map(|i| d.reconstruct_payload(i)).collect();
-        let (meta, approx, plain) = d.into_parts();
+        let expect: Vec<i64> = (0..100).map(|i| payload(&d, i)).collect();
+        let (meta, approx, residual) = d.into_parts();
         for (i, &want) in expect.iter().enumerate() {
-            let res = meta.residual_of_payload(plain.get(i));
+            let res = residual.get(i);
             assert_eq!(meta.payload_from_parts(approx.get(i), res), want);
         }
     }
@@ -867,7 +863,7 @@ mod tests {
         ) {
             let d = ints(&vals, device_bits);
             for (i, &v) in vals.iter().enumerate() {
-                prop_assert_eq!(d.reconstruct_payload(i), v);
+                prop_assert_eq!(payload(&d, i), v);
             }
         }
 
@@ -884,7 +880,7 @@ mod tests {
             for (i, &v) in vals.iter().enumerate() {
                 if v >= lo && v <= hi {
                     let (slo, shi) = bounds.expect("range with matches must have bounds");
-                    let s = d.stored_of_row(i);
+                    let s = d.approx().get(i);
                     prop_assert!(s >= slo && s <= shi);
                 }
             }
@@ -898,7 +894,7 @@ mod tests {
             let vals: Vec<i64> = vals.into_iter().map(|v| v as i64).collect();
             let d = ints(&vals, device_bits);
             for (i, &v) in vals.iter().enumerate() {
-                let (lo, hi) = d.granule_payload(d.stored_of_row(i));
+                let (lo, hi) = d.meta().granule_payload(d.approx().get(i));
                 prop_assert!(lo <= v && v <= hi);
             }
         }

@@ -42,6 +42,16 @@ pub fn decode(enc: u64, dtype: DataType) -> i64 {
     }
 }
 
+/// The inclusive encoded interval of the payloads `lo..=hi` of `dtype`,
+/// clamped first to the payloads its physical width holds: a bound past
+/// them neither wraps nor matches. `None` when no payload is in it.
+#[inline]
+pub fn encoded_bounds(lo: i64, hi: i64, dtype: DataType) -> Option<(u64, u64)> {
+    let shift = 64 - physical_bits(dtype);
+    let (lo, hi) = (lo.max(i64::MIN >> shift), hi.min(i64::MAX >> shift));
+    (lo <= hi).then(|| (encode(lo, dtype), encode(hi, dtype)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

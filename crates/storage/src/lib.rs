@@ -24,7 +24,7 @@ pub mod prefix;
 pub mod swar;
 
 pub use bitpack::{BitPackedVec, BlockDecoder, DECODE_BLOCK};
-pub use column::{Column, ColumnData, Dictionary, Payload, I24};
+pub use column::{Column, ColumnData, Dictionary, Payload, Storage, I24};
 pub use decompose::{DecomposedColumn, DecompositionMeta, DecompositionSpec};
 pub use lanes::{LaneParams, U64x4, U64x8, U64xN};
 pub use prefix::{OutOfRange, PrefixBase, PrefixGranularity};

@@ -108,16 +108,22 @@ proptest! {
         prop_assert_eq!(&classic.rows, &ar.rows);
     }
 
-    /// Every comparison operator matches the scalar model.
+    /// Every comparison operator matches the scalar model in both pipes,
+    /// with literals inside the column's domain and past its physical
+    /// width (i32::MIN − 1, i32::MAX + 1, ±2^32): those are clamped to the
+    /// domain, never wrapped.
     #[test]
     fn prop_all_comparison_ops(
         vals in proptest::collection::vec(-1000i32..1000, 1..300),
         x in -1200i64..1200,
+        x_at in 0usize..8,
         op_idx in 0usize..6,
         bits in 20u32..=32,
     ) {
         let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
         let op = ops[op_idx];
+        let outside = [i32::MIN as i64 - 1, i32::MAX as i64 + 1, -(1i64 << 32), 1i64 << 32];
+        let x = outside.get(x_at).copied().unwrap_or(x);
         let expected = vals.iter().filter(|&&v| {
             let v = v as i64;
             match op {
@@ -135,8 +141,10 @@ proptest! {
         let plan = LogicalPlan::scan("t")
             .filter(Predicate::Cmp { column: "a".into(), op, value: Value::Int(x) })
             .aggregate(vec![], vec![AggExpr { func: AggFunc::Count, arg: None, alias: "n".into() }]);
-        let ar = db.run(&plan, ExecMode::ApproxRefine).unwrap();
-        prop_assert_eq!(&ar.rows[0][0], &Value::Int(expected));
+        for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
+            let r = db.run(&plan, mode.clone()).unwrap();
+            prop_assert_eq!(&r.rows[0][0], &Value::Int(expected), "{:?} {:?} {}", mode, op, x);
+        }
     }
 }
 

@@ -8,32 +8,30 @@
 //! over the resident set just before it by the bytes the step leaves
 //! resident (payloads in the 1, 2, 3, 4 or 8 bytes they need, the FK
 //! mapping once — packed at the dimension's row width, the one copy the
-//! device gathers through and the host decodes —, the packed
-//! approximation: a residual is read from the plain column, not packed a
-//! second time) plus 8 MiB for hash
-//! tables, dictionaries and allocator slack; a constructor handed values
-//! wider than they need may hold that input beside the re-packed column
-//! until it returns, and not a moment longer. What this replaced held, on
-//! top: a 61 MiB `Vec<&str>` of row references to sort while building a
-//! dictionary, a 30.5 MiB widened `Vec<i64>` copy of every column it
-//! indexed or decomposed, and — resident for good — 8 bytes a row for an
-//! eleven-valued decimal. And what a `bwdecompose` leaves *on the heap* —
-//! counted, because `VmRSS` cannot say: the allocator hands a later step
-//! the pages an earlier one freed — is its approximation and nothing
-//! row-count-sized beside it; the plain storage is shared, by pointer,
-//! with every clone, decomposition and binding of the column. Linux-only,
-//! and skipped where `/proc/self/clear_refs` cannot reset the high-water
-//! mark.
+//! device gathers through and the host decodes —, both packed partitions
+//! of a decomposed column) plus 8 MiB for hash tables, dictionaries and
+//! allocator slack; a constructor handed values wider than they need may
+//! hold that input beside the re-packed column until it returns, and not a
+//! moment longer. What this replaced held, on top: a 61 MiB `Vec<&str>` of
+//! row references to sort while building a dictionary, a 30.5 MiB widened
+//! `Vec<i64>` copy of every column it indexed or decomposed, and —
+//! resident for good — 8 bytes a row for an eleven-valued decimal. And
+//! what a `bwdecompose` leaves *on the heap* — counted, because `VmRSS`
+//! cannot say: the allocator hands a later step the pages an earlier one
+//! freed — is its approximation and its packed residual, less everything
+//! the column held before: a decomposed column keeps no plain payloads,
+//! and every clone, decomposition and binding of it shares the two
+//! partitions by pointer. Linux-only, and skipped where
+//! `/proc/self/clear_refs` cannot reset the high-water mark.
 
 #![cfg(target_os = "linux")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Arc;
 use waste_not::core::BoundColumn;
 use waste_not::device::{CostLedger, Env};
 use waste_not::engine::Database;
-use waste_not::storage::{Column, DecomposedColumn, DecompositionSpec};
+use waste_not::storage::{Column, DecomposedColumn, DecompositionSpec, Storage};
 
 const ROWS: usize = 4_000_000;
 const SLACK_MIB: f64 = 8.0;
@@ -191,37 +189,63 @@ fn loading_holds_no_row_count_sized_transient() {
         ("discount", 56),
         ("discount", 64),
     ];
-    for (column, device_bits) in steps {
+    fn column<'a>(db: &'a Database, name: &str) -> &'a Column {
+        db.catalog().table("fact").unwrap().column(name).unwrap()
+    }
+    for (name, device_bits) in steps {
+        // A plain column's payloads, or a split one's two partitions.
+        let released = column(&db, name).physical_bytes() as i64;
         let held = LIVE.load(Relaxed) as i64;
-        let (report, rise) = peak_rise(|| db.bwdecompose("fact", column, device_bits).unwrap());
-        let step = format!("bwdecompose({column}, {device_bits})");
-        // The approximation only: `report.host_bytes` is modeled.
-        assert_no_transient(&step, rise, report.device_bytes);
-        let stays = LIVE.load(Relaxed) as i64 - held;
+        let (report, rise) = peak_rise(|| db.bwdecompose("fact", name, device_bits).unwrap());
+        let step = format!("bwdecompose({name}, {device_bits})");
+        // The approximation and the packed residual, the paper's host
+        // partition: every bit once. 24/8 over 4 M rows of a 22-bit
+        // domain: 7 000 000 + 4 000 000 B, for the 16 000 000 B released.
+        let split = report.device_bytes + report.host_bytes;
+        assert_no_transient(&step, rise, split);
         assert!(
-            stays <= report.device_bytes as i64 + (64 << 10),
-            "{step}: {stays} B stay on the heap for an approximation of {} B — \
-             is the residual ({} B modeled) packed beside the plain column again?",
-            report.device_bytes,
-            report.host_bytes
+            matches!(column(&db, name).storage(), Storage::Split(_)),
+            "{step}"
+        );
+        assert_eq!(column(&db, name).physical_bytes(), split, "{step}");
+        if (name, device_bits) == ("wide", 24) {
+            assert_eq!(
+                (report.device_bytes, report.host_bytes),
+                (7_000_000, 4_000_000)
+            );
+        }
+        let stays = LIVE.load(Relaxed) as i64 - held;
+        let want = split as i64 - released;
+        assert!(
+            (stays - want).abs() <= 64 << 10,
+            "{step}: the heap moved {stays} B, not {want} B — {split} B of partitions for \
+             {released} B released: is a plain copy kept beside the split column?"
         );
     }
 
-    // One plain storage, however many hands hold the column.
-    let wide = db.catalog().table("fact").unwrap().column("wide").unwrap();
+    // One copy of each partition, however many hands hold the column: a
+    // clone shares the catalog's storage, and a decomposition of it (a
+    // re-split, block by block) shares its two partitions with its clone
+    // and with the binding that moves the approximation to the device.
+    let wide = column(&db, "wide");
+    assert!(
+        std::ptr::eq(wide.clone().storage(), wide.storage()),
+        "deep copy"
+    );
     let spec = DecompositionSpec::with_device_bits(24);
     let held = LIVE.load(Relaxed);
     let decomposed = DecomposedColumn::decompose_column(wide, &spec).unwrap();
     let env = Env::paper_default();
     let copy = decomposed.clone();
     let bound = BoundColumn::bind(copy, &env.device, "wide", &mut CostLedger::new()).unwrap();
-    for plain in [
-        wide.clone().shared_data(),
-        decomposed.plain(),
-        bound.plain(),
-    ] {
-        assert!(Arc::ptr_eq(plain, wide.shared_data()), "deep copy");
-    }
-    let both = 2 * decomposed.device_bytes() as usize;
-    assert!(LIVE.load(Relaxed) - held <= both + (64 << 10));
+    assert!(
+        std::ptr::eq(bound.approx().data(), decomposed.approx()),
+        "deep copy"
+    );
+    assert!(
+        std::ptr::eq(bound.residual(), decomposed.residual()),
+        "deep copy"
+    );
+    let once = (decomposed.device_bytes() + decomposed.host_bytes()) as usize;
+    assert!(LIVE.load(Relaxed) - held <= once + (64 << 10));
 }
