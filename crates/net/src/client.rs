@@ -7,20 +7,21 @@
 //! duplex pipes; it is a convenience, not part of the wire contract —
 //! any byte stream speaking the frame format interoperates.
 //!
-//! Two robustness behaviors are built into [`NetClient::query`]:
+//! Two robustness behaviors are built into [`NetClient::query`], with
+//! fixed bounds:
 //!
 //! * **Busy backoff** — a [`Frame::Busy`] response (the server's hard
 //!   shed limit) is retried automatically under capped exponential
 //!   backoff, using the server's `queued`-depth hint to stretch the
-//!   first delays when the queue is deep. Bounded by
-//!   [`ClientRetry::busy_retries`]; exhaustion surfaces the busy error.
+//!   first delays when the queue is deep: at most 8 retries, 1 ms base,
+//!   200 ms cap. Exhaustion surfaces the busy error.
 //! * **Transparent reconnect** — a broken stream (reset, EOF mid-frame)
 //!   tears the transport down and, when a reconnect factory is present
-//!   ([`NetClient::connect_tcp`] installs one; [`NetClient::set_reconnect`]
-//!   for custom transports), dials again and replays the request. The
-//!   engine's queries are read-only, so replay is idempotent.
+//!   ([`NetClient::connect_tcp`] installs one), dials again and replays
+//!   the request once. The engine's queries are read-only, so replay is
+//!   idempotent.
 
-use crate::frame::{Frame, FrameDecoder, WireMode, DEFAULT_MAX_FRAME_LEN};
+use crate::frame::{Frame, FrameDecoder, WireMode};
 use crate::transport::{IoEvent, TcpTransport, Transport};
 use bwd_engine::QueryResult;
 use bwd_types::{BwdError, Result};
@@ -38,41 +39,24 @@ fn is_io_error(e: &BwdError) -> bool {
     matches!(e, BwdError::Exec(m) if m.starts_with("net i/o:"))
 }
 
-/// Automatic retry knobs for [`NetClient::query`].
-#[derive(Debug, Clone)]
-pub struct ClientRetry {
-    /// Maximum automatic retries after a [`Frame::Busy`] response
-    /// (0 disables; the busy error then surfaces immediately).
-    pub busy_retries: u32,
-    /// Backoff slept before the first busy retry; doubles per retry.
-    /// `Duration::ZERO` retries without sleeping (tests).
-    pub busy_backoff: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub backoff_cap: Duration,
-    /// Maximum transparent reconnect-and-replay attempts per request
-    /// after a broken stream. Requires a reconnect factory.
-    pub reconnects: u32,
-}
-
-impl Default for ClientRetry {
-    fn default() -> Self {
-        ClientRetry {
-            busy_retries: 8,
-            busy_backoff: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(200),
-            reconnects: 1,
-        }
-    }
-}
+/// Automatic retries after a [`Frame::Busy`] response before the busy
+/// error surfaces.
+const BUSY_RETRIES: u32 = 8;
+/// Backoff slept before the first busy retry; doubles per retry.
+const BUSY_BACKOFF: Duration = Duration::from_millis(1);
+/// Ceiling on any single backoff sleep.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
+/// Reconnect-and-replay attempts per request after a broken stream
+/// (only with a reconnect factory).
+const RECONNECTS: u32 = 1;
 
 /// Factory that re-establishes a broken connection.
-pub type ReconnectFn = Box<dyn FnMut() -> io::Result<Box<dyn Transport>> + Send>;
+type ReconnectFn = Box<dyn FnMut() -> io::Result<Box<dyn Transport>> + Send>;
 
 /// A blocking request/response client (see the [crate docs](crate)).
 pub struct NetClient {
     transport: Box<dyn Transport>,
     decoder: FrameDecoder,
-    retry: ClientRetry,
     reconnect: Option<ReconnectFn>,
     busy_retries_used: u64,
     reconnects_used: u64,
@@ -83,8 +67,7 @@ impl NetClient {
     pub fn new(transport: Box<dyn Transport>) -> NetClient {
         NetClient {
             transport,
-            decoder: FrameDecoder::with_max_len(DEFAULT_MAX_FRAME_LEN),
-            retry: ClientRetry::default(),
+            decoder: FrameDecoder::new(),
             reconnect: None,
             busy_retries_used: 0,
             reconnects_used: 0,
@@ -97,22 +80,11 @@ impl NetClient {
         let resolved: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let stream = TcpStream::connect(&resolved[..])?;
         let mut client = NetClient::new(Box::new(TcpTransport::new(stream)?));
-        client.set_reconnect(Box::new(move || {
+        client.reconnect = Some(Box::new(move || {
             let stream = TcpStream::connect(&resolved[..])?;
             Ok(Box::new(TcpTransport::new(stream)?) as Box<dyn Transport>)
         }));
         Ok(client)
-    }
-
-    /// Replace the retry policy.
-    pub fn set_retry(&mut self, retry: ClientRetry) {
-        self.retry = retry;
-    }
-
-    /// Install (or replace) the reconnect factory used after broken
-    /// streams.
-    pub fn set_reconnect(&mut self, factory: ReconnectFn) {
-        self.reconnect = Some(factory);
     }
 
     /// Busy responses absorbed by automatic backoff so far.
@@ -125,9 +97,11 @@ impl NetClient {
         self.reconnects_used
     }
 
-    /// Send one frame, blocking until it is fully written.
+    /// Send one frame, blocking until it is fully written. A frame past
+    /// [`crate::DEFAULT_MAX_FRAME_LEN`] is refused before a byte is written.
     pub fn send(&mut self, frame: &Frame) -> Result<()> {
-        let buf = frame.encode();
+        let mut buf = Vec::new();
+        frame.try_encode_into(&mut buf)?;
         let mut pos = 0;
         while pos < buf.len() {
             match self.transport.try_write(&buf[pos..]).map_err(io_err)? {
@@ -160,50 +134,28 @@ impl NetClient {
     }
 
     /// One round trip: send `frame`, return the next response frame.
-    pub fn round_trip(&mut self, frame: &Frame) -> Result<Frame> {
+    fn round_trip(&mut self, frame: &Frame) -> Result<Frame> {
         self.send(frame)?;
         self.recv()
     }
 
-    /// Dial the reconnect factory and swap in the fresh transport with a
-    /// clean decoder (bytes of a half-received frame are gone with the
-    /// old stream).
-    fn reconnect_now(&mut self) -> Result<()> {
-        let factory = self
-            .reconnect
-            .as_mut()
-            .expect("reconnect_now called without a factory");
-        let transport = factory().map_err(io_err)?;
-        self.transport = transport;
-        self.decoder = FrameDecoder::with_max_len(DEFAULT_MAX_FRAME_LEN);
-        self.reconnects_used += 1;
-        Ok(())
-    }
-
-    /// Exponential backoff for busy retry `attempt`, stretched by the
-    /// server's queue-depth hint and capped.
-    fn busy_delay(&self, attempt: u32, queued: u32) -> Duration {
-        let base = self.retry.busy_backoff;
-        if base.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = base.saturating_mul(1u32 << attempt.min(10));
-        // Deeper queue → longer first waits: one extra base unit per 64
-        // queued jobs, bounded so the hint can't outrun the cap.
-        let hinted = exp.saturating_add(base.saturating_mul((queued / 64).min(32)));
-        hinted.min(self.retry.backoff_cap)
-    }
-
-    /// One round trip with robustness: broken streams reconnect and
-    /// replay (bounded by [`ClientRetry::reconnects`]).
+    /// One round trip with robustness: a broken stream dials the
+    /// reconnect factory, swaps in the fresh transport with a clean
+    /// decoder (bytes of a half-received frame are gone with the old
+    /// stream) and replays, at most [`RECONNECTS`] times.
     fn resilient_round_trip(&mut self, frame: &Frame) -> Result<Frame> {
-        let mut reconnects_left = self.retry.reconnects;
+        let mut reconnects_left = RECONNECTS;
         loop {
             match self.round_trip(frame) {
                 Ok(resp) => return Ok(resp),
-                Err(e) if is_io_error(&e) && reconnects_left > 0 && self.reconnect.is_some() => {
+                Err(e) if is_io_error(&e) && reconnects_left > 0 => {
+                    let Some(factory) = self.reconnect.as_mut() else {
+                        return Err(e);
+                    };
                     reconnects_left -= 1;
-                    self.reconnect_now()?;
+                    self.transport = factory().map_err(io_err)?;
+                    self.decoder = FrameDecoder::new();
+                    self.reconnects_used += 1;
                 }
                 Err(e) => return Err(e),
             }
@@ -212,34 +164,27 @@ impl NetClient {
 
     /// Run a SQL query and unwrap the response: `Ok` on a result frame,
     /// the carried error on an error frame. `Busy` responses are retried
-    /// under the [`ClientRetry`] policy; exhaustion yields an
-    /// `Unsupported` retry-later error as before.
+    /// up to 8 times under capped exponential backoff; exhaustion yields
+    /// an `Unsupported` retry-later error.
     pub fn query(&mut self, sql: &str, mode: WireMode) -> Result<QueryResult> {
         let frame = Frame::Query {
             mode,
             sql: sql.to_string(),
         };
-        let mut busy_left = self.retry.busy_retries;
         let mut attempt = 0u32;
         loop {
             match self.resilient_round_trip(&frame)? {
                 Frame::Result(result) => return Ok(*result),
                 Frame::Error { error, .. } => return Err(error),
                 Frame::Busy { queued } => {
-                    if busy_left == 0 {
+                    if attempt == BUSY_RETRIES {
                         return Err(BwdError::Unsupported(format!(
                             "server busy ({queued} queued); retry later"
                         )));
                     }
-                    busy_left -= 1;
                     self.busy_retries_used += 1;
-                    let delay = self.busy_delay(attempt, queued);
+                    std::thread::sleep(busy_delay(attempt, queued));
                     attempt += 1;
-                    if delay.is_zero() {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(delay);
-                    }
                 }
                 other => {
                     return Err(BwdError::Exec(format!(
@@ -261,6 +206,16 @@ impl NetClient {
             ))),
         }
     }
+}
+
+/// Exponential backoff for busy retry `attempt`, stretched by the
+/// server's queue-depth hint and capped.
+fn busy_delay(attempt: u32, queued: u32) -> Duration {
+    let exp = BUSY_BACKOFF.saturating_mul(1u32 << attempt.min(10));
+    // Deeper queue → longer first waits: one extra base unit per 64
+    // queued jobs, bounded so the hint can't outrun the cap.
+    let hinted = exp.saturating_add(BUSY_BACKOFF.saturating_mul((queued / 64).min(32)));
+    hinted.min(BACKOFF_CAP)
 }
 
 #[cfg(test)]
@@ -311,17 +266,6 @@ mod tests {
             }
             Ok(IoEvent::Bytes(buf.len()))
         }
-
-        fn peer(&self) -> String {
-            "scripted".into()
-        }
-    }
-
-    fn zero_backoff() -> ClientRetry {
-        ClientRetry {
-            busy_backoff: Duration::ZERO,
-            ..ClientRetry::default()
-        }
     }
 
     #[test]
@@ -338,7 +282,6 @@ mod tests {
             false,
         );
         let mut client = NetClient::new(Box::new(script));
-        client.set_retry(zero_backoff());
         let err = client.query("select 1", WireMode::Classic).unwrap_err();
         assert!(matches!(err, BwdError::NotFound(_)), "got {err}");
         assert_eq!(client.busy_retries_used(), 2);
@@ -347,24 +290,18 @@ mod tests {
 
     #[test]
     fn busy_retries_are_bounded() {
-        let script = Scripted::new(vec![Frame::Busy { queued: 1 }; 3], false);
-        let mut client = NetClient::new(Box::new(script));
-        client.set_retry(ClientRetry {
-            busy_retries: 2,
-            busy_backoff: Duration::ZERO,
-            ..ClientRetry::default()
-        });
+        let busy = vec![Frame::Busy { queued: 1 }; BUSY_RETRIES as usize + 1];
+        let mut client = NetClient::new(Box::new(Scripted::new(busy, false)));
         let err = client.query("select 1", WireMode::Classic).unwrap_err();
         assert!(matches!(err, BwdError::Unsupported(_)), "got {err}");
-        assert_eq!(client.busy_retries_used(), 2);
+        assert_eq!(client.busy_retries_used(), u64::from(BUSY_RETRIES));
     }
 
     #[test]
     fn broken_stream_reconnects_and_replays() {
         let broken = Scripted::new(vec![], true);
         let mut client = NetClient::new(Box::new(broken));
-        client.set_retry(zero_backoff());
-        client.set_reconnect(Box::new(|| {
+        client.reconnect = Some(Box::new(|| {
             Ok(Box::new(Scripted::new(
                 vec![Frame::Error {
                     error: BwdError::NotFound("replayed".into()),
@@ -382,21 +319,19 @@ mod tests {
     fn io_failure_without_factory_surfaces() {
         let broken = Scripted::new(vec![], true);
         let mut client = NetClient::new(Box::new(broken));
-        client.set_retry(zero_backoff());
         let err = client.query("select 1", WireMode::Classic).unwrap_err();
         assert!(is_io_error(&err), "got {err}");
     }
 
     #[test]
     fn busy_delay_scales_with_attempt_and_hint_then_caps() {
-        let client = NetClient::new(Box::new(Scripted::new(vec![], false)));
-        let d0 = client.busy_delay(0, 0);
-        let d1 = client.busy_delay(1, 0);
-        let hinted = client.busy_delay(0, 640);
-        let capped = client.busy_delay(30, u32::MAX);
+        let d0 = busy_delay(0, 0);
+        let d1 = busy_delay(1, 0);
+        let hinted = busy_delay(0, 640);
+        let capped = busy_delay(30, u32::MAX);
         assert_eq!(d0, Duration::from_millis(1));
         assert_eq!(d1, Duration::from_millis(2));
         assert!(hinted > d0, "queue hint should stretch the first delay");
-        assert_eq!(capped, ClientRetry::default().backoff_cap);
+        assert_eq!(capped, BACKOFF_CAP);
     }
 }

@@ -1,4 +1,4 @@
-//! Front-door configuration: watermarks, frame caps, pacing.
+//! Front-door configuration: watermarks, buffer sizes, pacing.
 
 use bwd_obs::Clock;
 use std::time::Duration;
@@ -7,12 +7,12 @@ use std::time::Duration;
 ///
 /// The two-level backpressure scheme:
 ///
-/// * **Read-pause watermark** — when the scheduler's
-///   [`bwd_sched::QueuePressure`] crosses `pause_queued_jobs` or
-///   `pause_admission_waiting`, the reactor stops *reading sockets*.
-///   Demand piles up in transport buffers (kernel receive queues, duplex
-///   pipes) where it costs this process nothing, instead of inflating the
-///   admission queue. Reads resume automatically as workers drain.
+/// * **Read-pause watermark** — when the scheduler queue
+///   ([`bwd_sched::Scheduler::queue_len`]) holds `pause_queued_jobs`
+///   jobs, the reactor stops *reading sockets*. Demand piles up in
+///   transport buffers (kernel receive queues, duplex pipes) where it
+///   costs this process nothing, instead of inflating the scheduler
+///   queue. Reads resume automatically as workers drain.
 /// * **Hard shed limit** — a request frame that was already decoded while
 ///   `shed_queued_jobs` is exceeded (frames arrive in bursts; pausing
 ///   cannot retroactively unread them) is answered with a retryable
@@ -23,19 +23,17 @@ use std::time::Duration;
 /// every socket read and before every submission); with batched frames
 /// the bound widens by at most the decoded-but-unsubmitted frames per
 /// connection, which `max_inflight_per_conn` caps.
+///
+/// The frame cap is not a knob: both ends use
+/// [`crate::DEFAULT_MAX_FRAME_LEN`], on encode and on decode.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Pause socket reads when this many jobs sit in the scheduler
-    /// queue ([`bwd_sched::QueuePressure::queued_jobs`]).
+    /// queue.
     pub pause_queued_jobs: usize,
-    /// Pause socket reads when this many device-memory reservations are
-    /// blocked inside admission (each one is a frozen worker).
-    pub pause_admission_waiting: u64,
     /// Answer `Busy` instead of submitting once the scheduler queue is
     /// this deep (`usize::MAX` disables shedding).
     pub shed_queued_jobs: usize,
-    /// Reject frames whose declared length exceeds this.
-    pub max_frame_len: u32,
     /// Bytes read from one connection per reactor pass (one syscall's
     /// worth; fairness across connections).
     pub read_chunk: usize,
@@ -45,14 +43,10 @@ pub struct NetConfig {
     /// Per-direction byte capacity of in-memory duplex connections
     /// ([`crate::NetServer::connect`]).
     pub duplex_capacity: usize,
-    /// How long [`crate::NetServer::serve`] parks when a pass makes no
+    /// How long the [`crate::NetServer::spawn`]ed serve loop parks when a pass makes no
     /// progress and no completion wakes it (bounds accept/read latency;
     /// completions interrupt it early via the ticket waker).
     pub poll_interval: Duration,
-    /// Record net-lane observability events ([`bwd_obs::EventKind::NetConn`],
-    /// `NetRecv`, `NetSend`) on an internal recorder, drainable via
-    /// [`crate::NetServer::net_trace`].
-    pub tracing: bool,
     /// Close a connection that has been completely idle — no frames in
     /// either direction, no query in flight — for this long. `None` (the
     /// default) never reaps. Idleness is measured on [`NetConfig::clock`],
@@ -68,14 +62,11 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             pause_queued_jobs: 256,
-            pause_admission_waiting: 64,
             shed_queued_jobs: 4096,
-            max_frame_len: crate::frame::DEFAULT_MAX_FRAME_LEN,
             read_chunk: 16 << 10,
             max_inflight_per_conn: 32,
             duplex_capacity: 64 << 10,
             poll_interval: Duration::from_millis(2),
-            tracing: false,
             idle_timeout: None,
             clock: Clock::monotonic(),
         }

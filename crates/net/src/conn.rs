@@ -19,12 +19,11 @@ use crate::frame::{Frame, FrameDecoder, WireMode};
 use crate::server::NetMetrics;
 use crate::transport::{IoEvent, Transport};
 use bwd_core::plan::ArPlan;
-use bwd_obs::{EventKind, SpanId, WorkerHandle, NO_SPAN};
 use bwd_sched::{Scheduler, Session, Ticket};
 use bwd_types::BwdError;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Completion signal shared between the reactor and every in-flight
 /// ticket's waker: jobs resolving anywhere wake the serve loop.
@@ -35,17 +34,24 @@ pub(crate) struct WakeFlag {
 }
 
 impl WakeFlag {
+    /// The flag, even if a waker panicked holding it: a lone `bool` has
+    /// no invariant a panic could leave half-written.
+    fn flagged(&self) -> MutexGuard<'_, bool> {
+        self.flagged.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn signal(&self) {
-        *self.flagged.lock().unwrap() = true;
+        *self.flagged() = true;
         self.cv.notify_all();
     }
 
     /// Park until signaled or `timeout` elapses; clears the flag.
     pub(crate) fn wait_timeout(&self, timeout: std::time::Duration) {
-        let mut flagged = self.flagged.lock().unwrap();
+        let mut flagged = self.flagged();
         if !*flagged {
-            let (guard, _) = self.cv.wait_timeout(flagged, timeout).unwrap();
-            flagged = guard;
+            flagged = (self.cv.wait_timeout(flagged, timeout))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         *flagged = false;
     }
@@ -58,17 +64,15 @@ pub(crate) struct ReactorCtx<'a> {
     pub metrics: &'a NetMetrics,
     pub plans: &'a [ArPlan],
     pub wake: &'a Arc<WakeFlag>,
-    pub obs: &'a WorkerHandle,
     /// Reactor-observed high-water mark of the scheduler queue depth
     /// (ratcheted after every submission; the soak test's bound).
     pub peak_queue: &'a AtomicUsize,
 }
 
-/// Probe the scheduler *now*: would the read-pause watermarks skip a
+/// Probe the scheduler *now*: would the read-pause watermark skip a
 /// socket read?
 pub(crate) fn reads_paused(sched: &Scheduler, cfg: &NetConfig) -> bool {
-    let p = sched.pressure();
-    p.queued_jobs >= cfg.pause_queued_jobs || p.admission_waiting >= cfg.pause_admission_waiting
+    sched.queue_len() >= cfg.pause_queued_jobs
 }
 
 /// One slot in the ordered response queue.
@@ -81,7 +85,6 @@ enum Pending {
 
 /// One multiplexed connection.
 pub(crate) struct Conn {
-    pub id: u64,
     transport: Box<dyn Transport>,
     decoder: FrameDecoder,
     outbuf: Vec<u8>,
@@ -93,29 +96,16 @@ pub(crate) struct Conn {
     io_dead: bool,
     /// Protocol error sent; close as soon as the write buffer drains.
     closing: bool,
-    span: SpanId,
-    frames_in: u64,
-    frames_out: u64,
-    bytes_out: u64,
-    had_protocol_error: bool,
     /// Last pass this connection made progress, on [`NetConfig::clock`]
     /// ([`crate::NetServer`]'s idle reaper reads and maintains this).
     pub(crate) last_activity_ns: u64,
 }
 
 impl Conn {
-    pub(crate) fn new(
-        id: u64,
-        transport: Box<dyn Transport>,
-        session: Session,
-        max_frame_len: u32,
-        obs: &WorkerHandle,
-    ) -> Conn {
-        let span = obs.begin(EventKind::NetConn, NO_SPAN, id, 0);
+    pub(crate) fn new(transport: Box<dyn Transport>, session: Session) -> Conn {
         Conn {
-            id,
             transport,
-            decoder: FrameDecoder::with_max_len(max_frame_len),
+            decoder: FrameDecoder::new(),
             outbuf: Vec::new(),
             out_pos: 0,
             pending: VecDeque::new(),
@@ -123,11 +113,6 @@ impl Conn {
             read_eof: false,
             io_dead: false,
             closing: false,
-            span,
-            frames_in: 0,
-            frames_out: 0,
-            bytes_out: 0,
-            had_protocol_error: false,
             last_activity_ns: 0,
         }
     }
@@ -161,8 +146,8 @@ impl Conn {
         self.closing = true;
     }
 
-    /// Close bookkeeping (metrics + span); called once by the reactor
-    /// when it retires the connection.
+    /// Close bookkeeping; called once by the reactor when it retires the
+    /// connection.
     pub(crate) fn on_close(&mut self, ctx: &ReactorCtx<'_>) {
         // A dead transport strands its in-flight queries: nobody can ever
         // read their results. Cancel them so each releases its device
@@ -177,14 +162,6 @@ impl Conn {
             }
         }
         ctx.metrics.closed.inc();
-        ctx.obs.end(
-            EventKind::NetConn,
-            self.span,
-            self.frames_in,
-            self.frames_out,
-            self.bytes_out,
-            u64::from(self.had_protocol_error),
-        );
     }
 
     /// One reactor pass over this connection:
@@ -209,20 +186,12 @@ impl Conn {
         let mut progressed = false;
         while let Some(front) = self.pending.front_mut() {
             let frame = match front {
-                Pending::Ready(_) => {
-                    let Some(Pending::Ready(f)) = self.pending.pop_front() else {
-                        unreachable!("front was Ready");
-                    };
-                    f
-                }
+                // The placeholder is popped with its slot just below.
+                Pending::Ready(frame) => std::mem::replace(frame, Frame::Pong),
                 Pending::Job(ticket) => match ticket.poll_report() {
                     None => break,
-                    Some(Ok((result, _report))) => {
-                        self.pending.pop_front();
-                        Frame::Result(Box::new(result))
-                    }
+                    Some(Ok((result, _report))) => Frame::Result(Box::new(result)),
                     Some(Err(error)) => {
-                        self.pending.pop_front();
                         // Admission timeouts and device faults are safe to
                         // replay: the query never produced a result and is
                         // idempotent (a surfaced DeviceFault means the
@@ -237,23 +206,26 @@ impl Conn {
                     }
                 },
             };
+            self.pending.pop_front();
             self.emit(ctx, &frame);
             progressed = true;
         }
         progressed
     }
 
-    /// Encode one response frame into the write buffer.
+    /// Encode one response frame into the write buffer. A response past
+    /// the frame cap — the client's decoder would reject it and the
+    /// connection could never resynchronize — is answered with a
+    /// non-retryable error naming its size instead.
     fn emit(&mut self, ctx: &ReactorCtx<'_>, frame: &Frame) {
-        frame.encode_into(&mut self.outbuf);
-        self.frames_out += 1;
+        if let Err(error) = frame.try_encode_into(&mut self.outbuf) {
+            Frame::Error {
+                error,
+                retryable: false,
+            }
+            .encode_into(&mut self.outbuf);
+        }
         ctx.metrics.frames_out.inc();
-        ctx.obs.instant(
-            EventKind::NetSend,
-            self.span,
-            self.id,
-            frame.type_byte() as u64,
-        );
     }
 
     /// Push buffered bytes into the transport.
@@ -263,7 +235,6 @@ impl Conn {
             match self.transport.try_write(&self.outbuf[self.out_pos..]) {
                 Ok(IoEvent::Bytes(n)) => {
                     self.out_pos += n;
-                    self.bytes_out += n as u64;
                     ctx.metrics.bytes_out.add(n as u64);
                     progressed = true;
                 }
@@ -323,14 +294,7 @@ impl Conn {
             match self.decoder.next() {
                 Ok(Some(frame)) => {
                     progressed = true;
-                    self.frames_in += 1;
                     ctx.metrics.frames_in.inc();
-                    ctx.obs.instant(
-                        EventKind::NetRecv,
-                        self.span,
-                        self.id,
-                        frame.type_byte() as u64,
-                    );
                     self.handle_request(ctx, frame);
                 }
                 Ok(None) => {
@@ -356,7 +320,6 @@ impl Conn {
     /// framed one message wrong cannot be resynchronized.
     fn protocol_error(&mut self, ctx: &ReactorCtx<'_>, error: BwdError) {
         ctx.metrics.protocol_errors.inc();
-        self.had_protocol_error = true;
         self.pending.push_back(Pending::Ready(Frame::Error {
             error,
             retryable: false,

@@ -24,7 +24,7 @@ use bwd_engine::{ExecMode, QueryResult};
 use bwd_types::BwdError;
 
 /// Frame-type bytes (`0x0x` requests, `0x8x` responses).
-pub mod frame_type {
+mod frame_type {
     /// SQL query request.
     pub const QUERY: u8 = 0x01;
     /// Registered-plan execution request.
@@ -107,8 +107,8 @@ pub enum Frame {
         /// Whether resubmitting the identical request may succeed.
         retryable: bool,
     },
-    /// The server shed this request before queueing it (admission
-    /// pressure past the hard watermark). Always retryable.
+    /// The server shed this request before queueing it (scheduler
+    /// queue past the shed limit). Always retryable.
     Busy {
         /// Scheduler queue depth observed when shedding — a client-side
         /// backoff hint.
@@ -184,6 +184,9 @@ impl Frame {
     }
 
     /// Append this frame's wire encoding (header included) to `buf`.
+    /// Past 4 GiB the length prefix saturates at `u32::MAX`, which every
+    /// decoder rejects as oversized; a sender that cannot bound its frame
+    /// uses [`Frame::try_encode_into`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let len_at = buf.len();
         wire::put_u32(buf, 0); // patched below
@@ -205,8 +208,25 @@ impl Frame {
             }
             Frame::Busy { queued } => wire::put_u32(buf, *queued),
         }
-        let len = (buf.len() - len_at - 4) as u32;
+        let len = u32::try_from(buf.len() - len_at - 4).unwrap_or(u32::MAX);
         buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// [`Frame::encode_into`], unless the frame's length would pass
+    /// [`DEFAULT_MAX_FRAME_LEN`], which no decoder accepts: then `buf` is
+    /// left as it was and the error names the length and the cap.
+    pub fn try_encode_into(&self, buf: &mut Vec<u8>) -> Result<(), BwdError> {
+        let start = buf.len();
+        self.encode_into(buf);
+        let len = buf.len() - start - 4;
+        if len > DEFAULT_MAX_FRAME_LEN as usize {
+            buf.truncate(start);
+            return Err(BwdError::InvalidArgument(format!(
+                "frame {:#04x} of {len} bytes exceeds the {DEFAULT_MAX_FRAME_LEN}-byte frame cap",
+                self.type_byte()
+            )));
+        }
+        Ok(())
     }
 
     /// This frame's wire encoding as a fresh buffer.
@@ -259,7 +279,8 @@ impl Frame {
     }
 }
 
-/// Default cap on one frame's `len` field: 16 MiB.
+/// Cap on one frame's `len` field, 16 MiB: senders refuse to encode past
+/// it and every decoder rejects past it.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 << 20;
 
 /// Incremental frame decoder over a byte stream.
@@ -279,12 +300,13 @@ impl FrameDecoder {
     }
 
     /// A decoder rejecting frames whose declared length exceeds
-    /// `max_len`.
+    /// `max_len`, itself clamped to `1..=`[`DEFAULT_MAX_FRAME_LEN`]: a
+    /// decoder may be stricter than the protocol's cap, never looser.
     pub fn with_max_len(max_len: u32) -> FrameDecoder {
         FrameDecoder {
             buf: Vec::new(),
             pos: 0,
-            max_len: max_len.max(1),
+            max_len: max_len.clamp(1, DEFAULT_MAX_FRAME_LEN),
             poisoned: None,
         }
     }
@@ -325,11 +347,10 @@ impl FrameDecoder {
     }
 
     fn try_next(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buffered() < 4 {
+        let Some(&[a, b, c, d]) = self.buf.get(self.pos..self.pos + 4) else {
             return Ok(None);
-        }
-        let head = &self.buf[self.pos..self.pos + 4];
-        let len = u32::from_le_bytes(head.try_into().unwrap());
+        };
+        let len = u32::from_le_bytes([a, b, c, d]);
         if len == 0 {
             return Err(FrameError::EmptyFrame);
         }
@@ -374,5 +395,50 @@ impl FrameDecoder {
 impl Default for FrameDecoder {
     fn default() -> Self {
         FrameDecoder::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_frame_past_the_cap_is_refused_on_encode_and_leaves_the_buffer() {
+        let at_cap = Frame::Query {
+            mode: WireMode::Classic,
+            // type + mode + string length prefix: 6 B besides the SQL.
+            sql: "x".repeat(DEFAULT_MAX_FRAME_LEN as usize - 6),
+        };
+        let mut buf = vec![7u8; 3];
+        at_cap.try_encode_into(&mut buf).unwrap();
+        assert_eq!(buf.len(), 3 + 4 + DEFAULT_MAX_FRAME_LEN as usize);
+
+        let past_cap = Frame::Query {
+            mode: WireMode::Classic,
+            sql: "x".repeat(DEFAULT_MAX_FRAME_LEN as usize - 5),
+        };
+        let mut buf = vec![7u8; 3];
+        let err = past_cap.try_encode_into(&mut buf).unwrap_err();
+        assert!(
+            matches!(&err, BwdError::InvalidArgument(m) if m.contains(&format!(
+                "of {} bytes exceeds the {DEFAULT_MAX_FRAME_LEN}-byte frame cap",
+                DEFAULT_MAX_FRAME_LEN + 1
+            ))),
+            "{err}"
+        );
+        assert_eq!(buf, [7, 7, 7], "a refused frame writes nothing");
+    }
+
+    #[test]
+    fn a_decoder_is_never_looser_than_the_cap() {
+        let mut dec = FrameDecoder::with_max_len(u32::MAX);
+        dec.feed(&(DEFAULT_MAX_FRAME_LEN + 1).to_le_bytes());
+        assert_eq!(
+            dec.next(),
+            Err(FrameError::Oversized {
+                len: DEFAULT_MAX_FRAME_LEN + 1,
+                max: DEFAULT_MAX_FRAME_LEN,
+            })
+        );
     }
 }

@@ -9,25 +9,26 @@
 //! * [`Frame`] / [`FrameDecoder`] — a length-prefixed wire protocol
 //!   (SQL or registered-plan requests in; columnar result, error, busy
 //!   and pong frames out) with an incremental, poisoning decoder that
-//!   never panics or over-reads on corrupt input.
+//!   never panics or over-reads on corrupt input. One frame cap,
+//!   [`DEFAULT_MAX_FRAME_LEN`], holds on both ends: senders refuse to
+//!   encode past it, decoders reject past it.
 //! * [`Transport`] — the non-blocking byte-stream contract, implemented
-//!   by [`TcpTransport`] (real sockets) and [`Duplex`] (bounded
-//!   in-memory pipes that make multi-connection tests deterministic).
+//!   by real non-blocking sockets and by [`Duplex`] (bounded in-memory
+//!   pipes that make multi-connection tests deterministic).
 //! * [`NetServer`] — a mini-reactor: one thread polls every connection,
 //!   submits decoded queries through non-blocking
 //!   [`bwd_sched::Ticket`]s, and emits responses strictly in request
 //!   order. No connection ever pins a scheduler worker.
 //! * [`NetConfig`] — two-level backpressure: past the read-pause
-//!   watermarks the reactor stops *reading sockets* (demand queues in
-//!   transport buffers, keeping the scheduler queue provably bounded);
-//!   past the hard shed limit already-decoded requests get a retryable
-//!   [`Frame::Busy`].
-//! * [`NetClient`] — a small blocking client for tests and examples.
+//!   watermark on scheduler queue depth the reactor stops *reading
+//!   sockets* (demand queues in transport buffers, keeping the scheduler
+//!   queue provably bounded); past the hard shed limit already-decoded
+//!   requests get a retryable [`Frame::Busy`].
+//! * [`NetClient`] — a small blocking client for tests and examples,
+//!   with fixed busy-backoff and reconnect bounds.
 //!
-//! Everything is observable: `bwd_net_*` counters/gauges via
-//! [`NetServer::metrics_text`], and net-lane trace events
-//! ([`bwd_obs::EventKind::NetConn`]/`NetRecv`/`NetSend`) via
-//! [`NetServer::net_trace`] when [`NetConfig::tracing`] is on.
+//! Observability is metrics only: the `bwd_net_*` counters and gauges
+//! via [`NetServer::metrics_text`].
 
 #![deny(missing_docs)]
 
@@ -39,8 +40,8 @@ mod server;
 mod transport;
 mod wire;
 
-pub use client::{ClientRetry, NetClient, ReconnectFn};
+pub use client::NetClient;
 pub use config::NetConfig;
-pub use frame::{frame_type, Frame, FrameDecoder, FrameError, WireMode, DEFAULT_MAX_FRAME_LEN};
+pub use frame::{Frame, FrameDecoder, FrameError, WireMode, DEFAULT_MAX_FRAME_LEN};
 pub use server::{NetServer, NetServerHandle};
-pub use transport::{duplex, Duplex, FaultyTransport, IoEvent, TcpTransport, Transport};
+pub use transport::{duplex, Duplex, FaultyTransport, IoEvent, Transport};

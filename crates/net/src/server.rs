@@ -20,7 +20,6 @@ use crate::conn::{reads_paused, Conn, ReactorCtx, WakeFlag};
 use crate::transport::{duplex, Duplex, TcpTransport, Transport};
 use bwd_core::plan::ArPlan;
 use bwd_obs::metrics::{Counter, Gauge, Registry};
-use bwd_obs::{QueryTrace, Recorder, RecorderConfig, WorkerHandle};
 use bwd_sched::Scheduler;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -80,15 +79,11 @@ pub struct NetServer {
     sched: Scheduler,
     cfg: NetConfig,
     conns: Vec<Conn>,
-    next_conn_id: u64,
     listener: Option<TcpListener>,
-    local_addr: Option<SocketAddr>,
     plans: Vec<ArPlan>,
     metrics: NetMetrics,
     wake: Arc<WakeFlag>,
     peak_queue: AtomicUsize,
-    recorder: Recorder,
-    obs: WorkerHandle,
     scratch: Vec<u8>,
 }
 
@@ -100,26 +95,16 @@ impl NetServer {
 
     /// Wrap `sched` with explicit configuration.
     pub fn with_config(sched: Scheduler, cfg: NetConfig) -> NetServer {
-        let recorder = if cfg.tracing {
-            Recorder::new(RecorderConfig::default())
-        } else {
-            Recorder::disabled()
-        };
-        let obs = recorder.worker("net");
         let scratch = vec![0u8; cfg.read_chunk.max(1)];
         NetServer {
             sched,
             cfg,
             conns: Vec::new(),
-            next_conn_id: 0,
             listener: None,
-            local_addr: None,
             plans: Vec::new(),
             metrics: NetMetrics::new(),
             wake: Arc::new(WakeFlag::default()),
             peak_queue: AtomicUsize::new(0),
-            recorder,
-            obs,
             scratch,
         }
     }
@@ -150,13 +135,7 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         self.listener = Some(listener);
-        self.local_addr = Some(local);
         Ok(local)
-    }
-
-    /// The TCP address [`bind`](NetServer::bind) chose, if bound.
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.local_addr
     }
 
     /// Open an in-memory connection; the returned [`Duplex`] is the
@@ -169,15 +148,7 @@ impl NetServer {
 
     /// Adopt an established transport as a new connection.
     pub fn add_transport(&mut self, transport: Box<dyn Transport>) {
-        let id = self.next_conn_id;
-        self.next_conn_id += 1;
-        let mut conn = Conn::new(
-            id,
-            transport,
-            self.sched.session(),
-            self.cfg.max_frame_len,
-            &self.obs,
-        );
+        let mut conn = Conn::new(transport, self.sched.session());
         conn.last_activity_ns = self.cfg.clock.now_ns();
         self.conns.push(conn);
         self.metrics.accepted.inc();
@@ -219,7 +190,6 @@ impl NetServer {
             metrics: &self.metrics,
             plans: &self.plans,
             wake: &self.wake,
-            obs: &self.obs,
             peak_queue: &self.peak_queue,
         };
         let mut inflight = 0usize;
@@ -287,15 +257,9 @@ impl NetServer {
     }
 
     /// Whether a socket read issued *now* would be skipped by the
-    /// read-pause watermarks.
+    /// read-pause watermark.
     pub fn reads_paused(&self) -> bool {
         reads_paused(&self.sched, &self.cfg)
-    }
-
-    /// A completion signal for embedding [`poll`](NetServer::poll) in an
-    /// external loop: ticket wakers signal it when responses resolve.
-    pub(crate) fn wake_flag(&self) -> Arc<WakeFlag> {
-        Arc::clone(&self.wake)
     }
 
     /// Prometheus-style rendering of the `bwd_net_*` metrics.
@@ -303,16 +267,11 @@ impl NetServer {
         self.metrics.registry.render()
     }
 
-    /// Capture the net-lane trace (empty unless [`NetConfig::tracing`]).
-    pub fn net_trace(&self) -> QueryTrace {
-        QueryTrace::capture(&self.recorder)
-    }
-
     /// Run the serve loop on this thread until `stop` turns true:
     /// repeat [`poll`](NetServer::poll) passes, parking on the
     /// completion signal (bounded by [`NetConfig::poll_interval`]) when
     /// a pass makes no progress. Returns the server for teardown.
-    pub fn serve(mut self, stop: &AtomicBool) -> NetServer {
+    fn serve(mut self, stop: &AtomicBool) -> NetServer {
         while !stop.load(Ordering::Relaxed) {
             if !self.poll() {
                 self.wake.wait_timeout(self.cfg.poll_interval);
@@ -326,9 +285,11 @@ impl NetServer {
     /// Spawn the serve loop on a background thread.
     pub fn spawn(self) -> NetServerHandle {
         let stop = Arc::new(AtomicBool::new(false));
-        let wake = self.wake_flag();
-        let addr = self.local_addr;
+        let wake = Arc::clone(&self.wake);
         let stop2 = Arc::clone(&stop);
+        // The one panic the crate keeps: the OS refused a thread, and the
+        // handle callers hold has no error channel (`std::thread::spawn`
+        // panics the same way).
         let join = std::thread::Builder::new()
             .name("bwd-net".into())
             .spawn(move || self.serve(&stop2))
@@ -336,7 +297,6 @@ impl NetServer {
         NetServerHandle {
             stop,
             wake,
-            addr,
             join: Some(join),
         }
     }
@@ -346,22 +306,19 @@ impl NetServer {
 pub struct NetServerHandle {
     stop: Arc<AtomicBool>,
     wake: Arc<WakeFlag>,
-    addr: Option<SocketAddr>,
     join: Option<JoinHandle<NetServer>>,
 }
 
 impl NetServerHandle {
-    /// The serving TCP address, if the server was bound before spawning.
-    pub fn addr(&self) -> Option<SocketAddr> {
-        self.addr
-    }
-
-    /// Stop the loop and get the server back (connections intact).
+    /// Stop the loop and get the server back (connections intact). A
+    /// panic on the serve thread resumes here.
     pub fn shutdown(mut self) -> NetServer {
         self.stop.store(true, Ordering::Relaxed);
         self.wake.signal();
-        let join = self.join.take().expect("serve thread already joined");
-        join.join().expect("bwd-net thread panicked")
+        // `Some` here: `shutdown` consumes the handle, `drop` runs after.
+        let join = self.join.take().expect("serve thread joined once");
+        join.join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 

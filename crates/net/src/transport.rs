@@ -12,7 +12,7 @@ use bwd_types::{FaultPlan, FaultSite};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Outcome of one non-blocking transport operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +32,6 @@ pub trait Transport: Send {
 
     /// Write from `buf` without blocking; partial writes are normal.
     fn try_write(&mut self, buf: &[u8]) -> io::Result<IoEvent>;
-
-    /// Human-readable peer label for diagnostics.
-    fn peer(&self) -> String;
 }
 
 // ---------------------------------------------------------------------
@@ -59,11 +56,6 @@ impl<T: Transport> FaultyTransport<T> {
     pub fn new(inner: T, plan: FaultPlan) -> FaultyTransport<T> {
         FaultyTransport { inner, plan }
     }
-
-    /// The wrapped transport (read-only access for test assertions).
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
 }
 
 fn injected_io_error(site: FaultSite) -> io::Error {
@@ -87,10 +79,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         }
         self.inner.try_write(buf)
     }
-
-    fn peer(&self) -> String {
-        format!("faulty:{}", self.inner.peer())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -98,23 +86,18 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 // ---------------------------------------------------------------------
 
 /// A non-blocking TCP stream.
-pub struct TcpTransport {
+pub(crate) struct TcpTransport {
     stream: TcpStream,
-    peer: String,
 }
 
 impl TcpTransport {
     /// Wrap `stream`, switching it to non-blocking mode and disabling
     /// Nagle (the protocol is request/response; batching adds latency
     /// and nothing else).
-    pub fn new(stream: TcpStream) -> io::Result<TcpTransport> {
+    pub(crate) fn new(stream: TcpStream) -> io::Result<TcpTransport> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "tcp:?".into());
-        Ok(TcpTransport { stream, peer })
+        Ok(TcpTransport { stream })
     }
 }
 
@@ -137,10 +120,6 @@ impl Transport for TcpTransport {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(IoEvent::WouldBlock),
             Err(e) => Err(e),
         }
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
     }
 }
 
@@ -169,6 +148,12 @@ impl Pipe {
             }),
         })
     }
+
+    /// The pipe's state, even if a peer panicked holding it: every
+    /// critical section below leaves it a valid queue.
+    fn state(&self) -> MutexGuard<'_, PipeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One end of an in-memory duplex connection (see [`duplex`]).
@@ -181,7 +166,6 @@ pub struct Duplex {
     rx: Arc<Pipe>,
     /// Us → peer.
     tx: Arc<Pipe>,
-    label: String,
 }
 
 /// A symmetric in-memory connection: bytes written to one end become
@@ -193,33 +177,26 @@ pub fn duplex(capacity: usize) -> (Duplex, Duplex) {
         Duplex {
             rx: Arc::clone(&b_to_a),
             tx: Arc::clone(&a_to_b),
-            label: "duplex:a".into(),
         },
         Duplex {
             rx: a_to_b,
             tx: b_to_a,
-            label: "duplex:b".into(),
         },
     )
 }
 
 impl Duplex {
-    /// Bytes currently buffered toward this end (written by the peer,
-    /// not yet read here). Tests use the *server* end's unread depth to
-    /// prove paused connections stop draining their transport.
-    pub fn unread(&self) -> usize {
-        self.rx.state.lock().unwrap().data.len()
-    }
-
-    /// Bytes this end has written that the peer has not yet read.
+    /// Bytes this end has written that the peer has not yet read. Tests
+    /// use a client end's unflushed depth to prove paused connections
+    /// stop draining their transport.
     pub fn unflushed(&self) -> usize {
-        self.tx.state.lock().unwrap().data.len()
+        self.tx.state().data.len()
     }
 }
 
 impl Transport for Duplex {
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<IoEvent> {
-        let mut s = self.rx.state.lock().unwrap();
+        let mut s = self.rx.state();
         if s.data.is_empty() {
             return if s.closed {
                 Ok(IoEvent::Eof)
@@ -228,14 +205,14 @@ impl Transport for Duplex {
             };
         }
         let n = buf.len().min(s.data.len());
-        for b in buf.iter_mut().take(n) {
-            *b = s.data.pop_front().unwrap();
+        for (b, byte) in buf.iter_mut().zip(s.data.drain(..n)) {
+            *b = byte;
         }
         Ok(IoEvent::Bytes(n))
     }
 
     fn try_write(&mut self, buf: &[u8]) -> io::Result<IoEvent> {
-        let mut s = self.tx.state.lock().unwrap();
+        let mut s = self.tx.state();
         if s.closed {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -250,16 +227,12 @@ impl Transport for Duplex {
         s.data.extend(buf[..n].iter().copied());
         Ok(IoEvent::Bytes(n))
     }
-
-    fn peer(&self) -> String {
-        self.label.clone()
-    }
 }
 
 impl Drop for Duplex {
     fn drop(&mut self) {
         for pipe in [&self.rx, &self.tx] {
-            pipe.state.lock().unwrap().closed = true;
+            pipe.state().closed = true;
         }
     }
 }
@@ -272,7 +245,7 @@ mod tests {
     fn duplex_moves_bytes_and_signals_eof() {
         let (mut a, mut b) = duplex(8);
         assert_eq!(a.try_write(b"hello!").unwrap(), IoEvent::Bytes(6));
-        assert_eq!(b.unread(), 6);
+        assert_eq!(a.unflushed(), 6);
         let mut buf = [0u8; 4];
         assert_eq!(b.try_read(&mut buf).unwrap(), IoEvent::Bytes(4));
         assert_eq!(&buf, b"hell");

@@ -93,6 +93,13 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> WireResult<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Read a `u8`.
     pub fn u8(&mut self) -> WireResult<u8> {
         Ok(self.take(1)?[0])
@@ -100,22 +107,22 @@ impl<'a> Reader<'a> {
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `i64`.
     pub fn i64(&mut self) -> WireResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `i32`.
     pub fn i32(&mut self) -> WireResult<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(i32::from_le_bytes(self.array()?))
     }
 
     /// Read an `f64` bit pattern.

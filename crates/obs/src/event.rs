@@ -43,9 +43,6 @@ pub enum Phase {
 /// | `Morsel`      | partition length, part idx  | 0, 0, output length, 0 |
 /// | `Placement`   | (instant) `a` device index, `b` estimated bytes |  |
 /// | `Resolve`     | (instant) `a` completion index, `b` 0 |  |
-/// | `NetConn`     | connection id, transport kind | frames in, frames out, bytes out, 1 on protocol error |
-/// | `NetRecv`     | (instant) `a` connection id, `b` frame type byte |  |
-/// | `NetSend`     | (instant) `a` connection id, `b` frame type byte |  |
 /// | `DeviceDown`  | (instant) `a` device index, `b` consecutive faults |  |
 /// | `DeviceUp`    | (instant) `a` device index, `b` probe tick |  |
 /// | `Cancel`      | (instant) `a` 1 = deadline expiry / 0 = explicit cancel, `b` 0 |  |
@@ -79,13 +76,6 @@ pub enum EventKind {
     Morsel,
     /// The classic pipe's whole selection + aggregation chain.
     Classic,
-    /// One network connection's lifetime on the `bwd-net` reactor,
-    /// accept → close.
-    NetConn,
-    /// A request frame decoded off a connection (instant).
-    NetRecv,
-    /// A response frame queued for write on a connection (instant).
-    NetSend,
     /// A device crossed its consecutive-fault threshold and went offline
     /// (instant, recorded on the query that observed the last fault).
     DeviceDown,
@@ -112,9 +102,6 @@ impl EventKind {
             EventKind::GroupAgg => "group-agg",
             EventKind::Morsel => "morsel",
             EventKind::Classic => "classic",
-            EventKind::NetConn => "net-conn",
-            EventKind::NetRecv => "net-recv",
-            EventKind::NetSend => "net-send",
             EventKind::DeviceDown => "device-down",
             EventKind::DeviceUp => "device-up",
             EventKind::Cancel => "cancel",

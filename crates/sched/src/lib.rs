@@ -111,4 +111,4 @@ pub use job::{JobReport, SubmitOptions, Ticket};
 pub use policy::PolicyQueue;
 pub use scheduler::{SchedConfig, Scheduler, TraceRecord};
 pub use session::Session;
-pub use stats::{DeviceSnapshot, QueuePressure, SchedulerStats, StreamSnapshot};
+pub use stats::{DeviceSnapshot, SchedulerStats, StreamSnapshot};

@@ -222,22 +222,10 @@ impl Scheduler {
     }
 
     /// Jobs currently waiting in the queue (excludes running queries).
+    /// The `bwd-net` reactor probes this before every socket read and
+    /// every submission: its read-pause and shed watermarks.
     pub fn queue_len(&self) -> usize {
         self.shared.queue.lock().unwrap().jobs.len()
-    }
-
-    /// Instantaneous load probe for admission-aware front doors: current
-    /// queue depth and reservations blocked inside device admission. The
-    /// `bwd-net` reactor samples this before every socket read and stops
-    /// reading past its configured watermarks, so external demand piles
-    /// up in kernel/transport buffers instead of in this queue.
-    pub fn pressure(&self) -> crate::stats::QueuePressure {
-        crate::stats::QueuePressure {
-            queued_jobs: self.queue_len(),
-            admission_waiting: (self.shared.devices.iter())
-                .map(|slot| slot.admission.memory().queued())
-                .sum(),
-        }
     }
 
     /// Current per-stream, per-device and admission statistics.
@@ -821,29 +809,6 @@ mod tests {
         });
         assert_eq!(orphan_fired.load(Ordering::SeqCst), 1);
         assert!(orphan.wait().is_err());
-    }
-
-    #[test]
-    fn pressure_probe_reports_current_depths() {
-        let (db, plan) = served_db();
-        let sched = Scheduler::new(
-            db,
-            SchedConfig {
-                workers: 1,
-                ..SchedConfig::default()
-            },
-        );
-        let idle = sched.pressure();
-        assert_eq!(idle.queued_jobs, 0);
-        assert_eq!(idle.admission_waiting, 0);
-        let session = sched.session();
-        let tickets: Vec<_> = (0..4)
-            .map(|_| session.submit(plan.clone(), ExecMode::Classic))
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert_eq!(sched.pressure().queued_jobs, 0, "drained back to zero");
     }
 
     #[test]

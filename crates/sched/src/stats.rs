@@ -67,22 +67,6 @@ impl StreamSnapshot {
     }
 }
 
-/// Instantaneous scheduler load, sampled by admission-aware front doors
-/// (the `bwd-net` reactor pauses socket reads against these numbers).
-///
-/// Unlike [`SchedulerStats`] — cumulative accounting — every field here
-/// is a *current* depth: it rises as work arrives and falls back to zero
-/// as the scheduler drains.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueuePressure {
-    /// Jobs waiting in the policy queue (excludes running queries).
-    pub queued_jobs: usize,
-    /// Device-memory reservations currently blocked inside admission,
-    /// summed over the pool — each one is a worker thread frozen in
-    /// [`crate::AdmissionController::admit`].
-    pub admission_waiting: u64,
-}
-
 /// Point-in-time view of one device in the pool.
 #[derive(Debug, Clone)]
 pub struct DeviceSnapshot {

@@ -4,8 +4,10 @@
 //! Builds a small table, binds an ephemeral loopback port, spawns the
 //! poll-based reactor on a background thread, then runs a handful of
 //! client threads that ping and query over plain sockets — no async
-//! runtime anywhere. Finishes by printing the `bwd_net_*` metrics the
-//! server collected.
+//! runtime anywhere. Every answer is asserted equal to the serial
+//! reference the embedded database gave before serving, and the
+//! server's `bwd_net_protocol_errors_total` to be 0. Finishes by
+//! printing the `bwd_net_*` metrics the server collected.
 //!
 //! ```text
 //! cargo run --release --example serve_tcp
@@ -13,7 +15,18 @@
 
 use waste_not::net::{NetClient, WireMode};
 use waste_not::storage::Column;
-use waste_not::{Db, NetConfig, Result};
+use waste_not::{Db, ExecMode, NetConfig, QueryResult, Result};
+
+const CLIENTS: usize = 4;
+const MODES: [(WireMode, ExecMode); 2] = [
+    (WireMode::Classic, ExecMode::Classic),
+    (WireMode::ApproxRefine, ExecMode::ApproxRefine),
+];
+
+/// Client `id`'s query.
+fn query_of(id: usize) -> String {
+    format!("select count(*) from points where x < {}", (id + 1) * 100)
+}
 
 fn main() -> Result<()> {
     let mut db = Db::new();
@@ -33,6 +46,18 @@ fn main() -> Result<()> {
     // Decompose for Approximate & Refine co-processing over the wire.
     db.sql("select bwdecompose(x, 24) from points")?;
 
+    // The serial reference: every client's query in both modes, run
+    // embedded before the database is served.
+    let mut reference: Vec<Vec<QueryResult>> = Vec::new();
+    for id in 0..CLIENTS {
+        let mut per_mode = Vec::new();
+        for (_, mode) in MODES {
+            let out = db.sql_mode(&query_of(id), mode)?;
+            per_mode.extend(out.query().cloned());
+        }
+        reference.push(per_mode);
+    }
+
     let mut server = db.serve_net(NetConfig::default());
     let addr = server
         .bind(("127.0.0.1", 0))
@@ -40,34 +65,44 @@ fn main() -> Result<()> {
     println!("serving on {addr}\n");
     let handle = server.spawn();
 
-    let clients: Vec<_> = (0..4)
+    let clients: Vec<_> = (0..CLIENTS)
         .map(|id| {
-            std::thread::spawn(move || -> Result<()> {
+            std::thread::spawn(move || -> Result<Vec<QueryResult>> {
                 let mut client = NetClient::connect_tcp(addr)
                     .map_err(|e| waste_not::BwdError::Exec(format!("connect: {e}")))?;
                 client.ping()?;
-                let hi = (id + 1) * 100;
-                let result = client.query(
-                    &format!("select count(*) from points where x < {hi}"),
-                    WireMode::ApproxRefine,
-                )?;
-                println!(
-                    "client {id}: x < {} -> {} (simulated {:.3} ms, pcie {} B)",
-                    hi,
-                    result.rows[0][0],
-                    (result.breakdown.device + result.breakdown.host + result.breakdown.pcie) * 1e3,
-                    result.traffic.pcie,
-                );
-                Ok(())
+                let mut answers = Vec::new();
+                for (wire, _) in MODES {
+                    let result = client.query(&query_of(id), wire)?;
+                    println!(
+                        "client {id} {wire:?}: {} -> {} (simulated {:.3} ms, pcie {} B)",
+                        query_of(id),
+                        result.rows[0][0],
+                        (result.breakdown.device + result.breakdown.host + result.breakdown.pcie)
+                            * 1e3,
+                        result.traffic.pcie,
+                    );
+                    answers.push(result);
+                }
+                Ok(answers)
             })
         })
         .collect();
-    for c in clients {
-        c.join().expect("client thread")?;
+    for (id, c) in clients.into_iter().enumerate() {
+        let answers = c.join().expect("client thread")?;
+        assert_eq!(
+            answers, reference[id],
+            "client {id}: the served answers differ from the serial reference"
+        );
     }
 
     let server = handle.shutdown();
-    println!("\n--- server metrics ---\n{}", server.metrics_text());
+    let metrics = server.metrics_text();
+    println!("\n--- server metrics ---\n{metrics}");
+    assert!(
+        metrics.contains("bwd_net_protocol_errors_total 0\n"),
+        "the clients spoke the protocol without an error:\n{metrics}"
+    );
     server.into_scheduler().shutdown();
     Ok(())
 }

@@ -166,7 +166,6 @@ fn soak_10k_sessions_bit_identical_and_bounded() {
         sched,
         NetConfig {
             pause_queued_jobs: PAUSE_QUEUED,
-            pause_admission_waiting: u64::MAX,
             shed_queued_jobs: usize::MAX, // soak never sheds: every response is a Result
             max_inflight_per_conn: MAX_INFLIGHT,
             duplex_capacity: 1 << 20, // each conn's ~157 requests fit eagerly
@@ -281,7 +280,6 @@ fn backpressure_pauses_reads_under_gate_and_drains_after_release() {
         sched,
         NetConfig {
             pause_queued_jobs: PAUSE_QUEUED,
-            pause_admission_waiting: u64::MAX, // isolate the queue watermark
             shed_queued_jobs: usize::MAX,
             max_inflight_per_conn: MAX_INFLIGHT,
             read_chunk: 64, // a few frames per read: pausing leaves bytes in the pipe
