@@ -5,7 +5,7 @@
 //! declared foreign-key relationships. A decomposed column is held here in
 //! its split form; its binding to the device lives in the `Database`.
 
-use bwd_storage::Column;
+use bwd_storage::{Column, DecomposedColumn, DecompositionSpec as Spec};
 use bwd_types::{BwdError, FxHashMap, Result};
 
 /// A named relational table.
@@ -134,11 +134,14 @@ impl Catalog {
             .ok_or_else(|| BwdError::NotFound(format!("table {name}")))
     }
 
-    /// Put `col` in place of the column `table.name`, both of which exist:
-    /// the split form `bwdecompose` swaps in for the plain one.
-    pub(crate) fn replace_column(&mut self, table: &str, name: &str, col: Column) {
+    /// Split `table.name` (both exist) by a spec `validate_spec` accepts, in
+    /// place: handed over by value, a plain column is released as packed.
+    pub(crate) fn decompose(&mut self, table: &str, name: &str, spec: &Spec) -> &DecomposedColumn {
         let t = self.tables.get_mut(table).expect("the table exists");
-        t.columns[t.index[name]].1 = col;
+        let slot = &mut t.columns[t.index[name]].1;
+        let plain = std::mem::replace(slot, Column::from_i32(vec![]));
+        *slot = plain.decompose(spec).expect("the spec is validated");
+        slot.split().expect("a decomposed column is split")
     }
 
     /// Register a foreign-key relationship (validated), in place of any

@@ -449,7 +449,8 @@ pub(crate) mod tests {
         let mut cat = Catalog::new();
         cat.add_table(Table::new("t", fact).unwrap()).unwrap();
         cat.add_table(Table::new("d", dim).unwrap()).unwrap();
-        let fk = BitPackedVec::pack(6, (0..N).map(|i| i as u64 * 13 % 50));
+        let fk: Vec<u64> = (0..N).map(|i| i as u64 * 13 % 50).collect();
+        let fk = BitPackedVec::from_slice(6, &fk);
         let sel = |column: &str, range| BoundSelection {
             column: column.into(),
             range,
@@ -609,7 +610,7 @@ pub(crate) mod tests {
                     frame_of_reference: split % 2 == 1,
                     ..bwd_storage::DecompositionSpec::with_device_bits(device_bits)
                 };
-                plain.decompose(&spec).unwrap()
+                plain.clone().decompose(&spec).unwrap()
             }
         };
         (held, plain)
@@ -652,7 +653,7 @@ pub(crate) mod tests {
             let (b, b_plain) = column(dim_rows, b_dom, b_ty, b_split, &mut draw);
             let width = bwd_types::bits::bits_for_width(dim_rows as u64);
             let fk: Vec<u64> = (0..n).map(|_| draw((0, dim_rows as i64 - 1)) as u64).collect();
-            let link = BitPackedVec::pack(width, fk.iter().copied());
+            let link = BitPackedVec::from_slice(width, &fk);
             // A range over the payloads, wider than the domain at times.
             let mut range = |col: &Column| {
                 let (lo, hi) = col.payload_min_max().unwrap_or((0, 0));

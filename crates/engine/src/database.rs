@@ -14,8 +14,8 @@ use crate::tail::SLICE_ROWS;
 use bwd_core::ops::join::FkIndex;
 use bwd_core::plan::{rewrite, ArPlan, LogicalPlan, PlanResolver, RewriteOptions};
 use bwd_core::{BoundColumn, RangePred};
-use bwd_device::{CostLedger, DeviceBuffer, Env};
-use bwd_storage::{Column, DecompositionSpec, Storage};
+use bwd_device::{units::packed_stream_bytes, CostLedger, DeviceBuffer, Env};
+use bwd_storage::{Column, DecomposedColumn, DecompositionMeta, DecompositionSpec};
 use bwd_types::{BwdError, FxHashMap, Result, Value};
 
 /// How to execute a plan.
@@ -184,28 +184,23 @@ impl Database {
         spec: &DecompositionSpec,
     ) -> Result<DecompositionReport> {
         let col = self.catalog.table(table)?.column(column)?;
-        let plain_bytes = col.plain_bytes();
-        let split = col.decompose(spec)?;
-        let Storage::Split(dec) = split.storage() else {
-            unreachable!("a decomposed column is split")
-        };
-        let dec = dec.clone();
+        DecomposedColumn::validate_spec(col.dtype(), spec)?;
+        let meta = DecompositionMeta::new(col.dtype(), col.payload_min_max(), spec);
+        let bytes = |bits| packed_stream_bytes(bits, col.len() as u64);
         let report = DecompositionReport {
-            device_bytes: dec.device_bytes(),
-            host_bytes: dec.host_bytes(),
-            resbits: dec.meta().resbits(),
-            stored_width: dec.meta().stored_width(),
-            plain_bytes,
+            device_bytes: bytes(meta.stored_width()),
+            host_bytes: bytes(meta.resbits()),
+            resbits: meta.resbits(),
+            stored_width: meta.stored_width(),
+            plain_bytes: col.plain_bytes(),
         };
         let label = format!("{table}.{column}");
         let key = (table.to_string(), column.to_string());
         let replica_key = format!("col:{label}");
-        // A column bound before gives its approximation (one copy per
-        // card) back *before* the new one goes up: re-decomposing needs
-        // room for the larger of the two, not for both. It does so only
-        // once the new one is known to fit every card, so a
-        // re-decomposition that cannot fit leaves the old binding — and the
-        // catalog's column — intact.
+        // Fit is checked on the meta the pack will use, before the catalog
+        // hands its column over: a step that cannot fit leaves column and
+        // binding intact. An old binding gives its approximation (a copy per
+        // card) back first: re-decomposing needs room for the larger of two.
         let held = self
             .bound
             .get(&key)
@@ -221,9 +216,9 @@ impl Database {
         }
         self.bound.remove(&key);
         self.replicas.remove(&replica_key);
-        let bound = BoundColumn::bind(dec, &self.env.device, &label, &mut self.load_ledger)?;
+        let split = self.catalog.decompose(table, column, spec).clone();
+        let bound = BoundColumn::bind(split, &self.env.device, &label, &mut self.load_ledger)?;
         self.bound.insert(key, bound);
-        self.catalog.replace_column(table, column, split);
         self.replicate(replica_key, report.device_bytes, &label)?;
         Ok(report)
     }
@@ -416,6 +411,7 @@ mod tests {
     use super::*;
     use bwd_core::plan::{AggExpr, AggFunc, Predicate, ScalarExpr as E};
     use bwd_core::CmpOp;
+    use bwd_storage::Storage;
 
     fn demo_db() -> Database {
         let mut db = Database::new();
@@ -635,6 +631,54 @@ mod tests {
         for device in db.env().pool.devices() {
             assert_eq!(device.memory().peak(), 17_500, "never old + new");
         }
+    }
+
+    /// A first decomposition that cannot fit is refused before the plain
+    /// column is handed over: the error names the bytes the pack would
+    /// have uploaded, and the catalog keeps the very storage it had —
+    /// plain, same payloads —, unbound, with the card's memory untouched.
+    #[test]
+    fn a_first_decomposition_that_cannot_fit_leaves_the_plain_column() {
+        // `a`: 10 000 rows of 14-bit values, 40 000 B uncompressed; `b`
+        // all-device 8 750 B, on a card of 20 000 B.
+        let card = bwd_device::DeviceSpec::gtx680().with_capacity(20_000);
+        let mut db = Database::with_env(Env::with_devices(vec![card]));
+        let a: Vec<i64> = (0..10_000).map(|i| i * 7 % 10_000).collect();
+        let b = Column::from_i32((0..10_000).map(|i| i % 100).collect());
+        let cols = vec![("a".into(), Column::from_i64(a.clone())), ("b".into(), b)];
+        db.create_table("r", cols).unwrap();
+        db.bwdecompose("r", "b", 32).unwrap();
+        let used = db.env().device.memory().used();
+        assert_eq!(used, 8_750);
+        let column = |db: &Database| {
+            db.catalog()
+                .table("r")
+                .unwrap()
+                .column("a")
+                .unwrap()
+                .clone()
+        };
+        let before = column(&db);
+        let held: *const Storage = before.storage();
+        drop(before);
+        match db.bwdecompose_spec("r", "a", &DecompositionSpec::uncompressed(64)) {
+            Err(BwdError::DeviceOutOfMemory {
+                requested: 80_000,
+                available: 11_250,
+            }) => {}
+            other => panic!("expected 80 000 B against 11 250 B, got {other:?}"),
+        }
+        let after = column(&db);
+        assert!(matches!(after.storage(), Storage::Plain(_)));
+        assert!(std::ptr::eq(after.storage(), held), "the storage moved");
+        assert_eq!(after.payloads(), a);
+        assert!(!db.is_bound("r", "a"));
+        assert_eq!(db.env().device.memory().used(), used);
+        drop(after);
+        // What fits is split from that same column.
+        let report = db.bwdecompose("r", "a", 56).unwrap();
+        assert_eq!((report.device_bytes, report.host_bytes), (7_500, 10_000));
+        assert_eq!(column(&db).payloads(), a);
     }
 
     /// A column's round trip all-device → 24/8 → all-device, then a

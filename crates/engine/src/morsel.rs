@@ -458,7 +458,7 @@ mod tests {
         ) {
             use bwd_core::BoundColumn;
             use bwd_storage::encoding::physical_bits;
-            use bwd_storage::{BitPackedVec, Column, DecomposedColumn, DecompositionSpec};
+            use bwd_storage::{BitPackedVec, Column, DecompositionSpec};
             use bwd_types::Date;
 
             let mut rng = bwd_types::SplitMix64::new(seed);
@@ -489,7 +489,8 @@ mod tests {
             ][split];
             let env = bwd_device::Env::paper_default();
             let ledger = &mut bwd_device::CostLedger::new();
-            let dec = DecomposedColumn::decompose_column(&col, &spec).unwrap();
+            let dtype = col.dtype();
+            let dec = col.decompose(&spec).unwrap().split().unwrap().clone();
             let bound = BoundColumn::bind(dec, &env.device, "col", ledger).unwrap();
 
             let a = lo + rng.below(span) as i64;
@@ -500,8 +501,8 @@ mod tests {
             // The fact rows: the column's own, or 9 000 reaching it by FK
             // through a link packed at the column's row width, as built.
             let width = bwd_types::bits::bits_for_width(rows as u64);
-            let link = (0..9_000).map(|_| rng.below(rows.max(1) as u64));
-            let link = BitPackedVec::pack(width, link);
+            let link: Vec<u64> = (0..9_000).map(|_| rng.below(rows.max(1) as u64)).collect();
+            let link = BitPackedVec::from_slice(width, &link);
             let pool = ScratchPool::default();
             for through_fk in [false, true].into_iter().take(1 + usize::from(rows > 0)) {
                 let (fact_rows, link) = match through_fk {
@@ -518,7 +519,7 @@ mod tests {
                 for morsels in [1, 3] {
                     let got = refine_filter(src, &live, &range, morsels, &pool);
                     proptest::prop_assert_eq!(
-                        &got, &want, "{} {:?} fk={} morsels={}", col.dtype(), spec, through_fk, morsels
+                        &got, &want, "{} {:?} fk={} morsels={}", dtype, spec, through_fk, morsels
                     );
                 }
             }

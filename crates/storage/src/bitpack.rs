@@ -11,12 +11,15 @@
 //! word-at-a-time decoder loads every backing word exactly once and keeps
 //! the bit cursor in registers, instead of re-deriving word index and
 //! shift per element as [`BitPackedVec::get`] must. [`BitPackedVec::iter`]
-//! and [`BlockDecoder`] are built on top of it. [`BitPackedVec::pack`] is
-//! the same cursor in the other direction: bulk producers write every
-//! backing word exactly once; [`BitPackedVec::push`] is for incremental
-//! appends only.
+//! and [`BlockDecoder`] are built on top of it. [`BitPackedVec::try_pack`] is
+//! the same cursor in the other direction, and the one way a vector is
+//! built: every backing word is written exactly once, into uninitialised
+//! capacity.
 
 use bwd_types::bits::low_mask;
+use std::convert::Infallible;
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Elements per bulk-decode block ([`BitPackedVec::unpack_block`],
 /// [`BlockDecoder`]). 64 elements guarantee the scratch fits in L1 and
@@ -29,7 +32,7 @@ fn words_for(width: u32, len: usize) -> usize {
     (len as u64 * width as u64).div_ceil(64) as usize
 }
 
-/// An immutable-width, append-only vector of `width`-bit unsigned values.
+/// A vector of `width`-bit unsigned values, packed once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitPackedVec {
     words: Vec<u64>,
@@ -38,89 +41,72 @@ pub struct BitPackedVec {
 }
 
 impl BitPackedVec {
-    /// An empty vector of `width`-bit elements (`width` in `0..=64`).
+    /// `K` vectors of `len` elements, `widths` bits each, whose words
+    /// `write` packs once each into uninitialised capacity (`vec![0; n]`
+    /// would clear every page up front), through the [`PackCursor`] over
+    /// each run or parts cut from it. An error drops the runs unread.
     ///
-    /// A width of 0 is legal and stores nothing: every element reads back
-    /// as 0. This happens when a column's domain collapses to a single
-    /// value after prefix compression.
-    pub fn new(width: u32) -> Self {
-        assert!(width <= 64, "element width {width} exceeds 64 bits");
-        BitPackedVec {
-            words: Vec::new(),
-            width,
-            len: 0,
+    /// # Panics
+    /// Panics unless the cursors, finished, stored every word of every run.
+    pub(crate) fn write_once<const K: usize, E>(
+        widths: [u32; K],
+        len: usize,
+        write: impl FnOnce([PackCursor<'_>; K]) -> Result<(), E>,
+    ) -> Result<[Self; K], E> {
+        // `with_capacity(n)` allocates exactly `n` words (`Vec`'s guarantee).
+        let mut out = widths.map(|width| {
+            let words = Vec::with_capacity(words_for(width, len));
+            BitPackedVec { words, width, len }
+        });
+        let sum = AtomicUsize::new(0);
+        write(out.each_mut().map(|v| PackCursor::new(v, &sum)))?;
+        let capacity: usize = out.iter().map(|v| v.words.capacity()).sum();
+        assert_eq!(sum.into_inner(), capacity, "a word left unwritten");
+        for v in &mut out {
+            // SAFETY: only the cursors handed to `write` and the disjoint
+            // parts cut from them store into the runs, each the words of
+            // its part in order, counted on `finish`; the counts sum to
+            // the capacities, so every word below each is stored.
+            unsafe { v.words.set_len(v.words.capacity()) };
         }
+        Ok(out)
     }
 
-    /// An empty vector with room for `n` elements pre-allocated.
-    pub fn with_capacity(width: u32, n: usize) -> Self {
-        BitPackedVec {
-            words: Vec::with_capacity(words_for(width, n)),
-            width,
-            len: 0,
-        }
-    }
-
-    /// `len` zero elements in a buffer of exactly the words they occupy —
-    /// what a [`PackCursor`] fills.
-    pub(crate) fn zeroed(width: u32, len: usize) -> Self {
-        BitPackedVec {
-            words: vec![0; words_for(width, len)],
-            width,
-            len,
-        }
-    }
-
-    /// Bulk-pack a stream of already-narrow values — the inverse of
+    /// Bulk-pack already-narrow values — the inverse of
     /// [`BitPackedVec::unpack_range`]: one register-resident bit cursor
-    /// writes each backing word once into the pre-sized buffer, where
-    /// [`BitPackedVec::push`] re-derives word index and shift and grows
-    /// the buffer per element. Equal, word for word, to pushing the same
-    /// values.
+    /// writes each backing word once, where a `push` per element would
+    /// re-derive word index and shift and grow the buffer. The first error
+    /// stops the packing and is returned; no other copy of the values
+    /// exists at any point.
     ///
     /// # Panics
     /// Panics (debug) if any value needs more than `width` bits, and if
     /// the iterator does not yield exactly the `len()` it reports.
-    pub fn pack<I>(width: u32, vals: I) -> Self
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let vals = vals.into_iter().map(Ok::<u64, std::convert::Infallible>);
-        let Ok(out) = Self::try_pack(width, vals);
-        out
-    }
-
-    /// [`BitPackedVec::pack`] of values that may fail to compute: the
-    /// first error stops the packing and is returned, and the buffer is
-    /// dropped. No other copy of the values exists at any point.
-    ///
-    /// # Panics
-    /// As [`BitPackedVec::pack`].
     pub fn try_pack<I, E>(width: u32, vals: I) -> Result<Self, E>
     where
         I: IntoIterator<Item = Result<u64, E>>,
         I::IntoIter: ExactSizeIterator,
     {
         let vals = vals.into_iter();
-        let mut out = Self::zeroed(width, vals.len());
-        let mut cursor = PackCursor::new(width, &mut out.words);
-        let mut packed = 0usize;
-        for v in vals {
-            cursor.push(v?);
-            packed += 1;
-        }
-        cursor.finish();
-        assert_eq!(packed, out.len, "iterator misreported its length");
+        let len = vals.len();
+        let [out] = Self::write_once([width], len, |[mut cursor]| {
+            let mut packed = 0;
+            for v in vals {
+                cursor.push(v?);
+                packed += 1;
+            }
+            assert_eq!(packed, len, "iterator misreported its length");
+            cursor.finish();
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Pack a slice of already-narrow values.
-    ///
-    /// # Panics
-    /// Panics (debug) if any value needs more than `width` bits.
+    /// [`BitPackedVec::try_pack`] of a slice: equal, word for word, to
+    /// pushing its values one by one.
     pub fn from_slice(width: u32, vals: &[u64]) -> Self {
-        Self::pack(width, vals.iter().copied())
+        let Ok(out) = Self::try_pack(width, vals.iter().map(|&v| Ok::<u64, Infallible>(v)));
+        out
     }
 
     /// Bits per element.
@@ -146,36 +132,6 @@ impl BitPackedVec {
     #[inline]
     pub fn packed_bytes(&self) -> u64 {
         (self.len as u64 * self.width as u64).div_ceil(8)
-    }
-
-    /// Append a value.
-    ///
-    /// # Panics
-    /// Debug-panics if `v` does not fit in `width` bits (callers always
-    /// produce masked payloads; a wide value indicates a logic error).
-    #[inline]
-    pub fn push(&mut self, v: u64) {
-        debug_assert!(
-            self.width == 64 || v <= low_mask(self.width),
-            "value {v:#x} exceeds {} bits",
-            self.width
-        );
-        if self.width == 0 {
-            self.len += 1;
-            return;
-        }
-        let bit = self.len as u64 * self.width as u64;
-        let word = (bit / 64) as usize;
-        let shift = (bit % 64) as u32;
-        if word >= self.words.len() {
-            self.words.push(0);
-        }
-        self.words[word] |= v << shift;
-        let spill = shift as u64 + self.width as u64;
-        if spill > 64 {
-            self.words.push(v >> (64 - shift));
-        }
-        self.len += 1;
     }
 
     /// Read element `i`.
@@ -285,14 +241,6 @@ impl BitPackedVec {
         }
     }
 
-    /// Decode everything into a `u64` vector (diagnostics, refinement
-    /// pre-materialization, tests).
-    pub fn to_vec(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.len];
-        self.unpack_range(0, &mut out);
-        out
-    }
-
     /// The raw backing words (element `i` occupies bits
     /// `[i*width, (i+1)*width)` of this little-endian bit stream; the
     /// last word's unused high bits are zero).
@@ -304,23 +252,18 @@ impl BitPackedVec {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-
-    /// The backing words, for [`PackCursor`]s over disjoint block ranges.
-    #[inline]
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
 }
 
-/// A write cursor over a zeroed run of backing words that starts on an
-/// element boundary *and* a word boundary: the front of a vector, or row
-/// `64 k` of it — 64 rows × `width` bits are exactly `width` words, so
+/// A write cursor over an uninitialised run of backing words that starts
+/// on an element boundary *and* a word boundary: the front of a vector, or
+/// row `64 k` of it — 64 rows × `width` bits are exactly `width` words, so
 /// every [`DECODE_BLOCK`] starts a word at every width. The accumulator
 /// word and its fill level stay in registers; each backing word is stored
-/// once, when it is full ([`PackCursor::finish`] stores a partial last
-/// one).
+/// once, in order, when it is full ([`PackCursor::finish`] stores a partial
+/// last one and counts them). Only [`BitPackedVec::write_once`] makes one.
 pub(crate) struct PackCursor<'a> {
-    words: &'a mut [u64],
+    words: &'a mut [MaybeUninit<u64>],
+    stored: &'a AtomicUsize,
     width: u32,
     next: usize,
     acc: u64,
@@ -328,16 +271,25 @@ pub(crate) struct PackCursor<'a> {
 }
 
 impl<'a> PackCursor<'a> {
-    /// A cursor at bit 0 of `words`, packing `width`-bit elements.
-    pub(crate) fn new(width: u32, words: &'a mut [u64]) -> Self {
-        debug_assert!(width <= 64);
+    /// A cursor at bit 0 of `v`'s spare capacity, counting into `stored`.
+    fn new(v: &'a mut BitPackedVec, stored: &'a AtomicUsize) -> Self {
         PackCursor {
-            words,
-            width,
+            words: v.words.spare_capacity_mut(),
+            stored,
+            width: v.width,
             next: 0,
             acc: 0,
             fill: 0,
         }
+    }
+
+    /// This cursor, before it packs, cut into two: over its first `at`
+    /// words, and over the rest.
+    pub(crate) fn split_at(self, at: usize) -> (Self, Self) {
+        assert_eq!((self.next, self.fill), (0, 0), "cut before packing");
+        let (head, tail) = self.words.split_at_mut(at);
+        let cut = |words| PackCursor { words, ..self };
+        (cut(head), cut(tail))
     }
 
     /// Append one value.
@@ -355,7 +307,7 @@ impl<'a> PackCursor<'a> {
         self.acc |= v << self.fill;
         self.fill += self.width;
         if self.fill >= 64 {
-            self.words[self.next] = self.acc;
+            self.words[self.next].write(self.acc);
             self.next += 1;
             self.fill -= 64;
             // What did not fit, `v >> (width - fill)`, as two shifts: a
@@ -365,11 +317,13 @@ impl<'a> PackCursor<'a> {
         }
     }
 
-    /// Store the partial last word, if any.
+    /// Store the partial last word, if any, and count the words stored.
     pub(crate) fn finish(self) {
         if self.fill > 0 {
-            self.words[self.next] = self.acc;
+            self.words[self.next].write(self.acc);
         }
+        // Relaxed: `write_once` reads the sum once every writer is joined.
+        (self.stored).fetch_add(self.next + (self.fill > 0) as usize, Relaxed);
     }
 }
 
@@ -482,6 +436,62 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Incremental appends, one element at a time: the oracle the packers
+    /// are held against; and the whole vector decoded.
+    impl BitPackedVec {
+        /// Decode everything into a `u64` vector (diagnostics, refinement
+        /// pre-materialization, tests).
+        pub(crate) fn to_vec(&self) -> Vec<u64> {
+            let mut out = vec![0u64; self.len];
+            self.unpack_range(0, &mut out);
+            out
+        }
+
+        /// An empty vector of `width`-bit elements (`width` in `0..=64`).
+        ///
+        /// A width of 0 is legal and stores nothing: every element reads back
+        /// as 0. This happens when a column's domain collapses to a single
+        /// value after prefix compression.
+        pub(crate) fn new(width: u32) -> Self {
+            assert!(width <= 64, "element width {width} exceeds 64 bits");
+            BitPackedVec {
+                words: Vec::new(),
+                width,
+                len: 0,
+            }
+        }
+
+        /// Append a value.
+        ///
+        /// # Panics
+        /// Debug-panics if `v` does not fit in `width` bits (callers always
+        /// produce masked payloads; a wide value indicates a logic error).
+        #[inline]
+        pub(crate) fn push(&mut self, v: u64) {
+            debug_assert!(
+                self.width == 64 || v <= low_mask(self.width),
+                "value {v:#x} exceeds {} bits",
+                self.width
+            );
+            if self.width == 0 {
+                self.len += 1;
+                return;
+            }
+            let bit = self.len as u64 * self.width as u64;
+            let word = (bit / 64) as usize;
+            let shift = (bit % 64) as u32;
+            if word >= self.words.len() {
+                self.words.push(0);
+            }
+            self.words[word] |= v << shift;
+            let spill = shift as u64 + self.width as u64;
+            if spill > 64 {
+                self.words.push(v >> (64 - shift));
+            }
+            self.len += 1;
+        }
+    }
+
     /// The bulk packer equals the `push` loop — words, width and len — at
     /// every width, on the lengths around the 64-row block boundaries and
     /// on random ones, and both read back what went in.
@@ -496,7 +506,7 @@ mod tests {
                 for &v in &vals {
                     pushed.push(v);
                 }
-                let packed = BitPackedVec::pack(width, vals.iter().copied());
+                let packed = BitPackedVec::from_slice(width, &vals);
                 assert_eq!(packed, pushed, "width={width} len={len}");
                 assert_eq!(packed.to_vec(), vals, "width={width} len={len}");
                 for (i, &v) in vals.iter().enumerate().step_by(61) {

@@ -19,7 +19,9 @@
 //! predicates become code-range predicates (the rewrite the paper applied
 //! to TPC-H Q14's `like 'PROMO%'`).
 
-use crate::decompose::{DecomposedColumn, DecompositionSpec};
+use crate::decompose::{
+    chunk_count, split, DecomposedColumn, DecompositionMeta, DecompositionSpec,
+};
 use crate::encoding::{decode, encode, physical_bits};
 use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, DataType, Date, FxHashMap, Result, Value};
@@ -272,17 +274,42 @@ impl Column {
     }
 
     /// This column split by `spec` — type, extrema and dictionary kept,
-    /// the payloads held as approximation ‖ residual only: when `self` is
-    /// dropped, so is its plain storage. A split column re-splits block by
-    /// block.
+    /// the payloads held as approximation ‖ residual only. A plain column
+    /// held nowhere else hands its pages back as they are packed, so the
+    /// host never holds both forms whole; a shared or split one is read in place.
     ///
     /// # Errors
     /// Fails on a spec [`DecomposedColumn::validate_spec`] rejects.
-    pub fn decompose(&self, spec: &DecompositionSpec) -> Result<Column> {
-        DecomposedColumn::validate_spec(self.dtype(), spec)?;
-        let split = DecomposedColumn::decompose_column(self, spec)?;
+    pub fn decompose(self, spec: &DecompositionSpec) -> Result<Column> {
+        let chunks = chunk_count(self.len());
+        self.decompose_in(spec, chunks)
+    }
+
+    /// [`Column::decompose`], packed in `chunks` pieces.
+    pub(crate) fn decompose_in(mut self, spec: &DecompositionSpec, chunks: usize) -> Result<Self> {
+        let (dtype, len) = (self.dtype(), self.len());
+        DecomposedColumn::validate_spec(dtype, spec)?;
+        let meta = DecompositionMeta::new(dtype, self.min_max, spec);
+        let split = match Arc::get_mut(&mut self.storage) {
+            // Held here alone: a piece's worker hands back what it has read.
+            Some(Storage::Plain(data)) => with_slice!(data, rows => {
+                let mut rest = &mut rows[..];
+                split(meta, len, chunks, |piece| {
+                    let (rows, tail) = std::mem::take(&mut rest).split_at_mut(piece.len());
+                    rest = tail;
+                    move |at: usize, out: &mut [u64]| {
+                        let read = at - piece.start + out.len();
+                        encode_rows(dtype, &rows[read - out.len()..read], out);
+                        discard(&mut rows[..read], out.len());
+                    }
+                })
+            }),
+            _ => split(meta, len, chunks, |_| {
+                |at, out: &mut [u64]| self.encoded_range(at, out)
+            }),
+        };
         Ok(Column {
-            logical: self.logical.clone(),
+            logical: self.logical,
             storage: Arc::new(Storage::Split(split)),
             min_max: self.min_max,
         })
@@ -440,14 +467,17 @@ impl Column {
     pub fn encoded_range(&self, start: usize, out: &mut [u64]) {
         match &*self.storage {
             Storage::Plain(data) => with_slice!(data, rows => {
-                // `encode`, its branch on the width taken once.
-                let bits = physical_bits(self.dtype());
-                let (mask, flip) = (low_mask(bits), 1 << (bits - 1));
-                for (e, &p) in out.iter_mut().zip(&rows[start..]) {
-                    *e = (Into::<i64>::into(p) as u64 & mask) ^ flip;
-                }
+                encode_rows(self.dtype(), &rows[start..], out)
             }),
             Storage::Split(split) => split.encoded_range(start, out),
+        }
+    }
+
+    /// The approximation ‖ residual a decomposed column is held as.
+    pub fn split(&self) -> Option<&DecomposedColumn> {
+        match &*self.storage {
+            Storage::Split(split) => Some(split),
+            Storage::Plain(_) => None,
         }
     }
 
@@ -649,6 +679,44 @@ impl Dictionary {
     }
 }
 
+/// [`encode`] of the first `out.len()` of `rows`, a `dtype` column's
+/// payloads, its branch on the width taken once.
+fn encode_rows<T: Payload>(dtype: DataType, rows: &[T], out: &mut [u64]) {
+    let bits = physical_bits(dtype);
+    let (mask, flip) = (low_mask(bits), 1 << (bits - 1));
+    for (e, &p) in out.iter_mut().zip(rows) {
+        *e = (Into::<i64>::into(p) as u64 & mask) ^ flip;
+    }
+}
+
+/// Bytes of the page runs [`discard`] hands back, and their alignment.
+pub(crate) const GRANULE: usize = 1 << 20;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+}
+
+/// Hand back to the OS the whole [`GRANULE`]s inside `rows` that its last
+/// `fresh` rows complete: `rows` is read in order, for the last time, and
+/// borrowed mutably, so nothing else reads it. Pages handed back read as
+/// zeros until the storage is freed. Elsewhere than on Linux, a no-op.
+#[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
+fn discard<T: Payload>(rows: &mut [T], fresh: usize) {
+    let start = rows.as_mut_ptr() as usize;
+    let end = start + size_of_val(rows);
+    let done = (end - fresh * size_of::<T>()) / GRANULE * GRANULE;
+    let lo = done.max(start.next_multiple_of(GRANULE));
+    let hi = end / GRANULE * GRANULE;
+    #[cfg(target_os = "linux")]
+    if lo < hi {
+        // SAFETY: `lo..hi` is whole pages inside `rows`, which this thread
+        // borrows exclusively and never reads again; zeros are valid
+        // payloads, and nothing outside `rows` is touched (4: MADV_DONTNEED).
+        unsafe { madvise(lo as *mut _, hi - lo, 4) };
+    }
+}
+
 /// Minimum and maximum of `vals`, folded in their [`Payload::Lane`]s
 /// (32-bit lanes for 32-bit storage) and widened at the end; `None` when
 /// empty.
@@ -762,6 +830,19 @@ pub(crate) mod width_cases {
             3 => ColumnData::I24(rows.iter().map(|&v| I24::cut(v)).collect()),
             4 => ColumnData::I32(rows.iter().map(|&v| v as i32).collect()),
             _ => ColumnData::I64(rows.to_vec()),
+        }
+    }
+
+    /// A column equal to `c` whose storage nothing else holds: a plain
+    /// one's payloads copied, a split one's partitions shared.
+    pub(crate) fn unshared(c: &Column) -> Column {
+        let storage = match &*c.storage {
+            Storage::Plain(data) => Storage::Plain(data.clone()),
+            Storage::Split(split) => Storage::Split(split.clone()),
+        };
+        Column {
+            storage: Arc::new(storage),
+            ..c.clone()
         }
     }
 
@@ -902,7 +983,7 @@ mod tests {
                     frame_of_reference,
                     ..DecompositionSpec::with_device_bits(device_bits)
                 };
-                let c = case.narrow.decompose(&spec).unwrap();
+                let c = case.narrow.clone().decompose(&spec).unwrap();
                 let tag = format!("{tag} split {spec:?}");
                 let Storage::Split(split) = c.storage() else {
                     panic!("{tag}: not split")

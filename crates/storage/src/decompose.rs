@@ -24,11 +24,12 @@
 //! `DecomposedColumn::into_parts`.
 
 use crate::bitpack::{BitPackedVec, PackCursor, DECODE_BLOCK};
-use crate::column::{extrema, Column};
+use crate::column::extrema;
 use crate::encoding::{decode, encode, encoded_bounds, physical_bits};
 use crate::prefix::{OutOfRange, PrefixBase, PrefixGranularity};
 use bwd_types::bits::{low_mask, split_bits};
 use bwd_types::{BwdError, DataType, Result};
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -92,6 +93,30 @@ pub struct DecompositionMeta {
 }
 
 impl DecompositionMeta {
+    /// How `spec` splits a `dtype` column of payload extrema `extrema`,
+    /// known before a row is read: the encoding preserves order, so the
+    /// high bits a set shares are the high bits its extrema share.
+    pub fn new(dtype: DataType, extrema: Option<(i64, i64)>, spec: &DecompositionSpec) -> Self {
+        let w = physical_bits(dtype);
+        let resbits = w - spec.device_bits.min(w);
+        let (min_enc, max_enc) =
+            extrema.map_or((0, 0), |(lo, hi)| (encode(lo, dtype), encode(hi, dtype)));
+        let frame = if spec.frame_of_reference { min_enc } else { 0 };
+        let max_norm = max_enc - frame;
+        let extrema_majors = [
+            split_bits(min_enc - frame, resbits).0,
+            split_bits(max_norm, resbits).0,
+        ];
+        DecompositionMeta {
+            dtype,
+            physical_bits: w,
+            resbits,
+            frame,
+            max_norm,
+            prefix: PrefixBase::analyze(&extrema_majors, w - resbits, spec.granularity),
+        }
+    }
+
     /// Logical type of the column.
     #[inline]
     pub fn dtype(&self) -> DataType {
@@ -203,20 +228,18 @@ pub struct DecomposedColumn {
     residual: Arc<BitPackedVec>,
 }
 
-/// Pack both partitions of `rows` into the word runs their elements
-/// occupy, with one cursor each, reading the rows' encoded values a
-/// [`DECODE_BLOCK`] at a time through `fill(first row, out)`. `rows`
-/// starts on a block boundary, so both runs start on a word boundary.
+/// Pack both partitions of `rows` through one cursor each, reading the
+/// rows' encoded values a [`DECODE_BLOCK`] at a time, in order, through
+/// `fill(first row, out)`. `rows` starts on a block boundary, so both
+/// cursors start on a word boundary.
 fn pack(
     meta: &DecompositionMeta,
-    fill: &impl Fn(usize, &mut [u64]),
+    mut fill: impl FnMut(usize, &mut [u64]),
     rows: Range<usize>,
-    approx: &mut [u64],
-    residual: &mut [u64],
+    mut approx: PackCursor,
+    mut residual: PackCursor,
 ) {
     let (frame, resbits, prefix) = (meta.frame, meta.resbits, meta.prefix);
-    let mut approx = PackCursor::new(prefix.stored_width(), approx);
-    let mut residual = PackCursor::new(resbits, residual);
     let mut block = [0u64; DECODE_BLOCK];
     for at in rows.clone().step_by(DECODE_BLOCK) {
         let block = &mut block[..DECODE_BLOCK.min(rows.end - at)];
@@ -239,66 +262,43 @@ fn pack(
 }
 
 /// How many contiguous chunks a column of `rows` rows is split in.
-fn chunk_count(rows: usize) -> usize {
+pub(crate) fn chunk_count(rows: usize) -> usize {
     if rows < PARALLEL_ROWS {
         return 1;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The decomposition of the `len` rows `fill` encodes, whose payload
-/// minimum and maximum are `extrema`, packed in `chunks` contiguous pieces.
+/// The decomposition by `meta` of `len` rows, packed in `chunks`
+/// contiguous pieces: `reader(rows)`, called once a piece, front to back,
+/// hands the piece's worker what reads those rows' encoded values.
 ///
-/// Frame and prefix need the extrema only: the encoding preserves order,
-/// so the encoded extrema are the encoded payload extrema, and the high
-/// bits a set shares are the high bits its extrema share. The rows
-/// themselves are read once. Pieces are cut at multiples of
-/// [`DECODE_BLOCK`] rows — word boundaries at every width — so each worker
-/// fills its own range of both output buffers and the words do not depend
-/// on `chunks`.
-fn split(
+/// Pieces are cut at multiples of [`DECODE_BLOCK`] rows — word boundaries
+/// at every width — so each worker writes its own range of both output
+/// runs, each word once, and the words do not depend on `chunks`.
+pub(crate) fn split<F: FnMut(usize, &mut [u64]) + Send>(
+    meta: DecompositionMeta,
     len: usize,
-    fill: impl Fn(usize, &mut [u64]) + Sync,
-    extrema: Option<(i64, i64)>,
-    dtype: DataType,
-    spec: &DecompositionSpec,
     chunks: usize,
+    mut reader: impl FnMut(Range<usize>) -> F,
 ) -> DecomposedColumn {
-    let w = physical_bits(dtype);
-    let resbits = w - spec.device_bits.min(w);
-    let (min_enc, max_enc) =
-        extrema.map_or((0, 0), |(lo, hi)| (encode(lo, dtype), encode(hi, dtype)));
-    let frame = if spec.frame_of_reference { min_enc } else { 0 };
-    let max_norm = max_enc - frame;
-    let extrema_majors = [
-        split_bits(min_enc - frame, resbits).0,
-        split_bits(max_norm, resbits).0,
-    ];
-    let prefix = PrefixBase::analyze(&extrema_majors, w - resbits, spec.granularity);
-    let meta = DecompositionMeta {
-        dtype,
-        physical_bits: w,
-        resbits,
-        frame,
-        max_norm,
-        prefix,
-    };
-
-    let (mut approx, fill) = (BitPackedVec::zeroed(prefix.stored_width(), len), &fill);
-    let mut residual = BitPackedVec::zeroed(resbits, len);
-    let block_rows = len.div_ceil(chunks).div_ceil(DECODE_BLOCK) * DECODE_BLOCK;
-    std::thread::scope(|scope| {
-        let (mut approx, mut residual) = (approx.words_mut(), residual.words_mut());
-        let mut at = 0;
-        while len - at > block_rows {
-            let blocks = block_rows / DECODE_BLOCK;
-            let (a, a_tail) = approx.split_at_mut(blocks * prefix.stored_width() as usize);
-            let (r, r_tail) = residual.split_at_mut(blocks * resbits as usize);
-            let rows = at..at + block_rows;
-            scope.spawn(move || pack(&meta, fill, rows, a, r));
-            (approx, residual, at) = (a_tail, r_tail, at + block_rows);
-        }
-        pack(&meta, fill, at..len, approx, residual);
+    let (widths, meta_ref) = ([meta.stored_width(), meta.resbits], &meta);
+    let piece = len.div_ceil(chunks).div_ceil(DECODE_BLOCK) * DECODE_BLOCK;
+    // A piece's words in a run: 64 rows of `w` bits are `w` words.
+    let words = |w: u32| piece / DECODE_BLOCK * w as usize;
+    let Ok([approx, residual]) = BitPackedVec::write_once(widths, len, |[mut a, mut r]| {
+        std::thread::scope(|scope| {
+            let mut at = 0;
+            while len - at > piece {
+                let (a_piece, a_rest) = a.split_at(words(widths[0]));
+                let (r_piece, r_rest) = r.split_at(words(widths[1]));
+                let (rows, fill) = (at..at + piece, reader(at..at + piece));
+                scope.spawn(move || pack(meta_ref, fill, rows, a_piece, r_piece));
+                (a, r, at) = (a_rest, r_rest, at + piece);
+            }
+            pack(meta_ref, reader(at..len), at..len, a, r);
+        });
+        Ok::<_, Infallible>(())
     });
     DecomposedColumn {
         meta,
@@ -310,33 +310,13 @@ fn split(
 impl DecomposedColumn {
     /// Decompose `payloads` of logical type `dtype` according to `spec`.
     pub fn decompose(payloads: &[i64], dtype: DataType, spec: &DecompositionSpec) -> Result<Self> {
-        let fill = |at: usize, out: &mut [u64]| {
+        let fill = move |at: usize, out: &mut [u64]| {
             let rows = out.iter_mut().zip(&payloads[at..]);
             rows.for_each(|(e, &p)| *e = encode(p, dtype));
         };
+        let meta = DecompositionMeta::new(dtype, extrema(payloads), spec);
         let (n, chunks) = (payloads.len(), chunk_count(payloads.len()));
-        Ok(split(n, fill, extrema(payloads), dtype, spec, chunks))
-    }
-
-    /// Decompose a stored column according to `spec`, reading it in place
-    /// — a plain column's typed storage, or a split column's two
-    /// partitions, a block at a time ([`Column::encoded_range`]) — and
-    /// taking the extrema from [`Column::payload_min_max`], which the
-    /// binder asks for anyway.
-    pub fn decompose_column(col: &Column, spec: &DecompositionSpec) -> Result<Self> {
-        Ok(Self::column_in_chunks(col, spec, chunk_count(col.len())))
-    }
-
-    fn column_in_chunks(col: &Column, spec: &DecompositionSpec, chunks: usize) -> Self {
-        let fill = |at: usize, out: &mut [u64]| col.encoded_range(at, out);
-        split(
-            col.len(),
-            fill,
-            col.payload_min_max(),
-            col.dtype(),
-            spec,
-            chunks,
-        )
+        Ok(split(meta, n, chunks, |_| fill))
     }
 
     /// The translation metadata.
@@ -435,7 +415,7 @@ impl DecomposedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::{width_cases, Storage};
+    use crate::column::{width_cases, Column, Storage, GRANULE, I24};
     use crate::ColumnData;
     use proptest::prelude::*;
 
@@ -537,6 +517,12 @@ mod tests {
         }
     }
 
+    /// `col` split by `spec` in `chunks` pieces.
+    fn split_in(col: Column, spec: &DecompositionSpec, chunks: usize) -> DecomposedColumn {
+        let split = col.decompose_in(spec, chunks).unwrap();
+        split.split().unwrap().clone()
+    }
+
     /// A column of `len` rows of `dtype` over a random sub-domain of it.
     fn random_column(dtype: DataType, len: usize, rng: &mut bwd_types::SplitMix64) -> Column {
         let (lo, span) = match dtype {
@@ -597,13 +583,19 @@ mod tests {
                         let sliced = DecomposedColumn::decompose(&payloads, dtype, spec).unwrap();
                         assert_is_the_partition(&sliced, &oracle, &payloads, &case);
                         let split = col
+                            .clone()
                             .decompose(&DecompositionSpec::with_device_bits(20))
                             .unwrap();
                         for chunks in [1, 2, 3, 7] {
                             for col in [&col, &split] {
-                                let got = DecomposedColumn::column_in_chunks(col, spec, chunks);
                                 let case = format!("{case} chunks={chunks}");
-                                assert_is_the_partition(&got, &oracle, &payloads, &case);
+                                // Read in place beside a clone that holds
+                                // it, and consumed — a plain column's pages
+                                // handed back as read — held nowhere else.
+                                for col in [col.clone(), width_cases::unshared(col)] {
+                                    let got = split_in(col, spec, chunks);
+                                    assert_is_the_partition(&got, &oracle, &payloads, &case);
+                                }
                             }
                         }
                     }
@@ -647,11 +639,12 @@ mod tests {
                 let want = decompose_by_pushing(&case.payloads, case.dtype, spec);
                 for col in [&case.wide, &case.narrow] {
                     let tag = format!("{} {}-byte {spec:?}", case.dtype, col.plain().width());
-                    for chunks in [1, 3] {
-                        let got = DecomposedColumn::column_in_chunks(col, spec, chunks);
+                    // In place beside a clone, and consumed alone.
+                    for (chunks, col) in [(1, col.clone()), (3, width_cases::unshared(col))] {
+                        let got = split_in(col, spec, chunks);
                         assert_is_the_partition(&got, &want, &case.payloads, &tag);
                     }
-                    let split = col.decompose(&specs[(k + 1) % specs.len()]).unwrap();
+                    let split = col.clone().decompose(&specs[(k + 1) % specs.len()]).unwrap();
                     prop_assert!(matches!(split.storage(), Storage::Split(_)), "{}", tag);
                     prop_assert_eq!(split.dtype(), col.dtype(), "{}", tag);
                     prop_assert_eq!(split.len(), col.len(), "{}", tag);
@@ -659,9 +652,62 @@ mod tests {
                     prop_assert_eq!(split.dictionary(), col.dictionary(), "{}", tag);
                     prop_assert_eq!(split.payloads(), case.payloads.clone(), "{}", tag);
                     prop_assert_eq!(split.plain(), col.plain(), "{}", tag);
-                    let got = DecomposedColumn::column_in_chunks(&split, spec, 3);
+                    let got = split_in(split, spec, 3);
                     assert_is_the_partition(&got, &want, &case.payloads, &format!("re-split {tag}"));
                 }
+            }
+        }
+    }
+
+    /// Handing a plain column's pages back as they are packed changes no
+    /// word, and touches no storage another handle holds: at every storage
+    /// width, at lengths around a block, ending inside a granule past the
+    /// first and fanned out over pieces, a column held nowhere else splits
+    /// — meta and every word of both partitions — as one whose clone is
+    /// held, and the held clone still reads back its input.
+    #[test]
+    fn the_release_never_touches_shared_storage() {
+        let mut rng = bwd_types::SplitMix64::new(0x5EED);
+        // The least and greatest value of i8, i16, u16, I24, i32 and i64
+        // storage, and its bytes.
+        let widths = [
+            (-128, 127, 1),
+            (-32_768, 32_767, 2),
+            (0, 65_535, 2),
+            (I24::MIN, I24::MAX, 3),
+            (i32::MIN as i64, i32::MAX as i64, 4),
+            (-(1 << 40), 1 << 40, 8),
+        ];
+        let specs = [
+            DecompositionSpec::all_device(),
+            DecompositionSpec::with_device_bits(24),
+            DecompositionSpec::with_device_bits(8),
+        ];
+        for (lo, hi, bytes) in widths {
+            let mid_granule = (GRANULE + GRANULE / 2) / bytes + 1;
+            for len in [0, 1, 63, 64, 65, mid_granule, (1 << 20) + 4097] {
+                let draws = (2..len).map(|_| lo + rng.below((hi - lo) as u64) as i64);
+                let input: Vec<i64> = [lo, hi].into_iter().chain(draws).take(len).collect();
+                let build = || match bytes {
+                    8 => Column::from_i64(input.clone()),
+                    _ => Column::from_i32(input.iter().map(|&v| v as i32).collect()),
+                };
+                if len > 1 {
+                    assert_eq!(build().plain().width(), bytes as u64);
+                }
+                let held = build();
+                let chunks = if len > PARALLEL_ROWS { 3 } else { 1 };
+                for spec in &specs {
+                    let tag = format!("{bytes} B × {len} rows {spec:?}");
+                    let shared = held.clone().decompose_in(spec, chunks).unwrap();
+                    let alone = build().decompose_in(spec, chunks).unwrap();
+                    let (shared, alone) = (shared.split().unwrap(), alone.split().unwrap());
+                    assert_eq!(alone.meta(), shared.meta(), "{tag}");
+                    assert_eq!(alone.approx(), shared.approx(), "{tag}");
+                    assert_eq!(alone.residual(), shared.residual(), "{tag}");
+                }
+                assert!(matches!(held.storage(), Storage::Plain(_)));
+                assert_eq!(held.payloads(), input, "{bytes} B × {len} rows");
             }
         }
     }

@@ -14,6 +14,7 @@
 //!   approximation and a host-resident residual;
 //! * [`mod@column`] — full-resolution persistent columns and ordered string
 //!   dictionaries.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitpack;
 pub mod column;

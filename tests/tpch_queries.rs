@@ -4,7 +4,7 @@
 use waste_not::data::{gen_lineitem, gen_part, TpchConfig};
 use waste_not::engine::{Database, ExecMode};
 use waste_not::sql::{bind, parse, BoundStatement};
-use waste_not::storage::{DecomposedColumn, DecompositionSpec};
+use waste_not::storage::DecompositionSpec;
 use waste_not::Value;
 
 const SF: f64 = 0.01;
@@ -134,10 +134,9 @@ fn auto_bind_leaves_the_join_key_off_the_device() {
     let uploaded: u64 = (read.iter())
         .map(|&(table, column)| {
             assert!(db.is_bound(table, column), "{table}.{column}");
-            let plain = db.catalog().table(table).unwrap().column(column).unwrap();
-            DecomposedColumn::decompose_column(plain, &DecompositionSpec::all_device())
-                .unwrap()
-                .device_bytes()
+            let col = db.catalog().table(table).unwrap().column(column).unwrap();
+            let split = col.clone().decompose(&DecompositionSpec::all_device());
+            split.unwrap().split().unwrap().device_bytes()
         })
         .sum();
     assert_eq!(db.env().device.memory().used(), fk_link + uploaded);
