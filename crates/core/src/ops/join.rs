@@ -14,6 +14,7 @@
 use crate::column::BoundColumn;
 use bwd_device::{Component, CostLedger, Device, Env};
 use bwd_kernels::DeviceArray;
+use bwd_storage::pieces::chunk_count;
 use bwd_storage::{with_slice, BitPackedVec, ColumnData};
 use bwd_types::bits::bits_for_width;
 use bwd_types::{BwdError, FxHashMap, Oid, Result};
@@ -49,7 +50,8 @@ impl FkIndex {
         let dim_rows = dim_row_count(dim_keys.len())?;
         let table = with_slice!(dim_keys, keys => dim_rows_by_key(keys))?;
         let width = bits_for_width(u64::from(dim_rows));
-        let packed = with_slice!(fact_keys, keys => link_of(keys, &table, width))?;
+        let chunks = chunk_count(fact_keys.len());
+        let packed = with_slice!(fact_keys, keys => link_of(keys, &table, width, chunks))?;
         // CPU hash build + probe cost.
         let t = env.cpu.scan_seconds(
             (fact_keys.len() + dim_keys.len()) as u64 * 8,
@@ -111,20 +113,19 @@ fn dim_rows_by_key<T: Copy + Into<i64>>(keys: &[T]) -> Result<FxHashMap<i64, u64
 }
 
 /// Translate every fact key into its dimension row, packed `width` bits
-/// wide as it goes.
-fn link_of<T: Copy + Into<i64>>(
+/// wide as it goes, in `chunks` pieces; a key without a match fails it,
+/// the lowest row's whatever the pieces.
+fn link_of<T: Copy + Into<i64> + Sync>(
     keys: &[T],
     table: &FxHashMap<i64, u64>,
     width: u32,
+    chunks: usize,
 ) -> Result<BitPackedVec> {
-    BitPackedVec::try_pack(
-        width,
-        keys.iter().map(|&k| {
-            let k = k.into();
-            let row = table.get(&k).copied();
-            row.ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))
-        }),
-    )
+    BitPackedVec::try_pack_rows(width, keys.len(), chunks, |row| {
+        let k = keys[row].into();
+        let row = table.get(&k).copied();
+        row.ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))
+    })
 }
 
 /// The simulated cost of an FK-projective refinement over `n_cands`
@@ -203,5 +204,25 @@ mod tests {
         assert!(
             FkIndex::build(&keys(&[9]), &keys(&[1, 2]), &env.device, &env, &mut ledger).is_err()
         );
+    }
+
+    /// The probe's pieces change neither the link nor the error: two
+    /// dangling keys in different pieces report the lower row's, though
+    /// its key is the greater and its piece not the calling thread's.
+    #[test]
+    fn the_link_and_its_error_do_not_depend_on_the_pieces() {
+        let table = dim_rows_by_key(&(1..=500).collect::<Vec<i32>>()).unwrap();
+        let mut fact: Vec<i32> = (0..10_000).map(|r| 1 + (r * 7919) % 500).collect();
+        let one = link_of(&fact, &table, 9, 1).unwrap();
+        assert_eq!(one.get(9_999), (fact[9_999] - 1) as u64);
+        for chunks in [2, 3, 7] {
+            assert_eq!(link_of(&fact, &table, 9, chunks).unwrap(), one);
+        }
+        (fact[100], fact[9_000]) = (900, 800);
+        for chunks in [1, 2, 3, 7] {
+            let err = link_of(&fact, &table, 9, chunks).unwrap_err();
+            let want = BwdError::Exec("foreign key 900 has no dimension match".into());
+            assert_eq!(err, want, "{chunks} pieces");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! A tiny deterministic PRNG (splitmix64 + xoshiro256**) so generated
-//! datasets are bit-identical across platforms and `rand` versions.
-//! (`rand` is still used where distribution quality matters more than
-//! cross-version stability — e.g. shuffles — seeded from this stream.)
+//! datasets are bit-identical across platforms. It is the only one the
+//! generators draw from — shuffles included ([`Xoshiro::shuffle`]): the
+//! workspace depends on no registry crate.
 
 /// xoshiro256** seeded via splitmix64.
 #[derive(Debug, Clone)]

@@ -15,6 +15,7 @@
 //! decimal(7,5), time int)`.
 
 use crate::rng::Xoshiro;
+use bwd_storage::pieces::{chunk_count, Row};
 use bwd_storage::{Column, Payload, I24};
 use bwd_types::DataType;
 
@@ -50,7 +51,7 @@ const CITIES: [(i64, i64); 12] = [
 pub struct SpatialConfig {
     /// Total number of GPS fixes (the paper: ~250 M).
     pub fixes: usize,
-    /// Average fixes per trip.
+    /// Average fixes per trip; 0 makes every trip one fix.
     pub fixes_per_trip: usize,
     /// PRNG seed.
     pub seed: u64,
@@ -88,44 +89,61 @@ pub struct TripsTable {
     pub time: Column,
 }
 
+/// Where the fix stream stands, beside its generator: `start` fixes
+/// precede the trip, which ends at `step == len`.
+#[derive(Clone, Copy, Default)]
+struct Trip {
+    id: i32,
+    start: usize,
+    clock: i64,
+    from: (i64, i64),
+    to: (i64, i64),
+    step: usize,
+    len: usize,
+}
+
+impl Trip {
+    /// The next fix from `rng` as stored — `tripid`, `lon`, `lat`, `time`:
+    /// the one copy of the draw sequence, which the checkpoint walk drops
+    /// with every value but the draws and the trip.
+    #[inline]
+    fn fix(&mut self, rng: &mut Xoshiro, cfg: &SpatialConfig) -> (i32, I24, I24, i32) {
+        // Zipf-weighted city pair: earlier cities are denser.
+        let pick = |r: &mut Xoshiro| {
+            let u = r.unit_f64();
+            CITIES[((CITIES.len() as f64) * u * u) as usize % CITIES.len()]
+        };
+        if self.step == self.len {
+            (self.id, self.start) = (self.id + 1, self.start + self.len);
+            (self.from, self.to) = (pick(rng), pick(rng));
+            // At 0 fixes a trip, `below(1)`: still one draw, and length 1.
+            let spread = (2 * cfg.fixes_per_trip as u64).max(1);
+            let len = 1 + rng.below(spread) as usize;
+            (self.step, self.len) = (0, len.min(cfg.fixes - self.start));
+        }
+        // Walk from source toward target with GPS jitter.
+        let ((sx, sy), (tx, ty)) = (self.from, self.to);
+        let f = self.step as f64 / self.len as f64;
+        let x = (sx as f64 + (tx - sx) as f64 * f) as i64 + rng.range_i64(-4_000, 4_000);
+        let y = (sy as f64 + (ty - sy) as f64 * f) as i64 + rng.range_i64(-4_000, 4_000);
+        self.clock += 1 + rng.below(10) as i64;
+        self.step += 1;
+        let (lon, lat) = (x.clamp(LON_MIN, LON_MAX), y.clamp(LAT_MIN, LAT_MAX));
+        (self.id, I24::cut(lon), I24::cut(lat), self.clock as i32)
+    }
+}
+
 /// Generate the spatial workload.
 pub fn gen_trips(cfg: &SpatialConfig) -> TripsTable {
-    let n = cfg.fixes;
-    let mut rng = Xoshiro::seed(cfg.seed);
-    let mut tripid = Vec::with_capacity(n);
-    let mut lon = Vec::with_capacity(n);
-    let mut lat = Vec::with_capacity(n);
-    let mut time = Vec::with_capacity(n);
+    gen_trips_in(cfg, chunk_count(cfg.fixes))
+}
 
-    let mut trip = 0i32;
-    let mut produced = 0usize;
-    let mut clock = 0i64;
-    while produced < n {
-        trip += 1;
-        // Zipf-weighted city pair: earlier cities are denser.
-        let pick = |r: &mut Xoshiro| -> usize {
-            let u = r.unit_f64();
-            ((CITIES.len() as f64) * u * u) as usize % CITIES.len()
-        };
-        let (sx, sy) = CITIES[pick(&mut rng)];
-        let (tx, ty) = CITIES[pick(&mut rng)];
-        let len = 1 + rng.below(2 * cfg.fixes_per_trip as u64) as usize;
-        let len = len.min(n - produced);
-        // Walk from source toward target with GPS jitter.
-        for step in 0..len {
-            let f = step as f64 / len.max(1) as f64;
-            let jitter_x = rng.range_i64(-4_000, 4_000);
-            let jitter_y = rng.range_i64(-4_000, 4_000);
-            let x = (sx as f64 + (tx - sx) as f64 * f) as i64 + jitter_x;
-            let y = (sy as f64 + (ty - sy) as f64 * f) as i64 + jitter_y;
-            tripid.push(trip);
-            lon.push(I24::cut(x.clamp(LON_MIN, LON_MAX)));
-            lat.push(I24::cut(y.clamp(LAT_MIN, LAT_MAX)));
-            clock += 1 + rng.below(10) as i64;
-            time.push(clock as i32);
-        }
-        produced += len;
-    }
+/// [`gen_trips`] in `chunks` pieces ([`Row::checkpoint_fill`]): the
+/// cursor at a piece's start is the generator and the trip there.
+pub(crate) fn gen_trips_in(cfg: &SpatialConfig, chunks: usize) -> TripsTable {
+    let start = (Xoshiro::seed(cfg.seed), Trip::default());
+    let (tripid, lon, lat, time) =
+        Row::checkpoint_fill(cfg.fixes, chunks, start, |(rng, at)| at.fix(rng, cfg));
 
     // Coordinates are built in the 3 bytes their 23-bit domains need: no
     // wider vector to narrow afterwards. `tripid` and `time` grow with the
@@ -223,6 +241,51 @@ mod tests {
             gen_trips(&cfg).lon.payloads(),
             gen_trips(&cfg).lon.payloads()
         );
+    }
+
+    /// Every column the same — type, stored width, payloads and extrema —
+    /// whether one thread fills it or 2, 3 or 7 pieces do; with trips
+    /// short beside the pieces and trips spanning several cuts.
+    #[test]
+    fn the_pieces_change_no_fix() {
+        for fixes_per_trip in [50, 5_000] {
+            let cfg = SpatialConfig {
+                fixes: 20_000,
+                fixes_per_trip,
+                seed: 17,
+            };
+            let one = gen_trips_in(&cfg, 1).into_columns();
+            for chunks in [2, 3, 7] {
+                let got = gen_trips_in(&cfg, chunks).into_columns();
+                for ((name, a), (_, b)) in one.iter().zip(&got) {
+                    let tag = format!("{name}, {fixes_per_trip} a trip, {chunks} pieces");
+                    assert_eq!(a.dtype(), b.dtype(), "{tag}");
+                    assert_eq!(a.plain(), b.plain(), "{tag}");
+                    assert_eq!(a.payload_min_max(), b.payload_min_max(), "{tag}");
+                }
+            }
+        }
+    }
+
+    /// `fixes_per_trip: 0` makes every trip one fix, in debug and release
+    /// builds alike, and a trip still draws its length.
+    #[test]
+    fn zero_fixes_per_trip_is_one_fix_a_trip() {
+        let cfg = SpatialConfig {
+            fixes: 3_000,
+            fixes_per_trip: 0,
+            seed: 4,
+        };
+        let t = gen_trips_in(&cfg, 3);
+        assert_eq!(t.tripid.payloads(), (1..=3_000).collect::<Vec<i64>>());
+        // Each trip drew its pair of cities, a length and one fix.
+        let mut rng = Xoshiro::seed(4);
+        for _ in 0..5 {
+            rng.next_u64();
+        }
+        let ticks = 1 + rng.below(10) as i64;
+        assert_eq!(t.time.payload(0), ticks);
+        assert_eq!(t.lon.len(), 3_000);
     }
 
     #[test]

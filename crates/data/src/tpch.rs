@@ -13,6 +13,7 @@
 //! Scale factor 1 ≈ 6 M lineitems / 200 K parts, linearly scaled.
 
 use crate::rng::Xoshiro;
+use bwd_storage::pieces::{chunk_count, Row};
 use bwd_storage::{Column, ColumnData};
 use bwd_types::{DataType, Date};
 
@@ -140,69 +141,68 @@ pub struct LineitemTable {
     pub l_shipdate: Column,
 }
 
+/// The next row as stored — `l_partkey`, `l_quantity`, `l_extendedprice`,
+/// `l_discount`, `l_tax`, `l_returnflag`, `l_linestatus`, `l_shipdate`:
+/// the one copy of the draw sequence, which the checkpoint walk drops with
+/// every value but the draws. Five draws, six when the row shipped by the
+/// current date; `days` are the first ship date and that date.
+#[inline]
+fn line(rng: &mut Xoshiro, parts: u64, days: [i64; 2]) -> (i32, i8, i32, i8, i8, i8, i8, i16) {
+    let [epoch, currentdate] = days;
+    let pk = 1 + rng.below(parts) as i64;
+    let qty = rng.range_i64(1, 50);
+    // extendedprice = qty * part retail price: ≤ 50 × 389 900 cents.
+    let price = (qty * retail_price(pk)) as i32;
+    let discount = rng.range_i64(0, 10) as i8;
+    let tax = rng.range_i64(0, 8) as i8;
+    let ship = epoch + rng.range_i64(0, SHIPDATE_DAYS - 1);
+    // Codes into `RETURNFLAGS` and `LINESTATUSES`: "A" or "R" and "F" by
+    // the current date, "N" and "O" after it.
+    let (rflag, lstatus) = match ship <= currentdate {
+        true => (rng.below(2) as i8, 0),
+        false => (2, 1),
+    };
+    let (pk, qty, ship) = (pk as i32, qty as i8, ship as i16);
+    (pk, qty, price, discount, tax, rflag, lstatus, ship)
+}
+
+/// Flags as codes into these vocabularies, not one `&str` per row.
+const RETURNFLAGS: [&str; 3] = ["A", "R", "N"];
+const LINESTATUSES: [&str; 2] = ["F", "O"];
+
 /// Generate the `lineitem` table. Every measure, flag and date is pushed in
 /// the width its documented domain needs, so no wider vector exists to
 /// narrow; `l_partkey`, whose range grows with the scale, arrives as `i32`
 /// and narrows once, in `Column`.
 pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
-    let n = cfg.lineitems();
-    let parts = cfg.parts() as i64;
-    let mut rng = Xoshiro::seed(cfg.seed);
+    gen_lineitem_in(cfg, chunk_count(cfg.lineitems()))
+}
+
+/// [`gen_lineitem`] in `chunks` pieces ([`Row::checkpoint_fill`]): the
+/// cursor at a piece's start is the generator there.
+pub(crate) fn gen_lineitem_in(cfg: &TpchConfig, chunks: usize) -> LineitemTable {
+    let (n, parts) = (cfg.lineitems(), cfg.parts() as u64);
     // 1992-01-02 is day 8 036; the last ship date, day 10 561, fits `i16`.
-    let epoch = ship_epoch().days() as i64;
-
-    let mut partkey = Vec::with_capacity(n);
-    let mut quantity = Vec::with_capacity(n);
-    let mut price = Vec::with_capacity(n);
-    let mut discount = Vec::with_capacity(n);
-    let mut tax = Vec::with_capacity(n);
-    // Flags as codes into these vocabularies, not one `&str` per row.
-    const RETURNFLAGS: [&str; 3] = ["A", "R", "N"];
-    const LINESTATUSES: [&str; 2] = ["F", "O"];
-    const FLAG_N: i8 = 2;
-    const STATUS_F: i8 = 0;
-    const STATUS_O: i8 = 1;
-    let mut rflag = Vec::with_capacity(n);
-    let mut lstatus = Vec::with_capacity(n);
-    let mut shipdate = Vec::with_capacity(n);
-
     // The 1995-06-17 "current date" watershed drives returnflag/linestatus.
-    let currentdate = Date::from_ymd(1995, 6, 17).days() as i64;
-
-    for _ in 0..n {
-        let pk = 1 + rng.below(parts as u64) as i64;
-        partkey.push(pk as i32);
-        let qty = rng.range_i64(1, 50);
-        quantity.push(qty as i8);
-        // extendedprice = qty * part retail price: ≤ 50 × 389 900 cents.
-        price.push((qty * retail_price(pk)) as i32);
-        discount.push(rng.range_i64(0, 10) as i8);
-        tax.push(rng.range_i64(0, 8) as i8);
-        let ship = epoch + rng.range_i64(0, SHIPDATE_DAYS - 1);
-        shipdate.push(ship as i16);
-        if ship <= currentdate {
-            rflag.push(rng.below(2) as i8); // "A" or "R"
-            lstatus.push(STATUS_F);
-        } else {
-            rflag.push(FLAG_N);
-            lstatus.push(STATUS_O);
-        }
-    }
+    let days = [ship_epoch(), Date::from_ymd(1995, 6, 17)].map(|d| d.days() as i64);
+    let rng = Xoshiro::seed(cfg.seed);
+    let (pk, qty, price, disc, tax, rflag, lstatus, ship) =
+        Row::checkpoint_fill(n, chunks, rng, |rng| line(rng, parts, days));
 
     let decimal = |vals: ColumnData| {
         Column::from_data(DECIMAL_12_2, vals)
             .expect("19 495 000 cents are 8 of 12 digits, in 4 of 8 bytes")
     };
     LineitemTable {
-        l_partkey: Column::from_i32(partkey),
-        l_quantity: Column::from_data(DataType::Int32, quantity.into())
+        l_partkey: Column::from_i32(pk),
+        l_quantity: Column::from_data(DataType::Int32, qty.into())
             .expect("one byte is narrower than an int's four"),
         l_extendedprice: decimal(price.into()),
-        l_discount: decimal(discount.into()),
+        l_discount: decimal(disc.into()),
         l_tax: decimal(tax.into()),
         l_returnflag: Column::from_codes(&RETURNFLAGS, rflag).expect("codes 0..3"),
         l_linestatus: Column::from_codes(&LINESTATUSES, lstatus).expect("codes 0..2"),
-        l_shipdate: Column::from_data(DataType::Date, shipdate.into())
+        l_shipdate: Column::from_data(DataType::Date, ship.into())
             .expect("two bytes are narrower than a date's four"),
     }
 }
@@ -300,6 +300,26 @@ mod tests {
         let b = gen_lineitem(&cfg);
         assert_eq!(a.l_quantity.payloads(), b.l_quantity.payloads());
         assert_eq!(a.l_shipdate.payloads(), b.l_shipdate.payloads());
+    }
+
+    /// Every column the same — type, stored width, payloads, extrema and
+    /// dictionary — whether one thread fills it or 2, 3 or 7 pieces do.
+    #[test]
+    fn the_pieces_change_no_row() {
+        let cfg = TpchConfig {
+            scale: 0.002,
+            seed: 5,
+        };
+        let one = gen_lineitem_in(&cfg, 1).into_columns();
+        for chunks in [2, 3, 7] {
+            let got = gen_lineitem_in(&cfg, chunks).into_columns();
+            for ((name, a), (_, b)) in one.iter().zip(&got) {
+                assert_eq!(a.dtype(), b.dtype(), "{name}, {chunks} pieces");
+                assert_eq!(a.plain(), b.plain(), "{name}, {chunks} pieces");
+                assert_eq!(a.payload_min_max(), b.payload_min_max(), "{name}");
+                assert_eq!(a.dictionary(), b.dictionary(), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -76,3 +76,81 @@ fn tpch_sf_0_005_seed_1() {
     ];
     assert_pinned("part", gen_part(&cfg).into_columns(), &part);
 }
+
+/// Above 2^20 rows a generator fills its pieces on every core; these were
+/// taken on the commit before it did, with one thread filling every row.
+#[test]
+fn trips_1_1m_fixes_seed_3() {
+    let trips = gen_trips(&SpatialConfig {
+        seed: 3,
+        ..SpatialConfig::fixes(1_100_000)
+    });
+    let pinned = [
+        ("tripid", 9385510257580834439),
+        ("lon", 457903037377738090),
+        ("lat", 9114205407162881479),
+        ("time", 11533613240216358168),
+    ];
+    assert_pinned("trips", trips.into_columns(), &pinned);
+}
+
+#[test]
+fn tpch_sf_0_2_seed_1() {
+    let cfg = TpchConfig {
+        scale: 0.2,
+        seed: 1,
+    };
+    let lineitem = [
+        ("l_partkey", 3699200910582412822),
+        ("l_quantity", 14283527214088118666),
+        ("l_extendedprice", 8281878124587615780),
+        ("l_discount", 1367992227135937664),
+        ("l_tax", 17906210611774365198),
+        ("l_returnflag", 14119025676791382573),
+        ("l_linestatus", 15258624277835775332),
+        ("l_shipdate", 2524981025665647149),
+    ];
+    assert_pinned("lineitem", gen_lineitem(&cfg).into_columns(), &lineitem);
+}
+
+/// The benchmark's exact data: 8 M fixes at the spatial seed `--seed 1`
+/// derives (the first `SplitMix64(1)` draw) and TPC-H SF 0.5 at its fixed
+/// seed. It holds a benchmark set-up's whole data at once, so the default
+/// run skips it; run it with `--release -- --ignored`.
+#[test]
+#[ignore]
+fn benchmark_scale_fingerprint() {
+    let seed = bwd_types::SplitMix64::new(1).next_u64();
+    let trips = gen_trips(&SpatialConfig {
+        seed,
+        ..SpatialConfig::fixes(8_000_000)
+    });
+    let pinned = [
+        ("tripid", 3547430075149521768),
+        ("lon", 16253279008595636567),
+        ("lat", 12756948132095121817),
+        ("time", 16800202839085796753),
+    ];
+    assert_pinned("trips", trips.into_columns(), &pinned);
+    let cfg = TpchConfig {
+        scale: 0.5,
+        seed: 0x7C_41,
+    };
+    let lineitem = [
+        ("l_partkey", 12470752817596355635),
+        ("l_quantity", 13938838588828960791),
+        ("l_extendedprice", 10881353257807302344),
+        ("l_discount", 11841738373379781566),
+        ("l_tax", 7068403928462079029),
+        ("l_returnflag", 15864609267700740870),
+        ("l_linestatus", 11256171326557055817),
+        ("l_shipdate", 17616888820848006446),
+    ];
+    assert_pinned("lineitem", gen_lineitem(&cfg).into_columns(), &lineitem);
+    let part = [
+        ("p_partkey", 17110246524825787218),
+        ("p_type", 15354059949996806480),
+        ("p_retailprice", 2263861785437319679),
+    ];
+    assert_pinned("part", gen_part(&cfg).into_columns(), &part);
+}

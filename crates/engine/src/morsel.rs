@@ -21,6 +21,7 @@
 
 use bwd_core::{BoundColumn, RangePred};
 use bwd_kernels::DeviceArray;
+use bwd_storage::pieces::in_pieces;
 use bwd_storage::{BitPackedVec, DecompositionMeta};
 use bwd_types::Oid;
 use std::ops::Range;
@@ -81,23 +82,13 @@ pub(crate) fn partition_ranges_min(
 }
 
 /// Run `f(worker_index, range)` for every (contiguous) range, on real OS
-/// threads when there is more than one: [`run_parts_mut`] over an output
-/// of zero-sized slots, which allocates nothing.
+/// threads when there is more than one ([`in_pieces`]).
 pub(crate) fn run_parts<T, F>(ranges: &[Range<usize>], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    let slots = ranges.iter().map(Range::len).sum();
-    run_parts_mut(&mut vec![(); slots], ranges, |i, r, _| f(i, r))
-}
-
-/// A worker's output — or its panic, resumed on the orchestrating thread
-/// with the payload it was raised with.
-fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    handle
-        .join()
-        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    in_pieces(ranges.iter().cloned().enumerate(), |(i, r)| f(i, r))
 }
 
 /// Like [`run_parts_mut`], but runs `ranges` in batches of at most `batch`
@@ -136,9 +127,8 @@ where
 /// `out` matching its range, so positionally-aligned stages write
 /// straight into one shared output buffer (no per-partition vectors, no
 /// merge copy). `out` covers exactly the (contiguous) ranges. The calling
-/// thread takes the last range itself (it would otherwise idle in the
-/// join), so `n` partitions cost `n - 1` spawns. Results come back in
-/// partition order.
+/// thread takes the last range itself, so `n` partitions cost `n - 1`
+/// spawns. Results come back in partition order.
 pub(crate) fn run_parts_mut<T, R, F>(out: &mut [T], ranges: &[Range<usize>], f: F) -> Vec<R>
 where
     T: Send,
@@ -147,33 +137,13 @@ where
 {
     let covered = ranges.last().map_or(0, |r| r.end) - ranges.first().map_or(0, |r| r.start);
     debug_assert_eq!(out.len(), covered);
-    if ranges.len() <= 1 {
-        return ranges.iter().map(|r| f(0, r.clone(), out)).collect();
-    }
-    let last = ranges.len() - 1;
-    let mut chunks = Vec::with_capacity(last);
-    let mut last_chunk = out;
-    for r in &ranges[..last] {
-        let (chunk, tail) = last_chunk.split_at_mut(r.len());
-        chunks.push(chunk);
-        last_chunk = tail;
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges[..last]
-            .iter()
-            .enumerate()
-            .zip(chunks)
-            .map(|((i, r), chunk)| {
-                let f = &f;
-                let r = r.clone();
-                scope.spawn(move || f(i, r, chunk))
-            })
-            .collect();
-        let tail = f(last, ranges[last].clone(), last_chunk);
-        let mut outs: Vec<R> = handles.into_iter().map(joined).collect();
-        outs.push(tail);
-        outs
-    })
+    let mut rest = out;
+    let parts = ranges.iter().enumerate().map(|(i, r)| {
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+        rest = tail;
+        (i, r.clone(), chunk)
+    });
+    in_pieces(parts, |(i, r, chunk)| f(i, r, chunk))
 }
 
 /// Recycled per-query scratch buffers. Workers `take` a buffer, fill it,

@@ -11,11 +11,12 @@
 //! word-at-a-time decoder loads every backing word exactly once and keeps
 //! the bit cursor in registers, instead of re-deriving word index and
 //! shift per element as [`BitPackedVec::get`] must. [`BitPackedVec::iter`]
-//! and [`BlockDecoder`] are built on top of it. [`BitPackedVec::try_pack`] is
-//! the same cursor in the other direction, and the one way a vector is
+//! and [`BlockDecoder`] are built on top of it. [`BitPackedVec::try_pack_rows`]
+//! is the same cursor in the other direction, and the one way a vector is
 //! built: every backing word is written exactly once, into uninitialised
-//! capacity.
+//! capacity, by the piece of rows it holds.
 
+use crate::pieces::{cuts, in_pieces};
 use bwd_types::bits::low_mask;
 use std::convert::Infallible;
 use std::mem::MaybeUninit;
@@ -72,40 +73,36 @@ impl BitPackedVec {
         Ok(out)
     }
 
-    /// Bulk-pack already-narrow values — the inverse of
-    /// [`BitPackedVec::unpack_range`]: one register-resident bit cursor
-    /// writes each backing word once, where a `push` per element would
-    /// re-derive word index and shift and grow the buffer. The first error
-    /// stops the packing and is returned; no other copy of the values
-    /// exists at any point.
-    ///
-    /// # Panics
-    /// Panics (debug) if any value needs more than `width` bits, and if
-    /// the iterator does not yield exactly the `len()` it reports.
-    pub fn try_pack<I, E>(width: u32, vals: I) -> Result<Self, E>
-    where
-        I: IntoIterator<Item = Result<u64, E>>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let vals = vals.into_iter();
-        let len = vals.len();
+    /// Bulk-pack rows `0..len`, row `r` the already-narrow `value(r)`, in
+    /// the pieces `cuts` cuts for `chunks` — the inverse of
+    /// [`BitPackedVec::unpack_range`]: a register-resident bit cursor a
+    /// piece writes each backing word once, and the words do not depend on
+    /// `chunks`. A piece stops at its first error; the lowest row's is
+    /// returned. Debug-panics if a value needs more than `width` bits.
+    pub fn try_pack_rows<E: Send>(
+        width: u32,
+        len: usize,
+        chunks: usize,
+        value: impl Fn(usize) -> Result<u64, E> + Sync,
+    ) -> Result<Self, E> {
         let [out] = Self::write_once([width], len, |[mut cursor]| {
-            let mut packed = 0;
-            for v in vals {
-                cursor.push(v?);
-                packed += 1;
-            }
-            assert_eq!(packed, len, "iterator misreported its length");
-            cursor.finish();
-            Ok(())
+            let pieces = cuts(len, chunks).map(|rows| (cursor.take_rows(rows.len()), rows));
+            let packed = in_pieces(pieces, |(mut cursor, rows)| {
+                for row in rows {
+                    cursor.push(value(row)?);
+                }
+                cursor.finish();
+                Ok(())
+            });
+            packed.into_iter().collect()
         })?;
         Ok(out)
     }
 
-    /// [`BitPackedVec::try_pack`] of a slice: equal, word for word, to
+    /// A slice packed on the calling thread: equal, word for word, to
     /// pushing its values one by one.
     pub fn from_slice(width: u32, vals: &[u64]) -> Self {
-        let Ok(out) = Self::try_pack(width, vals.iter().map(|&v| Ok::<u64, Infallible>(v)));
+        let Ok(out) = Self::try_pack_rows(width, vals.len(), 1, |r| Ok::<_, Infallible>(vals[r]));
         out
     }
 
@@ -283,13 +280,18 @@ impl<'a> PackCursor<'a> {
         }
     }
 
-    /// This cursor, before it packs, cut into two: over its first `at`
-    /// words, and over the rest.
-    pub(crate) fn split_at(self, at: usize) -> (Self, Self) {
+    /// A cursor over the words of this one's first `rows` rows, cut off
+    /// before it packs — `rows` a multiple of [`DECODE_BLOCK`] unless they
+    /// are the last.
+    pub(crate) fn take_rows(&mut self, rows: usize) -> Self {
         assert_eq!((self.next, self.fill), (0, 0), "cut before packing");
-        let (head, tail) = self.words.split_at_mut(at);
-        let cut = |words| PackCursor { words, ..self };
-        (cut(head), cut(tail))
+        let words = words_for(self.width, rows);
+        let (head, tail) = std::mem::take(&mut self.words).split_at_mut(words);
+        self.words = tail;
+        PackCursor {
+            words: head,
+            ..*self
+        }
     }
 
     /// Append one value.
@@ -517,15 +519,18 @@ mod tests {
     }
 
     /// A fallible pack is the plain pack when every value computes, and the
-    /// first error otherwise.
+    /// error of the lowest failing row otherwise, in any number of pieces.
     #[test]
-    fn try_pack_is_pack_or_the_first_error() {
-        let vals: Vec<u64> = (0..200).map(|i| i * 37 % 1024).collect();
-        let ok = BitPackedVec::try_pack(10, vals.iter().map(|&v| Ok::<u64, u64>(v)));
-        assert_eq!(ok, Ok(BitPackedVec::from_slice(10, &vals)));
-        let failing = vals.iter().map(|&v| if v > 1000 { Err(v) } else { Ok(v) });
-        let first = vals.iter().find(|&&v| v > 1000).copied();
-        assert_eq!(BitPackedVec::try_pack(10, failing).err(), first);
+    fn try_pack_rows_is_pack_or_the_first_error() {
+        let vals: Vec<u64> = (0..5_000).map(|i| i * 37 % 1024).collect();
+        for chunks in [1, 2, 3, 7] {
+            let ok = BitPackedVec::try_pack_rows(10, vals.len(), chunks, |r| Ok::<_, u64>(vals[r]));
+            assert_eq!(ok, Ok(BitPackedVec::from_slice(10, &vals)));
+            let failing = |r: usize| if vals[r] > 1000 { Err(r) } else { Ok(vals[r]) };
+            let first = vals.iter().position(|&v| v > 1000);
+            let got = BitPackedVec::try_pack_rows(10, vals.len(), chunks, failing);
+            assert_eq!(got.err(), first, "{chunks} pieces");
+        }
     }
 
     #[test]

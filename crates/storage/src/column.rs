@@ -19,10 +19,9 @@
 //! predicates become code-range predicates (the rewrite the paper applied
 //! to TPC-H Q14's `like 'PROMO%'`).
 
-use crate::decompose::{
-    chunk_count, split, DecomposedColumn, DecompositionMeta, DecompositionSpec,
-};
+use crate::decompose::{split, DecomposedColumn, DecompositionMeta, DecompositionSpec};
 use crate::encoding::{decode, encode, physical_bits};
+use crate::pieces::{chunk_count, cuts, in_pieces, Row};
 use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, DataType, Date, FxHashMap, Result, Value};
 use std::any::TypeId;
@@ -118,7 +117,7 @@ impl std::fmt::Debug for I24 {
 
 /// An element type of [`ColumnData`]: `i8`, `i16`, `u16`, [`I24`], `i32`
 /// or `i64`.
-pub trait Payload: Copy + Ord + Into<i64> + 'static {
+pub trait Payload: Copy + Ord + Into<i64> + Send + Sync + 'static {
     /// What the extrema fold compares: the payload itself for a native
     /// integer (so the fold runs in that width's lanes), the `i32` value
     /// of an [`I24`] (decoded once a row, not twice a comparison).
@@ -203,25 +202,35 @@ impl ColumnData {
 
 /// `rows`, whose extrema are `min_max`, re-packed into the first of `i8`,
 /// `i16`, `u16`, [`I24`] and `i32` that holds them — the fewest bytes,
-/// signed first where two widths tie; `None` when `T` is that type already
-/// or only `i64` holds them.
-pub(crate) fn narrowed<T: Payload>(rows: &[T], min_max: Option<(i64, i64)>) -> Option<ColumnData> {
-    fn pack<T: Payload, U: Payload>(rows: &[T]) -> Option<ColumnData> {
-        (TypeId::of::<U>() != TypeId::of::<T>())
-            .then(|| U::store(rows.iter().map(|&x| U::cut(x.into())).collect()))
+/// signed first where two widths tie — by the pieces [`cuts`] cuts for
+/// `chunks`, each into its part of the one new vector; `None` when `T` is
+/// that type already or only `i64` holds them.
+pub(crate) fn narrowed<T: Payload>(
+    rows: &[T],
+    min_max: Option<(i64, i64)>,
+    chunks: usize,
+) -> Option<ColumnData> {
+    fn pack<T: Payload, U: Payload>(rows: &[T], chunks: usize) -> Option<ColumnData> {
+        (TypeId::of::<U>() != TypeId::of::<T>()).then(|| {
+            let pieces = cuts(rows.len(), chunks).map(|at| (at.len(), rows[at].iter()));
+            let (out,) = <(U,)>::fill(rows.len(), pieces, |rows| {
+                (U::cut((*rows.next().expect("a piece's rows")).into()),)
+            });
+            U::store(out)
+        })
     }
     let (lo, hi) = min_max.unwrap_or((0, 0));
     let holds = |min, max| min <= lo && hi <= max;
     if holds(i8::MIN as i64, i8::MAX as i64) {
-        pack::<T, i8>(rows)
+        pack::<T, i8>(rows, chunks)
     } else if holds(i16::MIN as i64, i16::MAX as i64) {
-        pack::<T, i16>(rows)
+        pack::<T, i16>(rows, chunks)
     } else if holds(0, u16::MAX as i64) {
-        pack::<T, u16>(rows)
+        pack::<T, u16>(rows, chunks)
     } else if holds(I24::MIN, I24::MAX) {
-        pack::<T, I24>(rows)
+        pack::<T, I24>(rows, chunks)
     } else if holds(i32::MIN as i64, i32::MAX as i64) {
-        pack::<T, i32>(rows)
+        pack::<T, i32>(rows, chunks)
     } else {
         None
     }
@@ -264,8 +273,16 @@ impl Column {
     /// narrowest width that holds them — moved in when it already is,
     /// re-packed once (and the wider vector dropped) when it is not.
     fn new(logical: Logical, data: ColumnData) -> Self {
-        let min_max = with_slice!(&data, rows => extrema(rows));
-        let data = with_slice!(&data, rows => narrowed(rows, min_max)).unwrap_or(data);
+        Column::new_in(logical, chunk_count(data.len()), data)
+    }
+
+    /// [`Column::new`], both passes in the pieces [`cuts`] cuts for `chunks`.
+    fn new_in(logical: Logical, chunks: usize, data: ColumnData) -> Self {
+        let min_max = with_slice!(&data, rows => {
+            let pieces = in_pieces(cuts(rows.len(), chunks), |at| extrema(&rows[at]));
+            pieces.into_iter().flatten().reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+        });
+        let data = with_slice!(&data, rows => narrowed(rows, min_max, chunks)).unwrap_or(data);
         Column {
             logical,
             storage: Arc::new(Storage::Plain(data)),
@@ -445,7 +462,7 @@ impl Column {
             Storage::Plain(data) => Cow::Borrowed(data),
             Storage::Split(_) => {
                 let payloads = self.payloads();
-                let narrow = narrowed(&payloads, self.min_max);
+                let narrow = narrowed(&payloads, self.min_max, chunk_count(payloads.len()));
                 Cow::Owned(narrow.unwrap_or(ColumnData::I64(payloads)))
             }
         }
@@ -1176,6 +1193,42 @@ mod tests {
     /// Where a column's payloads live.
     fn address(c: &Column) -> usize {
         with_slice!(&*c.plain(), rows => rows.as_ptr() as usize)
+    }
+
+    /// The extrema and the narrowed storage do not depend on the pieces
+    /// they are found and written in: every pair of width boundaries as
+    /// extrema, the least in the last piece and the greatest in the first,
+    /// from `i64` and, where they fit, from `i32` input.
+    #[test]
+    fn the_constructor_is_the_same_in_any_pieces() {
+        let mut rng = bwd_types::SplitMix64::new(41);
+        for (i, &lo) in BOUNDARIES.iter().enumerate() {
+            for &hi in BOUNDARIES.iter().filter(|&&hi| hi > lo) {
+                let span = hi.wrapping_sub(lo) as u64;
+                let mut rows: Vec<i64> = (0..5_000)
+                    .map(|_| lo.wrapping_add(rng.below(span) as i64))
+                    .collect();
+                (rows[10], rows[4_990]) = (hi, lo);
+                let i32s = i32::try_from(lo).and(i32::try_from(hi)).is_ok();
+                let inputs = [
+                    Some(ColumnData::I64(rows.clone())),
+                    i32s.then(|| ColumnData::I32(rows.iter().map(|&v| v as i32).collect())),
+                ];
+                for data in inputs.into_iter().flatten() {
+                    let build = |chunks| {
+                        let logical = Logical::Plain(DataType::Int64);
+                        Column::new_in(logical, chunks, data.clone())
+                    };
+                    let one = build(1);
+                    assert_eq!(one.payload_min_max(), Some((lo, hi)), "case {i}");
+                    for chunks in [2, 3, 7] {
+                        let c = build(chunks);
+                        assert_eq!(c.payload_min_max(), one.payload_min_max());
+                        assert_eq!(c.plain(), one.plain(), "{lo}..={hi}, {chunks} pieces");
+                    }
+                }
+            }
+        }
     }
 
     /// After every public constructor the stored width is the narrowest

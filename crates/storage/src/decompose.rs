@@ -26,16 +26,13 @@
 use crate::bitpack::{BitPackedVec, PackCursor, DECODE_BLOCK};
 use crate::column::extrema;
 use crate::encoding::{decode, encode, encoded_bounds, physical_bits};
+use crate::pieces::{chunk_count, cuts, in_pieces};
 use crate::prefix::{OutOfRange, PrefixBase, PrefixGranularity};
 use bwd_types::bits::{low_mask, split_bits};
 use bwd_types::{BwdError, DataType, Result};
 use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Rows from which a decomposition fans out over the host's cores; a
-/// shorter column is split on the calling thread.
-const PARALLEL_ROWS: usize = 1 << 20;
 
 /// How a column is to be decomposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,21 +258,11 @@ fn pack(
     residual.finish();
 }
 
-/// How many contiguous chunks a column of `rows` rows is split in.
-pub(crate) fn chunk_count(rows: usize) -> usize {
-    if rows < PARALLEL_ROWS {
-        return 1;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The decomposition by `meta` of `len` rows, packed in `chunks`
-/// contiguous pieces: `reader(rows)`, called once a piece, front to back,
-/// hands the piece's worker what reads those rows' encoded values.
-///
-/// Pieces are cut at multiples of [`DECODE_BLOCK`] rows — word boundaries
-/// at every width — so each worker writes its own range of both output
-/// runs, each word once, and the words do not depend on `chunks`.
+/// The decomposition by `meta` of `len` rows, packed in the pieces
+/// [`cuts`] cuts for `chunks`: `reader(rows)`, called once a piece, front
+/// to back, hands the piece's worker what reads those rows' encoded
+/// values. Each worker writes its own range of both output runs, each
+/// word once, and the words do not depend on `chunks`.
 pub(crate) fn split<F: FnMut(usize, &mut [u64]) + Send>(
     meta: DecompositionMeta,
     len: usize,
@@ -283,20 +270,13 @@ pub(crate) fn split<F: FnMut(usize, &mut [u64]) + Send>(
     mut reader: impl FnMut(Range<usize>) -> F,
 ) -> DecomposedColumn {
     let (widths, meta_ref) = ([meta.stored_width(), meta.resbits], &meta);
-    let piece = len.div_ceil(chunks).div_ceil(DECODE_BLOCK) * DECODE_BLOCK;
-    // A piece's words in a run: 64 rows of `w` bits are `w` words.
-    let words = |w: u32| piece / DECODE_BLOCK * w as usize;
     let Ok([approx, residual]) = BitPackedVec::write_once(widths, len, |[mut a, mut r]| {
-        std::thread::scope(|scope| {
-            let mut at = 0;
-            while len - at > piece {
-                let (a_piece, a_rest) = a.split_at(words(widths[0]));
-                let (r_piece, r_rest) = r.split_at(words(widths[1]));
-                let (rows, fill) = (at..at + piece, reader(at..at + piece));
-                scope.spawn(move || pack(meta_ref, fill, rows, a_piece, r_piece));
-                (a, r, at) = (a_rest, r_rest, at + piece);
-            }
-            pack(meta_ref, reader(at..len), at..len, a, r);
+        let pieces = cuts(len, chunks).map(|rows| {
+            let (a, r) = (a.take_rows(rows.len()), r.take_rows(rows.len()));
+            (reader(rows.clone()), rows, a, r)
+        });
+        in_pieces(pieces, |(fill, rows, a, r)| {
+            pack(meta_ref, fill, rows, a, r)
         });
         Ok::<_, Infallible>(())
     });
@@ -416,6 +396,7 @@ impl DecomposedColumn {
 mod tests {
     use super::*;
     use crate::column::{width_cases, Column, Storage, GRANULE, I24};
+    use crate::pieces::PARALLEL_ROWS;
     use crate::ColumnData;
     use proptest::prelude::*;
 

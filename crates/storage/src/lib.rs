@@ -13,7 +13,9 @@
 //! * [`decompose`] — the bitwise split of a column into a device-destined
 //!   approximation and a host-resident residual;
 //! * [`mod@column`] — full-resolution persistent columns and ordered string
-//!   dictionaries.
+//!   dictionaries;
+//! * [`pieces`] — the one way a long pass runs on every core: contiguous
+//!   pieces of rows, each written into its own part of one output buffer.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitpack;
@@ -21,6 +23,7 @@ pub mod column;
 pub mod decompose;
 pub mod encoding;
 pub mod lanes;
+pub mod pieces;
 pub mod prefix;
 pub mod swar;
 

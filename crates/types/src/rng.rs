@@ -3,8 +3,8 @@
 //! SplitMix64 (Steele, Lea & Flood; the same generator Java's
 //! `SplittableRandom` uses) is the workspace's canonical seed/stream
 //! primitive: `bwd-data` seeds its xoshiro256** dataset generator from
-//! this exact sequence, and `bwd-sched`'s deterministic workload
-//! generator draws from it directly. Keeping the one implementation here
+//! this exact sequence, and the deterministic workload generator of
+//! `bwd-bench` (`crates/bench/src/workload.rs`) draws from it directly. Keeping the one implementation here
 //! prevents the constants from drifting between hand-rolled copies —
 //! seeded workloads are only reproducible if every crate agrees on the
 //! stream. (`crates/testkit` carries its own copy by design: the proptest
