@@ -77,7 +77,7 @@ pub enum CandidateRep {
 pub const BITMAP_MIN_SELECTIVITY: f64 = 0.02;
 
 /// Execution options for the A&R path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ArExecOptions {
     /// Device scan tuning.
     pub scan: ScanOptions,
@@ -86,36 +86,6 @@ pub struct ArExecOptions {
     pub candidates: CandidateRep,
     /// Capture the approximate answer after the approximation subplan.
     pub approximate_answer: bool,
-    /// Real OS threads fanning the refinement-side stages (approximate
-    /// selection partitions, selection refinement, projection gathers and
-    /// grouping/aggregation) out over contiguous candidate partitions.
-    /// `1` runs serially. Results are **bit-identical** and simulated
-    /// component costs are unchanged at every value — this knob only buys
-    /// wall-clock time on multi-core hosts.
-    pub morsels: usize,
-    /// Transient device-memory budget in bytes for this query's candidate
-    /// lists (12 B per candidate) and device-side aggregation gathers
-    /// (8 B per gathered value). `None` is unlimited. The scheduler sets
-    /// this to a statistics-based admission reservation; when the query's
-    /// *actual* transient footprint exceeds the budget, execution fails
-    /// early with [`BwdError::DeviceOutOfMemory`] — the simulated
-    /// equivalent of a kernel allocation failing on a full card — and the
-    /// scheduler re-queues the query with a worst-case reservation. Pure
-    /// bookkeeping: a sufficient budget changes neither results nor
-    /// simulated costs.
-    pub device_budget: Option<u64>,
-}
-
-impl Default for ArExecOptions {
-    fn default() -> Self {
-        ArExecOptions {
-            scan: ScanOptions::default(),
-            candidates: CandidateRep::default(),
-            approximate_answer: false,
-            morsels: 1,
-            device_budget: None,
-        }
-    }
 }
 
 /// Running account of a query's transient device allocations, checked
@@ -192,20 +162,26 @@ impl Probe {
 /// environment carries both the host-thread allocation *and* the chosen
 /// device: pass `db.env().on_device(k)` to run this query against card
 /// `k` of a multi-device pool (every card holds a replica of the
-/// persistent approximations, so any of them can serve any plan).
+/// persistent approximations, so any of them can serve any plan). The
+/// refinement-side stages fan out over `morsels` OS threads, as in
+/// [`Database::run_bound_in`].
 pub fn run_ar_in(
     db: &Database,
     plan: &ArPlan,
     opts: &ArExecOptions,
     env: &Env,
+    morsels: usize,
 ) -> Result<QueryResult> {
     let chain: Vec<usize> = (0..plan.selections.len()).collect();
     let ledger = &mut CostLedger::new();
-    let run = run_ar_counted(db, plan, &chain, opts, env, SLICE_ROWS, ledger);
+    let run = run_ar_counted(
+        db, plan, &chain, opts, env, morsels, None, SLICE_ROWS, ledger,
+    );
     run.map(|(result, ..)| result)
 }
 
-/// [`run_ar_in`] with an explicit tail slice size and ledger, also
+/// [`run_ar_in`] with an explicit transient `budget` (see
+/// [`Database::run_bound_in`]), tail slice size and ledger, also
 /// returning what the run counted and the transient device bytes it held.
 /// `plan` may be the plan [`bill::order`] chose for a bound one; `chain`
 /// holds, per step, the selection's index in the bound plan — what an
@@ -217,12 +193,15 @@ pub fn run_ar_in(
 /// settled when the shape was resolved ([`ArShape::place`]).
 ///
 /// [`bill::order`]: crate::bill::order
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_ar_counted(
     db: &Database,
     plan: &ArPlan,
     chain: &[usize],
     opts: &ArExecOptions,
     env: &Env,
+    morsels: usize,
+    budget: Option<u64>,
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<(QueryResult, Counts, u64)> {
@@ -238,12 +217,9 @@ pub(crate) fn run_ar_counted(
         env,
         obs: env.trace.recorder.worker(&env.trace.lane),
         slice_rows,
-        morsels: opts.morsels.max(1),
+        morsels: morsels.max(1),
         pool: ScratchPool::default(),
-        transient: TransientBudget {
-            used: 0,
-            budget: opts.device_budget,
-        },
+        transient: TransientBudget { used: 0, budget },
         ledger,
     };
     let mut approx = run.approximate()?;
@@ -793,11 +769,14 @@ pub(crate) mod tests {
         plan: &ArPlan,
         opts: &ArExecOptions,
         env: &Env,
+        morsels: usize,
         slice_rows: usize,
         ledger: &mut CostLedger,
     ) -> Result<QueryResult> {
         let chain: Vec<usize> = (0..plan.selections.len()).collect();
-        let run = run_ar_counted(db, plan, &chain, opts, env, slice_rows, ledger);
+        let run = run_ar_counted(
+            db, plan, &chain, opts, env, morsels, None, slice_rows, ledger,
+        );
         run.map(|(result, ..)| result)
     }
 
@@ -856,7 +835,7 @@ pub(crate) mod tests {
         let (db, plan) = table_and_plan(shape, device_bits, grouped, aggs);
         let mut ledger = CostLedger::with_trace();
         let opts = ArExecOptions::default();
-        let r = run_ar_sliced(&db, &plan, &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
+        let r = run_ar_sliced(&db, &plan, &opts, db.env(), 1, SLICE_ROWS, &mut ledger).unwrap();
         assert_eq!(r.survivors, shape.2 as usize + 1);
         let groups = if grouped { shape.1.min(shape.2 + 1) } else { 1 };
         assert_eq!(r.rows.len(), groups as usize);
@@ -979,8 +958,18 @@ pub(crate) mod tests {
         let (db, plan) = table_and_plan((1000, 4, 1), 32, true, sum_and_count("v"));
         let mut ledger = CostLedger::with_trace();
         let opts = ArExecOptions::default();
-        let (r, counts, _) =
-            run_ar_counted(&db, &plan, &[0], &opts, db.env(), SLICE_ROWS, &mut ledger).unwrap();
+        let (r, counts, _) = run_ar_counted(
+            &db,
+            &plan,
+            &[0],
+            &opts,
+            db.env(),
+            1,
+            None,
+            SLICE_ROWS,
+            &mut ledger,
+        )
+        .unwrap();
         assert_eq!((r.rows.len(), counts.groups), (2, 2));
         let spec = DeviceSpec::gtx680();
         let agg = GroupedAgg::slotted(&spec, 2, 2, 4, 2);
@@ -1007,12 +996,19 @@ pub(crate) mod tests {
     fn a_hash_pregroupings_ids_are_held_and_reserved() {
         let (db, plan) = table_and_plan(Q1_SHAPED, 24, true, sum_and_count("d"));
         let run = |device_budget| {
-            let opts = ArExecOptions {
-                device_budget,
-                ..Default::default()
-            };
+            let opts = ArExecOptions::default();
             let mut ledger = CostLedger::with_trace();
-            let run = run_ar_counted(&db, &plan, &[0], &opts, db.env(), SLICE_ROWS, &mut ledger);
+            let run = run_ar_counted(
+                &db,
+                &plan,
+                &[0],
+                &opts,
+                db.env(),
+                1,
+                device_budget,
+                SLICE_ROWS,
+                &mut ledger,
+            );
             run.map(|(_, counts, held)| (counts, held, ledger.events().to_vec()))
         };
         let (counts, held, events) = run(None).unwrap();
@@ -1252,12 +1248,11 @@ pub(crate) mod tests {
                     let opts = ArExecOptions {
                         scan,
                         candidates,
-                        morsels,
                         ..Default::default()
                     };
+                    let ledger = &mut CostLedger::new();
                     let r =
-                        run_ar_sliced(&db, &plan, &opts, env, slice_rows, &mut CostLedger::new())
-                            .unwrap();
+                        run_ar_sliced(&db, &plan, &opts, env, morsels, slice_rows, ledger).unwrap();
                     let tag = format!("{candidates:?} {morsels} x {slice_rows}");
                     assert_eq!(r.rows, scrambled, "{tag}");
                     let b = r.breakdown;
@@ -1321,9 +1316,8 @@ pub(crate) mod tests {
                         approximate_answer: true,
                         ..Default::default()
                     };
-                    let r =
-                        run_ar_sliced(&db, &plan, &opts, env, SLICE_ROWS, &mut CostLedger::new())
-                            .unwrap();
+                    let ledger = &mut CostLedger::new();
+                    let r = run_ar_sliced(&db, &plan, &opts, env, 1, SLICE_ROWS, ledger).unwrap();
                     assert_eq!((r.rows, r.survivors), (rows.clone(), 0), "{plan:?}");
                     assert_eq!(r.approx.unwrap().candidate_count, candidates, "{plan:?}");
                 }

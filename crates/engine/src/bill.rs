@@ -831,15 +831,11 @@ impl<'a> Shape<'a> {
         mode: &ExecMode,
         env: &Env,
     ) -> Result<Shape<'a>> {
-        let scan = match mode {
-            ExecMode::Classic => {
-                let has_fk = plan.fk_join.is_some();
-                return ClassicShape::resolve(db.catalog(), plan, has_fk).map(Shape::Classic);
-            }
-            ExecMode::ApproxRefine => ScanOptions::default(),
-            ExecMode::ApproxRefineWith(opts) => opts.scan,
+        let Some(opts) = mode.ar_options() else {
+            let has_fk = plan.fk_join.is_some();
+            return ClassicShape::resolve(db.catalog(), plan, has_fk).map(Shape::Classic);
         };
-        ArShape::resolve(db, plan, scan, env.device.spec()).map(Shape::Ar)
+        ArShape::resolve(db, plan, opts.scan, env.device.spec()).map(Shape::Ar)
     }
 
     /// The tail placement and the transient device bytes that follow
@@ -1116,8 +1112,18 @@ mod tests {
             let (env, opts) = (db.env(), ArExecOptions::default());
             let mut ledger = CostLedger::with_trace();
             let chain: Vec<usize> = (0..plan.selections.len()).collect();
-            let (run, counts, held) =
-                run_ar_counted(db, &plan, &chain, &opts, env, SLICE_ROWS, &mut ledger).unwrap();
+            let (run, counts, held) = run_ar_counted(
+                db,
+                &plan,
+                &chain,
+                &opts,
+                env,
+                1,
+                None,
+                SLICE_ROWS,
+                &mut ledger,
+            )
+            .unwrap();
             let shape = shape_of(db, &plan);
             let events = events(&shape, &counts);
             assert_eq!(events, ledger.events(), "{name}");
@@ -1127,7 +1133,9 @@ mod tests {
             // `run_counted` runs the chain in the order its bill picks.
             let plan = order(db, &plan, &ExecMode::Classic, env);
             let shape = Shape::resolve(db, &plan, &ExecMode::Classic, env).unwrap();
-            let (run, counts, _) = db.run_counted(&plan, ExecMode::Classic, env, 1).unwrap();
+            let (run, counts, _) = db
+                .run_counted(&plan, ExecMode::Classic, env, 1, None)
+                .unwrap();
             assert_eq!(shape.bill(&counts, env), run.breakdown, "{name}");
         }
     }
@@ -1154,7 +1162,7 @@ mod tests {
                 matches!(&shape, Shape::Ar(s) if s.grouping == grouping),
                 "{name} {card}"
             );
-            let (run, counts, _) = db.run_counted(&plan, mode.clone(), &env, 1).unwrap();
+            let (run, counts, _) = db.run_counted(&plan, mode.clone(), &env, 1, None).unwrap();
             assert_eq!(shape.bill(&counts, &env), run.breakdown, "{name} {card}");
         }
     }
@@ -1380,7 +1388,8 @@ mod tests {
         let download = |plan: &ArPlan| {
             let (opts, mut ledger) = (ArExecOptions::default(), CostLedger::with_trace());
             let chain: Vec<usize> = (0..plan.selections.len()).collect();
-            let run = run_ar_counted(db, plan, &chain, &opts, db.env(), SLICE_ROWS, &mut ledger);
+            let (env, slice) = (db.env(), SLICE_ROWS);
+            let run = run_ar_counted(db, plan, &chain, &opts, env, 1, None, slice, &mut ledger);
             let counts = run.unwrap().1;
             let mut downloads = ledger
                 .events()

@@ -197,13 +197,15 @@ mod tests {
                 let fk = db.fk_index("t", "fk").unwrap().device().data();
                 run_classic_sliced(db.catalog(), plan, Some(fk), env, morsels, slice, ledger)
             }
-            _ => {
-                let opts = ArExecOptions {
-                    morsels,
-                    ..Default::default()
-                };
-                run_ar_sliced(db, plan, &opts, env, slice, ledger)
-            }
+            _ => run_ar_sliced(
+                db,
+                plan,
+                &ArExecOptions::default(),
+                env,
+                morsels,
+                slice,
+                ledger,
+            ),
         };
         format!("{:?}", run.unwrap().rows)
     }
@@ -499,7 +501,7 @@ mod tests {
                     matches!(again, Cow::Borrowed(p) if std::ptr::eq(p, &*chosen)),
                     "{ctx} {mode:?}"
                 );
-                let (run, counts, _) = db.run_counted(plan, mode.clone(), env, 1).unwrap();
+                let (run, counts, _) = db.run_counted(plan, mode.clone(), env, 1, None).unwrap();
                 assert_eq!(format!("{:?}", run.rows), want, "{ctx} {mode:?}");
                 let shape = Shape::resolve(db, &chosen, mode, env).unwrap();
                 assert_eq!(shape.bill(&counts, env), run.breakdown, "{ctx} {mode:?}");

@@ -30,6 +30,19 @@ pub enum ExecMode {
     ApproxRefineWith(ArExecOptions),
 }
 
+impl ExecMode {
+    /// The A&R options this mode runs with — `ApproxRefine` is
+    /// `ApproxRefineWith(ArExecOptions::default())` — or `None` for the
+    /// classic pipe.
+    pub(crate) fn ar_options(&self) -> Option<ArExecOptions> {
+        match self {
+            ExecMode::Classic => None,
+            ExecMode::ApproxRefine => Some(ArExecOptions::default()),
+            ExecMode::ApproxRefineWith(opts) => Some(*opts),
+        }
+    }
+}
+
 /// What `bwdecompose` did (mirrors the paper's data-volume discussion).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecompositionReport {
@@ -287,11 +300,11 @@ impl Database {
     /// Execute an already-bound A&R plan as its bill prices it cheapest
     /// ([`bill::order`]).
     pub fn run_bound(&self, plan: &ArPlan, mode: ExecMode) -> Result<QueryResult> {
-        self.run_bound_in(plan, mode, &self.env, 1)
+        self.run_bound_in(plan, mode, &self.env, 1, None)
     }
 
-    /// Execute an already-bound plan against an explicit environment and
-    /// real-thread morsel count.
+    /// Execute an already-bound plan against an explicit environment,
+    /// real-thread morsel count and transient device budget.
     ///
     /// This is the re-entrant entry point of the concurrent scheduler:
     /// `&self` only, the environment override carries the per-session
@@ -299,17 +312,26 @@ impl Database {
     /// pool (`Env::on_device`; the shared `env()` is not mutated), and
     /// both pipes fan their hot loops out over `morsels` OS threads — the
     /// classic selection chain, and the A&R approximation/refinement
-    /// stages (results stay bit-identical to the serial run in both).
-    /// `ExecMode::ApproxRefineWith` carries its own explicit
-    /// [`ArExecOptions::morsels`], which wins over the `morsels` argument.
+    /// stages. Results and simulated costs are bit-identical at every
+    /// morsel count.
+    ///
+    /// `budget` caps the bytes an A&R run holds on the device for its
+    /// candidate lists (12 B per candidate) and device-side aggregation
+    /// gathers (8 B per gathered value); `None` is unlimited. The
+    /// scheduler passes its admission reservation: a run whose actual
+    /// transient footprint exceeds it fails early with
+    /// [`BwdError::DeviceOutOfMemory`] — a kernel allocation failing on a
+    /// full card — and is re-queued at the worst case. A sufficient budget
+    /// changes neither results nor simulated costs.
     pub fn run_bound_in(
         &self,
         plan: &ArPlan,
         mode: ExecMode,
         env: &Env,
         morsels: usize,
+        budget: Option<u64>,
     ) -> Result<QueryResult> {
-        (self.run_counted(plan, mode, env, morsels)).map(|(result, ..)| result)
+        (self.run_counted(plan, mode, env, morsels, budget)).map(|(result, ..)| result)
     }
 
     /// [`Database::run_bound_in`], also returning the [`Counts`] the run
@@ -324,35 +346,31 @@ impl Database {
         mode: ExecMode,
         env: &Env,
         morsels: usize,
+        budget: Option<u64>,
     ) -> Result<(QueryResult, Counts, u64)> {
         let ledger = &mut CostLedger::new();
         let (chain, chosen) = bill::cheapest(self, plan, &mode, env);
         let plan: &ArPlan = &chosen;
-        let opts = match mode {
-            ExecMode::Classic => {
-                let link = match &plan.fk_join {
-                    Some(j) => Some(self.fk_index(&plan.table, &j.fact_key)?.device().data()),
-                    None => None,
-                };
-                let (result, counts) = crate::classic::run_classic_counted(
-                    &self.catalog,
-                    plan,
-                    &chain,
-                    link,
-                    env,
-                    morsels,
-                    SLICE_ROWS,
-                    ledger,
-                )?;
-                return Ok((result, counts, 0));
-            }
-            ExecMode::ApproxRefine => ArExecOptions {
+        let Some(opts) = mode.ar_options() else {
+            let link = match &plan.fk_join {
+                Some(j) => Some(self.fk_index(&plan.table, &j.fact_key)?.device().data()),
+                None => None,
+            };
+            let (result, counts) = crate::classic::run_classic_counted(
+                &self.catalog,
+                plan,
+                &chain,
+                link,
+                env,
                 morsels,
-                ..ArExecOptions::default()
-            },
-            ExecMode::ApproxRefineWith(opts) => opts,
+                SLICE_ROWS,
+                ledger,
+            )?;
+            return Ok((result, counts, 0));
         };
-        crate::arexec::run_ar_counted(self, plan, &chain, &opts, env, SLICE_ROWS, ledger)
+        crate::arexec::run_ar_counted(
+            self, plan, &chain, &opts, env, morsels, budget, SLICE_ROWS, ledger,
+        )
     }
 }
 
@@ -588,7 +606,7 @@ mod tests {
         let on_primary = db.run_bound(&ar, ExecMode::ApproxRefine).unwrap();
         let env1 = db.env().on_device(1).unwrap();
         let on_second = db
-            .run_bound_in(&ar, ExecMode::ApproxRefine, &env1, 1)
+            .run_bound_in(&ar, ExecMode::ApproxRefine, &env1, 1, None)
             .unwrap();
         assert_eq!(on_primary.rows, on_second.rows);
         assert_eq!(on_primary.breakdown, on_second.breakdown);
@@ -749,11 +767,8 @@ mod tests {
         let plan = count_where_a(100, 499);
         let ar = db.bind(&plan, &Default::default()).unwrap();
         db.auto_bind(&ar).unwrap();
-        let tight = ExecMode::ApproxRefineWith(ArExecOptions {
-            device_budget: Some(16),
-            ..Default::default()
-        });
-        match db.run_bound(&ar, tight) {
+        let budgeted = |budget| db.run_bound_in(&ar, ExecMode::ApproxRefine, db.env(), 1, budget);
+        match budgeted(Some(16)) {
             Err(BwdError::DeviceOutOfMemory {
                 requested,
                 available,
@@ -765,11 +780,7 @@ mod tests {
         }
         // A worst-case-sized budget changes nothing.
         let rows = db.catalog().table("r").unwrap().len() as u64;
-        let roomy = ExecMode::ApproxRefineWith(ArExecOptions {
-            device_budget: Some(rows * (12 + 2 * 8)),
-            ..Default::default()
-        });
-        let budgeted = db.run_bound(&ar, roomy).unwrap();
+        let budgeted = budgeted(Some(rows * (12 + 2 * 8))).unwrap();
         let unlimited = db.run_bound(&ar, ExecMode::ApproxRefine).unwrap();
         assert_eq!(budgeted.rows, unlimited.rows);
         assert_eq!(budgeted.breakdown, unlimited.breakdown);
@@ -802,13 +813,7 @@ mod tests {
         // Exactly the worst case for 1 selection + 2 distinct gathers.
         let budget = rows * (12 + 2 * 8);
         let budgeted = db
-            .run_bound(
-                &ar,
-                ExecMode::ApproxRefineWith(ArExecOptions {
-                    device_budget: Some(budget),
-                    ..Default::default()
-                }),
-            )
+            .run_bound_in(&ar, ExecMode::ApproxRefine, db.env(), 1, Some(budget))
             .unwrap();
         let unlimited = db.run_bound(&ar, ExecMode::ApproxRefine).unwrap();
         assert_eq!(budgeted.rows, unlimited.rows);
@@ -924,7 +929,10 @@ mod tests {
                 let plan = db.bind(&plan, &RewriteOptions::default()).unwrap();
                 db.auto_bind(&plan).unwrap();
                 for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
-                    let run = |m| db.run_bound_in(&plan, mode.clone(), db.env(), m).unwrap();
+                    let run = |m| {
+                        db.run_bound_in(&plan, mode.clone(), db.env(), m, None)
+                            .unwrap()
+                    };
                     let one = digest(&run(1));
                     assert_eq!(one, digest(&run(3)), "{rows} rows, {mode:?}, 3 workers");
                     digests.push(one);

@@ -1201,7 +1201,6 @@ pub(crate) mod tests {
             assert_eq!(kept as i64, survivors);
             let (morsels, slice_rows) = ([1, 2, 3, 8][mi], [1, 7, S][li]);
             let opts = ArExecOptions {
-                morsels,
                 candidates: [Auto, Indices, Bitmap][ri],
                 ..Default::default()
             };
@@ -1214,8 +1213,8 @@ pub(crate) mod tests {
                 let direct = (1u64 << bits) * accs * 16 * 32 <= shared_mem_per_block;
                 let env = Env::with_device(spec);
                 let mut ledger = bwd_device::CostLedger::with_trace();
-                let run = run_ar_sliced(&db, &plan, &opts, &env, slice_rows, &mut ledger).unwrap();
-                let tag = format!("{widths:?} keys, {shared_mem_per_block} B shared, {opts:?} x {slice_rows}");
+                let run = run_ar_sliced(&db, &plan, &opts, &env, morsels, slice_rows, &mut ledger).unwrap();
+                let tag = format!("{widths:?} keys, {shared_mem_per_block} B shared, {opts:?} {morsels} x {slice_rows}");
                 assert_eq!(run.rows, want, "{tag}");
                 assert_eq!(run.survivors, kept, "{tag}");
                 let hashed = ledger.events().iter().any(|e| e.label == "group.approx.hash-multi");
@@ -1255,8 +1254,8 @@ pub(crate) mod tests {
             let plan = db.bind(&plan, &Default::default()).unwrap();
             let fk = db.fk_index("t", "fk").unwrap().device().data();
             let classic = |m, s| run_classic_sliced(db.catalog(), &plan, Some(fk), db.env(), m, s, &mut Default::default());
-            let opts = |morsels| ArExecOptions { morsels, ..Default::default() };
-            let ar = |m, s| run_ar_sliced(db, &plan, &opts(m), db.env(), s, &mut Default::default());
+            let opts = ArExecOptions::default();
+            let ar = |m, s| run_ar_sliced(db, &plan, &opts, db.env(), m, s, &mut Default::default());
             let want = oracle(db, &plan);
             let tag = format!("{plan:?} on {resident}: morsels {morsels} slice {slice_rows}");
             for (serial, sliced) in [

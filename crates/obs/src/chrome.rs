@@ -133,15 +133,12 @@ mod tests {
     use super::*;
     use crate::clock::Clock;
     use crate::event::{EventKind, NO_SPAN};
-    use crate::recorder::{Recorder, RecorderConfig};
+    use crate::recorder::Recorder;
 
     fn traced(label: &str, base_ns: u64) -> (String, QueryTrace) {
         let (clock, ctl) = Clock::mock();
         ctl.set_ns(base_ns);
-        let r = Recorder::new(RecorderConfig {
-            ring_capacity: 64,
-            clock,
-        });
+        let r = Recorder::with(64, clock);
         let w = r.worker("worker-0");
         let root = w.begin(EventKind::Query, NO_SPAN, 0, 0);
         let exec = w.begin(EventKind::Exec, root, 2, 1);

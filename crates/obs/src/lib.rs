@@ -10,7 +10,8 @@
 //! * [`Recorder`] — per-query event recording into per-worker lock-free
 //!   ring buffers of [`Event`]s. Producers never block and never
 //!   allocate on the hot path; a full ring drops the *oldest* events and
-//!   counts the drops. [`Recorder::disabled`] is a no-op recorder whose
+//!   counts the drops; [`Recorder::enabled`] gives every lane 1 024
+//!   events. [`Recorder::disabled`] is a no-op recorder whose
 //!   per-event cost is a single branch, so instrumented code needs no
 //!   `cfg` gates.
 //! * [`metrics`] — a process-wide (or per-subsystem) registry of named
@@ -55,7 +56,7 @@ pub use event::{
     pack_chain_order, unpack_chain_order, EventKind, GroupAggTables, GroupAggTail, Phase, SpanId,
     NO_SPAN,
 };
-pub use recorder::{Recorder, RecorderConfig, WorkerHandle};
+pub use recorder::{Recorder, WorkerHandle};
 pub use ring::Event;
 pub use trace::{QueryTrace, SpanNode};
 

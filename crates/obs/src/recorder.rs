@@ -6,23 +6,8 @@ use crate::ring::{Event, Ring};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Construction options for a [`Recorder`].
-#[derive(Debug, Clone)]
-pub struct RecorderConfig {
-    /// Capacity (in events) of each worker lane's ring buffer.
-    pub ring_capacity: usize,
-    /// Clock stamping `t_ns` on every event.
-    pub clock: Clock,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        RecorderConfig {
-            ring_capacity: 1024,
-            clock: Clock::monotonic(),
-        }
-    }
-}
+/// Capacity (in events) of each worker lane's ring buffer.
+const RING_CAPACITY: usize = 1024;
 
 #[derive(Debug)]
 pub(crate) struct RecorderCore {
@@ -54,12 +39,18 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// An enabled recorder with the given configuration.
-    pub fn new(config: RecorderConfig) -> Recorder {
+    /// An enabled recorder: lanes of 1 024 events (a full lane drops its
+    /// oldest and counts them), stamped by the monotonic clock.
+    pub fn enabled() -> Recorder {
+        Recorder::with(RING_CAPACITY, Clock::monotonic())
+    }
+
+    /// An enabled recorder with `capacity`-event lanes stamped by `clock`.
+    pub(crate) fn with(capacity: usize, clock: Clock) -> Recorder {
         Recorder {
             core: Some(Arc::new(RecorderCore {
-                clock: config.clock,
-                capacity: config.ring_capacity,
+                clock,
+                capacity,
                 next_span: AtomicU32::new(1),
                 rings: Mutex::new(Vec::new()),
             })),
@@ -241,7 +232,7 @@ mod tests {
 
     #[test]
     fn spans_record_across_lanes_with_shared_ids() {
-        let r = Recorder::new(RecorderConfig::default());
+        let r = Recorder::enabled();
         let w0 = r.worker("session");
         let w1 = r.worker("worker-0");
         let root = w0.begin(EventKind::Query, NO_SPAN, 7, 0);
@@ -266,7 +257,7 @@ mod tests {
 
     #[test]
     fn end_on_no_span_records_nothing() {
-        let r = Recorder::new(RecorderConfig::default());
+        let r = Recorder::enabled();
         let w = r.worker("w");
         w.end(EventKind::Exec, NO_SPAN, 0, 0, 0, 0);
         let lanes = r.drain();

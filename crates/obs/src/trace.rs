@@ -448,14 +448,11 @@ mod tests {
     use super::*;
     use crate::clock::Clock;
     use crate::event::{pack_chain_order, GroupAggTail};
-    use crate::recorder::{Recorder, RecorderConfig};
+    use crate::recorder::Recorder;
 
     fn sample_trace() -> QueryTrace {
         let (clock, ctl) = Clock::mock();
-        let r = Recorder::new(RecorderConfig {
-            ring_capacity: 64,
-            clock,
-        });
+        let r = Recorder::with(64, clock);
         let s = r.worker("session");
         let w = r.worker("worker-0");
         let root = s.begin(EventKind::Query, NO_SPAN, 1, 0);
@@ -494,10 +491,7 @@ mod tests {
 
     #[test]
     fn explain_prints_the_refine_split_and_the_accumulator_tables() {
-        let r = Recorder::new(RecorderConfig {
-            ring_capacity: 16,
-            clock: Clock::mock().0,
-        });
+        let r = Recorder::with(16, Clock::mock().0);
         let w = r.worker("worker-0");
         let exec = w.begin(EventKind::Exec, NO_SPAN, 1, 1);
         // 100 candidates alive, 30 of them undecided, 10 of those refuted.
@@ -571,10 +565,7 @@ mod tests {
             ),
             ((1 << 47) - 1, 15, 63, 63)
         );
-        let r = Recorder::new(RecorderConfig {
-            ring_capacity: 16,
-            clock: Clock::mock().0,
-        });
+        let r = Recorder::with(16, Clock::mock().0);
         let w = r.worker("worker-0");
         let exec = w.begin(EventKind::Exec, NO_SPAN, 1, 1);
         let hash = GroupAggTables {
@@ -615,10 +606,7 @@ mod tests {
         }
         assert_eq!(pack_chain_order(&[2, 0, 1]), 0x213);
         assert_eq!(pack_chain_order(&(0..16).collect::<Vec<_>>()), 0);
-        let r = Recorder::new(RecorderConfig {
-            ring_capacity: 16,
-            clock: Clock::mock().0,
-        });
+        let r = Recorder::with(16, Clock::mock().0);
         let w = r.worker("worker-0");
         let exec = w.begin(EventKind::Exec, NO_SPAN, 1, 1);
         let sel = w.begin(EventKind::ApproxSelect, exec, 1000, 2);
@@ -658,7 +646,7 @@ mod tests {
 
     #[test]
     fn validate_catches_unclosed_span() {
-        let r = Recorder::new(RecorderConfig::default());
+        let r = Recorder::enabled();
         let w = r.worker("w");
         let _open = w.begin(EventKind::Exec, NO_SPAN, 0, 0);
         let t = QueryTrace::capture(&r);
@@ -668,10 +656,7 @@ mod tests {
 
     #[test]
     fn overflow_is_reported_not_fatal() {
-        let r = Recorder::new(RecorderConfig {
-            ring_capacity: 4,
-            clock: Clock::monotonic(),
-        });
+        let r = Recorder::with(4, Clock::monotonic());
         let w = r.worker("w");
         for _ in 0..16 {
             let s = w.begin(EventKind::Morsel, NO_SPAN, 1, 0);

@@ -486,7 +486,8 @@ mod tests {
                     if *name == "q6" && split {
                         assert_ne!(*plan, *order(&db, plan, &mode, &env), "{ctx}");
                     }
-                    let (run, counts, held) = db.run_counted(plan, mode.clone(), &env, 1).unwrap();
+                    let (run, counts, held) =
+                        db.run_counted(plan, mode.clone(), &env, 1, None).unwrap();
                     let fp = PlanFootprint::with_counts(&db, plan, &mode, threads, counts);
                     let (got, want) = (fp.latency(), run.breakdown);
                     assert_eq!(

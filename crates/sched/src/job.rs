@@ -15,11 +15,6 @@ pub struct SubmitOptions {
     /// Simulated host-thread allocation for this query (Figure 11 sweeps
     /// this); `None` uses the database environment's setting.
     pub host_threads: Option<u32>,
-    /// Real-thread morsel count for the query's hot loops — the classic
-    /// selection chain, and the A&R approximation/refinement stages;
-    /// `None` mirrors the simulated allocation (capped at the machine's
-    /// parallelism). Results are bit-identical at every value.
-    pub morsels: Option<usize>,
     /// Pin this A&R query to the device at this pool index instead of
     /// letting the placement policy choose. Out-of-range indices fail the
     /// query; classic queries ignore this.
@@ -30,17 +25,13 @@ pub struct SubmitOptions {
     /// and `SchedConfig::aging_threshold: 0` ignores priorities for
     /// arrival order. Defaults to `0`.
     pub priority: i32,
-    /// Per-query tracing override: `Some(true)` records a full
-    /// [`QueryTrace`] for this job even when the scheduler default is
-    /// off, `Some(false)` suppresses it, `None` inherits
-    /// [`crate::SchedConfig::tracing`].
-    pub trace: Option<bool>,
     /// Wall-clock budget for the whole query, measured from submission.
     /// A job whose deadline elapses resolves with
     /// [`BwdError::DeadlineExceeded`] — observed before execution starts,
     /// at every morsel-boundary yield point while running, and by the
     /// blocking admission wait (which is clamped to the remaining
-    /// budget). `None` (the default) never expires.
+    /// budget). `None` (the default) never expires, nor does a deadline
+    /// too far away to represent.
     pub deadline: Option<Duration>,
 }
 
@@ -69,7 +60,8 @@ impl SubmitOptions {
 #[derive(Debug)]
 pub(crate) struct CancelState {
     cancelled: AtomicBool,
-    /// Absolute expiry, fixed at submission time.
+    /// Absolute expiry, fixed at submission time (`None` also when the
+    /// budget lies past what an [`Instant`] can represent).
     deadline: Option<Instant>,
     /// The budget the caller submitted with (for the typed error).
     budget_ms: u64,
@@ -79,8 +71,8 @@ impl CancelState {
     pub(crate) fn new(budget: Option<Duration>) -> CancelState {
         CancelState {
             cancelled: AtomicBool::new(false),
-            deadline: budget.map(|d| Instant::now() + d),
-            budget_ms: budget.map(|d| d.as_millis() as u64).unwrap_or(0),
+            deadline: budget.and_then(|d| Instant::now().checked_add(d)),
+            budget_ms: budget.map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
         }
     }
 
@@ -169,8 +161,8 @@ pub(crate) struct Job {
     pub footprint: PlanFootprint,
     pub reply: mpsc::Sender<(Result<QueryResult>, JobReport)>,
     pub submitted: Instant,
-    /// The per-query recorder (disabled when tracing is off for this job
-    /// — every instrumentation site then costs one branch).
+    /// The per-query recorder (disabled unless the scheduler traces —
+    /// every instrumentation site then costs one branch).
     pub recorder: Recorder,
     /// The root `query` span, opened at submission on the `session` lane.
     pub root: SpanId,
@@ -229,8 +221,7 @@ pub struct JobReport {
     /// The priority the job was submitted with.
     pub priority: i32,
     /// The query's lifecycle trace, when the job ran with tracing
-    /// enabled (see [`SubmitOptions::trace`] /
-    /// [`crate::SchedConfig::tracing`]); render it with
+    /// enabled ([`crate::SchedConfig::tracing`]); render it with
     /// [`bwd_obs::QueryTrace::explain`].
     pub trace: Option<QueryTrace>,
 }
@@ -294,18 +285,15 @@ impl Ticket {
     /// scheduling report, and the query's lifecycle trace.
     ///
     /// Errors with [`BwdError::InvalidArgument`] if the job ran without
-    /// tracing (enable it per query via [`SubmitOptions::trace`] or
-    /// scheduler-wide via [`crate::SchedConfig::tracing`]); the trace is
-    /// also left attached as [`JobReport::trace`] for callers that want
+    /// tracing (enable it via [`crate::SchedConfig::tracing`]); the trace
+    /// is also left attached as [`JobReport::trace`] for callers that want
     /// result + report + trace in one move.
     pub fn wait_traced(self) -> Result<(QueryResult, JobReport, QueryTrace)> {
         let (result, report) = self.wait_report()?;
         match report.trace.clone() {
             Some(trace) => Ok((result, report, trace)),
             None => Err(BwdError::InvalidArgument(
-                "query ran without tracing; submit with SubmitOptions { trace: Some(true), .. } \
-                 or enable SchedConfig::tracing"
-                    .into(),
+                "query ran without tracing; enable SchedConfig::tracing".into(),
             )),
         }
     }

@@ -14,7 +14,7 @@
 //! # Architecture
 //!
 //! ```text
-//!  Session ─┐  submit(plan, mode, prio)      ┌─ worker 0 ── classic pipe (morsel-parallel)
+//!  Session ─┐  submit(plan, mode, prio)      ┌─ worker 0 ── classic pipe
 //!  Session ─┼─▶ PolicyQueue ───────▶ pool ───┼─ worker 1 ─┐
 //!  Session ─┘   (priority, estimate,         └─ worker N ─┤  A&R: place (least loaded)
 //!   │ one PlanFootprint  arrival; aging)                  ▼
@@ -65,8 +65,9 @@
 //!   [`DeviceMemory`] *before* the query runs; a request that does not
 //!   currently fit **queues** in strict per-device FIFO order rather than
 //!   erroring, and requests are clamped to the card's non-persistent
-//!   share. An *underestimated* query OOMs early in the executor,
-//!   releases its permit, inflates to the worst case and re-enters the
+//!   share. The executor holds a run to its reservation (the `budget`
+//!   argument of `bwd_engine::Database::run_bound_in`): an
+//!   *underestimated* query OOMs early there, releases its permit, inflates to the worst case and re-enters the
 //!   same device's queue — the session never sees the transient failure.
 //!   Concurrent reservations can never exceed any card's capacity —
 //!   every [`DeviceSnapshot::peak_bytes`] proves it.
@@ -75,9 +76,12 @@
 //!   function accounts for every transition — trace events,
 //!   `bwd_sched_*` metrics, per-stream and per-device tallies. It only
 //!   reads a job's estimate, which is fixed at submission.
-//! * Classic-pipe queries run their selection chain **morsel-parallel**
-//!   across partitioned columns on real threads
-//!   (`bwd_engine::Database::run_bound_in`), bit-identical to serial.
+//! * **One source per execution setting**: both pipes run their hot loops
+//!   **morsel-parallel** on real threads, bit-identical to serial, over
+//!   the job's simulated host threads capped by
+//!   [`SchedConfig::max_morsels`] — the one morsel count the engine sees
+//!   and the `exec` span records. Tracing is scheduler-wide
+//!   ([`SchedConfig::tracing`]): every job records a trace or none does.
 //! * Per-stream and per-device accounting: simulated cost
 //!   ([`bwd_device::SharedLedger`]) and wall clock per [`ExecMode`]
 //!   stream, plus each device's share — [`Scheduler::stats`]. The

@@ -8,7 +8,7 @@ use crate::policy::PolicyQueue;
 use crate::session::Session;
 use crate::stats::{DeviceSnapshot, SchedulerStats, StreamAccum};
 use bwd_device::{Env, YieldPoint};
-use bwd_engine::{ArExecOptions, Database, ExecMode, QueryResult};
+use bwd_engine::{Database, ExecMode, QueryResult};
 use bwd_obs::metrics::Registry;
 use bwd_obs::{QueryTrace, TraceCtx};
 use bwd_types::{BwdError, Result};
@@ -24,9 +24,9 @@ pub struct SchedConfig {
     pub workers: usize,
     /// Per-reservation admission deadline; `None` queues indefinitely.
     pub admission_deadline: Option<Duration>,
-    /// Cap on real classic-pipe morsel threads per query (the simulated
-    /// `host_threads` allocation is mirrored up to this many real
-    /// threads). `1` disables intra-query parallelism.
+    /// Cap on a query's real morsel threads, in either pipe: a job runs
+    /// its simulated `host_threads` allocation clamped to this many.
+    /// `1` disables intra-query parallelism.
     pub max_morsels: usize,
     /// Multiplier on a plan's predicted counts before its admission
     /// reservation is sized ([`crate::PlanFootprint::reservation`]).
@@ -41,15 +41,11 @@ pub struct SchedConfig {
     /// in arrival order instead of the queue's one order (priority, then
     /// latency estimate, then arrival).
     pub aging_threshold: u32,
-    /// Record a [`QueryTrace`] for every job (default `false`; per-query
-    /// [`crate::SubmitOptions::trace`] overrides in either direction).
-    /// Tracing never changes results or simulated costs — only the
-    /// report gains a trace.
+    /// Record a [`QueryTrace`] for every job (default `false`). Tracing
+    /// never changes results or simulated costs — only the report gains
+    /// a trace. Each lane's ring holds 1 024 events; overflow drops the
+    /// oldest and is reported on the captured trace.
     pub tracing: bool,
-    /// Capacity (events) of each per-worker trace ring. Overflow drops
-    /// the oldest events and is reported on the captured trace, never
-    /// blocking the recording thread.
-    pub trace_ring_capacity: usize,
 }
 
 impl Default for SchedConfig {
@@ -64,7 +60,6 @@ impl Default for SchedConfig {
             safety_factor: 4.0,
             aging_threshold: 32,
             tracing: false,
-            trace_ring_capacity: 1024,
         }
     }
 }
@@ -94,8 +89,8 @@ pub(crate) struct Shared {
     pub work_ready: Condvar,
     /// One slot per pool device: admission controller + load accounting.
     pub devices: Vec<DeviceSlot>,
-    /// The construction knobs (`workers`, `max_morsels` and
-    /// `trace_ring_capacity` raised to their minimum).
+    /// The construction knobs (`workers` and `max_morsels` raised to
+    /// their minimum).
     pub config: SchedConfig,
     pub classic: StreamAccum,
     pub approx_refine: StreamAccum,
@@ -169,7 +164,6 @@ impl Scheduler {
     pub fn new(db: Arc<Database>, mut config: SchedConfig) -> Scheduler {
         config.workers = config.workers.max(1);
         config.max_morsels = config.max_morsels.max(1);
-        config.trace_ring_capacity = config.trace_ring_capacity.max(4);
         let metrics = SchedMetrics::new();
         let registry = &metrics.registry;
         let devices = (db.env().pool.devices().iter().enumerate())
@@ -414,14 +408,8 @@ fn run_job(run: &Run<'_>, job: &Job) -> Result<QueryResult> {
     // exactly the thread count it was estimated and queued at.
     env.host_threads = job.opts.effective_host_threads(&env);
     // Real-thread fan-out for the query's hot loops: both pipes mirror
-    // the simulated host-thread allocation up to the configured cap
-    // (explicit `ArExecOptions::morsels` in `ApproxRefineWith` wins over
-    // this default inside the engine).
-    let morsels = job
-        .opts
-        .morsels
-        .unwrap_or(env.host_threads as usize)
-        .clamp(1, shared.config.max_morsels);
+    // the simulated host-thread allocation up to the configured cap.
+    let morsels = (env.host_threads as usize).min(shared.config.max_morsels);
     let classic = matches!(job.mode, ExecMode::Classic);
     run.step(Transition::Started {
         morsels,
@@ -443,7 +431,7 @@ fn run_job(run: &Run<'_>, job: &Job) -> Result<QueryResult> {
     // RAII permits/buffers release on the unwind.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if classic {
-            db.run_bound_in(&job.plan, ExecMode::Classic, &env, morsels)
+            db.run_bound_in(&job.plan, ExecMode::Classic, &env, morsels, None)
         } else {
             run_ar_job(run, job, &env, morsels)
         }
@@ -562,22 +550,6 @@ fn run_ar_on_device(
 ) -> Result<QueryResult> {
     let slot = &run.shared.devices[device];
     let env = env.on_device(device)?;
-
-    // Effective A&R options: plain `ApproxRefine` mirrors the morsel
-    // allocation; explicit options are honored as-is. The scheduler only
-    // manages the device budget when the caller didn't set one.
-    let mut opts = match &job.mode {
-        ExecMode::ApproxRefineWith(o) => o.clone(),
-        _ => ArExecOptions {
-            morsels,
-            ..ArExecOptions::default()
-        },
-    };
-    let scheduler_managed = opts.device_budget.is_none();
-    if scheduler_managed && est.is_reduced() {
-        opts.device_budget = Some(est.data_budget());
-    }
-
     let mut requeues: u64 = 0;
     loop {
         // Reserve on the chosen device. The pending guard keeps the
@@ -612,11 +584,14 @@ fn run_ar_on_device(
         };
         let reserved = permit.bytes();
         run.step(Transition::Admitted { reserved, requeues });
-        let mode = ExecMode::ApproxRefineWith(opts.clone());
-        match run.shared.db.run_bound_in(&job.plan, mode, &env, morsels) {
-            Err(BwdError::DeviceOutOfMemory { .. })
-                if scheduler_managed && opts.device_budget.is_some() =>
-            {
+        let budget = est.is_reduced().then(|| est.data_budget());
+        let mode = job.mode.clone();
+        match run
+            .shared
+            .db
+            .run_bound_in(&job.plan, mode, &env, morsels, budget)
+        {
+            Err(BwdError::DeviceOutOfMemory { .. }) if budget.is_some() => {
                 // The statistics underestimated this query. Release the
                 // permit first (holding it while re-queueing could
                 // deadlock a small card), inflate to the worst case —
@@ -626,7 +601,6 @@ fn run_ar_on_device(
                 drop(permit);
                 run.step(Transition::OverBudget { device });
                 requeues += 1;
-                opts.device_budget = None;
                 est.estimated = est.worst_case;
             }
             result => {
@@ -697,11 +671,9 @@ mod tests {
 
     #[test]
     fn traced_job_attaches_query_trace() {
-        use crate::job::SubmitOptions;
-
         let (db, plan) = served_db();
         let sched = Scheduler::new(
-            db,
+            Arc::clone(&db),
             SchedConfig {
                 workers: 1,
                 tracing: true,
@@ -725,24 +697,19 @@ mod tests {
         assert!(text.contains("admission"), "{text}");
         assert!(text.contains("@resolve"), "{text}");
 
-        // A per-query opt-out wins over the scheduler-wide default.
-        let err = session
-            .submit_with(
-                plan,
-                ExecMode::Classic,
-                SubmitOptions {
-                    trace: Some(false),
-                    ..SubmitOptions::default()
-                },
-            )
-            .wait_traced()
-            .unwrap_err();
-        assert!(err.to_string().contains("without tracing"), "{err}");
-
         let records = sched.drain_traces();
         assert_eq!(records.len(), 1, "only the traced job deposits a record");
         assert_eq!(records[0].label, "t");
         assert!(sched.drain_traces().is_empty(), "drain clears");
+        session.query(&plan, ExecMode::Classic).unwrap();
+
+        // A scheduler without tracing attaches none.
+        let untraced = Scheduler::new(db, SchedConfig::default());
+        let err = (untraced.session())
+            .submit(plan, ExecMode::Classic)
+            .wait_traced()
+            .unwrap_err();
+        assert!(err.to_string().contains("without tracing"), "{err}");
 
         let metrics = sched.metrics_snapshot();
         assert!(

@@ -54,11 +54,8 @@ impl Session {
         // Per-query recorder: the whole lifecycle (queue wait included)
         // lands on one timeline because every recorder shares the
         // process-wide monotonic epoch.
-        let recorder = if opts.trace.unwrap_or(self.shared.config.tracing) {
-            bwd_obs::Recorder::new(bwd_obs::RecorderConfig {
-                ring_capacity: self.shared.config.trace_ring_capacity,
-                ..bwd_obs::RecorderConfig::default()
-            })
+        let recorder = if self.shared.config.tracing {
+            bwd_obs::Recorder::enabled()
         } else {
             bwd_obs::Recorder::disabled()
         };

@@ -21,7 +21,6 @@
 
 use bwd_bench::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
 use bwd_device::Env;
-use bwd_engine::{ArExecOptions, ExecMode};
 use bwd_obs::{EventKind, Phase, QueryTrace};
 use bwd_sched::lifecycle::{State, LEGAL};
 use bwd_sched::{SchedConfig, Scheduler, Session, SubmitOptions, Ticket};
@@ -219,23 +218,6 @@ const CASES: &[Case] = &[
             let q = ctx.gen.short();
             let got = ctx.submit(&ctx.subject, &q, Default::default()).wait();
             assert_eq!(got.unwrap().rows, ctx.gen.reference(&q).unwrap().rows);
-        },
-    },
-    Case {
-        name: "over a caller-set budget",
-        // Not the scheduler's budget to inflate: no requeue, the query's
-        // own error.
-        expect: &[Queued, Placed, Admitted, Running, Failed],
-        faults: FaultPlan::disabled,
-        config: NO_CONFIG,
-        drive: |ctx| {
-            let q = ctx.gen.short();
-            let tight = ExecMode::ApproxRefineWith(ArExecOptions {
-                device_budget: Some(1),
-                ..ArExecOptions::default()
-            });
-            let err = ctx.subject.submit(q.plan, tight).wait().unwrap_err();
-            assert!(matches!(err, BwdError::DeviceOutOfMemory { .. }), "{err}");
         },
     },
     Case {

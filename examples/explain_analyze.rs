@@ -11,7 +11,7 @@
 //! ```
 
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
-use waste_not::engine::{ArExecOptions, ExecMode};
+use waste_not::engine::ExecMode;
 use waste_not::obs::chrome::chrome_trace;
 use waste_not::sched::{SchedConfig, SubmitOptions};
 use waste_not::storage::Column;
@@ -56,17 +56,18 @@ fn main() -> Result<()> {
     let server = db.serve_with(SchedConfig {
         workers: 2,
         tracing: true,
+        max_morsels: 4,
         ..SchedConfig::default()
     });
     let session = server.session();
     let (result, report, trace) = session
         .submit_with(
             ar,
-            ExecMode::ApproxRefineWith(ArExecOptions {
-                morsels: 4,
-                ..Default::default()
-            }),
-            SubmitOptions::default(),
+            ExecMode::ApproxRefine,
+            SubmitOptions {
+                host_threads: Some(4),
+                ..SubmitOptions::default()
+            },
         )
         .wait_traced()?;
 

@@ -8,7 +8,7 @@
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate, ScalarExpr as E};
 use waste_not::core::plan::{ArPlan, BinOp};
 use waste_not::data::{gen_lineitem, gen_part, micro, TpchConfig};
-use waste_not::engine::{ArExecOptions, Database, ExecMode};
+use waste_not::engine::{Database, ExecMode};
 use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::storage::Column;
 use waste_not::Value;
@@ -17,24 +17,12 @@ const MORSELS: [usize; 5] = [1, 2, 3, 8, 64];
 
 fn assert_bit_identical(db: &Database, plan: &ArPlan, what: &str) {
     let serial = db
-        .run_bound(
-            plan,
-            ExecMode::ApproxRefineWith(ArExecOptions {
-                morsels: 1,
-                ..Default::default()
-            }),
-        )
+        .run_bound_in(plan, ExecMode::ApproxRefine, db.env(), 1, None)
         .unwrap();
     assert!(!serial.rows.is_empty(), "{what}: degenerate plan");
     for m in MORSELS {
         let parallel = db
-            .run_bound(
-                plan,
-                ExecMode::ApproxRefineWith(ArExecOptions {
-                    morsels: m,
-                    ..Default::default()
-                }),
-            )
+            .run_bound_in(plan, ExecMode::ApproxRefine, db.env(), m, None)
             .unwrap();
         assert_eq!(serial.rows, parallel.rows, "{what}: rows @ morsels={m}");
         assert_eq!(

@@ -387,13 +387,12 @@ mod split_sweep {
                 .aggregate(if grouped { vec!["g".into()] } else { vec![] }, aggs);
             let plan = db.bind(&logical, &RewriteOptions::default()).unwrap();
             // Several scan blocks, so candidates come out block-scrambled.
-            let opts = |candidates, morsels| ArExecOptions {
+            let opts = |candidates, morsels| (ArExecOptions {
                 scan: ScanOptions { block_size: 4096, preserve_order: false },
                 candidates,
-                morsels,
                 ..ArExecOptions::default()
-            };
-            let run = |o| db.run_bound(&plan, ExecMode::ApproxRefineWith(o)).unwrap();
+            }, morsels);
+            let run = |(o, m)| db.run_bound_in(&plan, ExecMode::ApproxRefineWith(o), db.env(), m, None).unwrap();
             let classic = db.run_bound(&plan, ExecMode::Classic).unwrap();
             let serial = run(opts(CandidateRep::Auto, 1));
             let rep = [CandidateRep::Auto, CandidateRep::Indices, CandidateRep::Bitmap][rep];

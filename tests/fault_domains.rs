@@ -16,7 +16,8 @@
 //! * **Cancellation and deadlines** — a running query cancelled through
 //!   its [`Ticket`] stops at the next morsel-boundary yield point and
 //!   releases its device reservation; a zero-budget deadline resolves as
-//!   a typed error without ever executing.
+//!   a typed error without ever executing, and one past the clock's range
+//!   never expires.
 //!   Both are also observed *inside* the query tail, between two 32 k-row
 //!   slices of the group/aggregate stage, and so is an injected exec
 //!   fault; a hook that lets the query through is polled once per slice
@@ -264,6 +265,7 @@ fn an_over_budget_job_asks_the_next_card_for_the_worst_case() {
         SchedConfig {
             workers: 1,
             safety_factor,
+            tracing: true,
             ..SchedConfig::default()
         },
     );
@@ -281,13 +283,9 @@ fn an_over_budget_job_asks_the_next_card_for_the_worst_case() {
             .build(),
     );
 
-    let traced = SubmitOptions {
-        trace: Some(true),
-        ..SubmitOptions::default()
-    };
     let ticket = sched
         .session()
-        .submit_with(probe.plan.clone(), probe.mode.clone(), traced);
+        .submit(probe.plan.clone(), probe.mode.clone());
     let (got, _, trace) = ticket.wait_traced().unwrap();
     assert_bit_identical(&got, &gen.reference(&probe).unwrap(), "failed over");
 
@@ -437,7 +435,9 @@ fn cancel_and_exec_fault_stop_a_query_between_tail_slices() {
                 _ => Ok(()),
             }
         }));
-        let err = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap_err();
+        let err = db
+            .run_bound_in(&plan, mode.clone(), &env, 1, None)
+            .unwrap_err();
         assert!(matches!(err, BwdError::Cancelled), "{mode:?}: got {err}");
         assert_eq!(
             seen.load(Ordering::Relaxed),
@@ -454,12 +454,14 @@ fn cancel_and_exec_fault_stop_a_query_between_tail_slices() {
         };
         let mut env = db.env().clone();
         env.fault = FaultPlan::seeded(7).site(FaultSite::Exec, spec).build();
-        let err = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap_err();
+        let err = db
+            .run_bound_in(&plan, mode.clone(), &env, 1, None)
+            .unwrap_err();
         assert!(matches!(err, BwdError::DeviceFault(_)), "{mode:?}: {err}");
         assert_eq!(env.fault.draws(FaultSite::Exec), draws + 3, "{mode:?}");
         assert_eq!(env.fault.injected(FaultSite::Exec), 1);
         // Its one fault spent, the same plan lets the query through.
-        let after = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap();
+        let after = db.run_bound_in(&plan, mode.clone(), &env, 1, None).unwrap();
         assert_bit_identical(&after, &plain, &format!("{mode:?} after the fault"));
     }
 }
@@ -482,7 +484,7 @@ fn the_tail_polls_once_per_slice_and_an_ok_hook_changes_nothing() {
                 Ok(())
             }
         }));
-        let got = db.run_bound_in(&plan, mode.clone(), &env, 1).unwrap();
+        let got = db.run_bound_in(&plan, mode.clone(), &env, 1, None).unwrap();
         assert_eq!(
             polls.load(Ordering::Relaxed),
             lead + 6,
@@ -527,6 +529,31 @@ fn expired_deadline_resolves_typed_error_without_running() {
     assert_eq!(stats.devices[0].queries, 0, "the query must never run");
     let m = sched.metrics_snapshot();
     assert_eq!(metric(&m, "bwd_sched_cancelled_total"), 1);
+}
+
+/// A deadline too far away for an `Instant` to represent never expires:
+/// the submission neither panics nor times out, and the rows are the
+/// unbounded run's.
+#[test]
+fn a_deadline_past_the_clock_never_expires() {
+    let (db, ar) = big_db(100_000);
+    let want = db.run_bound(&ar, ExecMode::ApproxRefine).unwrap();
+    let sched = Scheduler::new(
+        Arc::clone(&db),
+        SchedConfig {
+            workers: 1,
+            ..SchedConfig::default()
+        },
+    );
+    let forever = SubmitOptions {
+        deadline: Some(Duration::MAX),
+        ..SubmitOptions::default()
+    };
+    let got = (sched.session())
+        .submit_with(ar, ExecMode::ApproxRefine, forever)
+        .wait()
+        .unwrap();
+    assert_bit_identical(&got, &want, "a Duration::MAX deadline");
 }
 
 /// An injected executor panic becomes a per-query error; the admission

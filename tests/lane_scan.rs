@@ -27,16 +27,15 @@ const REPS: [CandidateRep; 3] = [
 /// bit-identical.
 fn assert_sweep_bit_identical(db: &Database, plan: &ArPlan, what: &str) {
     let env = db.env().clone();
-    let opts = |rep, morsels| ArExecOptions {
+    let opts = |rep| ArExecOptions {
         candidates: rep,
-        morsels,
         ..Default::default()
     };
-    let baseline = run_ar_in(db, plan, &opts(CandidateRep::Indices, 1), &env).unwrap();
+    let baseline = run_ar_in(db, plan, &opts(CandidateRep::Indices), &env, 1).unwrap();
     assert!(!baseline.rows.is_empty(), "{what}: degenerate plan");
     for rep in REPS {
         for m in MORSELS {
-            let r = run_ar_in(db, plan, &opts(rep, m), &env).unwrap();
+            let r = run_ar_in(db, plan, &opts(rep), &env, m).unwrap();
             let cell = format!("{what} @ {rep:?} morsels={m}");
             assert_eq!(baseline.rows, r.rows, "{cell}: rows");
             assert_eq!(baseline.survivors, r.survivors, "{cell}: survivors");

@@ -34,10 +34,9 @@ fn run(
 ) -> waste_not::engine::QueryResult {
     let opts = ArExecOptions {
         candidates: rep,
-        morsels,
         ..Default::default()
     };
-    run_ar_in(db, plan, &opts, db.env()).unwrap()
+    run_ar_in(db, plan, &opts, db.env(), morsels).unwrap()
 }
 
 /// Every (representation, morsels) cell against the serial index run.

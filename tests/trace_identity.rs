@@ -61,6 +61,7 @@ fn run_one(
             workers: 1,
             aging_threshold,
             tracing,
+            max_morsels: 2,
             ..SchedConfig::default()
         },
     );
@@ -70,10 +71,12 @@ fn run_one(
             plan.clone(),
             ExecMode::ApproxRefineWith(ArExecOptions {
                 candidates: rep,
-                morsels: 2,
                 ..Default::default()
             }),
-            SubmitOptions::default(),
+            SubmitOptions {
+                host_threads: Some(2),
+                ..SubmitOptions::default()
+            },
         )
         .wait_report()
         .unwrap();

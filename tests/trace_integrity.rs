@@ -3,9 +3,8 @@
 //! ends, parents begin before their children, per-worker sequence
 //! numbers are strictly monotone, the exec span's phases account for its
 //! wall — a two-worker batch exports as valid Chrome `trace_event` JSON,
-//! ring-buffer overflow is reported on the captured trace, never silently
-//! swallowed, a traced Q6 shows the selection order each pipe ran and a
-//! traced Q1 the fold.
+//! the exec span records the morsel count that ran, a traced Q6 shows
+//! the selection order each pipe ran and a traced Q1 the fold.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -173,6 +172,7 @@ proptest! {
             SchedConfig {
                 workers: 2,
                 tracing: true,
+                max_morsels: morsels,
                 ..SchedConfig::default()
             },
         );
@@ -181,11 +181,11 @@ proptest! {
             .map(|_| {
                 session.submit_with(
                     plan.clone(),
-                    ExecMode::ApproxRefineWith(ArExecOptions {
-                        morsels,
-                        ..Default::default()
-                    }),
-                    SubmitOptions::default(),
+                    ExecMode::ApproxRefine,
+                    SubmitOptions {
+                        host_threads: Some(morsels as u32),
+                        ..SubmitOptions::default()
+                    },
                 )
             })
             .collect();
@@ -337,39 +337,42 @@ fn a_traced_q1_shows_the_fold_in_both_pipes() {
     assert_eq!(rows[0], rows[1], "A&R rows = Classic rows");
 }
 
-/// A deliberately tiny ring overflows on a real query — and the capture
-/// reports the drop count instead of failing or silently truncating.
+/// The `exec` span records the morsel count a job ran with, whatever its
+/// mode's options: 4 host threads under a cap of 4 fan the approximate
+/// selection out over 4 partitions, for plain A&R and for A&R that also
+/// captures the approximate answer.
 #[test]
-fn ring_overflow_is_reported_not_silent() {
-    let (db, plan) = served_db(30_000, 24);
+fn the_exec_span_records_the_morsels_that_ran() {
+    let (db, plan) = served_db(200_000, 24);
     let sched = Scheduler::new(
         db,
         SchedConfig {
             workers: 1,
             tracing: true,
-            trace_ring_capacity: 4,
+            max_morsels: 4,
             ..SchedConfig::default()
         },
     );
-    let (result, _report, trace) = sched
-        .session()
-        .submit_with(
-            plan,
-            ExecMode::ApproxRefineWith(ArExecOptions {
-                morsels: 8,
-                ..Default::default()
-            }),
-            SubmitOptions::default(),
-        )
-        .wait_traced()
-        .unwrap();
-    assert!(!result.rows.is_empty());
-    assert!(
-        trace.dropped > 0,
-        "a 4-slot ring must overflow on this query"
-    );
-    // Overflowed traces still validate (pairing checks are relaxed; the
-    // loss is surfaced, not hidden) and still render.
-    trace.validate().expect("overflowed trace validates");
-    assert!(trace.explain().contains("WARNING"), "{}", trace.explain());
+    let four = SubmitOptions {
+        host_threads: Some(4),
+        ..SubmitOptions::default()
+    };
+    let with_answer = ExecMode::ApproxRefineWith(ArExecOptions {
+        approximate_answer: true,
+        ..Default::default()
+    });
+    for mode in [ExecMode::ApproxRefine, with_answer] {
+        let ticket = sched
+            .session()
+            .submit_with(plan.clone(), mode.clone(), four);
+        let (_result, _report, trace) = ticket.wait_traced().unwrap();
+        let begins = || (trace.events.iter()).filter(|e| e.phase == Phase::Begin);
+        let exec = begins().find(|e| e.kind == EventKind::Exec).unwrap();
+        let parts: std::collections::BTreeSet<u64> = begins()
+            .filter(|e| e.kind == EventKind::Morsel)
+            .map(|e| e.b)
+            .collect();
+        assert_eq!(exec.a, parts.len() as u64, "{mode:?}: parts {parts:?}");
+        assert_eq!(exec.a, 4, "{mode:?}");
+    }
 }
