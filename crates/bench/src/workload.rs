@@ -40,12 +40,12 @@ pub struct WorkloadSpec {
     /// Rows in the probe table (`small`) that short A&R queries hit.
     pub short_rows: usize,
     /// Payload domain: values are `0..domain`, uniformly laid out, so the
-    /// binder's min/max selectivity hints are accurate by construction.
+    /// bill's min/max keep shares are accurate by construction.
     pub domain: i32,
     /// Distinct group keys in the `b` columns.
     pub groups: i32,
     /// Width of a short probe's range as a fraction of the domain (the
-    /// hinted selectivity of a short query).
+    /// predicted selectivity of a short query).
     pub probe_fraction: f64,
 }
 
@@ -215,7 +215,7 @@ impl WorkloadGen {
     /// the bulk table (the head-of-line blocker).
     pub fn long(&mut self) -> QuerySpec {
         // 90–100% of the domain survives: a genuine bulk scan whose
-        // hinted selectivity keeps its latency estimate large.
+        // predicted selectivity keeps its latency estimate large.
         let lo = self.rng.below((self.spec.domain as u64 / 10).max(1)) as i64;
         let plan = LogicalPlan::scan("big")
             .filter(Predicate::Between {
@@ -380,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn specs_execute_and_probe_hints_are_selective() {
+    fn specs_execute_and_probes_are_selective() {
         let mut gen = WorkloadGen::new(
             1,
             WorkloadSpec {
@@ -392,16 +392,18 @@ mod tests {
         .unwrap();
         let short = gen.short();
         let long = gen.long();
-        assert!(short.plan.selections[0].selectivity_hint.unwrap() < 0.05);
-        assert!(long.plan.selections[0].selectivity_hint.unwrap() > 0.5);
+        let footprint = |q: &QuerySpec| bwd_sched::PlanFootprint::of(gen.db(), &q.plan, &q.mode, 1);
+        let (fs, fl) = (footprint(&short), footprint(&long));
+        let kept = |c: &bwd_engine::Counts| c.survivors as f64 / c.rows as f64;
+        assert!(kept(&fs.counts) < 0.05);
+        assert!(kept(&fl.counts) > 0.5);
         let s = gen.reference(&short).unwrap();
         let l = gen.reference(&long).unwrap();
         assert_eq!(s.rows.len(), 1);
         assert!(!l.rows.is_empty());
         // The generated pair is genuinely short-vs-long under the cost
         // model the queue sorts by.
-        let es = bwd_sched::PlanFootprint::of(gen.db(), &short.plan, &short.mode, 1).latency();
-        let el = bwd_sched::PlanFootprint::of(gen.db(), &long.plan, &long.mode, 1).latency();
+        let (es, el) = (fs.latency(), fl.latency());
         assert!(
             el.total() > 10.0 * es.total(),
             "long {el:?} vs short {es:?}"

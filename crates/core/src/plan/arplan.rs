@@ -20,9 +20,6 @@ pub struct BoundSelection {
     pub column: String,
     /// Inclusive payload range.
     pub range: RangePred,
-    /// Optional selectivity hint in `[0, 1]`: the share of rows the exact
-    /// predicate keeps, as the catalog's statistics predict it.
-    pub selectivity_hint: Option<f64>,
 }
 
 /// `(table, column)` of a plan's column reference: dimension columns are
@@ -131,16 +128,6 @@ impl ArPlan {
     /// refinement steps (§III-A). The plan structure enforces
     /// this by construction; this check exists for tests and debugging.
     pub fn validate(&self) -> Result<(), String> {
-        for s in &self.selections {
-            if let Some(h) = s.selectivity_hint {
-                if !(0.0..=1.0).contains(&h) {
-                    return Err(format!(
-                        "selectivity hint {h} for {} outside [0,1]",
-                        s.column
-                    ));
-                }
-            }
-        }
         if self.aggs.is_empty() && self.project.is_empty() {
             return Err("plan produces no output".into());
         }
@@ -181,23 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_catches_bad_hints() {
-        let mut p = minimal_plan();
-        p.selections.push(BoundSelection {
-            column: "a".into(),
-            range: RangePred::all(),
-            selectivity_hint: Some(2.0),
-        });
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
     fn referenced_columns_dedup() {
         let mut p = minimal_plan();
         p.selections.push(BoundSelection {
             column: "a".into(),
             range: RangePred::all(),
-            selectivity_hint: None,
         });
         p.group_by.push("a".into());
         p.aggs.push(AggExpr {

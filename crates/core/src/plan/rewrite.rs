@@ -28,12 +28,6 @@ pub trait PlanResolver {
         column: &str,
         prefix: &str,
     ) -> Result<Option<(i64, i64)>>;
-
-    /// Optional share of the rows `range` keeps, in `[0, 1]`: what the
-    /// engine predicts an exact selection keeps.
-    fn selectivity_hint(&self, _table: &str, _column: &str, _range: &RangePred) -> Option<f64> {
-        None
-    }
 }
 
 /// Rewrite options: none. Every A&R plan chains its approximate
@@ -139,12 +133,6 @@ pub fn rewrite(plan: &LogicalPlan, resolver: &dyn PlanResolver) -> Result<ArPlan
 
     let table = table.ok_or_else(|| BwdError::Plan("plan has no table scan".into()))?;
 
-    // Hints are taken on the merged ranges: one per selection that runs.
-    for sel in &mut selections {
-        let (t, c) = split_column(&sel.column, &table);
-        sel.selectivity_hint = resolver.selectivity_hint(t, c, &sel.range);
-    }
-
     let plan = ArPlan {
         table,
         selections,
@@ -185,8 +173,7 @@ const UNSATISFIABLE: RangePred = RangePred {
     exclude: None,
 };
 
-/// Bind one conjunct to its payload range (the hint is taken later, on
-/// the merged range).
+/// Bind one conjunct to its payload range.
 fn bind_selection(
     pred: &Predicate,
     fact_table: &str,
@@ -224,7 +211,6 @@ fn bind_selection(
     Ok(BoundSelection {
         column: column.clone(),
         range,
-        selectivity_hint: None,
     })
 }
 
@@ -264,14 +250,6 @@ mod tests {
                 _ => Ok(None),
             }
         }
-
-        fn selectivity_hint(&self, _t: &str, column: &str, _r: &RangePred) -> Option<f64> {
-            match column {
-                "b" => Some(0.01),
-                "a" => Some(0.5),
-                _ => None,
-            }
-        }
     }
 
     fn count_agg() -> Vec<AggExpr> {
@@ -300,16 +278,16 @@ mod tests {
             .aggregate(vec![], count_agg());
         let ar = rewrite(&plan, &TestResolver).unwrap();
         assert_eq!(ar.table, "t");
-        // Bound in query order with their hints; the engine orders the
-        // chain (its `bill.rs` tests hold the laws of that order).
+        // Bound in query order; the engine orders the chain (its
+        // `bill.rs` tests hold the laws of that order).
         let bound: Vec<_> = (ar.selections.iter())
-            .map(|s| (s.column.as_str(), s.range, s.selectivity_hint))
+            .map(|s| (s.column.as_str(), s.range))
             .collect();
         assert_eq!(
             bound,
             [
-                ("a", RangePred::at_least(11), Some(0.5)),
-                ("b", RangePred::between(0, 5), Some(0.01)),
+                ("a", RangePred::at_least(11)),
+                ("b", RangePred::between(0, 5)),
             ]
         );
     }
@@ -377,38 +355,6 @@ mod tests {
         };
         assert_eq!(sels[0].range, want);
         assert_eq!(sels[1].range, RangePred::from_cmp(CmpOp::Ne, 7).unwrap());
-    }
-
-    #[test]
-    fn hints_are_taken_once_on_the_merged_range() {
-        struct Counting(std::cell::RefCell<Vec<RangePred>>);
-        impl PlanResolver for Counting {
-            fn payload_of(&self, t: &str, c: &str, v: &Value) -> Result<i64> {
-                TestResolver.payload_of(t, c, v)
-            }
-            fn prefix_payload_range(
-                &self,
-                _: &str,
-                _: &str,
-                _: &str,
-            ) -> Result<Option<(i64, i64)>> {
-                Ok(None)
-            }
-            fn selectivity_hint(&self, _: &str, _: &str, r: &RangePred) -> Option<f64> {
-                self.0.borrow_mut().push(*r);
-                Some(0.25)
-            }
-        }
-        let plan = LogicalPlan::scan("t")
-            .filter(Predicate::And(vec![
-                cmp("c", CmpOp::Ge, 10),
-                cmp("c", CmpOp::Lt, 20),
-            ]))
-            .aggregate(vec![], count_agg());
-        let resolver = Counting(Default::default());
-        let ar = rewrite(&plan, &resolver).unwrap();
-        assert_eq!(*resolver.0.borrow(), vec![RangePred::between(10, 19)]);
-        assert_eq!(ar.selections[0].selectivity_hint, Some(0.25));
     }
 
     #[test]

@@ -48,6 +48,16 @@ impl Xoshiro {
         lo + self.below((hi - lo + 1) as u64) as i64
     }
 
+    /// Take `ahead`'s state where `take`, keep this one elsewhere: a
+    /// select per state word, no branch.
+    #[inline]
+    pub(crate) fn take_if(&mut self, take: bool, ahead: &Xoshiro) {
+        let mask = (take as u64).wrapping_neg();
+        for (s, a) in self.s.iter_mut().zip(ahead.s) {
+            *s ^= (*s ^ a) & mask;
+        }
+    }
+
     /// Uniform float in `[0, 1)`.
     #[inline]
     pub fn unit_f64(&mut self) -> f64 {

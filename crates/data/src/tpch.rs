@@ -157,9 +157,15 @@ fn line(rng: &mut Xoshiro, parts: u64, days: [i64; 2]) -> (i32, i8, i32, i8, i8,
     let tax = rng.range_i64(0, 8) as i8;
     let ship = epoch + rng.range_i64(0, SHIPDATE_DAYS - 1);
     // Codes into `RETURNFLAGS` and `LINESTATUSES`: "A" or "R" and "F" by
-    // the current date, "N" and "O" after it.
-    let (rflag, lstatus) = match ship <= currentdate {
-        true => (rng.below(2) as i8, 0),
+    // the current date, "N" and "O" after it. Only a shipped row draws its
+    // flag, from a copy of the generator that the row keeps where it
+    // shipped: half the rows ship, so a branch would miss on every other.
+    let shipped = ship <= currentdate;
+    let mut ahead = rng.clone();
+    let flag = ahead.below(2) as i8;
+    rng.take_if(shipped, &ahead);
+    let (rflag, lstatus) = match shipped {
+        true => (flag, 0),
         false => (2, 1),
     };
     let (pk, qty, ship) = (pk as i32, qty as i8, ship as i16);

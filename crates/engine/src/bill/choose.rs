@@ -16,7 +16,7 @@ use bwd_kernels::reduce::ACCUMULATOR_BYTES;
 use std::borrow::Cow;
 
 /// Chains up to this long try every order of their selections (6! = 720);
-/// longer ones run their hints ascending.
+/// longer ones run their predicted keep shares ascending.
 const PRICED_CHAIN: usize = 6;
 
 /// The plan a run of `plan` in `mode` on `env` executes: the one its own
@@ -26,10 +26,10 @@ const PRICED_CHAIN: usize = 6;
 ///
 /// The space is orders × folds. The orders: every permutation of a chain
 /// of at most `PRICED_CHAIN` selections, in lexicographic order from the
-/// plan's own; the hints ascending past that. Each order runs plain, then
-/// folding its co-factors where it has any — a fold the plan carries is
-/// decided afresh. Each pipe pays its own way: A&R by what the granules
-/// admit, Classic by the width it fetches. A candidate's
+/// plan's own; their predicted keep shares ascending past that. Each
+/// order runs plain, then folding its co-factors where it has any — a fold
+/// the plan carries is decided afresh. Each pipe pays its own way: A&R by
+/// what the granules admit, Classic by the width it fetches. A candidate's
 /// price is its bill over the counts [`Shape::predict`] predicts for it,
 /// and the earliest strict minimum wins, so a chosen plan chooses itself.
 /// A lone candidate is not priced, and one that does not resolve is passed
@@ -52,8 +52,10 @@ pub(crate) fn cheapest<'p>(
     let own: Vec<usize> = (0..sels.len()).collect();
     let mut orders = vec![own.clone()];
     if sels.len() > PRICED_CHAIN {
-        let hint = |&i: &usize| sels[i].selectivity_hint.unwrap_or(f64::INFINITY);
-        orders[0].sort_by(|a, b| hint(a).total_cmp(&hint(b)));
+        if let Ok(shape) = Shape::resolve(db, plan, mode, env) {
+            let share = |&i: &usize| shape.keep(i).unwrap_or(f64::INFINITY);
+            orders[0].sort_by(|a, b| share(a).total_cmp(&share(b)));
+        }
     } else {
         let mut perm = own.clone();
         while next_permutation(&mut perm) {
@@ -276,7 +278,7 @@ mod tests {
     /// ([`the_pick_is_the_cheapest`]); choosing for the chosen plan returns
     /// it, borrowed — and in each pipe some chain's bound plan is not the
     /// cheapest. A plan with one selection comes back borrowed; a chain past
-    /// [`PRICED_CHAIN`] runs its hints in ascending order.
+    /// [`PRICED_CHAIN`] runs its predicted keep shares in ascending order.
     #[test]
     fn the_chain_order_laws() {
         use {AggFunc::*, BinOp::*};
@@ -355,10 +357,10 @@ mod tests {
             assert!(matches!(ordered, Cow::Borrowed(p) if std::ptr::eq(p, &plan)));
         }
         let plan = bind(&seven).unwrap();
-        let hints: Vec<f64> = (order(db, &plan, &modes[1], env).selections.iter())
-            .map(|s| s.selectivity_hint.unwrap())
-            .collect();
-        assert!(hints.windows(2).all(|w| w[0] <= w[1]), "{hints:?}");
+        let ordered = order(db, &plan, &modes[1], env);
+        let shape = Shape::resolve(db, &ordered, &modes[1], env).unwrap();
+        let shares: Vec<f64> = (0..7).map(|i| shape.keep(i).unwrap()).collect();
+        assert!(shares.windows(2).all(|w| w[0] <= w[1]), "{shares:?}");
         assert_eq!(plan.selections.len(), 7);
     }
 

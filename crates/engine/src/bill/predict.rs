@@ -1,6 +1,6 @@
-//! What a plan's statistics predict a run of it counts: the [`Counts`] the
+//! What a plan's columns predict a run of it counts: the [`Counts`] the
 //! scheduler's footprint bills, and the chooser prices each candidate plan
-//! by ([`super::order`]).
+//! by ([`super::order`]). The one place a count is predicted.
 
 use super::{ColRef, Counts, Grouping, RefineCounts, Shape};
 use bwd_core::plan::ArPlan;
@@ -33,28 +33,23 @@ impl<'a> Shape<'a> {
         Some((admitted / c.domain(), decided / c.domain()))
     }
 
-    /// How many refinements a run with counts `c` records.
-    pub fn refinements(&self, c: &Counts) -> usize {
-        match self {
-            Shape::Classic(_) => 0,
-            Shape::Ar(s) => s.refine_order(c).len(),
+    /// The share of the rows selection `i`'s exact predicate keeps,
+    /// payloads uniform between its column's extrema: the range clamped to
+    /// them, counted in `f64` (a domain spanning `i64` overflows no width),
+    /// 0 where it misses them; `None` for an empty column.
+    pub(crate) fn keep(&self, i: usize) -> Option<f64> {
+        let col = match self {
+            Shape::Classic(s) => s.sels[i].0,
+            Shape::Ar(s) => s.sels[i].0.plain,
+        };
+        let (min, max) = col.payload_min_max()?;
+        let range = &self.plan_rows().0.selections[i].range;
+        let lo = range.lo.unwrap_or(min).max(min);
+        let hi = range.hi.unwrap_or(max).min(max);
+        if hi < lo {
+            return Some(0.0);
         }
-    }
-
-    /// Upper bound on the groups a device grouping or a fold's table can
-    /// find: the product of its key columns' domains (0 without either). A
-    /// slot-addressed table's slots are exact from the shape; how many of
-    /// them the data occupies is still this prediction.
-    pub fn key_domain(&self) -> f64 {
-        match self {
-            Shape::Ar(s) if s.grouping != Grouping::None || !s.plan.fold.is_empty() => {
-                s.group_cols.iter().map(ColRef::domain).product()
-            }
-            Shape::Classic(s) if !s.plan.fold.is_empty() => {
-                s.keys.iter().map(|c| domain(c)).product()
-            }
-            _ => 0.0,
-        }
+        Some((((hi as f64 - lo as f64) + 1.0) / domain(col)).clamp(0.0, 1.0))
     }
 
     /// The plan this shape was resolved from, and its fact table's rows.
@@ -65,12 +60,13 @@ impl<'a> Shape<'a> {
         }
     }
 
-    /// The counts the plan's statistics predict. Per selection the relaxed
+    /// The counts the plan's columns predict. Per selection the relaxed
     /// interval's share of the column's domain is what the approximation
-    /// *admits*, its inner interval's what it *decides*, and the binder's
-    /// hint what the exact predicate keeps (no hint: whatever is admitted);
-    /// shares multiply along the chain as independent. Groups are bounded by
-    /// the key columns' domains (the slots of a table the packed key
+    /// *admits*, its inner interval's what it *decides*, and its range's
+    /// keep share what the exact predicate keeps (an empty column: what is
+    /// admitted); shares multiply along the chain as independent. The groups
+    /// a device grouping or a fold's table finds are bounded by the product
+    /// of the key columns' domains (the slots of a table the packed key
     /// addresses are exact from the shape; only how many of them the data
     /// occupies is predicted here); a refinement chain shrinks evenly from
     /// the undecided candidates to the ones that survive.
@@ -83,17 +79,29 @@ impl<'a> Shape<'a> {
             dense: plan.selections.is_empty(),
             ..Counts::default()
         };
-        for (i, sel) in plan.selections.iter().enumerate() {
-            let hint = sel.selectivity_hint.map(|h| h.clamp(0.0, 1.0));
-            let exact_only = (hint.unwrap_or(1.0), hint.unwrap_or(1.0));
+        for i in 0..plan.selections.len() {
+            let share = self.keep(i);
+            let exact_only = (share.unwrap_or(1.0), share.unwrap_or(1.0));
             let (admit, decide) = self.shares(i).unwrap_or(exact_only);
-            let keep = hint.unwrap_or(admit).clamp(decide.min(admit), admit);
+            let keep = share.unwrap_or(admit).clamp(decide.min(admit), admit);
             (admitted, decided, exact) = (admitted * admit, decided * decide, exact * keep);
             c.steps.push(n(admitted));
         }
         (c.undecided, c.survivors) = (n(admitted) - n(decided), n(exact));
-        c.groups = self.key_domain().min(c.candidates() as f64) as u64;
-        let steps = self.refinements(&c) as u64;
+        let key_domain = match self {
+            Shape::Ar(s) if s.grouping != Grouping::None || !s.plan.fold.is_empty() => {
+                s.group_cols.iter().map(ColRef::domain).product()
+            }
+            Shape::Classic(s) if !s.plan.fold.is_empty() => {
+                s.keys.iter().map(|c| domain(c)).product()
+            }
+            _ => 0.0,
+        };
+        c.groups = key_domain.min(c.candidates() as f64) as u64;
+        let steps = match self {
+            Shape::Classic(_) => 0,
+            Shape::Ar(s) => s.refine_order(&c).len() as u64,
+        };
         let dropped = c.undecided - c.refined().min(c.undecided);
         let live = |k: u64| c.undecided - dropped * k / steps;
         let shrink = |k| RefineCounts {

@@ -377,7 +377,6 @@ pub(crate) mod tests {
             vec![BoundSelection {
                 column: "a".into(),
                 range: RangePred::between(10, 19),
-                selectivity_hint: None,
             }],
             vec![],
         );
@@ -454,7 +453,6 @@ pub(crate) mod tests {
         let sel = |column: &str, range| BoundSelection {
             column: column.into(),
             range,
-            selectivity_hint: None,
         };
         let not_five = RangePred {
             exclude: Some(5),

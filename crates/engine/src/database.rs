@@ -13,7 +13,7 @@ use crate::result::QueryResult;
 use crate::tail::SLICE_ROWS;
 use bwd_core::ops::join::FkIndex;
 use bwd_core::plan::{rewrite, ArPlan, LogicalPlan, PlanResolver, RewriteOptions};
-use bwd_core::{BoundColumn, RangePred};
+use bwd_core::BoundColumn;
 use bwd_device::{units::packed_stream_bytes, CostLedger, DeviceBuffer, Env};
 use bwd_storage::{Column, DecomposedColumn, DecompositionMeta, DecompositionSpec};
 use bwd_types::{BwdError, FxHashMap, Result, Value};
@@ -408,20 +408,6 @@ impl PlanResolver for Resolver<'_> {
             .prefix_code_range(prefix)
             .map(|(lo, hi)| (lo as i64, hi as i64)))
     }
-
-    fn selectivity_hint(&self, table: &str, column: &str, range: &RangePred) -> Option<f64> {
-        // Uniform-domain estimate from the column's min/max statistics,
-        // counted in `f64`: a domain spanning `i64` overflows no width.
-        let col = self.db.catalog.table(table).ok()?.column(column).ok()?;
-        let (min, max) = col.payload_min_max()?;
-        let values = |lo: i64, hi: i64| (hi as f64 - lo as f64) + 1.0;
-        let lo = range.lo.unwrap_or(min).max(min);
-        let hi = range.hi.unwrap_or(max).min(max);
-        if hi < lo {
-            return Some(0.0);
-        }
-        Some((values(lo, hi) / values(min, max)).clamp(0.0, 1.0))
-    }
 }
 
 #[cfg(test)]
@@ -474,10 +460,23 @@ mod tests {
         assert_eq!(classic.rows[0][0], Value::Int(400));
     }
 
-    /// A column spanning all of `i64` overflows no hint: `a >= 0` keeps
+    /// The share of the rows selection 0 of `plan` is predicted to keep,
+    /// in either pipe (they agree).
+    fn predicted_keep(db: &Database, plan: &LogicalPlan) -> f64 {
+        let bound = db.bind(plan, &RewriteOptions::default()).unwrap();
+        let modes = [ExecMode::Classic, ExecMode::ApproxRefine];
+        let shares = modes.map(|mode| {
+            let shape = bill::Shape::resolve(db, &bound, &mode, db.env()).unwrap();
+            shape.keep(0).unwrap()
+        });
+        assert_eq!(shares[0].to_bits(), shares[1].to_bits());
+        shares[0]
+    }
+
+    /// A column spanning all of `i64` overflows no share: `a >= 0` keeps
     /// half the domain, and two of the three rows in either pipe.
     #[test]
-    fn a_full_range_column_binds_a_finite_hint() {
+    fn a_full_range_column_predicts_a_finite_share() {
         let mut db = Database::new();
         let a = Column::from_i64(vec![i64::MIN, 0, i64::MAX]);
         db.create_table("w", vec![("a".into(), a)]).unwrap();
@@ -495,12 +494,38 @@ mod tests {
                     alias: "n".into(),
                 }],
             );
-        let bound = db.bind(&plan, &RewriteOptions::default()).unwrap();
-        assert_eq!(bound.selections[0].selectivity_hint, Some(0.5));
         for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
             let r = db.run(&plan, mode.clone()).unwrap();
             assert_eq!(r.rows[0][0], Value::Int(2), "{mode:?}");
         }
+        assert_eq!(predicted_keep(&db, &plan), 0.5);
+    }
+
+    /// Conjuncts on one column are predicted on their merged range: `a > 10
+    /// and a < 20` keeps what `a between 11 and 19` keeps, 9 of 10 000
+    /// payloads.
+    #[test]
+    fn conjuncts_on_one_column_predict_their_merged_range() {
+        let mut db = demo_db();
+        db.bwdecompose("r", "a", 24).unwrap();
+        let cmp = |op, v| Predicate::Cmp {
+            column: "a".into(),
+            op,
+            value: Value::Int(v),
+        };
+        let merged = LogicalPlan::scan("r")
+            .filter(Predicate::And(vec![cmp(CmpOp::Gt, 10), cmp(CmpOp::Lt, 20)]))
+            .aggregate(
+                vec![],
+                vec![AggExpr {
+                    func: AggFunc::Count,
+                    arg: None,
+                    alias: "n".into(),
+                }],
+            );
+        let share = predicted_keep(&db, &merged);
+        assert_eq!(share, predicted_keep(&db, &count_where_a(11, 19)));
+        assert_eq!(share, 9.0 / 10_000.0);
     }
 
     #[test]

@@ -212,7 +212,7 @@ mod tests {
     fn classic_scan_dwarfs_short_ar_probe() {
         let db = db_with(1_000_000);
         let long = latency(&db, &probe(&db, 0, 9_999), &ExecMode::Classic, 1);
-        // 1% hinted selectivity.
+        // 1% predicted selectivity.
         let short = latency(&db, &probe(&db, 0, 99), &AR, 1);
         assert!(long.total() > 10.0 * short.total(), "{long:?} {short:?}");
         assert!(long.host > 0.0 && short.device > 0.0);
@@ -322,7 +322,8 @@ mod tests {
         db.create_table("t", vec![("a".into(), col)]).unwrap();
         db.bwdecompose("t", "a", 32).unwrap();
         let ar = probe(&db, 0, 999);
-        assert!(ar.selections[0].selectivity_hint.is_some());
+        let predicted = PlanFootprint::of(&db, &ar, &AR, 1).counts;
+        assert_eq!(predicted.survivors as f64 / predicted.rows as f64, 0.1);
         (db, ar)
     }
 

@@ -32,8 +32,8 @@
 //!   (queue wait, completion order, estimate vs actual).
 //! * **One walk per plan, one bill**: [`PlanFootprint::of`] resolves the
 //!   plan through the executors' own resolver once, at submission, and
-//!   predicts the counts a run will observe from the binder's selectivity
-//!   hints and the relaxed intervals of the decomposed columns. The
+//!   predicts the counts a run will observe from the columns' extrema
+//!   and the relaxed intervals of the decomposed columns. The
 //!   latency estimate the queue sorts by is the executor's bill
 //!   (`bwd_engine::bill`) over those counts, the admission reservation
 //!   its transient device bytes; this crate prices nothing itself

@@ -40,8 +40,8 @@ impl Session {
     /// Enqueue with per-query overrides.
     ///
     /// The plan is walked once, here ([`PlanFootprint::of`]): the
-    /// submission is stamped with a latency estimate from the plan's
-    /// selectivity hints and the platform cost model, and carries the
+    /// submission is stamped with a latency estimate from the bill's
+    /// predicted counts and the platform cost model, and carries the
     /// footprint its admission reservation is later sized from. The
     /// scheduler's [`crate::PolicyQueue`] runs [`SubmitOptions::priority`]
     /// first, then that estimate, then arrival.

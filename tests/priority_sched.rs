@@ -25,7 +25,7 @@ fn small_spec() -> WorkloadSpec {
         long_rows: 60_000,
         short_rows: 8_000,
         // domain == short_rows: the probe table covers the whole domain,
-        // so every equally-wide probe gets the *same* selectivity hint —
+        // so every equally-wide probe gets the *same* predicted keep share —
         // equal latency estimates, and SJF ties break by arrival order.
         // That makes short-vs-short ordering exactly predictable below.
         domain: 8_000,

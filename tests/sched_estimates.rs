@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use bwd_bench::evaluation::{bind_sql, tpch_db, Q1, Q14, Q6, SPATIAL_QUERY};
 use waste_not::data::{gen_trips, SpatialConfig};
-use waste_not::sched::{PlanFootprint, SubmitOptions};
+use waste_not::engine::{Counts, RefineCounts};
+use waste_not::sched::{PlanFootprint, SubmitOptions, WorkingSetEstimate};
 use waste_not::storage::Column;
 use waste_not::{Database, ExecMode, SchedConfig, Scheduler};
 
@@ -138,4 +139,61 @@ fn uncalibrated_estimates_are_within_2x_of_the_bill() {
         stats.admission_requeues
     );
     assert_eq!(stats.errors, 0);
+}
+
+/// What the footprint predicts, pinned: per statement × mode the
+/// predicted counts — rows, steps, undecided, `(live, kept)` per
+/// refinement, survivors, groups —, the bits of the latency's total and
+/// the reservation at a safety factor of 4 (estimated, worst case). A
+/// change to how a count is predicted moves one of them; a change to
+/// where the prediction is computed must not.
+#[test]
+fn the_predictions_are_pinned() {
+    type Predicted = (u64, &'static [u64], u64, &'static [(u64, u64)], u64, u64);
+    type Pin<'a> = (&'a str, &'a ExecMode, Predicted, u64, (u64, u64));
+    let (c, ar) = (ExecMode::Classic, ExecMode::ApproxRefine);
+    #[rustfmt::skip]
+    let pins: [Pin; 14] = [
+        (Q1, &c, (60_000, &[57_863], 0, &[], 57_863, 594), 0x3f71a2e3de7e3fa0, (785_536, 785_536)),
+        (Q1, &ar, (60_000, &[60_000], 5_273, &[(5_273, 3_136)], 57_863, 594), 0x3f3c51757d283109, (1_988_173, 1_993_036)),
+        (Q6, &c, (60_000, &[8_670, 3_989, 1_088], 0, &[], 1_088, 0), 0x3f305c7f8517700e, (725_392, 2_225_536)),
+        (Q6, &ar, (60_000, &[16_364, 7_528, 2_289], 1_526, &[(1_526, 325)], 1_088, 0), 0x3f1ba5b58fe7f7b2, (1_327_147, 3_193_036)),
+        (Q14, &c, (60_000, &[713], 0, &[], 713, 0), 0x3f2462a562416f4a, (99_760, 785_536)),
+        (Q14, &ar, (60_000, &[6_081], 6_081, &[(6_081, 713)], 713, 0), 0x3f208ebaf66f9026, (428_913, 2_233_036)),
+        (PROBE, &c, (16_000, &[161], 0, &[], 161, 0), 0x3f015143e6f5f300, (73_264, 257_536)),
+        (PROBE, &ar, (16_000, &[161], 1, &[(1, 1)], 161, 0), 0x3ef8725d30b61a86, (73_264, 257_536)),
+        (DENSE_BOX, &c, (50_000, &[269, 3], 0, &[], 3, 0), 0x3f1a8b9eb64b35ee, (78_592, 1_265_536)),
+        (DENSE_BOX, &ar, (50_000, &[272, 3], 0, &[], 3, 0), 0x3f03f45c410400f4, (78_736, 1_265_536)),
+        (SPARSE_BOX, &c, (50_000, &[188, 2], 0, &[], 2, 0), 0x3f1a7208c3a595b1, (74_656, 1_265_536)),
+        (SPARSE_BOX, &ar, (50_000, &[190, 2], 0, &[], 2, 0), 0x3f03f214236f2bcb, (74_752, 1_265_536)),
+        (EMPTY_BOX, &c, (50_000, &[0, 0], 0, &[], 0, 0), 0x3f1a36e2eb1c432d, (65_536, 1_265_536)),
+        (EMPTY_BOX, &ar, (50_000, &[0, 0], 0, &[], 0, 0), 0x3ee92ca0280aa1f4, (65_536, 1_265_536)),
+    ];
+    let db = bench_db();
+    let threads = SubmitOptions::default().effective_host_threads(db.env());
+    for (sql, mode, predicted, total, (estimated, worst_case)) in pins {
+        let (rows, steps, undecided, refines, survivors, groups) = predicted;
+        let refines = refines
+            .iter()
+            .map(|&(live, kept)| RefineCounts { live, kept });
+        let counts = Counts {
+            rows,
+            steps: steps.to_vec(),
+            dense: false,
+            undecided,
+            refines: refines.collect(),
+            survivors,
+            groups,
+        };
+        let plan = bind_sql(&db, sql).unwrap();
+        let footprint = PlanFootprint::of(&db, &plan, mode, threads);
+        assert_eq!(footprint.counts, counts, "{sql} {mode:?}");
+        let got = footprint.latency().total();
+        assert_eq!(got.to_bits(), total, "{sql} {mode:?}: {got}");
+        let reservation = WorkingSetEstimate {
+            estimated,
+            worst_case,
+        };
+        assert_eq!(footprint.reservation(4.0), reservation, "{sql} {mode:?}");
+    }
 }
