@@ -17,7 +17,7 @@ pub struct ApproxAnswer {
 }
 
 /// A fully-refined query result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
     /// Output column names.
     pub columns: Vec<String>,

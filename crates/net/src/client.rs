@@ -15,11 +15,13 @@
 //!   backoff, using the server's `queued`-depth hint to stretch the
 //!   first delays when the queue is deep: at most 8 retries, 1 ms base,
 //!   200 ms cap. Exhaustion surfaces the busy error.
-//! * **Transparent reconnect** — a broken stream (reset, EOF mid-frame)
-//!   tears the transport down and, when a reconnect factory is present
-//!   ([`NetClient::connect_tcp`] installs one), dials again and replays
-//!   the request once. The engine's queries are read-only, so replay is
-//!   idempotent.
+//! * **Transparent reconnect** — a broken stream (an I/O error such as a
+//!   reset, a close before the response, or EOF in the middle of a
+//!   frame) tears the transport down and, when a reconnect factory is
+//!   present ([`NetClient::connect_tcp`] installs one), dials again and
+//!   replays the request once. The engine's queries are read-only, so
+//!   replay is idempotent. A frame that arrives whole but does not decode
+//!   is a protocol error and is not replayed.
 
 use crate::frame::{Frame, FrameDecoder, WireMode};
 use crate::transport::{IoEvent, TcpTransport, Transport};
@@ -126,8 +128,13 @@ impl NetClient {
                 IoEvent::Bytes(n) => self.decoder.feed(&chunk[..n]),
                 IoEvent::WouldBlock => std::thread::yield_now(),
                 IoEvent::Eof => {
-                    self.decoder.finish_eof().map_err(BwdError::from)?;
-                    return Err(BwdError::Exec("net i/o: peer closed".into()));
+                    // A frame cut by EOF is a broken stream, not a protocol
+                    // fault: it reconnects like any other transport failure.
+                    let why = match self.decoder.finish_eof() {
+                        Ok(()) => "peer closed".to_string(),
+                        Err(cut) => cut.to_string(),
+                    };
+                    return Err(BwdError::Exec(format!("net i/o: {why}")));
                 }
             }
         }
@@ -231,15 +238,25 @@ mod tests {
         readable: Vec<u8>,
         read_pos: usize,
         fail_first_write: bool,
+        /// Reads past the scripted bytes return EOF, not `WouldBlock`.
+        eof_when_drained: bool,
     }
 
     impl Scripted {
         fn new(responses: Vec<Frame>, fail_first_write: bool) -> Scripted {
+            Scripted::of_bytes(
+                responses.iter().map(Frame::encode).collect(),
+                fail_first_write,
+            )
+        }
+
+        fn of_bytes(responses: Vec<Vec<u8>>, fail_first_write: bool) -> Scripted {
             Scripted {
-                responses: responses.iter().map(Frame::encode).collect(),
+                responses: responses.into(),
                 readable: Vec::new(),
                 read_pos: 0,
                 fail_first_write,
+                eof_when_drained: false,
             }
         }
     }
@@ -248,7 +265,11 @@ mod tests {
         fn try_read(&mut self, buf: &mut [u8]) -> io::Result<IoEvent> {
             let avail = &self.readable[self.read_pos..];
             if avail.is_empty() {
-                return Ok(IoEvent::WouldBlock);
+                return Ok(if self.eof_when_drained {
+                    IoEvent::Eof
+                } else {
+                    IoEvent::WouldBlock
+                });
             }
             let n = buf.len().min(avail.len());
             buf[..n].copy_from_slice(&avail[..n]);
@@ -312,6 +333,30 @@ mod tests {
         }));
         let err = client.query("select 1", WireMode::Classic).unwrap_err();
         assert!(matches!(err, BwdError::NotFound(_)), "got {err}");
+        assert_eq!(client.reconnects_used(), 1);
+    }
+
+    #[test]
+    fn a_stream_cut_mid_frame_reconnects_and_replays() {
+        let mut cut = Frame::Busy { queued: 1 }.encode();
+        cut.truncate(cut.len() - 2);
+        let mut broken = Scripted::of_bytes(vec![cut], false);
+        broken.eof_when_drained = true;
+        let mut client = NetClient::new(Box::new(broken));
+        client.reconnect = Some(Box::new(|| {
+            Ok(Box::new(Scripted::new(
+                vec![Frame::Error {
+                    error: BwdError::NotFound("replayed".into()),
+                    retryable: false,
+                }],
+                false,
+            )) as Box<dyn Transport>)
+        }));
+        let err = client.query("select 1", WireMode::Classic).unwrap_err();
+        assert!(
+            matches!(&err, BwdError::NotFound(m) if m == "replayed"),
+            "got {err}"
+        );
         assert_eq!(client.reconnects_used(), 1);
     }
 

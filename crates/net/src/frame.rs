@@ -1,12 +1,7 @@
 //! The length-prefixed wire protocol and its incremental decoder.
 //!
-//! ```text
-//!  ┌──────────────┬───────────┬────────────────────┐
-//!  │ len: u32 LE  │ type: u8  │ payload (len−1 B)  │
-//!  └──────────────┴───────────┴────────────────────┘
-//! ```
-//!
-//! `len` covers the type byte plus the payload, so the smallest legal
+//! A frame is a `Header` — `len: u32 LE` (the type byte plus the
+//! payload) and the type byte — then the payload, so the smallest legal
 //! frame is 5 bytes on the wire (`len = 1`, empty payload — [`Frame::Ping`]
 //! and [`Frame::Pong`]). Requests flow client → server
 //! ([`Frame::Query`], [`Frame::RunPlan`], [`Frame::Ping`]); responses flow
@@ -19,27 +14,28 @@
 //! panic, never a read past the frame — and poisons the decoder, because
 //! a stream that lied about one length can never be resynchronized.
 
-use crate::wire::{self, Reader};
+use crate::wire::{tag_of, wire, Coder, Fixed, Reader, Wire, Writer};
 use bwd_engine::{ExecMode, QueryResult};
 use bwd_types::BwdError;
+use std::mem::{offset_of, size_of};
+use std::sync::LazyLock;
 
-/// Frame-type bytes (`0x0x` requests, `0x8x` responses).
-mod frame_type {
-    /// SQL query request.
-    pub const QUERY: u8 = 0x01;
-    /// Registered-plan execution request.
-    pub const RUN_PLAN: u8 = 0x02;
-    /// Liveness probe request.
-    pub const PING: u8 = 0x03;
-    /// Successful query response.
-    pub const RESULT: u8 = 0x81;
-    /// Failed query response.
-    pub const ERROR: u8 = 0x82;
-    /// Load-shed response: retry later.
-    pub const BUSY: u8 = 0x83;
-    /// Liveness probe response.
-    pub const PONG: u8 = 0x84;
+/// A frame's header as it lies on the wire. The decoder's offsets come
+/// from this layout; it is never built.
+#[repr(C)]
+struct Header {
+    /// The type byte plus the payload, in bytes (`u32` LE).
+    len: [u8; 4],
+    /// The frame type: `0x0x` requests, `0x8x` responses.
+    ty: u8,
 }
+
+/// Bytes of the length prefix.
+const LEN_BYTES: usize = offset_of!(Header, ty);
+/// Bytes before the payload.
+const HEADER_BYTES: usize = size_of::<Header>();
+/// The smallest legal `len`: a type byte and an empty payload.
+const MIN_LEN: u32 = (HEADER_BYTES - LEN_BYTES) as u32;
 
 /// Execution mode on the wire (a closed two-value enum, unlike
 /// [`ExecMode`] which can carry engine options).
@@ -59,22 +55,11 @@ impl WireMode {
             WireMode::ApproxRefine => ExecMode::ApproxRefine,
         }
     }
-
-    fn to_byte(self) -> u8 {
-        match self {
-            WireMode::Classic => 0,
-            WireMode::ApproxRefine => 1,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<WireMode, FrameError> {
-        match b {
-            0 => Ok(WireMode::Classic),
-            1 => Ok(WireMode::ApproxRefine),
-            other => Err(FrameError::Malformed(format!("unknown mode byte {other}"))),
-        }
-    }
 }
+
+static MODES: [(u8, WireMode); 2] = [(0, WireMode::Classic), (1, WireMode::ApproxRefine)];
+
+wire!(WireMode; |c, v| c.tag(v, &MODES));
 
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,18 +154,44 @@ impl From<FrameError> for BwdError {
     }
 }
 
+/// Frame types, `0x0x` requests and `0x8x` responses: the one map between
+/// a type byte and its variant.
+#[rustfmt::skip]
+static FRAMES: LazyLock<[(u8, Frame); 7]> = LazyLock::new(|| [
+    (0x01, Frame::Query { mode: WireMode::Classic, sql: String::new() }),
+    (0x02, Frame::RunPlan { mode: WireMode::Classic, plan: 0 }),
+    (0x03, Frame::Ping),
+    (0x81, Frame::Result(Box::default())),
+    (0x82, Frame::Error { error: BwdError::Cancelled, retryable: false }),
+    (0x83, Frame::Busy { queued: 0 }),
+    (0x84, Frame::Pong),
+]);
+
+// The payload; the header before it is `encode_into`'s and the decoder's.
+wire!(Frame; |c, v| {
+    match v {
+        Frame::Query { mode, sql } => {
+            WireMode::code(c, mode)?;
+            c.str(sql)
+        }
+        Frame::RunPlan { mode, plan } => {
+            WireMode::code(c, mode)?;
+            c.fixed(plan)
+        }
+        Frame::Ping | Frame::Pong => Ok(()),
+        Frame::Result(r) => QueryResult::code(c, r),
+        Frame::Error { error, retryable } => {
+            c.fixed(retryable)?;
+            BwdError::code(c, error)
+        }
+        Frame::Busy { queued } => c.fixed(queued),
+    }
+});
+
 impl Frame {
     /// The frame's type byte.
     pub fn type_byte(&self) -> u8 {
-        match self {
-            Frame::Query { .. } => frame_type::QUERY,
-            Frame::RunPlan { .. } => frame_type::RUN_PLAN,
-            Frame::Ping => frame_type::PING,
-            Frame::Result(_) => frame_type::RESULT,
-            Frame::Error { .. } => frame_type::ERROR,
-            Frame::Busy { .. } => frame_type::BUSY,
-            Frame::Pong => frame_type::PONG,
-        }
+        tag_of(&*FRAMES, self)
     }
 
     /// Append this frame's wire encoding (header included) to `buf`.
@@ -188,28 +199,13 @@ impl Frame {
     /// decoder rejects as oversized; a sender that cannot bound its frame
     /// uses [`Frame::try_encode_into`].
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let len_at = buf.len();
-        wire::put_u32(buf, 0); // patched below
-        wire::put_u8(buf, self.type_byte());
-        match self {
-            Frame::Query { mode, sql } => {
-                wire::put_u8(buf, mode.to_byte());
-                wire::put_str(buf, sql);
-            }
-            Frame::RunPlan { mode, plan } => {
-                wire::put_u8(buf, mode.to_byte());
-                wire::put_u64(buf, *plan);
-            }
-            Frame::Ping | Frame::Pong => {}
-            Frame::Result(r) => wire::put_query_result(buf, r),
-            Frame::Error { error, retryable } => {
-                wire::put_u8(buf, u8::from(*retryable));
-                wire::put_bwd_error(buf, error);
-            }
-            Frame::Busy { queued } => wire::put_u32(buf, *queued),
-        }
-        let len = u32::try_from(buf.len() - len_at - 4).unwrap_or(u32::MAX);
-        buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+        let start = buf.len();
+        buf.extend_from_slice(&[0; LEN_BYTES]); // `len`, patched below
+        buf.push(self.type_byte());
+        // Only the reader fails: the writer's walk always returns `Ok`.
+        let _ = Frame::code(&mut Writer(buf), self);
+        let len = u32::try_from(buf.len() - start - LEN_BYTES).unwrap_or(u32::MAX);
+        buf[start..start + LEN_BYTES].copy_from_slice(&len.to_le_bytes());
     }
 
     /// [`Frame::encode_into`], unless the frame's length would pass
@@ -218,7 +214,7 @@ impl Frame {
     pub fn try_encode_into(&self, buf: &mut Vec<u8>) -> Result<(), BwdError> {
         let start = buf.len();
         self.encode_into(buf);
-        let len = buf.len() - start - 4;
+        let len = buf.len() - start - LEN_BYTES;
         if len > DEFAULT_MAX_FRAME_LEN as usize {
             buf.truncate(start);
             return Err(BwdError::InvalidArgument(format!(
@@ -234,48 +230,6 @@ impl Frame {
         let mut buf = Vec::new();
         self.encode_into(&mut buf);
         buf
-    }
-
-    /// Decode one frame body (`type` byte already split off) from a
-    /// complete payload slice.
-    fn decode_body(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
-        let mut r = Reader::new(payload);
-        let frame = match ty {
-            frame_type::QUERY => {
-                let mode = WireMode::from_byte(r.u8().map_err(FrameError::Malformed)?)?;
-                let sql = r.str().map_err(FrameError::Malformed)?;
-                Frame::Query { mode, sql }
-            }
-            frame_type::RUN_PLAN => {
-                let mode = WireMode::from_byte(r.u8().map_err(FrameError::Malformed)?)?;
-                let plan = r.u64().map_err(FrameError::Malformed)?;
-                Frame::RunPlan { mode, plan }
-            }
-            frame_type::PING => Frame::Ping,
-            frame_type::PONG => Frame::Pong,
-            frame_type::RESULT => Frame::Result(Box::new(
-                wire::read_query_result(&mut r).map_err(FrameError::Malformed)?,
-            )),
-            frame_type::ERROR => {
-                let retryable = match r.u8().map_err(FrameError::Malformed)? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(FrameError::Malformed(format!(
-                            "invalid retryable byte {other}"
-                        )))
-                    }
-                };
-                let error = wire::read_bwd_error(&mut r).map_err(FrameError::Malformed)?;
-                Frame::Error { error, retryable }
-            }
-            frame_type::BUSY => Frame::Busy {
-                queued: r.u32().map_err(FrameError::Malformed)?,
-            },
-            other => return Err(FrameError::UnknownType(other)),
-        };
-        r.finish().map_err(FrameError::Malformed)?;
-        Ok(frame)
     }
 }
 
@@ -334,24 +288,27 @@ impl FrameDecoder {
     /// see them, which `Iterator::next`'s `Option` cannot express.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Frame>, FrameError> {
+        self.sticky(FrameDecoder::try_next)
+    }
+
+    /// Run `step` unless a previous error poisoned the decoder; an error
+    /// it returns poisons it.
+    fn sticky<T>(
+        &mut self,
+        step: impl FnOnce(&mut Self) -> Result<T, FrameError>,
+    ) -> Result<T, FrameError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        match self.try_next() {
-            Ok(f) => Ok(f),
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-        }
+        step(self).inspect_err(|e| self.poisoned = Some(e.clone()))
     }
 
     fn try_next(&mut self) -> Result<Option<Frame>, FrameError> {
-        let Some(&[a, b, c, d]) = self.buf.get(self.pos..self.pos + 4) else {
+        let Some(prefix) = self.buf.get(self.pos..self.pos + LEN_BYTES) else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes([a, b, c, d]);
-        if len == 0 {
+        let len = u32::get(&mut Reader::new(prefix))?;
+        if len < MIN_LEN {
             return Err(FrameError::EmptyFrame);
         }
         if len > self.max_len {
@@ -360,13 +317,18 @@ impl FrameDecoder {
                 max: self.max_len,
             });
         }
-        let total = 4 + len as usize;
+        let total = LEN_BYTES + len as usize;
         if self.buffered() < total {
             return Ok(None);
         }
-        let ty = self.buf[self.pos + 4];
-        let payload = &self.buf[self.pos + 5..self.pos + total];
-        let frame = Frame::decode_body(ty, payload)?;
+        let ty = self.buf[self.pos + LEN_BYTES];
+        let Some((_, blank)) = FRAMES.iter().find(|(t, _)| *t == ty) else {
+            return Err(FrameError::UnknownType(ty));
+        };
+        let mut frame = blank.clone();
+        let mut r = Reader::new(&self.buf[self.pos + HEADER_BYTES..self.pos + total]);
+        Frame::code(&mut r, &mut frame)?;
+        r.finish()?;
         self.pos += total;
         if self.pos > 4096 && self.pos * 2 > self.buf.len() {
             self.buf.drain(..self.pos);
@@ -378,17 +340,10 @@ impl FrameDecoder {
     /// Signal end-of-stream: a partial frame still buffered means the
     /// peer disconnected mid-frame.
     pub fn finish_eof(&mut self) -> Result<(), FrameError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        if self.buffered() > 0 {
-            let e = FrameError::TruncatedByEof {
-                buffered: self.buffered(),
-            };
-            self.poisoned = Some(e.clone());
-            return Err(e);
-        }
-        Ok(())
+        self.sticky(|d| match d.buffered() {
+            0 => Ok(()),
+            buffered => Err(FrameError::TruncatedByEof { buffered }),
+        })
     }
 }
 

@@ -1,389 +1,410 @@
-//! Bounds-checked binary encoding primitives.
+//! The wire codec: one field walk per type, run by two coders.
 //!
-//! Everything on the wire is little-endian and length-delimited. The
-//! [`Reader`] is the safety boundary of the protocol: every accessor
+//! Everything on the wire is little-endian and length-delimited. Each wire
+//! type declares its fields once, in its [`Wire::code`] walk (written with
+//! [`wire!`]); the [`Writer`] runs the walk to append each field, the
+//! [`Reader`] to fill each field, so a field's order, width and tag cannot
+//! differ between encode and decode. An enum's tag ↔ variant map is one
+//! table of `(tag, blank variant)` pairs that both coders read.
+//!
+//! The [`Reader`] is the safety boundary of the protocol: every field
 //! checks the remaining payload before touching it and returns a
-//! [`WireError`] instead of panicking or reading past the frame, so a
-//! corrupt or adversarial peer can never crash the server — the worst it
-//! can achieve is its own connection being closed.
+//! [`FrameError::Malformed`] instead of panicking or reading past the
+//! frame, and a repeated field's count is checked against the bytes left
+//! before anything is allocated, so a corrupt or adversarial peer can
+//! never crash the server — the worst it can achieve is its own
+//! connection being closed.
 
+use crate::frame::FrameError;
+use bwd_device::{Breakdown, TrafficBytes};
 use bwd_engine::{ApproxAnswer, QueryResult};
 use bwd_types::{BwdError, Date, Value};
+use std::any::type_name;
+use std::mem::discriminant;
 
-/// A decode failure (malformed payload, truncation, bad tag).
-///
-/// Carried inside [`crate::frame::FrameError::Malformed`]; the message is
-/// descriptive only — decoding never partially succeeds.
-pub type WireError = String;
+/// Decode result: decoding never partially succeeds.
+pub(crate) type WireResult<T> = Result<T, FrameError>;
 
-/// Decode result.
-pub type WireResult<T> = Result<T, WireError>;
-
-// ---------------------------------------------------------------------
-// Writing
-// ---------------------------------------------------------------------
-
-/// Append a `u8`.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+fn malformed(msg: String) -> FrameError {
+    FrameError::Malformed(msg)
 }
 
-/// Append a little-endian `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// A fixed-width field: an integer in little-endian order, a `usize` as a
+/// `u64`, an `f64` as its exact bit pattern (NaN payloads and −0.0
+/// survive, so simulated costs compare bit-identical after a network hop),
+/// a `bool` as one byte that must be 0 or 1.
+pub(crate) trait Fixed: Copy {
+    /// Append the field.
+    fn put(self, buf: &mut Vec<u8>);
+    /// Read the field.
+    fn get(r: &mut Reader<'_>) -> WireResult<Self>;
 }
 
-/// Append a little-endian `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+macro_rules! fixed {
+    ($($t:ty),*) => {$(
+        impl Fixed for $t {
+            #[inline]
+            fn put(self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> WireResult<Self> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+fixed!(u8, u32, u64, i32, i64, f64);
+
+impl Fixed for usize {
+    fn put(self, buf: &mut Vec<u8>) {
+        (self as u64).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> WireResult<Self> {
+        Ok(u64::get(r)? as usize)
+    }
 }
 
-/// Append a little-endian `i64`.
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl Fixed for bool {
+    fn put(self, buf: &mut Vec<u8>) {
+        u8::from(self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> WireResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(malformed(format!("invalid flag byte {other}"))),
+        }
+    }
 }
 
-/// Append a little-endian `i32`.
-pub fn put_i32(buf: &mut Vec<u8>, v: i32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// What a field walk asks of its coder. A walk holds each field as a
+/// `Ref`: `&T` for the [`Writer`], which reads it, `&mut T` for the
+/// [`Reader`], which overwrites it.
+pub(crate) trait Coder: Sized {
+    /// How this coder holds a field.
+    type Ref<'a, T: 'a>;
+    /// A fixed-width field.
+    fn fixed<T: Fixed>(&mut self, v: Self::Ref<'_, T>) -> WireResult<()>;
+    /// A `u32`-length-prefixed UTF-8 string.
+    fn str(&mut self, v: Self::Ref<'_, String>) -> WireResult<()>;
+    /// A `u32` count, then each element through `each`; the reader starts
+    /// each element from `blank()`, after [`Reader::count`] has bounded the
+    /// count by `min_elem_bytes` per element.
+    fn vec<T>(
+        &mut self,
+        v: Self::Ref<'_, Vec<T>>,
+        min_elem_bytes: usize,
+        blank: impl Fn() -> T,
+        each: impl FnMut(&mut Self, Self::Ref<'_, T>) -> WireResult<()>,
+    ) -> WireResult<()>;
+    /// An enum's tag byte from its `table`: the writer looks the variant
+    /// up; the reader replaces `v` with the tag's blank variant, whose
+    /// fields the walk then fills. An unknown tag is malformed.
+    fn tag<T: Clone>(&mut self, v: Self::Ref<'_, T>, table: &[(u8, T)]) -> WireResult<()>;
 }
 
-/// Append an `f64` as its exact bit pattern (round-trips NaN payloads;
-/// simulated costs compare bit-identical after a network hop).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
+/// The tag of `v`'s variant in `table`.
+pub(crate) fn tag_of<T>(table: &[(u8, T)], v: &T) -> u8 {
+    table
+        .iter()
+        .find(|(_, blank)| discriminant(blank) == discriminant(v))
+        .expect("every variant is in its tag table")
+        .0
 }
 
-/// Append a `u32`-length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+/// The encoding coder: appends each field to the buffer. It never fails.
+pub(crate) struct Writer<'b>(pub(crate) &'b mut Vec<u8>);
+
+impl Coder for Writer<'_> {
+    type Ref<'a, T: 'a> = &'a T;
+
+    fn fixed<T: Fixed>(&mut self, v: &T) -> WireResult<()> {
+        v.put(self.0);
+        Ok(())
+    }
+
+    fn str(&mut self, v: &String) -> WireResult<()> {
+        self.fixed(&(v.len() as u32))?;
+        self.0.extend_from_slice(v.as_bytes());
+        Ok(())
+    }
+
+    fn vec<T>(
+        &mut self,
+        v: &Vec<T>,
+        _: usize,
+        _: impl Fn() -> T,
+        mut each: impl FnMut(&mut Self, &T) -> WireResult<()>,
+    ) -> WireResult<()> {
+        self.fixed(&(v.len() as u32))?;
+        v.iter().try_for_each(|x| each(self, x))
+    }
+
+    fn tag<T: Clone>(&mut self, v: &T, table: &[(u8, T)]) -> WireResult<()> {
+        self.fixed(&tag_of(table, v))
+    }
 }
 
-// ---------------------------------------------------------------------
-// Reading
-// ---------------------------------------------------------------------
-
-/// A cursor over one frame payload that can never over-read.
-pub struct Reader<'a> {
+/// The decoding coder: a cursor over one frame that can never over-read.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader over `buf`.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
         if self.remaining() < n {
-            return Err(format!(
+            return Err(malformed(format!(
                 "payload truncated: need {n} bytes, {} remain",
                 self.remaining()
-            ));
+            )));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    /// The next `N` bytes as an array.
+    #[inline]
     fn array<const N: usize>(&mut self) -> WireResult<[u8; N]> {
-        let mut out = [0u8; N];
+        let mut out = [0; N];
         out.copy_from_slice(self.take(N)?);
         Ok(out)
     }
 
-    /// Read a `u8`.
-    pub fn u8(&mut self) -> WireResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> WireResult<i64> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
-
-    /// Read a little-endian `i32`.
-    pub fn i32(&mut self) -> WireResult<i32> {
-        Ok(i32::from_le_bytes(self.array()?))
-    }
-
-    /// Read an `f64` bit pattern.
-    pub fn f64(&mut self) -> WireResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> WireResult<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
-    }
-
-    /// Read a `u32` count for a repeated field, rejecting counts that
-    /// cannot possibly fit in the remaining payload (each element takes
-    /// at least `min_elem_bytes`) — a 4-byte prefix must not induce a
-    /// multi-gigabyte allocation.
-    pub fn count(&mut self, min_elem_bytes: usize) -> WireResult<usize> {
-        let n = self.u32()? as usize;
+    /// Read a repeated field's `u32` count, rejecting counts that cannot
+    /// fit in the remaining payload (each element takes at least
+    /// `min_elem_bytes`): a 4-byte prefix must not induce a multi-gigabyte
+    /// allocation.
+    fn count(&mut self, min_elem_bytes: usize) -> WireResult<usize> {
+        let n = u32::get(self)? as usize;
         if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(format!(
+            return Err(malformed(format!(
                 "implausible element count {n} for {} remaining bytes",
                 self.remaining()
-            ));
+            )));
         }
         Ok(n)
     }
 
     /// Assert the payload was consumed exactly; trailing bytes mean the
     /// peer and this decoder disagree about the schema.
-    pub fn finish(self) -> WireResult<()> {
-        if self.remaining() != 0 {
-            return Err(format!("{} trailing bytes after payload", self.remaining()));
+    pub(crate) fn finish(self) -> WireResult<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(malformed(format!("{n} trailing bytes after payload"))),
+        }
+    }
+}
+
+impl Coder for Reader<'_> {
+    type Ref<'a, T: 'a> = &'a mut T;
+
+    fn fixed<T: Fixed>(&mut self, v: &mut T) -> WireResult<()> {
+        *v = T::get(self)?;
+        Ok(())
+    }
+
+    fn str(&mut self, v: &mut String) -> WireResult<()> {
+        let len = u32::get(self)? as usize;
+        let bytes = self.take(len)?.to_vec();
+        *v = String::from_utf8(bytes)
+            .map_err(|e| malformed(format!("invalid UTF-8 string: {e}")))?;
+        Ok(())
+    }
+
+    fn vec<T>(
+        &mut self,
+        v: &mut Vec<T>,
+        min_elem_bytes: usize,
+        blank: impl Fn() -> T,
+        mut each: impl FnMut(&mut Self, &mut T) -> WireResult<()>,
+    ) -> WireResult<()> {
+        let n = self.count(min_elem_bytes)?;
+        v.clear();
+        v.reserve_exact(n);
+        for _ in 0..n {
+            let mut x = blank();
+            each(self, &mut x)?;
+            v.push(x);
+        }
+        Ok(())
+    }
+
+    fn tag<T: Clone>(&mut self, v: &mut T, table: &[(u8, T)]) -> WireResult<()> {
+        let tag = u8::get(self)?;
+        let Some((_, blank)) = table.iter().find(|(t, _)| *t == tag) else {
+            return Err(malformed(format!(
+                "unknown code {tag} for {}",
+                type_name::<T>()
+            )));
+        };
+        // Already that variant: the walk overwrites every field.
+        if discriminant(blank) != discriminant(v) {
+            v.clone_from(blank);
         }
         Ok(())
     }
 }
 
-// ---------------------------------------------------------------------
-// Domain codecs
-// ---------------------------------------------------------------------
+/// A wire type: `code` walks its fields, in wire order, through a coder.
+pub(crate) trait Wire<C: Coder>: Sized {
+    /// Write or read `v`, field by field.
+    fn code(c: &mut C, v: C::Ref<'_, Self>) -> WireResult<()>;
+}
 
-const VALUE_INT: u8 = 0;
-const VALUE_DECIMAL: u8 = 1;
-const VALUE_DATE: u8 = 2;
-const VALUE_STR: u8 = 3;
-const VALUE_BOOL: u8 = 4;
-const VALUE_DOUBLE: u8 = 5;
+/// Declares a wire type's one field walk (or one walk for several types
+/// with the same fields). The body is compiled once per coder: with the
+/// [`Writer`] `$v` is `&Self`, with the [`Reader`] it is `&mut Self`, and
+/// the fields bound from it follow suit.
+macro_rules! wire {
+    ($($ty:ty),+; |$c:ident, $v:ident| $body:expr) => {$(
+        impl $crate::wire::Wire<$crate::wire::Writer<'_>> for $ty {
+            #[inline]
+            fn code($c: &mut $crate::wire::Writer<'_>, $v: &Self) -> $crate::wire::WireResult<()> {
+                $body
+            }
+        }
+        impl $crate::wire::Wire<$crate::wire::Reader<'_>> for $ty {
+            #[inline]
+            fn code($c: &mut $crate::wire::Reader<'_>, $v: &mut Self) -> $crate::wire::WireResult<()> {
+                $body
+            }
+        }
+    )+};
+}
+pub(crate) use wire;
 
-/// Encode one [`Value`].
-pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
+#[rustfmt::skip]
+static VALUES: [(u8, Value); 6] = [
+    (0, Value::Int(0)),
+    (1, Value::Decimal { unscaled: 0, scale: 0 }),
+    (2, Value::Date(Date(0))),
+    (3, Value::Str(String::new())),
+    (4, Value::Bool(false)),
+    (5, Value::Double(0.0)),
+];
+
+wire!(Value; |c, v| {
+    c.tag(v, &VALUES)?;
     match v {
-        Value::Int(i) => {
-            put_u8(buf, VALUE_INT);
-            put_i64(buf, *i);
-        }
+        Value::Int(i) => c.fixed(i),
         Value::Decimal { unscaled, scale } => {
-            put_u8(buf, VALUE_DECIMAL);
-            put_i64(buf, *unscaled);
-            put_u8(buf, *scale);
+            c.fixed(unscaled)?;
+            c.fixed(scale)
         }
-        Value::Date(d) => {
-            put_u8(buf, VALUE_DATE);
-            put_i32(buf, d.0);
-        }
-        Value::Str(s) => {
-            put_u8(buf, VALUE_STR);
-            put_str(buf, s);
-        }
-        Value::Bool(b) => {
-            put_u8(buf, VALUE_BOOL);
-            put_u8(buf, u8::from(*b));
-        }
-        Value::Double(d) => {
-            put_u8(buf, VALUE_DOUBLE);
-            put_f64(buf, *d);
-        }
+        Value::Date(Date(d)) => c.fixed(d),
+        Value::Str(s) => c.str(s),
+        Value::Bool(b) => c.fixed(b),
+        Value::Double(d) => c.fixed(d),
     }
-}
+});
 
-/// Decode one [`Value`].
-pub fn read_value(r: &mut Reader<'_>) -> WireResult<Value> {
-    match r.u8()? {
-        VALUE_INT => Ok(Value::Int(r.i64()?)),
-        VALUE_DECIMAL => Ok(Value::Decimal {
-            unscaled: r.i64()?,
-            scale: r.u8()?,
-        }),
-        VALUE_DATE => Ok(Value::Date(Date(r.i32()?))),
-        VALUE_STR => Ok(Value::Str(r.str()?)),
-        VALUE_BOOL => match r.u8()? {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            other => Err(format!("invalid bool byte {other}")),
-        },
-        VALUE_DOUBLE => Ok(Value::Double(r.f64()?)),
-        tag => Err(format!("unknown value tag {tag}")),
-    }
-}
+#[rustfmt::skip]
+static APPROX: [(u8, Option<ApproxAnswer>); 2] = [
+    (0, None),
+    (1, Some(ApproxAnswer { candidate_count: 0, breakdown: Breakdown { device: 0.0, host: 0.0, pcie: 0.0 } })),
+];
 
-/// Encode a full [`QueryResult`] — rows, simulated cost breakdown,
-/// traffic, survivors and the early approximate answer all cross the
-/// wire, so a networked client observes exactly what an embedded caller
-/// observes (the soak test asserts bit-identity through this codec).
-pub fn put_query_result(buf: &mut Vec<u8>, r: &QueryResult) {
-    put_u32(buf, r.columns.len() as u32);
-    for c in &r.columns {
-        put_str(buf, c);
-    }
-    put_u32(buf, r.rows.len() as u32);
-    for row in &r.rows {
-        put_u32(buf, row.len() as u32);
-        for v in row {
-            put_value(buf, v);
-        }
-    }
-    put_f64(buf, r.breakdown.device);
-    put_f64(buf, r.breakdown.host);
-    put_f64(buf, r.breakdown.pcie);
-    put_u64(buf, r.traffic.device);
-    put_u64(buf, r.traffic.host);
-    put_u64(buf, r.traffic.pcie);
-    put_u64(buf, r.survivors as u64);
-    match &r.approx {
-        None => put_u8(buf, 0),
-        Some(a) => {
-            put_u8(buf, 1);
-            put_u64(buf, a.candidate_count as u64);
-            put_f64(buf, a.breakdown.device);
-            put_f64(buf, a.breakdown.host);
-            put_f64(buf, a.breakdown.pcie);
-        }
-    }
-}
-
-fn read_breakdown(r: &mut Reader<'_>) -> WireResult<bwd_device::Breakdown> {
-    Ok(bwd_device::Breakdown {
-        device: r.f64()?,
-        host: r.f64()?,
-        pcie: r.f64()?,
-    })
-}
-
-/// Decode a [`QueryResult`].
-pub fn read_query_result(r: &mut Reader<'_>) -> WireResult<QueryResult> {
-    let ncols = r.count(4)?;
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        columns.push(r.str()?);
-    }
-    let nrows = r.count(4)?;
-    let mut rows = Vec::with_capacity(nrows);
-    for _ in 0..nrows {
-        let nvals = r.count(1)?;
-        let mut row = Vec::with_capacity(nvals);
-        for _ in 0..nvals {
-            row.push(read_value(r)?);
-        }
-        rows.push(row);
-    }
-    let breakdown = read_breakdown(r)?;
-    let traffic = bwd_device::TrafficBytes {
-        device: r.u64()?,
-        host: r.u64()?,
-        pcie: r.u64()?,
-    };
-    let survivors = r.u64()? as usize;
-    let approx = match r.u8()? {
-        0 => None,
-        1 => Some(ApproxAnswer {
-            candidate_count: r.u64()? as usize,
-            breakdown: read_breakdown(r)?,
-        }),
-        other => Err(format!("invalid approx flag {other}"))?,
-    };
-    Ok(QueryResult {
+// A full `QueryResult` crosses the wire — rows, simulated cost breakdown,
+// traffic, survivors and the early approximate answer — so a networked
+// client observes exactly what an embedded caller observes.
+wire!(QueryResult; |c, v| {
+    let QueryResult {
         columns,
         rows,
         breakdown,
         traffic,
         survivors,
         approx,
-    })
-}
+    } = v;
+    c.vec(columns, 4, String::new, |c, s| c.str(s))?;
+    c.vec(rows, 4, Vec::new, |c, row| {
+        c.vec(row, 1, || Value::Int(0), |c, x| Value::code(c, x))
+    })?;
+    Breakdown::code(c, breakdown)?;
+    TrafficBytes::code(c, traffic)?;
+    c.fixed(survivors)?;
+    c.tag(approx, &APPROX)?;
+    match approx {
+        None => Ok(()),
+        Some(ApproxAnswer {
+            candidate_count,
+            breakdown,
+        }) => {
+            c.fixed(candidate_count)?;
+            Breakdown::code(c, breakdown)
+        }
+    }
+});
 
-const ERR_DEVICE_OOM: u8 = 0;
-const ERR_ADMISSION_TIMEOUT: u8 = 1;
-const ERR_INVALID_BUFFER: u8 = 2;
-const ERR_TYPE_MISMATCH: u8 = 3;
-const ERR_PARSE: u8 = 4;
-const ERR_BIND: u8 = 5;
-const ERR_PLAN: u8 = 6;
-const ERR_EXEC: u8 = 7;
-const ERR_NOT_FOUND: u8 = 8;
-const ERR_UNSUPPORTED: u8 = 9;
-const ERR_INVALID_ARGUMENT: u8 = 10;
-// 11 is retired: it decodes as an unknown code and is never reused, so
-// an old peer's frame cannot decode as another error.
-const ERR_CANCELLED: u8 = 12;
-const ERR_DEADLINE_EXCEEDED: u8 = 13;
-const ERR_DEVICE_FAULT: u8 = 14;
+// Simulated seconds and bytes moved: device, host, PCI-E.
+wire!(Breakdown, TrafficBytes; |c, v| {
+    let Self { device, host, pcie } = v;
+    c.fixed(device)?;
+    c.fixed(host)?;
+    c.fixed(pcie)
+});
 
-/// Encode a [`BwdError`] variant-faithfully (the structured variants keep
-/// their numeric fields; the message-carrying ones keep their message).
-pub fn put_bwd_error(buf: &mut Vec<u8>, e: &BwdError) {
-    let (code, a, b, msg): (u8, u64, u64, &str) = match e {
+/// Error codes. 11 is retired: it decodes as an unknown code and is never
+/// reused, so an old peer's frame cannot decode as another error.
+#[rustfmt::skip]
+static ERRORS: [(u8, BwdError); 14] = [
+    (0, BwdError::DeviceOutOfMemory { requested: 0, available: 0 }),
+    (1, BwdError::AdmissionTimeout { requested: 0, waited_ms: 0 }),
+    (2, BwdError::InvalidBuffer(String::new())),
+    (3, BwdError::TypeMismatch(String::new())),
+    (4, BwdError::Parse(String::new())),
+    (5, BwdError::Bind(String::new())),
+    (6, BwdError::Plan(String::new())),
+    (7, BwdError::Exec(String::new())),
+    (8, BwdError::NotFound(String::new())),
+    (9, BwdError::Unsupported(String::new())),
+    (10, BwdError::InvalidArgument(String::new())),
+    (12, BwdError::Cancelled),
+    (13, BwdError::DeadlineExceeded { deadline_ms: 0 }),
+    (14, BwdError::DeviceFault(String::new())),
+];
+
+// Variant-faithful and flat: after the code come `a: u64`, `b: u64` and a
+// message, each variant filling the slots it has (zero or empty for the
+// rest, ignored on read).
+wire!(BwdError; |c, v| {
+    c.tag(v, &ERRORS)?;
+    let (no_a, no_b, no_msg) = (&mut 0, &mut 0, &mut String::new());
+    let (a, b, msg) = match v {
         BwdError::DeviceOutOfMemory {
-            requested,
-            available,
-        } => (ERR_DEVICE_OOM, *requested, *available, ""),
-        BwdError::AdmissionTimeout {
-            requested,
-            waited_ms,
-        } => (ERR_ADMISSION_TIMEOUT, *requested, *waited_ms, ""),
-        BwdError::InvalidBuffer(m) => (ERR_INVALID_BUFFER, 0, 0, m),
-        BwdError::TypeMismatch(m) => (ERR_TYPE_MISMATCH, 0, 0, m),
-        BwdError::Parse(m) => (ERR_PARSE, 0, 0, m),
-        BwdError::Bind(m) => (ERR_BIND, 0, 0, m),
-        BwdError::Plan(m) => (ERR_PLAN, 0, 0, m),
-        BwdError::Exec(m) => (ERR_EXEC, 0, 0, m),
-        BwdError::NotFound(m) => (ERR_NOT_FOUND, 0, 0, m),
-        BwdError::Unsupported(m) => (ERR_UNSUPPORTED, 0, 0, m),
-        BwdError::InvalidArgument(m) => (ERR_INVALID_ARGUMENT, 0, 0, m),
-        BwdError::Cancelled => (ERR_CANCELLED, 0, 0, ""),
-        BwdError::DeadlineExceeded { deadline_ms } => (ERR_DEADLINE_EXCEEDED, *deadline_ms, 0, ""),
-        BwdError::DeviceFault(m) => (ERR_DEVICE_FAULT, 0, 0, m),
-    };
-    put_u8(buf, code);
-    put_u64(buf, a);
-    put_u64(buf, b);
-    put_str(buf, msg);
-}
-
-/// Decode a [`BwdError`].
-pub fn read_bwd_error(r: &mut Reader<'_>) -> WireResult<BwdError> {
-    let code = r.u8()?;
-    let a = r.u64()?;
-    let b = r.u64()?;
-    let msg = r.str()?;
-    Ok(match code {
-        ERR_DEVICE_OOM => BwdError::DeviceOutOfMemory {
             requested: a,
             available: b,
-        },
-        ERR_ADMISSION_TIMEOUT => BwdError::AdmissionTimeout {
+        }
+        | BwdError::AdmissionTimeout {
             requested: a,
             waited_ms: b,
-        },
-        ERR_INVALID_BUFFER => BwdError::InvalidBuffer(msg),
-        ERR_TYPE_MISMATCH => BwdError::TypeMismatch(msg),
-        ERR_PARSE => BwdError::Parse(msg),
-        ERR_BIND => BwdError::Bind(msg),
-        ERR_PLAN => BwdError::Plan(msg),
-        ERR_EXEC => BwdError::Exec(msg),
-        ERR_NOT_FOUND => BwdError::NotFound(msg),
-        ERR_UNSUPPORTED => BwdError::Unsupported(msg),
-        ERR_INVALID_ARGUMENT => BwdError::InvalidArgument(msg),
-        ERR_CANCELLED => BwdError::Cancelled,
-        ERR_DEADLINE_EXCEEDED => BwdError::DeadlineExceeded { deadline_ms: a },
-        ERR_DEVICE_FAULT => BwdError::DeviceFault(msg),
-        other => Err(format!("unknown error code {other}"))?,
-    })
-}
+        } => (Some(a), Some(b), None),
+        BwdError::DeadlineExceeded { deadline_ms } => (Some(deadline_ms), None, None),
+        BwdError::Cancelled => (None, None, None),
+        BwdError::InvalidBuffer(m)
+        | BwdError::TypeMismatch(m)
+        | BwdError::Parse(m)
+        | BwdError::Bind(m)
+        | BwdError::Plan(m)
+        | BwdError::Exec(m)
+        | BwdError::NotFound(m)
+        | BwdError::Unsupported(m)
+        | BwdError::InvalidArgument(m)
+        | BwdError::DeviceFault(m) => (None, None, Some(m)),
+    };
+    c.fixed(a.unwrap_or(no_a))?;
+    c.fixed(b.unwrap_or(no_b))?;
+    c.str(msg.unwrap_or(no_msg))
+});

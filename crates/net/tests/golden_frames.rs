@@ -82,7 +82,12 @@ fn frames() -> Vec<(&'static str, Frame)> {
         ),
         ("ping", Frame::Ping),
         ("pong", Frame::Pong),
-        ("busy", Frame::Busy { queued: 0x0A0B_0C0D }),
+        (
+            "busy",
+            Frame::Busy {
+                queued: 0x0A0B_0C0D,
+            },
+        ),
         ("busy_zero", Frame::Busy { queued: 0 }),
         (
             "result_empty",
