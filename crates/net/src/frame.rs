@@ -202,8 +202,7 @@ impl Frame {
         let start = buf.len();
         buf.extend_from_slice(&[0; LEN_BYTES]); // `len`, patched below
         buf.push(self.type_byte());
-        // Only the reader fails: the writer's walk always returns `Ok`.
-        let _ = Frame::code(&mut Writer(buf), self);
+        Frame::code(&mut Writer(buf), self).expect("only the reader fails");
         let len = u32::try_from(buf.len() - start - LEN_BYTES).unwrap_or(u32::MAX);
         buf[start..start + LEN_BYTES].copy_from_slice(&len.to_le_bytes());
     }

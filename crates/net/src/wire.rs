@@ -249,10 +249,7 @@ impl Coder for Reader<'_> {
                 type_name::<T>()
             )));
         };
-        // Already that variant: the walk overwrites every field.
-        if discriminant(blank) != discriminant(v) {
-            v.clone_from(blank);
-        }
+        v.clone_from(blank);
         Ok(())
     }
 }
