@@ -30,6 +30,12 @@ struct Args {
     csv: Option<PathBuf>,
 }
 
+/// `v`, the number after `flag`.
+fn number<T: std::str::FromStr>(v: Option<String>, flag: &str) -> Result<T, String> {
+    v.and_then(|v| v.parse().ok())
+        .ok_or(format!("{flag} expects a number"))
+}
+
 /// `Ok(None)` is `--help`.
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
@@ -45,24 +51,9 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.micro_n = 100_000_000;
                 args.scale = MacroScale::full();
             }
-            "--scale-micro" => {
-                args.micro_n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--scale-micro expects a number")?;
-            }
-            "--scale-spatial" => {
-                args.scale.spatial_fixes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--scale-spatial expects a number")?;
-            }
-            "--sf" => {
-                args.scale.tpch_sf = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--sf expects a number")?;
-            }
+            "--scale-micro" => args.micro_n = number(it.next(), &a)?,
+            "--scale-spatial" => args.scale.spatial_fixes = number(it.next(), &a)?,
+            "--sf" => args.scale.tpch_sf = number(it.next(), &a)?,
             "--csv" => {
                 args.csv = Some(PathBuf::from(it.next().ok_or("--csv expects a path")?));
             }

@@ -175,13 +175,8 @@ pub fn run_throughput(
     let interference = (1.0 - ar_bw_demand / bw_max).clamp(0.0, 1.0);
     let cpu_with_ar = cpu_full_qps * interference;
 
-    let device_peaks: Vec<u64> = db
-        .env()
-        .pool
-        .devices()
-        .iter()
-        .map(|d| d.memory().peak())
-        .collect();
+    let devices = db.env().pool.devices().iter();
+    let device_peaks: Vec<u64> = devices.map(|d| d.memory().peak()).collect();
     Ok(ThroughputReport {
         cpu_parallel,
         ar_only,

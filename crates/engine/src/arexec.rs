@@ -28,7 +28,7 @@
 //! verdict is positional; the only list-shaped state is O(undecided). See
 //! ARCHITECTURE.md, "The query tail".
 
-use crate::bill::{ArShape, Counts, Grouping, RefineCounts, Transient};
+use crate::bill::{slot, ArShape, Counts, Grouping, RefineCounts, Transient};
 use crate::database::Database;
 use crate::eval::RowBlock;
 use crate::morsel::{
@@ -205,7 +205,7 @@ pub(crate) fn run_ar_counted(
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<(QueryResult, Counts, u64)> {
-    let shape = ArShape::resolve(db, plan, opts.scan, env.device.spec())?;
+    let shape = ArShape::resolve(db, plan, opts.scan, env)?;
     let mut run = Run {
         counts: Counts {
             rows: shape.rows,
@@ -364,6 +364,8 @@ impl<'a> Run<'a> {
     /// one survivor bit per undecided candidate back.
     fn refine(&mut self, a: &mut Approx<'_>) -> Result<()> {
         let (env, decided) = (self.env, self.counts.decided());
+        self.transient
+            .charge(self.shape.place.streamed(&self.counts))?;
         self.shape.download(&self.counts, env, self.ledger);
         let order = self.shape.refine_order(&self.counts);
         for (k, i) in order.into_iter().enumerate() {
@@ -442,7 +444,7 @@ impl<'a> Run<'a> {
                     .map(|(&stored, c)| c.bound.meta().payload_from_parts(stored, 0))
             });
             let slots = self.shape.plan.group_keys().into_iter().zip(group_cols);
-            let slots = slots.map(|(g, c)| c.slot(&g)).collect();
+            let slots = slots.map(|(g, c)| slot(&g, c.plain)).collect();
             let table = GroupTable::from_keys(slots, keys.collect());
             self.shape.tail.carry(table);
         }
@@ -870,10 +872,11 @@ pub(crate) mod tests {
     /// of 256 (2 stored bits): `d <= 599` scans granules 0..=2 (768
     /// candidates), decides granules 0..=1 (512 rows) and leaves granule 2
     /// undecided (256 candidates, 88 survivors). `g` is 2 bits wide, `v`
-    /// 10. Every gathered column is resident, so the host refines and
-    /// nothing else: the undecided pairs come down alone, one survivor bit
-    /// each goes back up, and the device folds all 600 survivors into 32
-    /// replicas of a 2^2 × 2 × 16 B table addressed by `g` itself
+    /// 10. Every gathered column is resident, and at 256 undecided the
+    /// stream prices below the host round trip: `d`'s 1 000 B residual
+    /// partition goes up, the device re-tests the 256 itself (no host
+    /// event, nothing comes down or back up) and folds all 600 survivors
+    /// into 32 replicas of a 2^2 × 2 × 16 B table addressed by `g` itself
     /// (4 × 2 × 16 × 32 = 4 096 B of the 49 152): it gathers `g` like `v`,
     /// and no grouping kernel runs.
     #[test]
@@ -887,9 +890,8 @@ pub(crate) mod tests {
                     "select.approx.scan",
                     packed(2, 1000) + pairs(2, 768) + 768 / 8
                 ),
-                ("select.refine.download", pairs(2, 256)),
-                ("select.refine", 256), // one residual byte each
-                ("select.refine.upload", 256 / 8),
+                ("select.refine.stream", packed(8, 1000)),
+                ("select.refine.device", 256), // one residual byte each
                 ("aggregate.gather", 600 * 4 + packed(2, 600)), // the key
                 ("aggregate.gather", 600 * 4 + packed(10, 600)),
                 ("aggregate.eval", 0), // device, 600 rows
@@ -903,15 +905,15 @@ pub(crate) mod tests {
         let agg = GroupedAgg::slotted(&spec, 600, 2, 4, 4);
         assert_eq!((agg.updates, agg.replicas, agg.blocks), (1200, 32, 1));
         assert_eq!(
-            split[6].seconds,
+            split[5].seconds,
             spec.compute_seconds(3 * 600 * 2)
                 + (agg.update_seconds(&spec) + agg.merge_seconds(&spec))
         );
         let on_host = |e: &&CostEvent| e.component == Component::Host;
         assert_eq!(
             split.iter().filter(on_host).count(),
-            1,
-            "select.refine alone"
+            0,
+            "nothing on the host"
         );
 
         let resident = grouped_bill(Q1_SHAPED, 32, "v");
@@ -927,7 +929,7 @@ pub(crate) mod tests {
             ]
         );
         // Space-constrained = all-GPU + refinement: the same fold.
-        assert_eq!(split[6].seconds, resident[3].seconds);
+        assert_eq!(split[5].seconds, resident[3].seconds);
     }
 
     /// A key an aggregate also reads (here `g` in place of `v`) is gathered
@@ -938,7 +940,6 @@ pub(crate) mod tests {
         assert_eq!(
             labels_and_bytes(&bill)[3..],
             [
-                ("select.refine.upload", 256 / 8),
                 ("aggregate.gather", 600 * 4 + packed(2, 600)),
                 ("aggregate.eval", 0),
                 ("aggregate.download", 4 * 2 * 16),
@@ -946,7 +947,7 @@ pub(crate) mod tests {
         );
         // The same fold as when `v` is summed: `aggregate.eval` prices
         // primitives, accumulators and occupied slots, not columns.
-        assert_eq!(bill[5].seconds, grouped_bill(Q1_SHAPED, 24, "v")[6].seconds);
+        assert_eq!(bill[4].seconds, grouped_bill(Q1_SHAPED, 24, "v")[5].seconds);
     }
 
     /// The contention is priced on the slots some row folded into, the
@@ -1053,10 +1054,11 @@ pub(crate) mod tests {
     }
 
     /// Whatever the split, the cut, the grouping or the summed column: a
-    /// tail over device-resident columns bills the host for
-    /// refinement only, moves nothing but the undecided list, its survivor
-    /// bits and the partials, and folds on the device exactly what the
-    /// all-resident run folds.
+    /// tail over device-resident columns bills the host for refinement
+    /// only (or, where the stream prices below the round trip, nothing),
+    /// moves nothing but the undecided list and its survivor bits — or the
+    /// residual partition — and the partials, and folds on the device
+    /// exactly what the all-resident run folds.
     #[test]
     fn a_resident_tail_pays_the_host_for_refinement_alone() {
         let eval_bits = |bill: &[CostEvent]| -> Vec<u64> {
@@ -1078,10 +1080,12 @@ pub(crate) mod tests {
                             Component::Pcie => &[
                                 "select.refine.download",
                                 "select.refine.upload",
+                                "select.refine.stream",
                                 "aggregate.download",
                             ],
                             Component::Device => &[
                                 "select.approx.scan",
+                                "select.refine.device",
                                 "group.approx.hash-multi",
                                 "aggregate.gather",
                                 "aggregate.eval",

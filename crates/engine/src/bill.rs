@@ -41,7 +41,7 @@ use bwd_core::plan::ArPlan;
 use bwd_core::relax::{relax_to_stored, StoredRange};
 use bwd_core::{BoundColumn, RangePred};
 use bwd_device::units::{candidate_stream_bytes, CANDIDATE_PAIR_BYTES, GATHER_VALUE_BYTES};
-use bwd_device::{Breakdown, Component, CostLedger, DeviceSpec, Env};
+use bwd_device::{Breakdown, Component, CostLedger, Env};
 use bwd_kernels::gather::{charge_gather, charge_gather_indirect};
 use bwd_kernels::group::charge_hash_group_multi;
 use bwd_kernels::reduce::{GroupedAgg, ACCUMULATOR_BYTES};
@@ -147,7 +147,8 @@ impl Counts {
 /// per undecided candidate back up — and the host pays for refinement
 /// alone. Otherwise (destructive distributivity, §IV-G) the host tail
 /// covers decided ∪ refined rows. The paper's all-GPU configurations are
-/// the case *undecided = ∅*.
+/// the case *undecided = ∅*. Where bits would go back up, the device may
+/// refine itself instead, holding the streamed residual partitions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Transient {
     /// Columns the tail gathers per row.
@@ -162,6 +163,10 @@ pub struct Transient {
     /// Whether a hash pre-grouping writes one 4 B id per final candidate
     /// and holds them until the tail (or their download) is done.
     pub group_ids: bool,
+    /// The packed residuals a device refinement streams up.
+    pub residual: u64,
+    /// The least undecided count the device refines (`None`: never).
+    pub stream_from: Option<u64>,
 }
 
 impl Transient {
@@ -181,9 +186,9 @@ impl Transient {
 
     /// Survivor bits the host sends back up: the device still holds the
     /// undecided list in the order it sent it, one bit per entry tells it
-    /// which of them the host kept.
+    /// which of them the host kept (none where the device refined).
     pub fn uploaded_bits(&self, c: &Counts) -> u64 {
-        match self.device_tail && !self.split_count {
+        match self.device_tail && !self.split_count && self.streamed(c) == 0 {
             true => c.undecided,
             false => 0,
         }
@@ -192,11 +197,9 @@ impl Transient {
     /// The tail's scratch: the device gathers every needed column over
     /// its rows before aggregating, beside the survivor bitmap.
     pub fn tail(&self, c: &Counts) -> u64 {
+        let bits = if self.split_count { 0 } else { c.undecided };
         match self.device_tail {
-            true => {
-                self.tail_rows(c).0 * self.gathered * GATHER_VALUE_BYTES
-                    + self.uploaded_bits(c).div_ceil(8)
-            }
+            true => self.tail_rows(c).0 * self.gathered * GATHER_VALUE_BYTES + bits.div_ceil(8),
             false => 0,
         }
     }
@@ -212,7 +215,16 @@ impl Transient {
     /// Everything a run with these counts holds.
     pub fn bytes(&self, c: &Counts) -> u64 {
         let lists: u64 = c.steps.iter().map(|&s| Self::list(s)).sum();
-        lists + self.ids(c) + self.tail(c)
+        lists + self.ids(c) + self.streamed(c) + self.tail(c)
+    }
+
+    /// The residual partitions the device streams up and holds where it
+    /// refines `c`'s undecided candidates itself (0: the host does).
+    pub fn streamed(&self, c: &Counts) -> u64 {
+        match self.stream_from {
+            Some(from) if c.undecided >= from => self.residual,
+            _ => 0,
+        }
     }
 }
 
@@ -252,12 +264,11 @@ fn locate<'p>(plan: &'p ArPlan, name: &'p str) -> Result<(&'p str, &'p str, bool
 }
 
 /// A zero-row block slot for catalog column `col` under `name`.
-fn slot(name: &str, col: &Column) -> ColumnSlot {
+pub(crate) fn slot(name: &str, col: &Column) -> ColumnSlot {
     ColumnSlot {
         name: name.to_string(),
         payloads: Vec::new(),
-        dtype: col.dtype(),
-        dict: col.dictionary().cloned(),
+        logical: col.logical().clone(),
     }
 }
 
@@ -291,7 +302,7 @@ fn slot_table(plan: &ArPlan, group_cols: &[ColRef<'_>], slots: u64) -> GroupTabl
         }
     }
     let slots = plan.group_keys().into_iter().zip(group_cols);
-    GroupTable::from_keys(slots.map(|(g, c)| c.slot(&g)).collect(), keys)
+    GroupTable::from_keys(slots.map(|(g, c)| slot(&g, c.plain)).collect(), keys)
 }
 
 /// A resolved column reference of an A&R plan.
@@ -299,7 +310,7 @@ pub(crate) struct ColRef<'a> {
     pub(crate) bound: &'a BoundColumn,
     /// For a dimension column: the FK index it is reached through.
     fk: Option<&'a FkIndex>,
-    plain: &'a Column,
+    pub(crate) plain: &'a Column,
 }
 
 impl<'a> ColRef<'a> {
@@ -311,10 +322,6 @@ impl<'a> ColRef<'a> {
     /// Where a refinement reads the residuals.
     pub(crate) fn residual(&self) -> ResidualSrc<'a> {
         ResidualSrc::for_column(self.bound, self.link().map(DeviceArray::data))
-    }
-
-    pub(crate) fn slot(&self, name: &str) -> ColumnSlot {
-        slot(name, self.plain)
     }
 
     fn resident(&self) -> bool {
@@ -335,6 +342,15 @@ impl<'a> ColRef<'a> {
     fn charge_refine(&self, env: &Env, live: u64, merge_bytes: u64, l: &mut CostLedger) {
         let bytes = self.bound.residual_access_bytes(live as usize) + merge_bytes;
         env.charge_host_scattered("select.refine", bytes, live * REFINE_OPS_PER_TUPLE, l);
+    }
+
+    /// The device re-testing them itself, the residual streamed up first.
+    fn charge_stream(&self, env: &Env, live: u64, l: &mut CostLedger) {
+        let bytes = self.bound.residual().packed_bytes();
+        let seconds = env.pcie.transfer_seconds(bytes);
+        l.charge(Component::Pcie, "select.refine.stream", seconds, bytes);
+        let read = self.bound.residual_access_bytes(live as usize);
+        env.charge_kernel_scattered("select.refine.device", read, live * REFINE_OPS_PER_TUPLE, l);
     }
 }
 
@@ -367,12 +383,12 @@ const EVAL: &str = "aggregate.eval";
 
 impl<'a> ArShape<'a> {
     /// Resolve `plan`'s columns against `db`'s bound (decomposed) tables,
-    /// for a run on `device`.
+    /// for a run on `env`'s device and host threads.
     pub fn resolve(
         db: &'a Database,
         plan: &'a ArPlan,
         scan: ScanOptions,
-        device: &DeviceSpec,
+        env: &Env,
     ) -> Result<Self> {
         let rows = db.catalog().table(&plan.table)?.len() as u64;
         let fk: Option<&FkIndex> = match &plan.fk_join {
@@ -406,27 +422,28 @@ impl<'a> ArShape<'a> {
             false => plan.gathered_columns(),
         } {
             let c = resolve(&name)?;
-            schema.push_slot(c.slot(&name));
+            schema.push_slot(slot(&name, c.plain));
             gathered.push((name, c));
         }
         let device_tail = gathered.iter().all(|(_, c)| c.resident())
             && (plan.group_by.is_empty() || device_groups);
         // A hash pre-grouping's table is carried in once it is known.
         let key_slots = || {
-            let slots = keys.iter().zip(&group_cols).map(|(g, c)| c.slot(g));
+            let slots = keys.iter().zip(&group_cols).map(|(g, c)| slot(g, c.plain));
             GroupTable::from_keys(slots.collect(), Vec::new())
         };
         let mut tail = Tail::new(plan, schema, device_groups.then(key_slots))?;
         let key_bits: u32 = group_cols.iter().map(|c| c.bound.approx().width()).sum();
-        let grouping = match GroupedAgg::direct_slots(device, key_bits, tail.accumulators()) {
-            _ if !device_groups => Grouping::None,
-            Some(slots) if device_tail => {
-                tail.carry(slot_table(plan, &group_cols, slots));
-                Grouping::Direct { slots }
-            }
-            _ => Grouping::Hash,
-        };
-        Ok(ArShape {
+        let grouping =
+            match GroupedAgg::direct_slots(env.device.spec(), key_bits, tail.accumulators()) {
+                _ if !device_groups => Grouping::None,
+                Some(slots) if device_tail => {
+                    tail.carry(slot_table(plan, &group_cols, slots));
+                    Grouping::Direct { slots }
+                }
+                _ => Grouping::Hash,
+            };
+        let mut shape = ArShape {
             plan,
             rows,
             scan,
@@ -438,10 +455,47 @@ impl<'a> ArShape<'a> {
                 device_tail,
                 split_count: device_tail && gathered.is_empty() && !device_groups,
                 group_ids: grouping == Grouping::Hash,
+                ..Transient::default()
             },
             gathered,
             tail,
-        })
+        };
+        if device_tail && !shape.place.split_count {
+            let residual = |i: usize| shape.sels[i].0.bound.residual().packed_bytes();
+            shape.place.residual = shape.refinable().map(residual).sum();
+            shape.place.stream_from = shape.break_even(env);
+        }
+        Ok(shape)
+    }
+
+    /// The refinement placement rule of a device tail that takes survivor
+    /// bits back up: the host round trip (list down, host re-test, bits up)
+    /// or each refinable residual streamed up and re-tested on the device,
+    /// both priced by [`ArShape::refine`]. The round trip rises faster with
+    /// the undecided count: the rule is the least count whose stream prices
+    /// strictly below it (a tie stays on the host).
+    fn break_even(&mut self, env: &Env) -> Option<u64> {
+        let (rows, steps) = (self.rows, self.refinable().count());
+        let mut streams = |u: u64| {
+            let mut c = Counts::all_rows(rows, 0);
+            (c.undecided, c.refines) = (u, vec![RefineCounts { live: u, kept: u }; steps]);
+            let mut price = |from| {
+                let mut l = CostLedger::new();
+                self.place.stream_from = from;
+                self.refine(&c, env, &mut l);
+                l.breakdown().total()
+            };
+            price(Some(1)) < price(None)
+        };
+        let (mut lo, mut hi) = (0, rows);
+        if !streams(hi) {
+            return None;
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            *(if streams(mid) { &mut hi } else { &mut lo }) = mid;
+        }
+        Some(hi)
     }
 
     /// The key columns a slot-addressed aggregation reads besides the
@@ -471,11 +525,12 @@ impl<'a> ArShape<'a> {
     /// shrinks monotonically): those that can leave a candidate undecided
     /// — and none when none was left.
     pub fn refine_order(&self, c: &Counts) -> Vec<usize> {
+        self.refinable().filter(|_| c.undecided > 0).collect()
+    }
+
+    fn refinable(&self) -> impl Iterator<Item = usize> + '_ {
         let refinable = |&i: &usize| self.sels[i].1.is_some_and(|r| r.inner != Some(r.outer));
-        match c.undecided {
-            0 => Vec::new(),
-            _ => (0..self.sels.len()).rev().filter(refinable).collect(),
-        }
+        (0..self.sels.len()).rev().filter(refinable)
     }
 
     /// The device's grouped aggregation, when it folds the tail into
@@ -490,14 +545,6 @@ impl<'a> ArShape<'a> {
         };
         let spec = env.device.spec();
         Some(GroupedAgg::slotted(spec, rows, accs, slots, c.groups))
-    }
-
-    /// Only a host tail needs the pre-grouping's ids brought down.
-    fn ids_bytes(&self, c: &Counts) -> u64 {
-        match self.place.device_tail {
-            true => 0,
-            false => self.place.ids(c),
-        }
     }
 
     /// The device's results over `rows` rows: one entry per group (under a
@@ -521,16 +568,12 @@ impl<'a> ArShape<'a> {
     fn list_bytes(&self, c: &Counts) -> u64 {
         let width = |&i: &usize| self.sels[i].0.bound.meta().stored_width();
         let widths: u32 = self.refine_order(c).iter().map(width).sum();
-        let mut bytes = candidate_stream_bytes(widths, c.undecided) + self.ids_bytes(c);
-        if !self.place.device_tail && !self.sels.is_empty() {
-            bytes += c.decided() * 4;
-        }
-        bytes
-    }
-
-    /// Whether a split count's device partial rides the list transfer.
-    fn partial_rides(&self, c: &Counts) -> bool {
-        self.place.split_count && self.list_bytes(c) > 0
+        let decided = c.decided() * 4 * u64::from(!self.sels.is_empty());
+        let host_tail = match self.place.device_tail {
+            true => 0,
+            false => self.place.ids(c) + decided,
+        };
+        candidate_stream_bytes(widths, c.undecided) + host_tail
     }
 
     // ---- The sites, in program order. Each is a no-op where the shape or
@@ -553,10 +596,10 @@ impl<'a> ArShape<'a> {
     }
 
     /// The list transfer ([`ArShape::list_bytes`]; a split count's device
-    /// partial rides it).
+    /// partial rides it) — none where the device refines.
     pub(crate) fn download(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
         let mut bytes = self.list_bytes(c);
-        if bytes > 0 {
+        if bytes > 0 && self.place.streamed(c) == 0 {
             if self.place.split_count {
                 bytes += self.partial_bytes(c.decided(), c);
             }
@@ -574,10 +617,13 @@ impl<'a> ArShape<'a> {
             // undecided candidates.
             col.charge_gather(env, false, c.undecided, "select.refine.gather", l);
         }
-        // Every refinement after the first aligns the live set with the
-        // downloaded list through a translucent merge.
-        let merge_bytes = if k == 0 { 0 } else { c.undecided * 4 };
-        col.charge_refine(env, c.refines[k].live, merge_bytes, l);
+        // Every host refinement after the first aligns the live set with
+        // the downloaded list through a translucent merge.
+        let (live, merge_bytes) = (c.refines[k].live, if k == 0 { 0 } else { c.undecided * 4 });
+        match self.place.streamed(c) {
+            0 => col.charge_refine(env, live, merge_bytes, l),
+            _ => col.charge_stream(env, live, l),
+        }
     }
 
     /// The survivor bits going back up ([`Transient::uploaded_bits`]).
@@ -651,7 +697,8 @@ impl<'a> ArShape<'a> {
             let accum = accumulators.max(1) as f64 * env.cpu.scan_seconds(rows * 8, rows, threads);
             l.charge(Component::Host, EVAL, expr + accum, 0);
         }
-        if place.device_tail && !self.partial_rides(c) {
+        // A split count's device partial rides the list transfer.
+        if place.device_tail && !(place.split_count && self.list_bytes(c) > 0) {
             // Per-group results cross the bus (tiny).
             env.charge_download("aggregate.download", self.partial_bytes(dev_rows, c), l);
         }
@@ -835,7 +882,7 @@ impl<'a> Shape<'a> {
             let has_fk = plan.fk_join.is_some();
             return ClassicShape::resolve(db.catalog(), plan, has_fk).map(Shape::Classic);
         };
-        ArShape::resolve(db, plan, opts.scan, env.device.spec()).map(Shape::Ar)
+        ArShape::resolve(db, plan, opts.scan, env).map(Shape::Ar)
     }
 
     /// The tail placement and the transient device bytes that follow
@@ -870,7 +917,7 @@ mod tests {
     use crate::tail::SLICE_ROWS;
     use bwd_core::plan::RewriteOptions;
     use bwd_core::plan::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr as E};
-    use bwd_device::CostEvent;
+    use bwd_device::{CostEvent, DeviceSpec};
     use bwd_kernels::group::WARP;
     use bwd_types::{SplitMix64, Value};
     use proptest::prelude::*;
@@ -917,6 +964,101 @@ mod tests {
         }
         db.declare_fk("t", "fk", "dim", "id").unwrap();
         db
+    }
+
+    /// The benchmark's statements — TPC-H Q1, Q6, Q14 and Table I's box —
+    /// bound over its tables at a small scale (TPC-H SF 0.02, 100 000
+    /// fixes): every column they read fully device-resident but
+    /// `l_shipdate`, `lon` and `lat`, split 24/8 as the benchmark's set-up
+    /// and Fig 10's space-constrained configuration split them.
+    pub(super) fn tpch() -> &'static (Database, Vec<(&'static str, ArPlan)>) {
+        static TPCH: std::sync::OnceLock<(Database, Vec<(&str, ArPlan)>)> =
+            std::sync::OnceLock::new();
+        TPCH.get_or_init(|| {
+            use bwd_core::CmpOp::{Ge, Le, Lt};
+            use bwd_data::{gen_lineitem, gen_part, gen_trips, SpatialConfig, TpchConfig};
+            use {AggFunc::*, BinOp::*};
+            let tpch = TpchConfig::scale(0.02);
+            let mut db = Database::new();
+            let trips = gen_trips(&SpatialConfig::fixes(100_000));
+            db.create_table("trips", trips.into_columns()).unwrap();
+            let lineitem = gen_lineitem(&tpch).into_columns();
+            db.create_table("lineitem", lineitem).unwrap();
+            db.create_table("part", gen_part(&tpch).into_columns())
+                .unwrap();
+            db.declare_fk("lineitem", "l_partkey", "part", "p_partkey")
+                .unwrap();
+            let date = |y, m, d| Value::Date(bwd_types::Date::from_ymd(y, m, d));
+            let cmp = |column: &str, op, value| Predicate::Cmp {
+                column: column.into(),
+                op,
+                value,
+            };
+            let range = |column: &str, lo, hi| Predicate::Between {
+                column: column.into(),
+                lo,
+                hi,
+            };
+            let (col, one) = (|c: &str| E::col(c), || E::lit(1i64));
+            let price = || col("l_extendedprice");
+            let disc_price = || price().binary(Mul, one().binary(Sub, col("l_discount")));
+            let sum = |e| agg(Sum, Some(e));
+            let scan = || LogicalPlan::scan("lineitem");
+            let q1 = scan()
+                .filter(cmp("l_shipdate", Le, date(1998, 9, 2)))
+                .aggregate(
+                    vec!["l_returnflag".into(), "l_linestatus".into()],
+                    vec![
+                        sum(col("l_quantity")),
+                        sum(price()),
+                        sum(disc_price()),
+                        sum(disc_price().binary(Mul, one().binary(Add, col("l_tax")))),
+                        agg(Avg, Some(col("l_quantity"))),
+                        agg(Avg, Some(price())),
+                        agg(Avg, Some(col("l_discount"))),
+                        agg(Count, None),
+                    ],
+                );
+            let q6 = (scan().filter(cmp("l_shipdate", Ge, date(1994, 1, 1))))
+                .filter(cmp("l_shipdate", Lt, date(1995, 1, 1)))
+                .filter(range(
+                    "l_discount",
+                    Value::decimal(5, 2),
+                    Value::decimal(7, 2),
+                ))
+                .filter(cmp("l_quantity", Lt, Value::Int(24)))
+                .aggregate(vec![], vec![sum(price().binary(Mul, col("l_discount")))]);
+            let promo = E::Case {
+                when: Box::new(Predicate::PrefixLike {
+                    column: "part.p_type".into(),
+                    prefix: "PROMO".into(),
+                }),
+                then: Box::new(disc_price()),
+                otherwise: Box::new(E::lit(0i64)),
+            };
+            let q14 = (scan().fk_join("l_partkey", "part"))
+                .filter(cmp("l_shipdate", Ge, date(1995, 9, 1)))
+                .filter(cmp("l_shipdate", Lt, date(1995, 10, 1)))
+                .aggregate(vec![], vec![sum(promo), sum(disc_price())]);
+            let ((lon_lo, lon_hi), (lat_lo, lat_hi)) = bwd_data::spatial::table1_query_box();
+            let degrees = |c: &str, lo, hi| range(c, Value::decimal(lo, 5), Value::decimal(hi, 5));
+            let boxed = (LogicalPlan::scan("trips").filter(degrees("lon", lon_lo, lon_hi)))
+                .filter(degrees("lat", lat_lo, lat_hi))
+                .aggregate(vec![], vec![agg(Count, None)]);
+            let plans = [("q1", q1), ("q6", q6), ("q14", q14), ("box", boxed)]
+                .map(|(name, plan)| (name, db.bind(&plan, &RewriteOptions::default()).unwrap()));
+            for (_, plan) in &plans {
+                db.auto_bind(plan).unwrap();
+            }
+            for (table, column) in [
+                ("trips", "lon"),
+                ("trips", "lat"),
+                ("lineitem", "l_shipdate"),
+            ] {
+                db.bwdecompose(table, column, 24).unwrap();
+            }
+            (db, plans.to_vec())
+        })
     }
 
     pub(super) fn between(column: &str, lo: i64, hi: i64) -> Predicate {
@@ -1041,8 +1183,7 @@ mod tests {
     }
 
     fn shape_of<'a>(db: &'a Database, plan: &'a ArPlan) -> ArShape<'a> {
-        let device = db.env().device.spec();
-        ArShape::resolve(db, plan, ScanOptions::default(), device).unwrap()
+        ArShape::resolve(db, plan, ScanOptions::default(), db.env()).unwrap()
     }
 
     fn events(shape: &ArShape<'_>, c: &Counts) -> Vec<CostEvent> {
@@ -1333,6 +1474,104 @@ mod tests {
             for (i, (linked, direct)) in linked.iter().zip(&direct).enumerate() {
                 let codes = if i == k { 4 * counts.input(k) } else { 0 };
                 assert_eq!(*linked, direct + codes, "{chain:?}: event {i}");
+            }
+        }
+    }
+
+    /// The residual crosses where the bill says. At one host thread the
+    /// stream and the device compare price below the host round trip for
+    /// space-constrained Q14 and Q1: their runs charge
+    /// `select.refine.stream` and `select.refine.device` and nothing on the
+    /// host. At 16 the host refines, as the paper plans it: the list down,
+    /// `select.refine`, the survivor bits up. Both return the same rows.
+    /// Q6 leaves few candidates undecided and refines on the host at one
+    /// thread too.
+    #[test]
+    fn the_residual_crosses_where_the_bill_says() {
+        let (db, plans) = tpch();
+        let run = |name: &str, threads: u32| {
+            let plan = &plans.iter().find(|(n, _)| *n == name).unwrap().1;
+            let (env, opts) = (
+                db.env().clone().host_threads(threads),
+                ArExecOptions::default(),
+            );
+            let (chain, chosen) = cheapest(db, plan, &ExecMode::ApproxRefine, &env);
+            let mut ledger = CostLedger::with_trace();
+            let (run, ..) = run_ar_counted(
+                db,
+                &chosen,
+                &chain,
+                &opts,
+                &env,
+                1,
+                None,
+                SLICE_ROWS,
+                &mut ledger,
+            )
+            .unwrap();
+            let charged = |label: &str| ledger.events().iter().any(|e| e.label == label);
+            let sites = ["select.refine.stream", "select.refine.device"].map(charged);
+            let host = [
+                "select.refine.download",
+                "select.refine",
+                "select.refine.upload",
+            ];
+            (format!("{:?}", run.rows), sites, host.map(charged))
+        };
+        for name in ["q14", "q1"] {
+            let (one, sixteen) = (run(name, 1), run(name, 16));
+            assert_eq!(one.0, sixteen.0, "{name}: rows");
+            assert_eq!(
+                (one.1, one.2),
+                ([true; 2], [false; 3]),
+                "{name} at 1 thread"
+            );
+            assert_eq!(
+                (sixteen.1, sixteen.2),
+                ([false; 2], [true; 3]),
+                "{name} at 16"
+            );
+        }
+        let q6 = run("q6", 1);
+        assert_eq!((q6.1, q6.2), ([false; 2], [true; 3]), "q6 at 1 thread");
+    }
+
+    /// The rule is the cheaper refinement, pointwise. Over the benchmark's
+    /// statements at 1 to 32 host threads, and undecided counts drawn up to
+    /// the rows beside the break-even count and its neighbours: the device
+    /// refines exactly where streaming prices strictly below the round
+    /// trip, each priced through [`ArShape::refine`].
+    #[test]
+    fn the_rule_refines_where_it_is_cheaper() {
+        let (db, plans) = tpch();
+        let rng = &mut SplitMix64::new(47);
+        for (name, plan) in plans {
+            for threads in [1, 2, 4, 8, 16, 32] {
+                let env = db.env().clone().host_threads(threads);
+                let mut shape = ArShape::resolve(db, plan, ScanOptions::default(), &env).unwrap();
+                let place = shape.place;
+                if !place.device_tail || place.split_count {
+                    assert_eq!(place.stream_from, None, "{name}");
+                    continue;
+                }
+                let (steps, rows) = (shape.refinable().count(), shape.rows);
+                let from = place.stream_from.unwrap_or(rows);
+                let near = [from - 1, from, from + 1].map(|u| u.clamp(1, rows));
+                let drawn: Vec<u64> = (0..64).map(|_| 1 + rng.below(rows)).collect();
+                for u in near.into_iter().chain(drawn) {
+                    let mut c = Counts::all_rows(rows, 0);
+                    (c.undecided, c.refines) = (u, vec![RefineCounts { live: u, kept: u }; steps]);
+                    let mut price = |from| {
+                        let mut l = CostLedger::new();
+                        shape.place.stream_from = from;
+                        shape.refine(&c, &env, &mut l);
+                        l.breakdown().total()
+                    };
+                    let cheaper = price(Some(1)) < price(None);
+                    shape.place = place;
+                    let ctx = format!("{name} at {threads} threads, {u} undecided");
+                    assert_eq!(place.streamed(&c) > 0, cheaper, "{ctx}");
+                }
             }
         }
     }

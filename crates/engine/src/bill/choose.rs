@@ -212,10 +212,26 @@ mod tests {
         format!("{:?}", run.unwrap().rows)
     }
 
-    /// The chooser's space for a plan in `mode`, enumerated
-    /// apart from it: per permutation of the chain, in lexicographic order
-    /// from the plan's own, the plain form and — where the plan has
-    /// co-factors — the folded one. The plan [`order`] picks is one of
+    /// Every plan the chooser weighs for `plan`: per permutation of the
+    /// chain, in lexicographic order from the plan's own, the plain form
+    /// and — where the plan has co-factors — the folded one.
+    fn candidates(db: &Database, plan: &ArPlan) -> Vec<ArPlan> {
+        let cofactors = folded(db, plan).fold;
+        let mut perm: Vec<usize> = (0..plan.selections.len()).collect();
+        let mut candidates = Vec::new();
+        loop {
+            candidates.push(arranged(plan, &perm, &[]));
+            if !cofactors.is_empty() {
+                candidates.push(arranged(plan, &perm, &cofactors));
+            }
+            if !next_permutation(&mut perm) {
+                return candidates;
+            }
+        }
+    }
+
+    /// The chooser's space for a plan in `mode`, enumerated apart from it
+    /// ([`candidates`]). The plan [`order`] picks is one of
     /// them, its predicted bill at most every candidate's and below every
     /// earlier one's, and [`cheapest`] reports its chain. Returns the
     /// candidates and the pick's place among them.
@@ -226,18 +242,7 @@ mod tests {
         ctx: &str,
     ) -> (Vec<ArPlan>, usize) {
         let env = db.env();
-        let cofactors = folded(db, plan).fold;
-        let mut perm: Vec<usize> = (0..plan.selections.len()).collect();
-        let mut candidates = Vec::new();
-        loop {
-            candidates.push(arranged(plan, &perm, &[]));
-            if !cofactors.is_empty() {
-                candidates.push(arranged(plan, &perm, &cofactors));
-            }
-            if !next_permutation(&mut perm) {
-                break;
-            }
-        }
+        let candidates = candidates(db, plan);
         let bills: Vec<f64> = (candidates.iter())
             .map(|c| {
                 let shape = Shape::resolve(db, c, mode, env).unwrap();
@@ -510,5 +515,59 @@ mod tests {
             }
         }
         assert!(chose_fold.iter().all(|&n| n > 0), "{chose_fold:?}");
+    }
+
+    /// The pick's *run* bill is the least. For each of the benchmark's
+    /// statements at a small scale ([`crate::bill::tests::tpch`]), in both
+    /// pipes, at one host thread — where the device refines Q1 and Q14 —
+    /// and at 16, where the host does: every order × fold candidate runs
+    /// through the executor as it stands, returns the rows of the plan
+    /// [`order`] picks, and bills at least what that plan's run bills. So a
+    /// placement the bill prices cannot buy a pick that runs dearer.
+    #[test]
+    fn the_picks_run_bill_is_the_least() {
+        let (db, plans) = crate::bill::tests::tpch();
+        let link = db
+            .fk_index("lineitem", "l_partkey")
+            .unwrap()
+            .device()
+            .data();
+        for (name, plan) in plans {
+            for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
+                for threads in [1, 16] {
+                    let env = db.env().clone().host_threads(threads);
+                    let run = |plan: &ArPlan| {
+                        let ledger = &mut CostLedger::new();
+                        let run = match mode {
+                            ExecMode::Classic => {
+                                let link = plan.fk_join.as_ref().map(|_| link);
+                                run_classic_sliced(
+                                    db.catalog(),
+                                    plan,
+                                    link,
+                                    &env,
+                                    1,
+                                    SLICE_ROWS,
+                                    ledger,
+                                )
+                            }
+                            _ => {
+                                let opts = ArExecOptions::default();
+                                run_ar_sliced(db, plan, &opts, &env, 1, SLICE_ROWS, ledger)
+                            }
+                        };
+                        let run = run.unwrap();
+                        (format!("{:?}", run.rows), run.breakdown.total())
+                    };
+                    let ctx = format!("{name} {mode:?} at {threads} threads");
+                    let (rows, least) = run(&order(db, plan, &mode, &env));
+                    for c in candidates(db, plan) {
+                        let (got, bill) = run(&c);
+                        assert_eq!(got, rows, "{ctx}: {:?} {:?}", c.selections, c.fold);
+                        assert!(least <= bill, "{ctx}: {least} over {bill} of {c:?}");
+                    }
+                }
+            }
+        }
     }
 }

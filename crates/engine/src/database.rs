@@ -861,18 +861,19 @@ mod tests {
     /// fetch, the A&R refinement of a 24/8 dimension column through it
     /// and a Q14-shaped plan in both pipes return — on 1 and on 3
     /// workers — the rows and the bill, to the bit, of the commit that
-    /// still kept a word-wide host copy of the mapping.
+    /// still kept a word-wide host copy of the mapping (the bill re-taken
+    /// when the device took over these small refinements).
     #[test]
     fn every_link_width_answers_and_bills_as_the_word_wide_map_did() {
         use bwd_core::plan::BinOp;
         const FACTS: usize = 20_000;
         const PINNED: [u64; 6] = [
-            6625344766398146151,
-            662205922839379474,
-            13938281166069536057,
-            4692527404655924716,
-            4970964568292668356,
-            5331216777577460364,
+            8828194981329522238,
+            15906120356541158608,
+            5255284504282062498,
+            11718996595882036573,
+            16334083683092285340,
+            4176271450791184361,
         ];
         let mut rng = bwd_types::SplitMix64::new(32);
         let ks = [2 + rng.below(6) as u32, 8 + rng.below(4) as u32];

@@ -13,9 +13,8 @@
 use crate::tail::SLICE_ROWS;
 use bwd_core::plan::{BinOp, Predicate, ScalarExpr};
 use bwd_core::RangePred;
-use bwd_storage::Dictionary;
-use bwd_types::{BwdError, DataType, Result, Value};
-use std::sync::Arc;
+use bwd_storage::Logical;
+use bwd_types::{BwdError, Result, Value};
 
 /// One materialized column aligned with the slice's surviving rows.
 #[derive(Debug, Clone)]
@@ -24,60 +23,8 @@ pub struct ColumnSlot {
     pub name: String,
     /// Payloads, one per row of the current slice.
     pub payloads: Vec<i64>,
-    /// Logical type (determines scale and value rendering).
-    pub dtype: DataType,
-    /// Dictionary for string columns.
-    pub dict: Option<Arc<Dictionary>>,
-}
-
-/// Render a payload as a logical value.
-pub fn payload_to_value(p: i64, dtype: DataType, dict: Option<&Dictionary>) -> Value {
-    match dtype {
-        DataType::Int32 | DataType::Int64 => Value::Int(p),
-        DataType::Date => Value::Date(bwd_types::Date(p as i32)),
-        DataType::Decimal { scale, .. } => Value::decimal(p, scale),
-        DataType::Bool => Value::Bool(p != 0),
-        DataType::Str => match dict {
-            Some(d) => Value::Str(d.value_of(p as u32).to_string()),
-            None => Value::Int(p),
-        },
-    }
-}
-
-/// Convert a literal to the payload domain of a column type/dictionary.
-fn value_to_payload(v: &Value, dtype: DataType, dict: Option<&Dictionary>) -> Result<i64> {
-    match (dtype, v) {
-        (DataType::Int32 | DataType::Int64, Value::Int(x)) => Ok(*x),
-        (DataType::Date, Value::Date(d)) => Ok(d.days() as i64),
-        (DataType::Decimal { scale, .. }, Value::Decimal { unscaled, scale: s }) => {
-            if *s == scale {
-                Ok(*unscaled)
-            } else if *s < scale {
-                unscaled
-                    .checked_mul(10i64.pow((scale - s) as u32))
-                    .ok_or_else(|| BwdError::InvalidArgument("decimal rescale overflow".into()))
-            } else {
-                let div = 10i64.pow((s - scale) as u32);
-                if unscaled % div != 0 {
-                    return Err(BwdError::InvalidArgument(
-                        "decimal literal loses precision".into(),
-                    ));
-                }
-                Ok(unscaled / div)
-            }
-        }
-        (DataType::Decimal { scale, .. }, Value::Int(x)) => x
-            .checked_mul(10i64.pow(scale as u32))
-            .ok_or_else(|| BwdError::InvalidArgument("decimal overflow".into())),
-        (DataType::Str, Value::Str(s)) => dict
-            .and_then(|d| d.code_of(s))
-            .map(|c| c as i64)
-            .ok_or_else(|| BwdError::NotFound(format!("string literal {s:?} not in dictionary"))),
-        (DataType::Bool, Value::Bool(b)) => Ok(*b as i64),
-        (dt, v) => Err(BwdError::TypeMismatch(format!(
-            "cannot bind literal {v:?} against a {dt} column"
-        ))),
-    }
+    /// Logical type and dictionary: scale, literal binding, rendering.
+    pub logical: Logical,
 }
 
 /// A set of aligned column slots over one slice of surviving rows. Each
@@ -205,19 +152,14 @@ impl Exprs {
         match expr {
             ScalarExpr::Column(name) => {
                 let slot = block.slot_index(name)?;
-                Ok(self.intern(Node::Col(slot), block.slot(slot).dtype.scale()))
+                Ok(self.intern(Node::Col(slot), block.slot(slot).logical.dtype().scale()))
             }
             ScalarExpr::Literal(v) => {
-                let (payload, scale) = match v {
-                    Value::Int(x) => (*x, 0),
-                    Value::Decimal { unscaled, scale } => (*unscaled, *scale),
-                    Value::Date(d) => (d.days() as i64, 0),
-                    Value::Bool(b) => (*b as i64, 0),
-                    other => {
-                        return Err(BwdError::TypeMismatch(format!(
-                            "literal {other:?} not usable in arithmetic"
-                        )))
-                    }
+                let msg = || format!("literal {v:?} not usable in arithmetic");
+                let payload = v.as_i64().ok_or_else(|| BwdError::TypeMismatch(msg()))?;
+                let scale = match v {
+                    Value::Decimal { scale, .. } => *scale,
+                    _ => 0,
                 };
                 Ok(self.intern(Node::Lit(payload), scale))
             }
@@ -313,37 +255,28 @@ impl Exprs {
 }
 
 fn bind_case_predicate(pred: &Predicate, block: &RowBlock) -> Result<(usize, RangePred)> {
-    match pred {
-        Predicate::Cmp { column, op, value } => {
-            let slot = block.slot_index(column)?;
-            let s = block.slot(slot);
-            let payload = value_to_payload(value, s.dtype, s.dict.as_deref())?;
-            let range = RangePred::from_cmp(*op, payload).unwrap_or(RangePred::between(1, 0));
-            Ok((slot, range))
-        }
-        Predicate::Between { column, lo, hi } => {
-            let slot = block.slot_index(column)?;
-            let s = block.slot(slot);
-            let lo = value_to_payload(lo, s.dtype, s.dict.as_deref())?;
-            let hi = value_to_payload(hi, s.dtype, s.dict.as_deref())?;
-            Ok((slot, RangePred::between(lo, hi)))
-        }
-        Predicate::PrefixLike { column, prefix } => {
-            let slot = block.slot_index(column)?;
-            let s = block.slot(slot);
-            let dict = s.dict.as_deref().ok_or_else(|| {
-                BwdError::TypeMismatch(format!("{column} is not a dictionary column"))
-            })?;
-            let range = match dict.prefix_code_range(prefix) {
-                Some((lo, hi)) => RangePred::between(lo as i64, hi as i64),
-                None => RangePred::between(1, 0),
-            };
-            Ok((slot, range))
-        }
-        Predicate::And(_) => Err(BwdError::Unsupported(
+    use Predicate::{Between, Cmp, PrefixLike};
+    let (Cmp { column, .. } | Between { column, .. } | PrefixLike { column, .. }) = pred else {
+        return Err(BwdError::Unsupported(
             "conjunctions inside CASE conditions".into(),
+        ));
+    };
+    let slot = block.slot_index(column)?;
+    let logical = &block.slot(slot).logical;
+    let range = match (pred, logical) {
+        (Cmp { op, value, .. }, _) => RangePred::from_cmp(*op, logical.payload_of(value)?),
+        (Between { lo, hi, .. }, _) => Some(RangePred::between(
+            logical.payload_of(lo)?,
+            logical.payload_of(hi)?,
         )),
-    }
+        (PrefixLike { prefix, .. }, Logical::Str(dict)) => (dict.prefix_code_range(prefix))
+            .map(|(lo, hi)| RangePred::between(lo as i64, hi as i64)),
+        _ => {
+            let msg = format!("{column} is not a dictionary column");
+            return Err(BwdError::TypeMismatch(msg));
+        }
+    };
+    Ok((slot, range.unwrap_or(RangePred::between(1, 0))))
 }
 
 /// An accumulated aggregate payload: exact unscaled integer plus scale.
@@ -375,6 +308,9 @@ impl AggValue {
 mod tests {
     use super::*;
     use bwd_core::plan::ScalarExpr as E;
+    use bwd_storage::Dictionary;
+    use bwd_types::DataType;
+    use std::sync::Arc;
 
     /// Bind `e` and evaluate it for `row`.
     fn eval(e: &ScalarExpr, b: &RowBlock, row: usize) -> Result<(i128, u8)> {
@@ -388,14 +324,12 @@ mod tests {
         b.push_slot(ColumnSlot {
             name: "price".into(),
             payloads: vec![10_000, 20_000, 150], // scale 2: 100.00, 200.00, 1.50
-            dtype: DataType::decimal(2),
-            dict: None,
+            logical: Logical::Plain(DataType::decimal(2)),
         });
         b.push_slot(ColumnSlot {
             name: "discount".into(),
             payloads: vec![5, 10, 0], // scale 2: 0.05, 0.10, 0.00
-            dtype: DataType::decimal(2),
-            dict: None,
+            logical: Logical::Plain(DataType::decimal(2)),
         });
         b
     }
@@ -427,14 +361,12 @@ mod tests {
         b.push_slot(ColumnSlot {
             name: "p_type".into(),
             payloads: codes.iter().map(|&c| c as i64).collect(),
-            dtype: DataType::Str,
-            dict: Some(Arc::new(dict)),
+            logical: Logical::Str(Arc::new(dict)),
         });
         b.push_slot(ColumnSlot {
             name: "v".into(),
             payloads: vec![100, 200, 300, 400],
-            dtype: DataType::Int32,
-            dict: None,
+            logical: Logical::Plain(DataType::Int32),
         });
         // CASE WHEN p_type LIKE 'PROMO%' THEN v ELSE 0 END
         let e = ScalarExpr::Case {
@@ -493,8 +425,7 @@ mod tests {
         b.push_slot(ColumnSlot {
             name: "x".into(),
             payloads: vec![1],
-            dtype: DataType::Int32,
-            dict: None,
+            logical: Logical::Plain(DataType::Int32),
         });
     }
 }

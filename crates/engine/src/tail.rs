@@ -24,7 +24,7 @@
 //! rounds, with every worker joined. Simulated costs are not this
 //! module's business: the executors charge them once from the totals.
 
-use crate::eval::{payload_to_value, AggValue, ColumnSlot, Exprs, Node, RowBlock};
+use crate::eval::{AggValue, ColumnSlot, Exprs, Node, RowBlock};
 use crate::morsel::run_parts_mut;
 use bwd_core::plan::{AggExpr, AggFunc, ArPlan, BinOp, ScalarExpr};
 use bwd_device::Env;
@@ -639,7 +639,7 @@ impl<'p> Sink<'p> {
             }
             let key = if grouped { table.key(g) } else { &[] };
             let mut row: Vec<Value> = (table.cols.iter().zip(key))
-                .map(|(c, &k)| payload_to_value(k, c.dtype, c.dict.as_deref()))
+                .map(|(c, &k)| c.logical.value(k))
                 .collect();
             row.extend((p.aggs.iter()).map(|&(func, ai)| accs[ai].render(func, scale(ai))));
             rows.push(row);
@@ -949,12 +949,12 @@ pub(crate) mod tests {
         let names = plan.gathered_columns();
         let mut block = RowBlock::new(1);
         for name in names.iter().cloned() {
-            let (payloads, dtype, dict) = (vec![0], column(&name).0.dtype(), None);
+            let logical = column(&name).0.logical().clone();
+            let payloads = vec![0];
             block.push_slot(ColumnSlot {
                 name,
                 payloads,
-                dtype,
-                dict,
+                logical,
             });
         }
         let mut exprs = Exprs::default();
@@ -992,10 +992,10 @@ pub(crate) mod tests {
         let rows = groups.into_iter().map(|(key, accs)| {
             let aggs = accs.iter().zip(&plan.aggs);
             let aggs = aggs.map(|(&(acc, scale), a)| acc.render(a.func, scale));
-            let key = key.into_iter().zip(&plan.group_by).map(|(k, g)| {
-                let col = column(g).0;
-                payload_to_value(k, col.dtype(), col.dictionary().map(|d| &**d))
-            });
+            let key = key
+                .into_iter()
+                .zip(&plan.group_by)
+                .map(|(k, g)| column(g).0.logical().value(k));
             key.chain(aggs).collect()
         });
         Ok((rows.collect(), survivors))
@@ -1044,8 +1044,7 @@ pub(crate) mod tests {
         let slot = |name: &str| ColumnSlot {
             name: name.into(),
             payloads: Vec::new(),
-            dtype: bwd_types::DataType::Int64,
-            dict: None,
+            logical: bwd_storage::Logical::Plain(bwd_types::DataType::Int64),
         };
         let mut db = Database::new();
         let empty = || Column::from_i64(Vec::new());

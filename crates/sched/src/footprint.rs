@@ -469,18 +469,22 @@ mod tests {
     /// observed and it is that run's ledger: the latency is its breakdown
     /// to the bit and the reservation at scale 1 the transient bytes its
     /// budget was charged — in both pipes, fully resident and split 24/8,
-    /// at either thread allocation, for every benchmark statement — Q6 at
+    /// at 1, 4 and 16 host threads, for every benchmark statement — Q6 at
     /// 24/8 in another chain order than it was bound in, which run and
-    /// footprint both take. (This is what
+    /// footprint both take — and under either refinement placement: some
+    /// split runs stream the residual to the device, others refine on the
+    /// host. (This is what
     /// closed the `value_columns()` drift: the parent reserved Q1's two
     /// key columns although the executor, under a device pre-grouping,
     /// never gathers them.)
     #[test]
     fn observed_counts_in_the_runs_own_bits_out() {
+        // Per placement, whether some split run refined that way.
+        let mut placements = [false; 2];
         for split in [false, true] {
             let (db, plans) = bench_db(split);
             for (name, plan) in &plans {
-                for (mode, threads) in [(ExecMode::Classic, 1), (AR, 1), (AR, 4)] {
+                for (mode, threads) in [(ExecMode::Classic, 1), (AR, 1), (AR, 4), (AR, 16)] {
                     let ctx = format!("{name} split={split} {mode:?}");
                     let env = db.env().clone().host_threads(threads);
                     // Q6 at 24/8 runs another order than it was bound in.
@@ -489,6 +493,11 @@ mod tests {
                     }
                     let (run, counts, held) =
                         db.run_counted(plan, mode.clone(), &env, 1, None).unwrap();
+                    if counts.undecided > 0 && !matches!(mode, ExecMode::Classic) {
+                        let chosen = order(&db, plan, &mode, &env);
+                        let shape = Shape::resolve(&db, &chosen, &mode, &env).unwrap();
+                        placements[usize::from(shape.transient().streamed(&counts) > 0)] = true;
+                    }
                     let fp = PlanFootprint::with_counts(&db, plan, &mode, threads, counts);
                     let (got, want) = (fp.latency(), run.breakdown);
                     assert_eq!(
@@ -505,5 +514,9 @@ mod tests {
                 }
             }
         }
+        assert_eq!(
+            placements, [true; 2],
+            "the host and the device each refined"
+        );
     }
 }

@@ -224,10 +224,7 @@ impl Scheduler {
 
     /// Current per-stream, per-device and admission statistics.
     pub fn stats(&self) -> SchedulerStats {
-        let devices: Vec<DeviceSnapshot> = self
-            .shared
-            .devices
-            .iter()
+        let devices: Vec<DeviceSnapshot> = (self.shared.devices.iter())
             .map(|slot| {
                 let mem = slot.admission.memory();
                 DeviceSnapshot {
@@ -586,11 +583,8 @@ fn run_ar_on_device(
         run.step(Transition::Admitted { reserved, requeues });
         let budget = est.is_reduced().then(|| est.data_budget());
         let mode = job.mode.clone();
-        match run
-            .shared
-            .db
-            .run_bound_in(&job.plan, mode, &env, morsels, budget)
-        {
+        let db = &run.shared.db;
+        match db.run_bound_in(&job.plan, mode, &env, morsels, budget) {
             Err(BwdError::DeviceOutOfMemory { .. }) if budget.is_some() => {
                 // The statistics underestimated this query. Release the
                 // permit first (holding it while re-queueing could

@@ -237,13 +237,65 @@ pub(crate) fn narrowed<T: Payload>(
 }
 
 /// A column's logical type, with what only that type carries: a string
-/// column cannot be without its dictionary.
+/// column cannot be without its dictionary. The one value ↔ payload
+/// mapping: a stored column and the engine's slice slots both read it.
 #[derive(Debug, Clone)]
-enum Logical {
-    /// Any type but `Str` ([`Column::from_data`] rejects it).
+pub enum Logical {
+    /// Any type but `Str` ([`Column::from_data`] rejects it; a bare code
+    /// renders as the integer it is).
     Plain(DataType),
     /// `Str`: payloads are codes into this ordered dictionary.
     Str(Arc<Dictionary>),
+}
+
+impl Logical {
+    /// The logical type.
+    #[inline]
+    pub fn dtype(&self) -> DataType {
+        match self {
+            Logical::Plain(dtype) => *dtype,
+            Logical::Str(_) => DataType::Str,
+        }
+    }
+
+    /// The logical value of payload `p`.
+    pub fn value(&self, p: i64) -> Value {
+        match self {
+            Logical::Str(dict) => Value::Str(dict.value_of(p as u32).to_string()),
+            Logical::Plain(DataType::Int32 | DataType::Int64 | DataType::Str) => Value::Int(p),
+            Logical::Plain(DataType::Date) => Value::Date(Date(p as i32)),
+            Logical::Plain(DataType::Decimal { scale, .. }) => Value::decimal(p, *scale),
+            Logical::Plain(DataType::Bool) => Value::Bool(p != 0),
+        }
+    }
+
+    /// Convert a literal [`Value`] into this type's payload domain (query
+    /// constants against a column of it).
+    pub fn payload_of(&self, v: &Value) -> Result<i64> {
+        match (self, v) {
+            (Logical::Plain(DataType::Int32 | DataType::Int64), Value::Int(x)) => Ok(*x),
+            (Logical::Plain(DataType::Date), Value::Date(d)) => Ok(d.days() as i64),
+            (
+                Logical::Plain(DataType::Decimal { scale, .. }),
+                Value::Decimal { unscaled, scale: s },
+            ) => rescale(*unscaled, *s, *scale),
+            (Logical::Plain(DataType::Decimal { scale, .. }), Value::Int(x)) => {
+                x.checked_mul(10i64.pow(*scale as u32)).ok_or_else(|| {
+                    BwdError::InvalidArgument(format!("integer {x} overflows decimal({scale})"))
+                })
+            }
+            (Logical::Str(dict), Value::Str(s)) => {
+                dict.code_of(s).map(|c| c as i64).ok_or_else(|| {
+                    BwdError::NotFound(format!("string literal {s:?} not in dictionary"))
+                })
+            }
+            (Logical::Plain(DataType::Bool), Value::Bool(b)) => Ok(*b as i64),
+            (_, v) => Err(BwdError::TypeMismatch(format!(
+                "cannot compare {} column with literal {v:?}",
+                self.dtype()
+            ))),
+        }
+    }
 }
 
 /// How a column holds its payloads: every bit once.
@@ -428,10 +480,13 @@ impl Column {
     /// Logical type.
     #[inline]
     pub fn dtype(&self) -> DataType {
-        match self.logical {
-            Logical::Plain(dtype) => dtype,
-            Logical::Str(_) => DataType::Str,
-        }
+        self.logical.dtype()
+    }
+
+    /// Logical type with its dictionary: the value ↔ payload mapping.
+    #[inline]
+    pub fn logical(&self) -> &Logical {
+        &self.logical
     }
 
     /// Number of rows.
@@ -525,43 +580,13 @@ impl Column {
 
     /// Logical value of row `i`.
     pub fn value(&self, i: usize) -> Value {
-        let p = self.payload(i);
-        match &self.logical {
-            Logical::Str(dict) => Value::Str(dict.value_of(p as u32).to_string()),
-            // `Plain` never holds `Str`; a bare code is the integer it is.
-            Logical::Plain(DataType::Int32 | DataType::Int64 | DataType::Str) => Value::Int(p),
-            Logical::Plain(DataType::Date) => Value::Date(Date(p as i32)),
-            Logical::Plain(DataType::Decimal { scale, .. }) => Value::decimal(p, *scale),
-            Logical::Plain(DataType::Bool) => Value::Bool(p != 0),
-        }
+        self.logical.value(self.payload(i))
     }
 
     /// Convert a literal [`Value`] into this column's payload domain
     /// (query constants against this column).
     pub fn payload_of_value(&self, v: &Value) -> Result<i64> {
-        match (&self.logical, v) {
-            (Logical::Plain(DataType::Int32 | DataType::Int64), Value::Int(x)) => Ok(*x),
-            (Logical::Plain(DataType::Date), Value::Date(d)) => Ok(d.days() as i64),
-            (
-                Logical::Plain(DataType::Decimal { scale, .. }),
-                Value::Decimal { unscaled, scale: s },
-            ) => rescale(*unscaled, *s, *scale),
-            (Logical::Plain(DataType::Decimal { scale, .. }), Value::Int(x)) => {
-                x.checked_mul(10i64.pow(*scale as u32)).ok_or_else(|| {
-                    BwdError::InvalidArgument(format!("integer {x} overflows decimal({scale})"))
-                })
-            }
-            (Logical::Str(dict), Value::Str(s)) => {
-                dict.code_of(s).map(|c| c as i64).ok_or_else(|| {
-                    BwdError::NotFound(format!("string literal {s:?} not in dictionary"))
-                })
-            }
-            (Logical::Plain(DataType::Bool), Value::Bool(b)) => Ok(*b as i64),
-            (_, v) => Err(BwdError::TypeMismatch(format!(
-                "cannot compare {} column with literal {v:?}",
-                self.dtype()
-            ))),
-        }
+        self.logical.payload_of(v)
     }
 
     /// Modeled in-memory size in bytes: rows × [`DataType::plain_width`],

@@ -155,11 +155,11 @@ fn the_predictions_are_pinned() {
     #[rustfmt::skip]
     let pins: [Pin; 14] = [
         (Q1, &c, (60_000, &[57_863], 0, &[], 57_863, 594), 0x3f71a2e3de7e3fa0, (785_536, 785_536)),
-        (Q1, &ar, (60_000, &[60_000], 5_273, &[(5_273, 3_136)], 57_863, 594), 0x3f3c51757d283109, (1_988_173, 1_993_036)),
+        (Q1, &ar, (60_000, &[60_000], 5_273, &[(5_273, 3_136)], 57_863, 594), 0x3f3ac7e2e51aa500, (2_048_173, 2_053_036)),
         (Q6, &c, (60_000, &[8_670, 3_989, 1_088], 0, &[], 1_088, 0), 0x3f305c7f8517700e, (725_392, 2_225_536)),
-        (Q6, &ar, (60_000, &[16_364, 7_528, 2_289], 1_526, &[(1_526, 325)], 1_088, 0), 0x3f1ba5b58fe7f7b2, (1_327_147, 3_193_036)),
+        (Q6, &ar, (60_000, &[16_364, 7_528, 2_289], 1_526, &[(1_526, 325)], 1_088, 0), 0x3f1ba5b58fe7f7b2, (1_387_147, 3_253_036)),
         (Q14, &c, (60_000, &[713], 0, &[], 713, 0), 0x3f2462a562416f4a, (99_760, 785_536)),
-        (Q14, &ar, (60_000, &[6_081], 6_081, &[(6_081, 713)], 713, 0), 0x3f208ebaf66f9026, (428_913, 2_233_036)),
+        (Q14, &ar, (60_000, &[6_081], 6_081, &[(6_081, 713)], 713, 0), 0x3f1992dee21824d8, (488_913, 2_293_036)),
         (PROBE, &c, (16_000, &[161], 0, &[], 161, 0), 0x3f015143e6f5f300, (73_264, 257_536)),
         (PROBE, &ar, (16_000, &[161], 1, &[(1, 1)], 161, 0), 0x3ef8725d30b61a86, (73_264, 257_536)),
         (DENSE_BOX, &c, (50_000, &[269, 3], 0, &[], 3, 0), 0x3f1a8b9eb64b35ee, (78_592, 1_265_536)),

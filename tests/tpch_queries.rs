@@ -114,7 +114,9 @@ fn q14_join_and_case_equivalence() {
 /// index alone, so its approximation would sit on the device unread. The
 /// space-constrained A&R run is the one the commit that still uploaded it
 /// produced, bit for bit — but for the result download, which now carries
-/// both accumulators' 16 B where that commit billed one (+16 B of PCI-E).
+/// both accumulators' 16 B where that commit billed one (+16 B of PCI-E),
+/// and the refinement, which the bill now places on the device: the
+/// residual partition streams up and no host event is left.
 #[test]
 fn auto_bind_leaves_the_join_key_off_the_device() {
     let mut db = tpch();
@@ -159,8 +161,8 @@ fn auto_bind_leaves_the_join_key_off_the_device() {
 
 const PARENT_Q14: &str = "[[Decimal { unscaled: 56616630850, scale: 4 }, \
     Decimal { unscaled: 264230816910, scale: 4 }]] \
-    device 0x3f0885e667055054 host 0x3f03733592f01868 pcie 0x3f06aca0bee8b7e2 \
-    bytes 73471 6183 28629";
+    device 0x3f0ea99011179af5 host 0x0000000000000000 pcie 0x3f048d1027993e80 \
+    bytes 79654 0 60032";
 
 #[test]
 fn q14_with_decomposed_dimension_column() {
