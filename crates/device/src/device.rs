@@ -318,6 +318,11 @@ impl Env {
         );
     }
 
+    /// Charge a host→device transfer (the bus is priced alike both ways).
+    pub fn charge_upload(&self, label: &str, bytes: u64, ledger: &mut CostLedger) {
+        self.charge_download(label, bytes, ledger);
+    }
+
     /// Charge host work: sequential scan of `bytes` with `tuples`
     /// per-tuple operations on the environment's thread allocation.
     pub fn charge_host_scan(&self, label: &str, bytes: u64, tuples: u64, ledger: &mut CostLedger) {

@@ -356,16 +356,16 @@ impl<'a> Run<'a> {
         Ok(a)
     }
 
-    /// Refinement (host) of what the approximation left undecided: one
-    /// transfer carries everything the host needs, then the selections
-    /// that can leave a candidate undecided re-test last-to-first, the
-    /// live set shrinking monotonically; a plan without undecided
-    /// candidates has no refinement step at all. A device tail then gets
+    /// Refinement of what the approximation left undecided, where
+    /// [`Transient::refinement`] places it: the selections that can leave
+    /// a candidate undecided re-test last-to-first, the live set shrinking
+    /// monotonically; a plan without undecided candidates has no
+    /// refinement step at all. A host refinement for a device tail sends
     /// one survivor bit per undecided candidate back.
     fn refine(&mut self, a: &mut Approx<'_>) -> Result<()> {
         let (env, decided) = (self.env, self.counts.decided());
         self.transient
-            .charge(self.shape.place.streamed(&self.counts))?;
+            .charge(self.shape.place.refining(&self.counts))?;
         self.shape.download(&self.counts, env, self.ledger);
         let order = self.shape.refine_order(&self.counts);
         for (k, i) in order.into_iter().enumerate() {

@@ -148,7 +148,7 @@ impl Counts {
 /// alone. Otherwise (destructive distributivity, §IV-G) the host tail
 /// covers decided ∪ refined rows. The paper's all-GPU configurations are
 /// the case *undecided = ∅*. Where bits would go back up, the device may
-/// refine itself instead, holding the streamed residual partitions.
+/// refine itself instead ([`Refinement`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Transient {
     /// Columns the tail gathers per row.
@@ -165,8 +165,23 @@ pub struct Transient {
     pub group_ids: bool,
     /// The packed residuals a device refinement streams up.
     pub residual: u64,
-    /// The least undecided count the device refines (`None`: never).
+    /// The refinable selections' residual bits per candidate.
+    pub residual_bits: u32,
+    /// The least undecided counts that fetch and that stream (`None`: never).
+    pub fetch_from: Option<u64>,
     pub stream_from: Option<u64>,
+}
+
+/// Where a device tail's undecided candidates are re-tested: the cheapest
+/// of the three [`ArShape::refine`] prices, ties to the earlier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refinement {
+    /// The list down, the host re-tests, survivor bits up.
+    Host,
+    /// The oids down, the host fetches their residuals up, the device re-tests.
+    Fetch,
+    /// Each residual partition streamed up whole, the device re-tests.
+    Stream,
 }
 
 impl Transient {
@@ -188,7 +203,7 @@ impl Transient {
     /// undecided list in the order it sent it, one bit per entry tells it
     /// which of them the host kept (none where the device refined).
     pub fn uploaded_bits(&self, c: &Counts) -> u64 {
-        match self.device_tail && !self.split_count && self.streamed(c) == 0 {
+        match self.device_tail && !self.split_count && self.refinement(c) == Refinement::Host {
             true => c.undecided,
             false => 0,
         }
@@ -215,15 +230,25 @@ impl Transient {
     /// Everything a run with these counts holds.
     pub fn bytes(&self, c: &Counts) -> u64 {
         let lists: u64 = c.steps.iter().map(|&s| Self::list(s)).sum();
-        lists + self.ids(c) + self.streamed(c) + self.tail(c)
+        lists + self.ids(c) + self.refining(c) + self.tail(c)
     }
 
-    /// The residual partitions the device streams up and holds where it
-    /// refines `c`'s undecided candidates itself (0: the host does).
-    pub fn streamed(&self, c: &Counts) -> u64 {
-        match self.stream_from {
-            Some(from) if c.undecided >= from => self.residual,
-            _ => 0,
+    /// Where `c`'s undecided candidates are re-tested.
+    pub fn refinement(&self, c: &Counts) -> Refinement {
+        let reached = |from: Option<u64>| from.is_some_and(|from| c.undecided >= from);
+        match (reached(self.stream_from), reached(self.fetch_from)) {
+            (true, _) => Refinement::Stream,
+            (false, true) => Refinement::Fetch,
+            _ => Refinement::Host,
+        }
+    }
+
+    /// The device bytes a refinement holds: streamed partitions, or a fetch's oids and residuals.
+    pub fn refining(&self, c: &Counts) -> u64 {
+        match self.refinement(c) {
+            Refinement::Host => 0,
+            Refinement::Fetch => candidate_stream_bytes(self.residual_bits, c.undecided),
+            Refinement::Stream => self.residual,
         }
     }
 }
@@ -336,22 +361,6 @@ impl<'a> ColRef<'a> {
             Some(link) => charge_gather_indirect(env, arr, link, n as usize, label, l),
         }
     }
-
-    /// The host re-testing `live` undecided candidates exactly
-    /// (`merge_bytes`: the downloaded list they are aligned with, if any).
-    fn charge_refine(&self, env: &Env, live: u64, merge_bytes: u64, l: &mut CostLedger) {
-        let bytes = self.bound.residual_access_bytes(live as usize) + merge_bytes;
-        env.charge_host_scattered("select.refine", bytes, live * REFINE_OPS_PER_TUPLE, l);
-    }
-
-    /// The device re-testing them itself, the residual streamed up first.
-    fn charge_stream(&self, env: &Env, live: u64, l: &mut CostLedger) {
-        let bytes = self.bound.residual().packed_bytes();
-        let seconds = env.pcie.transfer_seconds(bytes);
-        l.charge(Component::Pcie, "select.refine.stream", seconds, bytes);
-        let read = self.bound.residual_access_bytes(live as usize);
-        env.charge_kernel_scattered("select.refine.device", read, live * REFINE_OPS_PER_TUPLE, l);
-    }
 }
 
 /// An A&R plan resolved against the database: everything about it the
@@ -379,6 +388,7 @@ pub struct ArShape<'a> {
 }
 
 const REFINE_DOWNLOAD: &str = "select.refine.download";
+const REFINE_UPLOAD: &str = "select.refine.upload";
 const EVAL: &str = "aggregate.eval";
 
 impl<'a> ArShape<'a> {
@@ -461,39 +471,41 @@ impl<'a> ArShape<'a> {
             tail,
         };
         if device_tail && !shape.place.split_count {
-            let residual = |i: usize| shape.sels[i].0.bound.residual().packed_bytes();
-            shape.place.residual = shape.refinable().map(residual).sum();
-            shape.place.stream_from = shape.break_even(env);
+            let residuals = shape.refinable().map(|i| shape.sels[i].0.bound.residual());
+            let residuals: Vec<_> = residuals.collect();
+            shape.place.residual = residuals.iter().map(|r| r.packed_bytes()).sum();
+            shape.place.residual_bits = residuals.iter().map(|r| r.width()).sum();
+            let fetch = shape.least(env, |[host, fetch, _]| fetch < host);
+            let stream = shape.least(env, |[host, fetch, stream]| stream < host.min(fetch));
+            (shape.place.fetch_from, shape.place.stream_from) = (fetch, stream);
         }
         Ok(shape)
     }
 
-    /// The refinement placement rule of a device tail that takes survivor
-    /// bits back up: the host round trip (list down, host re-test, bits up)
-    /// or each refinable residual streamed up and re-tested on the device,
-    /// both priced by [`ArShape::refine`]. The round trip rises faster with
-    /// the undecided count: the rule is the least count whose stream prices
-    /// strictly below it (a tie stays on the host).
-    fn break_even(&mut self, env: &Env) -> Option<u64> {
+    /// The placement rule: the least undecided count at which `wins` holds
+    /// of the round trip's, the fetch's and the stream's [`ArShape::refine`]
+    /// price. Each dearer placement moves less per candidate, so its margin
+    /// grows with the count; ties stay with the earlier placement.
+    fn least(&mut self, env: &Env, wins: impl Fn([f64; 3]) -> bool) -> Option<u64> {
         let (rows, steps) = (self.rows, self.refinable().count());
-        let mut streams = |u: u64| {
+        let forced = [(None, None), (Some(0), None), (None, Some(0))];
+        let mut wins_at = |u: u64| {
             let mut c = Counts::all_rows(rows, 0);
             (c.undecided, c.refines) = (u, vec![RefineCounts { live: u, kept: u }; steps]);
-            let mut price = |from| {
+            wins(forced.map(|from| {
                 let mut l = CostLedger::new();
-                self.place.stream_from = from;
+                (self.place.fetch_from, self.place.stream_from) = from;
                 self.refine(&c, env, &mut l);
                 l.breakdown().total()
-            };
-            price(Some(1)) < price(None)
+            }))
         };
         let (mut lo, mut hi) = (0, rows);
-        if !streams(hi) {
+        if !wins_at(hi) {
             return None;
         }
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            *(if streams(mid) { &mut hi } else { &mut lo }) = mid;
+            *(if wins_at(mid) { &mut hi } else { &mut lo }) = mid;
         }
         Some(hi)
     }
@@ -596,10 +608,19 @@ impl<'a> ArShape<'a> {
     }
 
     /// The list transfer ([`ArShape::list_bytes`]; a split count's device
-    /// partial rides it) — none where the device refines.
+    /// partial rides it) — none where the device streams, the oids alone
+    /// for a fetch: the host reads their residuals and sends them up.
     pub(crate) fn download(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
-        let mut bytes = self.list_bytes(c);
-        if bytes > 0 && self.place.streamed(c) == 0 {
+        let (mut bytes, how) = (self.list_bytes(c), self.place.refinement(c));
+        if how == Refinement::Fetch {
+            let (u, order) = (c.undecided, self.refine_order(c));
+            let oids = candidate_stream_bytes(0, u);
+            env.charge_download(REFINE_DOWNLOAD, oids, l);
+            let read = |&i: &usize| self.sels[i].0.bound.residual_access_bytes(u as usize);
+            let (read, ops) = (order.iter().map(read).sum(), u * order.len() as u64);
+            env.charge_host_scattered("select.refine.fetch", read, ops, l);
+            env.charge_upload(REFINE_UPLOAD, self.place.refining(c) - oids, l);
+        } else if bytes > 0 && how == Refinement::Host {
             if self.place.split_count {
                 bytes += self.partial_bytes(c.decided(), c);
             }
@@ -607,7 +628,8 @@ impl<'a> ArShape<'a> {
         }
     }
 
-    /// Refinement `k` of [`ArShape::refine_order`].
+    /// Refinement `k` of [`ArShape::refine_order`]: the live undecided
+    /// candidates re-tested on the host, or on the device.
     pub(crate) fn refine_step(&self, k: usize, c: &Counts, env: &Env, l: &mut CostLedger) {
         let i = self.refine_order(c)[k];
         let col = &self.sels[i].0;
@@ -619,10 +641,18 @@ impl<'a> ArShape<'a> {
         }
         // Every host refinement after the first aligns the live set with
         // the downloaded list through a translucent merge.
-        let (live, merge_bytes) = (c.refines[k].live, if k == 0 { 0 } else { c.undecided * 4 });
-        match self.place.streamed(c) {
-            0 => col.charge_refine(env, live, merge_bytes, l),
-            _ => col.charge_stream(env, live, l),
+        let (live, merge) = (c.refines[k].live, if k == 0 { 0 } else { c.undecided * 4 });
+        let read = col.bound.residual_access_bytes(live as usize);
+        let ops = live * REFINE_OPS_PER_TUPLE;
+        match self.place.refinement(c) {
+            Refinement::Host => env.charge_host_scattered("select.refine", read + merge, ops, l),
+            how => {
+                if how == Refinement::Stream {
+                    let bytes = col.bound.residual().packed_bytes();
+                    env.charge_upload("select.refine.stream", bytes, l);
+                }
+                env.charge_kernel_scattered("select.refine.device", read, ops, l);
+            }
         }
     }
 
@@ -630,8 +660,7 @@ impl<'a> ArShape<'a> {
     pub(crate) fn upload(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
         let bytes = self.place.uploaded_bits(c).div_ceil(8);
         if bytes > 0 {
-            let seconds = env.pcie.transfer_seconds(bytes);
-            l.charge(Component::Pcie, "select.refine.upload", seconds, bytes);
+            env.charge_upload(REFINE_UPLOAD, bytes, l);
         }
     }
 
@@ -1478,14 +1507,15 @@ mod tests {
         }
     }
 
-    /// The residual crosses where the bill says. At one host thread the
-    /// stream and the device compare price below the host round trip for
-    /// space-constrained Q14 and Q1: their runs charge
-    /// `select.refine.stream` and `select.refine.device` and nothing on the
-    /// host. At 16 the host refines, as the paper plans it: the list down,
-    /// `select.refine`, the survivor bits up. Both return the same rows.
-    /// Q6 leaves few candidates undecided and refines on the host at one
-    /// thread too.
+    /// The residual crosses where the bill says (SF 0.02, `l_shipdate`
+    /// 24/8). At one host thread space-constrained Q6 leaves about 3 000
+    /// candidates undecided: their oids go down alone, 4 B each, the host
+    /// fetches their residuals and sends them up, and the device re-tests
+    /// them — no host `select.refine`. Q14 and Q1, with four times as
+    /// many, stream the residual partition instead. At 16 threads each
+    /// takes the round trip, as the paper plans it. The box, a split
+    /// count, has no choice (here its approximation decides every
+    /// candidate, so nothing refines). The rows never move.
     #[test]
     fn the_residual_crosses_where_the_bill_says() {
         let (db, plans) = tpch();
@@ -1497,7 +1527,7 @@ mod tests {
             );
             let (chain, chosen) = cheapest(db, plan, &ExecMode::ApproxRefine, &env);
             let mut ledger = CostLedger::with_trace();
-            let (run, ..) = run_ar_counted(
+            let (run, counts, held) = run_ar_counted(
                 db,
                 &chosen,
                 &chain,
@@ -1509,68 +1539,96 @@ mod tests {
                 &mut ledger,
             )
             .unwrap();
-            let charged = |label: &str| ledger.events().iter().any(|e| e.label == label);
-            let sites = ["select.refine.stream", "select.refine.device"].map(charged);
-            let host = [
-                "select.refine.download",
-                "select.refine",
-                "select.refine.upload",
-            ];
-            (format!("{:?}", run.rows), sites, host.map(charged))
+            // The refinement sites that fired, in program order, with
+            // their bytes (the approximations' re-gather aside).
+            let sites: Vec<(String, u64)> = (ledger.events().iter())
+                .filter(|e| e.label.starts_with("select.refine") && !e.label.ends_with("gather"))
+                .map(|e| (e.label.clone(), e.bytes))
+                .collect();
+            // What the device held beyond what a host refinement holds.
+            let shape = ArShape::resolve(db, &chosen, ScanOptions::default(), &env);
+            let mut on_host = shape.unwrap().place;
+            (on_host.fetch_from, on_host.stream_from) = (None, None);
+            let refining = held - on_host.bytes(&counts);
+            (format!("{:?}", run.rows), sites, counts.undecided, refining)
         };
-        for name in ["q14", "q1"] {
+        let labels =
+            |sites: &[(String, u64)]| sites.iter().map(|s| s.0.clone()).collect::<Vec<_>>();
+        let trip = [REFINE_DOWNLOAD, "select.refine", REFINE_UPLOAD];
+        let device = ["select.refine.stream", "select.refine.device"];
+        for name in ["q6", "q14", "q1", "box"] {
             let (one, sixteen) = (run(name, 1), run(name, 16));
             assert_eq!(one.0, sixteen.0, "{name}: rows");
-            assert_eq!(
-                (one.1, one.2),
-                ([true; 2], [false; 3]),
-                "{name} at 1 thread"
-            );
-            assert_eq!(
-                (sixteen.1, sixteen.2),
-                ([false; 2], [true; 3]),
-                "{name} at 16"
-            );
+            assert_eq!(one.2 == 0, name == "box", "{name}: undecided");
+            let want: &[&str] = match name {
+                "q6" => &[
+                    REFINE_DOWNLOAD,
+                    "select.refine.fetch",
+                    REFINE_UPLOAD,
+                    device[1],
+                ],
+                "box" => &[],
+                _ => &device,
+            };
+            assert_eq!(labels(&one.1), want, "{name} at 1 thread");
+            let want = if name == "box" { &[][..] } else { &trip };
+            assert_eq!(labels(&sixteen.1), want, "{name} at 16");
+            // The stream holds the residual partition, 1 B per row.
+            let streamed = if want.is_empty() { 0 } else { 120_000 };
+            let refining = if name == "q6" { 5 * one.2 } else { streamed };
+            assert_eq!((one.3, sixteen.3), (refining, 0), "{name}: held");
         }
-        let q6 = run("q6", 1);
-        assert_eq!((q6.1, q6.2), ([false; 2], [true; 3]), "q6 at 1 thread");
+        // A fetch sends 4 B of oid per undecided candidate down and its
+        // 8 residual bits up, and the device holds both.
+        let (_, q6, undecided, _) = run("q6", 1);
+        assert_eq!(
+            (q6[0].1, q6[2].1),
+            (4 * undecided, undecided),
+            "q6 at 1 thread"
+        );
     }
 
-    /// The rule is the cheaper refinement, pointwise. Over the benchmark's
-    /// statements at 1 to 32 host threads, and undecided counts drawn up to
-    /// the rows beside the break-even count and its neighbours: the device
-    /// refines exactly where streaming prices strictly below the round
-    /// trip, each priced through [`ArShape::refine`].
+    /// The rule is the cheapest refinement, pointwise. Over the benchmark's
+    /// statements at 1 to 32 host threads, at undecided counts drawn up to
+    /// the rows and at each break-even count and its neighbours, the
+    /// placement is the cheapest of the round trip, the fetch and the
+    /// stream, each priced through [`ArShape::refine`], a tie going to the
+    /// earlier of them. A shape that sends no survivor bits back up — a
+    /// host tail, a split count — always refines on the host.
     #[test]
     fn the_rule_refines_where_it_is_cheaper() {
         let (db, plans) = tpch();
         let rng = &mut SplitMix64::new(47);
+        let forced = [(None, None), (Some(0), None), (None, Some(0))];
+        let placements = [Refinement::Host, Refinement::Fetch, Refinement::Stream];
         for (name, plan) in plans {
             for threads in [1, 2, 4, 8, 16, 32] {
                 let env = db.env().clone().host_threads(threads);
                 let mut shape = ArShape::resolve(db, plan, ScanOptions::default(), &env).unwrap();
                 let place = shape.place;
+                let rule = (place.fetch_from, place.stream_from);
                 if !place.device_tail || place.split_count {
-                    assert_eq!(place.stream_from, None, "{name}");
+                    assert_eq!(rule, (None, None), "{name}");
                     continue;
                 }
                 let (steps, rows) = (shape.refinable().count(), shape.rows);
-                let from = place.stream_from.unwrap_or(rows);
-                let near = [from - 1, from, from + 1].map(|u| u.clamp(1, rows));
+                let near = [rule.0, rule.1, Some(rows)].into_iter().flatten();
+                let near =
+                    near.flat_map(|from| [from - 1, from, from + 1].map(|u| u.clamp(1, rows)));
                 let drawn: Vec<u64> = (0..64).map(|_| 1 + rng.below(rows)).collect();
-                for u in near.into_iter().chain(drawn) {
+                for u in near.chain(drawn) {
                     let mut c = Counts::all_rows(rows, 0);
                     (c.undecided, c.refines) = (u, vec![RefineCounts { live: u, kept: u }; steps]);
-                    let mut price = |from| {
+                    let prices = forced.map(|from| {
                         let mut l = CostLedger::new();
-                        shape.place.stream_from = from;
+                        (shape.place.fetch_from, shape.place.stream_from) = from;
                         shape.refine(&c, &env, &mut l);
                         l.breakdown().total()
-                    };
-                    let cheaper = price(Some(1)) < price(None);
+                    });
+                    let cheapest = (1..3).fold(0, |k, j| if prices[j] < prices[k] { j } else { k });
                     shape.place = place;
-                    let ctx = format!("{name} at {threads} threads, {u} undecided");
-                    assert_eq!(place.streamed(&c) > 0, cheaper, "{ctx}");
+                    let ctx = format!("{name} at {threads} threads, {u} undecided: {prices:?}");
+                    assert_eq!(place.refinement(&c), placements[cheapest], "{ctx}");
                 }
             }
         }

@@ -214,44 +214,6 @@ impl Exprs {
             _ => Ok(id),
         }
     }
-
-    /// Evaluate node `id` for one row: `(unscaled payload, scale)` — the
-    /// row-at-a-time oracle the column-at-a-time evaluator in
-    /// [`crate::tail`] is tested against. Scales are re-derived on the
-    /// way, and only the taken `CASE` branch is evaluated.
-    #[cfg(test)]
-    pub(crate) fn eval_row(&self, id: usize, block: &RowBlock, row: usize) -> Result<(i128, u8)> {
-        let rescale = |v: i128, from: u8, to: u8| v * 10i128.pow((to - from) as u32);
-        match &self.nodes[id] {
-            (Node::Col(slot), scale) => Ok((block.slot(*slot).payloads[row] as i128, *scale)),
-            (Node::Lit(payload), scale) => Ok((*payload as i128, *scale)),
-            (Node::Bin(op, lhs, rhs), _) => {
-                let (a, sa) = self.eval_row(*lhs, block, row)?;
-                let (b, sb) = self.eval_row(*rhs, block, row)?;
-                let s = sa.max(sb);
-                match op {
-                    BinOp::Add => Ok((rescale(a, sa, s) + rescale(b, sb, s), s)),
-                    BinOp::Sub => Ok((rescale(a, sa, s) - rescale(b, sb, s), s)),
-                    BinOp::Mul => Ok((a * b, sa + sb)),
-                    BinOp::Div if b == 0 => Err(BwdError::Exec("division by zero".into())),
-                    // Keep the left scale: (a * 10^sb) / b.
-                    BinOp::Div => Ok((a * 10i128.pow(sb as u32) / b, sa)),
-                }
-            }
-            (
-                Node::Case {
-                    slot,
-                    range,
-                    then,
-                    otherwise,
-                },
-                _,
-            ) => match range.test(block.slot(*slot).payloads[row]) {
-                true => self.eval_row(*then, block, row),
-                false => self.eval_row(*otherwise, block, row),
-            },
-        }
-    }
 }
 
 fn bind_case_predicate(pred: &Predicate, block: &RowBlock) -> Result<(usize, RangePred)> {
@@ -311,6 +273,50 @@ mod tests {
     use bwd_storage::Dictionary;
     use bwd_types::DataType;
     use std::sync::Arc;
+
+    impl Exprs {
+        /// Evaluate node `id` for one row: `(unscaled payload, scale)` — the
+        /// row-at-a-time oracle the column-at-a-time evaluator in
+        /// [`crate::tail`] is tested against. Scales are re-derived on the
+        /// way, and only the taken `CASE` branch is evaluated.
+        pub(crate) fn eval_row(
+            &self,
+            id: usize,
+            block: &RowBlock,
+            row: usize,
+        ) -> Result<(i128, u8)> {
+            let rescale = |v: i128, from: u8, to: u8| v * 10i128.pow((to - from) as u32);
+            match &self.nodes[id] {
+                (Node::Col(slot), scale) => Ok((block.slot(*slot).payloads[row] as i128, *scale)),
+                (Node::Lit(payload), scale) => Ok((*payload as i128, *scale)),
+                (Node::Bin(op, lhs, rhs), _) => {
+                    let (a, sa) = self.eval_row(*lhs, block, row)?;
+                    let (b, sb) = self.eval_row(*rhs, block, row)?;
+                    let s = sa.max(sb);
+                    match op {
+                        BinOp::Add => Ok((rescale(a, sa, s) + rescale(b, sb, s), s)),
+                        BinOp::Sub => Ok((rescale(a, sa, s) - rescale(b, sb, s), s)),
+                        BinOp::Mul => Ok((a * b, sa + sb)),
+                        BinOp::Div if b == 0 => Err(BwdError::Exec("division by zero".into())),
+                        // Keep the left scale: (a * 10^sb) / b.
+                        BinOp::Div => Ok((a * 10i128.pow(sb as u32) / b, sa)),
+                    }
+                }
+                (
+                    Node::Case {
+                        slot,
+                        range,
+                        then,
+                        otherwise,
+                    },
+                    _,
+                ) => match range.test(block.slot(*slot).payloads[row]) {
+                    true => self.eval_row(*then, block, row),
+                    false => self.eval_row(*otherwise, block, row),
+                },
+            }
+        }
+    }
 
     /// Bind `e` and evaluate it for `row`.
     fn eval(e: &ScalarExpr, b: &RowBlock, row: usize) -> Result<(i128, u8)> {

@@ -426,7 +426,7 @@ mod tests {
     /// as `benchmark/src/setup.rs` decomposes them.
     fn bench_db(split: bool) -> (Database, Vec<(&'static str, ArPlan)>) {
         use bwd_data::{gen_lineitem, gen_part, gen_trips, SpatialConfig, TpchConfig};
-        let tpch = TpchConfig::scale(0.01);
+        let tpch = TpchConfig::scale(0.02);
         let mut db = Database::new();
         let trips = gen_trips(&SpatialConfig::fixes(50_000));
         db.create_table("trips", trips.into_columns()).unwrap();
@@ -471,16 +471,16 @@ mod tests {
     /// budget was charged — in both pipes, fully resident and split 24/8,
     /// at 1, 4 and 16 host threads, for every benchmark statement — Q6 at
     /// 24/8 in another chain order than it was bound in, which run and
-    /// footprint both take — and under either refinement placement: some
-    /// split runs stream the residual to the device, others refine on the
-    /// host. (This is what
-    /// closed the `value_columns()` drift: the parent reserved Q1's two
-    /// key columns although the executor, under a device pre-grouping,
-    /// never gathers them.)
+    /// footprint both take — and under every refinement placement: split
+    /// runs refine on the host, fetch the residuals of Q6's undecided
+    /// candidates (SF 0.02, one thread) or stream the partition. (This is
+    /// what closed the `value_columns()` drift: the parent reserved Q1's
+    /// two key columns although the executor, under a device
+    /// pre-grouping, never gathers them.)
     #[test]
     fn observed_counts_in_the_runs_own_bits_out() {
         // Per placement, whether some split run refined that way.
-        let mut placements = [false; 2];
+        let mut placements = [false; 3];
         for split in [false, true] {
             let (db, plans) = bench_db(split);
             for (name, plan) in &plans {
@@ -496,7 +496,7 @@ mod tests {
                     if counts.undecided > 0 && !matches!(mode, ExecMode::Classic) {
                         let chosen = order(&db, plan, &mode, &env);
                         let shape = Shape::resolve(&db, &chosen, &mode, &env).unwrap();
-                        placements[usize::from(shape.transient().streamed(&counts) > 0)] = true;
+                        placements[shape.transient().refinement(&counts) as usize] = true;
                     }
                     let fp = PlanFootprint::with_counts(&db, plan, &mode, threads, counts);
                     let (got, want) = (fp.latency(), run.breakdown);
@@ -514,9 +514,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            placements, [true; 2],
-            "the host and the device each refined"
-        );
+        assert_eq!(placements, [true; 3], "host, fetch and stream each refined");
     }
 }

@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use bwd_bench::evaluation::{bind_sql, tpch_db, Q1, Q14, Q6, SPATIAL_QUERY};
 use waste_not::data::{gen_trips, SpatialConfig};
-use waste_not::engine::{Counts, RefineCounts};
+use waste_not::engine::bill::{order, Refinement};
+use waste_not::engine::{Counts, RefineCounts, Shape};
 use waste_not::sched::{PlanFootprint, SubmitOptions, WorkingSetEstimate};
 use waste_not::storage::Column;
 use waste_not::{Database, ExecMode, SchedConfig, Scheduler};
@@ -139,6 +140,42 @@ fn uncalibrated_estimates_are_within_2x_of_the_bill() {
         stats.admission_requeues
     );
     assert_eq!(stats.errors, 0);
+}
+
+/// A fetch-placed run is admitted once. At TPC-H SF 0.02, `l_shipdate`
+/// 24/8 and one host thread, Q6 leaves about 3 000 candidates undecided,
+/// between the two break-evens of the refinement rule: the host fetches
+/// their residuals, and the device holds their oids and the residuals sent
+/// up beside its candidate lists. The footprint reserves both, so the run
+/// stays inside its reservation, never requeues and answers what the
+/// classic pipe answers.
+#[test]
+fn a_fetch_placed_run_is_admitted_once() {
+    let mut db = tpch_db(0.02).unwrap();
+    let plan = bind_sql(&db, Q6).unwrap();
+    db.auto_bind(&plan).unwrap();
+    db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
+    let (mode, threads) = (ExecMode::ApproxRefine, 1);
+    let env = db.env().clone().host_threads(threads);
+    let (_, counts, held) = db.run_counted(&plan, mode.clone(), &env, 1, None).unwrap();
+    let chosen = order(&db, &plan, &mode, &env);
+    let place = Shape::resolve(&db, &chosen, &mode, &env)
+        .unwrap()
+        .transient();
+    assert_eq!(place.refinement(&counts), Refinement::Fetch);
+    let config = SchedConfig {
+        workers: 1,
+        ..SchedConfig::default()
+    };
+    let footprint = PlanFootprint::of(&db, &plan, &mode, threads);
+    let reserved = footprint.reservation(config.safety_factor);
+    assert!(held <= reserved.data_budget(), "{held} B past {reserved:?}");
+    let sched = Scheduler::new(Arc::new(db), config);
+    let session = sched.session();
+    let rows = |mode| session.submit(plan.clone(), mode).wait().unwrap().rows;
+    assert_eq!(rows(mode), rows(ExecMode::Classic));
+    let stats = sched.stats();
+    assert_eq!((stats.admission_requeues, stats.errors), (0, 0));
 }
 
 /// What the footprint predicts, pinned: per statement × mode the
