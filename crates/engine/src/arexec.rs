@@ -414,7 +414,8 @@ impl<'a> Run<'a> {
     fn tail(&mut self, a: &Approx<'_>, approx: Option<ApproxAnswer>) -> Result<QueryResult> {
         let (env, place, n) = (self.env, self.shape.place, self.counts.rows as usize);
         let survivors = self.counts.survivors as usize;
-        self.transient.charge(place.tail(&self.counts))?;
+        self.transient
+            .charge(place.tail(&self.counts) + place.table(&self.counts))?;
         let gather_probe = self.begin(EventKind::Gather, survivors as u64, 0);
         self.shape.gathers(&self.counts, env, self.ledger);
         let cols: Vec<_> = self

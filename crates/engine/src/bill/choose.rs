@@ -1,6 +1,6 @@
 //! The one chooser. A run may execute any plan that returns the bound
 //! plan's rows: its selections in another order (σ_p∘σ_q = σ_q∘σ_p), its
-//! tail folding small-domain co-factors into the grouping (Σ(c·x + d) =
+//! tail folding co-factors into the grouping (Σ(c·x + d) =
 //! c·Σx + d·N over the tail's exact integers, arxiv 2207.00850). So one
 //! enumeration, one price — the bill over predicted counts — and one tie
 //! rule pick both (ARCHITECTURE.md, "The bill").
@@ -12,7 +12,6 @@ use crate::database::{Database, ExecMode};
 use crate::tail::degree;
 use bwd_core::plan::ArPlan;
 use bwd_device::Env;
-use bwd_kernels::reduce::ACCUMULATOR_BYTES;
 use std::borrow::Cow;
 
 /// Chains up to this long try every order of their selections (6! = 720);
@@ -27,7 +26,7 @@ const PRICED_CHAIN: usize = 6;
 /// The space is orders × folds. The orders: every permutation of a chain
 /// of at most `PRICED_CHAIN` selections, in lexicographic order from the
 /// plan's own; their predicted keep shares ascending past that. Each
-/// order runs plain, then folding its co-factors where it has any — a fold
+/// order runs plain, then folding each set `fold_sets` admits — a fold
 /// the plan carries is decided afresh. Each pipe pays its own way: A&R by
 /// what the granules admit, Classic by the width it fetches. A candidate's
 /// price is its bill over the counts [`Shape::predict`] predicts for it,
@@ -66,9 +65,8 @@ pub(crate) fn cheapest<'p>(
         fold: Vec::new(),
         ..plan.clone()
     };
-    let bound = env.device.spec().shared_mem_per_block;
-    let mut folds = vec![Vec::new(), cofactors(db.catalog(), &candidate, bound)];
-    folds.dedup();
+    let mut folds = vec![Vec::new()];
+    folds.extend(fold_sets(db.catalog(), &candidate));
     let priced = orders.len() * folds.len() > 1;
     let mut best: Option<(f64, &[usize], ArPlan)> = None;
     'search: for order in &orders {
@@ -107,83 +105,68 @@ fn next_permutation(perm: &mut [usize]) -> bool {
     true
 }
 
-/// The co-factors `plan`'s tail can fold into its grouping — none where it
-/// cannot (ARCHITECTURE.md, "The bill"). The plan is grouped, and every
-/// aggregate is a `sum`, `avg` or `count` of an argument built from
-/// columns, literals, `+`, `−` and `×` of degree ≤ 1 in the column of the
-/// largest domain it reads, its measure; every other column it reads is a
-/// key, and the keys not grouped by already are the co-factors. Each of
-/// them is on the fact side, and the fold table — Π domains(K ∪ F) × one
-/// accumulator per measure and a count × 16 B — fits `table_bound`.
-pub(super) fn cofactors(catalog: &Catalog, plan: &ArPlan, table_bound: u64) -> Vec<String> {
+/// Fold sets are drawn from at most this many columns, the ones of the
+/// smallest domains: at most 2^6 − 1 sets.
+const FOLD_COLUMNS: usize = 6;
+
+/// Every co-factor set F `plan`'s tail can fold into its grouping — none
+/// where it cannot (ARCHITECTURE.md, "The fold"). The plan is grouped and
+/// every aggregate is a `sum`, `avg` or `count`; F is a set of fact-side
+/// columns the aggregates read and the plan does not group by, such that
+/// each aggregate reads at most one column outside K ∪ F — its measure —
+/// and is of degree ≤ 1 in it. In first-reference order, each set too.
+pub(super) fn fold_sets(catalog: &Catalog, plan: &ArPlan) -> Vec<Vec<String>> {
     use bwd_core::plan::AggFunc::{Avg, Count, Sum};
-    let column = |name: &str| {
-        let (table, col, is_dim) = locate(plan, name).ok()?;
-        Some((catalog.table(table).ok()?.column(col).ok()?, is_dim))
-    };
-    let domain_of = |name: &str| column(name).map(|(col, _)| domain(col));
-    let (mut fold, mut measures) = (Vec::<String>::new(), Vec::<String>::new());
-    if plan.group_by.is_empty() || plan.aggs.is_empty() {
-        return fold;
-    }
-    for a in &plan.aggs {
-        let mut read = Vec::new();
-        if let Some(e) = &a.arg {
-            e.collect_columns(&mut read);
-        }
-        // The measure is the first column of the largest domain.
-        let (mut measure, mut keys) = (None::<(String, f64)>, Vec::new());
-        for c in read {
-            let Some(d) = domain_of(&c) else {
-                return Vec::new();
-            };
-            match &measure {
-                Some((_, m)) if d <= *m => keys.push(c),
-                _ => keys.extend(measure.replace((c, d)).map(|(m, _)| m)),
-            }
-        }
-        let measure = measure.map(|(m, _)| m);
-        let x = measure.as_deref().unwrap_or("");
-        let affine = (a.arg.as_ref()).map_or(Some(0), |e| degree(e, x));
-        if !matches!(a.func, Sum | Avg | Count) || affine.is_none_or(|d| d > 1) {
-            return Vec::new();
-        }
-        measures.extend(measure);
-        for k in keys {
-            if !plan.group_by.contains(&k) && !fold.contains(&k) {
-                fold.push(k);
-            }
-        }
-    }
-    // Every co-factor is on the fact side.
-    if fold
+    let summable = plan
+        .aggs
         .iter()
-        .any(|c| column(c).is_none_or(|(_, is_dim)| is_dim))
-    {
+        .all(|a| matches!(a.func, Sum | Avg | Count));
+    if plan.group_by.is_empty() || plan.aggs.is_empty() || !summable {
         return Vec::new();
     }
-    measures.retain(|m| !fold.contains(m) && !plan.group_by.contains(m));
-    measures.sort();
-    measures.dedup();
-    let mut keys: Vec<&String> = plan.group_by.iter().chain(&fold).collect();
-    keys.sort();
-    keys.dedup();
-    let slots: f64 = keys
-        .iter()
-        .map(|k| domain_of(k).unwrap_or(f64::INFINITY))
-        .product();
-    let entry = (measures.len() as u64 + 1) * ACCUMULATOR_BYTES;
-    match slots * entry as f64 <= table_bound as f64 {
-        true => fold,
-        false => Vec::new(),
+    let reads: Vec<Vec<String>> = (plan.aggs.iter())
+        .map(|a| {
+            let mut read = Vec::new();
+            a.arg.iter().for_each(|e| e.collect_columns(&mut read));
+            read
+        })
+        .collect();
+    let fact_domain = |name: &str| match locate(plan, name) {
+        Ok((table, col, false)) => Some(domain(catalog.table(table).ok()?.column(col).ok()?)),
+        _ => None,
+    };
+    let mut pool: Vec<(usize, &String, f64)> = Vec::new();
+    for c in reads.iter().flatten() {
+        if !plan.group_by.contains(c) && pool.iter().all(|p| p.1 != c) {
+            pool.extend(fact_domain(c).map(|d| (pool.len(), c, d)));
+        }
     }
+    pool.sort_by(|a, b| a.2.total_cmp(&b.2));
+    pool.truncate(FOLD_COLUMNS);
+    pool.sort_by_key(|p| p.0);
+    let admits = |fold: &[String]| {
+        plan.aggs.iter().zip(&reads).all(|(a, read)| {
+            let mut outside =
+                (read.iter()).filter(|c| !plan.group_by.contains(c) && !fold.contains(c));
+            let x = outside.next().map_or("", String::as_str);
+            let degree = a.arg.as_ref().map_or(Some(0), |e| degree(e, x));
+            outside.all(|c| c == x) && degree.is_some_and(|d| d <= 1)
+        })
+    };
+    (1..1usize << pool.len())
+        .map(|set| {
+            let members = pool.iter().enumerate().filter(|&(i, _)| set >> i & 1 == 1);
+            members.map(|(_, p)| p.1.clone()).collect::<Vec<_>>()
+        })
+        .filter(|fold| admits(fold))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arexec::{tests::run_ar_sliced, ArExecOptions};
-    use crate::bill::tests::{agg, arranged, between, db, folded};
+    use crate::bill::tests::{agg, arranged, between, db, fold_sets};
     use crate::classic::tests::run_classic_sliced;
     use crate::tail::SLICE_ROWS;
     use bwd_core::plan::{AggFunc, BinOp, LogicalPlan, RewriteOptions, ScalarExpr as E};
@@ -213,17 +196,15 @@ mod tests {
     }
 
     /// Every plan the chooser weighs for `plan`: per permutation of the
-    /// chain, in lexicographic order from the plan's own, the plain form
-    /// and — where the plan has co-factors — the folded one.
+    /// chain, in lexicographic order from the plan's own, the plain form,
+    /// then folding each co-factor set it can fold.
     fn candidates(db: &Database, plan: &ArPlan) -> Vec<ArPlan> {
-        let cofactors = folded(db, plan).fold;
+        let sets = fold_sets(db, plan);
         let mut perm: Vec<usize> = (0..plan.selections.len()).collect();
         let mut candidates = Vec::new();
         loop {
             candidates.push(arranged(plan, &perm, &[]));
-            if !cofactors.is_empty() {
-                candidates.push(arranged(plan, &perm, &cofactors));
-            }
+            candidates.extend(sets.iter().map(|f| arranged(plan, &perm, f)));
             if !next_permutation(&mut perm) {
                 return candidates;
             }
@@ -275,8 +256,8 @@ mod tests {
 
     /// The chooser's laws, over seeded chains of 2–4 selections drawn from
     /// [`LAW_COLUMNS`] (every other one with the dimension predicate, every
-    /// third with an empty range) under a grouped device tail, a host
-    /// tail, a bare count and a foldable `sum(v * (1 - k3))` by `g`, in
+    /// third with an empty range) under a grouped device tail (`v` folds),
+    /// a host tail, a bare count and `sum(v * (1 - k3))` by `g`, in
     /// both pipes: every order × fold candidate returns the same rows
     /// (σ_p∘σ_q = σ_q∘σ_p, and the fold's roll-up); the pick's predicted
     /// bill is at most every candidate's, the earliest among equals
@@ -324,8 +305,8 @@ mod tests {
             };
             let plan = bind(&scan.aggregate(groups, aggs)).unwrap();
             assert_eq!(plan.selections.len(), steps, "case {case}");
-            let foldable = !folded(db, &plan).fold.is_empty();
-            assert_eq!(foldable, case % 4 == 3, "case {case}");
+            let foldable = !fold_sets(db, &plan).is_empty();
+            assert_eq!(foldable, case % 4 == 0 || case % 4 == 3, "case {case}");
             let mut want = None;
             for (m, mode) in modes.iter().enumerate() {
                 let ctx = format!("case {case} {mode:?} {:?}", plan.selections);
@@ -369,22 +350,23 @@ mod tests {
         assert_eq!(plan.selections.len(), 7);
     }
 
-    /// The fold's laws (ARCHITECTURE.md, "The bill"), over seeded grouped
+    /// The fold's laws (ARCHITECTURE.md, "The fold"), over seeded grouped
     /// plans on [`db`]: group keys among `g, k1, k2` (and the split `h`,
     /// which the host groups by), a measure among `v, w` (`w` split: a host
     /// tail) or the group key `g`, and co-factors among `k1, k2, k3`, in
     /// aggregates that must fold — the measure times `1 − k`, times `k₁·k₂`
-    /// plus `k₁`, a pure-key `avg(k)` — and plans that must not: a `/`, a
-    /// `CASE`, a `min`, a `max`, a degree-2 measure, a dimension
-    /// co-factor, a fold table past the shared-memory bound, nothing to
-    /// fold. In both pipes, at 1 and 3
-    /// workers and slices of [`SLICE_ROWS`] and 1 000 rows: the folded rows
-    /// are the plain rows are the row-at-a-time oracle's, bit for bit; the
-    /// form [`order`] keeps is the one the bill predicts cheaper, the plain
-    /// one on a tie ([`the_pick_is_the_cheapest`]); ordering its plan
-    /// returns it borrowed, and a fold the
-    /// input carries is decided afresh; and the chosen run's counts bill
-    /// its breakdown to the bit. Each pipe folds some plan.
+    /// plus `k₁`, a pure-key `avg(k)`, a degree-2 measure (folded itself),
+    /// a measure behind the join (the fact column beside it folds), a fold
+    /// table past shared memory, a lone `sum(v)` — and plans that must not:
+    /// a `/`, a `CASE`, a `min`, a `max`, two columns behind the join. In
+    /// both pipes, at 1 and 3 workers and slices of [`SLICE_ROWS`] and
+    /// 1 000 rows: every fold set's rows are the plain rows are the
+    /// row-at-a-time oracle's, bit for bit; the form [`order`] keeps is the
+    /// one the bill predicts cheapest, the plain one on a tie
+    /// ([`the_pick_is_the_cheapest`]); ordering its plan returns it
+    /// borrowed, and a fold the input carries is decided afresh; and the
+    /// chosen run's counts bill its breakdown to the bit. Each pipe folds
+    /// some plan.
     #[test]
     fn the_fold_laws() {
         use crate::tail::tests::oracle;
@@ -464,22 +446,30 @@ mod tests {
             ("g", vec![fold(), agg(Sum, Some(case))], false),
             ("g", vec![fold(), agg(Min, Some(col("v")))], false),
             ("g", vec![fold(), agg(Max, Some(col("g")))], false),
+            // A degree-2 measure folds into the key itself.
             (
                 "g",
                 vec![fold(), agg(Sum, Some(col("v").binary(Mul, col("v"))))],
-                false,
+                true,
             ),
+            // `dim.x` is the measure, `v` the co-factor.
             (
                 "g",
                 vec![agg(Sum, Some(col("v").binary(Mul, col("dim.x"))))],
+                true,
+            ),
+            (
+                "g",
+                vec![agg(Sum, Some(col("dim.y").binary(Mul, col("dim.x"))))],
                 false,
             ),
+            // 4 × 512 fold groups of two accumulators: past shared memory.
             (
                 "k2",
                 vec![agg(Sum, Some(col("v").binary(Mul, col("k9"))))],
-                false,
+                true,
             ),
-            ("g", vec![agg(Sum, Some(col("v"))), agg(Count, None)], false),
+            ("g", vec![agg(Sum, Some(col("v"))), agg(Count, None)], true),
         ] {
             cases.push((folds, bind(t().aggregate(vec![group_by.into()], aggs))));
         }
@@ -487,11 +477,15 @@ mod tests {
         let mut chose_fold = [0; 2];
         for (must_fold, plan) in &cases {
             let ctx = format!("{:?} by {:?}", plan.aggs, plan.group_by);
-            let folded = folded(db, plan);
-            assert_eq!(!folded.fold.is_empty(), *must_fold, "{ctx}");
+            let sets = fold_sets(db, plan);
+            assert_eq!(!sets.is_empty(), *must_fold, "{ctx}");
+            let forms: Vec<ArPlan> = (sets.iter())
+                .map(|fold| arranged(plan, &[0], fold))
+                .collect();
+            let folded = forms.last().unwrap_or(plan);
             let want = format!("{:?}", oracle(db, plan).unwrap().0);
             for (m, mode) in modes.iter().enumerate() {
-                for form in [plan, &folded] {
+                for form in std::iter::once(plan).chain(&forms) {
                     for (morsels, slice) in [(1, SLICE_ROWS), (3, SLICE_ROWS), (1, 1000), (3, 1000)]
                     {
                         let tag =
@@ -501,7 +495,7 @@ mod tests {
                 }
                 the_pick_is_the_cheapest(db, plan, mode, &format!("{ctx} {mode:?}"));
                 let chosen = order(db, plan, mode, env);
-                assert_eq!(*order(db, &folded, mode, env), *chosen, "{ctx} {mode:?}");
+                assert_eq!(*order(db, folded, mode, env), *chosen, "{ctx} {mode:?}");
                 chose_fold[m] += usize::from(!chosen.fold.is_empty());
                 let again = order(db, &chosen, mode, env);
                 assert!(
@@ -517,6 +511,25 @@ mod tests {
         assert!(chose_fold.iter().all(|&n| n > 0), "{chose_fold:?}");
     }
 
+    /// A run of `plan` as it stands in `mode` on `env` over the `tpch`
+    /// fixture's tables: its rows and its bill's total.
+    fn run_bill(db: &Database, plan: &ArPlan, mode: &ExecMode, env: &Env) -> (String, f64) {
+        let ledger = &mut CostLedger::new();
+        let run = match mode {
+            ExecMode::Classic => {
+                let link = db.fk_index("lineitem", "l_partkey").unwrap();
+                let link = plan.fk_join.as_ref().map(|_| link.device().data());
+                run_classic_sliced(db.catalog(), plan, link, env, 1, SLICE_ROWS, ledger)
+            }
+            _ => {
+                let opts = ArExecOptions::default();
+                run_ar_sliced(db, plan, &opts, env, 1, SLICE_ROWS, ledger)
+            }
+        };
+        let run = run.unwrap();
+        (format!("{:?}", run.rows), run.breakdown.total())
+    }
+
     /// The pick's *run* bill is the least. For each of the benchmark's
     /// statements at a small scale ([`crate::bill::tests::tpch`]), in both
     /// pipes, at one host thread — where the device refines Q1 and Q14 —
@@ -527,47 +540,104 @@ mod tests {
     #[test]
     fn the_picks_run_bill_is_the_least() {
         let (db, plans) = crate::bill::tests::tpch();
-        let link = db
-            .fk_index("lineitem", "l_partkey")
-            .unwrap()
-            .device()
-            .data();
         for (name, plan) in plans {
             for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
                 for threads in [1, 16] {
                     let env = db.env().clone().host_threads(threads);
-                    let run = |plan: &ArPlan| {
-                        let ledger = &mut CostLedger::new();
-                        let run = match mode {
-                            ExecMode::Classic => {
-                                let link = plan.fk_join.as_ref().map(|_| link);
-                                run_classic_sliced(
-                                    db.catalog(),
-                                    plan,
-                                    link,
-                                    &env,
-                                    1,
-                                    SLICE_ROWS,
-                                    ledger,
-                                )
-                            }
-                            _ => {
-                                let opts = ArExecOptions::default();
-                                run_ar_sliced(db, plan, &opts, &env, 1, SLICE_ROWS, ledger)
-                            }
-                        };
-                        let run = run.unwrap();
-                        (format!("{:?}", run.rows), run.breakdown.total())
-                    };
                     let ctx = format!("{name} {mode:?} at {threads} threads");
-                    let (rows, least) = run(&order(db, plan, &mode, &env));
+                    let (rows, least) = run_bill(db, &order(db, plan, &mode, &env), &mode, &env);
                     for c in candidates(db, plan) {
-                        let (got, bill) = run(&c);
+                        let (got, bill) = run_bill(db, &c, &mode, &env);
                         assert_eq!(got, rows, "{ctx}: {:?} {:?}", c.selections, c.fold);
                         assert!(least <= bill, "{ctx}: {least} over {bill} of {c:?}");
                     }
                 }
             }
+        }
+    }
+
+    /// Q1 offers eight fold sets beside its plain plan: any two or all
+    /// three of price, discount and tax — `sum(price·(1 − disc)·(1 +
+    /// tax))` leaves at most one of them outside the keys —, each with and
+    /// without the quantity. Each set is one the tail compiles, and every
+    /// other set of the four columns fails to compile. A `min`, a `max`, a
+    /// `CASE` or a `/` anywhere leaves nothing to fold.
+    #[test]
+    fn the_fold_sets_are_every_admissible_one() {
+        let (db, plans) = crate::bill::tests::tpch();
+        let q1 = &plans.iter().find(|(n, _)| *n == "q1").unwrap().1;
+        let sets = fold_sets(db, q1);
+        let names = |set: usize| -> Vec<String> {
+            let cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"];
+            let members = cols.iter().enumerate().filter(|&(i, _)| set >> i & 1 == 1);
+            members.map(|(_, c)| c.to_string()).collect()
+        };
+        let want: Vec<Vec<String>> = [6, 7, 10, 11, 12, 13, 14, 15].map(names).to_vec();
+        assert_eq!(sets, want);
+        assert_eq!(candidates(db, q1).len(), 1 + 8);
+        for set in 1..16 {
+            let plan = arranged(q1, &[0], &names(set));
+            let compiles = Shape::resolve(db, &plan, &ExecMode::Classic, db.env()).is_ok();
+            assert_eq!(compiles, want.contains(&plan.fold), "{:?}", plan.fold);
+        }
+
+        use {AggFunc::*, BinOp::*};
+        let db = crate::bill::tests::db();
+        let (v, k3) = (|| E::col("v"), || E::col("k3"));
+        let discounted = agg(Sum, Some(v().binary(Mul, E::lit(1i64).binary(Sub, k3()))));
+        let case = E::Case {
+            when: Box::new(between("k3", 0, 3)),
+            then: Box::new(v()),
+            otherwise: Box::new(E::lit(0i64)),
+        };
+        for decline in [
+            agg(Min, Some(v())),
+            agg(Max, Some(k3())),
+            agg(Sum, Some(case)),
+            agg(Avg, Some(v().binary(Div, k3()))),
+        ] {
+            let plan = LogicalPlan::scan("t")
+                .filter(between("d", 100, 15_000))
+                .aggregate(vec!["g".into()], vec![discounted.clone(), decline]);
+            let plan = db.bind(&plan, &RewriteOptions::default()).unwrap();
+            assert_eq!(
+                fold_sets(db, &plan),
+                Vec::<Vec<String>>::new(),
+                "{:?}",
+                plan.aggs
+            );
+        }
+    }
+
+    /// Folding the quantity pays where the device's accumulator updates
+    /// cost more than hashing a fifth key and rolling up 50 times the fold
+    /// groups on the host (SF 0.02, `l_shipdate` 24/8): A&R keeps the
+    /// discount and the tax at one host thread and adds the quantity at 16,
+    /// where the roll-up is cheap; the classic pipe keeps two at both. At
+    /// each, the pick runs no dearer than the other form.
+    #[test]
+    fn q1_folds_quantity_where_it_runs_cheaper() {
+        let (db, plans) = crate::bill::tests::tpch();
+        let q1 = &plans.iter().find(|(n, _)| *n == "q1").unwrap().1;
+        let two = ["l_discount", "l_tax"].map(String::from).to_vec();
+        let three = ["l_quantity", "l_discount", "l_tax"]
+            .map(String::from)
+            .to_vec();
+        let (c, ar) = (ExecMode::Classic, ExecMode::ApproxRefine);
+        for (mode, threads, keeps, other) in [
+            (&ar, 1, &two, &three),
+            (&ar, 16, &three, &two),
+            (&c, 1, &two, &three),
+            (&c, 16, &two, &three),
+        ] {
+            let env = db.env().clone().host_threads(threads);
+            let ctx = format!("{mode:?} at {threads} threads");
+            let chosen = order(db, q1, mode, &env);
+            assert_eq!(chosen.fold, *keeps, "{ctx}");
+            let (rows, pick) = run_bill(db, &chosen, mode, &env);
+            let (got, bill) = run_bill(db, &arranged(q1, &[0], other), mode, &env);
+            assert_eq!(got, rows, "{ctx}");
+            assert!(pick <= bill, "{ctx}: {pick} over {bill}");
         }
     }
 }

@@ -10,7 +10,7 @@ use bwd_storage::Column;
 
 impl ColRef<'_> {
     /// Distinct payloads between the column's extrema.
-    fn domain(&self) -> f64 {
+    pub(super) fn domain(&self) -> f64 {
         let meta = self.bound.meta();
         relax_to_stored(meta, &RangePred::all()).map_or(1.0, |all| all.payloads(meta).0)
     }
@@ -60,16 +60,37 @@ impl<'a> Shape<'a> {
         }
     }
 
+    /// The groups the plan's keys form over the whole fact table: exact
+    /// where its [`crate::Occupancy`] covers every key, else the
+    /// product of the key domains; 0 where neither a device grouping nor
+    /// a fold counts them.
+    fn key_groups(&self) -> f64 {
+        let (plan, table) = match self {
+            Shape::Ar(s) if s.grouping != Grouping::None || !s.plan.fold.is_empty() => {
+                (s.plan, s.table)
+            }
+            Shape::Classic(s) if !s.plan.fold.is_empty() => (s.plan, s.table),
+            _ => return 0.0,
+        };
+        if let Some(groups) = table.occupancy().groups(&plan.group_keys()) {
+            return groups as f64;
+        }
+        match self {
+            Shape::Ar(s) => s.group_cols.iter().map(ColRef::domain).product(),
+            Shape::Classic(s) => s.keys.iter().map(|c| domain(c)).product(),
+        }
+    }
+
     /// The counts the plan's columns predict. Per selection the relaxed
     /// interval's share of the column's domain is what the approximation
     /// *admits*, its inner interval's what it *decides*, and its range's
     /// keep share what the exact predicate keeps (an empty column: what is
     /// admitted); shares multiply along the chain as independent. The groups
-    /// a device grouping or a fold's table finds are bounded by the product
-    /// of the key columns' domains (the slots of a table the packed key
-    /// addresses are exact from the shape; only how many of them the data
-    /// occupies is predicted here); a refinement chain shrinks evenly from
-    /// the undecided candidates to the ones that survive.
+    /// a device grouping or a fold's table finds are the keys' groups over
+    /// the whole table (exact where its [`crate::Occupancy`] covers every
+    /// key, else the product of the key domains), capped by the candidates;
+    /// a refinement chain shrinks evenly from the undecided candidates to
+    /// the ones that survive.
     pub fn predict(&self) -> Counts {
         let (plan, rows) = self.plan_rows();
         let n = |share: f64| (rows as f64 * share).ceil() as u64;
@@ -88,16 +109,7 @@ impl<'a> Shape<'a> {
             c.steps.push(n(admitted));
         }
         (c.undecided, c.survivors) = (n(admitted) - n(decided), n(exact));
-        let key_domain = match self {
-            Shape::Ar(s) if s.grouping != Grouping::None || !s.plan.fold.is_empty() => {
-                s.group_cols.iter().map(ColRef::domain).product()
-            }
-            Shape::Classic(s) if !s.plan.fold.is_empty() => {
-                s.keys.iter().map(|c| domain(c)).product()
-            }
-            _ => 0.0,
-        };
-        c.groups = key_domain.min(c.candidates() as f64) as u64;
+        c.groups = self.key_groups().min(c.candidates() as f64) as u64;
         let steps = match self {
             Shape::Classic(_) => 0,
             Shape::Ar(s) => s.refine_order(&c).len() as u64,

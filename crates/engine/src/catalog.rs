@@ -5,16 +5,20 @@
 //! declared foreign-key relationships. A decomposed column is held here in
 //! its split form; its binding to the device lives in the `Database`.
 
+use bwd_storage::encoding::decode;
 use bwd_storage::{Column, DecomposedColumn, DecompositionSpec as Spec};
 use bwd_types::{BwdError, FxHashMap, Result};
+use std::sync::{Mutex, OnceLock};
 
 /// A named relational table.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Table {
     name: String,
     columns: Vec<(String, Column)>,
     index: FxHashMap<String, usize>,
     rows: usize,
+    /// Built on first use: payloads never change once a table is created.
+    occupancy: OnceLock<Occupancy>,
 }
 
 impl Table {
@@ -44,7 +48,13 @@ impl Table {
             columns,
             index,
             rows,
+            occupancy: OnceLock::new(),
         })
+    }
+
+    /// The cells of the smallest-domain columns the rows occupy.
+    pub fn occupancy(&self) -> &Occupancy {
+        self.occupancy.get_or_init(|| Occupancy::of(self))
     }
 
     /// Table name.
@@ -83,6 +93,101 @@ impl Table {
     /// Total modeled plain data volume in bytes.
     pub fn plain_bytes(&self) -> u64 {
         self.columns.iter().map(|(_, c)| c.plain_bytes()).sum()
+    }
+}
+
+/// Cells an [`Occupancy`] may cover: its bitmap is at most 8 KiB.
+const OCCUPANCY_CELLS: u64 = 1 << 16;
+
+/// Which cells of a table's smallest-domain columns its rows occupy — a
+/// cell is one combination of their payloads, one bit — so the exact
+/// number of groups of every key set among them (ARCHITECTURE.md,
+/// "Predict"). The columns are taken by domain ascending while their domains
+/// multiply to at most `OCCUPANCY_CELLS`.
+#[derive(Debug)]
+pub struct Occupancy {
+    /// Per covered column: its name, least payload and domain.
+    cols: Vec<(String, i64, u64)>,
+    /// One bit per cell, the last column varying fastest.
+    cells: Vec<u64>,
+    /// Distinct projections counted so far, by key-set mask.
+    counted: Mutex<FxHashMap<u64, u64>>,
+}
+
+impl Occupancy {
+    fn of(table: &Table) -> Occupancy {
+        let span = |c: &Column| {
+            c.payload_min_max()
+                .map_or((0, 1), |(lo, hi)| (lo, hi.abs_diff(lo).saturating_add(1)))
+        };
+        let mut by_domain: Vec<_> = table.columns.iter().map(|(n, c)| (n, c, span(c))).collect();
+        by_domain.sort_by_key(|&(_, _, (_, domain))| domain);
+        let (mut cells, mut cols) = (1u64, Vec::new());
+        for (name, col, (lo, domain)) in by_domain.into_iter().take(64) {
+            match cells.checked_mul(domain).filter(|&n| n <= OCCUPANCY_CELLS) {
+                Some(n) => cells = n,
+                None => break,
+            }
+            cols.push((name.clone(), col, lo, domain));
+        }
+        let mut bits = vec![0u64; cells.div_ceil(64) as usize];
+        let (mut encoded, mut cell) = (vec![0; 4096], vec![0u64; 4096]);
+        for start in (0..table.rows).step_by(4096) {
+            let n = (table.rows - start).min(4096);
+            cell[..n].fill(0);
+            for &(_, col, lo, domain) in &cols {
+                col.encoded_range(start, &mut encoded[..n]);
+                for (c, &e) in cell.iter_mut().zip(&encoded[..n]) {
+                    *c = *c * domain + decode(e, col.dtype()).abs_diff(lo);
+                }
+            }
+            cell[..n]
+                .iter()
+                .for_each(|&c| bits[c as usize / 64] |= 1 << (c % 64));
+        }
+        Occupancy {
+            cols: cols
+                .into_iter()
+                .map(|(n, _, lo, d)| (n.clone(), lo, d))
+                .collect(),
+            cells: bits,
+            counted: Mutex::default(),
+        }
+    }
+
+    /// The distinct combinations of `keys` the rows hold: the occupied
+    /// cells' distinct projections onto them; `None` unless every key is
+    /// covered.
+    pub fn groups(&self, keys: &[String]) -> Option<u64> {
+        let at = |k: &String| self.cols.iter().position(|c| c.0 == *k);
+        let mask = keys.iter().try_fold(0u64, |m, k| Some(m | 1 << at(k)?))?;
+        // An entry is whole once inserted, so a poisoned lock's map is sound.
+        let mut counted = self.counted.lock().unwrap_or_else(|e| e.into_inner());
+        let count = counted.entry(mask).or_insert_with(|| {
+            let width: u64 = (self.cols.iter().enumerate())
+                .filter(|(i, _)| mask >> i & 1 == 1)
+                .map(|(_, c)| c.2)
+                .product();
+            let mut seen = vec![0u64; width.div_ceil(64) as usize];
+            for (w, &word) in self.cells.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let (mut rest, mut at) = ((w * 64) as u64 + word.trailing_zeros() as u64, 0);
+                    word &= word - 1;
+                    let mut radix = 1;
+                    for (i, &(_, _, domain)) in self.cols.iter().enumerate().rev() {
+                        if mask >> i & 1 == 1 {
+                            at += rest % domain * radix;
+                            radix *= domain;
+                        }
+                        rest /= domain;
+                    }
+                    seen[at as usize / 64] |= 1 << (at % 64);
+                }
+            }
+            seen.iter().map(|w| u64::from(w.count_ones())).sum()
+        });
+        Some(*count)
     }
 }
 

@@ -835,8 +835,10 @@ mod tests {
         let ar = db.bind(&plan, &Default::default()).unwrap();
         db.auto_bind(&ar).unwrap();
         let rows = db.catalog().table("r").unwrap().len() as u64;
-        // Exactly the worst case for 1 selection + 2 distinct gathers.
-        let budget = rows * (12 + 2 * 8);
+        // Exactly the worst case for 1 selection + 2 distinct gathers,
+        // and the table of its 10 000 groups × one accumulator, past
+        // shared memory.
+        let budget = rows * (12 + 2 * 8) + rows * 16;
         let budgeted = db
             .run_bound_in(&ar, ExecMode::ApproxRefine, db.env(), 1, Some(budget))
             .unwrap();

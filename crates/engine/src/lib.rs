@@ -26,6 +26,6 @@ pub mod tail;
 
 pub use arexec::{run_ar_in, ArExecOptions, CandidateRep, BITMAP_MIN_SELECTIVITY};
 pub use bill::{Counts, RefineCounts, Shape, Transient};
-pub use catalog::{Catalog, FkDecl, Table};
+pub use catalog::{Catalog, FkDecl, Occupancy, Table};
 pub use database::{Database, DecompositionReport, ExecMode};
 pub use result::{ApproxAnswer, QueryResult};

@@ -38,6 +38,10 @@ use std::ops::Range;
 /// and cancel checks (a paused short query waits about this much work).
 pub const SLICE_ROWS: usize = 32 * 1024;
 
+/// Fold groups a roll-up evaluates at a time: its DAG buffers stay a few
+/// KiB however many fold groups the keys form.
+const ROLLUP_GROUPS: usize = 1024;
+
 /// The executor-specific half of the tail: where a slice's payloads come
 /// from (classic: fetch by oid; A&R: gather the survivors' approximations
 /// and refine them with residuals).
@@ -241,8 +245,8 @@ impl Fold {
 
     /// The plain accumulators of the K groups — in a new table over the
     /// leading key columns — rolled up from the fold groups of `groups`,
-    /// whose row accumulators `accs` hold `stride` per group; a slice of
-    /// fold groups at a time.
+    /// whose row accumulators `accs` hold `stride` per group;
+    /// [`ROLLUP_GROUPS`] fold groups at a time.
     fn roll_up(&self, groups: &GroupTable, accs: &[Acc], stride: usize) -> (GroupTable, Vec<Acc>) {
         let (keys, width, nodes) = (groups.cols.len(), self.inputs.len(), &self.exprs.nodes);
         let occupied: Vec<usize> = (0..accs.len() / stride)
@@ -252,7 +256,7 @@ impl Fold {
         let (mut table, mut out) = (GroupTable::from_keys(cols, Vec::new()), Vec::new());
         let mut block = self.block.clone();
         let (mut bufs, mut bad) = (vec![Vec::new(); nodes.len()], vec![Vec::new(); nodes.len()]);
-        for slice in occupied.chunks(SLICE_ROWS) {
+        for slice in occupied.chunks(ROLLUP_GROUPS) {
             block.resize(slice.len());
             for k in 0..keys {
                 let out = block.payloads_mut(k).iter_mut();
