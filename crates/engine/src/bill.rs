@@ -530,8 +530,9 @@ impl<'a> ArShape<'a> {
             let mut l = CostLedger::new();
             (self.place.fetch_from, self.place.stream_from) = forced[k];
             self.refine(&c, env, &mut l);
-            priced.push((u, k, l.breakdown().total()));
-            l.breakdown().total()
+            let total = l.breakdown().total();
+            priced.push((u, k, total));
+            total
         };
         let fetch = least(rows, |u| price(u, 1) < price(u, 0));
         let stream = least(rows, |u| price(u, 2) < price(u, 0).min(price(u, 1)));
