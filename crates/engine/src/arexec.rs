@@ -496,6 +496,9 @@ impl<'a> Run<'a> {
         if !counted {
             self.counts.groups = out.groups;
         }
+        // Under a fold, each rendered row is a result group.
+        let folded = !self.shape.plan.fold.is_empty();
+        self.counts.result_groups = out.rows.len() as u64 * u64::from(folded);
         self.shape.aggregate(&self.counts, env, self.ledger);
         let agg = self.shape.grouped_agg(&self.counts, env);
         let tables = GroupAggTables {
@@ -503,6 +506,7 @@ impl<'a> Run<'a> {
             sized_by,
             replicas: agg.map_or(0, |agg| agg.replicas),
             blocks: agg.map_or(0, |agg| agg.blocks),
+            rollup_on_device: self.shape.rollup_on_device(&self.counts, env),
         };
         let rendered = out.rows.len() as u64;
         groupagg_probe.end(&self.obs, self.ledger, rendered, tables.pack());

@@ -82,6 +82,9 @@ pub struct Counts {
     /// the rows it folded. Where no device grouping counts them, a fold's
     /// groups the host rolls up (0 without a fold).
     pub groups: u64,
+    /// The groups a fold rolls its fold groups up into: the result's (0
+    /// without a fold).
+    pub result_groups: u64,
 }
 
 impl Counts {
@@ -116,6 +119,7 @@ impl Counts {
             undecided: rows,
             survivors: rows,
             groups: rows,
+            result_groups: rows,
             ..Counts::default()
         }
     }
@@ -412,6 +416,8 @@ pub struct ArShape<'a> {
 const REFINE_DOWNLOAD: &str = "select.refine.download";
 const REFINE_UPLOAD: &str = "select.refine.upload";
 const EVAL: &str = "aggregate.eval";
+const DOWNLOAD: &str = "aggregate.download";
+const ROLLUP: &str = "aggregate.rollup";
 
 impl<'a> ArShape<'a> {
     /// Resolve `plan`'s columns against `db`'s bound (decomposed) tables,
@@ -589,9 +595,9 @@ impl<'a> ArShape<'a> {
     }
 
     /// The device's results over `rows` rows: one entry per group (under a
-    /// fold, per fold group), one for a global aggregate, one per row for a
-    /// projection — each entry its accumulators' 16 B (a projected row's
-    /// 16 B).
+    /// fold rolled up on the host, per fold group), one for a global
+    /// aggregate, one per row for a projection — each entry its
+    /// accumulators' 16 B (a projected row's 16 B).
     fn partial_bytes(&self, rows: u64, c: &Counts) -> u64 {
         let entries = match (self.grouping, self.plan.aggs.is_empty()) {
             (Grouping::Hash | Grouping::Direct { .. }, _) => c.groups,
@@ -757,10 +763,49 @@ impl<'a> ArShape<'a> {
         }
         // A split count's device partial rides the list transfer.
         if place.device_tail && !(place.split_count && self.list_bytes(c) > 0) {
-            // Per-group results cross the bus (tiny).
-            env.charge_download("aggregate.download", self.partial_bytes(dev_rows, c), l);
+            self.home(c, env, self.rollup_on_device(c, env), l);
+        } else {
+            charge_rollup(&self.tail, c.groups, env, ROLLUP, l);
         }
-        charge_rollup(&self.tail, c.groups, env, "aggregate.rollup", l);
+    }
+
+    /// A device tail's results home and a fold's roll-up: every (fold)
+    /// group's accumulators down, rolled up on the host; or on the device —
+    /// the fold table read once, the plain DAG per fold group at one op a
+    /// primitive, a [`GroupedAgg`] of fold groups into the result groups —
+    /// and only the result groups' plain accumulators down.
+    fn home(&self, c: &Counts, env: &Env, on_device: bool, l: &mut CostLedger) {
+        let (spec, plain) = (env.device.spec(), self.tail.plain_accumulators() as u64);
+        let (g, k) = (c.groups, c.result_groups);
+        if !on_device {
+            let bytes = self.partial_bytes(self.place.tail_rows(c).0, c);
+            env.charge_download(DOWNLOAD, bytes, l);
+            return charge_rollup(&self.tail, g, env, ROLLUP, l);
+        }
+        let table = g * self.tail.accumulators() as u64 * ACCUMULATOR_BYTES;
+        let dag = spec.compute_seconds(g * self.tail.rollup_ops());
+        let agg = GroupedAgg::new(spec, g as usize, plain as usize, k as usize);
+        let fold = agg.update_seconds(spec) + agg.merge_seconds(spec);
+        let t = spec.kernel_launch_overhead + spec.stream_seconds(table).max(dag) + fold;
+        l.charge(Component::Device, ROLLUP, t, table);
+        env.charge_download(DOWNLOAD, k * plain * ACCUMULATOR_BYTES, l);
+    }
+
+    /// Whether a device tail's fold rolls up on the device: where that
+    /// prices below the host (`ArShape::home`; a tie stays there) and the
+    /// result groups' table fits a block's shared memory. It reads counts
+    /// the device holds before its download: the run and its footprint
+    /// place it alike.
+    pub fn rollup_on_device(&self, c: &Counts, env: &Env) -> bool {
+        let table = c.result_groups * self.tail.plain_accumulators() as u64 * ACCUMULATOR_BYTES;
+        let fits = table <= env.device.spec().shared_mem_per_block;
+        let price = |on_device| {
+            let mut l = CostLedger::new();
+            self.home(c, env, on_device, &mut l);
+            l.breakdown().total()
+        };
+        let folds = !self.plan.fold.is_empty() && self.place.device_tail;
+        folds && fits && price(true) < price(false)
     }
 
     // ---- The phases: the sites, composed.
@@ -1580,6 +1625,7 @@ mod tests {
     /// status, return flag, tax, discount, quantity: 2 × 3 × 9 × 11 × 50 =
     /// 29 700 cells —, and for every set of them its group count is the
     /// number of distinct payload tuples the rows hold, counted row by row.
+    /// Its bitmap is the same built in 1, 2, 3 or 7 pieces.
     /// A key it does not cover — a large domain, a column behind the join —
     /// leaves the prediction at the product of the key domains, capped by
     /// the candidates.
@@ -1605,6 +1651,11 @@ mod tests {
             let distinct: bwd_types::FxHashSet<Vec<i64>> = (0..lineitem.len()).map(tuple).collect();
             let counted = lineitem.occupancy().groups(&keys);
             assert_eq!(counted, Some(distinct.len() as u64), "{keys:?}");
+        }
+        // Built in any number of pieces, the bitmap is the same.
+        for pieces in [1, 2, 3, 7] {
+            let cells = crate::catalog::Occupancy::of(lineitem, pieces).cells;
+            assert_eq!(cells, lineitem.occupancy().cells, "{pieces} pieces");
         }
         let groups = |keys: &[&str]| {
             let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
@@ -1802,6 +1853,75 @@ mod tests {
         }
     }
 
+    /// A fold's roll-up runs where it is cheaper. For Q1 folded over two and
+    /// over three columns (SF 0.02) at 1 to 32 host threads, at drawn fold-
+    /// and result-group counts and around the least fold-group count the
+    /// device takes: the device rolls up exactly where its price — its fold
+    /// table read once, the plain DAG per fold group, the fold into the
+    /// result groups' accumulators, their download — is below the host's —
+    /// every fold group's accumulators down, the host's roll-up — and the
+    /// result table fits a block's shared memory; a tie stays on the host.
+    /// The bill charges that placement's events, and both occur.
+    #[test]
+    fn the_rollup_runs_where_it_is_cheaper() {
+        let (db, plans) = tpch();
+        let q1 = &plans.iter().find(|(n, _)| *n == "q1").unwrap().1;
+        let rng = &mut SplitMix64::new(50);
+        let mut sides = [false; 2];
+        for fold in [
+            &["l_discount", "l_tax"][..],
+            &["l_quantity", "l_discount", "l_tax"],
+        ] {
+            let plan = folded(db, q1, fold);
+            for threads in [1, 2, 4, 8, 16, 32] {
+                let env = db.env().clone().host_threads(threads);
+                let shape = ArShape::resolve(db, &plan, ScanOptions::default(), &env).unwrap();
+                let plain = shape.tail.plain_accumulators() as u64;
+                let spec = env.device.spec();
+                let mut c = Counts::all_rows(shape.rows, 1);
+                let at = |c: &mut Counts, groups: u64, result_groups: u64| {
+                    (c.groups, c.result_groups) = (groups, result_groups.min(groups));
+                };
+                let from = least(shape.rows, |g| {
+                    at(&mut c, g, 3);
+                    shape.rollup_on_device(&c, &env)
+                });
+                let near = from
+                    .into_iter()
+                    .flat_map(|g| [(g - 1, 3), (g, 3), (g + 1, 3)]);
+                let drawn = (0..48).map(|_| (rng.below(20_000), 1 + rng.below(1_024)));
+                for (groups, result_groups) in near.chain(drawn).chain([(0, 0), (14_850, 3)]) {
+                    at(&mut c, groups, result_groups);
+                    let prices = [false, true].map(|on_device| {
+                        let mut l = CostLedger::with_trace();
+                        shape.home(&c, &env, on_device, &mut l);
+                        (l.breakdown().total(), l.events().to_vec())
+                    });
+                    let fits =
+                        c.result_groups * plain * ACCUMULATOR_BYTES <= spec.shared_mem_per_block;
+                    let ctx = format!("{fold:?} at {threads} threads, {groups} → {result_groups}");
+                    let cheaper = fits && prices[1].0 < prices[0].0;
+                    assert_eq!(
+                        shape.rollup_on_device(&c, &env),
+                        cheaper,
+                        "{ctx}: {:?}",
+                        prices.each_ref().map(|p| p.0)
+                    );
+                    sides[cheaper as usize] = true;
+                    let mut l = CostLedger::with_trace();
+                    shape.aggregate(&c, &env, &mut l);
+                    let billed = l
+                        .events()
+                        .iter()
+                        .skip_while(|e| e.label != DOWNLOAD && e.label != ROLLUP);
+                    let want = &prices[cheaper as usize].1;
+                    assert_eq!(billed.cloned().collect::<Vec<_>>(), *want, "{ctx}");
+                }
+            }
+        }
+        assert_eq!(sides, [true; 2], "the host and the device each roll up");
+    }
+
     /// `undecided = 0` is the paper's all-GPU configuration: no refinement
     /// event, nothing uploaded, and a device tail bills the host nothing
     /// but a fold's roll-up of the table it brings home. And zero
@@ -1839,8 +1959,10 @@ mod tests {
 
     /// A device aggregation ships its merged table home, and every entry
     /// of it holds each of its accumulators' 16 B: a global aggregate's
-    /// one entry, a grouped result's one per group — under a fold, one per
-    /// fold group. (The parent billed 16 B an entry.)
+    /// one entry, a grouped result's one per group — under a fold the host
+    /// rolls up, one per fold group; under one the device rolls up, one
+    /// per result group, each of the plain accumulators. (The parent
+    /// billed 16 B an entry.)
     #[test]
     fn the_result_download_carries_every_accumulator() {
         use AggFunc::*;
@@ -1850,7 +1972,7 @@ mod tests {
         let sum_and_count = vec![agg(Sum, Some(E::col("v"))), agg(Count, None)];
         let global = bind(t().aggregate(vec![], sum_and_count));
         let q1 = bind(t().aggregate(vec!["k1".into(), "k2".into()], q1_shaped()));
-        let download = |plan: &ArPlan| {
+        let download = |db: &Database, plan: &ArPlan| {
             let (opts, mut ledger) = (ArExecOptions::default(), CostLedger::with_trace());
             let chain: Vec<usize> = (0..plan.selections.len()).collect();
             let (env, slice) = (db.env(), SLICE_ROWS);
@@ -1862,10 +1984,19 @@ mod tests {
                 .filter(|e| e.label == "aggregate.download");
             (downloads.next().unwrap().bytes, counts.groups)
         };
-        assert_eq!(download(&global), (2 * 16, 0));
+        assert_eq!(download(db, &global), (2 * 16, 0));
         // The four slots of (k1, k2) some row occupies, six accumulators each.
-        assert_eq!(download(&q1), (4 * 6 * 16, 4));
-        // Folding the discount and the tax: 16 fold groups of three.
-        assert_eq!(download(&folded(db, &q1, &["k3", "k4"])), (16 * 3 * 16, 16));
+        assert_eq!(download(db, &q1), (4 * 6 * 16, 4));
+        // Folding the discount and the tax: 16 fold groups of three, too few
+        // to pay for the device's roll-up.
+        let fold = folded(db, &q1, &["k3", "k4"]);
+        assert_eq!(download(db, &fold), (16 * 3 * 16, 16));
+        // TPC-H Q1 folding the quantity, the discount and the tax (SF 0.02,
+        // one host thread): the device rolls its fold groups up into the
+        // three result groups, six plain accumulators each.
+        let (tpch, plans) = tpch();
+        let q1 = &plans.iter().find(|(n, _)| *n == "q1").unwrap().1;
+        let fold = folded(tpch, q1, &["l_quantity", "l_discount", "l_tax"]);
+        assert_eq!(download(tpch, &fold).0, 3 * 6 * 16);
     }
 }

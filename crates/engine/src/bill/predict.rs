@@ -60,11 +60,11 @@ impl<'a> Shape<'a> {
         }
     }
 
-    /// The groups the plan's keys form over the whole fact table: exact
-    /// where its [`crate::Occupancy`] covers every key, else the
-    /// product of the key domains; 0 where neither a device grouping nor
-    /// a fold counts them.
-    fn key_groups(&self) -> f64 {
+    /// The groups the plan's first `keys` group keys form over the whole
+    /// fact table: exact where its [`crate::Occupancy`] covers every one,
+    /// else the product of their domains; 0 where neither a device
+    /// grouping nor a fold counts them.
+    fn key_groups(&self, keys: usize) -> f64 {
         let (plan, table) = match self {
             Shape::Ar(s) if s.grouping != Grouping::None || !s.plan.fold.is_empty() => {
                 (s.plan, s.table)
@@ -72,12 +72,12 @@ impl<'a> Shape<'a> {
             Shape::Classic(s) if !s.plan.fold.is_empty() => (s.plan, s.table),
             _ => return 0.0,
         };
-        if let Some(groups) = table.occupancy().groups(&plan.group_keys()) {
+        if let Some(groups) = table.occupancy().groups(&plan.group_keys()[..keys]) {
             return groups as f64;
         }
         match self {
-            Shape::Ar(s) => s.group_cols.iter().map(ColRef::domain).product(),
-            Shape::Classic(s) => s.keys.iter().map(|c| domain(c)).product(),
+            Shape::Ar(s) => s.group_cols[..keys].iter().map(ColRef::domain).product(),
+            Shape::Classic(s) => s.keys[..keys].iter().map(|c| domain(c)).product(),
         }
     }
 
@@ -88,8 +88,9 @@ impl<'a> Shape<'a> {
     /// admitted); shares multiply along the chain as independent. The groups
     /// a device grouping or a fold's table finds are the keys' groups over
     /// the whole table (exact where its [`crate::Occupancy`] covers every
-    /// key, else the product of the key domains), capped by the candidates;
-    /// a refinement chain shrinks evenly from the undecided candidates to
+    /// key, else the product of the key domains), capped by the candidates,
+    /// and a fold's result groups its plain keys' groups alike, capped by
+    /// the fold groups; a refinement chain shrinks evenly from the undecided candidates to
     /// the ones that survive.
     pub fn predict(&self) -> Counts {
         let (plan, rows) = self.plan_rows();
@@ -109,7 +110,12 @@ impl<'a> Shape<'a> {
             c.steps.push(n(admitted));
         }
         (c.undecided, c.survivors) = (n(admitted) - n(decided), n(exact));
-        c.groups = self.key_groups().min(c.candidates() as f64) as u64;
+        let keys = plan.group_keys().len();
+        c.groups = self.key_groups(keys).min(c.candidates() as f64) as u64;
+        if !plan.fold.is_empty() {
+            let plain = self.key_groups(plan.group_by.len());
+            c.result_groups = plain.min(c.groups as f64) as u64;
+        }
         let steps = match self {
             Shape::Classic(_) => 0,
             Shape::Ar(s) => s.refine_order(&c).len() as u64,

@@ -5,7 +5,9 @@
 //! declared foreign-key relationships. A decomposed column is held here in
 //! its split form; its binding to the device lives in the `Database`.
 
+use crate::morsel::{partition_ranges_min, run_parts};
 use bwd_storage::encoding::decode;
+use bwd_storage::pieces::chunk_count;
 use bwd_storage::{Column, DecomposedColumn, DecompositionSpec as Spec};
 use bwd_types::{BwdError, FxHashMap, Result};
 use std::sync::{Mutex, OnceLock};
@@ -54,7 +56,8 @@ impl Table {
 
     /// The cells of the smallest-domain columns the rows occupy.
     pub fn occupancy(&self) -> &Occupancy {
-        self.occupancy.get_or_init(|| Occupancy::of(self))
+        let pieces = || chunk_count(self.rows);
+        self.occupancy.get_or_init(|| Occupancy::of(self, pieces()))
     }
 
     /// Table name.
@@ -109,13 +112,16 @@ pub struct Occupancy {
     /// Per covered column: its name, least payload and domain.
     cols: Vec<(String, i64, u64)>,
     /// One bit per cell, the last column varying fastest.
-    cells: Vec<u64>,
+    pub(crate) cells: Vec<u64>,
     /// Distinct projections counted so far, by key-set mask.
     counted: Mutex<FxHashMap<u64, u64>>,
 }
 
 impl Occupancy {
-    fn of(table: &Table) -> Occupancy {
+    /// The statistic of `table`, its rows cut in up to `pieces` runs of
+    /// whole blocks, each filling a bitmap of its own on a
+    /// [`bwd_storage::pieces::in_pieces`] worker; the bitmaps OR-merge.
+    pub(crate) fn of(table: &Table, pieces: usize) -> Occupancy {
         let span = |c: &Column| {
             c.payload_min_max()
                 .map_or((0, 1), |(lo, hi)| (lo, hi.abs_diff(lo).saturating_add(1)))
@@ -130,20 +136,25 @@ impl Occupancy {
             }
             cols.push((name.clone(), col, lo, domain));
         }
+        // Per piece of 4 096-row blocks, its own bitmap.
+        let pieces = partition_ranges_min(table.rows.div_ceil(4096), pieces, 1);
         let mut bits = vec![0u64; cells.div_ceil(64) as usize];
-        let (mut encoded, mut cell) = (vec![0; 4096], vec![0u64; 4096]);
-        for start in (0..table.rows).step_by(4096) {
-            let n = (table.rows - start).min(4096);
-            cell[..n].fill(0);
-            for &(_, col, lo, domain) in &cols {
-                col.encoded_range(start, &mut encoded[..n]);
-                for (c, &e) in cell.iter_mut().zip(&encoded[..n]) {
-                    *c = *c * domain + decode(e, col.dtype()).abs_diff(lo);
+        for part in run_parts(&pieces, |_, blocks| {
+            let (mut bits, mut encoded, mut cell) = (bits.clone(), vec![0; 4096], vec![0u64; 4096]);
+            for start in blocks.map(|b| b * 4096) {
+                let n = (table.rows - start).min(4096);
+                cell[..n].fill(0);
+                for &(_, col, lo, domain) in &cols {
+                    col.encoded_range(start, &mut encoded[..n]);
+                    for (c, &e) in cell.iter_mut().zip(&encoded[..n]) {
+                        *c = *c * domain + decode(e, col.dtype()).abs_diff(lo);
+                    }
                 }
+                (cell[..n].iter()).for_each(|&c| bits[c as usize / 64] |= 1 << (c % 64));
             }
-            cell[..n]
-                .iter()
-                .for_each(|&c| bits[c as usize / 64] |= 1 << (c % 64));
+            bits
+        }) {
+            bits.iter_mut().zip(part).for_each(|(b, p)| *b |= p);
         }
         Occupancy {
             cols: cols

@@ -180,9 +180,9 @@ impl GroupAggTail {
 }
 
 /// `GroupAgg` End `d`: which grouping fed the aggregation, beside the count
-/// it is sized by, and the private accumulator tables of a grouped device
-/// aggregation — packed as `grouping << 62 | sized_by << 40 | replicas <<
-/// 32 | blocks`.
+/// it is sized by, the private accumulator tables of a grouped device
+/// aggregation and where a fold was rolled up — packed as `grouping << 62
+/// | sized_by << 40 | replicas << 32 | rollup_on_device << 31 | blocks`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupAggTables {
     /// 0 ungrouped, 1 the host hashed the refined keys, 2 hash
@@ -194,17 +194,25 @@ pub struct GroupAggTables {
     /// Copies of the table per thread block (0: no device aggregation).
     pub replicas: u64,
     /// Thread blocks holding private tables (0 = one table in device
-    /// memory, past the shared-memory budget).
+    /// memory, past the shared-memory budget; 31 bits, saturating).
     pub blocks: u64,
+    /// Whether the device rolled a fold up (false: the host did, or no
+    /// fold).
+    pub rollup_on_device: bool,
 }
 
 impl GroupAggTables {
     const SIZED_BY_MAX: u64 = (1 << 22) - 1;
+    const BLOCKS_MAX: u64 = (1 << 31) - 1;
 
     /// The payload word.
     pub fn pack(self) -> u64 {
-        let sized_by = self.sized_by.min(Self::SIZED_BY_MAX);
-        self.grouping << 62 | sized_by << 40 | self.replicas << 32 | self.blocks
+        let (sized_by, blocks) = (
+            self.sized_by.min(Self::SIZED_BY_MAX),
+            self.blocks.min(Self::BLOCKS_MAX),
+        );
+        let rollup = u64::from(self.rollup_on_device);
+        self.grouping << 62 | sized_by << 40 | self.replicas << 32 | rollup << 31 | blocks
     }
 
     /// The fields of a payload word.
@@ -213,7 +221,8 @@ impl GroupAggTables {
             grouping: d >> 62,
             sized_by: d >> 40 & Self::SIZED_BY_MAX,
             replicas: d >> 32 & 0xff,
-            blocks: d & u64::from(u32::MAX),
+            blocks: d & Self::BLOCKS_MAX,
+            rollup_on_device: d >> 31 & 1 == 1,
         }
     }
 }

@@ -395,7 +395,10 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
             }
             if tail.fold > 0 {
                 let (fold, before, after) = (tail.fold, tail.accs, tail.folded_accs);
-                out.push_str(&format!("  fold={fold} accs={before}→{after}"));
+                let side = if t.rollup_on_device { "device" } else { "host" };
+                out.push_str(&format!(
+                    "  fold={fold} accs={before}→{after}  rollup={side}"
+                ));
             }
             if (t.replicas, t.blocks) != (0, 0) {
                 out.push_str(&format!("  replicas={}  blocks={}", t.replicas, t.blocks));
@@ -506,6 +509,7 @@ mod tests {
             sized_by,
             replicas: 32,
             blocks: 42,
+            rollup_on_device: false,
         };
         w.end(EventKind::GroupAgg, agg, 0, 0, 3, tables(3, 8).pack());
         // The same tail behind a hash pre-grouping that found 4 groups
@@ -534,10 +538,10 @@ mod tests {
         assert!(text.contains("tail=host  out=1\n"), "{text}");
     }
 
-    /// A folded grouping shows how many co-factor keys it absorbed and the
-    /// accumulators before and after, on either pipe's `group-agg` line; a
-    /// plain one shows nothing of it. The payload word round-trips every
-    /// field and saturates each.
+    /// A folded grouping shows how many co-factor keys it absorbed, the
+    /// accumulators before and after and where it was rolled up, on either
+    /// pipe's `group-agg` line; a plain one shows nothing of it. The
+    /// payload words round-trip every field and saturate each.
     #[test]
     fn explain_prints_the_fold() {
         let folded = GroupAggTail {
@@ -573,7 +577,11 @@ mod tests {
             sized_by: 297,
             replicas: 3,
             blocks: 42,
+            rollup_on_device: true,
         };
+        assert_eq!(GroupAggTables::unpack(hash.pack()), hash);
+        let most = GroupAggTables::unpack(u64::MAX);
+        assert_eq!((most.blocks, most.rollup_on_device), ((1 << 31) - 1, true));
         let agg = w.begin(EventKind::GroupAgg, exec, 90, folded.pack());
         w.end(EventKind::GroupAgg, agg, 0, 0, 4, hash.pack());
         let host = GroupAggTail {
@@ -587,10 +595,10 @@ mod tests {
         w.end(EventKind::GroupAgg, agg, 0, 0, 4, 1 << 62);
         w.end(EventKind::Exec, exec, 0, 0, 4, 0);
         let text = QueryTrace::capture(&r).explain();
-        let device = "tail=device  uploaded=30  out=4  grouping=hash groups=297  fold=2 accs=6→3  replicas=3  blocks=42\n";
+        let device = "tail=device  uploaded=30  out=4  grouping=hash groups=297  fold=2 accs=6→3  rollup=device  replicas=3  blocks=42\n";
         assert!(text.contains(device), "{text}");
         assert!(
-            text.contains("tail=host  out=4  grouping=host  fold=2 accs=6→3\n"),
+            text.contains("tail=host  out=4  grouping=host  fold=2 accs=6→3  rollup=host\n"),
             "{text}"
         );
         assert!(text.contains("tail=host  out=4  grouping=host\n"), "{text}");

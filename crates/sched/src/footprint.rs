@@ -473,14 +473,16 @@ mod tests {
     /// 24/8 in another chain order than it was bound in, which run and
     /// footprint both take — and under every refinement placement: split
     /// runs refine on the host, fetch the residuals of Q6's undecided
-    /// candidates (SF 0.02, one thread) or stream the partition. (This is
+    /// candidates (SF 0.02, one thread) or stream the partition; and A&R
+    /// Q1's fold is rolled up on the device, into the result groups the run
+    /// counted. (This is
     /// what closed the `value_columns()` drift: the parent reserved Q1's
     /// two key columns although the executor, under a device
     /// pre-grouping, never gathers them.)
     #[test]
     fn observed_counts_in_the_runs_own_bits_out() {
         // Per placement, whether some split run refined that way.
-        let mut placements = [false; 3];
+        let (mut placements, mut rolled_up_on_device) = ([false; 3], false);
         for split in [false, true] {
             let (db, plans) = bench_db(split);
             for (name, plan) in &plans {
@@ -493,10 +495,16 @@ mod tests {
                     }
                     let (run, counts, held) =
                         db.run_counted(plan, mode.clone(), &env, 1, None).unwrap();
-                    if counts.undecided > 0 && !matches!(mode, ExecMode::Classic) {
-                        let chosen = order(&db, plan, &mode, &env);
-                        let shape = Shape::resolve(&db, &chosen, &mode, &env).unwrap();
-                        placements[shape.transient().refinement(&counts) as usize] = true;
+                    let chosen = order(&db, plan, &mode, &env);
+                    let shape = Shape::resolve(&db, &chosen, &mode, &env).unwrap();
+                    if let Shape::Ar(ar) = &shape {
+                        if counts.undecided > 0 {
+                            placements[shape.transient().refinement(&counts) as usize] = true;
+                        }
+                        if !chosen.fold.is_empty() {
+                            assert_eq!(counts.result_groups, run.rows.len() as u64, "{ctx}");
+                            rolled_up_on_device |= ar.rollup_on_device(&counts, &env);
+                        }
                     }
                     let fp = PlanFootprint::with_counts(&db, plan, &mode, threads, counts);
                     let (got, want) = (fp.latency(), run.breakdown);
@@ -515,5 +523,6 @@ mod tests {
             }
         }
         assert_eq!(placements, [true; 3], "host, fetch and stream each refined");
+        assert!(rolled_up_on_device, "a fold rolled up on the device");
     }
 }

@@ -295,11 +295,14 @@ fn a_traced_q6_shows_the_chain_order_each_pipe_ran() {
     assert_eq!(rows[0], rows[1], "A&R rows = Classic rows");
 }
 
-/// A traced Q1 shows the fold each pipe ran: the plan the bill picks
-/// groups by the discount and the tax beside the two keys, and the
-/// `group-agg` line of either pipe's `explain()` says so — two co-factor
-/// keys, the six accumulators of the plain tail down to three (quantity,
-/// price, count). Both pipes return the same rows.
+/// A traced Q1 shows the fold each pipe ran and where it was rolled up:
+/// the plan the bill picks groups A&R by the quantity, the discount and
+/// the tax beside the two keys — three co-factor keys, the six
+/// accumulators of the plain tail down to two (price, count), rolled up on
+/// the device — and Classic by the discount and the tax — two, six down
+/// to three (quantity, price, count), rolled up on the host, as Classic
+/// always is —, and the `group-agg` line of either pipe's `explain()`
+/// says so. Both pipes return the same rows.
 #[test]
 fn a_traced_q1_shows_the_fold_in_both_pipes() {
     use bwd_bench::evaluation::{bind_sql, tpch_db, Q1};
@@ -319,9 +322,20 @@ fn a_traced_q1_shows_the_fold_in_both_pipes() {
     let db = sched.database();
     assert!(plan.fold.is_empty(), "the binder folds nothing");
     let mut rows = Vec::new();
-    for mode in [ExecMode::ApproxRefine, ExecMode::Classic] {
+    let (three, two) = (
+        &["l_quantity", "l_discount", "l_tax"][..],
+        &["l_discount", "l_tax"][..],
+    );
+    for (mode, fold, shown) in [
+        (
+            ExecMode::ApproxRefine,
+            three,
+            "  fold=3 accs=6→2  rollup=device",
+        ),
+        (ExecMode::Classic, two, "  fold=2 accs=6→3  rollup=host"),
+    ] {
         let ordered = order(db, &plan, &mode, db.env());
-        assert_eq!(ordered.fold, ["l_discount", "l_tax"], "{mode:?}");
+        assert_eq!(ordered.fold, fold, "{mode:?}");
         let ticket = sched.session().submit(plan.clone(), mode.clone());
         let (result, _report, trace) = ticket.wait_traced().unwrap();
         rows.push(result.rows);
@@ -331,7 +345,7 @@ fn a_traced_q1_shows_the_fold_in_both_pipes() {
         let line = lines
             .next()
             .unwrap_or_else(|| panic!("{mode:?}: no group-agg in\n{text}"));
-        assert!(line.contains("  fold=2 accs=6→3"), "{mode:?}: {line}");
+        assert!(line.contains(shown), "{mode:?}: {line}");
         assert!(lines.next().is_none(), "{mode:?}:\n{text}");
     }
     assert_eq!(rows[0], rows[1], "A&R rows = Classic rows");
