@@ -496,19 +496,17 @@ impl<'a> Run<'a> {
         if !counted {
             self.counts.groups = out.groups;
         }
-        // Under a fold, each rendered row is a result group.
-        let folded = !self.shape.plan.fold.is_empty();
-        self.counts.result_groups = out.rows.len() as u64 * u64::from(folded);
-        self.shape.aggregate(&self.counts, env, self.ledger);
+        let rendered = out.rows.len() as u64;
+        self.counts.result_groups = rendered * u64::from(!self.shape.plan.fold.is_empty());
+        let rollup_on_device = self.shape.aggregate(&self.counts, env, self.ledger);
         let agg = self.shape.grouped_agg(&self.counts, env);
         let tables = GroupAggTables {
             grouping,
             sized_by,
             replicas: agg.map_or(0, |agg| agg.replicas),
             blocks: agg.map_or(0, |agg| agg.blocks),
-            rollup_on_device: self.shape.rollup_on_device(&self.counts, env),
+            rollup_on_device,
         };
-        let rendered = out.rows.len() as u64;
         groupagg_probe.end(&self.obs, self.ledger, rendered, tables.pack());
 
         Ok(QueryResult {

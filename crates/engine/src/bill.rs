@@ -82,8 +82,7 @@ pub struct Counts {
     /// the rows it folded. Where no device grouping counts them, a fold's
     /// groups the host rolls up (0 without a fold).
     pub groups: u64,
-    /// The groups a fold rolls its fold groups up into: the result's (0
-    /// without a fold).
+    /// The result groups a fold's groups roll up into (0 without a fold).
     pub result_groups: u64,
 }
 
@@ -215,28 +214,21 @@ impl Transient {
     /// undecided list in the order it sent it, one bit per entry tells it
     /// which of them the host kept (none where the device refined).
     pub fn uploaded_bits(&self, c: &Counts) -> u64 {
-        match self.device_tail && !self.split_count && self.refinement(c) == Refinement::Host {
-            true => c.undecided,
-            false => 0,
-        }
+        let up = self.device_tail && !self.split_count && self.refinement(c) == Refinement::Host;
+        c.undecided * u64::from(up)
     }
 
     /// The tail's scratch: the device gathers every needed column over
     /// its rows before aggregating, beside the survivor bitmap.
     pub fn tail(&self, c: &Counts) -> u64 {
         let bits = if self.split_count { 0 } else { c.undecided };
-        match self.device_tail {
-            true => self.tail_rows(c).0 * self.gathered * GATHER_VALUE_BYTES + bits.div_ceil(8),
-            false => 0,
-        }
+        let bytes = self.tail_rows(c).0 * self.gathered * GATHER_VALUE_BYTES + bits.div_ceil(8);
+        bytes * u64::from(self.device_tail)
     }
 
     /// A hash pre-grouping's id vector.
     pub fn ids(&self, c: &Counts) -> u64 {
-        match self.group_ids {
-            true => c.candidates() * GROUP_ID_BYTES,
-            false => 0,
-        }
+        c.candidates() * GROUP_ID_BYTES * u64::from(self.group_ids)
     }
 
     /// The accumulator table a device tail keeps in device memory once it
@@ -244,11 +236,7 @@ impl Transient {
     /// table, an entry per group; none while it fits.
     pub fn table(&self, c: &Counts) -> u64 {
         let bytes = c.groups.min(self.table_groups) * self.table_entry;
-        if bytes > self.shared_mem {
-            bytes
-        } else {
-            0
-        }
+        bytes * u64::from(bytes > self.shared_mem)
     }
 
     /// Everything a run with these counts holds.
@@ -723,10 +711,10 @@ impl<'a> ArShape<'a> {
         }
     }
 
-    /// Grouping, then aggregation / projection arithmetic — billed by the
-    /// DAG the tail runs: its distinct primitives and accumulators — the
-    /// result's way home and a fold's roll-up.
-    pub(crate) fn aggregate(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
+    /// Grouping, then aggregation / projection arithmetic (the DAG's
+    /// distinct primitives and accumulators), the result's way home and a
+    /// fold's roll-up; true where the device rolled it up.
+    pub(crate) fn aggregate(&self, c: &Counts, env: &Env, l: &mut CostLedger) -> bool {
         let place = self.place;
         let (dev_rows, host_rows) = place.tail_rows(c);
         let host_groups = !self.plan.group_by.is_empty() && self.grouping == Grouping::None;
@@ -735,8 +723,8 @@ impl<'a> ArShape<'a> {
             env.charge_host_scan("group.refine.host", host_rows * 8, 2 * host_rows, l);
         }
         let (expr_ops, accumulators) = (self.tail.expr_ops(), self.tail.accumulators());
-        // The host packs each fold key it groups by into the key.
-        let packs = if host_groups { key_packs(self.plan) } else { 0 };
+        // The host packs each fold key it groups by into the key, an op a row.
+        let packs = self.plan.fold.len() as u64 * u64::from(host_groups);
         if place.device_tail {
             // Grouped device aggregation scatters one atomic update per
             // accumulator per tuple. The paper's generic OpenCL kernels
@@ -763,20 +751,20 @@ impl<'a> ArShape<'a> {
         }
         // A split count's device partial rides the list transfer.
         if place.device_tail && !(place.split_count && self.list_bytes(c) > 0) {
-            self.home(c, env, self.rollup_on_device(c, env), l);
-        } else {
-            charge_rollup(&self.tail, c.groups, env, ROLLUP, l);
+            let on_device = self.rollup_on_device(c, env);
+            self.home(c, env, on_device, l);
+            return on_device;
         }
+        charge_rollup(&self.tail, c.groups, env, ROLLUP, l);
+        false
     }
 
-    /// A device tail's results home and a fold's roll-up: every (fold)
-    /// group's accumulators down, rolled up on the host; or on the device —
-    /// the fold table read once, the plain DAG per fold group at one op a
-    /// primitive, a [`GroupedAgg`] of fold groups into the result groups —
-    /// and only the result groups' plain accumulators down.
+    /// A device tail's results home: every (fold) group's accumulators down
+    /// and a fold rolled up on the host; or, `on_device`, one launch reading
+    /// the fold table, the plain DAG per fold group and a [`GroupedAgg`] into
+    /// the result groups, whose plain accumulators alone come down.
     fn home(&self, c: &Counts, env: &Env, on_device: bool, l: &mut CostLedger) {
-        let (spec, plain) = (env.device.spec(), self.tail.plain_accumulators() as u64);
-        let (g, k) = (c.groups, c.result_groups);
+        let (spec, plain, g) = (env.device.spec(), self.tail.fold_trace().accs, c.groups);
         if !on_device {
             let bytes = self.partial_bytes(self.place.tail_rows(c).0, c);
             env.charge_download(DOWNLOAD, bytes, l);
@@ -784,28 +772,25 @@ impl<'a> ArShape<'a> {
         }
         let table = g * self.tail.accumulators() as u64 * ACCUMULATOR_BYTES;
         let dag = spec.compute_seconds(g * self.tail.rollup_ops());
-        let agg = GroupedAgg::new(spec, g as usize, plain as usize, k as usize);
+        let agg = GroupedAgg::new(spec, g as usize, plain as usize, c.result_groups as usize);
         let fold = agg.update_seconds(spec) + agg.merge_seconds(spec);
         let t = spec.kernel_launch_overhead + spec.stream_seconds(table).max(dag) + fold;
         l.charge(Component::Device, ROLLUP, t, table);
-        env.charge_download(DOWNLOAD, k * plain * ACCUMULATOR_BYTES, l);
+        env.charge_download(DOWNLOAD, c.result_groups * plain * ACCUMULATOR_BYTES, l);
     }
 
-    /// Whether a device tail's fold rolls up on the device: where that
-    /// prices below the host (`ArShape::home`; a tie stays there) and the
-    /// result groups' table fits a block's shared memory. It reads counts
-    /// the device holds before its download: the run and its footprint
-    /// place it alike.
+    /// Whether a device tail's fold rolls up on the device: where the result
+    /// table fits a block's shared memory and [`ArShape::home`] prices it
+    /// below the host (a tie stays there), on counts held before the download.
     pub fn rollup_on_device(&self, c: &Counts, env: &Env) -> bool {
-        let table = c.result_groups * self.tail.plain_accumulators() as u64 * ACCUMULATOR_BYTES;
-        let fits = table <= env.device.spec().shared_mem_per_block;
+        let table = c.result_groups * self.tail.fold_trace().accs * ACCUMULATOR_BYTES;
         let price = |on_device| {
             let mut l = CostLedger::new();
             self.home(c, env, on_device, &mut l);
             l.breakdown().total()
         };
         let folds = !self.plan.fold.is_empty() && self.place.device_tail;
-        folds && fits && price(true) < price(false)
+        folds && table <= env.device.spec().shared_mem_per_block && price(true) < price(false)
     }
 
     // ---- The phases: the sites, composed.
@@ -954,19 +939,13 @@ impl<'a> ClassicShape<'a> {
         // expression-heavy Q1 expensive on the classic pipe. The
         // accumulator table is small (cache-resident), so a pass streams
         // the expression column rather than thrashing memory.
-        let expr_ops = self.tail.expr_ops() + key_packs(self.plan);
+        let expr_ops = self.tail.expr_ops() + self.plan.fold.len() as u64;
         env.charge_host_scan("classic.aggregate.expr", k * expr_ops * 8, k * expr_ops, l);
         for _ in 0..self.tail.accumulators() {
             env.charge_host_scan("classic.aggregate.accum", k * 8, k, l);
         }
         charge_rollup(&self.tail, c.groups, env, "classic.aggregate.rollup", l);
     }
-}
-
-/// Primitives a host grouping spends per row packing the fold keys into
-/// the group key: one per key.
-fn key_packs(plan: &ArPlan) -> u64 {
-    plan.fold.len() as u64
 }
 
 /// A fold's roll-up on the host: per fold group of the `groups` the table
@@ -1876,7 +1855,7 @@ mod tests {
             for threads in [1, 2, 4, 8, 16, 32] {
                 let env = db.env().clone().host_threads(threads);
                 let shape = ArShape::resolve(db, &plan, ScanOptions::default(), &env).unwrap();
-                let plain = shape.tail.plain_accumulators() as u64;
+                let plain = shape.tail.fold_trace().accs;
                 let spec = env.device.spec();
                 let mut c = Counts::all_rows(shape.rows, 1);
                 let at = |c: &mut Counts, groups: u64, result_groups: u64| {

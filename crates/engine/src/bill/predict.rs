@@ -88,10 +88,10 @@ impl<'a> Shape<'a> {
     /// admitted); shares multiply along the chain as independent. The groups
     /// a device grouping or a fold's table finds are the keys' groups over
     /// the whole table (exact where its [`crate::Occupancy`] covers every
-    /// key, else the product of the key domains), capped by the candidates,
-    /// and a fold's result groups its plain keys' groups alike, capped by
-    /// the fold groups; a refinement chain shrinks evenly from the undecided candidates to
-    /// the ones that survive.
+    /// key, else the product of the key domains), capped by the candidates
+    /// — an A&R fold's result groups its plain keys' alike, capped by the
+    /// fold groups; a refinement chain shrinks evenly from the undecided
+    /// candidates to the ones that survive.
     pub fn predict(&self) -> Counts {
         let (plan, rows) = self.plan_rows();
         let n = |share: f64| (rows as f64 * share).ceil() as u64;
@@ -110,11 +110,10 @@ impl<'a> Shape<'a> {
             c.steps.push(n(admitted));
         }
         (c.undecided, c.survivors) = (n(admitted) - n(decided), n(exact));
-        let keys = plan.group_keys().len();
+        let (keys, plain) = (plan.group_keys().len(), plan.group_by.len());
         c.groups = self.key_groups(keys).min(c.candidates() as f64) as u64;
-        if !plan.fold.is_empty() {
-            let plain = self.key_groups(plan.group_by.len());
-            c.result_groups = plain.min(c.groups as f64) as u64;
+        if matches!(self, Shape::Ar(_)) && !plan.fold.is_empty() {
+            c.result_groups = self.key_groups(plain).min(c.groups as f64) as u64;
         }
         let steps = match self {
             Shape::Classic(_) => 0,

@@ -7,8 +7,7 @@
 
 use crate::morsel::{partition_ranges_min, run_parts};
 use bwd_storage::encoding::decode;
-use bwd_storage::pieces::chunk_count;
-use bwd_storage::{Column, DecomposedColumn, DecompositionSpec as Spec};
+use bwd_storage::{pieces::chunk_count, Column, DecomposedColumn, DecompositionSpec as Spec};
 use bwd_types::{BwdError, FxHashMap, Result};
 use std::sync::{Mutex, OnceLock};
 
@@ -56,8 +55,8 @@ impl Table {
 
     /// The cells of the smallest-domain columns the rows occupy.
     pub fn occupancy(&self) -> &Occupancy {
-        let pieces = || chunk_count(self.rows);
-        self.occupancy.get_or_init(|| Occupancy::of(self, pieces()))
+        let of = || Occupancy::of(self, chunk_count(self.rows));
+        self.occupancy.get_or_init(of)
     }
 
     /// Table name.
@@ -118,9 +117,8 @@ pub struct Occupancy {
 }
 
 impl Occupancy {
-    /// The statistic of `table`, its rows cut in up to `pieces` runs of
-    /// whole blocks, each filling a bitmap of its own on a
-    /// [`bwd_storage::pieces::in_pieces`] worker; the bitmaps OR-merge.
+    /// The statistic of `table`: up to `pieces` runs of 4 096-row blocks each
+    /// fill a bitmap on an [`bwd_storage::pieces::in_pieces`] worker, OR-merged.
     pub(crate) fn of(table: &Table, pieces: usize) -> Occupancy {
         let span = |c: &Column| {
             c.payload_min_max()
@@ -136,7 +134,6 @@ impl Occupancy {
             }
             cols.push((name.clone(), col, lo, domain));
         }
-        // Per piece of 4 096-row blocks, its own bitmap.
         let pieces = partition_ranges_min(table.rows.div_ceil(4096), pieces, 1);
         let mut bits = vec![0u64; cells.div_ceil(64) as usize];
         for part in run_parts(&pieces, |_, blocks| {

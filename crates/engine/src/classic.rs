@@ -121,8 +121,8 @@ pub(crate) fn run_classic_counted(
     );
     let out = tail.finish(partials);
     if !plan.fold.is_empty() {
-        // The fold groups the roll-up reads, and the groups it fills.
-        (counts.groups, counts.result_groups) = (out.groups, out.rows.len() as u64);
+        // The fold groups the roll-up reads.
+        counts.groups = out.groups;
     }
     shape.aggregate(&counts, env, ledger);
     let host_grouping = GroupAggTables {

@@ -65,11 +65,6 @@ struct Program {
     /// Distinct accumulator inputs (`None` = `count(*)`): `sum(x)` and
     /// `avg(x)` fold the same node once.
     accs: Vec<Option<usize>>,
-    /// Per accumulator: its column of extrema — (least, greatest) input
-    /// per group — where a `min` or `max` reads it, else `None`.
-    extrema: Vec<Option<usize>>,
-    /// Accumulators some `min` or `max` reads.
-    ranged: usize,
     /// Per output aggregate: the function and its accumulator (under a
     /// fold, its plain input in [`Fold::inputs`]).
     aggs: Vec<(AggFunc, usize)>,
@@ -165,12 +160,6 @@ impl Program {
         }
         if let Some(fold) = &mut p.fold {
             fold.count = intern(&mut p.accs, None);
-        }
-        p.extrema = vec![None; p.accs.len()];
-        for &(func, acc) in &p.aggs {
-            if matches!(func, AggFunc::Min | AggFunc::Max) && p.extrema[acc].is_none() {
-                (p.extrema[acc], p.ranged) = (Some(p.ranged), p.ranged + 1);
-            }
         }
         Ok(p)
     }
@@ -480,26 +469,26 @@ impl GroupTable {
     }
 }
 
-/// One accumulator per (group, distinct aggregate input): a sum and a
-/// count, 32 B.
+/// One accumulator per (group, distinct aggregate input).
 #[derive(Clone, Copy)]
 struct Acc {
     sum: i128,
     count: u64,
+    min: i128,
+    max: i128,
 }
 
-const EMPTY_ACC: Acc = Acc { sum: 0, count: 0 };
-
-/// The (least, greatest) input of an accumulator some `min` or `max` reads.
-type Extrema = (i128, i128);
-
-const EMPTY_EXTREMA: Extrema = (i128::MAX, i128::MIN);
+const EMPTY_ACC: Acc = Acc {
+    sum: 0,
+    count: 0,
+    min: i128::MAX,
+    max: i128::MIN,
+};
 
 impl Acc {
-    /// The value of aggregate `func` over this accumulator and, for a
-    /// `min` or `max`, its extrema `ext`, whose input expression has
-    /// decimal scale `scale` (an empty input renders 0).
-    fn render(self, ext: Extrema, func: AggFunc, scale: u8) -> Value {
+    /// The value of aggregate `func` over this accumulator, whose input
+    /// expression has decimal scale `scale` (an empty input renders 0).
+    fn render(self, func: AggFunc, scale: u8) -> Value {
         let scale = if self.count == 0 { 0 } else { scale };
         let exact = |unscaled: i128| AggValue { unscaled, scale };
         match func {
@@ -507,8 +496,8 @@ impl Acc {
             AggFunc::Sum => exact(self.sum).to_value(),
             AggFunc::Avg if self.count == 0 => Value::Double(f64::NAN),
             AggFunc::Avg => Value::Double(exact(self.sum).as_f64() / self.count as f64),
-            AggFunc::Min => exact(if self.count == 0 { 0 } else { ext.0 }).to_value(),
-            AggFunc::Max => exact(if self.count == 0 { 0 } else { ext.1 }).to_value(),
+            AggFunc::Min => exact(if self.count == 0 { 0 } else { self.min }).to_value(),
+            AggFunc::Max => exact(if self.count == 0 { 0 } else { self.max }).to_value(),
         }
     }
 }
@@ -523,14 +512,11 @@ fn fold(accs: &mut [Acc], values: Option<Src<'_>>, len: usize, at: impl Fn(usize
                 let (v, a) = (values.at(i), &mut accs[at(i)]);
                 a.count += 1;
                 a.sum += v;
+                a.min = a.min.min(v);
+                a.max = a.max.max(v);
             }
         }
     }
-}
-
-/// The extrema of `a` and `b` together.
-fn widen(a: Extrema, b: Extrema) -> Extrema {
-    (a.0.min(b.0), a.1.max(b.1))
 }
 
 /// One worker's running partial result plus its reused slice buffers.
@@ -542,8 +528,6 @@ pub(crate) struct Sink<'p> {
     groups: GroupTable,
     /// `groups.len() × prog.accs.len()` accumulators, group-major.
     accs: Vec<Acc>,
-    /// `groups.len() × prog.ranged` extrema, group-major.
-    ext: Vec<Extrema>,
     /// Projected rows (non-aggregate queries).
     rows: Vec<Vec<Value>>,
     bufs: Vec<Vec<i128>>,
@@ -572,21 +556,15 @@ impl<'p> Sink<'p> {
             return Err(BwdError::Exec("division by zero".into()));
         }
         let values = |r: usize| src(nodes, &self.block, &self.bufs, r);
-        let (n_groups, ranged) = (if grouped { self.groups.len() } else { 1 }, p.ranged);
+        let n_groups = if grouped { self.groups.len() } else { 1 };
         self.accs.resize(n_groups * stride, EMPTY_ACC);
-        self.ext.resize(n_groups * ranged, EMPTY_EXTREMA);
-        let ids = &self.ids;
-        let group = |i: usize| if grouped { ids[i] as usize } else { 0 };
         for (ai, root) in p.accs.iter().enumerate() {
-            fold(&mut self.accs, root.map(values), len, |i| {
-                group(i) * stride + ai
-            });
-            if let (Some(e), Some(root)) = (p.extrema[ai], root) {
-                let v = values(*root);
-                (0..len).for_each(|i| {
-                    let ext = &mut self.ext[group(i) * ranged + e];
-                    *ext = widen(*ext, (v.at(i), v.at(i)));
-                });
+            let ids = &self.ids;
+            match grouped {
+                true => fold(&mut self.accs, root.map(values), len, |i| {
+                    ids[i] as usize * stride + ai
+                }),
+                false => fold(&mut self.accs, root.map(values), len, |_| ai),
             }
         }
         let cols: Vec<(Src<'_>, u8)> =
@@ -605,7 +583,7 @@ impl<'p> Sink<'p> {
     /// Merge a later partition's partial result into this one.
     fn absorb(&mut self, other: Sink<'p>) {
         self.rows.extend(other.rows);
-        let (stride, ranged) = (self.prog.accs.len(), self.prog.ranged);
+        let stride = self.prog.accs.len();
         if stride == 0 {
             return;
         }
@@ -619,16 +597,13 @@ impl<'p> Sink<'p> {
             };
             if self.accs.len() < (id + 1) * stride {
                 self.accs.resize((id + 1) * stride, EMPTY_ACC);
-                self.ext.resize((id + 1) * ranged, EMPTY_EXTREMA);
             }
             for (dst, src) in self.accs[id * stride..].iter_mut().zip(part) {
                 dst.sum += src.sum;
                 dst.count += src.count;
+                dst.min = dst.min.min(src.min);
+                dst.max = dst.max.max(src.max);
             }
-            let (dst, src) = (&mut self.ext[id * ranged..], &other.ext[g * ranged..]);
-            dst.iter_mut()
-                .zip(&src[..ranged])
-                .for_each(|(d, &s)| *d = widen(*d, s));
         }
     }
 
@@ -644,11 +619,10 @@ impl<'p> Sink<'p> {
                 groups: 0,
             };
         }
-        let (stride, grouped, ranged) = (p.accs.len(), !self.groups.cols.is_empty(), p.ranged);
+        let (stride, grouped) = (p.accs.len(), !self.groups.cols.is_empty());
         if !grouped {
             // Global aggregation over zero rows still yields one row.
             self.accs.resize(stride, EMPTY_ACC);
-            self.ext.resize(ranged, EMPTY_EXTREMA);
         }
         // A carried grouping numbers groups over the candidates, or over
         // every slot of the packed key; one that kept no survivor is not a
@@ -671,18 +645,7 @@ impl<'p> Sink<'p> {
             let mut row: Vec<Value> = (table.cols.iter().zip(key))
                 .map(|(c, &k)| c.logical.value(k))
                 .collect();
-            // No extrema under a fold: a `min` or a `max` does not fold.
-            let ext = |ai| {
-                p.extrema
-                    .get(ai)
-                    .copied()
-                    .flatten()
-                    .map(|e| self.ext[g * ranged + e])
-            };
-            let render = |&(func, ai): &(AggFunc, usize)| {
-                accs[ai].render(ext(ai).unwrap_or(EMPTY_EXTREMA), func, scale(ai))
-            };
-            row.extend(p.aggs.iter().map(render));
+            row.extend((p.aggs.iter()).map(|&(func, ai)| accs[ai].render(func, scale(ai))));
             rows.push(row);
         }
         // Deterministic output: sort by the group key values.
@@ -766,11 +729,6 @@ impl Tail {
         self.prog.accs.len()
     }
 
-    /// The plain program's distinct accumulators (under a fold, per result group).
-    pub(crate) fn plain_accumulators(&self) -> usize {
-        self.prog.inputs().1.len()
-    }
-
     /// The `GroupAgg` span's account of the fold: the co-factor keys, the
     /// plain program's accumulators and the folded tail's (all 0 without a
     /// fold).
@@ -808,7 +766,6 @@ impl Tail {
                 )
             }),
             accs: Vec::new(),
-            ext: Vec::new(),
             rows: Vec::new(),
             bufs: vec![Vec::new(); self.prog.exprs.nodes.len()],
             bad: vec![Vec::new(); self.prog.exprs.nodes.len()],
@@ -1007,8 +964,8 @@ pub(crate) mod tests {
         let mut exprs = Exprs::default();
         let mut bind = |a: &AggExpr| a.arg.as_ref().map(|e| exprs.bind(e, &block)).transpose();
         let roots: Vec<Option<usize>> = plan.aggs.iter().map(&mut bind).collect::<Result<_>>()?;
-        let empty = || vec![(EMPTY_ACC, EMPTY_EXTREMA, 0u8); roots.len()];
-        let mut groups: BTreeMap<Vec<i64>, Vec<(Acc, Extrema, u8)>> = BTreeMap::new();
+        let empty = || vec![(EMPTY_ACC, 0u8); roots.len()];
+        let mut groups: BTreeMap<Vec<i64>, Vec<(Acc, u8)>> = BTreeMap::new();
         if plan.group_by.is_empty() {
             groups.insert(Vec::new(), empty());
         }
@@ -1025,7 +982,7 @@ pub(crate) mod tests {
             }
             let key = plan.group_by.iter().map(|g| fetch(g, oid)).collect();
             let accs = groups.entry(key).or_insert_with(empty);
-            for ((acc, ext, scale), root) in accs.iter_mut().zip(&roots) {
+            for ((acc, scale), root) in accs.iter_mut().zip(&roots) {
                 let v = root.map(|r| exprs.eval_row(r, &block, 0)).transpose()?;
                 *scale = v.map_or(0, |v| v.1);
                 fold(
@@ -1034,12 +991,11 @@ pub(crate) mod tests {
                     1,
                     |_| 0,
                 );
-                *ext = v.map_or(*ext, |v| widen(*ext, (v.0, v.0)));
             }
         }
         let rows = groups.into_iter().map(|(key, accs)| {
             let aggs = accs.iter().zip(&plan.aggs);
-            let aggs = aggs.map(|(&(acc, ext, scale), a)| acc.render(ext, a.func, scale));
+            let aggs = aggs.map(|(&(acc, scale), a)| acc.render(a.func, scale));
             let key = key
                 .into_iter()
                 .zip(&plan.group_by)
@@ -1150,15 +1106,9 @@ pub(crate) mod tests {
         }
         let merged = tables.pop().unwrap();
 
-        // Min(w) and max(v·w) hold the extrema of accumulators 2 and 3.
         let bits = |sink: &Sink<'_>| -> Vec<(i128, u64, i128, i128)> {
-            let ext = |i: usize| match i % 4 {
-                0 | 1 => (0, 0),
-                e => sink.ext[i / 4 * 2 + e - 2],
-            };
-            let accs = sink.accs.iter().enumerate();
-            accs.map(|(i, a)| (a.sum, a.count, ext(i).0, ext(i).1))
-                .collect()
+            let accs = sink.accs.iter().map(|a| (a.sum, a.count, a.min, a.max));
+            accs.collect()
         };
         assert_eq!(bits(&merged), bits(&single));
         let (max_product, three) = ((i64::MAX as i128) << 40, &bits(&single)[3 * 4..4 * 4]);

@@ -475,9 +475,8 @@ mod tests {
     /// runs refine on the host, fetch the residuals of Q6's undecided
     /// candidates (SF 0.02, one thread) or stream the partition; and A&R
     /// Q1's fold is rolled up on the device, into the result groups the run
-    /// counted. (This is
-    /// what closed the `value_columns()` drift: the parent reserved Q1's
-    /// two key columns although the executor, under a device
+    /// counted. (This is what closed the `value_columns()` drift: the parent
+    /// reserved Q1's two key columns although the executor, under a device
     /// pre-grouping, never gathers them.)
     #[test]
     fn observed_counts_in_the_runs_own_bits_out() {
