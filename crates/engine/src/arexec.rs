@@ -263,6 +263,8 @@ struct Approx<'a> {
     /// passed every refinement so far (`None`: none ran yet).
     undecided: Vec<Oid>,
     refined: Option<Vec<Oid>>,
+    /// The survivor bits refinement sent back up.
+    uploaded: u64,
     /// The hash pre-grouping, where the plan runs one.
     grouper: Option<Grouper<'a>>,
 }
@@ -357,28 +359,33 @@ impl<'a> Run<'a> {
     }
 
     /// Refinement of what the approximation left undecided, where
-    /// [`Transient::refinement`] places it: the selections that can leave
-    /// a candidate undecided re-test last-to-first, the live set shrinking
+    /// [`ArShape::refinement`] places it: the selections that can leave a
+    /// candidate undecided re-test last-to-first, the live set shrinking
     /// monotonically; a plan without undecided candidates has no
     /// refinement step at all. A host refinement for a device tail sends
     /// one survivor bit per undecided candidate back.
     fn refine(&mut self, a: &mut Approx<'_>) -> Result<()> {
-        let (env, decided) = (self.env, self.counts.decided());
+        let (env, decided, shape) = (self.env, self.counts.decided(), &self.shape);
+        let how = shape.refinement(self.counts.undecided, env);
         self.transient
-            .charge(self.shape.place.refining(&self.counts))?;
-        self.shape.download(&self.counts, env, self.ledger);
-        let order = self.shape.refine_order(&self.counts);
+            .charge(shape.place.refining(&self.counts, how))?;
+        shape.download(&self.counts, how, env, self.ledger);
+        let order = shape.refine_order(&self.counts);
         for (k, i) in order.into_iter().enumerate() {
             let live = a.refined.as_deref().unwrap_or(&a.undecided);
             let live_len = live.len() as u64;
-            let probe = self.begin(EventKind::Refine, decided + live_len, i as u64);
-            let kept = self.refine_selection(i, live);
+            let at = (how as u64) << 32 | i as u64;
+            let probe = self.begin(EventKind::Refine, decided + live_len, at);
+            // Each exact payload is its approximation and residual (through
+            // the FK link for a dimension column), re-tested by the range.
+            let (col, range) = (&shape.sels[i].0, &shape.plan.selections[i].range);
+            let kept = refine_filter(col.residual(), live, range, self.morsels, &self.pool);
             let kept_len = kept.len() as u64;
             self.counts.refines.push(RefineCounts {
                 live: live_len,
                 kept: kept_len,
             });
-            self.shape.refine_step(k, &self.counts, env, self.ledger);
+            shape.refine_step(k, &self.counts, how, env, self.ledger);
             probe.end(&self.obs, self.ledger, decided + kept_len, live_len);
             a.refined = Some(kept);
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
@@ -387,22 +394,10 @@ impl<'a> Run<'a> {
         unmark(&mut a.undecided_bits, a.refined.as_deref().unwrap_or(&[]));
         let refined = a.refined.as_ref().map_or(a.undecided.len(), Vec::len);
         self.counts.survivors = decided + refined as u64;
-        self.shape.upload(&self.counts, env, self.ledger);
-        refine_metrics()
-            .uploaded_bits
-            .add(self.shape.place.uploaded_bits(&self.counts));
+        a.uploaded = shape.upload(&self.counts, how, env, self.ledger);
+        refine_metrics().uploaded_bits.add(a.uploaded);
         env.fault.check(FaultSite::Exec)?;
         env.yield_point.check() // before the tail
-    }
-
-    /// Refine selection `i` over `live`, the undecided candidates still
-    /// alive: reconstruct each exact payload from its approximation and
-    /// residual (at the fact position, or the dimension position through
-    /// the FK link) and re-test the precise range, fanned out over
-    /// contiguous partitions.
-    fn refine_selection(&self, i: usize, live: &[Oid]) -> Vec<Oid> {
-        let (col, range) = (&self.shape.sels[i].0, &self.shape.plan.selections[i].range);
-        refine_filter(col.residual(), live, range, self.morsels, &self.pool)
     }
 
     /// The tail: gather → refine → group → evaluate → aggregate, one slice
@@ -477,7 +472,7 @@ impl<'a> Run<'a> {
 
         let placed = GroupAggTail {
             device: place.device_tail,
-            uploaded: place.uploaded_bits(&self.counts),
+            uploaded: a.uploaded,
             ..tail.fold_trace()
         };
         let groupagg_probe = self.begin(EventKind::GroupAgg, survivors as u64, placed.pack());

@@ -172,7 +172,7 @@ pub struct Transient {
     pub residual: u64,
     /// The refinable selections' residual bits per candidate.
     pub residual_bits: u32,
-    /// The least undecided counts that fetch and that stream (`None`: never).
+    /// The least undecided counts refined off the round trip and streamed ([`Shape::transient`]).
     pub fetch_from: Option<u64>,
     pub stream_from: Option<u64>,
     /// A device tail's hash-addressed accumulator table: bytes an entry
@@ -183,9 +183,9 @@ pub struct Transient {
     pub shared_mem: u64,
 }
 
-/// Where a device tail's undecided candidates are re-tested: the cheapest
-/// of the three [`ArShape::refine`] prices, ties to the earlier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a device tail's undecided candidates are re-tested
+/// ([`ArShape::refinement`]), in tie order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Refinement {
     /// The list down, the host re-tests, survivor bits up.
     Host,
@@ -210,14 +210,6 @@ impl Transient {
         }
     }
 
-    /// Survivor bits the host sends back up: the device still holds the
-    /// undecided list in the order it sent it, one bit per entry tells it
-    /// which of them the host kept (none where the device refined).
-    pub fn uploaded_bits(&self, c: &Counts) -> u64 {
-        let up = self.device_tail && !self.split_count && self.refinement(c) == Refinement::Host;
-        c.undecided * u64::from(up)
-    }
-
     /// The tail's scratch: the device gathers every needed column over
     /// its rows before aggregating, beside the survivor bitmap.
     pub fn tail(&self, c: &Counts) -> u64 {
@@ -239,25 +231,22 @@ impl Transient {
         bytes * u64::from(bytes > self.shared_mem)
     }
 
-    /// Everything a run with these counts holds.
+    /// Everything a run with these counts holds (refining as the break-evens say).
     pub fn bytes(&self, c: &Counts) -> u64 {
         let lists: u64 = c.steps.iter().map(|&s| Self::list(s)).sum();
-        lists + self.ids(c) + self.refining(c) + self.tail(c) + self.table(c)
+        lists + self.ids(c) + self.refining(c, self.refinement(c)) + self.tail(c) + self.table(c)
     }
 
-    /// Where `c`'s undecided candidates are re-tested.
+    /// Where the break-evens place `c`'s refinement: a way on per one reached.
     pub fn refinement(&self, c: &Counts) -> Refinement {
-        let reached = |from: Option<u64>| from.is_some_and(|from| c.undecided >= from);
-        match (reached(self.stream_from), reached(self.fetch_from)) {
-            (true, _) => Refinement::Stream,
-            (false, true) => Refinement::Fetch,
-            _ => Refinement::Host,
-        }
+        let froms = [self.fetch_from, self.stream_from];
+        let reached = froms.iter().flatten().filter(|&&from| c.undecided >= from);
+        [Refinement::Host, Refinement::Fetch, Refinement::Stream][reached.count()]
     }
 
     /// The device bytes a refinement holds: streamed partitions, or a fetch's oids and residuals.
-    pub fn refining(&self, c: &Counts) -> u64 {
-        match self.refinement(c) {
+    pub fn refining(&self, c: &Counts, how: Refinement) -> u64 {
+        match how {
             Refinement::Host => 0,
             Refinement::Fetch => candidate_stream_bytes(self.residual_bits, c.undecided),
             Refinement::Stream => self.residual,
@@ -409,7 +398,7 @@ const ROLLUP: &str = "aggregate.rollup";
 
 impl<'a> ArShape<'a> {
     /// Resolve `plan`'s columns against `db`'s bound (decomposed) tables,
-    /// for a run on `env`'s device and host threads.
+    /// for a run on `env`'s device. It prices nothing.
     pub fn resolve(
         db: &'a Database,
         plan: &'a ArPlan,
@@ -495,42 +484,26 @@ impl<'a> ArShape<'a> {
             gathered,
             tail,
         };
-        if device_tail && !shape.place.split_count {
-            let residuals = shape.refinable().map(|i| shape.sels[i].0.bound.residual());
-            let residuals: Vec<_> = residuals.collect();
-            shape.place.residual = residuals.iter().map(|r| r.packed_bytes()).sum();
-            shape.place.residual_bits = residuals.iter().map(|r| r.width()).sum();
-            (shape.place.fetch_from, shape.place.stream_from) = shape.break_evens(env);
-        }
+        let residuals = shape.refinable().map(|i| shape.sels[i].0.bound.residual());
+        let residuals: Vec<_> = residuals.collect();
+        shape.place.residual = residuals.iter().map(|r| r.packed_bytes()).sum();
+        shape.place.residual_bits = residuals.iter().map(|r| r.width()).sum();
         Ok(shape)
     }
 
-    /// The placement rule: the least undecided counts at which the fetch
-    /// prices below the round trip, and the stream below both — each price
-    /// an [`ArShape::refine`] bill. Each dearer placement moves less per
-    /// candidate, so its margin grows with the count; ties stay with the
-    /// earlier placement. The two searches share their prices: each
-    /// placement is priced once per probed count.
-    fn break_evens(&mut self, env: &Env) -> (Option<u64>, Option<u64>) {
-        let (rows, steps) = (self.rows, self.refinable().count());
-        let forced = [(None, None), (Some(0), None), (None, Some(0))];
-        let mut priced: Vec<(u64, usize, f64)> = Vec::new();
-        let mut price = |u: u64, k: usize| {
-            if let Some(&(.., p)) = priced.iter().find(|p| (p.0, p.1) == (u, k)) {
-                return p;
-            }
-            let mut c = Counts::all_rows(rows, 0);
-            (c.undecided, c.refines) = (u, vec![RefineCounts { live: u, kept: u }; steps]);
-            let mut l = CostLedger::new();
-            (self.place.fetch_from, self.place.stream_from) = forced[k];
-            self.refine(&c, env, &mut l);
-            let total = l.breakdown().total();
-            priced.push((u, k, total));
-            total
-        };
-        let fetch = least(rows, |u| price(u, 1) < price(u, 0));
-        let stream = least(rows, |u| price(u, 2) < price(u, 0).min(price(u, 1)));
-        (fetch, stream)
+    /// Where `u` undecided candidates are re-tested: the `pick` of the
+    /// [`ArShape::refine`] prices — the device's ways only for a device tail
+    /// that takes survivor bits back up — at the count alone, every one kept:
+    /// the executor picks before the download what the bill picks after it.
+    pub fn refinement(&self, u: u64, env: &Env) -> Refinement {
+        use Refinement::*;
+        let device = self.place.device_tail && !self.place.split_count;
+        let mut c = Counts::all_rows(self.rows, 0);
+        let live = vec![RefineCounts { live: u, kept: u }; self.refinable().count()];
+        (c.undecided, c.refines) = (u, live);
+        let refine = |how| price(|l| self.refine(&c, how, env, l));
+        let way = |how, feasible: bool| (how, feasible.then(|| refine(how)));
+        pick([way(Host, true), way(Fetch, device), way(Stream, device)]).unwrap_or(Host)
     }
 
     /// The key columns a slot-addressed aggregation reads besides the
@@ -633,8 +606,8 @@ impl<'a> ArShape<'a> {
     /// The list transfer ([`ArShape::list_bytes`]; a split count's device
     /// partial rides it) — none where the device streams, the oids alone
     /// for a fetch: the host reads their residuals and sends them up.
-    pub(crate) fn download(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
-        let (mut bytes, how) = (self.list_bytes(c), self.place.refinement(c));
+    pub(crate) fn download(&self, c: &Counts, how: Refinement, env: &Env, l: &mut CostLedger) {
+        let mut bytes = self.list_bytes(c);
         if how == Refinement::Fetch {
             let (u, order) = (c.undecided, self.refine_order(c));
             let oids = candidate_stream_bytes(0, u);
@@ -642,7 +615,7 @@ impl<'a> ArShape<'a> {
             let read = |&i: &usize| self.sels[i].0.bound.residual_access_bytes(u as usize);
             let (read, ops) = (order.iter().map(read).sum(), u * order.len() as u64);
             env.charge_host_scattered("select.refine.fetch", read, ops, l);
-            env.charge_upload(REFINE_UPLOAD, self.place.refining(c) - oids, l);
+            env.charge_upload(REFINE_UPLOAD, self.place.refining(c, how) - oids, l);
         } else if bytes > 0 && how == Refinement::Host {
             if self.place.split_count {
                 bytes += self.partial_bytes(c.decided(), c);
@@ -653,7 +626,14 @@ impl<'a> ArShape<'a> {
 
     /// Refinement `k` of [`ArShape::refine_order`]: the live undecided
     /// candidates re-tested on the host, or on the device.
-    pub(crate) fn refine_step(&self, k: usize, c: &Counts, env: &Env, l: &mut CostLedger) {
+    pub(crate) fn refine_step(
+        &self,
+        k: usize,
+        c: &Counts,
+        how: Refinement,
+        env: &Env,
+        l: &mut CostLedger,
+    ) {
         let i = self.refine_order(c)[k];
         let col = &self.sels[i].0;
         if i + 1 != self.sels.len() {
@@ -667,7 +647,7 @@ impl<'a> ArShape<'a> {
         let (live, merge) = (c.refines[k].live, if k == 0 { 0 } else { c.undecided * 4 });
         let read = col.bound.residual_access_bytes(live as usize);
         let ops = live * REFINE_OPS_PER_TUPLE;
-        match self.place.refinement(c) {
+        match how {
             Refinement::Host => env.charge_host_scattered("select.refine", read + merge, ops, l),
             how => {
                 if how == Refinement::Stream {
@@ -679,12 +659,16 @@ impl<'a> ArShape<'a> {
         }
     }
 
-    /// The survivor bits going back up ([`Transient::uploaded_bits`]).
-    pub(crate) fn upload(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
-        let bytes = self.place.uploaded_bits(c).div_ceil(8);
-        if bytes > 0 {
-            env.charge_upload(REFINE_UPLOAD, bytes, l);
+    /// The survivor bits the host sends back up, returned: the device still
+    /// holds the undecided list in the order it sent it, one bit per entry
+    /// tells it which of them the host kept (none where the device refined).
+    pub(crate) fn upload(&self, c: &Counts, how: Refinement, env: &Env, l: &mut CostLedger) -> u64 {
+        let up = self.place.device_tail && !self.place.split_count && how == Refinement::Host;
+        let bits = c.undecided * u64::from(up);
+        if bits > 0 {
+            env.charge_upload(REFINE_UPLOAD, bits.div_ceil(8), l);
         }
+        bits
     }
 
     /// Each gathered column is read on exactly one side. A device tail's
@@ -779,18 +763,15 @@ impl<'a> ArShape<'a> {
         env.charge_download(DOWNLOAD, c.result_groups * plain * ACCUMULATOR_BYTES, l);
     }
 
-    /// Whether a device tail's fold rolls up on the device: where the result
-    /// table fits a block's shared memory and [`ArShape::home`] prices it
-    /// below the host (a tie stays there), on counts held before the download.
+    /// Whether a device tail's fold rolls up on the device: the `pick` of
+    /// `ArShape::home`'s prices, the host first, the device feasible only
+    /// where its result table fits a block's shared memory.
     pub fn rollup_on_device(&self, c: &Counts, env: &Env) -> bool {
         let table = c.result_groups * self.tail.fold_trace().accs * ACCUMULATOR_BYTES;
-        let price = |on_device| {
-            let mut l = CostLedger::new();
-            self.home(c, env, on_device, &mut l);
-            l.breakdown().total()
-        };
         let folds = !self.plan.fold.is_empty() && self.place.device_tail;
-        folds && table <= env.device.spec().shared_mem_per_block && price(true) < price(false)
+        let fits = folds && table <= env.device.spec().shared_mem_per_block;
+        let home = |dev| price(|l| self.home(c, env, dev, l));
+        pick([(false, Some(home(false))), (true, fits.then(|| home(true)))]) == Some(true)
     }
 
     // ---- The phases: the sites, composed.
@@ -802,11 +783,11 @@ impl<'a> ArShape<'a> {
         self.pregroup(c, env, l);
     }
 
-    /// Refinement of what the approximation left undecided.
-    pub fn refine(&self, c: &Counts, env: &Env, l: &mut CostLedger) {
-        self.download(c, env, l);
-        (0..self.refine_order(c).len()).for_each(|k| self.refine_step(k, c, env, l));
-        self.upload(c, env, l);
+    /// Refinement of what the approximation left undecided, placed `how`.
+    pub fn refine(&self, c: &Counts, how: Refinement, env: &Env, l: &mut CostLedger) {
+        self.download(c, how, env, l);
+        (0..self.refine_order(c).len()).for_each(|k| self.refine_step(k, c, how, env, l));
+        self.upload(c, how, env, l);
     }
 
     /// The tail over decided ∪ refined rows.
@@ -814,6 +795,27 @@ impl<'a> ArShape<'a> {
         self.gathers(c, env, l);
         self.aggregate(c, env, l);
     }
+}
+
+/// The bill's one decision: of alternatives in tie order, each priced or
+/// `None` where infeasible, the earliest of least price — a later one wins
+/// only strictly cheaper. Refinement, the roll-up and the chooser's order ×
+/// fold all decide through it (ARCHITECTURE.md, "Sites").
+pub(crate) fn pick<A>(alts: impl IntoIterator<Item = (A, Option<f64>)>) -> Option<A> {
+    let mut best: Option<(A, f64)> = None;
+    for (alt, p) in alts.into_iter().filter_map(|(alt, p)| Some((alt, p?))) {
+        if best.as_ref().is_none_or(|b| p < b.1) {
+            best = Some((alt, p));
+        }
+    }
+    best.map(|b| b.0)
+}
+
+/// The total of what `site` charges.
+fn price(site: impl FnOnce(&mut CostLedger)) -> f64 {
+    let mut l = CostLedger::new();
+    site(&mut l);
+    l.breakdown().total()
 }
 
 /// The least count in `1..=rows` at which `wins` holds, `wins` monotone.
@@ -983,13 +985,18 @@ impl<'a> Shape<'a> {
         ArShape::resolve(db, plan, opts.scan, env).map(Shape::Ar)
     }
 
-    /// The tail placement and the transient device bytes that follow
-    /// from it (the classic pipe holds none).
-    pub fn transient(&self) -> Transient {
-        match self {
-            Shape::Classic(_) => Transient::default(),
-            Shape::Ar(s) => s.place,
-        }
+    /// The tail placement and the transient device bytes that follow from it
+    /// (the classic pipe holds none), with the least undecided counts the pick
+    /// refines at least `Fetch` and `Stream` on `env`: each way moves less per
+    /// candidate than the one before, so its margin grows with the count.
+    pub fn transient(&self, env: &Env) -> Transient {
+        let Shape::Ar(s) = self else {
+            return Transient::default();
+        };
+        let from = |way| least(s.rows, |u| s.refinement(u, env) >= way);
+        let mut place = s.place;
+        (place.fetch_from, place.stream_from) = (from(Refinement::Fetch), from(Refinement::Stream));
+        place
     }
 
     /// The bill of a run with counts `c`: simulated seconds per component.
@@ -999,7 +1006,7 @@ impl<'a> Shape<'a> {
             Shape::Classic(s) => s.bill(c, env, &mut l),
             Shape::Ar(s) => {
                 s.approximate(c, env, &mut l);
-                s.refine(c, env, &mut l);
+                s.refine(c, s.refinement(c.undecided, env), env, &mut l);
                 s.tail(c, env, &mut l);
             }
         }
@@ -1311,7 +1318,7 @@ mod tests {
         let env = Env::paper_default();
         let mut l = CostLedger::with_trace();
         shape.approximate(c, &env, &mut l);
-        shape.refine(c, &env, &mut l);
+        shape.refine(c, shape.refinement(c.undecided, &env), &env, &mut l);
         shape.tail(c, &env, &mut l);
         l.events().to_vec()
     }
@@ -1389,8 +1396,9 @@ mod tests {
             let shape = shape_of(db, &plan);
             let events = events(&shape, &counts);
             assert_eq!(events, ledger.events(), "{name}");
-            assert_eq!(shape.place.bytes(&counts), held, "{name}");
-            assert_eq!(Shape::Ar(shape).bill(&counts, env), run.breakdown, "{name}");
+            let shape = Shape::Ar(shape);
+            assert_eq!(shape.transient(env).bytes(&counts), held, "{name}");
+            assert_eq!(shape.bill(&counts, env), run.breakdown, "{name}");
 
             // `run_counted` runs the chain in the order its bill picks.
             let plan = order(db, &plan, &ExecMode::Classic, env);
@@ -1786,84 +1794,82 @@ mod tests {
         );
     }
 
-    /// The rule is the cheapest refinement, pointwise. Over the benchmark's
-    /// statements at 1 to 32 host threads, at undecided counts drawn up to
-    /// the rows and at each break-even count and its neighbours, the
-    /// placement is the cheapest of the round trip, the fetch and the
-    /// stream, each priced through [`ArShape::refine`], a tie going to the
-    /// earlier of them. A shape that sends no survivor bits back up — a
-    /// host tail, a split count — always refines on the host.
+    /// Every priced site picks its cheapest alternative (ARCHITECTURE.md,
+    /// "Sites"), over the benchmark's statements at 1 to 32 host threads.
+    /// Refinement, at undecided counts drawn up to the rows and at each
+    /// break-even [`Shape::transient`] exports ±1; Q1's roll-up, folded over
+    /// two and three columns, at drawn fold- and result-group counts and
+    /// around the least fold-group count the device takes. At each, the
+    /// site's choice is the [`pick`] of its alternatives priced apart —
+    /// each through the site with the placement forced, the infeasible left
+    /// out (the device's refinements for a host tail or a split count, a
+    /// device roll-up whose result table is past shared memory) — and the
+    /// bill charges that alternative; the break-evens agree with the pick.
+    /// Each alternative occurs. Order × fold: [`the_pick_is_the_cheapest`]
+    /// in both pipes, some pick not the plan as bound.
     #[test]
-    fn the_rule_refines_where_it_is_cheaper() {
-        let (db, plans) = tpch();
-        let rng = &mut SplitMix64::new(47);
-        let forced = [(None, None), (Some(0), None), (None, Some(0))];
-        let placements = [Refinement::Host, Refinement::Fetch, Refinement::Stream];
-        for (name, plan) in plans {
-            for threads in [1, 2, 4, 8, 16, 32] {
-                let env = db.env().clone().host_threads(threads);
-                let mut shape = ArShape::resolve(db, plan, ScanOptions::default(), &env).unwrap();
-                let place = shape.place;
-                let rule = (place.fetch_from, place.stream_from);
-                if !place.device_tail || place.split_count {
-                    assert_eq!(rule, (None, None), "{name}");
-                    continue;
-                }
-                let (steps, rows) = (shape.refinable().count(), shape.rows);
-                let near = [rule.0, rule.1, Some(rows)].into_iter().flatten();
-                let near =
-                    near.flat_map(|from| [from - 1, from, from + 1].map(|u| u.clamp(1, rows)));
-                let drawn: Vec<u64> = (0..64).map(|_| 1 + rng.below(rows)).collect();
-                for u in near.chain(drawn) {
-                    let mut c = Counts::all_rows(rows, 0);
-                    (c.undecided, c.refines) = (u, vec![RefineCounts { live: u, kept: u }; steps]);
-                    let prices = forced.map(|from| {
-                        let mut l = CostLedger::new();
-                        (shape.place.fetch_from, shape.place.stream_from) = from;
-                        shape.refine(&c, &env, &mut l);
-                        l.breakdown().total()
-                    });
-                    let cheapest = (1..3).fold(0, |k, j| if prices[j] < prices[k] { j } else { k });
-                    shape.place = place;
-                    let ctx = format!("{name} at {threads} threads, {u} undecided: {prices:?}");
-                    assert_eq!(place.refinement(&c), placements[cheapest], "{ctx}");
-                }
-            }
-        }
-    }
-
-    /// A fold's roll-up runs where it is cheaper. For Q1 folded over two and
-    /// over three columns (SF 0.02) at 1 to 32 host threads, at drawn fold-
-    /// and result-group counts and around the least fold-group count the
-    /// device takes: the device rolls up exactly where its price — its fold
-    /// table read once, the plain DAG per fold group, the fold into the
-    /// result groups' accumulators, their download — is below the host's —
-    /// every fold group's accumulators down, the host's roll-up — and the
-    /// result table fits a block's shared memory; a tie stays on the host.
-    /// The bill charges that placement's events, and both occur.
-    #[test]
-    fn the_rollup_runs_where_it_is_cheaper() {
+    fn every_site_picks_its_cheapest() {
+        use choose::tests::the_pick_is_the_cheapest;
+        use Refinement::{Fetch, Host, Stream};
+        const ALL: [Refinement; 3] = [Host, Fetch, Stream];
         let (db, plans) = tpch();
         let q1 = &plans.iter().find(|(n, _)| *n == "q1").unwrap().1;
-        let rng = &mut SplitMix64::new(50);
-        let mut sides = [false; 2];
-        for fold in [
-            &["l_discount", "l_tax"][..],
-            &["l_quantity", "l_discount", "l_tax"],
-        ] {
-            let plan = folded(db, q1, fold);
-            for threads in [1, 2, 4, 8, 16, 32] {
-                let env = db.env().clone().host_threads(threads);
-                let shape = ArShape::resolve(db, &plan, ScanOptions::default(), &env).unwrap();
-                let plain = shape.tail.fold_trace().accs;
-                let spec = env.device.spec();
-                let mut c = Counts::all_rows(shape.rows, 1);
+        let rng = &mut SplitMix64::new(47);
+        let traced = |site: &dyn Fn(&mut CostLedger)| {
+            let mut l = CostLedger::with_trace();
+            site(&mut l);
+            (l.breakdown().total(), l.events().to_vec())
+        };
+        let (mut refined, mut rolled, mut moved) = ([false; 3], [false; 2], false);
+        for threads in [1, 2, 4, 8, 16, 32] {
+            let env = db.env().clone().host_threads(threads);
+            for (name, plan) in plans {
+                for mode in [ExecMode::Classic, ExecMode::ApproxRefine] {
+                    let ctx = format!("{name} {mode:?} at {threads} threads");
+                    moved |= the_pick_is_the_cheapest(db, plan, &mode, &env, &ctx).1 > 0;
+                }
+                let shape = Shape::resolve(db, plan, &ExecMode::ApproxRefine, &env).unwrap();
+                let (Shape::Ar(ar), place) = (&shape, shape.transient(&env)) else {
+                    unreachable!()
+                };
+                let (rows, device) = (ar.rows, place.device_tail && !place.split_count);
+                let near = [place.fetch_from, place.stream_from].into_iter().flatten();
+                let near = near.flat_map(|u| [u - 1, u, u + 1]);
+                for u in near.chain((0..32).map(|_| rng.below(rows))) {
+                    let u = u.clamp(1, rows);
+                    let mut c = Counts::all_rows(rows, ar.sels.len());
+                    let live = RefineCounts { live: u, kept: u };
+                    (c.undecided, c.refines) = (u, vec![live; ar.refinable().count()]);
+                    let ways = ALL.map(|how| traced(&|l| ar.refine(&c, how, &env, l)));
+                    let feasible = |how| how == Host || device;
+                    let priced =
+                        ALL.map(|how| (how, feasible(how).then_some(ways[how as usize].0)));
+                    let want = pick(priced).unwrap();
+                    let ctx = format!("{name} at {threads} threads, {u} undecided: {priced:?}");
+                    assert_eq!(ar.refinement(u, &env), want, "{ctx}");
+                    assert_eq!(place.refinement(&c), want, "{ctx}: the break-evens");
+                    let mut l = CostLedger::new();
+                    ar.approximate(&c, &env, &mut l);
+                    ar.refine(&c, want, &env, &mut l);
+                    ar.tail(&c, &env, &mut l);
+                    assert_eq!(shape.bill(&c, &env), l.breakdown(), "{ctx}");
+                    refined[want as usize] = true;
+                }
+            }
+            for fold in [
+                &["l_discount", "l_tax"][..],
+                &["l_quantity", "l_discount", "l_tax"],
+            ] {
+                let plan = folded(db, q1, fold);
+                let ar = ArShape::resolve(db, &plan, ScanOptions::default(), &env).unwrap();
+                let table = ar.tail.fold_trace().accs * ACCUMULATOR_BYTES;
+                let mut c = Counts::all_rows(ar.rows, 1);
                 let at = |c: &mut Counts, groups: u64, result_groups: u64| {
                     (c.groups, c.result_groups) = (groups, result_groups.min(groups));
                 };
-                let from = least(shape.rows, |g| {
+                let from = least(ar.rows, |g| {
                     at(&mut c, g, 3);
-                    shape.rollup_on_device(&c, &env)
+                    ar.rollup_on_device(&c, &env)
                 });
                 let near = from
                     .into_iter()
@@ -1871,34 +1877,32 @@ mod tests {
                 let drawn = (0..48).map(|_| (rng.below(20_000), 1 + rng.below(1_024)));
                 for (groups, result_groups) in near.chain(drawn).chain([(0, 0), (14_850, 3)]) {
                     at(&mut c, groups, result_groups);
-                    let prices = [false, true].map(|on_device| {
-                        let mut l = CostLedger::with_trace();
-                        shape.home(&c, &env, on_device, &mut l);
-                        (l.breakdown().total(), l.events().to_vec())
-                    });
-                    let fits =
-                        c.result_groups * plain * ACCUMULATOR_BYTES <= spec.shared_mem_per_block;
+                    let sides =
+                        [false, true].map(|on_device| traced(&|l| ar.home(&c, &env, on_device, l)));
+                    let fits = c.result_groups * table <= env.device.spec().shared_mem_per_block;
+                    let want = pick([
+                        (false, Some(sides[0].0)),
+                        (true, fits.then_some(sides[1].0)),
+                    ])
+                    .unwrap();
                     let ctx = format!("{fold:?} at {threads} threads, {groups} → {result_groups}");
-                    let cheaper = fits && prices[1].0 < prices[0].0;
-                    assert_eq!(
-                        shape.rollup_on_device(&c, &env),
-                        cheaper,
-                        "{ctx}: {:?}",
-                        prices.each_ref().map(|p| p.0)
-                    );
-                    sides[cheaper as usize] = true;
-                    let mut l = CostLedger::with_trace();
-                    shape.aggregate(&c, &env, &mut l);
-                    let billed = l
-                        .events()
+                    assert_eq!(ar.rollup_on_device(&c, &env), want, "{ctx}");
+                    let (_, billed) = traced(&|l| {
+                        ar.aggregate(&c, &env, l);
+                    });
+                    let billed = billed
                         .iter()
                         .skip_while(|e| e.label != DOWNLOAD && e.label != ROLLUP);
-                    let want = &prices[cheaper as usize].1;
-                    assert_eq!(billed.cloned().collect::<Vec<_>>(), *want, "{ctx}");
+                    assert_eq!(
+                        billed.cloned().collect::<Vec<_>>(),
+                        sides[want as usize].1,
+                        "{ctx}"
+                    );
+                    rolled[want as usize] = true;
                 }
             }
         }
-        assert_eq!(sides, [true; 2], "the host and the device each roll up");
+        assert_eq!((refined, rolled, moved), ([true; 3], [true; 2], true));
     }
 
     /// `undecided = 0` is the paper's all-GPU configuration: no refinement

@@ -6,7 +6,7 @@
 //! rule pick both (ARCHITECTURE.md, "The bill").
 
 use super::predict::domain;
-use super::{locate, Shape};
+use super::{locate, pick, Shape};
 use crate::catalog::Catalog;
 use crate::database::{Database, ExecMode};
 use crate::tail::degree;
@@ -30,10 +30,10 @@ const PRICED_CHAIN: usize = 6;
 /// the plan carries is decided afresh. Each pipe pays its own way: A&R by
 /// what the granules admit, Classic by the width it fetches. A candidate's
 /// price is its bill over the counts [`Shape::predict`] predicts for it,
-/// and the earliest strict minimum wins, so a chosen plan chooses itself.
-/// A lone candidate is not priced, and one that does not resolve is passed
-/// over. `plan` comes back borrowed where it wins, and where its plain form
-/// does not resolve (its run reports why).
+/// and the bill's `pick` decides, so a chosen plan chooses itself.
+/// A lone candidate is not priced, and one that does not resolve is
+/// infeasible. `plan` comes back borrowed where it wins, and where no
+/// candidate resolves (its run reports why).
 pub fn order<'p>(db: &Database, plan: &'p ArPlan, mode: &ExecMode, env: &Env) -> Cow<'p, ArPlan> {
     cheapest(db, plan, mode, env).1
 }
@@ -61,31 +61,26 @@ pub(crate) fn cheapest<'p>(
             orders.push(perm.clone());
         }
     }
-    let mut candidate = ArPlan {
-        fold: Vec::new(),
+    let mut folds = vec![Vec::new()];
+    folds.extend(fold_sets(db.catalog(), plan));
+    let arranged = |k: usize| ArPlan {
+        selections: (orders[k / folds.len()].iter())
+            .map(|&i| sels[i].clone())
+            .collect(),
+        fold: folds[k % folds.len()].clone(),
         ..plan.clone()
     };
-    let mut folds = vec![Vec::new()];
-    folds.extend(fold_sets(db.catalog(), &candidate));
-    let priced = orders.len() * folds.len() > 1;
-    let mut best: Option<(f64, &[usize], ArPlan)> = None;
-    'search: for order in &orders {
-        for fold in &folds {
-            candidate.selections = order.iter().map(|&i| sels[i].clone()).collect();
-            candidate.fold.clone_from(fold);
-            let bill = match priced.then(|| Shape::resolve(db, &candidate, mode, env)) {
-                None => 0.0,
-                Some(Ok(shape)) => shape.bill(&shape.predict(), env).total(),
-                Some(Err(_)) if best.is_none() => break 'search,
-                Some(Err(_)) => continue,
-            };
-            if best.as_ref().is_none_or(|(least, ..)| bill < *least) {
-                best = Some((bill, order, candidate.clone()));
-            }
-        }
-    }
-    match best {
-        Some((_, order, chosen)) if chosen != *plan => (order.to_vec(), Cow::Owned(chosen)),
+    let price = |k: usize| {
+        let candidate = arranged(k);
+        let shape = Shape::resolve(db, &candidate, mode, env).ok()?;
+        Some(shape.bill(&shape.predict(), env).total())
+    };
+    let chosen = match orders.len() * folds.len() {
+        1 => Some(0),
+        n => pick((0..n).map(|k| (k, price(k)))),
+    };
+    match chosen.map(|k| (orders[k / folds.len()].clone(), arranged(k))) {
+        Some((order, chosen)) if chosen != *plan => (order, Cow::Owned(chosen)),
         _ => (own, Cow::Borrowed(plan)),
     }
 }
@@ -163,7 +158,7 @@ pub(super) fn fold_sets(catalog: &Catalog, plan: &ArPlan) -> Vec<Vec<String>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::arexec::{tests::run_ar_sliced, ArExecOptions};
     use crate::bill::tests::{agg, arranged, between, db, fold_sets};
@@ -211,18 +206,18 @@ mod tests {
         }
     }
 
-    /// The chooser's space for a plan in `mode`, enumerated apart from it
-    /// ([`candidates`]). The plan [`order`] picks is one of
+    /// The chooser's space for a plan in `mode` on `env`, enumerated apart
+    /// from it ([`candidates`]). The plan [`order`] picks is one of
     /// them, its predicted bill at most every candidate's and below every
     /// earlier one's, and [`cheapest`] reports its chain. Returns the
     /// candidates and the pick's place among them.
-    fn the_pick_is_the_cheapest(
+    pub(in crate::bill) fn the_pick_is_the_cheapest(
         db: &Database,
         plan: &ArPlan,
         mode: &ExecMode,
+        env: &Env,
         ctx: &str,
     ) -> (Vec<ArPlan>, usize) {
-        let env = db.env();
         let candidates = candidates(db, plan);
         let bills: Vec<f64> = (candidates.iter())
             .map(|c| {
@@ -310,7 +305,7 @@ mod tests {
             let mut want = None;
             for (m, mode) in modes.iter().enumerate() {
                 let ctx = format!("case {case} {mode:?} {:?}", plan.selections);
-                let (candidates, at) = the_pick_is_the_cheapest(db, &plan, mode, &ctx);
+                let (candidates, at) = the_pick_is_the_cheapest(db, &plan, mode, env, &ctx);
                 for c in &candidates {
                     let got = rows(db, c, mode, 1, SLICE_ROWS);
                     let ctx = format!("{ctx} {:?} {:?}", c.selections, c.fold);
@@ -493,7 +488,7 @@ mod tests {
                         assert_eq!(rows(db, form, mode, morsels, slice), want, "{tag}");
                     }
                 }
-                the_pick_is_the_cheapest(db, plan, mode, &format!("{ctx} {mode:?}"));
+                the_pick_is_the_cheapest(db, plan, mode, env, &format!("{ctx} {mode:?}"));
                 let chosen = order(db, plan, mode, env);
                 assert_eq!(*order(db, folded, mode, env), *chosen, "{ctx} {mode:?}");
                 chose_fold[m] += usize::from(!chosen.fold.is_empty());

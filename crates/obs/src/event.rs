@@ -38,7 +38,7 @@ pub enum Phase {
 /// | `Exec`        | morsels, host threads       | sim bits, bytes, result rows, 0 |
 /// | `ApproxSelect`| input candidates, the selection's index in the bound plan | sim bits, bytes, output candidates, 1 = bitmap [`SelVec`] representation, 0 = indices |
 /// | `Classic`     | [`pack_chain_order`] of the chain, morsels | sim bits, bytes, result rows, 0 |
-/// | `Refine`      | candidates still alive (decided + undecided), step idx | sim bits, bytes, surviving candidates, the undecided ones this step re-tested |
+/// | `Refine`      | candidates still alive (decided + undecided), step idx \| where it ran << 32 (0 host, 1 fetch, 2 stream) | sim bits, bytes, surviving candidates, the undecided ones this step re-tested |
 /// | `GroupAgg`    | surviving rows, [`GroupAggTail::pack`] | sim bits, bytes, result rows, [`GroupAggTables::pack`] |
 /// | `Morsel`      | partition length, part idx  | 0, 0, output length, 0 |
 /// | `Placement`   | (instant) `a` device index, `b` estimated bytes |  |

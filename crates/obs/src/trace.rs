@@ -359,12 +359,14 @@ fn render_node(out: &mut String, n: &SpanNode, lanes: &[String], depth: usize) {
             ));
         }
         (EventKind::Refine, Some(end)) => {
+            let at = ["host", "fetch", "stream"].get((n.begin.b >> 32) as usize);
             out.push_str(&format!(
-                "  in={}  out={}  decided={}  undecided={}",
+                "  in={}  out={}  decided={}  undecided={}  at={}",
                 n.begin.a,
                 end.c,
                 n.begin.a.saturating_sub(end.d),
-                end.d
+                end.d,
+                at.unwrap_or(&"?")
             ));
         }
         (EventKind::Morsel, Some(end)) => {
@@ -497,8 +499,9 @@ mod tests {
         let r = Recorder::with(16, Clock::mock().0);
         let w = r.worker("worker-0");
         let exec = w.begin(EventKind::Exec, NO_SPAN, 1, 1);
-        // 100 candidates alive, 30 of them undecided, 10 of those refuted.
-        let refine = w.begin(EventKind::Refine, exec, 100, 0);
+        // 100 candidates alive, 30 of them undecided, 10 of those refuted
+        // by the device, the host having fetched their residuals.
+        let refine = w.begin(EventKind::Refine, exec, 100, 1 << 32);
         w.end(EventKind::Refine, refine, 0.25f64.to_bits(), 512, 90, 30);
         // The device tail, told the 20 refined survivors by 30 bits: 3
         // result rows folded through 32 replicas in each of 42 blocks of
@@ -525,7 +528,7 @@ mod tests {
         w.end(EventKind::Exec, exec, 0.25f64.to_bits(), 512, 90, 0);
         let text = QueryTrace::capture(&r).explain();
         assert!(
-            text.contains("in=100  out=90  decided=70  undecided=30"),
+            text.contains("in=100  out=90  decided=70  undecided=30  at=fetch"),
             "{text}"
         );
         for grouping in ["direct slots=8 groups=3", "hash groups=4"] {

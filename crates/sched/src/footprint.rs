@@ -115,7 +115,7 @@ impl PlanFootprint {
             return fp;
         };
         fp.counts = counts.unwrap_or_else(|| shape.predict());
-        fp.transient = shape.transient();
+        fp.transient = shape.transient(&env);
         fp.latency = shape.bill(&fp.counts, &env);
         fp
     }
@@ -498,7 +498,7 @@ mod tests {
                     let shape = Shape::resolve(&db, &chosen, &mode, &env).unwrap();
                     if let Shape::Ar(ar) = &shape {
                         if counts.undecided > 0 {
-                            placements[shape.transient().refinement(&counts) as usize] = true;
+                            placements[ar.refinement(counts.undecided, &env) as usize] = true;
                         }
                         if !chosen.fold.is_empty() {
                             assert_eq!(counts.result_groups, run.rows.len() as u64, "{ctx}");

@@ -161,7 +161,7 @@ fn a_fetch_placed_run_is_admitted_once() {
     let chosen = order(&db, &plan, &mode, &env);
     let place = Shape::resolve(&db, &chosen, &mode, &env)
         .unwrap()
-        .transient();
+        .transient(&env);
     assert_eq!(place.refinement(&counts), Refinement::Fetch);
     let config = SchedConfig {
         workers: 1,

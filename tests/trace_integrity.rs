@@ -4,21 +4,22 @@
 //! numbers are strictly monotone, the exec span's phases account for its
 //! wall — a two-worker batch exports as valid Chrome `trace_event` JSON,
 //! the exec span records the morsel count that ran, a traced Q6 shows
-//! the selection order each pipe ran and a traced Q1 the fold.
+//! the selection order each pipe ran and a traced Q1 the fold, and both
+//! show where their refinement ran.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
-use waste_not::engine::{ArExecOptions, Database, ExecMode};
+use waste_not::core::plan::{AggExpr, AggFunc, ArPlan, LogicalPlan, Predicate};
+use waste_not::engine::{ArExecOptions, Database, ExecMode, Shape};
 use waste_not::obs::chrome::{chrome_trace, validate_chrome_trace};
 use waste_not::obs::{EventKind, Phase, QueryTrace, SpanNode};
 use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::Value;
 
-fn served_db(rows: i32, bits: u32) -> (Arc<Database>, waste_not::core::plan::ArPlan) {
+fn served_db(rows: i32, bits: u32) -> (Arc<Database>, ArPlan) {
     let mut db = Database::new();
     db.create_table(
         "t",
@@ -213,6 +214,25 @@ proptest! {
     }
 }
 
+/// Every `refine` line of a traced A&R run of `plan` shows where the run's
+/// own bill placed refinement: the pick, for the plan [`order`] chooses on
+/// the primary card, at the undecided count the run counts — `want`.
+///
+/// [`order`]: waste_not::engine::bill::order
+fn assert_refined_where_billed(db: &Database, plan: &ArPlan, text: &str, want: &str) {
+    let (mode, env) = (ExecMode::ApproxRefine, db.env());
+    let (_, counts, _) = db.run_counted(plan, mode.clone(), env, 1, None).unwrap();
+    let chosen = waste_not::engine::bill::order(db, plan, &mode, env);
+    let Shape::Ar(shape) = Shape::resolve(db, &chosen, &mode, env).unwrap() else {
+        unreachable!("an A&R shape")
+    };
+    let picked = format!("{:?}", shape.refinement(counts.undecided, env)).to_lowercase();
+    assert_eq!(picked, want);
+    let mut lines = text.lines().filter(|l| l.contains("refine [")).peekable();
+    assert!(lines.peek().is_some(), "no refine line in\n{text}");
+    lines.for_each(|l| assert!(l.ends_with(&format!("at={want}")), "{l}"));
+}
+
 fn spans_of(node: &SpanNode, kind: EventKind, out: &mut Vec<SpanNode>) {
     if node.kind == kind {
         out.push(node.clone());
@@ -226,7 +246,8 @@ fn spans_of(node: &SpanNode, kind: EventKind, out: &mut Vec<SpanNode>) {
 /// (`order=`). At `l_shipdate` 24/8 the two pipes disagree — A&R runs
 /// the discount first (the granules of the date admit more than its
 /// range), Classic the quantity before the discount (the 4 B int before
-/// the 8 B decimal).
+/// the 8 B decimal). A&R's refinement fetches the undecided candidates'
+/// residuals, as its bill picks.
 #[test]
 fn a_traced_q6_shows_the_chain_order_each_pipe_ran() {
     use waste_not::data::{gen_lineitem, TpchConfig};
@@ -291,6 +312,9 @@ fn a_traced_q6_shows_the_chain_order_each_pipe_ran() {
         for s in shown {
             assert!(text.contains(&s), "{mode:?}: {s} in\n{text}");
         }
+        if kind == EventKind::ApproxSelect {
+            assert_refined_where_billed(db, &plan, &text, "fetch");
+        }
     }
     assert_eq!(rows[0], rows[1], "A&R rows = Classic rows");
 }
@@ -302,7 +326,8 @@ fn a_traced_q6_shows_the_chain_order_each_pipe_ran() {
 /// the device — and Classic by the discount and the tax — two, six down
 /// to three (quantity, price, count), rolled up on the host, as Classic
 /// always is —, and the `group-agg` line of either pipe's `explain()`
-/// says so. Both pipes return the same rows.
+/// says so. A&R streams the residual partition, as its bill picks. Both
+/// pipes return the same rows.
 #[test]
 fn a_traced_q1_shows_the_fold_in_both_pipes() {
     use bwd_bench::evaluation::{bind_sql, tpch_db, Q1};
@@ -347,6 +372,9 @@ fn a_traced_q1_shows_the_fold_in_both_pipes() {
             .unwrap_or_else(|| panic!("{mode:?}: no group-agg in\n{text}"));
         assert!(line.contains(shown), "{mode:?}: {line}");
         assert!(lines.next().is_none(), "{mode:?}:\n{text}");
+        if fold == three {
+            assert_refined_where_billed(db, &plan, &text, "stream");
+        }
     }
     assert_eq!(rows[0], rows[1], "A&R rows = Classic rows");
 }
