@@ -31,10 +31,12 @@ pub struct FkIndex {
 }
 
 impl FkIndex {
-    /// Build from the two key columns' storage, read in place: hash the
-    /// dimension keys (build side, on the CPU as §IV-D prescribes), then
-    /// translate every fact key straight into the packed link. Charges the
-    /// build scan + the device upload of the packed index.
+    /// Build from the two key columns' storage, read in place: map the
+    /// dimension keys to their rows (build side, on the CPU as §IV-D
+    /// prescribes) — by address where their span is at most twice their
+    /// count, by hash otherwise —, then translate every fact key straight
+    /// into the packed link. Charges the build scan + the device upload of
+    /// the packed index, whichever map the build used.
     ///
     /// # Errors
     /// A duplicate dimension key, a fact key without a dimension match, a
@@ -48,11 +50,11 @@ impl FkIndex {
         ledger: &mut CostLedger,
     ) -> Result<Self> {
         let dim_rows = dim_row_count(dim_keys.len())?;
-        let table = with_slice!(dim_keys, keys => dim_rows_by_key(keys))?;
+        let table = with_slice!(dim_keys, keys => DimRows::of(keys))?;
         let width = bits_for_width(u64::from(dim_rows));
         let chunks = chunk_count(fact_keys.len());
         let packed = with_slice!(fact_keys, keys => link_of(keys, &table, width, chunks))?;
-        // CPU hash build + probe cost.
+        // CPU build + probe cost.
         let t = env.cpu.scan_seconds(
             (fact_keys.len() + dim_keys.len()) as u64 * 8,
             (fact_keys.len() + dim_keys.len()) as u64,
@@ -97,19 +99,77 @@ fn dim_row_count(rows: usize) -> Result<u32> {
     })
 }
 
-/// Hash the dimension keys: key → dimension row.
-fn dim_rows_by_key<T: Copy + Into<i64>>(keys: &[T]) -> Result<FxHashMap<i64, u64>> {
-    let mut table: FxHashMap<i64, u64> = FxHashMap::default();
-    table.reserve(keys.len());
-    for (row, &k) in keys.iter().enumerate() {
-        let k = k.into();
-        if table.insert(k, row as u64).is_some() {
-            return Err(BwdError::InvalidArgument(format!(
-                "dimension key {k} is not unique"
-            )));
+/// A dimension whose key span is at most this many times its rows is
+/// addressed, not hashed.
+const SLOTS_PER_ROW: u64 = 2;
+
+/// A slot no dimension key holds.
+const EMPTY: u32 = u32::MAX;
+
+/// The dimension keys' rows: key → dimension row, by either map.
+enum DimRows {
+    /// The row of key `lo + i` at `slots[i]` ([`EMPTY`] where no key is).
+    Slots { lo: i64, slots: Vec<u32> },
+    /// The rows hashed by key.
+    Hash(FxHashMap<i64, u32>),
+}
+
+impl DimRows {
+    /// Map `keys`: by address where their span is at most
+    /// [`SLOTS_PER_ROW`] times their count, else by hash.
+    fn of<T: Copy + Into<i64>>(keys: &[T]) -> Result<Self> {
+        let (lo, hi) = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| {
+            let k: i64 = k.into();
+            (lo.min(k), hi.max(k))
+        });
+        let dense = lo <= hi && hi.abs_diff(lo) < SLOTS_PER_ROW * keys.len() as u64;
+        DimRows::fill(keys, dense.then(|| (lo, hi.abs_diff(lo) as usize + 1)))
+    }
+
+    /// `keys` addressed over `lo..lo + span` where `slots` gives those,
+    /// else hashed.
+    ///
+    /// # Errors
+    /// A duplicate key, the first in row order.
+    fn fill<T: Copy + Into<i64>>(keys: &[T], slots: Option<(i64, usize)>) -> Result<Self> {
+        let mut map = match slots {
+            Some((lo, span)) => DimRows::Slots {
+                lo,
+                slots: vec![EMPTY; span],
+            },
+            None => DimRows::Hash(FxHashMap::with_capacity_and_hasher(
+                keys.len(),
+                <_>::default(),
+            )),
+        };
+        for (row, &k) in keys.iter().enumerate() {
+            let (k, row) = (k.into(), row as u32);
+            let taken = match &mut map {
+                DimRows::Slots { lo, slots } => {
+                    std::mem::replace(&mut slots[k.abs_diff(*lo) as usize], row) != EMPTY
+                }
+                DimRows::Hash(table) => table.insert(k, row).is_some(),
+            };
+            if taken {
+                let msg = format!("dimension key {k} is not unique");
+                return Err(BwdError::InvalidArgument(msg));
+            }
+        }
+        Ok(map)
+    }
+
+    /// The dimension row of key `k`, if one holds it.
+    #[inline]
+    fn row(&self, k: i64) -> Option<u32> {
+        match self {
+            DimRows::Slots { lo, slots } => {
+                let at = k.checked_sub(*lo).and_then(|at| usize::try_from(at).ok());
+                at.and_then(|at| slots.get(at).copied())
+                    .filter(|&row| row != EMPTY)
+            }
+            DimRows::Hash(table) => table.get(&k).copied(),
         }
     }
-    Ok(table)
 }
 
 /// Translate every fact key into its dimension row, packed `width` bits
@@ -117,13 +177,13 @@ fn dim_rows_by_key<T: Copy + Into<i64>>(keys: &[T]) -> Result<FxHashMap<i64, u64
 /// the lowest row's whatever the pieces.
 fn link_of<T: Copy + Into<i64> + Sync>(
     keys: &[T],
-    table: &FxHashMap<i64, u64>,
+    table: &DimRows,
     width: u32,
     chunks: usize,
 ) -> Result<BitPackedVec> {
     BitPackedVec::try_pack_rows(width, keys.len(), chunks, |row| {
         let k = keys[row].into();
-        let row = table.get(&k).copied();
+        let row = table.row(k).map(u64::from);
         row.ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))
     })
 }
@@ -196,9 +256,80 @@ mod tests {
             dim_row_count(u32::MAX as usize + 1),
             Err(BwdError::Unsupported(_))
         ));
-        // Duplicate dimension key.
-        assert!(
-            FkIndex::build(&keys(&[1]), &keys(&[1, 1]), &env.device, &env, &mut ledger).is_err()
+        // A dense dimension is addressed, a sparse one hashed, and over the
+        // same fact keys both give the same link and the same charge: the
+        // sparse twin's one far key (its last row) is one no fact row names.
+        let dense: Vec<i64> = (0..499).map(|r| 1 + (r * 7) % 499).chain([500]).collect();
+        let sparse: Vec<i64> = dense[..499].iter().copied().chain([i64::MAX]).collect();
+        assert!(matches!(DimRows::of(&dense), Ok(DimRows::Slots { .. })));
+        assert!(matches!(DimRows::of(&sparse), Ok(DimRows::Hash(_))));
+        let fact = ColumnData::I64((0..3_000).map(|r| 1 + (r * 31) % 499).collect());
+        let link = |dim: &[i64]| {
+            let mut ledger = CostLedger::new();
+            let dim = ColumnData::I64(dim.to_vec());
+            let fk = FkIndex::build(&fact, &dim, &env.device, &env, &mut ledger).unwrap();
+            let rows: Vec<u32> = (0..3_000).map(|oid| fk.dim_row(oid)).collect();
+            (rows, ledger.events().to_vec())
+        };
+        let addressed = link(&dense);
+        assert_eq!(addressed, link(&sparse));
+        assert_eq!(
+            addressed.0[1],
+            dense.iter().position(|&k| k == 32).unwrap() as u32
+        );
+        // Two slots a row are addressed, one more is hashed.
+        assert!(matches!(DimRows::of(&[1, 4]), Ok(DimRows::Slots { .. })));
+        assert!(matches!(DimRows::of(&[1, 5]), Ok(DimRows::Hash(_))));
+
+        // Either map fails a fact key without a match — in a hole of the
+        // span, just outside it, or at either end of `i64`, which no offset
+        // from `lo` may overflow into a slot — and finds every one it holds.
+        let dims: [&[i64]; 3] = [
+            &[3, 1, 4, 6],
+            &[i64::MIN, i64::MIN + 2],
+            &[i64::MAX - 3, i64::MAX],
+        ];
+        for dim in dims {
+            let (lo, hi) = (*dim.iter().min().unwrap(), *dim.iter().max().unwrap());
+            let slots = DimRows::fill(dim, Some((lo, hi.abs_diff(lo) as usize + 1)));
+            for map in [slots, DimRows::fill(dim, None)].map(Result::unwrap) {
+                let misses = [
+                    lo.wrapping_sub(1),
+                    hi.wrapping_add(1),
+                    2,
+                    5,
+                    i64::MIN,
+                    i64::MAX,
+                ];
+                for k in misses.into_iter().filter(|k| !dim.contains(k)) {
+                    let err = link_of(&[dim[0], k, k], &map, 3, 1).unwrap_err();
+                    let want = format!("foreign key {k} has no dimension match");
+                    assert_eq!(err, BwdError::Exec(want), "{k} of {dim:?}");
+                }
+                let rows: Vec<_> = dim.iter().map(|&k| map.row(k)).collect();
+                assert_eq!(rows, (0..dim.len() as u32).map(Some).collect::<Vec<_>>());
+            }
+        }
+        // And so does a duplicate dimension key, the first in row order.
+        let want = BwdError::InvalidArgument("dimension key 3 is not unique".into());
+        for dim in [&[1, 3, 3, 2, 2][..], &[1, 3, 3, 2, 2, i64::MAX]] {
+            let fk = FkIndex::build(
+                &keys(&[1]),
+                &ColumnData::I64(dim.to_vec()),
+                &env.device,
+                &env,
+                &mut ledger,
+            );
+            assert_eq!(fk.err(), Some(want.clone()), "{dim:?}");
+            assert_eq!(
+                DimRows::fill(dim, None).err(),
+                Some(want.clone()),
+                "{dim:?}"
+            );
+        }
+        assert_eq!(
+            DimRows::fill(&[1, 3, 3, 2, 2], Some((1, 3))).err(),
+            Some(want)
         );
         // Dangling foreign key.
         assert!(
@@ -206,23 +337,26 @@ mod tests {
         );
     }
 
-    /// The probe's pieces change neither the link nor the error: two
-    /// dangling keys in different pieces report the lower row's, though
-    /// its key is the greater and its piece not the calling thread's.
+    /// The probe's pieces change neither the link nor the error, on either
+    /// map: two dangling keys in different pieces report the lower row's,
+    /// though its key is the greater and its piece not the calling thread's.
     #[test]
     fn the_link_and_its_error_do_not_depend_on_the_pieces() {
-        let table = dim_rows_by_key(&(1..=500).collect::<Vec<i32>>()).unwrap();
-        let mut fact: Vec<i32> = (0..10_000).map(|r| 1 + (r * 7919) % 500).collect();
-        let one = link_of(&fact, &table, 9, 1).unwrap();
-        assert_eq!(one.get(9_999), (fact[9_999] - 1) as u64);
-        for chunks in [2, 3, 7] {
-            assert_eq!(link_of(&fact, &table, 9, chunks).unwrap(), one);
-        }
-        (fact[100], fact[9_000]) = (900, 800);
-        for chunks in [1, 2, 3, 7] {
-            let err = link_of(&fact, &table, 9, chunks).unwrap_err();
-            let want = BwdError::Exec("foreign key 900 has no dimension match".into());
-            assert_eq!(err, want, "{chunks} pieces");
+        let dim: Vec<i32> = (1..=500).collect();
+        for table in [Some((1, 500)), None].map(|slots| DimRows::fill(&dim, slots)) {
+            let table = table.unwrap();
+            let mut fact: Vec<i32> = (0..10_000).map(|r| 1 + (r * 7919) % 500).collect();
+            let one = link_of(&fact, &table, 9, 1).unwrap();
+            assert_eq!(one.get(9_999), (fact[9_999] - 1) as u64);
+            for chunks in [2, 3, 7] {
+                assert_eq!(link_of(&fact, &table, 9, chunks).unwrap(), one);
+            }
+            (fact[100], fact[9_000]) = (900, 800);
+            for chunks in [1, 2, 3, 7] {
+                let err = link_of(&fact, &table, 9, chunks).unwrap_err();
+                let want = BwdError::Exec("foreign key 900 has no dimension match".into());
+                assert_eq!(err, want, "{chunks} pieces");
+            }
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::rng::Xoshiro;
 use bwd_storage::pieces::{chunk_count, Row};
-use bwd_storage::{Column, ColumnData};
+use bwd_storage::{with_width, Column, ColumnData, Payload};
 use bwd_types::{DataType, Date};
 
 /// Deterministic generator configuration.
@@ -145,9 +145,14 @@ pub struct LineitemTable {
 /// `l_discount`, `l_tax`, `l_returnflag`, `l_linestatus`, `l_shipdate`:
 /// the one copy of the draw sequence, which the checkpoint walk drops with
 /// every value but the draws. Five draws, six when the row shipped by the
-/// current date; `days` are the first ship date and that date.
+/// current date; `days` are the first ship date and that date. `K` holds
+/// every key `1..=parts`.
 #[inline]
-fn line(rng: &mut Xoshiro, parts: u64, days: [i64; 2]) -> (i32, i8, i32, i8, i8, i8, i8, i16) {
+fn line<K: Payload>(
+    rng: &mut Xoshiro,
+    parts: u64,
+    days: [i64; 2],
+) -> (K, i8, i32, i8, i8, i8, i8, i16) {
     let [epoch, currentdate] = days;
     let pk = 1 + rng.below(parts) as i64;
     let qty = rng.range_i64(1, 50);
@@ -168,7 +173,7 @@ fn line(rng: &mut Xoshiro, parts: u64, days: [i64; 2]) -> (i32, i8, i32, i8, i8,
         true => (flag, 0),
         false => (2, 1),
     };
-    let (pk, qty, ship) = (pk as i32, qty as i8, ship as i16);
+    let (pk, qty, ship) = (K::cut(pk), qty as i8, ship as i16);
     (pk, qty, price, discount, tax, rflag, lstatus, ship)
 }
 
@@ -176,10 +181,10 @@ fn line(rng: &mut Xoshiro, parts: u64, days: [i64; 2]) -> (i32, i8, i32, i8, i8,
 const RETURNFLAGS: [&str; 3] = ["A", "R", "N"];
 const LINESTATUSES: [&str; 2] = ["F", "O"];
 
-/// Generate the `lineitem` table. Every measure, flag and date is pushed in
-/// the width its documented domain needs, so no wider vector exists to
-/// narrow; `l_partkey`, whose range grows with the scale, arrives as `i32`
-/// and narrows once, in `Column`.
+/// Generate the `lineitem` table. Every column is pushed in the width its
+/// documented domain needs, so no wider vector exists to narrow: that of
+/// `l_partkey`, `1..=parts`, grows with the scale and is the storage's own
+/// pick ([`with_width!`]) before the fill.
 pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
     gen_lineitem_in(cfg, chunk_count(cfg.lineitems()))
 }
@@ -187,20 +192,26 @@ pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
 /// [`gen_lineitem`] in `chunks` pieces ([`Row::checkpoint_fill`]): the
 /// cursor at a piece's start is the generator there.
 pub(crate) fn gen_lineitem_in(cfg: &TpchConfig, chunks: usize) -> LineitemTable {
+    with_width!(1, cfg.parts() as i64, K => gen_lineitem_as::<K>(cfg, chunks))
+}
+
+/// [`gen_lineitem_in`] with `l_partkey` filled as `K`.
+fn gen_lineitem_as<K: Payload>(cfg: &TpchConfig, chunks: usize) -> LineitemTable {
     let (n, parts) = (cfg.lineitems(), cfg.parts() as u64);
     // 1992-01-02 is day 8 036; the last ship date, day 10 561, fits `i16`.
     // The 1995-06-17 "current date" watershed drives returnflag/linestatus.
     let days = [ship_epoch(), Date::from_ymd(1995, 6, 17)].map(|d| d.days() as i64);
     let rng = Xoshiro::seed(cfg.seed);
     let (pk, qty, price, disc, tax, rflag, lstatus, ship) =
-        Row::checkpoint_fill(n, chunks, rng, |rng| line(rng, parts, days));
+        Row::checkpoint_fill(n, chunks, rng, |rng| line::<K>(rng, parts, days));
 
     let decimal = |vals: ColumnData| {
         Column::from_data(DECIMAL_12_2, vals)
             .expect("19 495 000 cents are 8 of 12 digits, in 4 of 8 bytes")
     };
     LineitemTable {
-        l_partkey: Column::from_i32(pk),
+        l_partkey: Column::from_data(DataType::Int32, pk.into())
+            .expect("a scale of at most 2^31 - 1 parts"),
         l_quantity: Column::from_data(DataType::Int32, qty.into())
             .expect("one byte is narrower than an int's four"),
         l_extendedprice: decimal(price.into()),

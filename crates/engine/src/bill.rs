@@ -1732,12 +1732,12 @@ mod tests {
                 .filter(|e| e.label.starts_with("select.refine") && !e.label.ends_with("gather"))
                 .map(|e| (e.label.clone(), e.bytes))
                 .collect();
-            // What the device held beyond what a host refinement holds.
+            // What the device held beyond what a host refinement holds: a
+            // shape's own `place` prices one, its break-evens unset (only
+            // `Shape::transient` fills them).
             let shape = ArShape::resolve(db, &chosen, ScanOptions::default(), &env).unwrap();
             let list = shape.list_bytes(&counts);
-            let mut on_host = shape.place;
-            (on_host.fetch_from, on_host.stream_from) = (None, None);
-            let refining = held - on_host.bytes(&counts);
+            let refining = held - shape.place.bytes(&counts);
             (
                 format!("{:?}", run.rows),
                 sites,

@@ -67,6 +67,39 @@ macro_rules! with_slice {
     };
 }
 
+/// Evaluate `$body` with the type `$t` bound to the payload type a column
+/// holding `$lo..=$hi` is stored in: the first of `i8`, `i16`, `u16`,
+/// [`I24`] and `i32` that holds both ends — the fewest bytes, signed first
+/// on a tie —, else `i64`. The one width rule: [`Column`]'s constructors
+/// narrow by it, and a loader that knows its domain before its rows fills
+/// them in that type, so no wider vector exists to narrow.
+#[macro_export]
+macro_rules! with_width {
+    ($lo:expr, $hi:expr, $t:ident => $body:expr) => {{
+        let (lo, hi): (i64, i64) = ($lo, $hi);
+        let holds = |min: i64, max: i64| min <= lo && hi <= max;
+        if holds(i8::MIN.into(), i8::MAX.into()) {
+            type $t = i8;
+            $body
+        } else if holds(i16::MIN.into(), i16::MAX.into()) {
+            type $t = i16;
+            $body
+        } else if holds(0, u16::MAX.into()) {
+            type $t = u16;
+            $body
+        } else if holds($crate::I24::MIN, $crate::I24::MAX) {
+            type $t = $crate::I24;
+            $body
+        } else if holds(i32::MIN.into(), i32::MAX.into()) {
+            type $t = i32;
+            $body
+        } else {
+            type $t = i64;
+            $body
+        }
+    }};
+}
+
 /// A signed 24-bit payload in three little-endian bytes: `-2^23..2^23`.
 /// A `Vec<I24>` holds three bytes a row (`size_of::<I24>() == 3`).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -200,40 +233,24 @@ impl ColumnData {
     }
 }
 
-/// `rows`, whose extrema are `min_max`, re-packed into the first of `i8`,
-/// `i16`, `u16`, [`I24`] and `i32` that holds them — the fewest bytes,
-/// signed first where two widths tie — by the pieces [`cuts`] cuts for
-/// `chunks`, each into its part of the one new vector; `None` when `T` is
-/// that type already or only `i64` holds them.
+/// `rows`, whose extrema are `min_max`, re-packed into the width
+/// [`with_width!`](crate::with_width) picks for them by the pieces
+/// [`cuts`] cuts for `chunks`, each into its part of the one new vector;
+/// `None` when `T` is that type already (as it is where only `i64` holds
+/// them).
 pub(crate) fn narrowed<T: Payload>(
     rows: &[T],
     min_max: Option<(i64, i64)>,
     chunks: usize,
 ) -> Option<ColumnData> {
-    fn pack<T: Payload, U: Payload>(rows: &[T], chunks: usize) -> Option<ColumnData> {
-        (TypeId::of::<U>() != TypeId::of::<T>()).then(|| {
-            let pieces = cuts(rows.len(), chunks).map(|at| (at.len(), rows[at].iter()));
-            let (out,) = <(U,)>::fill(rows.len(), pieces, |rows| {
-                (U::cut((*rows.next().expect("a piece's rows")).into()),)
-            });
-            U::store(out)
-        })
-    }
     let (lo, hi) = min_max.unwrap_or((0, 0));
-    let holds = |min, max| min <= lo && hi <= max;
-    if holds(i8::MIN as i64, i8::MAX as i64) {
-        pack::<T, i8>(rows, chunks)
-    } else if holds(i16::MIN as i64, i16::MAX as i64) {
-        pack::<T, i16>(rows, chunks)
-    } else if holds(0, u16::MAX as i64) {
-        pack::<T, u16>(rows, chunks)
-    } else if holds(I24::MIN, I24::MAX) {
-        pack::<T, I24>(rows, chunks)
-    } else if holds(i32::MIN as i64, i32::MAX as i64) {
-        pack::<T, i32>(rows, chunks)
-    } else {
-        None
-    }
+    with_width!(lo, hi, U => (TypeId::of::<U>() != TypeId::of::<T>()).then(|| {
+        let pieces = cuts(rows.len(), chunks).map(|at| (at.len(), rows[at].iter()));
+        let (out,) = <(U,)>::fill(rows.len(), pieces, |rows| {
+            (U::cut((*rows.next().expect("a piece's rows")).into()),)
+        });
+        U::store(out)
+    }))
 }
 
 /// A column's logical type, with what only that type carries: a string

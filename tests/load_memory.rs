@@ -2,7 +2,11 @@
 //! decomposing a column may not hold a row-count-sized transient.
 //!
 //! One test, alone in its binary (the high-water mark is per process).
-//! Over 4 M rows, every load step — `Column::from_strings`,
+//! First, on the counting heap's own high-water mark: `gen_lineitem` may
+//! peak at the columns it returns (its key filled in its stored width, no
+//! `i32` vector beside a narrowed copy) and `declare_fk` over a dense
+//! dimension at its link plus 4 B a key of the span (no hash table), each
+//! plus 64 KiB. Then, over 4 M rows, every load step — `Column::from_strings`,
 //! `Column::from_decimals`, `Column::from_i32`, `create_table`,
 //! `declare_fk`, `bwdecompose` 24/8 and all-device — may raise `VmHWM`
 //! over the resident set just before it by the bytes the step leaves
@@ -31,6 +35,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use waste_not::core::BoundColumn;
+use waste_not::data::{gen_lineitem, TpchConfig};
 use waste_not::device::{CostLedger, Env};
 use waste_not::engine::Database;
 use waste_not::storage::{Column, DecompositionSpec, Storage};
@@ -39,8 +44,15 @@ const ROWS: usize = 4_000_000;
 const SLACK_MIB: f64 = 8.0;
 const MIB: f64 = (1 << 20) as f64;
 
-/// Bytes the heap holds. A statistic: it publishes no other data.
+/// Bytes the heap holds, and the most it has held since [`heap_rise`]
+/// last reset it. Statistics: they publish no other data.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Count `size` more bytes on the heap.
+fn grow(size: usize) {
+    PEAK.fetch_max(LIVE.fetch_add(size, Relaxed) + size, Relaxed);
+}
 
 /// The system allocator, counting. Every entry point forwards to its
 /// namesake, so zeroed and grown blocks touch the pages they always did.
@@ -50,12 +62,12 @@ struct Counting;
 // method of the same name, whose contract the caller already upholds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Relaxed);
+        grow(layout.size());
         // SAFETY: the caller's `layout`, as is.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Relaxed);
+        grow(layout.size());
         // SAFETY: the caller's `layout`, as is.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -65,7 +77,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size, Relaxed);
+        grow(new_size);
         LIVE.fetch_sub(layout.size(), Relaxed);
         // SAFETY: `ptr` came from this allocator, so from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -91,6 +103,16 @@ fn peak_rise<T>(step: impl FnOnce() -> T) -> (T, f64) {
     let before = status_mib("VmRSS:");
     let out = step();
     (out, status_mib("VmHWM:") - before)
+}
+
+/// Run `step`; its result, and how far the heap's peak rose over what the
+/// heap held just before it, in bytes — what no `VmHWM` can tell once the
+/// allocator reuses the pages an earlier step freed.
+fn heap_rise<T>(step: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let out = step();
+    (out, PEAK.load(Relaxed) - before)
 }
 
 /// Hand the heap's free pages back to the OS, so that a step's new blocks
@@ -120,6 +142,39 @@ fn assert_no_transient(step: &str, rise_mib: f64, resident_bytes: u64) {
 
 #[test]
 fn loading_holds_no_row_count_sized_transient() {
+    // Set-up peaks, counted on the heap. A generator fills each column in
+    // the width its domain needs — `l_partkey`'s, `1..=40 000` at SF 0.2,
+    // in `u16` — so its peak is the columns it returns, not an `i32` key
+    // vector beside their narrowed copy.
+    let (li, rise) = heap_rise(|| gen_lineitem(&TpchConfig::scale(0.2)));
+    let li = li.into_columns();
+    let physical: u64 = li.iter().map(|(_, c)| c.physical_bytes()).sum();
+    eprintln!("gen_lineitem: heap peak +{rise} B for {physical} B of columns");
+    assert!(
+        rise as u64 <= physical + (64 << 10),
+        "gen_lineitem: the heap peaked {rise} B over its start for {physical} B of columns"
+    );
+    drop(li);
+    // A dimension whose key span is dense is addressed, not hashed: the
+    // build holds the link and 4 B a key of the span, no hash table.
+    let (dim_rows, fact_rows) = (20_000, 1 << 21);
+    let dim: Vec<i32> = (0..dim_rows).map(|r| 1 + (r * 7919) % dim_rows).collect();
+    let fact: Vec<i32> = (0..fact_rows).map(|r| 1 + (r * 31) % dim_rows).collect();
+    let mut db = Database::new();
+    db.create_table("dim", vec![("key".into(), Column::from_i32(dim))])
+        .unwrap();
+    db.create_table("fact", vec![("key".into(), Column::from_i32(fact))])
+        .unwrap();
+    let (_, rise) = heap_rise(|| db.declare_fk("fact", "key", "dim", "key").unwrap());
+    let (link, slots) = (fact_rows as u64 * 15 / 8, 4 * dim_rows as u64);
+    eprintln!("declare_fk (dense): heap peak +{rise} B for a {link} B link and {slots} B of slots");
+    assert!(
+        rise as u64 <= link + slots + (64 << 10),
+        "declare_fk (dense): the heap peaked {rise} B over its start for a {link} B link and \
+         {slots} B of slots — is the dimension hashed?"
+    );
+    drop(db);
+
     if std::fs::write("/proc/self/clear_refs", "5").is_err() {
         eprintln!("skipped: /proc/self/clear_refs is not writable");
         return;

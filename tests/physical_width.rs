@@ -6,9 +6,10 @@
 //! 1 000 parts) — the scale `crates/engine/tests/load_ledger.rs` pins the
 //! load ledger at. Each physical width is the first of `i8`, `i16`, `u16`,
 //! the 3-byte `I24` and `i32` (else `i64`) holding the domain stated
-//! beside it; the generators push the TPC-H measures in those widths and
-//! the coordinates in 3 bytes, the keys, prices, `tripid` and `time`
-//! arrive as `i32` and the storage rule narrows them on its own.
+//! beside it; the generators push the TPC-H measures and `l_partkey` in
+//! those widths (the key's picked by that rule from `1..=parts` before the
+//! fill) and the coordinates in 3 bytes; `p_partkey`, the prices, `tripid`
+//! and `time` arrive as `i32` and the storage rule narrows them on its own.
 //!
 //! At the benchmark's scale (8 M fixes, SF 0.5; 3 M lineitems, 100 000
 //! parts): `tripid` 1..≈40 000 needs a `u16` (2), the coordinates stay 3,
