@@ -5,8 +5,7 @@
 //! * [`evaluation`] — Fig 9 (Table I spatial workload), Fig 10a–c (TPC-H
 //!   Q1/Q6/Q14), Fig 11 (multi-stream throughput), Fig 1 (motivation);
 //! * [`throughput`] — the Fig 11 runner, measured on the scheduler;
-//! * [`workload`] — seeded short/long scheduler workloads and the
-//!   admission [`workload::Gate`] the scheduler tests freeze workers with;
+//! * [`workload`] — seeded short/long scheduler workloads;
 //! * [`report`] — table rendering and CSV output.
 //!
 //! Run `cargo run --release -p bwd-bench --bin figures -- all` (or a

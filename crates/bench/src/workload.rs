@@ -1,5 +1,4 @@
-//! Deterministic scheduler test harness: seeded mixed workloads and a
-//! worker gate.
+//! Deterministic scheduler test harness: seeded mixed workloads.
 //!
 //! Scheduling tests have two classic sources of flakiness: *what* runs
 //! (hand-rolled ad-hoc query mixes) and *when* it runs (sleeps and
@@ -12,12 +11,13 @@
 //!   re-run the identical mix in either queue order (the default, or
 //!   arrival order with `aging_threshold: 0`) and compare results
 //!   bit-for-bit;
-//! * [`Gate`] freezes a scheduler deterministically: it reserves every
-//!   free byte of a device so the first A&R job blocks *inside*
-//!   admission, pinning a worker while the test stacks up the queue it
-//!   wants to observe. Combined with a one-worker scheduler and
-//!   [`bwd_sched::JobReport::completion_index`], the exact pop order of the
-//!   queue becomes a plain integer assertion — no sleeps, no timing.
+//! * the tests' `Gate` (`tests/support/gate.rs`) freezes a scheduler
+//!   deterministically: it reserves every free byte of a device so the
+//!   first A&R job blocks *inside* admission, pinning a worker while the
+//!   test stacks up the queue it wants to observe. Combined with a
+//!   one-worker scheduler and [`bwd_sched::JobReport::completion_index`],
+//!   the exact pop order of the queue becomes a plain integer assertion —
+//!   no sleeps, no timing.
 //!
 //! The ordering rules themselves are additionally testable with no
 //! scheduler at all: [`bwd_sched::PolicyQueue`] is public and pure (its
@@ -25,7 +25,7 @@
 //! clock" of a scheduling test is simply the sequence of pops.
 
 use bwd_core::plan::{AggExpr, AggFunc, ArPlan, LogicalPlan, Predicate};
-use bwd_device::{DeviceBuffer, DeviceMemory, Env};
+use bwd_device::Env;
 use bwd_engine::{Database, ExecMode, QueryResult};
 use bwd_sched::SubmitOptions;
 use bwd_storage::Column;
@@ -174,11 +174,6 @@ impl WorkloadGen {
         &self.db
     }
 
-    /// The workload shape.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
     fn bind(&self, plan: &LogicalPlan) -> ArPlan {
         self.db
             .bind(plan, &Default::default())
@@ -277,87 +272,6 @@ impl WorkloadGen {
     }
 }
 
-/// Deterministically freezes a scheduler's A&R stream by reserving every
-/// free byte of one device: the next A&R job a worker picks up blocks
-/// inside that device's admission queue until [`Gate::release`].
-///
-/// The canonical pattern — pin a one-worker scheduler, stack the queue,
-/// observe the drain order:
-///
-/// 1. build the scheduler (admission controllers snapshot resident bytes);
-/// 2. `Gate::block` the device and submit one A&R "gate job" **pinned to
-///    the gated device** via [`Gate::submit_options`] — on a multi-card
-///    pool an unpinned job would be placed on a *different* (less
-///    loaded) card and sail straight through;
-/// 3. [`Gate::wait_admission_blocked`] — the worker is now provably stuck;
-/// 4. submit the batch under test (it all queues);
-/// 5. [`Gate::release`] and assert on each ticket's
-///    [`bwd_sched::JobReport::completion_index`].
-pub struct Gate {
-    mem: DeviceMemory,
-    device: usize,
-    blocker: Option<DeviceBuffer>,
-}
-
-impl Gate {
-    /// Reserve all currently-free bytes of pool device `device` so A&R
-    /// admissions on it block. Call *after* constructing the scheduler.
-    pub fn block(db: &Database, device: usize) -> Result<Gate> {
-        let mem = db
-            .env()
-            .pool
-            .devices()
-            .get(device)
-            .ok_or_else(|| {
-                bwd_types::BwdError::InvalidArgument(format!("no pool device {device}"))
-            })?
-            .memory()
-            .clone();
-        let blocker = mem.alloc(mem.available())?;
-        Ok(Gate {
-            mem,
-            device,
-            blocker: Some(blocker),
-        })
-    }
-
-    /// The pool index of the gated device.
-    pub fn device(&self) -> usize {
-        self.device
-    }
-
-    /// Submission options that pin a job to the gated device — use these
-    /// for the gate job, or the placement policy may route it to another
-    /// card of a multi-device pool (where it would run instead of
-    /// blocking, and [`Gate::wait_admission_blocked`] would spin forever).
-    pub fn submit_options(&self) -> SubmitOptions {
-        SubmitOptions {
-            device: Some(self.device),
-            ..SubmitOptions::default()
-        }
-    }
-
-    /// Busy-wait (yielding) until at least `n` reservations are queued on
-    /// the gated device — i.e. until `n` workers are provably frozen
-    /// inside admission. This waits on *state*, not on time: it never
-    /// sleeps and asserts nothing about durations.
-    pub fn wait_admission_blocked(&self, n: u64) {
-        while self.mem.queued() < n {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Reservations currently blocked behind the gate.
-    pub fn blocked(&self) -> u64 {
-        self.mem.queued()
-    }
-
-    /// Drop the reservation, letting the gated jobs through.
-    pub fn release(mut self) {
-        self.blocker.take();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,56 +322,5 @@ mod tests {
             el.total() > 10.0 * es.total(),
             "long {el:?} vs short {es:?}"
         );
-    }
-
-    #[test]
-    fn gate_freezes_a_worker_on_a_multi_device_pool_when_pinned() {
-        use bwd_sched::{SchedConfig, Scheduler};
-
-        // Regression: on a 2-card pool the least-loaded policy would
-        // route an unpinned gate job to the ungated card; the pinned
-        // submit options keep the freeze pattern sound on any pool.
-        let spec = WorkloadSpec {
-            long_rows: 8_000,
-            short_rows: 2_000,
-            ..WorkloadSpec::default()
-        };
-        let mut gen = WorkloadGen::with_env(5, spec, Env::multi_gpu(2)).unwrap();
-        let sched = Scheduler::new(
-            Arc::clone(gen.db()),
-            SchedConfig {
-                workers: 1,
-                admission_deadline: None,
-                ..SchedConfig::default()
-            },
-        );
-        let session = sched.session();
-        let gate = Gate::block(gen.db(), 0).unwrap();
-        assert_eq!(gate.device(), 0);
-        let job = gen.short();
-        let ticket = session.submit_with(job.plan, job.mode, gate.submit_options());
-        gate.wait_admission_blocked(1); // provably frozen on device 0
-        assert!(ticket.poll().is_none());
-        gate.release();
-        assert_eq!(ticket.wait().unwrap().rows.len(), 1);
-    }
-
-    #[test]
-    fn gate_blocks_and_releases() {
-        let gen = WorkloadGen::new(
-            9,
-            WorkloadSpec {
-                long_rows: 4_000,
-                short_rows: 1_000,
-                ..WorkloadSpec::default()
-            },
-        )
-        .unwrap();
-        let gate = Gate::block(gen.db(), 0).unwrap();
-        let mem = gen.db().env().device.memory().clone();
-        assert_eq!(mem.available(), 0);
-        assert_eq!(gate.blocked(), 0);
-        gate.release();
-        assert!(mem.available() > 0);
     }
 }

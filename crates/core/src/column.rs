@@ -42,18 +42,6 @@ impl BoundColumn {
         })
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.approx.len()
-    }
-
-    /// Whether the column holds no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.approx.is_empty()
-    }
-
     /// The translation metadata.
     #[inline]
     pub fn meta(&self) -> &DecompositionMeta {
@@ -130,7 +118,7 @@ mod tests {
     fn bind_uploads_approximation() {
         let vals: Vec<i64> = (0..1000).map(|i| i * 3 % 997).collect();
         let (env, col) = bind(&vals, 24);
-        assert_eq!(col.len(), 1000);
+        assert_eq!(col.approx().len(), 1000);
         assert_eq!(env.device.memory().used(), col.approx().packed_bytes());
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(col.reconstruct(i as Oid), v);

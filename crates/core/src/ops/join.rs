@@ -17,7 +17,7 @@ use bwd_kernels::DeviceArray;
 use bwd_storage::pieces::chunk_count;
 use bwd_storage::{with_slice, BitPackedVec, ColumnData};
 use bwd_types::bits::bits_for_width;
-use bwd_types::{BwdError, FxHashMap, Oid, Result};
+use bwd_types::{BwdError, FxHashMap, Result};
 
 /// A pre-built foreign-key index: fact row → dimension row.
 ///
@@ -40,7 +40,7 @@ impl FkIndex {
     ///
     /// # Errors
     /// A duplicate dimension key, a fact key without a dimension match, a
-    /// dimension past `u32::MAX` rows (an [`Oid`] cannot address it) or a
+    /// dimension past `u32::MAX` rows (an [`Oid`](bwd_types::Oid) cannot address it) or a
     /// link the device cannot hold.
     pub fn build(
         fact_keys: &ColumnData,
@@ -65,31 +65,15 @@ impl FkIndex {
         Ok(FkIndex { link })
     }
 
-    /// Dimension row of a fact row.
-    #[inline]
-    pub fn dim_row(&self, fact_oid: Oid) -> u32 {
-        self.link.get(fact_oid as usize) as u32
-    }
-
     /// The packed mapping, device-resident: what the device gathers
     /// through and the host decodes.
     #[inline]
     pub fn device(&self) -> &DeviceArray {
         &self.link
     }
-
-    /// Number of fact rows.
-    pub fn len(&self) -> usize {
-        self.link.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.link.is_empty()
-    }
 }
 
-/// A dimension's row count, if every row has an [`Oid`].
+/// A dimension's row count, if every row has an [`Oid`](bwd_types::Oid).
 fn dim_row_count(rows: usize) -> Result<u32> {
     u32::try_from(rows).map_err(|_| {
         BwdError::Unsupported(format!(
@@ -239,17 +223,19 @@ mod tests {
             &mut ledger,
         )
         .unwrap();
-        assert_eq!(fk.len(), 4);
+        assert_eq!(fk.device().len(), 4);
         assert_eq!(fk.device().width(), 2);
         assert_eq!(
-            (0..4).map(|oid| fk.dim_row(oid)).collect::<Vec<_>>(),
+            (0..4)
+                .map(|oid| fk.device().get(oid as usize) as u32)
+                .collect::<Vec<_>>(),
             [2, 0, 0, 1]
         );
         // A one-row dimension's link stores no bits at all.
         let one = FkIndex::build(&keys(&[7, 7]), &keys(&[7]), &env.device, &env, &mut ledger);
         let one = one.unwrap();
         assert_eq!((one.device().width(), one.device().packed_bytes()), (0, 0));
-        assert_eq!((one.dim_row(0), one.dim_row(1)), (0, 0));
+        assert_eq!((one.device().get(0), one.device().get(1)), (0, 0));
         // Past `u32::MAX` rows a dimension row has no `Oid`.
         assert_eq!(dim_row_count(u32::MAX as usize), Ok(u32::MAX));
         assert!(matches!(
@@ -268,7 +254,9 @@ mod tests {
             let mut ledger = CostLedger::new();
             let dim = ColumnData::I64(dim.to_vec());
             let fk = FkIndex::build(&fact, &dim, &env.device, &env, &mut ledger).unwrap();
-            let rows: Vec<u32> = (0..3_000).map(|oid| fk.dim_row(oid)).collect();
+            let rows: Vec<u32> = (0..3_000)
+                .map(|oid| fk.device().get(oid as usize) as u32)
+                .collect();
             (rows, ledger.events().to_vec())
         };
         let addressed = link(&dense);

@@ -245,8 +245,8 @@ mod tests {
     fn chained_refinement_via_translucent_join() {
         // Two columns, conjunctive predicate; refine column A against the
         // survivors of... the approximate chain, then column B.
-        let a_vals: Vec<i64> = (0..50_000).map(|i| i % 1000).collect();
-        let b_vals: Vec<i64> = (0..50_000).map(|i| (i / 3) % 500).collect();
+        let a_vals: Vec<i64> = (0..150_000).map(|i| i % 1000).collect();
+        let b_vals: Vec<i64> = (0..150_000).map(|i| (i / 3) % 500).collect();
         let env = Env::paper_default();
         let mut load = CostLedger::new();
         let col_a = BoundColumn::bind(
@@ -277,10 +277,7 @@ mod tests {
         let ra = RangePred::between(100, 300);
         let rb = RangePred::between(50, 99);
         let mut ledger = CostLedger::new();
-        let opts = ScanOptions {
-            block_size: 1 << 12,
-            preserve_order: false,
-        };
+        let opts = ScanOptions::default();
         // Approximate subplan: chain the two relaxed selections.
         let ca = select_approx(&env, &col_a, &ra, &opts, &mut ledger);
         let (lo, hi) = relax_to_stored(col_b.meta(), &rb).unwrap().outer;
@@ -373,8 +370,7 @@ mod tests {
             let (env, col) = bind(&vals, device_bits);
             let range = RangePred::between(lo, lo + span);
             let mut ledger = CostLedger::new();
-            let opts = ScanOptions { block_size: 64, preserve_order: false };
-            let refined = select_refined(&env, &col, &range, &opts, &mut ledger).unwrap();
+            let refined = select_refined(&env, &col, &range, &ScanOptions::default(), &mut ledger).unwrap();
             let mut got = refined.oids.clone();
             got.sort_unstable();
             prop_assert_eq!(got, exact_select(&vals, &range));

@@ -44,11 +44,6 @@ impl ScalarExpr {
         ScalarExpr::Column(name.into())
     }
 
-    /// A literal.
-    pub fn lit(v: impl Into<Value>) -> Self {
-        ScalarExpr::Literal(v.into())
-    }
-
     /// `self op rhs`.
     pub fn binary(self, op: BinOp, rhs: ScalarExpr) -> Self {
         ScalarExpr::Binary {
@@ -308,7 +303,7 @@ mod tests {
         // price * (1 - discount)
         let e = ScalarExpr::col("price").binary(
             BinOp::Mul,
-            ScalarExpr::lit(1i64).binary(BinOp::Sub, ScalarExpr::col("discount")),
+            ScalarExpr::Literal(Value::Int(1)).binary(BinOp::Sub, ScalarExpr::col("discount")),
         );
         let mut cols = Vec::new();
         e.collect_columns(&mut cols);

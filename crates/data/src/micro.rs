@@ -6,7 +6,6 @@
 //! Fig 8f.
 
 use crate::rng::Xoshiro;
-use bwd_storage::Column;
 
 /// `n` unique integers `0..n`, randomly shuffled (deterministic by seed).
 pub fn unique_shuffled(n: usize, seed: u64) -> Vec<i64> {
@@ -15,27 +14,11 @@ pub fn unique_shuffled(n: usize, seed: u64) -> Vec<i64> {
     v
 }
 
-/// As a column.
-pub fn unique_shuffled_column(n: usize, seed: u64) -> Column {
-    let payloads: Vec<i32> = unique_shuffled(n, seed).iter().map(|&v| v as i32).collect();
-    Column::from_i32(payloads)
-}
-
 /// Grouping keys: `n` values uniformly drawn from `groups` distinct keys
 /// (Fig 8f sweeps `groups` from 10 to 1000).
 pub fn grouping_keys(n: usize, groups: u64, seed: u64) -> Vec<i64> {
     let mut rng = Xoshiro::seed(seed);
     (0..n).map(|_| rng.below(groups) as i64).collect()
-}
-
-/// As a column.
-pub fn grouping_keys_column(n: usize, groups: u64, seed: u64) -> Column {
-    Column::from_i32(
-        grouping_keys(n, groups, seed)
-            .iter()
-            .map(|&v| v as i32)
-            .collect(),
-    )
 }
 
 /// The selection bound that matches a fraction `selectivity` of
@@ -81,14 +64,5 @@ mod tests {
             let distinct: std::collections::HashSet<i64> = keys.iter().copied().collect();
             assert_eq!(distinct.len() as u64, groups);
         }
-    }
-
-    #[test]
-    fn columns_wrap_payloads() {
-        let c = unique_shuffled_column(1000, 5);
-        assert_eq!(c.len(), 1000);
-        let g = grouping_keys_column(1000, 10, 5);
-        let (lo, hi) = g.payload_min_max().unwrap();
-        assert!(lo >= 0 && hi < 10);
     }
 }

@@ -176,12 +176,6 @@ impl TripsTable {
     }
 }
 
-/// The paper's Table I benchmark query range (a small box near (2.69,
-/// 50.43)); returns `((lon_lo, lon_hi), (lat_lo, lat_hi))` payloads.
-pub fn table1_query_box() -> ((i64, i64), (i64, i64)) {
-    ((268_288, 270_228), (5_042_220, 5_044_850))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +289,8 @@ mod tests {
             fixes_per_trip: 150,
             seed: 12,
         });
-        let ((lon_lo, lon_hi), (lat_lo, lat_hi)) = table1_query_box();
+        // The paper's Table I box, as payloads.
+        let ((lon_lo, lon_hi), (lat_lo, lat_hi)) = ((268_288, 270_228), (5_042_220, 5_044_850));
         let lons = t.lon.payloads();
         let lats = t.lat.payloads();
         let matches = lons

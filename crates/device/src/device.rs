@@ -94,13 +94,6 @@ impl DevicePool {
         DevicePool { devices }
     }
 
-    /// A pool wrapping one existing device.
-    pub fn single(device: Arc<Device>) -> Self {
-        DevicePool {
-            devices: vec![device],
-        }
-    }
-
     /// All devices, in index order.
     pub fn devices(&self) -> &[Arc<Device>] {
         &self.devices
@@ -114,16 +107,6 @@ impl DevicePool {
     /// The device at `idx`, if any.
     pub fn get(&self, idx: usize) -> Option<&Arc<Device>> {
         self.devices.get(idx)
-    }
-
-    /// Number of devices (always ≥ 1).
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Always `false`; present for API completeness.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -244,12 +227,6 @@ impl Env {
         }
     }
 
-    /// A platform with `n` identical paper-default GTX 680 cards
-    /// (`n = 0` still yields one).
-    pub fn multi_gpu(n: usize) -> Self {
-        Env::with_devices(vec![DeviceSpec::gtx680(); n.max(1)])
-    }
-
     /// A copy of this environment with the device at `idx` selected —
     /// subsequent kernel charges and admission target that card. The
     /// scheduler's placement policy uses this per query.
@@ -260,7 +237,7 @@ impl Env {
         let device = self.pool.get(idx).cloned().ok_or_else(|| {
             BwdError::InvalidArgument(format!(
                 "device index {idx} out of range (pool has {} devices)",
-                self.pool.len()
+                self.pool.devices().len()
             ))
         })?;
         Ok(Env {
@@ -413,20 +390,19 @@ mod tests {
     #[test]
     fn pool_is_never_empty_and_indexes() {
         let pool = DevicePool::new(Vec::new());
-        assert_eq!(pool.len(), 1);
-        assert!(!pool.is_empty());
+        assert_eq!(pool.devices().len(), 1);
         let pool = DevicePool::new(vec![
             DeviceSpec::gtx680(),
             DeviceSpec::gtx680().with_capacity(1 << 20),
         ]);
-        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.devices().len(), 2);
         assert_eq!(pool.get(1).unwrap().spec().memory_capacity, 1 << 20);
         assert!(pool.get(2).is_none());
     }
 
     #[test]
     fn pool_devices_have_independent_memory_and_ledgers() {
-        let env = Env::multi_gpu(2);
+        let env = Env::with_devices(vec![DeviceSpec::gtx680(); 2]);
         let d0 = &env.pool.devices()[0];
         let d1 = &env.pool.devices()[1];
         let mut ledger = CostLedger::new();
@@ -440,11 +416,11 @@ mod tests {
 
     #[test]
     fn on_device_selects_and_rejects_out_of_range() {
-        let env = Env::multi_gpu(2).host_threads(4);
+        let env = Env::with_devices(vec![DeviceSpec::gtx680(); 2]).host_threads(4);
         let env1 = env.on_device(1).unwrap();
         assert!(Arc::ptr_eq(&env1.device, &env.pool.devices()[1]));
         assert_eq!(env1.host_threads, 4);
-        assert_eq!(env1.pool.len(), 2);
+        assert_eq!(env1.pool.devices().len(), 2);
         assert!(env.on_device(2).is_err());
         // The default selection is the primary.
         assert!(Arc::ptr_eq(&env.device, env.pool.primary()));

@@ -19,16 +19,6 @@ pub enum Component {
     Pcie,
 }
 
-impl fmt::Display for Component {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Component::Device => write!(f, "GPU"),
-            Component::Host => write!(f, "CPU"),
-            Component::Pcie => write!(f, "PCI"),
-        }
-    }
-}
-
 /// Simulated seconds spent per component.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Breakdown {
@@ -45,24 +35,6 @@ impl Breakdown {
     /// (how the paper's stacked bars read for a single query).
     pub fn total(&self) -> f64 {
         self.device + self.host + self.pcie
-    }
-
-    /// Component accessor.
-    pub fn get(&self, c: Component) -> f64 {
-        match c {
-            Component::Device => self.device,
-            Component::Host => self.host,
-            Component::Pcie => self.pcie,
-        }
-    }
-
-    /// Element-wise sum.
-    pub fn add(&self, other: &Breakdown) -> Breakdown {
-        Breakdown {
-            device: self.device + other.device,
-            host: self.host + other.host,
-            pcie: self.pcie + other.pcie,
-        }
     }
 }
 
@@ -175,36 +147,15 @@ impl CostLedger {
     pub fn events(&self) -> &[CostEvent] {
         &self.events
     }
-
-    /// Fold another ledger's totals (and trace) into this one.
-    pub fn merge(&mut self, other: &CostLedger) {
-        self.breakdown = self.breakdown.add(&other.breakdown);
-        self.traffic.device += other.traffic.device;
-        self.traffic.host += other.traffic.host;
-        self.traffic.pcie += other.traffic.pcie;
-        if self.trace_enabled {
-            self.events.extend(other.events.iter().cloned());
-        }
-    }
-
-    /// Reset all accumulated state, keeping the trace setting.
-    pub fn reset(&mut self) {
-        self.breakdown = Breakdown::default();
-        self.traffic = TrafficBytes::default();
-        self.events.clear();
-    }
 }
 
 /// A thread-safe, cloneable cost ledger for concurrent query streams.
 ///
 /// Worker threads keep charging their private [`CostLedger`] during a
-/// query (no contention on the hot path) and fold the outcome into the
-/// stream's shared ledger once per query — via [`SharedLedger::merge`]
-/// when the full per-operator ledger is at hand, or via per-component
-/// [`SharedLedger::charge`] calls when only the query's totals survive
-/// (the scheduler's stream accounting does the latter, since a
-/// [`crate::Breakdown`] + [`TrafficBytes`] is what a query result
-/// carries).
+/// query (no contention on the hot path) and fold the query's totals into
+/// the stream's shared ledger once per query, by per-component
+/// [`SharedLedger::charge`] calls (a [`crate::Breakdown`] +
+/// [`TrafficBytes`] is what a query result carries).
 #[derive(Debug, Clone, Default)]
 pub struct SharedLedger {
     inner: std::sync::Arc<std::sync::Mutex<CostLedger>>,
@@ -224,11 +175,6 @@ impl SharedLedger {
             .charge(component, label, seconds, bytes);
     }
 
-    /// Fold a per-query ledger's totals into this stream.
-    pub fn merge(&self, other: &CostLedger) {
-        self.inner.lock().unwrap().merge(other);
-    }
-
     /// The accumulated per-component totals.
     pub fn breakdown(&self) -> Breakdown {
         self.inner.lock().unwrap().breakdown()
@@ -238,16 +184,6 @@ impl SharedLedger {
     pub fn traffic(&self) -> TrafficBytes {
         self.inner.lock().unwrap().traffic()
     }
-
-    /// A point-in-time copy of the whole ledger.
-    pub fn snapshot(&self) -> CostLedger {
-        self.inner.lock().unwrap().clone()
-    }
-
-    /// Reset all accumulated state.
-    pub fn reset(&self) {
-        self.inner.lock().unwrap().reset();
-    }
 }
 
 #[cfg(test)]
@@ -255,24 +191,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shared_ledger_charge_merge_snapshot_reset() {
+    fn shared_ledger_clones_share_their_charges() {
         let shared = SharedLedger::new();
         shared.charge(Component::Host, "stream.query", 0.5, 10);
-        let mut per_query = CostLedger::new();
-        per_query.charge(Component::Device, "scan", 0.25, 4);
-        shared.merge(&per_query);
-        assert_eq!(shared.breakdown().host, 0.5);
-        assert_eq!(shared.breakdown().device, 0.25);
-        assert_eq!(shared.traffic().host, 10);
-        assert_eq!(shared.traffic().device, 4);
-        // Clones share state; snapshots do not.
         let clone = shared.clone();
-        let frozen = shared.snapshot();
         clone.charge(Component::Pcie, "dl", 0.1, 1);
+        assert_eq!(shared.breakdown().host, 0.5);
         assert_eq!(shared.breakdown().pcie, 0.1);
-        assert_eq!(frozen.breakdown().pcie, 0.0);
-        shared.reset();
-        assert_eq!(clone.breakdown().total(), 0.0);
+        assert_eq!(shared.traffic().host, 10);
+        assert_eq!(shared.traffic().pcie, 1);
     }
 
     #[test]
@@ -300,30 +227,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_reset() {
-        let mut a = CostLedger::with_trace();
-        a.charge(Component::Host, "x", 1.0, 0);
-        let mut b = CostLedger::with_trace();
-        b.charge(Component::Device, "y", 2.0, 0);
-        a.merge(&b);
-        assert_eq!(a.breakdown().host, 1.0);
-        assert_eq!(a.breakdown().device, 2.0);
-        assert_eq!(a.events().len(), 2);
-        a.reset();
-        assert_eq!(a.breakdown().total(), 0.0);
-        assert!(a.events().is_empty());
-    }
-
-    #[test]
-    fn breakdown_display_and_get() {
+    fn breakdown_display() {
         let b = Breakdown {
             device: 0.1,
             host: 0.2,
             pcie: 0.3,
         };
-        assert_eq!(b.get(Component::Device), 0.1);
-        assert_eq!(b.get(Component::Host), 0.2);
-        assert_eq!(b.get(Component::Pcie), 0.3);
         let s = b.to_string();
         assert!(s.contains("GPU") && s.contains("CPU") && s.contains("PCI"));
     }

@@ -55,7 +55,6 @@ struct MemoryState {
     allocated: u64,
     peak: u64,
     live_buffers: u64,
-    next_id: u64,
     /// Tickets of reservations queued in `alloc_blocking`, arrival order.
     /// Only the front ticket may be granted — strict FIFO, no starvation
     /// of large requests by later small ones.
@@ -194,13 +193,11 @@ impl DeviceMemory {
         m.allocated += bytes;
         m.peak = m.peak.max(m.allocated);
         m.live_buffers += 1;
-        m.next_id += 1;
         let metrics = &self.inner.metrics;
         metrics.alloc_total.inc();
         metrics.alloc_bytes_total.add(bytes);
         metrics.peak_bytes.max(m.allocated as i64);
         DeviceBuffer {
-            id: m.next_id,
             bytes,
             mem: Arc::clone(&self.inner),
         }
@@ -246,7 +243,6 @@ impl DeviceMemory {
 /// A reservation of device memory. Dropping it releases the bytes.
 #[derive(Debug)]
 pub struct DeviceBuffer {
-    id: u64,
     bytes: u64,
     mem: Arc<MemoryInner>,
 }
@@ -255,11 +251,6 @@ impl DeviceBuffer {
     /// Size of the reservation in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Unique id of this buffer on its device.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 }
 
@@ -321,14 +312,6 @@ mod tests {
         let b = mem.alloc(0).unwrap();
         assert_eq!(b.bytes(), 0);
         assert_eq!(mem.live_buffers(), 1);
-    }
-
-    #[test]
-    fn buffer_ids_are_unique() {
-        let mem = DeviceMemory::new(100);
-        let a = mem.alloc(1).unwrap();
-        let b = mem.alloc(1).unwrap();
-        assert_ne!(a.id(), b.id());
     }
 
     #[test]

@@ -36,54 +36,31 @@ use crate::morsel::{
     run_parts, run_parts_mut, ResidualSrc, ScratchPool,
 };
 use crate::result::{ApproxAnswer, QueryResult};
-use crate::tail::{GroupTable, SliceSource, SLICE_ROWS};
+use crate::tail::{GroupTable, SliceSource};
 use bwd_core::plan::ArPlan;
 use bwd_core::relax::StoredRange;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::group::packed_key_of;
 use bwd_kernels::scan::scan_block_ranges;
-use bwd_kernels::{
-    Candidates, Cursor, DeviceArray, Grouper, Positions, ScanOptions, ScanRows, SelMask, SelVec,
-};
+use bwd_kernels::{Candidates, Cursor, DeviceArray, Grouper, Positions, ScanRows, SelMask, SelVec};
 use bwd_obs::metrics::{Counter, Registry};
 use bwd_obs::{EventKind, GroupAggTables, GroupAggTail, SpanId, WorkerHandle, NO_SPAN};
 use bwd_types::{BwdError, FaultSite, Oid, Result};
 use std::sync::OnceLock;
 
-/// How the approximate-selection chain materializes its candidates.
-///
-/// Representation only: results, candidate order and simulated costs are
-/// bit-identical under every variant (asserted by
-/// `tests/packed_selection.rs`); what changes is the real work the host
-/// simulation performs per selection step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CandidateRep {
-    /// Pick per selection: the positional bitmap for direct (fact-side)
-    /// predicates whose relaxed stored-domain selectivity estimate is at
-    /// least [`BITMAP_MIN_SELECTIVITY`], materialized indices otherwise.
-    #[default]
-    Auto,
-    /// Always materialize (oid, approximation) pairs — the classic path.
-    Indices,
-    /// Force the bitmap for every direct selection.
-    Bitmap,
-}
-
-/// [`CandidateRep::Auto`]'s switch point: below ~2% estimated selectivity
-/// the sparse index list is smaller than one bit per input row and the
-/// mask→index conversion would touch nearly as many 64-row blocks as the
-/// survivors themselves; above it the bitmap's constant ⅛ byte per row
-/// and its AND-refinement (which skips already-empty 64-row groups) win.
+/// Where a full-scan selection step switches from materialized indices to
+/// the positional bitmap: below ~2% estimated selectivity the sparse index
+/// list is smaller than one bit per input row and the mask→index
+/// conversion would touch nearly as many 64-row blocks as the survivors
+/// themselves; above it the bitmap's constant ⅛ byte per row and its
+/// AND-refinement (which skips already-empty 64-row groups) win. The
+/// representation is wall clock only: rows, candidate order and simulated
+/// costs are the same in either.
 pub const BITMAP_MIN_SELECTIVITY: f64 = 0.02;
 
 /// Execution options for the A&R path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ArExecOptions {
-    /// Device scan tuning.
-    pub scan: ScanOptions,
-    /// Candidate representation policy for the approximate-selection
-    /// chain (bitmap vs indices; see [`CandidateRep`]).
-    pub candidates: CandidateRep,
     /// Capture the approximate answer after the approximation subplan.
     pub approximate_answer: bool,
 }
@@ -157,35 +134,14 @@ impl Probe {
     }
 }
 
-/// Execute the plan as bound — its selections in their order, its fold as
-/// carried — with Approximate & Refine processing on `env`. The
-/// environment carries both the host-thread allocation *and* the chosen
-/// device: pass `db.env().on_device(k)` to run this query against card
-/// `k` of a multi-device pool (every card holds a replica of the
-/// persistent approximations, so any of them can serve any plan). The
-/// refinement-side stages fan out over `morsels` OS threads, as in
-/// [`Database::run_bound_in`].
-pub fn run_ar_in(
-    db: &Database,
-    plan: &ArPlan,
-    opts: &ArExecOptions,
-    env: &Env,
-    morsels: usize,
-) -> Result<QueryResult> {
-    let chain: Vec<usize> = (0..plan.selections.len()).collect();
-    let ledger = &mut CostLedger::new();
-    let run = run_ar_counted(
-        db, plan, &chain, opts, env, morsels, None, SLICE_ROWS, ledger,
-    );
-    run.map(|(result, ..)| result)
-}
-
-/// [`run_ar_in`] with an explicit transient `budget` (see
-/// [`Database::run_bound_in`]), tail slice size and ledger, also
-/// returning what the run counted and the transient device bytes it held.
-/// `plan` may be the plan [`bill::order`] chose for a bound one; `chain`
-/// holds, per step, the selection's index in the bound plan — what an
-/// `ApproxSelect` span reports.
+/// Execute `plan` with Approximate & Refine processing on `env` — the
+/// host threads *and* the card — within the transient `budget` (see
+/// [`Database::run_bound_in`]), the refinement-side stages fanned out over
+/// `morsels` OS threads, the tail in slices of `slice_rows`, billed into
+/// `ledger`; also returning what the run counted and the transient device
+/// bytes it held. `plan` may be the plan [`bill::order`] chose for a bound
+/// one; `chain` holds, per step, the selection's index in the bound plan —
+/// what an `ApproxSelect` span reports.
 ///
 /// Approximate → refine → tail over one [`Run`]: each phase does the real
 /// work, counts what it did and bills the counts through the shape's
@@ -205,7 +161,7 @@ pub(crate) fn run_ar_counted(
     slice_rows: usize,
     ledger: &mut CostLedger,
 ) -> Result<(QueryResult, Counts, u64)> {
-    let shape = ArShape::resolve(db, plan, opts.scan, env)?;
+    let shape = ArShape::resolve(db, plan, env)?;
     let mut run = Run {
         counts: Counts {
             rows: shape.rows,
@@ -213,7 +169,6 @@ pub(crate) fn run_ar_counted(
         },
         shape,
         chain,
-        opts,
         env,
         obs: env.trace.recorder.worker(&env.trace.lane),
         slice_rows,
@@ -238,7 +193,6 @@ struct Run<'a> {
     shape: ArShape<'a>,
     /// Per step, the selection's index in the bound plan.
     chain: &'a [usize],
-    opts: &'a ArExecOptions,
     env: &'a Env,
     obs: WorkerHandle,
     slice_rows: usize,
@@ -297,9 +251,7 @@ impl<'a> Run<'a> {
                 &self.shape,
                 i,
                 a.output.as_ref(),
-                &self.opts.scan,
                 self.morsels,
-                self.opts.candidates,
                 probe.span,
                 &self.pool,
                 &mut a.undecided_bits,
@@ -573,9 +525,7 @@ fn approx_select_step(
     shape: &ArShape<'_>,
     i: usize,
     input: Option<&SelVec>,
-    scan: &ScanOptions,
     morsels: usize,
-    rep: CandidateRep,
     stage: SpanId,
     pool: &ScratchPool,
     undecided: &mut Vec<u64>,
@@ -617,7 +567,7 @@ fn approx_select_step(
         Some(SelVec::Bitmap(m)) => Some(m),
         _ => None,
     };
-    if mask_in.is_some() || (input.is_none() && bitmap_worthwhile(rep, lo, hi, arr.width())) {
+    if mask_in.is_some() || (input.is_none() && bitmap_worthwhile(lo, hi, arr.width())) {
         let mut words = vec![0u64; rows.div_ceil(64)];
         let ranges = partition_mask_ranges(words.len(), morsels);
         run_parts_mut(&mut words, &ranges, |p, r, chunk| {
@@ -637,14 +587,14 @@ fn approx_select_step(
         }
         return SelVec::Bitmap(match mask_in {
             Some(m) => m.like(words),
-            None => SelMask::from_words(words, rows, scan),
+            None => SelMask::from_words(words, rows, false),
         });
     }
 
     let cands_in = input.and_then(SelVec::as_indices);
     let (blocks, parts) = match cands_in {
         None => {
-            let blocks = scan_block_ranges(rows, scan);
+            let blocks = scan_block_ranges(rows, false);
             let parts = partition_ranges_min(blocks.len(), morsels, 1);
             (blocks, parts)
         }
@@ -673,21 +623,13 @@ fn approx_select_step(
 }
 
 /// Whether a full-scan selection step should produce the bitmap
-/// representation under `rep`'s policy: forced either way, or — under
-/// [`CandidateRep::Auto`] — when the relaxed bounds' uniform
-/// stored-domain selectivity estimate clears
-/// [`BITMAP_MIN_SELECTIVITY`]. The estimate needs no binder statistics:
-/// `[lo, hi]` is exactly the interval the relaxed scan filters by, and
-/// the stored domain is `2^width`.
-fn bitmap_worthwhile(rep: CandidateRep, lo: u64, hi: u64, width: u32) -> bool {
-    match rep {
-        CandidateRep::Indices => false,
-        CandidateRep::Bitmap => true,
-        CandidateRep::Auto => {
-            let est = ((hi - lo) as f64 + 1.0) / (width as f64).exp2();
-            est >= BITMAP_MIN_SELECTIVITY
-        }
-    }
+/// representation: when the relaxed bounds' uniform stored-domain
+/// selectivity estimate clears [`BITMAP_MIN_SELECTIVITY`]. The estimate
+/// needs no binder statistics: `[lo, hi]` is exactly the interval the
+/// relaxed scan filters by, and the stored domain is `2^width`.
+fn bitmap_worthwhile(lo: u64, hi: u64, width: u32) -> bool {
+    let est = ((hi - lo) as f64 + 1.0) / (width as f64).exp2();
+    est >= BITMAP_MIN_SELECTIVITY
 }
 
 /// Where a slice's group ids come from.
@@ -754,6 +696,7 @@ impl SliceSource for ArSource<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::classic::tests::run_classic_sliced;
+    use crate::tail::SLICE_ROWS;
     use bwd_core::plan::{AggExpr, AggFunc, BinOp, LogicalPlan, Predicate, ScalarExpr as E};
     use bwd_core::CmpOp;
     use bwd_device::{Component, CostEvent, DeviceSpec};
@@ -761,9 +704,9 @@ pub(crate) mod tests {
     use bwd_storage::Column;
     use bwd_types::Value;
 
-    /// [`run_ar_in`] with an explicit tail slice size and ledger (tests
-    /// sweep the one and read the other's events; results and charges are
-    /// independent of the slice size).
+    /// The plan run as bound, with an explicit tail slice size and ledger
+    /// (tests sweep the one and read the other's events; results and
+    /// charges are independent of the slice size).
     pub(crate) fn run_ar_sliced(
         db: &Database,
         plan: &ArPlan,
@@ -1113,7 +1056,7 @@ pub(crate) mod tests {
             || E::col("g"),
             || E::col("v"),
         );
-        let one = || E::lit(1i64);
+        let one = || E::Literal(Value::Int(1));
         let disc_price = || price().binary(Mul, one().binary(Sub, disc()));
         let q1 = || {
             vec![
@@ -1167,14 +1110,17 @@ pub(crate) mod tests {
         assert_eq!(eval(24), (Component::Host, host));
     }
 
-    /// `p(id, d, g)` over 10 000 rows: `d` = twice a permutation of the row
-    /// numbers, split 24/8 (granules of 256, odd payloads absent); `id`
-    /// the row number and `g` = `id % 10`, both resident.
+    /// Rows of [`permuted`]: three simulated thread blocks.
+    const PERMUTED: i32 = 140_000;
+
+    /// `p(id, d, g)` over [`PERMUTED`] rows: `d` = twice a permutation of
+    /// the row numbers, split 24/8 (granules of 256, odd payloads absent);
+    /// `id` the row number and `g` = `id % 10`, both resident.
     fn permuted() -> Database {
-        let col = |f: fn(i32) -> i32| Column::from_i32((0..10_000).map(f).collect());
+        let col = |f: fn(i32) -> i32| Column::from_i32((0..PERMUTED).map(f).collect());
         let cols = [
             ("id", col(|i| i)),
-            ("d", col(|i| i * 7919 % 10_000 * 2)),
+            ("d", col(|i| i * 7919 % PERMUTED * 2)),
             ("g", col(|i| i % 10)),
         ];
         let mut db = Database::new();
@@ -1195,12 +1141,11 @@ pub(crate) mod tests {
     /// in candidate order — per simulated thread block in emission order,
     /// ascending inside one; ascending in the classic pipe — whatever holds
     /// the candidates, however many workers walk them in whatever slices;
-    /// and the bill is the parent commit's to the bit, in every
-    /// representation.
+    /// and the bill is the parent commit's to the bit.
     #[test]
     fn projections_keep_candidate_order_and_the_parents_bill() {
         let db = permuted();
-        let one = E::lit(1i64);
+        let one = E::Literal(Value::Int(1));
         let logical = LogicalPlan::scan("p")
             .filter(between("d", 0, 9_000))
             .filter(between("g", 0, 6))
@@ -1208,25 +1153,22 @@ pub(crate) mod tests {
                 (E::col("id"), "id".into()),
                 (E::col("d").binary(BinOp::Add, one), "d1".into()),
             ]);
-        let scan = ScanOptions {
-            block_size: 2048,
-            preserve_order: false,
-        };
-        let kept = |id: &usize| id * 7919 % 10_000 * 2 <= 9_000 && id % 10 <= 6;
+        let n = PERMUTED as usize;
+        let kept = |id: &usize| id * 7919 % n * 2 <= 9_000 && id % 10 <= 6;
         let row = |id: usize| {
             vec![
                 Value::Int(id as i64),
-                Value::Int((id * 7919 % 10_000 * 2 + 1) as i64),
+                Value::Int((id * 7919 % n * 2 + 1) as i64),
             ]
         };
-        let ascending: Vec<_> = (0..10_000).filter(kept).map(row).collect();
-        let emission = scan_block_ranges(10_000, &scan).into_iter().flatten();
+        let ascending: Vec<_> = (0..n).filter(kept).map(row).collect();
+        let emission = scan_block_ranges(n, false).into_iter().flatten();
         let scrambled: Vec<_> = emission.filter(kept).map(row).collect();
         assert_ne!(ascending, scrambled);
         // (breakdown, traffic) as dumped at the parent commit.
         let (breakdown, traffic) = (
-            [0x3f07305e9cb7690a, 0x3f1152346b9ca520, 0x3f05b87cd10b6b80],
-            [99435, 29040, 21444],
+            [0x3f126903e7a59d06, 0x3f1152346b9ca520, 0x3f0627a228cf831f],
+            [288760, 29040, 24715],
         );
         let plan = db.bind(&logical, &Default::default()).unwrap();
         for morsels in [1, 2, 4] {
@@ -1242,27 +1184,15 @@ pub(crate) mod tests {
                     &mut ledger,
                 );
                 assert_eq!(classic.unwrap().rows, ascending, "{morsels} x {slice_rows}");
-                for candidates in [
-                    CandidateRep::Auto,
-                    CandidateRep::Indices,
-                    CandidateRep::Bitmap,
-                ] {
-                    let opts = ArExecOptions {
-                        scan,
-                        candidates,
-                        ..Default::default()
-                    };
-                    let ledger = &mut CostLedger::new();
-                    let r =
-                        run_ar_sliced(&db, &plan, &opts, env, morsels, slice_rows, ledger).unwrap();
-                    let tag = format!("{candidates:?} {morsels} x {slice_rows}");
-                    assert_eq!(r.rows, scrambled, "{tag}");
-                    let b = r.breakdown;
-                    let bits = [b.device, b.host, b.pcie].map(f64::to_bits);
-                    assert_eq!(bits, breakdown, "{tag}: {bits:#x?}");
-                    let t = r.traffic;
-                    assert_eq!([t.device, t.host, t.pcie], traffic, "{tag}");
-                }
+                let (opts, ledger) = (ArExecOptions::default(), &mut CostLedger::new());
+                let r = run_ar_sliced(&db, &plan, &opts, env, morsels, slice_rows, ledger).unwrap();
+                let tag = format!("{morsels} x {slice_rows}");
+                assert_eq!(r.rows, scrambled, "{tag}");
+                let b = r.breakdown;
+                let bits = [b.device, b.host, b.pcie].map(f64::to_bits);
+                assert_eq!(bits, breakdown, "{tag}: {bits:#x?}");
+                let t = r.traffic;
+                assert_eq!([t.device, t.host, t.pcie], traffic, "{tag}");
             }
         }
     }
@@ -1281,7 +1211,7 @@ pub(crate) mod tests {
                 agg(AggFunc::Min, Some(E::col("d"))),
             ]
         };
-        for (range, candidates) in [((30_000, 40_000), 0), ((4_097, 4_097), 128)] {
+        for (range, candidates) in [((300_000, 400_000), 0), ((4_097, 4_097), 128)] {
             let filtered = || LogicalPlan::scan("p").filter(between("d", range.0, range.1));
             let shapes = [
                 (
@@ -1312,17 +1242,13 @@ pub(crate) mod tests {
                     (rows.clone(), 0),
                     "{plan:?}"
                 );
-                for candidates_rep in [CandidateRep::Indices, CandidateRep::Bitmap] {
-                    let opts = ArExecOptions {
-                        candidates: candidates_rep,
-                        approximate_answer: true,
-                        ..Default::default()
-                    };
-                    let ledger = &mut CostLedger::new();
-                    let r = run_ar_sliced(&db, &plan, &opts, env, 1, SLICE_ROWS, ledger).unwrap();
-                    assert_eq!((r.rows, r.survivors), (rows.clone(), 0), "{plan:?}");
-                    assert_eq!(r.approx.unwrap().candidate_count, candidates, "{plan:?}");
-                }
+                let opts = ArExecOptions {
+                    approximate_answer: true,
+                };
+                let ledger = &mut CostLedger::new();
+                let r = run_ar_sliced(&db, &plan, &opts, env, 1, SLICE_ROWS, ledger).unwrap();
+                assert_eq!((r.rows, r.survivors), (rows.clone(), 0), "{plan:?}");
+                assert_eq!(r.approx.unwrap().candidate_count, candidates, "{plan:?}");
             }
         }
     }

@@ -45,7 +45,7 @@ use bwd_device::{Breakdown, Component, CostLedger, Env};
 use bwd_kernels::gather::{charge_gather, charge_gather_indirect};
 use bwd_kernels::group::charge_hash_group_multi;
 use bwd_kernels::reduce::{GroupedAgg, ACCUMULATOR_BYTES};
-use bwd_kernels::{DeviceArray, ScanOptions, ScanSpec};
+use bwd_kernels::{DeviceArray, ScanSpec};
 use bwd_storage::Column;
 use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, Result};
@@ -371,8 +371,6 @@ pub struct ArShape<'a> {
     /// The fact table.
     table: &'a Table,
     pub(crate) rows: u64,
-    /// Device scan geometry (a full scan's order pass is billed by it).
-    scan: ScanOptions,
     /// Per selection its column and the relaxed interval its kernel scans
     /// by, with the inner one whose granules decide the exact predicate
     /// (`None`: provably empty). Only a selection whose two intervals
@@ -399,12 +397,7 @@ const ROLLUP: &str = "aggregate.rollup";
 impl<'a> ArShape<'a> {
     /// Resolve `plan`'s columns against `db`'s bound (decomposed) tables,
     /// for a run on `env`'s device. It prices nothing.
-    pub fn resolve(
-        db: &'a Database,
-        plan: &'a ArPlan,
-        scan: ScanOptions,
-        env: &Env,
-    ) -> Result<Self> {
+    pub fn resolve(db: &'a Database, plan: &'a ArPlan, env: &Env) -> Result<Self> {
         let table = db.catalog().table(&plan.table)?;
         let rows = table.len() as u64;
         let fk: Option<&FkIndex> = match &plan.fk_join {
@@ -465,7 +458,6 @@ impl<'a> ArShape<'a> {
             plan,
             table,
             rows,
-            scan,
             sels,
             group_cols,
             grouping,
@@ -590,7 +582,7 @@ impl<'a> ArShape<'a> {
     /// Approximate selection `i`.
     pub(crate) fn select(&self, i: usize, c: &Counts, env: &Env, l: &mut CostLedger) {
         if let Some(spec) = self.scan_spec(i, (i > 0).then_some(c.input(i) as usize)) {
-            spec.charge(env, c.steps[i] as usize, &self.scan, l);
+            spec.charge(env, c.steps[i] as usize, false, l);
         }
     }
 
@@ -978,11 +970,11 @@ impl<'a> Shape<'a> {
         mode: &ExecMode,
         env: &Env,
     ) -> Result<Shape<'a>> {
-        let Some(opts) = mode.ar_options() else {
+        if let ExecMode::Classic = mode {
             let has_fk = plan.fk_join.is_some();
             return ClassicShape::resolve(db.catalog(), plan, has_fk).map(Shape::Classic);
-        };
-        ArShape::resolve(db, plan, opts.scan, env).map(Shape::Ar)
+        }
+        ArShape::resolve(db, plan, env).map(Shape::Ar)
     }
 
     /// The tail placement and the transient device bytes that follow from it
@@ -1106,7 +1098,7 @@ mod tests {
                 lo,
                 hi,
             };
-            let (col, one) = (|c: &str| E::col(c), || E::lit(1i64));
+            let (col, one) = (|c: &str| E::col(c), || E::Literal(Value::Int(1)));
             let price = || col("l_extendedprice");
             let disc_price = || price().binary(Mul, one().binary(Sub, col("l_discount")));
             let sum = |e| agg(Sum, Some(e));
@@ -1141,13 +1133,14 @@ mod tests {
                     prefix: "PROMO".into(),
                 }),
                 then: Box::new(disc_price()),
-                otherwise: Box::new(E::lit(0i64)),
+                otherwise: Box::new(E::Literal(Value::Int(0))),
             };
             let q14 = (scan().fk_join("l_partkey", "part"))
                 .filter(cmp("l_shipdate", Ge, date(1995, 9, 1)))
                 .filter(cmp("l_shipdate", Lt, date(1995, 10, 1)))
                 .aggregate(vec![], vec![sum(promo), sum(disc_price())]);
-            let ((lon_lo, lon_hi), (lat_lo, lat_hi)) = bwd_data::spatial::table1_query_box();
+            // The paper's Table I box, as payloads.
+            let ((lon_lo, lon_hi), (lat_lo, lat_hi)) = ((268_288, 270_228), (5_042_220, 5_044_850));
             let degrees = |c: &str, lo, hi| range(c, Value::decimal(lo, 5), Value::decimal(hi, 5));
             let boxed = |east| {
                 (LogicalPlan::scan("trips").filter(degrees("lon", lon_lo + east, lon_hi + east)))
@@ -1200,7 +1193,7 @@ mod tests {
             || E::col("k3"),
             || E::col("k4"),
         );
-        let one = || E::lit(1i64);
+        let one = || E::Literal(Value::Int(1));
         let disc_price = || price().binary(Mul, one().binary(Sub, disc()));
         let charge = || disc_price().binary(Mul, one().binary(Add, tax()));
         vec![
@@ -1311,7 +1304,7 @@ mod tests {
     }
 
     fn shape_of<'a>(db: &'a Database, plan: &'a ArPlan) -> ArShape<'a> {
-        ArShape::resolve(db, plan, ScanOptions::default(), db.env()).unwrap()
+        ArShape::resolve(db, plan, db.env()).unwrap()
     }
 
     fn events(shape: &ArShape<'_>, c: &Counts) -> Vec<CostEvent> {
@@ -1530,7 +1523,7 @@ mod tests {
             let keys: Vec<String> = (widths.iter().filter(|&&b| b > 0))
                 .map(|b| format!("k{b}"))
                 .collect();
-            let sum = |j| agg(AggFunc::Sum, Some(E::col("v").binary(BinOp::Add, E::lit(j))));
+            let sum = |j| agg(AggFunc::Sum, Some(E::col("v").binary(BinOp::Add, E::Literal(Value::Int(j)))));
             let plan = LogicalPlan::scan("t")
                 .filter(between("d", 100, 12_345))
                 .aggregate(keys.clone(), (1..=accs as i64).map(sum).collect());
@@ -1735,7 +1728,7 @@ mod tests {
             // What the device held beyond what a host refinement holds: a
             // shape's own `place` prices one, its break-evens unset (only
             // `Shape::transient` fills them).
-            let shape = ArShape::resolve(db, &chosen, ScanOptions::default(), &env).unwrap();
+            let shape = ArShape::resolve(db, &chosen, &env).unwrap();
             let list = shape.list_bytes(&counts);
             let refining = held - shape.place.bytes(&counts);
             (
@@ -1861,7 +1854,7 @@ mod tests {
                 &["l_quantity", "l_discount", "l_tax"],
             ] {
                 let plan = folded(db, q1, fold);
-                let ar = ArShape::resolve(db, &plan, ScanOptions::default(), &env).unwrap();
+                let ar = ArShape::resolve(db, &plan, &env).unwrap();
                 let table = ar.tail.fold_trace().accs * ACCUMULATOR_BYTES;
                 let mut c = Counts::all_rows(ar.rows, 1);
                 let at = |c: &mut Counts, groups: u64, result_groups: u64| {

@@ -166,7 +166,7 @@ pub(super) mod tests {
     use crate::tail::SLICE_ROWS;
     use bwd_core::plan::{AggFunc, BinOp, LogicalPlan, RewriteOptions, ScalarExpr as E};
     use bwd_device::CostLedger;
-    use bwd_types::SplitMix64;
+    use bwd_types::{SplitMix64, Value};
 
     /// The rows of `plan`, run as it stands in `mode`'s pipe on [`db`]
     /// over `morsels` workers and tail slices of `slice` rows.
@@ -291,7 +291,8 @@ pub(super) mod tests {
                 };
                 scan = scan.filter(between(column, lo, hi));
             }
-            let discounted = E::col("v").binary(Mul, E::lit(1i64).binary(Sub, E::col("k3")));
+            let discounted =
+                E::col("v").binary(Mul, E::Literal(Value::Int(1)).binary(Sub, E::col("k3")));
             let (groups, aggs) = match case % 4 {
                 0 => (vec!["g".into()], vec![sum("v"), agg(Count, None)]),
                 1 => (vec![], vec![sum("w")]),
@@ -370,7 +371,7 @@ pub(super) mod tests {
         let env = db.env();
         let rng = &mut SplitMix64::new(28);
         let col = |c: &str| E::col(c);
-        let one = || E::lit(1i64);
+        let one = || E::Literal(Value::Int(1));
         let t = || {
             LogicalPlan::scan("t")
                 .fk_join("fk", "dim")
@@ -416,7 +417,7 @@ pub(super) mod tests {
         let case = E::Case {
             when,
             then: Box::new(col("v")),
-            otherwise: Box::new(E::lit(0i64)),
+            otherwise: Box::new(E::Literal(Value::Int(0))),
         };
         let times_one_minus_k1 =
             |m: &str| agg(Sum, Some(col(m).binary(Mul, one().binary(Sub, col("k1")))));
@@ -435,7 +436,10 @@ pub(super) mod tests {
             ),
             (
                 "g",
-                vec![fold(), agg(Sum, Some(col("v").binary(Div, E::lit(2i64))))],
+                vec![
+                    fold(),
+                    agg(Sum, Some(col("v").binary(Div, E::Literal(Value::Int(2))))),
+                ],
                 false,
             ),
             ("g", vec![fold(), agg(Sum, Some(case))], false),
@@ -579,11 +583,14 @@ pub(super) mod tests {
         use {AggFunc::*, BinOp::*};
         let db = crate::bill::tests::db();
         let (v, k3) = (|| E::col("v"), || E::col("k3"));
-        let discounted = agg(Sum, Some(v().binary(Mul, E::lit(1i64).binary(Sub, k3()))));
+        let discounted = agg(
+            Sum,
+            Some(v().binary(Mul, E::Literal(Value::Int(1)).binary(Sub, k3()))),
+        );
         let case = E::Case {
             when: Box::new(between("k3", 0, 3)),
             then: Box::new(v()),
-            otherwise: Box::new(E::lit(0i64)),
+            otherwise: Box::new(E::Literal(Value::Int(0))),
         };
         for decline in [
             agg(Min, Some(v())),

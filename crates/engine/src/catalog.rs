@@ -86,16 +86,6 @@ impl Table {
     pub fn has_column(&self, name: &str) -> bool {
         self.index.contains_key(name)
     }
-
-    /// All columns in declaration order.
-    pub fn columns(&self) -> &[(String, Column)] {
-        &self.columns
-    }
-
-    /// Total modeled plain data volume in bytes.
-    pub fn plain_bytes(&self) -> u64 {
-        self.columns.iter().map(|(_, c)| c.plain_bytes()).sum()
-    }
 }
 
 /// Cells an [`Occupancy`] may cover: its bitmap is at most 8 KiB.
@@ -310,7 +300,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(t.column("a").is_ok());
         assert!(t.column("z").is_err());
-        assert_eq!(t.plain_bytes(), 24);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::tail::{SliceSource, SLICE_ROWS};
 use bwd_core::plan::{ArPlan, BoundSelection};
 use bwd_core::RangePred;
 use bwd_device::{CostLedger, Env};
-use bwd_kernels::{Cursor, Positions, ScanOptions, SelMask};
+use bwd_kernels::{Cursor, Positions, SelMask};
 use bwd_obs::{pack_chain_order, EventKind, GroupAggTables};
 use bwd_storage::encoding::{decode, encoded_bounds};
 use bwd_storage::{BitPackedVec, Column, DECODE_BLOCK};
@@ -189,11 +189,7 @@ fn selection_mask(
         }
     }
     // Set bits are walked in ascending row order: the serial scan's.
-    let ascending = ScanOptions {
-        preserve_order: true,
-        ..ScanOptions::default()
-    };
-    Ok((SelMask::from_words(words, n, &ascending), totals))
+    Ok((SelMask::from_words(words, n, true), totals))
 }
 
 /// One selection over the mask words from `first_word` on, testing row

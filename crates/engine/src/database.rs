@@ -593,7 +593,6 @@ mod tests {
                 &ar,
                 ExecMode::ApproxRefineWith(ArExecOptions {
                     approximate_answer: true,
-                    ..Default::default()
                 }),
             )
             .unwrap();
@@ -605,7 +604,8 @@ mod tests {
 
     #[test]
     fn multi_device_pool_replicates_persistent_data() {
-        let mut db = Database::with_env(Env::multi_gpu(2));
+        let mut db =
+            Database::with_env(Env::with_devices(vec![bwd_device::DeviceSpec::gtx680(); 2]));
         db.create_table(
             "r",
             vec![("a".into(), Column::from_i32((0..10_000).collect()))],
@@ -932,12 +932,16 @@ mod tests {
                 lo: Value::Int(lo),
                 hi: Value::Int(hi),
             };
-            let net =
-                || E::col("v").binary(BinOp::Mul, E::lit(10i64).binary(BinOp::Sub, E::col("w")));
+            let net = || {
+                E::col("v").binary(
+                    BinOp::Mul,
+                    E::Literal(Value::Int(10)).binary(BinOp::Sub, E::col("w")),
+                )
+            };
             let promo = E::Case {
                 when: Box::new(between("d.p", 2, 4)),
                 then: Box::new(net()),
-                otherwise: Box::new(E::lit(0i64)),
+                otherwise: Box::new(E::Literal(Value::Int(0))),
             };
             let sum = |alias: &str, arg| AggExpr {
                 func: AggFunc::Sum,

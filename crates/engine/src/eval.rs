@@ -354,7 +354,7 @@ mod tests {
         let b = block();
         let e = E::col("price").binary(
             BinOp::Mul,
-            E::lit(1i64).binary(BinOp::Sub, E::col("discount")),
+            E::Literal(Value::Int(1)).binary(BinOp::Sub, E::col("discount")),
         );
         // (1 - 0.05) = 0.95 at scale 2 -> 95; 100.00 * 0.95 = 9500.00 scale 4.
         assert_eq!(eval(&e, &b, 0).unwrap(), (10_000 * 95, 4));
@@ -381,7 +381,7 @@ mod tests {
                 prefix: "PROMO".into(),
             }),
             then: Box::new(E::col("v")),
-            otherwise: Box::new(E::lit(0i64)),
+            otherwise: Box::new(E::Literal(Value::Int(0))),
         };
         let got: Vec<i128> = (0..4).map(|i| eval(&e, &b, i).unwrap().0).collect();
         assert_eq!(got, vec![0, 200, 300, 0]);
@@ -390,10 +390,10 @@ mod tests {
     #[test]
     fn division_and_errors() {
         let b = block();
-        let e = E::col("price").binary(BinOp::Div, E::lit(Value::decimal(200, 2)));
+        let e = E::col("price").binary(BinOp::Div, E::Literal(Value::decimal(200, 2)));
         // 100.00 / 2.00 = 50.00 at scale 2.
         assert_eq!(eval(&e, &b, 0).unwrap(), (5_000, 2));
-        let zero = E::col("price").binary(BinOp::Div, E::lit(0i64));
+        let zero = E::col("price").binary(BinOp::Div, E::Literal(Value::Int(0)));
         assert!(eval(&zero, &b, 0).is_err());
         // Unknown column fails at bind time.
         assert!(Exprs::default().bind(&E::col("nope"), &b).is_err());

@@ -24,7 +24,7 @@ pub(crate) mod morsel;
 pub mod result;
 pub mod tail;
 
-pub use arexec::{run_ar_in, ArExecOptions, CandidateRep, BITMAP_MIN_SELECTIVITY};
+pub use arexec::{ArExecOptions, BITMAP_MIN_SELECTIVITY};
 pub use bill::{Counts, RefineCounts, Shape, Transient};
 pub use catalog::{Catalog, FkDecl, Occupancy, Table};
 pub use database::{Database, DecompositionReport, ExecMode};

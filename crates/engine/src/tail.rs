@@ -888,7 +888,7 @@ pub(crate) mod tests {
     /// wherever `w >= 3`, bit 1 only in a `CASE` branch it never takes.
     fn aggs(mask: usize) -> Vec<AggExpr> {
         use {AggFunc::*, BinOp::*};
-        let (v, w, one) = (|| E::col("v"), || E::col("w"), || E::lit(1i64));
+        let (v, w, one) = (|| E::col("v"), || E::col("w"), || E::Literal(Value::Int(1)));
         let div = |by: &str| v().binary(Div, E::col(by));
         let net = || v().binary(Mul, one().binary(Sub, w()));
         let case = |column: &str, lo: i64, hi: i64, then: E, otherwise: E| {
@@ -911,8 +911,8 @@ pub(crate) mod tests {
             (Sum, Some(net())),
             (Sum, Some(net().binary(Mul, one().binary(Add, w())))),
             (Sum, Some(div("nz"))),
-            (Sum, Some(case("w", 3, 5, v(), E::lit(0i64)))),
-            (Sum, Some(case("d.c", 2, 4, v(), E::lit(0i64)))),
+            (Sum, Some(case("w", 3, 5, v(), E::Literal(Value::Int(0))))),
+            (Sum, Some(case("d.c", 2, 4, v(), E::Literal(Value::Int(0))))),
         ];
         let picked = all
             .into_iter()
@@ -945,7 +945,7 @@ pub(crate) mod tests {
         let fetch = |name: &str, oid: usize| {
             let (col, is_dim) = column(name);
             col.payload(if is_dim {
-                fk.as_ref().unwrap().dim_row(oid as u32) as usize
+                fk.as_ref().unwrap().device().get(oid) as usize
             } else {
                 oid
             })
@@ -1083,8 +1083,11 @@ pub(crate) mod tests {
         let spec = GroupedAgg::slotted(&gtx, N, plan.aggs.len(), slots as u64, 4);
         assert_eq!((spec.replicas, spec.blocks), (32, 4));
         let mut private: Vec<Vec<(u32, i64, i64)>> = vec![Vec::new(); 32 * 4];
+        // Row `i` folds into its thread block's (of 2^16 rows) replica
+        // for its lane.
+        let table_of = |i: u64| i / (1 << 16) * spec.replicas + i % spec.replicas;
         for (i, row) in rows.iter().enumerate() {
-            private[spec.table_of(i as u64) as usize].push(*row);
+            private[table_of(i as u64) as usize].push(*row);
         }
         let mut tables: Vec<Sink<'_>> = (private.iter())
             .map(|rows| {
@@ -1129,8 +1132,8 @@ pub(crate) mod tests {
         /// warp of 512-slot tables), one carrying a hash pre-grouping's ids
         /// (no shared memory at all) and whichever of the two the GTX 680's
         /// 48 KiB pick return the rows of the row-at-a-time oracle and of
-        /// the classic pipe, at every worker count, slice size and
-        /// candidate representation, with refinement dropping candidates.
+        /// the classic pipe, at every worker count and slice size, with
+        /// refinement dropping candidates.
         #[test]
         fn slots_group_like_carried_ids_and_the_oracle(
             seed: u64,
@@ -1138,9 +1141,7 @@ pub(crate) mod tests {
             n_cols in 1usize..=3,
             mi in 0usize..4,
             li in 0usize..3,
-            ri in 0usize..3,
         ) {
-            use crate::CandidateRep::*;
             use bwd_device::DeviceSpec;
             const N: usize = 3000;
             let mut rng = bwd_types::SplitMix64::new(seed);
@@ -1203,10 +1204,7 @@ pub(crate) mod tests {
             let (want, kept) = oracle(&db, &plan).unwrap();
             assert_eq!(kept as i64, survivors);
             let (morsels, slice_rows) = ([1, 2, 3, 8][mi], [1, 7, S][li]);
-            let opts = ArExecOptions {
-                candidates: [Auto, Indices, Bitmap][ri],
-                ..Default::default()
-            };
+            let opts = ArExecOptions::default();
             let classic =
                 run_classic_sliced(db.catalog(), &plan, None, db.env(), morsels, slice_rows, &mut Default::default());
             assert_eq!(classic.unwrap().rows, want);
@@ -1217,7 +1215,7 @@ pub(crate) mod tests {
                 let env = Env::with_device(spec);
                 let mut ledger = bwd_device::CostLedger::with_trace();
                 let run = run_ar_sliced(&db, &plan, &opts, &env, morsels, slice_rows, &mut ledger).unwrap();
-                let tag = format!("{widths:?} keys, {shared_mem_per_block} B shared, {opts:?} {morsels} x {slice_rows}");
+                let tag = format!("{widths:?} keys, {shared_mem_per_block} B shared, {morsels} x {slice_rows}");
                 assert_eq!(run.rows, want, "{tag}");
                 assert_eq!(run.survivors, kept, "{tag}");
                 let hashed = ledger.events().iter().any(|e| e.label == "group.approx.hash-multi");

@@ -53,8 +53,9 @@ fn load_costs_and_reports_equal_the_parents_dump() {
         seed: 1,
     };
     db.create_table("trips", trips.into_columns()).unwrap();
-    db.create_table("lineitem", gen_lineitem(&tpch).into_columns())
-        .unwrap();
+    let lineitem = gen_lineitem(&tpch).into_columns();
+    let names: Vec<String> = lineitem.iter().map(|(name, _)| name.clone()).collect();
+    db.create_table("lineitem", lineitem).unwrap();
     db.create_table("part", gen_part(&tpch).into_columns())
         .unwrap();
 
@@ -71,19 +72,11 @@ fn load_costs_and_reports_equal_the_parents_dump() {
     db.declare_fk("lineitem", "l_partkey", "part", "p_partkey")
         .unwrap();
     let mut dump = ledger_line(&db, "fk lineitem.l_partkey");
-    let lineitem: Vec<String> = db
-        .catalog()
-        .table("lineitem")
-        .unwrap()
-        .columns()
-        .iter()
-        .map(|(name, _)| name.clone())
-        .collect();
     let mut steps = vec![
         ("trips", "lon".to_string(), 24),
         ("trips", "lat".to_string(), 24),
     ];
-    steps.extend(lineitem.into_iter().map(|c| ("lineitem", c, 64)));
+    steps.extend(names.into_iter().map(|c| ("lineitem", c, 64)));
     steps.push(("part", "p_type".to_string(), 64));
     steps.push(("lineitem", "l_shipdate".to_string(), 24));
     for (table, column, device_bits) in steps {

@@ -15,17 +15,12 @@
 use crate::array::DeviceArray;
 use crate::candidates::Candidates;
 use crate::group::{conflicts, WARP};
-use crate::scan::ScanOptions;
+use crate::scan::BLOCK_ROWS;
 use bwd_device::units::element_access_bytes;
 use bwd_device::{CostLedger, DeviceSpec, Env};
 
 /// Bytes of one device accumulator (an `i128` sum or a count, padded).
 pub const ACCUMULATOR_BYTES: u64 = 16;
-
-/// Rows per thread block: the scan kernels' block size.
-fn block_rows() -> u64 {
-    ScanOptions::default().block_size as u64
-}
 
 /// Grouped device aggregation into a table of `slots × accumulators`
 /// accumulators, as `engine/tail.rs` does it on the host: every thread
@@ -81,7 +76,11 @@ impl GroupedAgg {
             groups,
             table_bytes,
             replicas: (device.shared_mem_per_block / table_bytes.max(1)).clamp(1, WARP),
-            blocks: if fits { rows.div_ceil(block_rows()) } else { 0 },
+            blocks: if fits {
+                rows.div_ceil(BLOCK_ROWS as u64)
+            } else {
+                0
+            },
         }
     }
 
@@ -98,15 +97,6 @@ impl GroupedAgg {
         let warp_of_tables =
             slots.checked_mul(accumulators.max(1) as u64 * ACCUMULATOR_BYTES * WARP)?;
         (warp_of_tables <= device.shared_mem_per_block).then_some(slots)
-    }
-
-    /// The private table row `row` of the input folds into: its thread
-    /// block's replica for its lane (the one table past the budget).
-    pub fn table_of(&self, row: u64) -> u64 {
-        match self.blocks {
-            0 => 0,
-            _ => row / block_rows() * self.replicas + row % self.replicas,
-        }
     }
 
     /// Simulated seconds of the accumulator updates: atomics contending
@@ -242,10 +232,6 @@ mod tests {
             8e-6 + (45 * 32 * 288) as f64 / 192.2e9
         );
         assert!(agg.update_seconds(&gtx) * 8.5 < global_update_seconds(&gtx, &agg));
-        // Rows fold into their block's replica for their lane.
-        assert_eq!(agg.table_of(0), 0);
-        assert_eq!(agg.table_of(65_535), 31);
-        assert_eq!(agg.table_of(65_536 + 33), 32 + 1);
     }
 
     /// The placement rule on the GTX 680: Q1's 3 key bits × 6 accumulators
@@ -303,10 +289,7 @@ mod tests {
             );
             assert!(fits.merge_seconds(&gtx) > 0.0);
             let past = GroupedAgg::new(&gtx, rows, accumulators, edge + 1);
-            assert_eq!(
-                (past.replicas, past.blocks, past.table_of(999_999)),
-                (1, 0, 0)
-            );
+            assert_eq!((past.replicas, past.blocks), (1, 0));
             assert_eq!(
                 past.update_seconds(&gtx),
                 global_update_seconds(&gtx, &past)

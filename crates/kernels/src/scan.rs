@@ -101,23 +101,15 @@ fn count_blocks(width: u32, blocks: u64, zero_blocks: u64) {
     }
 }
 
-/// Tuning knobs for the selection kernel.
-#[derive(Debug, Clone, Copy)]
+/// Tuples per simulated thread block of a full scan.
+pub(crate) const BLOCK_ROWS: usize = 1 << 16;
+
+/// How the selection kernel emits its candidates.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ScanOptions {
-    /// Tuples per simulated thread block.
-    pub block_size: usize,
     /// Emit candidates in input order (costs an extra ordering pass on the
     /// device; ablation of the paper's design choice).
     pub preserve_order: bool,
-}
-
-impl Default for ScanOptions {
-    fn default() -> Self {
-        ScanOptions {
-            block_size: 1 << 16,
-            preserve_order: false,
-        }
-    }
 }
 
 /// Iterate block indices in bit-reversed order — the deterministic stand-in
@@ -143,17 +135,16 @@ fn block_order(nblocks: usize) -> impl Iterator<Item = usize> {
 /// contiguous chunks of this sequence to real threads and concatenating
 /// their outputs in chunk order reproduces [`select_range`]'s output
 /// byte for byte.
-pub fn scan_block_ranges(n: usize, opts: &ScanOptions) -> Vec<Range<usize>> {
-    let block = opts.block_size.max(1);
-    let nblocks = n.div_ceil(block);
-    if nblocks <= 1 || opts.preserve_order {
+pub fn scan_block_ranges(n: usize, preserve_order: bool) -> Vec<Range<usize>> {
+    let nblocks = n.div_ceil(BLOCK_ROWS);
+    if nblocks <= 1 || preserve_order {
         #[allow(clippy::single_range_in_vec_init)] // one range, not a collected sequence
         return vec![0..n];
     }
     block_order(nblocks)
         .map(|b| {
-            let start = b * block;
-            start..(start + block).min(n)
+            let start = b * BLOCK_ROWS;
+            start..(start + BLOCK_ROWS).min(n)
         })
         .collect()
 }
@@ -460,7 +451,7 @@ impl<'a> ScanSpec<'a> {
     }
 
     /// Charge the simulated cost of this selection having produced `n_out`
-    /// candidates (`opts` is the full scan's block geometry; chained steps
+    /// candidates (`preserve_order` is the full scan's emission order; chained steps
     /// ignore it). Morsel-parallel callers run the partitions themselves
     /// and charge the merged total here once — exactly what the serial
     /// kernel charges, identically for bitmap and index output.
@@ -475,7 +466,7 @@ impl<'a> ScanSpec<'a> {
     ///   compacted output write;
     /// * chained through a link: a scattered link element and a scattered
     ///   dimension element per input candidate.
-    pub fn charge(&self, env: &Env, n_out: usize, opts: &ScanOptions, ledger: &mut CostLedger) {
+    pub fn charge(&self, env: &Env, n_out: usize, preserve_order: bool, ledger: &mut CostLedger) {
         let arr = self.arr;
         // The compacted pairs, plus one decided bit each when any match
         // can stay undecided.
@@ -489,7 +480,7 @@ impl<'a> ScanSpec<'a> {
                 let n = arr.len();
                 let bytes = arr.packed_bytes() + out_bytes;
                 env.charge_kernel("select.approx.scan", bytes, n as u64, ledger);
-                if opts.preserve_order && n.div_ceil(opts.block_size.max(1)) > 1 {
+                if preserve_order && n > BLOCK_ROWS {
                     env.charge_kernel("select.approx.order", 2 * out_bytes, n_out as u64, ledger);
                 }
             }
@@ -572,10 +563,10 @@ pub fn select_range(
 ) -> Candidates {
     let spec = ScanSpec::new(arr, None, lo, hi, None);
     let (mut oids, mut approx) = (Vec::new(), Vec::new());
-    for r in scan_block_ranges(arr.len(), opts) {
+    for r in scan_block_ranges(arr.len(), opts.preserve_order) {
         spec.emit(ScanRows::Span(r), &mut oids, &mut approx);
     }
-    spec.charge(env, oids.len(), opts, ledger);
+    spec.charge(env, oids.len(), opts.preserve_order, ledger);
     Candidates::from_pairs(oids, approx)
 }
 
@@ -630,18 +621,18 @@ mod tests {
         spec: &ScanSpec<'_>,
         input: Option<(&Candidates, &SelMask)>,
         rows: usize,
-        opts: &ScanOptions,
+        preserve_order: bool,
         cut: usize,
     ) -> ((Candidates, CostLedger), (SelMask, CostLedger)) {
         let (mut oids, mut approx) = (Vec::new(), Vec::new());
         match input {
-            None => scan_block_ranges(rows, opts)
+            None => scan_block_ranges(rows, preserve_order)
                 .into_iter()
                 .for_each(|r| spec.emit(ScanRows::Span(r), &mut oids, &mut approx)),
             Some((c, _)) => spec.emit(ScanRows::Oids(&c.oids), &mut oids, &mut approx),
         }
         let mut l_idx = CostLedger::with_trace();
-        spec.charge(env, oids.len(), opts, &mut l_idx);
+        spec.charge(env, oids.len(), preserve_order, &mut l_idx);
 
         let mut words = vec![u64::MAX; rows.div_ceil(64)];
         let cut = cut.min(words.len());
@@ -651,10 +642,10 @@ mod tests {
         spec.fill_mask(in_words.map(|w| &w[cut..]), cut, tail);
         let mask = match input {
             Some((_, m)) => m.like(words),
-            None => SelMask::from_words(words, rows, opts),
+            None => SelMask::from_words(words, rows, preserve_order),
         };
         let mut l_mask = CostLedger::with_trace();
-        spec.charge(env, mask.count(), opts, &mut l_mask);
+        spec.charge(env, mask.count(), preserve_order, &mut l_mask);
         (
             (Candidates::from_pairs(oids, approx), l_idx),
             (mask, l_mask),
@@ -665,8 +656,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// Every axis of the kernel against the `get()` oracle: width
-        /// 1..=32 (both dispatch arms), unaligned lengths and thread-block
-        /// spans, source direct or through a link, input all rows or an
+        /// 1..=32 (both dispatch arms), unaligned lengths inside one
+        /// thread block and across two or three, source direct or through a link, input all rows or an
         /// earlier step's survivors (as oids and as a mask), output
         /// indices or bitmap. For each step: rows equal the oracle's, the
         /// bitmap converted through the block-emission order equals the
@@ -679,9 +670,9 @@ mod tests {
         fn prop_scan_spec_matches_oracle_and_selection_laws(
             width in 1u32..=32,
             rows in 0usize..700,
+            blocks in 0usize..12,
             linked in any::<bool>(),
             seed in any::<u64>(),
-            block_size in 1usize..300,
             preserve_order in any::<bool>(),
             cut in 0usize..12,
             bounds in proptest::collection::vec(0u64..=1100, 4..5),
@@ -689,14 +680,15 @@ mod tests {
         ) {
             let env = Env::paper_default();
             let mut rng = SplitMix64::new(seed);
-            let opts = ScanOptions { block_size, preserve_order };
+            // One case in six spans two or three thread blocks.
+            let rows = if blocks < 2 { rows + (blocks + 1) * BLOCK_ROWS } else { rows };
             // p tests column `a` (through a 0..dim_rows link when linked),
             // q tests the direct 9-bit fact column `b`.
             let dim_rows = if linked { 1 + (rng.next_u64() % 90) as usize } else { rows };
             let a_vals: Vec<u64> = (0..dim_rows).map(|_| rng.next_u64() & low_mask(width)).collect();
             let a = device_array(&env, width, &a_vals);
             let link_vals: Vec<u64> = (0..rows).map(|_| rng.next_u64() % dim_rows as u64).collect();
-            let link_arr = device_array(&env, 10, &link_vals);
+            let link_arr = device_array(&env, 18, &link_vals);
             let link = linked.then_some(&link_arr);
             let b_vals: Vec<u64> = (0..rows).map(|_| rng.next_u64() & 511).collect();
             let b = device_array(&env, 9, &b_vals);
@@ -704,7 +696,7 @@ mod tests {
             let bound = |frac: u64, w: u32| ((low_mask(w) as u128 + 1) * frac as u128 / 1000) as u64;
             let p = (bound(bounds[0], width), bound(bounds[0], width).saturating_add(bound(bounds[1], width)));
             let q = (bound(bounds[2], 9), bound(bounds[2], 9).saturating_add(bound(bounds[3], 9)));
-            let emission = || scan_block_ranges(rows, &opts).into_iter().flatten();
+            let emission = || scan_block_ranges(rows, preserve_order).into_iter().flatten();
 
             // The inner interval: the outer one trimmed per `trim`.
             let inner_of = |(lo, hi): (u64, u64)| match trim {
@@ -714,7 +706,7 @@ mod tests {
             let check = |spec: &ScanSpec<'_>, arr: &DeviceArray, via: Option<&DeviceArray>,
                          pred: (u64, u64), input: Option<(&Candidates, &SelMask)>| {
                 let ((cands, l_idx), (mask, l_mask)) =
-                    both_outputs(&env, spec, input, rows, &opts, cut);
+                    both_outputs(&env, spec, input, rows, preserve_order, cut);
                 let expect = match input {
                     None => oracle(arr, via, pred, emission()),
                     Some((c, _)) => oracle(arr, via, pred, c.oids.iter().map(|&o| o as usize)),
@@ -789,11 +781,7 @@ mod tests {
         let vals: Vec<u64> = (0..300_000u64).map(|i| i % 2).collect();
         let arr = device_array(&env, 1, &vals);
         let mut ledger = CostLedger::new();
-        let opts = ScanOptions {
-            block_size: 1 << 12,
-            preserve_order: false,
-        };
-        let c = select_range(&env, &arr, 1, 1, &opts, &mut ledger);
+        let c = select_range(&env, &arr, 1, 1, &ScanOptions::default(), &mut ledger);
         assert_eq!(c.len(), 150_000);
         assert!(!c.sorted, "multi-block scan must not be order-preserving");
         // Complete: all odd oids present exactly once.
@@ -809,46 +797,26 @@ mod tests {
         let vals: Vec<u64> = (0..100_000u64).map(|i| i % 3).collect();
         let arr = device_array(&env, 2, &vals);
         let opts = ScanOptions {
-            block_size: 1 << 10,
             preserve_order: true,
         };
         let mut l_ord = CostLedger::new();
         let c = select_range(&env, &arr, 0, 0, &opts, &mut l_ord);
         assert!(c.sorted);
         let mut l_scram = CostLedger::new();
-        let _ = select_range(
-            &env,
-            &arr,
-            0,
-            0,
-            &ScanOptions {
-                block_size: 1 << 10,
-                preserve_order: false,
-            },
-            &mut l_scram,
-        );
+        let _ = select_range(&env, &arr, 0, 0, &ScanOptions::default(), &mut l_scram);
         assert!(l_ord.breakdown().device > l_scram.breakdown().device);
     }
 
     #[test]
     fn chained_selection_preserves_candidate_order() {
         let env = Env::paper_default();
-        let a_vals: Vec<u64> = (0..50_000u64).map(|i| i % 100).collect();
-        let b_vals: Vec<u64> = (0..50_000u64).map(|i| (i / 7) % 50).collect();
+        let a_vals: Vec<u64> = (0..150_000u64).map(|i| i % 100).collect();
+        let b_vals: Vec<u64> = (0..150_000u64).map(|i| (i / 7) % 50).collect();
         let a = device_array(&env, 7, &a_vals);
         let b = device_array(&env, 6, &b_vals);
         let mut ledger = CostLedger::new();
-        let c1 = select_range(
-            &env,
-            &a,
-            10,
-            30,
-            &ScanOptions {
-                block_size: 1 << 10,
-                preserve_order: false,
-            },
-            &mut ledger,
-        );
+        let c1 = select_range(&env, &a, 10, 30, &ScanOptions::default(), &mut ledger);
+        assert!(!c1.sorted, "three thread blocks scramble the list");
         // Chain a second selection onto c1's survivors.
         let (mut oids, mut approx) = (Vec::new(), Vec::new());
         ScanSpec::new(&b, None, 5, 25, Some(c1.len())).emit(
@@ -886,16 +854,12 @@ mod tests {
     #[test]
     fn charge_bills_each_source_and_input_its_own_formula() {
         let env = Env::paper_default();
-        let fact = device_array(&env, 10, &vec![7; 1000]);
+        let fact = device_array(&env, 10, &vec![7; BLOCK_ROWS + 1]);
         let dim = device_array(&env, 10, &[7; 50]);
         let link = device_array(&env, 7, &vec![3; 1000]);
-        let ordered = ScanOptions {
-            block_size: 256,
-            preserve_order: true,
-        };
         let billed = |spec: ScanSpec<'_>| {
             let mut ledger = CostLedger::with_trace();
-            spec.charge(&env, 100, &ordered, &mut ledger);
+            spec.charge(&env, 100, true, &mut ledger);
             let events: Vec<(String, u64)> = ledger
                 .events()
                 .iter()

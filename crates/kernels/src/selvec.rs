@@ -23,11 +23,10 @@
 //!
 //! A bitmap is positional, but the simulated parallel selection emits
 //! candidates in bit-reversed block order (§IV-A item 3). A [`SelMask`]
-//! therefore remembers the scan geometry that produced it
-//! ([`ScanOptions`] block size and ordering flag); its cursor walks the
-//! same [`scan_block_ranges`] sequence and emits set bits block by block
-//! via `trailing_zeros`, reproducing the index path's permutation byte
-//! for byte — same oids, same order. Chained refinements AND masks
+//! therefore remembers whether the scan that produced it preserved
+//! order; its cursor walks the same [`scan_block_ranges`] sequence and
+//! emits set bits block by block via `trailing_zeros`, reproducing the
+//! index path's permutation byte for byte — same oids, same order. Chained refinements AND masks
 //! positionally, which preserves exactly the subsequence the chained
 //! index filter would keep.
 //!
@@ -37,41 +36,40 @@
 //! bit-identical whichever representation the executor picks.
 
 use crate::candidates::Candidates;
-use crate::scan::{scan_block_ranges, ScanOptions};
+use crate::scan::scan_block_ranges;
 use bwd_types::{bits::low_mask, Oid};
 use std::ops::Range;
 
 /// A positional match bitmap over a scan's input rows, plus the scan
-/// geometry needed to convert it into the equivalent block-scrambled
+/// order needed to convert it into the equivalent block-scrambled
 /// candidate list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelMask {
     words: Vec<u64>,
     rows: usize,
     count: usize,
-    block_size: usize,
     preserve_order: bool,
 }
 
 impl SelMask {
     /// Wrap filled mask words (bit `r % 64` of `words[r / 64]` = row `r`
-    /// matched) over `rows` input rows scanned with `opts`' geometry.
+    /// matched) over `rows` input rows, scanned in input order when
+    /// `preserve_order`, else in the block-scrambled order.
     ///
     /// # Panics
     /// Panics if the word count doesn't cover `rows` exactly.
-    pub fn from_words(words: Vec<u64>, rows: usize, opts: &ScanOptions) -> Self {
+    pub fn from_words(words: Vec<u64>, rows: usize, preserve_order: bool) -> Self {
         assert_eq!(words.len(), rows.div_ceil(64), "mask word count");
         let count = bwd_storage::mask_count(&words);
         SelMask {
             words,
             rows,
             count,
-            block_size: opts.block_size,
-            preserve_order: opts.preserve_order,
+            preserve_order,
         }
     }
 
-    /// An output mask with the same geometry as `self` (chained
+    /// An output mask with the same scan order as `self` (chained
     /// refinements keep the original scan's emission metadata).
     pub fn like(&self, words: Vec<u64>) -> Self {
         assert_eq!(words.len(), self.words.len(), "mask word count");
@@ -80,15 +78,8 @@ impl SelMask {
             words,
             rows: self.rows,
             count,
-            block_size: self.block_size,
             preserve_order: self.preserve_order,
         }
-    }
-
-    /// Rows the mask covers (the scanned relation's length).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 
     /// Matching rows (the candidate count — what admission accounting
@@ -105,12 +96,10 @@ impl SelMask {
         &self.words
     }
 
-    /// The scan geometry this mask was produced under.
-    pub fn scan_options(&self) -> ScanOptions {
-        ScanOptions {
-            block_size: self.block_size,
-            preserve_order: self.preserve_order,
-        }
+    /// The simulated thread blocks of the scan that produced the mask, in
+    /// its emission order.
+    fn blocks(&self) -> Vec<Range<usize>> {
+        scan_block_ranges(self.rows, self.preserve_order)
     }
 }
 
@@ -211,7 +200,7 @@ impl<'a> Positions<'a> {
                 let (full, rest) = (m.count / 64, (m.count % 64) as u32);
                 let prefix = m.words[..full].iter().all(|&w| w == u64::MAX)
                     && (rest == 0 || m.words[full] == low_mask(rest));
-                let blocks = scan_block_ranges(m.rows, &m.scan_options());
+                let blocks = m.blocks();
                 let reached = blocks.iter().map(|r| r.start).filter(|&s| s < m.count);
                 prefix && reached.is_sorted()
             }
@@ -240,7 +229,7 @@ impl<'a> Positions<'a> {
                 // concatenation; last to first, so the next one pops.
                 let mut todo = Vec::new();
                 let mut at = 0;
-                for r in scan_block_ranges(mask.rows, &mask.scan_options()) {
+                for r in mask.blocks() {
                     let (lo, hi) = (span.start.max(at), span.end.min(at + r.len()));
                     if lo < hi {
                         todo.push(r.start + (lo - at)..r.start + (hi - at));
@@ -325,7 +314,7 @@ impl Cursor<'_> {
 mod tests {
     use super::*;
     use crate::array::DeviceArray;
-    use crate::scan::{select_range, ScanRows, ScanSpec};
+    use crate::scan::{select_range, ScanOptions, ScanRows, ScanSpec, BLOCK_ROWS};
     use bwd_device::{CostLedger, Env};
     use bwd_storage::BitPackedVec;
 
@@ -387,12 +376,12 @@ mod tests {
 
         /// Rebuild a mask from a candidate list over the same scan
         /// geometry (the inverse of [`SelMask::to_candidates`]).
-        fn from_candidates(c: &Candidates, rows: usize, opts: &ScanOptions) -> Self {
+        fn from_candidates(c: &Candidates, rows: usize, preserve_order: bool) -> Self {
             let mut words = vec![0u64; rows.div_ceil(64)];
             for &oid in &c.oids {
                 words[oid as usize / 64] |= 1u64 << (oid as usize % 64);
             }
-            Self::from_words(words, rows, opts)
+            Self::from_words(words, rows, preserve_order)
         }
 
         /// The candidate oids this mask represents, in the scan's emission
@@ -400,7 +389,7 @@ mod tests {
         /// against.
         fn oids(&self) -> Vec<Oid> {
             let mut out = Vec::with_capacity(self.count);
-            for r in scan_block_ranges(self.rows, &self.scan_options()) {
+            for r in self.blocks() {
                 let mut s = r.start;
                 while s < r.end {
                     let seg_start = (s / 64) * 64;
@@ -433,9 +422,9 @@ mod tests {
         spec.fill_mask(input.map(SelMask::words), 0, &mut words);
         let mask = match input {
             Some(m) => m.like(words),
-            None => SelMask::from_words(words, arr.len(), opts),
+            None => SelMask::from_words(words, arr.len(), opts.preserve_order),
         };
-        spec.charge(env, mask.count(), opts, ledger);
+        spec.charge(env, mask.count(), opts.preserve_order, ledger);
         mask
     }
 
@@ -458,18 +447,15 @@ mod tests {
         let env = Env::paper_default();
         let vals: Vec<u64> = (0..200_000u64).map(|i| (i * 37) % 1000).collect();
         let arr = device_array(&env, 10, &vals);
-        for block_size in [1usize << 12, 1 << 16, 1000] {
-            let opts = ScanOptions {
-                block_size,
-                preserve_order: false,
-            };
+        for preserve_order in [false, true] {
+            let opts = ScanOptions { preserve_order };
             let mut l_idx = CostLedger::new();
             let mut l_mask = CostLedger::new();
             let c_idx = select_range(&env, &arr, 100, 499, &opts, &mut l_idx);
             let mask = mask_scan(&env, &arr, None, (100, 499), &opts, &mut l_mask);
             assert_eq!(mask.count(), c_idx.len());
             let c_mask = mask.to_candidates(&arr);
-            assert_eq!(c_mask, c_idx, "block_size={block_size}");
+            assert_eq!(c_mask, c_idx, "preserve_order={preserve_order}");
             assert_eq!(mask.oids(), c_idx.oids, "oids-only expansion");
             assert_eq!(
                 l_idx.breakdown(),
@@ -488,16 +474,13 @@ mod tests {
         let b_vals: Vec<u64> = (0..120_000u64).map(|i| (i / 3) % 256).collect();
         let a = device_array(&env, 9, &a_vals);
         let b = device_array(&env, 8, &b_vals);
-        let opts = ScanOptions {
-            block_size: 1 << 12,
-            preserve_order: false,
-        };
+        let opts = ScanOptions::default();
         let mut l_idx = CostLedger::new();
         let c1 = select_range(&env, &a, 40, 400, &opts, &mut l_idx);
         let spec = ScanSpec::new(&b, None, 10, 99, Some(c1.len()));
         let (mut oids, mut approx) = (Vec::new(), Vec::new());
         spec.emit(ScanRows::Oids(&c1.oids), &mut oids, &mut approx);
-        spec.charge(&env, oids.len(), &ScanOptions::default(), &mut l_idx);
+        spec.charge(&env, oids.len(), false, &mut l_idx);
         let c2 = Candidates::from_pairs(oids, approx);
         let mut l_mask = CostLedger::new();
         let m1 = mask_scan(&env, &a, None, (40, 400), &opts, &mut l_mask);
@@ -513,16 +496,13 @@ mod tests {
     #[test]
     fn mask_index_roundtrip_invariants() {
         let env = Env::paper_default();
-        let vals: Vec<u64> = (0..50_000u64).map(|i| (i * 7919) % 4096).collect();
+        let vals: Vec<u64> = (0..150_000u64).map(|i| (i * 7919) % 4096).collect();
         let arr = device_array(&env, 12, &vals);
-        let opts = ScanOptions {
-            block_size: 1 << 12,
-            preserve_order: false,
-        };
+        let opts = ScanOptions::default();
         let mut ledger = CostLedger::new();
         let mask = mask_scan(&env, &arr, None, (1000, 2999), &opts, &mut ledger);
         let cands = mask.to_candidates(&arr);
-        let back = SelMask::from_candidates(&cands, arr.len(), &opts);
+        let back = SelMask::from_candidates(&cands, arr.len(), false);
         assert_eq!(back, mask, "mask -> indices -> mask roundtrip");
         let mut sorted = cands.oids.clone();
         sorted.sort_unstable();
@@ -533,8 +513,8 @@ mod tests {
         assert_eq!(as_bitmap.len(), as_indices.len());
     }
 
-    /// The cursor against the expansion it retires: at every geometry,
-    /// density and window size — and cut into worker spans anywhere — the
+    /// The cursor against the expansion it retires: at lengths inside one
+    /// thread block and across three, at every density and window size — and cut into worker spans anywhere — the
     /// windows hold at most `max` oids and concatenate to the one-shot
     /// oid list, and `dense()` is the expanded list's flag, for the mask
     /// and for the list the kernel would have emitted in its place.
@@ -556,15 +536,11 @@ mod tests {
             got
         };
         let mut dense_masks = 0;
-        for block_size in [64usize, 256, 4096] {
-            let lens = [0, 1, 63, 64, 65, block_size - 1, block_size + 1];
-            for rows in lens.into_iter().chain([3 * block_size + 7]) {
+        {
+            let lens = [0, 1, 63, 64, 65, BLOCK_ROWS - 1, BLOCK_ROWS + 1];
+            for rows in lens.into_iter().chain([2 * BLOCK_ROWS + 7]) {
                 // Densities: none, 1/64, 1/2, a prefix (twice), every row.
                 for (preserve_order, density) in (0..12).map(|i| (i % 2 == 1, i / 2)) {
-                    let opts = ScanOptions {
-                        block_size,
-                        preserve_order,
-                    };
                     let prefix = rng.below(rows as u64 + 1) as usize;
                     let set = |row: usize, rng: &mut bwd_types::SplitMix64| match density {
                         0 => false,
@@ -577,9 +553,9 @@ mod tests {
                     for row in 0..rows {
                         words[row / 64] |= u64::from(set(row, &mut rng)) << (row % 64);
                     }
-                    let mask = SelMask::from_words(words, rows, &opts);
+                    let mask = SelMask::from_words(words, rows, preserve_order);
                     let list = Candidates::from_pairs(mask.oids(), Vec::new());
-                    dense_masks += usize::from(list.dense && list.len() > block_size);
+                    dense_masks += usize::from(list.dense && list.len() > BLOCK_ROWS);
                     for pos in [Positions::Mask(&mask), Positions::List(&list)] {
                         let tag = format!("{pos:?}"); // geometry, words and all
                         assert_eq!((pos.len(), pos.dense()), (list.len(), list.dense), "{tag}");

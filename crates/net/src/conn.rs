@@ -22,7 +22,6 @@ use bwd_core::plan::ArPlan;
 use bwd_sched::{Scheduler, Session, Ticket};
 use bwd_types::BwdError;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Completion signal shared between the reactor and every in-flight
@@ -64,14 +63,11 @@ pub(crate) struct ReactorCtx<'a> {
     pub metrics: &'a NetMetrics,
     pub plans: &'a [ArPlan],
     pub wake: &'a Arc<WakeFlag>,
-    /// Reactor-observed high-water mark of the scheduler queue depth
-    /// (ratcheted after every submission; the soak test's bound).
-    pub peak_queue: &'a AtomicUsize,
 }
 
 /// Probe the scheduler *now*: would the read-pause watermark skip a
 /// socket read?
-pub(crate) fn reads_paused(sched: &Scheduler, cfg: &NetConfig) -> bool {
+fn reads_paused(sched: &Scheduler, cfg: &NetConfig) -> bool {
     sched.queue_len() >= cfg.pause_queued_jobs
 }
 
@@ -378,8 +374,10 @@ impl Conn {
                 ticket.set_waker(move || wake.signal());
                 self.pending.push_back(Pending::Job(ticket));
                 ctx.metrics.queries.inc();
-                ctx.peak_queue
-                    .fetch_max(ctx.sched.queue_len(), Ordering::Relaxed);
+                // The reactor-observed high-water mark of the queue depth.
+                ctx.metrics
+                    .peak_queue_depth
+                    .max(ctx.sched.queue_len() as i64);
             }
             Err(error) => {
                 // Parse/bind failures resolve immediately — still in

@@ -16,14 +16,14 @@
 //! thousand threads.
 
 use crate::config::NetConfig;
-use crate::conn::{reads_paused, Conn, ReactorCtx, WakeFlag};
+use crate::conn::{Conn, ReactorCtx, WakeFlag};
 use crate::transport::{duplex, Duplex, TcpTransport, Transport};
 use bwd_core::plan::ArPlan;
 use bwd_obs::metrics::{Counter, Gauge, Registry};
 use bwd_sched::Scheduler;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -83,16 +83,10 @@ pub struct NetServer {
     plans: Vec<ArPlan>,
     metrics: NetMetrics,
     wake: Arc<WakeFlag>,
-    peak_queue: AtomicUsize,
     scratch: Vec<u8>,
 }
 
 impl NetServer {
-    /// Wrap `sched` with default [`NetConfig`].
-    pub fn new(sched: Scheduler) -> NetServer {
-        NetServer::with_config(sched, NetConfig::default())
-    }
-
     /// Wrap `sched` with explicit configuration.
     pub fn with_config(sched: Scheduler, cfg: NetConfig) -> NetServer {
         let scratch = vec![0u8; cfg.read_chunk.max(1)];
@@ -104,7 +98,6 @@ impl NetServer {
             plans: Vec::new(),
             metrics: NetMetrics::new(),
             wake: Arc::new(WakeFlag::default()),
-            peak_queue: AtomicUsize::new(0),
             scratch,
         }
     }
@@ -190,7 +183,6 @@ impl NetServer {
             metrics: &self.metrics,
             plans: &self.plans,
             wake: &self.wake,
-            peak_queue: &self.peak_queue,
         };
         let mut inflight = 0usize;
         let mut closed_any = false;
@@ -225,9 +217,6 @@ impl NetServer {
         }
         self.metrics.connections.set(self.conns.len() as i64);
         self.metrics.inflight.set(inflight as i64);
-        self.metrics
-            .peak_queue_depth
-            .set(self.peak_queue.load(Ordering::Relaxed) as i64);
         progressed
     }
 
@@ -247,19 +236,6 @@ impl NetServer {
     /// Requests submitted or queued for response across all connections.
     pub fn inflight(&self) -> usize {
         self.conns.iter().map(Conn::inflight).sum()
-    }
-
-    /// High-water mark of the scheduler queue depth as observed by the
-    /// reactor immediately after each submission (the backpressure
-    /// bound the soak test asserts on).
-    pub fn peak_queue_depth(&self) -> usize {
-        self.peak_queue.load(Ordering::Relaxed)
-    }
-
-    /// Whether a socket read issued *now* would be skipped by the
-    /// read-pause watermark.
-    pub fn reads_paused(&self) -> bool {
-        reads_paused(&self.sched, &self.cfg)
     }
 
     /// Prometheus-style rendering of the `bwd_net_*` metrics.

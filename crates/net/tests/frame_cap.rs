@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use bwd_engine::Database;
-use bwd_net::{Frame, NetClient, NetServer, WireMode, DEFAULT_MAX_FRAME_LEN};
+use bwd_net::{Frame, NetClient, NetConfig, NetServer, WireMode, DEFAULT_MAX_FRAME_LEN};
 use bwd_sched::{SchedConfig, Scheduler};
 use bwd_storage::Column;
 use bwd_types::BwdError;
@@ -28,7 +28,7 @@ fn an_over_cap_result_is_a_typed_error_and_the_connection_lives() {
             ..SchedConfig::default()
         },
     );
-    let mut server = NetServer::new(sched);
+    let mut server = NetServer::with_config(sched, NetConfig::default());
     let mut client = NetClient::new(Box::new(server.connect()));
     let handle = server.spawn();
 

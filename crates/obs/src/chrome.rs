@@ -7,7 +7,7 @@
 //! traces captured from different per-query recorders merge onto one
 //! coherent timeline.
 
-use crate::json::{self, JsonValue};
+use crate::json;
 use crate::trace::{QueryTrace, SpanNode};
 
 /// Serialize a batch of `(query label, trace)` pairs into Chrome
@@ -89,50 +89,12 @@ fn push_span(
     }
 }
 
-/// Validate that `text` is well-formed Chrome `trace_event` JSON;
-/// returns the number of trace events.
-pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    let doc = json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .ok_or("missing traceEvents")?
-        .as_arr()
-        .ok_or("traceEvents is not an array")?;
-    for (i, e) in events.iter().enumerate() {
-        let name = e
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or(format!("event {i}: missing name"))?;
-        let ph = e
-            .get("ph")
-            .and_then(JsonValue::as_str)
-            .ok_or(format!("event {i} ({name}): missing ph"))?;
-        if !matches!(ph, "X" | "i" | "M" | "B" | "E") {
-            return Err(format!("event {i} ({name}): unknown phase {ph:?}"));
-        }
-        for field in ["ts", "pid", "tid"] {
-            e.get(field)
-                .and_then(JsonValue::as_num)
-                .ok_or(format!("event {i} ({name}): missing numeric {field}"))?;
-        }
-        if ph == "X" {
-            let dur = e
-                .get("dur")
-                .and_then(JsonValue::as_num)
-                .ok_or(format!("event {i} ({name}): X event missing dur"))?;
-            if dur < 0.0 {
-                return Err(format!("event {i} ({name}): negative dur"));
-            }
-        }
-    }
-    Ok(events.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::Clock;
     use crate::event::{EventKind, NO_SPAN};
+    use crate::json::JsonValue;
     use crate::recorder::Recorder;
 
     fn traced(label: &str, base_ns: u64) -> (String, QueryTrace) {
@@ -150,28 +112,20 @@ mod tests {
     }
 
     #[test]
-    fn export_validates_and_merges_lanes() {
+    fn export_counts_its_events_and_merges_lanes() {
         let traces = vec![traced("q0", 0), traced("q1", 20_000)];
         let text = chrome_trace(&traces);
-        let n = validate_chrome_trace(&text).expect("valid trace json");
+        let doc = json::parse(&text).expect("trace json");
+        let n = doc
+            .get("traceEvents")
+            .and_then(JsonValue::as_arr)
+            .unwrap()
+            .len();
         // 1 thread-name metadata + per trace: query X, exec X, resolve i.
         assert_eq!(n, 1 + 2 * 3);
         assert!(text.contains("\"displayTimeUnit\":\"ms\""));
         assert!(text.contains("thread_name"));
         // Both queries landed on the single merged worker-0 lane.
         assert_eq!(text.matches("\"tid\":1").count(), n);
-    }
-
-    #[test]
-    fn validator_rejects_garbage() {
-        assert!(validate_chrome_trace("{}").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":{}}").is_err());
-        assert!(
-            validate_chrome_trace(
-                "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"X\",\"ts\":0,\"pid\":1,\"tid\":1}]}"
-            )
-            .is_err(),
-            "X without dur"
-        );
     }
 }

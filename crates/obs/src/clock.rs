@@ -41,12 +41,6 @@ pub struct Clock {
     source: Arc<dyn ClockSource>,
 }
 
-impl Default for Clock {
-    fn default() -> Self {
-        Clock::monotonic()
-    }
-}
-
 impl Clock {
     /// The real monotonic clock, measured from the shared process epoch.
     pub fn monotonic() -> Clock {

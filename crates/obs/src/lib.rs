@@ -18,11 +18,13 @@
 //!   counters, gauges and log₂-bucketed histograms with a
 //!   Prometheus-style text exposition ([`metrics::Registry::render`]).
 //! * [`QueryTrace`] — the drained, time-ordered event set of one query,
-//!   with integrity validation ([`QueryTrace::validate`]), a span tree
-//!   and an `EXPLAIN ANALYZE`-style rendering ([`QueryTrace::explain`]).
+//!   with a span tree and an `EXPLAIN ANALYZE`-style rendering
+//!   ([`QueryTrace::explain`]); the tests' oracle checks its integrity
+//!   (`tests/support/trace_check.rs`).
 //! * [`chrome`] — Chrome `trace_event` JSON export of a batch of traces
-//!   (one lane per recording worker), plus a schema validator built on
-//!   the dependency-free [`json`] parser.
+//!   (one lane per recording worker); the dependency-free [`json`]
+//!   parser reads such documents back (the benchmark harness and the
+//!   tests' schema check).
 //! * [`Clock`] — the one wall-clock abstraction the workspace's
 //!   measurement paths share; mockable in tests ([`Clock::mock`]).
 //!

@@ -35,7 +35,7 @@ impl Counter {
     }
 }
 
-/// A signed gauge (set, add, or ratchet a maximum).
+/// A signed gauge (set, or ratchet a maximum).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -43,11 +43,6 @@ impl Gauge {
     /// Set the gauge to `v`.
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `d` (may be negative).
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
     }
 
     /// Ratchet the gauge up to at least `v` (for peaks).
@@ -103,16 +98,6 @@ impl Histogram {
     /// Sum of all observed values.
     pub fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
     }
 
     /// Non-empty buckets as `(upper_edge_inclusive, count)`; the final
@@ -286,8 +271,8 @@ mod tests {
         assert_eq!(r.counter("bwd_test_total").get(), 5, "same handle by name");
         let g = r.gauge("bwd_test_bytes");
         g.set(10);
-        g.add(-3);
         g.max(5);
+        assert_eq!(g.get(), 10);
         g.max(100);
         assert_eq!(g.get(), 100);
     }
@@ -303,7 +288,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1030);
         assert_eq!(h.buckets(), vec![(0, 1), (1, 1), (3, 2), (2047, 1)]);
-        assert!((h.mean() - 206.0).abs() < 1e-9);
     }
 
     #[test]

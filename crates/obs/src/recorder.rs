@@ -122,14 +122,6 @@ pub struct WorkerHandle {
     inner: Option<WorkerInner>,
 }
 
-impl std::fmt::Debug for WorkerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerHandle")
-            .field("enabled", &self.enabled())
-            .finish()
-    }
-}
-
 impl WorkerHandle {
     /// Whether this lane records anything.
     pub fn enabled(&self) -> bool {

@@ -58,17 +58,10 @@ impl AdmissionController {
     }
 
     /// Reserve `bytes` (clamped to the card minus what was resident when
-    /// the controller was built) of device memory, queueing FIFO until they fit.
-    ///
-    /// The permit holds a real [`DeviceBuffer`]; dropping it releases the
-    /// reservation and wakes queued requests.
-    pub fn admit(&self, bytes: u64) -> Result<AdmissionPermit> {
-        self.admit_within(bytes, self.deadline)
-    }
-
-    /// Reserve like [`AdmissionController::admit`], but wait at most
-    /// `deadline` instead of the construction-time default (`None` waits
-    /// indefinitely). The scheduler uses this to clamp a deadlined
+    /// the controller was built) of device memory, queueing FIFO until they
+    /// fit or `deadline` passes (`None` waits indefinitely). The permit
+    /// holds a real [`DeviceBuffer`]; dropping it releases the reservation
+    /// and wakes queued requests. The scheduler uses this to clamp a deadlined
     /// query's admission wait to its remaining budget, so a query never
     /// sits in the reservation queue past its own expiry.
     pub fn admit_within(&self, bytes: u64, deadline: Option<Duration>) -> Result<AdmissionPermit> {
@@ -111,10 +104,10 @@ mod tests {
     fn permits_serialize_on_scarce_memory() {
         let mem = DeviceMemory::new(100);
         let ctrl = AdmissionController::new(mem.clone(), None);
-        let first = ctrl.admit(70).unwrap();
+        let first = ctrl.admit_within(70, ctrl.deadline).unwrap();
         assert_eq!(mem.used(), 70);
         let ctrl2 = ctrl.clone();
-        let waiter = thread::spawn(move || ctrl2.admit(50).map(|p| p.bytes()));
+        let waiter = thread::spawn(move || ctrl2.admit_within(50, None).map(|p| p.bytes()));
         while mem.queued() == 0 {
             thread::yield_now();
         }
@@ -130,9 +123,9 @@ mod tests {
         let mem = DeviceMemory::new(100);
         let _persistent = mem.alloc(40).unwrap();
         let ctrl = AdmissionController::new(mem.clone(), Some(Duration::from_millis(20)));
-        let first = ctrl.admit(60).unwrap();
+        let first = ctrl.admit_within(60, ctrl.deadline).unwrap();
         assert_eq!(first.bytes(), 60);
-        match ctrl.admit(60) {
+        match ctrl.admit_within(60, ctrl.deadline) {
             Err(bwd_types::BwdError::AdmissionTimeout { requested, .. }) => {
                 assert_eq!(requested, 60)
             }
@@ -144,7 +137,7 @@ mod tests {
         assert_eq!(mem.queued(), 0);
         drop(first);
         assert_eq!(mem.used(), 40);
-        let again = ctrl.admit(60).unwrap();
+        let again = ctrl.admit_within(60, ctrl.deadline).unwrap();
         assert_eq!(again.bytes(), 60);
     }
 
@@ -155,7 +148,7 @@ mod tests {
         let ctrl = AdmissionController::new(mem.clone(), None);
         // An estimate far past the card still admits — clamped — instead
         // of failing a query the serial engine could run.
-        let permit = ctrl.admit(1_000_000).unwrap();
+        let permit = ctrl.admit_within(1_000_000, ctrl.deadline).unwrap();
         assert_eq!(permit.bytes(), 60);
         assert_eq!(mem.used(), 100);
     }

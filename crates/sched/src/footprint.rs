@@ -13,9 +13,9 @@
 //! transient bytes, over counts, and a pure function of (plan, catalog,
 //! thread allocation):
 //!
-//! * [`PlanFootprint::latency`] — the bill of the predicted counts. Handed
-//!   the counts a run *observed* ([`PlanFootprint::with_counts`]) it is
-//!   that run's breakdown to the bit.
+//! * [`PlanFootprint::latency`] — the bill of the predicted counts. Priced
+//!   over the counts a run *observed* it is that run's breakdown to the
+//!   bit (the `footprint` tests).
 //! * [`PlanFootprint::worst_case_bytes`] — the transient bytes of the
 //!   all-rows counts: admitted at this size, a query cannot run out.
 //! * [`PlanFootprint::reservation`] — the transient bytes of the predicted
@@ -74,20 +74,6 @@ impl PlanFootprint {
     /// ([`crate::SubmitOptions::effective_host_threads`]).
     pub fn of(db: &Database, plan: &ArPlan, mode: &ExecMode, host_threads: u32) -> PlanFootprint {
         Self::price(db, plan, mode, host_threads, None)
-    }
-
-    /// [`PlanFootprint::of`] over the counts a run observed
-    /// ([`Database::run_counted`]) in place of the predicted ones: its
-    /// latency is that run's breakdown and its reservation at scale 1 the
-    /// transient bytes the run held, to the bit.
-    pub fn with_counts(
-        db: &Database,
-        plan: &ArPlan,
-        mode: &ExecMode,
-        host_threads: u32,
-        counts: Counts,
-    ) -> PlanFootprint {
-        Self::price(db, plan, mode, host_threads, Some(counts))
     }
 
     fn price(
@@ -505,7 +491,7 @@ mod tests {
                             rolled_up_on_device |= ar.rollup_on_device(&counts, &env);
                         }
                     }
-                    let fp = PlanFootprint::with_counts(&db, plan, &mode, threads, counts);
+                    let fp = PlanFootprint::price(&db, plan, &mode, threads, Some(counts));
                     let (got, want) = (fp.latency(), run.breakdown);
                     assert_eq!(
                         [got.host, got.device, got.pcie].map(f64::to_bits),

@@ -236,12 +236,6 @@ pub struct Ticket {
     pub(crate) cancel: Arc<CancelState>,
 }
 
-impl std::fmt::Debug for Ticket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ticket").finish_non_exhaustive()
-    }
-}
-
 impl Ticket {
     /// Request cooperative cancellation of this ticket's query.
     ///
@@ -296,12 +290,6 @@ impl Ticket {
                 "query ran without tracing; enable SchedConfig::tracing".into(),
             )),
         }
-    }
-
-    /// Non-blocking poll; `None` while the query is still in flight.
-    pub fn poll(&self) -> Option<Result<QueryResult>> {
-        self.poll_report()
-            .map(|res| res.map(|(result, _report)| result))
     }
 
     /// Non-blocking poll keeping the scheduling report; `None` while the
@@ -403,6 +391,6 @@ mod tests {
             f.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(ticket.poll().is_some(), "result already delivered");
+        assert!(ticket.poll_report().is_some(), "result already delivered");
     }
 }

@@ -48,13 +48,6 @@ pub enum State {
     Failed,
 }
 
-impl State {
-    /// Whether the job has been replied to.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, State::Resolved | State::Cancelled | State::Failed)
-    }
-}
-
 /// Every edge a job may take. Invariant 8 rides on the shape of this
 /// table: a reservation is held in `Admitted` and `Running` only, and
 /// every edge out of `Running` drops the permit before the next state is

@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn least_loaded_counts_admitted_reservations() {
         let s = slots(2);
-        let _permit = s[0].admission.admit(5000).unwrap();
+        let _permit = s[0].admission.admit_within(5000, None).unwrap();
         assert_eq!(place(&s, None), 1);
     }
 

@@ -120,7 +120,7 @@ pub(crate) struct Shared {
 ///
 /// ```
 /// use bwd_engine::{Database, ExecMode};
-/// use bwd_sched::Scheduler;
+/// use bwd_sched::{SchedConfig, Scheduler};
 /// use bwd_storage::Column;
 /// use bwd_types::Value;
 /// use std::sync::Arc;
@@ -133,10 +133,12 @@ pub(crate) struct Shared {
 /// .unwrap();
 /// db.bwdecompose("t", "a", 24).unwrap(); // load-time decomposition
 ///
-/// let sched = Scheduler::with_defaults(Arc::new(db));
+/// let sched = Scheduler::new(Arc::new(db), SchedConfig::default());
 /// let session = sched.session();
 /// let out = session
-///     .query_sql("select count(*) from t where a < 10", ExecMode::ApproxRefine)
+///     .submit_sql("select count(*) from t where a < 10", ExecMode::ApproxRefine)
+///     .unwrap()
+///     .wait()
 ///     .unwrap();
 /// assert_eq!(out.rows[0][0], Value::Int(10));
 ///
@@ -152,11 +154,6 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler with default configuration.
-    pub fn with_defaults(db: Arc<Database>) -> Scheduler {
-        Scheduler::new(db, SchedConfig::default())
-    }
-
     /// A scheduler with `config`. One admission controller is built per
     /// pool device — construct the scheduler *after* loading, so the
     /// bytes resident on each card (persistent columns and replicas)
@@ -681,7 +678,6 @@ mod tests {
             .unwrap();
         assert_eq!(result.rows[0][0], Value::Int(400));
         assert!(report.trace.is_some());
-        trace.validate().unwrap();
         let text = trace.explain();
         assert!(text.contains("query"), "{text}");
         assert!(text.contains("queue"), "{text}");
@@ -775,22 +771,25 @@ mod tests {
     #[test]
     fn sql_submission_and_load_time_rejection() {
         let (db, _) = served_db();
-        let sched = Scheduler::with_defaults(db);
+        let sched = Scheduler::new(db, SchedConfig::default());
         let session = sched.session();
         let out = session
-            .query_sql("select count(*) from t where a < 10", ExecMode::Classic)
+            .submit_sql("select count(*) from t where a < 10", ExecMode::Classic)
+            .unwrap()
+            .wait()
             .unwrap();
         assert_eq!(out.rows[0][0], Value::Int(10));
-        let err = session
-            .submit_sql("select bwdecompose(a, 24) from t", ExecMode::Classic)
-            .unwrap_err();
+        let sql = "select bwdecompose(a, 24) from t";
+        let Err(err) = session.submit_sql(sql, ExecMode::Classic) else {
+            panic!("a load-time statement is refused at submission");
+        };
         assert!(err.to_string().contains("load-time"), "{err}");
     }
 
     #[test]
     fn shutdown_resolves_pending_submissions_with_error() {
         let (db, plan) = served_db();
-        let sched = Scheduler::with_defaults(db);
+        let sched = Scheduler::new(db, SchedConfig::default());
         let session = sched.session();
         sched.shutdown();
         let err = session.submit(plan, ExecMode::Classic).wait().unwrap_err();
@@ -800,7 +799,7 @@ mod tests {
     #[test]
     fn sessions_have_distinct_ids() {
         let (db, _) = served_db();
-        let sched = Scheduler::with_defaults(db);
+        let sched = Scheduler::new(db, SchedConfig::default());
         assert_ne!(sched.session().id(), sched.session().id());
     }
 
@@ -808,7 +807,9 @@ mod tests {
     fn device_pin_routes_and_rejects_out_of_range() {
         use crate::job::SubmitOptions;
 
-        let mut db = Database::with_env(bwd_device::Env::multi_gpu(2));
+        let mut db = Database::with_env(bwd_device::Env::with_devices(
+            vec![bwd_device::DeviceSpec::gtx680(); 2],
+        ));
         db.create_table(
             "t",
             vec![("a".into(), Column::from_i32((0..10_000).collect()))],
@@ -830,7 +831,7 @@ mod tests {
             );
         let ar = db.bind(&plan, &Default::default()).unwrap();
         db.auto_bind(&ar).unwrap();
-        let sched = Scheduler::with_defaults(Arc::new(db));
+        let sched = Scheduler::new(Arc::new(db), SchedConfig::default());
         let session = sched.session();
         for dev in [0usize, 1] {
             let r = session

@@ -113,9 +113,4 @@ impl Session {
     pub fn query(&self, plan: &ArPlan, mode: ExecMode) -> Result<QueryResult> {
         self.submit(plan.clone(), mode).wait()
     }
-
-    /// Convenience: submit SQL and wait for its result.
-    pub fn query_sql(&self, sql: &str, mode: ExecMode) -> Result<QueryResult> {
-        self.submit_sql(sql, mode)?.wait()
-    }
 }

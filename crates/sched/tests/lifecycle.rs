@@ -19,7 +19,7 @@
 //! seeded [`FaultPlan`], and a cancellation lands while its job waits
 //! behind the gate.
 
-use bwd_bench::workload::{Gate, QuerySpec, WorkloadGen, WorkloadSpec};
+use bwd_bench::workload::{QuerySpec, WorkloadGen, WorkloadSpec};
 use bwd_device::Env;
 use bwd_obs::{EventKind, Phase, QueryTrace};
 use bwd_sched::lifecycle::{State, LEGAL};
@@ -29,6 +29,18 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 use State::*;
+
+#[path = "../../../tests/support/gate.rs"]
+mod gate;
+use gate::Gate;
+
+#[path = "../../../tests/support/trace_check.rs"]
+mod trace_check;
+
+/// Whether a job in `state` has been replied to.
+fn is_terminal(state: State) -> bool {
+    matches!(state, State::Resolved | State::Cancelled | State::Failed)
+}
 
 /// The states a captured trace passes through, and whether the job ran
 /// the classic pipe. Two transitions leave no event of their own and are
@@ -49,8 +61,8 @@ fn walk(trace: &QueryTrace) -> (Vec<State>, bool) {
             (EventKind::Admission, Phase::Begin) if e.b > 1 => &[Requeued, Placed],
             (EventKind::Admission, Phase::End) if e.d == 0 => &[Admitted, Running],
             (EventKind::Cancel, _) => &[Cancelled],
-            (EventKind::Query, Phase::End) if !at.is_terminal() && e.d == 0 => &[Resolved],
-            (EventKind::Query, Phase::End) if !at.is_terminal() => &[Failed],
+            (EventKind::Query, Phase::End) if !is_terminal(at) && e.d == 0 => &[Resolved],
+            (EventKind::Query, Phase::End) if !is_terminal(at) => &[Failed],
             _ => &[],
         };
         walk.extend_from_slice(next);
@@ -346,7 +358,7 @@ fn check_walk(walk: &[State], ctx: &str) {
             pair[1]
         );
     }
-    assert!(walk.last().unwrap().is_terminal(), "{ctx}: {walk:?}");
+    assert!(is_terminal(*walk.last().unwrap()), "{ctx}: {walk:?}");
 }
 
 /// Each counter equals the number of matching transitions in `traces`.
@@ -411,7 +423,7 @@ fn check_counters(traces: &[QueryTrace], metrics: &str) {
 fn every_trace_walks_the_table_and_every_exit_gives_the_card_back() {
     let mut walked = HashSet::new();
     for case in CASES {
-        let mut env = Env::multi_gpu(2);
+        let mut env = Env::with_devices(vec![bwd_device::DeviceSpec::gtx680(); 2]);
         env.fault = (case.faults)();
         let gen = WorkloadGen::with_env(0x11FE, small_spec(), env).unwrap();
         let cards: Vec<_> = (gen.db().env().pool.devices().iter())
@@ -446,7 +458,7 @@ fn every_trace_walks_the_table_and_every_exit_gives_the_card_back() {
         let mut subject_walk: &[State] = &[];
         let walks: Vec<_> = records.iter().map(|r| walk(&r.trace).0).collect();
         for (record, walk) in records.iter().zip(&walks) {
-            record.trace.validate().unwrap();
+            trace_check::validate(&record.trace).unwrap();
             check_walk(walk, case.name);
             if record.session == ctx.subject.id() {
                 subject_walk = walk;

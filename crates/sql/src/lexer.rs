@@ -156,12 +156,25 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                     while i < b.len() && b[i].is_ascii_digit() {
                         i += 1;
                     }
-                    let scale = (i - frac_start) as u8;
-                    let text: String = input[start..i].chars().filter(|&ch| ch != '.').collect();
+                    // The fractional digits are the scale, but no i64
+                    // decimal holds more than 18: zeros past the 18th are
+                    // dropped, and a literal still longer is an error.
+                    let literal = &input[start..i];
+                    let mut frac = &input[frac_start..i];
+                    while frac.len() > 18 && frac.ends_with('0') {
+                        frac = &frac[..frac.len() - 1];
+                    }
+                    if frac.len() > 18 {
+                        return Err(BwdError::Parse(format!(
+                            "decimal literal {literal}: {} fractional digits, at most 18",
+                            frac.len()
+                        )));
+                    }
+                    let text = [&input[start..frac_start - 1], frac].concat();
                     let unscaled: i64 = text.parse().map_err(|_| {
-                        BwdError::Parse(format!("decimal literal overflow: {}", &input[start..i]))
+                        BwdError::Parse(format!("decimal literal overflow: {literal}"))
                     })?;
-                    out.push(Token::Dec(unscaled, scale));
+                    out.push(Token::Dec(unscaled, frac.len() as u8));
                 } else {
                     let v: i64 = input[start..i].parse().map_err(|_| {
                         BwdError::Parse(format!("integer literal overflow: {}", &input[start..i]))
@@ -197,6 +210,29 @@ mod tests {
         assert!(toks.contains(&Token::Ident("between".into())));
         assert!(toks.contains(&Token::Dec(268_288, 5)));
         assert!(toks.contains(&Token::Dec(270_228, 5)));
+    }
+
+    /// A decimal's scale is its count of fractional digits, trailing zeros
+    /// included, up to 18; zeros past the 18th are dropped, and a literal
+    /// that still has more than 18 is a parse error naming it — never a
+    /// scale taken modulo 256 (`0.` then 255 zeros then `1` once lexed as
+    /// the integer 1).
+    #[test]
+    fn a_decimal_scale_is_its_significant_fraction() {
+        assert_eq!(lex("1.50").unwrap(), [Token::Dec(150, 2)]);
+        assert_eq!(lex("2.000").unwrap(), [Token::Dec(2000, 3)]);
+        let eighteen = format!("0.{}1", "0".repeat(17));
+        assert_eq!(lex(&eighteen).unwrap(), [Token::Dec(1, 18)]);
+        let padded = format!("{eighteen}{}", "0".repeat(300));
+        assert_eq!(lex(&padded).unwrap(), [Token::Dec(1, 18)]);
+        for zeros in [18, 255, 300] {
+            let literal = format!("0.{}1", "0".repeat(zeros));
+            let err = lex(&format!("x < {literal}")).unwrap_err();
+            assert!(
+                matches!(&err, BwdError::Parse(m) if m.contains(&literal)),
+                "{zeros} zeros: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -367,12 +367,6 @@ impl Iterator for Iter<'_> {
         Some(self.buf[off])
     }
 
-    /// Skipping jumps the cursor; intervening blocks are never decoded.
-    fn nth(&mut self, n: usize) -> Option<u64> {
-        self.idx = self.idx.saturating_add(n).min(self.vec.len);
-        self.next()
-    }
-
     fn size_hint(&self) -> (usize, Option<usize>) {
         let rem = self.vec.len - self.idx;
         (rem, Some(rem))
@@ -421,15 +415,6 @@ impl<'a> BlockDecoder<'a> {
             self.vec.len()
         );
         self.buf[i % DECODE_BLOCK]
-    }
-}
-
-impl<'a> IntoIterator for &'a BitPackedVec {
-    type Item = u64;
-    type IntoIter = Iter<'a>;
-
-    fn into_iter(self) -> Iter<'a> {
-        self.iter()
     }
 }
 

@@ -595,11 +595,6 @@ impl Column {
         }
     }
 
-    /// Logical value of row `i`.
-    pub fn value(&self, i: usize) -> Value {
-        self.logical.value(self.payload(i))
-    }
-
     /// Convert a literal [`Value`] into this column's payload domain
     /// (query constants against this column).
     pub fn payload_of_value(&self, v: &Value) -> Result<i64> {
@@ -689,16 +684,6 @@ impl Dictionary {
         Dictionary {
             values: values.into_iter().map(String::from).collect(),
         }
-    }
-
-    /// Number of distinct values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// The string for a code.
@@ -1028,8 +1013,8 @@ mod tests {
                     DataType::Decimal { scale, .. } => Value::decimal(p, scale),
                 };
                 prop_assert_eq!(case.wide.payload(i), p, "{} row {}", tag, i);
-                prop_assert_eq!(case.wide.value(i), value.clone(), "{} row {}", tag, i);
-                prop_assert_eq!(case.narrow.value(i), value, "{} row {}", tag, i);
+                prop_assert_eq!(case.wide.logical().value(case.wide.payload(i)), value.clone(), "{} row {}", tag, i);
+                prop_assert_eq!(case.narrow.logical().value(case.narrow.payload(i)), value, "{} row {}", tag, i);
             }
 
             let bits = crate::encoding::physical_bits(case.dtype);
@@ -1061,7 +1046,7 @@ mod tests {
                 prop_assert_eq!(&got, &encoded, "{}", tag);
                 for (i, &e) in encoded.iter().enumerate() {
                     prop_assert_eq!(c.encoded(i), e, "{} row {}", tag, i);
-                    prop_assert_eq!(c.value(i), case.narrow.value(i), "{} row {}", tag, i);
+                    prop_assert_eq!(c.logical().value(c.payload(i)), case.narrow.logical().value(case.narrow.payload(i)), "{} row {}", tag, i);
                 }
             }
         }
@@ -1072,7 +1057,7 @@ mod tests {
         let c = Column::from_i32(vec![3, 1, 2]);
         assert_eq!(c.len(), 3);
         assert_eq!(c.payload(0), 3);
-        assert_eq!(c.value(1), Value::Int(1));
+        assert_eq!(c.logical().value(c.payload(1)), Value::Int(1));
         assert_eq!(c.plain_bytes(), 12);
         assert_eq!(c.payload_min_max(), Some((1, 3)));
     }
@@ -1083,7 +1068,7 @@ mod tests {
         let later = Date(d.days() + 10);
         let c = Column::from_dates(vec![d, later]);
         assert_eq!(c.dtype(), DataType::Date);
-        assert_eq!(c.value(1), Value::Date(later));
+        assert_eq!(c.logical().value(c.payload(1)), Value::Date(later));
         assert_eq!(
             c.payload_of_value(&Value::Date(d)).unwrap(),
             d.days() as i64
@@ -1094,7 +1079,7 @@ mod tests {
     fn decimal_column_narrow_and_wide() {
         let c = Column::from_decimals(vec![268_288, -1_262_427], 8, 5).unwrap();
         assert_eq!(c.dtype().plain_width(), 4);
-        assert_eq!(c.value(0), Value::decimal(268_288, 5));
+        assert_eq!(c.logical().value(c.payload(0)), Value::decimal(268_288, 5));
         // Payload exceeding i32: rejected for precision<=9.
         assert!(Column::from_decimals(vec![i64::MAX], 8, 5).is_err());
         // More digits than the precision names: rejected when wide, too.
@@ -1120,10 +1105,13 @@ mod tests {
     fn string_dictionary_is_ordered() {
         let c = Column::from_strings(&["PROMO BRUSHED", "ECONOMY", "PROMO POLISHED", "ECONOMY"]);
         let dict = c.dictionary().unwrap();
-        assert_eq!(dict.len(), 3);
+        assert_eq!(dict.values.len(), 3);
         // Codes ordered lexicographically.
         let codes: Vec<i64> = (0..c.len()).map(|i| c.payload(i)).collect();
-        assert_eq!(c.value(1), Value::Str("ECONOMY".into()));
+        assert_eq!(
+            c.logical().value(c.payload(1)),
+            Value::Str("ECONOMY".into())
+        );
         assert!(codes[0] > codes[1], "PROMO* sorts after ECONOMY");
         assert_eq!(
             c.payload_of_value(&Value::Str("ECONOMY".into())).unwrap(),
@@ -1165,7 +1153,10 @@ mod tests {
         let vals = vec![I24::cut(2_709_371), I24::cut(7_013_643)];
         let at = vals.as_ptr();
         let c = Column::from_data(coord, ColumnData::I24(vals)).unwrap();
-        assert_eq!(c.value(1), Value::decimal(7_013_643, 5));
+        assert_eq!(
+            c.logical().value(c.payload(1)),
+            Value::decimal(7_013_643, 5)
+        );
         let plain = c.plain();
         let ColumnData::I24(stored) = &*plain else {
             panic!("seven digits below 2^23 need 3 bytes")
@@ -1210,7 +1201,7 @@ mod tests {
     fn a_string_column_is_its_dictionary() {
         let s = Column::from_codes(&["b", "a"], vec![0i8, 1, 0]).unwrap();
         assert_eq!(s.dtype(), DataType::Str);
-        assert_eq!(s.value(0), Value::Str("b".into()));
+        assert_eq!(s.logical().value(s.payload(0)), Value::Str("b".into()));
         assert_eq!(s.payload_of_value(&Value::Str("a".into())).unwrap(), 0);
         assert!(matches!(
             s.payload_of_value(&Value::Str("c".into())),
@@ -1467,12 +1458,12 @@ mod tests {
             assert_eq!(coded.plain(), strings.plain());
             assert_eq!(*coded.plain(), ColumnData::I8(vec![1, 2, 2, 0, 0, 1, 2]));
             assert_eq!(coded.dictionary(), strings.dictionary());
-            assert_eq!(coded.dictionary().unwrap().len(), 3);
+            assert_eq!(coded.dictionary().unwrap().values.len(), 3);
         }
         assert!(Column::from_codes(&vocab, vec![0, 5]).is_err());
         assert!(Column::from_codes(&vocab, vec![-1]).is_err());
         assert!(Column::from_codes(&vocab, vec![0i64, 1 << 32]).is_err());
         let none = Column::from_codes(&vocab, Vec::<i32>::new()).unwrap();
-        assert!(none.dictionary().unwrap().is_empty());
+        assert!(none.dictionary().unwrap().values.is_empty());
     }
 }

@@ -120,12 +120,6 @@ impl DecompositionMeta {
         self.dtype
     }
 
-    /// Physical width in bits of the column's plain representation.
-    #[inline]
-    pub fn physical_bits(&self) -> u32 {
-        self.physical_bits
-    }
-
     /// Residual width in bits (0 means fully device-resident).
     #[inline]
     pub fn resbits(&self) -> u32 {

@@ -222,11 +222,6 @@ impl FaultPlan {
             .is_some_and(|i| i.sites.iter().any(|s| s.spec.ppm > 0))
     }
 
-    /// The seed the plan was built with (`None` when disabled).
-    pub fn seed(&self) -> Option<u64> {
-        self.inner.as_ref().map(|i| i.seed)
-    }
-
     /// One draw at `site`: `Some(kind)` means the caller must fail this
     /// operation, `None` means proceed.
     pub fn roll(&self, site: FaultSite) -> Option<FaultKind> {

@@ -210,37 +210,6 @@ impl fmt::Display for Value {
     }
 }
 
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-impl From<i32> for Value {
-    fn from(v: i32) -> Self {
-        Value::Int(v as i64)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
-    }
-}
-impl From<Date> for Value {
-    fn from(v: Date) -> Self {
-        Value::Date(v)
-    }
-}
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Double(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,7 +44,6 @@ fn approximate_answer_first() -> Result<()> {
         "select count(*) from events where severity >= 990000",
         ExecMode::ApproxRefineWith(ArExecOptions {
             approximate_answer: true,
-            ..Default::default()
         }),
     )?;
     let q = out.query().unwrap();

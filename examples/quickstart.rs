@@ -51,7 +51,6 @@ fn main() -> Result<()> {
         query,
         ExecMode::ApproxRefineWith(ArExecOptions {
             approximate_answer: true,
-            ..Default::default()
         }),
     )?;
     let ar = ar.query().unwrap();

@@ -123,7 +123,9 @@ impl Db {
     /// let server = db.serve();
     /// let session = server.session();
     /// let out = session
-    ///     .query_sql("select count(*) from r where a < 10", ExecMode::ApproxRefine)
+    ///     .submit_sql("select count(*) from r where a < 10", ExecMode::ApproxRefine)
+    ///     .unwrap()
+    ///     .wait()
     ///     .unwrap();
     /// assert_eq!(out.rows[0][0].to_string(), "10");
     /// ```

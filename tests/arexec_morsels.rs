@@ -44,6 +44,11 @@ fn assert_bit_identical(db: &Database, plan: &ArPlan, what: &str) {
     assert_eq!(serial.rows, classic.rows, "{what}: A&R vs classic");
 }
 
+/// A column of `i32`s.
+fn ints(vals: Vec<i64>) -> Column {
+    Column::from_i32(vals.into_iter().map(|v| v as i32).collect())
+}
+
 /// Micro table large enough that every stage really partitions: shuffled
 /// unique ints (selection), a low-cardinality group key, and a value
 /// column, decomposed with 8 residual bits so the full host refinement
@@ -53,8 +58,8 @@ fn micro_db(n: usize) -> Database {
     db.create_table(
         "t",
         vec![
-            ("a".into(), micro::unique_shuffled_column(n, 0xA11CE)),
-            ("g".into(), micro::grouping_keys_column(n, 32, 0xBEEF)),
+            ("a".into(), ints(micro::unique_shuffled(n, 0xA11CE))),
+            ("g".into(), ints(micro::grouping_keys(n, 32, 0xBEEF))),
             (
                 "v".into(),
                 Column::from_i32((0..n as i32).map(|i| (i * 13) % 9973).collect()),
@@ -92,7 +97,7 @@ fn micro_selection_aggregation_identical_across_morsels() {
                 },
                 AggExpr {
                     func: AggFunc::Sum,
-                    arg: Some(E::col("v").binary(BinOp::Mul, E::lit(3i64))),
+                    arg: Some(E::col("v").binary(BinOp::Mul, E::Literal(Value::Int(3)))),
                     alias: "s".into(),
                 },
             ],

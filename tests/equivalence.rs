@@ -231,7 +231,7 @@ fn arithmetic_expressions_agree() {
                 arg: Some(
                     ScalarExpr::col("a").binary(
                         waste_not::core::plan::BinOp::Mul,
-                        ScalarExpr::lit(1i64)
+                        ScalarExpr::Literal(Value::Int(1))
                             .binary(waste_not::core::plan::BinOp::Sub, ScalarExpr::col("b")),
                     ),
                 ),
@@ -304,20 +304,20 @@ fn repeated_group_key_is_gathered_and_billed_once() {
 /// bits} × selectivity {nothing, inside one granule, granule-aligned,
 /// half, everything} × {global, grouped} × tail {device: resident
 /// aggregates, host: aggregating the split column} × a second (resident)
-/// conjunct × `CandidateRep` × morsels {1, 3}, the A&R rows
-/// equal Classic's, and rows, `breakdown`, `traffic` and `survivors` equal
-/// the serial default-representation A&R run of the same plan.
+/// conjunct × morsels {1, 3}, over three scan blocks, the A&R rows equal
+/// Classic's, and rows, `breakdown`, `traffic` and `survivors` equal the
+/// serial A&R run of the same plan.
 mod split_sweep {
     use super::*;
     use std::sync::OnceLock;
-    use waste_not::engine::{ArExecOptions, CandidateRep};
-    use waste_not::kernels::ScanOptions;
 
-    const ROWS: i64 = 30_000;
+    /// Past two scan blocks of 2^16 rows, so candidates come out
+    /// block-scrambled.
+    const ROWS: i64 = 140_000;
     /// `a` spreads a permutation of `0..ROWS` over most of the `i32`
     /// domain, so every split leaves many granules (or, at 16 bits and
     /// finer, about one value per granule).
-    const STRIDE: i64 = 65_536;
+    const STRIDE: i64 = 15_000;
     const SPLITS: [u32; 5] = [8, 16, 24, 31, 32];
 
     fn db(split: usize) -> &'static Database {
@@ -352,7 +352,6 @@ mod split_sweep {
             grouped: bool,
             host_tail: bool,
             second: bool,
-            rep in 0usize..3,
             wide: bool,
         ) {
             let db = db(split);
@@ -386,18 +385,11 @@ mod split_sweep {
                 .filter(Predicate::And(preds))
                 .aggregate(if grouped { vec!["g".into()] } else { vec![] }, aggs);
             let plan = db.bind(&logical, &RewriteOptions::default()).unwrap();
-            // Several scan blocks, so candidates come out block-scrambled.
-            let opts = |candidates, morsels| (ArExecOptions {
-                scan: ScanOptions { block_size: 4096, preserve_order: false },
-                candidates,
-                ..ArExecOptions::default()
-            }, morsels);
-            let run = |(o, m)| db.run_bound_in(&plan, ExecMode::ApproxRefineWith(o), db.env(), m, None).unwrap();
+            let run = |m| db.run_bound_in(&plan, ExecMode::ApproxRefine, db.env(), m, None).unwrap();
             let classic = db.run_bound(&plan, ExecMode::Classic).unwrap();
-            let serial = run(opts(CandidateRep::Auto, 1));
-            let rep = [CandidateRep::Auto, CandidateRep::Indices, CandidateRep::Bitmap][rep];
-            let got = run(opts(rep, if wide { 3 } else { 1 }));
-            let tag = format!("{:?} {rep:?} wide={wide}", plan.selections);
+            let serial = run(1);
+            let got = run(if wide { 3 } else { 1 });
+            let tag = format!("{:?} wide={wide}", plan.selections);
             prop_assert_eq!(&serial.rows, &classic.rows, "{}", tag);
             prop_assert_eq!(serial.survivors, classic.survivors, "{}", tag);
             prop_assert_eq!(&got.rows, &serial.rows, "{}", tag);

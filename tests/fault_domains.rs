@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bwd_bench::workload::{Gate, WorkloadGen, WorkloadSpec};
+use bwd_bench::workload::{WorkloadGen, WorkloadSpec};
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
 use waste_not::device::YieldPoint;
 use waste_not::engine::Database;
@@ -48,6 +48,13 @@ use waste_not::obs::Clock;
 use waste_not::sched::{PlanFootprint, SchedConfig, Scheduler, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::{BwdError, Env, ExecMode, FaultPlan, FaultSite, FaultSpec, QueryResult, Value};
+
+#[path = "support/gate.rs"]
+mod gate;
+use gate::Gate;
+
+#[path = "support/trace_check.rs"]
+mod trace_check;
 
 const DEADLINE: Duration = Duration::from_secs(120);
 
@@ -105,7 +112,12 @@ struct SoakTranscript {
 /// recovery probe succeeds). Single worker ⇒ a deterministic draw
 /// sequence.
 fn run_soak(seed: u64) -> SoakTranscript {
-    let mut gen = WorkloadGen::with_env(seed, small_spec(), Env::multi_gpu(2)).unwrap();
+    let mut gen = WorkloadGen::with_env(
+        seed,
+        small_spec(),
+        Env::with_devices(vec![waste_not::device::DeviceSpec::gtx680(); 2]),
+    )
+    .unwrap();
     let batch = gen.mixed(24, 0);
     // References on the same (still fault-free) database, before arming.
     let refs: Vec<QueryResult> = batch.iter().map(|q| gen.reference(q).unwrap()).collect();
@@ -197,7 +209,12 @@ fn seeded_fault_soak_fails_over_recovers_and_reproduces() {
 /// the survivor, bit-identically, with zero lost tickets.
 #[test]
 fn dead_card_drains_batch_onto_survivor() {
-    let mut gen = WorkloadGen::with_env(11, small_spec(), Env::multi_gpu(2)).unwrap();
+    let mut gen = WorkloadGen::with_env(
+        11,
+        small_spec(),
+        Env::with_devices(vec![waste_not::device::DeviceSpec::gtx680(); 2]),
+    )
+    .unwrap();
     let batch = gen.mixed(16, 0);
     let refs: Vec<QueryResult> = batch.iter().map(|q| gen.reference(q).unwrap()).collect();
 
@@ -255,7 +272,12 @@ fn an_over_budget_job_asks_the_next_card_for_the_worst_case() {
         domain: 4_000,
         ..small_spec()
     };
-    let mut gen = WorkloadGen::with_env(0x0B5E, spec, Env::multi_gpu(2)).unwrap();
+    let mut gen = WorkloadGen::with_env(
+        0x0B5E,
+        spec,
+        Env::with_devices(vec![waste_not::device::DeviceSpec::gtx680(); 2]),
+    )
+    .unwrap();
     let probe = gen.short();
     let safety_factor = 1e-6;
     let est = PlanFootprint::of(gen.db(), &probe.plan, &probe.mode, 1).reservation(safety_factor);
@@ -291,7 +313,7 @@ fn an_over_budget_job_asks_the_next_card_for_the_worst_case() {
 
     // Placements `(device, bytes)` and admission attempts `(bytes,
     // attempt)`, in order.
-    trace.validate().unwrap();
+    trace_check::validate(&trace).unwrap();
     let steps: Vec<(&str, u64, u64)> = (trace.events.iter())
         .filter_map(|e| match (e.kind, e.phase) {
             (waste_not::obs::EventKind::Placement, _) => Some(("placed", e.a, e.b)),

@@ -235,7 +235,7 @@ fn single_device_pool_matches_run_bound_exactly() {
         .iter()
         .map(|p| db.run_bound(p, ExecMode::ApproxRefine).unwrap())
         .collect();
-    let sched = Scheduler::with_defaults(Arc::new(db));
+    let sched = Scheduler::new(Arc::new(db), SchedConfig::default());
     let session = sched.session();
     for (pi, p) in plans.iter().enumerate() {
         let got = session.query(p, ExecMode::ApproxRefine).unwrap();

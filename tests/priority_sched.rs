@@ -12,9 +12,13 @@
 
 use std::sync::Arc;
 
-use bwd_bench::workload::{Gate, JobKind, WorkloadGen, WorkloadSpec};
+use bwd_bench::workload::{JobKind, WorkloadGen, WorkloadSpec};
 use waste_not::sched::{JobReport, SchedConfig, Scheduler, Session, SubmitOptions, Ticket};
 use waste_not::Value;
+
+#[path = "support/gate.rs"]
+mod gate;
+use gate::Gate;
 
 /// The two queue orders, as aging thresholds: the default, and arrival
 /// order.

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bwd_bench::workload::Gate;
+use bwd_bench::workload::{WorkloadGen, WorkloadSpec};
 use waste_not::core::plan::ArPlan;
 use waste_not::data::{gen_lineitem, gen_part, TpchConfig};
 use waste_not::device::DeviceSpec;
@@ -15,6 +15,10 @@ use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::storage::Column;
 use waste_not::{Env, Value};
+
+#[path = "support/gate.rs"]
+mod gate;
+use gate::Gate;
 
 const SF: f64 = 0.01;
 
@@ -76,7 +80,6 @@ fn eight_plus_concurrent_sessions_mixed_modes_bit_identical() {
         ExecMode::ApproxRefine,
         ExecMode::ApproxRefineWith(ArExecOptions {
             approximate_answer: true,
-            ..Default::default()
         }),
     ];
     let reference: Vec<Vec<Vec<Vec<Value>>>> = plans
@@ -188,7 +191,10 @@ fn admission_queues_and_never_exceeds_capacity() {
     let session = sched.session();
     let ticket = session.submit(plan.clone(), ExecMode::ApproxRefine);
     gate.wait_admission_blocked(1);
-    assert!(ticket.poll().is_none(), "query must be queued, not failed");
+    assert!(
+        ticket.poll_report().is_none(),
+        "query must be queued, not failed"
+    );
     gate.release();
     assert_eq!(ticket.wait().unwrap().rows, expected);
 
@@ -235,13 +241,15 @@ fn serve_facade_end_to_end() {
             let session = server.session();
             scope.spawn(move || {
                 let classic = session
-                    .query_sql("select count(*) from r where a < 2500", ExecMode::Classic)
+                    .submit_sql("select count(*) from r where a < 2500", ExecMode::Classic)
+                    .and_then(|t| t.wait())
                     .unwrap();
                 let ar = session
-                    .query_sql(
+                    .submit_sql(
                         "select count(*) from r where a < 2500",
                         ExecMode::ApproxRefine,
                     )
+                    .and_then(|t| t.wait())
                     .unwrap();
                 assert_eq!(classic.rows, ar.rows);
                 assert_eq!(classic.rows[0][0], Value::Int(2500));
@@ -249,4 +257,57 @@ fn serve_facade_end_to_end() {
         }
     });
     assert_eq!(server.stats().errors, 0);
+}
+
+#[test]
+fn gate_freezes_a_worker_on_a_multi_device_pool_when_pinned() {
+    // Regression: on a 2-card pool the least-loaded policy would
+    // route an unpinned gate job to the ungated card; the pinned
+    // submit options keep the freeze pattern sound on any pool.
+    let spec = WorkloadSpec {
+        long_rows: 8_000,
+        short_rows: 2_000,
+        ..WorkloadSpec::default()
+    };
+    let mut gen = WorkloadGen::with_env(
+        5,
+        spec,
+        Env::with_devices(vec![waste_not::device::DeviceSpec::gtx680(); 2]),
+    )
+    .unwrap();
+    let sched = Scheduler::new(
+        Arc::clone(gen.db()),
+        SchedConfig {
+            workers: 1,
+            admission_deadline: None,
+            ..SchedConfig::default()
+        },
+    );
+    let session = sched.session();
+    let gate = Gate::block(gen.db(), 0).unwrap();
+    let job = gen.short();
+    let ticket = session.submit_with(job.plan, job.mode, gate.submit_options());
+    gate.wait_admission_blocked(1); // provably frozen on device 0
+    assert!(ticket.poll_report().is_none());
+    gate.release();
+    assert_eq!(ticket.wait().unwrap().rows.len(), 1);
+}
+
+#[test]
+fn gate_blocks_and_releases() {
+    let gen = WorkloadGen::new(
+        9,
+        WorkloadSpec {
+            long_rows: 4_000,
+            short_rows: 1_000,
+            ..WorkloadSpec::default()
+        },
+    )
+    .unwrap();
+    let gate = Gate::block(gen.db(), 0).unwrap();
+    let mem = gen.db().env().device.memory().clone();
+    assert_eq!(mem.available(), 0);
+    assert_eq!(mem.queued(), 0);
+    gate.release();
+    assert!(mem.available() > 0);
 }

@@ -1,7 +1,7 @@
 //! Spatial workload integration (Table I) and device-memory limit
 //! behaviour: genuine OOM, buffer lifecycle, re-decomposition.
 
-use waste_not::data::{gen_trips, spatial, SpatialConfig};
+use waste_not::data::{gen_trips, SpatialConfig};
 use waste_not::device::{DeviceSpec, Env};
 use waste_not::engine::{Database, ExecMode};
 use waste_not::sql::{bind, parse, BoundStatement};
@@ -36,7 +36,8 @@ fn table1_workload_equivalence() {
     assert_eq!(classic.rows, ar.rows);
     // Reference count straight from the generated data.
     let trips = gen_trips(&SpatialConfig::fixes(200_000));
-    let ((lon_lo, lon_hi), (lat_lo, lat_hi)) = spatial::table1_query_box();
+    // The paper's Table I box, as payloads.
+    let ((lon_lo, lon_hi), (lat_lo, lat_hi)) = ((268_288, 270_228), (5_042_220, 5_044_850));
     let mut expect = 0i64;
     for i in 0..trips.lon.len() {
         let (x, y) = (trips.lon.payload(i), trips.lat.payload(i));

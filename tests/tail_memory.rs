@@ -52,10 +52,14 @@ fn a_grouped_aggregate_holds_no_survivors_by_columns_block() {
         ("t".into(), col(|i| i % 9)),
     ];
     db.create_table("f", columns).unwrap();
-    let net = E::col("p").binary(BinOp::Mul, E::lit(100i64).binary(BinOp::Sub, E::col("d")));
-    let gross = net
-        .clone()
-        .binary(BinOp::Mul, E::lit(100i64).binary(BinOp::Add, E::col("t")));
+    let net = E::col("p").binary(
+        BinOp::Mul,
+        E::Literal(Value::Int(100)).binary(BinOp::Sub, E::col("d")),
+    );
+    let gross = net.clone().binary(
+        BinOp::Mul,
+        E::Literal(Value::Int(100)).binary(BinOp::Add, E::col("t")),
+    );
     let agg = |func, arg: Option<E>, alias: &str| AggExpr {
         func,
         arg,

@@ -5,7 +5,7 @@ use waste_not::data::{gen_lineitem, gen_part, TpchConfig};
 use waste_not::engine::{Database, ExecMode};
 use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::storage::DecompositionSpec;
-use waste_not::Value;
+use waste_not::{BwdError, Value};
 
 const SF: f64 = 0.01;
 
@@ -266,4 +266,35 @@ fn space_constrained_q1_is_admitted_first_time() {
     );
     let stats = sched.stats();
     assert_eq!((stats.admission_requeues, stats.errors), (0, 0));
+}
+
+/// A decimal literal with more than 18 fractional digits is a parse error
+/// that names it — not a scale wrapped at 256, which read
+/// `l_discount < 0.<255 zeros>1` as `l_discount < 1` and counted every
+/// row. Below that a literal keeps its scale, trailing zeros included:
+/// `1.00 / l_quantity` divides at scale 2 (a quotient keeps its left
+/// operand's scale), so it is not `1 / l_quantity`.
+#[test]
+fn a_decimal_literal_keeps_its_scale() {
+    let mut db = Database::new();
+    let lineitem = gen_lineitem(&TpchConfig::scale(0.001));
+    let expect: i64 = (0..lineitem.l_quantity.len())
+        .map(|i| 100 / lineitem.l_quantity.payload(i))
+        .sum();
+    db.create_table("lineitem", lineitem.into_columns())
+        .unwrap();
+    let count =
+        |literal: &str| format!("select count(*) as n from lineitem where l_discount < {literal}");
+    let tiny = format!("0.{}1", "0".repeat(255));
+    let err = parse(&count(&tiny)).unwrap_err();
+    assert!(
+        matches!(&err, BwdError::Parse(m) if m.contains(&tiny)),
+        "{err:?}"
+    );
+    let (classic, ar) = run_both(&mut db, &count("0.0500"));
+    assert_eq!(classic, ar);
+    assert_eq!((classic, ar), run_both(&mut db, &count("0.05")));
+    let (classic, ar) = run_both(&mut db, "select sum(1.00 / l_quantity) as s from lineitem");
+    assert_eq!(classic, ar);
+    assert_eq!(classic, [[Value::decimal(expect, 2)]]);
 }

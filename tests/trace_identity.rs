@@ -1,14 +1,16 @@
-//! Tracing is invisible to execution: across candidate representations
-//! and both queue orders, a query's rows, simulated cost breakdown and
+//! Tracing is invisible to execution: in both queue orders, a query's rows, simulated cost breakdown and
 //! per-component traffic are bit-identical whether the recorder is on
 //! or off. Observability must never perturb the system it observes.
 
 use std::sync::Arc;
 use waste_not::core::plan::{AggExpr, AggFunc, LogicalPlan, Predicate};
-use waste_not::engine::{ArExecOptions, CandidateRep, Database, ExecMode, QueryResult};
+use waste_not::engine::{Database, ExecMode, QueryResult};
 use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::Value;
+
+#[path = "support/trace_check.rs"]
+mod trace_check;
 
 fn served_db() -> (Arc<Database>, waste_not::core::plan::ArPlan) {
     let mut db = Database::new();
@@ -52,7 +54,6 @@ fn run_one(
     db: &Arc<Database>,
     plan: &waste_not::core::plan::ArPlan,
     aging_threshold: u32,
-    rep: CandidateRep,
     tracing: bool,
 ) -> QueryResult {
     let sched = Scheduler::new(
@@ -69,10 +70,7 @@ fn run_one(
         .session()
         .submit_with(
             plan.clone(),
-            ExecMode::ApproxRefineWith(ArExecOptions {
-                candidates: rep,
-                ..Default::default()
-            }),
+            ExecMode::ApproxRefine,
             SubmitOptions {
                 host_threads: Some(2),
                 ..SubmitOptions::default()
@@ -82,37 +80,29 @@ fn run_one(
         .unwrap();
     assert_eq!(report.trace.is_some(), tracing);
     if let Some(trace) = &report.trace {
-        trace.validate().expect("trace validation");
+        trace_check::validate(trace).expect("trace validation");
     }
     result
 }
 
 #[test]
-fn tracing_is_bit_identical_across_reps_and_policies() {
+fn tracing_is_bit_identical_across_policies() {
     let (db, plan) = served_db();
     // The default order, and arrival order.
     for aging_threshold in [32, 0] {
-        for rep in [
-            CandidateRep::Auto,
-            CandidateRep::Indices,
-            CandidateRep::Bitmap,
-        ] {
-            let off = run_one(&db, &plan, aging_threshold, rep, false);
-            let on = run_one(&db, &plan, aging_threshold, rep, true);
-            assert_eq!(
-                on.rows, off.rows,
-                "aging {aging_threshold}/{rep:?}: rows diverged"
-            );
-            assert_eq!(
-                on.breakdown, off.breakdown,
-                "aging {aging_threshold}/{rep:?}: simulated cost diverged under tracing"
-            );
-            assert_eq!(
-                on.traffic, off.traffic,
-                "aging {aging_threshold}/{rep:?}: traffic diverged under tracing"
-            );
-            assert_eq!(on.survivors, off.survivors);
-        }
+        let off = run_one(&db, &plan, aging_threshold, false);
+        let on = run_one(&db, &plan, aging_threshold, true);
+        let tag = format!("aging {aging_threshold}");
+        assert_eq!(on.rows, off.rows, "{tag}: rows diverged");
+        assert_eq!(
+            on.breakdown, off.breakdown,
+            "{tag}: simulated cost diverged under tracing"
+        );
+        assert_eq!(
+            on.traffic, off.traffic,
+            "{tag}: traffic diverged under tracing"
+        );
+        assert_eq!(on.survivors, off.survivors);
     }
 }
 

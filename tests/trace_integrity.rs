@@ -13,8 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use waste_not::core::plan::{AggExpr, AggFunc, ArPlan, LogicalPlan, Predicate};
 use waste_not::engine::{ArExecOptions, Database, ExecMode, Shape};
-use waste_not::obs::chrome::{chrome_trace, validate_chrome_trace};
-use waste_not::obs::{EventKind, Phase, QueryTrace, SpanNode};
+use waste_not::obs::chrome::chrome_trace;
+use waste_not::obs::json::{self, JsonValue};
+use waste_not::obs::{EventKind, Phase, QueryTrace, Recorder, SpanNode, NO_SPAN};
 use waste_not::sched::{SchedConfig, Scheduler, SubmitOptions};
 use waste_not::storage::Column;
 use waste_not::Value;
@@ -56,11 +57,14 @@ fn served_db(rows: i32, bits: u32) -> (Arc<Database>, ArPlan) {
     (Arc::new(db), ar)
 }
 
+#[path = "support/trace_check.rs"]
+mod trace_check;
+
 /// Structural checks spelled out event by event (on top of
-/// `QueryTrace::validate`, which the scheduler test suite already
-/// exercises): pairing, parent ordering, per-worker monotonicity.
+/// [`trace_check::validate`]): pairing, parent ordering, per-worker
+/// monotonicity.
 fn assert_structurally_sound(trace: &QueryTrace) {
-    trace.validate().expect("trace validation");
+    trace_check::validate(trace).expect("trace validation");
     assert_eq!(trace.dropped, 0, "no overflow expected at default capacity");
 
     let mut begin_t: BTreeMap<u32, u64> = BTreeMap::new();
@@ -401,7 +405,6 @@ fn the_exec_span_records_the_morsels_that_ran() {
     };
     let with_answer = ExecMode::ApproxRefineWith(ArExecOptions {
         approximate_answer: true,
-        ..Default::default()
     });
     for mode in [ExecMode::ApproxRefine, with_answer] {
         let ticket = sched
@@ -417,4 +420,64 @@ fn the_exec_span_records_the_morsels_that_ran() {
         assert_eq!(exec.a, parts.len() as u64, "{mode:?}: parts {parts:?}");
         assert_eq!(exec.a, 4, "{mode:?}");
     }
+}
+
+/// Validate that `text` is well-formed Chrome `trace_event` JSON;
+/// returns the number of trace events.
+fn validate_chrome_trace(text: &str) -> Result<usize, String> {
+    let doc = json::parse(text)?;
+    let events = doc
+        .get("traceEvents")
+        .ok_or("missing traceEvents")?
+        .as_arr()
+        .ok_or("traceEvents is not an array")?;
+    for (i, e) in events.iter().enumerate() {
+        let name = e
+            .get("name")
+            .and_then(JsonValue::as_str)
+            .ok_or(format!("event {i}: missing name"))?;
+        let ph = e
+            .get("ph")
+            .and_then(JsonValue::as_str)
+            .ok_or(format!("event {i} ({name}): missing ph"))?;
+        if !matches!(ph, "X" | "i" | "M" | "B" | "E") {
+            return Err(format!("event {i} ({name}): unknown phase {ph:?}"));
+        }
+        for field in ["ts", "pid", "tid"] {
+            e.get(field)
+                .and_then(JsonValue::as_num)
+                .ok_or(format!("event {i} ({name}): missing numeric {field}"))?;
+        }
+        if ph == "X" {
+            let dur = e
+                .get("dur")
+                .and_then(JsonValue::as_num)
+                .ok_or(format!("event {i} ({name}): X event missing dur"))?;
+            if dur < 0.0 {
+                return Err(format!("event {i} ({name}): negative dur"));
+            }
+        }
+    }
+    Ok(events.len())
+}
+
+/// The oracles reject what they exist to reject: a span never closed
+/// (unless the trace dropped events: then only the relaxed checks run), a
+/// Chrome document without its event array or an `X` event without
+/// `dur`.
+#[test]
+fn the_trace_oracles_reject_broken_traces() {
+    let r = Recorder::enabled();
+    let _open = r.worker("w").begin(EventKind::Exec, NO_SPAN, 0, 0);
+    let mut trace = QueryTrace::capture(&r);
+    let err = trace_check::validate(&trace).unwrap_err();
+    assert!(err.contains("never closed"), "{err}");
+    // Its `End` may be among the events the ring dropped.
+    trace.dropped = 1;
+    trace_check::validate(&trace).expect("an overflowed trace passes the relaxed checks");
+
+    assert!(validate_chrome_trace("{}").is_err());
+    assert!(validate_chrome_trace("{\"traceEvents\":{}}").is_err());
+    let no_dur = "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"X\",\"ts\":0,\"pid\":1,\"tid\":1}]}";
+    assert!(validate_chrome_trace(no_dur).is_err(), "X without dur");
 }
