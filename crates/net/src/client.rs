@@ -2,10 +2,11 @@
 //!
 //! The server side is strictly non-blocking; clients usually aren't, so
 //! [`NetClient`] wraps a transport with send-all / receive-one-frame
-//! calls that spin through `WouldBlock` (yielding between attempts).
-//! Tests and the example use it against both TCP sockets and in-memory
-//! duplex pipes; it is a convenience, not part of the wire contract —
-//! any byte stream speaking the frame format interoperates.
+//! calls. Over TCP the socket stays blocking and the client sleeps in the
+//! kernel; over a non-blocking transport (an in-memory duplex pipe) it
+//! yields between attempts. Tests and the example use it against both;
+//! it is a convenience, not part of the wire contract — any byte stream
+//! speaking the frame format interoperates.
 //!
 //! Two robustness behaviors are built into [`NetClient::query`], with
 //! fixed bounds:
@@ -76,16 +77,17 @@ impl NetClient {
         }
     }
 
-    /// Connect over TCP. Installs a reconnect factory that redials the
-    /// same address, so broken streams heal transparently.
+    /// Connect over TCP on a blocking socket. Installs a reconnect
+    /// factory that redials the same address, so broken streams heal
+    /// transparently.
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<NetClient> {
         let resolved: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let stream = TcpStream::connect(&resolved[..])?;
-        let mut client = NetClient::new(Box::new(TcpTransport::new(stream)?));
-        client.reconnect = Some(Box::new(move || {
+        let dial = move || -> io::Result<Box<dyn Transport>> {
             let stream = TcpStream::connect(&resolved[..])?;
-            Ok(Box::new(TcpTransport::new(stream)?) as Box<dyn Transport>)
-        }));
+            Ok(Box::new(TcpTransport::new(stream)))
+        };
+        let mut client = NetClient::new(dial()?);
+        client.reconnect = Some(Box::new(dial));
         Ok(client)
     }
 
@@ -229,6 +231,8 @@ fn busy_delay(attempt: u32, queued: u32) -> Duration {
 mod tests {
     use super::*;
     use std::collections::VecDeque;
+    use std::os::fd::RawFd;
+    use std::sync::Arc;
 
     /// A transport that answers each fully-written request with the next
     /// scripted response frame; optionally fails the first write with a
@@ -286,6 +290,10 @@ mod tests {
                 self.readable.extend_from_slice(&resp);
             }
             Ok(IoEvent::Bytes(buf.len()))
+        }
+
+        fn readiness(&mut self, _wake: &Arc<dyn Fn() + Send + Sync>) -> Option<RawFd> {
+            None
         }
     }
 

@@ -14,52 +14,68 @@
 //! non-blocking, and a connection whose transport or peer stalls simply
 //! makes no progress that pass.
 
-use crate::config::NetConfig;
+use crate::config::{MAX_INFLIGHT_PER_CONN, PAUSE_QUEUED_JOBS, SHED_QUEUED_JOBS};
 use crate::frame::{Frame, FrameDecoder, WireMode};
-use crate::server::NetMetrics;
+use crate::server::{NetMetrics, POLLIN, POLLOUT};
 use crate::transport::{IoEvent, Transport};
 use bwd_core::plan::ArPlan;
 use bwd_sched::{Scheduler, Session, Ticket};
 use bwd_types::BwdError;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// Completion signal shared between the reactor and every in-flight
-/// ticket's waker: jobs resolving anywhere wake the serve loop.
+/// The serve loop's wake channel: a socket pair it polls, written by
+/// ticket wakers, duplex peers, the scheduler's dequeue hook and
+/// shutdown. Only the signal that raises the flag writes a byte; the
+/// loop drains the pipe *before* it lowers the flag, so a signal landing
+/// between the two writes nothing and the next pass sees its cause
+/// (lowered first, the drain could eat that signal's byte and leave the
+/// flag up, silencing every later signal).
 #[derive(Default)]
 pub(crate) struct WakeFlag {
-    flagged: Mutex<bool>,
-    cv: Condvar,
+    raised: AtomicBool,
+    /// Opened when a serve loop starts; until then signals only raise
+    /// the flag.
+    pair: OnceLock<(UnixStream, UnixStream)>,
 }
 
 impl WakeFlag {
-    /// The flag, even if a waker panicked holding it: a lone `bool` has
-    /// no invariant a panic could leave half-written.
-    fn flagged(&self) -> MutexGuard<'_, bool> {
-        self.flagged.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     pub(crate) fn signal(&self) {
-        *self.flagged() = true;
-        self.cv.notify_all();
+        if !self.raised.swap(true, Ordering::SeqCst) {
+            if let Some((tx, _)) = self.pair.get() {
+                let _ = (&*tx).write(&[1]);
+            }
+        }
     }
 
-    /// Park until signaled or `timeout` elapses; clears the flag.
-    pub(crate) fn wait_timeout(&self, timeout: std::time::Duration) {
-        let mut flagged = self.flagged();
-        if !*flagged {
-            flagged = (self.cv.wait_timeout(flagged, timeout))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+    /// Open the socket pair (once) and return its read end's descriptor.
+    pub(crate) fn open(&self) -> io::Result<RawFd> {
+        if self.pair.get().is_none() {
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            let _ = self.pair.set((tx, rx));
         }
-        *flagged = false;
+        Ok(self.pair.get().map_or(-1, |(_, rx)| rx.as_raw_fd()))
+    }
+
+    /// Drain the pipe, then lower the flag. One read drains it: only a
+    /// signal that raised the flag writes, so at most a few bytes wait.
+    pub(crate) fn clear(&self) {
+        if let Some((_, rx)) = self.pair.get() {
+            let _ = (&*rx).read(&mut [0u8; 64]);
+        }
+        self.raised.store(false, Ordering::SeqCst);
     }
 }
 
 /// Shared reactor context one pass hands to every connection.
 pub(crate) struct ReactorCtx<'a> {
     pub sched: &'a Scheduler,
-    pub cfg: &'a NetConfig,
     pub metrics: &'a NetMetrics,
     pub plans: &'a [ArPlan],
     pub wake: &'a Arc<WakeFlag>,
@@ -67,8 +83,8 @@ pub(crate) struct ReactorCtx<'a> {
 
 /// Probe the scheduler *now*: would the read-pause watermark skip a
 /// socket read?
-fn reads_paused(sched: &Scheduler, cfg: &NetConfig) -> bool {
-    sched.queue_len() >= cfg.pause_queued_jobs
+pub(crate) fn reads_paused(sched: &Scheduler) -> bool {
+    sched.queue_len() >= PAUSE_QUEUED_JOBS
 }
 
 /// One slot in the ordered response queue.
@@ -92,14 +108,18 @@ pub(crate) struct Conn {
     io_dead: bool,
     /// Protocol error sent; close as soon as the write buffer drains.
     closing: bool,
-    /// Last pass this connection made progress, on [`NetConfig::clock`]
-    /// ([`crate::NetServer`]'s idle reaper reads and maintains this).
+    /// Last pass this connection made progress, on
+    /// [`crate::NetConfig::clock`] ([`crate::NetServer`]'s idle reaper
+    /// reads and maintains this).
     pub(crate) last_activity_ns: u64,
+    /// The descriptor the serve loop polls ([`Transport::readiness`]).
+    pub(crate) fd: Option<RawFd>,
 }
 
 impl Conn {
-    pub(crate) fn new(transport: Box<dyn Transport>, session: Session) -> Conn {
+    pub(crate) fn new(transport: Box<dyn Transport>, session: Session, fd: Option<RawFd>) -> Conn {
         Conn {
+            fd,
             transport,
             decoder: FrameDecoder::new(),
             outbuf: Vec::new(),
@@ -128,6 +148,21 @@ impl Conn {
             return drained;
         }
         self.read_eof && drained && self.decoder.buffered() == 0
+    }
+
+    /// Not at EOF, dead or closing, and under the in-flight cap.
+    fn would_read(&self) -> bool {
+        !(self.read_eof || self.io_dead || self.closing)
+            && self.pending.len() < MAX_INFLIGHT_PER_CONN
+    }
+
+    /// The poll(2) events this connection can act on now: input only
+    /// while it would read (a paused or capped connection left readable
+    /// would end every wait at once), output only while bytes wait.
+    pub(crate) fn interest(&self, paused: bool) -> i16 {
+        let read = self.would_read() && !paused;
+        let write = !self.io_dead && self.out_pos < self.outbuf.len();
+        (if read { POLLIN } else { 0 }) | (if write { POLLOUT } else { 0 })
     }
 
     /// Nothing buffered in either direction and no query in flight — the
@@ -250,24 +285,18 @@ impl Conn {
 
     /// Read one chunk — unless backpressure says the scheduler is full.
     fn read(&mut self, ctx: &ReactorCtx<'_>, scratch: &mut [u8]) -> bool {
-        if self.read_eof
-            || self.io_dead
-            || self.closing
-            || self.pending.len() >= ctx.cfg.max_inflight_per_conn
-        {
+        if !self.would_read() {
             return false;
         }
         // The watermark probe: sampled immediately before every read so
         // the bound holds pass-internally, not just pass-to-pass.
-        if reads_paused(ctx.sched, ctx.cfg) {
+        if reads_paused(ctx.sched) {
             ctx.metrics.read_pauses.inc();
             return false;
         }
-        let take = ctx.cfg.read_chunk.min(scratch.len());
-        let chunk = &mut scratch[..take];
-        match self.transport.try_read(chunk) {
+        match self.transport.try_read(scratch) {
             Ok(IoEvent::Bytes(n)) => {
-                self.decoder.feed(&chunk[..n]);
+                self.decoder.feed(&scratch[..n]);
                 ctx.metrics.bytes_in.add(n as u64);
                 true
             }
@@ -286,7 +315,7 @@ impl Conn {
     /// Turn decoded frames into pending responses.
     fn dispatch(&mut self, ctx: &ReactorCtx<'_>) -> bool {
         let mut progressed = false;
-        while !self.closing && self.pending.len() < ctx.cfg.max_inflight_per_conn {
+        while !self.closing && self.pending.len() < MAX_INFLIGHT_PER_CONN {
             match self.decoder.next() {
                 Ok(Some(frame)) => {
                     progressed = true;
@@ -361,7 +390,7 @@ impl Conn {
         F: FnOnce(&Session, bwd_engine::ExecMode) -> bwd_types::Result<Ticket>,
     {
         let queued = ctx.sched.queue_len();
-        if queued >= ctx.cfg.shed_queued_jobs {
+        if queued >= SHED_QUEUED_JOBS {
             ctx.metrics.busy_shed.inc();
             self.pending.push_back(Pending::Ready(Frame::Busy {
                 queued: queued.min(u32::MAX as usize) as u32,

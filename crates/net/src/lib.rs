@@ -12,18 +12,20 @@
 //!   never panics or over-reads on corrupt input. One frame cap,
 //!   [`DEFAULT_MAX_FRAME_LEN`], holds on both ends: senders refuse to
 //!   encode past it, decoders reject past it.
-//! * [`Transport`] — the non-blocking byte-stream contract, implemented
-//!   by real non-blocking sockets and by [`Duplex`] (bounded in-memory
-//!   pipes that make multi-connection tests deterministic).
-//! * [`NetServer`] — a mini-reactor: one thread polls every connection,
+//! * [`Transport`] — the byte-stream contract, implemented by sockets and
+//!   by [`Duplex`] (bounded in-memory pipes that make multi-connection
+//!   tests deterministic).
+//! * [`NetServer`] — a mini-reactor: one thread serves every connection,
 //!   submits decoded queries through non-blocking
 //!   [`bwd_sched::Ticket`]s, and emits responses strictly in request
-//!   order. No connection ever pins a scheduler worker.
-//! * [`NetConfig`] — two-level backpressure: past the read-pause
-//!   watermark on scheduler queue depth the reactor stops *reading
-//!   sockets* (demand queues in transport buffers, keeping the scheduler
-//!   queue provably bounded); past the hard shed limit already-decoded
-//!   requests get a retryable [`Frame::Busy`].
+//!   order. No connection ever pins a scheduler worker. Between passes
+//!   it sleeps in one poll(2) until an input it can act on is ready.
+//! * Two-level backpressure, in constants: at [`PAUSE_QUEUED_JOBS`] of
+//!   scheduler queue depth the reactor stops *reading sockets* (demand
+//!   queues in transport buffers, keeping the scheduler queue provably
+//!   bounded); past [`SHED_QUEUED_JOBS`] already-decoded requests get a
+//!   retryable [`Frame::Busy`]. [`NetConfig`] holds only the idle
+//!   timeout and its clock.
 //! * [`NetClient`] — a small blocking client for tests and examples,
 //!   with fixed busy-backoff and reconnect bounds.
 //!
@@ -41,7 +43,7 @@ mod transport;
 mod wire;
 
 pub use client::NetClient;
-pub use config::NetConfig;
+pub use config::{NetConfig, MAX_INFLIGHT_PER_CONN, PAUSE_QUEUED_JOBS, SHED_QUEUED_JOBS};
 pub use frame::{Frame, FrameDecoder, FrameError, WireMode, DEFAULT_MAX_FRAME_LEN};
 pub use server::{NetServer, NetServerHandle};
 pub use transport::{duplex, Duplex, FaultyTransport, IoEvent, Transport};

@@ -6,32 +6,50 @@
 //! deterministic in-memory pipes via [`NetServer::connect`]). A single
 //! [`NetServer::poll`] pass accepts, reads, decodes, submits, resolves
 //! and writes across every connection without blocking; the
-//! [`NetServer::serve`] loop repeats passes, parking on the shared
-//! [`WakeFlag`] between them so completed queries cut the latency short
-//! of the poll interval.
+//! [`NetServer::serve`] loop repeats passes, and when one makes no
+//! progress it blocks in one poll(2) until something it can act on is
+//! ready: the [`WakeFlag`] channel (a query resolved, a duplex peer moved
+//! bytes, the queue watermark may have lifted, shutdown), the listener,
+//! a socket it can read or write, or the next idle-reaper deadline.
 //!
 //! Crucially, *no connection ever occupies a scheduler worker while it
 //! waits*: queries ride non-blocking [`bwd_sched::Ticket`]s, so a
 //! thousand idle sessions cost a thousand small state machines, not a
 //! thousand threads.
 
-use crate::config::NetConfig;
-use crate::conn::{Conn, ReactorCtx, WakeFlag};
+use crate::config::{NetConfig, DUPLEX_CAPACITY, READ_CHUNK};
+use crate::conn::{reads_paused, Conn, ReactorCtx, WakeFlag};
 use crate::transport::{duplex, Duplex, TcpTransport, Transport};
 use bwd_core::plan::ArPlan;
 use bwd_obs::metrics::{Counter, Gauge, Registry};
 use bwd_sched::Scheduler;
+use std::ffi::{c_int, c_short, c_ulong};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// poll(2)'s `struct pollfd`: a descriptor, the events asked for and
+/// the events returned.
+#[repr(C)]
+struct PollFd(c_int, c_short, c_short);
+
+pub(crate) const POLLIN: c_short = 0x001;
+pub(crate) const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
 
 /// Front-door metric handles, registered on the server's own
 /// [`Registry`] so concurrent servers (and tests) don't observe each
 /// other.
 pub(crate) struct NetMetrics {
     registry: Arc<Registry>,
+    /// Serve-loop passes that ended in the wait.
+    waits: Counter,
     pub(crate) accepted: Counter,
     pub(crate) closed: Counter,
     pub(crate) frames_in: Counter,
@@ -53,6 +71,7 @@ impl NetMetrics {
     fn new() -> NetMetrics {
         let registry = Arc::new(Registry::new());
         NetMetrics {
+            waits: registry.counter("bwd_net_waits_total"),
             accepted: registry.counter("bwd_net_accepted_total"),
             closed: registry.counter("bwd_net_closed_total"),
             frames_in: registry.counter("bwd_net_frames_total{dir=\"in\"}"),
@@ -89,7 +108,7 @@ pub struct NetServer {
 impl NetServer {
     /// Wrap `sched` with explicit configuration.
     pub fn with_config(sched: Scheduler, cfg: NetConfig) -> NetServer {
-        let scratch = vec![0u8; cfg.read_chunk.max(1)];
+        let scratch = vec![0u8; READ_CHUNK];
         NetServer {
             sched,
             cfg,
@@ -134,14 +153,16 @@ impl NetServer {
     /// Open an in-memory connection; the returned [`Duplex`] is the
     /// client end. Deterministic — no kernel, no ports, no timing.
     pub fn connect(&mut self) -> Duplex {
-        let (server_end, client_end) = duplex(self.cfg.duplex_capacity);
+        let (server_end, client_end) = duplex(DUPLEX_CAPACITY);
         self.add_transport(Box::new(server_end));
         client_end
     }
 
     /// Adopt an established transport as a new connection.
-    pub fn add_transport(&mut self, transport: Box<dyn Transport>) {
-        let mut conn = Conn::new(transport, self.sched.session());
+    pub fn add_transport(&mut self, mut transport: Box<dyn Transport>) {
+        let wake = Arc::clone(&self.wake);
+        let fd = transport.readiness(&(Arc::new(move || wake.signal()) as _));
+        let mut conn = Conn::new(transport, self.sched.session(), fd);
         conn.last_activity_ns = self.cfg.clock.now_ns();
         self.conns.push(conn);
         self.metrics.accepted.inc();
@@ -156,10 +177,11 @@ impl NetServer {
         let mut accepted = Vec::new();
         loop {
             match listener.accept() {
-                Ok((stream, _peer)) => match TcpTransport::new(stream) {
-                    Ok(t) => accepted.push(Box::new(t) as Box<dyn Transport>),
-                    Err(_) => continue,
-                },
+                Ok((stream, _peer)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        accepted.push(Box::new(TcpTransport::new(stream)) as Box<dyn Transport>);
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
@@ -179,7 +201,6 @@ impl NetServer {
         let mut progressed = self.accept();
         let ctx = ReactorCtx {
             sched: &self.sched,
-            cfg: &self.cfg,
             metrics: &self.metrics,
             plans: &self.plans,
             wake: &self.wake,
@@ -244,13 +265,15 @@ impl NetServer {
     }
 
     /// Run the serve loop on this thread until `stop` turns true:
-    /// repeat [`poll`](NetServer::poll) passes, parking on the
-    /// completion signal (bounded by [`NetConfig::poll_interval`]) when
-    /// a pass makes no progress. Returns the server for teardown.
-    fn serve(mut self, stop: &AtomicBool) -> NetServer {
-        while !stop.load(Ordering::Relaxed) {
+    /// repeat [`poll`](NetServer::poll) passes, and [`wait`](Self::wait)
+    /// when one makes no progress. Returns the server for teardown.
+    fn serve(mut self, stop: &AtomicBool, wake_fd: RawFd) -> NetServer {
+        // Signals from before the channel opened raised the flag alone;
+        // the first pass sees what they signaled.
+        self.wake.clear();
+        while !stop.load(Ordering::SeqCst) {
             if !self.poll() {
-                self.wake.wait_timeout(self.cfg.poll_interval);
+                self.wait(wake_fd);
             }
         }
         // Final drain so responses already resolved reach their sockets.
@@ -258,18 +281,66 @@ impl NetServer {
         self
     }
 
+    /// Block in poll(2) until something a pass can act on is ready: the
+    /// wake channel, the listener, a connection's descriptor for the
+    /// events [`Conn::interest`] names, or the earliest idle-reaper
+    /// deadline (no timeout when nothing can be reaped).
+    fn wait(&mut self, wake_fd: RawFd) {
+        let mut paused = reads_paused(&self.sched);
+        if paused {
+            // Armed before the second probe, so a dequeue between the two
+            // still wakes the loop.
+            let wake = Arc::clone(&self.wake);
+            self.sched.wake_on_dequeue(move || wake.signal());
+            paused = reads_paused(&self.sched);
+        }
+        let mut fds = vec![PollFd(wake_fd, POLLIN, 0)];
+        fds.extend(
+            self.listener
+                .as_ref()
+                .map(|l| PollFd(l.as_raw_fd(), POLLIN, 0)),
+        );
+        for conn in &self.conns {
+            let events = conn.interest(paused);
+            if let (Some(fd), true) = (conn.fd, events != 0) {
+                fds.push(PollFd(fd, events, 0));
+            }
+        }
+        let now = self.cfg.clock.now_ns();
+        let timeout_ms = (self.cfg.idle_timeout)
+            .and_then(|idle| {
+                let idle = u64::try_from(idle.as_nanos()).unwrap_or(u64::MAX);
+                (self.conns.iter().filter(|c| c.is_idle()))
+                    .map(|c| c.last_activity_ns.saturating_add(idle).saturating_sub(now))
+                    .min()
+            })
+            .map_or(-1, |ns| {
+                ns.div_ceil(1_000_000).min(i32::MAX as u64) as c_int
+            });
+        // SAFETY: `fds` is a live array of `fds.len()` pollfd structs that
+        // poll(2) only writes the returned events of.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+        self.metrics.waits.inc();
+        if fds[0].2 != 0 {
+            self.wake.clear();
+        }
+    }
+
     /// Spawn the serve loop on a background thread.
     pub fn spawn(self) -> NetServerHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let wake = Arc::clone(&self.wake);
         let stop2 = Arc::clone(&stop);
-        // The one panic the crate keeps: the OS refused a thread, and the
-        // handle callers hold has no error channel (`std::thread::spawn`
-        // panics the same way).
-        let join = std::thread::Builder::new()
-            .name("bwd-net".into())
-            .spawn(move || self.serve(&stop2))
-            .expect("spawn bwd-net thread");
+        // The one panic the crate keeps: the OS refused the loop its wake
+        // channel or its thread, and the handle callers hold has no error
+        // channel (`std::thread::spawn` panics the same way).
+        let join = (wake.open())
+            .and_then(|wake_fd| {
+                std::thread::Builder::new()
+                    .name("bwd-net".into())
+                    .spawn(move || self.serve(&stop2, wake_fd))
+            })
+            .expect("start the bwd-net serve loop");
         NetServerHandle {
             stop,
             wake,
@@ -289,7 +360,7 @@ impl NetServerHandle {
     /// Stop the loop and get the server back (connections intact). A
     /// panic on the serve thread resumes here.
     pub fn shutdown(mut self) -> NetServer {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         self.wake.signal();
         // `Some` here: `shutdown` consumes the handle, `drop` runs after.
         let join = self.join.take().expect("serve thread joined once");
@@ -301,9 +372,48 @@ impl NetServerHandle {
 impl Drop for NetServerHandle {
     fn drop(&mut self) {
         if let Some(join) = self.join.take() {
-            self.stop.store(true, Ordering::Relaxed);
+            self.stop.store(true, Ordering::SeqCst);
             self.wake.signal();
             let _ = join.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A signaller hammers the wake channel while a loop clears it only
+    /// when poll(2) finds it readable, as the serve loop does. A signal
+    /// that lands between the drain and the lowering of the flag must not
+    /// be lost: afterwards, one more signal still makes the pair readable.
+    #[test]
+    fn a_signal_racing_the_drain_is_never_lost() {
+        let wake = Arc::new(WakeFlag::default());
+        let fd = wake.open().unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let signaller = {
+            let (wake, done) = (Arc::clone(&wake), Arc::clone(&done));
+            std::thread::spawn(move || {
+                for _ in 0..200_000 {
+                    wake.signal();
+                }
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        let readable = || {
+            let mut fds = [PollFd(fd, POLLIN, 0)];
+            // SAFETY: one live pollfd, and a zero timeout.
+            unsafe { poll(fds.as_mut_ptr(), 1, 0) };
+            fds[0].2 != 0
+        };
+        while !done.load(Ordering::SeqCst) {
+            if readable() {
+                wake.clear();
+            }
+        }
+        signaller.join().unwrap();
+        wake.signal();
+        assert!(readable(), "the flag stayed up with no byte to wake on");
     }
 }

@@ -1,18 +1,21 @@
 //! Byte transports the reactor multiplexes over.
 //!
-//! Two implementations share one non-blocking [`Transport`] contract:
-//! [`TcpTransport`] wraps a real non-blocking socket, and [`Duplex`] is a
-//! deterministic in-memory pipe pair for tests — same connection state
-//! machine, same backpressure behavior, no kernel in the loop. A bounded
-//! `Duplex` also *models* socket buffers: when the reactor pauses reads,
-//! bytes pile up in the transport exactly as they would in a kernel
-//! receive queue, which is what the backpressure tests assert on.
+//! Two implementations share one [`Transport`] contract: [`TcpTransport`]
+//! wraps a real socket, and [`Duplex`] is a deterministic in-memory pipe
+//! pair for tests — same connection state machine, same backpressure
+//! behavior, no kernel in the loop. A bounded `Duplex` also *models*
+//! socket buffers: when the reactor pauses reads, bytes pile up in the
+//! transport exactly as they would in a kernel receive queue.
 
 use bwd_types::{FaultPlan, FaultSite};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// What a transport calls to wake the serve loop that adopted it.
+type Wake = Arc<dyn Fn() + Send + Sync>;
 
 /// Outcome of one non-blocking transport operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,13 +28,19 @@ pub enum IoEvent {
     Eof,
 }
 
-/// A non-blocking byte stream.
+/// A byte stream. A server's transports never block; a client's may.
 pub trait Transport: Send {
-    /// Read into `buf` without blocking.
+    /// Read into `buf`.
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<IoEvent>;
 
-    /// Write from `buf` without blocking; partial writes are normal.
+    /// Write from `buf`; partial writes are normal.
     fn try_write(&mut self, buf: &[u8]) -> io::Result<IoEvent>;
+
+    /// How a [`crate::NetServer`]'s serve loop learns that this transport
+    /// may have become ready, asked once when the server adopts it: a
+    /// descriptor it polls, or `None` once `wake` is arranged to run
+    /// whenever the peer moves bytes or closes.
+    fn readiness(&mut self, wake: &Arc<dyn Fn() + Send + Sync>) -> Option<RawFd>;
 }
 
 // ---------------------------------------------------------------------
@@ -79,25 +88,29 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         }
         self.inner.try_write(buf)
     }
+
+    fn readiness(&mut self, wake: &Wake) -> Option<RawFd> {
+        self.inner.readiness(wake)
+    }
 }
 
 // ---------------------------------------------------------------------
 // TCP
 // ---------------------------------------------------------------------
 
-/// A non-blocking TCP stream.
+/// A TCP stream: non-blocking where a server accepted it, blocking where
+/// a client dialed it.
 pub(crate) struct TcpTransport {
     stream: TcpStream,
 }
 
 impl TcpTransport {
-    /// Wrap `stream`, switching it to non-blocking mode and disabling
-    /// Nagle (the protocol is request/response; batching adds latency
-    /// and nothing else).
-    pub(crate) fn new(stream: TcpStream) -> io::Result<TcpTransport> {
-        stream.set_nonblocking(true)?;
+    /// Wrap `stream` in the blocking mode it has, disabling Nagle (the
+    /// protocol is request/response; batching adds latency and nothing
+    /// else).
+    pub(crate) fn new(stream: TcpStream) -> TcpTransport {
         let _ = stream.set_nodelay(true);
-        Ok(TcpTransport { stream })
+        TcpTransport { stream }
     }
 }
 
@@ -120,6 +133,10 @@ impl Transport for TcpTransport {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(IoEvent::WouldBlock),
             Err(e) => Err(e),
         }
+    }
+
+    fn readiness(&mut self, _wake: &Wake) -> Option<RawFd> {
+        Some(self.stream.as_raw_fd())
     }
 }
 
@@ -160,12 +177,17 @@ impl Pipe {
 ///
 /// Dropping an end closes *both* directions: the peer's reads observe
 /// EOF once the buffered bytes drain, and the peer's writes fail with
-/// `BrokenPipe` — the same semantics a TCP socket close gives.
+/// `BrokenPipe` — the same semantics a TCP socket close gives. An end a
+/// server adopts has no descriptor to poll: its peer's writes, reads and
+/// drop wake the serve loop instead.
 pub struct Duplex {
     /// Peer → us.
     rx: Arc<Pipe>,
     /// Us → peer.
     tx: Arc<Pipe>,
+    /// The serve loops that adopted this end and the peer.
+    woken: Arc<OnceLock<Wake>>,
+    peer: Arc<OnceLock<Wake>>,
 }
 
 /// A symmetric in-memory connection: bytes written to one end become
@@ -173,24 +195,29 @@ pub struct Duplex {
 pub fn duplex(capacity: usize) -> (Duplex, Duplex) {
     let a_to_b = Pipe::new(capacity);
     let b_to_a = Pipe::new(capacity);
+    let (a, b) = (Arc::default(), Arc::default());
     (
         Duplex {
             rx: Arc::clone(&b_to_a),
             tx: Arc::clone(&a_to_b),
+            woken: Arc::clone(&a),
+            peer: Arc::clone(&b),
         },
         Duplex {
             rx: a_to_b,
             tx: b_to_a,
+            woken: b,
+            peer: a,
         },
     )
 }
 
 impl Duplex {
-    /// Bytes this end has written that the peer has not yet read. Tests
-    /// use a client end's unflushed depth to prove paused connections
-    /// stop draining their transport.
-    pub fn unflushed(&self) -> usize {
-        self.tx.state().data.len()
+    /// Wake the serve loop that adopted the peer, if one did.
+    fn wake_peer(&self) {
+        if let Some(wake) = self.peer.get() {
+            wake();
+        }
     }
 }
 
@@ -208,6 +235,7 @@ impl Transport for Duplex {
         for (b, byte) in buf.iter_mut().zip(s.data.drain(..n)) {
             *b = byte;
         }
+        self.wake_peer();
         Ok(IoEvent::Bytes(n))
     }
 
@@ -225,7 +253,13 @@ impl Transport for Duplex {
             return Ok(IoEvent::WouldBlock);
         }
         s.data.extend(buf[..n].iter().copied());
+        self.wake_peer();
         Ok(IoEvent::Bytes(n))
+    }
+
+    fn readiness(&mut self, wake: &Wake) -> Option<RawFd> {
+        let _ = self.woken.set(Arc::clone(wake));
+        None
     }
 }
 
@@ -234,6 +268,7 @@ impl Drop for Duplex {
         for pipe in [&self.rx, &self.tx] {
             pipe.state().closed = true;
         }
+        self.wake_peer();
     }
 }
 
@@ -245,7 +280,6 @@ mod tests {
     fn duplex_moves_bytes_and_signals_eof() {
         let (mut a, mut b) = duplex(8);
         assert_eq!(a.try_write(b"hello!").unwrap(), IoEvent::Bytes(6));
-        assert_eq!(a.unflushed(), 6);
         let mut buf = [0u8; 4];
         assert_eq!(b.try_read(&mut buf).unwrap(), IoEvent::Bytes(4));
         assert_eq!(&buf, b"hell");

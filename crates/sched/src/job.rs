@@ -154,8 +154,6 @@ pub(crate) struct Job {
     pub plan: ArPlan,
     pub mode: ExecMode,
     pub opts: SubmitOptions,
-    /// Originating session (stamped on the job's [`crate::TraceRecord`]).
-    pub session: u64,
     /// The one walk of the plan, taken at submission: the latency
     /// estimate ([`Job::est_seconds`]) and the reservation sizes.
     pub footprint: PlanFootprint,
@@ -255,23 +253,29 @@ impl Ticket {
     /// Errors with [`BwdError::Exec`] if the scheduler shut down before
     /// the query ran.
     pub fn wait(self) -> Result<QueryResult> {
-        self.rx.recv().map(|(r, _)| r).unwrap_or_else(|_| {
-            Err(BwdError::Exec(
-                "scheduler shut down before the query completed".into(),
-            ))
-        })
+        self.wait_outcome().0
     }
 
     /// Block until the query completes, returning the result together
     /// with its scheduling report (queue wait, completion index,
     /// estimate vs actual).
     pub fn wait_report(self) -> Result<(QueryResult, JobReport)> {
+        let (result, report) = self.wait_outcome();
+        Ok((result?, report.unwrap_or_default()))
+    }
+
+    /// Block until the query completes, returning its result — an error
+    /// too — beside its scheduling report; the report is `None` when the
+    /// scheduler shut down before the query ran.
+    pub fn wait_outcome(self) -> (Result<QueryResult>, Option<JobReport>) {
         match self.rx.recv() {
-            Ok((Ok(r), rep)) => Ok((r, rep)),
-            Ok((Err(e), _)) => Err(e),
-            Err(_) => Err(BwdError::Exec(
-                "scheduler shut down before the query completed".into(),
-            )),
+            Ok((result, report)) => (result, Some(report)),
+            Err(_) => (
+                Err(BwdError::Exec(
+                    "scheduler shut down before the query completed".into(),
+                )),
+                None,
+            ),
         }
     }
 

@@ -113,6 +113,6 @@ pub use admission::{AdmissionController, AdmissionPermit, KERNEL_SCRATCH_BYTES};
 pub use footprint::{PlanFootprint, WorkingSetEstimate};
 pub use job::{JobReport, SubmitOptions, Ticket};
 pub use policy::PolicyQueue;
-pub use scheduler::{SchedConfig, Scheduler, TraceRecord};
+pub use scheduler::{SchedConfig, Scheduler};
 pub use session::Session;
 pub use stats::{DeviceSnapshot, SchedulerStats, StreamSnapshot};

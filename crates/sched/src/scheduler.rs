@@ -64,22 +64,11 @@ impl Default for SchedConfig {
     }
 }
 
-/// One completed job's captured trace, as drained from the scheduler.
-#[derive(Debug, Clone)]
-pub struct TraceRecord {
-    /// The submitting session's id.
-    pub session: u64,
-    /// The job's global completion stamp.
-    pub completion_index: u64,
-    /// Short label for display (the plan's table).
-    pub label: String,
-    /// The captured lifecycle trace.
-    pub trace: QueryTrace,
-}
-
 pub(crate) struct QueueState {
     pub jobs: PolicyQueue<Job>,
     pub closed: bool,
+    /// Runs once, after the next dequeue ([`Scheduler::wake_on_dequeue`]).
+    pub on_dequeue: Option<Box<dyn FnOnce() + Send>>,
 }
 
 /// State shared between the scheduler handle, sessions and workers.
@@ -97,8 +86,6 @@ pub(crate) struct Shared {
     /// Global completion stamp source ([`JobReport::completion_index`]).
     pub completions: AtomicU64,
     pub next_session: AtomicU64,
-    /// Captured traces of completed jobs ([`Scheduler::drain_traces`]).
-    pub traces: Mutex<Vec<TraceRecord>>,
     pub metrics: SchedMetrics,
 }
 
@@ -176,6 +163,7 @@ impl Scheduler {
             queue: Mutex::new(QueueState {
                 jobs: PolicyQueue::new(config.aging_threshold),
                 closed: false,
+                on_dequeue: None,
             }),
             work_ready: Condvar::new(),
             devices,
@@ -183,7 +171,6 @@ impl Scheduler {
             approx_refine: stream("approx_refine"),
             completions: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
-            traces: Mutex::new(Vec::new()),
             metrics,
             config,
         });
@@ -254,16 +241,11 @@ impl Scheduler {
         }
     }
 
-    /// Take (and clear) the traces of every traced job completed so far,
-    /// in completion order. Only jobs that ran with tracing enabled
-    /// deposit a record here; the same trace is also attached to the
-    /// job's [`JobReport`].
-    pub fn drain_traces(&self) -> Vec<TraceRecord> {
-        let mut t = self.shared.traces.lock().unwrap();
-        let mut out = std::mem::take(&mut *t);
-        drop(t);
-        out.sort_by_key(|r| r.completion_index);
-        out
+    /// Run `wake` once, after a worker next takes a job off the queue;
+    /// it replaces an earlier `wake` that has not run yet. The front door
+    /// sleeps on it while the queue's depth pauses its reads.
+    pub fn wake_on_dequeue(&self, wake: impl FnOnce() + Send + 'static) {
+        self.shared.queue.lock().unwrap().on_dequeue = Some(Box::new(wake));
     }
 
     /// A Prometheus-style text snapshot of every metric this scheduler
@@ -316,11 +298,11 @@ impl Drop for Scheduler {
 fn worker_loop(shared: Arc<Shared>, index: usize) {
     let lane = format!("worker-{index}");
     loop {
-        let job = {
+        let (job, woken) = {
             let mut q = shared.queue.lock().unwrap();
             loop {
                 if let Some(job) = q.jobs.pop() {
-                    break job;
+                    break (job, q.on_dequeue.take());
                 }
                 if q.closed {
                     return;
@@ -328,6 +310,9 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                 q = shared.work_ready.wait(q).unwrap();
             }
         };
+        if let Some(wake) = woken {
+            wake();
+        }
         execute_job(&shared, job, &lane);
     }
 }
@@ -360,16 +345,7 @@ fn execute_job(shared: &Arc<Shared>, job: Job, lane: &str) {
         wall,
         completion_index,
     });
-    let trace = job.recorder.is_enabled().then(|| {
-        let trace = QueryTrace::capture(&job.recorder);
-        shared.traces.lock().unwrap().push(TraceRecord {
-            session: job.session,
-            completion_index,
-            label: job.plan.table.clone(),
-            trace: trace.clone(),
-        });
-        trace
-    });
+    let trace = (job.recorder.is_enabled()).then(|| QueryTrace::capture(&job.recorder));
     let report = JobReport {
         queue_wait: queued,
         exec: wall,
@@ -677,7 +653,6 @@ mod tests {
             .wait_traced()
             .unwrap();
         assert_eq!(result.rows[0][0], Value::Int(400));
-        assert!(report.trace.is_some());
         let text = trace.explain();
         assert!(text.contains("query"), "{text}");
         assert!(text.contains("queue"), "{text}");
@@ -687,11 +662,14 @@ mod tests {
         assert!(text.contains("admission"), "{text}");
         assert!(text.contains("@resolve"), "{text}");
 
-        let records = sched.drain_traces();
-        assert_eq!(records.len(), 1, "only the traced job deposits a record");
-        assert_eq!(records[0].label, "t");
-        assert!(sched.drain_traces().is_empty(), "drain clears");
-        session.query(&plan, ExecMode::Classic).unwrap();
+        // The report carries the trace, and every job of a tracing
+        // scheduler has its own.
+        assert_eq!(report.trace.as_ref(), Some(&trace));
+        let (classic, report) = (session.submit(plan.clone(), ExecMode::Classic)).wait_outcome();
+        classic.unwrap();
+        let classic_trace = report.and_then(|r| r.trace).expect("a traced job's report");
+        assert!(classic_trace.explain().contains("@resolve"));
+        assert_ne!(classic_trace, trace);
 
         // A scheduler without tracing attaches none.
         let untraced = Scheduler::new(db, SchedConfig::default());

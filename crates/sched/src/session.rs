@@ -68,7 +68,6 @@ impl Session {
             plan,
             mode,
             opts,
-            session: self.id,
             footprint,
             reply: tx,
             submitted: Instant::now(),

@@ -3,7 +3,8 @@
 //!
 //! One table, one row per way a job can end. Each row drives a fresh
 //! one-worker scheduler over a two-card pool down that path and the
-//! harness then checks, for *every* job the row completed:
+//! harness then checks, for *every* job the row waited for (each trace
+//! read off the job's report):
 //!
 //! 1. the lifecycle events of its captured trace, read as states, form
 //!    consecutive pairs that are all in [`LEGAL`] and end in a terminal
@@ -21,10 +22,11 @@
 
 use bwd_bench::workload::{QuerySpec, WorkloadGen, WorkloadSpec};
 use bwd_device::Env;
+use bwd_engine::QueryResult;
 use bwd_obs::{EventKind, Phase, QueryTrace};
 use bwd_sched::lifecycle::{State, LEGAL};
 use bwd_sched::{SchedConfig, Scheduler, Session, SubmitOptions, Ticket};
-use bwd_types::{BwdError, FaultPlan, FaultSite, FaultSpec};
+use bwd_types::{BwdError, FaultPlan, FaultSite, FaultSpec, Result};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,17 +90,38 @@ fn small_spec() -> WorkloadSpec {
 }
 
 /// What a row drives: the workload, the scheduler, a session for helper
-/// jobs and the session of the job under test.
+/// jobs and the session of the job under test, and the trace of every
+/// job the row waited for, with its session's id.
 struct Ctx {
     gen: WorkloadGen,
     sched: Option<Scheduler>,
     helper: Session,
     subject: Session,
+    traces: Vec<(u64, QueryTrace)>,
+}
+
+/// A submitted job and its session's id.
+struct Submitted {
+    ticket: Ticket,
+    session: u64,
 }
 
 impl Ctx {
-    fn submit(&self, session: &Session, q: &QuerySpec, opts: SubmitOptions) -> Ticket {
-        session.submit_with(q.plan.clone(), q.mode.clone(), opts)
+    fn submit(&self, session: &Session, q: &QuerySpec, opts: SubmitOptions) -> Submitted {
+        Submitted {
+            ticket: session.submit_with(q.plan.clone(), q.mode.clone(), opts),
+            session: session.id(),
+        }
+    }
+
+    /// Wait for `job`, keeping the trace its report carries (a failed
+    /// job's too).
+    fn wait(&mut self, job: Submitted) -> Result<QueryResult> {
+        let (result, report) = job.ticket.wait_outcome();
+        let trace = report.and_then(|r| r.trace);
+        self.traces
+            .push((job.session, trace.expect("a traced job's report")));
+        result
     }
 
     fn pinned(device: usize) -> SubmitOptions {
@@ -110,7 +133,7 @@ impl Ctx {
 
     /// Freeze the one worker: gate card 0 and block a helper probe pinned
     /// to it inside admission.
-    fn freeze(&mut self) -> (Gate, Ticket) {
+    fn freeze(&mut self) -> (Gate, Submitted) {
         let gate = Gate::block(self.gen.db(), 0).unwrap();
         let job = self.gen.short();
         let ticket = self.submit(&self.helper, &job, gate.submit_options());
@@ -151,7 +174,7 @@ const CASES: &[Case] = &[
         config: NO_CONFIG,
         drive: |ctx| {
             let q = ctx.gen.long();
-            let got = ctx.submit(&ctx.subject, &q, Default::default()).wait();
+            let got = ctx.wait(ctx.submit(&ctx.subject, &q, Default::default()));
             assert_eq!(got.unwrap().rows, ctx.gen.reference(&q).unwrap().rows);
         },
     },
@@ -162,7 +185,7 @@ const CASES: &[Case] = &[
         config: NO_CONFIG,
         drive: |ctx| {
             let q = ctx.gen.short();
-            let got = ctx.submit(&ctx.subject, &q, Default::default()).wait();
+            let got = ctx.wait(ctx.submit(&ctx.subject, &q, Default::default()));
             assert_eq!(got.unwrap().rows, ctx.gen.reference(&q).unwrap().rows);
         },
     },
@@ -175,10 +198,10 @@ const CASES: &[Case] = &[
             let (gate, frozen) = ctx.freeze();
             let q = ctx.gen.short();
             let victim = ctx.submit(&ctx.subject, &q, Default::default());
-            victim.cancel();
+            victim.ticket.cancel();
             gate.release();
-            frozen.wait().unwrap();
-            assert!(matches!(victim.wait(), Err(BwdError::Cancelled)));
+            ctx.wait(frozen).unwrap();
+            assert!(matches!(ctx.wait(victim), Err(BwdError::Cancelled)));
         },
     },
     Case {
@@ -194,9 +217,9 @@ const CASES: &[Case] = &[
             let q = ctx.gen.short();
             let running = ctx.submit(&ctx.subject, &q, gate.submit_options());
             gate.wait_admission_blocked(1);
-            running.cancel();
+            running.ticket.cancel();
             gate.release();
-            let stopped = running.wait();
+            let stopped = ctx.wait(running);
             assert!(matches!(stopped, Err(BwdError::Cancelled)), "{stopped:?}");
         },
     },
@@ -214,7 +237,7 @@ const CASES: &[Case] = &[
             };
             let expiring = ctx.submit(&ctx.subject, &q, opts);
             gate.wait_admission_blocked(1);
-            let err = expiring.wait().unwrap_err();
+            let err = ctx.wait(expiring).unwrap_err();
             assert!(matches!(err, BwdError::DeadlineExceeded { .. }), "{err}");
             gate.release();
         },
@@ -228,7 +251,7 @@ const CASES: &[Case] = &[
         config: |c| c.safety_factor = 1e-6,
         drive: |ctx| {
             let q = ctx.gen.short();
-            let got = ctx.submit(&ctx.subject, &q, Default::default()).wait();
+            let got = ctx.wait(ctx.submit(&ctx.subject, &q, Default::default()));
             assert_eq!(got.unwrap().rows, ctx.gen.reference(&q).unwrap().rows);
         },
     },
@@ -241,7 +264,7 @@ const CASES: &[Case] = &[
         config: NO_CONFIG,
         drive: |ctx| {
             let q = ctx.gen.short();
-            let got = ctx.submit(&ctx.subject, &q, Default::default()).wait();
+            let got = ctx.wait(ctx.submit(&ctx.subject, &q, Default::default()));
             // The plan's one fault is spent: the reference runs clean.
             assert_eq!(got.unwrap().rows, ctx.gen.reference(&q).unwrap().rows);
         },
@@ -255,7 +278,7 @@ const CASES: &[Case] = &[
         config: NO_CONFIG,
         drive: |ctx| {
             let q = ctx.gen.short();
-            let err = ctx.submit(&ctx.subject, &q, Default::default()).wait();
+            let err = ctx.wait(ctx.submit(&ctx.subject, &q, Default::default()));
             assert!(matches!(err, Err(BwdError::DeviceFault(_))), "{err:?}");
         },
     },
@@ -275,11 +298,11 @@ const CASES: &[Case] = &[
                 .arm_faults(dead);
             for _ in 0..3 {
                 let q = ctx.gen.short();
-                let got = ctx.submit(&ctx.helper, &q, Default::default()).wait();
+                let got = ctx.wait(ctx.submit(&ctx.helper, &q, Default::default()));
                 assert_eq!(got.unwrap().rows, ctx.gen.reference(&q).unwrap().rows);
             }
             let q = ctx.gen.short();
-            let err = ctx.submit(&ctx.subject, &q, Ctx::pinned(0)).wait();
+            let err = ctx.wait(ctx.submit(&ctx.subject, &q, Ctx::pinned(0)));
             assert!(matches!(err, Err(BwdError::DeviceFault(_))), "{err:?}");
         },
     },
@@ -303,7 +326,7 @@ const CASES: &[Case] = &[
                 .memory()
                 .arm_faults(fault);
             let q = ctx.gen.short();
-            let err = ctx.submit(&ctx.subject, &q, Ctx::pinned(0)).wait();
+            let err = ctx.wait(ctx.submit(&ctx.subject, &q, Ctx::pinned(0)));
             assert!(matches!(err, Err(BwdError::DeviceFault(_))), "{err:?}");
         },
     },
@@ -314,7 +337,7 @@ const CASES: &[Case] = &[
         config: NO_CONFIG,
         drive: |ctx| {
             let q = ctx.gen.short();
-            let err = ctx.submit(&ctx.subject, &q, Default::default()).wait();
+            let err = ctx.wait(ctx.submit(&ctx.subject, &q, Default::default()));
             let err = err.unwrap_err().to_string();
             assert!(err.contains("panicked"), "{err}");
         },
@@ -334,14 +357,14 @@ const CASES: &[Case] = &[
             let sched = ctx.sched.take().unwrap();
             let nothing_counted = sched.metrics_snapshot();
             let dropper = std::thread::spawn(move || sched.shutdown());
-            for ticket in discarded {
-                let err = ticket.wait().unwrap_err().to_string();
+            for job in discarded {
+                let err = job.ticket.wait().unwrap_err().to_string();
                 assert!(err.contains("shut down"), "{err}");
             }
             gate.release();
             // The job in flight still completes, along legal edges; no
             // counter had moved when the queue was discarded.
-            let (_, _, trace) = frozen.wait_traced().unwrap();
+            let (_, _, trace) = frozen.ticket.wait_traced().unwrap();
             check_walk(&walk(&trace).0, "the frozen job");
             dropper.join().unwrap();
             check_counters(&[], &nothing_counted);
@@ -444,6 +467,7 @@ fn every_trace_walks_the_table_and_every_exit_gives_the_card_back() {
             sched: Some(sched),
             helper,
             subject,
+            traces: Vec::new(),
         };
         (case.drive)(&mut ctx);
 
@@ -454,19 +478,18 @@ fn every_trace_walks_the_table_and_every_exit_gives_the_card_back() {
         let Some(sched) = ctx.sched else {
             continue; // the row shut the scheduler down (and checked itself)
         };
-        let records = sched.drain_traces();
         let mut subject_walk: &[State] = &[];
-        let walks: Vec<_> = records.iter().map(|r| walk(&r.trace).0).collect();
-        for (record, walk) in records.iter().zip(&walks) {
-            trace_check::validate(&record.trace).unwrap();
+        let walks: Vec<_> = ctx.traces.iter().map(|(_, t)| walk(t).0).collect();
+        for ((session, trace), walk) in ctx.traces.iter().zip(&walks) {
+            trace_check::validate(trace).unwrap();
             check_walk(walk, case.name);
-            if record.session == ctx.subject.id() {
+            if *session == ctx.subject.id() {
                 subject_walk = walk;
             }
             walked.extend(walk.windows(2).map(|p| (p[0], p[1])));
         }
         assert_eq!(subject_walk, case.expect, "{}", case.name);
-        let traces: Vec<_> = records.into_iter().map(|r| r.trace).collect();
+        let traces: Vec<_> = ctx.traces.into_iter().map(|(_, t)| t).collect();
         check_counters(&traces, &sched.metrics_snapshot());
     }
     // Every walked edge is legal (`check_walk`), so this is the union of

@@ -674,13 +674,7 @@ fn dead_peer_cancels_inflight_tickets_and_frees_reservations() {
             ..SchedConfig::default()
         },
     );
-    let mut server = NetServer::with_config(
-        sched,
-        NetConfig {
-            duplex_capacity: 1 << 20,
-            ..NetConfig::default()
-        },
-    );
+    let mut server = NetServer::with_config(sched, NetConfig::default());
 
     // Freeze the single worker inside admission so the connection's
     // queries provably sit queued when the transport dies.
@@ -770,7 +764,6 @@ fn idle_reaper_retires_quiet_connections_only() {
         NetConfig {
             idle_timeout: Some(Duration::from_secs(5)),
             clock,
-            ..NetConfig::default()
         },
     );
 

@@ -7,7 +7,10 @@
 # (`Kill:`). For each patch this script checks out HEAD in a fresh git
 # worktree, applies the patch there, runs `cargo test -q <Kill>` and
 # requires a failure. A patch that no longer applies fails the run too:
-# the change that rewrote the code re-expresses the mutant.
+# the change that rewrote the code re-expresses the mutant. Each killed
+# mutant is run once more with `--release` (unless its filter already
+# builds release), and the line says whether it dies there too or only by
+# a debug check; a release survivor does not fail the run.
 #
 # Run from anywhere inside the repository: sh tests/mutants/kill.sh
 # All worktrees share one CARGO_TARGET_DIR (default target/mutants).
@@ -32,7 +35,18 @@ for patch in "$root"/tests/mutants/*.patch; do
     else
         # How it died: the first panic's location and message.
         how=$(grep -m1 -A1 "panicked at" "$tree.log" | tr '\n' ' ')
-        echo "killed $name by \`cargo test $kill\`: $how"
+        case " $kill " in
+        *" --release "*) profile="release" ;;
+        *)
+            (cd "$tree" && eval "cargo test -q --release $kill") >"$tree.log" 2>&1
+            if grep -q "test result: FAILED" "$tree.log"; then
+                profile="debug and release"
+            else
+                profile="debug only"
+            fi
+            ;;
+        esac
+        echo "killed $name by \`cargo test $kill\` ($profile): $how"
         killed=$((killed + 1))
     fi
     git -C "$root" worktree remove --force "$tree"

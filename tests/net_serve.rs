@@ -1,6 +1,6 @@
 //! The network front door, end to end and deterministically.
 //!
-//! Three pillars:
+//! Four pillars:
 //!
 //! * **Soak** — a 10 000-request workload multiplexed over in-memory
 //!   [`Duplex`] connections. Every response must be *bit-identical* to a
@@ -9,26 +9,36 @@
 //!   lost, duplicated or reordered frames, and the reactor-observed peak
 //!   scheduler queue depth provably within the backpressure bound.
 //! * **Backpressure** — a [`Gate`] freezes the single worker *inside*
-//!   device admission while clients keep writing. The reactor must stop
-//!   reading sockets once the pause watermark trips (demand stays in the
-//!   transport, the queue stays bounded), then fully drain after release.
+//!   device admission and a session fills the queue to the pause
+//!   watermark. The reactor must read no request byte (demand stays in
+//!   the transport), then fully drain after release; past the shed limit
+//!   a decoded request is answered `Busy`.
 //! * **TCP smoke** — one real loopback socket, end to end: ping, a SQL
 //!   query, and an error round trip.
+//! * **The serve loop's wait** — a spawned server sleeps in one poll(2)
+//!   while idle and while reads are paused with input readable, and
+//!   pipelined probes over TCP and over a duplex all resolve.
 //!
-//! No sleeps anywhere: every loop waits on *state* (responses arrived,
-//! admission blocked), with a generous wall-clock bail-out only to turn
-//! a deadlock into a loud failure instead of a hung CI job.
+//! The wait tests sleep 100 ms for a spinning loop to show in
+//! `bwd_net_waits_total`, and 50 ms for a spawned loop to fall asleep
+//! before probes reach it; every other loop waits on *state* (responses
+//! arrived, admission blocked), with a generous wall-clock bail-out
+//! only to turn a deadlock into a loud failure instead of a hung CI job.
 
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use bwd_bench::workload::{QuerySpec, WorkloadGen, WorkloadSpec};
+use waste_not::device::DeviceSpec;
 use waste_not::net::{
-    Duplex, Frame, FrameDecoder, IoEvent, NetClient, NetConfig, NetServer, Transport, WireMode,
+    Duplex, Frame, FrameDecoder, IoEvent, NetClient, NetConfig, NetServer, NetServerHandle,
+    Transport, WireMode, MAX_INFLIGHT_PER_CONN, PAUSE_QUEUED_JOBS, SHED_QUEUED_JOBS,
 };
 use waste_not::sched::{SchedConfig, Scheduler};
 use waste_not::storage::Column;
-use waste_not::{BwdError, Db, ExecMode, QueryResult};
+use waste_not::{BwdError, Db, Env, ExecMode, QueryResult};
 
 #[path = "support/gate.rs"]
 mod gate;
@@ -149,8 +159,6 @@ fn assert_bit_identical(got: &QueryResult, want: &QueryResult, ctx: &str) {
 fn soak_10k_sessions_bit_identical_and_bounded() {
     const TOTAL: usize = 10_000;
     const CONNS: usize = 64;
-    const PAUSE_QUEUED: usize = 64;
-    const MAX_INFLIGHT: usize = 8;
 
     let mut gen = WorkloadGen::new(
         0xC0FFEE,
@@ -176,16 +184,9 @@ fn soak_10k_sessions_bit_identical_and_bounded() {
             ..SchedConfig::default()
         },
     );
-    let mut server = NetServer::with_config(
-        sched,
-        NetConfig {
-            pause_queued_jobs: PAUSE_QUEUED,
-            shed_queued_jobs: usize::MAX, // soak never sheds: every response is a Result
-            max_inflight_per_conn: MAX_INFLIGHT,
-            duplex_capacity: 1 << 20, // each conn's ~157 requests fit eagerly
-            ..NetConfig::default()
-        },
-    );
+    // The bound below stays under the shed limit: every response is a
+    // Result. Each connection's ~157 requests fit its pipe eagerly.
+    let mut server = NetServer::with_config(sched, NetConfig::default());
 
     // Register every plan; request k rides connection k % CONNS.
     let requests: Vec<Frame> = batch
@@ -236,8 +237,9 @@ fn soak_10k_sessions_bit_identical_and_bounded() {
     // The backpressure bound: the reactor re-probes pressure before
     // every socket read, so the queue can only overshoot the pause
     // watermark by frames already decoded but not yet submitted —
-    // at most MAX_INFLIGHT per connection.
-    let bound = PAUSE_QUEUED + CONNS * MAX_INFLIGHT;
+    // at most the in-flight cap per connection.
+    let bound = PAUSE_QUEUED_JOBS + CONNS * MAX_INFLIGHT_PER_CONN;
+    assert!(bound < SHED_QUEUED_JOBS);
     let peak = metric(&server, "bwd_net_peak_queue_depth");
     assert!(peak > 0, "soak must actually exercise the queue");
     assert!(
@@ -261,15 +263,14 @@ fn soak_10k_sessions_bit_identical_and_bounded() {
     server.into_scheduler().shutdown();
 }
 
-/// A gated worker freezes inside device admission; the reactor must stop
-/// reading sockets at the watermark, keep the queue bounded, and drain
-/// everything once the gate lifts.
+/// A gated worker freezes inside device admission and a session fills
+/// the queue to the pause watermark; the reactor must read no request
+/// byte, keep the queue bounded, and drain everything once the gate
+/// lifts.
 #[test]
 fn backpressure_pauses_reads_under_gate_and_drains_after_release() {
     const CONNS: usize = 4;
     const PER_CONN: usize = 20;
-    const PAUSE_QUEUED: usize = 8;
-    const MAX_INFLIGHT: usize = 4;
 
     let mut gen = WorkloadGen::new(
         7,
@@ -290,16 +291,7 @@ fn backpressure_pauses_reads_under_gate_and_drains_after_release() {
             ..SchedConfig::default()
         },
     );
-    let mut server = NetServer::with_config(
-        sched,
-        NetConfig {
-            pause_queued_jobs: PAUSE_QUEUED,
-            shed_queued_jobs: usize::MAX,
-            max_inflight_per_conn: MAX_INFLIGHT,
-            read_chunk: 64, // a few frames per read: pausing leaves bytes in the pipe
-            ..NetConfig::default()
-        },
-    );
+    let mut server = NetServer::with_config(sched, NetConfig::default());
 
     // Freeze the single worker *inside* admission: the gate job must be
     // pinned to the gated device or placement would route it elsewhere.
@@ -308,8 +300,13 @@ fn backpressure_pauses_reads_under_gate_and_drains_after_release() {
     let gate_spec = gen.short();
     let gate_ticket = session.submit_with(gate_spec.plan, gate_spec.mode, gate.submit_options());
     gate.wait_admission_blocked(1);
+    // Fill the queue to the watermark behind it.
+    let filler = gen.short();
+    let filled: Vec<_> = (0..PAUSE_QUEUED_JOBS)
+        .map(|_| session.submit(filler.plan.clone(), filler.mode.clone()))
+        .collect();
 
-    // Pile up demand: far more requests than the bound admits.
+    // Pile up demand on the wire.
     let batch: Vec<QuerySpec> = gen.mixed(CONNS * PER_CONN, 0);
     let plan_ids: Vec<u64> = batch
         .iter()
@@ -332,25 +329,25 @@ fn backpressure_pauses_reads_under_gate_and_drains_after_release() {
     }
 
     // With the worker frozen, pump to quiescence: the reactor stops on
-    // its own — watermark trips, reads pause, nothing else can happen.
+    // its own — watermark tripped, reads paused, nothing else can happen.
     server.pump();
 
     let pauses = metric(&server, "bwd_net_read_pauses_total");
     assert!(pauses > 0, "pause watermark must have tripped");
     let queued = server.scheduler().queue_len();
-    let bound = PAUSE_QUEUED + CONNS * MAX_INFLIGHT;
+    let bound = PAUSE_QUEUED_JOBS + CONNS * MAX_INFLIGHT_PER_CONN;
     assert!(
         queued <= bound,
         "queue depth {queued} exceeds watermark bound {bound}"
     );
     assert!(
-        queued >= PAUSE_QUEUED,
-        "queue depth {queued} never reached the watermark {PAUSE_QUEUED}"
+        queued >= PAUSE_QUEUED_JOBS,
+        "queue depth {queued} never reached the watermark {PAUSE_QUEUED_JOBS}"
     );
-    // Sockets stopped being read: unconsumed request bytes remain in the
+    // Sockets stopped being read: every request byte is still in the
     // transports (where a kernel would hold them), not in the scheduler.
-    let parked: usize = clients.iter().map(|c| c.transport.unflushed()).sum();
-    assert!(parked > 0, "pausing must leave demand in transport buffers");
+    let read = metric(&server, "bwd_net_bytes_total{dir=\"in\"}");
+    assert_eq!(read, 0, "pausing must leave demand in transport buffers");
 
     // Lift the gate: everything drains, nothing is lost.
     gate.release();
@@ -381,6 +378,9 @@ fn backpressure_pauses_reads_under_gate_and_drains_after_release() {
             assert_bit_identical(unwrap_result(frame), &want, &format!("conn {c} req {i}"));
         }
     }
+    for ticket in filled {
+        ticket.wait().unwrap();
+    }
 
     drop(clients);
     server.into_scheduler().shutdown();
@@ -390,44 +390,99 @@ fn backpressure_pauses_reads_under_gate_and_drains_after_release() {
 /// instead of a queue slot — while pings still answer.
 #[test]
 fn hard_shed_limit_answers_busy_without_submitting() {
-    let gen = WorkloadGen::new(
-        3,
-        WorkloadSpec {
-            long_rows: 800,
-            short_rows: 300,
-            domain: 300,
-            groups: 4,
-            ..WorkloadSpec::default()
-        },
-    )
-    .unwrap();
-    let sched = Scheduler::new(Arc::clone(gen.db()), SchedConfig::default());
-    let mut server = NetServer::with_config(
-        sched,
-        NetConfig {
-            shed_queued_jobs: 0, // shed everything: the pure shed path
-            ..NetConfig::default()
+    let spec = WorkloadSpec {
+        long_rows: 800,
+        short_rows: 300,
+        domain: 300,
+        groups: 4,
+        ..WorkloadSpec::default()
+    };
+    let env = Env::with_devices(vec![DeviceSpec::gtx680(); 2]);
+    let mut gen = WorkloadGen::with_env(3, spec, env).unwrap();
+    let sched = Scheduler::new(
+        Arc::clone(gen.db()),
+        SchedConfig {
+            workers: 1,
+            admission_deadline: None,
+            aging_threshold: 0, // arrival order
+            ..SchedConfig::default()
         },
     );
-    let mut client = TestClient::new(server.connect());
-    client.send_all(&[
+    let mut server = NetServer::with_config(sched, NetConfig::default());
+
+    // The one worker waits inside card 0's admission; card 1 stays gated
+    // to the end.
+    let gate = Gate::block(gen.db().as_ref(), 0).unwrap();
+    let held = Gate::block(gen.db().as_ref(), 1).unwrap();
+    let session = server.scheduler().session();
+    let gate_spec = gen.short();
+    let gate_ticket = session.submit_with(gate_spec.plan, gate_spec.mode, gate.submit_options());
+    gate.wait_admission_blocked(1);
+
+    // Classic scans (which need no card) fill the connection's in-flight
+    // cap; the query and the ping behind them are read and decoded, and
+    // wait for a slot.
+    let scan = server.register_plan(gen.long().plan);
+    let mut requests = vec![
+        Frame::RunPlan {
+            mode: WireMode::Classic,
+            plan: scan,
+        };
+        MAX_INFLIGHT_PER_CONN
+    ];
+    requests.extend([
         Frame::Query {
             mode: WireMode::Classic,
             sql: "select count(*) from small".into(),
         },
         Frame::Ping,
     ]);
+    let mut client = TestClient::new(server.connect());
+    client.send_all(&requests);
+    server.pump();
+    assert_eq!(server.inflight(), MAX_INFLIGHT_PER_CONN);
+
+    // Behind the scans, one more than the shed limit of probes pinned to
+    // the gated card 1. Let go, the worker answers the scans in arrival
+    // order, then blocks on the first probe: the queue holds the limit.
+    let probe = gen.short();
+    let fill: Vec<_> = (0..=SHED_QUEUED_JOBS)
+        .map(|_| {
+            session.submit_with(
+                probe.plan.clone(),
+                probe.mode.clone(),
+                held.submit_options(),
+            )
+        })
+        .collect();
+    gate.release();
+    gate_ticket.wait().unwrap();
+    held.wait_admission_blocked(1);
+    assert_eq!(server.scheduler().queue_len(), SHED_QUEUED_JOBS);
+
     server.pump();
     client.drain();
+    assert_eq!(client.responses.len(), MAX_INFLIGHT_PER_CONN + 2);
     assert_eq!(
-        client.responses,
-        vec![Frame::Busy { queued: 0 }, Frame::Pong],
+        client.responses[MAX_INFLIGHT_PER_CONN..],
+        [
+            Frame::Busy {
+                queued: SHED_QUEUED_JOBS as u32
+            },
+            Frame::Pong
+        ],
         "shed responses stay in request order"
     );
     let metrics = server.metrics_text();
     assert!(metrics.contains("bwd_net_busy_shed_total 1"), "{metrics}");
-    assert!(metrics.contains("bwd_net_queries_total 0"), "{metrics}");
+    assert!(
+        metrics.contains(&format!("bwd_net_queries_total {MAX_INFLIGHT_PER_CONN}")),
+        "{metrics}"
+    );
+    assert_eq!(server.scheduler().queue_len(), SHED_QUEUED_JOBS);
     drop(client);
+    drop(fill);
+    held.release();
     server.into_scheduler().shutdown();
 }
 
@@ -523,4 +578,176 @@ fn tcp_loopback_smoke() {
         "{metrics}"
     );
     server.into_scheduler().shutdown();
+}
+
+/// How long a wait test's probes may take before the test fails instead
+/// of hanging.
+const PROBE_DEADLINE: Duration = Duration::from_secs(30);
+
+/// A one-worker server over a 1 000-row table `r`.
+fn probe_server() -> NetServer {
+    let mut db = Db::new();
+    db.create_table(
+        "r",
+        vec![("a".into(), Column::from_i32((0..1000).collect()))],
+    )
+    .unwrap();
+    let sched = SchedConfig {
+        workers: 1,
+        ..SchedConfig::default()
+    };
+    db.serve_net_with(sched, NetConfig::default())
+}
+
+/// `n` probes pipelined `depth` deep over `client`; the count of correct
+/// answers.
+fn pipelined(mut client: NetClient, n: usize, depth: usize) -> Result<usize, BwdError> {
+    let probe = Frame::Query {
+        mode: WireMode::Classic,
+        sql: "select count(*) from r where a < 250".into(),
+    };
+    let (mut sent, mut answered) = (0, 0);
+    while answered < n {
+        while sent < n && sent - answered < depth {
+            client.send(&probe)?;
+            sent += 1;
+        }
+        match client.recv()? {
+            Frame::Result(r) if r.rows[0][0].to_string() == "250" => answered += 1,
+            other => return Err(BwdError::Exec(format!("probe {answered}: {other:?}"))),
+        }
+    }
+    Ok(answered)
+}
+
+/// Run 2 000 probes 64 deep over `client` against the spawned `handle`,
+/// failing by [`PROBE_DEADLINE`] rather than hanging.
+fn pipelined_probes_resolve(handle: NetServerHandle, client: NetClient) {
+    const PROBES: usize = 2_000;
+    // Give the loop time to fall asleep, so that the first requests must
+    // wake it (a steady pipeline is carried by its completions alone).
+    std::thread::sleep(Duration::from_millis(50));
+    let (tx, rx) = mpsc::channel();
+    let driver = std::thread::spawn(move || tx.send(pipelined(client, PROBES, 64)));
+    match rx.recv_timeout(PROBE_DEADLINE) {
+        Ok(answered) => assert_eq!(answered.unwrap(), PROBES),
+        Err(e) => {
+            // A loop that lost its wake-ups never returns from a join,
+            // and neither does the client it starves.
+            std::mem::forget(handle);
+            panic!("pipelined probes stalled: {e}");
+        }
+    }
+    driver.join().unwrap().unwrap();
+    let server = handle.shutdown();
+    let metrics = server.metrics_text();
+    assert!(
+        metrics.contains(&format!("bwd_net_queries_total {PROBES}")),
+        "{metrics}"
+    );
+    server.into_scheduler().shutdown();
+}
+
+/// A spawned server left idle sleeps in one wait: no timer ends it.
+#[test]
+fn an_idle_spawned_server_sleeps_in_one_wait() {
+    let mut server = probe_server();
+    server.bind(("127.0.0.1", 0)).unwrap();
+    let handle = server.spawn();
+    std::thread::sleep(Duration::from_millis(100));
+    let server = handle.shutdown();
+    let waits = metric(&server, "bwd_net_waits_total");
+    assert!(waits <= 2, "an idle loop woke {waits} times in 100 ms");
+    server.into_scheduler().shutdown();
+}
+
+/// Reads paused with request bytes readable on a TCP connection: the
+/// loop does not poll that input, so it sleeps instead of spinning; the
+/// worker's next dequeue wakes it, and the request is answered.
+#[test]
+fn a_paused_connection_with_input_sleeps_until_the_queue_moves() {
+    let mut gen = WorkloadGen::new(
+        11,
+        WorkloadSpec {
+            long_rows: 800,
+            short_rows: 300,
+            domain: 300,
+            groups: 4,
+            ..WorkloadSpec::default()
+        },
+    )
+    .unwrap();
+    let sched = Scheduler::new(
+        Arc::clone(gen.db()),
+        SchedConfig {
+            workers: 1,
+            admission_deadline: None,
+            ..SchedConfig::default()
+        },
+    );
+    let mut server = NetServer::with_config(sched, NetConfig::default());
+    let addr = server.bind(("127.0.0.1", 0)).unwrap();
+    let gate = Gate::block(gen.db().as_ref(), 0).unwrap();
+    let session = server.scheduler().session();
+    let gate_spec = gen.short();
+    let gate_ticket = session.submit_with(gate_spec.plan, gate_spec.mode, gate.submit_options());
+    gate.wait_admission_blocked(1);
+    let filler = gen.short();
+    let filled: Vec<_> = (0..PAUSE_QUEUED_JOBS)
+        .map(|_| session.submit(filler.plan.clone(), filler.mode.clone()))
+        .collect();
+
+    let mut peer = TcpStream::connect(addr).unwrap();
+    peer.set_read_timeout(Some(PROBE_DEADLINE)).unwrap();
+    peer.write_all(&Frame::Ping.encode()).unwrap();
+    let handle = server.spawn();
+    std::thread::sleep(Duration::from_millis(100));
+    let server = handle.shutdown();
+    let waits = metric(&server, "bwd_net_waits_total");
+    let frames_in = metric(&server, "bwd_net_frames_total{dir=\"in\"}");
+
+    // Served again, with the gate lifted first: a failed assertion then
+    // tears down instead of joining a frozen worker.
+    let handle = server.spawn();
+    gate.release();
+    assert!(waits <= 2, "a paused loop woke {waits} times in 100 ms");
+    assert_eq!(frames_in, 0, "a paused connection was read");
+    let mut decoder = FrameDecoder::new();
+    let mut chunk = [0u8; 64];
+    let pong = loop {
+        if let Some(frame) = decoder.next().unwrap() {
+            break frame;
+        }
+        match peer.read(&mut chunk) {
+            Ok(n) if n > 0 => decoder.feed(&chunk[..n]),
+            other => {
+                std::mem::forget(handle);
+                panic!("no pong once the queue moved: {other:?}");
+            }
+        }
+    };
+    assert_eq!(pong, Frame::Pong);
+    gate_ticket.wait().unwrap();
+    for ticket in filled {
+        ticket.wait().unwrap();
+    }
+    handle.shutdown().into_scheduler().shutdown();
+}
+
+/// 2 000 probes pipelined 64 deep over loopback TCP to a spawned
+/// one-worker server all resolve.
+#[test]
+fn pipelined_tcp_probes_all_resolve() {
+    let mut server = probe_server();
+    let addr = server.bind(("127.0.0.1", 0)).unwrap();
+    let handle = server.spawn();
+    pipelined_probes_resolve(handle, NetClient::connect_tcp(addr).unwrap());
+}
+
+/// The same over an in-memory duplex: the peer's writes wake the loop.
+#[test]
+fn pipelined_duplex_probes_all_resolve() {
+    let mut server = probe_server();
+    let client = NetClient::new(Box::new(server.connect()));
+    pipelined_probes_resolve(server.spawn(), client);
 }
