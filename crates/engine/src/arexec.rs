@@ -24,21 +24,23 @@
 //!
 //! What the model bills as oid lists the host never builds: past the
 //! selection chain the candidates stay in the representation the chain
-//! produced, read a window at a time through [`Positions`]; refinement's
-//! verdict is positional; the only list-shaped state is O(undecided). See
+//! produced, read a window at a time through [`Positions`]; the undecided
+//! ones are marked in a bitmap, and refinement drops the failing ones from
+//! the candidates in place, which are then the survivors. See
 //! ARCHITECTURE.md, "The query tail".
 
-use crate::bill::{slot, ArShape, Counts, Grouping, RefineCounts, Transient};
+use crate::bill::{slot, ArShape, ColRef, Counts, Grouping, RefineCounts, Transient};
 use crate::database::Database;
 use crate::eval::RowBlock;
 use crate::morsel::{
-    concat_parts, partition_mask_ranges, partition_ranges, partition_ranges_min, refine_filter,
-    run_parts, run_parts_mut, ResidualSrc, ScratchPool,
+    concat_parts, marked, partition_mask_ranges, partition_ranges, partition_ranges_min,
+    refine_filter, run_parts, run_parts_mut, ResidualSrc,
 };
 use crate::result::{ApproxAnswer, QueryResult};
 use crate::tail::{GroupTable, SliceSource};
 use bwd_core::plan::ArPlan;
-use bwd_core::relax::StoredRange;
+use bwd_core::relax::{relax_to_stored, StoredRange};
+use bwd_core::RangePred;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::group::packed_key_of;
 use bwd_kernels::scan::scan_block_ranges;
@@ -173,7 +175,6 @@ pub(crate) fn run_ar_counted(
         obs: env.trace.recorder.worker(&env.trace.lane),
         slice_rows,
         morsels: morsels.max(1),
-        pool: ScratchPool::default(),
         transient: TransientBudget { used: 0, budget },
         ledger,
     };
@@ -197,7 +198,6 @@ struct Run<'a> {
     obs: WorkerHandle,
     slice_rows: usize,
     morsels: usize,
-    pool: ScratchPool,
     counts: Counts,
     transient: TransientBudget,
     ledger: &'a mut CostLedger,
@@ -208,15 +208,10 @@ struct Run<'a> {
 struct Approx<'a> {
     /// The chain's latest output: a step reads it and replaces it.
     output: Option<SelVec>,
-    /// Positional bitmap over fact rows: the candidates some selection's
-    /// approximation left undecided (sized by the first step that can).
-    /// Refinement clears the bit of every candidate it keeps, so what stays
-    /// marked among the candidates is what it dropped.
+    /// Positional bitmap over fact rows: the rows some selection's
+    /// approximation left undecided (sized by the first step that can);
+    /// refinement re-tests the candidates among them.
     undecided_bits: Vec<u64>,
-    /// The final candidates' undecided members, and those of them that
-    /// passed every refinement so far (`None`: none ran yet).
-    undecided: Vec<Oid>,
-    refined: Option<Vec<Oid>>,
     /// The survivor bits refinement sent back up.
     uploaded: u64,
     /// The hash pre-grouping, where the plan runs one.
@@ -234,9 +229,8 @@ impl<'a> Run<'a> {
         keys.map(|c| c.bound.approx()).collect()
     }
 
-    /// The approximation subplan: the relaxed selection chain, then —
-    /// where either is needed — one pass over its candidates for the
-    /// undecided list and the hash pre-grouping.
+    /// The approximation subplan: the relaxed selection chain, then — where
+    /// the plan runs one — the hash pre-grouping's pass over its candidates.
     fn approximate(&mut self) -> Result<Approx<'a>> {
         let (plan, env, n) = (self.shape.plan, self.env, self.counts.rows as usize);
         let mut a = Approx::default();
@@ -253,7 +247,6 @@ impl<'a> Run<'a> {
                 a.output.as_ref(),
                 self.morsels,
                 probe.span,
-                &self.pool,
                 &mut a.undecided_bits,
             );
             let kept = cands.len() as u64;
@@ -270,37 +263,31 @@ impl<'a> Run<'a> {
         env.fault.check(FaultSite::Exec)?;
         env.yield_point.check()?; // the gather boundary
 
-        // The gather boundary expands nothing: downstream operators (the
-        // undecided list, device pre-grouping, the tail's slice sources) read
-        // the final candidates' positions a window at a time — same oids,
-        // same block-scrambled order as the list the index path carries, and
-        // that list is what the bill keeps pricing. Approximations are *not*
-        // materialized: refinement re-decodes them for the undecided
-        // candidates only.
+        // The gather boundary expands nothing: downstream operators (device
+        // pre-grouping, refinement, the tail's slice sources) read the final
+        // candidates' positions — same oids, same block-scrambled order as
+        // the list the index path carries, and that list is what the bill
+        // keeps pricing. Approximations are *not* materialized: refinement
+        // re-decodes them for the undecided candidates only.
         let cands = Positions::of(a.output.as_ref(), n);
         self.counts.dense = cands.dense();
-        a.grouper = (self.shape.grouping == Grouping::Hash).then(|| Grouper::new(&self.keys()));
-        // One pass over the candidates feeds both consumers that need every
-        // one of them: the undecided list and the grouping table.
-        let list_undecided = !a.undecided_bits.is_empty();
-        if list_undecided || a.grouper.is_some() {
+        if self.shape.grouping == Grouping::Hash {
+            // Each key numbered over the stored codes of its column's extrema.
+            let all = |c: &ColRef<'_>| relax_to_stored(c.bound.meta(), &RangePred::all());
+            let domains: Vec<_> = (self.shape.group_cols.iter())
+                .map(|c| all(c).map_or((0, 0), |all| all.outer))
+                .collect();
+            let mut grouper = Grouper::over(&self.keys(), &domains);
             let mut cursor = cands.cursor(0..cands.span());
-            let mut window = self.pool.take_u32();
+            let mut window = Vec::new();
             let mut more = true;
             while more {
                 more = cursor.next_window(self.slice_rows, &mut window);
-                if list_undecided {
-                    let is_undecided = |&oid: &Oid| marked(&a.undecided_bits, oid);
-                    a.undecided
-                        .extend(window.iter().copied().filter(is_undecided));
-                }
-                if let Some(g) = &mut a.grouper {
-                    g.observe(&window);
-                }
+                grouper.observe(&window);
             }
-            self.pool.put_u32(window);
+            a.grouper = Some(grouper);
         }
-        self.counts.undecided = a.undecided.len() as u64;
+        self.counts.undecided = undecided(&a);
         self.counts.groups = a.grouper.as_ref().map_or(0, Grouper::n_groups) as u64;
         self.shape.pregroup(&self.counts, env, self.ledger);
         self.transient.charge(self.shape.place.ids(&self.counts))?;
@@ -323,29 +310,33 @@ impl<'a> Run<'a> {
             .charge(shape.place.refining(&self.counts, how))?;
         shape.download(&self.counts, how, env, self.ledger);
         let order = shape.refine_order(&self.counts);
+        let mut live_len = self.counts.undecided;
         for (k, i) in order.into_iter().enumerate() {
-            let live = a.refined.as_deref().unwrap_or(&a.undecided);
-            let live_len = live.len() as u64;
             let at = (how as u64) << 32 | i as u64;
             let probe = self.begin(EventKind::Refine, decided + live_len, at);
             // Each exact payload is its approximation and residual (through
             // the FK link for a dimension column), re-tested by the range.
             let (col, range) = (&shape.sels[i].0, &shape.plan.selections[i].range);
-            let kept = refine_filter(col.residual(), live, range, self.morsels, &self.pool);
-            let kept_len = kept.len() as u64;
+            let cands = a.output.as_mut().expect("a selection left them undecided");
+            let kept = refine_filter(
+                col.residual(),
+                cands,
+                &a.undecided_bits,
+                range,
+                self.morsels,
+            );
             self.counts.refines.push(RefineCounts {
                 live: live_len,
-                kept: kept_len,
+                kept,
             });
             shape.refine_step(k, &self.counts, how, env, self.ledger);
-            probe.end(&self.obs, self.ledger, decided + kept_len, live_len);
-            a.refined = Some(kept);
+            probe.end(&self.obs, self.ledger, decided + kept, live_len);
+            live_len = kept;
             env.fault.check(FaultSite::Exec)?; // the card may die between steps
             env.yield_point.check()?; // between refinement steps
         }
-        unmark(&mut a.undecided_bits, a.refined.as_deref().unwrap_or(&[]));
-        let refined = a.refined.as_ref().map_or(a.undecided.len(), Vec::len);
-        self.counts.survivors = decided + refined as u64;
+        a.undecided_bits = Vec::new(); // the candidates are the survivors now
+        self.counts.survivors = decided + live_len;
         a.uploaded = shape.upload(&self.counts, how, env, self.ledger);
         refine_metrics().uploaded_bits.add(a.uploaded);
         env.fault.check(FaultSite::Exec)?;
@@ -386,33 +377,26 @@ impl<'a> Run<'a> {
             (_, None) => GroupIds::Hashed,
         };
         if let Some(g) = &a.grouper {
-            let group_cols = &self.shape.group_cols;
-            let keys = g.group_keys().iter().flat_map(|key| {
-                (key.iter().zip(group_cols))
-                    .map(|(&stored, c)| c.bound.meta().payload_from_parts(stored, 0))
-            });
-            let slots = self.shape.plan.group_keys().into_iter().zip(group_cols);
+            let cols = &self.shape.group_cols;
+            let metas: Vec<_> = cols.iter().map(|c| c.bound.meta()).collect();
+            let codes = g.group_keys().into_iter().enumerate();
+            let keys = codes.map(|(i, code)| metas[i % metas.len()].payload_from_parts(code, 0));
+            let slots = self.shape.plan.group_keys().into_iter().zip(cols);
             let slots = slots.map(|(g, c)| slot(&g, c.plain)).collect();
-            let table = GroupTable::from_keys(slots, keys.collect());
-            self.shape.tail.carry(table);
+            self.shape
+                .tail
+                .carry(GroupTable::from_keys(slots, keys.collect()));
         }
-        // The verdict, positionally: a candidate survives unless it is still
-        // marked (empty: refinement dropped none).
-        let dropped: &[u64] = match self.counts.refined() < self.counts.undecided {
-            true => &a.undecided_bits,
-            false => &[],
-        };
-        // A tail that reads nothing by position (a bare count) needs no
-        // positions: any `survivors` rows do.
-        let (positions, dropped) = match cols.is_empty() && matches!(ids, GroupIds::Hashed) {
-            true => (Positions::All(survivors), &[][..]),
-            false => (Positions::of(a.output.as_ref(), n), dropped),
+        // The candidates are the survivors now. A tail that reads nothing by
+        // position (a bare count) needs no positions: any `survivors` rows do.
+        let positions = match cols.is_empty() && matches!(ids, GroupIds::Hashed) {
+            true => Positions::All(survivors),
+            false => Positions::of(a.output.as_ref(), n),
         };
         let sources = partition_ranges(positions.span(), self.morsels)
             .into_iter()
             .map(|span| ArSource {
                 cursor: positions.cursor(span),
-                dropped,
                 cols: cols.clone(),
                 ids,
                 oids: Vec::new(),
@@ -487,17 +471,16 @@ fn refine_metrics() -> &'static RefineMetrics {
     })
 }
 
-/// Whether `oid`'s bit is set in the positional bitmap `bits` (an unsized
-/// bitmap marks none: no step could leave a candidate undecided).
-#[inline]
-fn marked(bits: &[u64], oid: Oid) -> bool {
-    (bits.get(oid as usize / 64)).is_some_and(|w| w >> (oid % 64) & 1 == 1)
-}
-
-/// Clear the bit of every one of `oids`.
-fn unmark(bits: &mut [u64], oids: &[Oid]) {
-    for &oid in oids {
-        bits[oid as usize / 64] &= !(1 << (oid % 64));
+/// How many final candidates the approximation left undecided.
+fn undecided(a: &Approx<'_>) -> u64 {
+    let marks = &a.undecided_bits;
+    match &a.output {
+        _ if marks.is_empty() => 0,
+        Some(SelVec::Bitmap(m)) => (m.words().iter().zip(marks))
+            .map(|(c, u)| u64::from((c & u).count_ones()))
+            .sum(),
+        Some(SelVec::Indices(c)) => c.oids.iter().filter(|&&o| marked(marks, o)).count() as u64,
+        None => 0,
     }
 }
 
@@ -527,7 +510,6 @@ fn approx_select_step(
     input: Option<&SelVec>,
     morsels: usize,
     stage: SpanId,
-    pool: &ScratchPool,
     undecided: &mut Vec<u64>,
 ) -> SelVec {
     // One morsel span per fanned-out partition, recorded from the worker
@@ -602,8 +584,7 @@ fn approx_select_step(
     };
     let outs = run_parts(&parts, |p, r| {
         let (t, span) = morsel_begin(p, r.len());
-        let mut oids = pool.take_u32();
-        let mut vals = pool.take_u64();
+        let (mut oids, mut vals) = (Vec::new(), Vec::new());
         match cands_in {
             None => blocks[r]
                 .iter()
@@ -614,8 +595,7 @@ fn approx_select_step(
         (oids, vals)
     });
     let (oids, vals): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
-    let oids = concat_parts(oids, |o| pool.put_u32(o));
-    let approx = concat_parts(vals, |v| pool.put_u64(v));
+    let (oids, approx) = (concat_parts(oids), concat_parts(vals));
     if !spec.decides_all() {
         spec.mark_undecided(&oids, &approx, undecided);
     }
@@ -655,8 +635,6 @@ enum GroupIds<'a> {
 /// is aligned: survivors stay in candidate order because the window is.
 struct ArSource<'a> {
     cursor: Cursor<'a>,
-    /// Positional: the candidates refinement dropped (empty: none).
-    dropped: &'a [u64],
     cols: Vec<ResidualSrc<'a>>,
     ids: GroupIds<'a>,
     /// The current slice's survivors (reused).
@@ -671,9 +649,6 @@ impl SliceSource for ArSource<'_> {
         ids: &mut Vec<u32>,
     ) -> Result<bool> {
         let more = self.cursor.next_window(slice_rows, &mut self.oids);
-        if !self.dropped.is_empty() {
-            self.oids.retain(|&oid| !marked(self.dropped, oid));
-        }
         let oids = &self.oids;
         block.resize(oids.len());
         for (slot, col) in self.cols.iter().enumerate() {

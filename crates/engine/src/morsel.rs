@@ -8,24 +8,21 @@
 //! simulated component costs (charged once from merged totals by the
 //! caller) are unchanged.
 //!
-//! Three building blocks:
+//! Two building blocks:
 //!
 //! * [`partition_ranges`] / [`run_parts`] / [`run_parts_mut`] — contiguous
 //!   range splitting and scoped-thread fan-out;
-//! * [`ScratchPool`] — recycled per-query buffers, so the parallel path
-//!   allocates zero intermediate vectors per morsel in steady state;
 //! * [`refine_filter`] — the parallelized selection-refinement stage over
 //!   the undecided candidates. (The query tail — projection refinement,
 //!   grouping, aggregation — streams slice-at-a-time through
 //!   [`crate::tail`].)
 
 use bwd_core::{BoundColumn, RangePred};
-use bwd_kernels::DeviceArray;
+use bwd_kernels::{DeviceArray, SelVec};
 use bwd_storage::pieces::in_pieces;
 use bwd_storage::{BitPackedVec, DecompositionMeta};
 use bwd_types::Oid;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Don't bother spawning threads below this many work items: the stage
 /// over a few thousand rows costs less than thread startup (mirrors
@@ -146,42 +143,6 @@ where
     in_pieces(parts, |(i, r, chunk)| f(i, r, chunk))
 }
 
-/// Recycled per-query scratch buffers. Workers `take` a buffer, fill it,
-/// and the merger `put`s it back cleared (capacity kept) — so after the
-/// first stage warms the pool the parallel path allocates no intermediate
-/// vectors per morsel.
-#[derive(Default)]
-pub(crate) struct ScratchPool {
-    u32s: Mutex<Vec<Vec<u32>>>,
-    u64s: Mutex<Vec<Vec<u64>>>,
-}
-
-/// The pool behind `m`, poisoned or not: a stack of plain buffers is
-/// valid wherever a panicking worker left it.
-fn pool<T>(m: &Mutex<Vec<T>>) -> std::sync::MutexGuard<'_, Vec<T>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl ScratchPool {
-    pub(crate) fn take_u32(&self) -> Vec<u32> {
-        pool(&self.u32s).pop().unwrap_or_default()
-    }
-
-    pub(crate) fn put_u32(&self, mut v: Vec<u32>) {
-        v.clear();
-        pool(&self.u32s).push(v);
-    }
-
-    pub(crate) fn take_u64(&self) -> Vec<u64> {
-        pool(&self.u64s).pop().unwrap_or_default()
-    }
-
-    pub(crate) fn put_u64(&self, mut v: Vec<u64>) {
-        v.clear();
-        pool(&self.u64s).push(v);
-    }
-}
-
 /// Where a refinement finds its tuples' residual bits — in the packed
 /// residual, at the fact position or, for a dimension column, at the
 /// position the packed FK link maps it to — and the approximations, at
@@ -223,58 +184,94 @@ impl<'a> ResidualSrc<'a> {
     }
 }
 
-/// Concatenate per-worker buffers in partition order, handing each back
-/// to `put` (its pool); a single partition's buffer is handed over as is
-/// (no second full-length copy).
-pub(crate) fn concat_parts<T: Copy>(mut outs: Vec<Vec<T>>, put: impl Fn(Vec<T>)) -> Vec<T> {
-    if outs.len() == 1 {
-        return outs.swap_remove(0);
+/// Concatenate per-worker buffers in partition order; a single
+/// partition's buffer is handed over as is (no second full-length copy).
+pub(crate) fn concat_parts<T: Copy>(mut outs: Vec<Vec<T>>) -> Vec<T> {
+    match outs.len() {
+        1 => outs.swap_remove(0),
+        _ => outs.concat(),
     }
-    let mut merged = Vec::with_capacity(outs.iter().map(Vec::len).sum());
-    for out in outs {
-        merged.extend_from_slice(&out);
-        put(out);
-    }
-    merged
 }
 
-/// A pooled survivor buffer with room for `bound` oids up front, so
-/// filling it never re-allocates (untouched capacity costs no memory).
-fn take_oids(pool: &ScratchPool, bound: usize) -> Vec<Oid> {
-    let mut out = pool.take_u32();
-    out.reserve(bound);
-    out
+/// Rows a refinement worker re-tests at a time.
+const REFINE_WINDOW: usize = 4096;
+
+/// What a refinement writes over a dropped member of a candidate list
+/// before it closes the gaps: no row has this oid.
+const DROPPED: Oid = Oid::MAX;
+
+/// Whether `oid`'s bit is set in the positional bitmap `bits`.
+pub(crate) fn marked(bits: &[u64], oid: Oid) -> bool {
+    bits[oid as usize / 64] >> (oid % 64) & 1 == 1
 }
 
-/// Morsel-parallel selection refinement over the candidates the
-/// approximation left *undecided*: reconstruct each one's exact payload
-/// (approximation ‖ residual) and keep the oids passing the precise
-/// `range` test, in candidate order. Approximations decode from the
-/// (replicated-on-host) device array — `arr[oid]` for fact-side
-/// predicates, `arr[link[oid]]` through the FK link for dimension-side
-/// ones, one link decode serving both halves — the values the device
-/// gathers for exactly these candidates, so neither candidate
-/// representation is consulted. Pure computation — the caller charges the
-/// simulated cost from the merged totals.
+/// Morsel-parallel selection refinement of the candidates `cands` whose
+/// bit is set in the positional bitmap `undecided`: reconstruct each one's
+/// exact payload (approximation ‖ residual, through the FK link for a
+/// dimension column), drop it from `cands` where it fails the precise
+/// `range` test — clear its bit, or take it out of the list — and return
+/// how many undecided stay. Workers own contiguous ranges of the
+/// candidates (word-aligned ones of a bitmap) and re-test a window of
+/// [`REFINE_WINDOW`] rows at a time. The caller charges the simulated cost.
 pub(crate) fn refine_filter(
     src: ResidualSrc<'_>,
-    undecided: &[Oid],
+    cands: &mut SelVec,
+    undecided: &[u64],
     range: &RangePred,
     morsels: usize,
-    pool: &ScratchPool,
-) -> Vec<Oid> {
-    let ranges = partition_ranges(undecided.len(), morsels);
-    let outs = run_parts(&ranges, |_, r| {
-        let mut out = take_oids(pool, r.len());
-        let part = &undecided[r];
-        src.exact(part, |i, exact| {
-            if range.test(exact) {
-                out.push(part[i]);
-            }
+) -> u64 {
+    // Re-test `window`, handing `fail` the index of each oid that fails.
+    let retest = |window: &[Oid], fail: &mut dyn FnMut(usize)| {
+        let mut kept = 0;
+        src.exact(window, |i, exact| match range.test(exact) {
+            true => kept += 1,
+            false => fail(i),
         });
-        out
-    });
-    concat_parts(outs, |o| pool.put_u32(o))
+        kept
+    };
+    let kept = match cands {
+        SelVec::Bitmap(mask) => mask.edit(|words| {
+            let ranges = partition_mask_ranges(words.len(), morsels);
+            run_parts_mut(words, &ranges, |_, r, words| {
+                let (mut window, mut kept) = (Vec::with_capacity(REFINE_WINDOW), 0);
+                for (c, chunk) in words.chunks_mut(REFINE_WINDOW / 64).enumerate() {
+                    let first = r.start + c * REFINE_WINDOW / 64;
+                    window.clear();
+                    for (w, (word, marks)) in chunk.iter().zip(&undecided[first..]).enumerate() {
+                        let mut bits = word & marks;
+                        while bits != 0 {
+                            window.push(((first + w) * 64 + bits.trailing_zeros() as usize) as Oid);
+                            bits &= bits - 1;
+                        }
+                    }
+                    kept += retest(&window, &mut |i| {
+                        let row = window[i] as usize - first * 64;
+                        chunk[row / 64] &= !(1 << (row % 64));
+                    });
+                }
+                kept
+            })
+        }),
+        SelVec::Indices(list) => {
+            let ranges = partition_ranges(list.len(), morsels);
+            let kept = run_parts_mut(&mut list.oids, &ranges, |_, _, part| {
+                let mut kept = 0;
+                for chunk in part.chunks_mut(REFINE_WINDOW) {
+                    let at: Vec<usize> = (0..chunk.len())
+                        .filter(|&i| marked(undecided, chunk[i]))
+                        .collect();
+                    let window: Vec<Oid> = at.iter().map(|&i| chunk[i]).collect();
+                    kept += retest(&window, &mut |j| chunk[at[j]] = DROPPED);
+                }
+                kept
+            });
+            list.oids.retain(|&oid| oid != DROPPED);
+            list.approx = Vec::new(); // no longer aligned, and no reader past the chain
+            list.refresh_flags();
+            kept
+        }
+    };
+    kept.into_iter().sum()
 }
 
 #[cfg(test)]
@@ -415,7 +412,9 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// A refinement that reads approximation ‖ packed residual keeps
-        /// the oids, in order, that the undecomposed twin's payloads pass:
+        /// of the undecided candidates those the undecomposed twin's
+        /// payloads pass, and every decided one — in a bitmap, and in a
+        /// list, in order — and counts the undecided it kept:
         /// every type × physical width × kind of split, fact-positioned and
         /// through a packed FK link, on 1 and on 3 morsels.
         #[test]
@@ -428,6 +427,7 @@ mod tests {
         ) {
             use bwd_core::BoundColumn;
             use bwd_storage::encoding::physical_bits;
+            use bwd_kernels::{Candidates, SelMask};
             use bwd_storage::{BitPackedVec, Column, DecompositionSpec};
             use bwd_types::Date;
 
@@ -473,42 +473,49 @@ mod tests {
             let width = bwd_types::bits::bits_for_width(rows as u64);
             let link: Vec<u64> = (0..9_000).map(|_| rng.below(rows.max(1) as u64)).collect();
             let link = BitPackedVec::from_slice(width, &link);
-            let pool = ScratchPool::default();
             for through_fk in [false, true].into_iter().take(1 + usize::from(rows > 0)) {
                 let (fact_rows, link) = match through_fk {
                     false => (rows, None),
                     true => (link.len(), Some(&link)),
                 };
-                let live: Vec<Oid> =
-                    (0..fact_rows as Oid).filter(|_| rng.below(8) > 0).collect();
+                // Candidates and undecided marks, each a seeded subset of
+                // the rows: a mark off the candidates is never re-tested.
+                let mut subset = |keep: u64| -> Vec<u64> {
+                    let mut bits = vec![0u64; fact_rows.div_ceil(64)];
+                    for oid in (0..fact_rows).filter(|_| rng.below(8) < keep) {
+                        bits[oid / 64] |= 1 << (oid % 64);
+                    }
+                    bits
+                };
+                let (cands, undecided) = (subset(6), subset(7));
                 let at = |oid: Oid| link.map_or(oid as usize, |l| l.get(oid as usize) as usize);
-                let want: Vec<Oid> = (live.iter().copied())
-                    .filter(|&oid| range.test(vals[at(oid)]))
-                    .collect();
+                let stays = |&oid: &Oid| !marked(&undecided, oid) || range.test(vals[at(oid)]);
+                let rows: Vec<Oid> = (0..fact_rows as Oid).filter(|&o| marked(&cands, o)).collect();
+                let want: Vec<Oid> = rows.iter().copied().filter(stays).collect();
+                let kept = want.iter().filter(|&&o| marked(&undecided, o)).count() as u64;
+                // The same candidates as a list in a scrambled order.
+                let mut list = rows.clone();
+                list.rotate_left(rng.below(1 + rows.len() as u64) as usize);
                 let src = ResidualSrc::for_column(&bound, link);
                 for morsels in [1, 3] {
-                    let got = refine_filter(src, &live, &range, morsels, &pool);
+                    let mask = SelMask::from_words(cands.clone(), fact_rows, true);
+                    let mut sel = SelVec::Bitmap(mask);
+                    let n = refine_filter(src, &mut sel, &undecided, &range, morsels);
+                    let SelVec::Bitmap(mask) = &sel else { unreachable!() };
+                    let got: Vec<Oid> = (0..fact_rows as Oid).filter(|&o| marked(mask.words(), o)).collect();
                     proptest::prop_assert_eq!(
-                        &got, &want, "{} {:?} fk={} morsels={}", dtype, spec, through_fk, morsels
+                        (n, mask.count(), &got), (kept, want.len(), &want),
+                        "{} {:?} fk={} morsels={}", dtype, spec, through_fk, morsels
+                    );
+                    let mut sel = SelVec::Indices(Candidates::from_pairs(list.clone(), Vec::new()));
+                    let n = refine_filter(src, &mut sel, &undecided, &range, morsels);
+                    let want: Vec<Oid> = list.iter().copied().filter(stays).collect();
+                    proptest::prop_assert_eq!(
+                        (n, &sel.as_indices().unwrap().oids), (kept, &want),
+                        "list: {} {:?} fk={} morsels={}", dtype, spec, through_fk, morsels
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn scratch_pool_recycles_buffers() {
-        let pool = ScratchPool::default();
-        let mut v = pool.take_u32();
-        v.extend(0..4096);
-        let cap = v.capacity();
-        pool.put_u32(v);
-        let back = pool.take_u32();
-        assert!(back.is_empty() && back.capacity() >= cap, "cleared, warm");
-        assert_eq!(pool.take_u32().capacity(), 0, "pool drained");
-        let mut v = pool.take_u64();
-        v.reserve(128);
-        pool.put_u64(v);
-        assert!(pool.take_u64().capacity() >= 128);
     }
 }

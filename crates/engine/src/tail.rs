@@ -30,13 +30,14 @@ use bwd_core::plan::{AggExpr, AggFunc, ArPlan, BinOp, ScalarExpr};
 use bwd_device::Env;
 use bwd_obs::GroupAggTail;
 use bwd_types::{BwdError, FaultSite, FxHasher, Result, Value};
+use std::borrow::Cow;
 use std::hash::Hasher;
 use std::ops::Range;
 
 /// Rows per slice of the query tail — the unit both executors gather,
 /// group and aggregate at a time, and the interval between yield, fault
 /// and cancel checks (a paused short query waits about this much work).
-pub const SLICE_ROWS: usize = 32 * 1024;
+pub const SLICE_ROWS: usize = 16 * 1024;
 
 /// Fold groups a roll-up evaluates at a time: its DAG buffers stay a few
 /// KiB however many fold groups the keys form.
@@ -394,8 +395,9 @@ fn eval_nodes(
 }
 
 /// Group keys in one flat arena (one payload per key column per group, in
-/// group-id order) behind an open-addressing index — no per-row or
-/// per-group allocation. Ids are assigned in first-appearance order.
+/// group-id order) behind an open-addressing index built on the first
+/// `intern` (a carried table, addressed by id, builds none) — no per-row
+/// or per-group allocation. Ids are assigned in first-appearance order.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GroupTable {
     /// The key columns' names, types and dictionaries (no payloads).
@@ -412,13 +414,11 @@ impl GroupTable {
     /// of a packed key — addressed by id alone, so the keys of slots no
     /// row can fall into need not be distinct).
     pub(crate) fn from_keys(cols: Vec<ColumnSlot>, keys: Vec<i64>) -> GroupTable {
-        let mut t = GroupTable {
+        GroupTable {
             cols,
             keys,
             index: Vec::new(),
-        };
-        t.rebuild();
-        t
+        }
     }
 
     fn len(&self) -> usize {
@@ -525,7 +525,8 @@ pub(crate) struct Sink<'p> {
     block: RowBlock,
     /// Per row its group: hashed from the key slots, or the source's.
     ids: Vec<u32>,
-    groups: GroupTable,
+    /// The sink's own table, or the carried one every sink shares.
+    groups: Cow<'p, GroupTable>,
     /// `groups.len() × prog.accs.len()` accumulators, group-major.
     accs: Vec<Acc>,
     /// Projected rows (non-aggregate queries).
@@ -546,7 +547,7 @@ impl<'p> Sink<'p> {
             self.ids.clear();
             for row in 0..len {
                 key.iter_mut().zip(&cols).for_each(|(k, c)| *k = c[row]);
-                self.ids.push(self.groups.intern(&key));
+                self.ids.push(self.groups.to_mut().intern(&key));
             }
         }
         debug_assert!(!grouped || self.ids.len() == len, "group ids misaligned");
@@ -593,7 +594,7 @@ impl<'p> Sink<'p> {
             let id = match (grouped, carried) {
                 (false, _) => 0,
                 (true, true) => g,
-                (true, false) => self.groups.intern(other.groups.key(g)) as usize,
+                (true, false) => self.groups.to_mut().intern(other.groups.key(g)) as usize,
             };
             if self.accs.len() < (id + 1) * stride {
                 self.accs.resize((id + 1) * stride, EMPTY_ACC);
@@ -631,7 +632,10 @@ impl<'p> Sink<'p> {
         let occupied = |accs: &&[Acc]| !grouped || accs[0].count > 0;
         let groups = self.accs.chunks(stride).filter(occupied).count() as u64;
         let (table, accs) = match &p.fold {
-            Some(f) => f.roll_up(&self.groups, &self.accs, stride),
+            Some(f) => {
+                let (table, accs) = f.roll_up(&self.groups, &self.accs, stride);
+                (Cow::Owned(table), accs)
+            }
             None => (self.groups, self.accs),
         };
         let (exprs, inputs) = p.inputs();
@@ -758,13 +762,14 @@ impl Tail {
             prog: &self.prog,
             block: self.schema.clone(),
             ids: Vec::new(),
-            groups: self.carried.clone().unwrap_or_else(|| {
-                let key_col = |&s: &usize| self.schema.slot(s).clone();
-                GroupTable::from_keys(
-                    self.prog.key_slots.iter().map(key_col).collect(),
-                    Vec::new(),
-                )
-            }),
+            groups: match &self.carried {
+                Some(table) => Cow::Borrowed(table),
+                None => {
+                    let key_col = |&s: &usize| self.schema.slot(s).clone();
+                    let cols = self.prog.key_slots.iter().map(key_col).collect();
+                    Cow::Owned(GroupTable::from_keys(cols, Vec::new()))
+                }
+            },
             accs: Vec::new(),
             rows: Vec::new(),
             bufs: vec![Vec::new(); self.prog.exprs.nodes.len()],

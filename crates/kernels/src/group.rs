@@ -23,8 +23,8 @@ pub fn conflicts(cells: u64) -> f64 {
     1.0 + (WARP - 1) as f64 / cells.max(1) as f64
 }
 
-/// Composite keys up to this many bits index a direct-address table
-/// (2^16 four-byte cells: cache-resident on the host simulating it).
+/// Keys whose domains span at most 2^`DIRECT_BITS` cells index a direct
+/// table (2^16 four-byte cells: cache-resident on the host simulating it).
 const DIRECT_BITS: u32 = 16;
 
 /// The result of a grouping kernel over keys of type `K`.
@@ -59,11 +59,15 @@ pub fn hash_group(
     cands: Option<&Candidates>,
     ledger: &mut CostLedger,
 ) -> GroupResult {
-    let mut table: FxHashMap<u64, u32> = FxHashMap::default();
-    let lookup = |&v: &u64, next| *table.entry(v).or_insert(next);
-    let g = match cands {
-        Some(c) => assign_ids(c.oids.iter().map(|&oid| keys.get(oid as usize)), lookup),
-        None => assign_ids(keys.data().iter(), lookup),
+    let mut grouper = Grouper::new(&[keys]);
+    let mut group_ids = Vec::with_capacity(cands.map_or(keys.len(), Candidates::len));
+    match cands {
+        Some(c) => grouper.assign(c.oids.iter().copied(), |id| group_ids.push(id)),
+        None => grouper.assign(0..keys.len() as Oid, |id| group_ids.push(id)),
+    }
+    let g = Grouping {
+        group_ids,
+        group_keys: grouper.group_keys(),
     };
     let (spec, tuples) = (env.device.spec(), g.group_ids.len() as u64);
     // Streaming the keys + writing one group id per tuple.
@@ -91,11 +95,12 @@ pub fn hash_group_multi(
 ) -> MultiGroupResult {
     let mut grouper = Grouper::new(keys);
     let mut group_ids = Vec::with_capacity(cands.len());
-    grouper.assign(&cands.oids, |id| group_ids.push(id));
+    grouper.assign(cands.oids.iter().copied(), |id| group_ids.push(id));
     grouper.charge(env, ledger);
+    let group_keys = grouper.group_keys();
     Grouping {
         group_ids,
-        group_keys: grouper.group_keys,
+        group_keys: group_keys.chunks(keys.len()).map(<[u64]>::to_vec).collect(),
     }
 }
 
@@ -103,23 +108,24 @@ pub fn hash_group_multi(
 /// stream through [`Grouper::observe`] in any chunking and get first-seen
 /// group ids exactly as one pass over the whole list would assign them;
 /// afterwards [`Grouper::ids`] is a pure lookup, so the tail's workers
-/// share one table and nobody holds an id per candidate. Key columns of at
-/// most 64 bits together are concatenated into one word per row — a table
-/// index up to 16 bits, a `u64` hash key past it; only wider composites
-/// allocate a key per row.
+/// share one table and nobody holds an id per candidate. A key's *cell* is
+/// its codes' mixed-radix number over the key columns' stored domains: up
+/// to 2^16 cells index a direct-address table, up to 2^64 a hash map;
+/// wider composites hash their codes. Only the table holds the keys.
 #[derive(Debug)]
 pub struct Grouper<'a> {
     keys: Vec<&'a DeviceArray>,
+    /// Per key column its least stored code and its radix.
+    domains: Vec<(u64, u128)>,
     table: Table,
-    /// Key per group id (one stored value per key column), first-seen order.
-    group_keys: Vec<Vec<u64>>,
+    groups: usize,
     observed: usize,
 }
 
-/// Key → group id, by the composite key's width.
+/// Cell → group id, by how many cells the domains span.
 #[derive(Debug)]
 enum Table {
-    /// Direct-address: group id + 1 per packed key (0 = unseen).
+    /// Direct-address: group id + 1 per cell (0 = unseen).
     Direct(Vec<u32>),
     Packed(FxHashMap<u64, u32>),
     Wide(FxHashMap<Vec<u64>, u32>),
@@ -132,9 +138,8 @@ fn key_of(keys: &[&DeviceArray], oid: Oid) -> Vec<u64> {
 
 /// `oid`'s value in every key column, concatenated into one word, first
 /// column in the high bits (at most 64 key bits together; a 64-bit column
-/// shifts everything before it — all zero-width — out). The one slot
-/// function: the [`Grouper`] indexes its table by it, and a key of few
-/// enough bits *is* the group id grouped aggregation folds by
+/// shifts everything before it — all zero-width — out). The slot a key of
+/// few enough bits *is*: the group id grouped aggregation folds by
 /// ([`crate::reduce::GroupedAgg::direct_slots`]).
 #[inline]
 pub fn packed_key_of(keys: &[&DeviceArray], oid: Oid) -> u64 {
@@ -142,27 +147,42 @@ pub fn packed_key_of(keys: &[&DeviceArray], oid: Oid) -> u64 {
     (keys.iter()).fold(0, |k, a| shl(k, a.width()) | a.get(oid as usize))
 }
 
+/// `oid`'s cell over `domains` (exact up to 2^64 cells: a radix of 2^64
+/// wraps to 0, and then every other column has one code).
+fn cell_of(keys: &[&DeviceArray], domains: &[(u64, u128)], oid: Oid) -> u64 {
+    (keys.iter().zip(domains)).fold(0, |cell, (a, &(lo, radix))| {
+        let code = a.get(oid as usize).wrapping_sub(lo);
+        cell.wrapping_mul(radix as u64).wrapping_add(code)
+    })
+}
+
 impl<'a> Grouper<'a> {
-    /// An empty table over the key columns `keys`.
+    /// [`Grouper::over`] every code each key column's width can store.
+    pub fn new(keys: &[&'a DeviceArray]) -> Self {
+        let all = |k: &&DeviceArray| (0, bwd_types::bits::low_mask(k.width()));
+        Self::over(keys, &keys.iter().map(all).collect::<Vec<_>>())
+    }
+
+    /// An empty table over the key columns `keys` whose stored codes lie in
+    /// `domains`, `(lo, hi)` per column — its extrema's codes.
     ///
     /// # Panics
     /// Panics without a key column.
-    pub fn new(keys: &[&'a DeviceArray]) -> Self {
-        assert!(
-            !keys.is_empty(),
-            "grouping requires at least one key column"
-        );
-        let bits: u32 = keys.iter().map(|k| k.width()).sum();
+    pub fn over(keys: &[&'a DeviceArray], domains: &[(u64, u64)]) -> Self {
+        assert!(!keys.is_empty(), "grouping requires a key column");
+        let domains: Vec<_> = (domains.iter())
+            .map(|&(lo, hi)| (lo, u128::from(hi.saturating_sub(lo)) + 1))
+            .collect();
+        let table = match (domains.iter()).try_fold(1u128, |n, d| n.checked_mul(d.1)) {
+            Some(n) if n <= 1 << DIRECT_BITS => Table::Direct(vec![0; n as usize]),
+            Some(n) if n <= 1 << 64 => Table::Packed(FxHashMap::default()),
+            _ => Table::Wide(FxHashMap::default()),
+        };
         Grouper {
             keys: keys.to_vec(),
-            table: if bits <= DIRECT_BITS {
-                Table::Direct(vec![0; 1 << bits])
-            } else if bits <= 64 {
-                Table::Packed(FxHashMap::default())
-            } else {
-                Table::Wide(FxHashMap::default())
-            },
-            group_keys: Vec::new(),
+            domains,
+            table,
+            groups: 0,
             observed: 0,
         }
     }
@@ -170,29 +190,27 @@ impl<'a> Grouper<'a> {
     /// Feed the next chunk of candidates: a key not seen before claims the
     /// next group id.
     pub fn observe(&mut self, oids: &[Oid]) {
-        self.assign(oids, |_| {});
+        self.assign(oids.iter().copied(), |_| {});
     }
 
     /// [`Grouper::observe`], handing each oid's group id to `emit`.
-    fn assign(&mut self, oids: &[Oid], mut emit: impl FnMut(u32)) {
-        self.observed += oids.len();
-        let keys = self.keys.as_slice();
-        for &oid in oids {
-            let next = self.group_keys.len() as u32;
+    fn assign(&mut self, oids: impl IntoIterator<Item = Oid>, mut emit: impl FnMut(u32)) {
+        let (keys, domains) = (self.keys.as_slice(), self.domains.as_slice());
+        for oid in oids {
+            let next = self.groups as u32;
             let id = match &mut self.table {
                 Table::Direct(table) => {
-                    let cell = &mut table[packed_key_of(keys, oid) as usize];
-                    if *cell == 0 {
-                        *cell = next + 1;
+                    let id = &mut table[cell_of(keys, domains, oid) as usize];
+                    if *id == 0 {
+                        *id = next + 1;
                     }
-                    *cell - 1
+                    *id - 1
                 }
-                Table::Packed(table) => *table.entry(packed_key_of(keys, oid)).or_insert(next),
+                Table::Packed(table) => *table.entry(cell_of(keys, domains, oid)).or_insert(next),
                 Table::Wide(table) => *table.entry(key_of(keys, oid)).or_insert(next),
             };
-            if id == next {
-                self.group_keys.push(key_of(keys, oid));
-            }
+            self.groups += usize::from(id == next);
+            self.observed += 1;
             emit(id);
         }
     }
@@ -202,13 +220,13 @@ impl<'a> Grouper<'a> {
     /// # Errors
     /// Fails on an oid whose key was never observed.
     pub fn ids(&self, oids: &[Oid], out: &mut Vec<u32>) -> Result<()> {
-        let keys = self.keys.as_slice();
+        let (keys, domains) = (self.keys.as_slice(), self.domains.as_slice());
         out.clear();
         out.reserve(oids.len());
         for &oid in oids {
             let id = match &self.table {
-                Table::Direct(table) => table[packed_key_of(keys, oid) as usize].checked_sub(1),
-                Table::Packed(table) => table.get(&packed_key_of(keys, oid)).copied(),
+                Table::Direct(table) => table[cell_of(keys, domains, oid) as usize].checked_sub(1),
+                Table::Packed(table) => table.get(&cell_of(keys, domains, oid)).copied(),
                 Table::Wide(table) => table.get(&key_of(keys, oid)).copied(),
             };
             out.push(id.ok_or_else(|| {
@@ -220,12 +238,29 @@ impl<'a> Grouper<'a> {
 
     /// Number of distinct groups observed so far.
     pub fn n_groups(&self) -> usize {
-        self.group_keys.len()
+        self.groups
     }
 
-    /// Key per group id (one stored value per key column).
-    pub fn group_keys(&self) -> &[Vec<u64>] {
-        &self.group_keys
+    /// Every group's key, in id order: one stored code per key column,
+    /// read off the table.
+    pub fn group_keys(&self) -> Vec<u64> {
+        let n = self.keys.len();
+        let mut keys = vec![0; self.groups * n];
+        let mut put = |id: u32, cell: u64| {
+            let (key, mut cell) = (&mut keys[id as usize * n..][..n], u128::from(cell));
+            for (code, &(lo, radix)) in key.iter_mut().zip(&self.domains).rev() {
+                (*code, cell) = (lo + (cell % radix) as u64, cell / radix);
+            }
+        };
+        match &self.table {
+            Table::Direct(table) => (table.iter().enumerate())
+                .filter(|&(_, &id)| id > 0)
+                .for_each(|(cell, &id)| put(id - 1, cell as u64)),
+            Table::Packed(table) => table.iter().for_each(|(&cell, &id)| put(id, cell)),
+            Table::Wide(table) => (table.iter())
+                .for_each(|(key, &id)| keys[id as usize * n..][..n].copy_from_slice(key)),
+        }
+        keys
     }
 
     /// Charge the grouping kernel over everything observed
@@ -268,33 +303,33 @@ pub fn charge_hash_group_multi(
     );
 }
 
-/// First-seen-order group ids over a stream of keys: `lookup(key, next)`
-/// returns the id `key` already has, or claims `next` for it.
-fn assign_ids<K>(
-    keys: impl Iterator<Item = K>,
-    mut lookup: impl FnMut(&K, u32) -> u32,
-) -> Grouping<K> {
-    let mut group_ids = Vec::with_capacity(keys.size_hint().0);
-    let mut group_keys = Vec::new();
-    for key in keys {
-        let id = lookup(&key, group_keys.len() as u32);
-        if id as usize == group_keys.len() {
-            group_keys.push(key);
-        }
-        group_ids.push(id);
-    }
-    Grouping {
-        group_ids,
-        group_keys,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bwd_device::Env;
     use bwd_storage::BitPackedVec;
     use bwd_types::bits::low_mask;
+
+    /// First-seen-order group ids over a stream of keys: `lookup(key, next)`
+    /// returns the id `key` already has, or claims `next` for it.
+    fn assign_ids<K>(
+        keys: impl Iterator<Item = K>,
+        mut lookup: impl FnMut(&K, u32) -> u32,
+    ) -> Grouping<K> {
+        let mut group_ids = Vec::with_capacity(keys.size_hint().0);
+        let mut group_keys = Vec::new();
+        for key in keys {
+            let id = lookup(&key, group_keys.len() as u32);
+            if id as usize == group_keys.len() {
+                group_keys.push(key);
+            }
+            group_ids.push(id);
+        }
+        Grouping {
+            group_ids,
+            group_keys,
+        }
+    }
 
     fn arr(env: &Env, width: u32, vals: &[u64]) -> DeviceArray {
         let mut l = CostLedger::new();
@@ -374,6 +409,59 @@ mod tests {
         })
     }
 
+    /// Every group's key, in id order.
+    fn keys_of(g: &Grouper<'_>) -> Vec<Vec<u64>> {
+        let keys = g.group_keys();
+        keys.chunks(g.keys.len()).map(<[u64]>::to_vec).collect()
+    }
+
+    /// Key columns whose stored codes span less than their widths — two to
+    /// five of 3..=12 bits, each code between its seeded extrema — number
+    /// their cells by mixed radix into a direct-address table where the
+    /// widths alone would hash: both assign the `Vec`-keyed oracle's
+    /// first-seen ids, in any chunking, and hold its keys.
+    #[test]
+    fn mixed_radix_cells_group_like_hashed_codes() {
+        let env = Env::paper_default();
+        let mut rng = bwd_types::SplitMix64::new(0x3a7d);
+        let mut direct = 0;
+        for _ in 0..200 {
+            let n_cols = 2 + rng.below(4) as usize;
+            let mut domains = Vec::new();
+            let cols: Vec<DeviceArray> = (0..n_cols)
+                .map(|_| {
+                    let width = 3 + rng.below(10) as u32;
+                    let lo = rng.below(1 << width);
+                    let hi = (lo + rng.below(1 + (1 << 4))).min(low_mask(width));
+                    domains.push((lo, hi));
+                    let vals: Vec<u64> = (0..500).map(|_| lo + rng.below(hi - lo + 1)).collect();
+                    arr(&env, width, &vals)
+                })
+                .collect();
+            let keys: Vec<&DeviceArray> = cols.iter().collect();
+            let oids: Vec<Oid> = (0..500).rev().collect();
+            let oracle = group_wide(&keys, &oids);
+            let (mut cells, mut hashed) = (Grouper::over(&keys, &domains), Grouper::new(&keys));
+            let bits: u32 = cols.iter().map(DeviceArray::width).sum();
+            assert_eq!(
+                matches!(hashed.table, Table::Direct(_)),
+                bits <= DIRECT_BITS
+            );
+            direct += usize::from(matches!(cells.table, Table::Direct(_)) && bits > DIRECT_BITS);
+            for chunk in oids.chunks(1 + rng.below(100) as usize) {
+                hashed.observe(chunk);
+                cells.observe(chunk);
+            }
+            for g in [&cells, &hashed] {
+                let mut ids = Vec::new();
+                g.ids(&oids, &mut ids).unwrap();
+                assert_eq!(ids, oracle.group_ids, "{domains:?}");
+                assert_eq!(keys_of(g), oracle.group_keys, "{domains:?}");
+            }
+        }
+        assert!(direct > 100, "{direct} of 200 wide keys addressed directly");
+    }
+
     /// One to three key columns of every width up to 32 bits (and one of
     /// 64) — composites of 1..=96 bits, so the direct-address table, the
     /// `u64` hash table and the `Vec`-keyed fallback all run — against the
@@ -419,7 +507,7 @@ mod tests {
                 chunked.observe(chunk);
                 rest = tail;
             }
-            assert_eq!(chunked.group_keys(), g.group_keys, "{n_cols} x {width}");
+            assert_eq!(keys_of(&chunked), g.group_keys, "{n_cols} x {width}");
             let mut streamed = CostLedger::with_trace();
             chunked.charge(&env, &mut streamed);
             assert_eq!(streamed.events(), ledger.events(), "{n_cols} x {width}");

@@ -96,6 +96,13 @@ impl SelMask {
         &self.words
     }
 
+    /// Clear rows in place: `f` rewrites the words, and the count follows.
+    pub fn edit<R>(&mut self, f: impl FnOnce(&mut [u64]) -> R) -> R {
+        let out = f(&mut self.words);
+        self.count = bwd_storage::mask_count(&self.words);
+        out
+    }
+
     /// The simulated thread blocks of the scan that produced the mask, in
     /// its emission order.
     fn blocks(&self) -> Vec<Range<usize>> {

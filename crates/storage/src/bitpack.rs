@@ -10,8 +10,8 @@
 //! [`BitPackedVec::unpack_range`] / [`BitPackedVec::unpack_block`]: the
 //! word-at-a-time decoder loads every backing word exactly once and keeps
 //! the bit cursor in registers, instead of re-deriving word index and
-//! shift per element as [`BitPackedVec::get`] must. [`BitPackedVec::iter`]
-//! and [`BlockDecoder`] are built on top of it. [`BitPackedVec::try_pack_rows`]
+//! shift per element as [`BitPackedVec::get`] must. [`BlockDecoder`] is
+//! built on top of it. [`BitPackedVec::try_pack_rows`]
 //! is the same cursor in the other direction, and the one way a vector is
 //! built: every backing word is written exactly once, into uninitialised
 //! capacity, by the piece of rows it holds.
@@ -225,19 +225,6 @@ impl BitPackedVec {
         n
     }
 
-    /// Iterate over all elements. The iterator refills a
-    /// [`DECODE_BLOCK`]-element buffer through [`BitPackedVec::unpack_range`],
-    /// so full traversals decode word-at-a-time rather than per element.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            vec: self,
-            idx: 0,
-            buf: [0; DECODE_BLOCK],
-            buf_start: 0,
-            buf_len: 0,
-        }
-    }
-
     /// The raw backing words (element `i` occupies bits
     /// `[i*width, (i+1)*width)` of this little-endian bit stream; the
     /// last word's unused high bits are zero).
@@ -328,52 +315,6 @@ impl<'a> PackCursor<'a> {
         (self.stored).fetch_add(self.next + (self.fill > 0) as usize, Relaxed);
     }
 }
-
-/// Iterator over a [`BitPackedVec`], buffered through the bulk decoder.
-pub struct Iter<'a> {
-    vec: &'a BitPackedVec,
-    idx: usize,
-    buf: [u64; DECODE_BLOCK],
-    buf_start: usize,
-    buf_len: usize,
-}
-
-impl Iter<'_> {
-    #[cold]
-    fn refill(&mut self) {
-        let n = (self.vec.len - self.idx).min(DECODE_BLOCK);
-        self.vec.unpack_range(self.idx, &mut self.buf[..n]);
-        self.buf_start = self.idx;
-        self.buf_len = n;
-    }
-}
-
-impl Iterator for Iter<'_> {
-    type Item = u64;
-
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        if self.idx >= self.vec.len {
-            return None;
-        }
-        let off = self.idx.wrapping_sub(self.buf_start);
-        if off >= self.buf_len {
-            self.refill();
-            let v = self.buf[0];
-            self.idx += 1;
-            return Some(v);
-        }
-        self.idx += 1;
-        Some(self.buf[off])
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.vec.len - self.idx;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for Iter<'_> {}
 
 /// A cached one-block window over a [`BitPackedVec`] for *mostly ascending*
 /// random access (refinement loops walk candidate oids that are ascending
@@ -527,7 +468,6 @@ mod tests {
         assert_eq!(v.len(), 100);
         assert_eq!(v.packed_bytes(), 0);
         assert_eq!(v.get(50), 0);
-        assert_eq!(v.iter().count(), 100);
     }
 
     #[test]
@@ -545,29 +485,6 @@ mod tests {
     fn get_out_of_bounds_panics() {
         let v = BitPackedVec::from_slice(8, &[1]);
         v.get(1);
-    }
-
-    #[test]
-    fn iterator_matches_get_and_is_exact_size() {
-        let vals: Vec<u64> = (0..777).map(|i| i % 8192).collect();
-        let packed = BitPackedVec::from_slice(13, &vals);
-        let it = packed.iter();
-        assert_eq!(it.len(), 777);
-        for (i, v) in packed.iter().enumerate() {
-            assert_eq!(v, packed.get(i));
-        }
-    }
-
-    #[test]
-    fn iterator_nth_skips_without_decoding() {
-        let vals: Vec<u64> = (0..10_000).map(|i| i * 11 % 4096).collect();
-        let packed = BitPackedVec::from_slice(12, &vals);
-        let mut it = packed.iter();
-        assert_eq!(it.nth(4999), Some(vals[4999]));
-        assert_eq!(it.next(), Some(vals[5000]));
-        assert_eq!(it.len(), 10_000 - 5001);
-        let mut it = packed.iter();
-        assert_eq!(it.nth(10_000), None);
     }
 
     #[test]
@@ -640,11 +557,11 @@ mod tests {
             prop_assert_eq!(packed.packed_bytes(), (n as u64 * width as u64).div_ceil(8));
         }
 
-        /// The bulk decoder is element-wise equal to `get` and `iter` on
-        /// arbitrary sub-ranges, for every width 0..=64 — word straddles,
-        /// width-0 and whole-vector decodes included.
+        /// The bulk decoder is element-wise equal to `get` on arbitrary
+        /// sub-ranges, for every width 0..=64 — word straddles, width-0 and
+        /// whole-vector decodes included.
         #[test]
-        fn prop_unpack_range_equals_get_and_iter(
+        fn prop_unpack_range_equals_get(
             width in 0u32..=64,
             raw in proptest::collection::vec(any::<u64>(), 0..400),
             start_frac in 0u32..1000,
@@ -661,9 +578,6 @@ mod tests {
                 prop_assert_eq!(v, packed.get(start + k), "width={} i={}", width, start + k);
             }
             prop_assert_eq!(&out[..], &vals[start..start + n]);
-            // Full traversal through the buffered iterator agrees too.
-            let via_iter: Vec<u64> = packed.iter().collect();
-            prop_assert_eq!(via_iter, vals);
             // And the cached block decoder at every in-range position.
             let mut dec = BlockDecoder::new(&packed);
             for i in start..start + n {

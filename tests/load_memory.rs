@@ -34,11 +34,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use waste_not::core::plan::ArPlan;
 use waste_not::core::BoundColumn;
-use waste_not::data::{gen_lineitem, TpchConfig};
+use waste_not::data::{gen_lineitem, gen_part, gen_trips, SpatialConfig, TpchConfig};
 use waste_not::device::{CostLedger, Env};
-use waste_not::engine::Database;
+use waste_not::engine::tail::SLICE_ROWS;
+use waste_not::engine::{Database, ExecMode};
+use waste_not::sql::{bind, parse, BoundStatement};
 use waste_not::storage::{Column, DecompositionSpec, Storage};
+use waste_not::types::SplitMix64;
 
 const ROWS: usize = 4_000_000;
 const SLACK_MIB: f64 = 8.0;
@@ -86,6 +91,12 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static HEAP: Counting = Counting;
+
+/// The counts are per process: the tests of this binary take turns.
+fn alone() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A `/proc/self/status` field in MiB.
 fn status_mib(field: &str) -> f64 {
@@ -142,6 +153,7 @@ fn assert_no_transient(step: &str, rise_mib: f64, resident_bytes: u64) {
 
 #[test]
 fn loading_holds_no_row_count_sized_transient() {
+    let _turn = alone();
     // Set-up peaks, counted on the heap. A generator fills each column in
     // the width its domain needs — `l_partkey`'s, `1..=40 000` at SF 0.2,
     // in `u16` — so its peak is the columns it returns, not an `i32` key
@@ -336,4 +348,158 @@ fn loading_holds_no_row_count_sized_transient() {
     );
     let once = (decomposed.device_bytes() + decomposed.host_bytes()) as usize;
     assert!(LIVE.load(Relaxed) - held <= once + (64 << 10));
+}
+
+/// An A&R query holds its undecided candidates as bits, not as a list:
+/// over 4 M rows whose approximation leaves 1 M of the 2 M candidates
+/// undecided, a grouped aggregate (5 000 hash pre-groups) may raise the
+/// counted heap by 2 bits a row — the candidates' bitmap and the undecided
+/// one —, a per-group constant and one tail slice's buffers, where a list
+/// of the undecided oids alone is 4 MiB.
+#[test]
+fn an_ar_query_holds_no_list_per_candidate() {
+    let _turn = alone();
+    const ROWS: usize = 1 << 22;
+    const GROUPS: usize = 5_000;
+    let ints = |f: fn(usize) -> usize| Column::from_i32((0..ROWS).map(|i| f(i) as i32).collect());
+    let mut db = Database::new();
+    let columns = vec![
+        ("d".into(), ints(|i| i % 4096)),
+        ("g".into(), ints(|i| i % 100)),
+        ("h".into(), ints(|i| i / 100 % 50)),
+        ("v".into(), ints(|i| i % 1000)),
+    ];
+    db.create_table("t", columns).unwrap();
+    // 22 device bits leave `d` four granules of 1 024 values, 1 M rows
+    // each: `d <= 1500` decides the first and leaves the second undecided.
+    db.bwdecompose("t", "d", 22).unwrap();
+    let sql = "select g, h, sum(v), count(*) from t where d <= 1500 group by g, h";
+    let plan = bind_sql(&db, sql);
+    db.auto_bind(&plan).unwrap();
+    let mode = ExecMode::ApproxRefine;
+    let (first, counts, _) = db
+        .run_counted(&plan, mode.clone(), db.env(), 1, None)
+        .unwrap();
+    assert_eq!((counts.candidates(), counts.undecided), (2 << 20, 1 << 20));
+    let (second, rise) = heap_rise(|| db.run_bound(&plan, mode).unwrap());
+    assert_eq!(first.rows, second.rows);
+    assert_eq!((second.rows.len(), second.survivors), (GROUPS, 1501 << 10));
+    let (bits, per_group, slice) = (ROWS / 4, 256 * GROUPS, 64 * SLICE_ROWS);
+    eprintln!("A&R grouped aggregate, 1 M undecided: heap +{rise} B");
+    assert!(
+        rise <= bits + per_group + slice,
+        "an A&R run raised the heap {rise} B, past {bits} B of bitmaps, {per_group} B for \
+         {GROUPS} groups and {slice} B for a slice — is a list of candidates held?"
+    );
+}
+
+/// Parse, bind and rewrite `sql` against `db`.
+fn bind_sql(db: &Database, sql: &str) -> ArPlan {
+    let parsed = parse(sql).unwrap();
+    match bind(&parsed, db.catalog()).unwrap() {
+        BoundStatement::Query(logical) => db.bind(&logical, &Default::default()).unwrap(),
+        BoundStatement::Decompose { .. } => panic!("{sql}: not a query"),
+    }
+}
+
+/// The benchmark's statements at `--seed 1` (`benchmark/src/gen.rs`): the
+/// spatial box unshifted, TPC-H Q6, Q14 and Q1, and a 1 % probe.
+const STATEMENTS: [(&str, &str); 5] = [
+    (
+        "S",
+        "select count(lon) from trips where lon between 2.68288 and 2.70228 \
+         and lat between 50.42220 and 50.44850",
+    ),
+    (
+        "Q6",
+        "select sum(l_extendedprice * l_discount) as revenue from lineitem \
+         where l_shipdate >= date '1994-01-01' \
+         and l_shipdate < date '1994-01-01' + interval '1' year \
+         and l_discount between 0.05 and 0.07 and l_quantity < 24",
+    ),
+    (
+        "Q14",
+        "select sum(case when p_type like 'PROMO%' then l_extendedprice * (1 - l_discount) \
+         else 0 end) as promo_revenue, sum(l_extendedprice * (1 - l_discount)) as total_revenue \
+         from lineitem, part where l_partkey = p_partkey \
+         and l_shipdate >= date '1995-09-01' \
+         and l_shipdate < date '1995-09-01' + interval '1' month",
+    ),
+    (
+        "Q1",
+        "select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, \
+         sum(l_extendedprice) as sum_base_price, \
+         sum(l_extendedprice * (1 - l_discount)) as sum_disc_price, \
+         sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)) as sum_charge, \
+         avg(l_quantity) as avg_qty, avg(l_extendedprice) as avg_price, \
+         avg(l_discount) as avg_disc, count(*) as count_order from lineitem \
+         where l_shipdate <= date '1998-12-01' - interval '90' day \
+         group by l_returnflag, l_linestatus",
+    ),
+    (
+        "probe",
+        "select count(*) from small where a between 0 and 655359",
+    ),
+];
+
+/// The benchmark's database (`benchmark/src/setup.rs` at `--seed 1`):
+/// 8 M fixes and TPC-H SF 0.5, decomposed as the set-up decomposes them.
+fn benchmark_database() -> Database {
+    let mut seeds = SplitMix64::new(1);
+    let (spatial_seed, small_seed) = (seeds.next_u64(), seeds.next_u64());
+    let trips = gen_trips(&SpatialConfig {
+        seed: spatial_seed,
+        ..SpatialConfig::fixes(8_000_000)
+    });
+    let tpch = TpchConfig {
+        scale: 0.5,
+        seed: 0x7C_41,
+    };
+    let mut noise = SplitMix64::new(small_seed);
+    let small = waste_not::data::micro::unique_shuffled(16_000, small_seed)
+        .into_iter()
+        .map(|v| (v * 4096 + noise.below(4096) as i64) as i32)
+        .collect();
+    let mut db = Database::new();
+    db.create_table("trips", trips.into_columns()).unwrap();
+    db.create_table("lineitem", gen_lineitem(&tpch).into_columns())
+        .unwrap();
+    db.create_table("part", gen_part(&tpch).into_columns())
+        .unwrap();
+    db.create_table("small", vec![("a".into(), Column::from_i32(small))])
+        .unwrap();
+    db.declare_fk("lineitem", "l_partkey", "part", "p_partkey")
+        .unwrap();
+    db.bwdecompose("trips", "lon", 24).unwrap();
+    db.bwdecompose("trips", "lat", 24).unwrap();
+    for (_, sql) in &STATEMENTS[1..4] {
+        let plan = bind_sql(&db, sql);
+        db.auto_bind(&plan).unwrap();
+    }
+    db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
+    db.bwdecompose("small", "a", 24).unwrap();
+    db
+}
+
+/// What one query of each benchmark statement raises the counted heap by
+/// over what it held at rest, in both pipes, at the benchmark's scale —
+/// each statement run once before, so that statistics built on first use
+/// are rest. Run with
+/// `cargo test --release --test load_memory -- --ignored --nocapture`.
+#[test]
+#[ignore = "benchmark scale: 8 M fixes and TPC-H SF 0.5, about 150 MiB"]
+fn query_heap_rise_at_benchmark_scale() {
+    let _turn = alone();
+    let db = benchmark_database();
+    for (name, sql) in STATEMENTS {
+        let plan = bind_sql(&db, sql);
+        for (pipe, mode) in [
+            ("A&R", ExecMode::ApproxRefine),
+            ("Classic", ExecMode::Classic),
+        ] {
+            db.run_bound(&plan, mode.clone()).unwrap();
+            let (_, rise) = heap_rise(|| db.run_bound(&plan, mode).unwrap());
+            eprintln!("{pipe} {name}: heap +{:.2} MiB", rise as f64 / MIB);
+        }
+    }
 }

@@ -298,3 +298,38 @@ fn a_decimal_literal_keeps_its_scale() {
     assert_eq!(classic, ar);
     assert_eq!(classic, [[Value::decimal(expect, 2)]]);
 }
+
+/// The frozen benchmark's grouping cell (`kernels.group_ns_per_row`):
+/// `hash_group_multi` over every row of Q1's flag columns assigns the
+/// first-seen ids and keys it assigned before a key was numbered by mixed
+/// radix over its domains — pinned as taken then.
+#[test]
+fn q1_flag_grouping_is_pinned() {
+    use waste_not::core::BoundColumn;
+    use waste_not::device::{CostLedger, Env};
+    use waste_not::kernels::{group::hash_group_multi, Candidates};
+
+    let env = Env::paper_default();
+    let lineitem = gen_lineitem(&TpchConfig::scale(SF)).into_columns();
+    let upload = |name: &str| {
+        let col = lineitem.iter().find(|(n, _)| n == name).unwrap().1.clone();
+        let split = col.decompose(&DecompositionSpec::all_device()).unwrap();
+        let split = split.split().unwrap().clone();
+        BoundColumn::bind(split, &env.device, name, &mut CostLedger::new()).unwrap()
+    };
+    let (flag, status) = (upload("l_returnflag"), upload("l_linestatus"));
+    let rows = Candidates::dense_all(flag.approx().len());
+    let keys = [flag.approx(), status.approx()];
+    let g = hash_group_multi(&env, &keys, &rows, &mut CostLedger::new());
+    let fingerprint = (g.group_ids.iter()).fold(0u64, |h, &id| {
+        h.wrapping_mul(0x100_0000_01b3) ^ u64::from(id)
+    });
+    assert_eq!(
+        (g.group_ids.len(), g.group_keys, fingerprint),
+        (
+            60_000,
+            vec![vec![2, 0], vec![0, 0], vec![1, 1]],
+            0x098e_349d_a1a6_9986
+        )
+    );
+}
