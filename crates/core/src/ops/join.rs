@@ -14,8 +14,9 @@
 use crate::column::BoundColumn;
 use bwd_device::{Component, CostLedger, Device, Env};
 use bwd_kernels::DeviceArray;
+use bwd_storage::encoding::decode;
 use bwd_storage::pieces::chunk_count;
-use bwd_storage::{with_slice, BitPackedVec, ColumnData};
+use bwd_storage::{BitPackedVec, Column, DECODE_BLOCK};
 use bwd_types::bits::bits_for_width;
 use bwd_types::{BwdError, FxHashMap, Result};
 
@@ -31,7 +32,7 @@ pub struct FkIndex {
 }
 
 impl FkIndex {
-    /// Build from the two key columns' storage, read in place: map the
+    /// Build from the two key columns, read in place a block at a time: map the
     /// dimension keys to their rows (build side, on the CPU as §IV-D
     /// prescribes) — by address where their span is at most twice their
     /// count, by hash otherwise —, then translate every fact key straight
@@ -43,17 +44,17 @@ impl FkIndex {
     /// dimension past `u32::MAX` rows (an [`Oid`](bwd_types::Oid) cannot address it) or a
     /// link the device cannot hold.
     pub fn build(
-        fact_keys: &ColumnData,
-        dim_keys: &ColumnData,
+        fact_keys: &Column,
+        dim_keys: &Column,
         device: &Device,
         env: &Env,
         ledger: &mut CostLedger,
     ) -> Result<Self> {
         let dim_rows = dim_row_count(dim_keys.len())?;
-        let table = with_slice!(dim_keys, keys => DimRows::of(keys))?;
+        let table = DimRows::of(dim_keys)?;
         let width = bits_for_width(u64::from(dim_rows));
         let chunks = chunk_count(fact_keys.len());
-        let packed = with_slice!(fact_keys, keys => link_of(keys, &table, width, chunks))?;
+        let packed = link_of(fact_keys, &table, width, chunks)?;
         // CPU build + probe cost.
         let t = env.cpu.scan_seconds(
             (fact_keys.len() + dim_keys.len()) as u64 * 8,
@@ -101,13 +102,10 @@ enum DimRows {
 impl DimRows {
     /// Map `keys`: by address where their span is at most
     /// [`SLOTS_PER_ROW`] times their count, else by hash.
-    fn of<T: Copy + Into<i64>>(keys: &[T]) -> Result<Self> {
-        let (lo, hi) = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| {
-            let k: i64 = k.into();
-            (lo.min(k), hi.max(k))
-        });
-        let dense = lo <= hi && hi.abs_diff(lo) < SLOTS_PER_ROW * keys.len() as u64;
-        DimRows::fill(keys, dense.then(|| (lo, hi.abs_diff(lo) as usize + 1)))
+    fn of(keys: &Column) -> Result<Self> {
+        let span = keys.payload_min_max().map(|(lo, hi)| (lo, hi.abs_diff(lo)));
+        let dense = span.filter(|&(_, span)| span < SLOTS_PER_ROW * keys.len() as u64);
+        DimRows::fill(keys, dense.map(|(lo, span)| (lo, span as usize + 1)))
     }
 
     /// `keys` addressed over `lo..lo + span` where `slots` gives those,
@@ -115,7 +113,7 @@ impl DimRows {
     ///
     /// # Errors
     /// A duplicate key, the first in row order.
-    fn fill<T: Copy + Into<i64>>(keys: &[T], slots: Option<(i64, usize)>) -> Result<Self> {
+    fn fill(keys: &Column, slots: Option<(i64, usize)>) -> Result<Self> {
         let mut map = match slots {
             Some((lo, span)) => DimRows::Slots {
                 lo,
@@ -126,8 +124,14 @@ impl DimRows {
                 <_>::default(),
             )),
         };
-        for (row, &k) in keys.iter().enumerate() {
-            let (k, row) = (k.into(), row as u32);
+        let mut block = [0; DECODE_BLOCK];
+        for (row, k) in (0..keys.len()).map(|row| {
+            if row % DECODE_BLOCK == 0 {
+                let n = (keys.len() - row).min(DECODE_BLOCK);
+                keys.encoded_range(row, &mut block[..n]);
+            }
+            (row as u32, decode(block[row % DECODE_BLOCK], keys.dtype()))
+        }) {
             let taken = match &mut map {
                 DimRows::Slots { lo, slots } => {
                     std::mem::replace(&mut slots[k.abs_diff(*lo) as usize], row) != EMPTY
@@ -159,16 +163,16 @@ impl DimRows {
 /// Translate every fact key into its dimension row, packed `width` bits
 /// wide as it goes, in `chunks` pieces; a key without a match fails it,
 /// the lowest row's whatever the pieces.
-fn link_of<T: Copy + Into<i64> + Sync>(
-    keys: &[T],
-    table: &DimRows,
-    width: u32,
-    chunks: usize,
-) -> Result<BitPackedVec> {
-    BitPackedVec::try_pack_rows(width, keys.len(), chunks, |row| {
-        let k = keys[row].into();
-        let row = table.row(k).map(u64::from);
-        row.ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))
+fn link_of(keys: &Column, table: &DimRows, width: u32, chunks: usize) -> Result<BitPackedVec> {
+    BitPackedVec::try_pack_rows(width, keys.len(), chunks, |at, out| {
+        keys.encoded_range(at, out);
+        for e in out {
+            let k = decode(*e, keys.dtype());
+            let row = table.row(k).map(u64::from);
+            *e = row
+                .ok_or_else(|| BwdError::Exec(format!("foreign key {k} has no dimension match")))?;
+        }
+        Ok(())
     })
 }
 
@@ -209,15 +213,21 @@ pub fn charge_fk_project_refine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bwd_types::DataType;
+
+    /// An `Int64` key column.
+    fn col(keys: &[i64]) -> Column {
+        Column::from_payloads(DataType::Int64, keys).unwrap()
+    }
 
     #[test]
     fn fk_index_builds_and_rejects_bad_input() {
         let env = Env::paper_default();
         let mut ledger = CostLedger::new();
-        let keys = |k: &[i32]| ColumnData::I32(k.to_vec());
+        let keys = |k: &[i32]| Column::from_i32(k.to_vec());
         let fk = FkIndex::build(
             &keys(&[103, 101, 101, 102]),
-            &ColumnData::I64(vec![101, 102, 103]),
+            &col(&[101, 102, 103]),
             &env.device,
             &env,
             &mut ledger,
@@ -247,12 +257,15 @@ mod tests {
         // sparse twin's one far key (its last row) is one no fact row names.
         let dense: Vec<i64> = (0..499).map(|r| 1 + (r * 7) % 499).chain([500]).collect();
         let sparse: Vec<i64> = dense[..499].iter().copied().chain([i64::MAX]).collect();
-        assert!(matches!(DimRows::of(&dense), Ok(DimRows::Slots { .. })));
-        assert!(matches!(DimRows::of(&sparse), Ok(DimRows::Hash(_))));
-        let fact = ColumnData::I64((0..3_000).map(|r| 1 + (r * 31) % 499).collect());
+        assert!(matches!(
+            DimRows::of(&col(&dense)),
+            Ok(DimRows::Slots { .. })
+        ));
+        assert!(matches!(DimRows::of(&col(&sparse)), Ok(DimRows::Hash(_))));
+        let fact = col(&(0..3_000).map(|r| 1 + (r * 31) % 499).collect::<Vec<_>>());
         let link = |dim: &[i64]| {
             let mut ledger = CostLedger::new();
-            let dim = ColumnData::I64(dim.to_vec());
+            let dim = col(dim);
             let fk = FkIndex::build(&fact, &dim, &env.device, &env, &mut ledger).unwrap();
             let rows: Vec<u32> = (0..3_000)
                 .map(|oid| fk.device().get(oid as usize) as u32)
@@ -266,8 +279,11 @@ mod tests {
             dense.iter().position(|&k| k == 32).unwrap() as u32
         );
         // Two slots a row are addressed, one more is hashed.
-        assert!(matches!(DimRows::of(&[1, 4]), Ok(DimRows::Slots { .. })));
-        assert!(matches!(DimRows::of(&[1, 5]), Ok(DimRows::Hash(_))));
+        assert!(matches!(
+            DimRows::of(&col(&[1, 4])),
+            Ok(DimRows::Slots { .. })
+        ));
+        assert!(matches!(DimRows::of(&col(&[1, 5])), Ok(DimRows::Hash(_))));
 
         // Either map fails a fact key without a match — in a hole of the
         // span, just outside it, or at either end of `i64`, which no offset
@@ -279,8 +295,8 @@ mod tests {
         ];
         for dim in dims {
             let (lo, hi) = (*dim.iter().min().unwrap(), *dim.iter().max().unwrap());
-            let slots = DimRows::fill(dim, Some((lo, hi.abs_diff(lo) as usize + 1)));
-            for map in [slots, DimRows::fill(dim, None)].map(Result::unwrap) {
+            let slots = DimRows::fill(&col(dim), Some((lo, hi.abs_diff(lo) as usize + 1)));
+            for map in [slots, DimRows::fill(&col(dim), None)].map(Result::unwrap) {
                 let misses = [
                     lo.wrapping_sub(1),
                     hi.wrapping_add(1),
@@ -290,7 +306,7 @@ mod tests {
                     i64::MAX,
                 ];
                 for k in misses.into_iter().filter(|k| !dim.contains(k)) {
-                    let err = link_of(&[dim[0], k, k], &map, 3, 1).unwrap_err();
+                    let err = link_of(&col(&[dim[0], k, k]), &map, 3, 1).unwrap_err();
                     let want = format!("foreign key {k} has no dimension match");
                     assert_eq!(err, BwdError::Exec(want), "{k} of {dim:?}");
                 }
@@ -301,22 +317,16 @@ mod tests {
         // And so does a duplicate dimension key, the first in row order.
         let want = BwdError::InvalidArgument("dimension key 3 is not unique".into());
         for dim in [&[1, 3, 3, 2, 2][..], &[1, 3, 3, 2, 2, i64::MAX]] {
-            let fk = FkIndex::build(
-                &keys(&[1]),
-                &ColumnData::I64(dim.to_vec()),
-                &env.device,
-                &env,
-                &mut ledger,
-            );
+            let fk = FkIndex::build(&keys(&[1]), &col(dim), &env.device, &env, &mut ledger);
             assert_eq!(fk.err(), Some(want.clone()), "{dim:?}");
             assert_eq!(
-                DimRows::fill(dim, None).err(),
+                DimRows::fill(&col(dim), None).err(),
                 Some(want.clone()),
                 "{dim:?}"
             );
         }
         assert_eq!(
-            DimRows::fill(&[1, 3, 3, 2, 2], Some((1, 3))).err(),
+            DimRows::fill(&col(&[1, 3, 3, 2, 2]), Some((1, 3))).err(),
             Some(want)
         );
         // Dangling foreign key.
@@ -330,18 +340,18 @@ mod tests {
     /// though its key is the greater and its piece not the calling thread's.
     #[test]
     fn the_link_and_its_error_do_not_depend_on_the_pieces() {
-        let dim: Vec<i32> = (1..=500).collect();
+        let dim = col(&(1..=500).collect::<Vec<_>>());
         for table in [Some((1, 500)), None].map(|slots| DimRows::fill(&dim, slots)) {
             let table = table.unwrap();
-            let mut fact: Vec<i32> = (0..10_000).map(|r| 1 + (r * 7919) % 500).collect();
-            let one = link_of(&fact, &table, 9, 1).unwrap();
+            let mut fact: Vec<i64> = (0..10_000).map(|r| 1 + (r * 7919) % 500).collect();
+            let one = link_of(&col(&fact), &table, 9, 1).unwrap();
             assert_eq!(one.get(9_999), (fact[9_999] - 1) as u64);
             for chunks in [2, 3, 7] {
-                assert_eq!(link_of(&fact, &table, 9, chunks).unwrap(), one);
+                assert_eq!(link_of(&col(&fact), &table, 9, chunks).unwrap(), one);
             }
             (fact[100], fact[9_000]) = (900, 800);
             for chunks in [1, 2, 3, 7] {
-                let err = link_of(&fact, &table, 9, chunks).unwrap_err();
+                let err = link_of(&col(&fact), &table, 9, chunks).unwrap_err();
                 let want = BwdError::Exec("foreign key 900 has no dimension match".into());
                 assert_eq!(err, want, "{chunks} pieces");
             }

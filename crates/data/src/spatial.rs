@@ -15,8 +15,8 @@
 //! decimal(7,5), time int)`.
 
 use crate::rng::Xoshiro;
-use bwd_storage::pieces::{chunk_count, Row};
-use bwd_storage::{Column, Payload, I24};
+use bwd_storage::pieces::{checkpoints, chunk_count};
+use bwd_storage::{Column, Logical, Slot};
 use bwd_types::DataType;
 
 /// The paper's coordinate bounding box, scaled by 1e5 (payload domain).
@@ -103,11 +103,11 @@ struct Trip {
 }
 
 impl Trip {
-    /// The next fix from `rng` as stored — `tripid`, `lon`, `lat`, `time`:
+    /// The next fix's payloads from `rng` — `tripid`, `lon`, `lat`, `time`:
     /// the one copy of the draw sequence, which the checkpoint walk drops
     /// with every value but the draws and the trip.
     #[inline]
-    fn fix(&mut self, rng: &mut Xoshiro, cfg: &SpatialConfig) -> (i32, I24, I24, i32) {
+    fn fix(&mut self, rng: &mut Xoshiro, cfg: &SpatialConfig) -> [i64; 4] {
         // Zipf-weighted city pair: earlier cities are denser.
         let pick = |r: &mut Xoshiro| {
             let u = r.unit_f64();
@@ -129,7 +129,7 @@ impl Trip {
         self.clock += 1 + rng.below(10) as i64;
         self.step += 1;
         let (lon, lat) = (x.clamp(LON_MIN, LON_MAX), y.clamp(LAT_MIN, LAT_MAX));
-        (self.id, I24::cut(lon), I24::cut(lat), self.clock as i32)
+        [self.id.into(), lon, lat, self.clock]
     }
 }
 
@@ -138,29 +138,44 @@ pub fn gen_trips(cfg: &SpatialConfig) -> TripsTable {
     gen_trips_in(cfg, chunk_count(cfg.fixes))
 }
 
-/// [`gen_trips`] in `chunks` pieces ([`Row::checkpoint_fill`]): the
-/// cursor at a piece's start is the generator and the trip there.
+/// [`gen_trips`] in `chunks` pieces ([`checkpoints`]): the cursor at a
+/// piece's start is the generator and the trip there.
 pub(crate) fn gen_trips_in(cfg: &SpatialConfig, chunks: usize) -> TripsTable {
-    let start = (Xoshiro::seed(cfg.seed), Trip::default());
-    let (tripid, lon, lat, time) =
-        Row::checkpoint_fill(cfg.fixes, chunks, start, |(rng, at)| at.fix(rng, cfg));
-
-    // Coordinates are built in the 3 bytes their 23-bit domains need: no
-    // wider vector to narrow afterwards. `tripid` and `time` grow with the
-    // fixes, so they arrive as `i32` and narrow once, in `Column`.
-    let coordinate = |precision, vals: Vec<I24>| {
+    // Each column is packed as it is drawn, framed by the domain it is
+    // known to keep: a trip has a fix at least, a fix ticks 1 to 10 s on,
+    // and a coordinate is clamped to the box.
+    let n = cfg.fixes as i64;
+    let coordinate = |precision, lo, hi| {
         let dtype = DataType::Decimal {
             precision,
             scale: 5,
         };
-        Column::from_data(dtype, vals.into())
-            .expect("clamped to the box: |lon| < 10^8, |lat| < 10^7")
+        Slot::Of(Logical::Plain(dtype), lo, hi)
     };
+    // A fix lies between its trip's two cities, jittered by ±4 000.
+    let reach = |at: fn(&(i64, i64)) -> i64| {
+        let cities = || CITIES.iter().map(at);
+        (
+            cities().min().unwrap_or(0) - 4_000,
+            cities().max().unwrap_or(0) + 4_000,
+        )
+    };
+    let (lon, lat) = (reach(|c| c.0), reach(|c| c.1));
+    let slots = [
+        Slot::Of(Logical::Plain(DataType::Int32), 1, n),
+        coordinate(8, lon.0, lon.1),
+        coordinate(7, lat.0, lat.1),
+        Slot::Of(Logical::Plain(DataType::Int32), 1, 10 * n),
+    ];
+    let row = |(rng, at): &mut (Xoshiro, Trip)| at.fix(rng, cfg);
+    let start = checkpoints(cfg.fixes, (Xoshiro::seed(cfg.seed), Trip::default()), row);
+    let [tripid, lon, lat, time] = Column::fill(slots, cfg.fixes, chunks, start, row)
+        .expect("clamped to the box: |lon| < 10^8, |lat| < 10^7");
     TripsTable {
-        tripid: Column::from_i32(tripid),
-        lon: coordinate(8, lon),
-        lat: coordinate(7, lat),
-        time: Column::from_i32(time),
+        tripid,
+        lon,
+        lat,
+        time,
     }
 }
 
@@ -237,7 +252,7 @@ mod tests {
         );
     }
 
-    /// Every column the same — type, stored width, payloads and extrema —
+    /// Every column the same — type, split, packed words and extrema —
     /// whether one thread fills it or 2, 3 or 7 pieces do; with trips
     /// short beside the pieces and trips spanning several cuts.
     #[test]
@@ -254,7 +269,16 @@ mod tests {
                 for ((name, a), (_, b)) in one.iter().zip(&got) {
                     let tag = format!("{name}, {fixes_per_trip} a trip, {chunks} pieces");
                     assert_eq!(a.dtype(), b.dtype(), "{tag}");
-                    assert_eq!(a.plain(), b.plain(), "{tag}");
+                    assert_eq!(
+                        a.split().unwrap().meta(),
+                        b.split().unwrap().meta(),
+                        "{tag}"
+                    );
+                    assert_eq!(
+                        a.split().unwrap().approx(),
+                        b.split().unwrap().approx(),
+                        "{tag}"
+                    );
                     assert_eq!(a.payload_min_max(), b.payload_min_max(), "{tag}");
                 }
             }

@@ -13,8 +13,8 @@
 //! Scale factor 1 ≈ 6 M lineitems / 200 K parts, linearly scaled.
 
 use crate::rng::Xoshiro;
-use bwd_storage::pieces::{chunk_count, Row};
-use bwd_storage::{with_width, Column, ColumnData, Payload};
+use bwd_storage::pieces::{checkpoints, chunk_count};
+use bwd_storage::{Column, Logical, Slot};
 use bwd_types::{DataType, Date};
 
 /// Deterministic generator configuration.
@@ -91,15 +91,12 @@ fn retail_price(key: i64) -> i64 {
     90_000 + (key % 20_001) * 10 + (key % 1_000) * 100
 }
 
-/// Generate the `part` table. `p_type` is pushed in the byte its 125 codes
-/// need; key and price, whose ranges grow with the scale up to SF 0.1,
-/// arrive as `i32` and narrow once, in `Column`.
+/// The least and greatest retail price of any part, in cents.
+const PRICES: (i64, i64) = (90_000, 389_900);
+
+/// Generate the `part` table, each column packed as it is drawn.
 pub fn gen_part(cfg: &TpchConfig) -> PartTable {
     let n = cfg.parts();
-    let mut rng = Xoshiro::seed(cfg.seed ^ 0x9A57);
-    let mut keys = Vec::with_capacity(n);
-    let mut types = Vec::with_capacity(n);
-    let mut prices = Vec::with_capacity(n);
     // The 125 type strings are spelled once; a row is its three draws.
     let mut vocab = Vec::with_capacity(125);
     for t1 in TYPES1 {
@@ -107,17 +104,24 @@ pub fn gen_part(cfg: &TpchConfig) -> PartTable {
             vocab.extend(TYPES3.map(|t3| format!("{t1} {t2} {t3}")));
         }
     }
-    for i in 0..n {
-        keys.push((i + 1) as i32);
+    let vocab: Vec<&str> = vocab.iter().map(String::as_str).collect();
+    let row = |(rng, key): &mut (Xoshiro, i64)| {
+        *key += 1;
         let (t1, t2, t3) = (rng.below(5), rng.below(5), rng.below(5));
-        types.push(((t1 * 5 + t2) * 5 + t3) as i8); // 0..=124
-        prices.push(retail_price((i + 1) as i64) as i32); // ≤ 389 900
-    }
+        [*key, ((t1 * 5 + t2) * 5 + t3) as i64, retail_price(*key)]
+    };
+    let slots = [
+        Slot::Of(Logical::Plain(DataType::Int32), 1, n as i64),
+        Slot::Codes(&vocab),
+        Slot::Of(Logical::Plain(DECIMAL_12_2), PRICES.0, PRICES.1),
+    ];
+    let start = checkpoints(n, (Xoshiro::seed(cfg.seed ^ 0x9A57), 0), row);
+    let [p_partkey, p_type, p_retailprice] = Column::fill(slots, n, chunk_count(n), start, row)
+        .expect("keys 1..=parts, three draws below 5 index the 125, prices in 6 of 12 digits");
     PartTable {
-        p_partkey: Column::from_i32(keys),
-        p_type: Column::from_codes(&vocab, types).expect("three draws below 5 index the 125"),
-        p_retailprice: Column::from_data(DECIMAL_12_2, prices.into())
-            .expect("389 900 cents are 6 of 12 digits, in 3 of 8 bytes"),
+        p_partkey,
+        p_type,
+        p_retailprice,
     }
 }
 
@@ -141,25 +145,21 @@ pub struct LineitemTable {
     pub l_shipdate: Column,
 }
 
-/// The next row as stored — `l_partkey`, `l_quantity`, `l_extendedprice`,
-/// `l_discount`, `l_tax`, `l_returnflag`, `l_linestatus`, `l_shipdate`:
-/// the one copy of the draw sequence, which the checkpoint walk drops with
-/// every value but the draws. Five draws, six when the row shipped by the
-/// current date; `days` are the first ship date and that date. `K` holds
-/// every key `1..=parts`.
+/// The next row's payloads — `l_partkey`, `l_quantity`,
+/// `l_extendedprice`, `l_discount`, `l_tax`, `l_returnflag`,
+/// `l_linestatus`, `l_shipdate`: the one copy of the draw sequence, which
+/// the checkpoint walk drops with every value but the draws. Five draws,
+/// six when the row shipped by the current date; `days` are the first ship
+/// date and that date.
 #[inline]
-fn line<K: Payload>(
-    rng: &mut Xoshiro,
-    parts: u64,
-    days: [i64; 2],
-) -> (K, i8, i32, i8, i8, i8, i8, i16) {
+fn line(rng: &mut Xoshiro, parts: u64, days: [i64; 2]) -> [i64; 8] {
     let [epoch, currentdate] = days;
     let pk = 1 + rng.below(parts) as i64;
     let qty = rng.range_i64(1, 50);
     // extendedprice = qty * part retail price: ≤ 50 × 389 900 cents.
-    let price = (qty * retail_price(pk)) as i32;
-    let discount = rng.range_i64(0, 10) as i8;
-    let tax = rng.range_i64(0, 8) as i8;
+    let price = qty * retail_price(pk);
+    let discount = rng.range_i64(0, 10);
+    let tax = rng.range_i64(0, 8);
     let ship = epoch + rng.range_i64(0, SHIPDATE_DAYS - 1);
     // Codes into `RETURNFLAGS` and `LINESTATUSES`: "A" or "R" and "F" by
     // the current date, "N" and "O" after it. Only a shipped row draws its
@@ -167,60 +167,58 @@ fn line<K: Payload>(
     // shipped: half the rows ship, so a branch would miss on every other.
     let shipped = ship <= currentdate;
     let mut ahead = rng.clone();
-    let flag = ahead.below(2) as i8;
+    let flag = 2 * ahead.below(2) as i64;
     rng.take_if(shipped, &ahead);
     let (rflag, lstatus) = match shipped {
         true => (flag, 0),
-        false => (2, 1),
+        false => (1, 1),
     };
-    let (pk, qty, ship) = (K::cut(pk), qty as i8, ship as i16);
-    (pk, qty, price, discount, tax, rflag, lstatus, ship)
+    [pk, qty, price, discount, tax, rflag, lstatus, ship]
 }
 
-/// Flags as codes into these vocabularies, not one `&str` per row.
-const RETURNFLAGS: [&str; 3] = ["A", "R", "N"];
+/// Flags as codes into these vocabularies, not one `&str` per row: in
+/// order, so a code is its rank and needs no re-coding.
+const RETURNFLAGS: [&str; 3] = ["A", "N", "R"];
 const LINESTATUSES: [&str; 2] = ["F", "O"];
 
-/// Generate the `lineitem` table. Every column is pushed in the width its
-/// documented domain needs, so no wider vector exists to narrow: that of
-/// `l_partkey`, `1..=parts`, grows with the scale and is the storage's own
-/// pick ([`with_width!`]) before the fill.
+/// Generate the `lineitem` table. Every column is packed as it is drawn,
+/// framed by the domain its definition states — `l_partkey`'s `1..=parts`
+/// among them —, so no typed vector of a column exists.
 pub fn gen_lineitem(cfg: &TpchConfig) -> LineitemTable {
     gen_lineitem_in(cfg, chunk_count(cfg.lineitems()))
 }
 
-/// [`gen_lineitem`] in `chunks` pieces ([`Row::checkpoint_fill`]): the
-/// cursor at a piece's start is the generator there.
+/// [`gen_lineitem`] in `chunks` pieces ([`checkpoints`]): the cursor at a
+/// piece's start is the generator there.
 pub(crate) fn gen_lineitem_in(cfg: &TpchConfig, chunks: usize) -> LineitemTable {
-    with_width!(1, cfg.parts() as i64, K => gen_lineitem_as::<K>(cfg, chunks))
-}
-
-/// [`gen_lineitem_in`] with `l_partkey` filled as `K`.
-fn gen_lineitem_as<K: Payload>(cfg: &TpchConfig, chunks: usize) -> LineitemTable {
     let (n, parts) = (cfg.lineitems(), cfg.parts() as u64);
-    // 1992-01-02 is day 8 036; the last ship date, day 10 561, fits `i16`.
-    // The 1995-06-17 "current date" watershed drives returnflag/linestatus.
+    // 1992-01-02 is day 8 036. The 1995-06-17 "current date" watershed
+    // drives returnflag/linestatus.
     let days = [ship_epoch(), Date::from_ymd(1995, 6, 17)].map(|d| d.days() as i64);
-    let rng = Xoshiro::seed(cfg.seed);
-    let (pk, qty, price, disc, tax, rflag, lstatus, ship) =
-        Row::checkpoint_fill(n, chunks, rng, |rng| line::<K>(rng, parts, days));
-
-    let decimal = |vals: ColumnData| {
-        Column::from_data(DECIMAL_12_2, vals)
-            .expect("19 495 000 cents are 8 of 12 digits, in 4 of 8 bytes")
-    };
+    let of = |dtype, lo, hi| Slot::Of(Logical::Plain(dtype), lo, hi);
+    let slots = [
+        of(DataType::Int32, 1, parts as i64),
+        of(DataType::Int32, 1, 50),
+        of(DECIMAL_12_2, PRICES.0, 50 * PRICES.1),
+        of(DECIMAL_12_2, 0, 10),
+        of(DECIMAL_12_2, 0, 8),
+        Slot::Codes(&RETURNFLAGS),
+        Slot::Codes(&LINESTATUSES),
+        of(DataType::Date, days[0], days[0] + SHIPDATE_DAYS - 1),
+    ];
+    let row = |rng: &mut Xoshiro| line(rng, parts, days);
+    let start = checkpoints(n, Xoshiro::seed(cfg.seed), row);
+    let [l_partkey, l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate] =
+        Column::fill(slots, n, chunks, start, row).expect("every draw inside its stated domain");
     LineitemTable {
-        l_partkey: Column::from_data(DataType::Int32, pk.into())
-            .expect("a scale of at most 2^31 - 1 parts"),
-        l_quantity: Column::from_data(DataType::Int32, qty.into())
-            .expect("one byte is narrower than an int's four"),
-        l_extendedprice: decimal(price.into()),
-        l_discount: decimal(disc.into()),
-        l_tax: decimal(tax.into()),
-        l_returnflag: Column::from_codes(&RETURNFLAGS, rflag).expect("codes 0..3"),
-        l_linestatus: Column::from_codes(&LINESTATUSES, lstatus).expect("codes 0..2"),
-        l_shipdate: Column::from_data(DataType::Date, ship.into())
-            .expect("two bytes are narrower than a date's four"),
+        l_partkey,
+        l_quantity,
+        l_extendedprice,
+        l_discount,
+        l_tax,
+        l_returnflag,
+        l_linestatus,
+        l_shipdate,
     }
 }
 
@@ -322,7 +320,7 @@ mod tests {
         assert_eq!(a.l_shipdate.payloads(), b.l_shipdate.payloads());
     }
 
-    /// Every column the same — type, stored width, payloads, extrema and
+    /// Every column the same — type, split, packed words, extrema and
     /// dictionary — whether one thread fills it or 2, 3 or 7 pieces do.
     #[test]
     fn the_pieces_change_no_row() {
@@ -335,7 +333,16 @@ mod tests {
             let got = gen_lineitem_in(&cfg, chunks).into_columns();
             for ((name, a), (_, b)) in one.iter().zip(&got) {
                 assert_eq!(a.dtype(), b.dtype(), "{name}, {chunks} pieces");
-                assert_eq!(a.plain(), b.plain(), "{name}, {chunks} pieces");
+                assert_eq!(
+                    a.split().unwrap().meta(),
+                    b.split().unwrap().meta(),
+                    "{name}"
+                );
+                assert_eq!(
+                    a.split().unwrap().approx(),
+                    b.split().unwrap().approx(),
+                    "{name}, {chunks} pieces"
+                );
                 assert_eq!(a.payload_min_max(), b.payload_min_max(), "{name}");
                 assert_eq!(a.dictionary(), b.dictionary(), "{name}");
             }

@@ -2,8 +2,8 @@
 //!
 //! A [`Table`] is a named set of equally-long [`Column`]s (fully
 //! decomposed storage, §II-B); the [`Catalog`] owns the tables plus the
-//! declared foreign-key relationships. A decomposed column is held here in
-//! its split form; its binding to the device lives in the `Database`.
+//! declared foreign-key relationships. Every column is held here in its
+//! split form; its binding to the device lives in the `Database`.
 
 use crate::morsel::{partition_ranges_min, run_parts};
 use bwd_storage::encoding::decode;
@@ -238,13 +238,13 @@ impl Catalog {
     }
 
     /// Split `table.name` (both exist) by a spec `validate_spec` accepts, in
-    /// place: handed over by value, a plain column is released as packed.
+    /// place: handed over by value, its old runs are released as read.
     pub(crate) fn decompose(&mut self, table: &str, name: &str, spec: &Spec) -> &DecomposedColumn {
         let t = self.tables.get_mut(table).expect("the table exists");
         let slot = &mut t.columns[t.index[name]].1;
         let plain = std::mem::replace(slot, Column::from_i32(vec![]));
         *slot = plain.decompose(spec).expect("the spec is validated");
-        slot.split().expect("a decomposed column is split")
+        slot.split().expect("a column is split")
     }
 
     /// Register a foreign-key relationship (validated), in place of any

@@ -432,11 +432,11 @@ pub(crate) mod tests {
             Column::from_i32((0..n as i64).map(|i| f(i) as i32).collect())
         };
         let fact = vec![
-            ("id".into(), Column::from_i64((0..N as i64).collect())),
+            ("id".into(), int64(&(0..N as i64).collect::<Vec<_>>())),
             ("a".into(), i32s(N, &|i| i * 7919 % 1000)),
             (
                 "b".into(),
-                Column::from_i64((0..N as i64).map(|i| i * 31 % 97).collect()),
+                int64(&(0..N as i64).map(|i| i * 31 % 97).collect::<Vec<_>>()),
             ),
             ("fk".into(), i32s(N, &|i| i * 13 % 50)),
         ];
@@ -542,9 +542,14 @@ pub(crate) mod tests {
         assert!(polls.load(std::sync::atomic::Ordering::Relaxed) > 8 * N / SLICE_ROWS);
     }
 
-    /// Every value a width boundary lies next to: the extremes of `i8`,
-    /// `i16`, `u16`, the 3-byte `I24` and `i32`, one past each, and two
-    /// deep in `i64`.
+    /// An `Int64` column of `vals`.
+    fn int64(vals: &[i64]) -> Column {
+        Column::from_payloads(bwd_types::DataType::Int64, vals).unwrap()
+    }
+
+    /// Every value a byte-width boundary lies next to: the extremes of 8,
+    /// 16 (signed and not), 24 and 32 bits, one past each, and two deep in
+    /// `i64`.
     const EDGES: [i64; 22] = [
         0,
         -1,
@@ -590,10 +595,10 @@ pub(crate) mod tests {
             1 if fits => Column::from_i32(vals.map(|v| v as i32).collect()),
             2 => {
                 let vocab: Vec<String> = (0..300).map(|i| format!("{i:03}")).collect();
-                let code = |v: i64| (v.wrapping_sub(dom.0) as u64 % 300) as i32;
-                Column::from_codes(&vocab, vals.map(code).collect()).unwrap()
+                let code = |v: i64| &vocab[(v.wrapping_sub(dom.0) as u64 % 300) as usize];
+                Column::from_strings(&vals.map(code).collect::<Vec<_>>())
             }
-            _ => Column::from_i64(vals.collect()),
+            _ => int64(&vals.collect::<Vec<_>>()),
         };
         let bits = bwd_storage::encoding::physical_bits(plain.dtype());
         let held = match split {

@@ -151,8 +151,8 @@ impl Database {
         let fact_keys = self.catalog.table(fact_table)?.column(fact_key)?;
         let dim_keys = self.catalog.table(dim_table)?.column(dim_key)?;
         let idx = FkIndex::build(
-            &fact_keys.plain(),
-            &dim_keys.plain(),
+            fact_keys,
+            dim_keys,
             &self.env.device,
             &self.env,
             &mut self.load_ledger,
@@ -175,7 +175,7 @@ impl Database {
     /// `select bwdecompose(column, device_bits) from table` (§V-A):
     /// bitwise-decompose a column, upload the approximation to the device,
     /// keep the residual on the host — and nothing else: the catalog's
-    /// column becomes the split one, its plain payloads released.
+    /// column becomes the split one, its old runs released as read.
     pub fn bwdecompose(
         &mut self,
         table: &str,
@@ -415,7 +415,6 @@ mod tests {
     use super::*;
     use bwd_core::plan::{AggExpr, AggFunc, Predicate, ScalarExpr as E};
     use bwd_core::CmpOp;
-    use bwd_storage::Storage;
 
     fn demo_db() -> Database {
         let mut db = Database::new();
@@ -478,7 +477,8 @@ mod tests {
     #[test]
     fn a_full_range_column_predicts_a_finite_share() {
         let mut db = Database::new();
-        let a = Column::from_i64(vec![i64::MIN, 0, i64::MAX]);
+        let a = Column::from_payloads(bwd_types::DataType::Int64, &[i64::MIN, 0, i64::MAX]);
+        let a = a.unwrap();
         db.create_table("w", vec![("a".into(), a)]).unwrap();
         let plan = LogicalPlan::scan("w")
             .filter(Predicate::Cmp {
@@ -676,19 +676,44 @@ mod tests {
         }
     }
 
-    /// A first decomposition that cannot fit is refused before the plain
-    /// column is handed over: the error names the bytes the pack would
-    /// have uploaded, and the catalog keeps the very storage it had —
-    /// plain, same payloads —, unbound, with the card's memory untouched.
+    /// Binding the split a column already holds — every `auto_bind` of an
+    /// unbound column — packs nothing: the device array is the catalog's run.
     #[test]
-    fn a_first_decomposition_that_cannot_fit_leaves_the_plain_column() {
+    fn binding_the_held_split_shares_its_words() {
+        let mut db = demo_db();
+        let table = |db: &Database| {
+            db.catalog()
+                .table("r")
+                .unwrap()
+                .column("a")
+                .unwrap()
+                .clone()
+        };
+        let run: *const _ = table(&db).split().unwrap().approx();
+        let plan = db
+            .bind(&count_where_a(100, 499), &Default::default())
+            .unwrap();
+        db.auto_bind(&plan).unwrap();
+        let bound = db.bound_column("r", "a").unwrap().approx().data();
+        assert!(std::ptr::eq(bound, run), "auto_bind packed a copy");
+        assert!(std::ptr::eq(table(&db).split().unwrap().approx(), run));
+    }
+
+    /// A first decomposition that cannot fit is refused before the column
+    /// is handed over: the error names the bytes the pack would have
+    /// uploaded, and the catalog keeps the very runs it had — its
+    /// all-device split, same payloads —, unbound, with the card's memory
+    /// untouched.
+    #[test]
+    fn a_first_decomposition_that_cannot_fit_leaves_the_column() {
         // `a`: 10 000 rows of 14-bit values, 40 000 B uncompressed; `b`
         // all-device 8 750 B, on a card of 20 000 B.
         let card = bwd_device::DeviceSpec::gtx680().with_capacity(20_000);
         let mut db = Database::with_env(Env::with_devices(vec![card]));
         let a: Vec<i64> = (0..10_000).map(|i| i * 7 % 10_000).collect();
         let b = Column::from_i32((0..10_000).map(|i| i % 100).collect());
-        let cols = vec![("a".into(), Column::from_i64(a.clone())), ("b".into(), b)];
+        let a_col = Column::from_payloads(bwd_types::DataType::Int64, &a).unwrap();
+        let cols = vec![("a".into(), a_col), ("b".into(), b)];
         db.create_table("r", cols).unwrap();
         db.bwdecompose("r", "b", 32).unwrap();
         let used = db.env().device.memory().used();
@@ -701,9 +726,7 @@ mod tests {
                 .unwrap()
                 .clone()
         };
-        let before = column(&db);
-        let held: *const Storage = before.storage();
-        drop(before);
+        let held: *const _ = column(&db).split().unwrap().approx();
         match db.bwdecompose_spec("r", "a", &DecompositionSpec::uncompressed(64)) {
             Err(BwdError::DeviceOutOfMemory {
                 requested: 80_000,
@@ -712,8 +735,11 @@ mod tests {
             other => panic!("expected 80 000 B against 11 250 B, got {other:?}"),
         }
         let after = column(&db);
-        assert!(matches!(after.storage(), Storage::Plain(_)));
-        assert!(std::ptr::eq(after.storage(), held), "the storage moved");
+        assert!(after.split().unwrap().meta().fully_device_resident());
+        assert!(
+            std::ptr::eq(after.split().unwrap().approx(), held),
+            "the run moved"
+        );
         assert_eq!(after.payloads(), a);
         assert!(!db.is_bound("r", "a"));
         assert_eq!(db.env().device.memory().used(), used);

@@ -429,7 +429,7 @@ mod tests {
             use bwd_storage::encoding::physical_bits;
             use bwd_kernels::{Candidates, SelMask};
             use bwd_storage::{BitPackedVec, Column, DecompositionSpec};
-            use bwd_types::Date;
+            use bwd_types::DataType;
 
             let mut rng = bwd_types::SplitMix64::new(seed);
             // Payloads around zero that need 1, 2, 3, 4 or (64-bit types) 8
@@ -441,10 +441,10 @@ mod tests {
             let i32s = || vals.iter().map(|&v| v as i32);
             let col = match ty {
                 0 => Column::from_i32(i32s().collect()),
-                1 => Column::from_dates(i32s().map(Date).collect()),
-                2 => Column::from_decimals(vals.clone(), 8, 5).unwrap(),
-                3 => Column::from_i64(vals.clone()),
-                _ => Column::from_decimals(vals.clone(), 15, 2).unwrap(),
+                1 => Column::from_payloads(DataType::Date, &i32s().collect::<Vec<_>>()).unwrap(),
+                2 => Column::from_payloads(DataType::Decimal { precision: 8, scale: 5 }, &vals).unwrap(),
+                3 => Column::from_payloads(DataType::Int64, &vals).unwrap(),
+                _ => Column::from_payloads(DataType::decimal(2), &vals).unwrap(),
             };
             let bits = physical_bits(col.dtype());
             let spec = [

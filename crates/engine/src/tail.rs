@@ -853,14 +853,24 @@ pub(crate) mod tests {
             let ints = |n: usize, f: &dyn Fn(i64) -> i64| {
                 Column::from_i32((0..n as i64).map(|i| f(i) as i32).collect())
             };
-            let v = (0..ROWS as i64).map(|i| i * 13 % 9973 - 4000).collect();
+            let v: Vec<i64> = (0..ROWS as i64).map(|i| i * 13 % 9973 - 4000).collect();
             let fact: Vec<(&str, Column)> = vec![
                 ("k", ints(ROWS, &|i| i * 7919 % ROWS as i64)),
                 ("g1", ints(ROWS, &|_| 5)),
                 ("g4", ints(ROWS, &|i| i * 31 % 4)),
                 ("g1000", ints(ROWS, &|i| i * 17 % 1000)),
                 ("grow", ints(ROWS, &|i| i)),
-                ("v", Column::from_decimals(v, 9, 2).unwrap()),
+                (
+                    "v",
+                    Column::from_payloads(
+                        bwd_types::DataType::Decimal {
+                            precision: 9,
+                            scale: 2,
+                        },
+                        &v,
+                    )
+                    .unwrap(),
+                ),
                 ("w", ints(ROWS, &|i| i % 10)),
                 ("nz", ints(ROWS, &|i| i % 5 - 7)),
                 ("z", ints(ROWS, &|i| if i % 10 < 3 { 1 + i % 4 } else { 0 })),
@@ -1056,7 +1066,7 @@ pub(crate) mod tests {
             logical: bwd_storage::Logical::Plain(bwd_types::DataType::Int64),
         };
         let mut db = Database::new();
-        let empty = || Column::from_i64(Vec::new());
+        let empty = || Column::from_payloads::<i64>(bwd_types::DataType::Int64, &[]).unwrap();
         let cols = ["g", "v", "w"].map(|n| (n.to_string(), empty()));
         db.create_table("t", cols.into()).unwrap();
         let plan = db.bind(&plan, &Default::default()).unwrap();
@@ -1177,7 +1187,8 @@ pub(crate) mod tests {
                 let col = match is_dict {
                     true => {
                         let vocab: Vec<String> = (0..words).map(|c| format!("w{c:03}")).collect();
-                        Column::from_codes(&vocab, codes).unwrap()
+                        let spelled: Vec<&str> = codes.iter().map(|&c| &*vocab[c as usize]).collect();
+                        Column::from_strings(&spelled)
                     }
                     false => Column::from_i32(codes),
                 };

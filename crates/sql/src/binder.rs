@@ -435,15 +435,17 @@ mod tests {
                     ("l_quantity".into(), Column::from_i32(vec![10, 20, 30])),
                     (
                         "l_extendedprice".into(),
-                        Column::from_decimals(vec![1000, 2000, 3000], 12, 2).unwrap(),
+                        Column::from_payloads(bwd_types::DataType::decimal(2), &[1000, 2000, 3000])
+                            .unwrap(),
                     ),
                     (
                         "l_shipdate".into(),
-                        Column::from_dates(vec![
-                            bwd_types::Date::parse("1994-03-01").unwrap(),
-                            bwd_types::Date::parse("1995-06-15").unwrap(),
-                            bwd_types::Date::parse("1996-01-20").unwrap(),
-                        ]),
+                        Column::from_payloads(
+                            bwd_types::DataType::Date,
+                            &["1994-03-01", "1995-06-15", "1996-01-20"]
+                                .map(|d| bwd_types::Date::parse(d).unwrap().days()),
+                        )
+                        .unwrap(),
                     ),
                 ],
             )

@@ -13,13 +13,13 @@
 //! shift per element as [`BitPackedVec::get`] must. [`BlockDecoder`] is
 //! built on top of it. [`BitPackedVec::try_pack_rows`]
 //! is the same cursor in the other direction, and the one way a vector is
-//! built: every backing word is written exactly once, into uninitialised
-//! capacity, by the piece of rows it holds.
+//! built: every backing word is written exactly once, into a fresh zeroed
+//! run, by the piece of rows it holds.
 
+use crate::pages::Words;
 use crate::pieces::{cuts, in_pieces};
 use bwd_types::bits::low_mask;
 use std::convert::Infallible;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Elements per bulk-decode block ([`BitPackedVec::unpack_block`],
@@ -28,24 +28,24 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 pub const DECODE_BLOCK: usize = 64;
 
 /// Backing words of `len` elements of `width` bits (`width` in `0..=64`).
-fn words_for(width: u32, len: usize) -> usize {
+pub(crate) fn words_for(width: u32, len: usize) -> usize {
     assert!(width <= 64, "element width {width} exceeds 64 bits");
     (len as u64 * width as u64).div_ceil(64) as usize
 }
 
 /// A vector of `width`-bit unsigned values, packed once.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct BitPackedVec {
-    words: Vec<u64>,
-    width: u32,
-    len: usize,
+    pub(crate) words: Words,
+    pub(crate) width: u32,
+    pub(crate) len: usize,
 }
 
 impl BitPackedVec {
     /// `K` vectors of `len` elements, `widths` bits each, whose words
-    /// `write` packs once each into uninitialised capacity (`vec![0; n]`
-    /// would clear every page up front), through the [`PackCursor`] over
-    /// each run or parts cut from it. An error drops the runs unread.
+    /// `write` packs once each into fresh zeroed runs ([`Words`]), through
+    /// the [`PackCursor`] over each run or parts cut from it. An error drops
+    /// the runs unread.
     ///
     /// # Panics
     /// Panics unless the cursors, finished, stored every word of every run.
@@ -54,42 +54,38 @@ impl BitPackedVec {
         len: usize,
         write: impl FnOnce([PackCursor<'_>; K]) -> Result<(), E>,
     ) -> Result<[Self; K], E> {
-        // `with_capacity(n)` allocates exactly `n` words (`Vec`'s guarantee).
         let mut out = widths.map(|width| {
-            let words = Vec::with_capacity(words_for(width, len));
+            let words = Words::zeroed(words_for(width, len));
             BitPackedVec { words, width, len }
         });
         let sum = AtomicUsize::new(0);
         write(out.each_mut().map(|v| PackCursor::new(v, &sum)))?;
-        let capacity: usize = out.iter().map(|v| v.words.capacity()).sum();
-        assert_eq!(sum.into_inner(), capacity, "a word left unwritten");
-        for v in &mut out {
-            // SAFETY: only the cursors handed to `write` and the disjoint
-            // parts cut from them store into the runs, each the words of
-            // its part in order, counted on `finish`; the counts sum to
-            // the capacities, so every word below each is stored.
-            unsafe { v.words.set_len(v.words.capacity()) };
-        }
+        let words: usize = widths.iter().map(|&width| words_for(width, len)).sum();
+        assert_eq!(sum.into_inner(), words, "a word left unwritten");
         Ok(out)
     }
 
-    /// Bulk-pack rows `0..len`, row `r` the already-narrow `value(r)`, in
-    /// the pieces `cuts` cuts for `chunks` — the inverse of
-    /// [`BitPackedVec::unpack_range`]: a register-resident bit cursor a
-    /// piece writes each backing word once, and the words do not depend on
-    /// `chunks`. A piece stops at its first error; the lowest row's is
-    /// returned. Debug-panics if a value needs more than `width` bits.
+    /// Bulk-pack rows `0..len`, already narrow, in the pieces `cuts` cuts
+    /// for `chunks` — the inverse of [`BitPackedVec::unpack_range`]:
+    /// `values(at, out)` fills the [`DECODE_BLOCK`] of rows from `at` on, and
+    /// a register-resident bit cursor a piece writes each backing word
+    /// once; the words do not depend on `chunks`. A piece stops at its
+    /// first error; the lowest row's is returned. Debug-panics if a value
+    /// needs more than `width` bits.
     pub fn try_pack_rows<E: Send>(
         width: u32,
         len: usize,
         chunks: usize,
-        value: impl Fn(usize) -> Result<u64, E> + Sync,
+        values: impl Fn(usize, &mut [u64]) -> Result<(), E> + Sync,
     ) -> Result<Self, E> {
         let [out] = Self::write_once([width], len, |[mut cursor]| {
             let pieces = cuts(len, chunks).map(|rows| (cursor.take_rows(rows.len()), rows));
             let packed = in_pieces(pieces, |(mut cursor, rows)| {
-                for row in rows {
-                    cursor.push(value(row)?);
+                let mut block = [0; DECODE_BLOCK];
+                for at in rows.clone().step_by(DECODE_BLOCK) {
+                    let block = &mut block[..DECODE_BLOCK.min(rows.end - at)];
+                    values(at, block)?;
+                    block.iter().for_each(|&v| cursor.push(v));
                 }
                 cursor.finish();
                 Ok(())
@@ -102,8 +98,79 @@ impl BitPackedVec {
     /// A slice packed on the calling thread: equal, word for word, to
     /// pushing its values one by one.
     pub fn from_slice(width: u32, vals: &[u64]) -> Self {
-        let Ok(out) = Self::try_pack_rows(width, vals.len(), 1, |r| Ok::<_, Infallible>(vals[r]));
+        let Ok(out) = Self::try_pack_rows(width, vals.len(), 1, |at, out: &mut [u64]| {
+            out.copy_from_slice(&vals[at..at + out.len()]);
+            Ok::<_, Infallible>(())
+        });
         out
+    }
+
+    /// Every element less `v`, in place, where none is less than `v`: the
+    /// run read as one number whose `width`-bit digits lend each other
+    /// nothing, so one multiword subtraction of `v` in every digit, a word
+    /// at a time. 64 digits are `width` words, so the subtrahend's words
+    /// repeat with that period.
+    pub(crate) fn subtract(&mut self, v: u64) {
+        let (width, bits) = (self.width as usize, self.len * self.width as usize);
+        let Ok([digits]) = Self::write_once([self.width], DECODE_BLOCK, |[mut c]| {
+            (0..DECODE_BLOCK).for_each(|_| c.push(v));
+            c.finish();
+            Ok::<_, Infallible>(())
+        });
+        let mut borrow = 0;
+        for (k, word) in self.words.iter_mut().enumerate() {
+            let (d, b) = word.overflowing_sub(digits.words[k % width.max(1)]);
+            let (d, c) = d.overflowing_sub(borrow);
+            (*word, borrow) = (d, u64::from(b | c));
+        }
+        // A last partial word's unused high bits stay clear.
+        if let Some(last) = self.words.last_mut().filter(|_| bits % 64 > 0) {
+            *last &= low_mask((bits % 64) as u32);
+        }
+    }
+
+    /// Every element `v` re-packed in place as `map(v)`, `width` bits wide
+    /// (no wider), in the pieces [`cuts`] cuts for `chunks`, each front to
+    /// back in its own words — a narrower write never passes its read —;
+    /// then the pieces close up and the tail's granules are given back.
+    pub(crate) fn repack(&mut self, width: u32, chunks: usize, map: impl Fn(u64) -> u64 + Sync) {
+        let (from, len) = (self.width, self.len);
+        assert!(width <= from, "a re-pack widens {from} bits to {width}");
+        let mut rest = &mut self.words[..];
+        let pieces = cuts(len, chunks).map(|rows| {
+            let (words, tail) = std::mem::take(&mut rest).split_at_mut(words_for(from, rows.len()));
+            rest = tail;
+            (words, rows.len())
+        });
+        in_pieces(pieces, |(words, n)| {
+            let mut vals = [0; DECODE_BLOCK];
+            for at in (0..n).step_by(DECODE_BLOCK) {
+                let vals = &mut vals[..DECODE_BLOCK.min(n - at)];
+                unpack(words, from, at, vals);
+                // `PackCursor::push`, into words the read has passed.
+                let (mut next, mut acc, mut fill) = (at / DECODE_BLOCK * width as usize, 0, 0);
+                for &v in vals.iter().filter(|_| width > 0) {
+                    let v = map(v);
+                    acc |= v << fill;
+                    fill += width;
+                    if fill >= 64 {
+                        (words[next], next, fill) = (acc, next + 1, fill - 64);
+                        acc = (v >> 1) >> (width - 1 - fill);
+                    }
+                }
+                if fill > 0 {
+                    words[next] = acc;
+                }
+            }
+        });
+        let (mut to, mut at) = (0, 0);
+        for rows in cuts(len, chunks) {
+            let n = words_for(width, rows.len());
+            self.words.copy_within(at..at + n, to);
+            (to, at) = (to + n, at + words_for(from, rows.len()));
+        }
+        self.words.truncate(to);
+        self.width = width;
     }
 
     /// Bits per element.
@@ -173,46 +240,7 @@ impl BitPackedVec {
             "range {start}.. +{n} out of bounds (len {})",
             self.len
         );
-        if n == 0 {
-            return;
-        }
-        if self.width == 0 {
-            out.fill(0);
-            return;
-        }
-        let width = self.width;
-        let mask = low_mask(width);
-        let first_bit = start as u64 * width as u64;
-        let mut wi = (first_bit / 64) as usize;
-        let mut shift = (first_bit % 64) as u32;
-        let words = self.words.as_slice();
-        let mut cur = words[wi];
-        for slot in out.iter_mut() {
-            let avail = 64 - shift;
-            *slot = if width < avail {
-                // Entirely inside the current word, more bits left after.
-                let v = (cur >> shift) & mask;
-                shift += width;
-                v
-            } else if width == avail {
-                // Consumes the word exactly: the shifted value already has
-                // the right width, no mask needed.
-                let v = cur >> shift;
-                wi += 1;
-                // The run may end exactly at the array's last word.
-                cur = words.get(wi).copied().unwrap_or(0);
-                shift = 0;
-                v
-            } else {
-                // Straddle: combine the tail of `cur` with the head of the
-                // next word, which becomes the current word.
-                let lo = cur >> shift;
-                wi += 1;
-                cur = words[wi];
-                shift = width - avail;
-                (lo | (cur << avail)) & mask
-            };
-        }
+        unpack(&self.words, self.width, start, out);
     }
 
     /// Bulk-decode the [`DECODE_BLOCK`]-aligned block `block` into `out`,
@@ -238,7 +266,50 @@ impl BitPackedVec {
     }
 }
 
-/// A write cursor over an uninitialised run of backing words that starts
+/// Elements `start..start + out.len()` of the `width`-bit run `words`,
+/// decoded word by word ([`BitPackedVec::unpack_range`]).
+pub(crate) fn unpack(words: &[u64], width: u32, start: usize, out: &mut [u64]) {
+    if out.is_empty() {
+        return;
+    }
+    if width == 0 {
+        out.fill(0);
+        return;
+    }
+    let mask = low_mask(width);
+    let first_bit = start as u64 * width as u64;
+    let mut wi = (first_bit / 64) as usize;
+    let mut shift = (first_bit % 64) as u32;
+    let mut cur = words[wi];
+    for slot in out.iter_mut() {
+        let avail = 64 - shift;
+        *slot = if width < avail {
+            // Entirely inside the current word, more bits left after.
+            let v = (cur >> shift) & mask;
+            shift += width;
+            v
+        } else if width == avail {
+            // Consumes the word exactly: the shifted value already has
+            // the right width, no mask needed.
+            let v = cur >> shift;
+            wi += 1;
+            // The run may end exactly at the array's last word.
+            cur = words.get(wi).copied().unwrap_or(0);
+            shift = 0;
+            v
+        } else {
+            // Straddle: combine the tail of `cur` with the head of the
+            // next word, which becomes the current word.
+            let lo = cur >> shift;
+            wi += 1;
+            cur = words[wi];
+            shift = width - avail;
+            (lo | (cur << avail)) & mask
+        };
+    }
+}
+
+/// A write cursor over a fresh run of backing words that starts
 /// on an element boundary *and* a word boundary: the front of a vector, or
 /// row `64 k` of it — 64 rows × `width` bits are exactly `width` words, so
 /// every [`DECODE_BLOCK`] starts a word at every width. The accumulator
@@ -246,7 +317,7 @@ impl BitPackedVec {
 /// once, in order, when it is full ([`PackCursor::finish`] stores a partial
 /// last one and counts them). Only [`BitPackedVec::write_once`] makes one.
 pub(crate) struct PackCursor<'a> {
-    words: &'a mut [MaybeUninit<u64>],
+    words: &'a mut [u64],
     stored: &'a AtomicUsize,
     width: u32,
     next: usize,
@@ -255,10 +326,10 @@ pub(crate) struct PackCursor<'a> {
 }
 
 impl<'a> PackCursor<'a> {
-    /// A cursor at bit 0 of `v`'s spare capacity, counting into `stored`.
+    /// A cursor at bit 0 of `v`'s words, counting into `stored`.
     fn new(v: &'a mut BitPackedVec, stored: &'a AtomicUsize) -> Self {
         PackCursor {
-            words: v.words.spare_capacity_mut(),
+            words: &mut v.words,
             stored,
             width: v.width,
             next: 0,
@@ -296,7 +367,7 @@ impl<'a> PackCursor<'a> {
         self.acc |= v << self.fill;
         self.fill += self.width;
         if self.fill >= 64 {
-            self.words[self.next].write(self.acc);
+            self.words[self.next] = self.acc;
             self.next += 1;
             self.fill -= 64;
             // What did not fit, `v >> (width - fill)`, as two shifts: a
@@ -309,7 +380,7 @@ impl<'a> PackCursor<'a> {
     /// Store the partial last word, if any, and count the words stored.
     pub(crate) fn finish(self) {
         if self.fill > 0 {
-            self.words[self.next].write(self.acc);
+            self.words[self.next] = self.acc;
         }
         // Relaxed: `write_once` reads the sum once every writer is joined.
         (self.stored).fetch_add(self.next + (self.fill > 0) as usize, Relaxed);
@@ -360,29 +431,32 @@ impl<'a> BlockDecoder<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Incremental appends, one element at a time: the oracle the packers
-    /// are held against; and the whole vector decoded.
     impl BitPackedVec {
-        /// Decode everything into a `u64` vector (diagnostics, refinement
-        /// pre-materialization, tests).
+        /// Decode everything into a `u64` vector.
         pub(crate) fn to_vec(&self) -> Vec<u64> {
             let mut out = vec![0u64; self.len];
             self.unpack_range(0, &mut out);
             out
         }
+    }
 
-        /// An empty vector of `width`-bit elements (`width` in `0..=64`).
-        ///
-        /// A width of 0 is legal and stores nothing: every element reads back
-        /// as 0. This happens when a column's domain collapses to a single
-        /// value after prefix compression.
+    /// Incremental appends, one element at a time: the oracle the packers
+    /// are held against.
+    pub(crate) struct Pushed {
+        words: Vec<u64>,
+        width: u32,
+        len: usize,
+    }
+
+    impl Pushed {
+        /// No `width`-bit elements yet (`width` in `0..=64`).
         pub(crate) fn new(width: u32) -> Self {
             assert!(width <= 64, "element width {width} exceeds 64 bits");
-            BitPackedVec {
+            Pushed {
                 words: Vec::new(),
                 width,
                 len: 0,
@@ -390,17 +464,8 @@ mod tests {
         }
 
         /// Append a value.
-        ///
-        /// # Panics
-        /// Debug-panics if `v` does not fit in `width` bits (callers always
-        /// produce masked payloads; a wide value indicates a logic error).
-        #[inline]
         pub(crate) fn push(&mut self, v: u64) {
-            debug_assert!(
-                self.width == 64 || v <= low_mask(self.width),
-                "value {v:#x} exceeds {} bits",
-                self.width
-            );
+            assert!(self.width == 64 || v <= low_mask(self.width));
             if self.width == 0 {
                 self.len += 1;
                 return;
@@ -418,6 +483,14 @@ mod tests {
             }
             self.len += 1;
         }
+
+        /// The vector pushed so far.
+        pub(crate) fn done(self) -> BitPackedVec {
+            let mut words = Words::zeroed(self.words.len());
+            words.copy_from_slice(&self.words);
+            let (width, len) = (self.width, self.len);
+            BitPackedVec { words, width, len }
+        }
     }
 
     /// The bulk packer equals the `push` loop — words, width and len — at
@@ -430,10 +503,11 @@ mod tests {
             let random = rng.below(6000) as usize;
             for len in [0, 1, 63, 64, 65, 127, 128, 4097, random] {
                 let vals: Vec<u64> = (0..len).map(|_| rng.next_u64() & low_mask(width)).collect();
-                let mut pushed = BitPackedVec::new(width);
+                let mut pushed = Pushed::new(width);
                 for &v in &vals {
                     pushed.push(v);
                 }
+                let pushed = pushed.done();
                 let packed = BitPackedVec::from_slice(width, &vals);
                 assert_eq!(packed, pushed, "width={width} len={len}");
                 assert_eq!(packed.to_vec(), vals, "width={width} len={len}");
@@ -450,9 +524,21 @@ mod tests {
     fn try_pack_rows_is_pack_or_the_first_error() {
         let vals: Vec<u64> = (0..5_000).map(|i| i * 37 % 1024).collect();
         for chunks in [1, 2, 3, 7] {
-            let ok = BitPackedVec::try_pack_rows(10, vals.len(), chunks, |r| Ok::<_, u64>(vals[r]));
+            let ok = BitPackedVec::try_pack_rows(10, vals.len(), chunks, |at, out| {
+                out.copy_from_slice(&vals[at..at + out.len()]);
+                Ok::<_, usize>(())
+            });
             assert_eq!(ok, Ok(BitPackedVec::from_slice(10, &vals)));
-            let failing = |r: usize| if vals[r] > 1000 { Err(r) } else { Ok(vals[r]) };
+            let failing = |at: usize, out: &mut [u64]| {
+                for (r, v) in (at..).zip(out.iter_mut()) {
+                    *v = if vals[r] > 1000 {
+                        return Err(r);
+                    } else {
+                        vals[r]
+                    };
+                }
+                Ok(())
+            };
             let first = vals.iter().position(|&v| v > 1000);
             let got = BitPackedVec::try_pack_rows(10, vals.len(), chunks, failing);
             assert_eq!(got.err(), first, "{chunks} pieces");
@@ -461,10 +547,11 @@ mod tests {
 
     #[test]
     fn zero_width_stores_nothing() {
-        let mut v = BitPackedVec::new(0);
+        let mut v = Pushed::new(0);
         for _ in 0..100 {
             v.push(0);
         }
+        let v = v.done();
         assert_eq!(v.len(), 100);
         assert_eq!(v.packed_bytes(), 0);
         assert_eq!(v.get(50), 0);
@@ -476,7 +563,7 @@ mod tests {
         assert_eq!(v.packed_bytes(), 5);
         let v = BitPackedVec::from_slice(8, &vec![0xAB; 1000]);
         assert_eq!(v.packed_bytes(), 1000);
-        let v = BitPackedVec::new(24);
+        let v = Pushed::new(24).done();
         assert_eq!(v.packed_bytes(), 0);
     }
 

@@ -1,257 +1,32 @@
 //! Persistent columns and ordered string dictionaries.
 //!
-//! A [`Column`] is the full-resolution representation every classic
-//! (CPU-only) operator works on, and the source from which decomposition
-//! derives the device partitions. Its payloads are held one way at a time
-//! ([`Storage`]): plain, or — once decomposed — as the approximation ‖
-//! residual pair, the plain payloads released. Two widths, kept apart:
+//! A [`Column`] holds its payloads one way from its first row to its
+//! teardown: bitwise-decomposed ([`DecomposedColumn`]), approximation ‖
+//! packed residual. A column nobody has decomposed is its all-device split
+//! — a frame of reference over its own extrema, every bit in one packed
+//! run, residual width 0 —, so it holds the bits its domain needs and
+//! binding it shares those words. Two widths, kept apart:
 //!
 //! * the **modeled** width follows MonetDB's static type expansion —
 //!   32-bit types 4 bytes, 64-bit types 8 ([`DataType::plain_width`]) —
 //!   and is what every bill, every decomposition report and the load
 //!   ledger charge ([`Column::plain_bytes`]);
-//! * the **physical** width of a plain column is the fewest bytes — 1, 2,
-//!   3, 4 or 8 — that hold the column's payload extrema
-//!   ([`Column::physical_bytes`]). Nothing but the allocator reads it: it
-//!   never reaches a bill.
+//! * the **physical** bits are the packed partitions'
+//!   ([`Column::physical_bytes`]). Nothing but the allocator reads them:
+//!   they never reach a bill.
 //!
 //! Strings are codes into an *ordered* [`Dictionary`] so that prefix
 //! predicates become code-range predicates (the rewrite the paper applied
 //! to TPC-H Q14's `like 'PROMO%'`).
 
-use crate::decompose::{split, DecomposedColumn, DecompositionMeta, DecompositionSpec};
-use crate::encoding::{decode, encode, physical_bits};
-use crate::pieces::{chunk_count, cuts, in_pieces, Row};
+use crate::bitpack::{BitPackedVec, PackCursor, DECODE_BLOCK};
+use crate::decompose::{DecomposedColumn, DecompositionMeta, DecompositionSpec};
+use crate::encoding::{decode, physical_bits};
+use crate::pieces::{chunk_count, cuts, in_pieces};
 use bwd_types::bits::low_mask;
 use bwd_types::{BwdError, DataType, Date, FxHashMap, Result, Value};
-use std::any::TypeId;
-use std::borrow::Cow;
-use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
-
-/// Physical payload storage of a column, in one of the six widths.
-///
-/// Read it through [`with_slice!`](crate::with_slice): one dispatch per
-/// typed slice, never one per row.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ColumnData {
-    /// 8-bit payloads.
-    I8(Vec<i8>),
-    /// 16-bit payloads.
-    I16(Vec<i16>),
-    /// Unsigned 16-bit payloads: `0..=65 535`.
-    U16(Vec<u16>),
-    /// 24-bit payloads, three bytes each.
-    I24(Vec<I24>),
-    /// 32-bit payloads.
-    I32(Vec<i32>),
-    /// 64-bit payloads.
-    I64(Vec<i64>),
-}
-
-/// Evaluate `$body` with `$rows` bound to the typed payload slice (or
-/// vector) behind `$data` — the one place a physical width is dispatched
-/// on. `$body` is compiled once per width, so it may call anything generic
-/// over `T: Copy + Into<i64>`.
-#[macro_export]
-macro_rules! with_slice {
-    ($data:expr, $rows:ident => $body:expr) => {
-        match $data {
-            $crate::ColumnData::I8($rows) => $body,
-            $crate::ColumnData::I16($rows) => $body,
-            $crate::ColumnData::U16($rows) => $body,
-            $crate::ColumnData::I24($rows) => $body,
-            $crate::ColumnData::I32($rows) => $body,
-            $crate::ColumnData::I64($rows) => $body,
-        }
-    };
-}
-
-/// Evaluate `$body` with the type `$t` bound to the payload type a column
-/// holding `$lo..=$hi` is stored in: the first of `i8`, `i16`, `u16`,
-/// [`I24`] and `i32` that holds both ends — the fewest bytes, signed first
-/// on a tie —, else `i64`. The one width rule: [`Column`]'s constructors
-/// narrow by it, and a loader that knows its domain before its rows fills
-/// them in that type, so no wider vector exists to narrow.
-#[macro_export]
-macro_rules! with_width {
-    ($lo:expr, $hi:expr, $t:ident => $body:expr) => {{
-        let (lo, hi): (i64, i64) = ($lo, $hi);
-        let holds = |min: i64, max: i64| min <= lo && hi <= max;
-        if holds(i8::MIN.into(), i8::MAX.into()) {
-            type $t = i8;
-            $body
-        } else if holds(i16::MIN.into(), i16::MAX.into()) {
-            type $t = i16;
-            $body
-        } else if holds(0, u16::MAX.into()) {
-            type $t = u16;
-            $body
-        } else if holds($crate::I24::MIN, $crate::I24::MAX) {
-            type $t = $crate::I24;
-            $body
-        } else if holds(i32::MIN.into(), i32::MAX.into()) {
-            type $t = i32;
-            $body
-        } else {
-            type $t = i64;
-            $body
-        }
-    }};
-}
-
-/// A signed 24-bit payload in three little-endian bytes: `-2^23..2^23`.
-/// A `Vec<I24>` holds three bytes a row (`size_of::<I24>() == 3`).
-#[derive(Clone, Copy, PartialEq, Eq)]
-#[repr(transparent)]
-pub struct I24([u8; 3]);
-
-impl I24 {
-    /// The least value.
-    pub const MIN: i64 = -(1 << 23);
-    /// The greatest value.
-    pub const MAX: i64 = (1 << 23) - 1;
-
-    /// The value: the sign-extended top byte over the low two — a 2-byte
-    /// and a 1-byte load, cheaper than assembling four bytes and shifting.
-    #[inline]
-    fn get(self) -> i32 {
-        let [a, b, c] = self.0;
-        (i32::from(c as i8) << 16) | i32::from(u16::from_le_bytes([a, b]))
-    }
-}
-
-impl From<I24> for i64 {
-    #[inline]
-    fn from(v: I24) -> i64 {
-        v.get().into()
-    }
-}
-
-impl Ord for I24 {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.get().cmp(&other.get())
-    }
-}
-
-impl PartialOrd for I24 {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl std::fmt::Debug for I24 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.get().fmt(f)
-    }
-}
-
-/// An element type of [`ColumnData`]: `i8`, `i16`, `u16`, [`I24`], `i32`
-/// or `i64`.
-pub trait Payload: Copy + Ord + Into<i64> + Send + Sync + 'static {
-    /// What the extrema fold compares: the payload itself for a native
-    /// integer (so the fold runs in that width's lanes), the `i32` value
-    /// of an [`I24`] (decoded once a row, not twice a comparison).
-    type Lane: Copy + Ord + Into<i64>;
-    /// `v` cut to this width, for values known to fit it.
-    fn cut(v: i64) -> Self;
-    /// `vals` as column storage, moved.
-    fn store(vals: Vec<Self>) -> ColumnData;
-    /// `self` as the extrema fold compares it.
-    fn lane(self) -> Self::Lane;
-}
-
-macro_rules! payload_widths {
-    ($($t:ty => $arm:ident),*) => {$(
-        impl Payload for $t {
-            type Lane = $t;
-            #[inline]
-            fn cut(v: i64) -> Self {
-                v as $t
-            }
-            fn store(vals: Vec<Self>) -> ColumnData {
-                ColumnData::$arm(vals)
-            }
-            #[inline]
-            fn lane(self) -> $t {
-                self
-            }
-        }
-    )*};
-}
-payload_widths!(i8 => I8, i16 => I16, u16 => U16, i32 => I32, i64 => I64);
-
-impl Payload for I24 {
-    type Lane = i32;
-    #[inline]
-    fn cut(v: i64) -> Self {
-        let [a, b, c, _] = (v as i32).to_le_bytes();
-        I24([a, b, c])
-    }
-    fn store(vals: Vec<Self>) -> ColumnData {
-        ColumnData::I24(vals)
-    }
-    #[inline]
-    fn lane(self) -> i32 {
-        self.get()
-    }
-}
-
-impl<T: Payload> From<Vec<T>> for ColumnData {
-    fn from(vals: Vec<T>) -> Self {
-        T::store(vals)
-    }
-}
-
-impl ColumnData {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        with_slice!(self, rows => rows.len())
-    }
-
-    /// Whether the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Payload of row `i`, widened to `i64` — for single rows; a loop
-    /// takes the slice through [`with_slice!`](crate::with_slice).
-    #[inline]
-    #[allow(clippy::useless_conversion)] // the `i64` arm
-    pub fn get(&self, i: usize) -> i64 {
-        with_slice!(self, rows => rows[i].into())
-    }
-
-    /// Bytes per stored payload: 1, 2, 3, 4 or 8.
-    pub fn width(&self) -> u64 {
-        fn of<T>(_: &[T]) -> u64 {
-            std::mem::size_of::<T>() as u64
-        }
-        with_slice!(self, rows => of(rows))
-    }
-}
-
-/// `rows`, whose extrema are `min_max`, re-packed into the width
-/// [`with_width!`](crate::with_width) picks for them by the pieces
-/// [`cuts`] cuts for `chunks`, each into its part of the one new vector;
-/// `None` when `T` is that type already (as it is where only `i64` holds
-/// them).
-pub(crate) fn narrowed<T: Payload>(
-    rows: &[T],
-    min_max: Option<(i64, i64)>,
-    chunks: usize,
-) -> Option<ColumnData> {
-    let (lo, hi) = min_max.unwrap_or((0, 0));
-    with_width!(lo, hi, U => (TypeId::of::<U>() != TypeId::of::<T>()).then(|| {
-        let pieces = cuts(rows.len(), chunks).map(|at| (at.len(), rows[at].iter()));
-        let (out,) = <(U,)>::fill(rows.len(), pieces, |rows| {
-            (U::cut((*rows.next().expect("a piece's rows")).into()),)
-        });
-        U::store(out)
-    }))
-}
 
 /// A column's logical type, with what only that type carries: a string
 /// column cannot be without its dictionary. The one value ↔ payload
@@ -315,54 +90,199 @@ impl Logical {
     }
 }
 
-/// How a column holds its payloads: every bit once.
-#[derive(Debug)]
-pub enum Storage {
-    /// Plain payloads, in the narrowest width that holds the extrema.
-    Plain(ColumnData),
-    /// Bitwise-decomposed: approximation ‖ residual are the column, and
-    /// no plain payload is kept beside them.
-    Split(DecomposedColumn),
+/// One output of [`Column::fill`].
+pub enum Slot<'a> {
+    /// Payloads of this type and dictionary, inside `lo..=hi`.
+    Of(Logical, i64, i64),
+    /// Codes into `vocab`, which may be unordered and repeat itself: the
+    /// column's dictionary is the ordered set of the entries some row uses,
+    /// and every code is re-coded to its rank there.
+    Codes(&'a [&'a str]),
+}
+
+impl Slot<'_> {
+    /// The stored type and the stated payload domain.
+    fn domain(&self) -> (DataType, i64, i64) {
+        match self {
+            Slot::Of(logical, lo, hi) => (logical.dtype(), *lo, *hi),
+            Slot::Codes(vocab) => (DataType::Str, 0, vocab.len() as i64 - 1),
+        }
+    }
 }
 
 /// A persistent, fully-decomposed (column-store) attribute. A clone is a
-/// reference: the payloads are shared, never copied.
+/// reference: the packed runs are shared, never copied.
 #[derive(Debug, Clone)]
 pub struct Column {
     logical: Logical,
-    storage: Arc<Storage>,
+    split: DecomposedColumn,
     /// Payload minimum/maximum, `None` when empty: found once, on the way
-    /// in — it decides the storage width, and decomposition and the binder
-    /// (per predicate per `bind`) ask for it anyway.
+    /// in — it frames the storage, and decomposition and the binder (per
+    /// predicate per `bind`) ask for it anyway.
     min_max: Option<(i64, i64)>,
 }
 
 impl Column {
-    /// The one constructor: finds the extrema and stores `data` in the
-    /// narrowest width that holds them — moved in when it already is,
-    /// re-packed once (and the wider vector dropped) when it is not.
-    fn new(logical: Logical, data: ColumnData) -> Self {
-        Column::new_in(logical, chunk_count(data.len()), data)
+    /// `K` columns of `len` rows, packed as they are made: each piece
+    /// [`cuts`] cuts for `chunks` draws its rows by `row` from the state
+    /// `piece(rows)` returns (asked front to back) and packs each payload
+    /// into its part of its column's run, framed by the slot's domain.
+    /// A column whose rows need fewer bits or another frame then re-packs
+    /// in place: each is its all-device split.
+    ///
+    /// # Errors
+    /// A domain outside its type's payloads or with more digits than a
+    /// decimal's precision, or a payload outside its domain.
+    pub fn fill<const K: usize, P: Send>(
+        slots: [Slot<'_>; K],
+        len: usize,
+        chunks: usize,
+        piece: impl FnMut(Range<usize>) -> P,
+        row: impl Fn(&mut P) -> [i64; K] + Sync,
+    ) -> Result<[Column; K]> {
+        let all_device = DecompositionSpec::all_device();
+        let mut metas = [DecompositionMeta::new(DataType::Int32, None, &all_device); K];
+        let mut codes = [(0, 0, 0, 0); K];
+        for ((meta, code), slot) in metas.iter_mut().zip(&mut codes).zip(&slots) {
+            let (dtype, lo, hi) = slot.domain();
+            let bits = physical_bits(dtype);
+            if len > 0
+                && !(i64::MIN >> (64 - bits) <= lo && lo <= hi && hi <= i64::MAX >> (64 - bits))
+            {
+                let msg = format!("{lo}..={hi} is no domain of {dtype} payloads");
+                return Err(BwdError::InvalidArgument(msg));
+            }
+            // The one digit check: a decimal's payloads fit its precision.
+            let digits = |v: i64| {
+                match dtype {
+                    DataType::Decimal { precision, .. } => 10u64.checked_pow(precision.into()),
+                    _ => None,
+                }
+                .is_some_and(|limit| v.unsigned_abs() >= limit)
+            };
+            if let Some(v) = [lo, hi].into_iter().find(|&v| len > 0 && digits(v)) {
+                let msg = format!("decimal payload {v} exceeds precision: {dtype}");
+                return Err(BwdError::InvalidArgument(msg));
+            }
+            *meta = DecompositionMeta::new(dtype, (len > 0).then_some((lo, hi)), &all_device);
+            // `encode`, its branch on the width taken once a column: the
+            // sign bit flipped, less the frame, in the stored bits.
+            *code = (
+                low_mask(bits),
+                1 << (bits - 1),
+                meta.frame(),
+                low_mask(meta.stored_width()),
+            );
+        }
+        let mut found = None;
+        let runs = BitPackedVec::write_once(metas.map(|m| m.stored_width()), len, |mut runs| {
+            let mut piece = piece;
+            let pieces = cuts(len, chunks).map(|rows| {
+                let cursors = runs.each_mut().map(|run| run.take_rows(rows.len()));
+                (piece(rows.clone()), cursors, rows.len())
+            });
+            let extrema = in_pieces(pieces, |(mut state, mut cursors, n)| {
+                // A block of rows drawn, then each column's packed in turn:
+                // one cursor's state in registers at a time.
+                let (mut block, mut extrema) = ([[0; DECODE_BLOCK]; K], [(i64::MAX, i64::MIN); K]);
+                for at in (0..n).step_by(DECODE_BLOCK) {
+                    let m = DECODE_BLOCK.min(n - at);
+                    (0..m).for_each(|r| {
+                        let payloads = row(&mut state);
+                        (0..K).for_each(|k| block[k][r] = payloads[k]);
+                    });
+                    for (k, cursor) in cursors.iter_mut().enumerate() {
+                        let (mask, flip, frame, stored) = codes[k];
+                        for &p in &block[k][..m] {
+                            extrema[k] = (extrema[k].0.min(p), extrema[k].1.max(p));
+                            cursor.push((((p as u64 & mask) ^ flip).wrapping_sub(frame)) & stored);
+                        }
+                    }
+                }
+                cursors.into_iter().for_each(PackCursor::finish);
+                (n > 0).then_some(extrema)
+            });
+            found = (extrema.into_iter().flatten())
+                .reduce(|a, b| std::array::from_fn(|k| (a[k].0.min(b[k].0), a[k].1.max(b[k].1))));
+            Ok::<_, BwdError>(())
+        })?;
+        let mut out = Vec::with_capacity(K);
+        for (k, (slot, run)) in slots.into_iter().zip(runs).enumerate() {
+            out.push(Column::framed(slot, run, metas[k], found.map(|f| f[k]))?);
+        }
+        Ok(out
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("one column a slot")))
     }
 
-    /// [`Column::new`], both passes in the pieces [`cuts`] cuts for `chunks`.
-    fn new_in(logical: Logical, chunks: usize, data: ColumnData) -> Self {
-        let min_max = with_slice!(&data, rows => {
-            let pieces = in_pieces(cuts(rows.len(), chunks), |at| extrema(&rows[at]));
-            pieces.into_iter().flatten().reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
-        });
-        let data = with_slice!(&data, rows => narrowed(rows, min_max, chunks)).unwrap_or(data);
-        Column {
-            logical,
-            storage: Arc::new(Storage::Plain(data)),
-            min_max,
+    /// The column `slot` states, from `run`, packed by `meta` over the
+    /// stated domain; its rows' extrema are `found`.
+    fn framed(
+        slot: Slot<'_>,
+        mut run: BitPackedVec,
+        meta: DecompositionMeta,
+        found: Option<(i64, i64)>,
+    ) -> Result<Column> {
+        let (dtype, lo, hi) = slot.domain();
+        if let Some(v) =
+            found.and_then(|(l, h)| [l, h].into_iter().find(|v| !(lo..=hi).contains(v)))
+        {
+            let msg = format!("payload {v} outside the stated domain {lo}..={hi}");
+            return Err(BwdError::InvalidArgument(msg));
         }
+        let chunks = chunk_count(run.len());
+        let (logical, found, rank) = match slot {
+            Slot::Of(logical, ..) => (logical, found, None),
+            Slot::Codes(vocab) => {
+                let mut used = vec![false; vocab.len()];
+                let mut block = [0; DECODE_BLOCK];
+                for at in (0..run.len()).step_by(DECODE_BLOCK) {
+                    let block = &mut block[..(run.len() - at).min(DECODE_BLOCK)];
+                    run.unpack_range(at, block);
+                    block.iter().for_each(|&c| used[c as usize] = true);
+                }
+                let (dict, rank) = Dictionary::of_used(vocab, &used);
+                // Codes that are their ranks already need no re-pack.
+                let moved = (rank.iter().enumerate()).any(|(c, &r)| used[c] && r != c as u64);
+                let top = dict.values.len() as i64 - 1;
+                let logical = Logical::Str(Arc::new(dict));
+                (logical, found.map(|_| (0, top)), moved.then_some(rank))
+            }
+        };
+        let want = DecompositionMeta::new(dtype, found, &DecompositionSpec::all_device());
+        let shift = want.frame() - meta.frame();
+        match rank {
+            Some(rank) => run.repack(want.stored_width(), chunks, |c| rank[c as usize]),
+            None if want == meta => {}
+            None if want.stored_width() == meta.stored_width() => run.subtract(shift),
+            None => run.repack(want.stored_width(), chunks, |v| v - shift),
+        }
+        let [residual] = BitPackedVec::write_once([0], run.len(), |_| Ok::<_, BwdError>(()))?;
+        let split = DecomposedColumn::new(want, run, residual);
+        Ok(Column {
+            logical,
+            split,
+            min_max: found,
+        })
+    }
+
+    /// `vals` as a `logical` column, packed in the pieces [`chunk_count`]
+    /// cuts over the extrema a pass finds first.
+    fn of_slice<T: Copy + Into<i64> + Sync>(logical: Logical, vals: &[T]) -> Result<Self> {
+        let (chunks, into) = (chunk_count(vals.len()), |v: &T| -> i64 { (*v).into() });
+        let (lo, hi) = (vals.iter().map(into).min(), vals.iter().map(into).max());
+        let (lo, hi) = (lo.unwrap_or(0), hi.unwrap_or(0));
+        let slot = [Slot::Of(logical, lo, hi)];
+        let row = |rows: &mut std::slice::Iter<T>| [(*rows.next().expect("a piece's row")).into()];
+        let [col] = Column::fill(slot, vals.len(), chunks, |rows| vals[rows].iter(), row)?;
+        Ok(col)
     }
 
     /// This column split by `spec` — type, extrema and dictionary kept,
-    /// the payloads held as approximation ‖ residual only. A plain column
-    /// held nowhere else hands its pages back as they are packed, so the
-    /// host never holds both forms whole; a shared or split one is read in place.
+    /// the payloads held as approximation ‖ residual only. A split it
+    /// already holds is kept as it is: no word is packed. Runs held here
+    /// alone hand their pages back as they are re-packed, so the host never
+    /// holds both forms whole; shared ones are read in place.
     ///
     /// # Errors
     /// Fails on a spec [`DecomposedColumn::validate_spec`] rejects.
@@ -372,126 +292,43 @@ impl Column {
     }
 
     /// [`Column::decompose`], packed in `chunks` pieces.
-    pub(crate) fn decompose_in(mut self, spec: &DecompositionSpec, chunks: usize) -> Result<Self> {
-        let (dtype, len) = (self.dtype(), self.len());
-        DecomposedColumn::validate_spec(dtype, spec)?;
-        let meta = DecompositionMeta::new(dtype, self.min_max, spec);
-        let split = match Arc::get_mut(&mut self.storage) {
-            // Held here alone: a piece's worker hands back what it has read.
-            Some(Storage::Plain(data)) => with_slice!(data, rows => {
-                let mut rest = &mut rows[..];
-                split(meta, len, chunks, |piece| {
-                    let (rows, tail) = std::mem::take(&mut rest).split_at_mut(piece.len());
-                    rest = tail;
-                    move |at: usize, out: &mut [u64]| {
-                        let read = at - piece.start + out.len();
-                        encode_rows(dtype, &rows[read - out.len()..read], out);
-                        discard(&mut rows[..read], out.len());
-                    }
-                })
-            }),
-            _ => split(meta, len, chunks, |_| {
-                |at, out: &mut [u64]| self.encoded_range(at, out)
-            }),
-        };
+    pub(crate) fn decompose_in(self, spec: &DecompositionSpec, chunks: usize) -> Result<Self> {
+        DecomposedColumn::validate_spec(self.dtype(), spec)?;
+        let meta = DecompositionMeta::new(self.dtype(), self.min_max, spec);
         Ok(Column {
-            logical: self.logical,
-            storage: Arc::new(Storage::Split(split)),
-            min_max: self.min_max,
+            split: self.split.resplit(meta, chunks),
+            ..self
         })
-    }
-
-    /// `self`, unless a decimal payload has more digits than the precision
-    /// the type names — the one digit check, for every fallible entry.
-    fn within_precision(self) -> Result<Self> {
-        if let DataType::Decimal { precision, .. } = self.dtype() {
-            let fits = |v: i64| match 10u64.checked_pow(precision as u32) {
-                Some(limit) => v.unsigned_abs() < limit,
-                None => true,
-            };
-            let (lo, hi) = self.min_max.unwrap_or((0, 0));
-            if let Some(v) = [lo, hi].into_iter().find(|&v| !fits(v)) {
-                return Err(BwdError::InvalidArgument(format!(
-                    "decimal payload {v} exceeds precision {precision}"
-                )));
-            }
-        }
-        Ok(self)
     }
 
     /// Build an `Int32` column.
     pub fn from_i32(vals: Vec<i32>) -> Self {
-        Column::new(Logical::Plain(DataType::Int32), vals.into())
+        Column::from_payloads(DataType::Int32, &vals).expect("an i32 is an Int32 payload")
     }
 
-    /// Build an `Int64` column.
-    pub fn from_i64(vals: Vec<i64>) -> Self {
-        Column::new(Logical::Plain(DataType::Int64), vals.into())
-    }
-
-    /// Build a `Date` column from day counts.
-    pub fn from_dates(vals: Vec<Date>) -> Self {
-        let days: Vec<i32> = vals.into_iter().map(|d| d.days()).collect();
-        Column::new(Logical::Plain(DataType::Date), days.into())
-    }
-
-    /// Build a decimal column from already-scaled integers.
+    /// A non-string column of logical type `dtype` over `payloads` (days
+    /// for a date, scaled integers for a decimal).
     ///
     /// # Errors
-    /// Fails when a payload has more digits than `precision`.
-    pub fn from_decimals(unscaled: Vec<i64>, precision: u8, scale: u8) -> Result<Self> {
-        let dtype = DataType::Decimal { precision, scale };
-        Column::new(Logical::Plain(dtype), unscaled.into()).within_precision()
+    /// Fails for `Str` (whose codes mean nothing without a dictionary: use
+    /// [`Column::from_strings`]), on a payload past `dtype`'s physical
+    /// width, and on a decimal payload with more digits than its precision.
+    pub fn from_payloads<T: Copy + Into<i64> + Sync>(
+        dtype: DataType,
+        payloads: &[T],
+    ) -> Result<Self> {
+        if dtype == DataType::Str {
+            let msg = "a Str column's codes need a dictionary".to_string();
+            return Err(BwdError::InvalidArgument(msg));
+        }
+        Column::of_slice(Logical::Plain(dtype), payloads)
     }
 
     /// Build a string column: constructs the ordered dictionary and encodes
     /// each row as its code.
     pub fn from_strings<S: AsRef<str>>(vals: &[S]) -> Self {
         let (dict, codes) = Dictionary::build(vals);
-        Column::new(Logical::Str(Arc::new(dict)), codes.into())
-    }
-
-    /// Build a string column from rows already coded against a known
-    /// vocabulary (`codes[i]` indexes `vocab`) — a loader that knows its
-    /// vocabulary need not hold one `&str` per row, nor codes wider than
-    /// the vocabulary needs. The dictionary is the ordered set of entries
-    /// some row uses, exactly what [`Column::from_strings`] builds from the
-    /// spelled-out rows; `codes` is re-coded in place.
-    ///
-    /// # Errors
-    /// Fails on a code outside `vocab`.
-    pub fn from_codes<S: AsRef<str>, C: Payload>(vocab: &[S], mut codes: Vec<C>) -> Result<Self> {
-        let (lo, hi) = extrema(&codes).unwrap_or((0, 0));
-        if let Some(c) = [lo, hi]
-            .into_iter()
-            .find(|&c| c < 0 || c >= vocab.len() as i64)
-        {
-            return Err(BwdError::InvalidArgument(format!(
-                "string code {c} outside a vocabulary of {}",
-                vocab.len()
-            )));
-        }
-        let dict = Dictionary::from_vocabulary(vocab, &mut codes);
-        Ok(Column::new(Logical::Str(Arc::new(dict)), codes.into()))
-    }
-
-    /// A non-string column of logical type `dtype` over `data`, which
-    /// moves in uncopied when it is already in the narrowest width that
-    /// holds its extrema.
-    ///
-    /// # Errors
-    /// Fails when the storage is wider than `dtype.plain_width()`, when a
-    /// decimal payload has more digits than its precision, and for `Str`
-    /// (whose codes mean nothing without a dictionary: use
-    /// [`Column::from_strings`] or [`Column::from_codes`]).
-    pub fn from_data(dtype: DataType, data: ColumnData) -> Result<Self> {
-        let width = data.width();
-        if dtype == DataType::Str || width > dtype.plain_width() {
-            return Err(BwdError::InvalidArgument(format!(
-                "{width}-byte payload storage cannot back a {dtype} column"
-            )));
-        }
-        Column::new(Logical::Plain(dtype), data).within_precision()
+        Column::of_slice(Logical::Str(Arc::new(dict)), &codes).expect("a rank is a code")
     }
 
     /// Logical type.
@@ -509,10 +346,7 @@ impl Column {
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        match &*self.storage {
-            Storage::Plain(data) => data.len(),
-            Storage::Split(split) => split.len(),
-        }
+        self.split.len()
     }
 
     /// Whether the column holds no rows.
@@ -521,53 +355,24 @@ impl Column {
         self.len() == 0
     }
 
-    /// How the payloads are held — what a loop reads in place.
+    /// The approximation ‖ residual the column is held as: every column
+    /// has one, an undecomposed column its all-device split.
     #[inline]
-    pub fn storage(&self) -> &Storage {
-        &self.storage
+    pub fn split(&self) -> Option<&DecomposedColumn> {
+        Some(&self.split)
     }
 
-    /// The payloads as plain storage in the narrowest width: borrowed from
-    /// a plain column, rebuilt — a full copy — from a split one.
-    pub fn plain(&self) -> Cow<'_, ColumnData> {
-        match &*self.storage {
-            Storage::Plain(data) => Cow::Borrowed(data),
-            Storage::Split(_) => {
-                let payloads = self.payloads();
-                let narrow = narrowed(&payloads, self.min_max, chunk_count(payloads.len()));
-                Cow::Owned(narrow.unwrap_or(ColumnData::I64(payloads)))
-            }
-        }
-    }
-
-    /// Encoded value ([`encode`]) of row `i` — for single rows.
+    /// Encoded value ([`crate::encoding::encode`]) of row `i` — for single rows.
     #[inline]
     pub fn encoded(&self, i: usize) -> u64 {
-        match &*self.storage {
-            Storage::Plain(data) => encode(data.get(i), self.dtype()),
-            Storage::Split(split) => split.encoded(i),
-        }
+        self.split.encoded(i)
     }
 
-    /// Encoded values ([`encode`]) of rows `start..start + out.len()`: a
-    /// plain column's payloads, or a split column's two partitions decoded
-    /// a block at a time and concatenated. The encoding preserves order,
-    /// so a range test reads them as they are.
+    /// Encoded values of rows `start..start + out.len()`: both partitions
+    /// decoded a block at a time and concatenated. The encoding preserves
+    /// order, so a range test reads them as they are.
     pub fn encoded_range(&self, start: usize, out: &mut [u64]) {
-        match &*self.storage {
-            Storage::Plain(data) => with_slice!(data, rows => {
-                encode_rows(self.dtype(), &rows[start..], out)
-            }),
-            Storage::Split(split) => split.encoded_range(start, out),
-        }
-    }
-
-    /// The approximation ‖ residual a decomposed column is held as.
-    pub fn split(&self) -> Option<&DecomposedColumn> {
-        match &*self.storage {
-            Storage::Split(split) => Some(split),
-            Storage::Plain(_) => None,
-        }
+        self.split.encoded_range(start, out)
     }
 
     /// Payload of row `i`, widened to `i64`.
@@ -610,14 +415,10 @@ impl Column {
         self.len() as u64 * self.dtype().plain_width()
     }
 
-    /// Bytes the payloads occupy on this host: rows × the fewest of 1, 2,
-    /// 3, 4 or 8 bytes that hold the extrema — or, split, both packed
-    /// partitions. Only the allocator reads it; no simulated cost does.
+    /// Bytes the payloads occupy on this host: both packed partitions.
+    /// Only the allocator reads it; no simulated cost does.
     pub fn physical_bytes(&self) -> u64 {
-        match &*self.storage {
-            Storage::Plain(data) => self.len() as u64 * data.width(),
-            Storage::Split(split) => split.device_bytes() + split.host_bytes(),
-        }
+        self.split.device_bytes() + self.split.host_bytes()
     }
 
     /// Minimum and maximum payload, or `None` when empty.
@@ -651,39 +452,28 @@ impl Dictionary {
             })
             .collect();
         // A first-seen id is the index `vocab` held it at.
-        let dict = Dictionary::from_vocabulary(&vocab, &mut codes);
+        let (dict, rank) = Dictionary::of_used(&vocab, &vec![true; vocab.len()]);
+        codes.iter_mut().for_each(|c| *c = rank[*c as usize] as i32);
         (dict, codes)
     }
 
-    /// The ordered dictionary of the `vocab` entries that `codes` uses;
-    /// every code — an index into `vocab`, the caller has checked — is
-    /// rewritten to its rank in the dictionary. `vocab` may be unordered
-    /// and may repeat itself.
-    fn from_vocabulary<S: AsRef<str>, C: Payload>(vocab: &[S], codes: &mut [C]) -> Dictionary {
-        let index = |c: C| Into::<i64>::into(c) as usize;
-        let mut used = vec![false; vocab.len()];
-        for &c in codes.iter() {
-            used[index(c)] = true;
-        }
+    /// The ordered dictionary of the `vocab` entries `used` marks, and
+    /// each entry's rank in it (an unused entry's is never read). `vocab`
+    /// may be unordered and may repeat itself.
+    fn of_used<S: AsRef<str>>(vocab: &[S], used: &[bool]) -> (Dictionary, Vec<u64>) {
         let mut values: Vec<&str> = vocab
             .iter()
-            .zip(&used)
+            .zip(used)
             .filter_map(|(s, &used)| used.then_some(s.as_ref()))
             .collect();
         values.sort_unstable();
         values.dedup();
-        // A used entry's rank is below the number of distinct codes, which
-        // `C` holds; an unused entry's is never read.
-        let rank: Vec<C> = vocab
+        let rank = vocab
             .iter()
-            .map(|s| C::cut(values.binary_search(&s.as_ref()).map_or(-1, |r| r as i64)))
+            .map(|s| values.binary_search(&s.as_ref()).map_or(0, |r| r as u64))
             .collect();
-        for c in codes.iter_mut() {
-            *c = rank[index(*c)];
-        }
-        Dictionary {
-            values: values.into_iter().map(String::from).collect(),
-        }
+        let values = values.into_iter().map(String::from).collect();
+        (Dictionary { values }, rank)
     }
 
     /// The string for a code.
@@ -723,56 +513,6 @@ impl Dictionary {
     }
 }
 
-/// [`encode`] of the first `out.len()` of `rows`, a `dtype` column's
-/// payloads, its branch on the width taken once.
-fn encode_rows<T: Payload>(dtype: DataType, rows: &[T], out: &mut [u64]) {
-    let bits = physical_bits(dtype);
-    let (mask, flip) = (low_mask(bits), 1 << (bits - 1));
-    for (e, &p) in out.iter_mut().zip(rows) {
-        *e = (Into::<i64>::into(p) as u64 & mask) ^ flip;
-    }
-}
-
-/// Bytes of the page runs [`discard`] hands back, and their alignment.
-pub(crate) const GRANULE: usize = 1 << 20;
-
-#[cfg(target_os = "linux")]
-extern "C" {
-    fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
-}
-
-/// Hand back to the OS the whole [`GRANULE`]s inside `rows` that its last
-/// `fresh` rows complete: `rows` is read in order, for the last time, and
-/// borrowed mutably, so nothing else reads it. Pages handed back read as
-/// zeros until the storage is freed. Elsewhere than on Linux, a no-op.
-#[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
-fn discard<T: Payload>(rows: &mut [T], fresh: usize) {
-    let start = rows.as_mut_ptr() as usize;
-    let end = start + size_of_val(rows);
-    let done = (end - fresh * size_of::<T>()) / GRANULE * GRANULE;
-    let lo = done.max(start.next_multiple_of(GRANULE));
-    let hi = end / GRANULE * GRANULE;
-    #[cfg(target_os = "linux")]
-    if lo < hi {
-        // SAFETY: `lo..hi` is whole pages inside `rows`, which this thread
-        // borrows exclusively and never reads again; zeros are valid
-        // payloads, and nothing outside `rows` is touched (4: MADV_DONTNEED).
-        unsafe { madvise(lo as *mut _, hi - lo, 4) };
-    }
-}
-
-/// Minimum and maximum of `vals`, folded in their [`Payload::Lane`]s
-/// (32-bit lanes for 32-bit storage) and widened at the end; `None` when
-/// empty.
-pub(crate) fn extrema<T: Payload>(vals: &[T]) -> Option<(i64, i64)> {
-    let first = vals.first()?.lane();
-    let (lo, hi) = vals
-        .iter()
-        .map(|x| x.lane())
-        .fold((first, first), |(lo, hi), x| (lo.min(x), hi.max(x)));
-    Some((lo.into(), hi.into()))
-}
-
 fn rescale(unscaled: i64, from: u8, to: u8) -> Result<i64> {
     use std::cmp::Ordering;
     match from.cmp(&to) {
@@ -793,12 +533,13 @@ fn rescale(unscaled: i64, from: u8, to: u8) -> Result<i64> {
 }
 
 /// Test support, shared with `decompose.rs`: one logical column per draw
-/// over every type × width class, built by two routes.
+/// over every type × domain class, built by two routes.
 #[cfg(test)]
 pub(crate) mod width_cases {
     use super::*;
+    use crate::encoding::encode;
 
-    /// Every value a width boundary lies next to.
+    /// Every value a byte-width boundary lies next to.
     pub(crate) const BOUNDARIES: [i64; 22] = [
         0,
         -1,
@@ -812,10 +553,10 @@ pub(crate) mod width_cases {
         32_768,
         65_535,
         65_536,
-        I24::MIN - 1,
-        I24::MIN,
-        I24::MAX,
-        I24::MAX + 1,
+        -(1 << 23) - 1,
+        -(1 << 23),
+        (1 << 23) - 1,
+        1 << 23,
         i32::MIN as i64 - 1,
         i32::MIN as i64,
         i32::MAX as i64,
@@ -842,52 +583,19 @@ pub(crate) mod width_cases {
         DECIMAL_12_2,
     ];
 
-    /// Whether `lo..=hi` fits `bits` signed bits, found the slow way.
-    fn signed(lo: i64, hi: i64, bits: u32) -> bool {
-        [lo, hi].iter().all(|&v| v >> (bits - 1) == v >> 63)
+    /// The bits a row of a `dtype` column over `lo..=hi` is stored in: its
+    /// encoded span's, found the slow way.
+    pub(crate) fn needs(dtype: DataType, lo: i64, hi: i64) -> u32 {
+        let span = encode(hi, dtype) - encode(lo, dtype);
+        (0..=64).find(|&b| b == 64 || span >> b == 0).unwrap()
     }
 
-    /// Whether `lo..=hi` fits `u16`.
-    fn unsigned16(lo: i64, hi: i64) -> bool {
-        lo >= 0 && hi >> 16 == 0
-    }
-
-    /// The fewest of 1, 2, 3, 4, 8 bytes holding `lo..=hi`.
-    pub(crate) fn needs(lo: i64, hi: i64) -> u64 {
-        match () {
-            _ if signed(lo, hi, 8) => 1,
-            _ if signed(lo, hi, 16) || unsigned16(lo, hi) => 2,
-            _ if signed(lo, hi, 24) => 3,
-            _ if signed(lo, hi, 32) => 4,
-            _ => 8,
-        }
-    }
-
-    /// `rows` in the narrowest storage that holds them — signed where a
-    /// signed and an unsigned width tie —, packed by hand.
-    pub(crate) fn narrowest(rows: &[i64]) -> ColumnData {
-        let (lo, hi) = extrema(rows).unwrap_or((0, 0));
-        match needs(lo, hi) {
-            1 => ColumnData::I8(rows.iter().map(|&v| v as i8).collect()),
-            2 if signed(lo, hi, 16) => ColumnData::I16(rows.iter().map(|&v| v as i16).collect()),
-            2 => ColumnData::U16(rows.iter().map(|&v| v as u16).collect()),
-            3 => ColumnData::I24(rows.iter().map(|&v| I24::cut(v)).collect()),
-            4 => ColumnData::I32(rows.iter().map(|&v| v as i32).collect()),
-            _ => ColumnData::I64(rows.to_vec()),
-        }
-    }
-
-    /// A column equal to `c` whose storage nothing else holds: a plain
-    /// one's payloads copied, a split one's partitions shared.
+    /// A column equal to `c` whose runs nothing else holds.
     pub(crate) fn unshared(c: &Column) -> Column {
-        let storage = match &*c.storage {
-            Storage::Plain(data) => Storage::Plain(data.clone()),
-            Storage::Split(split) => Storage::Split(split.clone()),
-        };
-        Column {
-            storage: Arc::new(storage),
-            ..c.clone()
-        }
+        let (meta, approx, residual) = c.split.clone().into_parts();
+        let copy = |run: &BitPackedVec| BitPackedVec::from_slice(run.width(), &run.to_vec());
+        let split = DecomposedColumn::new(meta, copy(&approx), copy(&residual));
+        Column { split, ..c.clone() }
     }
 
     /// One logical column, by two routes.
@@ -895,9 +603,10 @@ pub(crate) mod width_cases {
         pub(crate) dtype: DataType,
         /// What every reader must see.
         pub(crate) payloads: Vec<i64>,
-        /// Built from the widest input the type's constructor takes.
+        /// Built from the slice, its extrema found first.
         pub(crate) wide: Column,
-        /// Built from storage already in the narrowest width.
+        /// Packed as a generator packs, over a stated domain wider than its
+        /// rows — the type's whole domain —, then re-packed to them.
         pub(crate) narrow: Column,
     }
 
@@ -933,26 +642,23 @@ pub(crate) mod width_cases {
                 .chain((2..len).map(|_| draw()))
                 .collect(),
         };
-        let i32s = || payloads.iter().map(|&v| v as i32).collect::<Vec<_>>();
-        let narrow = narrowest(&payloads);
+        let rows = |r: &mut usize| {
+            *r += 1;
+            [payloads[*r - 1]]
+        };
         let (wide, narrow) = match dtype {
             DataType::Str => {
                 let vocab: Vec<String> = (0..=hi).map(|i| format!("{i:05}")).collect();
                 let spelled: Vec<&str> = payloads.iter().map(|&c| &*vocab[c as usize]).collect();
-                let coded = with_slice!(narrow, codes => Column::from_codes(&vocab, codes));
-                (Column::from_strings(&spelled), coded.unwrap())
+                let vocab: Vec<&str> = vocab.iter().map(String::as_str).collect();
+                let slot = [Slot::Codes(&vocab)];
+                let [coded] = Column::fill(slot, payloads.len(), 1, |at| at.start, rows).unwrap();
+                (Column::from_strings(&spelled), coded)
             }
             _ => {
-                let wide = match dtype {
-                    DataType::Int32 => Column::from_i32(i32s()),
-                    DataType::Int64 => Column::from_i64(payloads.clone()),
-                    DataType::Date => Column::from_dates(i32s().into_iter().map(Date).collect()),
-                    DataType::Decimal { precision, scale } => {
-                        Column::from_decimals(payloads.clone(), precision, scale).unwrap()
-                    }
-                    _ => Column::from_data(dtype, i32s().into()).unwrap(),
-                };
-                (wide, Column::from_data(dtype, narrow).unwrap())
+                let slot = [Slot::Of(Logical::Plain(dtype), min, max)];
+                let [narrow] = Column::fill(slot, payloads.len(), 1, |at| at.start, rows).unwrap();
+                (Column::from_payloads(dtype, &payloads).unwrap(), narrow)
             }
         };
         Case {
@@ -970,15 +676,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The least and greatest of `vals`.
+    fn extrema(vals: &[i64]) -> Option<(i64, i64)> {
+        Some((*vals.iter().min()?, *vals.iter().max()?))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// Width and split are invisible: whatever width a column's values
-        /// arrived in, every reader sees the same column, stored the same
-        /// way; and split at 0, 1, 8 or w − 1 residual bits, with a frame
-        /// or without, it is still that column to every reader — type,
-        /// extrema, dictionary, modeled bytes, payloads, values and the
-        /// encoded runs — held in its two packed partitions only.
+        /// Route and split are invisible: packed from a slice or as a
+        /// generator packs, over its own extrema or a wider stated domain,
+        /// every reader sees the same column, held the same way — its
+        /// all-device split, in the bits its domain needs —; and split at
+        /// 0, 1, 8 or w − 1 residual bits, with a frame or without, it is
+        /// still that column to every reader — type, extrema, dictionary,
+        /// modeled bytes, payloads, values and the encoded runs.
         #[test]
         fn width_is_invisible_to_every_reader(
             ty in 0usize..width_cases::TYPES.len(),
@@ -990,19 +702,18 @@ mod tests {
             let case = width_cases::build(ty, lo_at, hi_at, len, seed);
             let tag = format!("{} × {:?}", case.dtype, extrema(&case.payloads));
             let (lo, hi) = extrema(&case.payloads).unwrap_or((0, 0));
+            let all_device = DecompositionMeta::new(case.dtype, extrema(&case.payloads), &DecompositionSpec::all_device());
             for c in [&case.wide, &case.narrow] {
                 prop_assert_eq!(c.dtype(), case.dtype, "{}", tag);
                 prop_assert_eq!(c.payloads(), case.payloads.clone(), "{}", tag);
                 prop_assert_eq!(c.payload_min_max(), extrema(&case.payloads), "{}", tag);
-                prop_assert_eq!(c.plain().width(), needs(lo, hi), "{}", tag);
+                prop_assert_eq!(c.split.meta(), &all_device, "{}", tag);
                 let rows = case.payloads.len() as u64;
-                prop_assert_eq!(c.physical_bytes(), rows * needs(lo, hi), "{}", tag);
+                let bits = rows * needs(case.dtype, lo, hi) as u64;
+                prop_assert_eq!(c.physical_bytes(), bits.div_ceil(8), "{}", tag);
                 prop_assert_eq!(c.plain_bytes(), rows * case.dtype.plain_width(), "{}", tag);
             }
-            prop_assert_eq!(case.wide.plain(), case.narrow.plain(), "{}", tag);
-            // Stored in the width the rule picks: signed where widths tie.
-            let picked = width_cases::narrowest(&case.payloads);
-            prop_assert_eq!(&*case.wide.plain(), &picked, "{}", tag);
+            prop_assert_eq!(case.wide.split.approx(), case.narrow.split.approx(), "{}", tag);
             prop_assert_eq!(case.wide.dictionary(), case.narrow.dictionary(), "{}", tag);
             for (i, &p) in case.payloads.iter().enumerate() {
                 let value = match case.dtype {
@@ -1017,7 +728,7 @@ mod tests {
                 prop_assert_eq!(case.narrow.logical().value(case.narrow.payload(i)), value, "{} row {}", tag, i);
             }
 
-            let bits = crate::encoding::physical_bits(case.dtype);
+            let bits = physical_bits(case.dtype);
             let mut encoded = vec![0; case.payloads.len()];
             case.narrow.encoded_range(0, &mut encoded);
             for (device_bits, frame_of_reference) in
@@ -1029,10 +740,7 @@ mod tests {
                 };
                 let c = case.narrow.clone().decompose(&spec).unwrap();
                 let tag = format!("{tag} split {spec:?}");
-                let Storage::Split(split) = c.storage() else {
-                    panic!("{tag}: not split")
-                };
-                let held = split.device_bytes() + split.host_bytes();
+                let held = c.split.device_bytes() + c.split.host_bytes();
                 prop_assert_eq!(c.physical_bytes(), held, "{}", tag);
                 prop_assert_eq!(c.dtype(), case.dtype, "{}", tag);
                 prop_assert_eq!(c.len(), case.payloads.len(), "{}", tag);
@@ -1040,7 +748,6 @@ mod tests {
                 prop_assert_eq!(c.plain_bytes(), case.narrow.plain_bytes(), "{}", tag);
                 prop_assert_eq!(c.dictionary(), case.narrow.dictionary(), "{}", tag);
                 prop_assert_eq!(c.payloads(), case.payloads.clone(), "{}", tag);
-                prop_assert_eq!(&*c.plain(), &picked, "{}", tag);
                 let mut got = vec![0; encoded.len()];
                 c.encoded_range(0, &mut got);
                 prop_assert_eq!(&got, &encoded, "{}", tag);
@@ -1065,10 +772,10 @@ mod tests {
     #[test]
     fn date_column() {
         let d = Date::parse("1994-01-01").unwrap();
-        let later = Date(d.days() + 10);
-        let c = Column::from_dates(vec![d, later]);
+        let later = d.days() + 10;
+        let c = Column::from_payloads(DataType::Date, &[d.days(), later]).unwrap();
         assert_eq!(c.dtype(), DataType::Date);
-        assert_eq!(c.logical().value(c.payload(1)), Value::Date(later));
+        assert_eq!(c.logical().value(c.payload(1)), Value::Date(Date(later)));
         assert_eq!(
             c.payload_of_value(&Value::Date(d)).unwrap(),
             d.days() as i64
@@ -1077,20 +784,21 @@ mod tests {
 
     #[test]
     fn decimal_column_narrow_and_wide() {
-        let c = Column::from_decimals(vec![268_288, -1_262_427], 8, 5).unwrap();
+        let decimal = |precision, scale| DataType::Decimal { precision, scale };
+        let c = Column::from_payloads(decimal(8, 5), &[268_288i64, -1_262_427]).unwrap();
         assert_eq!(c.dtype().plain_width(), 4);
         assert_eq!(c.logical().value(c.payload(0)), Value::decimal(268_288, 5));
         // Payload exceeding i32: rejected for precision<=9.
-        assert!(Column::from_decimals(vec![i64::MAX], 8, 5).is_err());
+        assert!(Column::from_payloads(decimal(8, 5), &[i64::MAX]).is_err());
         // More digits than the precision names: rejected when wide, too.
-        assert!(Column::from_decimals(vec![i64::MAX / 2], 15, 2).is_err());
-        let wide = Column::from_decimals(vec![10i64.pow(15) - 1], 15, 2).unwrap();
+        assert!(Column::from_payloads(decimal(15, 2), &[i64::MAX / 2]).is_err());
+        let wide = Column::from_payloads(decimal(15, 2), &[10i64.pow(15) - 1]).unwrap();
         assert_eq!(wide.dtype().plain_width(), 8);
     }
 
     #[test]
     fn decimal_literal_rescaling() {
-        let c = Column::from_decimals(vec![100], 12, 2).unwrap();
+        let c = Column::from_payloads(DataType::decimal(2), &[100i64]).unwrap();
         // 0.05 at scale 2 == literal "0.05" scale 2.
         assert_eq!(c.payload_of_value(&Value::decimal(5, 2)).unwrap(), 5);
         // Integer literal 3 -> 300 at scale 2.
@@ -1144,54 +852,88 @@ mod tests {
         assert!(c.payload_of_value(&Value::Str("x".into())).is_err());
     }
 
+    /// `from_payloads` refuses what its type cannot hold — a payload past
+    /// the physical width, a decimal past its precision, a string without
+    /// its dictionary — and the fill refuses a domain past the type's
+    /// payloads and a row outside its stated domain.
     #[test]
-    fn from_data_checks_width_and_precision_and_copies_nothing() {
+    fn a_column_holds_only_what_its_type_and_domain_do() {
         let coord = DataType::Decimal {
             precision: 7,
             scale: 5,
         };
-        let vals = vec![I24::cut(2_709_371), I24::cut(7_013_643)];
-        let at = vals.as_ptr();
-        let c = Column::from_data(coord, ColumnData::I24(vals)).unwrap();
+        let c = Column::from_payloads(coord, &[2_709_371i64, 7_013_643]).unwrap();
         assert_eq!(
             c.logical().value(c.payload(1)),
             Value::decimal(7_013_643, 5)
         );
-        let plain = c.plain();
-        let ColumnData::I24(stored) = &*plain else {
-            panic!("seven digits below 2^23 need 3 bytes")
-        };
-        assert_eq!(stored.as_ptr(), at, "the storage moved in, uncopied");
-        for bad in [10_000_000, -10_000_000] {
-            assert!(Column::from_data(coord, ColumnData::I32(vec![0, bad])).is_err());
+        for bad in [10_000_000i64, -10_000_000] {
+            assert!(Column::from_payloads(coord, &[0, bad]).is_err());
         }
-        // Storage wider than the type is modeled at is refused — whatever
-        // it holds —, narrower storage is what the rule would pick anyway.
-        assert!(Column::from_data(coord, ColumnData::I64(vec![1])).is_err());
-        assert!(Column::from_data(DataType::Int32, ColumnData::I64(vec![1])).is_err());
-        let narrow = Column::from_data(DataType::Int64, ColumnData::I16(vec![1, 300])).unwrap();
-        assert_eq!((narrow.plain_bytes(), narrow.physical_bytes()), (16, 4));
-        let wide = |v| Column::from_data(DataType::decimal(2), ColumnData::I64(vec![v]));
+        assert!(Column::from_payloads(DataType::Int32, &[1i64 << 31]).is_err());
+        let narrow = Column::from_payloads(DataType::Int64, &[1i64, 300]).unwrap();
+        assert_eq!((narrow.plain_bytes(), narrow.physical_bytes()), (16, 3));
+        let wide = |v: i64| Column::from_payloads(DataType::decimal(2), &[v]);
         assert!(wide(10i64.pow(18) - 1).is_ok() && wide(10i64.pow(18)).is_err());
-        assert!(Column::from_data(DataType::Date, ColumnData::I32(vec![])).is_ok());
-        assert!(Column::from_data(DataType::Str, ColumnData::I32(vec![0])).is_err());
+        assert!(Column::from_payloads::<i32>(DataType::Date, &[]).is_ok());
+        assert!(Column::from_payloads(DataType::Str, &[0i32]).is_err());
+        // The fill: a domain no Int32 holds, and a row past the stated one.
+        let of = |lo, hi| [Slot::Of(Logical::Plain(DataType::Int32), lo, hi)];
+        let rows = |r: &mut i64| {
+            *r += 1;
+            [*r]
+        };
+        let err = Column::fill(of(0, 1 << 31), 3, 1, |_| 0, rows).unwrap_err();
+        assert!(err.to_string().contains("no domain"), "{err}");
+        let err = Column::fill(of(1, 2), 3, 1, |_| 0, rows).unwrap_err();
+        assert!(err.to_string().contains("payload 3 outside"), "{err}");
+        let [c] = Column::fill(of(-5, 1000), 3, 1, |_| 0, rows).unwrap();
+        assert_eq!((c.payloads(), c.physical_bytes()), (vec![1, 2, 3], 1));
     }
 
-    /// `from_decimals` enforces the precision it names — on the narrow
-    /// path (the parent only asked whether the payload fits `i32`) and on
-    /// the wide one (the parent asked nothing).
+    /// A stated domain whose frame is below the rows' but whose width is
+    /// theirs is fixed by one subtraction in place: the words are the ones
+    /// a fill over the rows' own extrema packs, at widths 3 to 63 and in
+    /// one piece or three.
     #[test]
-    fn from_decimals_enforces_its_precision() {
+    fn a_frame_shift_at_the_same_width_subtracts_in_place() {
+        let mut rng = bwd_types::SplitMix64::new(7);
+        for width in [3, 7, 21, 32, 33, 63] {
+            let (lo, span) = (-(1i64 << 40), ((1u64 << width) - 4) as i64);
+            let mut rows: Vec<i64> = (0..5_000)
+                .map(|_| lo + rng.below(span as u64) as i64)
+                .collect();
+            (rows[0], rows[4_999]) = (lo, lo + span);
+            let exact = Column::from_payloads(DataType::Int64, &rows).unwrap();
+            for chunks in [1, 3] {
+                let slot = [Slot::Of(Logical::Plain(DataType::Int64), lo - 3, lo + span)];
+                let row = |r: &mut usize| {
+                    *r += 1;
+                    [rows[*r - 1]]
+                };
+                let [c] = Column::fill(slot, rows.len(), chunks, |at| at.start, row).unwrap();
+                assert_eq!(c.split.meta(), exact.split.meta(), "{width} bits");
+                assert_eq!(c.split.approx(), exact.split.approx(), "{width} bits");
+                assert_eq!(c.payloads(), rows, "{width} bits");
+            }
+        }
+    }
+
+    /// `from_payloads` enforces the precision it names — on the narrow
+    /// path and on the wide one.
+    #[test]
+    fn from_payloads_enforces_its_precision() {
+        let decimal = |precision, scale| DataType::Decimal { precision, scale };
         for (v, precision, scale) in [(999_999_999, 8, 5), (10i64.pow(14), 12, 2)] {
             for v in [v, -v] {
-                let err = Column::from_decimals(vec![0, v], precision, scale).unwrap_err();
+                let err = Column::from_payloads(decimal(precision, scale), &[0, v]).unwrap_err();
                 assert!(matches!(err, BwdError::InvalidArgument(_)), "{err}");
                 assert!(err.to_string().contains("exceeds precision"), "{err}");
             }
         }
-        assert!(Column::from_decimals(vec![99_999_999, -99_999_999], 8, 5).is_ok());
-        assert!(Column::from_decimals(vec![10i64.pow(12) - 1], 12, 2).is_ok());
-        assert!(Column::from_decimals(vec![], 1, 0).is_ok());
+        assert!(Column::from_payloads(decimal(8, 5), &[99_999_999i64, -99_999_999]).is_ok());
+        assert!(Column::from_payloads(decimal(12, 2), &[10i64.pow(12) - 1]).is_ok());
+        assert!(Column::from_payloads::<i64>(decimal(1, 0), &[]).is_ok());
     }
 
     /// No state of a `Column` panics on its accessors: a string column
@@ -1199,7 +941,7 @@ mod tests {
     /// for a string is a typed error.
     #[test]
     fn a_string_column_is_its_dictionary() {
-        let s = Column::from_codes(&["b", "a"], vec![0i8, 1, 0]).unwrap();
+        let s = Column::from_strings(&["b", "a", "b"]);
         assert_eq!(s.dtype(), DataType::Str);
         assert_eq!(s.logical().value(s.payload(0)), Value::Str("b".into()));
         assert_eq!(s.payload_of_value(&Value::Str("a".into())).unwrap(), 0);
@@ -1213,7 +955,7 @@ mod tests {
         ));
         for plain in [
             Column::from_i32(vec![1]),
-            Column::from_data(DataType::Bool, ColumnData::I8(vec![1])).unwrap(),
+            Column::from_payloads(DataType::Bool, &[1i8]).unwrap(),
         ] {
             assert!(plain.dictionary().is_none());
             assert!(matches!(
@@ -1223,15 +965,10 @@ mod tests {
         }
     }
 
-    /// Where a column's payloads live.
-    fn address(c: &Column) -> usize {
-        with_slice!(&*c.plain(), rows => rows.as_ptr() as usize)
-    }
-
-    /// The extrema and the narrowed storage do not depend on the pieces
-    /// they are found and written in: every pair of width boundaries as
-    /// extrema, the least in the last piece and the greatest in the first,
-    /// from `i64` and, where they fit, from `i32` input.
+    /// The extrema, the re-pack and the words do not depend on the pieces
+    /// a fill packs in: every pair of byte-width boundaries as extrema, the
+    /// least in the last piece and the greatest in the first, stated as
+    /// they are and stated as the type's whole domain.
     #[test]
     fn the_constructor_is_the_same_in_any_pieces() {
         let mut rng = bwd_types::SplitMix64::new(41);
@@ -1242,157 +979,84 @@ mod tests {
                     .map(|_| lo.wrapping_add(rng.below(span) as i64))
                     .collect();
                 (rows[10], rows[4_990]) = (hi, lo);
-                let i32s = i32::try_from(lo).and(i32::try_from(hi)).is_ok();
-                let inputs = [
-                    Some(ColumnData::I64(rows.clone())),
-                    i32s.then(|| ColumnData::I32(rows.iter().map(|&v| v as i32).collect())),
-                ];
-                for data in inputs.into_iter().flatten() {
+                for stated in [(lo, hi), (i64::MIN + 1, i64::MAX)] {
                     let build = |chunks| {
-                        let logical = Logical::Plain(DataType::Int64);
-                        Column::new_in(logical, chunks, data.clone())
+                        let slot = [Slot::Of(
+                            Logical::Plain(DataType::Int64),
+                            stated.0,
+                            stated.1,
+                        )];
+                        let row = |r: &mut usize| {
+                            *r += 1;
+                            [rows[*r - 1]]
+                        };
+                        let [c] =
+                            Column::fill(slot, rows.len(), chunks, |at| at.start, row).unwrap();
+                        c
                     };
                     let one = build(1);
                     assert_eq!(one.payload_min_max(), Some((lo, hi)), "case {i}");
+                    assert_eq!(one.payloads(), rows, "case {i}");
                     for chunks in [2, 3, 7] {
                         let c = build(chunks);
-                        assert_eq!(c.payload_min_max(), one.payload_min_max());
-                        assert_eq!(c.plain(), one.plain(), "{lo}..={hi}, {chunks} pieces");
+                        assert_eq!(c.split.meta(), one.split.meta());
+                        assert_eq!(
+                            c.split.approx(),
+                            one.split.approx(),
+                            "{lo}..={hi}, {chunks} pieces"
+                        );
                     }
                 }
             }
         }
     }
 
-    /// After every public constructor the stored width is the narrowest
-    /// that holds the extrema — whatever width the values arrived in.
+    /// After every public constructor a column holds the bits its extrema
+    /// need — whatever type the values arrived as —, and string codes the
+    /// bits of their dictionary's size.
     #[test]
-    fn every_constructor_stores_the_narrowest_width() {
+    fn every_constructor_stores_its_domains_bits() {
         let check = |c: Column, lo: i64, hi: i64, how: &str| {
             let tag = format!("{how} over {lo}..={hi}");
             assert_eq!(c.payload_min_max(), Some((lo, hi)), "{tag}");
-            assert_eq!(c.plain().width(), needs(lo, hi), "{tag}");
-            assert_eq!(c.physical_bytes(), 3 * needs(lo, hi), "{tag}");
+            let bits = 3 * needs(c.dtype(), lo, hi) as u64;
+            assert_eq!(c.physical_bytes(), bits.div_ceil(8), "{tag}");
             assert_eq!(c.plain_bytes(), 3 * c.dtype().plain_width(), "{tag}");
             assert_eq!(c.payloads(), [lo, hi, lo], "{tag}");
         };
-        let decimal = DataType::Decimal {
-            precision: 12,
-            scale: 2,
-        };
         for lo in BOUNDARIES {
             for hi in BOUNDARIES.into_iter().filter(|&hi| lo <= hi) {
-                let rows = vec![lo, hi, lo];
-                check(Column::from_i64(rows.clone()), lo, hi, "from_i64");
-                let data = ColumnData::I64(rows.clone());
+                let rows = [lo, hi, lo];
                 check(
-                    Column::from_data(DataType::Int64, data).unwrap(),
+                    Column::from_payloads(DataType::Int64, &rows).unwrap(),
                     lo,
                     hi,
-                    "from_data",
+                    "i64",
                 );
                 if hi < 10i64.pow(12) && lo > -(10i64.pow(12)) {
-                    let c = Column::from_decimals(rows.clone(), 12, 2).unwrap();
-                    assert_eq!(c.dtype(), decimal);
-                    check(c, lo, hi, "from_decimals");
+                    let c = Column::from_payloads(DataType::decimal(2), &rows).unwrap();
+                    check(c, lo, hi, "decimal");
                 }
                 let (Ok(lo32), Ok(hi32)) = (i32::try_from(lo), i32::try_from(hi)) else {
                     continue;
                 };
-                let rows = vec![lo32, hi32, lo32];
-                check(Column::from_i32(rows.clone()), lo, hi, "from_i32");
-                let dates = rows.iter().map(|&d| Date(d)).collect();
-                check(Column::from_dates(dates), lo, hi, "from_dates");
+                check(Column::from_i32(vec![lo32, hi32, lo32]), lo, hi, "from_i32");
+                let dates = Column::from_payloads(DataType::Date, &[lo32, hi32, lo32]).unwrap();
+                check(dates, lo, hi, "dates");
             }
         }
-        // String codes: the width follows the dictionary, not the codes'.
-        let strings = [
-            (1, 1),
-            (128, 1),
-            (129, 2),
-            (32_768, 2),
-            (32_769, 2),
-            (65_536, 2),
-            (65_537, 3),
-        ];
-        for (distinct, width) in strings {
+        // String codes: the bits follow the dictionary.
+        for (distinct, bits) in [(1, 0), (2, 1), (128, 7), (129, 8), (65_537, 17)] {
             let vocab: Vec<String> = (0..distinct).map(|i| format!("{i:05}")).collect();
-            let spelled = Column::from_strings(&vocab);
-            let coded = Column::from_codes(&vocab, (0..distinct).collect()).unwrap();
-            for c in [spelled, coded] {
-                assert_eq!(c.plain().width(), width, "{distinct} strings");
-                assert_eq!(c.payload_min_max(), Some((0, distinct as i64 - 1)));
-            }
+            let c = Column::from_strings(&vocab);
+            assert_eq!(c.split.meta().stored_width(), bits, "{distinct} strings");
+            assert_eq!(c.payload_min_max(), Some((0, distinct as i64 - 1)));
         }
         for empty in [
-            Column::from_i64(vec![]),
+            Column::from_payloads::<i64>(DataType::Int64, &[]).unwrap(),
             Column::from_strings::<&str>(&[]),
-            Column::from_decimals(vec![], 12, 2).unwrap(),
         ] {
-            assert_eq!((empty.plain().width(), empty.payload_min_max()), (1, None));
-        }
-    }
-
-    /// Storage that arrives in the narrowest width moves in uncopied, in
-    /// all six widths and through every constructor that takes a vector.
-    #[test]
-    fn narrowest_storage_moves_in_uncopied() {
-        fn moved<T: Payload>(rows: Vec<T>, build: impl FnOnce(Vec<T>) -> Column) {
-            let at = rows.as_ptr() as usize;
-            let c = build(rows);
-            assert_eq!(c.plain().width() as usize, std::mem::size_of::<T>());
-            assert_eq!(
-                address(&c),
-                at,
-                "{}-byte storage was copied",
-                c.plain().width()
-            );
-        }
-        let date = |data: ColumnData| Column::from_data(DataType::Date, data).unwrap();
-        moved(vec![-128i8, 127], |v| date(v.into()));
-        moved(vec![-129i16, 0], |v| date(v.into()));
-        moved(vec![0u16, 65_535], |v| date(v.into()));
-        let i24s = vec![I24::cut(I24::MIN), I24::cut(32_768)];
-        moved(i24s, |v| date(v.into()));
-        moved(vec![0i32, I24::MAX as i32 + 1], |v| date(v.into()));
-        moved(vec![0i32, I24::MAX as i32 + 1], Column::from_i32);
-        moved(vec![i32::MIN as i64 - 1, 0], Column::from_i64);
-        moved(vec![1i64 << 40], |v| {
-            Column::from_decimals(v, 15, 2).unwrap()
-        });
-        moved(vec![1i64 << 40], |v| {
-            Column::from_data(DataType::decimal(2), v.into()).unwrap()
-        });
-        moved(vec![1i8, 0, 1], |v| {
-            Column::from_codes(&["x", "y"], v).unwrap()
-        });
-        // And what is not narrowest is re-packed: a new, smaller home.
-        let wide = vec![5i64; 1000];
-        let at = wide.as_ptr() as usize;
-        let c = Column::from_i64(wide);
-        assert_eq!((c.plain().width(), c.physical_bytes()), (1, 1000));
-        assert_ne!(address(&c), at);
-        // Where two widths tie, signed comes first: one column, one storage.
-        let c = date(ColumnData::U16(vec![0, 32_767]));
-        assert_eq!(*c.plain(), ColumnData::I16(vec![0, 32_767]));
-    }
-
-    /// An [`I24`] is its value in three bytes: every boundary survives the
-    /// round trip, and the order is the values' order.
-    #[test]
-    fn an_i24_is_three_bytes_of_its_value() {
-        assert_eq!(std::mem::size_of::<I24>(), 3);
-        assert_eq!(
-            std::mem::size_of::<Vec<I24>>(),
-            std::mem::size_of::<Vec<i32>>()
-        );
-        let edges = [I24::MIN, I24::MIN + 1, -32_769, -1, 0, 1, 65_536, I24::MAX];
-        for (i, &v) in edges.iter().enumerate() {
-            assert_eq!(i64::from(I24::cut(v)), v);
-            assert_eq!(format!("{:?}", I24::cut(v)), v.to_string());
-            for &w in &edges[i..] {
-                assert_eq!(I24::cut(v).cmp(&I24::cut(w)), v.cmp(&w), "{v} vs {w}");
-            }
+            assert_eq!((empty.physical_bytes(), empty.payload_min_max()), (0, None));
         }
     }
 
@@ -1439,31 +1103,45 @@ mod tests {
         }
     }
 
+    /// A fill's codes slot is the column `from_strings` builds from the
+    /// spelled-out rows: the dictionary holds the entries some row uses,
+    /// and each code is re-coded to its rank there, in any pieces.
     #[test]
-    fn from_codes_equals_from_strings_of_the_spelled_out_rows() {
+    fn a_codes_slot_equals_from_strings_of_the_spelled_out_rows() {
         // Unordered, with a repeat and an entry no row uses.
         let vocab = ["R", "A", "N", "A", "unused"];
-        let codes = vec![2, 0, 0, 1, 3, 2, 0];
+        let codes: Vec<i64> = (0..3_000).map(|i| [2, 0, 0, 1, 3, 2, 0][i % 7]).collect();
         let spelled: Vec<&str> = codes.iter().map(|&c| vocab[c as usize]).collect();
         let strings = Column::from_strings(&spelled);
-        // Codes of any width, against a vocabulary of any size, end as the
-        // same bytes: three strings need one.
-        let narrow: Vec<i8> = codes.iter().map(|&c| c as i8).collect();
-        let wide: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
-        for coded in [
-            Column::from_codes(&vocab, codes).unwrap(),
-            Column::from_codes(&vocab, narrow).unwrap(),
-            Column::from_codes(&vocab, wide).unwrap(),
-        ] {
-            assert_eq!(coded.plain(), strings.plain());
-            assert_eq!(*coded.plain(), ColumnData::I8(vec![1, 2, 2, 0, 0, 1, 2]));
+        for chunks in [1, 3] {
+            let row = |r: &mut usize| {
+                *r += 1;
+                [codes[*r - 1]]
+            };
+            let [coded] = Column::fill(
+                [Slot::Codes(&vocab)],
+                codes.len(),
+                chunks,
+                |at| at.start,
+                row,
+            )
+            .unwrap();
+            assert_eq!(coded.split.meta(), strings.split.meta());
+            assert_eq!(coded.split.approx(), strings.split.approx());
+            assert_eq!(coded.payloads()[..7], [1, 2, 2, 0, 0, 1, 2]);
             assert_eq!(coded.dictionary(), strings.dictionary());
             assert_eq!(coded.dictionary().unwrap().values.len(), 3);
         }
-        assert!(Column::from_codes(&vocab, vec![0, 5]).is_err());
-        assert!(Column::from_codes(&vocab, vec![-1]).is_err());
-        assert!(Column::from_codes(&vocab, vec![0i64, 1 << 32]).is_err());
-        let none = Column::from_codes(&vocab, Vec::<i32>::new()).unwrap();
+        let codes = |vals: &'static [i64]| {
+            let row = move |r: &mut usize| {
+                *r += 1;
+                [vals[*r - 1]]
+            };
+            Column::fill([Slot::Codes(&vocab)], vals.len(), 1, |at| at.start, row)
+        };
+        assert!(codes(&[0, 5]).is_err());
+        assert!(codes(&[-1]).is_err());
+        let [none] = codes(&[]).unwrap();
         assert!(none.dictionary().unwrap().values.is_empty());
     }
 }

@@ -23,9 +23,9 @@
 //! moves the approximation into device memory — see
 //! `DecomposedColumn::into_parts`.
 
-use crate::bitpack::{BitPackedVec, PackCursor, DECODE_BLOCK};
-use crate::column::extrema;
+use crate::bitpack::{unpack, words_for, BitPackedVec, DECODE_BLOCK};
 use crate::encoding::{decode, encode, encoded_bounds, physical_bits};
+use crate::pages::release;
 use crate::pieces::{chunk_count, cuts, in_pieces};
 use crate::prefix::{OutOfRange, PrefixBase, PrefixGranularity};
 use bwd_types::bits::{low_mask, split_bits};
@@ -118,6 +118,12 @@ impl DecompositionMeta {
     #[inline]
     pub fn dtype(&self) -> DataType {
         self.dtype
+    }
+
+    /// Subtracted from every encoded value before splitting.
+    #[inline]
+    pub(crate) fn frame(&self) -> u64 {
+        self.frame
     }
 
     /// Residual width in bits (0 means fully device-resident).
@@ -219,37 +225,28 @@ pub struct DecomposedColumn {
     residual: Arc<BitPackedVec>,
 }
 
-/// Pack both partitions of `rows` through one cursor each, reading the
-/// rows' encoded values a [`DECODE_BLOCK`] at a time, in order, through
-/// `fill(first row, out)`. `rows` starts on a block boundary, so both
-/// cursors start on a word boundary.
-fn pack(
+/// Encoded values of rows `start..start + out.len()` of the split `meta`
+/// describes, from its two runs' words and widths: both decoded a
+/// [`DECODE_BLOCK`] at a time, word by word, and concatenated.
+fn decode_parts(
     meta: &DecompositionMeta,
-    mut fill: impl FnMut(usize, &mut [u64]),
-    rows: Range<usize>,
-    mut approx: PackCursor,
-    mut residual: PackCursor,
+    approx: (&[u64], u32),
+    residual: (&[u64], u32),
+    start: usize,
+    out: &mut [u64],
 ) {
-    let (frame, resbits, prefix) = (meta.frame, meta.resbits, meta.prefix);
-    let mut block = [0u64; DECODE_BLOCK];
-    for at in rows.clone().step_by(DECODE_BLOCK) {
-        let block = &mut block[..DECODE_BLOCK.min(rows.end - at)];
-        fill(at, block);
-        if resbits == 0 {
-            // All on the device: no residual bit to cut.
-            for &e in block.iter() {
-                approx.push(prefix.compress(e - frame));
-            }
-            continue;
-        }
-        for &e in block.iter() {
-            let (major, minor) = split_bits(e - frame, resbits);
-            approx.push(prefix.compress(major));
-            residual.push(minor);
+    // `encoded_of_parts`, its prefix branch taken once: a stored value is
+    // below `2^stored_width`, so or-ing the prefix restores it.
+    let high = meta.prefix.decompress(0);
+    let mut res = [0u64; DECODE_BLOCK];
+    for (k, out) in out.chunks_mut(DECODE_BLOCK).enumerate() {
+        let at = start + k * DECODE_BLOCK;
+        unpack(approx.0, approx.1, at, out);
+        unpack(residual.0, residual.1, at, &mut res[..out.len()]);
+        for (e, &r) in out.iter_mut().zip(&res) {
+            *e = (((*e | high) << meta.resbits) | r) + meta.frame;
         }
     }
-    approx.finish();
-    residual.finish();
 }
 
 /// The decomposition by `meta` of `len` rows, packed in the pieces
@@ -269,8 +266,23 @@ pub(crate) fn split<F: FnMut(usize, &mut [u64]) + Send>(
             let (a, r) = (a.take_rows(rows.len()), r.take_rows(rows.len()));
             (reader(rows.clone()), rows, a, r)
         });
-        in_pieces(pieces, |(fill, rows, a, r)| {
-            pack(meta_ref, fill, rows, a, r)
+        // Each piece packs both partitions through one cursor each, reading
+        // its rows' encoded values a block at a time: a piece starts on a
+        // block boundary, so both cursors start on a word boundary.
+        in_pieces(pieces, |(mut fill, rows, mut a, mut r)| {
+            let (frame, resbits, prefix) = (meta_ref.frame, meta_ref.resbits, meta_ref.prefix);
+            let mut block = [0u64; DECODE_BLOCK];
+            for at in rows.clone().step_by(DECODE_BLOCK) {
+                let block = &mut block[..DECODE_BLOCK.min(rows.end - at)];
+                fill(at, block);
+                for &e in block.iter() {
+                    let (major, minor) = split_bits(e - frame, resbits);
+                    a.push(prefix.compress(major));
+                    r.push(minor);
+                }
+            }
+            a.finish();
+            r.finish();
         });
         Ok::<_, Infallible>(())
     });
@@ -288,9 +300,59 @@ impl DecomposedColumn {
             let rows = out.iter_mut().zip(&payloads[at..]);
             rows.for_each(|(e, &p)| *e = encode(p, dtype));
         };
-        let meta = DecompositionMeta::new(dtype, extrema(payloads), spec);
+        let extrema = payloads.iter().fold(None, |e: Option<(i64, i64)>, &p| {
+            Some(e.map_or((p, p), |(lo, hi)| (lo.min(p), hi.max(p))))
+        });
+        let meta = DecompositionMeta::new(dtype, extrema, spec);
         let (n, chunks) = (payloads.len(), chunk_count(payloads.len()));
         Ok(split(meta, n, chunks, |_| fill))
+    }
+
+    /// The split `meta` describes, held in these two runs.
+    pub(crate) fn new(meta: DecompositionMeta, approx: BitPackedVec, res: BitPackedVec) -> Self {
+        let (approx, residual) = (Arc::new(approx), Arc::new(res));
+        DecomposedColumn {
+            meta,
+            approx,
+            residual,
+        }
+    }
+
+    /// These rows split by `meta`, packed in `chunks` pieces: the split
+    /// itself where it is that split already — no word packed —, else a
+    /// new one, block by block from these runs. Runs held here alone hand
+    /// back each granule their pieces have read; shared ones are read in
+    /// place.
+    pub(crate) fn resplit(mut self, meta: DecompositionMeta, chunks: usize) -> Self {
+        if meta == self.meta {
+            return self;
+        }
+        let (old, len) = (self.meta, self.len());
+        let (a, r) = (self.approx.width(), self.residual.width());
+        let (Some(approx), Some(residual)) = (
+            Arc::get_mut(&mut self.approx),
+            Arc::get_mut(&mut self.residual),
+        ) else {
+            return split(meta, len, chunks, |_| {
+                |at, out: &mut [u64]| self.encoded_range(at, out)
+            });
+        };
+        let mut rest = (&mut approx.words[..], &mut residual.words[..]);
+        split(meta, len, chunks, |piece| {
+            let (approx, a_rest) =
+                std::mem::take(&mut rest.0).split_at_mut(words_for(a, piece.len()));
+            let (residual, r_rest) =
+                std::mem::take(&mut rest.1).split_at_mut(words_for(r, piece.len()));
+            rest = (a_rest, r_rest);
+            move |at: usize, out: &mut [u64]| {
+                let (from, to) = (at - piece.start, at - piece.start + out.len());
+                decode_parts(&old, (approx, a), (residual, r), from, out);
+                for (words, width) in [(&mut *approx, a), (&mut *residual, r)] {
+                    let read = words_for(width, to);
+                    release(&mut words[..read], read - words_for(width, from));
+                }
+            }
+        })
     }
 
     /// The translation metadata.
@@ -346,18 +408,15 @@ impl DecomposedColumn {
     /// decoded a [`DECODE_BLOCK`] at a time, word by word, and
     /// concatenated.
     pub fn encoded_range(&self, start: usize, out: &mut [u64]) {
-        // `encoded_of_parts`, its prefix branch taken once: a stored value
-        // is below `2^stored_width`, so or-ing the prefix restores it.
-        let (high, meta) = (self.meta.prefix.decompress(0), &self.meta);
-        let mut res = [0u64; DECODE_BLOCK];
-        for (k, out) in out.chunks_mut(DECODE_BLOCK).enumerate() {
-            let at = start + k * DECODE_BLOCK;
-            self.approx.unpack_range(at, out);
-            self.residual.unpack_range(at, &mut res[..out.len()]);
-            for (e, &r) in out.iter_mut().zip(&res) {
-                *e = (((*e | high) << meta.resbits) | r) + meta.frame;
-            }
-        }
+        let n = out.len();
+        assert!(
+            start + n <= self.len(),
+            "rows {start}.. +{n} past {}",
+            self.len()
+        );
+        let (approx, residual) = (&self.approx, &self.residual);
+        let parts = [approx, residual].map(|run| (run.words(), run.width()));
+        decode_parts(&self.meta, parts[0], parts[1], start, out);
     }
 
     /// See [`DecompositionMeta::stored_bounds_payload`].
@@ -389,9 +448,10 @@ impl DecomposedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::{width_cases, Column, Storage, GRANULE, I24};
+    use crate::bitpack::tests::Pushed;
+    use crate::column::{width_cases, Column};
+    use crate::pages::GRANULE;
     use crate::pieces::PARALLEL_ROWS;
-    use crate::ColumnData;
     use proptest::prelude::*;
 
     /// Exact payload of row `i`.
@@ -439,13 +499,14 @@ mod tests {
         let max_norm = max_enc - frame;
         let extrema_majors = [(min_enc - frame) >> resbits, max_norm >> resbits];
         let prefix = PrefixBase::analyze(&extrema_majors, w - resbits, spec.granularity);
-        let mut approx = BitPackedVec::new(prefix.stored_width());
-        let mut residual = BitPackedVec::new(resbits);
+        let mut approx = Pushed::new(prefix.stored_width());
+        let mut residual = Pushed::new(resbits);
         for &p in payloads {
             let norm = encode(p, dtype) - frame;
             approx.push(prefix.compress(norm >> resbits));
             residual.push(norm & low_mask(resbits));
         }
+        let (approx, residual) = (approx.done(), residual.done());
         Partitions {
             meta: DecompositionMeta {
                 dtype,
@@ -513,11 +574,11 @@ mod tests {
                 Column::from_strings(&rows)
             }
             _ if dtype.plain_width() == 8 => {
-                Column::from_data(dtype, ColumnData::I64((0..len).map(draw).collect())).unwrap()
+                Column::from_payloads(dtype, &(0..len).map(draw).collect::<Vec<_>>()).unwrap()
             }
             _ => {
-                let narrow = (0..len).map(|i| draw(i) as i32).collect();
-                Column::from_data(dtype, ColumnData::I32(narrow)).unwrap()
+                let narrow: Vec<i32> = (0..len).map(|i| draw(i) as i32).collect();
+                Column::from_payloads(dtype, &narrow).unwrap()
             }
         }
     }
@@ -565,8 +626,8 @@ mod tests {
                             for col in [&col, &split] {
                                 let case = format!("{case} chunks={chunks}");
                                 // Read in place beside a clone that holds
-                                // it, and consumed — a plain column's pages
-                                // handed back as read — held nowhere else.
+                                // it, and consumed — its pages handed
+                                // back as read — held nowhere else.
                                 for col in [col.clone(), width_cases::unshared(col)] {
                                     let got = split_in(col, spec, chunks);
                                     assert_is_the_partition(&got, &oracle, &payloads, &case);
@@ -582,17 +643,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// The split is the partition, and width is invisible to it: a
-        /// column of any type (a dictionary's codes among them) stored in
-        /// 1, 2 (signed or not), 3, 4 or 8 bytes (negative, empty, one row,
-        /// extrema on the width boundaries — ±2^15, 2^16, ±2^23 among
-        /// them), built from wide or from narrow input, splits at 0, 1, 8
-        /// and w − 1 residual bits, with and without a frame, in one piece
-        /// and in three, into the words of both partitions the push loop
-        /// packs from the widened payloads — and so does the catalog's
-        /// split form of it, re-split by the next spec, and so the type,
-        /// extrema, dictionary and payloads of that form are the plain
-        /// column's.
+        /// The split is the partition, and the route a column came by is
+        /// invisible to it: a column of any type (a dictionary's codes
+        /// among them; negative, empty, one row, extrema on the byte-width
+        /// boundaries — ±2^15, 2^16, ±2^23 among them), packed from a slice
+        /// or over a wider stated domain, splits at 0, 1, 8 and w − 1
+        /// residual bits, with and without a frame, in one piece and in
+        /// three, into the words of both partitions the push loop packs
+        /// from the widened payloads — and so does the split form of it,
+        /// re-split by the next spec, and so the type, extrema, dictionary
+        /// and payloads of that form are the column's.
         #[test]
         fn the_split_is_the_partition_at_every_width(
             ty in 0usize..width_cases::TYPES.len(),
@@ -613,20 +673,18 @@ mod tests {
             for (k, spec) in specs.iter().enumerate() {
                 let want = decompose_by_pushing(&case.payloads, case.dtype, spec);
                 for col in [&case.wide, &case.narrow] {
-                    let tag = format!("{} {}-byte {spec:?}", case.dtype, col.plain().width());
+                    let tag = format!("{} {} B {spec:?}", case.dtype, col.physical_bytes());
                     // In place beside a clone, and consumed alone.
                     for (chunks, col) in [(1, col.clone()), (3, width_cases::unshared(col))] {
                         let got = split_in(col, spec, chunks);
                         assert_is_the_partition(&got, &want, &case.payloads, &tag);
                     }
                     let split = col.clone().decompose(&specs[(k + 1) % specs.len()]).unwrap();
-                    prop_assert!(matches!(split.storage(), Storage::Split(_)), "{}", tag);
                     prop_assert_eq!(split.dtype(), col.dtype(), "{}", tag);
                     prop_assert_eq!(split.len(), col.len(), "{}", tag);
                     prop_assert_eq!(split.payload_min_max(), col.payload_min_max(), "{}", tag);
                     prop_assert_eq!(split.dictionary(), col.dictionary(), "{}", tag);
                     prop_assert_eq!(split.payloads(), case.payloads.clone(), "{}", tag);
-                    prop_assert_eq!(split.plain(), col.plain(), "{}", tag);
                     let got = split_in(split, spec, 3);
                     assert_is_the_partition(&got, &want, &case.payloads, &format!("re-split {tag}"));
                 }
@@ -634,55 +692,52 @@ mod tests {
         }
     }
 
-    /// Handing a plain column's pages back as they are packed changes no
-    /// word, and touches no storage another handle holds: at every storage
-    /// width, at lengths around a block, ending inside a granule past the
-    /// first and fanned out over pieces, a column held nowhere else splits
-    /// — meta and every word of both partitions — as one whose clone is
-    /// held, and the held clone still reads back its input.
+    /// Handing a column's pages back as they are re-packed changes no
+    /// word, and touches no run another handle holds: at domains of 8, 16,
+    /// 24, 32 and 41 bits, at lengths around a block, ending inside a
+    /// granule past the first and fanned out over pieces, a column held
+    /// nowhere else splits — meta and every word of both partitions — as
+    /// one whose clone is held, and the held clone still reads back its
+    /// input. A split the column holds already is the column itself.
     #[test]
     fn the_release_never_touches_shared_storage() {
         let mut rng = bwd_types::SplitMix64::new(0x5EED);
-        // The least and greatest value of i8, i16, u16, I24, i32 and i64
-        // storage, and its bytes.
-        let widths = [
-            (-128, 127, 1),
-            (-32_768, 32_767, 2),
-            (0, 65_535, 2),
-            (I24::MIN, I24::MAX, 3),
-            (i32::MIN as i64, i32::MAX as i64, 4),
-            (-(1 << 40), 1 << 40, 8),
+        let domains = [
+            (-128, 127),
+            (-32_768, 32_767),
+            (0, 65_535),
+            (-(1 << 23), (1 << 23) - 1),
+            (i32::MIN as i64, i32::MAX as i64),
+            (-(1 << 40), 1 << 40),
         ];
         let specs = [
             DecompositionSpec::all_device(),
             DecompositionSpec::with_device_bits(24),
             DecompositionSpec::with_device_bits(8),
         ];
-        for (lo, hi, bytes) in widths {
-            let mid_granule = (GRANULE + GRANULE / 2) / bytes + 1;
+        for (lo, hi) in domains {
+            let bits = 64 - (hi - lo).leading_zeros() as usize;
+            let mid_granule = (GRANULE + GRANULE / 2) * 8 / bits + 1;
             for len in [0, 1, 63, 64, 65, mid_granule, (1 << 20) + 4097] {
                 let draws = (2..len).map(|_| lo + rng.below((hi - lo) as u64) as i64);
                 let input: Vec<i64> = [lo, hi].into_iter().chain(draws).take(len).collect();
-                let build = || match bytes {
-                    8 => Column::from_i64(input.clone()),
-                    _ => Column::from_i32(input.iter().map(|&v| v as i32).collect()),
-                };
-                if len > 1 {
-                    assert_eq!(build().plain().width(), bytes as u64);
-                }
+                let build = || Column::from_payloads(DataType::Int64, &input).unwrap();
                 let held = build();
                 let chunks = if len > PARALLEL_ROWS { 3 } else { 1 };
                 for spec in &specs {
-                    let tag = format!("{bytes} B × {len} rows {spec:?}");
+                    let tag = format!("{bits} bits × {len} rows {spec:?}");
                     let shared = held.clone().decompose_in(spec, chunks).unwrap();
                     let alone = build().decompose_in(spec, chunks).unwrap();
                     let (shared, alone) = (shared.split().unwrap(), alone.split().unwrap());
                     assert_eq!(alone.meta(), shared.meta(), "{tag}");
                     assert_eq!(alone.approx(), shared.approx(), "{tag}");
                     assert_eq!(alone.residual(), shared.residual(), "{tag}");
+                    let same = *spec == DecompositionSpec::all_device();
+                    let kept = std::ptr::eq(shared.approx(), held.split().unwrap().approx());
+                    assert_eq!(kept, same, "{tag}: shared iff the split is held already");
                 }
-                assert!(matches!(held.storage(), Storage::Plain(_)));
-                assert_eq!(held.payloads(), input, "{bytes} B × {len} rows");
+                assert!(held.split().unwrap().meta().fully_device_resident());
+                assert_eq!(held.payloads(), input, "{bits} bits × {len} rows");
             }
         }
     }

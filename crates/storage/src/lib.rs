@@ -15,7 +15,9 @@
 //! * [`mod@column`] — full-resolution persistent columns and ordered string
 //!   dictionaries;
 //! * [`pieces`] — the one way a long pass runs on every core: contiguous
-//!   pieces of rows, each written into its own part of one output buffer.
+//!   pieces of rows, each written into its own part of one output buffer;
+//! * [`pages`] — the backing words of a packed run, in pages of their own
+//!   from a granule up.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitpack;
@@ -23,12 +25,13 @@ pub mod column;
 pub mod decompose;
 pub mod encoding;
 pub mod lanes;
+pub mod pages;
 pub mod pieces;
 pub mod prefix;
 pub mod swar;
 
 pub use bitpack::{BitPackedVec, BlockDecoder, DECODE_BLOCK};
-pub use column::{Column, ColumnData, Dictionary, Logical, Payload, Storage, I24};
+pub use column::{Column, Dictionary, Logical, Slot};
 pub use decompose::{DecomposedColumn, DecompositionMeta, DecompositionSpec};
 pub use lanes::{LaneParams, U64x4, U64x8, U64xN};
 pub use prefix::{OutOfRange, PrefixBase, PrefixGranularity};

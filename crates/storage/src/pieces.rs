@@ -1,7 +1,8 @@
 //! One way a long pass runs on every core: `cuts` cuts its rows into
 //! pieces, [`in_pieces`] works them on scoped threads, the last on the
-//! calling thread, and [`Row::fill`] writes each piece's rows into each
-//! output's one buffer. One piece is the serial pass: it spawns nothing.
+//! calling thread, and each piece writes its rows into its own part of
+//! each output's one run ([`crate::Column::fill`]). One piece is the
+//! serial pass: it spawns nothing.
 
 use crate::bitpack::DECODE_BLOCK;
 use std::ops::Range;
@@ -48,84 +49,22 @@ pub fn in_pieces<P: Send, R: Send>(
     })
 }
 
-/// A row of outputs — a tuple, one value each — filled into one buffer an
-/// output.
-pub trait Row: Sized {
-    /// The outputs.
-    type Vecs;
-    /// `len` rows in the pieces `pieces` yields, front to back — each its
-    /// row count and the state `row` draws its rows from, in order —
-    /// written once each into uninitialised capacity by the piece's thread
-    /// ([`in_pieces`]), which touches those pages first. Panics unless the
-    /// pieces' rows sum to `len`.
-    fn fill<P: Send>(
-        len: usize,
-        pieces: impl ExactSizeIterator<Item = (usize, P)>,
-        row: impl Fn(&mut P) -> Self + Sync,
-    ) -> Self::Vecs;
-
-    /// `len` rows drawn in turn by `row` from `state` on, checkpoint then
-    /// fill: the calling thread walks `row` to each piece's end (`cuts`),
-    /// dropping the rows, and [`Row::fill`] fills each from its start.
-    fn checkpoint_fill<S: Clone + Send>(
-        len: usize,
-        chunks: usize,
-        mut state: S,
-        row: impl Fn(&mut S) -> Self + Sync,
-    ) -> Self::Vecs {
-        let pieces = cuts(len, chunks).map(|rows| {
-            let start = state.clone();
-            if rows.end < len {
-                rows.clone().for_each(|_| _ = row(&mut state));
-            }
-            (rows.len(), start)
-        });
-        Self::fill(len, pieces, &row)
+/// The state each piece of `len` rows starts from, asked front to back
+/// ([`crate::Column::fill`]'s `piece`): the calling thread walks `row` from
+/// `state` over each piece but the last, dropping the rows.
+pub fn checkpoints<S: Clone, R>(
+    len: usize,
+    mut state: S,
+    row: impl Fn(&mut S) -> R,
+) -> impl FnMut(Range<usize>) -> S {
+    move |rows| {
+        let start = state.clone();
+        if rows.end < len {
+            rows.for_each(|_| _ = row(&mut state));
+        }
+        start
     }
 }
-
-macro_rules! rows {
-    ($($t:ident $i:tt),+) => {
-        impl<$($t: Send),+> Row for ($($t,)+) {
-            type Vecs = ($(Vec<$t>,)+);
-            fn fill<P: Send>(
-                len: usize,
-                pieces: impl ExactSizeIterator<Item = (usize, P)>,
-                row: impl Fn(&mut P) -> Self + Sync,
-            ) -> Self::Vecs {
-                let mut vecs = ($(Vec::<$t>::with_capacity(len),)+);
-                let mut free = ($(&mut vecs.$i.spare_capacity_mut()[..len],)+);
-                let mut cut = 0;
-                let pieces = pieces.map(|(n, state)| {
-                    cut += n;
-                    let slots = ($({
-                        let (slots, rest) = std::mem::take(&mut free.$i).split_at_mut(n);
-                        free.$i = rest;
-                        slots
-                    },)+);
-                    (n, slots, state)
-                });
-                in_pieces(pieces, |(n, slots, mut state)| {
-                    let slots = ($(&mut slots.$i[..n],)+);
-                    for k in 0..n {
-                        let v = row(&mut state);
-                        $(slots.$i[k].write(v.$i);)+
-                    }
-                });
-                assert_eq!(cut, len, "pieces of {cut} rows fill {len}");
-                // SAFETY: the pieces' slots are disjoint and cover the
-                // first `len` slots of each vector (`cut == len`); every
-                // piece wrote all `n` of its own and was joined, a panic
-                // resumed before this point.
-                unsafe { $(vecs.$i.set_len(len);)+ }
-                vecs
-            }
-        }
-    };
-}
-rows!(A 0);
-rows!(A 0, B 1, C 2, D 3);
-rows!(A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7);
 
 #[cfg(test)]
 mod tests {
@@ -150,27 +89,14 @@ mod tests {
     }
 
     #[test]
-    fn pieces_fill_every_output_in_row_order() {
+    fn pieces_run_in_order_from_their_checkpoints() {
         for chunks in [1, 2, 3, 7] {
-            let pieces = cuts(10_000, chunks).map(|rows| (rows.len(), rows));
-            let (a, b, c, d) = <(u32, i8, u64, u8)>::fill(10_000, pieces, |rows| {
-                let r = rows.next().unwrap();
-                (r as u32 * 3, r as i8, r as u64, 1)
-            });
-            assert_eq!(a, (0..10_000).map(|r| r * 3).collect::<Vec<_>>());
-            assert_eq!(b, (0..10_000).map(|r| r as i8).collect::<Vec<_>>());
-            assert_eq!(c, (0..10_000).collect::<Vec<_>>(), "{chunks} pieces");
-            assert_eq!(d, [1; 10_000]);
             let results = in_pieces(cuts(10_000, chunks), |rows| rows.start);
             let starts: Vec<_> = cuts(10_000, chunks).map(|rows| rows.start).collect();
             assert_eq!(results, starts);
+            let mut at = checkpoints(10_000, 0u64, |n| *n += 1);
+            let states: Vec<_> = cuts(10_000, chunks).map(&mut at).collect();
+            assert_eq!(states, starts.iter().map(|&s| s as u64).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "pieces of 2 rows fill 3")]
-    fn pieces_short_of_the_length_are_refused() {
-        let pieces = [(2, 0u8)].into_iter();
-        <(u8,)>::fill(3, pieces, |v| (*v,));
     }
 }

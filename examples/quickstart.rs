@@ -10,7 +10,7 @@ use waste_not::{ArExecOptions, Db, ExecMode, Result};
 
 fn main() -> Result<()> {
     // A table of 1M rows: `a` is a wide-domain measurement, `b` a
-    // low-cardinality category.
+    // low-cardinality category, coded into an ordered dictionary.
     let n = 1_000_000i64;
     let mut db = Db::new();
     db.create_table(
@@ -26,14 +26,18 @@ fn main() -> Result<()> {
             ),
             (
                 "b".into(),
-                Column::from_i32((0..n).map(|i| (i % 37) as i32).collect()),
+                Column::from_strings(
+                    &(0..n)
+                        .map(|i| format!("site-{:02}", i % 37))
+                        .collect::<Vec<_>>(),
+                ),
             ),
         ],
     )?;
 
     // Bitwise decomposition (§V-A): 24 major bits of `a` go to the device,
     // 8 minor bits stay on the host. `b` is small enough to live on the
-    // device whole (37 values need 6 bits).
+    // device whole (37 codes need 6 bits).
     let out = db.sql("select bwdecompose(a, 24) from readings")?;
     println!("decomposed a: {out:?}\n");
 

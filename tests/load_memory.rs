@@ -1,34 +1,29 @@
 //! The guard behind the one-pass load path: ingesting, indexing and
-//! decomposing a column may not hold a row-count-sized transient.
+//! decomposing a column may not hold a row-count-sized transient, and what
+//! a set-up leaves goes when it is torn down.
 //!
-//! One test, alone in its binary (the high-water mark is per process).
+//! The tests of this binary take turns (the high-water marks are per
+//! process). A packed run of a granule or more sits in pages of its own,
+//! which the counting heap does not see: those are counted by
+//! `storage::pages::mapped_bytes` and bounded by `VmHWM`, exact for them.
 //! First, on the counting heap's own high-water mark: `gen_lineitem` may
-//! peak at the columns it returns (its key filled in its stored width, no
-//! `i32` vector beside a narrowed copy) and `declare_fk` over a dense
-//! dimension at its link plus 4 B a key of the span (no hash table), each
-//! plus 64 KiB. Then, over 4 M rows, every load step — `Column::from_strings`,
-//! `Column::from_decimals`, `Column::from_i32`, `create_table`,
-//! `declare_fk`, `bwdecompose` 24/8 and all-device — may raise `VmHWM`
-//! over the resident set just before it by the bytes the step leaves
-//! resident (payloads in the 1, 2, 3, 4 or 8 bytes they need, the FK
-//! mapping once — packed at the dimension's row width, the one copy the
-//! device gathers through and the host decodes —, both packed partitions
-//! of a re-split column, and of a plain one what they add over the
-//! payloads they replace, which hand their pages back as they are packed;
-//! the heap is trimmed first, so the new partitions touch fresh pages)
-//! plus 8 MiB for hash tables, dictionaries and allocator slack; a
-//! constructor handed values wider than they need may hold that input
-//! beside the re-packed column until it returns, and not a moment longer. What this replaced held, on top: a 61 MiB `Vec<&str>` of
-//! row references to sort while building a dictionary, a 30.5 MiB widened
-//! `Vec<i64>` copy of every column it indexed or decomposed, and —
-//! resident for good — 8 bytes a row for an eleven-valued decimal. And
-//! what a `bwdecompose` leaves *on the heap* — counted, because `VmRSS`
-//! cannot say: the allocator hands a later step the pages an earlier one
-//! freed — is its approximation and its packed residual, less everything
-//! the column held before: a decomposed column keeps no plain payloads,
-//! and every clone, decomposition and binding of it shares the two
-//! partitions by pointer. Linux-only, and skipped where
-//! `/proc/self/clear_refs` cannot reset the high-water mark.
+//! peak at the columns it keeps on the heap (each column packed as it is
+//! drawn, no typed vector beside it) and `declare_fk` over a dense
+//! dimension at 4 B a key of the span (no hash table; its packed link is
+//! mapped), each plus 64 KiB. Then, over 4 M rows, every load step —
+//! `Column::from_strings`, `Column::from_payloads`, `Column::from_i32`,
+//! `create_table`, `declare_fk`, `bwdecompose` 24/8 and all-device — may
+//! raise `VmHWM` over the resident set just before it by the bytes the
+//! step leaves resident (packed runs in the bits their domains need, the
+//! FK mapping once — packed at the dimension's row width, the one copy the
+//! device gathers through and the host decodes —, and of a re-split
+//! column what the new split adds over the runs it replaces, which hand
+//! their pages back as they are read) plus 8 MiB for hash tables,
+//! dictionaries and allocator slack. A `bwdecompose` moves the mapped
+//! bytes by its split less the runs it replaced, and binding the split a
+//! column already holds maps no page: the binding is the catalog's words.
+//! Linux-only, and skipped where `/proc/self/clear_refs` cannot reset the
+//! high-water mark.
 
 #![cfg(target_os = "linux")]
 
@@ -42,7 +37,9 @@ use waste_not::device::{CostLedger, Env};
 use waste_not::engine::tail::SLICE_ROWS;
 use waste_not::engine::{Database, ExecMode};
 use waste_not::sql::{bind, parse, BoundStatement};
-use waste_not::storage::{Column, DecompositionSpec, Storage};
+use waste_not::storage::pages::mapped_bytes;
+use waste_not::storage::{Column, DecompositionSpec};
+use waste_not::types::DataType;
 use waste_not::types::SplitMix64;
 
 const ROWS: usize = 4_000_000;
@@ -151,24 +148,43 @@ fn assert_no_transient(step: &str, rise_mib: f64, resident_bytes: u64) {
     );
 }
 
+/// Bytes `c`'s runs hold on the heap: those short of a granule.
+fn on_heap(c: &Column) -> u64 {
+    let split = c.split().unwrap();
+    let words = |bytes: u64| bytes.div_ceil(8) * 8;
+    [split.device_bytes(), split.host_bytes()]
+        .map(words)
+        .into_iter()
+        .filter(|&b| b < 1 << 20)
+        .sum()
+}
+
+/// Bytes `c`'s runs hold in pages of their own.
+fn mapped(c: &Column) -> i64 {
+    let split = c.split().unwrap();
+    let words = |bytes: u64| bytes.div_ceil(8) * 8;
+    let runs = [split.device_bytes(), split.host_bytes()].map(words);
+    runs.into_iter().filter(|&b| b >= 1 << 20).sum::<u64>() as i64
+}
+
 #[test]
 fn loading_holds_no_row_count_sized_transient() {
     let _turn = alone();
-    // Set-up peaks, counted on the heap. A generator fills each column in
-    // the width its domain needs — `l_partkey`'s, `1..=40 000` at SF 0.2,
-    // in `u16` — so its peak is the columns it returns, not an `i32` key
-    // vector beside their narrowed copy.
+    // Set-up peaks, counted on the heap. A generator packs each column as
+    // it draws it, so the heap holds the short runs it returns and no
+    // typed vector of a column: at SF 0.2, no `i32` key vector.
     let (li, rise) = heap_rise(|| gen_lineitem(&TpchConfig::scale(0.2)));
     let li = li.into_columns();
-    let physical: u64 = li.iter().map(|(_, c)| c.physical_bytes()).sum();
-    eprintln!("gen_lineitem: heap peak +{rise} B for {physical} B of columns");
+    let heap: u64 = li.iter().map(|(_, c)| on_heap(c)).sum();
+    eprintln!("gen_lineitem: heap peak +{rise} B for {heap} B of short runs");
     assert!(
-        rise as u64 <= physical + (64 << 10),
-        "gen_lineitem: the heap peaked {rise} B over its start for {physical} B of columns"
+        rise as u64 <= heap + (64 << 10),
+        "gen_lineitem: the heap peaked {rise} B over its start for {heap} B of short runs"
     );
     drop(li);
     // A dimension whose key span is dense is addressed, not hashed: the
-    // build holds the link and 4 B a key of the span, no hash table.
+    // build holds 4 B a key of the span on the heap, no hash table, and
+    // maps its packed link.
     let (dim_rows, fact_rows) = (20_000, 1 << 21);
     let dim: Vec<i32> = (0..dim_rows).map(|r| 1 + (r * 7919) % dim_rows).collect();
     let fact: Vec<i32> = (0..fact_rows).map(|r| 1 + (r * 31) % dim_rows).collect();
@@ -177,13 +193,19 @@ fn loading_holds_no_row_count_sized_transient() {
         .unwrap();
     db.create_table("fact", vec![("key".into(), Column::from_i32(fact))])
         .unwrap();
+    let before = mapped_bytes();
     let (_, rise) = heap_rise(|| db.declare_fk("fact", "key", "dim", "key").unwrap());
-    let (link, slots) = (fact_rows as u64 * 15 / 8, 4 * dim_rows as u64);
-    eprintln!("declare_fk (dense): heap peak +{rise} B for a {link} B link and {slots} B of slots");
+    let (link, slots) = (fact_rows as usize * 15 / 8, 4 * dim_rows as u64);
+    eprintln!("declare_fk (dense): heap peak +{rise} B for {slots} B of slots");
     assert!(
-        rise as u64 <= link + slots + (64 << 10),
-        "declare_fk (dense): the heap peaked {rise} B over its start for a {link} B link and \
-         {slots} B of slots — is the dimension hashed?"
+        rise as u64 <= slots + (64 << 10),
+        "declare_fk (dense): the heap peaked {rise} B over its start for {slots} B of slots — \
+         is the dimension hashed?"
+    );
+    assert_eq!(
+        mapped_bytes() - before,
+        link,
+        "declare_fk (dense): the link's pages"
     );
     drop(db);
 
@@ -195,44 +217,42 @@ fn loading_holds_no_row_count_sized_transient() {
     let flags: Vec<&str> = (0..ROWS).map(|i| FLAGS[i * 7 % 3]).collect();
     let (flag, rise) = peak_rise(|| Column::from_strings(&flags));
     // First-seen ids are 4 bytes a row — a dictionary's size is known only
-    // after its last row — until the ranks are packed into the 1 they need.
-    let step = "from_strings (4 B/row of ids while it runs, 1 B/row after)";
-    assert_no_transient(step, rise, ROWS as u64 * (4 + 1));
-    assert_eq!(flag.physical_bytes(), ROWS as u64);
+    // after its last row — until the ranks are packed into the 2 bits
+    // they need.
+    let step = "from_strings (4 B/row of ids while it runs, 2 bits/row after)";
+    assert_no_transient(step, rise, ROWS as u64 * 4 + flag.physical_bytes());
+    assert_eq!(flag.physical_bytes(), ROWS as u64 / 4);
     drop(flags);
 
     // A decimal(12,2) of eleven values, handed over in the 8 bytes a row
-    // its type is modeled at: the peak holds the re-packed byte a row
-    // beside the input it arrived with, and when the constructor returns
-    // the input is gone.
+    // its type is modeled at: the column is its 4 bits a row, packed from
+    // the input in place.
     let wide: Vec<i64> = (0..ROWS).map(|i| (i * 7 % 11) as i64).collect();
-    let with_input = status_mib("VmRSS:");
-    let (discount, rise) = peak_rise(|| Column::from_decimals(wide, 12, 2).unwrap());
-    assert_no_transient("from_decimals", rise, ROWS as u64);
-    let stays = status_mib("VmRSS:") - (with_input - (ROWS * 8) as f64 / MIB);
-    eprintln!("from_decimals: {stays:.1} MiB stay resident");
-    assert!(
-        stays <= ROWS as f64 / MIB + SLACK_MIB,
-        "from_decimals: {stays:.1} MiB stay resident for eleven values a byte holds"
-    );
+    let (discount, rise) =
+        peak_rise(|| Column::from_payloads(DataType::decimal(2), &wide).unwrap());
+    assert_no_transient("from_payloads", rise, ROWS as u64 / 2);
+    assert_eq!(discount.physical_bytes(), ROWS as u64 / 2);
     assert_eq!(discount.plain_bytes(), ROWS as u64 * 8);
+    drop(wide);
 
-    // The two widths between the powers of two, handed over as `i32`: a
-    // domain past `i16` that a `u16` holds, and a 23-bit one. The peak holds
-    // the re-packed 2 or 3 bytes a row beside the input; afterwards the
-    // counted heap holds those bytes and no `i32` copy.
-    let domains = [("u16", 32_768, 1 << 15, 2), ("i24", -(1 << 22), 1 << 23, 3)];
-    for (domain, lo, span, width) in domains {
+    // Domains between the powers of two, handed over as `i32`: 15 and 23
+    // bits a row. The peak holds the packed run beside the input; after,
+    // the mapped pages hold that run and the heap no copy.
+    let domains = [
+        ("15-bit", 32_768, 1 << 15, 15),
+        ("23-bit", -(1 << 22), 1 << 23, 23),
+    ];
+    for (domain, lo, span, bits) in domains {
         let held = LIVE.load(Relaxed);
         let input: Vec<i32> = (0..ROWS).map(|i| lo + (i * 7919 % span) as i32).collect();
         let (col, rise) = peak_rise(|| Column::from_i32(input));
-        let kept = ROWS as u64 * width;
+        let kept = ROWS as u64 * bits / 8;
         assert_no_transient(&format!("from_i32 ({domain} domain)"), rise, kept);
         assert_eq!(col.physical_bytes(), kept, "{domain}");
         let stays = LIVE.load(Relaxed) - held;
         assert!(
-            stays <= kept as usize + (64 << 10),
-            "from_i32 ({domain} domain): {stays} B stay on the heap for {kept} B of payloads"
+            stays <= 64 << 10,
+            "from_i32 ({domain} domain): {stays} B stay on the heap beside {kept} B of mapped run"
         );
     }
 
@@ -261,9 +281,29 @@ fn loading_holds_no_row_count_sized_transient() {
     assert_no_transient("declare_fk", rise, link);
     let stays = LIVE.load(Relaxed) - held;
     assert!(
-        stays <= link as usize + (64 << 10),
-        "declare_fk: {stays} B stay on the heap for a {link} B link — is a host copy back?"
+        stays <= 64 << 10,
+        "declare_fk: {stays} B stay on the heap beside a {link} B mapped link — is a host copy back?"
     );
+
+    fn column<'a>(db: &'a Database, name: &str) -> &'a Column {
+        db.catalog().table("fact").unwrap().column(name).unwrap()
+    }
+    // Binding the split a column holds maps no page: the binding is the
+    // catalog's run, and the catalog keeps that run.
+    let sql = "select sum(narrow) from fact where narrow < 20";
+    let plan = bind_sql(&db, sql);
+    let (run, pages): (*const _, _) = (
+        column(&db, "narrow").split().unwrap().approx(),
+        mapped_bytes(),
+    );
+    db.auto_bind(&plan).unwrap();
+    assert!(db.is_bound("fact", "narrow"));
+    let kept = column(&db, "narrow").split().unwrap().approx();
+    assert!(
+        std::ptr::eq(kept, run),
+        "auto_bind packed a copy of the column"
+    );
+    assert_eq!(mapped_bytes(), pages, "auto_bind mapped pages");
 
     let steps = [
         ("wide", 24),
@@ -273,34 +313,20 @@ fn loading_holds_no_row_count_sized_transient() {
         ("discount", 56),
         ("discount", 64),
     ];
-    fn column<'a>(db: &'a Database, name: &str) -> &'a Column {
-        db.catalog().table("fact").unwrap().column(name).unwrap()
-    }
     for (name, device_bits) in steps {
-        // A plain column's payloads, or a split one's two partitions.
-        let plain = column(&db, name).split().is_none();
-        let released = column(&db, name).physical_bytes() as i64;
-        let held = LIVE.load(Relaxed) as i64;
+        let (released, pages) = (column(&db, name).physical_bytes(), mapped_bytes() as i64);
+        let was = mapped(column(&db, name));
         trim_heap();
         let (report, rise) = peak_rise(|| db.bwdecompose("fact", name, device_bits).unwrap());
         let step = format!("bwdecompose({name}, {device_bits})");
         // The approximation and the packed residual, the paper's host
         // partition: every bit once. 24/8 over 4 M rows of a 22-bit
-        // domain: 7 000 000 + 4 000 000 B, for the 16 000 000 B released.
-        // A plain column hands its pages back as they are packed, so the
-        // peak holds no more than what the split adds over it (24/8: none);
-        // a split one is read in place beside the new split.
+        // domain: 7 000 000 + 4 000 000 B, for the 11 000 000 B released.
+        // The old runs hand their pages back as they are read, so the peak
+        // holds no more than what the split adds over them; a split the
+        // column holds already is kept as it is.
         let split = report.device_bytes + report.host_bytes;
-        let grows = if plain {
-            split.saturating_sub(released as u64)
-        } else {
-            split
-        };
-        assert_no_transient(&step, rise, grows);
-        assert!(
-            matches!(column(&db, name).storage(), Storage::Split(_)),
-            "{step}"
-        );
+        assert_no_transient(&step, rise, split.saturating_sub(released));
         assert_eq!(column(&db, name).physical_bytes(), split, "{step}");
         if (name, device_bits) == ("wide", 24) {
             assert_eq!(
@@ -308,26 +334,26 @@ fn loading_holds_no_row_count_sized_transient() {
                 (7_000_000, 4_000_000)
             );
         }
-        let stays = LIVE.load(Relaxed) as i64 - held;
-        let want = split as i64 - released;
-        assert!(
-            (stays - want).abs() <= 64 << 10,
-            "{step}: the heap moved {stays} B, not {want} B — {split} B of partitions for \
-             {released} B released: is a plain copy kept beside the split column?"
+        let moved = mapped_bytes() as i64 - pages;
+        let want = mapped(column(&db, name)) - was;
+        assert_eq!(
+            moved, want,
+            "{step}: the mapped pages moved {moved} B, not {want} B — is the old split kept?"
         );
     }
 
     // One copy of each partition, however many hands hold the column: a
-    // clone shares the catalog's storage, and a decomposition of it (a
+    // clone shares the catalog's runs, and a decomposition of it (a
     // re-split, block by block) shares its two partitions with its clone
     // and with the binding that moves the approximation to the device.
     let wide = column(&db, "wide");
+    let approx = |c: &Column| -> *const _ { c.split().unwrap().approx() };
     assert!(
-        std::ptr::eq(wide.clone().storage(), wide.storage()),
+        std::ptr::eq(approx(&wide.clone()), approx(wide)),
         "deep copy"
     );
     let spec = DecompositionSpec::with_device_bits(24);
-    let held = LIVE.load(Relaxed);
+    let (held, pages) = (LIVE.load(Relaxed), mapped_bytes());
     let decomposed = wide
         .clone()
         .decompose(&spec)
@@ -347,7 +373,60 @@ fn loading_holds_no_row_count_sized_transient() {
         "deep copy"
     );
     let once = (decomposed.device_bytes() + decomposed.host_bytes()) as usize;
-    assert!(LIVE.load(Relaxed) - held <= once + (64 << 10));
+    let grew = LIVE.load(Relaxed) - held + (mapped_bytes() - pages);
+    assert!(
+        grew <= once + (64 << 10),
+        "{grew} B for {once} B of partitions"
+    );
+}
+
+/// The live data: the counted heap and the mapped runs, in bytes.
+fn live() -> usize {
+    LIVE.load(Relaxed) + mapped_bytes()
+}
+
+/// The resident set follows the data across set-ups: the benchmark's
+/// set-up sequence three times in one process, at 1 M fixes and TPC-H
+/// SF 0.1, each torn down before the next as the harness does. `VmHWM`
+/// stays within 8 MiB of the most live data (heap and mapped runs) any
+/// stage holds, and `VmRSS` after each teardown comes back within 8 MiB of
+/// where that set-up started: a dropped column's pages leave at once,
+/// whatever the heap's state.
+#[test]
+fn rss_follows_the_data_across_set_ups() {
+    let _turn = alone();
+    if std::fs::write("/proc/self/clear_refs", "5").is_err() {
+        eprintln!("skipped: /proc/self/clear_refs is not writable");
+        return;
+    }
+    let (rss, live0) = (status_mib("VmRSS:"), live());
+    let mut most = 0;
+    for setup in 1..=3 {
+        let start = status_mib("VmRSS:");
+        let db = benchmark_database(1_000_000, 0.1, &mut |stage| {
+            most = most.max(live());
+            eprintln!(
+                "set-up {setup} {stage}: VmRSS {:.1} VmHWM {:.1} live {:.1} MiB",
+                status_mib("VmRSS:"),
+                status_mib("VmHWM:"),
+                live() as f64 / MIB
+            );
+        });
+        drop(db);
+        let end = status_mib("VmRSS:");
+        eprintln!("set-up {setup} torn down: VmRSS {end:.1} (started at {start:.1}) MiB");
+        assert!(
+            end <= start + SLACK_MIB,
+            "set-up {setup}: VmRSS {end:.1} MiB after teardown, {start:.1} MiB before it"
+        );
+    }
+    let data = (most.saturating_sub(live0)) as f64 / MIB;
+    let hwm = status_mib("VmHWM:") - rss;
+    eprintln!("VmHWM +{hwm:.1} MiB over the start; the most live data +{data:.1} MiB");
+    assert!(
+        hwm <= data + SLACK_MIB,
+        "VmHWM rose {hwm:.1} MiB for at most {data:.1} MiB of live data"
+    );
 }
 
 /// An A&R query holds its undecided candidates as bits, not as a list:
@@ -442,42 +521,50 @@ const STATEMENTS: [(&str, &str); 5] = [
     ),
 ];
 
-/// The benchmark's database (`benchmark/src/setup.rs` at `--seed 1`):
-/// 8 M fixes and TPC-H SF 0.5, decomposed as the set-up decomposes them.
-fn benchmark_database() -> Database {
+/// The benchmark's database (`benchmark/src/setup.rs` at `--seed 1`) at
+/// `fixes` and TPC-H scale `sf`, decomposed as the set-up decomposes it;
+/// `stage` is called after each step.
+fn benchmark_database(fixes: usize, sf: f64, stage: &mut dyn FnMut(&str)) -> Database {
     let mut seeds = SplitMix64::new(1);
     let (spatial_seed, small_seed) = (seeds.next_u64(), seeds.next_u64());
     let trips = gen_trips(&SpatialConfig {
         seed: spatial_seed,
-        ..SpatialConfig::fixes(8_000_000)
+        ..SpatialConfig::fixes(fixes)
     });
     let tpch = TpchConfig {
-        scale: 0.5,
+        scale: sf,
         seed: 0x7C_41,
     };
+    let (lineitem, part) = (gen_lineitem(&tpch), gen_part(&tpch));
     let mut noise = SplitMix64::new(small_seed);
     let small = waste_not::data::micro::unique_shuffled(16_000, small_seed)
         .into_iter()
         .map(|v| (v * 4096 + noise.below(4096) as i64) as i32)
         .collect();
+    stage("gen");
     let mut db = Database::new();
     db.create_table("trips", trips.into_columns()).unwrap();
-    db.create_table("lineitem", gen_lineitem(&tpch).into_columns())
+    db.create_table("lineitem", lineitem.into_columns())
         .unwrap();
-    db.create_table("part", gen_part(&tpch).into_columns())
-        .unwrap();
+    db.create_table("part", part.into_columns()).unwrap();
     db.create_table("small", vec![("a".into(), Column::from_i32(small))])
         .unwrap();
     db.declare_fk("lineitem", "l_partkey", "part", "p_partkey")
         .unwrap();
+    stage("load");
     db.bwdecompose("trips", "lon", 24).unwrap();
+    stage("lon 24/8");
     db.bwdecompose("trips", "lat", 24).unwrap();
+    stage("lat 24/8");
     for (_, sql) in &STATEMENTS[1..4] {
         let plan = bind_sql(&db, sql);
         db.auto_bind(&plan).unwrap();
     }
+    stage("auto_bind");
     db.bwdecompose("lineitem", "l_shipdate", 24).unwrap();
+    stage("l_shipdate 24/8");
     db.bwdecompose("small", "a", 24).unwrap();
+    stage("small.a 24/8");
     db
 }
 
@@ -490,7 +577,7 @@ fn benchmark_database() -> Database {
 #[ignore = "benchmark scale: 8 M fixes and TPC-H SF 0.5, about 150 MiB"]
 fn query_heap_rise_at_benchmark_scale() {
     let _turn = alone();
-    let db = benchmark_database();
+    let db = benchmark_database(8_000_000, 0.5, &mut |_| {});
     for (name, sql) in STATEMENTS {
         let plan = bind_sql(&db, sql);
         for (pipe, mode) in [

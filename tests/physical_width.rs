@@ -1,23 +1,19 @@
-//! The guard behind "plain columns are stored in the bytes their values
-//! need": physical bytes per row of every generated column, pinned beside
-//! the modeled bytes no width may move.
+//! The guard behind "a column is the bits its domain needs": physical
+//! bits per row of every generated column, pinned beside the modeled bytes
+//! no width may move.
 //!
 //! At 50 000 fixes (seed 3) and TPC-H SF 0.005 (seed 1; 30 000 lineitems,
 //! 1 000 parts) — the scale `crates/engine/tests/load_ledger.rs` pins the
-//! load ledger at. Each physical width is the first of `i8`, `i16`, `u16`,
-//! the 3-byte `I24` and `i32` (else `i64`) holding the domain stated
-//! beside it; the generators push the TPC-H measures and `l_partkey` in
-//! those widths (the key's picked by that rule from `1..=parts` before the
-//! fill) and the coordinates in 3 bytes; `p_partkey`, the prices, `tripid`
-//! and `time` arrive as `i32` and the storage rule narrows them on its own.
+//! load ledger at. Each generated column is its all-device split from its
+//! first row: a frame at its least payload and the bits of its encoded
+//! span, no residual. The generators pack each column over a domain they
+//! state before the fill and re-pack to the rows' own extrema after.
 //!
 //! At the benchmark's scale (8 M fixes, SF 0.5; 3 M lineitems, 100 000
-//! parts): `tripid` 1..≈40 000 needs a `u16` (2), the coordinates stay 3,
-//! `time` reaches ≈ 44 M (4); `l_partkey` and `p_partkey` 1..=100 000 and
-//! `p_retailprice` ≤ 389 900 need 3, `l_extendedprice` reaches 19 495 000
-//! (4), the rest are as here. So `trips` 2 + 3 + 3 + 4 = 12, `lineitem`
-//! 3 + 1 + 4 + 1 + 1 + 1 + 1 + 2 = 14, `part` 3 + 1 + 3 = 7 B/row, against
-//! modeled 16 / 44 / 16.
+//! parts) the same rule gives `tripid` 1..≈40 000 16 bits, the coordinates
+//! 22 and 21, `time` up to ≈ 44 M 26; `l_partkey` and `p_partkey`
+//! 1..=100 000 17, `l_extendedprice` 25, `p_retailprice` 19, the rest as
+//! here.
 //!
 //! A width that moves back fails the physical column; a width that leaks
 //! into a bill fails the modeled one, the reports or the ledger — all
@@ -26,33 +22,33 @@
 use waste_not::data::{gen_lineitem, gen_part, gen_trips, SpatialConfig, TpchConfig};
 use waste_not::engine::Database;
 
-/// `(table, column, physical B/row, modeled B/row)`.
-const WIDTHS: [(&str, &str, u64, u64); 15] = [
-    // ~250 trips of 1..=400 fixes: more than 127, fewer than 32 768.
-    ("trips", "tripid", 2, 4),
-    // −1 262 427..=2 964 975 and 2 709 371..=7 013 643: inside ±2^23.
-    ("trips", "lon", 3, 4),
-    ("trips", "lat", 3, 4),
-    // 50 000 steps of 1..=10 s: past 65 535, below 2^23.
-    ("trips", "time", 3, 4),
+/// `(table, column, physical bits/row, modeled B/row)`.
+const WIDTHS: [(&str, &str, u32, u64); 15] = [
+    // ~250 trips of 1..=400 fixes: 1..=249.
+    ("trips", "tripid", 8, 4),
+    // −915 977..=2 804 872 and 3 854 014..=5 935 524.
+    ("trips", "lon", 22, 4),
+    ("trips", "lat", 21, 4),
+    // 50 000 steps of 1..=10 s: 4..=274 576.
+    ("trips", "time", 19, 4),
     // 1..=1 000.
-    ("lineitem", "l_partkey", 2, 4),
+    ("lineitem", "l_partkey", 10, 4),
     // 1..=50.
-    ("lineitem", "l_quantity", 1, 4),
-    // Up to 50 × 199 890 = 9 994 500 cents (key 999): past 2^23.
-    ("lineitem", "l_extendedprice", 4, 8),
+    ("lineitem", "l_quantity", 6, 4),
+    // 90 220..=9 989 000 cents.
+    ("lineitem", "l_extendedprice", 24, 8),
     // 0..=10 and 0..=8 cents.
-    ("lineitem", "l_discount", 1, 8),
-    ("lineitem", "l_tax", 1, 8),
+    ("lineitem", "l_discount", 4, 8),
+    ("lineitem", "l_tax", 4, 8),
     // Three and two dictionary entries.
-    ("lineitem", "l_returnflag", 1, 4),
+    ("lineitem", "l_returnflag", 2, 4),
     ("lineitem", "l_linestatus", 1, 4),
     // Days 8 036..=10 561.
-    ("lineitem", "l_shipdate", 2, 4),
+    ("lineitem", "l_shipdate", 12, 4),
     // 1..=1 000; 125 dictionary entries; 90 110..=199 890 cents.
-    ("part", "p_partkey", 2, 4),
-    ("part", "p_type", 1, 4),
-    ("part", "p_retailprice", 3, 8),
+    ("part", "p_partkey", 10, 4),
+    ("part", "p_type", 7, 4),
+    ("part", "p_retailprice", 17, 8),
 ];
 
 /// `(table, column, device bits, device bytes, host bytes, resbits, stored
@@ -97,16 +93,19 @@ fn physical_bytes_per_row_are_pinned_and_reach_no_bill() {
     let mut per_row = std::collections::BTreeMap::new();
     for (table, name, physical, modeled) in WIDTHS {
         let col = db.catalog().table(table).unwrap().column(name).unwrap();
-        let rows = col.len() as u64;
-        assert_eq!(col.physical_bytes(), rows * physical, "{table}.{name}");
+        let (rows, meta) = (col.len() as u64, col.split().unwrap().meta());
+        assert!(meta.fully_device_resident(), "{table}.{name}");
+        assert_eq!(meta.stored_width(), physical, "{table}.{name}");
+        let bytes = (rows * u64::from(physical)).div_ceil(8);
+        assert_eq!(col.physical_bytes(), bytes, "{table}.{name}");
         assert_eq!(col.plain_bytes(), rows * modeled, "{table}.{name}");
         let (p, m) = per_row.entry(table).or_insert((0, 0));
         (*p, *m) = (*p + physical, *m + modeled);
     }
     let expected = [
-        ("lineitem", (13, 44)),
-        ("part", (6, 16)),
-        ("trips", (11, 16)),
+        ("lineitem", (63, 44)),
+        ("part", (34, 16)),
+        ("trips", (70, 16)),
     ];
     assert_eq!(per_row.into_iter().collect::<Vec<_>>(), expected);
     for (table, _) in expected {
