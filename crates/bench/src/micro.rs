@@ -15,9 +15,8 @@ use bwd_core::{BoundColumn, RangePred};
 use bwd_data::micro;
 use bwd_device::{CostLedger, Env};
 use bwd_kernels::group::hash_group;
-use bwd_kernels::{DeviceArray, ScanOptions};
-use bwd_storage::{BitPackedVec, DecomposedColumn, DecompositionSpec};
-use bwd_types::bits::bits_for_width;
+use bwd_kernels::ScanOptions;
+use bwd_storage::{DecomposedColumn, DecompositionSpec};
 use bwd_types::{DataType, Oid};
 
 /// Selectivities swept on the x-axis of Fig 8a/8b/8d/8e (fractions).
@@ -227,18 +226,11 @@ pub fn fig8f_grouping(env: &Env, n: usize) -> Figure {
     );
 
     for groups in [10u64, 32, 100, 316, 1000] {
-        // Keys `0..groups`, all drawn: GPU-resident, each is its own
-        // stored value, packed straight into the device array.
-        let keys: Vec<u64> = micro::grouping_keys(n, groups, 0x000F_168F)
-            .into_iter()
-            .map(|k| k as u64)
-            .collect();
-        let packed = BitPackedVec::from_slice(bits_for_width(groups), &keys);
-        let keys = DeviceArray::upload(&env.device, packed, "micro", &mut CostLedger::new())
-            .expect("upload");
+        let payloads = micro::grouping_keys(n, groups, 0x000F_168F);
+        let col = bind_ints(env, &payloads, 32);
 
         let mut ledger = CostLedger::new();
-        let g = hash_group(env, &keys, None, &mut ledger);
+        let g = hash_group(env, col.approx(), None, &mut ledger);
         assert_eq!(g.n_groups() as u64, groups);
         let approx_t = ledger.breakdown().total();
         // Refinement: the group-id vector crosses PCI-E (MonetDB's

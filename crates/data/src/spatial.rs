@@ -145,27 +145,22 @@ pub(crate) fn gen_trips_in(cfg: &SpatialConfig, chunks: usize) -> TripsTable {
     // known to keep: a trip has a fix at least, a fix ticks 1 to 10 s on,
     // and a coordinate is clamped to the box.
     let n = cfg.fixes as i64;
-    let coordinate = |precision, lo, hi| {
+    let of = |dtype, lo, hi| Slot::Of(Logical::Plain(dtype), lo, hi);
+    // A fix lies between its trip's two cities, jittered by ±4 000.
+    let box_of = |at: fn(&(i64, i64)) -> i64, precision| {
+        let (lo, hi) = (CITIES.iter().map(at).min(), CITIES.iter().map(at).max());
         let dtype = DataType::Decimal {
             precision,
             scale: 5,
         };
-        Slot::Of(Logical::Plain(dtype), lo, hi)
+        of(dtype, lo.unwrap_or(0) - 4_000, hi.unwrap_or(0) + 4_000)
     };
-    // A fix lies between its trip's two cities, jittered by ±4 000.
-    let reach = |at: fn(&(i64, i64)) -> i64| {
-        let cities = || CITIES.iter().map(at);
-        (
-            cities().min().unwrap_or(0) - 4_000,
-            cities().max().unwrap_or(0) + 4_000,
-        )
-    };
-    let (lon, lat) = (reach(|c| c.0), reach(|c| c.1));
+    let int = DataType::Int32;
     let slots = [
-        Slot::Of(Logical::Plain(DataType::Int32), 1, n),
-        coordinate(8, lon.0, lon.1),
-        coordinate(7, lat.0, lat.1),
-        Slot::Of(Logical::Plain(DataType::Int32), 1, 10 * n),
+        of(int, 1, n),
+        box_of(|c| c.0, 8),
+        box_of(|c| c.1, 7),
+        of(int, 1, 10 * n),
     ];
     let row = |(rng, at): &mut (Xoshiro, Trip)| at.fix(rng, cfg);
     let start = checkpoints(cfg.fixes, (Xoshiro::seed(cfg.seed), Trip::default()), row);

@@ -108,21 +108,21 @@ impl BitPackedVec {
     /// Every element less `v`, in place, where none is less than `v`: the
     /// run read as one number whose `width`-bit digits lend each other
     /// nothing, so one multiword subtraction of `v` in every digit, a word
-    /// at a time. 64 digits are `width` words, so the subtrahend's words
-    /// repeat with that period.
-    pub(crate) fn subtract(&mut self, v: u64) {
+    /// at a time, in the pieces [`cuts`] cuts for `chunks`. 64 digits are
+    /// `width` words, so the subtrahend's words repeat with that period.
+    pub(crate) fn subtract(&mut self, v: u64, chunks: usize) {
         let (width, bits) = (self.width as usize, self.len * self.width as usize);
-        let Ok([digits]) = Self::write_once([self.width], DECODE_BLOCK, |[mut c]| {
-            (0..DECODE_BLOCK).for_each(|_| c.push(v));
-            c.finish();
-            Ok::<_, Infallible>(())
+        let digits = Self::from_slice(self.width, &[v; DECODE_BLOCK]);
+        // A piece starts on a block, so on a word and a digit: no borrow
+        // crosses into it.
+        in_pieces(self.pieces(chunks), |(words, _)| {
+            let mut borrow = 0;
+            for (k, word) in words.iter_mut().enumerate() {
+                let (d, b) = word.overflowing_sub(digits.words[k % width]);
+                let (d, c) = d.overflowing_sub(borrow);
+                (*word, borrow) = (d, u64::from(b | c));
+            }
         });
-        let mut borrow = 0;
-        for (k, word) in self.words.iter_mut().enumerate() {
-            let (d, b) = word.overflowing_sub(digits.words[k % width.max(1)]);
-            let (d, c) = d.overflowing_sub(borrow);
-            (*word, borrow) = (d, u64::from(b | c));
-        }
         // A last partial word's unused high bits stay clear.
         if let Some(last) = self.words.last_mut().filter(|_| bits % 64 > 0) {
             *last &= low_mask((bits % 64) as u32);
@@ -136,13 +136,7 @@ impl BitPackedVec {
     pub(crate) fn repack(&mut self, width: u32, chunks: usize, map: impl Fn(u64) -> u64 + Sync) {
         let (from, len) = (self.width, self.len);
         assert!(width <= from, "a re-pack widens {from} bits to {width}");
-        let mut rest = &mut self.words[..];
-        let pieces = cuts(len, chunks).map(|rows| {
-            let (words, tail) = std::mem::take(&mut rest).split_at_mut(words_for(from, rows.len()));
-            rest = tail;
-            (words, rows.len())
-        });
-        in_pieces(pieces, |(words, n)| {
+        in_pieces(self.pieces(chunks), |(words, n)| {
             let mut vals = [0; DECODE_BLOCK];
             for at in (0..n).step_by(DECODE_BLOCK) {
                 let vals = &mut vals[..DECODE_BLOCK.min(n - at)];
@@ -171,6 +165,17 @@ impl BitPackedVec {
         }
         self.words.truncate(to);
         self.width = width;
+    }
+
+    /// The words of each piece [`cuts`] cuts for `chunks`, and its rows.
+    fn pieces(&mut self, chunks: usize) -> impl ExactSizeIterator<Item = (&mut [u64], usize)> {
+        let (mut rest, width) = (&mut self.words[..], self.width);
+        cuts(self.len, chunks).map(move |rows| {
+            let (words, tail) =
+                std::mem::take(&mut rest).split_at_mut(words_for(width, rows.len()));
+            rest = tail;
+            (words, rows.len())
+        })
     }
 
     /// Bits per element.
@@ -542,6 +547,36 @@ pub(crate) mod tests {
             let first = vals.iter().position(|&v| v > 1000);
             let got = BitPackedVec::try_pack_rows(10, vals.len(), chunks, failing);
             assert_eq!(got.err(), first, "{chunks} pieces");
+        }
+    }
+
+    /// A new frame in place — the same width less `v`, or a narrower one —
+    /// is the run packed from the reframed values, in any number of pieces.
+    #[test]
+    fn reframing_in_place_is_the_same_in_any_pieces() {
+        let mut rng = bwd_types::SplitMix64::new(0xF4A);
+        for width in [3, 21, 33, 63] {
+            let vals: Vec<u64> = (0..5_000)
+                .map(|_| 5 + rng.below(low_mask(width) - 4))
+                .collect();
+            let less: Vec<u64> = vals.iter().map(|&x| x - 5).collect();
+            let half: Vec<u64> = vals.iter().map(|&x| x >> 1).collect();
+            for chunks in [1, 2, 3, 7] {
+                let mut run = BitPackedVec::from_slice(width, &vals);
+                run.subtract(5, chunks);
+                assert_eq!(
+                    run,
+                    BitPackedVec::from_slice(width, &less),
+                    "{width}, {chunks}"
+                );
+                let mut run = BitPackedVec::from_slice(width, &vals);
+                run.repack(width - 1, chunks, |x| x >> 1);
+                assert_eq!(
+                    run,
+                    BitPackedVec::from_slice(width - 1, &half),
+                    "{width}, {chunks}"
+                );
+            }
         }
     }
 

@@ -33,7 +33,7 @@ use std::sync::Arc;
 /// mapping: a stored column and the engine's slice slots both read it.
 #[derive(Debug, Clone)]
 pub enum Logical {
-    /// Any type but `Str` ([`Column::from_data`] rejects it; a bare code
+    /// Any type but `Str` ([`Column::from_payloads`] rejects it; a bare code
     /// renders as the integer it is).
     Plain(DataType),
     /// `Str`: payloads are codes into this ordered dictionary.
@@ -124,7 +124,7 @@ pub struct Column {
 
 impl Column {
     /// `K` columns of `len` rows, packed as they are made: each piece
-    /// [`cuts`] cuts for `chunks` draws its rows by `row` from the state
+    /// `cuts` cuts for `chunks` draws its rows by `row` from the state
     /// `piece(rows)` returns (asked front to back) and packs each payload
     /// into its part of its column's run, framed by the slot's domain.
     /// A column whose rows need fewer bits or another frame then re-packs
@@ -174,17 +174,23 @@ impl Column {
                 low_mask(meta.stored_width()),
             );
         }
-        let mut found = None;
+        // A code slot marks the vocabulary entries its rows use.
+        let vocabs = slots
+            .each_ref()
+            .map(|s| if let Slot::Codes(v) = s { v.len() } else { 0 });
+        let unmarked = || vocabs.map(|v| vec![false; v]);
+        let (mut found, mut used) = (None, unmarked());
         let runs = BitPackedVec::write_once(metas.map(|m| m.stored_width()), len, |mut runs| {
             let mut piece = piece;
             let pieces = cuts(len, chunks).map(|rows| {
                 let cursors = runs.each_mut().map(|run| run.take_rows(rows.len()));
                 (piece(rows.clone()), cursors, rows.len())
             });
-            let extrema = in_pieces(pieces, |(mut state, mut cursors, n)| {
+            let pieces = in_pieces(pieces, |(mut state, mut cursors, n)| {
                 // A block of rows drawn, then each column's packed in turn:
                 // one cursor's state in registers at a time.
                 let (mut block, mut extrema) = ([[0; DECODE_BLOCK]; K], [(i64::MAX, i64::MIN); K]);
+                let mut used = unmarked();
                 for at in (0..n).step_by(DECODE_BLOCK) {
                     let m = DECODE_BLOCK.min(n - at);
                     (0..m).for_each(|r| {
@@ -197,18 +203,37 @@ impl Column {
                             extrema[k] = (extrema[k].0.min(p), extrema[k].1.max(p));
                             cursor.push((((p as u64 & mask) ^ flip).wrapping_sub(frame)) & stored);
                         }
+                        // A slot without a vocabulary has no codes to mark.
+                        let marks = &mut used[k];
+                        for &c in &block[k][..m * usize::from(!marks.is_empty())] {
+                            if let Some(mark) = marks.get_mut(c as usize) {
+                                *mark = true;
+                            }
+                        }
                     }
                 }
                 cursors.into_iter().for_each(PackCursor::finish);
-                (n > 0).then_some(extrema)
+                ((n > 0).then_some(extrema), used)
             });
+            let (extrema, marks): (Vec<_>, Vec<_>) = pieces.into_iter().unzip();
             found = (extrema.into_iter().flatten())
                 .reduce(|a, b| std::array::from_fn(|k| (a[k].0.min(b[k].0), a[k].1.max(b[k].1))));
+            for piece in marks {
+                (used.iter_mut().flatten())
+                    .zip(piece.iter().flatten())
+                    .for_each(|(u, m)| *u |= m);
+            }
             Ok::<_, BwdError>(())
         })?;
         let mut out = Vec::with_capacity(K);
-        for (k, (slot, run)) in slots.into_iter().zip(runs).enumerate() {
-            out.push(Column::framed(slot, run, metas[k], found.map(|f| f[k]))?);
+        for (k, ((slot, run), marks)) in slots.into_iter().zip(runs).zip(used).enumerate() {
+            out.push(Column::framed(
+                slot,
+                run,
+                metas[k],
+                found.map(|f| f[k]),
+                &marks,
+            )?);
         }
         Ok(out
             .try_into()
@@ -216,12 +241,14 @@ impl Column {
     }
 
     /// The column `slot` states, from `run`, packed by `meta` over the
-    /// stated domain; its rows' extrema are `found`.
+    /// stated domain; its rows' extrema are `found`, and of a code slot's
+    /// vocabulary its rows use the entries `used` marks.
     fn framed(
         slot: Slot<'_>,
         mut run: BitPackedVec,
         meta: DecompositionMeta,
         found: Option<(i64, i64)>,
+        used: &[bool],
     ) -> Result<Column> {
         let (dtype, lo, hi) = slot.domain();
         if let Some(v) =
@@ -234,14 +261,7 @@ impl Column {
         let (logical, found, rank) = match slot {
             Slot::Of(logical, ..) => (logical, found, None),
             Slot::Codes(vocab) => {
-                let mut used = vec![false; vocab.len()];
-                let mut block = [0; DECODE_BLOCK];
-                for at in (0..run.len()).step_by(DECODE_BLOCK) {
-                    let block = &mut block[..(run.len() - at).min(DECODE_BLOCK)];
-                    run.unpack_range(at, block);
-                    block.iter().for_each(|&c| used[c as usize] = true);
-                }
-                let (dict, rank) = Dictionary::of_used(vocab, &used);
+                let (dict, rank) = Dictionary::of_used(vocab, used);
                 // Codes that are their ranks already need no re-pack.
                 let moved = (rank.iter().enumerate()).any(|(c, &r)| used[c] && r != c as u64);
                 let top = dict.values.len() as i64 - 1;
@@ -254,7 +274,7 @@ impl Column {
         match rank {
             Some(rank) => run.repack(want.stored_width(), chunks, |c| rank[c as usize]),
             None if want == meta => {}
-            None if want.stored_width() == meta.stored_width() => run.subtract(shift),
+            None if want.stored_width() == meta.stored_width() => run.subtract(shift, chunks),
             None => run.repack(want.stored_width(), chunks, |v| v - shift),
         }
         let [residual] = BitPackedVec::write_once([0], run.len(), |_| Ok::<_, BwdError>(()))?;

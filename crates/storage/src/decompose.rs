@@ -300,10 +300,8 @@ impl DecomposedColumn {
             let rows = out.iter_mut().zip(&payloads[at..]);
             rows.for_each(|(e, &p)| *e = encode(p, dtype));
         };
-        let extrema = payloads.iter().fold(None, |e: Option<(i64, i64)>, &p| {
-            Some(e.map_or((p, p), |(lo, hi)| (lo.min(p), hi.max(p))))
-        });
-        let meta = DecompositionMeta::new(dtype, extrema, spec);
+        let extrema = payloads.iter().min().zip(payloads.iter().max());
+        let meta = DecompositionMeta::new(dtype, extrema.map(|(&lo, &hi)| (lo, hi)), spec);
         let (n, chunks) = (payloads.len(), chunk_count(payloads.len()));
         Ok(split(meta, n, chunks, |_| fill))
     }
@@ -408,15 +406,9 @@ impl DecomposedColumn {
     /// decoded a [`DECODE_BLOCK`] at a time, word by word, and
     /// concatenated.
     pub fn encoded_range(&self, start: usize, out: &mut [u64]) {
-        let n = out.len();
-        assert!(
-            start + n <= self.len(),
-            "rows {start}.. +{n} past {}",
-            self.len()
-        );
-        let (approx, residual) = (&self.approx, &self.residual);
-        let parts = [approx, residual].map(|run| (run.words(), run.width()));
-        decode_parts(&self.meta, parts[0], parts[1], start, out);
+        assert!(start + out.len() <= self.len(), "rows past {}", self.len());
+        let [a, r] = [&self.approx, &self.residual].map(|run| (run.words(), run.width()));
+        decode_parts(&self.meta, a, r, start, out);
     }
 
     /// See [`DecompositionMeta::stored_bounds_payload`].

@@ -1,4 +1,4 @@
-//! The backing words of a packed run. A run of at least [`GRANULE`] bytes
+//! The backing words of a packed run. A run of at least `GRANULE` bytes
 //! is mapped into pages of its own: dropped, or handed back a granule at a
 //! time as it is read for the last time, its bytes leave the resident set
 //! at once, whatever state the heap is in. A shorter run, and every run
