@@ -43,19 +43,20 @@ pub struct BitPackedVec {
 
 impl BitPackedVec {
     /// `K` vectors of `len` elements, `widths` bits each, whose words
-    /// `write` packs once each into fresh zeroed runs ([`Words`]), through
-    /// the [`PackCursor`] over each run or parts cut from it. An error drops
-    /// the runs unread.
+    /// `write` packs once each into fresh zeroed runs ([`Words`], `whole`
+    /// unless `write` hands runs back), through the [`PackCursor`] over
+    /// each run or parts cut from it. An error drops the runs unread.
     ///
     /// # Panics
     /// Panics unless the cursors, finished, stored every word of every run.
     pub(crate) fn write_once<const K: usize, E>(
         widths: [u32; K],
         len: usize,
+        whole: bool,
         write: impl FnOnce([PackCursor<'_>; K]) -> Result<(), E>,
     ) -> Result<[Self; K], E> {
         let mut out = widths.map(|width| {
-            let words = Words::zeroed(words_for(width, len));
+            let words = Words::zeroed(words_for(width, len), whole);
             BitPackedVec { words, width, len }
         });
         let sum = AtomicUsize::new(0);
@@ -78,7 +79,7 @@ impl BitPackedVec {
         chunks: usize,
         values: impl Fn(usize, &mut [u64]) -> Result<(), E> + Sync,
     ) -> Result<Self, E> {
-        let [out] = Self::write_once([width], len, |[mut cursor]| {
+        let [out] = Self::write_once([width], len, true, |[mut cursor]| {
             let pieces = cuts(len, chunks).map(|rows| (cursor.take_rows(rows.len()), rows));
             let packed = in_pieces(pieces, |(mut cursor, rows)| {
                 let mut block = [0; DECODE_BLOCK];
@@ -491,7 +492,7 @@ pub(crate) mod tests {
 
         /// The vector pushed so far.
         pub(crate) fn done(self) -> BitPackedVec {
-            let mut words = Words::zeroed(self.words.len());
+            let mut words = Words::zeroed(self.words.len(), true);
             words.copy_from_slice(&self.words);
             let (width, len) = (self.width, self.len);
             BitPackedVec { words, width, len }

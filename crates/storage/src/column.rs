@@ -180,7 +180,8 @@ impl Column {
             .map(|s| if let Slot::Codes(v) = s { v.len() } else { 0 });
         let unmarked = || vocabs.map(|v| vec![false; v]);
         let (mut found, mut used) = (None, unmarked());
-        let runs = BitPackedVec::write_once(metas.map(|m| m.stored_width()), len, |mut runs| {
+        let widths = metas.map(|m| m.stored_width());
+        let runs = BitPackedVec::write_once(widths, len, true, |mut runs| {
             let mut piece = piece;
             let pieces = cuts(len, chunks).map(|rows| {
                 let cursors = runs.each_mut().map(|run| run.take_rows(rows.len()));
@@ -277,7 +278,7 @@ impl Column {
             None if want.stored_width() == meta.stored_width() => run.subtract(shift, chunks),
             None => run.repack(want.stored_width(), chunks, |v| v - shift),
         }
-        let [residual] = BitPackedVec::write_once([0], run.len(), |_| Ok::<_, BwdError>(()))?;
+        let [residual] = BitPackedVec::write_once([0], run.len(), true, |_| Ok::<_, BwdError>(()))?;
         let split = DecomposedColumn::new(want, run, residual);
         Ok(Column {
             logical,

@@ -261,7 +261,7 @@ pub(crate) fn split<F: FnMut(usize, &mut [u64]) + Send>(
     mut reader: impl FnMut(Range<usize>) -> F,
 ) -> DecomposedColumn {
     let (widths, meta_ref) = ([meta.stored_width(), meta.resbits], &meta);
-    let Ok([approx, residual]) = BitPackedVec::write_once(widths, len, |[mut a, mut r]| {
+    let Ok([approx, residual]) = BitPackedVec::write_once(widths, len, false, |[mut a, mut r]| {
         let pieces = cuts(len, chunks).map(|rows| {
             let (a, r) = (a.take_rows(rows.len()), r.take_rows(rows.len()));
             (reader(rows.clone()), rows, a, r)

@@ -44,10 +44,12 @@ unsafe impl Send for Words {}
 unsafe impl Sync for Words {}
 
 impl Words {
-    /// `len` zero words: pages of their own from a granule up — the kernel
-    /// maps them zeroed, and each is touched first by the thread that
-    /// writes it —, else a heap block.
-    pub(crate) fn zeroed(len: usize) -> Words {
+    /// `len` zero words: pages of their own from a granule up — zeroed by
+    /// the kernel, each touched first by the thread that writes it, huge
+    /// for a `whole` run, written through while nothing is handed back (a
+    /// 512th of the faults) —, else a heap block.
+    #[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
+    pub(crate) fn zeroed(len: usize, whole: bool) -> Words {
         let map = len * 8;
         #[cfg(target_os = "linux")]
         if map >= GRANULE {
@@ -55,6 +57,10 @@ impl Words {
             // 0x22: private | anonymous), no address or file given.
             let at = unsafe { mmap(std::ptr::null_mut(), map, 3, 0x22, -1, 0) };
             if let Some(ptr) = NonNull::new(at.cast()).filter(|_| at as isize != -1) {
+                if whole {
+                    // SAFETY: advice on the mapping just made (14: MADV_HUGEPAGE).
+                    unsafe { madvise(at, map, 14) };
+                }
                 MAPPED.fetch_add(map, Relaxed);
                 return Words::Mapped { ptr, len, map };
             }
