@@ -66,13 +66,12 @@ impl BitPackedVec {
         Ok(out)
     }
 
-    /// Bulk-pack rows `0..len`, already narrow, in the pieces `cuts` cuts
-    /// for `chunks` — the inverse of [`BitPackedVec::unpack_range`]:
-    /// `values(at, out)` fills the [`DECODE_BLOCK`] of rows from `at` on, and
-    /// a register-resident bit cursor a piece writes each backing word
-    /// once; the words do not depend on `chunks`. A piece stops at its
-    /// first error; the lowest row's is returned. Debug-panics if a value
-    /// needs more than `width` bits.
+    /// Bulk-pack rows `0..len`, already narrow, in the pieces `cuts` cuts for
+    /// `chunks` — the inverse of [`BitPackedVec::unpack_range`]: `values(at,
+    /// out)` fills the [`DECODE_BLOCK`] of rows from `at` on, and a piece's
+    /// bit cursor writes each word once, whatever `chunks`. A piece stops at
+    /// its first error; the lowest row's is returned. Debug-panics if a
+    /// value needs more than `width` bits.
     pub fn try_pack_rows<E: Send>(
         width: u32,
         len: usize,
@@ -106,16 +105,13 @@ impl BitPackedVec {
         out
     }
 
-    /// Every element less `v`, in place, where none is less than `v`: the
-    /// run read as one number whose `width`-bit digits lend each other
-    /// nothing, so one multiword subtraction of `v` in every digit, a word
-    /// at a time, in the pieces [`cuts`] cuts for `chunks`. 64 digits are
+    /// Every element less `v`, none less than `v`, in place: one multiword
+    /// subtraction a piece ([`cuts`] for `chunks`; each starts on a word and
+    /// a digit), as no `width`-bit digit borrows from the next. 64 digits are
     /// `width` words, so the subtrahend's words repeat with that period.
     pub(crate) fn subtract(&mut self, v: u64, chunks: usize) {
         let (width, bits) = (self.width as usize, self.len * self.width as usize);
         let digits = Self::from_slice(self.width, &[v; DECODE_BLOCK]);
-        // A piece starts on a block, so on a word and a digit: no borrow
-        // crosses into it.
         in_pieces(self.pieces(chunks), |(words, _)| {
             let mut borrow = 0;
             for (k, word) in words.iter_mut().enumerate() {

@@ -228,13 +228,8 @@ impl Column {
         })?;
         let mut out = Vec::with_capacity(K);
         for (k, ((slot, run), marks)) in slots.into_iter().zip(runs).zip(used).enumerate() {
-            out.push(Column::framed(
-                slot,
-                run,
-                metas[k],
-                found.map(|f| f[k]),
-                &marks,
-            )?);
+            let found = found.map(|f| f[k]);
+            out.push(Column::framed(slot, run, metas[k], found, &marks)?);
         }
         Ok(out
             .try_into()

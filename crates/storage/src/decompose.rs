@@ -249,11 +249,10 @@ fn decode_parts(
     }
 }
 
-/// The decomposition by `meta` of `len` rows, packed in the pieces
-/// [`cuts`] cuts for `chunks`: `reader(rows)`, called once a piece, front
-/// to back, hands the piece's worker what reads those rows' encoded
-/// values. Each worker writes its own range of both output runs, each
-/// word once, and the words do not depend on `chunks`.
+/// The decomposition by `meta` of `len` rows, packed in the pieces [`cuts`]
+/// cuts for `chunks`: `reader(rows)`, called once a piece, front to back,
+/// hands the piece's worker what reads those rows' encoded values. Each
+/// worker writes each word of its range of both runs once, whatever `chunks`.
 pub(crate) fn split<F: FnMut(usize, &mut [u64]) + Send>(
     meta: DecompositionMeta,
     len: usize,
@@ -286,11 +285,7 @@ pub(crate) fn split<F: FnMut(usize, &mut [u64]) + Send>(
         });
         Ok::<_, Infallible>(())
     });
-    DecomposedColumn {
-        meta,
-        approx: Arc::new(approx),
-        residual: Arc::new(residual),
-    }
+    DecomposedColumn::new(meta, approx, residual)
 }
 
 impl DecomposedColumn {
@@ -317,10 +312,9 @@ impl DecomposedColumn {
     }
 
     /// These rows split by `meta`, packed in `chunks` pieces: the split
-    /// itself where it is that split already — no word packed —, else a
-    /// new one, block by block from these runs. Runs held here alone hand
-    /// back each granule their pieces have read; shared ones are read in
-    /// place.
+    /// itself where it is that split already — no word packed —, else a new
+    /// one, block by block from these runs. Runs held here alone hand back
+    /// each granule their pieces have read; shared ones are read in place.
     pub(crate) fn resplit(mut self, meta: DecompositionMeta, chunks: usize) -> Self {
         if meta == self.meta {
             return self;

@@ -1,17 +1,15 @@
-//! The backing words of a packed run. A run of at least `GRANULE` bytes
-//! is mapped into pages of its own: dropped, or handed back a granule at a
-//! time as it is read for the last time, its bytes leave the resident set
-//! at once, whatever state the heap is in. A shorter run, and every run
-//! outside Linux, lives on the heap. The one place the OS is called.
+//! The backing words of a packed run, and the one place the OS is called.
+//! A run of a `GRANULE` or more is mapped into pages of its own, so that,
+//! dropped or handed back a granule at a time as it is read for the last
+//! time, its bytes leave the resident set at once whatever the heap holds.
+//! Shorter runs, and all off 64-bit Linux on x86-64 or AArch64, are heap.
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// Bytes of the page runs handed back to the OS, their alignment, and the
-/// least run that is mapped.
+/// Bytes of a page run handed back, their alignment, and the least run mapped.
 pub(crate) const GRANULE: usize = 1 << 20;
 
-/// Bytes mapped by live runs.
 static MAPPED: AtomicUsize = AtomicUsize::new(0);
 
 /// Bytes the live packed runs hold in pages of their own.
@@ -19,15 +17,58 @@ pub fn mapped_bytes() -> usize {
     MAPPED.load(Relaxed)
 }
 
+/// The OS calls, where these constants and this `off_t` are right: 64-bit
+/// Linux on x86-64 or AArch64.
 #[cfg(target_os = "linux")]
-extern "C" {
-    fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
-    fn munmap(addr: *mut u8, len: usize) -> i32;
-    fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+#[cfg(target_pointer_width = "64")]
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+mod os {
+    use super::NonNull;
+    const PROT_READ: i32 = 0x1;
+    const PROT_WRITE: i32 = 0x2;
+    const MAP_PRIVATE: i32 = 0x02;
+    const MAP_ANONYMOUS: i32 = 0x20;
+    const MAP_FAILED: isize = -1;
+    const MADV_HUGEPAGE: i32 = 14;
+    pub(super) const MADV_DONTNEED: i32 = 4;
+    extern "C" {
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
+        pub(super) fn munmap(addr: *mut u8, len: usize) -> i32;
+        pub(super) fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+
+    /// `bytes` of fresh zeroed pages of their own, advised huge if `huge`.
+    pub(super) fn map(bytes: usize, huge: bool) -> Option<NonNull<u64>> {
+        let (prot, flags) = (PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS);
+        // SAFETY: a fresh private anonymous mapping, no address or file
+        // given, and advice on it.
+        unsafe {
+            let at = mmap(std::ptr::null_mut(), bytes, prot, flags, -1, 0);
+            let at = NonNull::new(at).filter(|_| at as isize != MAP_FAILED)?;
+            if huge {
+                madvise(at.as_ptr(), bytes, MADV_HUGEPAGE);
+            }
+            Some(at.cast())
+        }
+    }
 }
 
-/// The words of a run: on the heap, or `len` words in `map` bytes of pages
-/// of their own.
+/// Elsewhere nothing is mapped: every run is a heap block.
+#[cfg(not(all(
+    target_os = "linux",
+    target_pointer_width = "64",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod os {
+    pub(super) const MADV_DONTNEED: i32 = 0;
+    pub(super) fn map(_: usize, _: bool) -> Option<std::ptr::NonNull<u64>> {
+        None
+    }
+    pub(super) unsafe fn munmap(_: *mut u8, _: usize) {}
+    pub(super) unsafe fn madvise(_: *mut u8, _: usize, _: i32) {}
+}
+
+/// The words of a run: on the heap, or `len` words in `map` bytes of pages of their own.
 #[derive(Debug)]
 pub(crate) enum Words {
     Heap(Vec<u64>),
@@ -44,31 +85,19 @@ unsafe impl Send for Words {}
 unsafe impl Sync for Words {}
 
 impl Words {
-    /// `len` zero words: pages of their own from a granule up — zeroed by
-    /// the kernel, each touched first by the thread that writes it, huge
-    /// for a `whole` run, written through while nothing is handed back (a
-    /// 512th of the faults) —, else a heap block.
-    #[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
+    /// `len` zero words: from a granule up, pages of their own, zeroed by the
+    /// kernel and first touched by their writer; huge for a `whole` run, one
+    /// nothing is handed back from (a 512th of the faults); else a heap block.
     pub(crate) fn zeroed(len: usize, whole: bool) -> Words {
         let map = len * 8;
-        #[cfg(target_os = "linux")]
-        if map >= GRANULE {
-            // SAFETY: a fresh private anonymous mapping (3: read | write,
-            // 0x22: private | anonymous), no address or file given.
-            let at = unsafe { mmap(std::ptr::null_mut(), map, 3, 0x22, -1, 0) };
-            if let Some(ptr) = NonNull::new(at.cast()).filter(|_| at as isize != -1) {
-                if whole {
-                    // SAFETY: advice on the mapping just made (14: MADV_HUGEPAGE).
-                    unsafe { madvise(at, map, 14) };
-                }
-                MAPPED.fetch_add(map, Relaxed);
-                return Words::Mapped { ptr, len, map };
-            }
-        }
-        Words::Heap(vec![0; len])
+        let Some(ptr) = (map >= GRANULE).then(|| os::map(map, whole)).flatten() else {
+            return Words::Heap(vec![0; len]);
+        };
+        MAPPED.fetch_add(map, Relaxed);
+        Words::Mapped { ptr, len, map }
     }
 
-    /// Keep the first `len` words: a mapped run unmaps the whole granules
+    /// Keep the first `keep` words: a mapped run unmaps the whole granules
     /// past them, a heap run shrinks its block to them.
     pub(crate) fn truncate(&mut self, keep: usize) {
         match self {
@@ -79,12 +108,9 @@ impl Words {
             Words::Mapped { ptr, len, map } => {
                 *len = keep.min(*len);
                 let kept = (*len * 8).next_multiple_of(GRANULE).min(*map);
-                #[cfg(target_os = "linux")]
                 // SAFETY: `kept` is a granule multiple: whole pages of this
                 // run's own mapping, past every word it keeps.
-                unsafe {
-                    munmap(ptr.as_ptr().cast::<u8>().add(kept), *map - kept)
-                };
+                unsafe { os::munmap(ptr.as_ptr().cast::<u8>().add(kept), *map - kept) };
                 MAPPED.fetch_sub(*map - kept, Relaxed);
                 *map = kept;
             }
@@ -127,31 +153,21 @@ impl Eq for Words {}
 
 impl Drop for Words {
     fn drop(&mut self) {
-        if let Words::Mapped { ptr, map, .. } = *self {
-            #[cfg(target_os = "linux")]
-            // SAFETY: this run's own mapping, whose `map` bytes it still holds.
-            unsafe {
-                munmap(ptr.as_ptr().cast(), map)
-            };
-            MAPPED.fetch_sub(map, Relaxed);
-        }
+        self.truncate(0);
     }
 }
 
-/// Hand back to the OS the whole [`GRANULE`]s inside `words` that its last
-/// `fresh` words complete: `words` is read in order, for the last time, and
-/// borrowed exclusively, so nothing else reads it. Pages handed back read
-/// as zeros until the run is dropped. Elsewhere than on Linux, a no-op.
-#[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
+/// Hand back the whole [`GRANULE`]s in `words` its last `fresh` words
+/// complete: `words`, borrowed exclusively, is read in order for the last
+/// time. They read as zeros until the run drops. Where nothing is mapped, a no-op.
 pub(crate) fn release(words: &mut [u64], fresh: usize) {
     let start = words.as_mut_ptr() as usize;
     let end = start + words.len() * 8;
     let lo = ((end - fresh * 8) / GRANULE * GRANULE).max(start.next_multiple_of(GRANULE));
     let hi = end / GRANULE * GRANULE;
-    #[cfg(target_os = "linux")]
     if lo < hi {
         // SAFETY: `lo..hi` is whole pages inside `words`, which nothing
-        // reads again; zeros are valid words (4: MADV_DONTNEED).
-        unsafe { madvise(lo as *mut u8, hi - lo, 4) };
+        // reads again; zeros are valid words.
+        unsafe { os::madvise(lo as *mut u8, hi - lo, os::MADV_DONTNEED) };
     }
 }

@@ -24,8 +24,7 @@ pub fn chunk_count(rows: usize) -> usize {
 /// words, so a piece of a bit-packed run starts on a word at every width.
 /// No rows are one empty piece.
 pub(crate) fn cuts(len: usize, chunks: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
-    let piece = len.div_ceil(chunks.max(1)).next_multiple_of(DECODE_BLOCK);
-    let piece = piece.max(DECODE_BLOCK);
+    let piece = (len.div_ceil(chunks.max(1)).next_multiple_of(DECODE_BLOCK)).max(DECODE_BLOCK);
     (0..len.div_ceil(piece).max(1)).map(move |k| k * piece..len.min((k + 1) * piece))
 }
 
