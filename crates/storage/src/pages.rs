@@ -1,10 +1,9 @@
 //! The backing words of a packed run, and the one place the OS is called.
-//! A run of a `GRANULE` or more is mapped into pages of its own, so that,
-//! dropped or handed back a granule at a time as it is read for the last
-//! time, its bytes leave the resident set at once whatever the heap holds.
-//! Shorter runs, and all off 64-bit Linux on x86-64 or AArch64, are heap.
+//! A run of a `GRANULE` or more is mapped into pages of its own: dropped, or
+//! handed back a granule at a time as it is last read, its bytes leave the
+//! resident set at once. Shorter runs, and every run where `os` maps nothing, are heap.
 
-use std::ptr::NonNull;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Bytes of a page run handed back, their alignment, and the least run mapped.
@@ -17,8 +16,7 @@ pub fn mapped_bytes() -> usize {
     MAPPED.load(Relaxed)
 }
 
-/// The OS calls, where these constants and this `off_t` are right: 64-bit
-/// Linux on x86-64 or AArch64.
+/// The OS calls, on the targets whose constants and `off_t` these are.
 #[cfg(target_os = "linux")]
 #[cfg(target_pointer_width = "64")]
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
@@ -68,78 +66,75 @@ mod os {
     pub(super) unsafe fn madvise(_: *mut u8, _: usize, _: i32) {}
 }
 
-/// The words of a run: on the heap, or `len` words in `map` bytes of pages of their own.
+/// The words of a run, read with no branch on where they live: `len` words
+/// at `ptr`, in `map` bytes of pages of their own or, with no `map`, a heap block.
 #[derive(Debug)]
-pub(crate) enum Words {
-    Heap(Vec<u64>),
-    Mapped {
-        ptr: NonNull<u64>,
-        len: usize,
-        map: usize,
-    },
+pub(crate) struct Words {
+    ptr: NonNull<u64>,
+    len: usize,
+    map: Option<usize>,
 }
 
-// SAFETY: a mapped run is owned by its `Words` alone, as a `Vec` is.
+// SAFETY: a run is owned by its `Words` alone, as a `Vec` is.
 unsafe impl Send for Words {}
 // SAFETY: shared, a `Words` hands out `&[u64]` only.
 unsafe impl Sync for Words {}
 
 impl Words {
-    /// `len` zero words: from a granule up, pages of their own, zeroed by the
-    /// kernel and first touched by their writer; huge for a `whole` run, one
-    /// nothing is handed back from (a 512th of the faults); else a heap block.
+    /// `len` zero words: from a granule up, pages of their own, first touched
+    /// by their writer, huge for a `whole` run (a 512th of the faults); else heap.
     pub(crate) fn zeroed(len: usize, whole: bool) -> Words {
         let map = len * 8;
         let Some(ptr) = (map >= GRANULE).then(|| os::map(map, whole)).flatten() else {
-            return Words::Heap(vec![0; len]);
+            return Words::heap(vec![0; len].into_boxed_slice());
         };
         MAPPED.fetch_add(map, Relaxed);
-        Words::Mapped { ptr, len, map }
+        Words {
+            ptr,
+            len,
+            map: Some(map),
+        }
+    }
+
+    fn heap(block: Box<[u64]>) -> Words {
+        let len = block.len();
+        let ptr = NonNull::from(Box::leak(block)).cast();
+        Words {
+            ptr,
+            len,
+            map: None,
+        }
     }
 
     /// Keep the first `keep` words: a mapped run unmaps the whole granules
-    /// past them, a heap run shrinks its block to them.
+    /// past them, a heap run moves them to a block of their size.
     pub(crate) fn truncate(&mut self, keep: usize) {
-        match self {
-            Words::Heap(block) => {
-                block.truncate(keep);
-                block.shrink_to_fit();
-            }
-            Words::Mapped { ptr, len, map } => {
-                *len = keep.min(*len);
-                let kept = (*len * 8).next_multiple_of(GRANULE).min(*map);
-                // SAFETY: `kept` is a granule multiple: whole pages of this
-                // run's own mapping, past every word it keeps.
-                unsafe { os::munmap(ptr.as_ptr().cast::<u8>().add(kept), *map - kept) };
-                MAPPED.fetch_sub(*map - kept, Relaxed);
-                *map = kept;
-            }
-        }
+        let Some(map) = self.map.as_mut() else {
+            *self = Words::heap(self[..keep.min(self.len)].into());
+            return;
+        };
+        self.len = keep.min(self.len);
+        let kept = (self.len * 8).next_multiple_of(GRANULE).min(*map);
+        // SAFETY: `kept` is a granule multiple: whole pages of this run's own
+        // mapping, past every word it keeps.
+        unsafe { os::munmap(self.ptr.as_ptr().cast::<u8>().add(kept), *map - kept) };
+        MAPPED.fetch_sub(*map - kept, Relaxed);
+        *map = kept;
     }
 }
 
 impl std::ops::Deref for Words {
     type Target = [u64];
     fn deref(&self) -> &[u64] {
-        match self {
-            Words::Heap(block) => block,
-            // SAFETY: `len` words of this run's own zeroed pages.
-            Words::Mapped { ptr, len, .. } => unsafe {
-                std::slice::from_raw_parts(ptr.as_ptr(), *len)
-            },
-        }
+        // SAFETY: `len` words of this run's own block or zeroed pages.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
 impl std::ops::DerefMut for Words {
     fn deref_mut(&mut self) -> &mut [u64] {
-        match self {
-            Words::Heap(block) => block,
-            // SAFETY: as `deref`, borrowed exclusively.
-            Words::Mapped { ptr, len, .. } => unsafe {
-                std::slice::from_raw_parts_mut(ptr.as_ptr(), *len)
-            },
-        }
+        // SAFETY: as `deref`, borrowed exclusively.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }
 
@@ -153,7 +148,12 @@ impl Eq for Words {}
 
 impl Drop for Words {
     fn drop(&mut self) {
-        self.truncate(0);
+        if self.map.is_some() {
+            return self.truncate(0);
+        }
+        let block = ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len);
+        // SAFETY: the block `Words::heap` leaked, `len` words long.
+        drop(unsafe { Box::from_raw(block) });
     }
 }
 
